@@ -228,24 +228,50 @@ func BenchmarkE10_CompileTime(b *testing.B) {
 	}
 }
 
+// configuredDevice builds a device and programs its context registers from a
+// compiled intent, as a driver would. Left unprogrammed, every NIC but e1000
+// refuses each packet in the deparser walk, and the benchmark would measure
+// the error return of a device that drops everything.
+func configuredDevice(b *testing.B, m *nic.Model) *nicsim.Device {
+	b.Helper()
+	res, err := m.Compile(mustIntent(b, semantics.RSS, semantics.VLAN, semantics.PktLen), core.CompileOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev, err := nicsim.New(m, nicsim.Config{RingEntries: 2048})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := dev.ApplyConfig(res.Config); err != nil {
+		b.Fatal(err)
+	}
+	return dev
+}
+
+// rxLoop receives b.N packets of the trace, draining the completion ring
+// whenever it fills; any other refusal is fatal.
+func rxLoop(b *testing.B, dev *nicsim.Device, tr *workload.Trace) {
+	b.Helper()
+	b.SetBytes(int64(tr.TotalBytes() / len(tr.Packets)))
+	for i := 0; i < b.N; i++ {
+		if dev.RxPacket(tr.Packets[i%len(tr.Packets)]) {
+			continue
+		}
+		if dev.CmptRing.Free() != 0 {
+			b.Fatalf("packet %d refused with %d ring entries free", i, dev.CmptRing.Free())
+		}
+		for dev.CmptRing.Pop() {
+		}
+	}
+}
+
 // BenchmarkSimulatorRx measures the simulated device's packet rate (CFG
-// interpretation + offload engines + completion DMA) per NIC.
+// walk + the offload engines the layout carries + completion DMA) per NIC.
 func BenchmarkSimulatorRx(b *testing.B) {
 	tr := workload.MustGenerate(workload.DefaultSpec())
 	for _, m := range nic.All() {
 		b.Run(m.Name, func(b *testing.B) {
-			dev, err := nicsim.New(m, nicsim.Config{RingEntries: 2048})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(tr.TotalBytes() / len(tr.Packets)))
-			for i := 0; i < b.N; i++ {
-				if !dev.RxPacket(tr.Packets[i%len(tr.Packets)]) {
-					// Ring full: drain and continue.
-					for dev.CmptRing.Pop() {
-					}
-				}
-			}
+			rxLoop(b, configuredDevice(b, m), tr)
 		})
 	}
 }
@@ -259,26 +285,16 @@ func BenchmarkSimulatorRx(b *testing.B) {
 func BenchmarkObsOverhead(b *testing.B) {
 	tr := workload.MustGenerate(workload.DefaultSpec())
 	m := nic.MustLoad("mlx5")
-	run := func(b *testing.B, dev *nicsim.Device) {
-		b.Helper()
-		b.SetBytes(int64(tr.TotalBytes() / len(tr.Packets)))
-		for i := 0; i < b.N; i++ {
-			if !dev.RxPacket(tr.Packets[i%len(tr.Packets)]) {
-				for dev.CmptRing.Pop() {
-				}
-			}
-		}
-	}
 	b.Run("counters-only", func(b *testing.B) {
-		run(b, nicsim.MustNew(m, nicsim.Config{RingEntries: 2048}))
+		rxLoop(b, configuredDevice(b, m), tr)
 	})
 	b.Run("registered", func(b *testing.B) {
-		dev := nicsim.MustNew(m, nicsim.Config{RingEntries: 2048})
+		dev := configuredDevice(b, m)
 		dev.RegisterMetrics(obs.NewRegistry(), obs.L("queue", "0"))
-		run(b, dev)
+		rxLoop(b, dev, tr)
 	})
 	b.Run("serving", func(b *testing.B) {
-		dev := nicsim.MustNew(m, nicsim.Config{RingEntries: 2048})
+		dev := configuredDevice(b, m)
 		reg := obs.NewRegistry()
 		dev.RegisterMetrics(reg, obs.L("queue", "0"))
 		addr, closer, err := reg.Serve("127.0.0.1:0")
@@ -303,7 +319,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 				}
 			}
 		}()
-		run(b, dev)
+		rxLoop(b, dev, tr)
 	})
 }
 

@@ -54,8 +54,8 @@ func e17Time(n int, record bool) (float64, error) {
 
 // e17Allocs measures steady-state heap allocations per packet with the
 // recorder enabled: the full Rx+Poll cycle, an Rx-only baseline (the
-// simulated device legitimately allocates — offload maps, deparser env), and
-// their difference, which is what the host-side poll→validate→read→deliver
+// simulated device allocates one condition-path string per context branch
+// it evaluates), and their difference, which is what the host-side poll→validate→read→deliver
 // path allocates and must stay zero. The driver is warmed first so one-time
 // ring and recorder allocations don't count.
 func e17Allocs() (full, deliver float64, err error) {

@@ -197,10 +197,20 @@ func e21Efficacy(disabled bool) (*e21Evidence, error) {
 	return ev, nil
 }
 
+// e21TaxCeilingNs is the hard ceiling on what the always-on recorder may add
+// to one packet's trip through device and host, in nanoseconds.
+const e21TaxCeilingNs = 150
+
+// e21TaxRounds is how many alternating recorder-on/off rounds the tax
+// estimate takes the minimum over. A 4096-packet pass lasts ~5 ms, about as
+// long as a shared box stays at one speed, so each arm needs enough rounds to
+// have landed in a fast spell.
+const e21TaxRounds = 15
+
 // E21Telemetry is the fleet observability experiment (DESIGN.md §S26):
-// the always-on telemetry instrumentation tax on the host datapath (hard
-// ceiling 5%), the periodic report build/seal/encode cost and wire size,
-// evidence-bake efficacy on a latency-degrading-but-delivering tampered
+// the always-on telemetry instrumentation tax per packet across the simulated
+// device and the host path (hard ceiling e21TaxCeilingNs), the periodic
+// report build/seal/encode cost and wire size, evidence-bake efficacy on a latency-degrading-but-delivering tampered
 // description (counter-only bakes promote it; the flight-evidence latency
 // gate rolls it back citing p99 numbers and the slowest flight deliveries),
 // and the 16-seed forged-telemetry chaos sweep run twice per seed to pin
@@ -220,7 +230,7 @@ func E21Telemetry(packets int) (*Table, error) {
 		return nil, err
 	}
 	onNs, offNs := -1.0, -1.0
-	for round := 0; round < 5; round++ {
+	for round := 0; round < e21TaxRounds; round++ {
 		on, err := e21Tax(packets, true)
 		if err != nil {
 			return nil, err
@@ -236,10 +246,17 @@ func E21Telemetry(packets int) (*Table, error) {
 			offNs = off
 		}
 	}
-	tax := (onNs - offNs) / offNs
-	if tax >= 0.05 {
-		return nil, fmt.Errorf("e21: telemetry tax %.1f%% of the host datapath, ceiling is 5%%", 100*tax)
+	// The ceiling is absolute. What the recorder costs per packet does not
+	// depend on how long the simulated device takes to produce that packet,
+	// and Rx+Poll is ~90% simulator: a ratio over it loosens whenever the
+	// simulator slows and trips whenever it speeds up. 150 ns/pkt is what 5%
+	// came to while RxPacket cost ~3 µs.
+	taxNs := onNs - offNs
+	if taxNs >= e21TaxCeilingNs {
+		return nil, fmt.Errorf("e21: telemetry tax %.0f ns/pkt (recorder on %.0f, off %.0f), ceiling is %d ns/pkt",
+			taxNs, onNs, offNs, e21TaxCeilingNs)
 	}
+	tax := taxNs / offNs
 
 	reportNs, reportBytes, err := e21Report(1024)
 	if err != nil {
@@ -315,6 +332,7 @@ func E21Telemetry(packets int) (*Table, error) {
 	rec := tab.Record
 	addTiming(rec, "datapath/recorder_on", "ns/pkt", onNs)
 	addTiming(rec, "datapath/recorder_off", "ns/pkt", offNs)
+	rec.AddValue("telemetry/tax_ns", "ns/pkt", taxNs, perf.Info)
 	rec.AddValue("telemetry/tax_pct", "ratio", tax, perf.Info)
 	rec.AddValue("report/encode_ns", "ns", reportNs*handicap, perf.Info)
 	rec.AddValue("report/bytes", "count", float64(reportBytes), perf.Info)
@@ -329,7 +347,8 @@ func E21Telemetry(packets int) (*Table, error) {
 	rec.AddValue("chaos/violations", "count", 0, perf.Lower)
 
 	tab.AddRow("datapath, recorder on", fmt.Sprintf("%.0f ns/pkt", onNs))
-	tab.AddRow("datapath, recorder disabled", fmt.Sprintf("%.0f ns/pkt (tax %.1f%%, ceiling 5%%)", offNs, 100*tax))
+	tab.AddRow("datapath, recorder disabled", fmt.Sprintf("%.0f ns/pkt (tax %.0f ns/pkt, ceiling %d; %.1f%% of device+host)",
+		offNs, taxNs, e21TaxCeilingNs, 100*tax))
 	tab.AddRow("report build+seal+encode", fmt.Sprintf("%.0f ns (%d bytes on the wire)", reportNs, reportBytes))
 	tab.AddRow("baseline p99 / budget", fmt.Sprintf("%d ns / %d ns (×4 + 256)", caught.baselineP99, caught.budgetNs))
 	tab.AddRow("stripped trial p99", fmt.Sprintf("%d ns (70→920 ns deliver, zero garbage)", missed.trialP99))

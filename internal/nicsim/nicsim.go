@@ -2,14 +2,20 @@
 // OpenDesc P4 description. The simulated device *executes the same
 // declarative contract the compiler analyzes*: per received packet it walks
 // the completion deparser's control-flow graph under the programmed context
-// registers, computes the offload metadata with golden reference engines, and
-// DMAs the serialized completion record into a completion ring — so the
-// layouts the compiler derives and the bytes the device emits are validated
-// against each other end-to-end.
+// registers and DMAs the serialized completion record into a completion ring
+// — so the layouts the compiler derives and the bytes the device emits are
+// validated against each other end-to-end.
+//
+// What is fixed is decided when the device is built: every field an emit
+// vertex commits is resolved once, in New, to an offload slot and a width.
+// What is left per packet is the walk itself and the golden reference engines,
+// each of which runs on first use — a layout that does not carry a semantic
+// (and no branch condition that reads it) never computes it.
 package nicsim
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -101,8 +107,8 @@ type Device struct {
 	cmptBytes obs.Counter
 	// pathHits counts completions per enumerated path (index into paths).
 	pathHits []obs.Counter
-	// offloads counts per-semantic offload-engine invocations.
-	offloads map[semantics.Name]*obs.Counter
+	// offloads counts, per slot, the packets its engine ran for.
+	offloads [nSlots]obs.Counter
 	// curPath caches the index of the path the current context selects;
 	// −1 means "recompute on next packet" (set by WriteReg).
 	curPath atomic.Int32
@@ -120,27 +126,74 @@ type Device struct {
 	resets     obs.Counter // device resets that took effect
 	resetFails obs.Counter // reset attempts refused while wedged
 
-	// metaParams are the deparser parameters whose fields feed the emit
-	// environment (context param excluded).
-	metaParams []*sema.BoundParam
-	ctxParam   string
-	// envFields is the flattened field list of metaParams, precomputed once
-	// so the per-packet emit path never rebuilds dotted field names.
-	envFields []envField
+	// emits holds, per CFG node ID, where each field the node emits comes
+	// from.
+	emits [][]fieldSrc
 
-	// scratch
+	// Per-packet state: the frame, its lazily parsed headers, and the slot
+	// values computed so far (bit s of have set: vals[s] is this packet's).
+	packet  []byte
 	info    pkt.Info
-	envBuf  sema.MapEnv
-	valsBuf map[semantics.Name]uint64
+	parsed  bool
+	parseOK bool
+	have    uint32
+	vals    [nSlots + 1]uint64
 	cmptBuf []byte
 }
 
-// envField is one leaf field of a deparser composite parameter.
-type envField struct {
-	name  string // dotted path, e.g. "cqe.rss_hash"
-	sem   semantics.Name
-	width int
+// Offload slots: one per semantic the simulated engines can compute. The
+// engines before slotErrorFlags read only the frame length and device state;
+// those from it on read the parsed headers.
+const (
+	slotPktLen = iota
+	slotTimestamp
+	slotQueueID
+	slotMark
+	slotCryptoCtx
+	slotLROSegs
+	slotSegCnt
+	slotRXDropHint
+	slotErrorFlags
+	slotRSS
+	slotIPChecksum
+	slotL4Checksum
+	slotVLAN
+	slotPType
+	slotFlowID
+	slotIPID
+	slotKVKey
+	slotPayloadHash
+	slotTunnelID
+	slotL4Port
+	slotDecapFlag
+	slotChecksumAny
+	slotParserDepth
+	nSlots
+
+	// slotZero always reads 0: padding, untagged fields and semantics no
+	// engine computes.
+	slotZero = nSlots
+	// slotCtx marks an emitted field of the context parameter, read from the
+	// context registers by name.
+	slotCtx = nSlots + 1
+)
+
+// offloadSemantics names each slot's semantic.
+var offloadSemantics = [nSlots]semantics.Name{
+	slotPktLen: semantics.PktLen, slotTimestamp: semantics.Timestamp, slotQueueID: semantics.QueueID,
+	slotMark: semantics.Mark, slotCryptoCtx: semantics.CryptoCtx, slotLROSegs: semantics.LROSegs,
+	slotSegCnt: semantics.SegCnt, slotRXDropHint: semantics.RXDropHint, slotErrorFlags: semantics.ErrorFlags,
+	slotRSS: semantics.RSS, slotIPChecksum: semantics.IPChecksum, slotL4Checksum: semantics.L4Checksum,
+	slotVLAN: semantics.VLAN, slotPType: semantics.PType, slotFlowID: semantics.FlowID, slotIPID: semantics.IPID,
+	slotKVKey: semantics.KVKey, slotPayloadHash: semantics.PayloadHash, slotTunnelID: semantics.TunnelID,
+	slotL4Port: semantics.L4Port, slotDecapFlag: semantics.DecapFlag, slotChecksumAny: semantics.ChecksumAny,
+	slotParserDepth: semantics.ParserDepth,
 }
+
+// fieldSrc says where a field's value comes from: an offload slot (or
+// slotZero, slotCtx) and the field's width in bits. Fields wider than 64 bits
+// are padding.
+type fieldSrc struct{ slot, width int }
 
 // maxCompletionBytes bounds a single completion record in the simulator.
 const maxCompletionBytes = 256
@@ -172,56 +225,76 @@ func New(m *nic.Model, cfg Config) (*Device, error) {
 		ctx:      make(map[string]sema.Value),
 		CmptRing: ring.MustNew(maxCompletionBytes, cfg.RingEntries),
 		Buffers:  ring.MustNewBufferPool(cfg.BufSize, cfg.RingEntries),
-		envBuf:   make(sema.MapEnv),
-		valsBuf:  make(map[semantics.Name]uint64, 32),
 		cmptBuf:  make([]byte, maxCompletionBytes),
 		pathHits: make([]obs.Counter, len(paths)),
-		offloads: make(map[semantics.Name]*obs.Counter, len(offloadSemantics)),
-	}
-	// Pre-create the per-semantic counters so the hot path never mutates
-	// the map (a concurrent scraper may be iterating it).
-	for _, s := range offloadSemantics {
-		d.offloads[s] = &obs.Counter{}
 	}
 	d.curPath.Store(-1)
-	inst := g.Instance()
-	for _, p := range inst.Params {
-		ct, ok := p.Type.(*sema.CompositeType)
-		if !ok {
-			continue
+	// One backing slice for every emit vertex's fields, cut up by node ID.
+	n := 0
+	for _, node := range g.Nodes {
+		if node.Kind == core.NodeEmit {
+			n += len(node.Emit.Fields)
 		}
-		// The context parameter is the struct the branch conditions read; it
-		// is identified by convention (ctx-ish name) or by carrying no
-		// semantic-tagged fields while being named in constraints.
-		if strings.Contains(p.Name, "ctx") {
-			d.ctxParam = p.Name
-			continue
-		}
-		_ = ct
-		d.metaParams = append(d.metaParams, p)
 	}
-	for _, p := range d.metaParams {
-		d.flattenFields(p.Name, p.Type.(*sema.CompositeType))
+	srcs := make([]fieldSrc, 0, n)
+	d.emits = make([][]fieldSrc, len(g.Nodes))
+	for _, node := range g.Nodes {
+		if node.Kind != core.NodeEmit {
+			continue
+		}
+		start := len(srcs)
+		for _, f := range node.Emit.Fields {
+			src, ok := d.field(f.Name)
+			if !ok {
+				// Not a metadata leaf: padding, or a context register.
+				src = fieldSrc{slot: slotCtx, width: f.WidthBits}
+				if f.WidthBits > 64 {
+					src.slot = slotZero
+				}
+			}
+			srcs = append(srcs, src)
+		}
+		d.emits[node.ID] = srcs[start:]
 	}
 	return d, nil
 }
 
-// flattenFields records every emit-relevant leaf field of a composite
-// parameter under its dotted name (pads and oversized fields excluded, as in
-// the emit path they feed).
-func (d *Device) flattenFields(prefix string, ct *sema.CompositeType) {
-	for _, f := range ct.Fields {
-		name := prefix + "." + f.Name
-		if nested, ok := f.Type.(*sema.CompositeType); ok {
-			d.flattenFields(name, nested)
-			continue
-		}
-		w := f.Type.BitWidth()
-		if w <= 0 || w > 64 {
-			continue
-		}
-		d.envFields = append(d.envFields, envField{name: name, sem: semantics.Name(f.Semantic), width: w})
+// field resolves a dotted name to the per-packet metadata leaf it names: a
+// field of at most 64 bits under one of the deparser's composite parameters.
+// The context parameter, identified by convention (ctx-ish name), is the
+// struct the control channel programs: its fields are registers. Untagged
+// fields and semantics no engine computes read zero.
+func (d *Device) field(path string) (src fieldSrc, ok bool) {
+	root, rest, _ := strings.Cut(path, ".")
+	if strings.Contains(root, "ctx") {
+		return
 	}
+	p := d.graph.Instance().Param(root)
+	if p == nil || rest == "" {
+		return
+	}
+	t, sem := p.Type, ""
+	for name := ""; rest != ""; {
+		name, rest, _ = strings.Cut(rest, ".")
+		ct, composite := t.(*sema.CompositeType)
+		if !composite {
+			return
+		}
+		f := ct.Field(name)
+		if f == nil {
+			return
+		}
+		t, sem = f.Type, f.Semantic
+	}
+	w := t.BitWidth()
+	if _, composite := t.(*sema.CompositeType); composite || w <= 0 || w > 64 {
+		return
+	}
+	slot := slices.Index(offloadSemantics[:], semantics.Name(sem))
+	if slot < 0 {
+		slot = slotZero
+	}
+	return fieldSrc{slot: slot, width: w}, true
 }
 
 // Config returns the device's (defaulted) configuration — the concrete
@@ -294,22 +367,6 @@ func (d *Device) ActivePath() (*core.Path, error) {
 	return nil, fmt.Errorf("nicsim %s: no completion path matches context %v", d.Model.Name, d.ctx)
 }
 
-// ContextParam returns the name of the deparser's context parameter (the
-// struct the control channel programs), e.g. "ctx".
-func (d *Device) ContextParam() string { return d.ctxParam }
-
-// offloadSemantics is every semantic the simulated offload engines can
-// compute; the per-semantic invocation counters are pre-created from this
-// list so RxPacket never mutates the counter map.
-var offloadSemantics = []semantics.Name{
-	semantics.PktLen, semantics.Timestamp, semantics.QueueID, semantics.Mark,
-	semantics.CryptoCtx, semantics.LROSegs, semantics.SegCnt, semantics.RXDropHint,
-	semantics.ErrorFlags, semantics.RSS, semantics.IPChecksum, semantics.L4Checksum,
-	semantics.VLAN, semantics.PType, semantics.FlowID, semantics.IPID,
-	semantics.KVKey, semantics.PayloadHash, semantics.TunnelID, semantics.L4Port,
-	semantics.DecapFlag, semantics.ChecksumAny, semantics.ParserDepth,
-}
-
 // DeviceStats is a point-in-time snapshot of a device's ethtool-style
 // counters.
 type DeviceStats struct {
@@ -325,7 +382,9 @@ type DeviceStats struct {
 	// CompletionsByPath counts completions per enumerated deparser path,
 	// keyed by path ID.
 	CompletionsByPath map[int]uint64
-	// Offloads counts per-semantic offload-engine invocations.
+	// Offloads counts, per semantic, the packets its offload engine ran
+	// for: those whose completion carried the semantic or whose path
+	// through the deparser branched on it.
 	Offloads map[semantics.Name]uint64
 	// Ring is the completion ring's counter snapshot.
 	Ring ring.Stats
@@ -364,9 +423,9 @@ func (d *Device) Stats() DeviceStats {
 			st.CompletionsByPath[d.paths[i].ID] = n
 		}
 	}
-	for name, c := range d.offloads {
-		if n := c.Load(); n > 0 {
-			st.Offloads[name] = n
+	for slot := range d.offloads {
+		if n := d.offloads[slot].Load(); n > 0 {
+			st.Offloads[offloadSemantics[slot]] = n
 		}
 	}
 	return st
@@ -409,9 +468,9 @@ func (d *Device) RegisterMetrics(reg *obs.Registry, extra ...obs.Label) {
 		labels := append(append([]obs.Label{}, base...), obs.L("path", strconv.Itoa(d.paths[i].ID)))
 		reg.AttachCounter("opendesc_dev_path_completions_total", "completions emitted per deparser path", &d.pathHits[i], labels...)
 	}
-	for _, s := range offloadSemantics {
+	for slot, s := range offloadSemantics {
 		labels := append(append([]obs.Label{}, base...), obs.L("semantic", string(s)))
-		reg.AttachCounter("opendesc_dev_offload_invocations_total", "offload-engine invocations per semantic", d.offloads[s], labels...)
+		reg.AttachCounter("opendesc_dev_offload_invocations_total", "offload-engine invocations per semantic", &d.offloads[slot], labels...)
 	}
 	r := d.CmptRing
 	rl := append(append([]obs.Label{}, base...), obs.L("ring", "cmpt"))
@@ -425,8 +484,9 @@ func (d *Device) RegisterMetrics(reg *obs.Registry, extra ...obs.Label) {
 }
 
 // RxPacket makes the device receive one packet from the wire: it DMAs the
-// packet into the next buffer slot, computes the offload metadata, walks the
-// deparser CFG under the programmed context, and DMAs the completion record.
+// packet into the next buffer slot, walks the deparser CFG under the
+// programmed context — running the offload engines the walk asks for — and
+// DMAs the completion record.
 // It returns false when the completion ring is full (packet dropped, as
 // hardware would).
 func (d *Device) RxPacket(packet []byte) bool {
@@ -448,14 +508,8 @@ func (d *Device) RxPacket(packet []byte) bool {
 		d.clock += d.cfg.TimestampStep
 	}
 
-	vals := d.computeOffloads(packet)
-	for name := range vals {
-		if c := d.offloads[name]; c != nil {
-			c.Inc()
-		}
-	}
-	env := d.buildEnv(vals)
-	n, err := d.serializeCompletion(env, d.cmptBuf)
+	d.packet, d.parsed, d.have = packet, false, 1<<slotZero
+	n, err := d.serializeCompletion(d.cmptBuf)
 	if err != nil {
 		d.drops.Inc()
 		return false
@@ -553,102 +607,126 @@ func (d *Device) Reset() error {
 	return nil
 }
 
-// computeOffloads runs the golden reference engines over the packet. The
-// returned map is the device's scratch buffer, valid until the next packet.
-func (d *Device) computeOffloads(packet []byte) map[semantics.Name]uint64 {
-	in := &d.info
-	decodeOK := pkt.Decode(packet, in) == nil
-	vals := d.valsBuf
-	for k := range vals {
-		delete(vals, k)
+// val returns a slot's value for the packet being received, running its
+// engine on first use.
+func (d *Device) val(slot int) uint64 {
+	if d.have&(1<<slot) == 0 {
+		d.have |= 1 << slot
+		d.vals[slot] = d.engine(slot)
 	}
-	vals[semantics.PktLen] = uint64(len(packet))
-	vals[semantics.Timestamp] = d.clock
-	vals[semantics.QueueID] = uint64(d.cfg.QueueID)
-	vals[semantics.Mark] = d.cfg.Mark
-	vals[semantics.CryptoCtx] = d.cfg.CryptoCtx
-	vals[semantics.LROSegs] = 1
-	vals[semantics.SegCnt] = 1
-	vals[semantics.RXDropHint] = 0
-	if !decodeOK {
-		vals[semantics.ErrorFlags] = 0x80 // parse error
-		return vals
-	}
-	vals[semantics.RSS] = uint64(softnic.RSS(in))
-	vals[semantics.IPChecksum] = uint64(softnic.IPChecksum(in))
-	vals[semantics.L4Checksum] = uint64(softnic.L4Checksum(in))
-	vals[semantics.VLAN] = uint64(softnic.VLANTCI(in))
-	vals[semantics.PType] = uint64(softnic.PType(in))
-	vals[semantics.FlowID] = uint64(softnic.FlowID(in))
-	vals[semantics.IPID] = uint64(in.IPID)
-	vals[semantics.KVKey] = softnic.KVKey(in)
-	vals[semantics.PayloadHash] = uint64(softnic.PayloadHash(in))
-	vals[semantics.TunnelID] = uint64(softnic.TunnelID(in))
-	vals[semantics.L4Port] = uint64(in.DstPort)
-	if vals[semantics.TunnelID] != 0 {
-		vals[semantics.DecapFlag] = 1
-	}
-	var errFlags uint64
-	if in.L3 == pkt.L3IPv4 && in.L3Off >= 0 {
-		hdr := in.Data[in.L3Off:]
-		ihl := int(hdr[0]&0x0F) * 4
-		if ihl >= pkt.IPv4MinLen && in.L3Off+ihl <= len(in.Data) && !pkt.VerifyIPv4Header(hdr[:ihl]) {
-			errFlags |= 1
-		}
-	}
-	if (in.L4 == pkt.L4TCP || in.L4 == pkt.L4UDP) && !pkt.VerifyL4(in) {
-		errFlags |= 2
-	}
-	vals[semantics.ErrorFlags] = errFlags
-	lvl := uint64(0)
-	if in.L3 == pkt.L3IPv4 {
-		lvl = 1
-	}
-	if in.L4 == pkt.L4TCP || in.L4 == pkt.L4UDP {
-		lvl = 2
-	}
-	vals[semantics.ChecksumAny] = lvl
-	depth := uint64(1)
-	if in.L3 != pkt.L3None {
-		depth++
-	}
-	if in.L4 != pkt.L4None {
-		depth++
-	}
-	vals[semantics.ParserDepth] = depth
-	return vals
+	return d.vals[slot]
 }
 
-// buildEnv maps every semantic-tagged field of the deparser's composite
-// parameters to its computed value, plus the context registers. It walks the
-// field list flattened at construction — no per-packet name building.
-func (d *Device) buildEnv(vals map[semantics.Name]uint64) sema.MapEnv {
-	env := d.envBuf
-	for k := range env {
-		delete(env, k)
+// engine runs one golden reference engine over the packet being received.
+func (d *Device) engine(slot int) uint64 {
+	in := &d.info
+	if slot >= slotErrorFlags {
+		if !d.parsed {
+			d.parsed, d.parseOK = true, pkt.Decode(d.packet, in) == nil
+		}
+		if !d.parseOK && slot != slotErrorFlags {
+			// Undecodable frame: only the error-flags engine has anything to
+			// report; the others did not run and read zero.
+			return 0
+		}
 	}
-	for k, v := range d.ctx {
-		env[k] = v
-	}
-	for _, f := range d.envFields {
-		var v uint64
-		if f.sem != "" {
-			v = vals[f.sem]
-			if f.width < 64 {
-				v &= (uint64(1) << f.width) - 1
+	d.offloads[slot].Inc()
+	switch slot {
+	case slotPktLen:
+		return uint64(len(d.packet))
+	case slotTimestamp:
+		return d.clock
+	case slotQueueID:
+		return uint64(d.cfg.QueueID)
+	case slotMark:
+		return d.cfg.Mark
+	case slotCryptoCtx:
+		return d.cfg.CryptoCtx
+	case slotLROSegs, slotSegCnt:
+		return 1
+	case slotRXDropHint:
+		return 0
+	case slotErrorFlags:
+		if !d.parseOK {
+			return 0x80 // parse error
+		}
+		var errFlags uint64
+		if in.L3 == pkt.L3IPv4 && in.L3Off >= 0 {
+			hdr := in.Data[in.L3Off:]
+			ihl := int(hdr[0]&0x0F) * 4
+			if ihl >= pkt.IPv4MinLen && in.L3Off+ihl <= len(in.Data) && !pkt.VerifyIPv4Header(hdr[:ihl]) {
+				errFlags |= 1
 			}
 		}
-		env[f.name] = sema.UintValue(v, f.width)
+		if (in.L4 == pkt.L4TCP || in.L4 == pkt.L4UDP) && !pkt.VerifyL4(in) {
+			errFlags |= 2
+		}
+		return errFlags
+	case slotRSS:
+		return uint64(softnic.RSS(in))
+	case slotIPChecksum:
+		return uint64(softnic.IPChecksum(in))
+	case slotL4Checksum:
+		return uint64(softnic.L4Checksum(in))
+	case slotVLAN:
+		return uint64(softnic.VLANTCI(in))
+	case slotPType:
+		return uint64(softnic.PType(in))
+	case slotFlowID:
+		return uint64(softnic.FlowID(in))
+	case slotIPID:
+		return uint64(in.IPID)
+	case slotKVKey:
+		return softnic.KVKey(in)
+	case slotPayloadHash:
+		return uint64(softnic.PayloadHash(in))
+	case slotTunnelID:
+		return uint64(softnic.TunnelID(in))
+	case slotL4Port:
+		return uint64(in.DstPort)
+	case slotDecapFlag:
+		if d.val(slotTunnelID) != 0 {
+			return 1
+		}
+		return 0
+	case slotChecksumAny:
+		switch {
+		case in.L4 == pkt.L4TCP || in.L4 == pkt.L4UDP:
+			return 2
+		case in.L3 == pkt.L3IPv4:
+			return 1
+		}
+		return 0
+	case slotParserDepth:
+		depth := uint64(1)
+		if in.L3 != pkt.L3None {
+			depth++
+		}
+		if in.L4 != pkt.L4None {
+			depth++
+		}
+		return depth
 	}
-	return env
+	panic("nicsim: no engine for slot " + strconv.Itoa(slot))
 }
 
-// serializeCompletion walks the deparser CFG under env, writing emitted
-// fields into dst, and returns the completion size in bytes.
-func (d *Device) serializeCompletion(env sema.Env, dst []byte) (int, error) {
-	for i := range dst {
-		dst[i] = 0
+// Lookup implements sema.Env for the deparser's conditions: a metadata field
+// reads its engine's value for the packet being received, any other name a
+// context register. Fields come first: a register written under a field's
+// name (as ApplyConfig does for a constraint on per-packet data) does not
+// override what the packet says.
+func (d *Device) Lookup(path string) (sema.Value, bool) {
+	if f, ok := d.field(path); ok {
+		return sema.UintValue(d.val(f.slot)&(^uint64(0)>>(64-f.width)), f.width), true
 	}
+	v, ok := d.ctx[path]
+	return v, ok
+}
+
+// serializeCompletion walks the deparser CFG for the packet being received,
+// writing emitted fields into dst, and returns the completion size in bytes.
+func (d *Device) serializeCompletion(dst []byte) (int, error) {
+	clear(dst)
 	info := d.graph.Info()
 	node := d.graph.Entry
 	offBits := 0
@@ -657,23 +735,20 @@ func (d *Device) serializeCompletion(env sema.Env, dst []byte) (int, error) {
 		if steps++; steps > 10000 {
 			return 0, fmt.Errorf("nicsim: deparser walk did not terminate")
 		}
-		if node.Kind == core.NodeEmit {
-			for _, f := range node.Emit.Fields {
-				if offBits+f.WidthBits > len(dst)*8 {
-					return 0, fmt.Errorf("nicsim: completion exceeds %d bytes", len(dst))
-				}
-				if f.WidthBits <= 64 {
-					var v uint64
-					if val, ok := env.Lookup(f.Name); ok {
-						v = val.Uint
-					}
-					bitfield.Write(dst, offBits, f.WidthBits, v)
-				}
-				// >64-bit fields (pads) stay zero.
-				offBits += f.WidthBits
+		for i, f := range d.emits[node.ID] {
+			if offBits+f.width > len(dst)*8 {
+				return 0, fmt.Errorf("nicsim: completion exceeds %d bytes", len(dst))
 			}
+			switch f.slot {
+			case slotZero: // dst is already zero
+			case slotCtx:
+				bitfield.Write(dst, offBits, f.width, d.ctx[node.Emit.Fields[i].Name].Uint)
+			default:
+				bitfield.Write(dst, offBits, f.width, d.val(f.slot))
+			}
+			offBits += f.width
 		}
-		next, err := d.step(node, env, info)
+		next, err := step(node, d, info)
 		if err != nil {
 			return 0, err
 		}
@@ -683,7 +758,7 @@ func (d *Device) serializeCompletion(env sema.Env, dst []byte) (int, error) {
 }
 
 // step picks the successor edge of a node under the concrete env.
-func (d *Device) step(node *core.Node, env sema.Env, info *sema.Info) (*core.Node, error) {
+func step(node *core.Node, env sema.Env, info *sema.Info) (*core.Node, error) {
 	if len(node.Succs) == 1 && node.Succs[0].Cond == nil && len(node.Succs[0].CaseVals) == 0 && !node.Succs[0].IsDefault {
 		return node.Succs[0].To, nil
 	}

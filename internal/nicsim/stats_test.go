@@ -49,12 +49,30 @@ func TestDeviceStatsContents(t *testing.T) {
 	if len(st.CompletionsByPath) != 1 || st.CompletionsByPath[active.ID] != n {
 		t.Errorf("per-path completions = %v, want {%d: %d}", st.CompletionsByPath, active.ID, n)
 	}
-	// The offload engines run for every accepted packet regardless of which
-	// semantics the active layout carries.
+	// An engine runs for a packet only when the active layout carries its
+	// semantic: path 0 carries rss, not ip_checksum or l4_checksum.
 	for _, s := range []semantics.Name{semantics.RSS, semantics.VLAN, semantics.PktLen} {
 		if st.Offloads[s] != n {
 			t.Errorf("offload %s = %d, want %d", s, st.Offloads[s], n)
 		}
+	}
+	for _, s := range []semantics.Name{semantics.IPChecksum, semantics.L4Checksum, semantics.KVKey} {
+		if st.Offloads[s] != 0 {
+			t.Errorf("offload %s = %d on a layout that does not carry it", s, st.Offloads[s])
+		}
+	}
+	// Reprogrammed to the layout that trades rss for ip_checksum, the
+	// ip_checksum engine starts running and the rss engine stops.
+	if err := dev.ApplyConfig(compileOn(t, "e1000e", semantics.IPChecksum).Config); err != nil {
+		t.Fatal(err)
+	}
+	if !dev.RxPacket(p) {
+		t.Fatal("rx after reconfiguration failed")
+	}
+	after := dev.Stats().Offloads
+	if after[semantics.IPChecksum] != 1 || after[semantics.RSS] != n || after[semantics.PktLen] != n+1 {
+		t.Errorf("after reconfiguration: ip_checksum=%d rss=%d pkt_len=%d, want 1, %d, %d",
+			after[semantics.IPChecksum], after[semantics.RSS], after[semantics.PktLen], n, n+1)
 	}
 	want := st.Ring
 	if want.Produced != n || want.Consumed != 2 || want.Occupancy != n-2 || want.HighWater != n {
@@ -140,6 +158,11 @@ func TestMultiQueueStatsAggregation(t *testing.T) {
 	}
 	if st.Aggregate.Offloads[semantics.RSS] != 5 {
 		t.Errorf("aggregate rss offloads = %d", st.Aggregate.Offloads[semantics.RSS])
+	}
+	// Neither queue's layout carries ip_checksum: no queue ran that engine,
+	// so the aggregate has no entry for it.
+	if n, ok := st.Aggregate.Offloads[semantics.IPChecksum]; ok {
+		t.Errorf("aggregate ip_checksum offloads = %d, want no entry", n)
 	}
 	if st.Aggregate.Ring.Produced != 5 || st.Aggregate.Ring.Occupancy != 5 {
 		t.Errorf("aggregate ring = %+v", st.Aggregate.Ring)

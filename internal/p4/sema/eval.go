@@ -28,6 +28,18 @@ func (m MapEnv) Lookup(path string) (Value, bool) {
 // the constant table nor the Env can supply.
 var ErrUnknown = errors.New("unknown name")
 
+// unknownError is the ErrUnknown Eval returns for the name it could not
+// resolve. Path enumeration receives one on every context-conditioned edge —
+// it is how "not known yet" is signalled there — and never prints it, so the
+// text is built only when somebody asks for it.
+type unknownError struct{ name ast.Expr }
+
+func (e *unknownError) Error() string {
+	return fmt.Sprintf("%v: %q", ErrUnknown, ast.Sprint(e.name))
+}
+
+func (e *unknownError) Unwrap() error { return ErrUnknown }
+
 // Eval folds an expression to a constant. env may be nil; it is consulted for
 // identifiers and member paths not found in the constant/enum tables.
 func (in *Info) Eval(e ast.Expr, env Env) (Value, error) {
@@ -47,7 +59,7 @@ func (in *Info) Eval(e ast.Expr, env Env) (Value, error) {
 				return v, nil
 			}
 		}
-		return Value{}, fmt.Errorf("%w: %q", ErrUnknown, e.Name)
+		return Value{}, &unknownError{e}
 	case *ast.MemberExpr:
 		// Enum member access: EnumName.member.
 		if id, ok := e.X.(*ast.Ident); ok {
@@ -63,7 +75,7 @@ func (in *Info) Eval(e ast.Expr, env Env) (Value, error) {
 				return v, nil
 			}
 		}
-		return Value{}, fmt.Errorf("%w: %q", ErrUnknown, ast.Sprint(e))
+		return Value{}, &unknownError{e}
 	case *ast.UnaryExpr:
 		x, err := in.Eval(e.X, env)
 		if err != nil {

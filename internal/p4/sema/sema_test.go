@@ -243,9 +243,19 @@ func TestEvalWithEnv(t *testing.T) {
 
 func TestEvalUnknownName(t *testing.T) {
 	in := check(t, "")
-	_, err := in.Eval(parseExpr(t, "mystery == 1"), nil)
-	if !errors.Is(err, ErrUnknown) {
-		t.Errorf("err = %v, want ErrUnknown", err)
+	for src, text := range map[string]string{
+		"mystery == 1":     `unknown name: "mystery"`,
+		"ctx.use_rss != 0": `unknown name: "ctx.use_rss"`,
+	} {
+		_, err := in.Eval(parseExpr(t, src), MapEnv{})
+		if !errors.Is(err, ErrUnknown) {
+			t.Errorf("%s: err = %v, want ErrUnknown", src, err)
+		}
+		// The text is formatted only on demand; it must read as it did when
+		// it was built eagerly.
+		if err == nil || err.Error() != text {
+			t.Errorf("%s: err = %v, want %s", src, err, text)
+		}
 	}
 }
 

@@ -40,8 +40,8 @@ func gateDriver(t *testing.T) (*Driver, [][]byte, func([]byte, Meta)) {
 
 // TestDeliverPathAllocGate is the alloc ratchet for the host-side
 // poll→validate→read→deliver hot path. The simulated device's Rx side
-// legitimately allocates (it models hardware: offload maps, deparser env),
-// so the gate measures the full Rx+Poll cycle and subtracts an Rx-only
+// allocates one condition-path string per context branch it evaluates, so
+// the gate measures the full Rx+Poll cycle and subtracts an Rx-only
 // baseline taken against the same driver — the difference is what the host
 // datapath itself allocates per delivered packet, and it must stay zero.
 // Any change that puts a heap allocation on Poll, Meta.Get, or the deliver
