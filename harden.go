@@ -321,11 +321,14 @@ func (h *hardening) poll(d *Driver, fn func(packet []byte, meta Meta)) int {
 	}
 	n := 0
 	t0 := d.fq.Now()
+	// Deliveries pop by advancing d.pending's start, so every helper keeps
+	// seeing exactly the live queue; it moves back to the front once, below.
+	front := d.pending[:0]
 	for len(d.pending) > 0 {
 		head := d.pending[0]
 		if head.soft {
 			h.deliverSoft(d, head, t0, fn)
-			d.pending = d.pending[:copy(d.pending, d.pending[1:])]
+			d.pending = d.pending[1:]
 			n++
 			continue
 		}
@@ -343,7 +346,7 @@ func (h *hardening) poll(d *Driver, fn func(packet []byte, meta Meta)) int {
 			h.resyncDrops.Inc()
 			d.fq.RecordT(t0, flight.EvResync, head.seq, 0, 0)
 			h.deliverSoft(d, head, t0, fn)
-			d.pending = d.pending[:copy(d.pending, d.pending[1:])]
+			d.pending = d.pending[1:]
 			n++
 			continue
 		}
@@ -361,7 +364,7 @@ func (h *hardening) poll(d *Driver, fn func(packet []byte, meta Meta)) int {
 			fn(head.pkt, Meta{rt: d.rt, cmpt: rec, pkt: head.pkt, fq: d.fq, ts: mts, seq: head.seq})
 			h.noteDelivered(head.pkt)
 			d.dev.CmptRing.Pop()
-			d.pending = d.pending[:copy(d.pending, d.pending[1:])]
+			d.pending = d.pending[1:]
 			d.noteDelivered(t0, head.ts, head.seq)
 			n++
 			continue
@@ -386,7 +389,7 @@ func (h *hardening) poll(d *Driver, fn func(packet []byte, meta Meta)) int {
 				h.deliverSoft(d, d.pending[i], t0, fn)
 				n++
 			}
-			d.pending = d.pending[:copy(d.pending, d.pending[skip:])]
+			d.pending = d.pending[skip:]
 			continue
 		}
 		// Unclassifiable: a corrupted record. Quarantine it (never expose its
@@ -401,9 +404,10 @@ func (h *hardening) poll(d *Driver, fn func(packet []byte, meta Meta)) int {
 		}
 		d.dev.CmptRing.Pop()
 		h.deliverSoft(d, head, t0, fn)
-		d.pending = d.pending[:copy(d.pending, d.pending[1:])]
+		d.pending = d.pending[1:]
 		n++
 	}
+	d.pending = append(front, d.pending...)
 	// Records with no queued packet left are spurious (duplicates that
 	// outlived their packet); drain and count them.
 	for len(d.pending) == 0 {

@@ -106,9 +106,11 @@ func MeasurePoll(ifc iface.Interface, packets [][]byte, h iface.Handler, minDur 
 // E11Interfaces compares the three candidate driver-datapath interface
 // models (§5): per-packet rings, ASNI-style batched frames, and Enso-style
 // descriptor-less streaming. The expected shape mirrors the papers cited in
-// §2: streaming wins for raw payload processing (ENSO's 6× claim) but
-// collapses once the application needs NIC-computed metadata, while the
-// batched model keeps metadata inline at a fraction of the ring overhead.
+// §2: streaming wins for raw payload processing (ENSO's 6× claim) but pays
+// to recompute NIC-computed metadata the application needs (a collapse when
+// that is expensive in software; a table-driven Toeplitz is not, EXPERIMENTS
+// E11), while the batched model keeps metadata inline at a fraction of the
+// ring overhead.
 func E11Interfaces(packets int, minDur time.Duration) (*Table, error) {
 	if packets <= 0 {
 		packets = 512

@@ -6,7 +6,25 @@
 // accessors use to read them.
 package bitfield
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
+
+// window picks the eight bytes that are loaded (and stored) as one big-endian
+// word to reach bits [off, off+width) of an n-byte buffer: they start at the
+// field's first byte, slid back where needed to end inside the buffer. It
+// returns their index and the field's distance from the word's low end; ok
+// is false when no such window exists — the buffer is shorter than eight
+// bytes, or an unaligned field wider than 56 bits touches a ninth.
+func window(n, off, width int) (i, shift int, ok bool) {
+	i = off >> 3
+	if i+8 > n {
+		i = n - 8
+	}
+	shift = 64 - (off - 8*i) - width
+	return i, shift, i >= 0 && shift >= 0
+}
 
 // Read extracts width bits starting at bit offset off. Width must be 1..64
 // and the slice [off, off+width) must lie inside b; violations panic, as they
@@ -18,26 +36,24 @@ func Read(b []byte, off, width int) uint64 {
 	if off < 0 || off+width > len(b)*8 {
 		panic(fmt.Sprintf("bitfield: read [%d,%d) outside %d-byte buffer", off, off+width, len(b)))
 	}
-	var v uint64
-	remaining := width
-	byteIdx := off / 8
-	bitIdx := off % 8 // from MSB
-	for remaining > 0 {
-		avail := 8 - bitIdx
-		take := avail
-		if take > remaining {
-			take = remaining
-		}
-		chunk := (uint64(b[byteIdx]) >> (avail - take)) & ((1 << take) - 1)
-		v = v<<take | chunk
-		remaining -= take
-		byteIdx++
-		bitIdx = 0
+	mask := ^uint64(0) >> (64 - width)
+	if i, shift, ok := window(len(b), off, width); ok {
+		return binary.BigEndian.Uint64(b[i:]) >> shift & mask
 	}
-	return v
+	if len(b) < 8 {
+		var w [8]byte
+		copy(w[8-len(b):], b)
+		return Read(w[:], off+(8-len(b))*8, width)
+	}
+	// Nine bytes: the bits up to the first byte boundary, then the rest.
+	head := 8 - off&7
+	return Read(b, off, head)<<(width-head) | Read(b, off+head, width-head)
 }
 
-// Write stores the low width bits of v starting at bit offset off.
+// Write stores the low width bits of v starting at bit offset off. It is a
+// read-modify-write of the whole eight-byte window, so up to eight bytes
+// around the field are rewritten with their own values: goroutines must not
+// share b, even to write disjoint fields.
 func Write(b []byte, off, width int, v uint64) {
 	if width <= 0 || width > 64 {
 		panic(fmt.Sprintf("bitfield: width %d out of range", width))
@@ -45,26 +61,22 @@ func Write(b []byte, off, width int, v uint64) {
 	if off < 0 || off+width > len(b)*8 {
 		panic(fmt.Sprintf("bitfield: write [%d,%d) outside %d-byte buffer", off, off+width, len(b)))
 	}
-	if width < 64 {
-		v &= (1 << width) - 1
+	mask := ^uint64(0) >> (64 - width)
+	if i, shift, ok := window(len(b), off, width); ok {
+		w := binary.BigEndian.Uint64(b[i:])
+		binary.BigEndian.PutUint64(b[i:], w&^(mask<<shift)|(v&mask)<<shift)
+		return
 	}
-	remaining := width
-	byteIdx := off / 8
-	bitIdx := off % 8
-	for remaining > 0 {
-		avail := 8 - bitIdx
-		take := avail
-		if take > remaining {
-			take = remaining
-		}
-		shift := remaining - take
-		chunk := byte((v >> shift) & ((1 << take) - 1))
-		mask := byte(((1 << take) - 1) << (avail - take))
-		b[byteIdx] = b[byteIdx]&^mask | chunk<<(avail-take)
-		remaining -= take
-		byteIdx++
-		bitIdx = 0
+	if len(b) < 8 {
+		var w [8]byte
+		copy(w[8-len(b):], b)
+		Write(w[:], off+(8-len(b))*8, width, v)
+		copy(b, w[8-len(b):])
+		return
 	}
+	head := 8 - off&7
+	Write(b, off, head, v>>(width-head))
+	Write(b, off+head, width-head, v)
 }
 
 // ReadAligned is a fast path for byte-aligned fields of 8/16/32/64 bits; it

@@ -1,6 +1,9 @@
 package pkt
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // ChecksumAccumulator incrementally computes the Internet (RFC 1071) one's
 // complement checksum.
@@ -10,19 +13,38 @@ type ChecksumAccumulator struct {
 }
 
 // Add folds data into the checksum, handling odd-length segments across
-// calls.
+// calls. Because 2^16 ≡ 1 (mod 0xFFFF), a big-endian 64-bit word is congruent
+// to the sum of its four 16-bit words, so the body is summed eight bytes at
+// a time with the carry fed back in (end-around) and folded into sum once.
 func (c *ChecksumAccumulator) Add(data []byte) {
-	i := 0
 	if c.odd && len(data) > 0 {
 		c.sum += uint64(data[0])
-		i = 1
+		data = data[1:]
 		c.odd = false
 	}
-	for ; i+1 < len(data); i += 2 {
-		c.sum += uint64(binary.BigEndian.Uint16(data[i : i+2]))
+	var s, carry uint64
+	for len(data) >= 32 {
+		s, carry = bits.Add64(s, binary.BigEndian.Uint64(data), carry)
+		s, carry = bits.Add64(s, binary.BigEndian.Uint64(data[8:]), carry)
+		s, carry = bits.Add64(s, binary.BigEndian.Uint64(data[16:]), carry)
+		s, carry = bits.Add64(s, binary.BigEndian.Uint64(data[24:]), carry)
+		data = data[32:]
 	}
-	if i < len(data) {
-		c.sum += uint64(data[i]) << 8
+	for len(data) >= 8 {
+		s, carry = bits.Add64(s, binary.BigEndian.Uint64(data), carry)
+		data = data[8:]
+	}
+	// The last carry may itself wrap an all-ones word; the second add cannot.
+	s, carry = bits.Add64(s, 0, carry)
+	s += carry
+	s = s>>32 + s&0xFFFFFFFF
+	c.sum += s>>16 + s&0xFFFF
+	for len(data) >= 2 {
+		c.sum += uint64(binary.BigEndian.Uint16(data))
+		data = data[2:]
+	}
+	if len(data) == 1 {
+		c.sum += uint64(data[0]) << 8
 		c.odd = true
 	}
 }
@@ -65,13 +87,13 @@ func VerifyIPv4Header(hdr []byte) bool {
 	return c.Sum() == 0
 }
 
-// L4Checksum computes the TCP/UDP checksum for the parsed packet, including
-// the pseudo-header. Returns 0, false if the packet has no supported L4.
-func L4Checksum(in *Info) (uint16, bool) {
+// l4Sum sums the pseudo-header and the whole TCP/UDP segment, checksum field
+// included, and returns the two bytes of that field. ok is false if the
+// packet has no supported L4.
+func l4Sum(in *Info) (c ChecksumAccumulator, field []byte, ok bool) {
 	if in.L4 != L4TCP && in.L4 != L4UDP {
-		return 0, false
+		return c, nil, false
 	}
-	var c ChecksumAccumulator
 	l4 := in.Data[in.L4Off:]
 	l4len := len(l4)
 	switch in.L3 {
@@ -87,32 +109,40 @@ func L4Checksum(in *Info) (uint16, bool) {
 		c.AddUint16(uint16(l4len))
 		c.AddUint16(uint16(in.IPProto))
 	default:
-		return 0, false
+		return c, nil, false
 	}
 	// Checksum field position inside the L4 header.
 	csumOff := 16 // TCP
 	if in.L4 == L4UDP {
 		csumOff = 6
 	}
-	c.Add(l4[:csumOff])
-	c.Add(l4[csumOff+2:])
+	c.Add(l4)
+	return c, l4[csumOff : csumOff+2], true
+}
+
+// L4Checksum computes the TCP/UDP checksum for the parsed packet, including
+// the pseudo-header. Returns 0, false if the packet has no supported L4.
+func L4Checksum(in *Info) (uint16, bool) {
+	c, field, ok := l4Sum(in)
+	if !ok {
+		return 0, false
+	}
+	// Take the field back out of the one-pass sum: adding its complement
+	// adds 0xFFFF in all, which is zero in one's complement arithmetic.
+	c.AddUint16(^binary.BigEndian.Uint16(field))
 	return c.Sum(), true
 }
 
-// VerifyL4 reports whether the packet's TCP/UDP checksum is valid.
+// VerifyL4 reports whether the packet's TCP/UDP checksum is valid: the sum
+// over pseudo-header and segment including the checksum field is zero, which
+// also accepts a computed 0 transmitted as 0xFFFF (RFC 768).
 func VerifyL4(in *Info) bool {
-	want, ok := L4Checksum(in)
+	c, field, ok := l4Sum(in)
 	if !ok {
 		return false
 	}
-	l4 := in.Data[in.L4Off:]
-	csumOff := 16
-	if in.L4 == L4UDP {
-		csumOff = 6
+	if in.L4 == L4UDP && in.L3 == L3IPv4 && field[0]|field[1] == 0 {
+		return true // UDP checksum optional over IPv4 only (RFC 8200 §8.1)
 	}
-	got := binary.BigEndian.Uint16(l4[csumOff : csumOff+2])
-	if in.L4 == L4UDP && got == 0 {
-		return true // UDP checksum optional over IPv4
-	}
-	return got == want
+	return c.Sum() == 0
 }

@@ -181,10 +181,7 @@ func (r *Ring) Push(rec []byte) bool {
 		return false
 	}
 	return r.Produce(func(e []byte) {
-		n := copy(e, rec)
-		for i := n; i < len(e); i++ {
-			e[i] = 0
-		}
+		clear(e[copy(e, rec):])
 	})
 }
 

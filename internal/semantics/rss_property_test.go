@@ -71,8 +71,9 @@ func TestRSSQueueDistribution(t *testing.T) {
 	for _, key := range [][]byte{softnic.DefaultToeplitzKey[:], softnic.SymmetricToeplitzKey[:]} {
 		for _, queues := range []int{2, 4, 8} {
 			counts := make([]int, queues)
+			tab := softnic.NewToeplitzTable(key)
 			for i := range infos {
-				counts[int(softnic.RSSKey(key, &infos[i]))%queues]++
+				counts[int(tab.RSS(&infos[i]))%queues]++
 			}
 			expect := n / queues
 			// ±30% of fair share is > 6σ for the binomial at these sizes:
@@ -93,10 +94,11 @@ func TestRSSQueueDistribution(t *testing.T) {
 // the key's 16-bit period when src and dst swap.
 func TestSymmetricKeyFlipAgreement(t *testing.T) {
 	infos := corpus(t, 2048, 23)
+	tab := softnic.NewToeplitzTable(softnic.SymmetricToeplitzKey[:])
 	for i := range infos {
-		fwd := softnic.RSSKey(softnic.SymmetricToeplitzKey[:], &infos[i])
+		fwd := tab.RSS(&infos[i])
 		rev := flip(infos[i])
-		if bwd := softnic.RSSKey(softnic.SymmetricToeplitzKey[:], &rev); fwd != bwd {
+		if bwd := tab.RSS(&rev); fwd != bwd {
 			t.Fatalf("tuple %d: forward %#x != reverse %#x under the symmetric key", i, fwd, bwd)
 		}
 	}
@@ -109,9 +111,9 @@ func TestDefaultKeyIsNotSymmetric(t *testing.T) {
 	infos := corpus(t, 256, 31)
 	asymmetric := 0
 	for i := range infos {
-		fwd := softnic.RSSKey(softnic.DefaultToeplitzKey[:], &infos[i])
+		fwd := softnic.RSS(&infos[i])
 		rev := flip(infos[i])
-		if fwd != softnic.RSSKey(softnic.DefaultToeplitzKey[:], &rev) {
+		if fwd != softnic.RSS(&rev) {
 			asymmetric++
 		}
 	}
@@ -120,12 +122,13 @@ func TestDefaultKeyIsNotSymmetric(t *testing.T) {
 	}
 }
 
-// TestRSSKeyMatchesRSS: RSSKey under the default key is exactly RSS.
+// TestRSSKeyMatchesRSS: a table built from the default key is exactly RSS.
 func TestRSSKeyMatchesRSS(t *testing.T) {
 	infos := corpus(t, 128, 41)
+	tab := softnic.NewToeplitzTable(softnic.DefaultToeplitzKey[:])
 	for i := range infos {
-		if softnic.RSS(&infos[i]) != softnic.RSSKey(softnic.DefaultToeplitzKey[:], &infos[i]) {
-			t.Fatalf("tuple %d: RSS != RSSKey(default)", i)
+		if softnic.RSS(&infos[i]) != tab.RSS(&infos[i]) {
+			t.Fatalf("tuple %d: RSS != table(default key).RSS", i)
 		}
 	}
 }

@@ -149,6 +149,7 @@ type Plane struct {
 
 	model   *nic.Model
 	opts    Options
+	steer   *softnic.ToeplitzTable // opts.Key, tabulated
 	joint   *core.JointResult
 	gen     uint64
 	queues  []*queueState
@@ -186,6 +187,7 @@ func Open(opts Options, specs ...Spec) (*Plane, error) {
 	p := &Plane{
 		model:  m,
 		opts:   opts,
+		steer:  softnic.NewToeplitzTable(opts.Key),
 		clock:  vclock.Or(opts.Clock),
 		byPort: make(map[uint16]int, len(specs)),
 	}
@@ -302,7 +304,7 @@ func (p *Plane) Generation() uint64 {
 // Steer computes the RSS shard a decoded packet lands on — exposed so
 // harnesses can model the plane's sharding decision.
 func (p *Plane) Steer(info *pkt.Info) int {
-	return int(softnic.RSSKey(p.opts.Key, info) % uint32(len(p.queues)))
+	return int(p.steer.RSS(info) % uint32(len(p.queues)))
 }
 
 // Rx accepts one packet from the wire: classify its tenant by destination
