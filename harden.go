@@ -198,13 +198,11 @@ func (h *hardening) rx(d *Driver, packet []byte) bool {
 		// packet is queued for software delivery while the watchdog works on
 		// recovery in the background.
 		h.tickRecovery(d)
-		seq := d.nextSeq()
-		d.pending = append(d.pending, pendingPkt{pkt: packet, soft: true, ts: d.fq.NowIfSampled(seq), seq: seq})
+		d.enqueue(packet, true)
 		return true
 	}
 	if d.dev.RxPacket(packet) {
-		seq := d.nextSeq()
-		d.pending = append(d.pending, pendingPkt{pkt: packet, ts: d.fq.NowIfSampled(seq), seq: seq})
+		d.enqueue(packet, false)
 		h.faultStreak = 0
 		return true
 	}
@@ -222,8 +220,7 @@ func (h *hardening) rx(d *Driver, packet []byte) bool {
 	if h.faultStreak >= h.opts.DegradeThreshold {
 		h.enterDegraded(d)
 	}
-	seq := d.nextSeq()
-	d.pending = append(d.pending, pendingPkt{pkt: packet, soft: true, ts: d.fq.NowIfSampled(seq), seq: seq})
+	d.enqueue(packet, true)
 	return true
 }
 
@@ -319,21 +316,19 @@ func (h *hardening) poll(d *Driver, fn func(packet []byte, meta Meta)) int {
 	if h.degraded.Load() {
 		h.tickRecovery(d)
 	}
-	n := 0
 	t0 := d.fq.Now()
-	// Deliveries pop by advancing d.pending's start, so every helper keeps
-	// seeing exactly the live queue; it moves back to the front once, below.
-	front := d.pending[:0]
-	for len(d.pending) > 0 {
-		head := d.pending[0]
+	// One ring transaction for the whole poll: records are looked at and
+	// released one decision at a time, the new head is published once.
+	cur := d.dev.CmptRing.Cursor()
+	n := 0 // d.pending[:n] is delivered
+	for n < len(d.pending) {
+		head := d.pending[n]
 		if head.soft {
 			h.deliverSoft(d, head, t0, fn)
-			d.pending = d.pending[1:]
 			n++
 			continue
 		}
-		rec := d.dev.CmptRing.Peek()
-		if rec == nil {
+		if cur.Avail() == 0 {
 			if h.opts.DisableResync {
 				// The deliberately re-opened pre-resync bug: the packet's
 				// record never arrived and nothing re-delivers it — it stays
@@ -346,25 +341,18 @@ func (h *hardening) poll(d *Driver, fn func(packet []byte, meta Meta)) int {
 			h.resyncDrops.Inc()
 			d.fq.RecordT(t0, flight.EvResync, head.seq, 0, 0)
 			h.deliverSoft(d, head, t0, fn)
-			d.pending = d.pending[1:]
 			n++
 			continue
 		}
+		rec := cur.At()
 		var viol *codegen.Violation
 		if !h.opts.DisableValidate {
 			viol = h.validator.Check(rec, head.pkt)
 		}
 		if viol == nil {
-			// Per-read events fire only for sampled packets (non-zero Rx
-			// stamp); a zero Meta timestamp turns Get's RecordT into a no-op.
-			mts := uint64(0)
-			if head.ts != 0 {
-				mts = t0
-			}
-			fn(head.pkt, Meta{rt: d.rt, cmpt: rec, pkt: head.pkt, fq: d.fq, ts: mts, seq: head.seq})
+			fn(head.pkt, d.meta(d.rt, rec, &head, t0))
 			h.noteDelivered(head.pkt)
-			d.dev.CmptRing.Pop()
-			d.pending = d.pending[1:]
+			cur.Release()
 			d.noteDelivered(t0, head.ts, head.seq)
 			n++
 			continue
@@ -376,20 +364,19 @@ func (h *hardening) poll(d *Driver, fn func(packet []byte, meta Meta)) int {
 			// it and retry the head against the next record.
 			h.staleDrops.Inc()
 			d.fq.RecordT(t0, flight.EvStale, head.seq, uint64(viol.Kind)+1, 0)
-			d.dev.CmptRing.Pop()
+			cur.Release()
 			continue
 		}
-		if skip := h.resyncMatch(d, rec); skip > 0 && !h.opts.DisableResync {
+		if skip := h.resyncMatch(d.pending[n:], rec); skip > 0 && !h.opts.DisableResync {
 			// The record belongs to a packet further down the queue: the
 			// completions of the packets ahead of it were lost. Deliver those
 			// in software and retry with the matching packet at the head.
-			for i := 0; i < skip; i++ {
+			for _, p := range d.pending[n : n+skip] {
 				h.resyncDrops.Inc()
-				d.fq.RecordT(t0, flight.EvResync, d.pending[i].seq, uint64(skip), 0)
-				h.deliverSoft(d, d.pending[i], t0, fn)
-				n++
+				d.fq.RecordT(t0, flight.EvResync, p.seq, uint64(skip), 0)
+				h.deliverSoft(d, p, t0, fn)
 			}
-			d.pending = d.pending[skip:]
+			n += skip
 			continue
 		}
 		// Unclassifiable: a corrupted record. Quarantine it (never expose its
@@ -402,36 +389,32 @@ func (h *hardening) poll(d *Driver, fn func(packet []byte, meta Meta)) int {
 			// is what a debugging session needs.
 			d.flight.Postmortem("quarantine")
 		}
-		d.dev.CmptRing.Pop()
+		cur.Release()
 		h.deliverSoft(d, head, t0, fn)
-		d.pending = d.pending[1:]
 		n++
 	}
-	d.pending = append(front, d.pending...)
+	d.pending = d.pending[:copy(d.pending, d.pending[n:])]
 	// Records with no queued packet left are spurious (duplicates that
 	// outlived their packet); drain and count them.
-	for len(d.pending) == 0 {
-		rec := d.dev.CmptRing.Peek()
-		if rec == nil {
-			break
-		}
+	for len(d.pending) == 0 && cur.Avail() > 0 {
 		h.spurious.Inc()
 		d.fq.RecordT(t0, flight.EvSpurious, 0, h.spurious.Load(), 0)
-		d.dev.CmptRing.Pop()
+		cur.Release()
 	}
+	cur.Close()
 	return n
 }
 
 // resyncMatch looks for the queued packet a rejected record actually
-// describes, up to ResyncWindow ahead; it returns how many queue heads to
-// skip (0 = no match).
-func (h *hardening) resyncMatch(d *Driver, rec []byte) int {
+// describes, up to ResyncWindow ahead in the live queue; it returns how many
+// queue heads to skip (0 = no match).
+func (h *hardening) resyncMatch(queue []pendingPkt, rec []byte) int {
 	win := h.opts.ResyncWindow
-	if win > len(d.pending) {
-		win = len(d.pending)
+	if win > len(queue) {
+		win = len(queue)
 	}
 	for i := 1; i < win; i++ {
-		if !d.pending[i].soft && h.validator.Conforms(rec, d.pending[i].pkt) {
+		if !queue[i].soft && h.validator.Conforms(rec, queue[i].pkt) {
 			return i
 		}
 	}
@@ -442,11 +425,7 @@ func (h *hardening) resyncMatch(d *Driver, rec []byte) int {
 // values as the golden reference, Meta.Hardware false for every field.
 func (h *hardening) deliverSoft(d *Driver, p pendingPkt, t0 uint64, fn func([]byte, Meta)) {
 	h.softDelivered.Inc()
-	mts := uint64(0)
-	if p.ts != 0 {
-		mts = t0
-	}
-	fn(p.pkt, Meta{rt: h.softRT, pkt: p.pkt, fq: d.fq, ts: mts, seq: p.seq})
+	fn(p.pkt, d.meta(h.softRT, nil, &p, t0))
 	h.noteDelivered(p.pkt)
 	d.noteDelivered(t0, p.ts, p.seq)
 }

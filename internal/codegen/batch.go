@@ -4,87 +4,19 @@ import (
 	"fmt"
 	"strings"
 
-	"opendesc/internal/bitfield"
 	"opendesc/internal/core"
 )
 
 // The paper's §5 notes that DPDK drivers hand-maintain SSE/AltiVec/NEON
 // variants of the descriptor datapath that read four descriptors at a time,
-// and proposes generating such batch accessors instead. This file implements
-// the lane-parallel form of the generated accessors: BatchWidth descriptors
-// processed per call with unrolled independent loads (instruction-level
-// parallelism; a SIMD backend would emit vector loads against the same
-// layout).
+// and proposes generating such batch accessors instead. GenGoBatch emits the
+// lane-parallel form as source: BatchWidth descriptors per call with
+// unrolled independent loads (instruction-level parallelism; a SIMD backend
+// would emit vector loads against the same layout).
 
 // BatchWidth is the number of descriptors a batch accessor processes per
 // call, mirroring the 4-wide SSE driver loops.
 const BatchWidth = 4
-
-// BatchReader reads one semantic from BatchWidth completion records at once.
-type BatchReader struct {
-	Semantic   string
-	OffsetBits int
-	WidthBits  int
-	aligned    bool
-}
-
-// NewBatchReader builds a batch reader for a hardware accessor. Software
-// accessors have no batch form (each packet must be touched individually).
-func NewBatchReader(a core.Accessor) (*BatchReader, error) {
-	if !a.Hardware {
-		return nil, fmt.Errorf("codegen: no batch form for software semantic %q", a.Semantic)
-	}
-	return &BatchReader{
-		Semantic:   string(a.Semantic),
-		OffsetBits: a.OffsetBits,
-		WidthBits:  a.WidthBits,
-		aligned:    a.OffsetBits%8 == 0 && (a.WidthBits == 8 || a.WidthBits == 16 || a.WidthBits == 32 || a.WidthBits == 64),
-	}, nil
-}
-
-// Read4 loads the field from four completion records. The loads are
-// independent, letting the CPU overlap them — the scalar analogue of one
-// SSE gather in the hand-written driver loops.
-func (b *BatchReader) Read4(d0, d1, d2, d3 []byte, out *[BatchWidth]uint64) {
-	if b.aligned {
-		out[0] = bitfield.ReadAligned(d0, b.OffsetBits, b.WidthBits)
-		out[1] = bitfield.ReadAligned(d1, b.OffsetBits, b.WidthBits)
-		out[2] = bitfield.ReadAligned(d2, b.OffsetBits, b.WidthBits)
-		out[3] = bitfield.ReadAligned(d3, b.OffsetBits, b.WidthBits)
-		return
-	}
-	out[0] = bitfield.Read(d0, b.OffsetBits, b.WidthBits)
-	out[1] = bitfield.Read(d1, b.OffsetBits, b.WidthBits)
-	out[2] = bitfield.Read(d2, b.OffsetBits, b.WidthBits)
-	out[3] = bitfield.Read(d3, b.OffsetBits, b.WidthBits)
-}
-
-// BatchRuntime bundles batch readers for every hardware accessor of a
-// compilation result.
-type BatchRuntime struct {
-	Readers []*BatchReader
-	byName  map[string]*BatchReader
-}
-
-// NewBatchRuntime builds the batch accessor table (hardware accessors only).
-func NewBatchRuntime(res *core.Result) *BatchRuntime {
-	rt := &BatchRuntime{byName: make(map[string]*BatchReader)}
-	for _, a := range res.Accessors {
-		if !a.Hardware {
-			continue
-		}
-		br, err := NewBatchReader(a)
-		if err != nil {
-			continue
-		}
-		rt.Readers = append(rt.Readers, br)
-		rt.byName[string(a.Semantic)] = br
-	}
-	return rt
-}
-
-// Reader returns the batch reader for a semantic, or nil.
-func (rt *BatchRuntime) Reader(sem string) *BatchReader { return rt.byName[sem] }
 
 // GenGoBatch renders the batch accessor source: one XN function per hardware
 // accessor, unrolled across BatchWidth descriptors.

@@ -4,62 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"opendesc/internal/core"
-	"opendesc/internal/nic"
 	"opendesc/internal/semantics"
 )
-
-func TestBatchReaderMatchesScalar(t *testing.T) {
-	res := compile(t, "mlx5", semantics.RSS, semantics.Timestamp, semantics.FlowID)
-	rt := NewRuntime(res, nil)
-	brt := NewBatchRuntime(res)
-	descs := make([][]byte, BatchWidth)
-	for i := range descs {
-		descs[i] = make([]byte, rt.CompletionBytes)
-		for j := range descs[i] {
-			descs[i][j] = byte(i*31 + j*7)
-		}
-	}
-	for _, br := range brt.Readers {
-		var out [BatchWidth]uint64
-		br.Read4(descs[0], descs[1], descs[2], descs[3], &out)
-		scalar := rt.Reader(semantics.Name(br.Semantic))
-		for lane := 0; lane < BatchWidth; lane++ {
-			want := scalar.Read(descs[lane], nil)
-			if out[lane] != want {
-				t.Errorf("%s lane %d = %#x, want %#x", br.Semantic, lane, out[lane], want)
-			}
-		}
-	}
-	// flow_id is 24 bits (unaligned width): ensure it went through the
-	// unaligned path and still matches.
-	if br := brt.Reader(string(semantics.FlowID)); br == nil || br.WidthBits != 24 {
-		t.Errorf("flow_id batch reader = %+v", brt.Reader(string(semantics.FlowID)))
-	}
-}
-
-func TestBatchRuntimeSkipsSoftware(t *testing.T) {
-	res := compile(t, "e1000e", semantics.RSS, semantics.IPChecksum)
-	brt := NewBatchRuntime(res)
-	// rss is software on the csum path: no batch reader.
-	if brt.Reader(string(semantics.RSS)) != nil {
-		t.Error("software semantic must have no batch reader")
-	}
-	if brt.Reader(string(semantics.IPChecksum)) == nil {
-		t.Error("hardware semantic missing batch reader")
-	}
-}
-
-func TestNewBatchReaderRejectsSoftware(t *testing.T) {
-	res := compile(t, "e1000e", semantics.RSS, semantics.IPChecksum)
-	a := res.Accessor(semantics.RSS) // software on the csum path
-	if a.Hardware {
-		t.Fatal("test premise broken")
-	}
-	if _, err := NewBatchReader(*a); err == nil {
-		t.Error("software accessor accepted")
-	}
-}
 
 func TestGenGoBatchSource(t *testing.T) {
 	// Request enough to force the compressed CQE, which carries the VLAN in
@@ -92,46 +38,4 @@ func TestGenGoBatchUnalignedLanes(t *testing.T) {
 			t.Errorf("missing lane %d temporary:\n%s", lane, src)
 		}
 	}
-}
-
-// BenchmarkBatchVsScalar compares 4 scalar reads against one 4-wide batch
-// read (the §5 SIMD-accessor shape).
-func BenchmarkBatchVsScalar(b *testing.B) {
-	res, err := compileB("mlx5", semantics.RSS)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rt := NewRuntime(res, nil)
-	brt := NewBatchRuntime(res)
-	descs := make([][]byte, BatchWidth)
-	for i := range descs {
-		descs[i] = make([]byte, rt.CompletionBytes)
-	}
-	var sink uint64
-	b.Run("scalar-x4", func(b *testing.B) {
-		r := rt.Reader(semantics.RSS)
-		for i := 0; i < b.N; i++ {
-			sink += r.Read(descs[0], nil)
-			sink += r.Read(descs[1], nil)
-			sink += r.Read(descs[2], nil)
-			sink += r.Read(descs[3], nil)
-		}
-	})
-	b.Run("batch-x4", func(b *testing.B) {
-		br := brt.Reader(string(semantics.RSS))
-		var out [BatchWidth]uint64
-		for i := 0; i < b.N; i++ {
-			br.Read4(descs[0], descs[1], descs[2], descs[3], &out)
-			sink += out[0] + out[1] + out[2] + out[3]
-		}
-	})
-	_ = sink
-}
-
-func compileB(nicName string, sems ...semantics.Name) (*core.Result, error) {
-	intent, err := core.IntentFromSemantics("bench_intent", semantics.Default, sems...)
-	if err != nil {
-		return nil, err
-	}
-	return nic.MustLoad(nicName).Compile(intent, core.CompileOptions{})
 }

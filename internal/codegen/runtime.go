@@ -46,9 +46,12 @@ func (r *Reader) Read(desc, packet []byte) uint64 {
 
 // Runtime is the executable accessor table for one compilation result.
 type Runtime struct {
-	Result  *core.Result
+	Result *core.Result
+	// Readers has one accessor per intent field, in Result.Accessors order,
+	// pointing into one contiguous table (about ten entries at most) that
+	// Lookup scans by length, then bytes: no hashing on the per-read path.
 	Readers []*Reader
-	byName  map[semantics.Name]*Reader
+	table   []Reader
 	// CompletionBytes is the size of the completion record the NIC will DMA
 	// under the selected configuration.
 	CompletionBytes int
@@ -60,19 +63,27 @@ type Runtime struct {
 // invoked ("the user is responsible for providing a linkable software
 // implementation").
 func NewRuntime(res *core.Result, softImpls map[semantics.Name]SoftFunc) *Runtime {
+	return newRuntime(res, softImpls, false)
+}
+
+// newRuntime fills the reader table; allSoft ignores the hardware placements
+// (NewSoftRuntime).
+func newRuntime(res *core.Result, softImpls map[semantics.Name]SoftFunc, allSoft bool) *Runtime {
 	rt := &Runtime{
 		Result:          res,
-		byName:          make(map[semantics.Name]*Reader, len(res.Accessors)),
+		Readers:         make([]*Reader, len(res.Accessors)),
+		table:           make([]Reader, len(res.Accessors)),
 		CompletionBytes: res.CompletionBytes(),
 	}
-	for _, a := range res.Accessors {
-		r := &Reader{
+	for i, a := range res.Accessors {
+		r := &rt.table[i]
+		*r = Reader{
 			Semantic:   a.Semantic,
-			Hardware:   a.Hardware,
+			Hardware:   a.Hardware && !allSoft,
 			OffsetBits: a.OffsetBits,
 			WidthBits:  a.WidthBits,
 		}
-		if a.Hardware {
+		if r.Hardware {
 			off, w := a.OffsetBits, a.WidthBits
 			if off%8 == 0 && (w == 8 || w == 16 || w == 32 || w == 64) {
 				r.read = func(d []byte) uint64 { return bitfield.ReadAligned(d, off, w) }
@@ -82,8 +93,7 @@ func NewRuntime(res *core.Result, softImpls map[semantics.Name]SoftFunc) *Runtim
 		} else {
 			r.soft = softImpls[a.Semantic]
 		}
-		rt.Readers = append(rt.Readers, r)
-		rt.byName[a.Semantic] = r
+		rt.Readers[i] = r
 	}
 	return rt
 }
@@ -92,12 +102,27 @@ func NewRuntime(res *core.Result, softImpls map[semantics.Name]SoftFunc) *Runtim
 // can; software accessors need a shim body linked.
 func (r *Reader) Linked() bool { return r.Hardware || r.soft != nil }
 
+// Lookup returns the accessor for a semantic and its index in Readers, or
+// (nil, -1) for a semantic outside the compiled intent. A result that lists
+// a semantic twice resolves to the later accessor.
+func (rt *Runtime) Lookup(s semantics.Name) (*Reader, int) {
+	for i := len(rt.table) - 1; i >= 0; i-- {
+		if r := &rt.table[i]; r.Semantic == s {
+			return r, i
+		}
+	}
+	return nil, -1
+}
+
 // Reader returns the accessor for a semantic, or nil.
-func (rt *Runtime) Reader(s semantics.Name) *Reader { return rt.byName[s] }
+func (rt *Runtime) Reader(s semantics.Name) *Reader {
+	r, _ := rt.Lookup(s)
+	return r
+}
 
 // Read is a convenience wrapper: read one semantic for a received packet.
 func (rt *Runtime) Read(s semantics.Name, desc, packet []byte) (uint64, error) {
-	r := rt.byName[s]
+	r := rt.Reader(s)
 	if r == nil {
 		return 0, fmt.Errorf("codegen: no accessor for semantic %q", s)
 	}

@@ -293,21 +293,5 @@ func (v *Validator) Coverage() Coverage {
 // the degraded-mode runtime a hardened driver swaps in when it stops
 // trusting the device (Meta.Hardware() reports false for all fields).
 func NewSoftRuntime(res *core.Result, softImpls map[semantics.Name]SoftFunc) *Runtime {
-	rt := &Runtime{
-		Result:          res,
-		byName:          make(map[semantics.Name]*Reader, len(res.Accessors)),
-		CompletionBytes: res.CompletionBytes(),
-	}
-	for _, a := range res.Accessors {
-		r := &Reader{
-			Semantic:   a.Semantic,
-			Hardware:   false,
-			OffsetBits: a.OffsetBits,
-			WidthBits:  a.WidthBits,
-			soft:       softImpls[a.Semantic],
-		}
-		rt.Readers = append(rt.Readers, r)
-		rt.byName[a.Semantic] = r
-	}
-	return rt
+	return newRuntime(res, softImpls, true)
 }

@@ -103,6 +103,8 @@ type generation struct {
 	seq uint64
 	res *core.Result
 	rt  *codegen.Runtime
+	// reads is the engine's read mix bound beside rt's (and softRT's) table.
+	reads []*obs.Counter
 	// softRT is the generation's all-software runtime, built lazily: packets
 	// whose completion is lost to a device fault mid-switchover are delivered
 	// through it instead of being dropped.
@@ -132,11 +134,12 @@ type pendingPkt struct {
 // The flight timestamp/sequence ride along so the eventual delivery still
 // reports the full DMA→deliver latency (including the park).
 type drainedPkt struct {
-	pkt  []byte
-	cmpt []byte
-	rt   *codegen.Runtime
-	ts   uint64
-	seq  uint32
+	pkt   []byte
+	cmpt  []byte
+	rt    *codegen.Runtime
+	reads []*obs.Counter
+	ts    uint64
+	seq   uint32
 }
 
 // Engine is an evolvable driver datapath: the static Open driver plus the
@@ -157,11 +160,10 @@ type Engine struct {
 	// window counts delivered packets since the last renegotiation check.
 	window int
 
-	// reads counts per-semantic application reads (the live feature mix).
-	// The counters are pre-created for every intent semantic so NoteRead is
-	// lock-free (it runs inside the application's Poll handler).
-	reads     map[semantics.Name]*obs.Counter
-	lastReads map[semantics.Name]uint64
+	// reads counts per-semantic application reads (the live feature mix);
+	// each generation binds the counters beside its reader table, so a read
+	// inside the application's Poll handler is one indexed atomic add.
+	reads     readMix
 	lastDeliv uint64
 	delivered obs.Counter
 
@@ -180,15 +182,16 @@ type Engine struct {
 
 	// Flight recorder: fr is the engine's always-armed recorder, fq its
 	// "q0" event ring (shared with the device); rxSeq numbers received
-	// packets 1-based like the device's DMA-emit sequence. curTS/curSeq are
-	// the flight context of the packet currently being delivered, valid
-	// only inside a Poll handler (e.mu held). dmaToPoll/pollToDeliver are
-	// the per-stage completion latencies derived from matched timestamps.
+	// packets 1-based like the device's DMA-emit sequence. curTS/curSeq/
+	// curReads are the context of the packet currently being delivered,
+	// valid only inside a Poll handler (e.mu held). dmaToPoll/pollToDeliver
+	// are the per-stage completion latencies derived from matched timestamps.
 	fr            *flight.Recorder
 	fq            *flight.Queue
 	rxSeq         uint32
 	curTS         uint64
 	curSeq        uint32
+	curReads      []*obs.Counter
 	dmaToPoll     *obs.Histogram
 	pollToDeliver *obs.Histogram
 
@@ -219,8 +222,6 @@ func New(model *nic.Model, intent *core.Intent, copts core.CompileOptions, opts 
 		opts:          opts,
 		dev:           dev,
 		shims:         softnic.NewShimStats(nil),
-		reads:         make(map[semantics.Name]*obs.Counter, len(intent.Fields)),
-		lastReads:     make(map[semantics.Name]uint64, len(intent.Fields)),
 		switchLatency: obs.NewHistogram(),
 		fr:            flight.NewRecorder(flight.Config{}),
 		dmaToPoll:     obs.NewHistogram(),
@@ -229,15 +230,19 @@ func New(model *nic.Model, intent *core.Intent, copts core.CompileOptions, opts 
 	e.fq = e.fr.Queue("q0")
 	dev.AttachFlight(e.fq)
 	e.shims.AttachFlight(e.fq)
-	for _, f := range intent.Fields {
-		e.reads[f.Semantic] = &obs.Counter{}
+	sems := make([]semantics.Name, len(intent.Fields))
+	for i, f := range intent.Fields {
+		sems[i] = f.Semantic
 	}
-	e.active = &generation{
-		seq: 0,
-		res: res,
-		rt:  codegen.NewRuntime(res, softnic.InstrumentedFuncs(e.shims)),
-	}
+	e.reads = newReadMix(sems)
+	e.active = e.newGeneration(0, res)
 	return e, nil
+}
+
+// newGeneration links a compilation result into an executable generation.
+func (e *Engine) newGeneration(seq uint64, res *core.Result) *generation {
+	rt := codegen.NewRuntime(res, softnic.InstrumentedFuncs(e.shims))
+	return &generation{seq: seq, res: res, rt: rt, reads: e.reads.bind(rt)}
 }
 
 // Device exposes the simulated device (counters, registers).
@@ -276,10 +281,11 @@ func (e *Engine) LastErr() error {
 	return e.lastErr
 }
 
-// NoteRead records one application read of a semantic — the live feature
-// mix. Safe to call from inside a Poll handler (lock-free).
+// NoteRead records one application read of a semantic, resolved by name —
+// for callers that read through a Runtime directly. Safe to call from inside
+// a Poll handler (lock-free).
 func (e *Engine) NoteRead(s semantics.Name) {
-	if c := e.reads[s]; c != nil {
+	if c := e.reads.counter(s); c != nil {
 		c.Inc()
 	}
 }
@@ -312,19 +318,21 @@ func (e *Engine) Flight() *flight.Recorder { return e.fr }
 // FlightQueue returns the engine's "q0" event ring.
 func (e *Engine) FlightQueue() *flight.Queue { return e.fq }
 
-// FlightCtx returns the flight context — event ring, Poll timestamp and
-// packet sequence — of the packet currently being delivered. Only
-// meaningful inside a Poll handler (where e.mu is held).
-func (e *Engine) FlightCtx() (*flight.Queue, uint64, uint32) { return e.fq, e.curTS, e.curSeq }
+// DeliveryCtx returns the context of the packet currently being delivered:
+// event ring, Poll timestamp, packet sequence, and the read-mix counters
+// index-addressed by the delivering runtime's reader table. Only meaningful
+// inside a Poll handler (where e.mu is held).
+func (e *Engine) DeliveryCtx() (*flight.Queue, uint64, uint32, []*obs.Counter) {
+	return e.fq, e.curTS, e.curSeq, e.curReads
+}
 
-// setFlightCtx arms FlightCtx for the packet about to be delivered. The
+// setDeliveryCtx arms DeliveryCtx for the packet about to be delivered. The
 // timestamp is zeroed for unsampled packets (zero Rx stamp) so per-read
 // events stay inside the recorder's hot-path budget (flight.SamplePeriod).
-func (e *Engine) setFlightCtx(t0, rxTS uint64, seq uint32) {
+func (e *Engine) setDeliveryCtx(t0, rxTS uint64, seq uint32, reads []*obs.Counter) {
+	e.curTS, e.curSeq, e.curReads = 0, seq, reads
 	if rxTS != 0 {
-		e.curTS, e.curSeq = t0, seq
-	} else {
-		e.curTS, e.curSeq = 0, seq
+		e.curTS = t0
 	}
 }
 
@@ -355,25 +363,30 @@ func (e *Engine) Poll(h PollFunc) int {
 	n := 0
 	t0 := e.fq.Now()
 	for _, d := range e.drained {
-		e.setFlightCtx(t0, d.ts, d.seq)
+		e.setDeliveryCtx(t0, d.ts, d.seq, d.reads)
 		h(d.pkt, d.cmpt, d.rt)
 		e.noteDelivered(t0, d.ts, d.seq)
 		n++
 	}
 	e.drained = e.drained[:0]
-	rt := e.active.rt
-	for len(e.pending) > 0 {
-		p := e.pending[0]
-		e.setFlightCtx(t0, p.ts, p.seq)
-		if !e.dev.CmptRing.Consume(func(cmpt []byte) {
-			h(p.pkt, cmpt, rt)
-		}) {
+	gen := e.active
+	cur := e.dev.CmptRing.Cursor()
+	live := 0
+	for live < len(e.pending) {
+		cmpt := cur.At()
+		if cmpt == nil {
 			break
 		}
+		p := e.pending[live]
+		e.setDeliveryCtx(t0, p.ts, p.seq, gen.reads)
+		h(p.pkt, cmpt, gen.rt)
+		cur.Release()
 		e.noteDelivered(t0, p.ts, p.seq)
-		e.pending = e.pending[1:]
-		n++
+		live++
 	}
+	cur.Close()
+	e.pending = e.pending[:copy(e.pending, e.pending[live:])]
+	n += live
 	e.window += n
 	e.delivered.Add(uint64(n))
 	due := e.window >= e.opts.Interval
@@ -382,26 +395,6 @@ func (e *Engine) Poll(h PollFunc) int {
 		e.Renegotiate()
 	}
 	return n
-}
-
-// windowMix computes the expected per-packet read frequency of every intent
-// semantic over the observation window since the last check, then resets
-// the window baseline. Caller holds e.mu.
-func (e *Engine) windowMix() (map[semantics.Name]float64, int) {
-	deliv := e.delivered.Load()
-	dn := deliv - e.lastDeliv
-	mix := make(map[semantics.Name]float64, len(e.reads))
-	for s, c := range e.reads {
-		cur := c.Load()
-		if dn > 0 {
-			mix[s] = float64(cur-e.lastReads[s]) / float64(dn)
-		} else {
-			mix[s] = 0
-		}
-		e.lastReads[s] = cur
-	}
-	e.lastDeliv = deliv
-	return mix, int(dn)
 }
 
 // liveCosts builds the runtime cost model: per-packet expected software
@@ -436,12 +429,14 @@ func (e *Engine) Renegotiate() (switched bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.window = 0
-	if int(e.delivered.Load()-e.lastDeliv) < e.opts.MinWindow {
+	deliv := e.delivered.Load()
+	if int(deliv-e.lastDeliv) < e.opts.MinWindow {
 		// Too few observations to trust the mix; keep accumulating into the
 		// same window instead of resetting the baseline.
 		return false, nil
 	}
-	mix, _ := e.windowMix()
+	mix := e.reads.window(deliv - e.lastDeliv)
+	e.lastDeliv = deliv
 	e.renegotiations.Inc()
 	e.lastErr = nil
 
@@ -503,15 +498,15 @@ func (e *Engine) switchover(next *core.Result) error {
 	// old generation — a mismatch would mean a completion crossed the swap
 	// boundary, i.e. a lost or corrupted packet.
 	drained := 0
-	for len(e.pending) > 0 {
-		p := e.pending[0]
+	for _, p := range e.pending {
 		ok := e.dev.CmptRing.Consume(func(cmpt []byte) {
 			e.drained = append(e.drained, drainedPkt{
-				pkt:  p.pkt,
-				cmpt: append([]byte(nil), cmpt...),
-				rt:   old.rt,
-				ts:   p.ts,
-				seq:  p.seq,
+				pkt:   p.pkt,
+				cmpt:  append([]byte(nil), cmpt...),
+				rt:    old.rt,
+				reads: old.reads,
+				ts:    p.ts,
+				seq:   p.seq,
 			})
 		})
 		if !ok {
@@ -519,19 +514,18 @@ func (e *Engine) switchover(next *core.Result) error {
 			// device lost their records. Park them for software delivery
 			// under the old generation's soft runtime — the switchover stays
 			// zero-loss even when completions vanish mid-drain.
-			for _, q := range e.pending {
-				e.drained = append(e.drained, drainedPkt{pkt: q.pkt, rt: old.soft(), ts: q.ts, seq: q.seq})
+			for _, q := range e.pending[drained:] {
+				e.drained = append(e.drained, drainedPkt{pkt: q.pkt, rt: old.soft(), reads: old.reads, ts: q.ts, seq: q.seq})
 				e.softParked.Inc()
 			}
-			e.pending = e.pending[:0]
 			break
 		}
 		if p.gen != oldGen {
 			e.switchDrops.Inc()
 		}
-		e.pending = e.pending[1:]
 		drained++
 	}
+	e.pending = e.pending[:0]
 	e.packetsDrained.Add(uint64(drained))
 	e.fq.Record(flight.EvDrain, uint32(oldGen), uint64(drained), oldGen)
 
@@ -585,11 +579,7 @@ func (e *Engine) switchover(next *core.Result) error {
 	e.fq.Record(flight.EvVerify, uint32(oldGen+1), uint64(ap.ID), oldGen+1)
 	// SWAP: publish the new generation atomically (under e.mu) and record
 	// the change report.
-	e.active = &generation{
-		seq: oldGen + 1,
-		res: next,
-		rt:  codegen.NewRuntime(next, softnic.InstrumentedFuncs(e.shims)),
-	}
+	e.active = e.newGeneration(oldGen+1, next)
 	e.gen.Store(oldGen + 1)
 	if d, err := core.DiffResults(old.res, next); err == nil {
 		e.lastDiff = d
@@ -649,14 +639,14 @@ func (e *Engine) Stats() Stats {
 		SoftParked:     e.softParked.Load(),
 		ApplyRetries:   e.applyRetries.Load(),
 		Delivered:      e.delivered.Load(),
-		Reads:          make(map[semantics.Name]uint64, len(e.reads)),
+		Reads:          make(map[semantics.Name]uint64, len(e.reads.sems)),
 	}
 	if e.switchLatency.Count() > 0 {
 		st.SwitchLatencyP50 = e.switchLatency.Quantile(0.50)
 		st.SwitchLatencyP99 = e.switchLatency.Quantile(0.99)
 	}
-	for s, c := range e.reads {
-		if n := c.Load(); n > 0 {
+	for i, s := range e.reads.sems {
+		if n := e.reads.reads[i].Load(); n > 0 {
 			st.Reads[s] = n
 		}
 	}
@@ -684,9 +674,9 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	reg.AttachHistogram("opendesc_flight_dma_to_poll_ns", "DMA emit to Poll pickup latency (flight recorder)", e.dmaToPoll, base...)
 	reg.AttachHistogram("opendesc_flight_poll_to_deliver_ns", "Poll pickup to handler return latency (flight recorder)", e.pollToDeliver, base...)
 	reg.GaugeFunc("opendesc_evolve_generation", "current interface generation epoch", func() int64 { return int64(e.gen.Load()) }, base...)
-	for s, c := range e.reads {
+	for i, s := range e.reads.sems {
 		l := append(append([]obs.Label{}, base...), obs.L("semantic", string(s)))
-		reg.AttachCounter("opendesc_evolve_reads_total", "application metadata reads per semantic", c, l...)
+		reg.AttachCounter("opendesc_evolve_reads_total", "application metadata reads per semantic", &e.reads.reads[i], l...)
 	}
 	e.dev.RegisterMetrics(reg, labels...)
 }

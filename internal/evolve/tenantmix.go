@@ -3,22 +3,70 @@ package evolve
 import (
 	"math"
 
+	"opendesc/internal/codegen"
 	"opendesc/internal/obs"
 	"opendesc/internal/semantics"
 )
 
+// readMix counts application reads per semantic of one intent — the live
+// feature mix. The counters never move, so the delivery path reaches them
+// through bind's index-addressed view without a lookup or a lock; window
+// closes an observation window from the control plane.
+type readMix struct {
+	sems  []semantics.Name
+	reads []obs.Counter
+	last  []uint64
+}
+
+func newReadMix(sems []semantics.Name) readMix {
+	return readMix{sems: sems, reads: make([]obs.Counter, len(sems)), last: make([]uint64, len(sems))}
+}
+
+// counter returns the counter of a semantic, nil outside the intent.
+func (m *readMix) counter(s semantics.Name) *obs.Counter {
+	for i, name := range m.sems {
+		if name == s {
+			return &m.reads[i]
+		}
+	}
+	return nil
+}
+
+// bind lays the counters out beside rt's reader table: element i counts
+// reads through rt.Readers[i] (nil for a semantic this mix does not track).
+func (m *readMix) bind(rt *codegen.Runtime) []*obs.Counter {
+	out := make([]*obs.Counter, len(rt.Readers))
+	for i, r := range rt.Readers {
+		out[i] = m.counter(r.Semantic)
+	}
+	return out
+}
+
+// window returns the per-packet read frequency of every semantic over the
+// dn packets delivered since the last call, and resets the baseline.
+func (m *readMix) window(dn uint64) map[semantics.Name]float64 {
+	mix := make(map[semantics.Name]float64, len(m.sems))
+	for i, s := range m.sems {
+		cur := m.reads[i].Load()
+		mix[s] = 0
+		if dn > 0 {
+			mix[s] = float64(cur-m.last[i]) / float64(dn)
+		}
+		m.last[i] = cur
+	}
+	return mix
+}
+
 // MixTracker observes per-tenant live read mixes for the multi-tenant
 // serving plane — the N-tenant generalization of the Engine's single-intent
-// window. Counters are pre-created per (tenant, semantic) at construction so
-// NoteRead is lock-free on the delivery hot path; Window/Weights close
-// observation windows from the control plane.
+// window. Bind hands the delivery path each tenant's counters; Window/Weights
+// close observation windows from the control plane.
 type MixTracker struct {
 	tenants []*tenantMix
 }
 
 type tenantMix struct {
-	reads     map[semantics.Name]*obs.Counter
-	lastReads map[semantics.Name]uint64
+	readMix
 	delivered obs.Counter
 	lastDeliv uint64
 }
@@ -27,40 +75,25 @@ type tenantMix struct {
 func NewMixTracker(intents [][]semantics.Name) *MixTracker {
 	t := &MixTracker{tenants: make([]*tenantMix, len(intents))}
 	for i, sems := range intents {
-		tm := &tenantMix{
-			reads:     make(map[semantics.Name]*obs.Counter, len(sems)),
-			lastReads: make(map[semantics.Name]uint64, len(sems)),
-		}
-		for _, s := range sems {
-			tm.reads[s] = &obs.Counter{}
-		}
-		t.tenants[i] = tm
+		t.tenants[i] = &tenantMix{readMix: newReadMix(sems)}
 	}
 	return t
 }
 
 // Retarget replaces tenant i's observed semantic set after a renegotiation
-// (new semantics start with a fresh counter; the window baseline resets).
+// (fresh counters, window baseline reset). Views Bind handed out before the
+// call count into the old set.
 func (t *MixTracker) Retarget(tenant int, sems []semantics.Name) {
-	tm := &tenantMix{
-		reads:     make(map[semantics.Name]*obs.Counter, len(sems)),
-		lastReads: make(map[semantics.Name]uint64, len(sems)),
-	}
+	tm := &tenantMix{readMix: newReadMix(sems)}
 	tm.delivered.Add(t.tenants[tenant].delivered.Load())
 	tm.lastDeliv = tm.delivered.Load()
-	for _, s := range sems {
-		tm.reads[s] = &obs.Counter{}
-	}
 	t.tenants[tenant] = tm
 }
 
-// NoteRead records one application read of a semantic by a tenant. Reads of
-// semantics outside the tenant's intent are ignored (no counter exists, by
-// construction, so the hot path never mutates the map).
-func (t *MixTracker) NoteRead(tenant int, s semantics.Name) {
-	if c := t.tenants[tenant].reads[s]; c != nil {
-		c.Inc()
-	}
+// Bind returns tenant i's read counters index-addressed by rt's reader
+// table; elements are nil for semantics outside the tenant's current intent.
+func (t *MixTracker) Bind(tenant int, rt *codegen.Runtime) []*obs.Counter {
+	return t.tenants[tenant].bind(rt)
 }
 
 // NoteDelivered records n delivered packets for a tenant.
@@ -89,18 +122,8 @@ func (t *MixTracker) Window(tenant int) (map[semantics.Name]float64, int) {
 	tm := t.tenants[tenant]
 	deliv := tm.delivered.Load()
 	dn := deliv - tm.lastDeliv
-	mix := make(map[semantics.Name]float64, len(tm.reads))
-	for s, c := range tm.reads {
-		cur := c.Load()
-		if dn > 0 {
-			mix[s] = float64(cur-tm.lastReads[s]) / float64(dn)
-		} else {
-			mix[s] = 0
-		}
-		tm.lastReads[s] = cur
-	}
 	tm.lastDeliv = deliv
-	return mix, int(dn)
+	return tm.window(dn), int(dn)
 }
 
 // Weights returns each tenant's share of cumulative deliveries — the

@@ -7,6 +7,13 @@ import (
 	"opendesc/internal/semantics"
 )
 
+// noteRead counts one read the way a bound delivery view does, by name.
+func noteRead(mt *MixTracker, tenant int, s semantics.Name) {
+	if c := mt.tenants[tenant].counter(s); c != nil {
+		c.Inc()
+	}
+}
+
 func TestMixTrackerWindowAndWeights(t *testing.T) {
 	mt := NewMixTracker([][]semantics.Name{
 		{semantics.RSS, semantics.VLAN},
@@ -14,17 +21,17 @@ func TestMixTrackerWindowAndWeights(t *testing.T) {
 	})
 	for i := 0; i < 100; i++ {
 		mt.NoteDelivered(0, 1)
-		mt.NoteRead(0, semantics.RSS)
+		noteRead(mt, 0, semantics.RSS)
 		if i%2 == 0 {
-			mt.NoteRead(0, semantics.VLAN)
+			noteRead(mt, 0, semantics.VLAN)
 		}
 	}
 	for i := 0; i < 300; i++ {
 		mt.NoteDelivered(1, 1)
-		mt.NoteRead(1, semantics.PktLen)
+		noteRead(mt, 1, semantics.PktLen)
 	}
 	// Reads outside the tenant's intent must be ignored, not tracked.
-	mt.NoteRead(0, semantics.KVKey)
+	noteRead(mt, 0, semantics.KVKey)
 
 	mix, n := mt.Window(0)
 	if n != 100 {
@@ -61,12 +68,12 @@ func TestMixTrackerEqualWeightsBeforeTraffic(t *testing.T) {
 func TestMixTrackerRetarget(t *testing.T) {
 	mt := NewMixTracker([][]semantics.Name{{semantics.RSS}})
 	mt.NoteDelivered(0, 10)
-	mt.NoteRead(0, semantics.RSS)
+	noteRead(mt, 0, semantics.RSS)
 	mt.Retarget(0, []semantics.Name{semantics.VLAN})
 	if mt.Delivered(0) != 10 {
 		t.Errorf("retarget lost the delivery count: %d", mt.Delivered(0))
 	}
-	mt.NoteRead(0, semantics.VLAN)
+	noteRead(mt, 0, semantics.VLAN)
 	mt.NoteDelivered(0, 2)
 	mix, n := mt.Window(0)
 	if n != 2 {
@@ -77,6 +84,32 @@ func TestMixTrackerRetarget(t *testing.T) {
 	}
 	if mix[semantics.VLAN] != 0.5 {
 		t.Errorf("vlan freq = %v, want 0.5", mix[semantics.VLAN])
+	}
+}
+
+// TestMixTrackerBind: the view Bind hands the delivery path addresses the
+// tenant's counters by the runtime's reader index, and is nil where the
+// runtime has a semantic the tenant's mix does not track.
+func TestMixTrackerBind(t *testing.T) {
+	e := newTestEngine(t, staticOptions()) // rss, ip_checksum, vlan, pkt_len
+	rt := e.Runtime()
+	mt := NewMixTracker([][]semantics.Name{{semantics.VLAN, semantics.PktLen, semantics.KVKey}})
+	view := mt.Bind(0, rt)
+	if len(view) != len(rt.Readers) {
+		t.Fatalf("view has %d elements for %d readers", len(view), len(rt.Readers))
+	}
+	for i, r := range rt.Readers {
+		tracked := r.Semantic == semantics.VLAN || r.Semantic == semantics.PktLen
+		if (view[i] != nil) != tracked {
+			t.Errorf("view[%d] (%s) bound = %v, want %v", i, r.Semantic, view[i] != nil, tracked)
+		}
+		if view[i] != nil && r.Semantic == semantics.VLAN {
+			view[i].Inc()
+		}
+	}
+	mt.NoteDelivered(0, 2)
+	if mix, _ := mt.Window(0); mix[semantics.VLAN] != 0.5 || mix[semantics.PktLen] != 0 {
+		t.Errorf("mix through the bound view = %v, want vlan 0.5, pkt_len 0", mix)
 	}
 }
 

@@ -327,17 +327,21 @@ func (h *Host) Poll() int {
 	}
 	h.parked = h.parked[:0]
 	lay := h.active()
-	for len(h.pending) > 0 {
-		p := h.pending[0]
-		if !h.dev.CmptRing.Consume(func(cmpt []byte) {
-			h.deliver(p.pkt, cmpt, lay, p.rxNs)
-		}) {
+	cur := h.dev.CmptRing.Cursor()
+	live := 0
+	for live < len(h.pending) {
+		cmpt := cur.At()
+		if cmpt == nil {
 			break
 		}
-		h.pending = h.pending[1:]
-		n++
+		p := h.pending[live]
+		h.deliver(p.pkt, cmpt, lay, p.rxNs)
+		cur.Release()
+		live++
 	}
-	return n
+	cur.Close()
+	h.pending = h.pending[:copy(h.pending, h.pending[live:])]
+	return n + live
 }
 
 // deliver checks one delivery against the S23 oracle family: exactly-once

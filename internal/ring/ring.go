@@ -194,18 +194,22 @@ func (r *Ring) MustPush(rec []byte) bool {
 	return r.Push(rec)
 }
 
+// noteEmpty counts a consume attempt on an empty ring. Empty polls are
+// routine in a spin-polling driver: the event is sampled on the stall count
+// so a busy-wait loop can't evict the flight history that matters.
+func (r *Ring) noteEmpty(head uint32) {
+	if n := r.emptyStalls.Add(1); flight.Sampled(uint32(n)) {
+		r.fq.Record(flight.EvRingEmpty, head, 0, 0)
+	}
+}
+
 // Consume passes the oldest entry to use and releases it; returns false when
 // the ring is empty. The slice passed to use is only valid during the call.
 func (r *Ring) Consume(use func(entry []byte)) bool {
 	head := r.head.Load()
 	tail := r.tail.Load()
 	if head == tail {
-		// Empty polls are routine in a spin-polling driver: sampled on the
-		// stall count so a busy-wait loop can't flood the ring and evict the
-		// history that matters.
-		if n := r.emptyStalls.Add(1); flight.Sampled(uint32(n)) {
-			r.fq.Record(flight.EvRingEmpty, head, 0, 0)
-		}
+		r.noteEmpty(head)
 		return false
 	}
 	use(r.slot(head))
@@ -230,44 +234,64 @@ func (r *Ring) Peek() []byte {
 // Pop releases the oldest entry after a Peek; it reports whether an entry was
 // released.
 func (r *Ring) Pop() bool {
-	head := r.head.Load()
-	tail := r.tail.Load()
-	if head == tail {
-		if n := r.emptyStalls.Add(1); flight.Sampled(uint32(n)) {
-			r.fq.Record(flight.EvRingEmpty, head, 0, 0)
-		}
+	c := r.Cursor()
+	if c.At() == nil {
 		return false
 	}
-	r.head.Store(head + 1)
-	r.consumed.Add(1)
-	if flight.Sampled(head) {
-		r.fq.Record(flight.EvRingPop, head, uint64(tail-head-1), 0)
-	}
+	c.Release()
+	c.Close()
 	return true
 }
 
-// ConsumeBatch drains up to max entries, calling use for each, and returns
-// how many were consumed. This mirrors driver RX-burst processing.
-func (r *Ring) ConsumeBatch(max int, use func(i int, entry []byte)) int {
+// Cursor is one consumer transaction over the ring — a driver's RX burst.
+// Ring.Cursor reads head and tail once; At and Release walk the entries
+// filled at that moment without touching shared state, and Close publishes
+// the new head and the consumed count in one store and one add. The caller
+// bounds the burst (it releases no more entries than it has packets for);
+// every released entry on the sampling grid records the EvRingPop a Consume
+// would have (arg0 = occupancy after). Do not Reset the ring or mix in
+// Consume/Pop while a cursor is open.
+type Cursor struct {
+	r          *Ring
+	head, tail uint32
+	start      uint32 // head as published when the transaction opened
+}
+
+// Cursor opens a consumer transaction over the entries filled right now.
+func (r *Ring) Cursor() Cursor {
 	head := r.head.Load()
-	avail := int(r.tail.Load() - head)
-	if avail == 0 {
-		if n := r.emptyStalls.Add(1); flight.Sampled(uint32(n)) {
-			r.fq.Record(flight.EvRingEmpty, head, 0, 0)
-		}
-		return 0
+	return Cursor{r: r, head: head, tail: r.tail.Load(), start: head}
+}
+
+// Avail returns how many entries of the transaction are not yet released.
+func (c *Cursor) Avail() int { return int(c.tail - c.head) }
+
+// At returns the oldest unreleased entry, valid until Close. With none left
+// it returns nil and counts an empty stall, like a failed Consume; a caller
+// that must not count one checks Avail first.
+func (c *Cursor) At() []byte {
+	if c.head == c.tail {
+		c.r.noteEmpty(c.head)
+		return nil
 	}
-	if max > 0 && avail > max {
-		avail = max
+	return c.r.slot(c.head)
+}
+
+// Release marks the entry At returned as consumed.
+func (c *Cursor) Release() {
+	if flight.Sampled(c.head) {
+		c.r.fq.Record(flight.EvRingPop, c.head, uint64(c.tail-c.head-1), 0)
 	}
-	for i := 0; i < avail; i++ {
-		use(i, r.slot(head+uint32(i)))
+	c.head++
+}
+
+// Close publishes the released entries to the producer and ends the
+// transaction.
+func (c *Cursor) Close() {
+	if n := c.head - c.start; n > 0 {
+		c.r.head.Store(c.head)
+		c.r.consumed.Add(uint64(n))
 	}
-	r.head.Store(head + uint32(avail))
-	r.consumed.Add(uint64(avail))
-	// One event for the burst, not one per entry: arg0 = batch size.
-	r.fq.Record(flight.EvRingPop, head, uint64(avail), 0)
-	return avail
 }
 
 // Reset empties the ring. Counters are monotonic (ethtool semantics) and

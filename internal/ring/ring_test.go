@@ -2,9 +2,13 @@ package ring
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"opendesc/internal/obs/flight"
 )
 
 func TestNewRoundsToPowerOfTwo(t *testing.T) {
@@ -129,22 +133,151 @@ func TestProduceInPlace(t *testing.T) {
 	})
 }
 
+// burst drains up to max entries in one cursor transaction, the way a poll
+// loop with max packets pending does.
+func burst(r *Ring, max int, use func(entry []byte)) int {
+	cur := r.Cursor()
+	n := 0
+	for ; n < max; n++ {
+		e := cur.At()
+		if e == nil {
+			break
+		}
+		use(e)
+		cur.Release()
+	}
+	cur.Close()
+	return n
+}
+
+// TestConsumeBatch: a batch is consumed as one cursor transaction.
 func TestConsumeBatch(t *testing.T) {
 	r := MustNew(1, 16)
 	for i := 0; i < 10; i++ {
 		r.Push([]byte{byte(i)})
 	}
 	var got []byte
-	n := r.ConsumeBatch(4, func(i int, e []byte) { got = append(got, e[0]) })
+	n := burst(r, 4, func(e []byte) { got = append(got, e[0]) })
 	if n != 4 || !bytes.Equal(got, []byte{0, 1, 2, 3}) {
 		t.Errorf("batch = %d %v", n, got)
 	}
-	n = r.ConsumeBatch(0, func(i int, e []byte) {})
-	if n != 6 {
-		t.Errorf("unbounded batch = %d, want 6", n)
+	// The caller bounds the burst, and a bound of zero consumes nothing: a
+	// poll with no packet pending must not drain records it has no packet for.
+	if n = burst(r, 0, func([]byte) {}); n != 0 || r.Len() != 6 || r.Stats().EmptyStalls != 0 {
+		t.Errorf("zero-bound batch = %d, len %d, stats %+v", n, r.Len(), r.Stats())
 	}
-	if r.ConsumeBatch(4, func(int, []byte) {}) != 0 {
+	if n = burst(r, 100, func([]byte) {}); n != 6 {
+		t.Errorf("over-asked batch = %d, want the 6 left", n)
+	}
+	if burst(r, 4, func([]byte) {}) != 0 {
 		t.Error("batch on empty should be 0")
+	}
+	if st := r.Stats(); st.Consumed != 10 || st.EmptyStalls != 2 {
+		t.Errorf("stats = %+v, want 10 consumed and one stall per exhausted burst", st)
+	}
+}
+
+// events returns what a recorder holds, timestamps cleared.
+func events(rec *flight.Recorder) []flight.Event {
+	var out []flight.Event
+	for _, q := range rec.Snapshot().Queues {
+		for _, ev := range q.Events {
+			ev.TS = 0
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// TestCursorPopEventIsOccupancyAfter pins the one meaning of EvRingPop's
+// arg0: a burst records per sampled entry, with the occupancy left behind
+// it, not once per burst with its size.
+func TestCursorPopEventIsOccupancyAfter(t *testing.T) {
+	if !flight.Compiled {
+		t.Skip("flight recording compiled out")
+	}
+	rec := flight.NewRecorder(flight.Config{})
+	r := MustNew(1, 32)
+	for i := 0; i < 20; i++ {
+		r.Push([]byte{byte(i)})
+	}
+	r.AttachFlight(rec.Queue("q0"))
+	if n := burst(r, 18, func([]byte) {}); n != 18 {
+		t.Fatalf("burst = %d", n)
+	}
+	want := []flight.Event{
+		{Code: flight.EvRingPop, Seq: 0, Arg0: 19},
+		{Code: flight.EvRingPop, Seq: 16, Arg0: 3},
+	}
+	if got := events(rec); !reflect.DeepEqual(got, want) {
+		t.Errorf("events = %+v, want %+v", got, want)
+	}
+}
+
+// TestCursorMatchesConsume is the cursor's differential property: a poll
+// loop written on the cursor and the same loop written on Consume see the
+// same entries in the same order, leave identical Stats, and record identical
+// flight events — across the uint32 index wrap, bursts released in part,
+// bursts that ask for more than is there, and polls of an empty ring (the
+// sampled EvRingEmpty included).
+func TestCursorMatchesConsume(t *testing.T) {
+	type side struct {
+		r    *Ring
+		rec  *flight.Recorder
+		seen []byte
+	}
+	mk := func() *side {
+		s := &side{r: MustNew(2, 8), rec: flight.NewRecorder(flight.Config{})}
+		// 20 entries short of the index wrap.
+		s.r.head.Store(^uint32(0) - 19)
+		s.r.tail.Store(^uint32(0) - 19)
+		s.r.AttachFlight(s.rec.Queue("q0"))
+		return s
+	}
+	viaConsume, viaCursor := mk(), mk()
+	rng := rand.New(rand.NewSource(14))
+	next := byte(0)
+	for step := 0; step < 600; step++ {
+		for k := rng.Intn(7); k > 0; k-- {
+			rec := []byte{next, ^next}
+			if viaConsume.r.Push(rec) != viaCursor.r.Push(rec) {
+				t.Fatalf("step %d: push outcomes differ", step)
+			}
+			next++
+		}
+		// One poll with max packets pending; every third poll hits whatever
+		// is there, empty or not.
+		max := rng.Intn(10)
+		if step%3 == 0 {
+			max = 1 + rng.Intn(3)
+		}
+		a := 0
+		for ; a < max; a++ {
+			if !viaConsume.r.Consume(func(e []byte) { viaConsume.seen = append(viaConsume.seen, e...) }) {
+				break
+			}
+		}
+		b := burst(viaCursor.r, max, func(e []byte) { viaCursor.seen = append(viaCursor.seen, e...) })
+		if a != b {
+			t.Fatalf("step %d: consumed %d by Consume, %d by cursor", step, a, b)
+		}
+		if sa, sb := viaConsume.r.Stats(), viaCursor.r.Stats(); sa != sb {
+			t.Fatalf("step %d: stats differ:\n consume %+v\n cursor  %+v", step, sa, sb)
+		}
+	}
+	if !bytes.Equal(viaConsume.seen, viaCursor.seen) {
+		t.Fatal("entries differ")
+	}
+	st := viaCursor.r.Stats()
+	if st.Consumed < 1000 || st.EmptyStalls < 2*flight.SamplePeriod || viaCursor.r.head.Load() > 1<<31 {
+		t.Fatalf("script too tame to prove anything: %+v, head %#x", st, viaCursor.r.head.Load())
+	}
+	ea, eb := events(viaConsume.rec), events(viaCursor.rec)
+	if !reflect.DeepEqual(ea, eb) {
+		t.Fatalf("flight events differ: %d by Consume, %d by cursor", len(ea), len(eb))
+	}
+	if flight.Compiled && len(ea) < 100 {
+		t.Fatalf("only %d events recorded", len(ea))
 	}
 }
 
@@ -379,7 +512,7 @@ func TestStatsConsumeBatchAndPop(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		r.Push([]byte{byte(i)})
 	}
-	if n := r.ConsumeBatch(4, func(int, []byte) {}); n != 4 {
+	if n := burst(r, 4, func([]byte) {}); n != 4 {
 		t.Fatalf("batch = %d", n)
 	}
 	r.Peek()
@@ -392,7 +525,7 @@ func TestStatsConsumeBatchAndPop(t *testing.T) {
 	if r.Pop() { // empty
 		t.Fatal("pop on empty")
 	}
-	r.ConsumeBatch(4, func(int, []byte) {}) // empty
+	burst(r, 4, func([]byte) {}) // empty
 	st = r.Stats()
 	if st.Consumed != 6 || st.EmptyStalls != 2 {
 		t.Fatalf("stats after drain = %+v", st)

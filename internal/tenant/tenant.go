@@ -133,6 +133,9 @@ type tenantState struct {
 	intent *core.Intent
 	port   uint16
 	rt     *codegen.Runtime
+	// reads is the tenant's read mix bound beside rt's reader table; rebound
+	// (bindRuntime) whenever rt or the intent changes.
+	reads []*obs.Counter
 
 	accepted  obs.Counter
 	delivered obs.Counter
@@ -269,10 +272,16 @@ func (p *Plane) jointIntents() []core.TenantIntent {
 // write lock (or is Open, pre-publication).
 func (p *Plane) install(jr *core.JointResult) {
 	p.joint = jr
-	for i, t := range p.tenants {
-		t.rt = codegen.NewRuntime(jr.PerTenant[i], softnic.Funcs())
+	for i := range p.tenants {
+		p.bindRuntime(i, codegen.NewRuntime(jr.PerTenant[i], softnic.Funcs()))
 	}
 	p.gen++
+}
+
+// bindRuntime gives tenant i an accessor runtime and lays its read-mix
+// counters out beside the runtime's reader table.
+func (p *Plane) bindRuntime(i int, rt *codegen.Runtime) {
+	p.tenants[i].rt, p.tenants[i].reads = rt, p.mix.Bind(i, rt)
 }
 
 // Cores returns the number of queues / poll loops.
@@ -350,7 +359,9 @@ type Delivery struct {
 
 	rt   *codegen.Runtime
 	cmpt []byte
-	note func(int, semantics.Name)
+	// reads counts each Get for the tenant's live mix: one counter per entry
+	// of rt's reader table, nil where the current intent lacks the semantic.
+	reads []*obs.Counter
 }
 
 // Get reads one semantic for the delivered packet through the tenant's own
@@ -358,12 +369,14 @@ type Delivery struct {
 // layout carries it, the tenant's SoftNIC shim otherwise. ok is false for
 // semantics outside the tenant's compiled intent.
 func (d *Delivery) Get(sem string) (uint64, bool) {
-	name := semantics.Name(sem)
-	if d.note != nil {
-		d.note(d.Tenant, name)
+	r, i := d.rt.Lookup(semantics.Name(sem))
+	if r == nil {
+		return 0, false
 	}
-	r := d.rt.Reader(name)
-	if r == nil || !r.Linked() {
+	if c := d.reads[i]; c != nil {
+		c.Inc()
+	}
+	if !r.Linked() {
 		return 0, false
 	}
 	return r.Read(d.cmpt, d.Pkt), true
@@ -441,28 +454,30 @@ func (p *Plane) pollQueue(core, q, limit int, h func(Delivery)) int {
 	parked := 0
 	for parked < len(qs.parked) && (limit < 0 || n < limit) {
 		pd := qs.parked[parked]
-		p.deliver(core, q, pd.tenant, stolen, pd.pkt, pd.cmpt, pd.rt, pd.ts, h)
+		// The tenant may have renegotiated since the park: resolve the old
+		// runtime's semantics against its current mix.
+		p.deliver(core, q, pd.tenant, stolen, pd.pkt, pd.cmpt, pd.rt, p.mix.Bind(pd.tenant, pd.rt), pd.ts, h)
 		parked++
 		n++
 	}
-	if parked > 0 {
-		qs.parked = qs.parked[:copy(qs.parked, qs.parked[parked:])]
-	}
+	qs.parked = qs.parked[:copy(qs.parked, qs.parked[parked:])]
 
 	consumed := 0
+	cur := qs.dev.CmptRing.Cursor()
 	for consumed < len(qs.pending) && (limit < 0 || n < limit) {
-		pe := qs.pending[consumed]
-		if !qs.dev.CmptRing.Consume(func(cmpt []byte) {
-			p.deliver(core, q, pe.tenant, stolen, pe.pkt, cmpt, p.tenants[pe.tenant].rt, pe.ts, h)
-		}) {
+		cmpt := cur.At()
+		if cmpt == nil {
 			break
 		}
+		pe := qs.pending[consumed]
+		t := p.tenants[pe.tenant]
+		p.deliver(core, q, pe.tenant, stolen, pe.pkt, cmpt, t.rt, t.reads, pe.ts, h)
+		cur.Release()
 		consumed++
 		n++
 	}
-	if consumed > 0 {
-		qs.pending = qs.pending[:copy(qs.pending, qs.pending[consumed:])]
-	}
+	cur.Close()
+	qs.pending = qs.pending[:copy(qs.pending, qs.pending[consumed:])]
 
 	if n > 0 {
 		qs.polls.Inc()
@@ -476,12 +491,12 @@ func (p *Plane) pollQueue(core, q, limit int, h func(Delivery)) int {
 
 // deliver invokes the handler and settles the tenant's accounting. Caller
 // holds the queue lock.
-func (p *Plane) deliver(core, q, ti int, stolen bool, pktB, cmpt []byte, rt *codegen.Runtime, rxTS uint64, h func(Delivery)) {
+func (p *Plane) deliver(core, q, ti int, stolen bool, pktB, cmpt []byte, rt *codegen.Runtime, reads []*obs.Counter, rxTS uint64, h func(Delivery)) {
 	t := p.tenants[ti]
 	h(Delivery{
 		Tenant: ti, Name: t.spec.Name,
 		Queue: q, Core: core, Stolen: stolen,
-		Pkt: pktB, rt: rt, cmpt: cmpt, note: p.mix.NoteRead,
+		Pkt: pktB, rt: rt, cmpt: cmpt, reads: reads,
 	})
 	t.delivered.Inc()
 	p.mix.NoteDelivered(ti, 1)
@@ -563,6 +578,7 @@ func (p *Plane) Renegotiate(name string, sems ...string) error {
 	}
 	p.tenants[ti].spec.Semantics = append([]string(nil), sems...)
 	p.mix.Retarget(ti, intent.Req().Sorted())
+	p.bindRuntime(ti, p.tenants[ti].rt)
 	p.tenants[ti].renegs.Inc()
 	return nil
 }
@@ -629,7 +645,7 @@ func (p *Plane) MaybeRenegotiate() (switched bool, err error) {
 func (p *Plane) switchTo(jr *core.JointResult, fastTenant int) error {
 	if jr.Selected.Path.ID == p.joint.Selected.Path.ID && fastTenant >= 0 {
 		p.joint = jr
-		p.tenants[fastTenant].rt = codegen.NewRuntime(jr.PerTenant[fastTenant], softnic.Funcs())
+		p.bindRuntime(fastTenant, codegen.NewRuntime(jr.PerTenant[fastTenant], softnic.Funcs()))
 		p.gen++
 		p.fastRenegs.Inc()
 		return nil
@@ -639,7 +655,7 @@ func (p *Plane) switchTo(jr *core.JointResult, fastTenant int) error {
 	// record bytes are copied out of the ring (the ring slot is recycled)
 	// and parked with the old runtime, so later polls still read them under
 	// the layout they were DMAed with.
-	for q, qs := range p.queues {
+	for _, qs := range p.queues {
 		for _, pe := range qs.pending {
 			ok := qs.dev.CmptRing.Consume(func(cmpt []byte) {
 				qs.parked = append(qs.parked, parkedDelivery{
@@ -660,7 +676,6 @@ func (p *Plane) switchTo(jr *core.JointResult, fastTenant int) error {
 			p.drainedPkts.Inc()
 		}
 		qs.pending = qs.pending[:0]
-		_ = q
 	}
 
 	// Apply the new configuration to every queue; roll every queue back to

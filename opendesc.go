@@ -167,14 +167,20 @@ func PlanOffloads(res *Result, caps PipelineCaps) (*OffloadPlan, error) {
 	return core.PlanOffloads(res, caps, nil)
 }
 
-// Meta reads per-packet metadata inside a Driver.Poll handler.
-type Meta struct {
+// Meta reads per-packet metadata inside a Driver.Poll handler. It is a
+// one-word view of the delivery in progress — Poll points it at each packet
+// in turn — so, like the completion record it reads, it is only meaningful
+// until the handler returns.
+type Meta struct{ v *metaView }
+
+// metaView is the delivery a Meta reads.
+type metaView struct {
 	rt   *codegen.Runtime
 	cmpt []byte
 	pkt  []byte
-	// note, when non-nil, records each read for the renegotiation control
-	// plane (the live feature mix an evolving driver optimizes for).
-	note func(semantics.Name)
+	// reads, when non-nil, counts each read for the renegotiation control
+	// plane (the live feature mix): one counter per entry of rt's table.
+	reads []*obs.Counter
 	// fq/ts/seq, when ts is non-zero, emit one flight event per read
 	// (hardware descriptor load vs SoftNIC shim call), reusing the Poll
 	// timestamp so the hot path pays no extra clock read.
@@ -187,28 +193,31 @@ type Meta struct {
 // -time descriptor read when the selected layout carries it, the SoftNIC
 // shim otherwise. ok is false for semantics outside the compiled intent.
 func (m Meta) Get(sem string) (uint64, bool) {
-	name := semantics.Name(sem)
-	if m.note != nil {
-		m.note(name)
-	}
-	r := m.rt.Reader(name)
-	if r == nil || !r.Linked() {
+	v := m.v
+	r, i := v.rt.Lookup(semantics.Name(sem))
+	if r == nil {
 		return 0, false
 	}
-	if m.ts != 0 {
+	if v.reads != nil {
+		v.reads[i].Inc()
+	}
+	if !r.Linked() {
+		return 0, false
+	}
+	if v.ts != 0 {
 		code := flight.EvReadSoft
 		if r.Hardware {
 			code = flight.EvReadHW
 		}
-		m.fq.RecordT(m.ts, code, m.seq, flight.PackName(sem), 0)
+		v.fq.RecordT(v.ts, code, v.seq, flight.PackName(sem), 0)
 	}
-	return r.Read(m.cmpt, m.pkt), true
+	return r.Read(v.cmpt, v.pkt), true
 }
 
 // Hardware reports whether the semantic is served directly from the
 // completion record (vs a software shim).
 func (m Meta) Hardware(sem string) bool {
-	r := m.rt.Reader(semantics.Name(sem))
+	r := m.v.rt.Reader(semantics.Name(sem))
 	return r != nil && r.Hardware
 }
 
@@ -222,6 +231,8 @@ type Driver struct {
 	dev     *nicsim.Device
 	rt      *codegen.Runtime
 	pending []pendingPkt
+	// view is what the Meta handed to a Poll handler reads.
+	view metaView
 
 	// flight is the driver's always-armed flight recorder; fq its "q0"
 	// event ring, shared with the device so DMA, ring, validator, and
@@ -255,6 +266,19 @@ type pendingPkt struct {
 	soft bool
 	ts   uint64
 	seq  uint32
+}
+
+// meta points the driver's view at packet p, read through rt over cmpt in
+// the Poll that began at t0. Per-read events fire only for sampled packets
+// (non-zero Rx stamp): a zero view timestamp makes Get skip its RecordT.
+func (d *Driver) meta(rt *codegen.Runtime, cmpt []byte, p *pendingPkt, t0 uint64) Meta {
+	v := &d.view
+	v.rt, v.cmpt, v.pkt, v.fq, v.seq = rt, cmpt, p.pkt, d.fq, p.seq
+	v.ts = 0
+	if p.ts != 0 {
+		v.ts = t0
+	}
+	return Meta{v}
 }
 
 // errEvolvingHarden: facade hardening applies to pinned drivers; the
@@ -363,16 +387,15 @@ func (d *Driver) Rx(packet []byte) bool {
 	if !d.dev.RxPacket(packet) {
 		return false
 	}
-	seq := d.nextSeq()
-	d.pending = append(d.pending, pendingPkt{pkt: packet, ts: d.fq.NowIfSampled(seq), seq: seq})
+	d.enqueue(packet, false)
 	return true
 }
 
-// nextSeq numbers an accepted packet (1-based, like the device's DMA-emit
-// sequence).
-func (d *Driver) nextSeq() uint32 {
+// enqueue queues an accepted packet for delivery, numbered 1-based like the
+// device's DMA-emit sequence and stamped when it is on the sampling grid.
+func (d *Driver) enqueue(packet []byte, soft bool) {
 	d.rxSeq++
-	return d.rxSeq
+	d.pending = append(d.pending, pendingPkt{pkt: packet, soft: soft, ts: d.fq.NowIfSampled(d.rxSeq), seq: d.rxSeq})
 }
 
 // noteDelivered derives one completed packet's per-stage latencies from its
@@ -399,9 +422,11 @@ func (d *Driver) noteDelivered(t0, rxTS uint64, seq uint32) {
 // the new generation's compilation).
 func (d *Driver) Poll(h func(packet []byte, meta Meta)) int {
 	if d.engine != nil {
+		v := &d.view
 		n := d.engine.Poll(func(pkt, cmpt []byte, rt *codegen.Runtime) {
-			fq, ts, seq := d.engine.FlightCtx()
-			h(pkt, Meta{rt: rt, cmpt: cmpt, pkt: pkt, note: d.engine.NoteRead, fq: fq, ts: ts, seq: seq})
+			v.rt, v.cmpt, v.pkt = rt, cmpt, pkt
+			v.fq, v.ts, v.seq, v.reads = d.engine.DeliveryCtx()
+			h(pkt, Meta{v})
 		})
 		d.Result = d.engine.Result()
 		return n
@@ -411,22 +436,19 @@ func (d *Driver) Poll(h func(packet []byte, meta Meta)) int {
 	}
 	n := 0
 	t0 := d.fq.Now()
+	cur := d.dev.CmptRing.Cursor()
 	for n < len(d.pending) {
-		p := d.pending[n]
-		// Per-read events fire only for sampled packets (non-zero Rx stamp):
-		// a zero Meta timestamp turns Get's RecordT into a no-op.
-		mts := uint64(0)
-		if p.ts != 0 {
-			mts = t0
-		}
-		if !d.dev.CmptRing.Consume(func(cmpt []byte) {
-			h(p.pkt, Meta{rt: d.rt, cmpt: cmpt, pkt: p.pkt, fq: d.fq, ts: mts, seq: p.seq})
-		}) {
+		cmpt := cur.At()
+		if cmpt == nil {
 			break
 		}
+		p := &d.pending[n]
+		h(p.pkt, d.meta(d.rt, cmpt, p, t0))
+		cur.Release()
 		d.noteDelivered(t0, p.ts, p.seq)
 		n++
 	}
+	cur.Close()
 	d.pending = d.pending[:copy(d.pending, d.pending[n:])]
 	return n
 }

@@ -6,17 +6,23 @@ import (
 	"opendesc/internal/workload"
 )
 
-// gateDriver opens a warmed plain driver plus trace for the alloc gate.
-func gateDriver(t *testing.T) (*Driver, [][]byte, func([]byte, Meta)) {
+// gateLoop is one receive loop under the alloc gate: rx offers a packet to
+// the (simulated) device, poll delivers whatever completed through three
+// metadata reads per packet.
+type gateLoop struct {
+	name    string
+	packets [][]byte
+	rx      func(p []byte) bool
+	poll    func() int
+}
+
+var gateSems = []string{"rss", "vlan", "pkt_len"}
+
+// gateLoops opens every receive loop the library ships: the pinned driver,
+// the hardened one with deep validation, the evolving one, and the
+// multi-tenant plane.
+func gateLoops(t *testing.T) []gateLoop {
 	t.Helper()
-	intent, err := NewIntent("gate", "rss", "vlan", "pkt_len")
-	if err != nil {
-		t.Fatal(err)
-	}
-	drv, err := OpenIntent("e1000e", intent, CompileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	tr, err := workload.Generate(workload.DefaultSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -28,53 +34,102 @@ func gateDriver(t *testing.T) (*Driver, [][]byte, func([]byte, Meta)) {
 		v3, _ := meta.Get("pkt_len")
 		*sink += v1 + v2 + v3
 	}
-	for i := 0; i < 64; i++ {
-		for !drv.Rx(tr.Packets[i%len(tr.Packets)]) {
-			drv.Poll(h)
+	intent, err := NewIntent("gate", gateSems...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	driver := func(name string, opts OpenOptions) gateLoop {
+		drv, err := OpenWith("e1000e", intent, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return gateLoop{name: name, packets: tr.Packets, rx: drv.Rx, poll: func() int { return drv.Poll(h) }}
 	}
-	for drv.Poll(h) > 0 {
+
+	const tenants = 2
+	specs := make([]TenantSpec, tenants)
+	for i := range specs {
+		specs[i] = TenantSpec{Name: string(rune('a' + i)), Semantics: gateSems}
 	}
-	return drv, tr.Packets, h
+	plane, err := OpenTenants(TenantOptions{Cores: 1}, specs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ztr, err := workload.GenerateZipf(workload.ZipfSpec{Packets: 512, Flows: 1 << 10, Skew: 1.1, Tenants: tenants, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDelivery := func(d TenantDelivery) {
+		v1, _ := d.Get("rss")
+		v2, _ := d.Get("vlan")
+		v3, _ := d.Get("pkt_len")
+		*sink += v1 + v2 + v3
+	}
+
+	return []gateLoop{
+		driver("pinned", OpenOptions{}),
+		driver("hardened", OpenOptions{Harden: &HardenOptions{Deep: true}}),
+		// No re-solve inside the measured window: a recompile allocates, and
+		// it belongs to the control plane, not to the deliver path.
+		driver("evolving", OpenOptions{Evolve: &EvolveOptions{Interval: 1 << 30}}),
+		{name: "tenants", packets: ztr.Packets, rx: plane.Rx, poll: func() int { return plane.PollCore(0, onDelivery) }},
+	}
 }
 
 // TestDeliverPathAllocGate is the alloc ratchet for the host-side
-// poll→validate→read→deliver hot path. The simulated device's Rx side
-// allocates one condition-path string per context branch it evaluates, so
-// the gate measures the full Rx+Poll cycle and subtracts an Rx-only
-// baseline taken against the same driver — the difference is what the host
-// datapath itself allocates per delivered packet, and it must stay zero.
-// Any change that puts a heap allocation on Poll, Meta.Get, or the deliver
-// callback path fails this test.
+// poll→validate→read→deliver hot path of every receive loop. The simulated
+// device's Rx side allocates one condition-path string per context branch it
+// evaluates, so the gate measures the full Rx+Poll cycle and subtracts an
+// Rx-only baseline taken against the same loop — the difference is what the
+// host datapath itself allocates per delivered packet, and it must stay
+// zero. Any change that puts a heap allocation on Poll, Meta.Get,
+// TenantDelivery.Get or the deliver callback path fails this test.
 func TestDeliverPathAllocGate(t *testing.T) {
 	const runs = 400 // plus AllocsPerRun's warm-up call, still < the 1024-deep ring
 	const tolerance = 0.25
 
-	drv, packets, h := gateDriver(t)
-	p := packets[0]
+	for _, l := range gateLoops(t) {
+		t.Run(l.name, func(t *testing.T) {
+			next := 0
+			packet := func() []byte {
+				next++
+				return l.packets[next%len(l.packets)]
+			}
+			for i := 0; i < 64; i++ { // warm the loop's queues and tables
+				for !l.rx(packet()) {
+					l.poll()
+				}
+			}
+			for l.poll() > 0 {
+			}
 
-	// Rx-only baseline: the ring is deep enough that no Poll is ever needed.
-	rxOnly := testing.AllocsPerRun(runs, func() {
-		if !drv.Rx(p) {
-			t.Fatal("ring filled during the rx-only baseline")
-		}
-	})
-	for drv.Poll(h) > 0 {
-	}
+			// Rx-only baseline: the ring is deep enough that no poll is ever
+			// needed.
+			rxOnly := testing.AllocsPerRun(runs, func() {
+				if !l.rx(packet()) {
+					t.Fatal("ring filled during the rx-only baseline")
+				}
+			})
+			for l.poll() > 0 {
+			}
 
-	// Full cycle: one Rx, one Poll delivering that packet through three reads.
-	full := testing.AllocsPerRun(runs, func() {
-		for !drv.Rx(p) {
-			drv.Poll(h)
-		}
-		drv.Poll(h)
-	})
+			// Full cycle: one Rx, one poll delivering that packet through
+			// three reads.
+			full := testing.AllocsPerRun(runs, func() {
+				p := packet()
+				for !l.rx(p) {
+					l.poll()
+				}
+				l.poll()
+			})
 
-	deliver := full - rxOnly
-	t.Logf("rx(device sim)=%.2f full=%.2f → deliver path=%.2f allocs/pkt (tolerance %.2f)",
-		rxOnly, full, deliver, tolerance)
-	if deliver > tolerance {
-		t.Fatalf("deliver path allocates %.2f allocs/pkt (full %.2f − rx-only %.2f); "+
-			"the poll→validate→read→deliver path must stay allocation-free", deliver, full, rxOnly)
+			deliver := full - rxOnly
+			t.Logf("rx(device sim)=%.2f full=%.2f → deliver path=%.2f allocs/pkt (tolerance %.2f)",
+				rxOnly, full, deliver, tolerance)
+			if deliver > tolerance {
+				t.Fatalf("deliver path allocates %.2f allocs/pkt (full %.2f − rx-only %.2f); "+
+					"the poll→validate→read→deliver path must stay allocation-free", deliver, full, rxOnly)
+			}
+		})
 	}
 }
