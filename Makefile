@@ -39,7 +39,7 @@ perf-gate: alloc-gate
 	done; exit $$fail
 
 alloc-gate:
-	$(GO) test -run TestDeliverPathAllocGate -v .
+	$(GO) test -run 'TestDeliverPathAllocGate|TestWarmCompileSkipsAnalysis' -v .
 
 clean:
 	rm -rf /tmp/opendesc-perf

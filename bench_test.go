@@ -8,6 +8,7 @@ package opendesc_test
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"testing"
 	"time"
@@ -17,11 +18,10 @@ import (
 	"opendesc/internal/bench"
 	"opendesc/internal/codegen"
 	"opendesc/internal/core"
+	"opendesc/internal/evolve"
 	"opendesc/internal/nic"
 	"opendesc/internal/nicsim"
 	"opendesc/internal/obs"
-	"opendesc/internal/p4/parser"
-	"opendesc/internal/p4/sema"
 	"opendesc/internal/ring"
 	"opendesc/internal/semantics"
 	"opendesc/internal/softnic"
@@ -202,26 +202,80 @@ func BenchmarkE9_MbufDyn(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkE10_CompileTime times the full compiler pipeline per NIC,
-// including P4 parse and semantic analysis from source.
+// BenchmarkE10_CompileTime times a compile at its two lines, per NIC
+// (bench.E10Stages): the frontend (parse + sema), the description-side
+// analysis (CFG + paths), the intent-side selection a renegotiation re-runs,
+// and the cold total from source text that Open pays once.
 func BenchmarkE10_CompileTime(b *testing.B) {
 	intent := mustIntent(b, semantics.RSS, semantics.VLAN, semantics.IPChecksum, semantics.PktLen)
 	for _, m := range nic.All() {
-		b.Run(m.Name+"/compile", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Compile(intent, core.CompileOptions{}); err != nil {
-					b.Fatal(err)
+		for _, stage := range bench.E10Stages(m, intent) {
+			b.Run(m.Name+"/"+stage.Name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := stage.Run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkRenegotiate times one control-plane tick of the evolving driver on
+// the Fig. 6 tension (e1000e carries rss or ip_checksum, never both): a
+// steady tick re-solves Eq. 1 under an unchanged read mix and stays put, a
+// switching tick sees the mix flipped and drains, reprograms and swaps. The
+// 64 packets that build each tick's observation window are driven off the
+// clock.
+func BenchmarkRenegotiate(b *testing.B) {
+	intent := mustIntent(b, semantics.RSS, semantics.IPChecksum, semantics.VLAN, semantics.PktLen)
+	tr, err := workload.Generate(workload.DefaultSpec())
+	if err != nil {
+		b.Fatal(err)
+	}
+	mixes := [2][]semantics.Name{
+		{semantics.RSS, semantics.VLAN, semantics.PktLen},
+		{semantics.IPChecksum, semantics.VLAN, semantics.PktLen},
+	}
+	for _, c := range []struct {
+		name string
+		flip int // 0: the mix never changes; 1: it alternates every tick
+	}{{"steady", 0}, {"switching", 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			e, err := evolve.New(nic.MustLoad("e1000e"), intent, core.CompileOptions{}, evolve.Options{
+				Interval: 1 << 30, MinWindow: 64, MinShimSamples: math.MaxUint64,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			next := 0
+			window := func(mix []semantics.Name) {
+				for i := 0; i < 64; i++ {
+					next++
+					if !e.Rx(tr.Packets[next%len(tr.Packets)]) {
+						b.Fatal("rx stalled")
+					}
+					e.Poll(func(_, _ []byte, _ *codegen.Runtime) {
+						for _, s := range mix {
+							e.NoteRead(s)
+						}
+					})
 				}
 			}
-		})
-		b.Run(m.Name+"/frontend", func(b *testing.B) {
+			window(mixes[0])
+			if _, err := e.Renegotiate(); err != nil { // leave the static layout for the mix's
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				prog, err := parser.Parse(m.Name+".p4", m.Source)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sema.Check(prog); err != nil {
-					b.Fatal(err)
+				b.StopTimer()
+				window(mixes[(i+1)*c.flip%2])
+				b.StartTimer()
+				switched, err := e.Renegotiate()
+				if err != nil || switched != (c.flip == 1) {
+					b.Fatalf("tick %d: switched=%t err=%v", i, switched, err)
 				}
 			}
 		})

@@ -123,9 +123,84 @@ func BuildDeparserGraph(spec DeparserSpec) (*Graph, error) {
 	return BuildGraph(spec.Info, inst, spec.OutParam)
 }
 
+// Analysis is the description-side half of a compilation: the completion
+// deparser's CFG and its enumerated paths. It depends on the description and
+// the enumeration options only — never on an intent or a cost model — so one
+// Analysis serves every compile against that description (the P4 line between
+// configure time and run time). It is immutable once built and safe to share
+// across goroutines and hosts: the results of successive compiles carry the
+// same *Graph and *Path pointers, so compare paths by ID and never write
+// through them.
+type Analysis struct {
+	Graph *Graph
+	Paths []*Path
+}
+
+// Analyze extracts the deparser CFG of a description and enumerates its
+// completion paths.
+func Analyze(spec DeparserSpec, opts EnumerateOptions) (*Analysis, error) {
+	return analyze(spec, opts, nil)
+}
+
+func analyze(spec DeparserSpec, opts EnumerateOptions, tr *obs.Trace) (*Analysis, error) {
+	sp := startSpan(tr, "cfg")
+	g, err := BuildDeparserGraph(spec)
+	if err != nil {
+		return nil, fmt.Errorf("deparser graph: %w", err)
+	}
+	if sp != nil {
+		sp.Annotate("nodes", len(g.Nodes)).Annotate("emits", g.EmitCount()).End()
+	}
+	sp = startSpan(tr, "paths")
+	paths, err := EnumeratePaths(g, opts)
+	if err != nil {
+		return nil, fmt.Errorf("path enumeration: %w", err)
+	}
+	if sp != nil {
+		sp.Annotate("paths", len(paths)).End()
+	}
+	return &Analysis{Graph: g, Paths: paths}, nil
+}
+
+func startSpan(tr *obs.Trace, stage string) *obs.Span {
+	if tr == nil {
+		return nil
+	}
+	return tr.Start(stage)
+}
+
+// Providable is the union of Prov(p) over all completion paths: everything
+// the NIC can deliver in hardware under some configuration.
+func (a *Analysis) Providable() semantics.Set {
+	s := make(semantics.Set)
+	for _, p := range a.Paths {
+		for n := range p.Prov() {
+			s.Add(n)
+		}
+	}
+	return s
+}
+
+// CompletionSizes returns the distinct completion-record byte sizes across
+// the paths, ascending.
+func (a *Analysis) CompletionSizes() []int {
+	seen := make(map[int]bool)
+	var sizes []int
+	for _, p := range a.Paths {
+		if n := p.SizeBytes(); !seen[n] {
+			seen[n] = true
+			sizes = append(sizes, n)
+		}
+	}
+	sort.Ints(sizes)
+	return sizes
+}
+
 // CompileOptions bundle the tunables of a compilation.
 type CompileOptions struct {
-	Select    SelectOptions
+	Select SelectOptions
+	// Enumerate is consumed by the analysis half (Analyze, or whoever caches
+	// one per value); (*Analysis).Compile does not read it.
 	Enumerate EnumerateOptions
 	// Trace, when non-nil, receives one timed span per pipeline stage
 	// (cfg → paths → select); the CLI adds the frontend (parse, sema) and
@@ -133,36 +208,25 @@ type CompileOptions struct {
 	Trace *obs.Trace
 }
 
-// Compile maps an application intent onto a NIC description: CFG extraction,
-// path characterization, Eq. 1 optimization, and host accessor synthesis.
+// Compile maps an application intent onto a NIC description from cold: CFG
+// extraction and path characterization (Analyze), then Eq. 1 optimization and
+// host accessor synthesis ((*Analysis).Compile).
 func Compile(nicName string, spec DeparserSpec, intent *Intent, opts CompileOptions) (*Result, error) {
-	span := func(stage string) *obs.Span {
-		if opts.Trace == nil {
-			return nil
-		}
-		return opts.Trace.Start(stage)
-	}
-	sp := span("cfg")
-	g, err := BuildDeparserGraph(spec)
+	a, err := analyze(spec, opts.Enumerate, opts.Trace)
 	if err != nil {
 		return nil, fmt.Errorf("opendesc %s: %w", nicName, err)
 	}
-	if sp != nil {
-		sp.Annotate("nodes", len(g.Nodes)).Annotate("emits", g.EmitCount()).End()
-	}
-	sp = span("paths")
-	paths, err := EnumeratePaths(g, opts.Enumerate)
-	if err != nil {
-		return nil, fmt.Errorf("opendesc %s: %w", nicName, err)
-	}
-	if sp != nil {
-		sp.Annotate("paths", len(paths)).End()
-	}
-	sp = span("select")
+	return a.Compile(nicName, intent, opts)
+}
+
+// Compile is the intent-side half: Eq. 1 selection over the analysed paths
+// under the intent's cost model, then accessor synthesis. It reads the
+// analysis and never writes it.
+func (a *Analysis) Compile(nicName string, intent *Intent, opts CompileOptions) (*Result, error) {
+	sp := startSpan(opts.Trace, "select")
 	selOpts := opts.Select.withDefaults()
 	selOpts.Costs = intent.CostModel(selOpts.Costs)
-	req := intent.Req()
-	best, scored, err := SelectPath(g.Control, paths, req, selOpts)
+	best, scored, err := SelectPath(a.Graph.Control, a.Paths, intent.Req(), selOpts)
 	if err != nil {
 		return nil, fmt.Errorf("opendesc %s: %w", nicName, err)
 	}
@@ -175,9 +239,9 @@ func Compile(nicName string, spec DeparserSpec, intent *Intent, opts CompileOpti
 	}
 	res := &Result{
 		NIC:      nicName,
-		Control:  g.Control,
-		Graph:    g,
-		Paths:    paths,
+		Control:  a.Graph.Control,
+		Graph:    a.Graph,
+		Paths:    a.Paths,
 		Scored:   scored,
 		Selected: best,
 		Intent:   intent,

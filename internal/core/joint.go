@@ -76,23 +76,26 @@ func (jr *JointResult) TenantResult(name string) *Result {
 	return nil
 }
 
-// CompileJoint maps N tenant intents onto one NIC description at once: CFG
-// extraction, path characterization, the joint Eq. 1 optimization above, and
-// per-tenant host accessor synthesis against the single winning path. The
-// compilation is unsatisfiable only when every path leaves some tenant with
-// an infinitely expensive missing semantic.
+// CompileJoint maps N tenant intents onto one NIC description at once, from
+// cold: Analyze, then (*Analysis).CompileJoint.
 func CompileJoint(nicName string, spec DeparserSpec, tenants []TenantIntent, opts CompileOptions) (*JointResult, error) {
+	a, err := Analyze(spec, opts.Enumerate)
+	if err != nil {
+		return nil, fmt.Errorf("opendesc %s: %w", nicName, err)
+	}
+	return a.CompileJoint(nicName, tenants, opts)
+}
+
+// CompileJoint is the intent-side half of a joint compilation: the joint
+// Eq. 1 optimization above over the analysed paths, and per-tenant host
+// accessor synthesis against the single winning path. The compilation is
+// unsatisfiable only when every path leaves some tenant with an infinitely
+// expensive missing semantic.
+func (a *Analysis) CompileJoint(nicName string, tenants []TenantIntent, opts CompileOptions) (*JointResult, error) {
 	if len(tenants) == 0 {
 		return nil, errors.New("core: joint compilation needs at least one tenant intent")
 	}
-	g, err := BuildDeparserGraph(spec)
-	if err != nil {
-		return nil, fmt.Errorf("opendesc %s: %w", nicName, err)
-	}
-	paths, err := EnumeratePaths(g, opts.Enumerate)
-	if err != nil {
-		return nil, fmt.Errorf("opendesc %s: %w", nicName, err)
-	}
+	g, paths := a.Graph, a.Paths
 	if len(paths) == 0 {
 		return nil, ErrNoPaths
 	}

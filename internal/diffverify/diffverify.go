@@ -160,14 +160,11 @@ func (r *Report) String() string {
 // A *RejectedError means the description is outside the harness's domain;
 // any other error is an internal failure.
 func Verify(name string, spec core.DeparserSpec, opts Options) (*Report, error) {
-	g, err := core.BuildDeparserGraph(spec)
+	a, err := core.Analyze(spec, core.EnumerateOptions{MaxPaths: opts.MaxPaths})
 	if err != nil {
-		return nil, &RejectedError{Reason: fmt.Sprintf("deparser graph: %v", err)}
+		return nil, &RejectedError{Reason: err.Error()}
 	}
-	paths, err := core.EnumeratePaths(g, core.EnumerateOptions{MaxPaths: opts.MaxPaths})
-	if err != nil {
-		return nil, &RejectedError{Reason: fmt.Sprintf("path enumeration: %v", err)}
-	}
+	g, paths := a.Graph, a.Paths
 	rep := &Report{NIC: name, Paths: len(paths)}
 	// Wide semantic fields are unverifiable today: bitfield.Read (and hence
 	// every generated accessor) reads at most 64 bits, so a semantic-tagged

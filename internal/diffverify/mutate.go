@@ -399,14 +399,11 @@ func firstEmittedSemantic(src string) (ctName, fieldName string, err error) {
 	if err != nil {
 		return "", "", fmt.Errorf("widen: sema: %v", err)
 	}
-	g, err := core.BuildDeparserGraph(core.DeparserSpec{Info: info})
+	a, err := core.Analyze(core.DeparserSpec{Info: info}, core.EnumerateOptions{})
 	if err != nil {
-		return "", "", fmt.Errorf("widen: deparser graph: %v", err)
+		return "", "", fmt.Errorf("widen: %v", err)
 	}
-	paths, err := core.EnumeratePaths(g, core.EnumerateOptions{})
-	if err != nil {
-		return "", "", fmt.Errorf("widen: paths: %v", err)
-	}
+	g, paths := a.Graph, a.Paths
 	for _, p := range paths {
 		for _, f := range p.Fields {
 			if f.Semantic == "" {

@@ -17,7 +17,6 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
 	"opendesc/internal/core"
@@ -138,17 +137,8 @@ func (d *Description) RewriteSource(src string) (*Description, error) {
 		sems = append(sems, string(n))
 	}
 	out.Capabilities.Semantics = sems
-	out.Capabilities.Paths = len(v.Paths)
-	sizes := make(map[int]bool)
-	var sizeList []int
-	for _, p := range v.Paths {
-		if n := p.SizeBytes(); !sizes[n] {
-			sizes[n] = true
-			sizeList = append(sizeList, n)
-		}
-	}
-	sort.Ints(sizeList)
-	out.Capabilities.CompletionBytes = sizeList
+	out.Capabilities.Paths = len(v.Analysis.Paths)
+	out.Capabilities.CompletionBytes = v.Analysis.CompletionSizes()
 	return &out, nil
 }
 
@@ -158,9 +148,11 @@ func (d *Description) RewriteSource(src string) (*Description, error) {
 type Validated struct {
 	Desc *Description
 	// Digest is the recomputed content address (cache key component).
-	Digest     string
-	Info       *sema.Info
-	Paths      []*core.Path
+	Digest string
+	// Analysis is the description-side half (CFG, completion paths) of every
+	// compile against this description.
+	Analysis *core.Analysis
+	// Providable is the union of what its paths provide.
 	Providable semantics.Set
 }
 
@@ -183,30 +175,20 @@ func ValidateSource(name, src string) (*Validated, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sema: %v", err)
 	}
-	g, err := core.BuildDeparserGraph(core.DeparserSpec{Info: info})
+	a, err := core.Analyze(core.DeparserSpec{Info: info}, core.EnumerateOptions{})
 	if err != nil {
-		return nil, fmt.Errorf("deparser graph: %v", err)
+		return nil, err
 	}
-	paths, err := core.EnumeratePaths(g, core.EnumerateOptions{})
-	if err != nil {
-		return nil, fmt.Errorf("path enumeration: %v", err)
-	}
-	if len(paths) == 0 {
+	if len(a.Paths) == 0 {
 		return nil, fmt.Errorf("description has no completion paths")
 	}
-	prov := make(semantics.Set)
-	for _, p := range paths {
-		for n := range p.Prov() {
-			prov.Add(n)
-		}
-	}
+	prov := a.Providable()
 	if len(prov) == 0 {
 		return nil, fmt.Errorf("description provides no semantics")
 	}
 	return &Validated{
 		Digest:     core.SourceDigest(src),
-		Info:       info,
-		Paths:      paths,
+		Analysis:   a,
 		Providable: prov,
 	}, nil
 }
@@ -245,19 +227,11 @@ func Validate(data []byte) (*Validated, error) {
 		return nil, fmt.Errorf("capability claim mismatch: claims %v, source provides %v",
 			claimed, v.Providable)
 	}
-	if d.Capabilities.Paths != len(v.Paths) {
+	if d.Capabilities.Paths != len(v.Analysis.Paths) {
 		return nil, fmt.Errorf("capability claim mismatch: claims %d paths, source has %d",
-			d.Capabilities.Paths, len(v.Paths))
+			d.Capabilities.Paths, len(v.Analysis.Paths))
 	}
-	sizes := make(map[int]bool)
-	var want []int
-	for _, p := range v.Paths {
-		if n := p.SizeBytes(); !sizes[n] {
-			sizes[n] = true
-			want = append(want, n)
-		}
-	}
-	sort.Ints(want)
+	want := v.Analysis.CompletionSizes()
 	if len(d.Capabilities.CompletionBytes) != len(want) {
 		return nil, fmt.Errorf("capability claim mismatch: completion sizes %v, source has %v",
 			d.Capabilities.CompletionBytes, want)
@@ -278,7 +252,7 @@ func (v *Validated) Compile(intent *core.Intent, opts core.CompileOptions) (*cor
 	if v.Desc != nil {
 		name = v.Desc.NIC
 	}
-	return core.Compile(name, core.DeparserSpec{Info: v.Info}, intent, opts)
+	return v.Analysis.Compile(name, intent, opts)
 }
 
 // SwapSemantics returns src with the @semantic("a") and @semantic("b")

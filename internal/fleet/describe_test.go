@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -49,6 +50,33 @@ func TestDescribeRoundTrip(t *testing.T) {
 		if res.Selected.Path.ID != want.Selected.Path.ID {
 			t.Fatalf("%s: description compile selected path %d, model compile %d",
 				m.Name, res.Selected.Path.ID, want.Selected.Path.ID)
+		}
+		// Validated.Compile re-solves Eq. 1 over the analysis ValidateSource
+		// built: same result as the cold pipeline, at the allocation cost of
+		// Model.Compile, not of a second graph build and enumeration.
+		for _, sel := range []core.SelectOptions{{}, {Alpha: -1}, {Alpha: 1000}} {
+			opts := core.CompileOptions{Select: sel}
+			warm, werr := v.Compile(intent, opts)
+			cold, cerr := core.Compile(m.Name, m.Deparser, intent, opts)
+			if werr != nil || cerr != nil {
+				t.Fatalf("%s %+v: warm err %v, cold err %v", m.Name, sel, werr, cerr)
+			}
+			if warm.Report() != cold.Report() || !reflect.DeepEqual(warm.Accessors, cold.Accessors) ||
+				!reflect.DeepEqual(warm.Config, cold.Config) {
+				t.Errorf("%s %+v: validated compile differs from cold compile:\n%s\nvs\n%s",
+					m.Name, sel, warm.Report(), cold.Report())
+			}
+			for i := range cold.Scored {
+				if warm.Scored[i].Total != cold.Scored[i].Total || !reflect.DeepEqual(warm.Scored[i].Missing, cold.Scored[i].Missing) {
+					t.Errorf("%s %+v: scored[%d] differs", m.Name, sel, i)
+				}
+			}
+		}
+		fromDesc := testing.AllocsPerRun(20, func() { v.Compile(intent, core.CompileOptions{}) })
+		fromModel := testing.AllocsPerRun(20, func() { m.Compile(intent, core.CompileOptions{}) })
+		if fromDesc > fromModel+4 {
+			t.Errorf("%s: Validated.Compile allocates %.0f, Model.Compile %.0f: the analysis is being redone",
+				m.Name, fromDesc, fromModel)
 		}
 	}
 }
@@ -134,8 +162,8 @@ func TestSwapSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Paths) != len(honest.Paths) {
-		t.Fatalf("tamper changed path structure: %d vs %d", len(v.Paths), len(honest.Paths))
+	if len(v.Analysis.Paths) != len(honest.Analysis.Paths) {
+		t.Fatalf("tamper changed path structure: %d vs %d", len(v.Analysis.Paths), len(honest.Analysis.Paths))
 	}
 	if !v.Providable.Equal(honest.Providable) {
 		t.Fatalf("tamper changed providable set: %v vs %v", v.Providable, honest.Providable)

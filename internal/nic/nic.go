@@ -69,61 +69,62 @@ type Model struct {
 	// pushed features (zero value: not programmable).
 	Pipeline core.PipelineCaps
 
-	once    sync.Once
-	graph   *core.Graph
-	paths   []*core.Path
-	pathErr error
+	// analyses holds the description-side half of every compile, one per
+	// distinct enumeration option value, errors included. Source never
+	// changes after register, so entries are never invalidated.
+	mu       sync.Mutex
+	analyses map[core.EnumerateOptions]analysed
+}
+
+type analysed struct {
+	a   *core.Analysis
+	err error
+}
+
+// analysis returns the cached description-side half for opts, building it on
+// first use. Its errors read like the cold pipeline's (core.Compile).
+func (m *Model) analysis(opts core.EnumerateOptions) (*core.Analysis, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.analyses[opts]
+	if !ok {
+		if e.a, e.err = core.Analyze(m.Deparser, opts); e.err != nil {
+			e.err = fmt.Errorf("opendesc %s: %w", m.Name, e.err)
+		}
+		if m.analyses == nil {
+			m.analyses = make(map[core.EnumerateOptions]analysed)
+		}
+		m.analyses[opts] = e
+	}
+	return e.a, e.err
 }
 
 // Graph returns the (lazily built, cached) completion deparser CFG.
 func (m *Model) Graph() (*core.Graph, error) {
-	m.build()
-	if m.pathErr != nil {
-		return nil, m.pathErr
+	a, err := m.analysis(core.EnumerateOptions{})
+	if err != nil {
+		return nil, err
 	}
-	return m.graph, nil
+	return a.Graph, nil
 }
 
 // Paths returns the enumerated completion paths.
 func (m *Model) Paths() ([]*core.Path, error) {
-	m.build()
-	if m.pathErr != nil {
-		return nil, m.pathErr
+	a, err := m.analysis(core.EnumerateOptions{})
+	if err != nil {
+		return nil, err
 	}
-	return m.paths, nil
-}
-
-func (m *Model) build() {
-	m.once.Do(func() {
-		g, err := core.BuildDeparserGraph(m.Deparser)
-		if err != nil {
-			m.pathErr = fmt.Errorf("nic %s: %w", m.Name, err)
-			return
-		}
-		paths, err := core.EnumeratePaths(g, core.EnumerateOptions{})
-		if err != nil {
-			m.pathErr = fmt.Errorf("nic %s: %w", m.Name, err)
-			return
-		}
-		m.graph = g
-		m.paths = paths
-	})
+	return a.Paths, nil
 }
 
 // ProvidableSet is the union of Prov(p) over all completion paths: everything
 // the NIC can deliver in hardware under some configuration.
 func (m *Model) ProvidableSet() (semantics.Set, error) {
-	paths, err := m.Paths()
+	a, err := m.analysis(core.EnumerateOptions{})
 	if err != nil {
 		return nil, err
 	}
-	s := make(semantics.Set)
-	for _, p := range paths {
-		for n := range p.Prov() {
-			s.Add(n)
-		}
-	}
-	return s, nil
+	return a.Providable(), nil
 }
 
 // MetadataFieldCount counts the distinct semantic-tagged metadata items the
@@ -141,32 +142,33 @@ func (m *Model) MetadataFieldCount() (int, error) {
 // the NIC's enumerated paths, ascending — part of the capability model a
 // fleet host publishes in its describe answer (S25).
 func (m *Model) CompletionSizes() ([]int, error) {
-	paths, err := m.Paths()
+	a, err := m.analysis(core.EnumerateOptions{})
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[int]bool)
-	var sizes []int
-	for _, p := range paths {
-		if n := p.SizeBytes(); !seen[n] {
-			seen[n] = true
-			sizes = append(sizes, n)
-		}
-	}
-	sort.Ints(sizes)
-	return sizes, nil
+	return a.CompletionSizes(), nil
 }
 
-// Compile maps an intent onto this NIC.
+// Compile maps an intent onto this NIC. The description is analysed once per
+// enumeration option value; each call re-solves Eq. 1 and synthesizes
+// accessors only.
 func (m *Model) Compile(intent *core.Intent, opts core.CompileOptions) (*core.Result, error) {
-	return core.Compile(m.Name, m.Deparser, intent, opts)
+	a, err := m.analysis(opts.Enumerate)
+	if err != nil {
+		return nil, err
+	}
+	return a.Compile(m.Name, intent, opts)
 }
 
 // CompileJoint maps N tenant intents onto this NIC at once, solving the
 // joint Eq. 1 objective for one shared device configuration (see
-// core.CompileJoint).
+// core.CompileJoint), on the same cached analysis as Compile.
 func (m *Model) CompileJoint(tenants []core.TenantIntent, opts core.CompileOptions) (*core.JointResult, error) {
-	return core.CompileJoint(m.Name, m.Deparser, tenants, opts)
+	a, err := m.analysis(opts.Enumerate)
+	if err != nil {
+		return nil, err
+	}
+	return a.CompileJoint(m.Name, tenants, opts)
 }
 
 // TxInstance binds the model's DescParser for TX-direction analysis.

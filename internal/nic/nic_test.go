@@ -284,14 +284,11 @@ func TestDescriptionsPrintRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reparsed program fails sema: %v", m.Name, err)
 		}
-		g, err := core.BuildDeparserGraph(core.DeparserSpec{Info: info2})
+		a, err := core.Analyze(core.DeparserSpec{Info: info2}, core.EnumerateOptions{})
 		if err != nil {
-			t.Fatalf("%s: reparsed graph: %v", m.Name, err)
+			t.Fatalf("%s: reparsed program: %v", m.Name, err)
 		}
-		paths, err := core.EnumeratePaths(g, core.EnumerateOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		paths := a.Paths
 		orig, _ := m.Paths()
 		if len(paths) != len(orig) {
 			t.Errorf("%s: reparsed paths %d != %d", m.Name, len(paths), len(orig))

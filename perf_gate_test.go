@@ -1,8 +1,13 @@
 package opendesc
 
 import (
+	"math"
 	"testing"
 
+	"opendesc/internal/codegen"
+	"opendesc/internal/core"
+	"opendesc/internal/evolve"
+	"opendesc/internal/nic"
 	"opendesc/internal/workload"
 )
 
@@ -131,5 +136,73 @@ func TestDeliverPathAllocGate(t *testing.T) {
 					"the poll→validate→read→deliver path must stay allocation-free", deliver, full, rxOnly)
 			}
 		})
+	}
+}
+
+// TestWarmCompileSkipsAnalysis keeps renegotiation on the intent side of the
+// compiler's configure/run line. A description is analysed once (CFG + path
+// enumeration, core.Analyze); Model.Compile on top of that re-solves Eq. 1
+// and synthesizes accessors only, so on every bundled NIC it must allocate at
+// most a quarter of what the cold pipeline does (12–20 against 112–723 when
+// written — a ratio, so it holds on any machine). And an evolving driver's
+// tick on a steady read mix, which is that compile plus the live cost model,
+// stays under a fixed count: a graph rebuild alone would be ten times it.
+func TestWarmCompileSkipsAnalysis(t *testing.T) {
+	intent, err := NewIntent("gate", "rss", "ip_checksum", "vlan", "pkt_len")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range nic.All() {
+		warm := testing.AllocsPerRun(50, func() { m.Compile(intent, CompileOptions{}) })
+		cold := testing.AllocsPerRun(50, func() { core.Compile(m.Name, m.Deparser, intent, CompileOptions{}) })
+		t.Logf("%s: warm %.0f, cold %.0f allocs/compile", m.Name, warm, cold)
+		if warm*4 > cold {
+			t.Errorf("%s: warm Model.Compile allocates %.0f, cold core.Compile %.0f: more than a quarter, the analysis is being redone",
+				m.Name, warm, cold)
+		}
+	}
+
+	const maxTickAllocs = 32
+	e, err := evolve.New(nic.MustLoad("e1000e"), intent, CompileOptions{}, evolve.Options{
+		Interval: 1 << 30, MinWindow: 1, MinShimSamples: math.MaxUint64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := workload.Generate(workload.DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	packet := func() { // one delivery reading the rss-heavy mix
+		next++
+		if !e.Rx(tr.Packets[next%len(tr.Packets)]) {
+			t.Fatal("rx stalled")
+		}
+		e.Poll(func(_, _ []byte, _ *codegen.Runtime) {
+			e.NoteRead("rss")
+			e.NoteRead("vlan")
+			e.NoteRead("pkt_len")
+		})
+	}
+	for i := 0; i < 64; i++ { // settle on the mix's layout
+		packet()
+		e.Renegotiate()
+	}
+	settled := e.Stats()
+	rxOnly := testing.AllocsPerRun(200, packet)
+	full := testing.AllocsPerRun(200, func() {
+		packet()
+		if _, err := e.Renegotiate(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	st := e.Stats()
+	if st.Switchovers != settled.Switchovers || st.Renegotiations < settled.Renegotiations+200 {
+		t.Fatalf("not a steady window: %+v after %+v", st, settled)
+	}
+	t.Logf("steady Renegotiate: %.1f allocs/tick (limit %d)", full-rxOnly, maxTickAllocs)
+	if full-rxOnly > maxTickAllocs {
+		t.Errorf("steady Renegotiate allocates %.1f per tick, limit %d", full-rxOnly, maxTickAllocs)
 	}
 }
