@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 build vet test race bench bench-baseline perf-gate alloc-gate clean
+.PHONY: all tier1 build vet test race bench bench-baseline perf-gate alloc-gate loc clean
 
 all: tier1
 
@@ -40,6 +40,22 @@ perf-gate: alloc-gate
 
 alloc-gate:
 	$(GO) test -run 'TestDeliverPathAllocGate|TestWarmCompileSkipsAnalysis' -v .
+
+# Non-test Go lines per top-level directory: raw, and code only (no blank or
+# comment lines). A PR states its net delta from this.
+loc:
+	@for d in . cmd examples internal; do \
+		if [ $$d = . ]; then files=$$(ls *.go | grep -v _test.go); \
+		else files=$$(find $$d -name '*.go' ! -name '*_test.go'); fi; \
+		cat $$files | awk -v d=$$d ' \
+			{ raw++ } \
+			/^[ \t]*$$/ { next } \
+			inblock { if (index($$0, "*/")) inblock = 0; next } \
+			/^[ \t]*\/\// { next } \
+			/^[ \t]*\/\*/ { if (!index($$0, "*/")) inblock = 1; next } \
+			{ code++ } \
+			END { printf "%-10s %7d raw %7d code\n", d, raw, code }'; \
+	done | awk '{ print; raw += $$2; code += $$4 } END { printf "%-10s %7d raw %7d code\n", "total", raw, code }'
 
 clean:
 	rm -rf /tmp/opendesc-perf

@@ -243,7 +243,7 @@ func BenchmarkRenegotiate(b *testing.B) {
 		flip int // 0: the mix never changes; 1: it alternates every tick
 	}{{"steady", 0}, {"switching", 1}} {
 		b.Run(c.name, func(b *testing.B) {
-			e, err := evolve.New(nic.MustLoad("e1000e"), intent, core.CompileOptions{}, evolve.Options{
+			e, err := evolve.New(nicsim.MustNew(nic.MustLoad("e1000e"), nicsim.Config{}), intent, core.CompileOptions{}, evolve.Options{
 				Interval: 1 << 30, MinWindow: 64, MinShimSamples: math.MaxUint64,
 			})
 			if err != nil {
@@ -256,9 +256,9 @@ func BenchmarkRenegotiate(b *testing.B) {
 					if !e.Rx(tr.Packets[next%len(tr.Packets)]) {
 						b.Fatal("rx stalled")
 					}
-					e.Poll(func(_, _ []byte, _ *codegen.Runtime) {
+					e.Poll(func(_ []byte, m opendesc.Meta) {
 						for _, s := range mix {
-							e.NoteRead(s)
+							m.Get(string(s))
 						}
 					})
 				}

@@ -12,6 +12,8 @@
 //	nicsim -nic mlx5 -req rss -stats-addr localhost:9100  # /metrics endpoint
 //	nicsim -nic e1000e -req rss,vlan,pkt_len \
 //	       -faults corrupt=1e-3,hang=2@5000 -seed 7       # hardened driver under injection
+//	nicsim -nic e1000e -req rss,ip_checksum,vlan,pkt_len \
+//	       -evolve [-faults ...]                          # live renegotiation (hardened too)
 //	nicsim -nic mlx5 -tenants 8 -packets 4096             # multi-tenant serving plane
 //	nicsim -fleet 13                                      # fleet control plane: inventory,
 //	                                                      # canary rollout, auto-rollback
@@ -27,13 +29,11 @@ import (
 	"opendesc"
 	"opendesc/internal/codegen"
 	"opendesc/internal/core"
-	"opendesc/internal/evolve"
 	"opendesc/internal/faults"
 	"opendesc/internal/nic"
 	"opendesc/internal/nicsim"
 	"opendesc/internal/obs"
 	"opendesc/internal/obs/flight"
-	"opendesc/internal/pkt"
 	"opendesc/internal/semantics"
 	"opendesc/internal/softnic"
 	"opendesc/internal/workload"
@@ -48,8 +48,8 @@ func main() {
 		verbose   = flag.Bool("v", false, "print per-packet metadata")
 		stats     = flag.Bool("stats", false, "dump ethtool-style device/ring/shim counters on exit")
 		statsAddr = flag.String("stats-addr", "", "serve /metrics (Prometheus) and /debug/vars on this address while running")
-		evolveRun = flag.Bool("evolve", false, "run the live-renegotiation demo: shift the read mix mid-run and report switchovers")
-		faultSpec = flag.String("faults", "", "fault-injection spec, e.g. corrupt=1e-3,drop=1e-4,hang=2@5000: run the hardened driver under injection and report detection/recovery")
+		evolveRun = flag.Bool("evolve", false, "run the live-renegotiation demo: shift the read mix mid-run and report switchovers (composes with -faults)")
+		faultSpec = flag.String("faults", "", "fault-injection spec, e.g. corrupt=1e-3,drop=1e-4,hang=2@5000: run the hardened driver under injection and report detection/recovery (composes with -evolve)")
 		seed      = flag.Uint64("seed", 1, "fault-injection PRNG seed (with -faults)")
 		tenants   = flag.Int("tenants", 0, "run the multi-tenant serving-plane demo with this many tenants (jointly-compiled intents, RSS sharding, mid-run renegotiation)")
 		fleetN    = flag.Int("fleet", 0, "run the fleet control-plane demo with this many hosts (describe inventory, canary rollout, automatic rollback)")
@@ -62,9 +62,10 @@ func main() {
 	flag.Parse()
 
 	var names []semantics.Name
+	var sems []string
 	for _, s := range strings.Split(*req, ",") {
 		if s = strings.TrimSpace(s); s != "" {
-			names = append(names, semantics.Name(s))
+			names, sems = append(names, semantics.Name(s)), append(sems, s)
 		}
 	}
 	if *fleetN > 0 {
@@ -83,12 +84,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *evolveRun {
-		runEvolve(model, intent, names, *packets, *statsAddr, *stats)
-		return
-	}
-	if *faultSpec != "" {
-		runFaults(model.Name, names, *packets, *faultSpec, *seed, *verbose, *statsAddr, *stats)
+	if *evolveRun || *faultSpec != "" {
+		runDriver(model.Name, names, sems, *packets, *evolveRun, *faultSpec, *seed, *verbose, *statsAddr, *stats)
 		return
 	}
 
@@ -201,7 +198,6 @@ func main() {
 			fmt.Println()
 		}
 	}
-	_ = pkt.EthHeaderLen
 	finishFlight(rec)
 
 	if *statsAddr != "" {
@@ -212,36 +208,46 @@ func main() {
 	}
 }
 
-// runFaults drives the hardened public driver under a fault-injection plan
-// (DESIGN.md §21): every accepted packet must come back exactly once, in
-// order, with metadata matching the SoftNIC golden values, no matter which
-// faults fire. Prints the injected/detected/recovery report and exits
-// non-zero if any corruption leaks through or a packet is lost.
-func runFaults(nicName string, names []semantics.Name, packets int, spec string, seed uint64, verbose bool, statsAddr string, dump bool) {
-	plan, err := faults.ParseSpec(spec)
+// runDriver drives the public driver facade with what the flags asked for.
+// -faults arms the hardened datapath under a fault-injection plan (DESIGN.md
+// S21): every accepted packet must come back exactly once, in order, with
+// metadata matching the SoftNIC golden values, no matter which faults fire.
+// -evolve arms live renegotiation and flips the application's read mix
+// halfway through the run (hot semantic: last requested name, then first),
+// printing a line per switchover. Together they run the composed driver.
+// Exits non-zero if any corruption leaks through or a packet is lost.
+func runDriver(nicName string, names []semantics.Name, sems []string, packets int, evolve bool, spec string, seed uint64, verbose bool, statsAddr string, dump bool) {
+	intent, err := opendesc.NewIntent("demo", sems...)
 	if err != nil {
 		fatal(err)
 	}
-	plan.Seed = seed
-
-	sems := make([]string, len(names))
-	for i, n := range names {
-		sems[i] = string(n)
+	var opts opendesc.OpenOptions
+	var inj *faults.Injector
+	if spec != "" {
+		plan, err := faults.ParseSpec(spec)
+		if err != nil {
+			fatal(err)
+		}
+		plan.Seed = seed
+		inj = faults.New(plan)
+		opts.Harden = &opendesc.HardenOptions{Deep: true}
 	}
-	intent, err := opendesc.NewIntent("faults", sems...)
+	if evolve {
+		if len(names) < 2 {
+			fatal(fmt.Errorf("-evolve needs at least two requested semantics to shift between"))
+		}
+		opts.Evolve = &opendesc.EvolveOptions{Interval: 256, MinWindow: 128}
+	}
+	drv, err := opendesc.OpenWith(nicName, intent, opts)
 	if err != nil {
 		fatal(err)
 	}
-	drv, err := opendesc.OpenWith(nicName, intent, opendesc.OpenOptions{
-		Harden: &opendesc.HardenOptions{Deep: true},
-	})
-	if err != nil {
-		fatal(err)
-	}
-	inj := faults.New(plan)
 	drv.InjectFaults(inj)
+	if evolve {
+		fmt.Print(drv.Report())
+	}
 
-	// Observability: the facade registers driver hardening, device and
+	// Observability: the facade registers hardening, evolution, device and
 	// injector counters in one call.
 	reg := obs.NewRegistry()
 	drv.RegisterMetrics(reg, obs.L("queue", "0"))
@@ -260,8 +266,16 @@ func runFaults(nicName string, names []semantics.Name, packets int, spec string,
 	}
 	golden := softnic.Funcs()
 
-	fmt.Printf("fault plan: %s (seed %d)\n", spec, seed)
-	fmt.Printf("pushing %d packets through hardened %s (deep validation on)...\n", packets, nicName)
+	half := packets / 2
+	hot := names[len(names)-1]
+	if inj != nil {
+		fmt.Printf("fault plan: %s (seed %d)\n", spec, seed)
+		fmt.Printf("pushing %d packets through hardened %s (deep validation on)...\n", packets, nicName)
+	}
+	if evolve {
+		fmt.Printf("\nevolving %s under %d packets: hot read %s, shifting to %s at packet %d\n",
+			nicName, packets, hot, names[0], half)
+	}
 
 	queue := make([][]byte, 0, 512)
 	delivered, garbage, softCount := 0, 0, 0
@@ -271,6 +285,9 @@ func runFaults(nicName string, names []semantics.Name, packets int, spec string,
 		}
 		queue = queue[1:]
 		for _, n := range names {
+			if evolve && n != hot && delivered%16 != 0 {
+				continue // the application's read mix: the hot field, the rest 1 in 16
+			}
 			got, ok := meta.Get(string(n))
 			if !ok {
 				continue
@@ -296,12 +313,31 @@ func runFaults(nicName string, names []semantics.Name, packets int, spec string,
 		}
 		delivered++
 	}
+	gen := drv.Evolution().Generation
+	poll := func(i int) int {
+		n := drv.Poll(h)
+		if st := drv.Evolution(); st.Generation != gen {
+			gen = st.Generation
+			fmt.Printf("pkt %5d: switchover -> generation %d, hardware now %s (%dB), drained %d, latency p50 %dns\n",
+				i, gen, drv.Result.HardwareSet(), drv.CompletionBytes(), st.PacketsDrained, st.SwitchLatencyP50)
+			if d := drv.LastDiff(); d != nil {
+				for _, line := range strings.Split(strings.TrimRight(d.String(), "\n"), "\n") {
+					fmt.Printf("           %s\n", line)
+				}
+			}
+		}
+		return n
+	}
 	accepted := 0
 	for i := 0; i < packets; i++ {
+		if evolve && i == half {
+			fmt.Printf("pkt %5d: --- feature-mix shift: hot read %s -> %s ---\n", i, hot, names[0])
+			hot = names[0]
+		}
 		p := tr.Packets[i%len(tr.Packets)]
 		tries := 0
 		for !drv.Rx(p) {
-			drv.Poll(h)
+			poll(i)
 			if tries++; tries > 1<<16 {
 				fatal(fmt.Errorf("rx stalled at packet %d", i))
 			}
@@ -309,139 +345,24 @@ func runFaults(nicName string, names []semantics.Name, packets int, spec string,
 		accepted++
 		queue = append(queue, p)
 		if i%8 == 7 {
-			drv.Poll(h)
+			poll(i)
 		}
 	}
 	idle := 0
 	for i := 0; i < 1<<20 && idle < 4; i++ {
-		if drv.Poll(h) == 0 {
+		if poll(packets) == 0 {
 			idle++
 		} else {
 			idle = 0
 		}
 	}
 
-	ist := inj.Stats()
-	fmt.Printf("\ninjected:")
-	for c := faults.Corrupt; c <= faults.Hang; c++ {
-		if n := ist.Injected[c]; n > 0 {
-			fmt.Printf(" %s=%d", c, n)
-		}
-	}
-	fmt.Printf(" (device ops=%d)\n", ist.Ops)
-
-	st := drv.Hardening()
-	fmt.Printf("detected: quarantined=%d stale=%d resync=%d spurious=%d\n",
-		st.Quarantined, st.StaleDrops, st.ResyncDrops, st.SpuriousCompletions)
-	for class, n := range st.RejectsByClass {
-		fmt.Printf("          validator rejects[%s]=%d\n", class, n)
-	}
-	fmt.Printf("recovery: device-faults=%d degraded-enters=%d reset-attempts=%d resets=%d config-retries=%d hardware-restores=%d\n",
-		st.DeviceFaults, st.DegradedEnters, st.ResetAttempts, st.Resets, st.ConfigRetries, st.HardwareRestores)
-
-	mode := "hardware"
-	if st.Degraded {
-		mode = "degraded (SoftNIC)"
-	}
-	fmt.Printf("delivered %d/%d exactly once, in order (%d via SoftNIC shims), %d garbage metadata reads; final mode: %s\n",
-		delivered, accepted, softCount, garbage, mode)
-	if dump {
-		fmt.Printf("\ndriver/device/injector counters (%s):\n%s", nicName, reg.Table())
-	}
-	finishFlight(drv.Flight())
-	if delivered != accepted || garbage > 0 {
-		os.Exit(1)
-	}
-	if statsAddr != "" {
-		fmt.Println("\nstill serving the stats endpoint; Ctrl-C to exit")
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt)
-		<-ch
-	}
-}
-
-// runEvolve is the live-renegotiation demo: it drives a workload whose
-// application read mix flips halfway through the run (hot semantic: first
-// requested name, then last) through the internal/evolve engine, printing a
-// line per switchover and the final control-plane counters + change report.
-func runEvolve(model *nic.Model, intent *core.Intent, names []semantics.Name, packets int, statsAddr string, dump bool) {
-	if len(names) < 2 {
-		fatal(fmt.Errorf("-evolve needs at least two requested semantics to shift between"))
-	}
-	eng, err := evolve.New(model, intent, core.CompileOptions{}, evolve.Options{
-		Interval:  256,
-		MinWindow: 128,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Print(eng.Result().Report())
-
-	reg := obs.NewRegistry()
-	eng.RegisterMetrics(reg, obs.L("queue", "0"))
-	armFlight(eng.Flight(), reg)
-	if statsAddr != "" {
-		addr, _, err := reg.Serve(statsAddr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("stats endpoint: http://%s/metrics (Prometheus), http://%s/debug/vars (JSON)\n", addr, addr)
-	}
-
-	spec := workload.DefaultSpec()
-	spec.Packets = packets
-	tr, err := workload.Generate(spec)
-	if err != nil {
-		fatal(err)
-	}
-
-	half := len(tr.Packets) / 2
-	hotA, hotB := names[len(names)-1], names[0]
-	fmt.Printf("\nevolving %s under %d packets: hot read %s, shifting to %s at packet %d\n",
-		model.Name, len(tr.Packets), hotA, hotB, half)
-	lastGen := eng.Generation()
-	for i, p := range tr.Packets {
-		hot := hotA
-		if i >= half {
-			hot = hotB
-		}
-		if i == half {
-			fmt.Printf("pkt %5d: --- feature-mix shift: hot read %s -> %s ---\n", i, hotA, hotB)
-		}
-		if !eng.Rx(p) {
-			fatal(fmt.Errorf("rx stalled at packet %d", i))
-		}
-		idx := i
-		eng.Poll(func(pkt, cmpt []byte, rt *codegen.Runtime) {
-			for _, n := range names {
-				if n != hot && idx%16 != 0 {
-					continue
-				}
-				if _, err := rt.Read(n, cmpt, pkt); err == nil {
-					eng.NoteRead(n)
-				}
-			}
-		})
-		if g := eng.Generation(); g != lastGen {
-			lastGen = g
-			st := eng.Stats()
-			fmt.Printf("pkt %5d: switchover -> generation %d, hardware now %s (%dB), drained %d, latency p50 %dns\n",
-				i, g, eng.Result().HardwareSet(), eng.Result().CompletionBytes(),
-				st.PacketsDrained, st.SwitchLatencyP50)
-			if d := eng.LastDiff(); d != nil {
-				for _, line := range strings.Split(strings.TrimRight(d.String(), "\n"), "\n") {
-					fmt.Printf("           %s\n", line)
-				}
-			}
-		}
-	}
-
-	st := eng.Stats()
-	devst := eng.Device().Stats()
-	fmt.Printf("\ndone: rx=%d drops=%d delivered=%d\n", devst.RxPackets, devst.Drops, st.Delivered)
-	fmt.Printf("control plane: generation=%d renegotiations=%d switchovers=%d rollbacks=%d unsat=%d switch-drops=%d (must be 0)\n",
-		st.Generation, st.Renegotiations, st.Switchovers, st.Rollbacks, st.Unsat, st.SwitchDrops)
-	if len(st.Reads) > 0 {
+	if evolve {
+		st := drv.Evolution()
+		rx, drops := drv.Stats()
+		fmt.Printf("\ndone: rx=%d drops=%d delivered=%d\n", rx, drops, st.Delivered)
+		fmt.Printf("control plane: generation=%d renegotiations=%d switchovers=%d rollbacks=%d unsat=%d switch-drops=%d (must be 0)\n",
+			st.Generation, st.Renegotiations, st.Switchovers, st.Rollbacks, st.Unsat, st.SwitchDrops)
 		fmt.Printf("read mix:")
 		for _, n := range names {
 			if c, ok := st.Reads[n]; ok {
@@ -449,13 +370,42 @@ func runEvolve(model *nic.Model, intent *core.Intent, names []semantics.Name, pa
 			}
 		}
 		fmt.Println()
+		if st.SwitchDrops != 0 {
+			fatal(fmt.Errorf("%d packets dropped across switchovers", st.SwitchDrops))
+		}
+	}
+	if inj != nil {
+		ist := inj.Stats()
+		fmt.Printf("\ninjected:")
+		for c := faults.Corrupt; c <= faults.Hang; c++ {
+			if n := ist.Injected[c]; n > 0 {
+				fmt.Printf(" %s=%d", c, n)
+			}
+		}
+		fmt.Printf(" (device ops=%d)\n", ist.Ops)
+
+		st := drv.Hardening()
+		fmt.Printf("detected: quarantined=%d stale=%d resync=%d spurious=%d\n",
+			st.Quarantined, st.StaleDrops, st.ResyncDrops, st.SpuriousCompletions)
+		for class, n := range st.RejectsByClass {
+			fmt.Printf("          validator rejects[%s]=%d\n", class, n)
+		}
+		fmt.Printf("recovery: device-faults=%d degraded-enters=%d reset-attempts=%d resets=%d config-retries=%d hardware-restores=%d\n",
+			st.DeviceFaults, st.DegradedEnters, st.ResetAttempts, st.Resets, st.ConfigRetries, st.HardwareRestores)
+
+		mode := "hardware"
+		if st.Degraded {
+			mode = "degraded (SoftNIC)"
+		}
+		fmt.Printf("delivered %d/%d exactly once, in order (%d via SoftNIC shims), %d garbage metadata reads; final mode: %s\n",
+			delivered, accepted, softCount, garbage, mode)
 	}
 	if dump {
-		fmt.Printf("\ndevice/ring/shim/evolve counters (%s):\n%s", model.Name, reg.Table())
+		fmt.Printf("\ndriver/device/injector counters (%s):\n%s", nicName, reg.Table())
 	}
-	finishFlight(eng.Flight())
-	if st.SwitchDrops != 0 {
-		fatal(fmt.Errorf("%d packets dropped across switchovers", st.SwitchDrops))
+	finishFlight(drv.Flight())
+	if delivered != accepted || garbage > 0 {
+		os.Exit(1)
 	}
 	if statsAddr != "" {
 		fmt.Println("\nstill serving the stats endpoint; Ctrl-C to exit")

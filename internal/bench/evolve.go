@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"math"
 
-	"opendesc/internal/codegen"
 	"opendesc/internal/core"
 	"opendesc/internal/evolve"
 	"opendesc/internal/nic"
+	"opendesc/internal/nicsim"
 	"opendesc/internal/perf"
+	"opendesc/internal/rxpath"
 	"opendesc/internal/semantics"
 	"opendesc/internal/workload"
 )
@@ -80,7 +81,11 @@ func E15Evolve(packets int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := evolve.New(model, intent, core.CompileOptions{}, evolve.Options{
+	dev, err := nicsim.New(model, nicsim.Config{})
+	if err != nil {
+		return nil, err
+	}
+	eng, err := evolve.New(dev, intent, core.CompileOptions{}, evolve.Options{
 		Interval:       256,
 		MinWindow:      128,
 		MinShimSamples: math.MaxUint64,
@@ -121,14 +126,10 @@ func E15Evolve(packets int) (*Table, error) {
 				return nil, fmt.Errorf("e15: rx stalled in phase %s packet %d", ph.name, i)
 			}
 			delivered := i
-			eng.Poll(func(pkt, cmpt []byte, rt *codegen.Runtime) {
+			eng.Poll(func(_ []byte, m rxpath.Meta) {
 				for s, freq := range ph.mix {
-					every := e15ReadEvery(freq)
-					if every == 0 || delivered%every != 0 {
-						continue
-					}
-					if _, err := rt.Read(s, cmpt, pkt); err == nil {
-						eng.NoteRead(s)
+					if every := e15ReadEvery(freq); every != 0 && delivered%every == 0 {
+						m.Get(string(s))
 					}
 				}
 			})

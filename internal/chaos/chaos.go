@@ -57,11 +57,9 @@ const (
 	// ModeHarden runs pinned hardened drivers (validator, watchdog, SoftNIC
 	// degraded mode) and throws the full fault-class matrix at them.
 	ModeHarden Mode = iota
-	// ModeEvolve runs evolving drivers (live renegotiation) under shifting
-	// read-mixes, restricted to the fault classes the control plane is
-	// specified to survive (config NAKs and device hangs — an unhardened
-	// datapath has no defense against corrupted or lost completions, so
-	// injecting those would test a property the stack does not claim).
+	// ModeEvolve runs hardened evolving drivers: the same fault matrix while
+	// shifting read-mixes make the control plane renegotiate the layout
+	// underneath the validator and the watchdog.
 	ModeEvolve
 )
 
@@ -247,7 +245,7 @@ type runner struct {
 	golden map[semantics.Name]codegen.SoftFunc
 	// consts maps device-state semantics to their per-queue pinned values
 	// (queue_id differs per queue).
-	consts []map[semantics.Name]uint64
+	consts  []map[semantics.Name]uint64
 	nextPkt int
 	log     strings.Builder
 	res     *Result
@@ -331,38 +329,34 @@ func (r *runner) setup(seed uint64) error {
 			QueueID:     uint16(qi),
 			Clock:       r.clk,
 		}
-		var drv *opendesc.Driver
-		switch r.cfg.Mode {
-		case ModeEvolve:
-			drv, err = opendesc.OpenWith(r.cfg.NIC, intent, opendesc.OpenOptions{
-				Evolve: &opendesc.EvolveOptions{
-					Interval:  64,
-					MinWindow: 32,
-					// Never let wall-clock shim measurements into the
-					// re-solve: renegotiation decisions must be a pure
-					// function of the schedule.
-					MinShimSamples: ^uint64(0),
-					Device:         devCfg,
-					Clock:          r.clk,
-				},
-			})
-		default:
-			drv, err = opendesc.OpenWith(r.cfg.NIC, intent, opendesc.OpenOptions{
-				Harden: &opendesc.HardenOptions{
-					// The golden-metadata oracle asserts the deep-validation
-					// guarantee (zero garbage reads even under record
-					// corruption), so chaos always arms the deep tier —
-					// structural validation alone cannot catch a flipped bit
-					// in a non-redundant field like rss.
-					Deep:             true,
-					DegradeThreshold: r.cfg.DegradeThreshold,
-					MaxResetBackoff:  r.cfg.MaxResetBackoff,
-					DisableResync:    r.cfg.DisableResync,
-					Clock:            r.clk,
-				},
-				Device: devCfg,
-			})
+		opts := opendesc.OpenOptions{
+			Harden: &opendesc.HardenOptions{
+				// The golden-metadata oracle asserts the deep-validation
+				// guarantee (zero garbage reads even under record
+				// corruption), so chaos always arms the deep tier —
+				// structural validation alone cannot catch a flipped bit
+				// in a non-redundant field like rss.
+				Deep:             true,
+				DegradeThreshold: r.cfg.DegradeThreshold,
+				MaxResetBackoff:  r.cfg.MaxResetBackoff,
+				DisableResync:    r.cfg.DisableResync,
+				Clock:            r.clk,
+			},
+			Device: devCfg,
 		}
+		if r.cfg.Mode == ModeEvolve {
+			opts.Evolve = &opendesc.EvolveOptions{
+				// Short windows: a 128-step case delivers ~60 packets.
+				Interval:  16,
+				MinWindow: 8,
+				// Never let wall-clock shim measurements into the re-solve:
+				// renegotiation decisions must be a pure function of the
+				// schedule.
+				MinShimSamples: ^uint64(0),
+				Clock:          r.clk,
+			}
+		}
+		drv, err := opendesc.OpenWith(r.cfg.NIC, intent, opts)
 		if err != nil {
 			return fmt.Errorf("queue %d: %w", qi, err)
 		}

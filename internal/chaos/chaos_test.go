@@ -59,6 +59,34 @@ func TestCleanSweep(t *testing.T) {
 	}
 }
 
+// TestComposedSweep holds the evolve mode to what it now is — the hardened
+// driver with the renegotiation control plane under it, on the full fault
+// matrix. The intent carries the rss/ip_checksum tension, so the shifting mix
+// keeps moving the layout, and the sweep must actually reach every mechanism
+// at once: switchovers, rollbacks (NAKs and hangs mid-switch), quarantines
+// and watchdog restores, with every oracle holding.
+func TestComposedSweep(t *testing.T) {
+	sems := []string{"rss", "ip_checksum", "vlan", "pkt_len"}
+	for _, nic := range []string{"e1000e", "ice", "mlx5", "qdma"} {
+		var sum Result
+		for seed := uint64(1); seed <= 24; seed++ {
+			cfg := Config{NIC: nic, Mode: ModeEvolve, Steps: 512, Semantics: sems, Queues: 1 + int(seed%2)}
+			res := Run(cfg, seed)
+			if res.Violation != nil {
+				t.Fatalf("%s seed=%d: %v\ntrace tail:\n%s", cfg, seed, res.Violation, tail(res.Trace, 12))
+			}
+			sum.Switchovers += res.Switchovers
+			sum.Rollbacks += res.Rollbacks
+			sum.Quarantined += res.Quarantined
+			sum.Restores += res.Restores
+		}
+		if sum.Switchovers == 0 || sum.Rollbacks == 0 || sum.Quarantined == 0 || sum.Restores == 0 {
+			t.Errorf("%s: sweep missed a mechanism: %d switchovers, %d rollbacks, %d quarantined, %d restores",
+				nic, sum.Switchovers, sum.Rollbacks, sum.Quarantined, sum.Restores)
+		}
+	}
+}
+
 // TestResyncBugCaughtAndShrunk re-opens the known pre-resync liveness bug
 // (DisableResync: a lost completion leaves its packet pending forever) and
 // proves the pipeline end to end: an oracle catches it, the shrinker
@@ -129,12 +157,12 @@ func TestSpecRoundTrip(t *testing.T) {
 // TestSpecParseErrors exercises the spec parser's failure modes.
 func TestSpecParseErrors(t *testing.T) {
 	for _, bad := range []string{
-		"event rx q0\n",                       // no config line
-		"config nic=e1000e\nevent frob q0\n",  // unknown event
+		"event rx q0\n",                           // no config line
+		"config nic=e1000e\nevent frob q0\n",      // unknown event
 		"config nic=e1000e\nevent fault q0 zap\n", // unknown fault class
-		"config bogus=1\n",                    // unknown config key
-		"config queues\n",                     // not key=value
-		"banana split\n",                      // unknown directive
+		"config bogus=1\n",                        // unknown config key
+		"config queues\n",                         // not key=value
+		"banana split\n",                          // unknown directive
 	} {
 		if _, _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) succeeded, want error", bad)

@@ -79,18 +79,11 @@ func (r *rng) next() uint64 {
 
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
-// scriptableClasses are the fault classes OpFault may arm per mode. Hardened
-// drivers take the full matrix; evolving drivers only the classes the
-// control plane is specified to survive (NAK — an unhardened datapath makes
-// no claims about corrupted or lost completions).
-func scriptableClasses(m Mode) []faults.Class {
-	if m == ModeEvolve {
-		return []faults.Class{faults.NAK}
-	}
-	return []faults.Class{
-		faults.Corrupt, faults.Truncate, faults.Replay,
-		faults.Duplicate, faults.Drop, faults.NAK,
-	}
+// scriptableClasses are the fault classes OpFault may arm: every mode runs
+// hardened drivers, so every mode takes the full matrix.
+var scriptableClasses = []faults.Class{
+	faults.Corrupt, faults.Truncate, faults.Replay,
+	faults.Duplicate, faults.Drop, faults.NAK,
 }
 
 // Generate draws the event schedule for (cfg, seed). Same inputs ⇒ same
@@ -99,7 +92,6 @@ func scriptableClasses(m Mode) []faults.Class {
 func Generate(cfg Config, seed uint64) Schedule {
 	cfg = cfg.withDefaults()
 	r := &rng{s: seed}
-	classes := scriptableClasses(cfg.Mode)
 	s := Schedule{Seed: seed, Events: make([]Event, 0, cfg.Steps)}
 	for i := 0; i < cfg.Steps; i++ {
 		q := uint8(r.intn(cfg.Queues))
@@ -115,7 +107,7 @@ func Generate(cfg Config, seed uint64) Schedule {
 			ev.Arg = uint64(1+r.intn(4096)) * 256
 		case roll < 92:
 			ev.Op = OpFault
-			ev.Arg = uint64(classes[r.intn(len(classes))])
+			ev.Arg = uint64(scriptableClasses[r.intn(len(scriptableClasses))])
 		case roll < 96:
 			ev.Op = OpHang
 			ev.Arg = uint64(1 + r.intn(24))

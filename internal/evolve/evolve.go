@@ -12,16 +12,12 @@
 //	EVALUATE ──candidate wins──▶ QUIESCE ─▶ DRAIN ─▶ APPLY ─▶ VERIFY ─▶ SWAP
 //	APPLY/VERIFY failure ──▶ ROLLBACK (old config re-applied) ─▶ RUNNING
 //
-// Quiesce stops the producer; drain consumes every completion still in the
-// ring under the old layout (each in-flight packet carries the generation
-// epoch it was received under, the host-side analogue of the color/epoch
-// bits real completion formats reserve); apply pushes the new context
-// constraints over the control channel (nicsim.ApplyConfig); verify checks
-// the device now resolves the selected path; swap atomically replaces the
-// accessor runtime and bumps the generation. Every transition produces obs
-// metrics (renegotiations, switchover-latency histogram, packets drained,
-// rollbacks, a drop counter that must stay zero) and a core.Diff change
-// report.
+// The datapath underneath is an rxpath.Queue and a generation is the lane
+// its packets are read under: quiesce is the engine's mutex, drain is
+// Queue.Drain, apply/verify/rollback is Queue.Reprogram, swap is SetLane.
+// Every transition produces obs metrics (renegotiations, switchover-latency
+// histogram, packets drained, rollbacks, a drop counter that must stay zero)
+// and a core.Diff change report.
 package evolve
 
 import (
@@ -32,11 +28,10 @@ import (
 
 	"opendesc/internal/codegen"
 	"opendesc/internal/core"
-	"opendesc/internal/nic"
 	"opendesc/internal/nicsim"
 	"opendesc/internal/obs"
 	"opendesc/internal/obs/flight"
-	"opendesc/internal/retry"
+	"opendesc/internal/rxpath"
 	"opendesc/internal/semantics"
 	"opendesc/internal/softnic"
 	"opendesc/internal/vclock"
@@ -68,8 +63,6 @@ type Options struct {
 	// has drained and before the new configuration is pushed; an error
 	// aborts the switchover and rolls back to the active generation.
 	PreSwitch func(next *core.Result) error
-	// Device sizes the simulated device.
-	Device nicsim.Config
 	// Clock is the timeline switchover latencies are measured on (nil selects
 	// the process wall clock). Chaos runs inject a virtual clock here so the
 	// control plane is fully deterministic.
@@ -96,73 +89,25 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// generation is one pinned interface configuration: a compilation result and
-// its executable accessor table, tagged with a monotonically increasing
-// sequence number (the switchover epoch).
-type generation struct {
-	seq uint64
-	res *core.Result
-	rt  *codegen.Runtime
-	// reads is the engine's read mix bound beside rt's (and softRT's) table.
-	reads []*obs.Counter
-	// softRT is the generation's all-software runtime, built lazily: packets
-	// whose completion is lost to a device fault mid-switchover are delivered
-	// through it instead of being dropped.
-	softRT *codegen.Runtime
-}
-
-// soft returns the generation's software runtime, building it on first use.
-func (g *generation) soft() *codegen.Runtime {
-	if g.softRT == nil {
-		g.softRT = codegen.NewSoftRuntime(g.res, softnic.Funcs())
-	}
-	return g.softRT
-}
-
-// pending is one packet received but not yet delivered: the epoch tag
-// records which generation's layout its completion was serialized under.
-// ts/seq are the packet's flight-recorder timestamp and sequence.
-type pendingPkt struct {
-	pkt []byte
-	gen uint64
-	ts  uint64
-	seq uint32
-}
-
-// drainedPkt is a completion consumed during a switchover drain, parked for
-// delivery on the next Poll together with the runtime of its generation.
-// The flight timestamp/sequence ride along so the eventual delivery still
-// reports the full DMA→deliver latency (including the park).
-type drainedPkt struct {
-	pkt   []byte
-	cmpt  []byte
-	rt    *codegen.Runtime
-	reads []*obs.Counter
-	ts    uint64
-	seq   uint32
-}
-
-// Engine is an evolvable driver datapath: the static Open driver plus the
-// renegotiation control plane.
+// Engine is an evolvable driver datapath: a receive queue plus the
+// renegotiation control plane that swaps its lane.
 type Engine struct {
-	model  *nic.Model
 	intent *core.Intent
 	copts  core.CompileOptions
 	opts   Options
 
-	dev   *nicsim.Device
 	shims *softnic.ShimStats
 
-	mu      sync.Mutex
-	active  *generation
-	pending []pendingPkt
-	drained []drainedPkt
+	// mu serializes Rx, Poll and Renegotiate on the queue — holding it IS
+	// the quiesce step of a switchover.
+	mu sync.Mutex
+	q  *rxpath.Queue
 	// window counts delivered packets since the last renegotiation check.
 	window int
 
 	// reads counts per-semantic application reads (the live feature mix);
-	// each generation binds the counters beside its reader table, so a read
-	// inside the application's Poll handler is one indexed atomic add.
+	// each generation's lane binds the counters beside its reader table, so
+	// a read inside the application's Poll handler is one indexed atomic add.
 	reads     readMix
 	lastDeliv uint64
 	delivered obs.Counter
@@ -174,92 +119,66 @@ type Engine struct {
 	switchovers    obs.Counter // completed generation swaps
 	rollbacks      obs.Counter // begun switchovers reverted
 	unsat          obs.Counter // re-solves rejected as unsatisfiable
-	switchDrops    obs.Counter // packets lost across a switchover (must be 0)
+	switchDrops    obs.Counter // packets a drain could not park (must be 0)
 	packetsDrained obs.Counter // completions drained under the old layout
 	softParked     obs.Counter // drain shortfalls re-delivered in software
 	applyRetries   obs.Counter // NAKed ApplyConfig bursts retried
 	switchLatency  *obs.Histogram
 
-	// Flight recorder: fr is the engine's always-armed recorder, fq its
-	// "q0" event ring (shared with the device); rxSeq numbers received
-	// packets 1-based like the device's DMA-emit sequence. curTS/curSeq/
-	// curReads are the context of the packet currently being delivered,
-	// valid only inside a Poll handler (e.mu held). dmaToPoll/pollToDeliver
-	// are the per-stage completion latencies derived from matched timestamps.
-	fr            *flight.Recorder
-	fq            *flight.Queue
-	rxSeq         uint32
-	curTS         uint64
-	curSeq        uint32
-	curReads      []*obs.Counter
-	dmaToPoll     *obs.Histogram
-	pollToDeliver *obs.Histogram
-
 	lastDiff *core.Diff
 	lastErr  error
 }
 
-// New compiles the intent for the model (static costs, like a pinned Open),
-// programs a simulated device, and arms the control plane. The SoftNIC shims
-// are instrumented so their measured per-call cost feeds later re-solves.
-func New(model *nic.Model, intent *core.Intent, copts core.CompileOptions, opts Options) (*Engine, error) {
+// New compiles the intent for the device's model (static costs, like a
+// pinned Open), programs the device, and arms the control plane. The SoftNIC
+// shims are instrumented so their measured per-call cost feeds later
+// re-solves.
+func New(dev *nicsim.Device, intent *core.Intent, copts core.CompileOptions, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
-	res, err := model.Compile(intent, copts)
+	res, err := dev.Model.Compile(intent, copts)
 	if err != nil {
 		return nil, err
 	}
-	dev, err := nicsim.New(model, opts.Device)
+	q, err := rxpath.New(dev, res.Config, nil)
 	if err != nil {
-		return nil, err
-	}
-	if err := dev.ApplyConfig(res.Config); err != nil {
 		return nil, err
 	}
 	e := &Engine{
-		model:         model,
 		intent:        intent,
 		copts:         copts,
 		opts:          opts,
-		dev:           dev,
+		q:             q,
 		shims:         softnic.NewShimStats(nil),
 		switchLatency: obs.NewHistogram(),
-		fr:            flight.NewRecorder(flight.Config{}),
-		dmaToPoll:     obs.NewHistogram(),
-		pollToDeliver: obs.NewHistogram(),
 	}
-	e.fq = e.fr.Queue("q0")
-	dev.AttachFlight(e.fq)
-	e.shims.AttachFlight(e.fq)
+	e.shims.AttachFlight(q.FlightQueue())
 	sems := make([]semantics.Name, len(intent.Fields))
 	for i, f := range intent.Fields {
 		sems[i] = f.Semantic
 	}
 	e.reads = newReadMix(sems)
-	e.active = e.newGeneration(0, res)
+	q.SetLane(0, e.newLane(res))
 	return e, nil
 }
 
-// newGeneration links a compilation result into an executable generation.
-func (e *Engine) newGeneration(seq uint64, res *core.Result) *generation {
+// newLane links a compilation result into the lane of one generation.
+func (e *Engine) newLane(res *core.Result) *rxpath.Lane {
 	rt := codegen.NewRuntime(res, softnic.InstrumentedFuncs(e.shims))
-	return &generation{seq: seq, res: res, rt: rt, reads: e.reads.bind(rt)}
+	return &rxpath.Lane{RT: rt, Reads: e.reads.bind(rt)}
 }
 
+// Queue exposes the engine's receive queue: pending count, flight recorder,
+// hardening. Rx, Poll and Drain on it belong to the engine, under its lock.
+func (e *Engine) Queue() *rxpath.Queue { return e.q }
+
 // Device exposes the simulated device (counters, registers).
-func (e *Engine) Device() *nicsim.Device { return e.dev }
+func (e *Engine) Device() *nicsim.Device { return e.q.Dev() }
 
 // Result returns the active generation's compilation result.
 func (e *Engine) Result() *core.Result {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.active.res
-}
-
-// Runtime returns the active generation's accessor runtime.
-func (e *Engine) Runtime() *codegen.Runtime {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.active.rt
+	return e.q.Lane(0).RT.Result
 }
 
 // Generation returns the current switchover epoch (0 until the first swap).
@@ -281,112 +200,22 @@ func (e *Engine) LastErr() error {
 	return e.lastErr
 }
 
-// NoteRead records one application read of a semantic, resolved by name —
-// for callers that read through a Runtime directly. Safe to call from inside
-// a Poll handler (lock-free).
-func (e *Engine) NoteRead(s semantics.Name) {
-	if c := e.reads.counter(s); c != nil {
-		c.Inc()
-	}
-}
-
-// Rx delivers one packet to the device, tagging it with the current
-// generation epoch. It returns false when the completion ring is full.
+// Rx delivers one packet to the device. It returns false when the
+// completion ring is full.
 func (e *Engine) Rx(packet []byte) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.dev.RxPacket(packet) {
-		return false
-	}
-	e.rxSeq++
-	e.pending = append(e.pending, pendingPkt{pkt: packet, gen: e.gen.Load(), ts: e.fq.NowIfSampled(e.rxSeq), seq: e.rxSeq})
-	return true
+	return e.q.Rx(packet, 0)
 }
 
-// PendingCount reports how many accepted packets await delivery — the
-// chaos harness's liveness probe (a packet that stays pending with an empty
-// completion ring and a healthy device is a stuck delivery).
-func (e *Engine) PendingCount() int {
+// Poll delivers completed packets — parked switchover-drained ones first,
+// under their own generation's lane (reads through an older runtime stay
+// correct across a switchover), then live ring entries — and, when the
+// renegotiation interval has elapsed, evaluates a re-solve. Reads through
+// the handler's Meta feed the mix window.
+func (e *Engine) Poll(h rxpath.DeliverFunc) int {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.pending) + len(e.drained)
-}
-
-// Flight returns the engine's flight recorder (never nil).
-func (e *Engine) Flight() *flight.Recorder { return e.fr }
-
-// FlightQueue returns the engine's "q0" event ring.
-func (e *Engine) FlightQueue() *flight.Queue { return e.fq }
-
-// DeliveryCtx returns the context of the packet currently being delivered:
-// event ring, Poll timestamp, packet sequence, and the read-mix counters
-// index-addressed by the delivering runtime's reader table. Only meaningful
-// inside a Poll handler (where e.mu is held).
-func (e *Engine) DeliveryCtx() (*flight.Queue, uint64, uint32, []*obs.Counter) {
-	return e.fq, e.curTS, e.curSeq, e.curReads
-}
-
-// setDeliveryCtx arms DeliveryCtx for the packet about to be delivered. The
-// timestamp is zeroed for unsampled packets (zero Rx stamp) so per-read
-// events stay inside the recorder's hot-path budget (flight.SamplePeriod).
-func (e *Engine) setDeliveryCtx(t0, rxTS uint64, seq uint32, reads []*obs.Counter) {
-	e.curTS, e.curSeq, e.curReads = 0, seq, reads
-	if rxTS != 0 {
-		e.curTS = t0
-	}
-}
-
-// noteDelivered derives one delivered packet's per-stage latencies from its
-// flight timestamps and emits the deliver event carrying both intervals
-// (DMA→poll, DMA→deliver). No-op when the packet was off the sampling grid
-// or the recorder was off at Rx or Poll time (zero timestamps).
-func (e *Engine) noteDelivered(t0, rxTS uint64, seq uint32) {
-	if t0 == 0 || rxTS == 0 {
-		return
-	}
-	t1 := e.fq.Now()
-	e.dmaToPoll.Observe(t0 - rxTS)
-	e.pollToDeliver.Observe(t1 - t0)
-	e.fq.RecordT(t1, flight.EvDeliver, seq, t0-rxTS, t1-rxTS)
-}
-
-// PollFunc receives one delivered packet: its bytes, its completion record,
-// and the accessor runtime of the generation the completion was serialized
-// under (reads through an older runtime stay correct across a switchover).
-type PollFunc func(pkt, cmpt []byte, rt *codegen.Runtime)
-
-// Poll delivers completed packets — parked switchover-drained completions
-// first (under their own generation's runtime), then live ring entries —
-// and, when the renegotiation interval has elapsed, evaluates a re-solve.
-func (e *Engine) Poll(h PollFunc) int {
-	e.mu.Lock()
-	n := 0
-	t0 := e.fq.Now()
-	for _, d := range e.drained {
-		e.setDeliveryCtx(t0, d.ts, d.seq, d.reads)
-		h(d.pkt, d.cmpt, d.rt)
-		e.noteDelivered(t0, d.ts, d.seq)
-		n++
-	}
-	e.drained = e.drained[:0]
-	gen := e.active
-	cur := e.dev.CmptRing.Cursor()
-	live := 0
-	for live < len(e.pending) {
-		cmpt := cur.At()
-		if cmpt == nil {
-			break
-		}
-		p := e.pending[live]
-		e.setDeliveryCtx(t0, p.ts, p.seq, gen.reads)
-		h(p.pkt, cmpt, gen.rt)
-		cur.Release()
-		e.noteDelivered(t0, p.ts, p.seq)
-		live++
-	}
-	cur.Close()
-	e.pending = e.pending[:copy(e.pending, e.pending[live:])]
-	n += live
+	n := e.q.Poll(-1, h)
 	e.window += n
 	e.delivered.Add(uint64(n))
 	due := e.window >= e.opts.Interval
@@ -429,6 +258,10 @@ func (e *Engine) Renegotiate() (switched bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.window = 0
+	if e.q.Degraded() {
+		// The watchdog owns the device until it has restored it.
+		return false, nil
+	}
 	deliv := e.delivered.Load()
 	if int(deliv-e.lastDeliv) < e.opts.MinWindow {
 		// Too few observations to trust the mix; keep accumulating into the
@@ -449,7 +282,7 @@ func (e *Engine) Renegotiate() (switched bool, err error) {
 	if e.opts.Alpha != 0 {
 		copts.Select.Alpha = e.opts.Alpha
 	}
-	next, err := e.model.Compile(e.intent, copts)
+	next, err := e.q.Dev().Model.Compile(e.intent, copts)
 	if err != nil {
 		// Unsatisfiable under the live mix (or a broken description): stay
 		// on the active generation.
@@ -457,14 +290,15 @@ func (e *Engine) Renegotiate() (switched bool, err error) {
 		e.lastErr = err
 		return false, err
 	}
-	if next.Selected.Path.ID == e.active.res.Selected.Path.ID {
+	active := e.q.Lane(0).RT.Result.Selected.Path.ID
+	if next.Selected.Path.ID == active {
 		return false, nil
 	}
 	// Score the active path under the same live model so the comparison is
 	// apples-to-apples (path IDs are deterministic across compiles).
 	var activeTotal float64 = math.Inf(1)
 	for _, s := range next.Scored {
-		if s.Path.ID == e.active.res.Selected.Path.ID {
+		if s.Path.ID == active {
 			activeTotal = s.Total
 			break
 		}
@@ -485,108 +319,56 @@ func (e *Engine) Renegotiate() (switched bool, err error) {
 func (e *Engine) switchover(next *core.Result) error {
 	start := e.opts.Clock.Now()
 	oldGen := e.gen.Load()
-	old := e.active
+	old := e.q.Lane(0)
+	fq := e.q.FlightQueue()
 
-	// QUIESCE is holding e.mu (Rx and Poll serialize on it); the event marks
-	// when the producer stopped. Switchover events carry the generation in
-	// arg1 so a trace shows which epoch each phase belongs to.
-	e.fq.Record(flight.EvQuiesce, uint32(oldGen), uint64(len(e.pending)), oldGen)
+	// Switchover events carry the generation in arg1 so a trace shows which
+	// epoch each phase belongs to.
+	fq.Record(flight.EvQuiesce, uint32(oldGen), uint64(e.q.Live()), oldGen)
 
-	// DRAIN: consume every completion still in the ring under the old
-	// layout, parking (packet, completion copy, old runtime) for delivery on
-	// the next Poll. The epoch tag on each in-flight packet must match the
-	// old generation — a mismatch would mean a completion crossed the swap
-	// boundary, i.e. a lost or corrupted packet.
-	drained := 0
-	for _, p := range e.pending {
-		ok := e.dev.CmptRing.Consume(func(cmpt []byte) {
-			e.drained = append(e.drained, drainedPkt{
-				pkt:   p.pkt,
-				cmpt:  append([]byte(nil), cmpt...),
-				rt:    old.rt,
-				reads: old.reads,
-				ts:    p.ts,
-				seq:   p.seq,
-			})
-		})
-		if !ok {
-			// Pending packets with no completion left in the ring: a faulty
-			// device lost their records. Park them for software delivery
-			// under the old generation's soft runtime — the switchover stays
-			// zero-loss even when completions vanish mid-drain.
-			for _, q := range e.pending[drained:] {
-				e.drained = append(e.drained, drainedPkt{pkt: q.pkt, rt: old.soft(), reads: old.reads, ts: q.ts, seq: q.seq})
-				e.softParked.Inc()
-			}
-			break
-		}
-		if p.gen != oldGen {
-			e.switchDrops.Inc()
-		}
-		drained++
-	}
-	e.pending = e.pending[:0]
+	// DRAIN: park every in-flight packet under the old generation's lane. A
+	// packet the drain could not park would be read under the new layout —
+	// a drop across the swap boundary.
+	drained, soft := e.q.Drain()
 	e.packetsDrained.Add(uint64(drained))
-	e.fq.Record(flight.EvDrain, uint32(oldGen), uint64(drained), oldGen)
+	e.softParked.Add(uint64(soft))
+	e.switchDrops.Add(uint64(e.q.Live()))
+	fq.Record(flight.EvDrain, uint32(oldGen), uint64(drained), oldGen)
 
-	// apply pushes a register-write burst with bounded retries (the shared
-	// retry discipline, defaults matching the old ×4 schedule): a faulty
-	// control channel may NAK individual bursts, and ApplyConfig fails
-	// atomically, so retrying is always safe.
-	apply := func(cfg []core.Constraint) error {
-		return retry.Policy{
-			OnError: func(int, error) { e.applyRetries.Inc() },
-		}.Do(func() error { return e.dev.ApplyConfig(cfg) })
+	// ADMISSION: the PreSwitch hook may veto the new interface, and on a
+	// hardened queue the new lane's validator must synthesize.
+	lane := e.newLane(next)
+	err := e.q.Arm(lane)
+	if err == nil && e.opts.PreSwitch != nil {
+		err = e.opts.PreSwitch(next)
 	}
-
-	rollback := func(cause error) error {
-		// ROLLBACK: re-apply the old generation's configuration (with the
-		// same bounded retries — a rollback must survive the very faults
-		// that triggered it). The old runtime was never unpublished, so the
-		// datapath is intact either way; re-applying the config restores the
-		// device context in case the failed apply half-programmed it.
-		if rerr := apply(old.res.Config); rerr != nil {
-			cause = fmt.Errorf("%w (rollback reapply also failed: %v)", cause, rerr)
-		}
+	if err == nil {
+		// APPLY + VERIFY, rolled back to the old generation's configuration
+		// on failure. The old lane was never unpublished, so the datapath is
+		// intact either way.
+		fq.Record(flight.EvApply, uint32(oldGen+1), uint64(len(next.Config)), oldGen+1)
+		err = e.q.Reprogram(next.Config, next.Selected.Path.ID, func(int, error) { e.applyRetries.Inc() })
+	}
+	if err != nil {
 		e.rollbacks.Inc()
-		e.fq.Record(flight.EvRollback, uint32(oldGen), uint64(next.Selected.Path.ID), oldGen)
+		fq.Record(flight.EvRollback, uint32(oldGen), uint64(next.Selected.Path.ID), oldGen)
 		// A rolled-back switchover is a postmortem moment: the quiesce/drain/
 		// apply events that led here are still in the ring.
-		e.fr.Postmortem("switchover-rollback")
+		e.q.Flight().Postmortem("switchover-rollback")
 		return fmt.Errorf("evolve: switchover to path %d rolled back: %w",
-			next.Selected.Path.ID, cause)
+			next.Selected.Path.ID, err)
 	}
-
-	// ADMISSION: the PreSwitch hook may veto the new interface.
-	if e.opts.PreSwitch != nil {
-		if err := e.opts.PreSwitch(next); err != nil {
-			return rollback(err)
-		}
-	}
-	// APPLY: push the new context constraints over the control channel.
-	e.fq.Record(flight.EvApply, uint32(oldGen+1), uint64(len(next.Config)), oldGen+1)
-	if err := apply(next.Config); err != nil {
-		return rollback(err)
-	}
-	// VERIFY: the device must now resolve exactly the selected path.
-	ap, err := e.dev.ActivePath()
-	if err != nil {
-		return rollback(err)
-	}
-	if ap.ID != next.Selected.Path.ID {
-		return rollback(fmt.Errorf("device resolved path %d, want %d", ap.ID, next.Selected.Path.ID))
-	}
-	e.fq.Record(flight.EvVerify, uint32(oldGen+1), uint64(ap.ID), oldGen+1)
-	// SWAP: publish the new generation atomically (under e.mu) and record
-	// the change report.
-	e.active = e.newGeneration(oldGen+1, next)
+	fq.Record(flight.EvVerify, uint32(oldGen+1), uint64(next.Selected.Path.ID), oldGen+1)
+	// SWAP: publish the new generation (under e.mu) and record the change
+	// report.
+	e.q.SetLane(0, lane)
 	e.gen.Store(oldGen + 1)
-	if d, err := core.DiffResults(old.res, next); err == nil {
+	if d, err := core.DiffResults(old.RT.Result, next); err == nil {
 		e.lastDiff = d
 	}
 	e.switchovers.Inc()
 	e.switchLatency.Observe(e.opts.Clock.Now() - start)
-	e.fq.Record(flight.EvSwap, uint32(oldGen+1), uint64(next.Selected.Path.ID), oldGen+1)
+	fq.Record(flight.EvSwap, uint32(oldGen+1), uint64(next.Selected.Path.ID), oldGen+1)
 	return nil
 }
 
@@ -601,8 +383,8 @@ type Stats struct {
 	Switchovers    uint64
 	Rollbacks      uint64
 	Unsat          uint64
-	// SwitchDrops counts packets lost across a switchover — zero by
-	// construction; any other value is a bug.
+	// SwitchDrops counts packets a switchover drain could not park — zero
+	// by construction; any other value is a bug.
 	SwitchDrops uint64
 	// PacketsDrained counts completions consumed under the old layout
 	// during switchover drains.
@@ -657,10 +439,10 @@ func (e *Engine) Stats() Stats {
 // w(s) feeding the re-solves).
 func (e *Engine) ShimStats() *softnic.ShimStats { return e.shims }
 
-// RegisterMetrics exposes the control-plane counters, the switchover
-// latency histogram, and the underlying device counters on an obs registry.
+// RegisterMetrics exposes the control-plane counters and the switchover
+// latency histogram on an obs registry, beside the queue's own series.
 func (e *Engine) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
-	base := append([]obs.Label{obs.L("nic", e.model.Name)}, labels...)
+	base := append([]obs.Label{obs.L("nic", e.q.Dev().Model.Name)}, labels...)
 	reg.AttachCounter("opendesc_evolve_renegotiations_total", "layout re-solve evaluations", &e.renegotiations, base...)
 	reg.AttachCounter("opendesc_evolve_switchovers_total", "completed generation switchovers", &e.switchovers, base...)
 	reg.AttachCounter("opendesc_evolve_rollbacks_total", "switchovers rolled back", &e.rollbacks, base...)
@@ -671,12 +453,10 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	reg.AttachCounter("opendesc_evolve_apply_retries_total", "NAKed register-write bursts retried during switchover", &e.applyRetries, base...)
 	reg.AttachCounter("opendesc_evolve_delivered_total", "packets delivered to Poll handlers", &e.delivered, base...)
 	reg.AttachHistogram("opendesc_evolve_switch_latency_ns", "quiesce-to-swap switchover latency", e.switchLatency, base...)
-	reg.AttachHistogram("opendesc_flight_dma_to_poll_ns", "DMA emit to Poll pickup latency (flight recorder)", e.dmaToPoll, base...)
-	reg.AttachHistogram("opendesc_flight_poll_to_deliver_ns", "Poll pickup to handler return latency (flight recorder)", e.pollToDeliver, base...)
 	reg.GaugeFunc("opendesc_evolve_generation", "current interface generation epoch", func() int64 { return int64(e.gen.Load()) }, base...)
 	for i, s := range e.reads.sems {
 		l := append(append([]obs.Label{}, base...), obs.L("semantic", string(s)))
 		reg.AttachCounter("opendesc_evolve_reads_total", "application metadata reads per semantic", &e.reads.reads[i], l...)
 	}
-	e.dev.RegisterMetrics(reg, labels...)
+	e.q.RegisterMetrics(reg, labels...)
 }

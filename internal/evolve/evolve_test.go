@@ -6,10 +6,11 @@ import (
 	"strings"
 	"testing"
 
-	"opendesc/internal/codegen"
 	"opendesc/internal/core"
 	"opendesc/internal/nic"
+	"opendesc/internal/nicsim"
 	"opendesc/internal/obs"
+	"opendesc/internal/rxpath"
 	"opendesc/internal/semantics"
 	"opendesc/internal/softnic"
 	"opendesc/internal/workload"
@@ -40,7 +41,7 @@ func staticOptions() Options {
 
 func newTestEngine(t *testing.T, opts Options) *Engine {
 	t.Helper()
-	e, err := New(nic.MustLoad("e1000e"), testIntent(t), core.CompileOptions{}, opts)
+	e, err := New(nicsim.MustNew(nic.MustLoad("e1000e"), nicsim.Config{}), testIntent(t), core.CompileOptions{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +58,11 @@ func drive(t *testing.T, e *Engine, tr *workload.Trace, n int, read ...semantics
 		if !e.Rx(p) {
 			t.Fatalf("rx stalled at packet %d", i)
 		}
-		delivered += e.Poll(func(pkt, cmpt []byte, rt *codegen.Runtime) {
+		delivered += e.Poll(func(pkt []byte, m rxpath.Meta) {
 			for _, s := range read {
-				if _, err := rt.Read(s, cmpt, pkt); err != nil {
-					t.Fatalf("read %s: %v", s, err)
+				if _, ok := m.Get(string(s)); !ok {
+					t.Fatalf("read %s failed", s)
 				}
-				e.NoteRead(s)
 			}
 		})
 	}
@@ -233,14 +233,13 @@ func TestDrainUnderOldLayout(t *testing.T) {
 	// The parked completions were serialized under the OLD (csum) layout:
 	// the old runtime must still read the hardware checksum out of them.
 	oldDelivered := 0
-	n := e.Poll(func(pkt, cmpt []byte, rt *codegen.Runtime) {
-		r := rt.Reader(semantics.IPChecksum)
-		if r == nil || !r.Hardware {
+	n := e.Poll(func(pkt []byte, m rxpath.Meta) {
+		if !m.Hardware("ip_checksum") {
 			t.Fatal("drained completion must resolve ip_checksum in hardware via the old runtime")
 		}
-		got, err := rt.Read(semantics.IPChecksum, cmpt, pkt)
-		if err != nil {
-			t.Fatal(err)
+		got, ok := m.Get("ip_checksum")
+		if !ok {
+			t.Fatal("drained ip_checksum read failed")
 		}
 		if want := golden[semantics.IPChecksum](pkt) & 0xFFFF; got != want {
 			t.Fatalf("drained ip_checksum = %#x, want %#x", got, want)
@@ -255,14 +254,13 @@ func TestDrainUnderOldLayout(t *testing.T) {
 	if !e.Rx(tr.Packets[0]) {
 		t.Fatal("rx after switchover failed")
 	}
-	e.Poll(func(pkt, cmpt []byte, rt *codegen.Runtime) {
-		r := rt.Reader(semantics.RSS)
-		if r == nil || !r.Hardware {
+	e.Poll(func(pkt []byte, m rxpath.Meta) {
+		if !m.Hardware("rss") {
 			t.Fatal("post-switchover completions must serve rss from hardware")
 		}
-		got, err := rt.Read(semantics.RSS, cmpt, pkt)
-		if err != nil {
-			t.Fatal(err)
+		got, ok := m.Get("rss")
+		if !ok {
+			t.Fatal("post-switchover rss read failed")
 		}
 		if want := golden[semantics.RSS](pkt); got != want {
 			t.Fatalf("post-switchover rss = %#x, want %#x", got, want)

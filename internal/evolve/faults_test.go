@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"opendesc/internal/codegen"
 	"opendesc/internal/faults"
+	"opendesc/internal/rxpath"
 	"opendesc/internal/semantics"
 )
 
@@ -126,9 +126,9 @@ func TestDrainSoftParksLostCompletions(t *testing.T) {
 	// Every parked packet is delivered on the next Poll; the soft runtime
 	// serves reads without a completion record.
 	got := 0
-	n := e.Poll(func(pkt, cmpt []byte, rt *codegen.Runtime) {
-		if _, err := rt.Read(semantics.RSS, cmpt, pkt); err != nil {
-			t.Fatalf("parked read: %v", err)
+	n := e.Poll(func(pkt []byte, m rxpath.Meta) {
+		if _, ok := m.Get("rss"); !ok {
+			t.Fatal("parked read failed")
 		}
 		got++
 	})

@@ -92,7 +92,7 @@ func TestMixTrackerRetarget(t *testing.T) {
 // runtime has a semantic the tenant's mix does not track.
 func TestMixTrackerBind(t *testing.T) {
 	e := newTestEngine(t, staticOptions()) // rss, ip_checksum, vlan, pkt_len
-	rt := e.Runtime()
+	rt := e.Queue().Lane(0).RT
 	mt := NewMixTracker([][]semantics.Name{{semantics.VLAN, semantics.PktLen, semantics.KVKey}})
 	view := mt.Bind(0, rt)
 	if len(view) != len(rt.Readers) {

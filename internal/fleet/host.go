@@ -10,7 +10,7 @@ import (
 	"opendesc/internal/nicsim"
 	"opendesc/internal/obs"
 	"opendesc/internal/obs/flight"
-	"opendesc/internal/retry"
+	"opendesc/internal/rxpath"
 	"opendesc/internal/semantics"
 	"opendesc/internal/softnic"
 	"opendesc/internal/vclock"
@@ -94,21 +94,23 @@ type goldenCheck struct {
 	mask uint64
 }
 
-// layout is one installed interface generation: the compiled result, its
-// executable accessors, the oracle probes derived from both, the modelled
-// per-delivery service cost, and the latency histogram deliveries under it
-// feed (the telemetry report's deliver_ns series).
+// layout is one installed interface generation: the compiled result, the
+// lane packets are read under while it serves (its Owner is the layout), the
+// oracle probes derived from both, the modelled per-delivery service cost,
+// and the latency histogram deliveries under it feed (the telemetry
+// report's deliver_ns series).
 type layout struct {
 	gen    uint64
 	res    *core.Result
-	rt     *codegen.Runtime
+	lane   rxpath.Lane
 	checks []goldenCheck
 	costNs uint64
 	hist   *obs.Histogram
 }
 
 func newLayout(gen uint64, res *core.Result, golden map[semantics.Name]codegen.SoftFunc) *layout {
-	l := &layout{gen: gen, res: res, rt: codegen.NewRuntime(res, softnic.Funcs()), hist: obs.NewHistogram()}
+	l := &layout{gen: gen, res: res, hist: obs.NewHistogram()}
+	l.lane = rxpath.Lane{RT: codegen.NewRuntime(res, softnic.Funcs()), Owner: l}
 	l.costNs = deliverBaseNs
 	for _, a := range res.Accessors {
 		if a.Hardware {
@@ -127,15 +129,6 @@ func newLayout(gen uint64, res *core.Result, golden map[semantics.Name]codegen.S
 		l.checks = append(l.checks, goldenCheck{sem: a.Semantic, fn: fn, mask: mask})
 	}
 	return l
-}
-
-// parkedPkt is a completion consumed during a drain, held for delivery
-// under the layout it was serialized for.
-type parkedPkt struct {
-	pkt  []byte
-	cmpt []byte
-	lay  *layout
-	rxNs uint64
 }
 
 // Health is the host's self-reported canary health: the S23 invariant
@@ -168,7 +161,8 @@ type Host struct {
 	Name  string
 	Model *nic.Model
 
-	dev    *nicsim.Device
+	// q is the host's receive queue, stamping packets on the host clock.
+	q      *rxpath.Queue
 	clk    vclock.Clock
 	golden map[semantics.Name]codegen.SoftFunc
 
@@ -180,9 +174,7 @@ type Host struct {
 	trial       *layout
 	trialExpiry uint64
 
-	pending []pendingPkt
-	parked  []parkedPkt
-	fifo    [][]byte // arrival order, exactly-once by slice identity
+	fifo [][]byte // arrival order, exactly-once by slice identity
 
 	accepted, delivered, rejected uint64
 	garbage, orderViol            uint64
@@ -195,9 +187,8 @@ type Host struct {
 	// events the telemetry report carries verbatim, sampled routine
 	// lifecycle events, and control-plane transitions — all stamped with
 	// the host's (virtual) clock so fleet traces share one timeline.
-	rec   *flight.Recorder
-	fq    *flight.Queue
-	rxSeq uint32
+	rec *flight.Recorder
+	fq  *flight.Queue
 
 	telemetrySeq    uint64
 	describeMutator func(*Description)
@@ -205,12 +196,6 @@ type Host struct {
 	// reports re-seal, so only the controller's counter cross-check can
 	// catch them).
 	telemetryMutator func(*telemetry.Report)
-}
-
-type pendingPkt struct {
-	pkt  []byte
-	gen  uint64
-	rxNs uint64
 }
 
 // NewHost boots a host: device from the bundled model, self-provisioned
@@ -226,7 +211,6 @@ func NewHost(name string, m *nic.Model, opts HostOptions) (*Host, error) {
 	h := &Host{
 		Name:         name,
 		Model:        m,
-		dev:          dev,
 		clk:          opts.Clock,
 		golden:       goldenFuncs(),
 		garbageByGen: make(map[uint64]uint64),
@@ -245,10 +229,11 @@ func NewHost(name string, m *nic.Model, opts HostOptions) (*Host, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet host %s: boot compile: %w", name, err)
 	}
-	if err := h.applyConfig(res.Config); err != nil {
+	if h.q, err = rxpath.New(dev, res.Config, h.clk); err != nil {
 		return nil, fmt.Errorf("fleet host %s: boot apply: %w", name, err)
 	}
 	h.lkg = newLayout(0, res, h.golden)
+	h.q.SetLane(0, &h.lkg.lane)
 	return h, nil
 }
 
@@ -300,18 +285,17 @@ func (h *Host) tick() {
 // Rx offers one packet to the device; false means ring backpressure.
 func (h *Host) Rx(pkt []byte) bool {
 	h.tick()
-	h.rxSeq++
+	seq := uint32(h.accepted + h.rejected + 1)
 	now := h.clk.Now()
-	if !h.dev.RxPacket(pkt) {
+	if !h.q.Rx(pkt, 0) {
 		h.rejected++
-		h.fq.RecordT(now, flight.EvRingFull, h.rxSeq, uint64(len(h.pending)), 0)
+		h.fq.RecordT(now, flight.EvRingFull, seq, uint64(h.q.Live()), 0)
 		return false
 	}
-	h.pending = append(h.pending, pendingPkt{pkt: pkt, gen: h.active().gen, rxNs: now})
 	h.fifo = append(h.fifo, pkt)
 	h.accepted++
-	if flight.Sampled(h.rxSeq) {
-		h.fq.RecordT(now, flight.EvRingPush, h.rxSeq, uint64(len(h.pending)), 0)
+	if flight.Sampled(seq) {
+		h.fq.RecordT(now, flight.EvRingPush, seq, uint64(h.q.Live()), 0)
 	}
 	return true
 }
@@ -320,28 +304,7 @@ func (h *Host) Rx(pkt []byte) bool {
 // every delivery. Returns the number delivered.
 func (h *Host) Poll() int {
 	h.tick()
-	n := 0
-	for _, d := range h.parked {
-		h.deliver(d.pkt, d.cmpt, d.lay, d.rxNs)
-		n++
-	}
-	h.parked = h.parked[:0]
-	lay := h.active()
-	cur := h.dev.CmptRing.Cursor()
-	live := 0
-	for live < len(h.pending) {
-		cmpt := cur.At()
-		if cmpt == nil {
-			break
-		}
-		p := h.pending[live]
-		h.deliver(p.pkt, cmpt, lay, p.rxNs)
-		cur.Release()
-		live++
-	}
-	cur.Close()
-	h.pending = h.pending[:copy(h.pending, h.pending[live:])]
-	return n + live
+	return h.q.Poll(-1, h.deliver)
 }
 
 // deliver checks one delivery against the S23 oracle family: exactly-once
@@ -356,7 +319,9 @@ func (h *Host) Poll() int {
 // histogram, so sampling only thins the verbatim exhibit events — and keeps
 // the telemetry instrumentation tax inside the recorder's 5% hot-path
 // budget (E21 measures and enforces it).
-func (h *Host) deliver(pkt, cmpt []byte, lay *layout, rxNs uint64) {
+func (h *Host) deliver(pkt []byte, m rxpath.Meta) {
+	d := rxpath.Of(m)
+	lay, rxNs := d.Lane.Owner.(*layout), d.TS
 	pollNs := h.clk.Now()
 	h.clk.Advance(lay.costNs)
 	now := h.clk.Now()
@@ -371,7 +336,7 @@ func (h *Host) deliver(pkt, cmpt []byte, lay *layout, rxNs uint64) {
 		h.fifo = h.fifo[1:]
 	}
 	for _, c := range lay.checks {
-		got, err := lay.rt.Read(c.sem, cmpt, pkt)
+		got, err := d.RT.Read(c.sem, d.Rec, pkt)
 		if err != nil {
 			continue
 		}
@@ -400,28 +365,12 @@ func (h *Host) note(detail string) {
 	}
 }
 
-// drain consumes every completion still in the ring under the given
-// layout, parking deliveries so no in-flight packet crosses a
-// reconfiguration boundary (the evolve switchover discipline).
-func (h *Host) drain(lay *layout) {
-	for len(h.pending) > 0 {
-		p := h.pending[0]
-		if !h.dev.CmptRing.Consume(func(cmpt []byte) {
-			h.parked = append(h.parked, parkedPkt{pkt: p.pkt, cmpt: append([]byte(nil), cmpt...), lay: lay, rxNs: p.rxNs})
-		}) {
-			break
-		}
-		h.pending = h.pending[1:]
-	}
-}
-
-// applyConfig programs the device with the shared bounded-retry policy
-// (the control channel of a real device may NAK bursts; the simulated one
-// only does under fault injection, but the discipline is uniform).
-func (h *Host) applyConfig(cfg []core.Constraint) error {
-	return retry.Policy{
-		OnError: func(int, error) { h.applyRetries++ },
-	}.Do(func() error { return h.dev.ApplyConfig(cfg) })
+// reprogram moves the device to res's configuration: park in-flight traffic
+// under the serving layout so none crosses the boundary, then apply, verify
+// and on failure restore.
+func (h *Host) reprogram(res *core.Result) error {
+	h.q.Drain()
+	return h.q.Reprogram(res.Config, res.Selected.Path.ID, func(int, error) { h.applyRetries++ })
 }
 
 // ApplyTrial installs an uncommitted rollout generation: drain under the
@@ -433,23 +382,14 @@ func (h *Host) ApplyTrial(gen uint64, res *core.Result, leaseNs uint64) error {
 	if h.trial != nil {
 		return fmt.Errorf("fleet host %s: trial gen %d still open", h.Name, h.trial.gen)
 	}
-	cur := h.active()
-	h.drain(cur)
-	if err := h.applyConfig(res.Config); err != nil {
-		h.applyConfig(cur.res.Config) // best-effort restore; ApplyConfig is atomic
+	if err := h.reprogram(res); err != nil {
 		return fmt.Errorf("fleet host %s: apply gen %d: %w", h.Name, gen, err)
-	}
-	if ap, err := h.dev.ActivePath(); err != nil || ap.ID != res.Selected.Path.ID {
-		h.applyConfig(cur.res.Config)
-		if err == nil {
-			err = fmt.Errorf("device resolved path %d, want %d", ap.ID, res.Selected.Path.ID)
-		}
-		return fmt.Errorf("fleet host %s: verify gen %d: %w", h.Name, gen, err)
 	}
 	now := h.clk.Now()
 	h.fq.RecordT(now, flight.EvApply, uint32(gen), 0, gen)
 	h.fq.RecordT(now, flight.EvVerify, uint32(gen), 0, gen)
 	h.trial = newLayout(gen, res, h.golden)
+	h.q.SetLane(0, &h.trial.lane)
 	h.trialExpiry = now + leaseNs
 	return nil
 }
@@ -483,11 +423,11 @@ func (h *Host) Abort(gen uint64) error {
 // last-known-good configuration, and drops the trial.
 func (h *Host) revertToLKG() error {
 	gen := h.trial.gen
-	h.drain(h.trial)
-	if err := h.applyConfig(h.lkg.res.Config); err != nil {
+	if err := h.reprogram(h.lkg.res); err != nil {
 		return fmt.Errorf("fleet host %s: revert: %w", h.Name, err)
 	}
 	h.fq.RecordT(h.clk.Now(), flight.EvRollback, uint32(gen), 0, gen)
+	h.q.SetLane(0, &h.lkg.lane)
 	h.trial = nil
 	h.trialExpiry = 0
 	return nil
@@ -585,7 +525,7 @@ func (h *Host) FlightSnapshot() *flight.Snapshot { return h.rec.Snapshot() }
 func (h *Host) DeliverCostNs() uint64 { return h.active().costNs }
 
 // PendingCount reports packets accepted but not yet delivered.
-func (h *Host) PendingCount() int { return len(h.pending) + len(h.parked) }
+func (h *Host) PendingCount() int { return h.q.Pending() }
 
 // Rejected reports ring-backpressure rejections.
 func (h *Host) Rejected() uint64 { return h.rejected }

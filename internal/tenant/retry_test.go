@@ -8,12 +8,13 @@ import (
 	"opendesc/internal/nic"
 	"opendesc/internal/nicsim"
 	"opendesc/internal/retry"
+	"opendesc/internal/rxpath"
 	"opendesc/internal/semantics"
 )
 
 // TestApplyWithRetriesAttemptCount pins the retry.Policy adoption to the
 // legacy schedule: against a control channel that NAKs every burst,
-// applyWithRetries makes exactly retry.DefaultAttempts (4) ApplyConfig
+// rxpath.Apply makes exactly retry.DefaultAttempts (4) ApplyConfig
 // attempts — the same count the old hardcoded ×4 loop made — and the
 // device accepts on the first attempt once the channel heals.
 func TestApplyWithRetriesAttemptCount(t *testing.T) {
@@ -29,7 +30,7 @@ func TestApplyWithRetriesAttemptCount(t *testing.T) {
 	dev := nicsim.MustNew(m, nicsim.Config{})
 
 	dev.InjectFaults(faults.New(faults.Plan{Seed: 7, NAKP: 1}))
-	if err := applyWithRetries(dev, res.Config); err == nil {
+	if err := rxpath.Apply(dev, res.Config, 0, nil); err == nil {
 		t.Fatal("ApplyConfig under a full NAK storm must fail")
 	}
 	if naks := dev.Stats().ConfigNAKs; naks != retry.DefaultAttempts {
@@ -38,7 +39,7 @@ func TestApplyWithRetriesAttemptCount(t *testing.T) {
 	}
 
 	dev.InjectFaults(nil)
-	if err := applyWithRetries(dev, res.Config); err != nil {
+	if err := rxpath.Apply(dev, res.Config, 0, nil); err != nil {
 		t.Fatalf("healed channel: %v", err)
 	}
 	if naks := dev.Stats().ConfigNAKs; naks != retry.DefaultAttempts {

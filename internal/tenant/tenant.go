@@ -24,7 +24,7 @@ import (
 	"opendesc/internal/nicsim"
 	"opendesc/internal/obs"
 	"opendesc/internal/pkt"
-	"opendesc/internal/retry"
+	"opendesc/internal/rxpath"
 	"opendesc/internal/semantics"
 	"opendesc/internal/softnic"
 	"opendesc/internal/vclock"
@@ -91,51 +91,27 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// pendingPkt is one accepted packet awaiting its completion on a queue.
-type pendingPkt struct {
-	pkt    []byte
-	tenant int
-	ts     uint64 // Rx clock stamp (latency measurement)
-}
-
-// parkedDelivery is a completion drained during a layout switchover: the
-// record bytes are copied out of the ring and the old generation's runtime
-// is captured so the packet is still read under the layout it was DMAed
-// with. Parked deliveries drain first on the next poll, preserving order.
-type parkedDelivery struct {
-	pkt    []byte
-	cmpt   []byte
-	tenant int
-	rt     *codegen.Runtime
-	ts     uint64
-}
-
-// queueState is one RSS shard: a device queue, its pending FIFO, and its
-// parked switchover backlog. The mutex serializes the queue's producer
+// queueState is one RSS shard. The mutex serializes the queue's producer
 // (Rx) and consumers (owner core + stealing cores) — the completion ring
 // itself is SPSC, so stealing must hold the queue lock.
 type queueState struct {
-	mu      sync.Mutex
-	dev     *nicsim.Device
-	pending []pendingPkt
-	parked  []parkedDelivery
+	mu sync.Mutex
+	q  *rxpath.Queue
 
 	polls     obs.Counter // PollCore invocations that drained this queue
 	delivered obs.Counter // deliveries consumed from this queue
 	stolen    obs.Counter // deliveries consumed by a non-owner core
 }
 
-// tenantState is one tenant's runtime view: its intent, its accessor/shim
-// split over the shared layout (swapped atomically under the plane lock on
-// renegotiation), and its delivery counters.
+// tenantState is one tenant's runtime view: its intent, its lane — the
+// accessor/shim split over the shared layout with the tenant's read mix
+// bound beside it, swapped on every queue under the plane lock on
+// renegotiation — and its delivery counters.
 type tenantState struct {
 	spec   Spec
 	intent *core.Intent
 	port   uint16
-	rt     *codegen.Runtime
-	// reads is the tenant's read mix bound beside rt's reader table; rebound
-	// (bindRuntime) whenever rt or the intent changes.
-	reads []*obs.Counter
+	lane   *rxpath.Lane
 
 	accepted  obs.Counter
 	delivered obs.Counter
@@ -242,10 +218,11 @@ func Open(opts Options, specs ...Spec) (*Plane, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := dev.ApplyConfig(jr.Config); err != nil {
+		q, err := rxpath.New(dev, jr.Config, p.clock)
+		if err != nil {
 			return nil, err
 		}
-		p.queues = append(p.queues, &queueState{dev: dev})
+		p.queues = append(p.queues, &queueState{q: q})
 	}
 	p.install(jr)
 	return p, nil
@@ -278,10 +255,15 @@ func (p *Plane) install(jr *core.JointResult) {
 	p.gen++
 }
 
-// bindRuntime gives tenant i an accessor runtime and lays its read-mix
-// counters out beside the runtime's reader table.
+// bindRuntime gives tenant i a lane on every queue: an accessor runtime with
+// the tenant's read-mix counters laid out beside its reader table. Packets
+// already parked keep the lane, and the mix, they were parked with.
 func (p *Plane) bindRuntime(i int, rt *codegen.Runtime) {
-	p.tenants[i].rt, p.tenants[i].reads = rt, p.mix.Bind(i, rt)
+	l := &rxpath.Lane{RT: rt, Reads: p.mix.Bind(i, rt)}
+	p.tenants[i].lane = l
+	for _, qs := range p.queues {
+		qs.q.SetLane(i, l)
+	}
 }
 
 // Cores returns the number of queues / poll loops.
@@ -337,10 +319,9 @@ func (p *Plane) Rx(packet []byte) bool {
 	qs := p.queues[q]
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
-	if !qs.dev.RxPacket(packet) {
+	if !qs.q.Rx(packet, uint32(ti)) {
 		return false
 	}
-	qs.pending = append(qs.pending, pendingPkt{pkt: packet, tenant: ti, ts: p.clock.Now()})
 	p.tenants[ti].accepted.Inc()
 	return true
 }
@@ -357,44 +338,25 @@ type Delivery struct {
 	Stolen bool
 	Pkt    []byte
 
-	rt   *codegen.Runtime
-	cmpt []byte
-	// reads counts each Get for the tenant's live mix: one counter per entry
-	// of rt's reader table, nil where the current intent lacks the semantic.
-	reads []*obs.Counter
+	m rxpath.Meta
 }
 
 // Get reads one semantic for the delivered packet through the tenant's own
 // accessor split: a constant-time completion-record load when the shared
 // layout carries it, the tenant's SoftNIC shim otherwise. ok is false for
 // semantics outside the tenant's compiled intent.
-func (d *Delivery) Get(sem string) (uint64, bool) {
-	r, i := d.rt.Lookup(semantics.Name(sem))
-	if r == nil {
-		return 0, false
-	}
-	if c := d.reads[i]; c != nil {
-		c.Inc()
-	}
-	if !r.Linked() {
-		return 0, false
-	}
-	return r.Read(d.cmpt, d.Pkt), true
-}
+func (d *Delivery) Get(sem string) (uint64, bool) { return d.m.Get(sem) }
 
 // Hardware reports whether the tenant reads the semantic directly from the
 // completion record.
-func (d *Delivery) Hardware(sem string) bool {
-	r := d.rt.Reader(semantics.Name(sem))
-	return r != nil && r.Hardware
-}
+func (d *Delivery) Hardware(sem string) bool { return d.m.Hardware(sem) }
 
 // Width returns the linked accessor's field width in bits (0 when the
 // semantic is not linked). A hardware field narrower than the semantic's
 // natural width truncates the value to the field — oracles comparing reads
 // against full-width ground truth must mask to this width.
 func (d *Delivery) Width(sem string) int {
-	r := d.rt.Reader(semantics.Name(sem))
+	r := rxpath.Of(d.m).RT.Reader(semantics.Name(sem))
 	if r == nil || !r.Linked() {
 		return 0
 	}
@@ -433,7 +395,7 @@ func (p *Plane) busiest(self int) int {
 		}
 		qs := p.queues[q]
 		qs.mu.Lock()
-		backlog := len(qs.pending) + len(qs.parked)
+		backlog := qs.q.Pending()
 		qs.mu.Unlock()
 		if backlog > most {
 			victim, most = q, backlog
@@ -443,42 +405,32 @@ func (p *Plane) busiest(self int) int {
 }
 
 // pollQueue drains up to limit deliveries (negative: unbounded) from queue
-// q on behalf of core. Caller holds p.mu.RLock.
+// q on behalf of core, settling each tenant's accounting as it goes. Caller
+// holds p.mu.RLock.
 func (p *Plane) pollQueue(core, q, limit int, h func(Delivery)) int {
 	qs := p.queues[q]
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
-	n := 0
 	stolen := core != q
-
-	parked := 0
-	for parked < len(qs.parked) && (limit < 0 || n < limit) {
-		pd := qs.parked[parked]
-		// The tenant may have renegotiated since the park: resolve the old
-		// runtime's semantics against its current mix.
-		p.deliver(core, q, pd.tenant, stolen, pd.pkt, pd.cmpt, pd.rt, p.mix.Bind(pd.tenant, pd.rt), pd.ts, h)
-		parked++
-		n++
-	}
-	qs.parked = qs.parked[:copy(qs.parked, qs.parked[parked:])]
-
-	consumed := 0
-	cur := qs.dev.CmptRing.Cursor()
-	for consumed < len(qs.pending) && (limit < 0 || n < limit) {
-		cmpt := cur.At()
-		if cmpt == nil {
-			break
+	n := qs.q.Poll(limit, func(pktB []byte, m rxpath.Meta) {
+		d := rxpath.Of(m)
+		ti := int(d.Tag)
+		t := p.tenants[ti]
+		h(Delivery{
+			Tenant: ti, Name: t.spec.Name,
+			Queue: q, Core: core, Stolen: stolen,
+			Pkt: pktB, m: m,
+		})
+		t.delivered.Inc()
+		p.mix.NoteDelivered(ti, 1)
+		if d.TS != 0 {
+			if now := p.clock.Now(); now > d.TS {
+				t.lat.Observe(now - d.TS)
+			} else {
+				t.lat.Observe(0)
+			}
 		}
-		pe := qs.pending[consumed]
-		t := p.tenants[pe.tenant]
-		p.deliver(core, q, pe.tenant, stolen, pe.pkt, cmpt, t.rt, t.reads, pe.ts, h)
-		cur.Release()
-		consumed++
-		n++
-	}
-	cur.Close()
-	qs.pending = qs.pending[:copy(qs.pending, qs.pending[consumed:])]
-
+	})
 	if n > 0 {
 		qs.polls.Inc()
 		qs.delivered.Add(uint64(n))
@@ -487,27 +439,6 @@ func (p *Plane) pollQueue(core, q, limit int, h func(Delivery)) int {
 		}
 	}
 	return n
-}
-
-// deliver invokes the handler and settles the tenant's accounting. Caller
-// holds the queue lock.
-func (p *Plane) deliver(core, q, ti int, stolen bool, pktB, cmpt []byte, rt *codegen.Runtime, reads []*obs.Counter, rxTS uint64, h func(Delivery)) {
-	t := p.tenants[ti]
-	h(Delivery{
-		Tenant: ti, Name: t.spec.Name,
-		Queue: q, Core: core, Stolen: stolen,
-		Pkt: pktB, rt: rt, cmpt: cmpt, reads: reads,
-	})
-	t.delivered.Inc()
-	p.mix.NoteDelivered(ti, 1)
-	if rxTS != 0 {
-		now := p.clock.Now()
-		if now > rxTS {
-			t.lat.Observe(now - rxTS)
-		} else {
-			t.lat.Observe(0)
-		}
-	}
 }
 
 // Drain polls every core round-robin until the plane is empty; used by
@@ -534,20 +465,17 @@ func (p *Plane) Pending() int {
 	n := 0
 	for _, qs := range p.queues {
 		qs.mu.Lock()
-		n += len(qs.pending) + len(qs.parked)
+		n += qs.q.Pending()
 		qs.mu.Unlock()
 	}
 	return n
 }
 
 // Renegotiate replaces one tenant's intent and re-solves the joint layout
-// for the whole plane. The switchover is loss-free for every tenant: the
-// plane quiesces (exclusive lock), drains all in-flight completions under
-// the OLD layout into parked deliveries, applies the new configuration to
-// every queue (bounded retries, rollback on failure), verifies the active
-// path, and only then swaps the accessor runtimes. When the joint optimum
-// keeps the same path, only the renegotiating tenant's accessor table is
-// swapped — neighbors are untouched by construction.
+// for the whole plane. The switchover (switchTo) is loss-free for every
+// tenant; when the joint optimum keeps the same path, only the renegotiating
+// tenant's accessor table is swapped — neighbors are untouched by
+// construction.
 func (p *Plane) Renegotiate(name string, sems ...string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -578,7 +506,7 @@ func (p *Plane) Renegotiate(name string, sems ...string) error {
 	}
 	p.tenants[ti].spec.Semantics = append([]string(nil), sems...)
 	p.mix.Retarget(ti, intent.Req().Sorted())
-	p.bindRuntime(ti, p.tenants[ti].rt)
+	p.bindRuntime(ti, p.tenants[ti].lane.RT)
 	p.tenants[ti].renegs.Inc()
 	return nil
 }
@@ -637,11 +565,11 @@ func (p *Plane) MaybeRenegotiate() (switched bool, err error) {
 	return true, nil
 }
 
-// switchTo executes the switchover to a new joint result. Caller holds the
-// write lock (all queues quiesced). fastTenant ≥ 0 allows the accessor-only
-// fast path when the selected path is unchanged: only that tenant's runtime
-// is swapped (the shared layout, and therefore every neighbor's view, is
-// bit-identical).
+// switchTo executes the switchover to a new joint result: drain every queue,
+// reprogram every queue, swap the lanes. Caller holds the write lock (all
+// queues quiesced). fastTenant ≥ 0 allows the accessor-only fast path when
+// the selected path is unchanged: only that tenant's lane is swapped (the
+// shared layout, and therefore every neighbor's view, is bit-identical).
 func (p *Plane) switchTo(jr *core.JointResult, fastTenant int) error {
 	if jr.Selected.Path.ID == p.joint.Selected.Path.ID && fastTenant >= 0 {
 		p.joint = jr
@@ -651,70 +579,35 @@ func (p *Plane) switchTo(jr *core.JointResult, fastTenant int) error {
 		return nil
 	}
 
-	// Drain every queue's in-flight completions under the old layout. The
-	// record bytes are copied out of the ring (the ring slot is recycled)
-	// and parked with the old runtime, so later polls still read them under
-	// the layout they were DMAed with.
+	// Drain every queue's in-flight completions into its parked backlog, so
+	// later polls still read them under the lanes they were DMAed with.
 	for _, qs := range p.queues {
-		for _, pe := range qs.pending {
-			ok := qs.dev.CmptRing.Consume(func(cmpt []byte) {
-				qs.parked = append(qs.parked, parkedDelivery{
-					pkt: pe.pkt, cmpt: append([]byte(nil), cmpt...),
-					tenant: pe.tenant, rt: p.tenants[pe.tenant].rt, ts: pe.ts,
-				})
-			})
-			if !ok {
-				// Shortfall (cannot happen on a healthy device): fall back
-				// to an all-software read of the packet bytes.
-				qs.parked = append(qs.parked, parkedDelivery{
-					pkt: pe.pkt, tenant: pe.tenant,
-					rt: codegen.NewSoftRuntime(p.joint.PerTenant[pe.tenant], softnic.Funcs()),
-					ts: pe.ts,
-				})
-				p.softParked.Inc()
-			}
-			p.drainedPkts.Inc()
-		}
-		qs.pending = qs.pending[:0]
+		drained, soft := qs.q.Drain()
+		p.drainedPkts.Add(uint64(drained + soft))
+		p.softParked.Add(uint64(soft))
 	}
 
-	// Apply the new configuration to every queue; roll every queue back to
-	// the old configuration if any apply fails.
-	applied := 0
-	var applyErr error
-	for _, qs := range p.queues {
-		if applyErr = applyWithRetries(qs.dev, jr.Config); applyErr != nil {
-			break
+	// Reprogram every queue; if one fails (it has rolled itself back), move
+	// the queues already switched back to the old configuration.
+	old := p.joint
+	for i, qs := range p.queues {
+		err := qs.q.Reprogram(jr.Config, jr.Selected.Path.ID, nil)
+		if err == nil {
+			continue
 		}
-		applied++
-	}
-	if applyErr == nil {
-		for _, qs := range p.queues {
-			if ap, err := qs.dev.ActivePath(); err != nil || ap.ID != jr.Selected.Path.ID {
-				applyErr = fmt.Errorf("tenant: switchover verification failed (active path %v, err %v)", ap, err)
-				break
-			}
-		}
-	}
-	if applyErr != nil {
-		for i := 0; i < applied; i++ {
-			if err := applyWithRetries(p.queues[i].dev, p.joint.Config); err != nil {
-				return fmt.Errorf("tenant: switchover failed and rollback failed on queue %d: %v (original: %w)", i, err, applyErr)
+		err = fmt.Errorf("tenant: switchover failed on queue %d: %w", i, err)
+		for j := 0; j < i; j++ {
+			if rerr := p.queues[j].q.Reprogram(old.Config, old.Selected.Path.ID, nil); rerr != nil {
+				return fmt.Errorf("tenant: switchover failed and rollback failed on queue %d: %v (original: %w)", j, rerr, err)
 			}
 		}
 		p.rollbacks.Inc()
-		return applyErr
+		return err
 	}
 
 	p.install(jr)
 	p.renegs.Inc()
 	return nil
-}
-
-// applyWithRetries programs one queue with the shared bounded-retry
-// discipline (defaults matching the evolve engine's ×4 schedule).
-func applyWithRetries(dev *nicsim.Device, cfg []core.Constraint) error {
-	return retry.Policy{}.Do(func() error { return dev.ApplyConfig(cfg) })
 }
 
 // TenantStats is one tenant's delivery snapshot.
@@ -847,7 +740,7 @@ func (p *Plane) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	}
 	for q, qs := range p.queues {
 		qr := base.WithLabels(obs.L("queue", fmt.Sprintf("%d", q)))
-		qs.dev.RegisterMetrics(qr)
+		qs.q.Dev().RegisterMetrics(qr)
 		qr.AttachCounter("opendesc_tenant_queue_delivered_total", "deliveries consumed from the queue", &qs.delivered)
 		qr.AttachCounter("opendesc_tenant_queue_stolen_total", "deliveries consumed by a non-owner core", &qs.stolen)
 	}

@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -177,7 +178,7 @@ func TestPlaneRenegotiateFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := p.Generation()
-	neighborRT := p.tenants[0].rt
+	neighborRT := p.tenants[0].lane.RT
 	pathID := p.Joint().Selected.Path.ID
 	if err := p.Renegotiate("mobile", "flow_id", "pkt_len"); err != nil {
 		t.Fatal(err)
@@ -192,7 +193,7 @@ func TestPlaneRenegotiateFastPath(t *testing.T) {
 	if p.Generation() != gen+1 {
 		t.Errorf("generation = %d, want %d", p.Generation(), gen+1)
 	}
-	if p.tenants[0].rt != neighborRT {
+	if p.tenants[0].lane.RT != neighborRT {
 		t.Error("neighbor's runtime was rebuilt on a fast-path renegotiation")
 	}
 	// The renegotiating tenant reads its new semantics.
@@ -469,5 +470,52 @@ func TestPlaneMetrics(t *testing.T) {
 	}
 	if reg.Collisions() != 0 {
 		t.Errorf("collisions = %d registering one plane", reg.Collisions())
+	}
+}
+
+// TestParkedDeliveriesBindOnce: packets parked across a layout switchover
+// carry the lane — runtime and read-mix counters — they were parked with, so
+// delivering them allocates nothing per packet (the counters used to be
+// re-bound, one make each, at every parked delivery).
+func TestParkedDeliveriesBindOnce(t *testing.T) {
+	p, err := Open(Options{NIC: "mlx5", Cores: 1},
+		Spec{Name: "lb", Semantics: []string{"rss"}},
+		Spec{Name: "counter", Semantics: []string{"pkt_len"}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pkts = 128
+	for i := 0; i < pkts; i++ {
+		pk := pkt.NewBuilder().
+			WithIPv4([4]byte{10, 9, byte(i), 1}, [4]byte{192, 168, 0, 1}).
+			WithUDP(uint16(4000+i), 20000).
+			Build()
+		if !p.Rx(pk) {
+			t.Fatalf("rx %d", i)
+		}
+	}
+	if err := p.Renegotiate("counter", "pkt_len", "timestamp"); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Renegs != 1 || st.Drained != pkts {
+		t.Fatalf("want one switchover parking %d packets, got %+v", pkts, st)
+	}
+	got := 0
+	h := func(d Delivery) {
+		if _, ok := d.Get("rss"); !ok {
+			t.Error("parked delivery lost its accessor")
+		}
+		got++
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p.PollCore(0, h)
+	runtime.ReadMemStats(&after)
+	if got != pkts {
+		t.Fatalf("delivered %d of %d parked packets", got, pkts)
+	}
+	if allocs := after.Mallocs - before.Mallocs; allocs > pkts/4 {
+		t.Errorf("delivering %d parked packets made %d allocations; the lane is bound when a packet is parked, not per delivery", pkts, allocs)
 	}
 }

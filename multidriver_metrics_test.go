@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"opendesc/internal/faults"
 	"opendesc/internal/obs"
 	"opendesc/internal/pkt"
 )
@@ -122,4 +123,44 @@ func grep(s, sub string) string {
 		}
 	}
 	return strings.Join(out, "\n")
+}
+
+// TestEveryDriverRegistersOneSeriesSet: whatever a driver was opened with,
+// RegisterMetrics exposes the same queue series — device, flight latency,
+// hardening once armed, the fault injector once attached — and an evolving
+// driver adds the control-plane series beside them rather than instead.
+func TestEveryDriverRegistersOneSeriesSet(t *testing.T) {
+	intent, err := NewIntent("metrics", "rss", "vlan", "pkt_len")
+	if err != nil {
+		t.Fatal(err)
+	}
+	queue := []string{
+		"opendesc_dev_rx_packets_total", "opendesc_flight_dma_to_poll_ns",
+		"opendesc_driver_quarantined_total", "opendesc_driver_degraded", "opendesc_faults_injected_total",
+	}
+	for _, c := range []struct {
+		name   string
+		evolve *EvolveOptions
+		want   []string
+	}{
+		{"hardened", nil, queue},
+		{"hardened+evolving", &EvolveOptions{}, append([]string{"opendesc_evolve_switchovers_total", "opendesc_evolve_generation"}, queue...)},
+	} {
+		drv, err := OpenWith("e1000e", intent, OpenOptions{Evolve: c.evolve, Harden: &HardenOptions{}})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		drv.InjectFaults(faults.New(faults.Plan{Seed: 1}))
+		reg := obs.NewRegistry()
+		drv.RegisterMetrics(reg, obs.L("driver", c.name))
+		table := reg.Table()
+		for _, want := range c.want {
+			if !strings.Contains(table, want) {
+				t.Errorf("%s driver does not expose %s", c.name, want)
+			}
+		}
+		if reg.Collisions() != 0 {
+			t.Errorf("%s driver registered a series twice", c.name)
+		}
+	}
 }

@@ -24,11 +24,13 @@
 //	    hash, _ := meta.Get("rss")
 //	    ...
 //	})
+//
+// OpenWith takes the options that make the driver renegotiate its interface
+// online (Evolve) and defend itself against a faulty device (Harden); the
+// two compose, on one receive path.
 package opendesc
 
 import (
-	"errors"
-
 	"opendesc/internal/codegen"
 	"opendesc/internal/core"
 	"opendesc/internal/evolve"
@@ -38,6 +40,7 @@ import (
 	"opendesc/internal/obs/flight"
 	"opendesc/internal/p4/parser"
 	"opendesc/internal/p4/sema"
+	"opendesc/internal/rxpath"
 	"opendesc/internal/semantics"
 	"opendesc/internal/softnic"
 )
@@ -167,123 +170,29 @@ func PlanOffloads(res *Result, caps PipelineCaps) (*OffloadPlan, error) {
 	return core.PlanOffloads(res, caps, nil)
 }
 
-// Meta reads per-packet metadata inside a Driver.Poll handler. It is a
-// one-word view of the delivery in progress — Poll points it at each packet
-// in turn — so, like the completion record it reads, it is only meaningful
-// until the handler returns.
-type Meta struct{ v *metaView }
-
-// metaView is the delivery a Meta reads.
-type metaView struct {
-	rt   *codegen.Runtime
-	cmpt []byte
-	pkt  []byte
-	// reads, when non-nil, counts each read for the renegotiation control
-	// plane (the live feature mix): one counter per entry of rt's table.
-	reads []*obs.Counter
-	// fq/ts/seq, when ts is non-zero, emit one flight event per read
-	// (hardware descriptor load vs SoftNIC shim call), reusing the Poll
-	// timestamp so the hot path pays no extra clock read.
-	fq  *flight.Queue
-	ts  uint64
-	seq uint32
-}
-
-// Get returns the value of a semantic for the current packet: a constant
-// -time descriptor read when the selected layout carries it, the SoftNIC
-// shim otherwise. ok is false for semantics outside the compiled intent.
-func (m Meta) Get(sem string) (uint64, bool) {
-	v := m.v
-	r, i := v.rt.Lookup(semantics.Name(sem))
-	if r == nil {
-		return 0, false
-	}
-	if v.reads != nil {
-		v.reads[i].Inc()
-	}
-	if !r.Linked() {
-		return 0, false
-	}
-	if v.ts != 0 {
-		code := flight.EvReadSoft
-		if r.Hardware {
-			code = flight.EvReadHW
-		}
-		v.fq.RecordT(v.ts, code, v.seq, flight.PackName(sem), 0)
-	}
-	return r.Read(v.cmpt, v.pkt), true
-}
-
-// Hardware reports whether the semantic is served directly from the
-// completion record (vs a software shim).
-func (m Meta) Hardware(sem string) bool {
-	r := m.v.rt.Reader(semantics.Name(sem))
-	return r != nil && r.Hardware
-}
+// Meta reads per-packet metadata inside a Driver.Poll handler: Get returns a
+// semantic's value (a constant-time descriptor read when the selected layout
+// carries it, the SoftNIC shim otherwise), Hardware reports which of the two
+// served it. It is a one-word view of the delivery in progress — Poll points
+// it at each packet in turn — so, like the completion record it reads, it is
+// only meaningful until the handler returns.
+type Meta = rxpath.Meta
 
 // Driver is the generated minimalist driver datapath the paper's conclusion
 // aims at: a compiled intent, a configured (simulated) device, and the
-// accessor runtime, behind a two-call API. A driver opened with the Evolve
-// option additionally renegotiates the interface online (see Evolution).
+// accessor runtime, behind a two-call API. The Evolve option makes it
+// renegotiate the interface online (see Evolution), the Harden option
+// defends it against a faulty device (see Hardening); the two compose.
 type Driver struct {
 	Result *Result
 
-	dev     *nicsim.Device
-	rt      *codegen.Runtime
-	pending []pendingPkt
-	// view is what the Meta handed to a Poll handler reads.
-	view metaView
-
-	// flight is the driver's always-armed flight recorder; fq its "q0"
-	// event ring, shared with the device so DMA, ring, validator, and
-	// delivery events interleave on one timeline. Evolving drivers use the
-	// engine's recorder instead (see Flight).
-	flight *flight.Recorder
-	fq     *flight.Queue
-	// rxSeq numbers accepted packets 1-based, matching the device's
-	// DMA-emit sequence so driver and device events correlate.
-	rxSeq uint32
-	// dmaToPoll / pollToDeliver are per-stage completion latencies derived
-	// from matched flight timestamps (DMA-emit → Poll pickup → handler
-	// return).
-	dmaToPoll     *obs.Histogram
-	pollToDeliver *obs.Histogram
-
-	// engine is non-nil for evolving drivers; the datapath then delegates
-	// to the renegotiation control plane.
+	// q is the driver's receive path: pending packets, flight recorder,
+	// latency histograms, and the hardening policy once Harden armed it.
+	q *rxpath.Queue
+	// engine is non-nil for evolving drivers: the renegotiation control
+	// plane, which owns q's lock and swaps its lane at each generation.
 	engine *evolve.Engine
-	// hard is non-nil once Harden armed the validated/watchdogged datapath.
-	hard *hardening
 }
-
-// pendingPkt is one packet awaiting its completion; soft marks packets that
-// will be served from the SoftNIC runtime instead of a device record
-// (quarantined completion, lost completion, or degraded mode). ts and seq
-// are the packet's flight-recorder timestamp and sequence (zero when the
-// recorder is disabled or compiled out).
-type pendingPkt struct {
-	pkt  []byte
-	soft bool
-	ts   uint64
-	seq  uint32
-}
-
-// meta points the driver's view at packet p, read through rt over cmpt in
-// the Poll that began at t0. Per-read events fire only for sampled packets
-// (non-zero Rx stamp): a zero view timestamp makes Get skip its RecordT.
-func (d *Driver) meta(rt *codegen.Runtime, cmpt []byte, p *pendingPkt, t0 uint64) Meta {
-	v := &d.view
-	v.rt, v.cmpt, v.pkt, v.fq, v.seq = rt, cmpt, p.pkt, d.fq, p.seq
-	v.ts = 0
-	if p.ts != 0 {
-		v.ts = t0
-	}
-	return Meta{v}
-}
-
-// errEvolvingHarden: facade hardening applies to pinned drivers; the
-// evolving control plane hardens its switchover path internally.
-var errEvolvingHarden = errors.New("opendesc: Harden is not supported on an evolving driver")
 
 // OpenOptions bundles everything Open can be tuned with.
 type OpenOptions struct {
@@ -295,13 +204,10 @@ type OpenOptions struct {
 	// emerges (generation-tagged, zero-loss switchovers).
 	Evolve *EvolveOptions
 	// Harden, when non-nil, arms the hardened datapath (completion
-	// validation, device watchdog, SoftNIC degraded mode) on a pinned
-	// driver. Mutually exclusive with Evolve.
+	// validation, device watchdog, SoftNIC degraded mode).
 	Harden *HardenOptions
-	// Device sizes and configures the simulated device of a pinned driver
-	// (ring depth, queue id, injected clock). Evolving drivers configure
-	// theirs through EvolveOptions.Device instead. The zero value keeps the
-	// defaults.
+	// Device sizes and configures the simulated device (ring depth, queue
+	// id, injected clock). The zero value keeps the defaults.
 	Device nicsim.Config
 }
 
@@ -335,38 +241,25 @@ func OpenWith(nicName string, intent *Intent, opts OpenOptions) (*Driver, error)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Evolve != nil {
-		if opts.Harden != nil {
-			return nil, errEvolvingHarden
-		}
-		eng, err := evolve.New(m, intent, opts.Compile, *opts.Evolve)
-		if err != nil {
-			return nil, err
-		}
-		return &Driver{Result: eng.Result(), dev: eng.Device(), engine: eng}, nil
-	}
-	res, err := m.Compile(intent, opts.Compile)
-	if err != nil {
-		return nil, err
-	}
 	dev, err := nicsim.New(m, opts.Device)
 	if err != nil {
 		return nil, err
 	}
-	if err := dev.ApplyConfig(res.Config); err != nil {
-		return nil, err
+	d := &Driver{}
+	if opts.Evolve != nil {
+		if d.engine, err = evolve.New(dev, intent, opts.Compile, *opts.Evolve); err != nil {
+			return nil, err
+		}
+		d.Result, d.q = d.engine.Result(), d.engine.Queue()
+	} else {
+		if d.Result, err = m.Compile(intent, opts.Compile); err != nil {
+			return nil, err
+		}
+		if d.q, err = rxpath.New(dev, d.Result.Config, nil); err != nil {
+			return nil, err
+		}
+		d.q.SetLane(0, &rxpath.Lane{RT: codegen.NewRuntime(d.Result, softnic.Funcs())})
 	}
-	rec := flight.NewRecorder(flight.Config{})
-	d := &Driver{
-		Result:        res,
-		dev:           dev,
-		rt:            codegen.NewRuntime(res, softnic.Funcs()),
-		flight:        rec,
-		fq:            rec.Queue("q0"),
-		dmaToPoll:     obs.NewHistogram(),
-		pollToDeliver: obs.NewHistogram(),
-	}
-	dev.AttachFlight(d.fq)
 	if opts.Harden != nil {
 		if err := d.Harden(*opts.Harden); err != nil {
 			return nil, err
@@ -381,37 +274,7 @@ func (d *Driver) Rx(packet []byte) bool {
 	if d.engine != nil {
 		return d.engine.Rx(packet)
 	}
-	if d.hard != nil {
-		return d.hard.rx(d, packet)
-	}
-	if !d.dev.RxPacket(packet) {
-		return false
-	}
-	d.enqueue(packet, false)
-	return true
-}
-
-// enqueue queues an accepted packet for delivery, numbered 1-based like the
-// device's DMA-emit sequence and stamped when it is on the sampling grid.
-func (d *Driver) enqueue(packet []byte, soft bool) {
-	d.rxSeq++
-	d.pending = append(d.pending, pendingPkt{pkt: packet, soft: soft, ts: d.fq.NowIfSampled(d.rxSeq), seq: d.rxSeq})
-}
-
-// noteDelivered derives one completed packet's per-stage latencies from its
-// flight timestamps — rxTS stamped at Rx, t0 when the current Poll began —
-// and emits the deliver event carrying both intervals, so trace viewers can
-// render DMA→deliver as a span. A zero rxTS means the packet was not on the
-// sampling grid (or the recorder was off at Rx): the whole derivation is
-// skipped, which is what keeps the recorder inside its hot-path budget.
-func (d *Driver) noteDelivered(t0, rxTS uint64, seq uint32) {
-	if t0 == 0 || rxTS == 0 {
-		return
-	}
-	t1 := d.fq.Now()
-	d.dmaToPoll.Observe(t0 - rxTS)
-	d.pollToDeliver.Observe(t1 - t0)
-	d.fq.RecordT(t1, flight.EvDeliver, seq, t0-rxTS, t1-rxTS)
+	return d.q.Rx(packet, 0)
 }
 
 // Poll drains completed packets, invoking h for each with its metadata view,
@@ -422,58 +285,24 @@ func (d *Driver) noteDelivered(t0, rxTS uint64, seq uint32) {
 // the new generation's compilation).
 func (d *Driver) Poll(h func(packet []byte, meta Meta)) int {
 	if d.engine != nil {
-		v := &d.view
-		n := d.engine.Poll(func(pkt, cmpt []byte, rt *codegen.Runtime) {
-			v.rt, v.cmpt, v.pkt = rt, cmpt, pkt
-			v.fq, v.ts, v.seq, v.reads = d.engine.DeliveryCtx()
-			h(pkt, Meta{v})
-		})
+		n := d.engine.Poll(h)
 		d.Result = d.engine.Result()
 		return n
 	}
-	if d.hard != nil {
-		return d.hard.poll(d, h)
-	}
-	n := 0
-	t0 := d.fq.Now()
-	cur := d.dev.CmptRing.Cursor()
-	for n < len(d.pending) {
-		cmpt := cur.At()
-		if cmpt == nil {
-			break
-		}
-		p := &d.pending[n]
-		h(p.pkt, d.meta(d.rt, cmpt, p, t0))
-		cur.Release()
-		d.noteDelivered(t0, p.ts, p.seq)
-		n++
-	}
-	cur.Close()
-	d.pending = d.pending[:copy(d.pending, d.pending[n:])]
-	return n
+	return d.q.Poll(-1, h)
 }
 
 // PendingPackets reports how many accepted packets await delivery. On a
 // healthy driver every pending packet is delivered by the next Poll; the
 // chaos harness uses this as its liveness probe (pending packets with an
-// empty completion ring and a healthy device are stuck forever).
-func (d *Driver) PendingPackets() int {
-	if d.engine != nil {
-		return d.engine.PendingCount()
-	}
-	return len(d.pending)
-}
+// empty completion ring and a healthy device are stuck forever). Call it
+// from the goroutine that polls.
+func (d *Driver) PendingPackets() int { return d.q.Pending() }
 
 // Flight returns the driver's flight recorder — the always-on per-queue
 // event ring behind postmortem dumps, Chrome-trace export (WriteChromeTrace)
-// and the /debug/flight endpoint. Never nil; evolving drivers return the
-// engine's recorder.
-func (d *Driver) Flight() *flight.Recorder {
-	if d.engine != nil {
-		return d.engine.Flight()
-	}
-	return d.flight
-}
+// and the /debug/flight endpoint. Never nil.
+func (d *Driver) Flight() *flight.Recorder { return d.q.Flight() }
 
 // Evolution snapshots the renegotiation control-plane counters (generation,
 // switchovers, rollbacks, drained packets, switchover latency). The zero
@@ -503,30 +332,24 @@ func (d *Driver) Report() string { return d.Result.Report() }
 
 // Stats returns device counters (packets received, drops).
 func (d *Driver) Stats() (rx, drops uint64) {
-	st := d.dev.Stats()
+	st := d.q.Dev().Stats()
 	return st.RxPackets, st.Drops
 }
 
 // DeviceStats returns the full ethtool-style counter snapshot of the
 // underlying simulated device (per-path completions, per-semantic offload
 // invocations, completion-ring occupancy and stalls).
-func (d *Driver) DeviceStats() nicsim.DeviceStats { return d.dev.Stats() }
+func (d *Driver) DeviceStats() nicsim.DeviceStats { return d.q.Dev().Stats() }
 
-// RegisterMetrics exposes the driver's device and ring counters on an obs
-// registry (rendered by Registry.Table, /metrics, or /debug/vars); evolving
-// drivers additionally expose the renegotiation control-plane series.
+// RegisterMetrics exposes the driver on an obs registry (rendered by
+// Registry.Table, /metrics, or /debug/vars): device and ring counters, the
+// flight latency histograms, the hardening series once Harden armed them, the
+// fault injector's when one is attached, and on an evolving driver the
+// renegotiation control-plane series beside them.
 func (d *Driver) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	if d.engine != nil {
 		d.engine.RegisterMetrics(reg, labels...)
 		return
 	}
-	d.dev.RegisterMetrics(reg, labels...)
-	reg.AttachHistogram("opendesc_flight_dma_to_poll_ns", "DMA emit to Poll pickup latency (flight recorder)", d.dmaToPoll, labels...)
-	reg.AttachHistogram("opendesc_flight_poll_to_deliver_ns", "Poll pickup to handler return latency (flight recorder)", d.pollToDeliver, labels...)
-	if d.hard != nil {
-		d.hard.registerMetrics(reg, labels...)
-	}
-	if inj := d.dev.Faults(); inj != nil {
-		inj.RegisterMetrics(reg, labels...)
-	}
+	d.q.RegisterMetrics(reg, labels...)
 }

@@ -9,6 +9,7 @@ import (
 	"opendesc/internal/faults"
 	"opendesc/internal/nic"
 	"opendesc/internal/nicsim"
+	"opendesc/internal/rxpath"
 	"opendesc/internal/semantics"
 	"opendesc/internal/softnic"
 )
@@ -43,7 +44,7 @@ func fuzzCompile(t *testing.T) []fuzzCompiled {
 			val, err := codegen.NewValidator(res, codegen.ValidatorOptions{
 				Deep:   true,
 				Soft:   softnic.Funcs(),
-				Consts: softConsts(nicsim.Config{}.WithDefaults()),
+				Consts: rxpath.SoftConsts(nicsim.Config{}.WithDefaults()),
 			})
 			if err != nil {
 				panic(m.Name + ": " + err.Error())
@@ -96,9 +97,10 @@ func FuzzValidate(f *testing.F) {
 }
 
 // FuzzPoll drives the full hardened driver — simulated device, fault
-// injector, validator, watchdog — with arbitrary packet bytes and an
-// arbitrary fault mix on every bundled NIC. The properties: no panic, and
-// exactly-once delivery (every accepted packet is delivered exactly once
+// injector, validator, watchdog, and with mask bit 7 the renegotiation
+// control plane re-solving every other packet — with arbitrary packet bytes
+// and an arbitrary fault mix on every bundled NIC. The properties: no panic,
+// and exactly-once delivery (every accepted packet is delivered exactly once
 // after draining, no matter which faults fired).
 func FuzzPoll(f *testing.F) {
 	names := NICs()
@@ -116,9 +118,11 @@ func FuzzPoll(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		drv, err := OpenWith(name, intent, OpenOptions{
-			Harden: &HardenOptions{Deep: true, DegradeThreshold: 2},
-		})
+		opts := OpenOptions{Harden: &HardenOptions{Deep: true, DegradeThreshold: 2}}
+		if mask&(1<<7) != 0 {
+			opts.Evolve = &EvolveOptions{Interval: 2, MinWindow: 1, Hysteresis: -1}
+		}
+		drv, err := OpenWith(name, intent, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -149,7 +153,9 @@ func FuzzPoll(f *testing.F) {
 		accepted, delivered := 0, 0
 		h := func(p []byte, meta Meta) {
 			delivered++
-			for _, s := range fuzzSems {
+			// Reading a prefix that depends on the packet moves the mix under
+			// an evolving driver.
+			for _, s := range fuzzSems[:1+len(p)%len(fuzzSems)] {
 				meta.Get(s)
 			}
 		}

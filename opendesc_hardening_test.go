@@ -17,7 +17,7 @@ func hardPackets(n int) [][]byte {
 	out := make([][]byte, n)
 	for i := range out {
 		out[i] = pkt.NewBuilder().
-			WithVLAN(uint16(0x100 | (i & 0xFF))).
+			WithVLAN(uint16(0x100|(i&0xFF))).
 			WithIPv4([4]byte{192, 168, 1, 10}, [4]byte{10, 0, 0, 1}).
 			WithTCP(443, uint16(40000+i%20000), 0x18).
 			WithIPID(uint16(i)).
@@ -224,10 +224,16 @@ func TestHardenedHangDegradeRecover(t *testing.T) {
 	}
 }
 
-// TestHardenedStatsRace scrapes stats concurrently with a faulty datapath
-// (run with -race).
+// TestHardenedStatsRace scrapes hardening, evolution and device stats
+// concurrently with a faulty, renegotiating datapath (run with -race).
 func TestHardenedStatsRace(t *testing.T) {
-	drv := openHardened(t, HardenOptions{Deep: true, DegradeThreshold: 4})
+	drv, err := OpenEvolving("e1000e", EvolveOptions{Interval: 64, MinWindow: 32}, "rss", "ip_checksum", "vlan", "pkt_len")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := drv.Harden(HardenOptions{Deep: true, DegradeThreshold: 4}); err != nil {
+		t.Fatalf("Harden on an evolving driver: %v", err)
+	}
 	drv.InjectFaults(faults.New(faults.Plan{
 		Seed: 21, CorruptP: 0.01, DropP: 0.01, DuplicateP: 0.01,
 		HangCount: 2, HangMTBF: 500, HangBurst: 30,
@@ -243,42 +249,32 @@ func TestHardenedStatsRace(t *testing.T) {
 				return
 			default:
 				_ = drv.Hardening()
+				_ = drv.Evolution()
 				_ = drv.DeviceStats()
-				_ = drv.dev.Faults().Stats()
+				_ = drv.q.Dev().Faults().Stats()
 			}
 		}
 	}()
 	packets := hardPackets(2000)
 	next := 0
+	h := func(_ []byte, meta Meta) {
+		// The hot read flips every 256 packets, so the layout keeps moving.
+		meta.Get([]string{"rss", "ip_checksum"}[next/256%2])
+		next++
+	}
 	for _, p := range packets {
 		drv.Rx(p)
-		drv.Poll(func([]byte, Meta) { next++ })
+		drv.Poll(h)
 	}
-	for drv.Poll(func([]byte, Meta) { next++ }) > 0 {
+	for drv.Poll(h) > 0 {
 	}
 	close(stop)
 	wg.Wait()
 	if next != len(packets) {
 		t.Fatalf("delivered %d of %d", next, len(packets))
 	}
-}
-
-// TestHardenEvolvingRejected: facade hardening and the evolving control
-// plane are mutually exclusive.
-func TestHardenEvolvingRejected(t *testing.T) {
-	drv, err := OpenEvolving("mlx5", EvolveOptions{}, "rss", "pkt_len")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := drv.Harden(HardenOptions{}); err == nil {
-		t.Error("Harden on an evolving driver must fail")
-	}
-	intent, err := NewIntent("x", "rss")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenWith("mlx5", intent, OpenOptions{Evolve: &EvolveOptions{}, Harden: &HardenOptions{}}); err == nil {
-		t.Error("OpenWith(Evolve+Harden) must fail")
+	if drv.Evolution().Switchovers == 0 {
+		t.Error("the flipping read mix never switched generations")
 	}
 }
 

@@ -4,10 +4,10 @@ import (
 	"math"
 	"testing"
 
-	"opendesc/internal/codegen"
 	"opendesc/internal/core"
 	"opendesc/internal/evolve"
 	"opendesc/internal/nic"
+	"opendesc/internal/nicsim"
 	"opendesc/internal/workload"
 )
 
@@ -23,9 +23,9 @@ type gateLoop struct {
 
 var gateSems = []string{"rss", "vlan", "pkt_len"}
 
-// gateLoops opens every receive loop the library ships: the pinned driver,
-// the hardened one with deep validation, the evolving one, and the
-// multi-tenant plane.
+// gateLoops opens every driver the library ships on the one receive loop:
+// pinned, hardened with deep validation, evolving, the two composed, and
+// the multi-tenant plane.
 func gateLoops(t *testing.T) []gateLoop {
 	t.Helper()
 	tr, err := workload.Generate(workload.DefaultSpec())
@@ -77,6 +77,7 @@ func gateLoops(t *testing.T) []gateLoop {
 		// No re-solve inside the measured window: a recompile allocates, and
 		// it belongs to the control plane, not to the deliver path.
 		driver("evolving", OpenOptions{Evolve: &EvolveOptions{Interval: 1 << 30}}),
+		driver("hardened+evolving", OpenOptions{Evolve: &EvolveOptions{Interval: 1 << 30}, Harden: &HardenOptions{Deep: true}}),
 		{name: "tenants", packets: ztr.Packets, rx: plane.Rx, poll: func() int { return plane.PollCore(0, onDelivery) }},
 	}
 }
@@ -163,7 +164,7 @@ func TestWarmCompileSkipsAnalysis(t *testing.T) {
 	}
 
 	const maxTickAllocs = 32
-	e, err := evolve.New(nic.MustLoad("e1000e"), intent, CompileOptions{}, evolve.Options{
+	e, err := evolve.New(nicsim.MustNew(nic.MustLoad("e1000e"), nicsim.Config{}), intent, CompileOptions{}, evolve.Options{
 		Interval: 1 << 30, MinWindow: 1, MinShimSamples: math.MaxUint64,
 	})
 	if err != nil {
@@ -179,10 +180,10 @@ func TestWarmCompileSkipsAnalysis(t *testing.T) {
 		if !e.Rx(tr.Packets[next%len(tr.Packets)]) {
 			t.Fatal("rx stalled")
 		}
-		e.Poll(func(_, _ []byte, _ *codegen.Runtime) {
-			e.NoteRead("rss")
-			e.NoteRead("vlan")
-			e.NoteRead("pkt_len")
+		e.Poll(func(_ []byte, m Meta) {
+			m.Get("rss")
+			m.Get("vlan")
+			m.Get("pkt_len")
 		})
 	}
 	for i := 0; i < 64; i++ { // settle on the mix's layout

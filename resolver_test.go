@@ -5,6 +5,7 @@ import (
 
 	"opendesc/internal/codegen"
 	"opendesc/internal/core"
+	"opendesc/internal/rxpath"
 	"opendesc/internal/semantics"
 	"opendesc/internal/softnic"
 	"opendesc/internal/workload"
@@ -83,7 +84,7 @@ func TestMetaResolvesLikeMapOracle(t *testing.T) {
 						t.Errorf("%s %v: Hardware(%q) = %v, oracle %v", nicName, sems, name, hw, wantHW)
 					}
 					if ok && wantOK {
-						if want, err := ref.Read(semantics.Name(name), m.v.cmpt, p); err != nil || v != want {
+						if want, err := ref.Read(semantics.Name(name), rxpath.Of(m).Rec, p); err != nil || v != want {
 							t.Errorf("%s %v: Get(%q) = %#x, reference runtime %#x (%v)", nicName, sems, name, v, want, err)
 						}
 					}
