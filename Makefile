@@ -39,7 +39,7 @@ perf-gate: alloc-gate
 	done; exit $$fail
 
 alloc-gate:
-	$(GO) test -run 'TestDeliverPathAllocGate|TestWarmCompileSkipsAnalysis' -v .
+	$(GO) test -run 'TestDeliverPathAllocGate|TestWarmCompileSkipsAnalysis|TestOpenMemoryGate' -v .
 
 # Non-test Go lines per top-level directory: raw, and code only (no blank or
 # comment lines). A PR states its net delta from this.

@@ -6,8 +6,13 @@
 // — so the layouts the compiler derives and the bytes the device emits are
 // validated against each other end-to-end.
 //
-// What is fixed is decided when the device is built: every field an emit
-// vertex commits is resolved once, in New, to an offload slot and a width.
+// The DMA modelled is the completion record, into a ring whose stride is the
+// description's largest Size(p) in whole 8-byte words. Packet bytes reach the
+// host by reference; Config.BufSize is the frame-size check.
+//
+// What is fixed is decided when the device is built: the ring stride, and
+// every field an emit vertex commits, resolved once, in New, to an offload
+// slot and a width.
 // What is left per packet is the walk itself and the golden reference engines,
 // each of which runs on first use — a layout that does not carry a semantic
 // (and no branch condition that reads it) never computes it.
@@ -40,7 +45,7 @@ import (
 type Config struct {
 	// RingEntries is the completion ring depth (default 1024).
 	RingEntries int
-	// BufSize is the RX packet buffer size (default 2048).
+	// BufSize is the largest frame accepted (default 2048); longer ones drop.
 	BufSize int
 	// QueueID is reported through the queue_id semantic.
 	QueueID uint16
@@ -91,11 +96,8 @@ type Device struct {
 	// paper's Fig. 2), keyed by dotted path, e.g. "ctx.use_rss".
 	ctx map[string]sema.Value
 
-	// CmptRing receives the serialized completion records.
+	// CmptRing receives the serialized completion records (stride: see New).
 	CmptRing *ring.Ring
-	// Buffers is the RX packet buffer area; completion i corresponds to
-	// buffer slot i modulo pool size.
-	Buffers *ring.BufferPool
 
 	clock uint64
 
@@ -217,15 +219,20 @@ func New(m *nic.Model, cfg Config) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
+	// One entry holds the largest path in whole 8-byte words (a bitfield
+	// window); a path over the cap fails in serializeCompletion.
+	stride := 8
+	for _, p := range paths {
+		stride = min(max(stride, (p.SizeBytes()+7)&^7), maxCompletionBytes)
+	}
 	d := &Device{
 		Model:    m,
 		cfg:      cfg,
 		graph:    g,
 		paths:    paths,
 		ctx:      make(map[string]sema.Value),
-		CmptRing: ring.MustNew(maxCompletionBytes, cfg.RingEntries),
-		Buffers:  ring.MustNewBufferPool(cfg.BufSize, cfg.RingEntries),
-		cmptBuf:  make([]byte, maxCompletionBytes),
+		CmptRing: ring.MustNew(stride, cfg.RingEntries),
+		cmptBuf:  make([]byte, stride),
 		pathHits: make([]obs.Counter, len(paths)),
 	}
 	d.curPath.Store(-1)
@@ -403,11 +410,12 @@ type DeviceStats struct {
 // another goroutine is receiving packets. Maps contain only non-zero
 // entries.
 func (d *Device) Stats() DeviceStats {
+	rx := d.rxPackets.Load()
 	st := DeviceStats{
-		RxPackets:         d.rxPackets.Load(),
+		RxPackets:         rx,
 		RxBytes:           d.rxBytes.Load(),
 		Drops:             d.drops.Load(),
-		Completions:       d.rxPackets.Load(),
+		Completions:       rx,
 		CompletionBytes:   d.cmptBytes.Load(),
 		CompletionsByPath: make(map[int]uint64),
 		Offloads:          make(map[semantics.Name]uint64),
@@ -483,22 +491,23 @@ func (d *Device) RegisterMetrics(reg *obs.Registry, extra ...obs.Label) {
 	reg.GaugeFunc("opendesc_ring_capacity", "ring capacity (entries)", func() int64 { return int64(r.Capacity()) }, rl...)
 }
 
-// RxPacket makes the device receive one packet from the wire: it DMAs the
-// packet into the next buffer slot, walks the deparser CFG under the
-// programmed context — running the offload engines the walk asks for — and
-// DMAs the completion record.
-// It returns false when the completion ring is full (packet dropped, as
-// hardware would).
+// RxPacket makes the device receive one packet from the wire: it walks the
+// deparser CFG under the programmed context — running the offload engines the
+// walk asks for — and DMAs the completion record.
+// It returns false when the packet is dropped, as hardware would: the device
+// is wedged, the frame is longer than BufSize, or the completion ring is full
+// — each refused before any engine runs.
 func (d *Device) RxPacket(packet []byte) bool {
+	// seq is this packet's 1-based count, matching the driver's Rx sequence.
+	seq := uint32(d.rxPackets.Load()) + 1
 	if d.faults != nil && d.faults.Tick() {
-		// Wedged: the device refuses the packet outright.
+		// Wedged: refused outright, stamped with the last accepted packet's seq.
 		d.hangDrops.Inc()
 		d.drops.Inc()
-		d.fq.Record(flight.EvHangDrop, uint32(d.rxPackets.Load()), 0, 0)
+		d.fq.Record(flight.EvHangDrop, seq-1, 0, 0)
 		return false
 	}
-	slot := int(d.rxPackets.Load()) % d.Buffers.Count()
-	if err := d.Buffers.Write(slot, packet); err != nil {
+	if len(packet) > d.cfg.BufSize || !d.CmptRing.HasRoom() {
 		d.drops.Inc()
 		return false
 	}
@@ -509,45 +518,39 @@ func (d *Device) RxPacket(packet []byte) bool {
 	}
 
 	d.packet, d.parsed, d.have = packet, false, 1<<slotZero
-	n, err := d.serializeCompletion(d.cmptBuf)
+	size, err := d.serializeCompletion(d.cmptBuf)
 	if err != nil {
 		d.drops.Inc()
 		return false
 	}
-	rec, extra := d.cmptBuf[:n], []byte(nil)
-	if d.faults != nil {
-		rec, extra = d.faults.Completion(rec)
-	}
-	if rec == nil {
-		// Injected completion loss: the device believes the packet completed
-		// (it was DMAed and counted), but no record reaches the host — the
-		// pending/completion desync the driver must resynchronize from.
-		d.lostCmpts.Inc()
-		d.rxPackets.Inc()
-		d.rxBytes.Add(uint64(len(packet)))
-		d.fq.Record(flight.EvDMALost, uint32(d.rxPackets.Load()), uint64(n), 0)
-		return true
-	}
-	if !d.CmptRing.Push(rec) {
+	rec, extra := d.faults.Completion(d.cmptBuf[:size])
+	if rec != nil && !d.CmptRing.Push(rec) {
 		d.drops.Inc()
 		return false
+	}
+	d.rxPackets.Inc()
+	d.rxBytes.Add(uint64(len(packet)))
+	if rec == nil {
+		// Injected completion loss: the device believes the packet completed
+		// (it was counted), but no record reaches the host — the
+		// pending/completion desync the driver must resynchronize from.
+		d.lostCmpts.Inc()
+		d.fq.Record(flight.EvDMALost, seq, uint64(size), 0)
+		return true
 	}
 	if extra != nil {
 		// Injected duplicate: best-effort second publish (a full ring just
 		// swallows the duplicate, as real hardware would).
 		d.CmptRing.Push(extra)
 	}
-	d.rxPackets.Inc()
-	d.rxBytes.Add(uint64(len(packet)))
 	d.cmptBytes.Add(uint64(len(rec)))
 	idx := d.activePathIndex()
 	if idx >= 0 {
 		d.pathHits[idx].Inc()
 	}
-	// seq is the 1-based packet count, matching the driver's Rx sequence.
 	// Routine emits are sampled (flight.SamplePeriod) to stay inside the
 	// recorder's hot-path budget; anomalies above are always recorded.
-	if seq := uint32(d.rxPackets.Load()); flight.Sampled(seq) {
+	if flight.Sampled(seq) {
 		d.fq.Record(flight.EvDMAEmit, seq, uint64(len(rec)), uint64(idx+1))
 	}
 	return true

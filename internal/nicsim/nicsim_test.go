@@ -230,14 +230,49 @@ func TestRingBackpressureDrops(t *testing.T) {
 	if accepted != 4 {
 		t.Errorf("accepted = %d, want ring capacity 4", accepted)
 	}
-	if st := dev.Stats(); st.Drops != 6 {
-		t.Errorf("drops = %d, want 6", st.Drops)
+	st := dev.Stats()
+	if st.Drops != 6 || st.Ring.FullStalls != 6 {
+		t.Errorf("drops = %d, full stalls = %d, want 6 and 6", st.Drops, st.Ring.FullStalls)
+	}
+	// A packet refused for lack of a ring entry is refused before any engine
+	// runs: only the four completed packets were billed.
+	for sem, n := range st.Offloads {
+		if n != 4 {
+			t.Errorf("offload %s ran %d times for 4 completed packets", sem, n)
+		}
+	}
+	if len(st.Offloads) == 0 {
+		t.Error("no offload engine ran for the completed packets")
 	}
 	// Draining the ring restores acceptance.
 	for dev.CmptRing.Pop() {
 	}
 	if !dev.RxPacket(p) {
 		t.Error("rx after drain should succeed")
+	}
+}
+
+// TestOversizeFrameDropped: BufSize is the largest frame the device accepts.
+// A longer one is a counted drop that runs no engine and takes no ring entry.
+func TestOversizeFrameDropped(t *testing.T) {
+	dev := MustNew(nic.MustLoad("e1000"), Config{BufSize: 128})
+	if !dev.RxPacket(make([]byte, 128)) {
+		t.Error("a frame of exactly BufSize was refused")
+	}
+	if dev.RxPacket(make([]byte, 129)) {
+		t.Error("a frame over BufSize was accepted")
+	}
+	st := dev.Stats()
+	if st.RxPackets != 1 || st.Drops != 1 || st.Ring.Produced != 1 || st.Offloads[semantics.PktLen] != 1 {
+		t.Errorf("rx %d, drops %d, ring produced %d, pkt_len engine runs %d; want 1 each",
+			st.RxPackets, st.Drops, st.Ring.Produced, st.Offloads[semantics.PktLen])
+	}
+	// A nonsensical BufSize refuses every frame; a TX queue, which does keep
+	// a buffer pool of that size, reports it instead of panicking.
+	bad := MustNew(nic.MustLoad("qdma"), Config{BufSize: -1})
+	bad.WriteReg("h2c_ctx.desc_size", 32)
+	if _, err := bad.NewTxQueue(8); err == nil {
+		t.Error("a TX queue with a negative buffer size was built")
 	}
 }
 

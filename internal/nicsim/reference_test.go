@@ -250,15 +250,24 @@ control CmptDeparser<CTX_T, META_T>(cmpt_out cmpt_out, in CTX_T ctx, in META_T p
 
 func handWrittenModel(t *testing.T, name string) *nic.Model {
 	t.Helper()
-	prog, err := parser.Parse(name+".p4", handWritten[name])
+	m, err := modelFromSource(name, handWritten[name])
 	if err != nil {
 		t.Fatal(err)
+	}
+	return m
+}
+
+// modelFromSource builds an unregistered model from a P4 description.
+func modelFromSource(name, src string) (*nic.Model, error) {
+	prog, err := parser.Parse(name+".p4", src)
+	if err != nil {
+		return nil, err
 	}
 	info, err := sema.Check(prog)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return &nic.Model{Name: name, Source: handWritten[name], Info: info, Deparser: core.DeparserSpec{Info: info}}
+	return &nic.Model{Name: name, Source: src, Info: info, Deparser: core.DeparserSpec{Info: info}}, nil
 }
 
 // differentialTrace mixes everything the engines branch on — VLAN, KV

@@ -234,6 +234,9 @@ func TestStatsScrapeRace(t *testing.T) {
 		if st.Ring.Produced < st.Ring.Consumed {
 			t.Errorf("consumed %d > produced %d", st.Ring.Consumed, st.Ring.Produced)
 		}
+		if st.RxPackets != st.Completions {
+			t.Errorf("one snapshot reads rx %d and completions %d", st.RxPackets, st.Completions)
+		}
 		reg.WritePrometheus(io.Discard)
 	}
 

@@ -43,10 +43,14 @@ func (d *Device) NewTxQueue(entries int) (*TxQueue, error) {
 	if entries <= 0 {
 		entries = 256
 	}
+	buffers, err := ring.NewBufferPool(d.cfg.BufSize, entries)
+	if err != nil {
+		return nil, err
+	}
 	return &TxQueue{
 		dev:      d,
 		descRing: ring.MustNew(layout.SizeBytes(), entries),
-		buffers:  ring.MustNewBufferPool(d.cfg.BufSize, entries),
+		buffers:  buffers,
 		capacity: entries,
 	}, nil
 }
@@ -58,7 +62,7 @@ func (q *TxQueue) Post(packet []byte, intent map[semantics.Name]uint64) (bool, e
 	if q.descRing.Free() == 0 {
 		return false, nil
 	}
-	slot := q.nextBuf % q.buffers.Count()
+	slot := q.nextBuf % q.capacity
 	if err := q.buffers.Write(slot, packet); err != nil {
 		return false, err
 	}
@@ -123,7 +127,7 @@ func (q *TxQueue) DeviceRun(max int) (int, error) {
 				break
 			}
 		}
-		if slot < 0 || slot >= q.buffers.Count() {
+		if slot < 0 || slot >= q.capacity {
 			q.txErrors++
 			if firstErr == nil {
 				firstErr = fmt.Errorf("nicsim: TX descriptor without resolvable buffer address")

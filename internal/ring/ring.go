@@ -144,17 +144,27 @@ func (r *Ring) slot(idx uint32) []byte {
 	return r.mem[off : off+r.entrySize]
 }
 
+// HasRoom reports whether the next Produce would find a free entry. A full
+// ring is counted as a stall and recorded as EvRingFull here, so a producer
+// that asks first and does no work for a refused record leaves the same trail.
+func (r *Ring) HasRoom() bool {
+	tail := r.tail.Load()
+	if tail-r.head.Load() < r.capacity {
+		return true
+	}
+	r.fullStalls.Add(1)
+	r.fq.Record(flight.EvRingFull, tail, uint64(r.capacity), 0)
+	return false
+}
+
 // Produce reserves the next entry, passes its backing slice to fill (which
 // writes the record in place — the DMA write), and publishes it. It returns
 // false when the ring is full.
 func (r *Ring) Produce(fill func(entry []byte)) bool {
-	tail := r.tail.Load()
-	head := r.head.Load()
-	if tail-head >= r.capacity {
-		r.fullStalls.Add(1)
-		r.fq.Record(flight.EvRingFull, tail, uint64(r.capacity), 0)
+	if !r.HasRoom() {
 		return false
 	}
+	tail, head := r.tail.Load(), r.head.Load()
 	fill(r.slot(tail))
 	r.tail.Store(tail + 1)
 	r.noteProduced(tail + 1 - head)
@@ -302,13 +312,12 @@ func (r *Ring) Reset() {
 }
 
 // BufferPool is a fixed pool of equally sized packet buffers indexed like a
-// hardware RX buffer area: the host posts buffer indices, the NIC DMAs packet
-// bytes into them, and completion records reference the slot.
+// hardware TX buffer area: the host writes a frame into a slot and posts a
+// descriptor that references it; the NIC reads the frame back by slot.
 type BufferPool struct {
 	mem     []byte
 	bufSize int
 	lens    []int
-	count   int
 }
 
 // NewBufferPool allocates count buffers of bufSize bytes.
@@ -320,28 +329,12 @@ func NewBufferPool(bufSize, count int) (*BufferPool, error) {
 		mem:     make([]byte, bufSize*count),
 		bufSize: bufSize,
 		lens:    make([]int, count),
-		count:   count,
 	}, nil
 }
 
-// MustNewBufferPool panics on invalid parameters.
-func MustNewBufferPool(bufSize, count int) *BufferPool {
-	p, err := NewBufferPool(bufSize, count)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// Count returns the number of buffers.
-func (p *BufferPool) Count() int { return p.count }
-
-// BufSize returns each buffer's capacity.
-func (p *BufferPool) BufSize() int { return p.bufSize }
-
 // Write DMAs data into buffer slot idx and records its length.
 func (p *BufferPool) Write(idx int, data []byte) error {
-	if idx < 0 || idx >= p.count {
+	if idx < 0 || idx >= len(p.lens) {
 		return fmt.Errorf("ring: buffer index %d out of range", idx)
 	}
 	if len(data) > p.bufSize {
@@ -354,7 +347,7 @@ func (p *BufferPool) Write(idx int, data []byte) error {
 
 // Bytes returns the filled bytes of buffer slot idx.
 func (p *BufferPool) Bytes(idx int) []byte {
-	if idx < 0 || idx >= p.count {
+	if idx < 0 || idx >= len(p.lens) {
 		return nil
 	}
 	return p.mem[idx*p.bufSize : idx*p.bufSize+p.lens[idx]]

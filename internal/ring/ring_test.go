@@ -386,9 +386,9 @@ func TestQuickSchedule(t *testing.T) {
 }
 
 func TestBufferPool(t *testing.T) {
-	p := MustNewBufferPool(64, 4)
-	if p.Count() != 4 || p.BufSize() != 64 {
-		t.Fatalf("pool = %dx%d", p.Count(), p.BufSize())
+	p, err := NewBufferPool(64, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := p.Write(1, []byte("hello")); err != nil {
 		t.Fatal(err)

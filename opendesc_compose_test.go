@@ -46,6 +46,7 @@ func openComposed(t *testing.T, h HardenOptions) *Driver {
 type composeChecker struct {
 	t       *testing.T
 	packets [][]byte
+	sems    []string // the intent: every semantic whose placement is checked
 	golden  map[semantics.Name]codegen.SoftFunc
 	next    int
 	mix     []string
@@ -63,7 +64,7 @@ type parkedSpan struct {
 }
 
 func newComposeChecker(t *testing.T, drv *Driver, packets [][]byte) *composeChecker {
-	return &composeChecker{t: t, packets: packets, cur: drv.Result, mix: composeMixes[0], golden: softnic.Funcs()}
+	return &composeChecker{t: t, packets: packets, sems: composeSems, cur: drv.Result, mix: composeMixes[0], golden: softnic.Funcs()}
 }
 
 func (c *composeChecker) deliver(p []byte, meta Meta) {
@@ -80,13 +81,13 @@ func (c *composeChecker) deliver(p []byte, meta Meta) {
 		}
 	}
 	hwAny := false
-	for _, s := range composeSems {
+	for _, s := range c.sems {
 		hwAny = hwAny || meta.Hardware(s)
 	}
 	if !hwAny {
 		c.soft++
 	}
-	for _, s := range composeSems {
+	for _, s := range c.sems {
 		if hw := meta.Hardware(s); hwAny && hw != res.HardwareSet().Has(semantics.Name(s)) {
 			t.Fatalf("delivery %d: Hardware(%s) = %v, the delivering generation (path %d) has hardware %s",
 				c.next-1, s, hw, res.Selected.Path.ID, res.HardwareSet())
@@ -119,6 +120,33 @@ func (c *composeChecker) renegotiate(drv *Driver) bool {
 	return switched
 }
 
+// drive offers every packet in bursts of 8 with a Poll after each (calling
+// polled after it), and every 256 packets renegotiates — between the burst
+// and its Poll — and flips the read mix; then it drains, and requires every
+// packet delivered.
+func (c *composeChecker) drive(drv *Driver, mixes [2][]string, polled func()) {
+	const batch, phase = 8, 256
+	for i := 0; i < len(c.packets); {
+		for j := 0; j < batch; j++ {
+			if !drv.Rx(c.packets[i]) {
+				c.t.Fatalf("rx %d refused", i)
+			}
+			i++
+		}
+		if i%phase == 0 {
+			c.renegotiate(drv)
+			c.mix = mixes[(i/phase)%2]
+		}
+		drv.Poll(c.deliver)
+		polled()
+	}
+	for drv.Poll(c.deliver) > 0 {
+	}
+	if c.next != len(c.packets) || drv.PendingPackets() != 0 {
+		c.t.Fatalf("delivered %d of %d, %d pending", c.next, len(c.packets), drv.PendingPackets())
+	}
+}
+
 // TestHardenedEvolvingExactlyOnce: the composition the title promises. While
 // the device corrupts, replays, duplicates and drops completions and the
 // read mix flips, a hardened evolving driver delivers every accepted packet
@@ -129,28 +157,11 @@ func TestHardenedEvolvingExactlyOnce(t *testing.T) {
 	drv.InjectFaults(faults.New(faults.Plan{Seed: 11, CorruptP: 0.03, ReplayP: 0.03, DuplicateP: 0.03, DropP: 0.03}))
 	packets := hardPackets(2048)
 	c := newComposeChecker(t, drv, packets)
-	const batch, phase = 8, 256
-	for i := 0; i < len(packets); {
-		for j := 0; j < batch; j++ {
-			if !drv.Rx(packets[i]) {
-				t.Fatalf("rx %d refused", i)
-			}
-			i++
-		}
-		if i%phase == 0 {
-			c.renegotiate(drv)
-			c.mix = composeMixes[(i/phase)%2]
-		}
-		drv.Poll(c.deliver)
+	c.drive(drv, composeMixes, func() {
 		if drv.Result != c.cur {
 			t.Fatalf("Driver.Result does not track the active generation after Poll")
 		}
-	}
-	for drv.Poll(c.deliver) > 0 {
-	}
-	if c.next != len(packets) || drv.PendingPackets() != 0 {
-		t.Fatalf("delivered %d of %d, %d pending", c.next, len(packets), drv.PendingPackets())
-	}
+	})
 	ev, h := drv.Evolution(), drv.Hardening()
 	if ev.Switchovers < 3 || ev.SwitchDrops != 0 || ev.Rollbacks != 0 {
 		t.Fatalf("want ≥ 3 clean switchovers, got %+v", ev)
@@ -261,5 +272,63 @@ func TestDegradedRestoresActiveGeneration(t *testing.T) {
 	run(64)
 	if c.next != i || drv.PendingPackets() != 0 {
 		t.Fatalf("delivered %d of %d accepted", c.next, i)
+	}
+}
+
+// TestEvolvingSwitchoverThroughOneRing: the device is built once, with a ring
+// whose stride is its description's largest path, and every generation an
+// evolving driver moves through is read out of that ring — on e1000e between
+// its two 11-byte layouts, on qdma between the 8-byte and the 64-byte
+// completion. Every packet is delivered exactly once, in order, golden,
+// under the generation it was DMAed in.
+func TestEvolvingSwitchoverThroughOneRing(t *testing.T) {
+	for _, c := range []struct {
+		nic   string
+		sems  []string
+		mixes [2][]string
+	}{
+		{"e1000e", composeSems, composeMixes},
+		{"qdma", []string{"payload_hash", "flow_id", "pkt_len"}, [2][]string{{"flow_id", "pkt_len"}, {"payload_hash", "flow_id", "pkt_len"}}},
+	} {
+		t.Run(c.nic, func(t *testing.T) {
+			intent, err := NewIntent("one_ring", c.sems...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drv, err := OpenWith(c.nic, intent, OpenOptions{
+				Evolve: &EvolveOptions{Interval: 1 << 30, MinWindow: 64, MinShimSamples: math.MaxUint64},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			paths, err := drv.q.Dev().Model.Paths()
+			if err != nil {
+				t.Fatal(err)
+			}
+			smallest, largest := paths[0].SizeBytes(), paths[0].SizeBytes()
+			for _, p := range paths {
+				smallest, largest = min(smallest, p.SizeBytes()), max(largest, p.SizeBytes())
+			}
+			ring := drv.q.Dev().CmptRing
+			if ring.EntrySize() != (largest+7)&^7 {
+				t.Fatalf("ring stride %d B for a largest path of %d B", ring.EntrySize(), largest)
+			}
+
+			ck := newComposeChecker(t, drv, hardPackets(2048))
+			ck.sems, ck.mix = c.sems, c.mixes[0]
+			sizes, ids := map[int]bool{}, map[int]bool{}
+			ck.drive(drv, c.mixes, func() {
+				sizes[drv.CompletionBytes()], ids[drv.Result.Selected.Path.ID] = true, true
+			})
+			if ev := drv.Evolution(); ev.Switchovers < 3 || ev.SwitchDrops != 0 || ev.Rollbacks != 0 || ev.PacketsDrained == 0 {
+				t.Fatalf("want ≥ 3 clean switchovers with packets in flight, got %+v", ev)
+			}
+			if !sizes[smallest] || !sizes[largest] || len(ids) < 2 {
+				t.Errorf("visited completion sizes %v (paths %v), want the smallest (%d B) and the largest (%d B)", sizes, ids, smallest, largest)
+			}
+			if drv.q.Dev().CmptRing != ring {
+				t.Error("a switchover replaced the completion ring")
+			}
+		})
 	}
 }

@@ -369,3 +369,66 @@ func TestHardenedDegradedResidencyVirtualClock(t *testing.T) {
 		t.Errorf("DegradedOps moved %d -> %d while healthy", opsAfter, got)
 	}
 }
+
+// TestHardenedFaultClassesOnSizedRing: the ring's stride differs per NIC (8
+// to 64 bytes), and the hardened queue's verdicts do not depend on it. On
+// every bundled NIC, under torn, duplicated and bit-flipped completions, each
+// packet is delivered exactly once with the golden length; every injected
+// fault is caught; and no record reaches the validator shorter than the
+// layout it checks — the ring pads a torn record to the stride, which is
+// never below Validator.RecordBytes().
+func TestHardenedFaultClassesOnSizedRing(t *testing.T) {
+	intent, err := NewIntent("sized_ring", "pkt_len")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nicName := range NICs() {
+		t.Run(nicName, func(t *testing.T) {
+			drv, err := OpenWith(nicName, intent, OpenOptions{Harden: &HardenOptions{Deep: true}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stride, rec := drv.q.Dev().CmptRing.EntrySize(), drv.q.Lane(0).Validator.RecordBytes(); stride < rec {
+				t.Fatalf("ring stride %d B is shorter than the validated record, %d B", stride, rec)
+			}
+			inj := faults.New(faults.Plan{Seed: 17, TruncateP: 0.1, DuplicateP: 0.1, CorruptP: 0.1, BurstBits: 4})
+			drv.InjectFaults(inj)
+			packets, next := hardPackets(512), 0
+			deliver := func(p []byte, meta Meta) {
+				if next >= len(packets) || &p[0] != &packets[next][0] {
+					t.Fatalf("delivery %d duplicated or out of order", next)
+				}
+				if v, ok := meta.Get("pkt_len"); !ok || v != uint64(len(p)) {
+					t.Fatalf("delivery %d: pkt_len = %d/%v, want %d", next, v, ok, len(p))
+				}
+				next++
+			}
+			for i, p := range packets {
+				if !drv.Rx(p) {
+					t.Fatalf("rx %d refused", i)
+				}
+				if i%4 == 3 {
+					drv.Poll(deliver)
+				}
+			}
+			for drv.Poll(deliver) > 0 {
+			}
+			if next != len(packets) {
+				t.Fatalf("delivered %d of %d packets", next, len(packets))
+			}
+			st, injected := drv.Hardening(), inj.Stats().Injected
+			if injected[faults.Truncate] == 0 || injected[faults.Duplicate] == 0 || injected[faults.Corrupt] == 0 {
+				t.Fatalf("fault mix did not reach every class: %v", injected)
+			}
+			if st.Quarantined < injected[faults.Truncate]+injected[faults.Corrupt] {
+				t.Errorf("quarantined %d records for %d torn and %d bit-flipped", st.Quarantined, injected[faults.Truncate], injected[faults.Corrupt])
+			}
+			if st.StaleDrops+st.SpuriousCompletions < injected[faults.Duplicate] {
+				t.Errorf("discarded %d stale + %d spurious records for %d duplicates", st.StaleDrops, st.SpuriousCompletions, injected[faults.Duplicate])
+			}
+			if n := st.RejectsByClass["short"]; n != 0 {
+				t.Errorf("%d records reached the validator short of its layout", n)
+			}
+		})
+	}
+}

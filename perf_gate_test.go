@@ -2,6 +2,7 @@ package opendesc
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"opendesc/internal/core"
@@ -137,6 +138,45 @@ func TestDeliverPathAllocGate(t *testing.T) {
 					"the poll→validate→read→deliver path must stay allocation-free", deliver, full, rxOnly)
 			}
 		})
+	}
+}
+
+// TestOpenMemoryGate bounds what bringing a device up allocates, in bytes —
+// a count the machine's speed cannot move. A device is sized by its
+// description: the completion ring's stride is the largest enumerated path,
+// and packets are not copied into a pool behind it. What is left is mostly
+// the flight ring; the limits leave it about 50% headroom.
+func TestOpenMemoryGate(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		limit uint64
+		open  func() error
+	}{
+		{"Open(ice)", 320 << 10, func() error {
+			_, err := Open("ice", gateSems...)
+			return err
+		}},
+		{"OpenTenants(mlx5, 2 cores)", 512 << 10, func() error {
+			_, err := OpenTenants(TenantOptions{NIC: "mlx5", Cores: 2, RingEntries: 2048},
+				TenantSpec{Name: "a", Semantics: gateSems}, TenantSpec{Name: "b", Semantics: gateSems})
+			return err
+		}},
+	} {
+		if err := c.open(); err != nil { // the description is analysed once per process
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := c.open(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s allocates %d KiB (limit %d KiB)", c.name, got>>10, c.limit>>10)
+		if got > c.limit {
+			t.Errorf("%s allocates %d bytes, limit %d: bring-up is sized by more than the description",
+				c.name, got, c.limit)
+		}
 	}
 }
 
