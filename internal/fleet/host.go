@@ -161,7 +161,7 @@ type Host struct {
 	Name  string
 	Model *nic.Model
 
-	// q is the host's receive queue, stamping packets on the host clock.
+	// q is the host's receive queue, stamping grid packets on the host clock.
 	q      *rxpath.Queue
 	clk    vclock.Clock
 	golden map[semantics.Name]codegen.SoftFunc
@@ -318,7 +318,10 @@ func (h *Host) Poll() int {
 // the latency evidence the controller gates on is the always-on per-packet
 // histogram, so sampling only thins the verbatim exhibit events — and keeps
 // the telemetry instrumentation tax inside the recorder's 5% hot-path
-// budget (E21 measures and enforces it).
+// budget (E21 measures and enforces it). The queue stamps Rx on the same
+// grid, so an anomalous delivery off it has no stamp and its event carries a
+// DMA→poll of 0 — what a facade driver's deliver event carries off the grid
+// too; its poll→deliver is then the layout's service cost alone.
 func (h *Host) deliver(pkt []byte, m rxpath.Meta) {
 	d := rxpath.Of(m)
 	lay, rxNs := d.Lane.Owner.(*layout), d.TS

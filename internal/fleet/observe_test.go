@@ -3,12 +3,14 @@ package fleet
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"opendesc/internal/fleet/telemetry"
 	"opendesc/internal/nic"
 	"opendesc/internal/obs"
+	"opendesc/internal/obs/flight"
 	"opendesc/internal/vclock"
 )
 
@@ -301,5 +303,72 @@ func TestFleetTraceMergedTimeline(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("fleet trace missing %s", want)
 		}
+	}
+}
+
+// TestAnomalousDeliveryOffGridCarriesNoRxStamp: the host's queue stamps Rx
+// on the flight sampling grid only, so the deliver event of an anomalous
+// delivery off the grid carries DMA→poll 0 and the layout's service cost as
+// its poll→deliver, a grid delivery the real wait — and the telemetry
+// report still renders both as deliver[...] exhibits.
+func TestAnomalousDeliveryOffGridCarriesNoRxStamp(t *testing.T) {
+	clk := vclock.NewVirtual(1000)
+	h, err := NewHost("e1000e-a", nic.All()[1], HostOptions{Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The oracle's ground truth is wrong for the first packet alone: one
+	// garbage anomaly, at sequence 1.
+	first := testPacket(0)
+	truth := h.lkg.checks[0].fn
+	h.lkg.checks[0].fn = func(p []byte) uint64 {
+		if &p[0] == &first[0] {
+			return ^truth(p)
+		}
+		return truth(p)
+	}
+	const wait = 500
+	for i := 0; i < flight.SamplePeriod; i++ {
+		pk := first
+		if i > 0 {
+			pk = testPacket(i)
+		}
+		if !h.Rx(pk) {
+			t.Fatalf("rx %d refused", i)
+		}
+	}
+	clk.Advance(wait)
+	if n := h.Poll(); n != flight.SamplePeriod {
+		t.Fatalf("delivered %d of %d", n, flight.SamplePeriod)
+	}
+	if hl := h.Health(); hl.Garbage != 1 || hl.OrderViolations != 0 {
+		t.Fatalf("want exactly the planted garbage read, got %+v", hl)
+	}
+	cost := h.DeliverCostNs()
+	want := map[uint32][2]uint64{ // seq → DMA→poll, DMA→deliver
+		1:                   {0, cost},
+		flight.SamplePeriod: {wait + (flight.SamplePeriod-1)*cost, wait + flight.SamplePeriod*cost},
+	}
+	for _, q := range h.rec.Snapshot().Queues {
+		for _, ev := range q.Events {
+			if ev.Code != flight.EvDeliver {
+				continue
+			}
+			w, ok := want[ev.Seq]
+			if !ok || ev.Arg0 != w[0] || ev.Arg1 != w[1] {
+				t.Errorf("deliver event seq %d carries %d/%d, want one of %v", ev.Seq, ev.Arg0, ev.Arg1, want)
+			}
+			delete(want, ev.Seq)
+		}
+	}
+	if len(want) != 0 {
+		t.Errorf("deliver events missing for %v", want)
+	}
+	var exhibits []string
+	for _, a := range h.TelemetryReport().Slowest {
+		exhibits = append(exhibits, a.String())
+	}
+	if got, want := strings.Join(exhibits, " "), fmt.Sprintf("deliver[seq 1 poll→deliver %dns @", cost); !strings.Contains(got, want) {
+		t.Errorf("slowest-delivery exhibits %q do not render the off-grid anomaly as %q…", got, want)
 	}
 }

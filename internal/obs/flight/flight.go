@@ -147,18 +147,6 @@ const SamplePeriod = 16
 // emit, push, pop, verdict, reads, deliver — not disjoint fragments.
 func Sampled(seq uint32) bool { return seq&(SamplePeriod-1) == 0 }
 
-// NowIfSampled returns Now() when packet seq falls on the sampling grid and
-// 0 otherwise. Drivers stamp their pending packets with it at Rx: the zero
-// timestamp then propagates "not sampled" through every downstream latency
-// derivation and per-read event with no further branching, so 15 of 16
-// packets pay a single mask test for the whole recording machinery.
-func (q *Queue) NowIfSampled(seq uint32) uint64 {
-	if !Sampled(seq) {
-		return 0
-	}
-	return q.Now()
-}
-
 // String returns the stable wire name of the code.
 func (c Code) String() string {
 	if int(c) < len(codeNames) && codeNames[c] != "" {

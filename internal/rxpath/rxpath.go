@@ -2,8 +2,10 @@
 // repository: the facade drivers (pinned, hardened, evolving), each core of
 // the multi-tenant plane and the fleet host all receive through a Queue.
 // What differs between them is what a packet is read under — its Lane — and
-// whether the hardening policy (harden.go) is armed on the queue. A queue
-// takes no lock; its owner serializes it (DESIGN.md, "The receive path").
+// whether the hardening policy (harden.go) is armed on the queue. Every queue
+// stamps accepted packets by one rule: on the flight sampling grid, from its
+// owner's clock or else the flight recorder's (push). A queue takes no lock;
+// its owner serializes it (DESIGN.md, "The receive path").
 package rxpath
 
 import (
@@ -41,8 +43,8 @@ type Lane struct {
 // Entry is one accepted packet awaiting delivery.
 type Entry struct {
 	Pkt []byte
-	// TS is the Rx stamp: the flight timestamp when Seq is on the sampling
-	// grid and zero otherwise, or on a clocked queue the clock's reading.
+	// TS is the Rx stamp: the queue's clock read at Rx when Seq is on the
+	// flight sampling grid, zero otherwise. Latency is derived from it.
 	TS uint64
 	// Seq numbers accepted packets 1-based, like the device's DMA-emit
 	// sequence, so queue and device events correlate.
@@ -153,7 +155,7 @@ type Queue struct {
 
 // New programs dev with cfg and returns its queue. With a nil clock the
 // queue owns a flight recorder and stamps accepted packets on its sampling
-// grid; with a clock it stamps every packet on the client's timeline
+// grid; with a clock it stamps the same packets on the client's timeline
 // (Entry.TS) and records nothing — deriving latency is then the client's.
 func New(dev *nicsim.Device, cfg []core.Constraint, clock vclock.Clock) (*Queue, error) {
 	if err := Apply(dev, cfg, 0, nil); err != nil {
@@ -208,13 +210,18 @@ func (q *Queue) Rx(pkt []byte, tag uint32) bool {
 	return true
 }
 
+// push queues an accepted packet, stamped if it is on the sampling grid. The
+// zero stamp propagates "not sampled" through every latency derivation and
+// per-read event downstream, so 15 of 16 packets pay a single mask test.
 func (q *Queue) push(pkt []byte, tag uint32, soft bool) {
 	q.seq++
 	var ts uint64
-	if q.clock != nil {
-		ts = q.clock.Now()
-	} else {
-		ts = q.fq.NowIfSampled(q.seq)
+	if flight.Sampled(q.seq) {
+		if q.clock != nil {
+			ts = q.clock.Now()
+		} else {
+			ts = q.fq.Now()
+		}
 	}
 	q.pending = append(q.pending, Entry{Pkt: pkt, TS: ts, Seq: q.seq, Tag: tag, Soft: soft})
 }

@@ -101,6 +101,12 @@ type queueState struct {
 	polls     obs.Counter // PollCore invocations that drained this queue
 	delivered obs.Counter // deliveries consumed from this queue
 	stolen    obs.Counter // deliveries consumed by a non-owner core
+
+	// The poll in progress counts deliveries by tenant here (under mu) and
+	// publishes them when it returns; seen lists the non-zero counts, so a
+	// one-packet poll does not sweep every configured tenant.
+	counts []uint32
+	seen   []int
 }
 
 // tenantState is one tenant's runtime view: its intent, its lane — the
@@ -133,7 +139,7 @@ type Plane struct {
 	gen     uint64
 	queues  []*queueState
 	tenants []*tenantState
-	byPort  map[uint16]int
+	ports   portTable
 	clock   vclock.Clock
 	mix     *evolve.MixTracker
 
@@ -164,11 +170,10 @@ func Open(opts Options, specs ...Spec) (*Plane, error) {
 		return nil, err
 	}
 	p := &Plane{
-		model:  m,
-		opts:   opts,
-		steer:  softnic.NewToeplitzTable(opts.Key),
-		clock:  vclock.Or(opts.Clock),
-		byPort: make(map[uint16]int, len(specs)),
+		model: m,
+		opts:  opts,
+		steer: softnic.NewToeplitzTable(opts.Key),
+		clock: vclock.Or(opts.Clock),
 	}
 	intents := make([][]semantics.Name, len(specs))
 	for i, s := range specs {
@@ -180,14 +185,18 @@ func Open(opts Options, specs ...Spec) (*Plane, error) {
 			port = opts.BasePort + uint16(i)
 			s.Port = port
 		}
-		if prev, dup := p.byPort[port]; dup {
-			return nil, fmt.Errorf("tenant: %s and %s share port %d", specs[prev].Name, s.Name, port)
+		for _, prev := range p.tenants {
+			if prev.port == port {
+				return nil, fmt.Errorf("tenant: %s and %s share port %d", prev.spec.Name, s.Name, port)
+			}
+			if prev.spec.Name == s.Name {
+				return nil, fmt.Errorf("tenant: duplicate tenant name %q", s.Name)
+			}
 		}
 		intent, err := intentFor(s.Name, s.Semantics)
 		if err != nil {
 			return nil, err
 		}
-		p.byPort[port] = i
 		p.tenants = append(p.tenants, &tenantState{
 			spec:   s,
 			intent: intent,
@@ -196,13 +205,7 @@ func Open(opts Options, specs ...Spec) (*Plane, error) {
 		})
 		intents[i] = intent.Req().Sorted()
 	}
-	for i := range p.tenants {
-		for j := i + 1; j < len(p.tenants); j++ {
-			if p.tenants[i].spec.Name == p.tenants[j].spec.Name {
-				return nil, fmt.Errorf("tenant: duplicate tenant name %q", p.tenants[i].spec.Name)
-			}
-		}
-	}
+	p.ports = newPortTable(p.tenants)
 	p.mix = evolve.NewMixTracker(intents)
 
 	jr, err := m.CompileJoint(p.jointIntents(), opts.Compile)
@@ -222,10 +225,38 @@ func Open(opts Options, specs ...Spec) (*Plane, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.queues = append(p.queues, &queueState{q: q})
+		p.queues = append(p.queues, &queueState{q: q, counts: make([]uint32, len(specs)), seen: make([]int, 0, len(specs))})
 	}
 	p.install(jr)
 	return p, nil
+}
+
+// portTable classifies a UDP destination port: tenant index + 1 by port −
+// base, zero where no tenant listens. Dense over the span of the configured
+// ports: a cache line or two for consecutive ports, 128 KiB at worst.
+type portTable struct {
+	base uint16
+	idx  []uint16
+}
+
+func newPortTable(tenants []*tenantState) portTable {
+	lo, hi := tenants[0].port, tenants[0].port
+	for _, t := range tenants {
+		lo, hi = min(lo, t.port), max(hi, t.port)
+	}
+	pt := portTable{base: lo, idx: make([]uint16, int(hi-lo)+1)}
+	for i, t := range tenants {
+		pt.idx[t.port-lo] = uint16(i + 1)
+	}
+	return pt
+}
+
+// lookup returns the tenant listening on port, or -1.
+func (pt *portTable) lookup(port uint16) int {
+	if off := int(port) - int(pt.base); uint(off) < uint(len(pt.idx)) {
+		return int(pt.idx[off]) - 1
+	}
+	return -1
 }
 
 func intentFor(name string, sems []string) (*core.Intent, error) {
@@ -310,8 +341,8 @@ func (p *Plane) Rx(packet []byte) bool {
 		p.unclassified.Inc()
 		return false
 	}
-	ti, ok := p.byPort[info.DstPort]
-	if !ok {
+	ti := p.ports.lookup(info.DstPort)
+	if ti < 0 {
 		p.unclassified.Inc()
 		return false
 	}
@@ -405,8 +436,10 @@ func (p *Plane) busiest(self int) int {
 }
 
 // pollQueue drains up to limit deliveries (negative: unbounded) from queue
-// q on behalf of core, settling each tenant's accounting as it goes. Caller
-// holds p.mu.RLock.
+// q on behalf of core. Per packet it counts the delivery in the queue's
+// scratch and, if the queue stamped it (the sampling grid), observes Rx →
+// deliver latency; each tenant's counters are published once, when the poll
+// returns. Caller holds p.mu.RLock.
 func (p *Plane) pollQueue(core, q, limit int, h func(Delivery)) int {
 	qs := p.queues[q]
 	qs.mu.Lock()
@@ -421,16 +454,20 @@ func (p *Plane) pollQueue(core, q, limit int, h func(Delivery)) int {
 			Queue: q, Core: core, Stolen: stolen,
 			Pkt: pktB, m: m,
 		})
-		t.delivered.Inc()
-		p.mix.NoteDelivered(ti, 1)
+		if qs.counts[ti] == 0 {
+			qs.seen = append(qs.seen, ti)
+		}
+		qs.counts[ti]++
 		if d.TS != 0 {
-			if now := p.clock.Now(); now > d.TS {
-				t.lat.Observe(now - d.TS)
-			} else {
-				t.lat.Observe(0)
-			}
+			t.lat.Observe(max(p.clock.Now(), d.TS) - d.TS)
 		}
 	})
+	for _, ti := range qs.seen {
+		p.tenants[ti].delivered.Add(uint64(qs.counts[ti]))
+		p.mix.NoteDelivered(ti, int(qs.counts[ti]))
+		qs.counts[ti] = 0
+	}
+	qs.seen = qs.seen[:0]
 	if n > 0 {
 		qs.polls.Inc()
 		qs.delivered.Add(uint64(n))
@@ -617,7 +654,8 @@ type TenantStats struct {
 	Accepted  uint64
 	Delivered uint64
 	Renegs    uint64
-	// P50/P99 are Rx→deliver latency quantiles on the plane clock (ns).
+	// P50/P99 are Rx→deliver latency quantiles on the plane clock (ns), over
+	// the packets on the flight sampling grid (1 in 16 by queue sequence).
 	P50, P99 float64
 }
 
@@ -659,10 +697,12 @@ func (p *Plane) Stats() Stats {
 	for _, t := range p.tenants {
 		snap := t.lat.Snapshot()
 		st.Tenants = append(st.Tenants, TenantStats{
-			Name:      t.spec.Name,
-			Port:      t.port,
-			Accepted:  t.accepted.Load(),
+			Name: t.spec.Name,
+			Port: t.port,
+			// Delivered is loaded first: both only grow and accepting comes
+			// before delivering, so no snapshot shows delivered > accepted.
 			Delivered: t.delivered.Load(),
+			Accepted:  t.accepted.Load(),
 			Renegs:    t.renegs.Load(),
 			P50:       float64(snap.Quantile(0.50)),
 			P99:       float64(snap.Quantile(0.99)),
