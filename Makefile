@@ -41,6 +41,7 @@ perf-gate: alloc-gate
 alloc-gate:
 	$(GO) test -run 'TestDeliverPathAllocGate|TestWarmCompileSkipsAnalysis|TestOpenMemoryGate' -v .
 	$(GO) test -run TestClockReadsOnGrid -v ./internal/tenant
+	$(GO) test -run TestPollReadsClockOnGrid -v ./internal/rxpath
 
 # Non-test Go lines per top-level directory: raw, and code only (no blank or
 # comment lines). A PR states its net delta from this.

@@ -420,6 +420,75 @@ func BenchmarkFlightOverhead(b *testing.B) {
 	b.Run("off", func(b *testing.B) { run(b, false) })
 }
 
+// BenchmarkPollFixedCost is what one Driver.Poll costs the host by what it
+// finds: nothing (the idle iteration of a spin-polling application), one
+// packet off the flight sampling grid (kv_openloop's usual poll), a burst of
+// 32 with its two grid packets. ns/poll is the time inside Poll alone — the
+// arms with traffic read the clock around each Poll and subtract what a
+// back-to-back pair of reads measures — and allocs/op there are the
+// simulated device's: TestDeliverPathAllocGate holds the poll side to zero.
+func BenchmarkPollFixedCost(b *testing.B) {
+	tr := workload.MustGenerate(workload.DefaultSpec())
+	var pair time.Duration
+	const pairs = 1 << 14
+	for i := 0; i < pairs; i++ {
+		pair += time.Since(time.Now())
+	}
+	pair /= pairs
+	for _, arm := range []struct {
+		name  string
+		burst int
+	}{{"empty", 0}, {"one_unsampled", 1}, {"burst32", 32}} {
+		b.Run(arm.name, func(b *testing.B) {
+			drv, err := opendesc.Open("e1000e", "rss", "vlan", "pkt_len")
+			if err != nil {
+				b.Fatal(err)
+			}
+			var sink uint64
+			h := func(_ []byte, meta opendesc.Meta) {
+				v, _ := meta.Get("rss")
+				sink += v
+			}
+			var inPoll time.Duration
+			accepted := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if arm.burst == 0 {
+					drv.Poll(h)
+					continue
+				}
+				for j := 0; j < arm.burst; j++ {
+					accepted++
+					// A packet accepted while the recorder is off gets no
+					// stamp: that keeps every one-packet poll off the grid.
+					off := arm.burst == 1 && accepted%16 == 0
+					if off {
+						drv.Flight().SetEnabled(false)
+					}
+					if !drv.Rx(tr.Packets[accepted%len(tr.Packets)]) {
+						b.Fatal("ring full")
+					}
+					if off {
+						drv.Flight().SetEnabled(true)
+					}
+				}
+				t0 := time.Now()
+				n := drv.Poll(h)
+				inPoll += time.Since(t0) - pair
+				if n != arm.burst {
+					b.Fatalf("poll delivered %d, want %d", n, arm.burst)
+				}
+			}
+			if arm.burst == 0 {
+				inPoll = b.Elapsed()
+			}
+			b.ReportMetric(float64(inPoll.Nanoseconds())/float64(b.N), "ns/poll")
+			_ = sink
+		})
+	}
+}
+
 // BenchmarkRingOps measures the descriptor-queue substrate.
 func BenchmarkRingOps(b *testing.B) {
 	b.Run("produce-consume-64B", func(b *testing.B) {

@@ -26,6 +26,9 @@ type Reader struct {
 	Hardware   bool
 	OffsetBits int
 	WidthBits  int
+	// Name8 is Semantic's first 8 bytes as a little-endian word, packed when
+	// the table is linked: what a flight read event carries (flight.PackName).
+	Name8 uint64
 	// read is non-nil for hardware accessors.
 	read func(desc []byte) uint64
 	// soft is non-nil for software shims.
@@ -82,6 +85,9 @@ func newRuntime(res *core.Result, softImpls map[semantics.Name]SoftFunc, allSoft
 			Hardware:   a.Hardware && !allSoft,
 			OffsetBits: a.OffsetBits,
 			WidthBits:  a.WidthBits,
+		}
+		for j := 0; j < len(a.Semantic) && j < 8; j++ {
+			r.Name8 |= uint64(a.Semantic[j]) << (8 * j)
 		}
 		if r.Hardware {
 			off, w := a.OffsetBits, a.WidthBits

@@ -2,11 +2,9 @@ package codegen
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"opendesc/internal/bitfield"
 	"opendesc/internal/core"
-	"opendesc/internal/obs/flight"
 	"opendesc/internal/semantics"
 )
 
@@ -112,17 +110,7 @@ type Validator struct {
 	deepBits       int
 	totalBits      int
 	uncovered      []string
-
-	// fq, when attached, receives one verdict event per Check call (not per
-	// Conforms — the hardened driver calls Conforms repeatedly while
-	// re-classifying a single record during resync, which would flood the
-	// stream with echoes of one verdict). nChecks is the verdict sequence.
-	fq      *flight.Queue
-	nChecks atomic.Uint32
 }
-
-// AttachFlight wires per-Check verdict events to q (nil detaches).
-func (v *Validator) AttachFlight(q *flight.Queue) { v.fq = q }
 
 // NewValidator compiles the check table for a compilation result.
 func NewValidator(res *core.Result, opts ValidatorOptions) (*Validator, error) {
@@ -189,20 +177,10 @@ func (v *Validator) Deep() bool { return v.deep }
 
 // Check validates one completion record against the packet it should
 // describe. It returns nil for a conforming record, or the first violation.
-// The deep tier runs only when the validator was built with Deep.
+// The deep tier runs only when the validator was built with Deep. Check is a
+// pure function; whoever calls it records the verdict.
 func (v *Validator) Check(rec, packet []byte) *Violation {
-	viol := v.check(rec, packet, v.deep)
-	if v.fq != nil {
-		// Violations are always recorded; conforming verdicts are routine
-		// per-completion traffic and sampled (flight.SamplePeriod).
-		n := v.nChecks.Add(1)
-		if viol != nil {
-			v.fq.Record(flight.EvVerdict, n, uint64(viol.Kind)+1, uint64(len(rec)))
-		} else if flight.Sampled(n) {
-			v.fq.Record(flight.EvVerdict, n, 0, uint64(len(rec)))
-		}
-	}
-	return viol
+	return v.check(rec, packet, v.deep)
 }
 
 // Conforms reports whether rec fully describes packet, with the deep tier

@@ -29,6 +29,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"opendesc/internal/vclock"
 )
 
 // Code identifies an event type. Codes are stable across processes: they are
@@ -44,15 +46,16 @@ const (
 	EvHangDrop // packet refused while the device is wedged
 	EvDevReset // device reset accepted (function-level reset completed)
 
-	// Descriptor ring.
-	EvRingPush  // record published; seq = absolute slot index, arg0 = occupancy after
+	// Descriptor ring. seq = the record's absolute slot index: the packet's
+	// 1-based seq minus one, on a queue that has lost nothing.
+	EvRingPush  // record published; arg0 = occupancy after
 	EvRingFull  // producer stalled: ring full; arg0 = occupancy (= capacity)
-	EvRingPop   // record consumed; seq = absolute slot index, arg0 = occupancy after
+	EvRingPop   // record consumed; arg0 = occupancy after
 	EvRingEmpty // consumer found the ring empty with work pending
 	EvRingWrap  // tail wrapped to slot 0; arg0 = completed laps
 
-	// Validation (codegen.Validator).
-	EvVerdict // arg0 = 0 for conforming, violation kind+1 otherwise; arg1 = record bytes
+	// Validation (codegen.Validator, recorded by the receive queue).
+	EvVerdict // seq = packet seq; arg0 = 0 for conforming, violation kind+1 otherwise; arg1 = record bytes
 
 	// Metadata reads.
 	EvReadHW   // synthesized hardware accessor; arg0 = packed semantic name
@@ -132,19 +135,22 @@ var codeNames = [numCodes]string{
 }
 
 // SamplePeriod is the 1-in-N period for routine per-packet events (DMA
-// emits, ring push/pop, clean verdicts, accessor reads, shim calls). At
-// ~60-85ns per recorded event, tracing every stage of every completion
-// costs several hundred ns/pkt — over the recorder's 5% hot-path budget.
-// Sampling the routine traffic keeps a representative slice of healthy
-// lifecycles in the ring while anomalies (stalls, violations, hardening
-// classifications, watchdog and switchover events) and per-completion
-// EvDeliver latencies are always recorded.
+// emits, ring push/pop, clean verdicts, accessor reads, shim calls, deliver
+// latencies). At ~60-85ns per recorded event, tracing every stage of every
+// completion costs several hundred ns/pkt — over the recorder's 5% hot-path
+// budget. Sampling the routine traffic keeps a representative slice of
+// healthy lifecycles in the ring while anomalies (stalls, violations,
+// hardening classifications, watchdog and switchover events) are always
+// recorded. A sampled packet costs its queue four clock reads and the poll
+// that delivers it one; other packets, and other polls, read no clock.
 const SamplePeriod = 16
 
-// Sampled reports whether a routine event with ordinal seq falls on the
-// sampling grid. Device, ring, validator and driver all count completions
-// 1-based in lockstep, so a sampled packet carries its whole lifecycle —
-// emit, push, pop, verdict, reads, deliver — not disjoint fragments.
+// Sampled reports whether a routine event with 1-based ordinal seq falls on
+// the sampling grid. Device and receive queue count accepted packets in
+// lockstep, the ring samples the record whose 1-based count is on the grid,
+// and everything after Rx rides on the queue's Rx stamp; so on a queue that
+// has lost nothing a sampled packet carries its whole lifecycle — emit, push,
+// pop, verdict, reads, deliver — and an unsampled one no routine event.
 func Sampled(seq uint32) bool { return seq&(SamplePeriod-1) == 0 }
 
 // String returns the stable wire name of the code.
@@ -319,6 +325,8 @@ type Config struct {
 	// DumpDir, when set, makes every postmortem also write a binary dump
 	// file (decode with `opendesc flight`).
 	DumpDir string
+	// Clock is what Now and Record read (nil: wall time since the epoch).
+	Clock vclock.Clock
 }
 
 const (

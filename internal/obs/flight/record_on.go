@@ -9,11 +9,15 @@ import "time"
 const Compiled = true
 
 // Now returns the current event timestamp: nanoseconds since the recorder
-// epoch, or 0 when the queue is nil or recording is off. Callers that emit
-// several events for one operation should read Now once and use RecordT.
+// epoch (or the configured clock's reading), or 0 when the queue is nil or
+// recording is off. Callers that emit several events for one operation
+// should read Now once and use RecordT.
 func (q *Queue) Now() uint64 {
 	if q == nil || !q.rec.enabled.Load() {
 		return 0
+	}
+	if c := q.rec.cfg.Clock; c != nil {
+		return c.Now()
 	}
 	return uint64(time.Since(q.rec.epoch))
 }
@@ -21,10 +25,7 @@ func (q *Queue) Now() uint64 {
 // Record appends an event stamped with the current time. Nil queues and
 // disabled recorders make it a no-op, so call sites need no guards.
 func (q *Queue) Record(c Code, seq uint32, a0, a1 uint64) {
-	if q == nil || !q.rec.enabled.Load() {
-		return
-	}
-	q.record(uint64(time.Since(q.rec.epoch)), c, seq, a0, a1)
+	q.RecordT(q.Now(), c, seq, a0, a1)
 }
 
 // RecordT appends an event with a caller-supplied timestamp (from Now),

@@ -169,9 +169,10 @@ func (r *Ring) Produce(fill func(entry []byte)) bool {
 	r.tail.Store(tail + 1)
 	r.noteProduced(tail + 1 - head)
 	if r.fq != nil {
-		// Pushes are routine per-completion traffic: sampled. Wraps are rare
-		// (one per lap) and always recorded.
-		if flight.Sampled(tail) {
+		// Pushes are routine per-completion traffic: sampled, on the record's
+		// 1-based count like the packet sequence everywhere else. Wraps are
+		// rare (one per lap) and always recorded.
+		if flight.Sampled(tail + 1) {
 			r.fq.Record(flight.EvRingPush, tail, uint64(tail+1-head), 0)
 		}
 		if (tail+1)&r.mask == 0 {
@@ -225,7 +226,7 @@ func (r *Ring) Consume(use func(entry []byte)) bool {
 	use(r.slot(head))
 	r.head.Store(head + 1)
 	r.consumed.Add(1)
-	if flight.Sampled(head) {
+	if flight.Sampled(head + 1) {
 		r.fq.Record(flight.EvRingPop, head, uint64(tail-head-1), 0)
 	}
 	return true
@@ -248,7 +249,7 @@ func (r *Ring) Pop() bool {
 	if c.At() == nil {
 		return false
 	}
-	c.Release()
+	c.Release(0)
 	c.Close()
 	return true
 }
@@ -257,10 +258,10 @@ func (r *Ring) Pop() bool {
 // Ring.Cursor reads head and tail once; At and Release walk the entries
 // filled at that moment without touching shared state, and Close publishes
 // the new head and the consumed count in one store and one add. The caller
-// bounds the burst (it releases no more entries than it has packets for);
-// every released entry on the sampling grid records the EvRingPop a Consume
-// would have (arg0 = occupancy after). Do not Reset the ring or mix in
-// Consume/Pop while a cursor is open.
+// bounds the burst (it releases no more entries than it has packets for)
+// and owns the sampling decision: Release records the EvRingPop a Consume
+// would have (arg0 = occupancy after) for the entries it passes a timestamp
+// for. Do not Reset the ring or mix in Consume/Pop while a cursor is open.
 type Cursor struct {
 	r          *Ring
 	head, tail uint32
@@ -287,10 +288,11 @@ func (c *Cursor) At() []byte {
 	return c.r.slot(c.head)
 }
 
-// Release marks the entry At returned as consumed.
-func (c *Cursor) Release() {
-	if flight.Sampled(c.head) {
-		c.r.fq.Record(flight.EvRingPop, c.head, uint64(c.tail-c.head-1), 0)
+// Release marks the entry At returned as consumed, recording its pop at ts
+// (0: the entry's packet is off the sampling grid, no event).
+func (c *Cursor) Release(ts uint64) {
+	if ts != 0 {
+		c.r.fq.RecordT(ts, flight.EvRingPop, c.head, uint64(c.tail-c.head-1), 0)
 	}
 	c.head++
 }

@@ -134,7 +134,9 @@ func TestProduceInPlace(t *testing.T) {
 }
 
 // burst drains up to max entries in one cursor transaction, the way a poll
-// loop with max packets pending does.
+// loop with max packets pending does — the sampling decision included: it
+// hands Release a timestamp for the entries whose 1-based count is on the
+// grid, which are the ones Consume samples.
 func burst(r *Ring, max int, use func(entry []byte)) int {
 	cur := r.Cursor()
 	n := 0
@@ -144,7 +146,11 @@ func burst(r *Ring, max int, use func(entry []byte)) int {
 			break
 		}
 		use(e)
-		cur.Release()
+		var ts uint64
+		if flight.Sampled(cur.head + 1) {
+			ts = 1
+		}
+		cur.Release(ts)
 	}
 	cur.Close()
 	return n
@@ -190,24 +196,25 @@ func events(rec *flight.Recorder) []flight.Event {
 }
 
 // TestCursorPopEventIsOccupancyAfter pins the one meaning of EvRingPop's
-// arg0: a burst records per sampled entry, with the occupancy left behind
-// it, not once per burst with its size.
+// seq and arg0: a burst records per sampled entry, under its slot index (its
+// 1-based count minus one) with the occupancy left behind it, not once per
+// burst with its size.
 func TestCursorPopEventIsOccupancyAfter(t *testing.T) {
 	if !flight.Compiled {
 		t.Skip("flight recording compiled out")
 	}
 	rec := flight.NewRecorder(flight.Config{})
-	r := MustNew(1, 32)
-	for i := 0; i < 20; i++ {
+	r := MustNew(1, 64)
+	for i := 0; i < 36; i++ {
 		r.Push([]byte{byte(i)})
 	}
 	r.AttachFlight(rec.Queue("q0"))
-	if n := burst(r, 18, func([]byte) {}); n != 18 {
+	if n := burst(r, 34, func([]byte) {}); n != 34 {
 		t.Fatalf("burst = %d", n)
 	}
 	want := []flight.Event{
-		{Code: flight.EvRingPop, Seq: 0, Arg0: 19},
-		{Code: flight.EvRingPop, Seq: 16, Arg0: 3},
+		{Code: flight.EvRingPop, Seq: 15, Arg0: 20},
+		{Code: flight.EvRingPop, Seq: 31, Arg0: 4},
 	}
 	if got := events(rec); !reflect.DeepEqual(got, want) {
 		t.Errorf("events = %+v, want %+v", got, want)

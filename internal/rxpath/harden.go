@@ -186,7 +186,6 @@ func (q *Queue) Arm(l *Lane) error {
 	if err != nil {
 		return err
 	}
-	v.AttachFlight(q.fq)
 	l.Validator, l.Soft = v, codegen.NewSoftRuntime(l.RT.Result, soft)
 	return nil
 }
@@ -304,9 +303,9 @@ func (h *hardening) noteConsumed(p []byte, soft bool) {
 
 // noteLost resynchronizes past a lost completion: the device accepted the
 // packet but its record never arrived, so it is served in software.
-func (h *hardening) noteLost(q *Queue, p *Entry, now, skipped uint64) {
+func (h *hardening) noteLost(q *Queue, p *Entry, skipped uint64) {
 	h.resyncDrops.Inc()
-	q.fq.RecordT(now, flight.EvResync, p.Seq, skipped, 0)
+	q.fq.RecordT(q.eventTS(), flight.EvResync, p.Seq, skipped, 0)
 	p.Soft = true
 }
 

@@ -4,8 +4,9 @@
 // What differs between them is what a packet is read under — its Lane — and
 // whether the hardening policy (harden.go) is armed on the queue. Every queue
 // stamps accepted packets by one rule: on the flight sampling grid, from its
-// owner's clock or else the flight recorder's (push). A queue takes no lock;
-// its owner serializes it (DESIGN.md, "The receive path").
+// owner's clock or else the flight recorder's (push) — the one sampling
+// decision, which every later event and clock read of a poll rides on. A queue
+// takes no lock; its owner serializes it (DESIGN.md, "The receive path").
 package rxpath
 
 import (
@@ -78,8 +79,8 @@ type Delivery struct {
 	Lane *Lane
 
 	fq *flight.Queue
-	// ts, non-zero for packets on the sampling grid, makes each Get emit a
-	// flight event (hardware load vs shim call) reusing the Poll timestamp.
+	// ts, non-zero for stamped packets, makes each Get emit a flight event
+	// (hardware load vs shim call) reusing the Poll timestamp.
 	ts uint64
 }
 
@@ -114,7 +115,7 @@ func (m Meta) Get(sem string) (uint64, bool) {
 		if r.Hardware {
 			code = flight.EvReadHW
 		}
-		d.fq.RecordT(d.ts, code, d.Seq, flight.PackName(sem), 0)
+		d.fq.RecordT(d.ts, code, d.Seq, r.Name8, 0)
 	}
 	return r.Read(d.Rec, d.Pkt), true
 }
@@ -147,6 +148,12 @@ type Queue struct {
 	fq    *flight.Queue
 	clock vclock.Clock
 	seq   uint32
+	// stamped counts the queued entries, pending and parked, with an Rx stamp.
+	// now is the poll's (or drain's) timestamp: the flight clock read on entry
+	// when stamped is non-zero — the t0 latencies are derived from — else on
+	// the first anomaly (eventTS), else never read and zero.
+	stamped int
+	now     uint64
 	// Per-stage latencies derived from matched flight timestamps: DMA-emit →
 	// Poll pickup → handler return.
 	dmaToPoll     *obs.Histogram
@@ -211,8 +218,8 @@ func (q *Queue) Rx(pkt []byte, tag uint32) bool {
 }
 
 // push queues an accepted packet, stamped if it is on the sampling grid. The
-// zero stamp propagates "not sampled" through every latency derivation and
-// per-read event downstream, so 15 of 16 packets pay a single mask test.
+// zero stamp propagates "not sampled" through every event, latency derivation
+// and clock read downstream, so 15 of 16 packets pay a single mask test.
 func (q *Queue) push(pkt []byte, tag uint32, soft bool) {
 	q.seq++
 	var ts uint64
@@ -222,14 +229,36 @@ func (q *Queue) push(pkt []byte, tag uint32, soft bool) {
 		} else {
 			ts = q.fq.Now()
 		}
+		if ts != 0 {
+			q.stamped++
+		}
 	}
 	q.pending = append(q.pending, Entry{Pkt: pkt, TS: ts, Seq: q.seq, Tag: tag, Soft: soft})
 }
 
+// begin opens a poll or drain, reading the clock only if a stamped packet
+// is queued to use the reading.
+func (q *Queue) begin() {
+	q.now = 0
+	if q.stamped > 0 {
+		q.now = q.fq.Now()
+	}
+}
+
+// eventTS is the timestamp of an anomaly event: the poll's, read now if the
+// poll has not needed it yet.
+func (q *Queue) eventTS() uint64 {
+	if q.now == 0 {
+		q.now = q.fq.Now()
+	}
+	return q.now
+}
+
 // show points the view at entry e, read under l over rec (nil: in software —
-// whoever decided that has made sure l.Soft exists) in the poll that began
-// at t0. It stays small enough to inline into the loops.
-func (q *Queue) show(e *Entry, rec []byte, l *Lane, t0 uint64) {
+// whoever decided that has made sure l.Soft exists), and returns what e's
+// routine events are stamped with: the poll's timestamp if e is stamped,
+// else 0. It stays small enough to inline into the loops.
+func (q *Queue) show(e *Entry, rec []byte, l *Lane) uint64 {
 	v := &q.view
 	v.Entry, v.Rec, v.Lane, v.RT = e, rec, l, l.RT
 	if rec == nil {
@@ -237,24 +266,26 @@ func (q *Queue) show(e *Entry, rec []byte, l *Lane, t0 uint64) {
 	}
 	v.ts = 0
 	if e.TS != 0 {
-		v.ts = t0
+		v.ts = q.now
 	}
+	return v.ts
 }
 
-// noteDelivered derives one delivered packet's per-stage latencies from its
-// flight timestamps — rxTS stamped at Rx, t0 when the current Poll began —
-// and emits the deliver event carrying both intervals, so trace viewers can
-// render DMA→deliver as a span. A zero rxTS (off the sampling grid) or t0
-// (a drain, a clocked queue, recorder off) skips the derivation, which is
-// what keeps the recorder inside its hot-path budget.
-func (q *Queue) noteDelivered(t0, rxTS uint64, seq uint32) {
-	if t0 == 0 || rxTS == 0 {
+// noteDelivered closes a stamped packet's lifecycle: it derives the per-stage
+// latencies from the packet's three instants — e.TS stamped at Rx, q.now
+// when the current Poll began, the handler's return — and emits the deliver
+// event carrying both intervals, so trace viewers can render DMA→deliver as
+// a span. Only stamped packets get here, which keeps the recorder inside its
+// hot-path budget; a clocked queue or a recorder turned off has no q.now.
+func (q *Queue) noteDelivered(e *Entry) {
+	q.stamped--
+	if q.now == 0 {
 		return
 	}
-	t1 := q.fq.Now()
-	q.dmaToPoll.Observe(t0 - rxTS)
+	t0, t1 := q.now, q.fq.Now()
+	q.dmaToPoll.Observe(t0 - e.TS)
 	q.pollToDeliver.Observe(t1 - t0)
-	q.fq.RecordT(t1, flight.EvDeliver, seq, t0-rxTS, t1-rxTS)
+	q.fq.RecordT(t1, flight.EvDeliver, e.Seq, t0-e.TS, t1-e.TS)
 }
 
 // Poll delivers up to limit packets (negative: unbounded) to fn in arrival
@@ -266,16 +297,18 @@ func (q *Queue) Poll(limit int, fn DeliverFunc) int {
 	if h != nil && h.degraded.Load() {
 		h.tickRecovery(q)
 	}
-	t0 := q.fq.Now()
+	q.begin()
 	n := 0
 	for n < len(q.parked) && n != limit {
 		p := &q.parked[n]
-		q.show(&p.Entry, p.rec, p.lane, t0)
+		q.show(&p.Entry, p.rec, p.lane)
 		fn(p.Pkt, Meta{&q.view})
 		if h != nil && p.rec == nil {
 			h.softDelivered.Inc()
 		}
-		q.noteDelivered(t0, p.TS, p.Seq)
+		if p.TS != 0 {
+			q.noteDelivered(&p.Entry)
+		}
 		n++
 	}
 	if n > 0 {
@@ -284,7 +317,7 @@ func (q *Queue) Poll(limit int, fn DeliverFunc) int {
 			limit -= n
 		}
 	}
-	return n + q.consume(limit, t0, fn, false)
+	return n + q.consume(limit, fn, false)
 }
 
 // Drain consumes every pending packet under its current lane and parks it
@@ -294,7 +327,8 @@ func (q *Queue) Poll(limit int, fn DeliverFunc) int {
 // the device. It returns how many were parked with their record and without.
 func (q *Queue) Drain() (drained, soft int) {
 	before := len(q.parked)
-	n := q.consume(-1, q.fq.Now(), q.park, true)
+	q.begin()
+	n := q.consume(-1, q.park, true)
 	for _, p := range q.parked[before:] {
 		if p.rec == nil {
 			soft++
@@ -314,15 +348,12 @@ func (q *Queue) park(_ []byte, m Meta) {
 // consume is the receive loop: one ring transaction in which pending
 // packets meet their completion records in order. With no policy armed and
 // nothing draining it is At → deliver → Release; otherwise judge decides
-// each step. now stamps the loop's flight events and, unless draining, is
-// the t0 delivered packets derive their latency from.
-func (q *Queue) consume(limit int, now uint64, fn DeliverFunc, draining bool) int {
+// each step. A stamped packet's pop is recorded at the poll's timestamp and,
+// unless draining (a parked packet is delivered by the next Poll), its
+// lifecycle closed.
+func (q *Queue) consume(limit int, fn DeliverFunc, draining bool) int {
 	h := q.hard
 	judged := h != nil || draining
-	t0 := now
-	if draining {
-		t0 = 0
-	}
 	cur := q.dev.CmptRing.Cursor()
 	n := 0 // q.pending[:n] is consumed
 	for n < len(q.pending) && n != limit {
@@ -331,7 +362,7 @@ func (q *Queue) consume(limit int, now uint64, fn DeliverFunc, draining bool) in
 		var rec []byte
 		if judged {
 			var v verdict
-			if rec, v = q.judge(&cur, n, l, now); v == again {
+			if rec, v = q.judge(&cur, n, l); v == again {
 				continue
 			} else if v == stuck {
 				break
@@ -339,15 +370,17 @@ func (q *Queue) consume(limit int, now uint64, fn DeliverFunc, draining bool) in
 		} else if rec = cur.At(); rec == nil {
 			break
 		}
-		q.show(p, rec, l, t0)
+		ts := q.show(p, rec, l)
 		fn(p.Pkt, Meta{&q.view})
 		if rec != nil {
-			cur.Release()
+			cur.Release(ts)
 		}
 		if h != nil {
 			h.noteConsumed(p.Pkt, rec == nil && !draining)
 		}
-		q.noteDelivered(t0, p.TS, p.Seq)
+		if p.TS != 0 && !draining {
+			q.noteDelivered(p)
+		}
 		n++
 	}
 	q.pending = q.pending[:copy(q.pending, q.pending[n:])]
@@ -355,8 +388,8 @@ func (q *Queue) consume(limit int, now uint64, fn DeliverFunc, draining bool) in
 	// outlived their packet); drain and count them.
 	for h != nil && len(q.pending) == 0 && cur.Avail() > 0 {
 		h.spurious.Inc()
-		q.fq.RecordT(now, flight.EvSpurious, 0, h.spurious.Load(), 0)
-		cur.Release()
+		q.fq.RecordT(q.eventTS(), flight.EvSpurious, 0, h.spurious.Load(), 0)
+		cur.Release(0)
 	}
 	cur.Close()
 	return n
@@ -376,7 +409,7 @@ const (
 // every accepted packet is DMAed before RxPacket returns), which gives the
 // one resync rule: a hardware-pending head with an empty ring lost its
 // completion and is served in software.
-func (q *Queue) judge(cur *ring.Cursor, n int, l *Lane, now uint64) ([]byte, verdict) {
+func (q *Queue) judge(cur *ring.Cursor, n int, l *Lane) ([]byte, verdict) {
 	h, p := q.hard, &q.pending[n]
 	if p.Soft {
 		return nil, deliver
@@ -389,7 +422,7 @@ func (q *Queue) judge(cur *ring.Cursor, n int, l *Lane, now uint64) ([]byte, ver
 				// liveness violation the chaos oracles must catch).
 				return nil, stuck
 			}
-			h.noteLost(q, p, now, 0)
+			h.noteLost(q, p, 0)
 		}
 		if l.Soft == nil {
 			l.Soft = codegen.NewSoftRuntime(l.RT.Result, softnic.Funcs())
@@ -400,10 +433,16 @@ func (q *Queue) judge(cur *ring.Cursor, n int, l *Lane, now uint64) ([]byte, ver
 	if h == nil || h.opts.DisableValidate {
 		return rec, deliver
 	}
+	// Verdicts: a stamped packet's, and every violation.
 	viol := l.Validator.Check(rec, p.Pkt)
 	if viol == nil {
+		if p.TS != 0 {
+			q.fq.RecordT(q.now, flight.EvVerdict, p.Seq, 0, uint64(len(rec)))
+		}
 		return rec, deliver
 	}
+	now := q.eventTS()
+	q.fq.RecordT(now, flight.EvVerdict, p.Seq, uint64(viol.Kind)+1, uint64(len(rec)))
 	h.rejects[viol.Kind].Inc()
 	// Classify the rejected record before blaming corruption.
 	if h.isStale(l.Validator, rec) {
@@ -411,7 +450,7 @@ func (q *Queue) judge(cur *ring.Cursor, n int, l *Lane, now uint64) ([]byte, ver
 		// and retry the head against the next record.
 		h.staleDrops.Inc()
 		q.fq.RecordT(now, flight.EvStale, p.Seq, uint64(viol.Kind)+1, 0)
-		cur.Release()
+		cur.Release(0)
 		return nil, again
 	}
 	if skip := h.resyncMatch(l.Validator, q.pending[n:], rec); skip > 0 {
@@ -419,7 +458,7 @@ func (q *Queue) judge(cur *ring.Cursor, n int, l *Lane, now uint64) ([]byte, ver
 		// completions of the packets ahead of it were lost. Those go to
 		// software; the record stays for the packet it matches.
 		for i := n; i < n+skip; i++ {
-			h.noteLost(q, &q.pending[i], now, uint64(skip))
+			h.noteLost(q, &q.pending[i], uint64(skip))
 		}
 		return nil, again
 	}
@@ -433,7 +472,7 @@ func (q *Queue) judge(cur *ring.Cursor, n int, l *Lane, now uint64) ([]byte, ver
 		// what a debugging session needs.
 		q.Flight().Postmortem("quarantine")
 	}
-	cur.Release()
+	cur.Release(0)
 	return nil, deliver
 }
 
