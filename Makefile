@@ -42,6 +42,7 @@ alloc-gate:
 	$(GO) test -run 'TestDeliverPathAllocGate|TestWarmCompileSkipsAnalysis|TestOpenMemoryGate' -v .
 	$(GO) test -run TestClockReadsOnGrid -v ./internal/tenant
 	$(GO) test -run TestPollReadsClockOnGrid -v ./internal/rxpath
+	$(GO) test -run TestVerifyAllocGate -v ./internal/diffverify
 
 # Non-test Go lines per top-level directory: raw, and code only (no blank or
 # comment lines). A PR states its net delta from this.

@@ -18,6 +18,7 @@ import (
 	"opendesc/internal/bench"
 	"opendesc/internal/codegen"
 	"opendesc/internal/core"
+	"opendesc/internal/diffverify"
 	"opendesc/internal/evolve"
 	"opendesc/internal/nic"
 	"opendesc/internal/nicsim"
@@ -532,6 +533,32 @@ func BenchmarkE11_Interfaces(b *testing.B) {
 				}
 				_ = sink
 			})
+		}
+	}
+}
+
+// BenchmarkVerifySixNICs times one S27 differential-verification pass over
+// the six bundled descriptions (18 paths, 892 cases, 16 642 cross-view
+// checks) — the unit the fleet gate, the compile_open workload and E22's
+// harness/six_nic_pass row all pay. Its allocation count is gated by
+// TestVerifyAllocGate in internal/diffverify.
+func BenchmarkVerifySixNICs(b *testing.B) {
+	models := nic.All()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cases := 0
+		for _, m := range models {
+			rep, err := diffverify.VerifyModel(m, diffverify.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !rep.OK() {
+				b.Fatalf("%s", rep)
+			}
+			cases += rep.Cases
+		}
+		if cases != 892 {
+			b.Fatalf("pass checked %d cases, want 892", cases)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 
 	"opendesc/internal/diffverify"
 	"opendesc/internal/nic"
@@ -23,7 +24,7 @@ import (
 //
 //	opendesc verify e1000e               # one bundled description, exhaustive
 //	opendesc verify path/to/desc.p4      # same, from a file
-//	opendesc verify -all                 # all six bundled descriptions
+//	opendesc verify -all                 # all six bundled descriptions, with wall time and cases/s
 //	opendesc verify -mutants 64 qdma     # + screen 64 seeded mutants
 //	opendesc verify -break e1000e        # ablation: inject an accessor bug
 //	opendesc verify -cert mlx5           # print the verification certificate
@@ -60,6 +61,16 @@ func runVerify(args []string, out io.Writer) error {
 		return fmt.Errorf("verify: pass one description (bundled name or .p4 file) or -all")
 	}
 
+	// -all also reports the harness's own throughput, per description and in
+	// total: it gates every fleet push, so its cost belongs beside its
+	// verdicts. (Single-description output stays byte-stable.)
+	throughput := func(what string, cases int, d time.Duration) {
+		fmt.Fprintf(out, "%s: %d cases in %.2f ms (%.0f cases/s)\n",
+			what, cases, float64(d.Nanoseconds())/1e6, float64(cases)/d.Seconds())
+	}
+	var totalCases int
+	var totalTime time.Duration
+
 	failed := 0
 	for _, tgt := range targets {
 		if *cert {
@@ -75,13 +86,20 @@ func runVerify(args []string, out io.Writer) error {
 			}
 			continue
 		}
+		start := time.Now()
 		rep, err := diffverify.VerifySource(tgt.name, tgt.src, diffverify.Options{BreakAccessor: *breakAcc})
+		took := time.Since(start)
 		if err != nil {
 			fmt.Fprintf(out, "diffverify %s: REJECTED: %v\n", tgt.name, err)
 			failed++
 			continue
 		}
-		fmt.Fprintln(out, rep)
+		fmt.Fprint(out, rep)
+		if *all {
+			throughput("  timing", rep.Cases, took)
+			totalCases, totalTime = totalCases+rep.Cases, totalTime+took
+		}
+		fmt.Fprintln(out)
 		if !rep.OK() {
 			failed++
 		}
@@ -98,6 +116,9 @@ func runVerify(args []string, out io.Writer) error {
 				tgt.name, *mutants, *seed, counts[diffverify.OutcomePass], counts[diffverify.OutcomeRejected],
 				counts[diffverify.OutcomeDisagree], counts[diffverify.OutcomeMutateError])
 		}
+	}
+	if *all && !*cert {
+		throughput(fmt.Sprintf("timing, all %d descriptions", len(targets)), totalCases, totalTime)
 	}
 	if failed > 0 {
 		return fmt.Errorf("verify: %d verdict(s) failed", failed)

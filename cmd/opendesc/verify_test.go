@@ -64,6 +64,13 @@ func TestRunVerifyAll(t *testing.T) {
 	if got := strings.Count(out, "PASS"); got != 6 {
 		t.Errorf("%d PASS lines, want 6:\n%s", got, out)
 	}
+	// One throughput line per description and one for the whole pass.
+	if got := strings.Count(out, " cases/s)"); got != 7 {
+		t.Errorf("%d throughput lines, want 7:\n%s", got, out)
+	}
+	if !strings.Contains(out, "timing, all 6 descriptions: 892 cases in ") {
+		t.Errorf("missing the total throughput line:\n%s", out)
+	}
 }
 
 // TestRunVerifyMutants: the seeded sweep renders its histogram and is

@@ -36,6 +36,7 @@ import (
 	"opendesc/internal/codegen"
 	"opendesc/internal/core"
 	"opendesc/internal/nic"
+	"opendesc/internal/p4/interp"
 	"opendesc/internal/p4/parser"
 	"opendesc/internal/p4/sema"
 	"opendesc/internal/pkt"
@@ -160,29 +161,17 @@ func (r *Report) String() string {
 // A *RejectedError means the description is outside the harness's domain;
 // any other error is an internal failure.
 func Verify(name string, spec core.DeparserSpec, opts Options) (*Report, error) {
-	a, err := core.Analyze(spec, core.EnumerateOptions{MaxPaths: opts.MaxPaths})
+	g, paths, err := enumerate(spec, opts)
 	if err != nil {
-		return nil, &RejectedError{Reason: err.Error()}
+		return nil, err
 	}
-	g, paths := a.Graph, a.Paths
 	rep := &Report{NIC: name, Paths: len(paths)}
-	// Wide semantic fields are unverifiable today: bitfield.Read (and hence
-	// every generated accessor) reads at most 64 bits, so a semantic-tagged
-	// field beyond one word would panic at read time. Rejecting here is the
-	// safety net: such a description must never reach a runtime.
-	for _, p := range paths {
-		for _, f := range p.Fields {
-			if f.WidthBits > 64 && f.Semantic != "" {
-				return nil, &RejectedError{Reason: fmt.Sprintf(
-					"path %d: semantic field %s (%q) is %d bits wide; accessors read at most 64",
-					p.ID, f.Name, f.Semantic, f.WidthBits)}
-			}
-		}
+	ck, err := newChecker(name, g, paths, opts, rep)
+	if err != nil {
+		return nil, err
 	}
-	leaves := flattenParams(g)
-	golden := softnic.Funcs()
-	for _, p := range paths {
-		pc, err := newPathChecker(name, g, paths, p, leaves, golden, opts, rep)
+	for i, p := range paths {
+		pc, err := ck.bindPath(i, p)
 		if err != nil {
 			return nil, err
 		}
@@ -196,18 +185,50 @@ func Verify(name string, spec core.DeparserSpec, opts Options) (*Report, error) 
 	return rep, nil
 }
 
+// enumerate analyses the description and refuses what the harness cannot
+// soundly check.
+func enumerate(spec core.DeparserSpec, opts Options) (*core.Graph, []*core.Path, error) {
+	a, err := core.Analyze(spec, core.EnumerateOptions{MaxPaths: opts.MaxPaths})
+	if err != nil {
+		return nil, nil, &RejectedError{Reason: err.Error()}
+	}
+	// Wide semantic fields are unverifiable today: bitfield.Read (and hence
+	// every generated accessor) reads at most 64 bits, so a semantic-tagged
+	// field beyond one word would panic at read time. Rejecting here is the
+	// safety net: such a description must never reach a runtime.
+	for _, p := range a.Paths {
+		for _, f := range p.Fields {
+			if f.WidthBits > 64 && f.Semantic != "" {
+				return nil, nil, &RejectedError{Reason: fmt.Sprintf(
+					"path %d: semantic field %s (%q) is %d bits wide; accessors read at most 64",
+					p.ID, f.Name, f.Semantic, f.WidthBits)}
+			}
+		}
+	}
+	return a.Graph, a.Paths, nil
+}
+
 // VerifySource parses and checks a bare P4 interface description and runs
 // the harness over it. Parse and sema failures are structured rejections.
 func VerifySource(name, src string, opts Options) (*Report, error) {
+	spec, err := sourceSpec(name, src)
+	if err != nil {
+		return nil, err
+	}
+	return Verify(name, spec, opts)
+}
+
+// sourceSpec runs the frontend over a bare description.
+func sourceSpec(name, src string) (core.DeparserSpec, error) {
 	prog, err := parser.Parse(name+".p4", src)
 	if err != nil {
-		return nil, &RejectedError{Reason: fmt.Sprintf("parse: %v", err)}
+		return core.DeparserSpec{}, &RejectedError{Reason: fmt.Sprintf("parse: %v", err)}
 	}
 	info, err := sema.Check(prog)
 	if err != nil {
-		return nil, &RejectedError{Reason: fmt.Sprintf("sema: %v", err)}
+		return core.DeparserSpec{}, &RejectedError{Reason: fmt.Sprintf("sema: %v", err)}
 	}
-	return Verify(name, core.DeparserSpec{Info: info}, opts)
+	return core.DeparserSpec{Info: info}, nil
 }
 
 // VerifyModel runs the harness over a bundled NIC model.
@@ -245,30 +266,45 @@ func Certify(name, src string) Certificate {
 	return cert
 }
 
-var (
-	certMu    sync.Mutex
-	certCache = make(map[string]Certificate)
-)
+// certMemo memoizes certificates by content digest. Goroutines that miss on
+// the same digest together share one harness run: the first runs it, the
+// others wait for its certificate.
+type certMemo struct {
+	mu      sync.Mutex
+	entries map[string]*certEntry
+}
+
+type certEntry struct {
+	once sync.Once
+	cert Certificate
+}
+
+func (m *certMemo) get(digest string, certify func() Certificate) Certificate {
+	m.mu.Lock()
+	e := m.entries[digest]
+	if e == nil {
+		if m.entries == nil {
+			m.entries = make(map[string]*certEntry)
+		}
+		e = new(certEntry)
+		m.entries[digest] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.cert = certify() })
+	return e.cert
+}
+
+var certCache certMemo
 
 // CertifyCached memoizes Certify by content digest. The fleet controller and
 // the chaos diffverify oracle share this cache, so each distinct description
-// is verified once per process regardless of fleet size or seed count.
+// is verified once per process regardless of fleet size, seed count or how
+// many goroutines ask at once.
 func CertifyCached(name, src string) Certificate {
-	digest := core.SourceDigest(src)
-	certMu.Lock()
-	c, ok := certCache[digest]
-	certMu.Unlock()
-	if ok {
-		return c
-	}
-	c = Certify(name, src)
-	certMu.Lock()
-	certCache[digest] = c
-	certMu.Unlock()
-	return c
+	return certCache.get(core.SourceDigest(src), func() Certificate { return Certify(name, src) })
 }
 
-// leaf is one flattened ≤64-bit leaf field of a deparser parameter, the unit
+// leaf is one flattened ≤64-bit leaf field of a deparser parameter: one slot
 // of the concrete environments the walk and the serializers run under.
 type leaf struct {
 	name  string // dotted, e.g. "pipe_meta.rss" or "ctx.use_rss"
@@ -302,6 +338,37 @@ func flattenParams(g *core.Graph) []leaf {
 		}
 	}
 	return out
+}
+
+// slotEnv is one concrete environment: a value per leaf, held by leaf index
+// and masked to the leaf's declared width. Names are bound to slots once per
+// description; a case rewrites vals and nothing else.
+type slotEnv struct {
+	leaves []leaf
+	slots  map[string]int // leaf name → index into leaves and vals
+	vals   []uint64
+}
+
+func newSlotEnv(leaves []leaf) *slotEnv {
+	e := &slotEnv{leaves: leaves, slots: make(map[string]int, len(leaves)), vals: make([]uint64, len(leaves))}
+	for i, l := range leaves {
+		e.slots[l.name] = i
+	}
+	return e
+}
+
+func (e *slotEnv) set(slot int, v uint64) {
+	e.vals[slot] = v & widthMask(e.leaves[slot].width)
+}
+
+// Lookup implements sema.Env: what the walk's branch conditions and emits
+// see of the environment.
+func (e *slotEnv) Lookup(path string) (sema.Value, bool) {
+	i, ok := e.slots[path]
+	if !ok {
+		return sema.Value{}, false
+	}
+	return sema.UintValue(e.vals[i], e.leaves[i].width), true
 }
 
 // widthMask returns the w-bit all-ones mask (w in 1..64).
@@ -344,79 +411,166 @@ func mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// pathChecker verifies one enumerated path under many environments.
-type pathChecker struct {
-	name   string
-	g      *core.Graph
-	paths  []*core.Path
-	p      *core.Path
-	leaves []leaf
-	golden map[semantics.Name]codegen.SoftFunc
-	opts   Options
-	rep    *Report
+// checker is what one Verify run binds once per description and shares
+// between its paths: the slot environment, each path's layout field → slot
+// table, the boundary batteries by width, and the buffers every case
+// reuses. Only the representation of the environment is shared — each view
+// still derives its own offsets, widths and branch decisions.
+type checker struct {
+	name  string
+	g     *core.Graph
+	paths []*core.Path
+	soft  map[semantics.Name]codegen.SoftFunc // the SoftNIC golden
+	opts  Options
+	rep   *Report
 
-	// uniq is the path's emitted ≤64-bit leaf set (first occurrence order);
-	// fields may repeat in the layout (duplicate emits) but share one value.
-	uniq []leaf
-	// pins is the context assignment selecting this path.
-	pins map[string]uint64
-	// ip re-extracts the record through a synthesized per-path parser.
-	ip *pathInterp
-	// rt reads the record through per-path generated accessors.
-	rt        *codegen.Runtime
-	accessors []core.Accessor
+	env *slotEnv
+	// slots[i][k] is the slot of paths[i].Fields[k], or -1 for a field wider
+	// than 64 bits (it occupies layout bits but carries no value).
+	slots   [][]int
+	battery [65][]uint64 // boundaryPatterns by width, built on first use
+
+	img  []byte        // view A: the focus path's static image
+	sib  []byte        // view A for the sibling path an underdetermined walk resolved to
+	walk walker        // view B: the walked layout and its image
+	res  interp.Result // view C: the re-extracted record
 }
 
-func newPathChecker(name string, g *core.Graph, paths []*core.Path, p *core.Path,
-	leaves []leaf, golden map[semantics.Name]codegen.SoftFunc, opts Options, rep *Report) (*pathChecker, error) {
-	pins, err := core.ConfigAssignment(p.Constraints)
+func newChecker(name string, g *core.Graph, paths []*core.Path, opts Options, rep *Report) (*checker, error) {
+	ck := &checker{
+		name: name, g: g, paths: paths, soft: softnic.Funcs(), opts: opts, rep: rep,
+		env:   newSlotEnv(flattenParams(g)),
+		slots: make([][]int, len(paths)),
+	}
+	for i, p := range paths {
+		ck.slots[i] = make([]int, len(p.Fields))
+		for k, f := range p.Fields {
+			if f.WidthBits > 64 {
+				ck.slots[i][k] = -1
+				continue
+			}
+			// Emits are rooted at composite deparser parameters, so every
+			// ≤64-bit layout field is a flattened leaf.
+			s, ok := ck.env.slots[f.Name]
+			if !ok {
+				return nil, fmt.Errorf("diffverify %s path %d: layout field %s is no deparser parameter leaf", name, p.ID, f.Name)
+			}
+			ck.slots[i][k] = s
+		}
+	}
+	return ck, nil
+}
+
+func (ck *checker) patterns(w int) []uint64 {
+	if ck.battery[w] == nil {
+		ck.battery[w] = boundaryPatterns(w)
+	}
+	return ck.battery[w]
+}
+
+// pin is one context register the path's constraints fix.
+type pin struct {
+	slot int
+	val  uint64
+}
+
+// accessorRead is one synthesized hardware accessor with the layout field
+// it must agree with.
+type accessorRead struct {
+	reader *codegen.Reader
+	field  int // index into the path's Fields
+}
+
+// goldenField is one semantic-tagged slot and the SoftNIC function that
+// computes its ground truth from a packet.
+type goldenField struct {
+	slot int
+	fn   codegen.SoftFunc
+}
+
+// pathChecker verifies one enumerated path under many environments. All it
+// holds is a function of the path, resolved once in bindPath.
+type pathChecker struct {
+	*checker
+	p    *core.Path
+	slot []int // this path's row of checker.slots
+
+	// uniq indexes the first occurrence of each emitted ≤64-bit field in
+	// p.Fields; fields may repeat in the layout (duplicate emits) but share
+	// one value.
+	uniq []int
+	// pins is the context assignment selecting this path.
+	pins   []pin
+	golden []goldenField
+	// ip re-extracts the record through a synthesized per-path parser.
+	ip *pathInterp
+	// reads are the per-path generated accessors, one per provided semantic.
+	reads []accessorRead
+}
+
+func (ck *checker) bindPath(i int, p *core.Path) (*pathChecker, error) {
+	assign, err := core.ConfigAssignment(p.Constraints)
 	if err != nil {
 		return nil, &RejectedError{Reason: fmt.Sprintf("path %d: %v", p.ID, err)}
 	}
-	c := &pathChecker{
-		name: name, g: g, paths: paths, p: p,
-		leaves: leaves, golden: golden, opts: opts, rep: rep,
-		pins: pins,
+	c := &pathChecker{checker: ck, p: p, slot: ck.slots[i]}
+	for name, v := range assign {
+		// A pinned name outside the leaf table is invisible to every view.
+		if s, ok := ck.env.slots[name]; ok {
+			c.pins = append(c.pins, pin{slot: s, val: v})
+		}
 	}
-	seen := make(map[string]bool)
-	for _, f := range p.Fields {
-		if f.WidthBits > 64 || seen[f.Name] {
+	seen := make(map[int]bool)
+	for k, f := range p.Fields {
+		s := c.slot[k]
+		if s < 0 {
 			continue
 		}
-		seen[f.Name] = true
-		c.uniq = append(c.uniq, leaf{name: f.Name, width: f.WidthBits})
-	}
-	if len(p.Fields) > 0 {
-		c.ip, err = newPathInterp(name, p)
-		if err != nil {
-			return nil, fmt.Errorf("diffverify %s path %d: %w", name, p.ID, err)
+		if !seen[s] {
+			seen[s] = true
+			c.uniq = append(c.uniq, k)
+		}
+		if fn := ck.soft[f.Semantic]; fn != nil {
+			c.golden = append(c.golden, goldenField{slot: s, fn: fn})
 		}
 	}
-	c.accessors = pathAccessors(p, opts.BreakAccessor)
-	c.rt = codegen.NewRuntime(&core.Result{
-		NIC:      name,
-		Control:  g.Control,
-		Graph:    g,
-		Paths:    paths,
-		Selected: core.Scored{Path: p},
-		Config:   p.Constraints,
-		Intent:   &core.Intent{Name: "diffverify"},
-		Accessors: c.accessors,
+	if len(p.Fields) > 0 {
+		c.ip, err = newPathInterp(ck.name, p)
+		if err != nil {
+			return nil, fmt.Errorf("diffverify %s path %d: %w", ck.name, p.ID, err)
+		}
+	}
+	accessors, fields := pathAccessors(p, ck.opts.BreakAccessor)
+	rt := codegen.NewRuntime(&core.Result{
+		NIC:       ck.name,
+		Control:   ck.g.Control,
+		Graph:     ck.g,
+		Paths:     ck.paths,
+		Selected:  core.Scored{Path: p},
+		Config:    p.Constraints,
+		Intent:    &core.Intent{Name: "diffverify"},
+		Accessors: accessors,
 	}, nil)
+	for i, a := range accessors {
+		c.reads = append(c.reads, accessorRead{reader: rt.Reader(a.Semantic), field: fields[i]})
+	}
 	return c, nil
 }
 
 // pathAccessors synthesizes one hardware accessor per semantic the path
-// provides (first occurrence, like core's accessor synthesis). breakOne
-// shifts the first accessor's window by one bit — the injected-bug ablation.
-func pathAccessors(p *core.Path, breakOne bool) []core.Accessor {
+// provides (first occurrence, like core's accessor synthesis), and returns
+// beside each the index of the layout field it reads. breakOne shifts the
+// first accessor's window by one bit — the injected-bug ablation.
+func pathAccessors(p *core.Path, breakOne bool) ([]core.Accessor, []int) {
 	seen := make(map[semantics.Name]bool)
 	var acc []core.Accessor
-	for _, f := range p.Fields {
+	var fields []int
+	for k, f := range p.Fields {
 		if f.Semantic == "" || f.WidthBits > 64 || seen[f.Semantic] {
 			continue
 		}
 		seen[f.Semantic] = true
+		fields = append(fields, k)
 		acc = append(acc, core.Accessor{
 			Semantic:   f.Semantic,
 			FieldName:  f.Name,
@@ -434,12 +588,27 @@ func pathAccessors(p *core.Path, breakOne bool) []core.Accessor {
 			a.OffsetBits--
 		}
 	}
-	return acc
+	return acc, fields
 }
 
 // capped reports whether the optional case budget is exhausted.
 func (c *pathChecker) capped() bool {
 	return c.opts.MaxCases > 0 && c.rep.Cases >= c.opts.MaxCases
+}
+
+func (c *pathChecker) pinned(slot int) bool {
+	for _, p := range c.pins {
+		if p.slot == slot {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *pathChecker) applyPins() {
+	for _, p := range c.pins {
+		c.env.set(p.slot, p.val)
+	}
 }
 
 // run sweeps the path: one all-filler baseline, a boundary battery focused
@@ -449,24 +618,24 @@ func (c *pathChecker) run() error {
 		return nil
 	}
 	base := uint64(c.p.ID)<<32 ^ 0x51c3a9b2
-	if err := c.checkCase(c.fillerVals(mix(base))); err != nil {
+	c.fill(mix(base))
+	c.applyPins()
+	if err := c.checkCase(); err != nil {
 		return err
 	}
 	c.rep.Cases++
-	for fi, f := range c.uniq {
-		if _, pinned := c.pins[f.name]; pinned {
+	for ui, k := range c.uniq {
+		if c.pinned(c.slot[k]) {
 			continue
 		}
-		for pi, pat := range boundaryPatterns(f.width) {
+		for pi, pat := range c.patterns(c.p.Fields[k].WidthBits) {
 			if c.capped() {
 				return nil
 			}
-			vals := c.fillerVals(mix(base ^ uint64(fi)<<16 ^ uint64(pi)<<8))
-			vals[f.name] = pat
-			for k, v := range c.pins {
-				vals[k] = v
-			}
-			if err := c.checkCase(vals); err != nil {
+			c.fill(mix(base ^ uint64(ui)<<16 ^ uint64(pi)<<8))
+			c.env.set(c.slot[k], pat)
+			c.applyPins()
+			if err := c.checkCase(); err != nil {
 				return err
 			}
 			c.rep.Cases++
@@ -492,22 +661,12 @@ func (c *pathChecker) runGolden() error {
 			return nil
 		}
 		packet := goldenPacket(c.p.ID, j)
-		vals := make(map[string]uint64, len(c.leaves))
-		for _, l := range c.leaves {
-			vals[l.name] = 0
+		clear(c.env.vals)
+		for _, g := range c.golden {
+			c.env.set(g.slot, g.fn(packet))
 		}
-		for _, f := range c.p.Fields {
-			if f.Semantic == "" || f.WidthBits > 64 {
-				continue
-			}
-			if fn := c.golden[f.Semantic]; fn != nil {
-				vals[f.Name] = fn(packet)
-			}
-		}
-		for k, v := range c.pins {
-			vals[k] = v
-		}
-		if err := c.checkCase(vals); err != nil {
+		c.applyPins()
+		if err := c.checkCase(); err != nil {
 			return err
 		}
 		c.rep.Cases++
@@ -526,98 +685,94 @@ func goldenPacket(pathID, j int) []byte {
 		Build()
 }
 
-// fillerVals builds a deterministic full environment: every leaf gets a
-// seeded splitmix value masked to its width, then the pins overlay.
-func (c *pathChecker) fillerVals(seed uint64) map[string]uint64 {
-	vals := make(map[string]uint64, len(c.leaves))
-	for i, l := range c.leaves {
-		vals[l.name] = mix(seed^uint64(i)) & widthMask(l.width)
+// fill makes the environment a deterministic filler: every leaf gets a
+// seeded splitmix value masked to its width.
+func (c *pathChecker) fill(seed uint64) {
+	for i := range c.env.vals {
+		c.env.set(i, mix(seed^uint64(i)))
 	}
-	for k, v := range c.pins {
-		vals[k] = v
-	}
-	return vals
 }
 
-// env converts a value map into the evaluation environment the walk and the
-// branch conditions see: each leaf masked to its declared width.
-func (c *pathChecker) env(vals map[string]uint64) sema.MapEnv {
-	env := make(sema.MapEnv, len(c.leaves))
-	for _, l := range c.leaves {
-		env[l.name] = sema.UintValue(vals[l.name]&widthMask(l.width), l.width)
+// zeroed returns buf resized to n zero bytes, reusing its storage when it is
+// large enough.
+func zeroed(buf []byte, n int) []byte {
+	if cap(buf) < n {
+		return make([]byte, n)
 	}
-	return env
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
-// staticImage serializes view A: each layout field's value written at its
-// statically computed offset (fields beyond 64 bits stay zero, as in the
-// device serializer).
-func staticImage(p *core.Path, vals map[string]uint64) []byte {
-	img := make([]byte, p.SizeBytes())
-	for _, f := range p.Fields {
-		if f.WidthBits > 64 {
-			continue
+// staticImage serializes view A into dst: each layout field's value written
+// at its statically computed offset (fields beyond 64 bits stay zero, as in
+// the device serializer). slots is p's layout field → slot table.
+func staticImage(dst []byte, p *core.Path, slots []int, vals []uint64) []byte {
+	dst = zeroed(dst, p.SizeBytes())
+	for k, f := range p.Fields {
+		if s := slots[k]; s >= 0 {
+			bitfield.Write(dst, f.OffsetBits, f.WidthBits, vals[s]&widthMask(f.WidthBits))
 		}
-		bitfield.Write(img, f.OffsetBits, f.WidthBits, vals[f.Name]&widthMask(f.WidthBits))
 	}
-	return img
+	return dst
 }
 
-// checkCase runs all four views under one environment.
-func (c *pathChecker) checkCase(vals map[string]uint64) error {
-	img := staticImage(c.p, vals)
-	c.checkInterp(img, vals)
-	c.checkAccessors(img, vals)
-	return c.checkWalk(img, vals)
+// want is the static view's value of layout field k under the current
+// environment.
+func (c *pathChecker) want(k int) uint64 {
+	return c.env.vals[c.slot[k]] & widthMask(c.p.Fields[k].WidthBits)
+}
+
+// checkCase runs all four views under the current environment.
+func (c *pathChecker) checkCase() error {
+	c.img = staticImage(c.img, c.p, c.slot, c.env.vals)
+	c.checkInterp()
+	c.checkAccessors()
+	return c.checkWalk()
 }
 
 // checkInterp re-extracts the static image through the synthesized per-path
 // parser and compares every field value, the consumed bit count, and the
 // accept verdict against the static view.
-func (c *pathChecker) checkInterp(img []byte, vals map[string]uint64) {
+func (c *pathChecker) checkInterp() {
 	if c.ip == nil {
 		return
 	}
-	res, err := c.ip.run(img)
+	err := c.ip.parser.RunInto(&c.res, c.img, nil)
 	c.rep.Checks++
-	if err != nil || !res.Accepted {
+	if err != nil || !c.res.Accepted {
 		detail := "parser rejected the record"
 		if err != nil {
 			detail = err.Error()
 		}
-		c.fail("interp", 0, img, vals, 0, 0, detail)
+		c.fail("interp", 0, c.img, 0, 0, detail)
 		return
 	}
-	if res.BitsConsumed != c.p.SizeBits() {
-		c.fail("interp", 0, img, vals, uint64(c.p.SizeBits()), uint64(res.BitsConsumed),
+	if c.res.BitsConsumed != c.p.SizeBits() {
+		c.fail("interp", 0, c.img, uint64(c.p.SizeBits()), uint64(c.res.BitsConsumed),
 			"consumed bit count diverges from static layout size")
 		return
 	}
-	for i, f := range c.p.Fields {
-		if f.WidthBits > 64 {
+	for k := range c.p.Fields {
+		if c.slot[k] < 0 {
 			continue
 		}
-		want := vals[f.Name] & widthMask(f.WidthBits)
-		got := res.Values[c.ip.fieldName(i)]
+		want, got := c.want(k), c.res.Values[c.ip.keys[k]]
 		c.rep.Checks++
 		if got != want {
-			c.fail("interp", i, img, vals, want, got, "")
+			c.fail("interp", k, c.img, want, got, "")
 		}
 	}
 }
 
 // checkAccessors reads every synthesized hardware accessor off the static
 // image and compares against the environment value (view D).
-func (c *pathChecker) checkAccessors(img []byte, vals map[string]uint64) {
-	for _, a := range c.accessors {
-		r := c.rt.Reader(a.Semantic)
-		got := r.Read(img, nil)
-		lf := c.p.Field(a.Semantic)
-		want := vals[lf.Name] & widthMask(lf.WidthBits)
+func (c *pathChecker) checkAccessors() {
+	for _, a := range c.reads {
+		want, got := c.want(a.field), a.reader.Read(c.img, nil)
 		c.rep.Checks++
 		if got != want {
-			fi := c.fieldIndex(lf)
-			c.fail("accessor", fi, img, vals, want, got, string(a.Semantic))
+			c.fail("accessor", a.field, c.img, want, got, string(a.reader.Semantic))
 		}
 	}
 }
@@ -625,31 +780,32 @@ func (c *pathChecker) checkAccessors(img []byte, vals map[string]uint64) {
 // checkWalk serializes the record by independently walking the deparser CFG
 // under the environment (view B) and compares layout and bytes against the
 // static view of whichever enumerated path the walk resolves to.
-func (c *pathChecker) checkWalk(img []byte, vals map[string]uint64) error {
-	fields, wimg, err := walkSerialize(c.g, c.env(vals))
-	if err != nil {
+func (c *pathChecker) checkWalk() error {
+	if err := c.walk.serialize(c.g, c.env); err != nil {
 		// The walk cannot evaluate a discriminant (opaque condition over
 		// values outside the environment): not verifiable, not a bug.
 		return &RejectedError{Reason: fmt.Sprintf("path %d walk: %v", c.p.ID, err)}
 	}
-	q := matchPath(c.paths, fields)
+	fields, wimg := c.walk.fields, c.walk.img
+	qi := matchPath(c.paths, fields)
 	c.rep.Checks++
-	if q == nil {
-		c.fail("layout", 0, wimg, vals, 0, 0,
+	if qi < 0 {
+		c.fail("layout", 0, wimg, 0, 0,
 			fmt.Sprintf("walked layout (%d fields, %d bits) matches no enumerated path",
 				len(fields), sizeBitsOf(fields)))
 		return nil
 	}
-	qimg := img
+	q, qimg := c.paths[qi], c.img
 	if q.ID != c.p.ID {
 		// Underdetermined environment (multi-valued or opaque discriminant):
 		// the walk took a sibling path. Verify it there and count the skip.
 		c.rep.Skipped++
-		qimg = staticImage(q, vals)
+		c.sib = staticImage(c.sib, q, c.slots[qi], c.env.vals)
+		qimg = c.sib
 	}
 	if !bytes.Equal(wimg, qimg) {
-		_, f := firstImageDiff(q, wimg, qimg)
-		d := &Disagreement{
+		f := firstImageDiff(q, wimg, qimg)
+		c.rep.Disagreements = append(c.rep.Disagreements, &Disagreement{
 			NIC:         c.name,
 			PathID:      q.ID,
 			Constraints: constraintStrings(q),
@@ -658,45 +814,34 @@ func (c *pathChecker) checkWalk(img []byte, vals map[string]uint64) error {
 			Semantic:    string(f.Semantic),
 			OffsetBits:  f.OffsetBits,
 			WidthBits:   f.WidthBits,
-			Image:       qimg,
+			Image:       bytes.Clone(qimg),
 			Want:        readField(qimg, f),
 			Got:         readField(wimg, f),
 			Detail:      "independent CFG-walk serialization diverges from static layout",
-		}
-		c.rep.Disagreements = append(c.rep.Disagreements, d)
+		})
 	}
 	return nil
 }
 
-func (c *pathChecker) fieldIndex(lf *core.LayoutField) int {
-	for i := range c.p.Fields {
-		if &c.p.Fields[i] == lf {
-			return i
-		}
-	}
-	return 0
-}
-
-// fail records a disagreement for field index fi, first shrinking the
+// fail records a disagreement for layout field k, first shrinking the
 // environment to the minimal one that still reproduces it: everything zero
-// except the failing field and the pinned discriminants.
-func (c *pathChecker) fail(view string, fi int, img []byte, vals map[string]uint64, want, got uint64, detail string) {
-	f := c.p.Fields[fi]
-	min := make(map[string]uint64, len(c.pins)+1)
-	for _, l := range c.leaves {
-		min[l.name] = 0
+// except the failing field and the pinned discriminants. img is a per-case
+// buffer, so the reproducer keeps its own copy.
+func (c *pathChecker) fail(view string, k int, img []byte, want, got uint64, detail string) {
+	f := c.p.Fields[k]
+	min := make([]uint64, len(c.env.vals))
+	for _, p := range c.pins {
+		min[p.slot] = c.env.vals[p.slot] // every case applies the pins last
 	}
-	for k, v := range c.pins {
-		min[k] = v
+	if s := c.slot[k]; s >= 0 {
+		min[s] = c.env.vals[s]
 	}
-	min[f.Name] = vals[f.Name]
-	if mgot, fails := c.reproduce(view, fi, min); fails {
-		vals = min
-		img = staticImage(c.p, min)
-		want = min[f.Name] & widthMask(f.WidthBits)
-		got = mgot
+	if mimg, mgot, fails := c.reproduce(view, k, min); fails {
+		img, want, got = mimg, min[c.slot[k]]&widthMask(f.WidthBits), mgot
+	} else {
+		img = bytes.Clone(img)
 	}
-	d := &Disagreement{
+	c.rep.Disagreements = append(c.rep.Disagreements, &Disagreement{
 		NIC:         c.name,
 		PathID:      c.p.ID,
 		Constraints: constraintStrings(c.p),
@@ -709,48 +854,49 @@ func (c *pathChecker) fail(view string, fi int, img []byte, vals map[string]uint
 		Want:        want,
 		Got:         got,
 		Detail:      detail,
-	}
-	c.rep.Disagreements = append(c.rep.Disagreements, d)
+	})
 }
 
-// reproduce recomputes one view's value for one field under a candidate
-// minimal environment, reporting whether the divergence persists.
-func (c *pathChecker) reproduce(view string, fi int, vals map[string]uint64) (uint64, bool) {
-	f := c.p.Fields[fi]
+// reproduce recomputes one view's value for layout field k under a candidate
+// minimal environment, reporting the image it read and whether the
+// divergence persists. It runs in the middle of a case, so it touches none
+// of the per-case buffers.
+func (c *pathChecker) reproduce(view string, k int, vals []uint64) ([]byte, uint64, bool) {
+	f := c.p.Fields[k]
 	if f.WidthBits > 64 {
-		return 0, false
+		return nil, 0, false
 	}
-	img := staticImage(c.p, vals)
-	want := vals[f.Name] & widthMask(f.WidthBits)
+	img := staticImage(nil, c.p, c.slot, vals)
+	want := vals[c.slot[k]] & widthMask(f.WidthBits)
 	switch view {
 	case "interp":
 		if c.ip == nil {
-			return 0, false
+			return nil, 0, false
 		}
-		res, err := c.ip.run(img)
+		res, err := c.ip.parser.Run(img, nil)
 		if err != nil || !res.Accepted {
-			return 0, false
+			return nil, 0, false
 		}
-		got := res.Values[c.ip.fieldName(fi)]
-		return got, got != want
+		got := res.Values[c.ip.keys[k]]
+		return img, got, got != want
 	case "accessor":
 		if f.Semantic == "" {
-			return 0, false
+			return nil, 0, false
 		}
-		r := c.rt.Reader(f.Semantic)
-		if r == nil {
-			return 0, false
+		for _, a := range c.reads {
+			if a.reader.Semantic == f.Semantic {
+				got := a.reader.Read(img, nil)
+				return img, got, got != want
+			}
 		}
-		got := r.Read(img, nil)
-		return got, got != want
 	}
-	return 0, false
+	return nil, 0, false
 }
 
-// matchPath finds the enumerated path whose layout equals the walked field
-// sequence (names, offsets, widths in order), or nil.
-func matchPath(paths []*core.Path, fields []core.LayoutField) *core.Path {
-	for _, p := range paths {
+// matchPath finds the index of the enumerated path whose layout equals the
+// walked field sequence (names, offsets, widths in order), or -1.
+func matchPath(paths []*core.Path, fields []core.LayoutField) int {
+	for pi, p := range paths {
 		if len(p.Fields) != len(fields) {
 			continue
 		}
@@ -763,10 +909,10 @@ func matchPath(paths []*core.Path, fields []core.LayoutField) *core.Path {
 			}
 		}
 		if same {
-			return p
+			return pi
 		}
 	}
-	return nil
+	return -1
 }
 
 func sizeBitsOf(fields []core.LayoutField) int {
@@ -779,19 +925,19 @@ func sizeBitsOf(fields []core.LayoutField) int {
 
 // firstImageDiff locates the first layout field whose bits differ between
 // the two images (falling back to the path's first field).
-func firstImageDiff(p *core.Path, a, b []byte) (int, core.LayoutField) {
-	for i, f := range p.Fields {
+func firstImageDiff(p *core.Path, a, b []byte) core.LayoutField {
+	for _, f := range p.Fields {
 		if f.WidthBits > 64 {
 			continue
 		}
 		if readField(a, f) != readField(b, f) {
-			return i, f
+			return f
 		}
 	}
 	if len(p.Fields) > 0 {
-		return 0, p.Fields[0]
+		return p.Fields[0]
 	}
-	return 0, core.LayoutField{}
+	return core.LayoutField{}
 }
 
 func readField(img []byte, f core.LayoutField) uint64 {

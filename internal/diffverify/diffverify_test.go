@@ -3,6 +3,8 @@ package diffverify
 import (
 	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"opendesc/internal/nic"
@@ -207,5 +209,44 @@ func TestBoundaryPatterns(t *testing.T) {
 		if !seen[0] || !seen[widthMask(w)] || !seen[uint64(1)<<(w-1)] {
 			t.Errorf("width %d: battery %v misses a required boundary", w, pats)
 		}
+	}
+}
+
+// TestCertifyCachedOncePerDigest: goroutines that miss on one digest
+// together share a single harness run and all receive its certificate.
+func TestCertifyCachedOncePerDigest(t *testing.T) {
+	var memo certMemo
+	var runs atomic.Int64
+	release := make(chan struct{})
+	certify := func() Certificate {
+		runs.Add(1)
+		<-release // hold the first run open while the other callers arrive
+		return Certificate{Digest: "d", Passed: true}
+	}
+	const callers = 8
+	var started, done sync.WaitGroup
+	certs := make([]Certificate, callers)
+	for i := 0; i < callers; i++ {
+		started.Add(1)
+		done.Add(1)
+		go func(i int) {
+			defer done.Done()
+			started.Done()
+			certs[i] = memo.get("d", certify)
+		}(i)
+	}
+	started.Wait()
+	close(release)
+	done.Wait()
+	if n := runs.Load(); n != 1 {
+		t.Errorf("%d concurrent misses on one digest ran the harness %d times, want 1", callers, n)
+	}
+	for i, c := range certs {
+		if !c.Passed || c.Digest != "d" {
+			t.Errorf("caller %d got %+v", i, c)
+		}
+	}
+	if memo.get("other", func() Certificate { runs.Add(1); return Certificate{} }); runs.Load() != 2 {
+		t.Errorf("a second digest did not run the harness: %d runs", runs.Load())
 	}
 }

@@ -17,6 +17,8 @@ import (
 // interpreter's extraction cursor independently re-derives every offset.
 type pathInterp struct {
 	parser *interp.Parser
+	// keys[i] is the extracted-value key of layout position i.
+	keys []string
 }
 
 // newPathInterp synthesizes and binds the per-path parser program:
@@ -54,14 +56,9 @@ func newPathInterp(name string, p *core.Path) (*pathInterp, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &pathInterp{parser: ip}, nil
-}
-
-func (ip *pathInterp) run(img []byte) (*interp.Result, error) {
-	return ip.parser.Run(img, nil)
-}
-
-// fieldName is the extracted-value key for layout position i.
-func (ip *pathInterp) fieldName(i int) string {
-	return fmt.Sprintf("hdr.f%d", i)
+	keys := make([]string, len(p.Fields))
+	for i := range keys {
+		keys[i] = fmt.Sprintf("hdr.f%d", i)
+	}
+	return &pathInterp{parser: ip, keys: keys}, nil
 }

@@ -12,25 +12,32 @@ import (
 // bound only catches a malformed graph.
 const walkStepBound = 10000
 
-// walkSerialize executes the deparser CFG under a concrete environment and
-// serializes the record it emits: view B of the harness. It is deliberately
-// an independent reimplementation of the device serializer's walk (entry to
-// exit, evaluating each discriminant against the environment, appending each
-// emit's fields at the running offset) — sharing no code with
+// walker is view B of the harness: it executes the deparser CFG under a
+// concrete environment and serializes the record it emits. It is
+// deliberately an independent reimplementation of the device serializer's
+// walk (entry to exit, evaluating each discriminant against the environment,
+// appending each emit's fields at the running offset) — sharing no code with
 // core.EnumeratePaths beyond the graph itself, so a bug in either side's
 // offset or branch bookkeeping surfaces as a byte-level divergence.
-func walkSerialize(g *core.Graph, env sema.Env) ([]core.LayoutField, []byte, error) {
+type walker struct {
+	// fields and img are the last walk's layout and record; the next walk
+	// overwrites them in place.
+	fields []core.LayoutField
+	img    []byte
+}
+
+func (w *walker) serialize(g *core.Graph, env sema.Env) error {
 	info := g.Info()
-	var fields []core.LayoutField
+	w.fields = w.fields[:0]
 	off := 0
 	node := g.Entry
 	for steps := 0; node.Kind != core.NodeExit; steps++ {
 		if steps >= walkStepBound {
-			return nil, nil, fmt.Errorf("walk exceeded %d steps in %s", walkStepBound, g.Control)
+			return fmt.Errorf("walk exceeded %d steps in %s", walkStepBound, g.Control)
 		}
 		if node.Kind == core.NodeEmit {
 			for _, f := range node.Emit.Fields {
-				fields = append(fields, core.LayoutField{
+				w.fields = append(w.fields, core.LayoutField{
 					Name:       f.Name,
 					Semantic:   f.Semantic,
 					OffsetBits: off,
@@ -41,20 +48,20 @@ func walkSerialize(g *core.Graph, env sema.Env) ([]core.LayoutField, []byte, err
 		}
 		next, err := walkStep(node, info, env)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		node = next
 	}
-	img := make([]byte, (off+7)/8)
-	for _, f := range fields {
+	w.img = zeroed(w.img, (off+7)/8)
+	for _, f := range w.fields {
 		if f.WidthBits > 64 {
 			continue
 		}
 		if v, ok := env.Lookup(f.Name); ok {
-			bitfield.Write(img, f.OffsetBits, f.WidthBits, v.Uint)
+			bitfield.Write(w.img, f.OffsetBits, f.WidthBits, v.Uint)
 		}
 	}
-	return fields, img, nil
+	return nil
 }
 
 // walkStep picks the successor the environment selects.

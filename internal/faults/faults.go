@@ -418,7 +418,8 @@ func (inj *Injector) NAKConfig() bool {
 // injector. rec is mutated in place for corruption classes; the returned
 // slice is what the device should DMA (nil for a dropped completion), and
 // extra, when non-nil, is a second record to publish right after (a
-// duplicate). The injector snapshots clean records into its replay pool.
+// duplicate). The injector snapshots clean records into its replay pool; a
+// replayed record is a pool slot, valid until the next call.
 func (inj *Injector) Completion(rec []byte) (out, extra []byte) {
 	if inj == nil {
 		return rec, nil
@@ -486,15 +487,16 @@ func (inj *Injector) noteFault(c Class) {
 	inj.fq.Record(flight.EvFault, uint32(inj.ops.Load()), uint64(c), 0)
 }
 
-// remember snapshots a clean record into the replay pool.
+// remember snapshots a clean record into the replay pool. Once the pool is
+// full the oldest slot's storage is overwritten in place, so the steady
+// state copies bytes but allocates nothing.
 func (inj *Injector) remember(rec []byte) {
-	cp := append([]byte(nil), rec...)
 	if len(inj.history) < replayDepth {
-		inj.history = append(inj.history, cp)
-	} else {
-		inj.history[inj.histPos] = cp
-		inj.histPos = (inj.histPos + 1) % replayDepth
+		inj.history = append(inj.history, append([]byte(nil), rec...))
+		return
 	}
+	inj.history[inj.histPos] = append(inj.history[inj.histPos][:0], rec...)
+	inj.histPos = (inj.histPos + 1) % replayDepth
 }
 
 // stale picks a replay candidate that differs from the fresh record (a

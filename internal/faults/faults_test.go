@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -361,5 +362,61 @@ func TestScriptHang(t *testing.T) {
 	outC, _ := c.Completion(append(clean[:0:0], clean...))
 	if !bytesEqual(outA, outC) {
 		t.Fatalf("fizzled replay consumed PRNG draws: post-arm corrupt %v, virgin corrupt %v", outC, outA)
+	}
+}
+
+// TestReplayPoolOverwritesInPlace: once the replay pool is full a clean
+// completion is copied over the oldest slot, not into a fresh allocation —
+// and nothing observable moves: fed from one reused buffer (as the device
+// feeds it), scripted replays return byte-for-byte the records, in the
+// order, that the allocating pool returned for this seed.
+func TestReplayPoolOverwritesInPlace(t *testing.T) {
+	record := func(i int) []byte {
+		rec := make([]byte, 8+i%5) // lengths vary, so slots are resized in place
+		for k := range rec {
+			rec[k] = byte(i*31 + k)
+		}
+		return rec
+	}
+	inj := New(Plan{Seed: 11})
+	buf := make([]byte, 16)
+	var replayed []int
+	for i := 0; i < 64; i++ {
+		if i%5 == 4 {
+			inj.ScriptNext(Replay)
+		}
+		rec := buf[:copy(buf, record(i))]
+		out, extra := inj.Completion(rec)
+		if extra != nil {
+			t.Fatalf("completion %d: unexpected duplicate", i)
+		}
+		if i%5 != 4 {
+			if !bytesEqual(out, record(i)) {
+				t.Fatalf("completion %d: clean record came back as %x", i, out)
+			}
+			continue
+		}
+		src := -1
+		for j := i - 1; j >= 0 && src < 0; j-- {
+			if j%5 != 4 && bytesEqual(out, record(j)) {
+				src = j
+			}
+		}
+		if src < 0 {
+			t.Fatalf("completion %d: replay %x is no earlier clean record", i, out)
+		}
+		replayed = append(replayed, src)
+	}
+	want := []int{1, 6, 6, 12, 17, 25, 33, 30, 40, 47, 47, 55}
+	if !reflect.DeepEqual(replayed, want) {
+		t.Errorf("replays picked records %v, want %v", replayed, want)
+	}
+	if n := inj.Stats().Injected[Replay]; n != uint64(len(want)) {
+		t.Errorf("%d replays counted, want %d", n, len(want))
+	}
+
+	clean := testing.AllocsPerRun(100, func() { inj.Completion(buf[:12]) })
+	if clean != 0 {
+		t.Errorf("a clean completion allocates %.1f with the pool full, want 0", clean)
 	}
 }

@@ -49,7 +49,31 @@ type Parser struct {
 	// maxSteps bounds the state walk (loops consume stream bits, but a
 	// zero-extract loop would otherwise spin).
 	maxSteps int
+	// extracts holds each state's extract calls on the input stream, in
+	// statement order, resolved once at New: a run reads names and widths
+	// off this table and never resolves a target or builds a name.
+	extracts map[*ast.ParserState][]boundExtract
 }
+
+// boundExtract is one extract call with its target flattened.
+type boundExtract struct {
+	prefix string // the target composite's qualified name
+	steps  []extractStep
+	// err is what resolving or flattening the target failed with. It is
+	// reported when a run reaches the call, after the steps flattened ahead
+	// of it have run — a malformed extract in a state no input reaches is
+	// not an error.
+	err error
+}
+
+// extractStep is one leaf field to read off the stream, or, with width
+// validMark, a nested composite whose fields have all been read.
+type extractStep struct {
+	name  string
+	width int
+}
+
+const validMark = -1
 
 // New builds an interpreter for a bound parser instance. inParam names the
 // input stream parameter; when empty, the first extern-typed parameter
@@ -72,7 +96,63 @@ func New(info *sema.Info, inst *sema.Instance, inParam string) (*Parser, error) 
 	if inst.Parser.State("start") == nil {
 		return nil, fmt.Errorf("interp: parser %s has no start state", inst.Parser.Name)
 	}
-	return &Parser{info: info, inst: inst, decl: inst.Parser, inParam: inParam, maxSteps: 256}, nil
+	p := &Parser{info: info, inst: inst, decl: inst.Parser, inParam: inParam, maxSteps: 256}
+	p.extracts = make(map[*ast.ParserState][]boundExtract, len(p.decl.States))
+	for _, st := range p.decl.States {
+		p.extracts[st] = p.bindState(st)
+	}
+	return p, nil
+}
+
+// bindState resolves the state's extract calls on the input stream.
+func (p *Parser) bindState(st *ast.ParserState) []boundExtract {
+	var out []boundExtract
+	for _, s := range st.Stmts {
+		call, ok := s.(*ast.CallStmt)
+		if !ok {
+			continue
+		}
+		recv, name := call.Call.Callee()
+		if name != "extract" {
+			continue
+		}
+		if id, ok := ast.Unparen(recv).(*ast.Ident); !ok || id.Name != p.inParam {
+			continue
+		}
+		var b boundExtract
+		if len(call.Call.Args) != 1 {
+			b.err = fmt.Errorf("%s: extract takes one argument", call.Pos())
+		} else if prefix, ct, err := p.resolveTarget(call.Call.Args[0]); err != nil {
+			b.err = err
+		} else {
+			b.prefix = prefix
+			b.steps, b.err = flatten(nil, prefix, ct)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// flatten appends ct's leaves, and a validMark after each nested composite,
+// in stream order. It stops at the first field without a fixed width.
+func flatten(steps []extractStep, prefix string, ct *sema.CompositeType) ([]extractStep, error) {
+	for _, f := range ct.Fields {
+		name := prefix + "." + f.Name
+		if nested, ok := f.Type.(*sema.CompositeType); ok {
+			var err error
+			if steps, err = flatten(steps, name, nested); err != nil {
+				return steps, err
+			}
+			steps = append(steps, extractStep{name: name, width: validMark})
+			continue
+		}
+		w := f.Type.BitWidth()
+		if w < 0 {
+			return steps, fmt.Errorf("interp: field %s has no fixed width", name)
+		}
+		steps = append(steps, extractStep{name: name, width: w})
+	}
+	return steps, nil
 }
 
 // layered environment: extracted values shadow the external context.
@@ -96,83 +176,66 @@ func (e env) Lookup(path string) (sema.Value, bool) {
 // yields Accepted=false with the fields extracted so far; errors indicate a
 // malformed description or truncated input.
 func (p *Parser) Run(data []byte, ctx sema.Env) (*Result, error) {
-	res := &Result{
-		Values:       make(map[string]uint64),
-		ValidHeaders: make(map[string]bool),
+	res := new(Result)
+	return res, p.RunInto(res, data, ctx)
+}
+
+// RunInto is Run into a Result the caller owns: res is reset (its maps
+// emptied, not reallocated) and then filled, so a caller running many inputs
+// through one parser pays no allocation for extraction once the maps have
+// grown. Select keys still go through sema.Eval, which names what it reads.
+func (p *Parser) RunInto(res *Result, data []byte, ctx sema.Env) error {
+	if res.Values == nil {
+		res.Values = make(map[string]uint64)
+		res.ValidHeaders = make(map[string]bool)
 	}
+	clear(res.Values)
+	clear(res.ValidHeaders)
+	res.Accepted, res.BitsConsumed, res.States = false, 0, res.States[:0]
 	e := env{res: res, ctx: ctx}
 	st := p.decl.State("start")
 	for steps := 0; ; steps++ {
 		if steps >= p.maxSteps {
-			return nil, fmt.Errorf("interp: parser %s exceeded %d steps", p.decl.Name, p.maxSteps)
+			return fmt.Errorf("interp: parser %s exceeded %d steps", p.decl.Name, p.maxSteps)
 		}
 		res.States = append(res.States, st.Name)
-		for _, s := range st.Stmts {
-			call, ok := s.(*ast.CallStmt)
-			if !ok {
-				continue
-			}
-			recv, name := call.Call.Callee()
-			if name != "extract" {
-				continue
-			}
-			if id, ok := ast.Unparen(recv).(*ast.Ident); !ok || id.Name != p.inParam {
-				continue
-			}
-			if len(call.Call.Args) != 1 {
-				return nil, fmt.Errorf("%s: extract takes one argument", call.Pos())
-			}
-			if err := p.extract(call.Call.Args[0], data, res); err != nil {
-				return res, err
+		extracts := p.extracts[st]
+		for i := range extracts {
+			if err := extracts[i].run(data, res); err != nil {
+				return err
 			}
 		}
 		next, done, err := p.transition(st, e)
 		if err != nil {
-			return res, err
+			return err
 		}
 		if done {
-			return res, nil
+			return nil
 		}
 		st = next
 	}
 }
 
-// extract reads the target composite's fields from the stream.
-func (p *Parser) extract(arg ast.Expr, data []byte, res *Result) error {
-	prefix, ct, err := p.resolveTarget(arg)
-	if err != nil {
-		return err
-	}
-	if err := p.extractComposite(prefix, ct, data, res); err != nil {
-		return err
-	}
-	res.ValidHeaders[prefix] = true
-	return nil
-}
-
-func (p *Parser) extractComposite(prefix string, ct *sema.CompositeType, data []byte, res *Result) error {
-	for _, f := range ct.Fields {
-		name := prefix + "." + f.Name
-		if nested, ok := f.Type.(*sema.CompositeType); ok {
-			if err := p.extractComposite(name, nested, data, res); err != nil {
-				return err
-			}
-			res.ValidHeaders[name] = true
+// run reads the bound target's fields from the stream.
+func (b *boundExtract) run(data []byte, res *Result) error {
+	for _, s := range b.steps {
+		if s.width == validMark {
+			res.ValidHeaders[s.name] = true
 			continue
 		}
-		w := f.Type.BitWidth()
-		if w < 0 {
-			return fmt.Errorf("interp: field %s has no fixed width", name)
-		}
-		if res.BitsConsumed+w > len(data)*8 {
+		if res.BitsConsumed+s.width > len(data)*8 {
 			return fmt.Errorf("interp: stream exhausted extracting %s (need %d bits at offset %d of %d)",
-				name, w, res.BitsConsumed, len(data)*8)
+				s.name, s.width, res.BitsConsumed, len(data)*8)
 		}
-		if w <= 64 {
-			res.Values[name] = bitfield.Read(data, res.BitsConsumed, w)
+		if s.width <= 64 {
+			res.Values[s.name] = bitfield.Read(data, res.BitsConsumed, s.width)
 		}
-		res.BitsConsumed += w
+		res.BitsConsumed += s.width
 	}
+	if b.err != nil {
+		return b.err
+	}
+	res.ValidHeaders[b.prefix] = true
 	return nil
 }
 

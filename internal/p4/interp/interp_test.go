@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"reflect"
 	"testing"
 
 	"opendesc/internal/nic"
@@ -199,6 +200,83 @@ func TestPacketParserMatchesGoDecoder(t *testing.T) {
 				t.Fatalf("pkt %d: udp port", i)
 			}
 		}
+	}
+}
+
+// TestRunIntoReusesResult: one Result carried across a mixed trace reads
+// exactly what a fresh Run reads for every packet — nothing of a VLAN/TCP
+// packet's headers, values or states survives into the untagged UDP packet
+// after it — and once its maps have grown a run allocates nothing.
+func TestRunIntoReusesResult(t *testing.T) {
+	p := packetParser(t)
+	tr := workload.MustGenerate(workload.Spec{
+		Packets: 200, Flows: 16, PayloadBytes: 32,
+		TCPFraction: 0.5, VLANFraction: 0.5, TunnelFraction: 0.1, Seed: 9,
+	})
+	var reused Result
+	for i, data := range tr.Packets {
+		if err := p.RunInto(&reused, data, nil); err != nil {
+			t.Fatalf("pkt %d: %v", i, err)
+		}
+		fresh, err := p.Run(data, nil)
+		if err != nil {
+			t.Fatalf("pkt %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(&reused, fresh) {
+			t.Fatalf("pkt %d: reused result %+v, fresh %+v", i, reused, *fresh)
+		}
+	}
+	// A truncated stream leaves the fields extracted so far, as Run does.
+	short := tr.Packets[0][:20]
+	fresh, ferr := p.Run(short, nil)
+	if rerr := p.RunInto(&reused, short, nil); rerr == nil || ferr == nil || rerr.Error() != ferr.Error() {
+		t.Fatalf("truncated stream: RunInto %v, Run %v", rerr, ferr)
+	}
+	if !reflect.DeepEqual(&reused, fresh) {
+		t.Errorf("truncated stream: reused result %+v, fresh %+v", reused, *fresh)
+	}
+}
+
+// TestRunIntoStraightLineAllocatesNothing: extract targets are bound at New,
+// so a parser without select transitions (whose keys sema.Eval names per
+// evaluation) runs into a warm Result without allocating.
+func TestRunIntoStraightLineAllocatesNothing(t *testing.T) {
+	prog, err := parser.Parse("flat.p4", `
+header in_t { bit<4> a; bit<12> b; }
+header rec_t { bit<8> kind; in_t inner; bit<64> wide; bit<96> skipped; }
+parser P(desc_in din, out rec_t r) {
+    state start { din.extract(r); transition accept; }
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := sema.Check(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := info.BindParser(prog.Parser("P"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(info, inst, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 23)
+	data[0], data[1], data[2] = 0x7f, 0xab, 0xcd
+	var res Result
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := p.RunInto(&res, data, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("RunInto allocates %.2f per run with a warm Result, want 0", allocs)
+	}
+	want := map[string]uint64{"r.kind": 0x7f, "r.inner.a": 0xa, "r.inner.b": 0xbcd, "r.wide": 0}
+	if !res.Accepted || res.BitsConsumed != 184 || !reflect.DeepEqual(res.Values, want) ||
+		!reflect.DeepEqual(res.ValidHeaders, map[string]bool{"r": true, "r.inner": true}) {
+		t.Errorf("result %+v", res)
 	}
 }
 
