@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 build vet test race bench bench-baseline perf-gate alloc-gate loc clean
+.PHONY: all tier1 build vet test race bench perf-gate alloc-gate loc clean
 
 all: tier1
 
@@ -20,23 +20,21 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Regenerate every experiment table (slow; see EXPERIMENTS.md).
+# Regenerate every experiment table (see EXPERIMENTS.md). Prints, gates nothing.
 bench:
 	$(GO) run ./cmd/descbench
 
-# Re-measure the committed BENCH_*.json baselines in place. Run on a quiet
-# machine, inspect the diff, and commit only deliberate movements.
-bench-baseline:
-	$(GO) run ./cmd/descbench baseline -out .
-
-# The CI perf ratchet, locally: alloc gate, fresh baseline run, compare.
+# The CI perf gate, locally: the alloc/clock gates, every experiment table
+# once (exit status only), then cmd/benchmark at HEAD~1 and at this tree on
+# this box, compared under the benchmark's own bounds.
+PERF_TMP = /tmp/opendesc-perf
 perf-gate: alloc-gate
-	rm -rf /tmp/opendesc-perf && mkdir -p /tmp/opendesc-perf
-	$(GO) run ./cmd/descbench baseline -out /tmp/opendesc-perf
-	@fail=0; for old in BENCH_*.json; do \
-		echo "== $$old =="; \
-		$(GO) run ./cmd/descbench compare "$$old" "/tmp/opendesc-perf/$$old" || fail=1; \
-	done; exit $$fail
+	$(GO) run ./cmd/descbench -quick > /dev/null
+	rm -rf $(PERF_TMP) && git worktree prune && mkdir -p $(PERF_TMP)
+	git worktree add --detach $(PERF_TMP)/base HEAD~1
+	cd $(PERF_TMP)/base && $(GO) run ./cmd/benchmark -seconds 2 -trace 0 -out $(PERF_TMP)/base.json
+	$(GO) run ./cmd/benchmark -seconds 2 -trace 0 -out $(PERF_TMP)/head.json
+	$(GO) run ./cmd/benchmark -compare $(PERF_TMP)/base.json $(PERF_TMP)/head.json
 
 alloc-gate:
 	$(GO) test -run 'TestDeliverPathAllocGate|TestWarmCompileSkipsAnalysis|TestOpenMemoryGate' -v .
@@ -61,4 +59,4 @@ loc:
 	done | awk '{ print; raw += $$2; code += $$4 } END { printf "%-10s %7d raw %7d code\n", "total", raw, code }'
 
 clean:
-	rm -rf /tmp/opendesc-perf
+	rm -rf $(PERF_TMP) && git worktree prune

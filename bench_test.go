@@ -506,41 +506,10 @@ func BenchmarkRingOps(b *testing.B) {
 	})
 }
 
-// BenchmarkE11_Interfaces measures the three candidate driver-datapath
-// interface models (§5) for the two canonical applications. The timed unit
-// is one full deliver+poll round per packet (device and host side together);
-// the isolated host-side poll comparison is `descbench e11`, whose harness
-// re-delivers outside the timed region.
-func BenchmarkE11_Interfaces(b *testing.B) {
-	const packets = 256
-	ifaces, tr, err := bench.NewInterfaces(packets)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, app := range bench.IfaceApps {
-		for _, ifc := range ifaces {
-			b.Run(app+"/"+ifc.Name(), func(b *testing.B) {
-				h, sink := bench.IfaceHandler(app)
-				for done := 0; done < b.N; {
-					if err := ifc.Deliver(tr); err != nil {
-						b.Fatal(err)
-					}
-					n := ifc.Poll(h)
-					if n != packets {
-						b.Fatalf("polled %d", n)
-					}
-					done += n
-				}
-				_ = sink
-			})
-		}
-	}
-}
-
 // BenchmarkVerifySixNICs times one S27 differential-verification pass over
 // the six bundled descriptions (18 paths, 892 cases, 16 642 cross-view
 // checks) — the unit the fleet gate, the compile_open workload and E22's
-// harness/six_nic_pass row all pay. Its allocation count is gated by
+// exhaustive pass all pay. Its allocation count is gated by
 // TestVerifyAllocGate in internal/diffverify.
 func BenchmarkVerifySixNICs(b *testing.B) {
 	models := nic.All()

@@ -1,234 +1,71 @@
 // Command descbench regenerates the OpenDesc experiment tables (DESIGN.md
-// index E1–E22), emits the machine-readable benchmark artifacts
-// (BENCH_<name>.json, schema opendesc-bench/v1), and compares two artifacts
-// for the CI perf gate.
+// index E1–E22) from the registry in internal/bench. It prints and gates
+// nothing on a wall clock: the exact facts behind the tables are `go test
+// ./internal/bench` assertions, the tracked timings are cmd/benchmark's.
 //
 // Usage:
 //
 //	descbench                         # run every experiment table
 //	descbench e1 e3 e5                # selected experiments
-//	descbench -quick                  # shorter timing runs
-//	descbench -emit dir e4 e11        # also write BENCH_*.json artifacts
-//	descbench -profile dir e4         # cpu/heap/mutex pprof around the run
-//	descbench baseline -out dir       # pinned-parameter artifact suite
-//	descbench compare old.json new.json   # delta report, exit 1 on regression
+//	descbench -quick                  # shorter timing windows, 1k-case E18
+//	descbench -flight-dump dir e17    # also write E17's .odfl postmortems
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
-	"time"
 
 	"opendesc/internal/bench"
-	"opendesc/internal/perf"
 )
 
 func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "baseline":
-			os.Exit(runBaseline(os.Args[2:]))
-		case "compare":
-			os.Exit(runCompare(os.Args[2:]))
-		}
-	}
-	os.Exit(runExperiments(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// startProfile opens a pprof capture when dir is non-empty.
-func startProfile(dir string) *perf.Profile {
-	if dir == "" {
-		return nil
-	}
-	prof, err := perf.StartProfile(dir)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "descbench: profile: %v\n", err)
-		os.Exit(1)
-	}
-	return prof
-}
-
-func stopProfile(prof *perf.Profile) {
-	if prof == nil {
-		return
-	}
-	if err := prof.Stop(); err != nil {
-		fmt.Fprintf(os.Stderr, "descbench: profile: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "profiles written to %s (cpu.pprof, heap.pprof, mutex.pprof)\n", prof.Dir)
-}
-
-// runBaseline runs the five artifact-emitting experiments at their pinned
-// baseline parameters and writes one BENCH_<name>.json per experiment. This
-// is what `make bench-baseline` and the CI perf-gate invoke.
-func runBaseline(args []string) int {
-	fs := flag.NewFlagSet("descbench baseline", flag.ExitOnError)
-	out := fs.String("out", ".", "directory for BENCH_*.json artifacts")
-	profileDir := fs.String("profile", "", "directory for cpu/heap/mutex pprof capture")
-	handicap := fs.Float64("handicap", 1,
-		"multiply recorded timing metrics (demonstrates the gate; never use for real baselines)")
-	fs.Parse(args)
-	bench.SetHandicap(*handicap)
-
-	prof := startProfile(*profileDir)
-	for _, e := range bench.BaselineExperiments() {
-		tab, err := e.Run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "descbench baseline %s: %v\n", e.ID, err)
-			return 1
-		}
-		if tab.Record == nil {
-			fmt.Fprintf(os.Stderr, "descbench baseline %s: experiment emitted no record\n", e.ID)
-			return 1
-		}
-		path, err := tab.Record.WriteFile(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "descbench baseline %s: %v\n", e.ID, err)
-			return 1
-		}
-		fmt.Printf("%s: %s\n", path, tab.Record.Summary())
-	}
-	stopProfile(prof)
-	return 0
-}
-
-// runCompare loads two artifacts and prints the delta report; exit status 1
-// signals at least one regression (the CI gate condition).
-func runCompare(args []string) int {
-	fs := flag.NewFlagSet("descbench compare", flag.ExitOnError)
-	markdown := fs.Bool("markdown", false, "render the report as a markdown table")
-	nsTh := fs.Float64("ns-threshold", perf.DefaultThresholds.TimingPct,
-		"fractional regression allowed on timing metrics (count/alloc metrics are exact)")
-	fs.Parse(args)
-	if fs.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: descbench compare [-markdown] [-ns-threshold f] old.json new.json")
+// run is main with its streams and exit status as values: 0 when every
+// selected table printed, 1 when an experiment's acceptance invariant broke,
+// 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("descbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var p bench.Params
+	fs.BoolVar(&p.Quick, "quick", false, "shorter measurement windows and a 1k-case E18 corpus")
+	fs.StringVar(&p.FlightDump, "flight-dump", "", "directory for E17 flight-recorder postmortem dumps (.odfl)")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
 		return 2
 	}
-	oldRec, err := perf.Load(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "descbench compare: %v\n", err)
-		return 2
-	}
-	newRec, err := perf.Load(fs.Arg(1))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "descbench compare: %v\n", err)
-		return 2
-	}
-	th := perf.DefaultThresholds
-	th.TimingPct = *nsTh
-	rep, err := perf.Compare(oldRec, newRec, th)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "descbench compare: %v\n", err)
-		return 2
-	}
-	if *markdown {
-		fmt.Print(rep.Markdown())
-	} else {
-		fmt.Print(rep.Text())
-	}
-	if !rep.OK() {
-		return 1
-	}
-	return 0
-}
 
-// runExperiments is the classic table-regeneration mode (back compatible),
-// now able to also write artifacts (-emit) and pprof captures (-profile).
-func runExperiments(args []string) int {
-	fs := flag.NewFlagSet("descbench", flag.ExitOnError)
-	quick := fs.Bool("quick", false, "shorter measurement windows")
-	packets := fs.Int("packets", 512, "trace length for timing experiments")
-	flightDump := fs.String("flight-dump", "", "directory for E17 flight-recorder postmortem dumps (.odfl)")
-	emit := fs.String("emit", "", "directory for BENCH_*.json artifacts (experiments that emit records)")
-	profileDir := fs.String("profile", "", "directory for cpu/heap/mutex pprof capture")
-	handicap := fs.Float64("handicap", 1, "multiply recorded timing metrics (gate demonstration)")
-	fs.Parse(args)
-	bench.SetHandicap(*handicap)
-
-	minDur := 200 * time.Millisecond
-	if *quick {
-		minDur = 20 * time.Millisecond
+	ids := make([]string, len(bench.Experiments))
+	known := map[string]bool{}
+	for i, e := range bench.Experiments {
+		ids[i] = e.ID
+		known[e.ID] = true
 	}
-
-	type exp struct {
-		id  string
-		run func() (*bench.Table, error)
-	}
-	experiments := []exp{
-		{"e1", bench.E1PathSelection},
-		{"e2", bench.E2MultiNIC},
-		{"e3", bench.E3Coverage},
-		{"e4", func() (*bench.Table, error) { return bench.E4Datapath(*packets, minDur) }},
-		{"e5", bench.E5FootprintSweep},
-		{"e6", bench.E6Unsatisfiable},
-		{"e8", bench.E8QDMAFormats},
-		{"e9", func() (*bench.Table, error) { return bench.E9MbufDyn(minDur) }},
-		{"e10", bench.E10CompileTime},
-		{"e11", func() (*bench.Table, error) { return bench.E11Interfaces(*packets, minDur) }},
-		{"e12", bench.E12CostModel},
-		{"e13", bench.E13Pruning},
-		{"e14", bench.E14OffloadPlan},
-		{"e15", func() (*bench.Table, error) { return bench.E15Evolve(*packets * 4) }},
-		{"e16", func() (*bench.Table, error) { return bench.E16Faults(100_000) }},
-		{"e17", func() (*bench.Table, error) {
-			n := 100_000
-			if *quick {
-				n = 0 // E17Flight clamps to its minimum
-			}
-			return bench.E17Flight(n, *flightDump)
-		}},
-		{"e18", func() (*bench.Table, error) {
-			n := 10_000
-			if *quick {
-				n = 1_000
-			}
-			return bench.E18Chaos(n)
-		}},
-		{"e19", func() (*bench.Table, error) { return bench.E19Tenants(*packets * 8) }},
-		{"e20", func() (*bench.Table, error) { return bench.E20Fleet(*packets * 4) }},
-		{"e21", func() (*bench.Table, error) { return bench.E21Telemetry(*packets * 8) }},
-		{"e22", func() (*bench.Table, error) {
-			n := 32
-			if *quick {
-				n = 8
-			}
-			return bench.E22Diffverify(n)
-		}},
-	}
-
 	want := map[string]bool{}
 	for _, a := range fs.Args() {
-		want[strings.ToLower(a)] = true
+		id := strings.ToLower(a)
+		if !known[id] {
+			fmt.Fprintf(stderr, "descbench: unknown experiment %q (have %s)\n", a, strings.Join(ids, " "))
+			return 2
+		}
+		want[id] = true
 	}
-	prof := startProfile(*profileDir)
-	ran := 0
-	for _, e := range experiments {
-		if len(want) > 0 && !want[e.id] {
+
+	for _, e := range bench.Experiments {
+		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
-		tab, err := e.run()
+		tab, err := e.Run(p)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "descbench %s: %v\n", e.id, err)
+			fmt.Fprintf(stderr, "descbench %s: %v\n", e.ID, err)
 			return 1
 		}
-		fmt.Println(tab)
-		if *emit != "" && tab.Record != nil {
-			path, err := tab.Record.WriteFile(*emit)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "descbench %s: %v\n", e.id, err)
-				return 1
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-		}
-		ran++
-	}
-	stopProfile(prof)
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "descbench: no experiment matched %v (have e1..e6, e8..e22)\n", fs.Args())
-		return 1
+		fmt.Fprintln(stdout, tab)
 	}
 	return 0
 }

@@ -10,8 +10,6 @@ import (
 	"opendesc/internal/core"
 	"opendesc/internal/nic"
 	"opendesc/internal/nicsim"
-	"opendesc/internal/obs"
-	"opendesc/internal/perf"
 	"opendesc/internal/semantics"
 	"opendesc/internal/softnic"
 	"opendesc/internal/workload"
@@ -24,28 +22,17 @@ type Sample struct {
 	Packet []byte
 }
 
-// CaptureStats summarizes device-side saturation during a capture — the
-// same counters `nicsim -stats` exposes as the opendesc_ring_occupancy*
-// gauges. The E4 perf record carries them alongside the latency numbers so
-// a "fast because the ring was idle" run is visible as such.
-type CaptureStats struct {
-	RingCapacity  int
-	RingHighWater int
-	FullStalls    uint64
-	Drops         uint64
+// captureStats is what the simulated device lost while the samples were
+// captured: a datapath comparison over a trace the ring stalled or dropped on
+// would compare different packet sets.
+type captureStats struct {
+	fullStalls uint64
+	drops      uint64
 }
 
-// merge folds another capture's saturation into the summary (max for
-// level-style gauges, sum for counters).
-func (c *CaptureStats) merge(o CaptureStats) {
-	if o.RingCapacity > c.RingCapacity {
-		c.RingCapacity = o.RingCapacity
-	}
-	if o.RingHighWater > c.RingHighWater {
-		c.RingHighWater = o.RingHighWater
-	}
-	c.FullStalls += o.FullStalls
-	c.Drops += o.Drops
+func (c *captureStats) add(o captureStats) {
+	c.fullStalls += o.fullStalls
+	c.drops += o.drops
 }
 
 // CaptureSamples runs a trace through a simulated NIC configured with the
@@ -55,26 +42,26 @@ func CaptureSamples(m *nic.Model, cons []core.Constraint, tr *workload.Trace) ([
 	return samples, err
 }
 
-// captureSamplesStats is CaptureSamples plus the device's ring-occupancy
-// and stall counters at the end of the capture.
-func captureSamplesStats(m *nic.Model, cons []core.Constraint, tr *workload.Trace) ([]Sample, CaptureStats, error) {
+// captureSamplesStats is CaptureSamples plus the device's stall and drop
+// counters at the end of the capture.
+func captureSamplesStats(m *nic.Model, cons []core.Constraint, tr *workload.Trace) ([]Sample, captureStats, error) {
 	dev, err := nicsim.New(m, nicsim.Config{RingEntries: 64})
 	if err != nil {
-		return nil, CaptureStats{}, err
+		return nil, captureStats{}, err
 	}
 	if err := dev.ApplyConfig(cons); err != nil {
-		return nil, CaptureStats{}, err
+		return nil, captureStats{}, err
 	}
 	active, err := dev.ActivePath()
 	if err != nil {
-		return nil, CaptureStats{}, err
+		return nil, captureStats{}, err
 	}
 	size := active.SizeBytes()
 	samples := make([]Sample, 0, len(tr.Packets))
 	for i, p := range tr.Packets {
 		if !dev.RxPacket(p) {
 			st := dev.Stats()
-			return nil, CaptureStats{}, fmt.Errorf(
+			return nil, captureStats{}, fmt.Errorf(
 				"bench: rx failed at packet %d/%d on %s (device drops=%d, cmpt ring %d/%d full, %d full-stalls)",
 				i, len(tr.Packets), m.Name, st.Drops,
 				dev.CmptRing.Occupancy(), dev.CmptRing.Capacity(), st.Ring.FullStalls)
@@ -87,21 +74,13 @@ func captureSamplesStats(m *nic.Model, cons []core.Constraint, tr *workload.Trac
 		})
 	}
 	st := dev.Stats()
-	return samples, CaptureStats{
-		RingCapacity:  dev.CmptRing.Capacity(),
-		RingHighWater: st.Ring.HighWater,
-		FullStalls:    st.Ring.FullStalls,
-		Drops:         st.Drops,
-	}, nil
+	return samples, captureStats{fullStalls: st.Ring.FullStalls, drops: st.Drops}, nil
 }
 
 // measure times fn over the samples until it has run at least minDur in
 // total, and returns nanoseconds per sample. The fastest round is reported
 // (minimum-of-rounds is robust to scheduler noise from concurrent work).
-// When h is non-nil every round's ns/packet is recorded into it, so the
-// caller gets the whole per-round latency distribution (p50/p90/p99), not
-// just the aggregate minimum.
-func measure(samples []Sample, minDur time.Duration, h *obs.Histogram, fn func(s *Sample)) float64 {
+func measure(samples []Sample, minDur time.Duration, fn func(s *Sample)) float64 {
 	// Warm-up pass.
 	for i := range samples {
 		fn(&samples[i])
@@ -115,11 +94,7 @@ func measure(samples []Sample, minDur time.Duration, h *obs.Histogram, fn func(s
 		}
 		d := time.Since(start)
 		total += d
-		ns := float64(d.Nanoseconds()) / float64(len(samples))
-		if h != nil {
-			h.Observe(uint64(ns))
-		}
-		if ns < best {
+		if ns := float64(d.Nanoseconds()) / float64(len(samples)); ns < best {
 			best = ns
 		}
 	}
@@ -147,13 +122,9 @@ type datapathStacks struct {
 	mbufAcc   []baseline.MbufAccessor
 	odReaders []*codegen.Reader
 
-	// Hists holds, after Run, the per-stack round-latency distribution
-	// (ns/packet per timed round) keyed by stack name.
-	Hists map[string]*obs.Histogram
-
-	// Capture is the device-side saturation summary of the sample captures
-	// (full-CQE and selected-layout runs merged).
-	Capture CaptureStats
+	// Capture is what the device lost across both sample captures (full-CQE
+	// and selected-layout).
+	Capture captureStats
 }
 
 func newDatapathStacks(intent []semantics.Name, tr *workload.Trace) (*datapathStacks, error) {
@@ -183,7 +154,7 @@ func newDatapathStacks(intent []semantics.Name, tr *workload.Trace) (*datapathSt
 	if err != nil {
 		return nil, err
 	}
-	fullStats.merge(selStats)
+	fullStats.add(selStats)
 	soft := softnic.Funcs()
 	st := &datapathStacks{
 		Intent:   intent,
@@ -203,18 +174,13 @@ func newDatapathStacks(intent []semantics.Name, tr *workload.Trace) (*datapathSt
 	return st, nil
 }
 
-// Run measures every stack and returns ns/packet keyed by stack name. It
-// also fills d.Hists with the per-stack round-latency distribution.
+// Run measures every stack and returns ns/packet keyed by stack name.
 func (d *datapathStacks) Run(minDur time.Duration) map[string]float64 {
 	out := make(map[string]float64, 4)
-	d.Hists = make(map[string]*obs.Histogram, 4)
-	for _, name := range []string{"skbuff", "mbuf", "xdp", "opendesc"} {
-		d.Hists[name] = obs.NewHistogram()
-	}
 	var sink uint64
 
 	var skb baseline.SkBuff
-	out["skbuff"] = measure(d.Full, minDur, d.Hists["skbuff"], func(s *Sample) {
+	out["skbuff"] = measure(d.Full, minDur, func(s *Sample) {
 		d.skb.Fill(&skb, s.Cmpt, len(s.Packet))
 		for _, sem := range d.Intent {
 			v, ok := skb.Read(sem)
@@ -228,7 +194,7 @@ func (d *datapathStacks) Run(minDur time.Duration) map[string]float64 {
 	})
 
 	var mb baseline.Mbuf
-	out["mbuf"] = measure(d.Full, minDur, d.Hists["mbuf"], func(s *Sample) {
+	out["mbuf"] = measure(d.Full, minDur, func(s *Sample) {
 		d.mbuf.Fill(&mb, s.Cmpt, len(s.Packet))
 		for i, acc := range d.mbufAcc {
 			v, ok := acc.Read(&mb)
@@ -239,7 +205,7 @@ func (d *datapathStacks) Run(minDur time.Duration) map[string]float64 {
 		}
 	})
 
-	out["xdp"] = measure(d.Full, minDur, d.Hists["xdp"], func(s *Sample) {
+	out["xdp"] = measure(d.Full, minDur, func(s *Sample) {
 		meta := d.xdp.Wrap(s.Cmpt, len(s.Packet))
 		for _, sem := range d.Intent {
 			v, _ := meta.Read(sem, s.Packet)
@@ -247,28 +213,13 @@ func (d *datapathStacks) Run(minDur time.Duration) map[string]float64 {
 		}
 	})
 
-	out["opendesc"] = measure(d.Selected, minDur, d.Hists["opendesc"], func(s *Sample) {
+	out["opendesc"] = measure(d.Selected, minDur, func(s *Sample) {
 		for _, r := range d.odReaders {
 			sink += r.Read(s.Cmpt, s.Packet)
 		}
 	})
 	_ = sink
 	return out
-}
-
-// allocsOpenDesc measures steady-state heap allocations per packet of the
-// OpenDesc read path (generated accessors over the selected layout) — the
-// zero-alloc claim the perf record gates exactly.
-func (d *datapathStacks) allocsOpenDesc() float64 {
-	var sink uint64
-	i := 0
-	return perf.Allocs(200, func() {
-		s := &d.Selected[i%len(d.Selected)]
-		for _, r := range d.odReaders {
-			sink += r.Read(s.Cmpt, s.Packet)
-		}
-		i++
-	})
 }
 
 // Stacks exposes per-stack single-sample processing for external benchmark
@@ -363,23 +314,47 @@ var E4Intents = []struct {
 	{"telemetry", []semantics.Name{semantics.RSS, semantics.Timestamp, semantics.VLAN, semantics.FlowID, semantics.PktLen}},
 }
 
+// e4Row is one intent of the datapath comparison: ns/packet per stack, and
+// the prepared stacks themselves (the layout the compiler selected; the test
+// measures the accessor path's allocations on them).
+type e4Row struct {
+	intent string
+	ns     map[string]float64
+	stacks *datapathStacks
+}
+
+// bestBaseline is the fastest of the three kernel-style stacks.
+func (r *e4Row) bestBaseline() float64 {
+	return math.Min(r.ns["skbuff"], math.Min(r.ns["mbuf"], r.ns["xdp"]))
+}
+
+type e4Run struct {
+	rows    []e4Row
+	capture captureStats
+}
+
 // E4Datapath measures per-packet metadata-handling cost per host stack on
 // simulated mlx5 traffic — the experiment behind the paper's §2 motivation
 // numbers (TinyNF 1.7×, X-Change +70%): eager extraction and indirection
 // layers cost more than direct generated accessors, and XDP collapses once a
-// request leaves its 3 covered hints.
+// request leaves its 3 covered hints. The timings are context; the tracked
+// accessor cost is cmd/benchmark's codegen.read_hw_ns and
+// opendesc.get_ns_per_read.
 func E4Datapath(packets int, minDur time.Duration) (*Table, error) {
-	if packets <= 0 {
-		packets = 512
-	}
-	if minDur <= 0 {
-		minDur = 20 * time.Millisecond
-	}
 	spec := workload.DefaultSpec()
 	spec.Packets = packets
 	tr, err := workload.Generate(spec)
 	if err != nil {
 		return nil, err
+	}
+	run := &e4Run{}
+	for _, it := range E4Intents {
+		st, err := newDatapathStacks(it.Sems, tr)
+		if err != nil {
+			return nil, err
+		}
+		run.rows = append(run.rows, e4Row{intent: it.Name, ns: st.Run(minDur), stacks: st})
+		run.capture.add(st.Capture)
 	}
 	t := &Table{
 		ID:    "E4",
@@ -387,48 +362,14 @@ func E4Datapath(packets int, minDur time.Duration) (*Table, error) {
 		Note: "skbuff: eager full extraction; mbuf: flags+dynfield indirection;\n" +
 			"xdp: 3 kfuncs + software recompute beyond them; opendesc: generated\n" +
 			"fixed-offset accessors over the compiler-selected layout.\n" +
-			"od-p50/od-p99: round-level ns/packet distribution (log2 buckets).",
-		Header: []string{"intent", "cmpt-bytes(od)", "skbuff", "mbuf", "xdp", "opendesc", "od-p50", "od-p99", "best-baseline/od"},
-		Record: newPerfRecord("e4_datapath", "E4",
-			"Host datapath cost per stack (ns/packet, simulated mlx5)", packets, minDur),
+			fmt.Sprintf("capture: %d ring full-stalls, %d device drops", run.capture.fullStalls, run.capture.drops),
+		Header: []string{"intent", "cmpt-bytes(od)", "skbuff", "mbuf", "xdp", "opendesc", "best-baseline/od"},
+		run:    run,
 	}
-	rec := t.Record
-	var capture CaptureStats
-	for _, it := range E4Intents {
-		st, err := newDatapathStacks(it.Sems, tr)
-		if err != nil {
-			return nil, err
-		}
-		r := st.Run(minDur)
-		best := r["skbuff"]
-		for _, k := range []string{"mbuf", "xdp"} {
-			if r[k] < best {
-				best = r[k]
-			}
-		}
-		od := st.Hists["opendesc"]
-		t.AddRow(it.Name, st.SelBytes,
-			r["skbuff"], r["mbuf"], r["xdp"], r["opendesc"],
-			od.Quantile(0.50), od.Quantile(0.99),
-			fmt.Sprintf("%.2fx", best/r["opendesc"]))
-
-		for _, stack := range []string{"skbuff", "mbuf", "xdp"} {
-			addTiming(rec, "datapath/"+it.Name+"/"+stack, "ns/pkt", r[stack])
-		}
-		addTimingDist(rec, "datapath/"+it.Name+"/opendesc", "ns/pkt", r["opendesc"],
-			perf.DistFromSnapshot(od.Snapshot()))
-		rec.AddValue("speedup/"+it.Name, "ratio", best/r["opendesc"], perf.Higher)
-		rec.AddValue("footprint/"+it.Name, "bytes", float64(st.SelBytes), perf.Lower)
-		rec.AddValue("allocs/"+it.Name+"/opendesc", "allocs/op", st.allocsOpenDesc(), perf.Lower)
-		capture.merge(st.Capture)
+	for _, r := range run.rows {
+		t.AddRow(r.intent, r.stacks.SelBytes, r.ns["skbuff"], r.ns["mbuf"], r.ns["xdp"], r.ns["opendesc"],
+			fmt.Sprintf("%.2fx", r.bestBaseline()/r.ns["opendesc"]))
 	}
-	// Device-side saturation context (the nicsim -stats ring gauges): a
-	// latency claim from an idle ring is a different claim than one from a
-	// loaded ring, so the occupancy high-water travels with the numbers.
-	rec.AddValue("ring/occupancy_highwater", "count", float64(capture.RingHighWater), perf.Info)
-	rec.AddValue("ring/capacity", "count", float64(capture.RingCapacity), perf.Info)
-	rec.AddValue("ring/full_stalls", "count", float64(capture.FullStalls), perf.Lower)
-	rec.AddValue("ring/drops", "count", float64(capture.Drops), perf.Lower)
 	return t, nil
 }
 
@@ -436,9 +377,6 @@ func E4Datapath(packets int, minDur time.Duration) (*Table, error) {
 // flag-guarded dynamic offload fields grows (the mechanism the paper notes
 // "has itself become a performance bottleneck").
 func E9MbufDyn(minDur time.Duration) (*Table, error) {
-	if minDur <= 0 {
-		minDur = 20 * time.Millisecond
-	}
 	tr, err := workload.Generate(workload.DefaultSpec())
 	if err != nil {
 		return nil, err
@@ -480,7 +418,7 @@ func E9MbufDyn(minDur time.Duration) (*Table, error) {
 		}
 		var mb baseline.Mbuf
 		var sink uint64
-		mbufNs := measure(samples, minDur, nil, func(s *Sample) {
+		mbufNs := measure(samples, minDur, func(s *Sample) {
 			drv.Fill(&mb, s.Cmpt, len(s.Packet))
 			for _, acc := range accs {
 				v, _ := acc.Read(&mb)
@@ -500,7 +438,7 @@ func E9MbufDyn(minDur time.Duration) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		odNs := measure(sel, minDur, nil, func(s *Sample) {
+		odNs := measure(sel, minDur, func(s *Sample) {
 			for _, r := range readers {
 				sink += r.Read(s.Cmpt, s.Packet)
 			}

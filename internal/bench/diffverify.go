@@ -6,24 +6,36 @@ import (
 
 	"opendesc/internal/diffverify"
 	"opendesc/internal/nic"
-	"opendesc/internal/perf"
 )
 
-// e22Coverage is one exhaustive six-NIC harness pass: every bundled
-// description through the four-view differential check (static layout, CFG
-// walk, interpreter, generated accessors) plus SoftNIC golden packets.
-type e22Coverage struct {
+// e22Run is the whole experiment: the exhaustive six-NIC pass's coverage, the
+// ablation's catches, the mutant sweep's verdict histogram and the
+// certificate. Disagreements and underdetermined cases fail the experiment, so
+// a run that exists has zero of both.
+type e22Run struct {
 	paths, cases, checks int
-	ns                   float64 // wall-clock for the whole pass
+	ablationCaught       int
+	reproducer           string // first ablation disagreement, rendered
+	screened             int
+	outcomes             map[string]int // mutant verdicts by diffverify.Outcome*
+	sweepNs              float64
+	cert                 diffverify.Certificate
 }
 
-// e22Pass runs the harness exhaustively over all bundled NICs and returns
-// the aggregate coverage. Any disagreement or underdetermined case is an
-// experiment failure — the artifact pins zero for both.
-func e22Pass() (*e22Coverage, error) {
-	var cov e22Coverage
-	start := time.Now()
-	for _, m := range nic.All() {
+// E22Diffverify is the S27 differential-verification experiment (DESIGN.md
+// §S27): exhaustive four-view equivalence over every bundled description
+// (static layout, CFG walk, interpreter, generated accessors, plus SoftNIC
+// golden packets), the broken-accessor ablation on every NIC (the harness
+// must catch an injected one-bit codegen bug with a minimal accessor-view
+// reproducer), and a seeded adversarial mutant sweep run twice to pin verdict
+// determinism. Every count repeats exactly. What a pass costs is
+// cmd/benchmark's diffverify.verify_ms_per_nic, BenchmarkVerifySixNICs and
+// TestVerifyAllocGate.
+func E22Diffverify(mutantsPerNIC int) (*Table, error) {
+	models := nic.All()
+	run := &e22Run{outcomes: map[string]int{}}
+
+	for _, m := range models {
 		rep, err := diffverify.VerifySource(m.Name, m.Source, diffverify.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("e22: %s rejected: %v", m.Name, err)
@@ -34,51 +46,13 @@ func e22Pass() (*e22Coverage, error) {
 		if rep.Skipped != 0 {
 			return nil, fmt.Errorf("e22: %s left %d cases underdetermined", m.Name, rep.Skipped)
 		}
-		cov.paths += rep.Paths
-		cov.cases += rep.Cases
-		cov.checks += rep.Checks
+		run.paths += rep.Paths
+		run.cases += rep.Cases
+		run.checks += rep.Checks
 	}
-	cov.ns = float64(time.Since(start).Nanoseconds())
-	return &cov, nil
-}
-
-// E22Diffverify is the S27 differential-verification experiment (DESIGN.md
-// §S27): exhaustive four-view equivalence over every bundled description
-// (timed — the harness has to be cheap enough to gate every fleet push), the
-// broken-accessor ablation on every NIC (the harness must catch an injected
-// one-bit codegen bug with a minimal accessor-view reproducer), and a seeded
-// adversarial mutant sweep run twice to pin verdict determinism. Coverage
-// counts, ablation catches, and mutant verdicts are deterministic and gate
-// the CI ratchet; wall-clock numbers are context except the per-pass timing.
-func E22Diffverify(mutantsPerNIC int) (*Table, error) {
-	if mutantsPerNIC < 8 {
-		mutantsPerNIC = 8
-	}
-	models := nic.All()
-
-	// Harness timing: one untimed warm-up pass, then min-of-rounds over the
-	// full six-NIC exhaustive sweep (the E17/E21 estimator).
-	if _, err := e22Pass(); err != nil {
-		return nil, err
-	}
-	var cov *e22Coverage
-	minNs := -1.0
-	for round := 0; round < 3; round++ {
-		c, err := e22Pass()
-		if err != nil {
-			return nil, err
-		}
-		if minNs < 0 || c.ns < minNs {
-			minNs = c.ns
-		}
-		cov = c
-	}
-	pathsPerSec := float64(cov.paths) / (minNs / 1e9)
 
 	// Ablation: a deliberately mis-offset accessor must be caught on every
 	// NIC, and the first reproducer must blame the accessor view.
-	caught := 0
-	var reproducer string
 	for _, m := range models {
 		rep, err := diffverify.VerifySource(m.Name, m.Source, diffverify.Options{BreakAccessor: true})
 		if err != nil {
@@ -90,18 +64,16 @@ func E22Diffverify(mutantsPerNIC int) (*Table, error) {
 		if d := rep.Disagreements[0]; d.View != "accessor" {
 			return nil, fmt.Errorf("e22 ablation: %s first disagreement blames view %q, want accessor", m.Name, d.View)
 		}
-		if reproducer == "" {
-			reproducer = rep.Disagreements[0].String()
+		if run.reproducer == "" {
+			run.reproducer = rep.Disagreements[0].String()
 		}
-		caught++
+		run.ablationCaught++
 	}
 
 	// Adversarial mutant sweep, seeded, run twice: identical seeds must give
 	// identical verdicts, and no screened mutant may expose a triad
 	// disagreement (a disagree verdict means a real compiler bug).
 	sweepStart := time.Now()
-	counts := map[string]int{}
-	screened := 0
 	for _, m := range models {
 		a := diffverify.Sweep(m.Name, m.Source, 1, mutantsPerNIC)
 		b := diffverify.Sweep(m.Name, m.Source, 1, mutantsPerNIC)
@@ -116,56 +88,34 @@ func E22Diffverify(mutantsPerNIC int) (*Table, error) {
 				return nil, fmt.Errorf("e22: %s mutant seed %#x (ops %s) exposes a disagreement: %s",
 					m.Name, v.Seed, v.Ops, v.Reason)
 			}
-			counts[v.Outcome]++
-			screened++
+			run.outcomes[v.Outcome]++
+			run.screened++
 		}
 	}
-	sweepNs := float64(time.Since(sweepStart).Nanoseconds())
+	run.sweepNs = float64(time.Since(sweepStart).Nanoseconds())
 
 	// Certificate flow: the digest-keyed verdict the fleet controller gates
 	// provisioning on must pass for a bundled description.
-	cert := diffverify.Certify(models[0].Name, models[0].Source)
-	if !cert.Passed {
-		return nil, fmt.Errorf("e22: certificate for %s failed: %s", cert.NIC, cert.Reason)
+	run.cert = diffverify.Certify(models[0].Name, models[0].Source)
+	if !run.cert.Passed {
+		return nil, fmt.Errorf("e22: certificate for %s failed: %s", run.cert.NIC, run.cert.Reason)
 	}
 
 	tab := &Table{
 		ID:     "E22",
-		Title:  fmt.Sprintf("differential verification: four-view harness, ablation, %d-mutant sweep", screened),
+		Title:  fmt.Sprintf("differential verification: four-view harness, ablation, %d-mutant sweep", run.screened),
 		Header: []string{"measurement", "value"},
-		Record: newPerfRecord("e22_diff", "E22",
-			"differential verification: exhaustive harness timing, accessor ablation, adversarial mutant sweep",
-			cov.cases, 0),
+		Note: fmt.Sprintf(
+			"four views per completion path: static layout, independent CFG walk, P4 interpreter, generated\n"+
+				"accessors — plus SoftNIC golden packets; a disagreement renders as a minimal reproducer, e.g.\n"+
+				"ablation excerpt: %.160s…", run.reproducer),
+		run: run,
 	}
-	rec := tab.Record
-	addTiming(rec, "harness/six_nic_pass", "ns", minNs)
-	// One-shot wall-clock over 384 full frontend runs — too noisy to ratchet;
-	// the gated timing is the min-of-rounds harness pass above.
-	rec.AddValue("mutants/sweep", "ns", sweepNs*handicap, perf.Info)
-	rec.AddValue("harness/paths_per_sec", "count", pathsPerSec, perf.Info)
-	rec.AddValue("harness/paths", "count", float64(cov.paths), perf.Higher)
-	rec.AddValue("harness/cases", "count", float64(cov.cases), perf.Higher)
-	rec.AddValue("harness/checks", "count", float64(cov.checks), perf.Higher)
-	rec.AddValue("harness/underdetermined", "count", 0, perf.Lower)
-	rec.AddValue("harness/disagreements", "count", 0, perf.Lower)
-	rec.AddValue("ablation/caught", "count", float64(caught), perf.Higher)
-	rec.AddValue("mutants/screened", "count", float64(screened), perf.Higher)
-	rec.AddValue("mutants/pass", "count", float64(counts[diffverify.OutcomePass]), perf.Info)
-	rec.AddValue("mutants/rejected", "count", float64(counts[diffverify.OutcomeRejected]), perf.Info)
-	rec.AddValue("mutants/disagree", "count", 0, perf.Lower)
-	rec.AddValue("cert/passed", "count", boolCount(cert.Passed), perf.Higher)
-
-	tab.AddRow("exhaustive six-NIC pass", fmt.Sprintf("%.2f ms (%d paths, %d cases, %d checks)",
-		minNs/1e6, cov.paths, cov.cases, cov.checks))
-	tab.AddRow("harness throughput", fmt.Sprintf("%.0f paths/s", pathsPerSec))
+	tab.AddRow("exhaustive six-NIC pass", fmt.Sprintf("%d paths, %d cases, %d checks", run.paths, run.cases, run.checks))
 	tab.AddRow("underdetermined / disagreements", "0 / 0")
-	tab.AddRow("accessor ablation", fmt.Sprintf("caught on %d/%d NICs (minimal reproducer, accessor view)", caught, len(models)))
+	tab.AddRow("accessor ablation", fmt.Sprintf("caught on %d/%d NICs (minimal reproducer, accessor view)", run.ablationCaught, len(models)))
 	tab.AddRow("mutant sweep", fmt.Sprintf("%d screened ×2 identical: %d pass, %d rejected, 0 disagree (%.2f ms)",
-		screened, counts[diffverify.OutcomePass], counts[diffverify.OutcomeRejected], sweepNs/1e6))
-	tab.AddRow("certificate", fmt.Sprintf("%s %.12s… PASS", cert.NIC, cert.Digest))
-	tab.Note = fmt.Sprintf(
-		"four views per completion path: static layout, independent CFG walk, P4 interpreter, generated\n"+
-			"accessors — plus SoftNIC golden packets; a disagreement renders as a minimal reproducer, e.g.\n"+
-			"ablation excerpt: %.160s…", reproducer)
+		run.screened, run.outcomes[diffverify.OutcomePass], run.outcomes[diffverify.OutcomeRejected], run.sweepNs/1e6))
+	tab.AddRow("certificate", fmt.Sprintf("%s %.12s… PASS", run.cert.NIC, run.cert.Digest))
 	return tab, nil
 }

@@ -8,7 +8,6 @@ import (
 	"opendesc/internal/evolve"
 	"opendesc/internal/nic"
 	"opendesc/internal/nicsim"
-	"opendesc/internal/perf"
 	"opendesc/internal/rxpath"
 	"opendesc/internal/semantics"
 	"opendesc/internal/workload"
@@ -45,6 +44,22 @@ func e15Cost(res *core.Result, mix map[semantics.Name]float64, costs semantics.C
 	return c
 }
 
+// e15Run is the outcome of the two-phase drive: per phase the layout each
+// driver ended on and its modelled cost under that phase's mix, and the
+// engine's switchover counters.
+type e15Run struct {
+	pinned *core.Result // generation 0, the static compile
+	phases []e15PhaseRun
+	stats  evolve.Stats
+}
+
+type e15PhaseRun struct {
+	name                 string
+	evolved              *core.Result
+	pinnedCost, evolCost float64
+	adapt                int // packets into the phase before the generation changed; -1 = never
+}
+
 // E15Evolve drives a workload whose feature mix shifts mid-run through the
 // internal/evolve renegotiation engine and compares its per-phase datapath
 // cost against the layout pinned at compile time. Phase 1 is checksum-heavy
@@ -53,9 +68,6 @@ func e15Cost(res *core.Result, mix map[semantics.Name]float64, costs semantics.C
 // the RSS path. Reports adaptation latency (packets into phase 2 before the
 // generation swap) and the switchover loss counter, which must be zero.
 func E15Evolve(packets int) (*Table, error) {
-	if packets < 512 {
-		packets = 512
-	}
 	const nicName = "e1000e"
 	intent, err := core.IntentFromSemantics("e15", semantics.Default,
 		semantics.RSS, semantics.IPChecksum, semantics.VLAN, semantics.PktLen)
@@ -93,7 +105,7 @@ func E15Evolve(packets int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pinned := eng.Result() // generation 0 == the static compile
+	run := &e15Run{pinned: eng.Result()}
 
 	spec := workload.DefaultSpec()
 	spec.Packets = packets
@@ -103,22 +115,9 @@ func E15Evolve(packets int) (*Table, error) {
 	}
 
 	costs := semantics.RegistryCosts(semantics.Default)
-	tab := &Table{
-		ID:     "E15",
-		Title:  "live renegotiation under a mid-run feature-mix shift (e1000e)",
-		Header: []string{"phase", "driver", "path", "bytes", "cost/pkt", "adapt(pkts)"},
-		Record: newPerfRecord("e15_evolve", "E15",
-			"Live renegotiation under a mid-run feature-mix shift (e1000e)", packets, 0),
-	}
-	// E15 is a deterministic seeded drive, not a timed min-of-rounds loop.
-	tab.Record.Method.Estimator = "deterministic-drive"
-	tab.Record.Method.Warmup = false
-
 	perPhase := packets / len(phases)
-	adapt := make([]int, len(phases))
-	results := make([]*core.Result, len(phases))
 	for pi, ph := range phases {
-		adapt[pi] = -1
+		adapt := -1
 		startGen := eng.Generation()
 		for i := 0; i < perPhase; i++ {
 			p := tr.Packets[(pi*perPhase+i)%len(tr.Packets)]
@@ -133,48 +132,40 @@ func E15Evolve(packets int) (*Table, error) {
 					}
 				}
 			})
-			if adapt[pi] < 0 && eng.Generation() != startGen {
-				adapt[pi] = i + 1
+			if adapt < 0 && eng.Generation() != startGen {
+				adapt = i + 1
 			}
 		}
-		results[pi] = eng.Result()
+		res := eng.Result()
+		run.phases = append(run.phases, e15PhaseRun{
+			name: ph.name, evolved: res, adapt: adapt,
+			pinnedCost: e15Cost(run.pinned, ph.mix, costs),
+			evolCost:   e15Cost(res, ph.mix, costs),
+		})
+	}
+	run.stats = eng.Stats()
+	if run.stats.SwitchDrops != 0 {
+		return nil, fmt.Errorf("e15: %d packets dropped across switchovers, want 0", run.stats.SwitchDrops)
 	}
 
-	st := eng.Stats()
-	rec := tab.Record
-	for pi, ph := range phases {
-		pinnedCost := e15Cost(pinned, ph.mix, costs)
-		evolvedCost := e15Cost(results[pi], ph.mix, costs)
-		tab.AddRow(ph.name, "pinned", pathLabel(pinned), pinned.CompletionBytes(),
-			pinnedCost, "-")
+	st := run.stats
+	tab := &Table{
+		ID:     "E15",
+		Title:  "live renegotiation under a mid-run feature-mix shift (e1000e)",
+		Header: []string{"phase", "driver", "path", "bytes", "cost/pkt", "adapt(pkts)"},
+		Note: fmt.Sprintf(
+			"cost/pkt = Σ freq(s)·w(s) over software semantics + α·bytes (Eq. 1 under the live mix)\n"+
+				"switchovers=%d renegotiations=%d drained=%d drops=%d (must be 0) switch p50=%dns",
+			st.Switchovers, st.Renegotiations, st.PacketsDrained, st.SwitchDrops, st.SwitchLatencyP50),
+		run: run,
+	}
+	for _, ph := range run.phases {
+		tab.AddRow(ph.name, "pinned", pathLabel(run.pinned), run.pinned.CompletionBytes(), ph.pinnedCost, "-")
 		ad := "converged"
-		if adapt[pi] >= 0 {
-			ad = fmt.Sprintf("%d", adapt[pi])
+		if ph.adapt >= 0 {
+			ad = fmt.Sprintf("%d", ph.adapt)
 		}
-		tab.AddRow(ph.name, "evolving", pathLabel(results[pi]), results[pi].CompletionBytes(),
-			evolvedCost, ad)
-
-		// The modelled Eq. 1 costs are deterministic, but they move whenever
-		// the solver or cost table legitimately changes — gate them with the
-		// ratio threshold, not exactly.
-		rec.AddValue("cost/"+ph.name+"/pinned", "cost_per_pkt", pinnedCost, perf.Lower)
-		rec.AddValue("cost/"+ph.name+"/evolving", "cost_per_pkt", evolvedCost, perf.Lower)
-		rec.AddValue("footprint/"+ph.name+"/evolving", "bytes",
-			float64(results[pi].CompletionBytes()), perf.Lower)
-		if adapt[pi] >= 0 {
-			rec.AddValue("adapt_packets/"+ph.name, "count", float64(adapt[pi]), perf.Lower)
-		}
-	}
-	rec.AddValue("switch/drops", "count", float64(st.SwitchDrops), perf.Lower)
-	rec.AddValue("switch/count", "count", float64(st.Switchovers), perf.Info)
-	rec.AddValue("switch/drained", "count", float64(st.PacketsDrained), perf.Info)
-	rec.AddValue("switch/latency_p50", "ns", float64(st.SwitchLatencyP50), perf.Info)
-	tab.Note = fmt.Sprintf(
-		"cost/pkt = Σ freq(s)·w(s) over software semantics + α·bytes (Eq. 1 under the live mix)\n"+
-			"switchovers=%d renegotiations=%d drained=%d drops=%d (must be 0) switch p50=%dns",
-		st.Switchovers, st.Renegotiations, st.PacketsDrained, st.SwitchDrops, st.SwitchLatencyP50)
-	if st.SwitchDrops != 0 {
-		return nil, fmt.Errorf("e15: %d packets dropped across switchovers, want 0", st.SwitchDrops)
+		tab.AddRow(ph.name, "evolving", pathLabel(ph.evolved), ph.evolved.CompletionBytes(), ph.evolCost, ad)
 	}
 	return tab, nil
 }

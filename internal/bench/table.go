@@ -1,20 +1,19 @@
 // Package bench implements the OpenDesc experiment harness: one function per
-// experiment in DESIGN.md's index (E1–E18), each regenerating the
-// corresponding table or series as formatted text. cmd/descbench and the
-// repository-level benchmarks are thin wrappers around these functions.
+// experiment in DESIGN.md's index (E1–E22), each regenerating the
+// corresponding table as formatted text, and the registry (Experiments) that
+// pins each one's parameters. cmd/descbench prints the registry; the package's
+// tests run it and assert every deterministic cell exactly. Nothing here gates
+// on a wall clock: timings in a table are context, the tracked numbers are
+// cmd/benchmark's.
 package bench
 
 import (
 	"fmt"
 	"math"
 	"strings"
-
-	"opendesc/internal/perf"
 )
 
-// Table is a formatted experiment result. Record, when non-nil, is the
-// experiment's machine-readable perf artifact (serialized by descbench to
-// BENCH_<name>.json); the table is the human view of the same run.
+// Table is a formatted experiment result.
 type Table struct {
 	ID     string
 	Title  string
@@ -22,7 +21,10 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 
-	Record *perf.Record
+	// run is the typed measurement the rows were rendered from (*e15Run,
+	// *e19Result, ...), nil for tables built cell by cell. The tests assert
+	// on it, never on a formatted cell.
+	run any
 }
 
 // AddRow appends a row; values are stringified with %v. Large-magnitude

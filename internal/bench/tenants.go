@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"opendesc/internal/chaos"
-	"opendesc/internal/perf"
 	"opendesc/internal/tenant"
 	"opendesc/internal/workload"
 )
@@ -22,18 +21,23 @@ var tenantProfiles = [][]string{
 	{"rss", "vlan"},
 }
 
-// e19Run is one serving-plane measurement: aggregate throughput, per-tenant
-// tail latency, fairness, and steal/renegotiation counts.
+// e19Run is one serving-plane measurement: aggregate throughput, fairness,
+// and steal/renegotiation counts.
 type e19Run struct {
 	tenants, cores int
 	elapsed        time.Duration
 	fairness       float64 // Jain over per-tenant service ratios
 	loadFairness   float64 // Jain over raw offered load (workload skew context)
-	maxP99         float64
 	steals         uint64
 	renegs         uint64
-	renegNs        float64 // wall time of the mid-run joint switchover
 	delivered      uint64
+}
+
+// e19Result is the whole experiment: one serving run per plane shape and the
+// tenant-isolation chaos sweep's totals (a violation fails the experiment).
+type e19Result struct {
+	rows                    []*e19Run
+	chaosCases, chaosRenegs uint64
 }
 
 // e19Serve pushes a Zipf trace through a plane of (tenants, cores) with one
@@ -136,9 +140,6 @@ func e19Serve(tenants, cores, packets int) (*e19Run, error) {
 		ratios[i] = float64(ts.Delivered) / float64(offered[i])
 		loads[i] = float64(offered[i])
 		run.delivered += ts.Delivered
-		if ts.P99 > run.maxP99 {
-			run.maxP99 = ts.P99
-		}
 	}
 	run.fairness = tenant.JainFairness(ratios)
 	run.loadFairness = tenant.JainFairness(loads)
@@ -151,26 +152,14 @@ func e19Serve(tenants, cores, packets int) (*e19Run, error) {
 }
 
 // E19Tenants is the multi-tenant serving-plane experiment (DESIGN.md §S24):
-// aggregate throughput, per-tenant p99 latency and Jain's fairness across
-// tenant counts {1, 4, 16, 64} under a 2M-flow Zipf(1.1) workload, each
-// with a live mid-run renegotiation, plus the S23 tenant-isolation chaos
-// sweep. Wall-clock numbers are context (Info); fairness and conservation
-// counts are deterministic and gate the CI perf ratchet.
+// aggregate throughput and Jain's fairness across tenant counts {1, 4, 16,
+// 64} under a 2M-flow Zipf(1.1) workload, each with a live mid-run
+// renegotiation, plus the S23 tenant-isolation chaos sweep. Throughput,
+// steals and load fairness move with the scheduler and are context;
+// delivered counts, service fairness and the chaos totals repeat exactly. The
+// plane's tracked cost and latency are cmd/benchmark's tenants_zipf workload.
 func E19Tenants(packets int) (*Table, error) {
-	if packets <= 0 {
-		packets = 4096
-	}
-	tab := &Table{
-		ID: "E19",
-		Title: fmt.Sprintf("multi-tenant serving plane: %d Zipf(1.1) packets over 2M flows per row, live mid-run renegotiation",
-			packets),
-		Header: []string{"tenants", "cores", "throughput", "max p99", "fairness", "steals", "renegs"},
-		Record: newPerfRecord("e19_tenants", "E19",
-			"multi-tenant serving plane: throughput, tail latency, Jain fairness vs tenant count", packets, 0),
-	}
-	rec := tab.Record
-
-	var fairness16 float64
+	res := &e19Result{}
 	for _, shape := range []struct{ tenants, cores int }{
 		{1, 1}, {4, 2}, {16, 4}, {64, 8},
 	} {
@@ -178,59 +167,46 @@ func E19Tenants(packets int) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("e19 t=%d c=%d: %w", shape.tenants, shape.cores, err)
 		}
-		pps := float64(run.delivered) / run.elapsed.Seconds()
-		tab.AddRow(shape.tenants, shape.cores,
-			fmt.Sprintf("%.2f Mpps", pps/1e6),
-			fmt.Sprintf("%.1f µs", run.maxP99/1e3),
-			fmt.Sprintf("%.4f (load %.2f)", run.fairness, run.loadFairness),
-			run.steals, run.renegs)
-
-		pfx := fmt.Sprintf("t%02d/", shape.tenants)
-		rec.AddValue(pfx+"throughput_pps", "ops/s", pps, perf.Info)
-		rec.AddValue(pfx+"max_p99_ns", "ns", run.maxP99, perf.Info)
-		rec.AddValue(pfx+"fairness", "ratio", run.fairness, perf.Higher)
-		rec.AddValue(pfx+"load_fairness", "ratio", run.loadFairness, perf.Info)
-		rec.AddValue(pfx+"delivered", "count", float64(run.delivered), perf.Higher)
-		rec.AddValue(pfx+"steals", "count", float64(run.steals), perf.Info)
-		if shape.tenants == 16 {
-			fairness16 = run.fairness
-		}
-	}
-	// Acceptance floor from the issue: Jain ≥ 0.95 at 16 tenants under the
-	// skewed workload (round-robin rank sharding keeps offered load even).
-	if fairness16 < 0.95 {
-		return nil, fmt.Errorf("e19: Jain fairness %.4f at 16 tenants, want >= 0.95", fairness16)
+		res.rows = append(res.rows, run)
 	}
 
 	// Tenant-isolation chaos sweep (S23): scripted renegotiations under
 	// interleaved arrivals/polls/steals; every oracle must hold.
-	var renegs, violations, cases uint64
+	sweep := func(cfg chaos.TenantConfig, seed uint64) error {
+		r := chaos.RunTenant(cfg, seed)
+		res.chaosCases++
+		res.chaosRenegs += r.Renegs + r.FastRenegs
+		if r.Violation != nil {
+			return fmt.Errorf("e19 chaos %d tenants seed=%d: %v", cfg.Tenants, seed, r.Violation)
+		}
+		return nil
+	}
 	for seed := uint64(1); seed <= 8; seed++ {
-		res := chaos.RunTenant(chaos.TenantConfig{Tenants: 4, Cores: 2, Steps: 512}, seed)
-		cases++
-		renegs += res.Renegs + res.FastRenegs
-		if res.Violation != nil {
-			violations++
-			return nil, fmt.Errorf("e19 chaos seed=%d: %v", seed, res.Violation)
+		if err := sweep(chaos.TenantConfig{Tenants: 4, Cores: 2, Steps: 512}, seed); err != nil {
+			return nil, err
 		}
 	}
-	if res := chaos.RunTenant(chaos.TenantConfig{Tenants: 16, Cores: 4, Steps: 768}, 3); res.Violation != nil {
-		return nil, fmt.Errorf("e19 chaos 16-tenant: %v", res.Violation)
-	} else {
-		cases++
-		renegs += res.Renegs + res.FastRenegs
+	if err := sweep(chaos.TenantConfig{Tenants: 16, Cores: 4, Steps: 768}, 3); err != nil {
+		return nil, err
 	}
-	tab.AddRow("chaos", "-", "-", "-", "-", "-",
-		fmt.Sprintf("%d renegs / %d cases / %d violations", renegs, cases, violations))
-	rec.AddValue("chaos/cases", "count", float64(cases), perf.Higher)
-	rec.AddValue("chaos/renegotiations", "count", float64(renegs), perf.Info)
-	rec.AddValue("chaos/violations", "count", float64(violations), perf.Lower)
 
-	tab.Note = fmt.Sprintf(
-		"one joint Eq. 1 compile per plane; per-tenant accessor/shim splits over one shared layout\n"+
-			"every row renegotiates tenant 0 mid-run with exact per-tenant conservation (exactly-once held)\n"+
-			"fairness = Jain over per-tenant delivered/offered service ratios (load = Jain over raw Zipf demand)\n"+
-			"Jain service fairness at 16 tenants: %.4f (floor 0.95); chaos sweep: %d cases, %d scripted renegotiations, 0 violations",
-		fairness16, cases, renegs)
+	tab := &Table{
+		ID: "E19",
+		Title: fmt.Sprintf("multi-tenant serving plane: %d Zipf(1.1) packets over 2M flows per row, live mid-run renegotiation",
+			packets),
+		Header: []string{"tenants", "cores", "throughput", "fairness", "steals", "renegs"},
+		Note: "one joint Eq. 1 compile per plane; per-tenant accessor/shim splits over one shared layout\n" +
+			"every row renegotiates tenant 0 mid-run with exact per-tenant conservation (exactly-once held)\n" +
+			"fairness = Jain over per-tenant delivered/offered service ratios (load = Jain over raw Zipf demand)",
+		run: res,
+	}
+	for _, run := range res.rows {
+		tab.AddRow(run.tenants, run.cores,
+			fmt.Sprintf("%.2f Mpps", float64(run.delivered)/run.elapsed.Seconds()/1e6),
+			fmt.Sprintf("%.4f (load %.2f)", run.fairness, run.loadFairness),
+			run.steals, run.renegs)
+	}
+	tab.AddRow("chaos", "-", "-", "-", "-",
+		fmt.Sprintf("%d renegs / %d cases / 0 violations", res.chaosRenegs, res.chaosCases))
 	return tab, nil
 }

@@ -5,8 +5,8 @@
 //
 // The describe handshake is the paper's thesis operationalized at fleet
 // scale: a host IS its P4 description plus a capability model, published as
-// schema-versioned machine-actionable JSON (like internal/perf's benchmark
-// artifacts). Descriptions arrive over a network, so — following P4K's
+// schema-versioned machine-actionable JSON. Descriptions arrive over a
+// network, so — following P4K's
 // framing — they are untrusted input: everything is structurally validated
 // (size bound, schema version, content digest, parse, semantic check,
 // deparser graph, path enumeration, capability-claim consistency) before a

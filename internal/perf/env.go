@@ -1,3 +1,7 @@
+// Package perf holds the environment fingerprint a benchmark result file
+// carries, so two results are never compared blind across machines or
+// toolchains. cmd/benchmark stamps every result with it and refuses to
+// compare two files whose fingerprints differ.
 package perf
 
 import (
@@ -7,8 +11,21 @@ import (
 	"strings"
 )
 
+// Env is the environment fingerprint of a benchmark run: enough to judge
+// whether two results are comparable at all. The JSON tags are a file
+// format: result files written by older commits must keep decoding.
+type Env struct {
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	CPUModel   string `json:"cpu_model,omitempty"`
+	Commit     string `json:"commit,omitempty"`
+}
+
 // Fingerprint captures the current process environment: the context a
-// future reader needs to judge whether two artifacts are comparable
+// future reader needs to judge whether two results are comparable
 // (same machine class, same toolchain) or not.
 func Fingerprint() Env {
 	return Env{
