@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 build vet test race bench perf-gate alloc-gate loc clean
+.PHONY: all tier1 build vet test race bench demos perf-gate alloc-gate loc clean
 
 all: tier1
 
@@ -23,6 +23,20 @@ race:
 # Regenerate every experiment table (see EXPERIMENTS.md). Prints, gates nothing.
 bench:
 	$(GO) run ./cmd/descbench
+
+# Every shipped demo runs to exit 0 (stdout discarded, exit status only): the
+# five examples and one nicsim invocation per run path. They are the only
+# shipped callers of nicsim.MultiQueue, the -tenants plane and the -fleet demo.
+EVOLVING = -nic e1000e -req rss,ip_checksum,vlan,pkt_len
+demos:
+	@set -e; for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null; done
+	$(GO) run ./cmd/nicsim -packets 64 > /dev/null
+	$(GO) run ./cmd/nicsim -nic qdma -req kv_key,rss -kv -packets 64 > /dev/null
+	$(GO) run ./cmd/nicsim $(EVOLVING) -packets 1024 -evolve > /dev/null
+	$(GO) run ./cmd/nicsim -nic e1000e -req rss,vlan,pkt_len -packets 20000 -faults 'corrupt=1e-3,drop=5e-4,hang=2@5000' -seed 7 > /dev/null
+	$(GO) run ./cmd/nicsim $(EVOLVING) -packets 20000 -evolve -faults 'corrupt=1e-3,replay=1e-3,dup=1e-3,drop=5e-4,nak=0.2,hang=2@5000' -seed 7 > /dev/null
+	$(GO) run ./cmd/nicsim -tenants 6 -packets 2048 > /dev/null
+	$(GO) run ./cmd/nicsim -fleet 6 > /dev/null
 
 # The CI perf gate, locally: the alloc/clock gates, every experiment table
 # once (exit status only), then cmd/benchmark at HEAD~1 and at this tree on

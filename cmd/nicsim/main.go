@@ -61,6 +61,20 @@ func main() {
 	flag.StringVar(&flightDump, "flight-dump", "", "directory for automatic flight-recorder postmortem dumps (.odfl, decode with 'opendesc flight')")
 	flag.Parse()
 
+	run := byte('x')
+	switch {
+	case *fleetN > 0:
+		run = 'f'
+	case *tenants > 0:
+		run = 't'
+	case *evolveRun || *faultSpec != "":
+		run = 'd'
+	}
+	if err := checkFlags(run); err != nil {
+		fmt.Fprintf(os.Stderr, "nicsim: %v\n", err)
+		os.Exit(2)
+	}
+
 	var names []semantics.Name
 	var sems []string
 	for _, s := range strings.Split(*req, ",") {
@@ -206,6 +220,35 @@ func main() {
 		signal.Notify(ch, os.Interrupt)
 		<-ch
 	}
+}
+
+// The four runs a nicsim invocation can be, as a usage error names them, and
+// per flag the runs that read it.
+var (
+	runNames = map[byte]string{
+		'x': "the default cross-check run", 'd': "the -evolve/-faults driver run",
+		't': "the -tenants demo", 'f': "the -fleet demo",
+	}
+	flagRuns = map[string]string{
+		"nic": "xdt", "req": "xd", "packets": "xdtf", "kv": "x", "v": "xd", "stats": "xdtf", "stats-addr": "xdt",
+		"evolve": "d", "faults": "d", "seed": "d", "flight": "xd", "flight-dump": "xd",
+		"tenants": "t", "fleet": "f", "trace": "f", "spans": "f", "dump-flight": "f",
+	}
+)
+
+// checkFlags refuses a flag the chosen run would silently drop, naming it
+// and the runs it does apply to.
+func checkFlags(run byte) (err error) {
+	flag.Visit(func(f *flag.Flag) {
+		if runs := flagRuns[f.Name]; err == nil && strings.IndexByte(runs, run) < 0 {
+			var homes []string
+			for _, r := range []byte(runs) {
+				homes = append(homes, runNames[r])
+			}
+			err = fmt.Errorf("-%s is not read by %s; it applies to %s", f.Name, runNames[run], strings.Join(homes, ", "))
+		}
+	})
+	return err
 }
 
 // runDriver drives the public driver facade with what the flags asked for.
@@ -416,7 +459,7 @@ func runDriver(nicName string, names []semantics.Name, sems []string, packets in
 }
 
 // flightTrace/flightDump are the -flight / -flight-dump flag values, shared
-// by all three run paths.
+// by the cross-check and driver runs.
 var flightTrace, flightDump string
 
 // armFlight applies the -flight-dump directory and mounts the live

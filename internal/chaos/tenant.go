@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"opendesc/internal/evolve"
 	"opendesc/internal/pkt"
 	"opendesc/internal/semantics"
 	"opendesc/internal/softnic"
@@ -172,7 +171,6 @@ func (r *tenantRunner) setup(seed uint64) error {
 		Cores:       cfg.Cores,
 		RingEntries: cfg.RingEntries,
 		Clock:       r.clk,
-		Policy:      evolve.JointPolicy{Interval: 1 << 30}, // scripted renegs only
 	}, specs...)
 	if err != nil {
 		return err

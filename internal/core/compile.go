@@ -219,35 +219,23 @@ func Compile(nicName string, spec DeparserSpec, intent *Intent, opts CompileOpti
 	return a.Compile(nicName, intent, opts)
 }
 
-// Compile is the intent-side half: Eq. 1 selection over the analysed paths
-// under the intent's cost model, then accessor synthesis. It reads the
-// analysis and never writes it.
+// Compile is the intent-side half for a single intent: the one-tenant case
+// of CompileJoint (weight 1, the intent's own cost model), returning that
+// tenant's result. It reads the analysis and never writes it.
 func (a *Analysis) Compile(nicName string, intent *Intent, opts CompileOptions) (*Result, error) {
 	sp := startSpan(opts.Trace, "select")
-	selOpts := opts.Select.withDefaults()
-	selOpts.Costs = intent.CostModel(selOpts.Costs)
-	best, scored, err := SelectPath(a.Graph.Control, a.Paths, intent.Req(), selOpts)
+	jr, err := a.CompileJoint(nicName, []TenantIntent{{Intent: intent}}, opts)
 	if err != nil {
 		return nil, fmt.Errorf("opendesc %s: %w", nicName, err)
 	}
+	res := jr.PerTenant[0]
 	if sp != nil {
-		sp.Annotate("candidates", len(scored)).
-			Annotate("selected", best.Path.ID).
-			Annotate("bytes", best.Path.SizeBytes()).
+		sp.Annotate("candidates", len(res.Scored)).
+			Annotate("selected", res.Selected.Path.ID).
+			Annotate("bytes", res.Selected.Path.SizeBytes()).
 			Annotate("fields", len(intent.Fields)).
-			Annotate("missing", len(best.Missing)).End()
+			Annotate("missing", len(res.Selected.Missing)).End()
 	}
-	res := &Result{
-		NIC:      nicName,
-		Control:  a.Graph.Control,
-		Graph:    a.Graph,
-		Paths:    a.Paths,
-		Scored:   scored,
-		Selected: best,
-		Intent:   intent,
-		Config:   best.Path.Constraints,
-	}
-	res.Accessors = synthesizeAccessors(best, intent, selOpts.Costs)
 	return res, nil
 }
 

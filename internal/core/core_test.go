@@ -247,26 +247,17 @@ func TestSatisfiableViaSoftwareOnly(t *testing.T) {
 }
 
 func TestNegativeAlphaIgnoresFootprint(t *testing.T) {
-	g, err := BuildDeparserGraph(e1000Spec(t))
+	res, err := Compile("e1000", e1000Spec(t), intentOf(t, semantics.RSS), CompileOptions{Select: SelectOptions{Alpha: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, err := EnumeratePaths(g, EnumerateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := semantics.NewSet(semantics.RSS)
-	best, scored, err := SelectPath(g.Control, paths, req, SelectOptions{Alpha: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range scored {
+	for _, s := range res.Scored {
 		if s.DMACost != 0 {
 			t.Errorf("dma cost with alpha<0 = %v, want 0", s.DMACost)
 		}
 	}
-	if !best.Path.Prov().Has(semantics.RSS) {
-		t.Errorf("selected %v", best.Path)
+	if !res.Selected.Path.Prov().Has(semantics.RSS) {
+		t.Errorf("selected %v", res.Selected.Path)
 	}
 }
 
@@ -360,24 +351,20 @@ func TestSwitchPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := BuildDeparserGraph(DeparserSpec{Info: info})
+	a, err := Analyze(DeparserSpec{Info: info}, EnumerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, err := EnumeratePaths(g, EnumerateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) != 4 {
-		t.Fatalf("paths = %d, want 4", len(paths))
+	if len(a.Paths) != 4 {
+		t.Fatalf("paths = %d, want 4", len(a.Paths))
 	}
 	// Requesting timestamp must force fmt==2 (timestamp has no software
 	// fallback).
-	it := intentOf(t, semantics.Timestamp)
-	best, _, err := SelectPath(g.Control, paths, it.Req(), SelectOptions{})
+	res, err := a.Compile("sw", intentOf(t, semantics.Timestamp), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	best := res.Selected
 	if !best.Path.Prov().Has(semantics.Timestamp) {
 		t.Errorf("selected %v", best.Path)
 	}
@@ -398,17 +385,13 @@ func TestSmallerCompletionPreferredOnTie(t *testing.T) {
 		t.Fatal(err)
 	}
 	info, _ := sema.Check(prog)
-	g, err := BuildDeparserGraph(DeparserSpec{Info: info})
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths, _ := EnumeratePaths(g, EnumerateOptions{})
 	// Request only pkt_len: every path provides it; the default (emit-nothing
 	// -else) path with the smallest completion must win.
-	best, _, err := SelectPath(g.Control, paths, semantics.NewSet(semantics.PktLen), SelectOptions{})
+	res, err := Compile("sw", DeparserSpec{Info: info}, intentOf(t, semantics.PktLen), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	best := res.Selected
 	if best.Path.SizeBytes() != 2 {
 		t.Errorf("selected %v (%dB), want the 2-byte default path", best.Path, best.Path.SizeBytes())
 	}

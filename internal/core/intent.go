@@ -40,13 +40,16 @@ func (it *Intent) Req() semantics.Set {
 // CostModel derives a cost model that honours this intent's @cost overrides
 // on top of a base model.
 func (it *Intent) CostModel(base semantics.CostModel) semantics.CostModel {
-	over := make(map[semantics.Name]float64)
+	var over map[semantics.Name]float64
 	for _, f := range it.Fields {
 		if f.CostOverride >= 0 {
+			if over == nil {
+				over = make(map[semantics.Name]float64)
+			}
 			over[f.Semantic] = f.CostOverride
 		}
 	}
-	if len(over) == 0 {
+	if over == nil {
 		return base
 	}
 	return base.WithOverrides(over)

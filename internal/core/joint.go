@@ -33,10 +33,9 @@ type TenantIntent struct {
 // one per device, so the footprint is paid once regardless of tenant count).
 type JointScored struct {
 	Path *Path
-	// PerTenantSoft[i] is tenant i's unweighted soft cost Σ w_i(s) on this
-	// path (may be +Inf when a semantic has no software fallback).
-	PerTenantSoft []float64
-	// SoftCost is the weighted sum over tenants.
+	// SoftCost is the weighted sum over tenants of each tenant's own soft
+	// cost on this path — JointResult.PerTenant[i].Scored holds those — and
+	// +Inf when some tenant's semantic has no software fallback.
 	SoftCost float64
 	// DMACost is α·Size(p).
 	DMACost float64
@@ -66,16 +65,6 @@ type JointResult struct {
 	PerTenant []*Result
 }
 
-// TenantResult returns the pinned per-tenant result by tenant name, or nil.
-func (jr *JointResult) TenantResult(name string) *Result {
-	for i := range jr.Tenants {
-		if jr.Tenants[i].Tenant == name {
-			return jr.PerTenant[i]
-		}
-	}
-	return nil
-}
-
 // CompileJoint maps N tenant intents onto one NIC description at once, from
 // cold: Analyze, then (*Analysis).CompileJoint.
 func CompileJoint(nicName string, spec DeparserSpec, tenants []TenantIntent, opts CompileOptions) (*JointResult, error) {
@@ -86,11 +75,17 @@ func CompileJoint(nicName string, spec DeparserSpec, tenants []TenantIntent, opt
 	return a.CompileJoint(nicName, tenants, opts)
 }
 
-// CompileJoint is the intent-side half of a joint compilation: the joint
-// Eq. 1 optimization above over the analysed paths, and per-tenant host
-// accessor synthesis against the single winning path. The compilation is
-// unsatisfiable only when every path leaves some tenant with an infinitely
-// expensive missing semantic.
+// CompileJoint is the repo's one Eq. 1 solver:
+//
+//	min over p ∈ Paths(G) of  Σ_t weight_t · Σ_{s ∈ Req_t\Prov(p)} w_t(s)  +  α·Size(p)
+//
+// over the analysed paths, then per-tenant host accessor synthesis against
+// the single winning path. Production NICs expose a handful of completion
+// paths, so the optimization is enumerating a small finite set and picking
+// the best element (ties go to the shorter completion). If the software term
+// is infinite on every path for some tenant the program is rejected with an
+// UnsatisfiableError, as the paper specifies. A single intent is the
+// one-tenant case: see (*Analysis).Compile.
 func (a *Analysis) CompileJoint(nicName string, tenants []TenantIntent, opts CompileOptions) (*JointResult, error) {
 	if len(tenants) == 0 {
 		return nil, errors.New("core: joint compilation needs at least one tenant intent")
@@ -100,34 +95,33 @@ func (a *Analysis) CompileJoint(nicName string, tenants []TenantIntent, opts Com
 		return nil, ErrNoPaths
 	}
 
-	// Score every path once per tenant under that tenant's own cost model.
-	base := opts.Select.withDefaults()
-	perOpts := make([]SelectOptions, len(tenants))
-	perScored := make([][]Scored, len(tenants))
-	for i, t := range tenants {
-		o := base
-		if t.Costs != nil {
-			o.Costs = t.Costs
-		} else {
-			o.Costs = t.Intent.CostModel(o.Costs)
+	// Score every path once per tenant under that tenant's own cost model;
+	// each tenant's Result starts as that scoring and is pinned to the winner
+	// below.
+	sel := opts.Select.withDefaults()
+	results := make([]*Result, len(tenants))
+	for i := range tenants {
+		t := &tenants[i]
+		o := sel
+		o.Costs = t.costs(sel.Costs)
+		results[i] = &Result{
+			NIC:     nicName,
+			Control: g.Control,
+			Graph:   g,
+			Paths:   paths,
+			Scored:  scorePaths(paths, t.Intent.Req(), o),
+			Intent:  t.Intent,
 		}
-		perOpts[i] = o
-		perScored[i] = ScorePaths(paths, t.Intent.Req(), o)
 	}
 
 	scored := make([]JointScored, len(paths))
 	best := -1
-	fatal := make(map[int][]semantics.Name)
+	var fatal map[int][]semantics.Name
 	for pi, p := range paths {
-		js := JointScored{
-			Path:          p,
-			PerTenantSoft: make([]float64, len(tenants)),
-			DMACost:       base.Alpha * float64(p.SizeBytes()),
-		}
+		js := JointScored{Path: p, DMACost: sel.Alpha * float64(p.SizeBytes())}
 		feasible := true
 		for ti := range tenants {
-			s := perScored[ti][pi]
-			js.PerTenantSoft[ti] = s.SoftCost
+			s := &results[ti].Scored[pi]
 			w := tenants[ti].Weight
 			if w <= 0 {
 				w = 1
@@ -135,8 +129,12 @@ func (a *Analysis) CompileJoint(nicName string, tenants []TenantIntent, opts Com
 			js.SoftCost += w * s.SoftCost
 			if math.IsInf(s.SoftCost, 1) {
 				feasible = false
+				if fatal == nil {
+					fatal = make(map[int][]semantics.Name)
+				}
+				costs := tenants[ti].costs(sel.Costs)
 				for _, m := range s.Missing {
-					if math.IsInf(perOpts[ti].Costs(m), 1) {
+					if math.IsInf(costs(m), 1) {
 						fatal[p.ID] = append(fatal[p.ID], m)
 					}
 				}
@@ -152,23 +150,12 @@ func (a *Analysis) CompileJoint(nicName string, tenants []TenantIntent, opts Com
 	if best < 0 {
 		return nil, &UnsatisfiableError{Control: g.Control, MissingEverywhere: fatal}
 	}
-	sel := scored[best]
 
-	per := make([]*Result, len(tenants))
-	for i, t := range tenants {
-		ps := perScored[i][best]
-		r := &Result{
-			NIC:      nicName,
-			Control:  g.Control,
-			Graph:    g,
-			Paths:    paths,
-			Scored:   perScored[i],
-			Selected: ps,
-			Intent:   t.Intent,
-			Config:   sel.Path.Constraints,
-		}
-		r.Accessors = synthesizeAccessors(ps, t.Intent, perOpts[i].Costs)
-		per[i] = r
+	config := paths[best].Constraints
+	for i, r := range results {
+		r.Selected = r.Scored[best]
+		r.Config = config
+		r.Accessors = synthesizeAccessors(r.Selected, r.Intent, tenants[i].costs(sel.Costs))
 	}
 	return &JointResult{
 		NIC:       nicName,
@@ -177,8 +164,18 @@ func (a *Analysis) CompileJoint(nicName string, tenants []TenantIntent, opts Com
 		Graph:     g,
 		Paths:     paths,
 		Scored:    scored,
-		Selected:  sel,
-		Config:    sel.Path.Constraints,
-		PerTenant: per,
+		Selected:  scored[best],
+		Config:    config,
+		PerTenant: results,
 	}, nil
+}
+
+// costs is the tenant's software cost model: its own override, else the
+// compile options' model refined by the intent's per-field @cost overrides.
+// Derived at each use: kept in a per-tenant slice the closures would escape.
+func (t *TenantIntent) costs(base semantics.CostModel) semantics.CostModel {
+	if t.Costs != nil {
+		return t.Costs
+	}
+	return t.Intent.CostModel(base)
 }

@@ -41,9 +41,6 @@ func TestCompileJointServesBothTenants(t *testing.T) {
 	if hwA == hwB {
 		t.Errorf("rss hardware=%v, ip_checksum hardware=%v; want exactly one hardware", hwA, hwB)
 	}
-	if jr.TenantResult("a") != jr.PerTenant[0] || jr.TenantResult("missing") != nil {
-		t.Error("TenantResult lookup broken")
-	}
 }
 
 // TestCompileJointWeightTipsSelection pins both tenants' cost models so the
@@ -84,8 +81,8 @@ func TestCompileJointObjectiveBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, js := range jr.Scored {
-		soft := 3*js.PerTenantSoft[0] + 1*js.PerTenantSoft[1]
+	for pi, js := range jr.Scored {
+		soft := 3*jr.PerTenant[0].Scored[pi].SoftCost + 1*jr.PerTenant[1].Scored[pi].SoftCost
 		if math.Abs(soft-js.SoftCost) > 1e-9 {
 			t.Errorf("path %d: SoftCost %.3f, want weighted sum %.3f", js.Path.ID, js.SoftCost, soft)
 		}

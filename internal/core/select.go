@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -79,9 +78,10 @@ type Scored struct {
 	Missing []semantics.Name
 }
 
-// ScorePaths evaluates the Eq. 1 objective for every path under the request.
-func ScorePaths(paths []*Path, req semantics.Set, opts SelectOptions) []Scored {
-	opts = opts.withDefaults()
+// scorePaths evaluates the Eq. 1 objective for every path under the request.
+// opts are already normalized: withDefaults maps a negative Alpha to 0, and a
+// second pass would map that 0 back to DefaultAlpha.
+func scorePaths(paths []*Path, req semantics.Set, opts SelectOptions) []Scored {
 	out := make([]Scored, 0, len(paths))
 	for _, p := range paths {
 		missing := req.Minus(p.Prov()).Sorted()
@@ -99,45 +99,4 @@ func ScorePaths(paths []*Path, req semantics.Set, opts SelectOptions) []Scored {
 		})
 	}
 	return out
-}
-
-// SelectPath solves
-//
-//	min over p ∈ Paths(G) of  Σ_{s ∈ Req\Prov(p)} w(s)  +  α·Size(p)
-//
-// and returns the winning scored path. If the software term is infinite for
-// every path the program is rejected with an UnsatisfiableError, as the paper
-// specifies. Production NICs expose only a handful of completion paths, so
-// the optimization degenerates into enumerating a small finite set and
-// picking the best element — exactly what this function does.
-func SelectPath(control string, paths []*Path, req semantics.Set, opts SelectOptions) (Scored, []Scored, error) {
-	if len(paths) == 0 {
-		return Scored{}, nil, ErrNoPaths
-	}
-	scored := ScorePaths(paths, req, opts)
-	best := -1
-	allInf := true
-	fatal := make(map[int][]semantics.Name)
-	o := opts.withDefaults()
-	for i, s := range scored {
-		if !math.IsInf(s.SoftCost, 1) {
-			allInf = false
-			if best < 0 || s.Total < scored[best].Total ||
-				(s.Total == scored[best].Total && s.Path.SizeBytes() < scored[best].Path.SizeBytes()) {
-				best = i
-			}
-		} else {
-			var ms []semantics.Name
-			for _, m := range s.Missing {
-				if math.IsInf(o.Costs(m), 1) {
-					ms = append(ms, m)
-				}
-			}
-			fatal[s.Path.ID] = ms
-		}
-	}
-	if allInf {
-		return Scored{}, scored, &UnsatisfiableError{Control: control, MissingEverywhere: fatal}
-	}
-	return scored[best], scored, nil
 }

@@ -2,11 +2,11 @@
 // closes the loop the compiler leaves open. A compilation pins one
 // completion layout at Compile time, but the *observed* feature mix — which
 // semantics the application actually reads, and what each SoftNIC shim
-// really costs on this machine — only exists at runtime. The Engine watches
-// both signals, periodically re-solves the Eq. 1 layout optimization against
-// the live mix with measured w(s), and when a candidate path beats the
-// active one past a hysteresis threshold it performs a graceful,
-// generation-tagged switchover:
+// really costs on this machine — only exists at runtime. The Resolver
+// (resolver.go) watches both signals and periodically re-solves the Eq. 1
+// layout optimization against the live mix with measured w(s); when a
+// candidate path beats the active one past a hysteresis threshold, the
+// Engine holding it performs a graceful, generation-tagged switchover:
 //
 //	RUNNING ──interval──▶ EVALUATE ──no better / unsat──▶ RUNNING
 //	EVALUATE ──candidate wins──▶ QUIESCE ─▶ DRAIN ─▶ APPLY ─▶ VERIFY ─▶ SWAP
@@ -22,7 +22,6 @@ package evolve
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -92,9 +91,7 @@ func (o Options) withDefaults() Options {
 // Engine is an evolvable driver datapath: a receive queue plus the
 // renegotiation control plane that swaps its lane.
 type Engine struct {
-	intent *core.Intent
-	copts  core.CompileOptions
-	opts   Options
+	opts Options
 
 	shims *softnic.ShimStats
 
@@ -102,23 +99,19 @@ type Engine struct {
 	// the quiesce step of a switchover.
 	mu sync.Mutex
 	q  *rxpath.Queue
-	// window counts delivered packets since the last renegotiation check.
-	window int
 
-	// reads counts per-semantic application reads (the live feature mix);
-	// each generation's lane binds the counters beside its reader table, so
-	// a read inside the application's Poll handler is one indexed atomic add.
-	reads     readMix
-	lastDeliv uint64
-	delivered obs.Counter
+	// res is the re-solve loop with the engine's intent as its one tenant:
+	// the live read mix (each generation's lane binds the counters beside
+	// its reader table, so a read inside the application's Poll handler is
+	// one indexed atomic add), the delivery count and the schedule.
+	res *Resolver
 
 	gen atomic.Uint64
 
-	// Control-plane counters.
-	renegotiations obs.Counter // re-solve evaluations
+	// Control-plane counters; re-solve evaluations and unsatisfiable
+	// re-solves are the resolver's.
 	switchovers    obs.Counter // completed generation swaps
 	rollbacks      obs.Counter // begun switchovers reverted
-	unsat          obs.Counter // re-solves rejected as unsatisfiable
 	switchDrops    obs.Counter // packets a drain could not park (must be 0)
 	packetsDrained obs.Counter // completions drained under the old layout
 	softParked     obs.Counter // drain shortfalls re-delivered in software
@@ -144,19 +137,13 @@ func New(dev *nicsim.Device, intent *core.Intent, copts core.CompileOptions, opt
 		return nil, err
 	}
 	e := &Engine{
-		intent:        intent,
-		copts:         copts,
 		opts:          opts,
 		q:             q,
 		shims:         softnic.NewShimStats(nil),
 		switchLatency: obs.NewHistogram(),
 	}
 	e.shims.AttachFlight(q.FlightQueue())
-	sems := make([]semantics.Name, len(intent.Fields))
-	for i, f := range intent.Fields {
-		sems[i] = f.Semantic
-	}
-	e.reads = newReadMix(sems)
+	e.res = NewResolver(dev.Model, copts, opts, e.shims, []core.TenantIntent{{Intent: intent}})
 	q.SetLane(0, e.newLane(res))
 	return e, nil
 }
@@ -164,15 +151,12 @@ func New(dev *nicsim.Device, intent *core.Intent, copts core.CompileOptions, opt
 // newLane links a compilation result into the lane of one generation.
 func (e *Engine) newLane(res *core.Result) *rxpath.Lane {
 	rt := codegen.NewRuntime(res, softnic.InstrumentedFuncs(e.shims))
-	return &rxpath.Lane{RT: rt, Reads: e.reads.bind(rt)}
+	return &rxpath.Lane{RT: rt, Reads: e.res.Bind(0, rt)}
 }
 
 // Queue exposes the engine's receive queue: pending count, flight recorder,
 // hardening. Rx, Poll and Drain on it belong to the engine, under its lock.
 func (e *Engine) Queue() *rxpath.Queue { return e.q }
-
-// Device exposes the simulated device (counters, registers).
-func (e *Engine) Device() *nicsim.Device { return e.q.Dev() }
 
 // Result returns the active generation's compilation result.
 func (e *Engine) Result() *core.Result {
@@ -192,8 +176,8 @@ func (e *Engine) LastDiff() *core.Diff {
 	return e.lastDiff
 }
 
-// LastErr returns the most recent renegotiation failure (unsat re-solve or
-// rolled-back switchover), nil when the last evaluation succeeded.
+// LastErr returns the failure the most recent Renegotiate ended on (unsat
+// re-solve or rolled-back switchover), nil when it ended on none.
 func (e *Engine) LastErr() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -216,39 +200,13 @@ func (e *Engine) Rx(packet []byte) bool {
 func (e *Engine) Poll(h rxpath.DeliverFunc) int {
 	e.mu.Lock()
 	n := e.q.Poll(-1, h)
-	e.window += n
-	e.delivered.Add(uint64(n))
-	due := e.window >= e.opts.Interval
+	e.res.NoteDelivered(0, n)
+	due := e.res.Due()
 	e.mu.Unlock()
 	if due {
 		e.Renegotiate()
 	}
 	return n
-}
-
-// liveCosts builds the runtime cost model: per-packet expected software
-// cost of leaving s to a shim = (reads of s per delivered packet) × w(s),
-// where w(s) is the measured mean ns/call when the shim has run often
-// enough, the static registry cost otherwise. Infinite costs are never
-// scaled: a semantic with no software fallback stays unsatisfiable in
-// software no matter how rarely it is read.
-func (e *Engine) liveCosts(mix map[semantics.Name]float64) semantics.CostModel {
-	base := semantics.RegistryCosts(semantics.Default)
-	shimCosts := e.shims.Snapshot()
-	return func(s semantics.Name) float64 {
-		w := base(s)
-		if math.IsInf(w, 1) {
-			return w
-		}
-		if sc, ok := shimCosts[s]; ok && sc.Calls >= e.opts.MinShimSamples {
-			w = float64(sc.Nanos) / float64(sc.Calls)
-		}
-		f, ok := mix[s]
-		if !ok {
-			return w // outside the intent: keep the static model
-		}
-		return f * w
-	}
 }
 
 // Renegotiate evaluates one re-solve immediately (Poll calls this every
@@ -257,60 +215,17 @@ func (e *Engine) liveCosts(mix map[semantics.Name]float64) semantics.CostModel {
 func (e *Engine) Renegotiate() (switched bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.window = 0
 	if e.q.Degraded() {
 		// The watchdog owns the device until it has restored it.
+		e.res.Postpone()
 		return false, nil
 	}
-	deliv := e.delivered.Load()
-	if int(deliv-e.lastDeliv) < e.opts.MinWindow {
-		// Too few observations to trust the mix; keep accumulating into the
-		// same window instead of resetting the baseline.
-		return false, nil
+	next, err := e.res.Resolve(e.q.Lane(0).RT.Result.Selected.Path.ID)
+	if err == nil && next != nil {
+		err = e.switchover(next.PerTenant[0])
 	}
-	mix := e.reads.window(deliv - e.lastDeliv)
-	e.lastDeliv = deliv
-	e.renegotiations.Inc()
-	e.lastErr = nil
-
-	costs := e.liveCosts(mix)
-	if e.opts.Costs != nil {
-		costs = e.opts.Costs(costs)
-	}
-	copts := e.copts
-	copts.Select.Costs = costs
-	if e.opts.Alpha != 0 {
-		copts.Select.Alpha = e.opts.Alpha
-	}
-	next, err := e.q.Dev().Model.Compile(e.intent, copts)
-	if err != nil {
-		// Unsatisfiable under the live mix (or a broken description): stay
-		// on the active generation.
-		e.unsat.Inc()
-		e.lastErr = err
-		return false, err
-	}
-	active := e.q.Lane(0).RT.Result.Selected.Path.ID
-	if next.Selected.Path.ID == active {
-		return false, nil
-	}
-	// Score the active path under the same live model so the comparison is
-	// apples-to-apples (path IDs are deterministic across compiles).
-	var activeTotal float64 = math.Inf(1)
-	for _, s := range next.Scored {
-		if s.Path.ID == active {
-			activeTotal = s.Total
-			break
-		}
-	}
-	if next.Selected.Total >= activeTotal*(1-e.opts.Hysteresis) {
-		return false, nil
-	}
-	if err := e.switchover(next); err != nil {
-		e.lastErr = err
-		return false, err
-	}
-	return true, nil
+	e.lastErr = err
+	return err == nil && next != nil, err
 }
 
 // switchover performs the generation swap. Caller holds e.mu — which IS the
@@ -410,53 +325,51 @@ type Stats struct {
 // Stats snapshots the control-plane counters. Safe to call concurrently
 // with the datapath.
 func (e *Engine) Stats() Stats {
+	mix := e.res.tenants[0]
 	st := Stats{
 		Generation:     e.gen.Load(),
-		Renegotiations: e.renegotiations.Load(),
+		Renegotiations: e.res.evaluations.Load(),
 		Switchovers:    e.switchovers.Load(),
 		Rollbacks:      e.rollbacks.Load(),
-		Unsat:          e.unsat.Load(),
+		Unsat:          e.res.unsat.Load(),
 		SwitchDrops:    e.switchDrops.Load(),
 		PacketsDrained: e.packetsDrained.Load(),
 		SoftParked:     e.softParked.Load(),
 		ApplyRetries:   e.applyRetries.Load(),
-		Delivered:      e.delivered.Load(),
-		Reads:          make(map[semantics.Name]uint64, len(e.reads.sems)),
+		Delivered:      mix.delivered.Load(),
+		Reads:          make(map[semantics.Name]uint64, len(mix.reads)),
 	}
 	if e.switchLatency.Count() > 0 {
 		st.SwitchLatencyP50 = e.switchLatency.Quantile(0.50)
 		st.SwitchLatencyP99 = e.switchLatency.Quantile(0.99)
 	}
-	for i, s := range e.reads.sems {
-		if n := e.reads.reads[i].Load(); n > 0 {
-			st.Reads[s] = n
+	for i, f := range mix.intent.Fields {
+		if n := mix.reads[i].Load(); n > 0 {
+			st.Reads[f.Semantic] = n
 		}
 	}
 	return st
 }
 
-// ShimStats exposes the instrumented shim cost attribution (the measured
-// w(s) feeding the re-solves).
-func (e *Engine) ShimStats() *softnic.ShimStats { return e.shims }
-
 // RegisterMetrics exposes the control-plane counters and the switchover
 // latency histogram on an obs registry, beside the queue's own series.
 func (e *Engine) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
+	mix := e.res.tenants[0]
 	base := append([]obs.Label{obs.L("nic", e.q.Dev().Model.Name)}, labels...)
-	reg.AttachCounter("opendesc_evolve_renegotiations_total", "layout re-solve evaluations", &e.renegotiations, base...)
+	reg.AttachCounter("opendesc_evolve_renegotiations_total", "layout re-solve evaluations", &e.res.evaluations, base...)
 	reg.AttachCounter("opendesc_evolve_switchovers_total", "completed generation switchovers", &e.switchovers, base...)
 	reg.AttachCounter("opendesc_evolve_rollbacks_total", "switchovers rolled back", &e.rollbacks, base...)
-	reg.AttachCounter("opendesc_evolve_unsat_total", "re-solves rejected as unsatisfiable", &e.unsat, base...)
+	reg.AttachCounter("opendesc_evolve_unsat_total", "re-solves rejected as unsatisfiable", &e.res.unsat, base...)
 	reg.AttachCounter("opendesc_evolve_switch_drops_total", "packets lost across switchovers (must be 0)", &e.switchDrops, base...)
 	reg.AttachCounter("opendesc_evolve_packets_drained_total", "completions drained under the old layout", &e.packetsDrained, base...)
 	reg.AttachCounter("opendesc_evolve_soft_parked_total", "mid-switchover lost completions re-delivered in software", &e.softParked, base...)
 	reg.AttachCounter("opendesc_evolve_apply_retries_total", "NAKed register-write bursts retried during switchover", &e.applyRetries, base...)
-	reg.AttachCounter("opendesc_evolve_delivered_total", "packets delivered to Poll handlers", &e.delivered, base...)
+	reg.AttachCounter("opendesc_evolve_delivered_total", "packets delivered to Poll handlers", &mix.delivered, base...)
 	reg.AttachHistogram("opendesc_evolve_switch_latency_ns", "quiesce-to-swap switchover latency", e.switchLatency, base...)
 	reg.GaugeFunc("opendesc_evolve_generation", "current interface generation epoch", func() int64 { return int64(e.gen.Load()) }, base...)
-	for i, s := range e.reads.sems {
-		l := append(append([]obs.Label{}, base...), obs.L("semantic", string(s)))
-		reg.AttachCounter("opendesc_evolve_reads_total", "application metadata reads per semantic", &e.reads.reads[i], l...)
+	for i, f := range mix.intent.Fields {
+		l := append(append([]obs.Label{}, base...), obs.L("semantic", string(f.Semantic)))
+		reg.AttachCounter("opendesc_evolve_reads_total", "application metadata reads per semantic", &mix.reads[i], l...)
 	}
 	e.q.RegisterMetrics(reg, labels...)
 }

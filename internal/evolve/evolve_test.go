@@ -155,7 +155,7 @@ func TestConvergesToReadMix(t *testing.T) {
 	if st.Rollbacks != 0 || st.Unsat != 0 {
 		t.Fatalf("unexpected failures in stats: %+v", st)
 	}
-	if rx, drops := e.Device().Stats().RxPackets, e.Device().Stats().Drops; rx != 512 || drops != 0 {
+	if rx, drops := e.q.Dev().Stats().RxPackets, e.q.Dev().Stats().Drops; rx != 512 || drops != 0 {
 		t.Fatalf("device rx=%d drops=%d, want 512/0", rx, drops)
 	}
 }
@@ -215,7 +215,7 @@ func TestDrainUnderOldLayout(t *testing.T) {
 			t.Fatalf("rx stalled at parked packet %d", i)
 		}
 	}
-	if occ := e.Device().CmptRing.Occupancy(); occ != parked {
+	if occ := e.q.Dev().CmptRing.Occupancy(); occ != parked {
 		t.Fatalf("ring occupancy = %d, want %d", occ, parked)
 	}
 	switched, err := e.Renegotiate()
@@ -294,7 +294,7 @@ func TestRollbackOnRejectedSwitch(t *testing.T) {
 		t.Fatalf("switch drops = %d, want 0 across rollback", st.SwitchDrops)
 	}
 	// The device must still resolve the old path and serve traffic.
-	ap, err := e.Device().ActivePath()
+	ap, err := e.q.Dev().ActivePath()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestMeasuredCostsFeedResolve(t *testing.T) {
 	e := newTestEngine(t, opts)
 	tr := trace(t)
 	drive(t, e, tr, 256, semantics.RSS, semantics.VLAN, semantics.PktLen)
-	if cost := e.ShimStats().MeasuredCost(semantics.RSS); cost <= 0 {
+	if cost := e.shims.MeasuredCost(semantics.RSS); cost <= 0 {
 		t.Fatalf("rss shim measured cost = %v, want > 0 after 256 soft reads", cost)
 	}
 	if _, err := e.Renegotiate(); err != nil {

@@ -17,7 +17,7 @@ func TestSwitchoverSurvivesNAKStorm(t *testing.T) {
 	tr := trace(t)
 	drive(t, e, tr, 128, semantics.RSS)
 
-	e.Device().InjectFaults(faults.New(faults.Plan{Seed: 13, NAKP: 1}))
+	e.q.Dev().InjectFaults(faults.New(faults.Plan{Seed: 13, NAKP: 1}))
 	switched, err := e.Renegotiate()
 	if switched {
 		t.Fatal("switchover must not complete under a NAK storm")
@@ -45,7 +45,7 @@ func TestSwitchoverSurvivesNAKStorm(t *testing.T) {
 	}
 
 	// Control channel heals: the next renegotiation must switch.
-	e.Device().InjectFaults(nil)
+	e.q.Dev().InjectFaults(nil)
 	drive(t, e, tr, 128, semantics.RSS)
 	switched, err = e.Renegotiate()
 	if err != nil || !switched {
@@ -66,7 +66,7 @@ func TestSwitchoverAbsorbsTransientNAKs(t *testing.T) {
 		e := newTestEngine(t, staticOptions())
 		tr := trace(t)
 		drive(t, e, tr, 128, semantics.RSS)
-		e.Device().InjectFaults(faults.New(faults.Plan{Seed: seed, NAKP: 0.5}))
+		e.q.Dev().InjectFaults(faults.New(faults.Plan{Seed: seed, NAKP: 0.5}))
 		switched, err := e.Renegotiate()
 		st := e.Stats()
 		if err != nil || !switched {
@@ -99,14 +99,14 @@ func TestDrainSoftParksLostCompletions(t *testing.T) {
 	drive(t, e, tr, 128, semantics.RSS)
 
 	// Queue a burst whose completions are partially lost, without polling.
-	e.Device().InjectFaults(faults.New(faults.Plan{Seed: 4, DropP: 0.5}))
+	e.q.Dev().InjectFaults(faults.New(faults.Plan{Seed: 4, DropP: 0.5}))
 	queued := 0
 	for i := 0; i < 32; i++ {
 		if e.Rx(tr.Packets[i%len(tr.Packets)]) {
 			queued++
 		}
 	}
-	e.Device().InjectFaults(nil)
+	e.q.Dev().InjectFaults(nil)
 
 	switched, err := e.Renegotiate()
 	if err != nil || !switched {

@@ -58,10 +58,6 @@ type Options struct {
 	// (default rss + pkt_len; semantics a device cannot provide in hardware
 	// compile to SoftNIC shims, so the intent is satisfiable fleet-wide).
 	Intent []string
-	// CompileOpts are passed through to every compile (part of the cache key).
-	CompileOpts core.CompileOptions
-	// RPCDeadlineNs bounds every control RPC (default 1ms virtual).
-	RPCDeadlineNs uint64
 	// Seed drives the retry jitter streams deterministically.
 	Seed uint64
 	// LeaseNs is the trial lease granted with every ApplyTrial: a host whose
@@ -71,22 +67,11 @@ type Options struct {
 	// BakeTarget is how many deliveries every canary must serve under the
 	// trial, violation-free, before promotion (default 64).
 	BakeTarget uint64
-	// CacheCapacity bounds the compile cache (default 64).
-	CacheCapacity int
-	// TelemetryDeadlineNs bounds payload-carrying telemetry transfers, which
-	// need more headroom than small control RPCs (default 8× RPCDeadlineNs).
-	TelemetryDeadlineNs uint64
 	// DisableEvidenceBake reverts canary verdicts to Health counters alone —
 	// the pre-telemetry behavior, kept for A/B efficacy experiments. A trial
 	// that degrades latency but still delivers correct metadata promotes
 	// under counter bakes; only flight evidence catches it.
 	DisableEvidenceBake bool
-	// LatencyBudgetFactor and LatencyBudgetSlackNs set the evidence-bake
-	// latency gate: a canary promotes only if its trial p99 poll→deliver
-	// latency is ≤ baseline p99 × factor + slack. The slack absorbs log2
-	// bucket quantization around small baselines (defaults 4 and 256ns).
-	LatencyBudgetFactor  uint64
-	LatencyBudgetSlackNs uint64
 	// DisableVerify skips the S27 differential-verification gate: structural
 	// validation alone admits a description, as before the gate existed. Kept
 	// as an ablation — with it set, a description whose views disagree (or
@@ -95,6 +80,20 @@ type Options struct {
 	DisableVerify bool
 }
 
+const (
+	// rpcDeadlineNs bounds every control RPC (1ms virtual);
+	// telemetryDeadlineNs bounds payload-carrying telemetry transfers, which
+	// need more headroom.
+	rpcDeadlineNs       = 1_000_000
+	telemetryDeadlineNs = 8 * rpcDeadlineNs
+	// latencyBudgetFactor and latencyBudgetSlackNs set the evidence-bake
+	// latency gate: a canary promotes only if its trial p99 poll→deliver
+	// latency is ≤ baseline p99 × factor + slack. The slack absorbs log2
+	// bucket quantization around small baselines.
+	latencyBudgetFactor  = 4
+	latencyBudgetSlackNs = 256
+)
+
 func (o Options) withDefaults() Options {
 	if o.Clock == nil {
 		o.Clock = vclock.Wall()
@@ -102,23 +101,11 @@ func (o Options) withDefaults() Options {
 	if len(o.Intent) == 0 {
 		o.Intent = []string{"rss", "pkt_len"}
 	}
-	if o.RPCDeadlineNs == 0 {
-		o.RPCDeadlineNs = 1_000_000
-	}
 	if o.LeaseNs == 0 {
 		o.LeaseNs = 30_000_000_000
 	}
 	if o.BakeTarget == 0 {
 		o.BakeTarget = 64
-	}
-	if o.TelemetryDeadlineNs == 0 {
-		o.TelemetryDeadlineNs = 8 * o.RPCDeadlineNs
-	}
-	if o.LatencyBudgetFactor == 0 {
-		o.LatencyBudgetFactor = 4
-	}
-	if o.LatencyBudgetSlackNs == 0 {
-		o.LatencyBudgetSlackNs = 256
 	}
 	return o
 }
@@ -188,7 +175,7 @@ func NewController(opts Options) *Controller {
 	return &Controller{
 		opts:    opts,
 		clk:     opts.Clock,
-		cache:   core.NewCompileCache(opts.CacheCapacity),
+		cache:   core.NewCompileCache(0),
 		nextGen: 1,
 		seedSt:  opts.Seed,
 		rollup:  telemetry.NewRollup(),
@@ -238,7 +225,7 @@ func (c *Controller) rpc(m *member, fn func() error) error {
 		Sleep:      func(d uint64) { c.clk.Advance(d) },
 		OnError:    func(int, error) { c.rpcRetries.Inc() },
 	}.Do(func() error {
-		return m.link.call(c.opts.RPCDeadlineNs, fn)
+		return m.link.call(rpcDeadlineNs, fn)
 	})
 }
 
@@ -333,8 +320,8 @@ func (c *Controller) Provision() error {
 			continue
 		}
 		val := m.val
-		res, cerr := c.cache.Get(core.CompileKey(m.digest, intent, c.opts.CompileOpts),
-			func() (*core.Result, error) { return val.Compile(intent, c.opts.CompileOpts) })
+		res, cerr := c.cache.Get(core.CompileKey(m.digest, intent, core.CompileOptions{}),
+			func() (*core.Result, error) { return val.Compile(intent, core.CompileOptions{}) })
 		if cerr != nil {
 			m.ok, m.reason = false, fmt.Sprintf("compile: %v", cerr)
 			c.logf("quarantine %s: %s", m.host.Name, m.reason)
@@ -470,8 +457,8 @@ func (c *Controller) StartRollout(up Upgrade) (*Rollout, error) {
 			val, digest = ov, ov.Digest
 		}
 		if _, done := r.compiled[digest]; !done {
-			res, cerr := c.cache.Get(core.CompileKey(digest, intent, c.opts.CompileOpts),
-				func() (*core.Result, error) { return val.Compile(intent, c.opts.CompileOpts) })
+			res, cerr := c.cache.Get(core.CompileKey(digest, intent, core.CompileOptions{}),
+				func() (*core.Result, error) { return val.Compile(intent, core.CompileOptions{}) })
 			if cerr != nil {
 				return nil, fmt.Errorf("fleet: upgrade %q compile for %s: %v", up.Name, m.host.Model.Name, cerr)
 			}
@@ -712,13 +699,13 @@ func (r *Rollout) evidenceVerdict() error {
 		base := r.baseReport[m]
 		if base != nil && base.Deliver.Count > 0 && rep.Deliver.Count > 0 {
 			baseP99 := base.Deliver.Quantile(0.99)
-			budget := baseP99*c.opts.LatencyBudgetFactor + c.opts.LatencyBudgetSlackNs
+			budget := baseP99*latencyBudgetFactor + latencyBudgetSlackNs
 			p99 := rep.Deliver.Quantile(0.99)
 			if p99 > budget {
 				c.canaryViolations.Inc()
 				exhibits := formatAnomalies(rep.Slowest, 3)
 				return fmt.Errorf("canary %s latency evidence: trial p99 %dns exceeds budget %dns (baseline p99 %dns × %d + %dns); slowest deliveries: %s",
-					m.host.Name, p99, budget, baseP99, c.opts.LatencyBudgetFactor, c.opts.LatencyBudgetSlackNs, exhibits)
+					m.host.Name, p99, budget, baseP99, latencyBudgetFactor, latencyBudgetSlackNs, exhibits)
 			}
 			c.logf("rollout %q: canary %s evidence clean (trial p99 %dns ≤ budget %dns, 0 anomalies)",
 				r.up.Name, m.host.Name, p99, budget)

@@ -20,31 +20,17 @@ import (
 type HostOptions struct {
 	// RingEntries sizes the completion ring (default 256).
 	RingEntries int
-	// FlightEntries sizes the host flight-recorder ring (default 1024;
-	// ~40 KB per host — telemetry reports are built from it).
-	FlightEntries int
 	// Clock is the host's timeline (trial leases are measured on it);
 	// nil selects the wall clock.
 	Clock vclock.Clock
-	// BootSemantics is the intent the host self-provisions at boot, before
-	// any controller has reached it (default pkt_len — satisfiable on every
-	// description). Whatever the controller later provisions or promotes
-	// replaces it as the last-known-good layout.
-	BootSemantics []string
 }
 
 func (o HostOptions) withDefaults() HostOptions {
 	if o.RingEntries <= 0 {
 		o.RingEntries = 256
 	}
-	if o.FlightEntries <= 0 {
-		o.FlightEntries = 1024
-	}
 	if o.Clock == nil {
 		o.Clock = vclock.Wall()
-	}
-	if len(o.BootSemantics) == 0 {
-		o.BootSemantics = []string{"pkt_len"}
 	}
 	return o
 }
@@ -207,7 +193,8 @@ func NewHost(name string, m *nic.Model, opts HostOptions) (*Host, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := flight.NewRecorder(flight.Config{Size: opts.FlightEntries})
+	// ~40 KB per host; telemetry reports are built from it.
+	rec := flight.NewRecorder(flight.Config{Size: 1024})
 	h := &Host{
 		Name:         name,
 		Model:        m,
@@ -217,11 +204,10 @@ func NewHost(name string, m *nic.Model, opts HostOptions) (*Host, error) {
 		rec:          rec,
 		fq:           rec.Queue(name),
 	}
-	names := make([]semantics.Name, len(opts.BootSemantics))
-	for i, s := range opts.BootSemantics {
-		names[i] = semantics.Name(s)
-	}
-	intent, err := core.IntentFromSemantics("boot", semantics.Default, names...)
+	// The boot intent is pkt_len — satisfiable on every description. Whatever
+	// the controller later provisions or promotes replaces it as the
+	// last-known-good layout.
+	intent, err := core.IntentFromSemantics("boot", semantics.Default, semantics.PktLen)
 	if err != nil {
 		return nil, err
 	}

@@ -57,7 +57,7 @@ func (c *Controller) fetchReport(m *member) (*telemetry.Report, error) {
 		Sleep:      func(d uint64) { c.clk.Advance(d) },
 		OnError:    func(int, error) { c.rpcRetries.Inc() },
 	}.Do(func() error {
-		return m.link.transfer(c.opts.TelemetryDeadlineNs, func() (int, error) {
+		return m.link.transfer(telemetryDeadlineNs, func() (int, error) {
 			b, terr := m.host.Telemetry()
 			if terr != nil {
 				return 0, terr

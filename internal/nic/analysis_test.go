@@ -227,7 +227,7 @@ func TestWarmCompileJointMatchesCold(t *testing.T) {
 					for i := range cs {
 						w, c := ws[i], cs[i]
 						if w.Path.ID != c.Path.ID || bits(w.Total) != bits(c.Total) || bits(w.SoftCost) != bits(c.SoftCost) ||
-							bits(w.DMACost) != bits(c.DMACost) || !reflect.DeepEqual(w.PerTenantSoft, c.PerTenantSoft) {
+							bits(w.DMACost) != bits(c.DMACost) {
 							t.Errorf("%s: joint scored[%d] differs:\nwarm %+v\ncold %+v", label, i, w, c)
 						}
 					}

@@ -75,16 +75,6 @@ func TestInjectedConfigNAK(t *testing.T) {
 	}
 }
 
-// TestTxSubmitHang checks that a wedged device refuses TX descriptors with
-// ErrDeviceHang.
-func TestTxSubmitHang(t *testing.T) {
-	dev := MustNew(nic.MustLoad("e1000e"), Config{})
-	dev.InjectFaults(faults.New(faults.Plan{Seed: 7, HangCount: 1, HangMTBF: 1, HangBurst: 2}))
-	if _, err := dev.TxSubmit(make([]byte, 16)); !errors.Is(err, ErrDeviceHang) {
-		t.Fatalf("TxSubmit error = %v, want ErrDeviceHang", err)
-	}
-}
-
 // TestHangRecoveryLifecycle drives the full hang → failed reset → burst
 // elapses → successful reset → re-ApplyConfig → healthy sequence, checking
 // every counter along the way.

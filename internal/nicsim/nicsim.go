@@ -200,8 +200,8 @@ type fieldSrc struct{ slot, width int }
 // maxCompletionBytes bounds a single completion record in the simulator.
 const maxCompletionBytes = 256
 
-// ErrDeviceHang reports that the device is wedged: RX, TX and the control
-// channel all refuse service until a reset succeeds.
+// ErrDeviceHang reports that the device is wedged: RX and the control
+// channel refuse service until a reset succeeds.
 var ErrDeviceHang = errors.New("device hang")
 
 // ErrConfigNAK reports a NAKed control-channel register-write burst; the
@@ -557,7 +557,7 @@ func (d *Device) RxPacket(packet []byte) bool {
 }
 
 // InjectFaults attaches a fault-injection layer; nil detaches it. The
-// injector is consulted from the device datapath goroutine on every RX, TX,
+// injector is consulted from the device datapath goroutine on every RX,
 // control-channel and reset operation. An already-attached flight queue is
 // propagated so injected faults show up in the event stream.
 func (d *Device) InjectFaults(inj *faults.Injector) {

@@ -267,12 +267,9 @@ func TestOversizeFrameDropped(t *testing.T) {
 		t.Errorf("rx %d, drops %d, ring produced %d, pkt_len engine runs %d; want 1 each",
 			st.RxPackets, st.Drops, st.Ring.Produced, st.Offloads[semantics.PktLen])
 	}
-	// A nonsensical BufSize refuses every frame; a TX queue, which does keep
-	// a buffer pool of that size, reports it instead of panicking.
-	bad := MustNew(nic.MustLoad("qdma"), Config{BufSize: -1})
-	bad.WriteReg("h2c_ctx.desc_size", 32)
-	if _, err := bad.NewTxQueue(8); err == nil {
-		t.Error("a TX queue with a negative buffer size was built")
+	// A nonsensical BufSize refuses every frame.
+	if MustNew(nic.MustLoad("qdma"), Config{BufSize: -1}).RxPacket(make([]byte, 64)) {
+		t.Error("a device with a negative buffer size accepted a frame")
 	}
 }
 
@@ -303,64 +300,6 @@ func TestTimestampAdvances(t *testing.T) {
 			t.Error("timestamps must be monotonic")
 		}
 		prev = ts
-	}
-}
-
-func TestTxRoundTrip(t *testing.T) {
-	dev := MustNew(nic.MustLoad("qdma"), Config{})
-	dev.WriteReg("h2c_ctx.desc_size", 32)
-	want := map[semantics.Name]uint64{
-		semantics.PktLen:      1500,
-		semantics.SegCnt:      3,
-		semantics.VLAN:        0x0456,
-		semantics.ChecksumAny: 2,
-		semantics.CryptoCtx:   0xDEAD,
-		semantics.TunnelID:    0x123456,
-	}
-	desc, err := dev.BuildTxDescriptor(want, map[string]uint64{"desc_hdr.base.addr": 0xFEEDFACE})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(desc) != 32 {
-		t.Fatalf("descriptor size = %d, want 32", len(desc))
-	}
-	res, err := dev.TxSubmit(desc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s, w := range want {
-		if res.Values[s] != w {
-			t.Errorf("%s = %#x, want %#x", s, res.Values[s], w)
-		}
-	}
-	if res.Raw["desc_hdr.base.addr"] != 0xFEEDFACE {
-		t.Errorf("addr = %#x", res.Raw["desc_hdr.base.addr"])
-	}
-}
-
-func TestTxLayoutSelection(t *testing.T) {
-	dev := MustNew(nic.MustLoad("qdma"), Config{})
-	for _, size := range []int{8, 16, 32} {
-		dev.WriteReg("h2c_ctx.desc_size", uint64(size))
-		l, err := dev.ActiveTxLayout()
-		if err != nil {
-			t.Fatalf("size %d: %v", size, err)
-		}
-		if l.SizeBytes() != size {
-			t.Errorf("desc_size %d selects %dB layout", size, l.SizeBytes())
-		}
-	}
-	dev.WriteReg("h2c_ctx.desc_size", 64) // rejected by the description
-	if _, err := dev.ActiveTxLayout(); err == nil {
-		t.Error("desc_size 64 should match no accepted layout")
-	}
-}
-
-func TestTxShortDescriptorRejected(t *testing.T) {
-	dev := MustNew(nic.MustLoad("qdma"), Config{})
-	dev.WriteReg("h2c_ctx.desc_size", 16)
-	if _, err := dev.TxSubmit(make([]byte, 8)); err == nil {
-		t.Error("short descriptor should be rejected")
 	}
 }
 

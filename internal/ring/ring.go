@@ -312,45 +312,3 @@ func (r *Ring) Reset() {
 	r.head.Store(0)
 	r.tail.Store(0)
 }
-
-// BufferPool is a fixed pool of equally sized packet buffers indexed like a
-// hardware TX buffer area: the host writes a frame into a slot and posts a
-// descriptor that references it; the NIC reads the frame back by slot.
-type BufferPool struct {
-	mem     []byte
-	bufSize int
-	lens    []int
-}
-
-// NewBufferPool allocates count buffers of bufSize bytes.
-func NewBufferPool(bufSize, count int) (*BufferPool, error) {
-	if bufSize <= 0 || count <= 0 {
-		return nil, fmt.Errorf("ring: invalid buffer pool %dx%dB", count, bufSize)
-	}
-	return &BufferPool{
-		mem:     make([]byte, bufSize*count),
-		bufSize: bufSize,
-		lens:    make([]int, count),
-	}, nil
-}
-
-// Write DMAs data into buffer slot idx and records its length.
-func (p *BufferPool) Write(idx int, data []byte) error {
-	if idx < 0 || idx >= len(p.lens) {
-		return fmt.Errorf("ring: buffer index %d out of range", idx)
-	}
-	if len(data) > p.bufSize {
-		return fmt.Errorf("ring: packet %dB exceeds buffer size %dB", len(data), p.bufSize)
-	}
-	copy(p.mem[idx*p.bufSize:], data)
-	p.lens[idx] = len(data)
-	return nil
-}
-
-// Bytes returns the filled bytes of buffer slot idx.
-func (p *BufferPool) Bytes(idx int) []byte {
-	if idx < 0 || idx >= len(p.lens) {
-		return nil
-	}
-	return p.mem[idx*p.bufSize : idx*p.bufSize+p.lens[idx]]
-}

@@ -392,31 +392,6 @@ func TestQuickSchedule(t *testing.T) {
 	}
 }
 
-func TestBufferPool(t *testing.T) {
-	p, err := NewBufferPool(64, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Write(1, []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	if string(p.Bytes(1)) != "hello" {
-		t.Errorf("bytes = %q", p.Bytes(1))
-	}
-	if p.Bytes(0) == nil || len(p.Bytes(0)) != 0 {
-		t.Errorf("unwritten slot should be empty, got %v", p.Bytes(0))
-	}
-	if err := p.Write(4, []byte("x")); err == nil {
-		t.Error("out-of-range write accepted")
-	}
-	if err := p.Write(0, make([]byte, 65)); err == nil {
-		t.Error("oversized write accepted")
-	}
-	if p.Bytes(-1) != nil {
-		t.Error("negative index should be nil")
-	}
-}
-
 // TestStatsExactAcrossWrapAround tracks every counter against a shadow model
 // through several full wrap-arounds of the index space, including the
 // full and empty boundaries where stall counters must tick.

@@ -29,23 +29,13 @@ type HardenOptions struct {
 	// packet-derived semantics in software and compare). Off by default: the
 	// structural tier alone keeps the fast path within the overhead budget.
 	Deep bool
-	// DisableValidate turns the completion validator off entirely (A/B
-	// baseline for the overhead experiment); watchdog and degraded mode stay.
-	DisableValidate bool
 	// DegradeThreshold is how many consecutive device faults (refusals that
 	// are not ring backpressure) trip SoftNIC degraded mode (default 8).
 	DegradeThreshold int
-	// ApplyRetries bounds the re-ApplyConfig attempts after a successful
-	// reset (the control channel may still NAK); default 4.
-	ApplyRetries int
 	// MaxResetBackoff caps the exponential reset backoff, measured in driver
 	// operations rather than wall time so recovery is deterministic and
 	// testable; default 1024.
 	MaxResetBackoff int
-	// ResyncWindow is how many queued packets ahead a rejected completion is
-	// matched against when resynchronizing after a lost completion
-	// (default 8, the injector's replay depth).
-	ResyncWindow int
 	// DisableResync turns the lost-completion resynchronization path off: a
 	// packet whose record never arrives stays pending forever instead of being
 	// re-delivered in software. This deliberately re-opens the pre-resync
@@ -62,21 +52,17 @@ func (o HardenOptions) withDefaults() HardenOptions {
 	if o.DegradeThreshold <= 0 {
 		o.DegradeThreshold = 8
 	}
-	if o.ApplyRetries <= 0 {
-		o.ApplyRetries = 4
-	}
 	if o.MaxResetBackoff <= 0 {
 		o.MaxResetBackoff = 1024
-	}
-	if o.ResyncWindow <= 0 {
-		o.ResyncWindow = 8
 	}
 	o.Clock = vclock.Or(o.Clock)
 	return o
 }
 
-// deliveredDepth is how many recently consumed packets are retained for
-// stale/duplicate classification (matches the injector's replay depth).
+// deliveredDepth is the injector's replay depth: how many recently consumed
+// packets are retained for stale/duplicate classification, and how many
+// queued packets ahead a rejected completion is matched against when
+// resynchronizing after a lost one.
 const deliveredDepth = 8
 
 // hardening is the per-queue hardening state. The mutable fields are
@@ -266,7 +252,7 @@ func (h *hardening) tickRecovery(q *Queue) {
 	}
 	// Restore what the device was last programmed with — on an evolving
 	// queue, the active generation's configuration.
-	if err := Apply(q.dev, q.cfg, h.opts.ApplyRetries, func(int, error) { h.configRetries.Inc() }); err != nil {
+	if err := Apply(q.dev, q.cfg, func(int, error) { h.configRetries.Inc() }); err != nil {
 		h.bumpBackoff()
 		return
 	}
@@ -321,13 +307,10 @@ func (h *hardening) isStale(v *codegen.Validator, rec []byte) bool {
 }
 
 // resyncMatch looks for the queued packet a rejected record actually
-// describes, up to ResyncWindow ahead in the live queue; it returns how many
-// queue heads to skip (0 = no match, or resync disabled).
+// describes, up to deliveredDepth ahead in the live queue; it returns how
+// many queue heads to skip (0 = no match, or resync disabled).
 func (h *hardening) resyncMatch(v *codegen.Validator, queue []Entry, rec []byte) int {
-	win := h.opts.ResyncWindow
-	if win > len(queue) {
-		win = len(queue)
-	}
+	win := min(deliveredDepth, len(queue))
 	if h.opts.DisableResync {
 		win = 0
 	}

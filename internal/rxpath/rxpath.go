@@ -165,7 +165,7 @@ type Queue struct {
 // grid; with a clock it stamps the same packets on the client's timeline
 // (Entry.TS) and records nothing — deriving latency is then the client's.
 func New(dev *nicsim.Device, cfg []core.Constraint, clock vclock.Clock) (*Queue, error) {
-	if err := Apply(dev, cfg, 0, nil); err != nil {
+	if err := Apply(dev, cfg, nil); err != nil {
 		return nil, err
 	}
 	q := &Queue{dev: dev, cfg: cfg, clock: clock, dmaToPoll: obs.NewHistogram(), pollToDeliver: obs.NewHistogram()}
@@ -430,7 +430,7 @@ func (q *Queue) judge(cur *ring.Cursor, n int, l *Lane) ([]byte, verdict) {
 		return nil, deliver
 	}
 	rec := cur.At()
-	if h == nil || h.opts.DisableValidate {
+	if h == nil {
 		return rec, deliver
 	}
 	// Verdicts: a stamped packet's, and every violation.
@@ -476,12 +476,12 @@ func (q *Queue) judge(cur *ring.Cursor, n int, l *Lane) ([]byte, verdict) {
 	return nil, deliver
 }
 
-// Apply programs dev with the shared bounded-retry discipline (attempts ≤ 0
-// selects retry.DefaultAttempts): a faulty control channel may NAK a
-// register-write burst, and ApplyConfig fails atomically, so retrying is
-// always safe. onNAK, when non-nil, sees every failed attempt.
-func Apply(dev *nicsim.Device, cfg []core.Constraint, attempts int, onNAK func(int, error)) error {
-	return retry.Policy{Attempts: attempts, OnError: onNAK}.Do(func() error { return dev.ApplyConfig(cfg) })
+// Apply programs dev with the shared bounded-retry discipline
+// (retry.DefaultAttempts): a faulty control channel may NAK a register-write
+// burst, and ApplyConfig fails atomically, so retrying is always safe. onNAK,
+// when non-nil, sees every failed attempt.
+func Apply(dev *nicsim.Device, cfg []core.Constraint, onNAK func(int, error)) error {
+	return retry.Policy{OnError: onNAK}.Do(func() error { return dev.ApplyConfig(cfg) })
 }
 
 // Reprogram is the switchover transaction on the queue's device: push cfg
@@ -491,7 +491,7 @@ func Apply(dev *nicsim.Device, cfg []core.Constraint, attempts int, onNAK func(i
 // restores the context should a failed apply have half-programmed it). The
 // caller has quiesced and drained the queue.
 func (q *Queue) Reprogram(cfg []core.Constraint, wantPath int, onNAK func(int, error)) error {
-	err := Apply(q.dev, cfg, 0, onNAK)
+	err := Apply(q.dev, cfg, onNAK)
 	if err == nil {
 		var ap *core.Path
 		if ap, err = q.dev.ActivePath(); err == nil && ap.ID != wantPath {
@@ -502,7 +502,7 @@ func (q *Queue) Reprogram(cfg []core.Constraint, wantPath int, onNAK func(int, e
 		q.cfg = cfg
 		return nil
 	}
-	if rerr := Apply(q.dev, q.cfg, 0, onNAK); rerr != nil {
+	if rerr := Apply(q.dev, q.cfg, onNAK); rerr != nil {
 		err = fmt.Errorf("%w (rollback reapply also failed: %v)", err, rerr)
 	}
 	return err

@@ -85,14 +85,14 @@ func TestClockReadsOnGrid(t *testing.T) {
 // it returns to what counting every packet would give, beside a concurrent
 // scraper (run under -race). One goroutine serves E19's Zipf trace — own-shard
 // polls, steals, packets parked across a layout switchover — and after every
-// PollCore compares TenantStats.Delivered and MixTracker.Delivered with its
-// own per-packet count; after every MaybeRenegotiate it compares the tick's
-// window (lastEval) with what the same rule gives on that count. The scraper
+// PollCore compares TenantStats.Delivered and the resolver's Delivered with
+// its own per-packet count; before every MaybeRenegotiate it compares the
+// tick's schedule (Due) with what the same rule gives on that count. The scraper
 // checks that no snapshot shows a tenant more delivered than accepted and
 // that no counter goes backwards.
 func TestAccountingExactAtPollBoundary(t *testing.T) {
 	const tenants, cores, packets, burst = 16, 4, 4096, 32
-	pol := evolve.JointPolicy{Interval: 256, MinWindow: 128}.WithDefaults()
+	pol := evolve.Options{Interval: 256, MinWindow: 128}
 	// Narrow intents, so that asking for timestamp below changes the layout
 	// (E19's own profiles already select the full completion).
 	specs := make([]Spec, tenants)
@@ -144,7 +144,7 @@ func TestAccountingExactAtPollBoundary(t *testing.T) {
 	}()
 
 	ref := make([]uint64, tenants) // deliveries counted one packet at a time
-	var refTotal, refLastEval, stolen uint64
+	var refTotal, refLastCheck, stolen uint64
 	h := func(d Delivery) {
 		ref[d.Tenant]++
 		refTotal++
@@ -157,7 +157,7 @@ func TestAccountingExactAtPollBoundary(t *testing.T) {
 		p.PollCore(core, h)
 		st := p.Stats()
 		for ti, want := range ref {
-			if got, mix := st.Tenants[ti].Delivered, p.mix.Delivered(ti); got != want || mix != want {
+			if got, mix := st.Tenants[ti].Delivered, p.res.Delivered(ti); got != want || mix != want {
 				t.Fatalf("after PollCore(%d): tenant %d delivered %d, mix %d, counted %d", core, ti, got, mix, want)
 			}
 		}
@@ -183,14 +183,18 @@ func TestAccountingExactAtPollBoundary(t *testing.T) {
 		for c := 0; c < cores; c++ {
 			poll(c)
 		}
+		due := refTotal-refLastCheck >= uint64(pol.Interval)
+		if p.res.Due() != due {
+			t.Fatalf("control-plane tick due = %v at %d deliveries, last check at %d; per-packet counting gives %v", !due, refTotal, refLastCheck, due)
+		}
 		if _, err := p.MaybeRenegotiate(); err != nil {
 			t.Fatal(err)
 		}
-		if pol.Due(refTotal, refLastEval) && refTotal-refLastEval >= uint64(pol.MinWindow) {
-			refLastEval = refTotal
+		if due {
+			refLastCheck = refTotal
 		}
-		if p.lastEval != refLastEval || p.mix.TotalDelivered() != refTotal {
-			t.Fatalf("control-plane tick saw lastEval %d, total %d; per-packet counting gives %d, %d", p.lastEval, p.mix.TotalDelivered(), refLastEval, refTotal)
+		if p.res.Due() {
+			t.Fatalf("still due after the tick at %d deliveries", refTotal)
 		}
 	}
 	for p.Pending() > 0 {
@@ -200,8 +204,8 @@ func TestAccountingExactAtPollBoundary(t *testing.T) {
 	}
 
 	st := p.Stats()
-	if st.Renegs == 0 || st.Drained == 0 || stolen == 0 || refLastEval == 0 {
-		t.Fatalf("run too tame: %d switchovers parking %d packets, %d stolen deliveries, last window at %d", st.Renegs, st.Drained, stolen, refLastEval)
+	if st.Renegs == 0 || st.Drained == 0 || stolen == 0 || refLastCheck == 0 {
+		t.Fatalf("run too tame: %d switchovers parking %d packets, %d stolen deliveries, last window at %d", st.Renegs, st.Drained, stolen, refLastCheck)
 	}
 	for _, ts := range st.Tenants {
 		if ts.Accepted != ts.Delivered {

@@ -30,7 +30,7 @@ func TestApplyWithRetriesAttemptCount(t *testing.T) {
 	dev := nicsim.MustNew(m, nicsim.Config{})
 
 	dev.InjectFaults(faults.New(faults.Plan{Seed: 7, NAKP: 1}))
-	if err := rxpath.Apply(dev, res.Config, 0, nil); err == nil {
+	if err := rxpath.Apply(dev, res.Config, nil); err == nil {
 		t.Fatal("ApplyConfig under a full NAK storm must fail")
 	}
 	if naks := dev.Stats().ConfigNAKs; naks != retry.DefaultAttempts {
@@ -39,7 +39,7 @@ func TestApplyWithRetriesAttemptCount(t *testing.T) {
 	}
 
 	dev.InjectFaults(nil)
-	if err := rxpath.Apply(dev, res.Config, 0, nil); err != nil {
+	if err := rxpath.Apply(dev, res.Config, nil); err != nil {
 		t.Fatalf("healed channel: %v", err)
 	}
 	if naks := dev.Stats().ConfigNAKs; naks != retry.DefaultAttempts {

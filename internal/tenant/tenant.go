@@ -8,9 +8,10 @@
 //
 // The plane is the operational shape the paper's conclusion points at: one
 // host, many applications, one evolvable metadata interface — a tenant can
-// renegotiate its intent live (Renegotiate / MaybeRenegotiate via the
-// evolve.JointPolicy) without its neighbors losing or reordering a single
-// packet.
+// renegotiate its intent live (Renegotiate), and the plane re-solves the
+// layout against the measured read mix (MaybeRenegotiate, on the same
+// evolve.Resolver an evolving driver uses), without a neighbor losing or
+// reordering a single packet.
 package tenant
 
 import (
@@ -40,7 +41,7 @@ type Spec struct {
 	// objective (zero means 1: equal shares).
 	Weight float64
 	// Port is the UDP destination port whose traffic belongs to the tenant
-	// (zero assigns Options.BasePort + tenant index).
+	// (zero assigns 20000 + tenant index).
 	Port uint16
 }
 
@@ -58,13 +59,10 @@ type Options struct {
 	// Clock is the timeline delivery latency is measured on (nil selects
 	// the process wall clock; chaos runs inject a virtual clock).
 	Clock vclock.Clock
-	// Key is the Toeplitz steering key (default the symmetric key, so both
-	// directions of a flow land on the same core).
-	Key []byte
-	// BasePort is the default per-tenant port base (default 20000).
-	BasePort uint16
-	// Policy schedules measured-mix renegotiation (see MaybeRenegotiate).
-	Policy evolve.JointPolicy
+	// Policy tunes the measured-mix re-solve (see MaybeRenegotiate) as it
+	// does an evolving driver's, same defaults. Its PreSwitch and Clock belong
+	// to the driver's switchover; a plane's has no hook and runs on Clock.
+	Policy evolve.Options
 	// StealBatch bounds how many completions an idle core takes from the
 	// most loaded sibling per poll (default 16; negative disables
 	// stealing).
@@ -78,18 +76,15 @@ func (o Options) withDefaults() Options {
 	if o.Cores == 0 {
 		o.Cores = 4
 	}
-	if o.Key == nil {
-		o.Key = softnic.SymmetricToeplitzKey[:]
-	}
-	if o.BasePort == 0 {
-		o.BasePort = 20000
-	}
 	if o.StealBatch == 0 {
 		o.StealBatch = 16
 	}
-	o.Policy = o.Policy.WithDefaults()
 	return o
 }
+
+// basePort + index is the port of a tenant that names none — the ports
+// workload.ZipfSpec addresses its tenants on by default.
+const basePort = 20000
 
 // queueState is one RSS shard. The mutex serializes the queue's producer
 // (Rx) and consumers (owner core + stealing cores) — the completion ring
@@ -134,16 +129,16 @@ type Plane struct {
 
 	model   *nic.Model
 	opts    Options
-	steer   *softnic.ToeplitzTable // opts.Key, tabulated
+	steer   *softnic.ToeplitzTable // the symmetric key, tabulated
 	joint   *core.JointResult
 	gen     uint64
 	queues  []*queueState
 	tenants []*tenantState
 	ports   portTable
 	clock   vclock.Clock
-	mix     *evolve.MixTracker
-
-	lastEval uint64 // aggregate deliveries at the last MaybeRenegotiate
+	// res is the measured-mix re-solve loop: it owns the per-tenant read
+	// counters the lanes bind and the delivery counts that weigh the tenants.
+	res *evolve.Resolver
 
 	renegs       obs.Counter // completed layout switchovers
 	fastRenegs   obs.Counter // accessor-only renegotiations (layout kept)
@@ -172,17 +167,17 @@ func Open(opts Options, specs ...Spec) (*Plane, error) {
 	p := &Plane{
 		model: m,
 		opts:  opts,
-		steer: softnic.NewToeplitzTable(opts.Key),
+		// The symmetric key: both directions of a flow land on the same core.
+		steer: softnic.NewToeplitzTable(softnic.SymmetricToeplitzKey[:]),
 		clock: vclock.Or(opts.Clock),
 	}
-	intents := make([][]semantics.Name, len(specs))
 	for i, s := range specs {
 		if s.Name == "" {
 			return nil, fmt.Errorf("tenant: tenant %d has no name", i)
 		}
 		port := s.Port
 		if port == 0 {
-			port = opts.BasePort + uint16(i)
+			port = basePort + uint16(i)
 			s.Port = port
 		}
 		for _, prev := range p.tenants {
@@ -203,12 +198,12 @@ func Open(opts Options, specs ...Spec) (*Plane, error) {
 			port:   port,
 			lat:    obs.NewHistogram(),
 		})
-		intents[i] = intent.Req().Sorted()
 	}
 	p.ports = newPortTable(p.tenants)
-	p.mix = evolve.NewMixTracker(intents)
+	intents := p.jointIntents()
+	p.res = evolve.NewResolver(m, opts.Compile, opts.Policy, nil, intents)
 
-	jr, err := m.CompileJoint(p.jointIntents(), opts.Compile)
+	jr, err := m.CompileJoint(intents, opts.Compile)
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +285,7 @@ func (p *Plane) install(jr *core.JointResult) {
 // the tenant's read-mix counters laid out beside its reader table. Packets
 // already parked keep the lane, and the mix, they were parked with.
 func (p *Plane) bindRuntime(i int, rt *codegen.Runtime) {
-	l := &rxpath.Lane{RT: rt, Reads: p.mix.Bind(i, rt)}
+	l := &rxpath.Lane{RT: rt, Reads: p.res.Bind(i, rt)}
 	p.tenants[i].lane = l
 	for _, qs := range p.queues {
 		qs.q.SetLane(i, l)
@@ -299,15 +294,6 @@ func (p *Plane) bindRuntime(i int, rt *codegen.Runtime) {
 
 // Cores returns the number of queues / poll loops.
 func (p *Plane) Cores() int { return len(p.queues) }
-
-// Tenants returns the tenant names in index order.
-func (p *Plane) Tenants() []string {
-	out := make([]string, len(p.tenants))
-	for i, t := range p.tenants {
-		out[i] = t.spec.Name
-	}
-	return out
-}
 
 // Joint returns the current joint compilation.
 func (p *Plane) Joint() *core.JointResult {
@@ -464,7 +450,7 @@ func (p *Plane) pollQueue(core, q, limit int, h func(Delivery)) int {
 	})
 	for _, ti := range qs.seen {
 		p.tenants[ti].delivered.Add(uint64(qs.counts[ti]))
-		p.mix.NoteDelivered(ti, int(qs.counts[ti]))
+		p.res.NoteDelivered(ti, int(qs.counts[ti]))
 		qs.counts[ti] = 0
 	}
 	qs.seen = qs.seen[:0]
@@ -542,59 +528,26 @@ func (p *Plane) Renegotiate(name string, sems ...string) error {
 		return err
 	}
 	p.tenants[ti].spec.Semantics = append([]string(nil), sems...)
-	p.mix.Retarget(ti, intent.Req().Sorted())
+	p.res.Retarget(ti, intent)
 	p.bindRuntime(ti, p.tenants[ti].lane.RT)
 	p.tenants[ti].renegs.Inc()
 	return nil
 }
 
-// MaybeRenegotiate is the measured-mix control-plane tick (the joint
-// analogue of the evolve engine's Interval re-solve): every
+// MaybeRenegotiate is the measured-mix control-plane tick: every
 // Policy.Interval aggregate deliveries it re-solves the joint objective
-// under each tenant's observed read frequencies and live traffic weights,
-// and switches the layout when a candidate clears the hysteresis. Call it
-// from a serving loop; it is cheap when not due.
+// under each tenant's observed read frequencies and live traffic weights
+// (evolve.Resolver.Resolve), and switches the layout when a candidate clears
+// the hysteresis. Call it from a serving loop; it is cheap when not due.
 func (p *Plane) MaybeRenegotiate() (switched bool, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	pol := p.opts.Policy
-	total := p.mix.TotalDelivered()
-	if !pol.Due(total, p.lastEval) {
+	if !p.res.Due() {
 		return false, nil
 	}
-	if total-p.lastEval < uint64(pol.MinWindow) {
-		return false, nil
-	}
-	p.lastEval = total
-
-	base := semantics.RegistryCosts(semantics.Default)
-	weights := p.mix.Weights()
-	tenants := make([]core.TenantIntent, len(p.tenants))
-	for i, t := range p.tenants {
-		mix, _ := p.mix.Window(i)
-		tenants[i] = core.TenantIntent{
-			Tenant: t.spec.Name,
-			Intent: t.intent,
-			Weight: weights[i],
-			Costs:  evolve.WeightedMixCosts(t.intent.CostModel(base), mix),
-		}
-	}
-	jr, err := p.model.CompileJoint(tenants, p.opts.Compile)
-	if err != nil {
+	jr, err := p.res.Resolve(p.joint.Selected.Path.ID)
+	if err != nil || jr == nil {
 		return false, err
-	}
-	if jr.Selected.Path.ID == p.joint.Selected.Path.ID {
-		return false, nil
-	}
-	var activeTotal float64
-	for _, js := range jr.Scored {
-		if js.Path.ID == p.joint.Selected.Path.ID {
-			activeTotal = js.Total
-			break
-		}
-	}
-	if !pol.Improves(activeTotal, jr.Selected.Total) {
-		return false, nil
 	}
 	if err := p.switchTo(jr, -1); err != nil {
 		return false, err

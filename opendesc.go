@@ -192,6 +192,9 @@ type Driver struct {
 	// engine is non-nil for evolving drivers: the renegotiation control
 	// plane, which owns q's lock and swaps its lane at each generation.
 	engine *evolve.Engine
+	// gen is the engine generation Result was read at; Poll takes the
+	// engine's lock for a fresh Result only when the generation has moved.
+	gen uint64
 }
 
 // OpenOptions bundles everything Open can be tuned with.
@@ -286,7 +289,9 @@ func (d *Driver) Rx(packet []byte) bool {
 func (d *Driver) Poll(h func(packet []byte, meta Meta)) int {
 	if d.engine != nil {
 		n := d.engine.Poll(h)
-		d.Result = d.engine.Result()
+		if gen := d.engine.Generation(); gen != d.gen {
+			d.gen, d.Result = gen, d.engine.Result()
+		}
 		return n
 	}
 	return d.q.Poll(-1, h)

@@ -2,7 +2,6 @@ package opendesc
 
 import (
 	"opendesc/internal/core"
-	"opendesc/internal/evolve"
 	"opendesc/internal/nic"
 	"opendesc/internal/tenant"
 )
@@ -15,8 +14,8 @@ type (
 	// metadata intent, an optional Eq. 1 traffic weight, and the UDP
 	// destination port that classifies the tenant's traffic.
 	TenantSpec = tenant.Spec
-	// TenantOptions tunes a serving plane (NIC model, core/queue count,
-	// steering key, renegotiation policy).
+	// TenantOptions tunes a serving plane (NIC model, core/queue count, and
+	// the measured-mix renegotiation policy, an EvolveOptions).
 	TenantOptions = tenant.Options
 	// ServingPlane is an open multi-tenant plane: Rx classifies and
 	// RSS-steers packets, PollCore runs a per-core delivery loop with work
@@ -34,8 +33,6 @@ type (
 	// JointResult is a joint Eq. 1 compilation over several tenants: one
 	// selected device configuration plus a per-tenant accessor/shim split.
 	JointResult = core.JointResult
-	// JointPolicy schedules measured-mix renegotiation for a plane.
-	JointPolicy = evolve.JointPolicy
 )
 
 // OpenTenants opens a multi-tenant serving plane: it solves the joint
