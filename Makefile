@@ -51,7 +51,7 @@ perf-gate: alloc-gate
 	$(GO) run ./cmd/benchmark -compare $(PERF_TMP)/base.json $(PERF_TMP)/head.json
 
 alloc-gate:
-	$(GO) test -run 'TestDeliverPathAllocGate|TestWarmCompileSkipsAnalysis|TestOpenMemoryGate' -v .
+	$(GO) test -run 'TestDeliverPathAllocGate|TestColdCompileAllocGate|TestWarmCompileSkipsAnalysis|TestOpenMemoryGate' -v .
 	$(GO) test -run TestClockReadsOnGrid -v ./internal/tenant
 	$(GO) test -run TestPollReadsClockOnGrid -v ./internal/rxpath
 	$(GO) test -run TestVerifyAllocGate -v ./internal/diffverify

@@ -206,13 +206,17 @@ func BenchmarkE9_MbufDyn(b *testing.B) {
 // BenchmarkE10_CompileTime times a compile at its two lines, per NIC
 // (bench.E10Stages): the frontend (parse + sema), the description-side
 // analysis (CFG + paths), the intent-side selection a renegotiation re-runs,
-// and the cold total from source text that Open pays once.
+// and the cold total from source text that Open pays once. The two stages that
+// read the text also report throughput, so ns per source byte can be read off.
 func BenchmarkE10_CompileTime(b *testing.B) {
 	intent := mustIntent(b, semantics.RSS, semantics.VLAN, semantics.IPChecksum, semantics.PktLen)
 	for _, m := range nic.All() {
 		for _, stage := range bench.E10Stages(m, intent) {
 			b.Run(m.Name+"/"+stage.Name, func(b *testing.B) {
 				b.ReportAllocs()
+				if stage.Name == "frontend" || stage.Name == "cold" {
+					b.SetBytes(int64(len(m.Source)))
+				}
 				for i := 0; i < b.N; i++ {
 					if err := stage.Run(); err != nil {
 						b.Fatal(err)

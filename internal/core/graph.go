@@ -140,6 +140,7 @@ type graphBuilder struct {
 	inst     *sema.Instance
 	outParam string
 	err      error
+	fields   []EmitField // scratch: the emit being resolved, copied out at its length
 }
 
 func (b *graphBuilder) node(k NodeKind) *Node {
@@ -233,8 +234,10 @@ func (b *graphBuilder) buildStmt(s ast.Stmt, pred []*Node) []*Node {
 		br := b.node(NodeBranch)
 		br.Cond = s.Cond
 		link(pred, br, nil)
-		thenEdge := &Edge{Cond: s.Cond, Label: ast.Sprint(s.Cond)}
-		elseEdge := &Edge{Cond: s.Cond, Negate: true, Label: "!(" + ast.Sprint(s.Cond) + ")"}
+		cond := ast.Sprint(s.Cond)
+		thenEdge := &Edge{Cond: s.Cond, Label: cond}
+		elseEdge := &Edge{Cond: s.Cond, Negate: true, Label: "!(" + cond + ")"}
+		br.Succs = make([]*Edge, 0, 2)
 
 		thenEntry := b.node(NodeEntry) // anchor so the edge has a target before the body exists
 		thenEdge.To = thenEntry
@@ -268,14 +271,17 @@ func (b *graphBuilder) buildStmt(s ast.Stmt, pred []*Node) []*Node {
 		link(pred, sw, nil)
 		var out []*Node
 		hasDefault := false
+		tag := ast.Sprint(s.Tag)
+		sw.Succs = make([]*Edge, 0, len(s.Cases)+1) // +1: the implicit no-match edge
 		for _, c := range s.Cases {
 			entry := b.node(NodeEntry)
 			e := &Edge{To: entry}
 			if c.IsDefault {
 				hasDefault = true
 				e.IsDefault = true
-				e.Label = ast.Sprint(s.Tag) + " = default"
+				e.Label = tag + " = default"
 			} else {
+				e.CaseVals = make([]sema.Value, 0, len(c.Keys))
 				for _, k := range c.Keys {
 					v, err := b.info.Eval(k, nil)
 					if err != nil {
@@ -284,7 +290,7 @@ func (b *graphBuilder) buildStmt(s ast.Stmt, pred []*Node) []*Node {
 					}
 					e.CaseVals = append(e.CaseVals, v)
 				}
-				e.Label = fmt.Sprintf("%s = %s", ast.Sprint(s.Tag), caseLabel(e.CaseVals))
+				e.Label = tag + " = " + caseLabel(e.CaseVals)
 			}
 			sw.Succs = append(sw.Succs, e)
 			out = append(out, b.buildBlock(c.Body, entry)...)
@@ -348,10 +354,12 @@ func recvOf(e ast.Expr) ast.Expr {
 // commits to the completion stream.
 func (b *graphBuilder) resolveEmit(arg ast.Expr, pos token.Pos) *Emit {
 	arg = ast.Unparen(arg)
-	em := &Emit{Pos: pos, Source: ast.Sprint(arg)}
+	em := &Emit{Pos: pos}
+	b.fields = b.fields[:0]
 	switch a := arg.(type) {
 	case *ast.Ident:
 		// Whole parameter (header/struct).
+		em.Source = a.Name
 		bp := b.inst.Param(a.Name)
 		if bp == nil {
 			b.errorf(pos, "emit of unknown name %q", a.Name)
@@ -364,62 +372,75 @@ func (b *graphBuilder) resolveEmit(arg ast.Expr, pos token.Pos) *Emit {
 		}
 		b.flatten(em, a.Name, ct)
 	case *ast.MemberExpr:
-		root, fields := memberChain(a)
-		if root == "" {
-			b.errorf(pos, "emit argument %s is not rooted at a parameter", em.Source)
+		// The dotted path names the argument and, for a leaf, its one field.
+		if em.Source = a.Path(); em.Source == "" {
+			b.errorf(pos, "emit argument %s is not rooted at a parameter", ast.Sprint(arg))
 			return nil
 		}
-		bp := b.inst.Param(root)
-		if bp == nil {
-			b.errorf(pos, "emit of unknown parameter %q", root)
+		fi, err := memberField(b.inst, a, "emit")
+		if err != nil {
+			b.errorf(pos, "%v", err)
 			return nil
 		}
-		t := bp.Type
-		prefix := root
-		for i, fname := range fields {
-			ct, ok := t.(*sema.CompositeType)
-			if !ok {
-				b.errorf(pos, "%s is not a composite (cannot select %q)", prefix, fname)
+		// Terminal: either a leaf field or a nested composite.
+		if nested, ok := fi.Type.(*sema.CompositeType); ok {
+			b.flatten(em, em.Source, nested)
+		} else {
+			w := fi.Type.BitWidth()
+			if w <= 0 {
+				b.errorf(pos, "field %s has no fixed width", em.Source)
 				return nil
 			}
-			fi := ct.Field(fname)
-			if fi == nil {
-				b.errorf(pos, "%s has no field %q", ct.Name, fname)
-				return nil
-			}
-			prefix += "." + fname
-			t = fi.Type
-			if i == len(fields)-1 {
-				// Terminal: either a leaf field or a nested composite.
-				if nested, ok := t.(*sema.CompositeType); ok {
-					b.flatten(em, prefix, nested)
-				} else {
-					w := t.BitWidth()
-					if w <= 0 {
-						b.errorf(pos, "field %s has no fixed width", prefix)
-						return nil
-					}
-					em.Fields = append(em.Fields, EmitField{
-						Name:      prefix,
-						Semantic:  semantics.Name(fi.Semantic),
-						WidthBits: w,
-					})
-				}
-			}
+			b.fields = append(b.fields, EmitField{
+				Name:      em.Source,
+				Semantic:  semantics.Name(fi.Semantic),
+				WidthBits: w,
+			})
 		}
 	default:
 		b.errorf(pos, "unsupported emit argument %T", arg)
 		return nil
 	}
-	if len(em.Fields) == 0 {
+	if len(b.fields) == 0 {
 		b.errorf(pos, "emit of %s commits no fields", em.Source)
 		return nil
 	}
+	em.Fields = append(make([]EmitField, 0, len(b.fields)), b.fields...)
 	return em
 }
 
+// memberField resolves a member chain rooted at a parameter (Path() != "") to
+// the field its last member selects, checking every level on the way; what
+// names the caller's operation ("emit", "extract") in the diagnostics.
+func memberField(inst *sema.Instance, e *ast.MemberExpr, what string) (*sema.FieldInfo, error) {
+	var t sema.Type
+	switch x := e.X.(type) {
+	case *ast.Ident:
+		bp := inst.Param(x.Name)
+		if bp == nil {
+			return nil, fmt.Errorf("%s of unknown parameter %q", what, x.Name)
+		}
+		t = bp.Type
+	case *ast.MemberExpr:
+		fi, err := memberField(inst, x, what)
+		if err != nil {
+			return nil, err
+		}
+		t = fi.Type
+	}
+	ct, ok := t.(*sema.CompositeType)
+	if !ok {
+		return nil, fmt.Errorf("%s is not a composite (cannot select %q)", ast.Sprint(e.X), e.Member)
+	}
+	fi := ct.Field(e.Member)
+	if fi == nil {
+		return nil, fmt.Errorf("%s has no field %q", ct.Name, e.Member)
+	}
+	return fi, nil
+}
+
 // flatten appends all leaf fields of a composite (recursing into nested
-// composites) to the emit.
+// composites) to the fields of the emit being resolved.
 func (b *graphBuilder) flatten(em *Emit, prefix string, ct *sema.CompositeType) {
 	for _, f := range ct.Fields {
 		name := prefix + "." + f.Name
@@ -432,32 +453,10 @@ func (b *graphBuilder) flatten(em *Emit, prefix string, ct *sema.CompositeType) 
 			b.errorf(em.Pos, "field %s has no fixed width", name)
 			continue
 		}
-		em.Fields = append(em.Fields, EmitField{
+		b.fields = append(b.fields, EmitField{
 			Name:      name,
 			Semantic:  semantics.Name(f.Semantic),
 			WidthBits: w,
 		})
-	}
-}
-
-// memberChain decomposes a member expression into its root identifier and the
-// ordered field names, e.g. pipe_meta.inner.rss → ("pipe_meta", [inner rss]).
-func memberChain(e *ast.MemberExpr) (root string, fields []string) {
-	var rev []string
-	cur := ast.Expr(e)
-	for {
-		switch x := cur.(type) {
-		case *ast.MemberExpr:
-			rev = append(rev, x.Member)
-			cur = x.X
-		case *ast.Ident:
-			root = x.Name
-			for i := len(rev) - 1; i >= 0; i-- {
-				fields = append(fields, rev[i])
-			}
-			return root, fields
-		default:
-			return "", nil
-		}
 	}
 }

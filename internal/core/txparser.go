@@ -267,26 +267,14 @@ func (a *txAnalyzer) extractFields(arg ast.Expr, off int) ([]LayoutField, error)
 		}
 		comp, prefix = ct, x.Name
 	case *ast.MemberExpr:
-		root, chain := memberChain(x)
-		bp := a.inst.Param(root)
-		if bp == nil {
-			return nil, fmt.Errorf("extract of unknown parameter %q", root)
+		if prefix = x.Path(); prefix == "" {
+			return nil, fmt.Errorf("extract argument %s is not rooted at a parameter", ast.Sprint(arg))
 		}
-		t := bp.Type
-		prefix = root
-		for _, fname := range chain {
-			ct, ok := t.(*sema.CompositeType)
-			if !ok {
-				return nil, fmt.Errorf("%s is not a composite", prefix)
-			}
-			fi := ct.Field(fname)
-			if fi == nil {
-				return nil, fmt.Errorf("%s has no field %q", ct.Name, fname)
-			}
-			prefix += "." + fname
-			t = fi.Type
+		fi, err := memberField(a.inst, x, "extract")
+		if err != nil {
+			return nil, err
 		}
-		ct, ok := t.(*sema.CompositeType)
+		ct, ok := fi.Type.(*sema.CompositeType)
 		if !ok {
 			return nil, fmt.Errorf("extract target %s must be a header", prefix)
 		}

@@ -2,9 +2,12 @@ package diffverify
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"opendesc/internal/nic"
+	"opendesc/internal/p4/ast"
+	"opendesc/internal/p4/parser"
 )
 
 // TestMutateDeterministic: the mutator is a pure function of (src, seed) —
@@ -119,5 +122,65 @@ func TestWidenFirstSemanticTargetsCompletionPath(t *testing.T) {
 	}
 	if ctName == "" || fieldName == "" {
 		t.Fatal("no emitted semantic field resolved")
+	}
+}
+
+// TestMutantSiblingsUntouched: the parser cuts every list (fields, statements,
+// arguments) out of a shared scratch stack at its exact length, so an edit
+// that inserts into one list must leave every other declaration printing as
+// it did. Each mutant is compared with its parent declaration by declaration:
+// only the composites its op log names, and the controls when a statement op
+// ran, may differ — over enough seeds that every inserting op (pad, split,
+// dup-emit) has fired on every NIC family that has a site for it.
+func TestMutantSiblingsUntouched(t *testing.T) {
+	decls := func(src string) map[string]string {
+		prog, err := parser.Parse("m.p4", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]string)
+		for _, d := range prog.Decls {
+			name := ""
+			switch d := d.(type) {
+			case *ast.HeaderDecl:
+				name = d.Name
+			case *ast.StructDecl:
+				name = d.Name
+			case *ast.ControlDecl:
+				name = "control " + d.Name
+			}
+			out[name] += ast.Sprint(d)
+		}
+		return out
+	}
+	fired := make(map[string]int)
+	for _, m := range nic.All() {
+		parent := decls(m.Source)
+		for seed := uint64(0); seed < 48; seed++ {
+			out, ops, err := Mutate(m.Source, seed)
+			if err != nil {
+				continue
+			}
+			touched, stmtOp := make(map[string]bool), false
+			for _, op := range strings.Split(ops, ",") {
+				kind, site, named := strings.Cut(op, ":")
+				if named && kind != "permute-case" {
+					touched[site[:strings.IndexAny(site, ".+")]] = true
+				} else if kind != "permute-headers" { // which reorders, edits nothing
+					stmtOp = true
+				}
+				fired[strings.SplitN(kind, "@", 2)[0]]++
+			}
+			for name, printed := range decls(out) {
+				if printed != parent[name] && !touched[name] && !(stmtOp && strings.HasPrefix(name, "control ")) {
+					t.Errorf("%s seed %d (%s): untouched %q changed:\n%s\nwas:\n%s", m.Name, seed, ops, name, printed, parent[name])
+				}
+			}
+		}
+	}
+	for _, op := range []string{"pad", "split", "dup-emit"} {
+		if fired[op] < 6 {
+			t.Errorf("op %s fired %d times; the sweep no longer covers it", op, fired[op])
+		}
 	}
 }

@@ -172,3 +172,16 @@ func TestSwapSemantics(t *testing.T) {
 		t.Fatal("swap of an absent annotation must fail")
 	}
 }
+
+// TestTruncatedSourceRejected: a description whose tail sits behind a comment
+// or string that never closes is quarantined with the position it opens at —
+// never validated (and later certified) as the smaller program before it.
+func TestTruncatedSourceRejected(t *testing.T) {
+	m := nic.MustLoad("e1000e")
+	for _, tail := range []string{"\n/* fw 2.1 adds:\nheader extra_t { bit<8> x; }\n", "\n@semantic(\"rss\nheader extra_t { bit<8> x; }\n"} {
+		v, err := ValidateSource(m.Name, m.Source+tail)
+		if err == nil || v != nil || !strings.Contains(err.Error(), "parse: e1000e.p4:") || !strings.Contains(err.Error(), ": unterminated ") {
+			t.Errorf("tail %q: validated = %v, err = %v; want a positioned unterminated-literal parse error", tail, v != nil, err)
+		}
+	}
+}

@@ -32,6 +32,8 @@ func SprintProgram(prog *Program) string {
 	return sb.String()
 }
 
+var stringEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\t", `\t`)
+
 type printer struct {
 	sb     *strings.Builder
 	indent int
@@ -349,10 +351,11 @@ func (p *printer) node(n Node) {
 	case *BoolLit:
 		p.printf("%t", n.Value)
 	case *StringLit:
-		p.printf("%q", n.Value)
+		// Only the escapes the lexer reads back; %q's \x and \u are not P4.
+		p.sb.WriteString(`"` + stringEscaper.Replace(n.Value) + `"`)
 	case *MemberExpr:
 		p.node(n.X)
-		p.printf(".%s", n.Member)
+		p.sb.WriteString("." + n.Member)
 	case *SliceExpr:
 		p.node(n.X)
 		p.sb.WriteString("[")
@@ -387,10 +390,10 @@ func (p *printer) node(n Node) {
 		p.sb.WriteString(")")
 	case *BinaryExpr:
 		p.node(n.X)
-		p.printf(" %s ", n.Op)
+		p.sb.WriteString(" " + n.Op.String() + " ")
 		p.node(n.Y)
 	case *UnaryExpr:
-		p.printf("%s", n.Op)
+		p.sb.WriteString(n.Op.String())
 		p.node(n.X)
 	case *CastExpr:
 		p.sb.WriteString("(")

@@ -14,6 +14,7 @@ package parser
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -54,10 +55,20 @@ func (el ErrorList) Err() error {
 	return el
 }
 
-// Parse parses a single P4 source buffer.
+// Parse parses a single P4 source buffer. The error lists the lexer's
+// diagnostics with the parser's own, in source order.
 func Parse(file, src string) (*ast.Program, error) {
 	p := newParser(file, src)
 	prog := p.parseProgram()
+	if lexErrs := p.lex.Errors(); len(lexErrs) > 0 {
+		errs := make(ErrorList, 0, len(lexErrs)+len(p.errs))
+		for _, e := range lexErrs {
+			errs = append(errs, (*Error)(e))
+		}
+		// Stable: at one offset the lexical cause precedes its syntax error.
+		p.errs = append(errs, p.errs...)
+		sort.SliceStable(p.errs, func(i, j int) bool { return p.errs[i].Pos.Offset < p.errs[j].Pos.Offset })
+	}
 	return prog, p.errs.Err()
 }
 
@@ -76,6 +87,38 @@ type parser struct {
 	tok  token.Token // current token
 	peek token.Token // one-token lookahead
 	errs ErrorList
+
+	// Scratch stacks: a list under construction pushes its elements here and
+	// cut copies them out once, at their exact length, when the list closes;
+	// nested lists of one type share a stack (an inner list closes first).
+	// buf is the stacks' first backing, so they come with the parser's own
+	// allocation; a bundled description rarely outgrows it.
+	decls  []ast.Decl
+	annots []*ast.Annotation
+	fields []*ast.Field
+	stmts  []ast.Stmt
+	exprs  []ast.Expr
+	buf    struct {
+		decls  [32]ast.Decl
+		annots [4]*ast.Annotation
+		fields [32]*ast.Field
+		stmts  [16]ast.Stmt
+		exprs  [8]ast.Expr
+	}
+}
+
+// cut pops what a list pushed on *stack above mark and returns it in a slice
+// of its own, exactly as long as the list (nil for an empty one): no list pays
+// append's doubling, and none shares a backing array with its neighbour.
+func cut[T any](stack *[]T, mark int) []T {
+	s := *stack
+	*stack = s[:mark]
+	if len(s) == mark {
+		return nil
+	}
+	out := make([]T, len(s)-mark)
+	copy(out, s[mark:])
+	return out
 }
 
 // bailout is used for per-declaration panic recovery on hard errors.
@@ -83,14 +126,16 @@ type bailout struct{}
 
 func newParser(file, src string) *parser {
 	p := &parser{lex: lexer.New(file, src)}
-	p.tok = p.lex.Next()
-	p.peek = p.lex.Next()
+	p.decls, p.annots, p.fields = p.buf.decls[:0], p.buf.annots[:0], p.buf.fields[:0]
+	p.stmts, p.exprs = p.buf.stmts[:0], p.buf.exprs[:0]
+	p.lex.Scan(&p.tok)
+	p.lex.Scan(&p.peek)
 	return p
 }
 
 func (p *parser) next() {
 	p.tok = p.peek
-	p.peek = p.lex.Next()
+	p.lex.Scan(&p.peek)
 }
 
 func (p *parser) errorf(pos token.Pos, format string, args ...any) {
@@ -149,9 +194,10 @@ func (p *parser) parseProgram() *ast.Program {
 	for p.tok.Kind != token.EOF {
 		d := p.parseTopDecl()
 		if d != nil {
-			prog.Decls = append(prog.Decls, d)
+			p.decls = append(p.decls, d)
 		}
 	}
+	prog.Decls = cut(&p.decls, 0)
 	return prog
 }
 
@@ -164,6 +210,8 @@ func (p *parser) parseTopDecl() (d ast.Decl) {
 				panic(r)
 			}
 			d = nil
+			// The lists the failure cut short never closed: drop what they pushed.
+			p.annots, p.fields, p.stmts, p.exprs = p.annots[:0], p.fields[:0], p.stmts[:0], p.exprs[:0]
 			// Guarantee progress: if the failure happened on the very first
 			// token of the declaration, sync() would stop right there and the
 			// driver loop would never advance.
@@ -209,24 +257,32 @@ func (p *parser) skipPackage() {
 }
 
 func (p *parser) parseAnnotations() ast.Annotations {
-	var as ast.Annotations
+	mark := len(p.annots)
 	for p.tok.Kind == token.AT {
 		at := p.tok.Pos
 		p.next()
 		name := p.expectIdent().Lit
 		a := &ast.Annotation{AtPos: at, Name: name}
 		if p.accept(token.LPAREN) {
-			for p.tok.Kind != token.RPAREN && p.tok.Kind != token.EOF {
-				a.Args = append(a.Args, p.parseExpr())
-				if !p.accept(token.COMMA) {
-					break
-				}
-			}
-			p.expect(token.RPAREN)
+			a.Args = p.parseArgs()
 		}
-		as = append(as, a)
+		p.annots = append(p.annots, a)
 	}
-	return as
+	return cut(&p.annots, mark)
+}
+
+// parseArgs parses a comma-separated expression list up to and including the
+// ')' that closes it; the '(' has been consumed.
+func (p *parser) parseArgs() []ast.Expr {
+	mark := len(p.exprs)
+	for p.tok.Kind != token.RPAREN && p.tok.Kind != token.EOF {
+		p.exprs = append(p.exprs, p.parseExpr())
+		if !p.accept(token.COMMA) {
+			break
+		}
+	}
+	p.expect(token.RPAREN)
+	return cut(&p.exprs, mark)
 }
 
 func (p *parser) parseHeader(annots ast.Annotations) *ast.HeaderDecl {
@@ -250,20 +306,20 @@ func (p *parser) parseStruct(annots ast.Annotations) *ast.StructDecl {
 }
 
 func (p *parser) parseFields() []*ast.Field {
-	var fields []*ast.Field
+	mark := len(p.fields)
 	for p.tok.Kind != token.RBRACE && p.tok.Kind != token.EOF {
 		annots := p.parseAnnotations()
 		typ := p.parseType()
 		nameTok := p.expectIdent()
 		p.expect(token.SEMI)
-		fields = append(fields, &ast.Field{
+		p.fields = append(p.fields, &ast.Field{
 			NamePos: nameTok.Pos,
 			Name:    nameTok.Lit,
 			Type:    typ,
 			Annots:  annots,
 		})
 	}
-	return fields
+	return cut(&p.fields, mark)
 }
 
 func (p *parser) parseTypedef() *ast.TypedefDecl {
@@ -406,13 +462,15 @@ func (p *parser) parseState() *ast.ParserState {
 	name := p.expectIdent().Lit
 	s := &ast.ParserState{StatePos: pos, Name: name}
 	p.expect(token.LBRACE)
+	mark := len(p.stmts)
 	for p.tok.Kind != token.RBRACE && p.tok.Kind != token.EOF {
 		if p.tok.Kind == token.TRANSITION {
 			s.Transition = p.parseTransition()
 			break
 		}
-		s.Stmts = append(s.Stmts, p.parseStmt())
+		p.stmts = append(p.stmts, p.parseStmt())
 	}
+	s.Stmts = cut(&p.stmts, mark)
 	p.expect(token.RBRACE)
 	return s
 }
@@ -539,9 +597,11 @@ func (p *parser) parseLocalDecl() ast.Decl {
 func (p *parser) parseBlock() *ast.BlockStmt {
 	lb := p.expect(token.LBRACE).Pos
 	b := &ast.BlockStmt{LBrace: lb}
+	mark := len(p.stmts)
 	for p.tok.Kind != token.RBRACE && p.tok.Kind != token.EOF {
-		b.Stmts = append(b.Stmts, p.parseStmt())
+		p.stmts = append(p.stmts, p.parseStmt())
 	}
+	b.Stmts = cut(&p.stmts, mark)
 	p.expect(token.RBRACE)
 	return b
 }
@@ -812,15 +872,7 @@ func (p *parser) parsePostfix() ast.Expr {
 			}
 		case token.LPAREN:
 			p.next()
-			call := &ast.CallExpr{Fun: x}
-			for p.tok.Kind != token.RPAREN && p.tok.Kind != token.EOF {
-				call.Args = append(call.Args, p.parseExpr())
-				if !p.accept(token.COMMA) {
-					break
-				}
-			}
-			p.expect(token.RPAREN)
-			x = call
+			x = &ast.CallExpr{Fun: x, Args: p.parseArgs()}
 		default:
 			return x
 		}

@@ -443,3 +443,161 @@ func TestProgramPrintRoundtrip(t *testing.T) {
 		t.Error("printing is not a fixed point")
 	}
 }
+
+// parseErrors parses src, which must be rejected, and returns its diagnostics.
+func parseErrors(t *testing.T, src string) ErrorList {
+	t.Helper()
+	_, err := Parse("t.p4", src)
+	el, ok := err.(ErrorList)
+	if !ok {
+		t.Fatalf("Parse(%q): err = %v (%T), want an ErrorList", src, err, err)
+	}
+	return el
+}
+
+// A lexical diagnostic is a parse error: before this was pinned Parse never
+// read the lexer's list, and the first source below — an unterminated block
+// comment swallowing the rest of a description — parsed clean to one
+// declaration.
+func TestLexicalDiagnosticsSurface(t *testing.T) {
+	for _, c := range []struct{ src, first string }{
+		{"header h { bit<8> a; } /* never closed\nstruct s { bit<8> b; }", "t.p4:1:24: unterminated block comment"},
+		{`@semantic("r\qss") header h { bit<8> a; }`, `t.p4:1:14: unknown escape sequence \q`},
+		{"@semantic(\"rss\nheader h { bit<8> a; }", "t.p4:1:11: unterminated string literal"},
+		{"const bit<8> K = 0x;", "t.p4:1:18: malformed base-x integer literal"},
+		{"const bit<8> K = 8w;", "t.p4:1:18: width prefix not followed by digits"},
+		{"const bit<8> K = 8w0b;", "t.p4:1:18: malformed width-prefixed integer literal"},
+		{"header h { bit<8> a; } `", "t.p4:1:24: illegal character '`'"},
+	} {
+		if el := parseErrors(t, c.src); el[0].Error() != c.first {
+			t.Errorf("Parse(%q): first error %q, want %q (all: %v)", c.src, el[0], c.first, []*Error(el))
+		}
+	}
+	// Both lists, merged in source order; at one offset the lexical cause
+	// comes before the syntax error it provokes.
+	el := parseErrors(t, "header a { $ }\nheader b { bit<8> x; }\n/* open")
+	var got []string
+	for _, e := range el {
+		got = append(got, e.Error())
+	}
+	want := []string{
+		"t.p4:1:12: illegal character '$'",
+		`t.p4:1:12: expected type, found ILLEGAL("$")`,
+		"t.p4:3:1: unterminated block comment",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("merged diagnostics:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+const listsSource = `
+header h1 { @semantic("a") @cost(1, 2) bit<8> a; @semantic("b") bit<8> b; }
+struct s1 { bit<1> x; bit<2> y; bit<3> z; }
+header h2 { bit<8> c; }
+parser P(desc_in d, out h1 o) {
+    state start { d.extract(o); d.advance(8, 16); transition select(o.a, o.b) { (1, 2): accept; _: reject; } }
+}
+control C(cmpt_out co, in s1 ctx, in h1 m) {
+    apply {
+        if (ctx.x == 1) { co.emit(m.a); log(1, 2, 3); { co.emit(m.b); } } else { co.emit(m); }
+        switch (ctx.y) { 0: { co.emit(m.a); co.emit(m.b); } default: { } }
+    }
+}
+`
+
+// scratchLists visits every list the parser builds on a scratch stack
+// (fields, annotations, arguments, statements, declarations).
+func scratchLists(prog *ast.Program, visit func(name string, n, c int, poison func())) {
+	exprs := func(name string, l []ast.Expr) {
+		visit(name, len(l), cap(l), func() { _ = append(l, &ast.Ident{Name: "POISON"}) })
+	}
+	annots := func(as ast.Annotations) {
+		visit("annots", len(as), cap(as), func() { _ = append(as, &ast.Annotation{Name: "POISON"}) })
+		for _, a := range as {
+			exprs("annotation args", a.Args)
+		}
+	}
+	fields := func(fs []*ast.Field) {
+		visit("fields", len(fs), cap(fs), func() { _ = append(fs, &ast.Field{Name: "POISON", Type: &ast.BoolType{}}) })
+		for _, f := range fs {
+			annots(f.Annots)
+		}
+	}
+	var stmts func(ss []ast.Stmt)
+	stmts = func(ss []ast.Stmt) {
+		visit("stmts", len(ss), cap(ss), func() { _ = append(ss, &ast.ReturnStmt{}) })
+		for _, s := range ss {
+			switch s := s.(type) {
+			case *ast.BlockStmt:
+				stmts(s.Stmts)
+			case *ast.IfStmt:
+				stmts(s.Then.Stmts)
+				stmts(s.Else.(*ast.BlockStmt).Stmts)
+			case *ast.SwitchStmt:
+				for _, c := range s.Cases {
+					stmts(c.Body.Stmts)
+				}
+			case *ast.CallStmt:
+				exprs("call args", s.Call.Args)
+			}
+		}
+	}
+	visit("decls", len(prog.Decls), cap(prog.Decls), func() { _ = append(prog.Decls, &ast.HeaderDecl{Name: "POISON"}) })
+	for _, d := range prog.Decls {
+		switch d := d.(type) {
+		case *ast.HeaderDecl:
+			fields(d.Fields)
+		case *ast.StructDecl:
+			fields(d.Fields)
+		case *ast.ParserDecl:
+			stmts(d.States[0].Stmts)
+			exprs("select exprs", d.States[0].Transition.(*ast.SelectTransition).Exprs)
+		case *ast.ControlDecl:
+			stmts(d.Apply.Stmts)
+		}
+	}
+}
+
+// Every list leaves its scratch stack as a slice of its own at exactly its
+// length: appending to one in place — what an AST editor may do — reallocates
+// and cannot write into a neighbour that was built on the same stack.
+func TestScratchListsDoNotAlias(t *testing.T) {
+	prog, err := Parse("lists.p4", listsSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := ast.SprintProgram(prog)
+	lists := 0
+	scratchLists(prog, func(name string, n, c int, poison func()) {
+		lists++
+		if c != n {
+			t.Errorf("%s: len %d cap %d, want an exact-length list", name, n, c)
+		}
+		poison()
+	})
+	if lists < 25 {
+		t.Fatalf("visited only %d lists", lists)
+	}
+	if after := ast.SprintProgram(prog); after != before {
+		t.Errorf("an in-place append reached a sibling list:\n%s\nwas:\n%s", after, before)
+	}
+}
+
+// A hard error unwinds out of however many open lists it interrupts; what they
+// had pushed is dropped, and the next declaration's lists start clean.
+func TestBailoutMidListLeavesStacksUsable(t *testing.T) {
+	prog, err := Parse("t.p4", `
+header bad { @semantic("a") bit<8> a; @cost(1, bit<8> b; }
+control Bad(cmpt_out co) { apply { co.emit(1); if (x) { f(1, 2, ; } } }
+header good { @cost(7) bit<8> x; bit<8> y; }
+control Good(cmpt_out co) { apply { g(3); } }
+`)
+	if err == nil {
+		t.Fatal("expected parse errors")
+	}
+	want := "header good {\n    @cost(7) bit<8> x;\n    bit<8> y;\n}\n\n" +
+		"control Good(cmpt_out co) {\n    apply {\n        g(3);\n    }\n}\n"
+	if got := ast.SprintProgram(prog); got != want {
+		t.Errorf("after two bailouts the program prints:\n%s\nwant:\n%s", got, want)
+	}
+}

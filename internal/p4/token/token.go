@@ -12,14 +12,12 @@ type Kind int
 const (
 	ILLEGAL Kind = iota
 	EOF
-	COMMENT // // ... or /* ... */ (only surfaced when lexer.KeepComments)
 
 	literalBeg
 	IDENT    // descriptor
 	INT      // 42, 0x1F
 	WIDTHINT // 8w0x1F, 4s15
 	STRING   // "rss"
-	PREPROC  // #include <...> (whole line, normally skipped)
 	literalEnd
 
 	operatorBeg
@@ -94,9 +92,9 @@ const (
 	keywordEnd
 )
 
-var kindNames = map[Kind]string{
-	ILLEGAL: "ILLEGAL", EOF: "EOF", COMMENT: "COMMENT",
-	IDENT: "IDENT", INT: "INT", WIDTHINT: "WIDTHINT", STRING: "STRING", PREPROC: "PREPROC",
+var kindNames = [keywordEnd]string{
+	ILLEGAL: "ILLEGAL", EOF: "EOF",
+	IDENT: "IDENT", INT: "INT", WIDTHINT: "WIDTHINT", STRING: "STRING",
 	LPAREN: "(", RPAREN: ")", LBRACE: "{", RBRACE: "}", LBRACKET: "[", RBRACKET: "]",
 	LANGLE: "<", RANGLE: ">", SHL: "<<", SHR: ">>", LE: "<=", GE: ">=",
 	EQ: "==", NEQ: "!=", ASSIGN: "=", PLUS: "+", MINUS: "-", STAR: "*",
@@ -114,8 +112,8 @@ var kindNames = map[Kind]string{
 
 // String returns a human-readable name for the kind.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k >= 0 && k < keywordEnd && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -129,21 +127,69 @@ func (k Kind) IsOperator() bool { return k > operatorBeg && k < operatorEnd }
 // IsKeyword reports whether the kind is a reserved word.
 func (k Kind) IsKeyword() bool { return k > keywordBeg && k < keywordEnd }
 
-var keywords = map[string]Kind{
-	"action": ACTION, "apply": APPLY, "bit": BIT, "bool": BOOL,
-	"const": CONST, "control": CONTROL, "default": DEFAULT, "else": ELSE,
-	"enum": ENUM, "error": ERROR, "extern": EXTERN, "false": FALSE,
-	"header": HEADER, "if": IF, "in": IN, "inout": INOUT, "int": INT_T,
-	"out": OUT, "package": PACKAGE, "parser": PARSER, "return": RETURN,
-	"select": SELECT, "state": STATE, "struct": STRUCT, "switch": SWITCH,
-	"transition": TRANSITION, "true": TRUE, "typedef": TYPEDEF,
-	"varbit": VARBIT, "void": VOID,
-}
-
 // Lookup maps an identifier to its keyword kind, or IDENT.
 func Lookup(ident string) Kind {
-	if k, ok := keywords[ident]; ok {
-		return k
+	switch ident {
+	case "action":
+		return ACTION
+	case "apply":
+		return APPLY
+	case "bit":
+		return BIT
+	case "bool":
+		return BOOL
+	case "const":
+		return CONST
+	case "control":
+		return CONTROL
+	case "default":
+		return DEFAULT
+	case "else":
+		return ELSE
+	case "enum":
+		return ENUM
+	case "error":
+		return ERROR
+	case "extern":
+		return EXTERN
+	case "false":
+		return FALSE
+	case "header":
+		return HEADER
+	case "if":
+		return IF
+	case "in":
+		return IN
+	case "inout":
+		return INOUT
+	case "int":
+		return INT_T
+	case "out":
+		return OUT
+	case "package":
+		return PACKAGE
+	case "parser":
+		return PARSER
+	case "return":
+		return RETURN
+	case "select":
+		return SELECT
+	case "state":
+		return STATE
+	case "struct":
+		return STRUCT
+	case "switch":
+		return SWITCH
+	case "transition":
+		return TRANSITION
+	case "true":
+		return TRUE
+	case "typedef":
+		return TYPEDEF
+	case "varbit":
+		return VARBIT
+	case "void":
+		return VOID
 	}
 	return IDENT
 }
@@ -170,7 +216,7 @@ func (p Pos) String() string {
 // Token is a single lexical token with its source position and literal text.
 type Token struct {
 	Kind Kind
-	Lit  string // literal text for IDENT, INT, WIDTHINT, STRING, COMMENT, PREPROC
+	Lit  string // literal text for IDENT, INT, WIDTHINT, STRING and keywords
 	Pos  Pos
 }
 

@@ -1,6 +1,9 @@
 package token
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestLookup(t *testing.T) {
 	cases := map[string]Kind{
@@ -11,6 +14,12 @@ func TestLookup(t *testing.T) {
 	for in, want := range cases {
 		if got := Lookup(in); got != want {
 			t.Errorf("Lookup(%q) = %v, want %v", in, got, want)
+		}
+	}
+	// The switch and the name table agree on every reserved word.
+	for k := keywordBeg + 1; k < keywordEnd; k++ {
+		if name := k.String(); Lookup(name) != k || !k.IsKeyword() {
+			t.Errorf("Lookup(%q) = %v, want keyword %d", name, Lookup(name), int(k))
 		}
 	}
 }
@@ -43,8 +52,10 @@ func TestKindString(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", k, got, want)
 		}
 	}
-	if Kind(9999).String() == "" {
-		t.Error("unknown kind should render something")
+	for _, k := range []Kind{9999, -1, literalBeg, keywordEnd} {
+		if k.String() != fmt.Sprintf("Kind(%d)", int(k)) {
+			t.Errorf("kind %d, which is no token, renders %q", int(k), k.String())
+		}
 	}
 }
 

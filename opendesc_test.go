@@ -82,14 +82,15 @@ func TestCompileP4CustomNIC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CompileP4("custom", `
+	const src = `
 struct ctx_t { bit<1> f; }
 header d_t { bit<8> x; }
 struct meta_t { @semantic("rss") bit<32> h; @semantic("pkt_len") bit<16> l; }
 @bind("CTX","ctx_t") @bind("DESC","d_t") @bind("META","meta_t")
 control CmptDeparser<CTX,DESC,META>(cmpt_out co, in CTX ctx, in DESC d, in META m) {
     apply { co.emit(m.h); co.emit(m.l); }
-}`, intent, CompileOptions{})
+}`
+	res, err := CompileP4("custom", src, intent, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,6 +100,12 @@ control CmptDeparser<CTX,DESC,META>(cmpt_out co, in CTX ctx, in DESC d, in META 
 	a := res.Accessor("rss")
 	if a == nil || !a.Hardware || a.OffsetBits != 0 {
 		t.Errorf("rss accessor = %+v", a)
+	}
+	// A description cut short by a comment that never closes is rejected at
+	// the position the comment opens, not compiled without its tail.
+	_, err = CompileP4("custom", src+"\n/* rev B adds:\nheader extra_t { bit<8> x; }", intent, CompileOptions{})
+	if err == nil || !strings.Contains(err.Error(), "custom.p4:9:1: unterminated block comment") {
+		t.Errorf("truncated description: err = %v, want the unterminated comment at 9:1", err)
 	}
 }
 

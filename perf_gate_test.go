@@ -180,6 +180,31 @@ func TestOpenMemoryGate(t *testing.T) {
 	}
 }
 
+// TestColdCompileAllocGate bounds what one cold CompileP4 — source text to a
+// selected layout, what every host pays per description it has not seen —
+// allocates per NIC. The limits are the counts before the byte-table lexer
+// (string literals became substrings of the source) and the exact-size lists;
+// a count above its limit means an append is doubling again or a name is
+// going through fmt.
+func TestColdCompileAllocGate(t *testing.T) {
+	intent, err := NewIntent("gate", "rss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	limits := map[string]float64{"e1000": 390, "e1000e": 547, "ixgbe": 698, "ice": 858, "mlx5": 1195, "qdma": 1592}
+	for _, m := range nic.All() {
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := CompileP4(m.Name, m.Source, intent, CompileOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocs per cold CompileP4 (limit %.0f)", m.Name, got, limits[m.Name])
+		if limit, ok := limits[m.Name]; !ok || got > limit {
+			t.Errorf("%s: a cold CompileP4 allocates %.0f, limit %.0f", m.Name, got, limit)
+		}
+	}
+}
+
 // TestWarmCompileSkipsAnalysis keeps renegotiation on the intent side of the
 // compiler's configure/run line. A description is analysed once (CFG + path
 // enumeration, core.Analyze); Model.Compile on top of that re-solves Eq. 1
