@@ -10,6 +10,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"runtime"
 	"testing"
 	"time"
 
@@ -230,9 +231,7 @@ func BenchmarkE10_CompileTime(b *testing.B) {
 // BenchmarkRenegotiate times one control-plane tick of the evolving driver on
 // the Fig. 6 tension (e1000e carries rss or ip_checksum, never both): a
 // steady tick re-solves Eq. 1 under an unchanged read mix and stays put, a
-// switching tick sees the mix flipped and drains, reprograms and swaps. The
-// 64 packets that build each tick's observation window are driven off the
-// clock.
+// switching tick sees the mix flipped and drains, reprograms and swaps.
 func BenchmarkRenegotiate(b *testing.B) {
 	intent := mustIntent(b, semantics.RSS, semantics.IPChecksum, semantics.VLAN, semantics.PktLen)
 	tr, err := workload.Generate(workload.DefaultSpec())
@@ -243,44 +242,112 @@ func BenchmarkRenegotiate(b *testing.B) {
 		{semantics.RSS, semantics.VLAN, semantics.PktLen},
 		{semantics.IPChecksum, semantics.VLAN, semantics.PktLen},
 	}
-	for _, c := range []struct {
-		name string
-		flip int // 0: the mix never changes; 1: it alternates every tick
-	}{{"steady", 0}, {"switching", 1}} {
-		b.Run(c.name, func(b *testing.B) {
-			e, err := evolve.New(nicsim.MustNew(nic.MustLoad("e1000e"), nicsim.Config{}), intent, core.CompileOptions{}, evolve.Options{
-				Interval: 1 << 30, MinWindow: 64, MinShimSamples: math.MaxUint64,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			next := 0
-			window := func(mix []semantics.Name) {
-				for i := 0; i < 64; i++ {
-					next++
-					if !e.Rx(tr.Packets[next%len(tr.Packets)]) {
-						b.Fatal("rx stalled")
+	// open arms an engine whose every tick evaluates a window of the given
+	// size, and leaves the static layout for mixes[0]'s.
+	open := func(b *testing.B, window int) (*evolve.Engine, func(mix []semantics.Name)) {
+		e, err := evolve.New(nicsim.MustNew(nic.MustLoad("e1000e"), nicsim.Config{}), intent, core.CompileOptions{}, evolve.Options{
+			Interval: 1 << 30, MinWindow: window, MinShimSamples: math.MaxUint64,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		next := 0
+		deliver := func(mix []semantics.Name) {
+			for i := 0; i < window; i++ {
+				next++
+				if !e.Rx(tr.Packets[next%len(tr.Packets)]) {
+					b.Fatal("rx stalled")
+				}
+				e.Poll(func(_ []byte, m opendesc.Meta) {
+					for _, s := range mix {
+						m.Get(string(s))
 					}
-					e.Poll(func(_ []byte, m opendesc.Meta) {
-						for _, s := range mix {
-							m.Get(string(s))
-						}
-					})
+				})
+			}
+		}
+		deliver(mixes[0])
+		if _, err := e.Renegotiate(); err != nil {
+			b.Fatal(err)
+		}
+		return e, deliver
+	}
+
+	// A steady tick costs less than the one packet its window needs, and
+	// stopping the timer around that packet costs a hundred ticks. So: b.N
+	// one-packet windows each closed by a tick, then b.N windows alone, and
+	// the three per-op figures are the difference.
+	b.Run("steady", func(b *testing.B) {
+		e, deliver := open(b, 1)
+		lap := func(tick bool) (ns, mallocs, bytes float64) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				deliver(mixes[0])
+				if !tick {
+					continue
+				}
+				if switched, err := e.Renegotiate(); err != nil || switched {
+					b.Fatalf("tick %d: switched=%t err=%v", i, switched, err)
 				}
 			}
-			window(mixes[0])
-			if _, err := e.Renegotiate(); err != nil { // leave the static layout for the mix's
-				b.Fatal(err)
+			ns = float64(time.Since(start))
+			runtime.ReadMemStats(&after)
+			return ns, float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		ns, mallocs, bytes := lap(true)
+		ns0, mallocs0, bytes0 := lap(false)
+		n := float64(b.N)
+		b.ReportMetric((ns-ns0)/n, "ns/op")
+		b.ReportMetric((mallocs-mallocs0)/n, "allocs/op")
+		b.ReportMetric((bytes-bytes0)/n, "B/op")
+	})
+
+	// A switching tick outweighs the timer stops around the 64 packets that
+	// build its window.
+	b.Run("switching", func(b *testing.B) {
+		e, deliver := open(b, 64)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			deliver(mixes[(i+1)%2])
+			b.StartTimer()
+			if switched, err := e.Renegotiate(); err != nil || !switched {
+				b.Fatalf("tick %d: switched=%t err=%v", i, switched, err)
 			}
+		}
+	})
+}
+
+// BenchmarkSolveJoint times the Eq. 1 kernel alone on mlx5's four paths:
+// tenants bound once, their cost vectors evaluated once, then one Solve per
+// iteration into a reused scoring — what a re-solve that keeps its layout
+// costs, and it allocates nothing.
+func BenchmarkSolveJoint(b *testing.B) {
+	m := nic.MustLoad("mlx5")
+	a, err := m.Analysis(core.EnumerateOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool := []semantics.Name{semantics.RSS, semantics.VLAN, semantics.PktLen, semantics.IPChecksum,
+		semantics.L4Checksum, semantics.FlowID, semantics.PType, semantics.KVKey}
+	costs := semantics.RegistryCosts(semantics.Default)
+	for _, n := range []int{1, 16} {
+		b.Run(fmt.Sprintf("%dtenants", n), func(b *testing.B) {
+			tenants := make([]core.BoundTenant, n)
+			for i := range tenants {
+				bound := a.Bind(mustIntent(b, pool[i%len(pool)], pool[(i+3)%len(pool)], pool[(i+5)%len(pool)]))
+				tenants[i] = core.BoundTenant{Tenant: fmt.Sprint("t", i), Bound: bound, Weight: float64(1 + i%4), Costs: bound.Costs(nil, costs)}
+			}
+			scored := make([]core.JointScored, len(a.Paths))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				window(mixes[(i+1)*c.flip%2])
-				b.StartTimer()
-				switched, err := e.Renegotiate()
-				if err != nil || switched != (c.flip == 1) {
-					b.Fatalf("tick %d: switched=%t err=%v", i, switched, err)
+				if _, err := a.Solve(tenants, core.DefaultAlpha, scored); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -108,10 +108,20 @@ func TestReaderLookupMatchesMapOracle(t *testing.T) {
 	}
 }
 
-// TestReaderLookupDuplicateSemantic: IntentFromSemantics does not refuse a
-// semantic named twice, and the map kept the later accessor.
+// TestReaderLookupDuplicateSemantic: ParseIntent and IntentFromSemantics
+// refuse a semantic named twice, but an Intent's fields can be filled by hand,
+// and the map kept the later accessor.
 func TestReaderLookupDuplicateSemantic(t *testing.T) {
-	rt := NewRuntime(compile(t, "mlx5", semantics.RSS, semantics.VLAN, semantics.RSS), nil)
+	intent, err := core.IntentFromSemantics("app_intent", semantics.Default, semantics.RSS, semantics.VLAN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	intent.Fields = append(intent.Fields, intent.Fields[0])
+	res, err := nic.MustLoad("mlx5").Compile(intent, core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRuntime(res, nil)
 	if len(rt.Readers) != 3 {
 		t.Fatalf("%d readers, want one per intent field", len(rt.Readers))
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -239,45 +240,24 @@ func (a *Analysis) Compile(nicName string, intent *Intent, opts CompileOptions) 
 	return res, nil
 }
 
-// synthesizeAccessors builds the accessor table for the selected path:
-// constant-time bit-slice readers for every s ∈ Prov(p*) ∩ Req, SoftNIC shims
-// for the rest.
-func synthesizeAccessors(best Scored, intent *Intent, costs semantics.CostModel) []Accessor {
-	var hw, sw []Accessor
-	missing := make(map[semantics.Name]bool, len(best.Missing))
-	for _, m := range best.Missing {
-		missing[m] = true
-	}
-	for _, f := range intent.Fields {
-		if missing[f.Semantic] {
-			sw = append(sw, Accessor{
-				Semantic:  f.Semantic,
-				FieldName: f.FieldName,
-				WidthBits: f.WidthBits,
-				Hardware:  false,
-				SoftCost:  costs(f.Semantic),
-			})
-			continue
+// synthesizeAccessors builds a tenant's accessor table for the selected path:
+// constant-time bit-slice readers for every s ∈ Prov(p*) ∩ Req in layout
+// order, then SoftNIC shims for the rest in intent order, priced by costs.
+func synthesizeAccessors(p *Path, b *Bound, costs []float64) []Accessor {
+	acc := make([]Accessor, 0, len(b.Intent.Fields))
+	for _, f := range b.Intent.Fields {
+		if p.prov.Has(f.Semantic) {
+			lf := p.Field(f.Semantic)
+			acc = append(acc, Accessor{Semantic: f.Semantic, FieldName: lf.Name, OffsetBits: lf.OffsetBits, WidthBits: lf.WidthBits, Hardware: true})
 		}
-		lf := best.Path.Field(f.Semantic)
-		if lf == nil {
-			// Prov(p) said present; defensive fallback to software.
-			sw = append(sw, Accessor{
-				Semantic: f.Semantic, FieldName: f.FieldName,
-				WidthBits: f.WidthBits, SoftCost: costs(f.Semantic),
-			})
-			continue
-		}
-		hw = append(hw, Accessor{
-			Semantic:   f.Semantic,
-			FieldName:  lf.Name,
-			OffsetBits: lf.OffsetBits,
-			WidthBits:  lf.WidthBits,
-			Hardware:   true,
-		})
 	}
-	sort.Slice(hw, func(i, j int) bool { return hw[i].OffsetBits < hw[j].OffsetBits })
-	return append(hw, sw...)
+	slices.SortFunc(acc, func(x, y Accessor) int { return x.OffsetBits - y.OffsetBits })
+	for _, f := range b.Intent.Fields {
+		if !p.prov.Has(f.Semantic) {
+			acc = append(acc, Accessor{Semantic: f.Semantic, FieldName: f.FieldName, WidthBits: f.WidthBits, SoftCost: costs[b.entry(f.Semantic)]})
+		}
+	}
+	return acc
 }
 
 // Report renders a human-readable compilation report (the prototype's

@@ -484,12 +484,17 @@ header intent_t {
 	if !req.Has(semantics.RSS) || !req.Has(semantics.VLAN) || !req.Has(semantics.IPChecksum) {
 		t.Errorf("req = %v", req)
 	}
-	cm := it.CostModel(semantics.RegistryCosts(semantics.Default))
-	if cm(semantics.IPChecksum) != 3 {
-		t.Errorf("cost override not applied: %v", cm(semantics.IPChecksum))
+	a, err := Analyze(e1000Spec(t), EnumerateOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cm(semantics.RSS) != 18 {
-		t.Errorf("base cost changed: %v", cm(semantics.RSS))
+	b := a.Bind(it)
+	cm := b.Costs(nil, semantics.RegistryCosts(semantics.Default))
+	if got := cm[b.entry(semantics.IPChecksum)]; got != 3 {
+		t.Errorf("cost override not applied: %v", got)
+	}
+	if got := cm[b.entry(semantics.RSS)]; got != 18 {
+		t.Errorf("base cost changed: %v", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"opendesc/internal/p4/sema"
 	"opendesc/internal/semantics"
@@ -35,24 +36,6 @@ func (it *Intent) Req() semantics.Set {
 		s.Add(f.Semantic)
 	}
 	return s
-}
-
-// CostModel derives a cost model that honours this intent's @cost overrides
-// on top of a base model.
-func (it *Intent) CostModel(base semantics.CostModel) semantics.CostModel {
-	var over map[semantics.Name]float64
-	for _, f := range it.Fields {
-		if f.CostOverride >= 0 {
-			if over == nil {
-				over = make(map[semantics.Name]float64)
-			}
-			over[f.Semantic] = f.CostOverride
-		}
-	}
-	if over == nil {
-		return base
-	}
-	return base.WithOverrides(over)
 }
 
 // ParseIntent extracts the intent from a checked program. headerName selects
@@ -116,10 +99,13 @@ func ParseIntent(info *sema.Info, headerName string) (*Intent, error) {
 // and examples that sweep requested sets without writing P4 for each).
 func IntentFromSemantics(name string, reg *semantics.Registry, names ...semantics.Name) (*Intent, error) {
 	it := &Intent{Name: name}
-	for _, n := range names {
+	for i, n := range names {
 		d := reg.Lookup(n)
 		if d == nil {
 			return nil, fmt.Errorf("unknown semantic %q", n)
+		}
+		if slices.Contains(names[:i], n) {
+			return nil, fmt.Errorf("intent %s: semantic %q requested twice", name, n)
 		}
 		it.Fields = append(it.Fields, IntentField{
 			FieldName:    string(n),

@@ -49,6 +49,7 @@ type JointScored struct {
 type JointResult struct {
 	NIC     string
 	Control string
+	// Tenants as solved: name, intent, weight (cost models became vectors).
 	Tenants []TenantIntent
 	Graph   *Graph
 	Paths   []*Path
@@ -75,69 +76,82 @@ func CompileJoint(nicName string, spec DeparserSpec, tenants []TenantIntent, opt
 	return a.CompileJoint(nicName, tenants, opts)
 }
 
-// CompileJoint is the repo's one Eq. 1 solver:
+// CompileJoint is the one-shot form of the repo's one Eq. 1 solver: bind each
+// tenant's intent, evaluate its cost model once into a vector (its own
+// override, else the compile options' model refined by the intent's per-field
+// @cost overrides), Solve, Materialise. A single intent is the one-tenant
+// case: see (*Analysis).Compile.
+func (a *Analysis) CompileJoint(nicName string, tenants []TenantIntent, opts CompileOptions) (*JointResult, error) {
+	sel := opts.Select.withDefaults()
+	bound := make([]BoundTenant, len(tenants))
+	for i, t := range tenants {
+		b := a.Bind(t.Intent)
+		bound[i] = BoundTenant{Tenant: t.Tenant, Bound: b, Weight: t.Weight}
+		if t.Costs != nil {
+			bound[i].Costs = b.eval(nil, t.Costs)
+		} else {
+			bound[i].Costs = b.Costs(nil, sel.Costs)
+		}
+	}
+	scored := make([]JointScored, len(a.Paths))
+	best, err := a.Solve(bound, sel.Alpha, scored)
+	if err != nil {
+		return nil, err
+	}
+	return a.Materialise(nicName, bound, scored, best), nil
+}
+
+// BoundTenant is one tenant of a solve: its intent bound to the analysis, its
+// relative traffic share (zero or negative means 1) and its software cost
+// vector, Costs[i] = w_t(Bound.Req[i]) — what Bound.Costs evaluates.
+type BoundTenant struct {
+	Tenant string
+	Bound  *Bound
+	Weight float64
+	Costs  []float64
+}
+
+// soft is Σ w_t(s) over Req_t \ Prov(p) for path pi, added in name order.
+func (t *BoundTenant) soft(pi int) float64 {
+	soft := 0.0
+	for _, i := range t.Bound.miss(pi) {
+		soft += t.Costs[i]
+	}
+	return soft
+}
+
+// Solve is the Eq. 1 kernel:
 //
 //	min over p ∈ Paths(G) of  Σ_t weight_t · Σ_{s ∈ Req_t\Prov(p)} w_t(s)  +  α·Size(p)
 //
-// over the analysed paths, then per-tenant host accessor synthesis against
-// the single winning path. Production NICs expose a handful of completion
-// paths, so the optimization is enumerating a small finite set and picking
-// the best element (ties go to the shorter completion). If the software term
-// is infinite on every path for some tenant the program is rejected with an
-// UnsatisfiableError, as the paper specifies. A single intent is the
-// one-tenant case: see (*Analysis).Compile.
-func (a *Analysis) CompileJoint(nicName string, tenants []TenantIntent, opts CompileOptions) (*JointResult, error) {
+// over the analysed paths, for tenants bound to a (alpha is
+// SelectOptions.EffectiveAlpha). It fills scored, one element per path, and
+// returns the winner's index. Production NICs expose a handful of completion
+// paths, so the optimization is enumerating a small finite set and picking the
+// best element (ties go to the shorter completion). If the software term is
+// infinite on every path for some tenant the program is rejected with an
+// UnsatisfiableError, as the paper specifies. A solve that succeeds allocates
+// nothing: only an answer someone acts on is worth a Materialise.
+func (a *Analysis) Solve(tenants []BoundTenant, alpha float64, scored []JointScored) (int, error) {
 	if len(tenants) == 0 {
-		return nil, errors.New("core: joint compilation needs at least one tenant intent")
+		return -1, errors.New("core: joint compilation needs at least one tenant intent")
 	}
-	g, paths := a.Graph, a.Paths
-	if len(paths) == 0 {
-		return nil, ErrNoPaths
+	if len(a.Paths) == 0 {
+		return -1, ErrNoPaths
 	}
-
-	// Score every path once per tenant under that tenant's own cost model;
-	// each tenant's Result starts as that scoring and is pinned to the winner
-	// below.
-	sel := opts.Select.withDefaults()
-	results := make([]*Result, len(tenants))
-	for i := range tenants {
-		t := &tenants[i]
-		o := sel
-		o.Costs = t.costs(sel.Costs)
-		results[i] = &Result{
-			NIC:     nicName,
-			Control: g.Control,
-			Graph:   g,
-			Paths:   paths,
-			Scored:  scorePaths(paths, t.Intent.Req(), o),
-			Intent:  t.Intent,
-		}
-	}
-
-	scored := make([]JointScored, len(paths))
 	best := -1
-	var fatal map[int][]semantics.Name
-	for pi, p := range paths {
-		js := JointScored{Path: p, DMACost: sel.Alpha * float64(p.SizeBytes())}
+	for pi, p := range a.Paths {
+		js := JointScored{Path: p, DMACost: alpha * float64(p.SizeBytes())}
 		feasible := true
 		for ti := range tenants {
-			s := &results[ti].Scored[pi]
+			soft := tenants[ti].soft(pi)
 			w := tenants[ti].Weight
 			if w <= 0 {
 				w = 1
 			}
-			js.SoftCost += w * s.SoftCost
-			if math.IsInf(s.SoftCost, 1) {
+			js.SoftCost += w * soft
+			if math.IsInf(soft, 1) {
 				feasible = false
-				if fatal == nil {
-					fatal = make(map[int][]semantics.Name)
-				}
-				costs := tenants[ti].costs(sel.Costs)
-				for _, m := range s.Missing {
-					if math.IsInf(costs(m), 1) {
-						fatal[p.ID] = append(fatal[p.ID], m)
-					}
-				}
 			}
 		}
 		js.Total = js.SoftCost + js.DMACost
@@ -147,35 +161,53 @@ func (a *Analysis) CompileJoint(nicName string, tenants []TenantIntent, opts Com
 			best = pi
 		}
 	}
-	if best < 0 {
-		return nil, &UnsatisfiableError{Control: g.Control, MissingEverywhere: fatal}
+	if best >= 0 {
+		return best, nil
 	}
-
-	config := paths[best].Constraints
-	for i, r := range results {
-		r.Selected = r.Scored[best]
-		r.Config = config
-		r.Accessors = synthesizeAccessors(r.Selected, r.Intent, tenants[i].costs(sel.Costs))
+	fatal := make(map[int][]semantics.Name)
+	for pi, p := range a.Paths {
+		for ti := range tenants {
+			t := &tenants[ti]
+			for _, i := range t.Bound.miss(pi) {
+				if math.IsInf(t.Costs[i], 1) {
+					fatal[p.ID] = append(fatal[p.ID], t.Bound.Req[i])
+				}
+			}
+		}
 	}
-	return &JointResult{
-		NIC:       nicName,
-		Control:   g.Control,
-		Tenants:   tenants,
-		Graph:     g,
-		Paths:     paths,
-		Scored:    scored,
-		Selected:  scored[best],
-		Config:    config,
-		PerTenant: results,
-	}, nil
+	return -1, &UnsatisfiableError{Control: a.Graph.Control, MissingEverywhere: fatal}
 }
 
-// costs is the tenant's software cost model: its own override, else the
-// compile options' model refined by the intent's per-field @cost overrides.
-// Derived at each use: kept in a per-tenant slice the closures would escape.
-func (t *TenantIntent) costs(base semantics.CostModel) semantics.CostModel {
-	if t.Costs != nil {
-		return t.Costs
+// Materialise builds the compilation a solve stands for: per tenant its own
+// single-intent scoring of every path, pinned to the winner, and the host
+// accessor table synthesized against it. It keeps scored and copies out of
+// the cost vectors.
+func (a *Analysis) Materialise(nicName string, tenants []BoundTenant, scored []JointScored, best int) *JointResult {
+	g, paths := a.Graph, a.Paths
+	jr := &JointResult{
+		NIC: nicName, Control: g.Control, Graph: g, Paths: paths,
+		Scored: scored, Selected: scored[best], Config: paths[best].Constraints,
+		Tenants: make([]TenantIntent, len(tenants)), PerTenant: make([]*Result, len(tenants)),
 	}
-	return t.Intent.CostModel(base)
+	for ti := range tenants {
+		t := &tenants[ti]
+		b := t.Bound
+		jr.Tenants[ti] = TenantIntent{Tenant: t.Tenant, Intent: b.Intent, Weight: t.Weight}
+		names := make([]semantics.Name, 0, len(b.rows)-len(paths)-1)
+		rows := make([]Scored, len(paths))
+		for pi, p := range paths {
+			at := len(names)
+			for _, i := range b.miss(pi) {
+				names = append(names, b.Req[i])
+			}
+			soft, dma := t.soft(pi), scored[pi].DMACost
+			rows[pi] = Scored{Path: p, SoftCost: soft, DMACost: dma, Total: soft + dma, Missing: names[at:len(names):len(names)]}
+		}
+		jr.PerTenant[ti] = &Result{
+			NIC: nicName, Control: g.Control, Graph: g, Paths: paths, Intent: b.Intent,
+			Scored: rows, Selected: rows[best], Config: jr.Config,
+			Accessors: synthesizeAccessors(paths[best], b, t.Costs),
+		}
+	}
+	return jr
 }

@@ -43,20 +43,15 @@ type Path struct {
 	Emits       []*Emit
 	Fields      []LayoutField
 
-	prov semantics.Set
+	prov     semantics.Set
+	sizeBits int
 }
 
 // Prov returns Prov(p) = ∪ sem(v) over the path's vertices.
 func (p *Path) Prov() semantics.Set { return p.prov }
 
 // SizeBits returns Size(p) in bits.
-func (p *Path) SizeBits() int {
-	n := 0
-	for _, e := range p.Emits {
-		n += e.SizeBits()
-	}
-	return n
-}
+func (p *Path) SizeBits() int { return p.sizeBits }
 
 // SizeBytes returns Size(p) rounded up to whole bytes (the DMA completion
 // footprint of the paper's Eq. 1).
@@ -380,7 +375,7 @@ func atomicCond(info *sema.Info, cond ast.Expr, env sema.Env) (string, sema.Valu
 	return "", sema.Value{}, false, false
 }
 
-// finalizePath computes the path's layout fields and provided-semantics set.
+// finalizePath computes the path's layout fields, provided set and size.
 func finalizePath(p *Path) {
 	p.prov = make(semantics.Set)
 	off := 0
@@ -398,4 +393,5 @@ func finalizePath(p *Path) {
 			off += f.WidthBits
 		}
 	}
+	p.sizeBits = off
 }

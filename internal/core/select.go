@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -25,6 +26,12 @@ type SelectOptions struct {
 // that descriptor DMA bandwidth costs roughly a cycle per byte at line rate.
 const DefaultAlpha = 1.0
 
+// EffectiveAlpha is the α a solve runs on: DefaultAlpha for zero, none for a
+// negative value.
+func (o SelectOptions) EffectiveAlpha() float64 { return o.withDefaults().Alpha }
+
+// withDefaults normalizes once: a second pass would map the 0 a negative
+// Alpha became back to DefaultAlpha.
 func (o SelectOptions) withDefaults() SelectOptions {
 	switch {
 	case o.Alpha == 0:
@@ -33,10 +40,12 @@ func (o SelectOptions) withDefaults() SelectOptions {
 		o.Alpha = 0
 	}
 	if o.Costs == nil {
-		o.Costs = semantics.RegistryCosts(semantics.Default)
+		o.Costs = registryCosts
 	}
 	return o
 }
+
+var registryCosts = semantics.RegistryCosts(semantics.Default) // reads the live registry per call
 
 // UnsatisfiableError reports that every completion path leaves at least one
 // requested semantic without hardware or software implementation.
@@ -78,25 +87,68 @@ type Scored struct {
 	Missing []semantics.Name
 }
 
-// scorePaths evaluates the Eq. 1 objective for every path under the request.
-// opts are already normalized: withDefaults maps a negative Alpha to 0, and a
-// second pass would map that 0 back to DefaultAlpha.
-func scorePaths(paths []*Path, req semantics.Set, opts SelectOptions) []Scored {
-	out := make([]Scored, 0, len(paths))
-	for _, p := range paths {
-		missing := req.Minus(p.Prov()).Sorted()
-		soft := 0.0
-		for _, m := range missing {
-			soft += opts.Costs(m)
-		}
-		dma := opts.Alpha * float64(p.SizeBytes())
-		out = append(out, Scored{
-			Path:     p,
-			SoftCost: soft,
-			DMACost:  dma,
-			Total:    soft + dma,
-			Missing:  missing,
-		})
+// Bound is an intent bound to an analysis: what a solve needs of the pair
+// that no cost model or weight can change, derived once. Immutable and safe
+// to share, like the analysis.
+type Bound struct {
+	Intent *Intent
+	// Req is the request sorted by name, each semantic once.
+	Req []semantics.Name
+
+	// rows starts with len(Paths)+1 bounds: rows[rows[pi]:rows[pi+1]] lists,
+	// ascending, the entries of Req path pi does not provide — Req \ Prov(p)
+	// in name order, so a sum over a row adds as a sorted set difference would.
+	// An index list has no width limit (the registry is extensible).
+	rows []int
+}
+
+// Bind derives an intent's bound request against the analysed paths.
+func (a *Analysis) Bind(intent *Intent) *Bound {
+	b := &Bound{Intent: intent, Req: make([]semantics.Name, len(intent.Fields))}
+	for i, f := range intent.Fields {
+		b.Req[i] = f.Semantic
 	}
-	return out
+	slices.Sort(b.Req)
+	b.Req = slices.Compact(b.Req)
+	n := len(a.Paths) + 1
+	b.rows = make([]int, n, n+len(a.Paths)*len(b.Req))
+	for pi, p := range a.Paths {
+		b.rows[pi] = len(b.rows)
+		for i, s := range b.Req {
+			if !p.prov.Has(s) {
+				b.rows = append(b.rows, i)
+			}
+		}
+	}
+	b.rows[len(a.Paths)] = len(b.rows)
+	return b
+}
+
+func (b *Bound) miss(pi int) []int { return b.rows[b.rows[pi]:b.rows[pi+1]] }
+
+// entry is the index of a requested semantic in Req.
+func (b *Bound) entry(s semantics.Name) int {
+	i, _ := slices.BinarySearch(b.Req, s)
+	return i
+}
+
+// eval appends w(Req[i]) for every entry to dst[:0].
+func (b *Bound) eval(dst []float64, w semantics.CostModel) []float64 {
+	dst = slices.Grow(dst[:0], len(b.Req))
+	for _, s := range b.Req {
+		dst = append(dst, w(s))
+	}
+	return dst
+}
+
+// Costs evaluates a cost model into the vector a solve runs on: base(Req[i])
+// appended to dst[:0], the intent's per-field @cost overrides on top.
+func (b *Bound) Costs(dst []float64, base semantics.CostModel) []float64 {
+	dst = b.eval(dst, base)
+	for _, f := range b.Intent.Fields {
+		if f.CostOverride >= 0 {
+			dst[b.entry(f.Semantic)] = f.CostOverride
+		}
+	}
+	return dst
 }

@@ -143,7 +143,9 @@ func New(dev *nicsim.Device, intent *core.Intent, copts core.CompileOptions, opt
 		switchLatency: obs.NewHistogram(),
 	}
 	e.shims.AttachFlight(q.FlightQueue())
-	e.res = NewResolver(dev.Model, copts, opts, e.shims, []core.TenantIntent{{Intent: intent}})
+	if e.res, err = NewResolver(dev.Model, copts, opts, e.shims, []core.TenantIntent{{Intent: intent}}); err != nil {
+		return nil, err
+	}
 	q.SetLane(0, e.newLane(res))
 	return e, nil
 }

@@ -26,13 +26,31 @@ func newTestResolver(t *testing.T, nicName string, opts Options, intents ...[]se
 		}
 		tenants[i] = core.TenantIntent{Tenant: string(rune('a' + i)), Intent: it}
 	}
-	return NewResolver(nic.MustLoad(nicName), core.CompileOptions{}, opts, nil, tenants)
+	r, err := NewResolver(nic.MustLoad(nicName), core.CompileOptions{}, opts, nil, tenants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// window closes a tenant's observation window and returns the mix by name,
+// as the map-based window did.
+func window(r *Resolver, tenant int) map[semantics.Name]float64 {
+	t := r.tenants[tenant]
+	t.closeWindow()
+	mix := make(map[semantics.Name]float64, len(t.mix))
+	for i, f := range t.intent.Fields {
+		if t.field(f.Semantic) == i {
+			mix[f.Semantic] = t.mix[i]
+		}
+	}
+	return mix
 }
 
 // noteRead counts one read the way a bound delivery view does, by name.
 func noteRead(r *Resolver, tenant int, s semantics.Name) {
-	if c := r.tenants[tenant].counter(s); c != nil {
-		c.Inc()
+	if t := r.tenants[tenant]; t.field(s) >= 0 {
+		t.reads[t.field(s)].Inc()
 	}
 }
 
@@ -62,7 +80,7 @@ func TestMixTrackerWindowAndWeights(t *testing.T) {
 	if n := open(r, 0); n != 100 {
 		t.Fatalf("window packets = %d, want 100", n)
 	}
-	mix := r.tenants[0].window()
+	mix := window(r, 0)
 	if mix[semantics.RSS] != 1.0 || mix[semantics.VLAN] != 0.5 {
 		t.Errorf("mix = %v, want rss=1.0 vlan=0.5", mix)
 	}
@@ -73,7 +91,7 @@ func TestMixTrackerWindowAndWeights(t *testing.T) {
 	if n := open(r, 0); n != 0 {
 		t.Errorf("second window saw %d packets, want 0", n)
 	}
-	if mix := r.tenants[0].window(); mix[semantics.RSS] != 0 || mix[semantics.VLAN] != 0 {
+	if mix := window(r, 0); mix[semantics.RSS] != 0 || mix[semantics.VLAN] != 0 {
 		t.Errorf("empty window reads %v, want zeros", mix)
 	}
 
@@ -116,7 +134,7 @@ func TestMixTrackerRetarget(t *testing.T) {
 	if n := open(r, 0); n != 2 {
 		t.Errorf("post-retarget window = %d packets, want 2", n)
 	}
-	mix := r.tenants[0].window()
+	mix := window(r, 0)
 	if _, ok := mix[semantics.RSS]; ok {
 		t.Error("old semantic survived the retarget")
 	}
@@ -149,7 +167,7 @@ func TestMixTrackerBind(t *testing.T) {
 		}
 	}
 	r.NoteDelivered(0, 2)
-	if mix := r.tenants[0].window(); mix[semantics.VLAN] != 0.5 || mix[semantics.PktLen] != 0 {
+	if mix := window(r, 0); mix[semantics.VLAN] != 0.5 || mix[semantics.PktLen] != 0 {
 		t.Errorf("mix through the bound view = %v, want vlan 0.5, pkt_len 0", mix)
 	}
 }
@@ -158,16 +176,13 @@ func TestMixTrackerBind(t *testing.T) {
 // static registry cost; semantics outside the window keep the static cost
 // and infinite costs are never scaled.
 func TestWeightedMixCosts(t *testing.T) {
-	r := newTestResolver(t, "mlx5", Options{}, []semantics.Name{semantics.RSS})
+	r := newTestResolver(t, "mlx5", Options{}, []semantics.Name{semantics.RSS, semantics.VLAN, semantics.Timestamp})
 	base := semantics.RegistryCosts(semantics.Default)
 	if math.IsInf(base(semantics.RSS), 1) || base(semantics.RSS) == 0 || !math.IsInf(base(semantics.Timestamp), 1) {
 		t.Fatalf("premise: registry rss %v must be finite and timestamp %v infinite", base(semantics.RSS), base(semantics.Timestamp))
 	}
-	costs := r.mixCosts(map[semantics.Name]float64{
-		semantics.RSS:       0.5,
-		semantics.VLAN:      0,
-		semantics.Timestamp: 0.001,
-	}, nil)
+	r.tenants[0].mix = []float64{0.5, 0, 0.001}
+	costs := r.tenants[0].live
 	if got := costs(semantics.RSS); got != 0.5*base(semantics.RSS) {
 		t.Errorf("rss cost = %v, want 0.5 × %v", got, base(semantics.RSS))
 	}
@@ -279,5 +294,49 @@ func TestResolverUnsat(t *testing.T) {
 	}
 	if r.evaluations.Load() != 1 || r.unsat.Load() != 1 {
 		t.Errorf("evaluations %d, unsat %d, want 1/1", r.evaluations.Load(), r.unsat.Load())
+	}
+}
+
+// TestResolverDuplicateFieldCountsOnce: IntentFromSemantics refuses a
+// semantic requested twice, but an Intent is a struct anyone can fill. Both
+// fields then share the first one's counter, window and bound-request entry:
+// 100 deliveries that each read rss close a window pricing rss at its full
+// cost, not at the never-incremented second counter's zero.
+func TestResolverDuplicateFieldCountsOnce(t *testing.T) {
+	if _, err := core.IntentFromSemantics("dup", semantics.Default, semantics.RSS, semantics.IPChecksum, semantics.RSS); err == nil {
+		t.Fatal("IntentFromSemantics accepted rss twice")
+	}
+	it, err := core.IntentFromSemantics("dup", semantics.Default, semantics.RSS, semantics.IPChecksum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it.Fields = append(it.Fields, it.Fields[0])
+	r, err := NewResolver(nic.MustLoad("e1000e"), core.CompileOptions{}, Options{MinWindow: 1}, nil, []core.TenantIntent{{Intent: it}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		r.NoteDelivered(0, 1)
+		noteRead(r, 0, semantics.RSS)
+	}
+	if mix := window(r, 0); mix[semantics.RSS] != 1 || mix[semantics.IPChecksum] != 0 || len(mix) != 2 {
+		t.Errorf("mix = %v, want rss 1, ip_checksum 0", mix)
+	}
+	base := semantics.RegistryCosts(semantics.Default)
+	if got := r.tenants[0].live(semantics.RSS); got != base(semantics.RSS) {
+		t.Errorf("live rss cost = %v, want the registry's %v at one read per packet", got, base(semantics.RSS))
+	}
+	// The re-solve sees rss as hot: from the ip_checksum path (1) it moves to
+	// the rss path, which a zero-priced rss never would.
+	for i := 0; i < 100; i++ {
+		r.NoteDelivered(0, 1)
+		noteRead(r, 0, semantics.RSS)
+	}
+	next, err := r.Resolve(1)
+	if err != nil || next == nil || !next.Selected.Path.Prov().Has(semantics.RSS) {
+		t.Fatalf("re-solve under an rss-only mix: %v, %v", next, err)
+	}
+	if acc := next.PerTenant[0].Accessors; len(acc) != 3 || acc[0].Semantic != semantics.RSS || acc[1].Semantic != semantics.RSS {
+		t.Errorf("accessors = %+v, want rss twice (one per field) then the ip_checksum shim", acc)
 	}
 }

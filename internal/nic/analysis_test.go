@@ -287,7 +287,7 @@ func TestAnalysisSharedUnchanged(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		shared, err := m.analysis(core.EnumerateOptions{})
+		shared, err := m.Analysis(core.EnumerateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

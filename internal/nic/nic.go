@@ -81,9 +81,9 @@ type analysed struct {
 	err error
 }
 
-// analysis returns the cached description-side half for opts, building it on
+// Analysis returns the cached description-side half for opts, building it on
 // first use. Its errors read like the cold pipeline's (core.Compile).
-func (m *Model) analysis(opts core.EnumerateOptions) (*core.Analysis, error) {
+func (m *Model) Analysis(opts core.EnumerateOptions) (*core.Analysis, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e, ok := m.analyses[opts]
@@ -101,7 +101,7 @@ func (m *Model) analysis(opts core.EnumerateOptions) (*core.Analysis, error) {
 
 // Graph returns the (lazily built, cached) completion deparser CFG.
 func (m *Model) Graph() (*core.Graph, error) {
-	a, err := m.analysis(core.EnumerateOptions{})
+	a, err := m.Analysis(core.EnumerateOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +110,7 @@ func (m *Model) Graph() (*core.Graph, error) {
 
 // Paths returns the enumerated completion paths.
 func (m *Model) Paths() ([]*core.Path, error) {
-	a, err := m.analysis(core.EnumerateOptions{})
+	a, err := m.Analysis(core.EnumerateOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +120,7 @@ func (m *Model) Paths() ([]*core.Path, error) {
 // ProvidableSet is the union of Prov(p) over all completion paths: everything
 // the NIC can deliver in hardware under some configuration.
 func (m *Model) ProvidableSet() (semantics.Set, error) {
-	a, err := m.analysis(core.EnumerateOptions{})
+	a, err := m.Analysis(core.EnumerateOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +142,7 @@ func (m *Model) MetadataFieldCount() (int, error) {
 // the NIC's enumerated paths, ascending — part of the capability model a
 // fleet host publishes in its describe answer (S25).
 func (m *Model) CompletionSizes() ([]int, error) {
-	a, err := m.analysis(core.EnumerateOptions{})
+	a, err := m.Analysis(core.EnumerateOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +153,7 @@ func (m *Model) CompletionSizes() ([]int, error) {
 // enumeration option value; each call re-solves Eq. 1 and synthesizes
 // accessors only.
 func (m *Model) Compile(intent *core.Intent, opts core.CompileOptions) (*core.Result, error) {
-	a, err := m.analysis(opts.Enumerate)
+	a, err := m.Analysis(opts.Enumerate)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +164,7 @@ func (m *Model) Compile(intent *core.Intent, opts core.CompileOptions) (*core.Re
 // joint Eq. 1 objective for one shared device configuration (see
 // core.CompileJoint), on the same cached analysis as Compile.
 func (m *Model) CompileJoint(tenants []core.TenantIntent, opts core.CompileOptions) (*core.JointResult, error) {
-	a, err := m.analysis(opts.Enumerate)
+	a, err := m.Analysis(opts.Enumerate)
 	if err != nil {
 		return nil, err
 	}

@@ -9,10 +9,11 @@
 // enabled in production, and the buffer overwrites its oldest events so the
 // interesting history (the moments before a watchdog trip) is always there.
 //
-// Each Queue owns a fixed power-of-two ring of 32-byte events. A writer
-// claims a slot with a single atomic ticket increment, marks it claimed,
-// stores the four payload words, and releases it — five plain atomic stores,
-// no CAS loop, no lock. Readers never block writers: a snapshot validates
+// Each Queue owns a fixed power-of-two ring of 32-byte events, its storage
+// allocated in chunks as writers first reach them. A writer claims a slot
+// with a single atomic ticket increment, marks it claimed, stores the four
+// payload words, and releases it — five plain atomic stores, no CAS loop, no
+// lock. Readers never block writers: a snapshot validates
 // each slot's ticket before and after copying the payload and simply skips
 // slots that were concurrently rewritten (seqlock-style torn-read
 // protection). The one pathological case — a writer preempted mid-record
@@ -224,7 +225,27 @@ type Queue struct {
 	mask    uint64
 	wpos    atomic.Uint64 // next ticket - 1; tickets are 1-based
 	dropped atomic.Uint64 // events discarded by the lap-protection CAS
-	slots   []slot
+	// chunks holds the ring's slots, chunkSlots (10 KB) at a time, each
+	// installed by the first writer to reach it: a queue pays for the part of
+	// its ring it has touched (a fresh device's smoke burst records a few
+	// dozen events; a steady one touches every chunk within its first lap).
+	chunks []atomic.Pointer[[chunkSlots]slot]
+}
+
+const chunkSlots = 256
+
+// slot returns ring slot i for writing, materialising its chunk: racing
+// first writers each build one and the CAS keeps the first.
+func (q *Queue) slot(i uint64) *slot {
+	p := &q.chunks[i/chunkSlots]
+	c := p.Load()
+	if c == nil {
+		c = new([chunkSlots]slot)
+		if !p.CompareAndSwap(nil, c) {
+			c = p.Load()
+		}
+	}
+	return &c[i%chunkSlots]
 }
 
 // Name returns the queue's registration name.
@@ -260,7 +281,7 @@ func (q *Queue) Dropped() uint64 {
 // condition, so recording stays wait-free.
 func (q *Queue) record(ts uint64, c Code, seq uint32, a0, a1 uint64) {
 	t := q.wpos.Add(1) // 1-based ticket
-	s := &q.slots[(t-1)&q.mask]
+	s := q.slot((t - 1) & q.mask)
 	for {
 		cur := s.state.Load()
 		if cur&1 != 0 || cur >= t<<1 {
@@ -279,12 +300,12 @@ func (q *Queue) record(ts uint64, c Code, seq uint32, a0, a1 uint64) {
 }
 
 // snapshot copies out up to max most-recent events (all when max <= 0),
-// oldest first, skipping slots that are mid-write or were rewritten while
-// being copied.
+// oldest first, skipping slots that are mid-write, were rewritten while being
+// copied, or sit in a chunk no writer has installed yet.
 func (q *Queue) snapshot(max int) []Event {
 	w := q.wpos.Load()
 	lo := uint64(1)
-	if n := uint64(len(q.slots)); w > n {
+	if n := q.mask + 1; w > n {
 		lo = w - n + 1
 	}
 	if max > 0 && w >= lo && w-lo+1 > uint64(max) {
@@ -292,7 +313,12 @@ func (q *Queue) snapshot(max int) []Event {
 	}
 	var out []Event
 	for t := lo; t <= w; t++ {
-		s := &q.slots[(t-1)&q.mask]
+		i := (t - 1) & q.mask
+		c := q.chunks[i/chunkSlots].Load()
+		if c == nil {
+			continue
+		}
+		s := &c[i%chunkSlots]
 		want := t << 1
 		if s.state.Load() != want {
 			continue
@@ -317,7 +343,7 @@ func (q *Queue) snapshot(max int) []Event {
 // Config sizes a Recorder. The zero value is ready to use.
 type Config struct {
 	// Size is the per-queue ring capacity in events, rounded up to a power
-	// of two. Default 4096 (160 KB per queue).
+	// of two. Default 4096 (160 KB per queue once every chunk is touched).
 	Size int
 	// PostmortemEvents is how many trailing events per queue a postmortem
 	// snapshot keeps. Default 512.
@@ -389,11 +415,11 @@ func (r *Recorder) Queue(name string) *Queue {
 		return q
 	}
 	q := &Queue{
-		rec:   r,
-		name:  name,
-		id:    uint16(len(r.queues)),
-		mask:  uint64(r.cfg.Size - 1),
-		slots: make([]slot, r.cfg.Size),
+		rec:    r,
+		name:   name,
+		id:     uint16(len(r.queues)),
+		mask:   uint64(r.cfg.Size - 1),
+		chunks: make([]atomic.Pointer[[chunkSlots]slot], (r.cfg.Size+chunkSlots-1)/chunkSlots),
 	}
 	r.queues = append(r.queues, q)
 	r.byName[name] = q

@@ -7,6 +7,7 @@ package flight
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -119,13 +120,74 @@ func TestSizeRoundsUpToPowerOfTwo(t *testing.T) {
 	}
 }
 
-// TestConcurrentWritersAndSnapshots is the -race acceptance test: several
-// writers hammer one queue through many wrap-arounds while a reader
-// continuously snapshots. Every decoded event must be internally consistent
-// (arg0 must equal the checksum the writer computed from its id and seq),
-// proving the sequence validation discards torn slots.
+// TestChunksMaterialiseOnFirstTouch: a ring's storage is allocated a chunk at
+// a time as writers reach it, a snapshot passes over the chunks nobody has
+// written, and neither a chunk boundary nor a wrap loses or reorders events.
+func TestChunksMaterialiseOnFirstTouch(t *testing.T) {
+	const size = 4 * chunkSlots
+	r := NewRecorder(Config{Size: size})
+	q := r.Queue("q0")
+	installed := func() (n int) {
+		for i := range q.chunks {
+			if q.chunks[i].Load() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if len(q.chunks) != 4 || installed() != 0 {
+		t.Fatalf("fresh queue: %d of %d chunks installed, want 0 of 4", installed(), len(q.chunks))
+	}
+	record := func(from, to int) {
+		for i := from; i < to; i++ {
+			q.Record(EvRingPush, uint32(i), uint64(i), 0)
+		}
+	}
+	inOrder := func(first, n int) {
+		t.Helper()
+		evs := q.snapshot(0)
+		if len(evs) != n {
+			t.Fatalf("snapshot holds %d events, want %d", len(evs), n)
+		}
+		for i, ev := range evs {
+			if ev.Seq != uint32(first+i) || ev.Arg0 != uint64(first+i) {
+				t.Fatalf("event %d = %+v, want seq %d", i, ev, first+i)
+			}
+		}
+	}
+	record(0, 40) // a smoke burst
+	if installed() != 1 {
+		t.Errorf("%d chunks after 40 events, want 1", installed())
+	}
+	inOrder(0, 40)
+	record(40, chunkSlots+10) // across the first boundary
+	if installed() != 2 {
+		t.Errorf("%d chunks after %d events, want 2", installed(), chunkSlots+10)
+	}
+	inOrder(0, chunkSlots+10)
+	record(chunkSlots+10, size+chunkSlots/2) // through a wrap
+	if installed() != 4 {
+		t.Errorf("%d chunks after a full lap, want 4", installed())
+	}
+	inOrder(chunkSlots/2, size)
+}
+
+// TestConcurrentWritersAndSnapshots is the -race acceptance test (run it with
+// -race -count=10): several writers hammer one queue through many
+// wrap-arounds while a reader continuously snapshots — a one-chunk ring that
+// wraps constantly, and a four-chunk one whose chunks the writers race to
+// install while the reader walks across their boundaries. Every decoded event
+// must be internally consistent (arg0 must equal the checksum the writer
+// computed from its id and seq), proving the sequence validation discards
+// torn slots.
 func TestConcurrentWritersAndSnapshots(t *testing.T) {
-	r := NewRecorder(Config{Size: 64}) // tiny ring to force constant wrapping
+	for _, size := range []int{64, 4 * chunkSlots} {
+		t.Run(fmt.Sprintf("size%d", size), func(t *testing.T) { concurrentWritersAndSnapshots(t, size) })
+	}
+}
+
+func concurrentWritersAndSnapshots(t *testing.T, size int) {
+	r := NewRecorder(Config{Size: size})
 	q := r.Queue("q0")
 	const writers = 4
 	const perWriter = 20000
@@ -171,7 +233,7 @@ func TestConcurrentWritersAndSnapshots(t *testing.T) {
 	t.Logf("lap-protection drops: %d of %d", q.Dropped(), writers*perWriter)
 	// Final quiescent snapshot must decode a full ring of valid events.
 	evs := q.snapshot(0)
-	if len(evs)+int(q.Dropped()) < 64 && len(evs) < 60 {
+	if len(evs)+int(q.Dropped()) < size && len(evs) < size-4 {
 		t.Errorf("quiescent snapshot decoded only %d events", len(evs))
 	}
 	for _, ev := range evs {

@@ -52,33 +52,24 @@ type ShimCost struct {
 	Nanos uint64
 }
 
-// Snapshot returns the per-semantic call and nanosecond totals (non-zero
-// entries only).
-func (st *ShimStats) Snapshot() map[semantics.Name]ShimCost {
-	out := make(map[semantics.Name]ShimCost)
-	for name, c := range st.calls {
-		calls := c.Load()
-		if calls == 0 {
-			continue
-		}
-		out[name] = ShimCost{Calls: calls, Nanos: st.nanos[name].Load()}
+// Cost returns one semantic's call and nanosecond totals (zero for a
+// semantic no shim emulates).
+func (st *ShimStats) Cost(name semantics.Name) ShimCost {
+	if c := st.calls[name]; c != nil {
+		return ShimCost{Calls: c.Load(), Nanos: st.nanos[name].Load()}
 	}
-	return out
+	return ShimCost{}
 }
 
 // MeasuredCost returns the observed mean ns/call for a semantic (0 when the
 // shim never ran) — the runtime-measured counterpart of the static cost
 // table and of Calibrate.
 func (st *ShimStats) MeasuredCost(name semantics.Name) float64 {
-	c := st.calls[name]
-	if c == nil {
+	sc := st.Cost(name)
+	if sc.Calls == 0 {
 		return 0
 	}
-	calls := c.Load()
-	if calls == 0 {
-		return 0
-	}
-	return float64(st.nanos[name].Load()) / float64(calls)
+	return float64(sc.Nanos) / float64(sc.Calls)
 }
 
 // InstrumentedFuncs wraps Funcs() so every shim call increments its call

@@ -32,14 +32,11 @@ func TestInstrumentedFuncsCountAndCost(t *testing.T) {
 		funcs[semantics.RSS](p)
 	}
 
-	snap := st.Snapshot()
-	if snap[semantics.RSS].Calls != 10 {
-		t.Errorf("rss calls = %d, want 10", snap[semantics.RSS].Calls)
+	if got := st.Cost(semantics.RSS).Calls; got != 10 {
+		t.Errorf("rss calls = %d, want 10", got)
 	}
-	for name, cost := range snap {
-		if cost.Calls == 0 {
-			t.Errorf("%s snapshotted with zero calls", name)
-		}
+	if sc := st.Cost(semantics.VLAN); sc.Calls != 1 || st.Cost(semantics.Name("no_such_semantic")) != (ShimCost{}) {
+		t.Errorf("vlan cost = %+v after one call, unknown semantic %+v", sc, st.Cost(semantics.Name("no_such_semantic")))
 	}
 	if st.MeasuredCost(semantics.RSS) <= 0 {
 		t.Errorf("rss measured cost = %v", st.MeasuredCost(semantics.RSS))

@@ -201,10 +201,11 @@ func Open(opts Options, specs ...Spec) (*Plane, error) {
 	}
 	p.ports = newPortTable(p.tenants)
 	intents := p.jointIntents()
-	p.res = evolve.NewResolver(m, opts.Compile, opts.Policy, nil, intents)
-
 	jr, err := m.CompileJoint(intents, opts.Compile)
 	if err != nil {
+		return nil, err
+	}
+	if p.res, err = evolve.NewResolver(m, opts.Compile, opts.Policy, nil, intents); err != nil {
 		return nil, err
 	}
 	for q := 0; q < opts.Cores; q++ {

@@ -56,6 +56,31 @@ func TestCompilePublicAPI(t *testing.T) {
 	}
 }
 
+// TestDuplicateSemanticRejected: a semantic requested twice is refused at
+// every door — programmatic intents, pinned and evolving drivers and tenant
+// specs — with the error an intent header declaring it twice gets, instead of
+// compiling to a report that lists the accessor twice and, on an evolving
+// driver, to a read mix that prices the semantic at zero.
+func TestDuplicateSemanticRejected(t *testing.T) {
+	const want = `semantic "rss" requested twice`
+	for name, open := range map[string]func() error{
+		"NewIntent": func() error { _, err := NewIntent("x", "rss", "rss"); return err },
+		"Open":      func() error { _, err := Open("e1000e", "rss", "rss", "ip_checksum"); return err },
+		"OpenEvolving": func() error {
+			_, err := OpenEvolving("e1000e", EvolveOptions{}, "rss", "ip_checksum", "rss")
+			return err
+		},
+		"OpenTenants": func() error {
+			_, err := OpenTenants(TenantOptions{Cores: 1}, TenantSpec{Name: "a", Semantics: []string{"vlan", "rss", "rss"}})
+			return err
+		},
+	} {
+		if err := open(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want one naming %s", name, err, want)
+		}
+	}
+}
+
 func TestCompileUnknownNIC(t *testing.T) {
 	intent, _ := NewIntent("app", "rss")
 	if _, err := Compile("cx7", intent, CompileOptions{}); err == nil {
