@@ -34,6 +34,7 @@ import (
 	"opendesc/internal/nicsim"
 	"opendesc/internal/obs"
 	"opendesc/internal/obs/flight"
+	"opendesc/internal/rxpath"
 	"opendesc/internal/semantics"
 	"opendesc/internal/softnic"
 	"opendesc/internal/workload"
@@ -109,7 +110,7 @@ func main() {
 	}
 	fmt.Print(res.Report())
 
-	dev, err := nicsim.New(model, nicsim.Config{QueueID: 0})
+	dev, err := nicsim.New(model, nicsim.Config{})
 	if err != nil {
 		fatal(err)
 	}
@@ -129,7 +130,7 @@ func main() {
 	shimStats.AttachFlight(rec.Queue("q0"))
 	soft := softnic.Funcs()
 	if *stats || *statsAddr != "" {
-		soft = softnic.InstrumentedFuncs(shimStats)
+		soft = shimStats.Instrument(soft)
 	}
 	if *statsAddr != "" {
 		addr, _, err := reg.Serve(*statsAddr)
@@ -154,9 +155,6 @@ func main() {
 		len(tr.Packets), model.Name, rt.CompletionBytes)
 	mismatches := 0
 	checked := 0
-	// Cross-checks use the bare (uninstrumented) reference funcs so the
-	// shim-call counters reflect only real datapath emulation work.
-	golden := softnic.Funcs()
 	for i, p := range tr.Packets {
 		if !dev.RxPacket(p) {
 			fatal(fmt.Errorf("rx stalled at packet %d", i))
@@ -170,16 +168,13 @@ func main() {
 				if *verbose {
 					fmt.Printf("  pkt %4d  %-12s = %#x\n", i, n, got)
 				}
-				// Cross-check hardware reads against golden software where
-				// a software implementation exists.
-				if f, ok := golden[n]; ok && rt.Reader(n).Hardware {
-					want := f(p)
-					if a := res.Accessor(n); a != nil && a.WidthBits < 64 {
-						want &= (1 << a.WidthBits) - 1
-					}
-					checked++
-					if got != want && n != semantics.PktLen {
-						mismatches++
+				// Cross-check hardware reads against the reference value.
+				if r := rt.Reader(n); r.Hardware {
+					if want, ok := softnic.Expect(n, p, dev.Config().QueueID, r.WidthBits); ok {
+						checked++
+						if got != want {
+							mismatches++
+						}
 					}
 				}
 			}
@@ -307,7 +302,6 @@ func runDriver(nicName string, names []semantics.Name, sems []string, packets in
 	if err != nil {
 		fatal(err)
 	}
-	golden := softnic.Funcs()
 
 	half := packets / 2
 	hot := names[len(names)-1]
@@ -320,13 +314,12 @@ func runDriver(nicName string, names []semantics.Name, sems []string, packets in
 			nicName, packets, hot, names[0], half)
 	}
 
-	queue := make([][]byte, 0, 512)
+	var fifo rxpath.FIFO
 	delivered, garbage, softCount := 0, 0, 0
 	h := func(p []byte, meta opendesc.Meta) {
-		if len(queue) == 0 || &p[0] != &queue[0][0] {
+		if !fifo.Pop(p) {
 			fatal(fmt.Errorf("delivery %d out of order or duplicated", delivered))
 		}
-		queue = queue[1:]
 		for _, n := range names {
 			if evolve && n != hot && delivered%16 != 0 {
 				continue // the application's read mix: the hot field, the rest 1 in 16
@@ -338,16 +331,7 @@ func runDriver(nicName string, names []semantics.Name, sems []string, packets in
 			if !meta.Hardware(string(n)) {
 				softCount++
 			}
-			f, okG := golden[n]
-			if !okG || n == semantics.PktLen {
-				continue
-			}
-			want := f(p)
-			if a := drv.Result.Accessor(n); a != nil && a.WidthBits < 64 {
-				want &= (1 << a.WidthBits) - 1
-				got &= (1 << a.WidthBits) - 1
-			}
-			if got != want {
+			if want, ok := rxpath.Want(meta, string(n)); ok && got != want {
 				garbage++
 				if verbose {
 					fmt.Printf("  GARBAGE pkt %d: %s = %#x, want %#x\n", delivered, n, got, want)
@@ -386,7 +370,7 @@ func runDriver(nicName string, names []semantics.Name, sems []string, packets in
 			}
 		}
 		accepted++
-		queue = append(queue, p)
+		fifo.Push(p)
 		if i%8 == 7 {
 			poll(i)
 		}

@@ -5,7 +5,7 @@ import (
 
 	"opendesc"
 	"opendesc/internal/faults"
-	"opendesc/internal/softnic"
+	"opendesc/internal/rxpath"
 	"opendesc/internal/workload"
 )
 
@@ -25,12 +25,15 @@ func (r *e16Run) caught() uint64 {
 	return r.hard.Quarantined + r.hard.StaleDrops + r.hard.ResyncDrops + r.hard.SpuriousCompletions
 }
 
+// e16Sems is the E16 intent, every semantic read on every delivery.
+var e16Sems = []string{"rss", "vlan", "pkt_len"}
+
 // e16Drive pushes n workload packets through a driver (hardened when harden
 // is non-nil, the plain pre-hardening facade otherwise) under an optional
 // fault plan, verifying exactly-once in-order delivery and golden metadata on
 // every packet.
 func e16Drive(n int, plan *faults.Plan, harden *opendesc.HardenOptions) (*e16Run, error) {
-	intent, err := opendesc.NewIntent("e16", "rss", "vlan", "pkt_len")
+	intent, err := opendesc.NewIntent("e16", e16Sems...)
 	if err != nil {
 		return nil, err
 	}
@@ -49,28 +52,24 @@ func e16Drive(n int, plan *faults.Plan, harden *opendesc.HardenOptions) (*e16Run
 	if err != nil {
 		return nil, err
 	}
-	golden := softnic.Funcs()
 
 	run := &e16Run{}
 	var orderErr error
-	queue := make([][]byte, 0, 512) // accepted but not yet delivered, FIFO
+	var fifo rxpath.FIFO
 	h := func(p []byte, meta opendesc.Meta) {
 		run.delivered++
-		if len(queue) == 0 || &p[0] != &queue[0][0] {
+		if !fifo.Pop(p) {
 			if orderErr == nil {
 				orderErr = fmt.Errorf("e16: delivery %d out of order or duplicated", run.delivered)
 			}
 			return
 		}
-		queue = queue[1:]
-		rss, okR := meta.Get("rss")
-		vlan, okV := meta.Get("vlan")
-		plen, okL := meta.Get("pkt_len")
-		if !okR || !okV || !okL ||
-			rss != golden["rss"](p) ||
-			vlan != golden["vlan"](p) ||
-			plen != uint64(len(p)) {
-			run.garbage++
+		for _, sem := range e16Sems {
+			v, ok := meta.Get(sem)
+			if want, wok := rxpath.Want(meta, sem); !ok || !wok || v != want {
+				run.garbage++
+				return
+			}
 		}
 	}
 
@@ -86,7 +85,7 @@ func e16Drive(n int, plan *faults.Plan, harden *opendesc.HardenOptions) (*e16Run
 			}
 		}
 		run.accepted++
-		queue = append(queue, p)
+		fifo.Push(p)
 		if i%8 == 7 {
 			drv.Poll(h)
 		}

@@ -12,8 +12,9 @@
 //
 //   - exactly-once — every accepted packet is delivered exactly once, in
 //     order, per queue;
-//   - golden-metadata — every semantic read returns the SoftNIC ground-truth
-//     value (zero garbage reads), on the hardware path and the soft path;
+//   - golden-metadata — every semantic read returns its reference value on
+//     the receiving device (rxpath.Want: zero garbage reads), on the
+//     hardware path and the soft path;
 //   - stuck-pending — a pending packet with an empty completion ring and a
 //     healthy device must have been delivered by the preceding Poll (the
 //     liveness invariant the PR 3 resync path exists for);
@@ -39,13 +40,11 @@ import (
 	"strings"
 
 	"opendesc"
-	"opendesc/internal/codegen"
 	"opendesc/internal/diffverify"
 	"opendesc/internal/faults"
 	"opendesc/internal/nic"
 	"opendesc/internal/nicsim"
-	"opendesc/internal/semantics"
-	"opendesc/internal/softnic"
+	"opendesc/internal/rxpath"
 	"opendesc/internal/vclock"
 	"opendesc/internal/workload"
 )
@@ -217,9 +216,7 @@ type queue struct {
 	drv *opendesc.Driver
 	inj *faults.Injector
 
-	// fifo holds accepted-but-undelivered packets in arrival order — the
-	// exactly-once oracle's expectation.
-	fifo      [][]byte
+	fifo      rxpath.FIFO
 	accepted  uint64
 	delivered uint64
 	rejected  uint64
@@ -238,14 +235,10 @@ type queue struct {
 
 // runner executes one schedule.
 type runner struct {
-	cfg    Config
-	clk    *vclock.Virtual
-	trace  *workload.Trace
-	queues []*queue
-	golden map[semantics.Name]codegen.SoftFunc
-	// consts maps device-state semantics to their per-queue pinned values
-	// (queue_id differs per queue).
-	consts  []map[semantics.Name]uint64
+	cfg     Config
+	clk     *vclock.Virtual
+	trace   *workload.Trace
+	queues  []*queue
 	nextPkt int
 	log     strings.Builder
 	res     *Result
@@ -317,7 +310,6 @@ func (r *runner) setup(seed uint64) error {
 		return err
 	}
 	r.trace = tr
-	r.golden = softnic.Funcs()
 
 	intent, err := opendesc.NewIntent("chaos_intent", r.cfg.Semantics...)
 	if err != nil {
@@ -363,20 +355,14 @@ func (r *runner) setup(seed uint64) error {
 		inj := faults.New(faults.Plan{Seed: seed ^ uint64(qi)<<32})
 		drv.InjectFaults(inj)
 		r.queues = append(r.queues, &queue{drv: drv, inj: inj})
-		r.consts = append(r.consts, map[semantics.Name]uint64{
-			semantics.QueueID:    uint64(qi),
-			semantics.Mark:       0,
-			semantics.CryptoCtx:  0,
-			semantics.LROSegs:    1,
-			semantics.SegCnt:     1,
-			semantics.RXDropHint: 0,
-		})
 	}
 	return nil
 }
 
 // handler returns the Poll delivery handler for queue qi: it enforces the
-// exactly-once and golden-metadata oracles on every delivery.
+// exactly-once and golden-metadata oracles on every delivery, reading the
+// semantics of the queue's current mix phase (on an evolving driver those
+// reads are the read mix the control plane re-solves for).
 func (r *runner) handler(qi int, step int) func([]byte, opendesc.Meta) {
 	q := r.queues[qi]
 	mix := r.cfg.Mixes.Phase(q.mixPhase)
@@ -385,17 +371,11 @@ func (r *runner) handler(qi int, step int) func([]byte, opendesc.Meta) {
 		if q.viol != nil {
 			return
 		}
-		if len(q.fifo) == 0 {
+		if !q.fifo.Pop(p) {
 			q.viol = &Violation{Oracle: "exactly-once", Step: step, Queue: qi,
-				Detail: fmt.Sprintf("delivery %d with no packet outstanding (duplicate or spurious)", q.delivered)}
+				Detail: fmt.Sprintf("delivery %d out of order, duplicated or spurious (%d outstanding)", q.delivered, len(q.fifo))}
 			return
 		}
-		if &p[0] != &q.fifo[0][0] {
-			q.viol = &Violation{Oracle: "exactly-once", Step: step, Queue: qi,
-				Detail: fmt.Sprintf("delivery %d out of order", q.delivered)}
-			return
-		}
-		q.fifo = q.fifo[1:]
 		for _, sem := range mix {
 			v, ok := m.Get(sem)
 			if !ok {
@@ -403,24 +383,10 @@ func (r *runner) handler(qi int, step int) func([]byte, opendesc.Meta) {
 					Detail: fmt.Sprintf("read of %s not linked", sem)}
 				return
 			}
-			name := semantics.Name(sem)
-			if name == semantics.Timestamp {
-				continue // device timeline vs soft zero: excluded from golden
-			}
-			if want, isConst := r.consts[qi][name]; isConst {
-				if v != want {
-					q.viol = &Violation{Oracle: "golden-metadata", Step: step, Queue: qi,
-						Detail: fmt.Sprintf("%s = %d, device state pins %d", sem, v, want)}
-					return
-				}
-				continue
-			}
-			if f := r.golden[name]; f != nil {
-				if want := f(p); v != want {
-					q.viol = &Violation{Oracle: "golden-metadata", Step: step, Queue: qi,
-						Detail: fmt.Sprintf("%s = %d, SoftNIC ground truth %d (garbage read)", sem, v, want)}
-					return
-				}
+			if want, ok := rxpath.Want(m, sem); ok && v != want {
+				q.viol = &Violation{Oracle: "golden-metadata", Step: step, Queue: qi,
+					Detail: fmt.Sprintf("%s = %d, reference %d (garbage read)", sem, v, want)}
+				return
 			}
 		}
 	}
@@ -436,7 +402,7 @@ func (r *runner) exec(step int, ev Event) {
 		r.nextPkt++
 		if q.drv.Rx(p) {
 			q.accepted++
-			q.fifo = append(q.fifo, p)
+			q.fifo.Push(p)
 		} else {
 			q.rejected++
 		}

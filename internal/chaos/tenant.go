@@ -5,8 +5,7 @@ import (
 	"strings"
 
 	"opendesc/internal/pkt"
-	"opendesc/internal/semantics"
-	"opendesc/internal/softnic"
+	"opendesc/internal/rxpath"
 	"opendesc/internal/tenant"
 	"opendesc/internal/vclock"
 	"opendesc/internal/workload"
@@ -63,15 +62,18 @@ func (c TenantConfig) withDefaults() TenantConfig {
 	return c
 }
 
-// tenantPhases is the pair of intents each tenant renegotiates between.
-// Every semantic has a SoftNIC ground-truth function, so the golden oracle
-// can check any read in any phase; the sets differ enough that a flip can
-// move the joint optimum (forcing full drain/apply switchovers) or keep it
-// (exercising the accessor-only fast path), depending on the neighbors.
+// tenantPhases is the pair of intents each tenant renegotiates between. The
+// sets differ enough that a flip can move the joint optimum (forcing full
+// drain/apply switchovers) or keep it (exercising the accessor-only fast
+// path), depending on the neighbors.
 var tenantPhases = [2][]string{
 	{"rss", "pkt_len"},
 	{"flow_id", "pkt_len", "tunnel_id"},
 }
+
+// tenantReads is what every delivery reads: each semantic either phase has,
+// checked wherever it resolves.
+var tenantReads = []string{"pkt_len", "rss", "flow_id", "tunnel_id"}
 
 // TenantResult is the outcome of one tenant-plane chaos run.
 type TenantResult struct {
@@ -93,25 +95,19 @@ type TenantResult struct {
 	Steals     uint64
 }
 
-// tenantExpect is one accepted packet in a queue's FIFO expectation: the
-// exactly-once oracle matches deliveries against it by slice identity.
-type tenantExpect struct {
-	pkt    []byte
-	tenant int
-}
-
 // tenantRunner executes one tenant-plane schedule.
 type tenantRunner struct {
-	cfg    TenantConfig
-	plane  *tenant.Plane
-	clk    *vclock.Virtual
-	trace  *workload.ZipfTrace
-	golden map[semantics.Name]func(*pkt.Info, []byte) uint64
+	cfg   TenantConfig
+	plane *tenant.Plane
+	clk   *vclock.Virtual
+	trace *workload.ZipfTrace
+	// tenantOf is each accepted packet's tenant, by its first byte's address.
+	tenantOf map[*byte]int
 
-	fifo      [][]tenantExpect // per queue, arrival order
-	accepted  []uint64         // per tenant
-	delivered []uint64         // per tenant
-	phase     []int            // per tenant: which tenantPhases entry is live
+	fifo      []rxpath.FIFO // per queue
+	accepted  []uint64      // per tenant
+	delivered []uint64      // per tenant
+	phase     []int         // per tenant: which tenantPhases entry is live
 	nextPkt   int
 
 	log  strings.Builder
@@ -186,20 +182,10 @@ func (r *tenantRunner) setup(seed uint64) error {
 	if err != nil {
 		return err
 	}
-	r.fifo = make([][]tenantExpect, cfg.Cores)
+	r.fifo = make([]rxpath.FIFO, cfg.Cores)
+	r.tenantOf = make(map[*byte]int)
 	r.accepted = make([]uint64, cfg.Tenants)
 	r.delivered = make([]uint64, cfg.Tenants)
-
-	// Ground truth for every semantic either phase can read. pkt_len is the
-	// wire length; the rest are pure functions of the decoded packet.
-	funcs := softnic.Funcs()
-	r.golden = map[semantics.Name]func(*pkt.Info, []byte) uint64{
-		semantics.PktLen: func(_ *pkt.Info, p []byte) uint64 { return uint64(len(p)) },
-	}
-	for _, s := range []semantics.Name{semantics.RSS, semantics.FlowID, semantics.TunnelID} {
-		f := funcs[s]
-		r.golden[s] = func(_ *pkt.Info, p []byte) uint64 { return f(p) }
-	}
 	return nil
 }
 
@@ -234,7 +220,8 @@ func (r *tenantRunner) rx(step int) {
 	}
 	q := r.plane.Steer(&in)
 	if r.plane.Rx(pk) {
-		r.fifo[q] = append(r.fifo[q], tenantExpect{pkt: pk, tenant: ti})
+		r.fifo[q].Push(pk)
+		r.tenantOf[&pk[0]] = ti
 		r.accepted[ti]++
 		fmt.Fprintf(&r.log, "%4d rx t%d q%d\n", step, ti, q)
 	} else {
@@ -252,48 +239,28 @@ func (r *tenantRunner) poll(step, core int) {
 			return
 		}
 		q := d.Queue
-		if len(r.fifo[q]) == 0 {
+		if !r.fifo[q].Pop(d.Pkt) {
 			r.fail(&Violation{Oracle: "exactly-once", Step: step, Queue: q,
-				Detail: "delivery from a queue with no packets outstanding"})
+				Detail: fmt.Sprintf("delivery out of order, duplicated or spurious (%d outstanding)", len(r.fifo[q]))})
 			return
 		}
-		want := r.fifo[q][0]
-		r.fifo[q] = r.fifo[q][1:]
-		if &want.pkt[0] != &d.Pkt[0] {
-			r.fail(&Violation{Oracle: "exactly-once", Step: step, Queue: q,
-				Detail: "delivery out of order (packet identity mismatch)"})
-			return
-		}
-		if want.tenant != d.Tenant {
+		if want := r.tenantOf[&d.Pkt[0]]; want != d.Tenant {
 			r.fail(&Violation{Oracle: "tenant-isolation", Step: step, Queue: q,
-				Detail: fmt.Sprintf("packet for tenant %d delivered to tenant %d", want.tenant, d.Tenant)})
+				Detail: fmt.Sprintf("packet for tenant %d delivered to tenant %d", want, d.Tenant)})
 			return
 		}
-		var in pkt.Info
-		if err := pkt.Decode(d.Pkt, &in); err != nil {
-			r.fail(&Violation{Oracle: "golden-metadata", Step: step, Queue: q,
-				Detail: "delivered packet undecodable: " + err.Error()})
-			return
-		}
-		// Any semantic that resolves must carry its ground-truth value,
+		// Any semantic that resolves must carry its reference value,
 		// whichever generation's layout it was DMAed under. (Resolution
 		// itself is intent-scoped and may legitimately change across a
 		// renegotiation; garbage values may not.)
-		for s, golden := range r.golden {
-			got, ok := d.Get(string(s))
+		for _, s := range tenantReads {
+			got, ok := d.Get(s)
 			if !ok {
 				continue
 			}
-			want := golden(&in, d.Pkt)
-			// A hardware field narrower than the semantic's natural width
-			// truncates (mlx5's 24-bit flow_tag vs the 32-bit software
-			// FlowID): compare under the accessor's width.
-			if w := d.Width(string(s)); d.Hardware(string(s)) && w > 0 && w < 64 {
-				want &= (1 << w) - 1
-			}
-			if got != want {
+			if want, ok := d.Want(s); ok && got != want {
 				r.fail(&Violation{Oracle: "golden-metadata", Step: step, Queue: q,
-					Detail: fmt.Sprintf("tenant %d read %s = %#x, ground truth %#x", d.Tenant, s, got, want)})
+					Detail: fmt.Sprintf("tenant %d read %s = %#x, reference %#x", d.Tenant, s, got, want)})
 				return
 			}
 		}

@@ -25,7 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"opendesc/internal/codegen"
 	"opendesc/internal/core"
 	"opendesc/internal/nicsim"
 	"opendesc/internal/obs"
@@ -143,17 +142,26 @@ func New(dev *nicsim.Device, intent *core.Intent, copts core.CompileOptions, opt
 		switchLatency: obs.NewHistogram(),
 	}
 	e.shims.AttachFlight(q.FlightQueue())
+	q.Instrument(e.shims)
 	if e.res, err = NewResolver(dev.Model, copts, opts, e.shims, []core.TenantIntent{{Intent: intent}}); err != nil {
 		return nil, err
 	}
-	q.SetLane(0, e.newLane(res))
+	lane, err := e.newLane(res)
+	if err != nil {
+		return nil, err
+	}
+	q.SetLane(0, lane)
 	return e, nil
 }
 
-// newLane links a compilation result into the lane of one generation.
-func (e *Engine) newLane(res *core.Result) *rxpath.Lane {
-	rt := codegen.NewRuntime(res, softnic.InstrumentedFuncs(e.shims))
-	return &rxpath.Lane{RT: rt, Reads: e.res.Bind(0, rt)}
+// newLane links a compilation result into the lane of one generation, the
+// read-mix counters bound beside its reader table.
+func (e *Engine) newLane(res *core.Result) (*rxpath.Lane, error) {
+	l, err := e.q.Link(res)
+	if err == nil {
+		l.Reads = e.res.Bind(0, l.RT)
+	}
+	return l, err
 }
 
 // Queue exposes the engine's receive queue: pending count, flight recorder,
@@ -254,8 +262,7 @@ func (e *Engine) switchover(next *core.Result) error {
 
 	// ADMISSION: the PreSwitch hook may veto the new interface, and on a
 	// hardened queue the new lane's validator must synthesize.
-	lane := e.newLane(next)
-	err := e.q.Arm(lane)
+	lane, err := e.newLane(next)
 	if err == nil && e.opts.PreSwitch != nil {
 		err = e.opts.PreSwitch(next)
 	}

@@ -160,7 +160,7 @@ func TestResolveMatchesReference(t *testing.T) {
 						funcs := map[semantics.Name]func([]byte) uint64{}
 						if measured {
 							shims = softnic.NewShimStats(nil)
-							for s, f := range softnic.InstrumentedFuncs(shims) {
+							for s, f := range shims.Instrument(softnic.Funcs()) {
 								funcs[s] = f
 							}
 						}

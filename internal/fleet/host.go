@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 
-	"opendesc/internal/codegen"
 	"opendesc/internal/core"
 	"opendesc/internal/fleet/telemetry"
 	"opendesc/internal/nic"
@@ -12,7 +11,6 @@ import (
 	"opendesc/internal/obs/flight"
 	"opendesc/internal/rxpath"
 	"opendesc/internal/semantics"
-	"opendesc/internal/softnic"
 	"opendesc/internal/vclock"
 )
 
@@ -50,69 +48,30 @@ const (
 	softReadNs    = 440
 )
 
-// goldenFuncs is the per-semantic ground truth the embedded oracle can
-// check a delivery against: pure functions of the packet bytes (the same
-// S23 golden-metadata family the chaos harness uses). Environment-derived
-// semantics (timestamp, queue id, mark) are excluded — their truth lives
-// in the device, not the packet.
-func goldenFuncs() map[semantics.Name]codegen.SoftFunc {
-	funcs := softnic.Funcs()
-	g := map[semantics.Name]codegen.SoftFunc{
-		semantics.PktLen: func(p []byte) uint64 { return uint64(len(p)) },
-	}
-	for _, s := range []semantics.Name{
-		semantics.RSS, semantics.VLAN, semantics.FlowID, semantics.TunnelID,
-		semantics.IPChecksum, semantics.PType,
-	} {
-		if f, ok := funcs[s]; ok {
-			g[s] = f
-		}
-	}
-	return g
-}
-
-// goldenCheck is one oracle probe compiled into a layout: read the
-// semantic through the layout's accessor and compare against ground truth
-// under the accessor's width.
-type goldenCheck struct {
-	sem  semantics.Name
-	fn   codegen.SoftFunc
-	mask uint64
-}
-
 // layout is one installed interface generation: the compiled result, the
 // lane packets are read under while it serves (its Owner is the layout), the
-// oracle probes derived from both, the modelled per-delivery service cost,
-// and the latency histogram deliveries under it feed (the telemetry
-// report's deliver_ns series).
+// modelled per-delivery service cost, and the latency histogram deliveries
+// under it feed (the telemetry report's deliver_ns series).
 type layout struct {
 	gen    uint64
 	res    *core.Result
-	lane   rxpath.Lane
-	checks []goldenCheck
+	lane   *rxpath.Lane
 	costNs uint64
 	hist   *obs.Histogram
 }
 
-func newLayout(gen uint64, res *core.Result, golden map[semantics.Name]codegen.SoftFunc) *layout {
-	l := &layout{gen: gen, res: res, hist: obs.NewHistogram()}
-	l.lane = rxpath.Lane{RT: codegen.NewRuntime(res, softnic.Funcs()), Owner: l}
-	l.costNs = deliverBaseNs
+func (h *Host) newLayout(gen uint64, res *core.Result) *layout {
+	l := &layout{gen: gen, res: res, hist: obs.NewHistogram(), costNs: deliverBaseNs}
+	// A host's queue is never hardened: Link synthesizes no validator and
+	// cannot fail.
+	l.lane, _ = h.q.Link(res)
+	l.lane.Owner = l
 	for _, a := range res.Accessors {
 		if a.Hardware {
 			l.costNs += hwReadNs
 		} else {
 			l.costNs += softReadNs
 		}
-		fn, ok := golden[a.Semantic]
-		if !ok {
-			continue
-		}
-		mask := ^uint64(0)
-		if a.Hardware && a.WidthBits > 0 && a.WidthBits < 64 {
-			mask = (1 << a.WidthBits) - 1
-		}
-		l.checks = append(l.checks, goldenCheck{sem: a.Semantic, fn: fn, mask: mask})
 	}
 	return l
 }
@@ -148,9 +107,8 @@ type Host struct {
 	Model *nic.Model
 
 	// q is the host's receive queue, stamping grid packets on the host clock.
-	q      *rxpath.Queue
-	clk    vclock.Clock
-	golden map[semantics.Name]codegen.SoftFunc
+	q   *rxpath.Queue
+	clk vclock.Clock
 
 	// lkg is the last-known-good layout: the newest committed generation.
 	// trial is an uncommitted rollout generation being baked; it serves
@@ -160,7 +118,7 @@ type Host struct {
 	trial       *layout
 	trialExpiry uint64
 
-	fifo [][]byte // arrival order, exactly-once by slice identity
+	fifo rxpath.FIFO
 
 	accepted, delivered, rejected uint64
 	garbage, orderViol            uint64
@@ -199,7 +157,6 @@ func NewHost(name string, m *nic.Model, opts HostOptions) (*Host, error) {
 		Name:         name,
 		Model:        m,
 		clk:          opts.Clock,
-		golden:       goldenFuncs(),
 		garbageByGen: make(map[uint64]uint64),
 		rec:          rec,
 		fq:           rec.Queue(name),
@@ -218,8 +175,8 @@ func NewHost(name string, m *nic.Model, opts HostOptions) (*Host, error) {
 	if h.q, err = rxpath.New(dev, res.Config, h.clk); err != nil {
 		return nil, fmt.Errorf("fleet host %s: boot apply: %w", name, err)
 	}
-	h.lkg = newLayout(0, res, h.golden)
-	h.q.SetLane(0, &h.lkg.lane)
+	h.lkg = h.newLayout(0, res)
+	h.q.SetLane(0, h.lkg.lane)
 	return h, nil
 }
 
@@ -278,7 +235,7 @@ func (h *Host) Rx(pkt []byte) bool {
 		h.fq.RecordT(now, flight.EvRingFull, seq, uint64(h.q.Live()), 0)
 		return false
 	}
-	h.fifo = append(h.fifo, pkt)
+	h.fifo.Push(pkt)
 	h.accepted++
 	if flight.Sampled(seq) {
 		h.fq.RecordT(now, flight.EvRingPush, seq, uint64(h.q.Live()), 0)
@@ -294,8 +251,8 @@ func (h *Host) Poll() int {
 }
 
 // deliver checks one delivery against the S23 oracle family: exactly-once
-// in order (FIFO, by slice identity) and golden metadata (every checkable
-// read equals the SoftNIC ground truth under the accessor's width). The
+// in order (rxpath.FIFO) and golden metadata (every read of the layout
+// equals what rxpath.Want expects of it). The
 // layout's modelled service cost is charged to the host clock and observed
 // into its latency histogram; oracle violations are recorded as flight
 // anomalies so telemetry reports can cite them verbatim.
@@ -316,25 +273,23 @@ func (h *Host) deliver(pkt []byte, m rxpath.Meta) {
 	now := h.clk.Now()
 	seq := uint32(h.delivered + 1)
 	anomalous := false
-	if len(h.fifo) == 0 || &h.fifo[0][0] != &pkt[0] {
+	if !h.fifo.Pop(pkt) {
 		h.orderViol++
 		anomalous = true
 		h.note(fmt.Sprintf("gen %d: delivery out of order or duplicated", lay.gen))
 		h.fq.RecordT(now, flight.EvOrderViol, seq, 0, lay.gen)
-	} else {
-		h.fifo = h.fifo[1:]
 	}
-	for _, c := range lay.checks {
-		got, err := d.RT.Read(c.sem, d.Rec, pkt)
-		if err != nil {
+	for _, r := range d.RT.Readers {
+		want, ok := rxpath.Want(m, string(r.Semantic))
+		if !ok || !r.Linked() {
 			continue
 		}
-		if want := c.fn(pkt) & c.mask; got != want {
+		if got := r.Read(d.Rec, pkt); got != want {
 			h.garbage++
 			h.garbageByGen[lay.gen]++
 			anomalous = true
-			h.note(fmt.Sprintf("gen %d: read %s = %#x, ground truth %#x", lay.gen, c.sem, got, want))
-			h.fq.RecordT(now, flight.EvGarbage, seq, flight.PackName(string(c.sem)), lay.gen)
+			h.note(fmt.Sprintf("gen %d: read %s = %#x, ground truth %#x", lay.gen, r.Semantic, got, want))
+			h.fq.RecordT(now, flight.EvGarbage, seq, flight.PackName(string(r.Semantic)), lay.gen)
 		}
 	}
 	h.delivered++
@@ -377,8 +332,8 @@ func (h *Host) ApplyTrial(gen uint64, res *core.Result, leaseNs uint64) error {
 	now := h.clk.Now()
 	h.fq.RecordT(now, flight.EvApply, uint32(gen), 0, gen)
 	h.fq.RecordT(now, flight.EvVerify, uint32(gen), 0, gen)
-	h.trial = newLayout(gen, res, h.golden)
-	h.q.SetLane(0, &h.trial.lane)
+	h.trial = h.newLayout(gen, res)
+	h.q.SetLane(0, h.trial.lane)
 	h.trialExpiry = now + leaseNs
 	return nil
 }
@@ -416,7 +371,7 @@ func (h *Host) revertToLKG() error {
 		return fmt.Errorf("fleet host %s: revert: %w", h.Name, err)
 	}
 	h.fq.RecordT(h.clk.Now(), flight.EvRollback, uint32(gen), 0, gen)
-	h.q.SetLane(0, &h.lkg.lane)
+	h.q.SetLane(0, h.lkg.lane)
 	h.trial = nil
 	h.trialExpiry = 0
 	return nil

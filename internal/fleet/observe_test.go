@@ -7,10 +7,12 @@ import (
 	"strings"
 	"testing"
 
+	"opendesc/internal/codegen"
 	"opendesc/internal/fleet/telemetry"
 	"opendesc/internal/nic"
 	"opendesc/internal/obs"
 	"opendesc/internal/obs/flight"
+	"opendesc/internal/semantics"
 	"opendesc/internal/vclock"
 )
 
@@ -317,16 +319,17 @@ func TestAnomalousDeliveryOffGridCarriesNoRxStamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The oracle's ground truth is wrong for the first packet alone: one
-	// garbage anomaly, at sequence 1.
+	// The layout reads pkt_len wrong for the first packet alone: one garbage
+	// anomaly, at sequence 1.
 	first := testPacket(0)
-	truth := h.lkg.checks[0].fn
-	h.lkg.checks[0].fn = func(p []byte) uint64 {
-		if &p[0] == &first[0] {
-			return ^truth(p)
-		}
-		return truth(p)
-	}
+	h.lkg.lane.RT = codegen.NewSoftRuntime(h.lkg.res, map[semantics.Name]codegen.SoftFunc{
+		semantics.PktLen: func(p []byte) uint64 {
+			if &p[0] == &first[0] {
+				return ^uint64(len(p))
+			}
+			return uint64(len(p))
+		},
+	})
 	const wait = 500
 	for i := 0; i < flight.SamplePeriod; i++ {
 		pk := first

@@ -8,14 +8,15 @@
 //
 // The DMA modelled is the completion record, into a ring whose stride is the
 // description's largest Size(p) in whole 8-byte words. Packet bytes reach the
-// host by reference; Config.BufSize is the frame-size check.
+// host by reference; a 2 KiB frame buffer (bufSize) is the frame-size check.
 //
 // What is fixed is decided when the device is built: the ring stride, and
 // every field an emit vertex commits, resolved once, in New, to an offload
 // slot and a width.
-// What is left per packet is the walk itself and the golden reference engines,
-// each of which runs on first use — a layout that does not carry a semantic
-// (and no branch condition that reads it) never computes it.
+// What is left per packet is the walk itself and the offload engines — each
+// slot's row of softnic's reference table, the value every shim and oracle
+// reads too — each of which runs on first use: a layout that does not carry
+// a semantic (and no branch condition that reads it) never computes it.
 package nicsim
 
 import (
@@ -45,44 +46,23 @@ import (
 type Config struct {
 	// RingEntries is the completion ring depth (default 1024).
 	RingEntries int
-	// BufSize is the largest frame accepted (default 2048); longer ones drop.
-	BufSize int
 	// QueueID is reported through the queue_id semantic.
 	QueueID uint16
-	// TimestampStep is the simulated clock advance per received packet in
-	// nanoseconds (default 100).
-	TimestampStep uint64
-	// Mark is the value reported for the mark semantic (a match-action rule
-	// tag); configurable like a flow rule.
-	Mark uint64
-	// CryptoCtx is the crypto context id the (simulated) inline-crypto engine
-	// attaches to packets.
-	CryptoCtx uint64
 	// Clock, when non-nil, is the timeline the timestamp semantic reads (each
 	// received packet is stamped Clock.Now()). Nil keeps the device's internal
-	// free-running counter, which advances TimestampStep per packet. Chaos
+	// free-running counter, which advances timestampStep per packet. Chaos
 	// runs inject the shared virtual clock here so device timestamps sit on
 	// the same deterministic timeline as the rest of the stack.
 	Clock vclock.Clock
 }
 
-// WithDefaults returns the configuration with unset fields defaulted — the
-// concrete device state a zero Config produces (the hardened driver derives
-// its device-state validation constants from it).
-func (c Config) WithDefaults() Config { return c.withDefaults() }
-
-func (c Config) withDefaults() Config {
-	if c.RingEntries == 0 {
-		c.RingEntries = 1024
-	}
-	if c.BufSize == 0 {
-		c.BufSize = 2048
-	}
-	if c.TimestampStep == 0 {
-		c.TimestampStep = 100
-	}
-	return c
-}
+const (
+	// bufSize is the largest frame accepted; longer ones drop.
+	bufSize = 2048
+	// timestampStep is the free-running clock's advance per received packet,
+	// in nanoseconds.
+	timestampStep = 100
+)
 
 // Device is a simulated OpenDesc-described NIC.
 type Device struct {
@@ -143,9 +123,7 @@ type Device struct {
 	cmptBuf []byte
 }
 
-// Offload slots: one per semantic the simulated engines can compute. The
-// engines before slotErrorFlags read only the frame length and device state;
-// those from it on read the parsed headers.
+// Offload slots: one per semantic the simulated engines can compute.
 const (
 	slotPktLen = iota
 	slotTimestamp
@@ -192,6 +170,14 @@ var offloadSemantics = [nSlots]semantics.Name{
 	slotParserDepth: semantics.ParserDepth,
 }
 
+// refs holds each slot's row of the reference table.
+var refs = func() (r [nSlots]*softnic.Row) {
+	for slot, s := range offloadSemantics {
+		r[slot] = softnic.Lookup(s)
+	}
+	return r
+}()
+
 // fieldSrc says where a field's value comes from: an offload slot (or
 // slotZero, slotCtx) and the field's width in bits. Fields wider than 64 bits
 // are padding.
@@ -210,7 +196,9 @@ var ErrConfigNAK = errors.New("register write NAKed")
 
 // New builds a simulated device for a NIC model.
 func New(m *nic.Model, cfg Config) (*Device, error) {
-	cfg = cfg.withDefaults()
+	if cfg.RingEntries == 0 {
+		cfg.RingEntries = 1024
+	}
 	g, err := m.Graph()
 	if err != nil {
 		return nil, err
@@ -495,7 +483,7 @@ func (d *Device) RegisterMetrics(reg *obs.Registry, extra ...obs.Label) {
 // deparser CFG under the programmed context — running the offload engines the
 // walk asks for — and DMAs the completion record.
 // It returns false when the packet is dropped, as hardware would: the device
-// is wedged, the frame is longer than BufSize, or the completion ring is full
+// is wedged, the frame is longer than bufSize, or the completion ring is full
 // — each refused before any engine runs.
 func (d *Device) RxPacket(packet []byte) bool {
 	// seq is this packet's 1-based count, matching the driver's Rx sequence.
@@ -507,14 +495,14 @@ func (d *Device) RxPacket(packet []byte) bool {
 		d.fq.Record(flight.EvHangDrop, seq-1, 0, 0)
 		return false
 	}
-	if len(packet) > d.cfg.BufSize || !d.CmptRing.HasRoom() {
+	if len(packet) > bufSize || !d.CmptRing.HasRoom() {
 		d.drops.Inc()
 		return false
 	}
 	if d.cfg.Clock != nil {
 		d.clock = d.cfg.Clock.Now()
 	} else {
-		d.clock += d.cfg.TimestampStep
+		d.clock += timestampStep
 	}
 
 	d.packet, d.parsed, d.have = packet, false, 1<<slotZero
@@ -620,97 +608,23 @@ func (d *Device) val(slot int) uint64 {
 	return d.vals[slot]
 }
 
-// engine runs one golden reference engine over the packet being received.
+// engine runs one offload engine over the packet being received: the length
+// and the clock are the device's own; every other slot is its row of the
+// reference table (softnic), read on the frame the device parsed — on a
+// frame the parser rejects, the row states the value.
 func (d *Device) engine(slot int) uint64 {
-	in := &d.info
-	if slot >= slotErrorFlags {
-		if !d.parsed {
-			d.parsed, d.parseOK = true, pkt.Decode(d.packet, in) == nil
-		}
-		if !d.parseOK && slot != slotErrorFlags {
-			// Undecodable frame: only the error-flags engine has anything to
-			// report; the others did not run and read zero.
-			return 0
-		}
-	}
 	d.offloads[slot].Inc()
 	switch slot {
 	case slotPktLen:
 		return uint64(len(d.packet))
 	case slotTimestamp:
 		return d.clock
-	case slotQueueID:
-		return uint64(d.cfg.QueueID)
-	case slotMark:
-		return d.cfg.Mark
-	case slotCryptoCtx:
-		return d.cfg.CryptoCtx
-	case slotLROSegs, slotSegCnt:
-		return 1
-	case slotRXDropHint:
-		return 0
-	case slotErrorFlags:
-		if !d.parseOK {
-			return 0x80 // parse error
-		}
-		var errFlags uint64
-		if in.L3 == pkt.L3IPv4 && in.L3Off >= 0 {
-			hdr := in.Data[in.L3Off:]
-			ihl := int(hdr[0]&0x0F) * 4
-			if ihl >= pkt.IPv4MinLen && in.L3Off+ihl <= len(in.Data) && !pkt.VerifyIPv4Header(hdr[:ihl]) {
-				errFlags |= 1
-			}
-		}
-		if (in.L4 == pkt.L4TCP || in.L4 == pkt.L4UDP) && !pkt.VerifyL4(in) {
-			errFlags |= 2
-		}
-		return errFlags
-	case slotRSS:
-		return uint64(softnic.RSS(in))
-	case slotIPChecksum:
-		return uint64(softnic.IPChecksum(in))
-	case slotL4Checksum:
-		return uint64(softnic.L4Checksum(in))
-	case slotVLAN:
-		return uint64(softnic.VLANTCI(in))
-	case slotPType:
-		return uint64(softnic.PType(in))
-	case slotFlowID:
-		return uint64(softnic.FlowID(in))
-	case slotIPID:
-		return uint64(in.IPID)
-	case slotKVKey:
-		return softnic.KVKey(in)
-	case slotPayloadHash:
-		return uint64(softnic.PayloadHash(in))
-	case slotTunnelID:
-		return uint64(softnic.TunnelID(in))
-	case slotL4Port:
-		return uint64(in.DstPort)
-	case slotDecapFlag:
-		if d.val(slotTunnelID) != 0 {
-			return 1
-		}
-		return 0
-	case slotChecksumAny:
-		switch {
-		case in.L4 == pkt.L4TCP || in.L4 == pkt.L4UDP:
-			return 2
-		case in.L3 == pkt.L3IPv4:
-			return 1
-		}
-		return 0
-	case slotParserDepth:
-		depth := uint64(1)
-		if in.L3 != pkt.L3None {
-			depth++
-		}
-		if in.L4 != pkt.L4None {
-			depth++
-		}
-		return depth
 	}
-	panic("nicsim: no engine for slot " + strconv.Itoa(slot))
+	ref := refs[slot]
+	if ref.Packet() && !d.parsed {
+		d.parsed, d.parseOK = true, pkt.Decode(d.packet, &d.info) == nil
+	}
+	return ref.Eval(&d.info, d.parseOK, d.cfg.QueueID)
 }
 
 // Lookup implements sema.Env for the deparser's conditions: a metadata field

@@ -70,11 +70,14 @@ func (r *reference) computeOffloads(packet []byte, clock uint64) map[semantics.N
 	vals[semantics.PktLen] = uint64(len(packet))
 	vals[semantics.Timestamp] = clock
 	vals[semantics.QueueID] = uint64(cfg.QueueID)
-	vals[semantics.Mark] = cfg.Mark
-	vals[semantics.CryptoCtx] = cfg.CryptoCtx
+	vals[semantics.Mark] = 0
+	vals[semantics.CryptoCtx] = 0
 	vals[semantics.LROSegs] = 1
 	vals[semantics.SegCnt] = 1
 	vals[semantics.RXDropHint] = 0
+	// The VLAN tag is read wherever it decoded, even if the parser gave up
+	// further in.
+	vals[semantics.VLAN] = uint64(softnic.VLANTCI(in))
 	if !decodeOK {
 		vals[semantics.ErrorFlags] = 0x80 // parse error
 		return vals
@@ -82,7 +85,6 @@ func (r *reference) computeOffloads(packet []byte, clock uint64) map[semantics.N
 	vals[semantics.RSS] = uint64(softnic.RSS(in))
 	vals[semantics.IPChecksum] = uint64(softnic.IPChecksum(in))
 	vals[semantics.L4Checksum] = uint64(softnic.L4Checksum(in))
-	vals[semantics.VLAN] = uint64(softnic.VLANTCI(in))
 	vals[semantics.PType] = uint64(softnic.PType(in))
 	vals[semantics.FlowID] = uint64(softnic.FlowID(in))
 	vals[semantics.IPID] = uint64(in.IPID)
@@ -339,7 +341,7 @@ func TestOnDemandMatchesEagerReference(t *testing.T) {
 // differential receives the trace on a device programmed from cons and on
 // the reference, and returns how many packets both accepted.
 func differential(t *testing.T, m *nic.Model, cons []core.Constraint, trace [][]byte) uint64 {
-	dev := MustNew(m, Config{QueueID: 3, Mark: 0xABCDE, CryptoCtx: 0x55, RingEntries: 8})
+	dev := MustNew(m, Config{QueueID: 3, RingEntries: 8})
 	if err := dev.ApplyConfig(cons); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +350,7 @@ func differential(t *testing.T, m *nic.Model, cons []core.Constraint, trace [][]
 	dev.WriteReg("ctx.qtag", 0x1A5) // wider than the 8-bit field
 	ref := newReference(dev)
 	for i, p := range trace {
-		want := ref.rx(p, dev.clock+dev.cfg.TimestampStep)
+		want := ref.rx(p, dev.clock+timestampStep)
 		dmaBefore := dev.cmptBytes.Load()
 		ok := dev.RxPacket(p)
 		if ok != (want != nil) {

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 
 	"opendesc/internal/codegen"
-	"opendesc/internal/nicsim"
 	"opendesc/internal/obs"
 	"opendesc/internal/obs/flight"
 	"opendesc/internal/retry"
@@ -70,6 +69,9 @@ const deliveredDepth = 8
 // RegisterMetrics may be read concurrently.
 type hardening struct {
 	opts HardenOptions
+	// consts is the device state the queue's device pins, which every lane's
+	// validator checks structurally.
+	consts map[semantics.Name]uint64
 
 	degraded    atomic.Bool
 	faultStreak int
@@ -106,27 +108,14 @@ type hardening struct {
 	restores       obs.Counter
 }
 
-// SoftConsts are the device-state semantics whose value is pinned by the
-// device configuration; the validator checks them as constants and degraded
-// mode serves them as constants.
-func SoftConsts(cfg nicsim.Config) map[semantics.Name]uint64 {
-	return map[semantics.Name]uint64{
-		semantics.QueueID:    uint64(cfg.QueueID),
-		semantics.Mark:       cfg.Mark,
-		semantics.CryptoCtx:  cfg.CryptoCtx,
-		semantics.LROSegs:    1,
-		semantics.SegCnt:     1,
-		semantics.RXDropHint: 0,
-	}
-}
-
 // Harden arms the hardening policy on the queue — completion validation,
 // the device watchdog, SoftNIC degraded mode — and every lane it has. It
 // must be called before the first Rx.
 func (q *Queue) Harden(opts HardenOptions) error {
 	opts = opts.withDefaults()
 	q.hard = &hardening{
-		opts: opts,
+		opts:   opts,
+		consts: softnic.Consts(q.view.queue),
 		resetBo: retry.Policy{
 			BaseDelay: 1,
 			MaxDelay:  uint64(opts.MaxResetBackoff),
@@ -136,7 +125,7 @@ func (q *Queue) Harden(opts HardenOptions) error {
 		if l == nil {
 			continue
 		}
-		if err := q.Arm(l); err != nil {
+		if err := q.arm(l); err != nil {
 			q.hard = nil
 			return err
 		}
@@ -144,35 +133,21 @@ func (q *Queue) Harden(opts HardenOptions) error {
 	return nil
 }
 
-// Arm synthesizes l's validator and software runtime when the queue is
-// hardened (a no-op otherwise). A control plane arms each lane it builds
-// before it reprograms the device for it.
-func (q *Queue) Arm(l *Lane) error {
+// arm synthesizes l's validator and software runtime when the queue is
+// hardened (a no-op otherwise).
+func (q *Queue) arm(l *Lane) error {
 	if q.hard == nil {
 		return nil
 	}
-	consts := SoftConsts(q.dev.Config())
-	soft := softnic.Funcs()
-	for sem, v := range consts {
-		if _, ok := soft[sem]; !ok {
-			val := v
-			soft[sem] = func([]byte) uint64 { return val }
-		}
-	}
-	if _, ok := soft[semantics.Timestamp]; !ok {
-		// No host-side clock can reproduce the device timestamp; degraded
-		// mode reports 0 (and the validator skips the field).
-		soft[semantics.Timestamp] = func([]byte) uint64 { return 0 }
-	}
 	v, err := codegen.NewValidator(l.RT.Result, codegen.ValidatorOptions{
 		Deep:   q.hard.opts.Deep,
-		Soft:   softnic.Funcs(),
-		Consts: consts,
+		Soft:   q.soft,
+		Consts: q.hard.consts,
 	})
 	if err != nil {
 		return err
 	}
-	l.Validator, l.Soft = v, codegen.NewSoftRuntime(l.RT.Result, soft)
+	l.Validator, l.Soft = v, codegen.NewSoftRuntime(l.RT.Result, q.soft)
 	return nil
 }
 

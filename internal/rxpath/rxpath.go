@@ -24,16 +24,17 @@ import (
 	"opendesc/internal/vclock"
 )
 
-// Lane is what a packet is read under. A pinned driver has one forever, an
-// evolving driver one per generation, a tenant plane one per tenant per
-// generation, a fleet host one per layout.
+// Lane is what a packet is read under, linked by Queue.Link against the
+// queue's device. A pinned driver has one forever, an evolving driver one per
+// generation, a tenant plane one per tenant per shard per generation, a fleet
+// host one per layout.
 type Lane struct {
 	RT *codegen.Runtime
 	// Reads counts each Meta.Get for a renegotiation control plane: one
 	// counter per entry of RT's reader table, nil where nothing tracks it.
 	Reads []*obs.Counter
-	// Validator and Soft are set by Queue.Arm on a hardened queue. Elsewhere
-	// Soft is built on first use, for a packet a drain found no record for.
+	// Validator and Soft are set on a hardened queue. Elsewhere Soft is built
+	// on first use, for a packet a drain found no record for.
 	Validator *codegen.Validator
 	Soft      *codegen.Runtime
 	// Owner is client state riding with the lane (the fleet host's oracle
@@ -82,6 +83,8 @@ type Delivery struct {
 	// ts, non-zero for stamped packets, makes each Get emit a flight event
 	// (hardware load vs shim call) reusing the Poll timestamp.
 	ts uint64
+	// queue is the receiving device's queue id.
+	queue uint16
 }
 
 // Meta reads per-packet metadata inside a delivery handler. It is a one-word
@@ -127,6 +130,41 @@ func (m Meta) Hardware(sem string) bool {
 	return r != nil && r.Hardware
 }
 
+// Want is the golden-metadata oracle's expectation for the delivery in
+// progress: the value a read of sem must return — softnic.Expect for the
+// packet on the receiving device, under the width of the hardware field that
+// serves it. ok is false when sem is outside the lane or there is nothing to
+// expect (the device clock).
+func Want(m Meta, sem string) (uint64, bool) {
+	d := m.d
+	r := d.RT.Reader(semantics.Name(sem))
+	if r == nil {
+		return 0, false
+	}
+	width := 64
+	if r.Hardware {
+		width = r.WidthBits
+	}
+	return softnic.Expect(r.Semantic, d.Pkt, d.queue, width)
+}
+
+// FIFO is the exactly-once oracle: the packets a harness saw accepted, in
+// arrival order. A delivery must be the head — the same slice, not equal
+// bytes — so a duplicate, a reordering or a spurious delivery fails Pop.
+type FIFO [][]byte
+
+// Push records an accepted packet.
+func (f *FIFO) Push(pkt []byte) { *f = append(*f, pkt) }
+
+// Pop consumes the head if pkt is it.
+func (f *FIFO) Pop(pkt []byte) bool {
+	if len(*f) == 0 || len(pkt) == 0 || &(*f)[0][0] != &pkt[0] {
+		return false
+	}
+	*f = (*f)[1:]
+	return true
+}
+
 // DeliverFunc receives one delivered packet and its metadata view.
 type DeliverFunc func(pkt []byte, m Meta)
 
@@ -141,6 +179,11 @@ type Queue struct {
 	parked  []parked // consumed by a Drain, delivered first by the next Poll
 	view    Delivery
 	hard    *hardening
+	// soft is the reference table of the queue's device (softnic.Table of
+	// its queue id), what every lane linked here computes the semantics its
+	// layout lacks with; shims is the same table, instrumented on an evolving
+	// queue (Instrument) — the all-software runtimes stay on soft.
+	soft, shims map[semantics.Name]codegen.SoftFunc
 
 	// fq is the "q0" ring of the queue's always-armed flight recorder, shared
 	// with the device so DMA, ring, validator and delivery events interleave
@@ -169,6 +212,9 @@ func New(dev *nicsim.Device, cfg []core.Constraint, clock vclock.Clock) (*Queue,
 		return nil, err
 	}
 	q := &Queue{dev: dev, cfg: cfg, clock: clock, dmaToPoll: obs.NewHistogram(), pollToDeliver: obs.NewHistogram()}
+	q.view.queue = dev.Config().QueueID
+	q.soft = softnic.Table(q.view.queue)
+	q.shims = q.soft
 	if clock == nil {
 		q.fq = flight.NewRecorder(flight.Config{}).Queue("q0")
 		q.view.fq = q.fq
@@ -185,6 +231,20 @@ func (q *Queue) Flight() *flight.Recorder { return q.fq.Recorder() }
 
 // FlightQueue returns the recorder's "q0" event ring.
 func (q *Queue) FlightQueue() *flight.Queue { return q.fq }
+
+// Instrument makes the lanes linked from now on count their shim calls and
+// time into st (the measured w(s) an evolving driver re-solves with).
+func (q *Queue) Instrument(st *softnic.ShimStats) { q.shims = st.Instrument(q.soft) }
+
+// Link returns the lane res is read under on this queue: accessors over the
+// completion record and, for what the layout lacks, the shims of this
+// queue's device — queue_id reads the device's queue. On a hardened queue
+// the lane also gets its validator and all-software runtime; synthesizing
+// the validator is what can fail.
+func (q *Queue) Link(res *core.Result) (*Lane, error) {
+	l := &Lane{RT: codegen.NewRuntime(res, q.shims)}
+	return l, q.arm(l)
+}
 
 // Lane returns the lane packets tagged tag are currently read under.
 func (q *Queue) Lane(tag int) *Lane { return q.lanes[tag] }
@@ -425,7 +485,7 @@ func (q *Queue) judge(cur *ring.Cursor, n int, l *Lane) ([]byte, verdict) {
 			h.noteLost(q, p, 0)
 		}
 		if l.Soft == nil {
-			l.Soft = codegen.NewSoftRuntime(l.RT.Result, softnic.Funcs())
+			l.Soft = codegen.NewSoftRuntime(l.RT.Result, q.soft)
 		}
 		return nil, deliver
 	}

@@ -1,9 +1,10 @@
 // Package softnic provides the software reference implementation of every
 // emulable semantic — the "SoftNIC-like framework [that] emulates each
-// missing semantic at a run-time cost" of the paper. The OpenDesc compiler
-// links these functions as shims for the semantics the selected completion
-// layout does not provide, and the calibration routine measures w(s) on the
-// running machine to replace the static cost table.
+// missing semantic at a run-time cost" of the paper — as the one reference
+// table (table.go) the simulated device, the shims and every oracle read.
+// The OpenDesc runtime links its rows as shims for the semantics the
+// selected completion layout does not provide, and the calibration routine
+// measures w(s) on the running machine to replace the static cost table.
 package softnic
 
 import (
@@ -11,7 +12,6 @@ import (
 	"encoding/binary"
 	"time"
 
-	"opendesc/internal/codegen"
 	"opendesc/internal/pkt"
 	"opendesc/internal/semantics"
 )
@@ -248,89 +248,6 @@ func TunnelID(in *pkt.Info) uint32 {
 	return uint32(p[4])<<16 | uint32(p[5])<<8 | uint32(p[6])
 }
 
-// Funcs returns the SoftNIC shim table for the codegen runtime: each function
-// decodes the raw packet and computes one semantic. Decoding cost is paid per
-// call, exactly as a software fallback on a descriptor-less datapath would.
-func Funcs() map[semantics.Name]codegen.SoftFunc {
-	perPacket := func(f func(*pkt.Info) uint64) codegen.SoftFunc {
-		return func(packet []byte) uint64 {
-			var in pkt.Info
-			if err := pkt.Decode(packet, &in); err != nil {
-				return 0
-			}
-			return f(&in)
-		}
-	}
-	return map[semantics.Name]codegen.SoftFunc{
-		semantics.RSS:        perPacket(func(in *pkt.Info) uint64 { return uint64(RSS(in)) }),
-		semantics.IPChecksum: perPacket(func(in *pkt.Info) uint64 { return uint64(IPChecksum(in)) }),
-		semantics.L4Checksum: perPacket(func(in *pkt.Info) uint64 { return uint64(L4Checksum(in)) }),
-		// VLAN needs no full decode: peek the EtherType and TCI directly
-		// (this is why w(vlan) is among the cheapest costs in the model).
-		semantics.VLAN: func(packet []byte) uint64 {
-			if len(packet) < pkt.EthHeaderLen+pkt.VLANTagLen {
-				return 0
-			}
-			et := uint16(packet[12])<<8 | uint16(packet[13])
-			if et != pkt.EtherTypeVLAN && et != pkt.EtherTypeQinQ {
-				return 0
-			}
-			return uint64(packet[14])<<8 | uint64(packet[15])
-		},
-		semantics.PType:       perPacket(func(in *pkt.Info) uint64 { return uint64(PType(in)) }),
-		semantics.FlowID:      perPacket(func(in *pkt.Info) uint64 { return uint64(FlowID(in)) }),
-		semantics.IPID:        perPacket(func(in *pkt.Info) uint64 { return uint64(in.IPID) }),
-		semantics.PktLen:      func(packet []byte) uint64 { return uint64(len(packet)) },
-		semantics.KVKey:       perPacket(KVKey),
-		semantics.PayloadHash: perPacket(func(in *pkt.Info) uint64 { return uint64(PayloadHash(in)) }),
-		semantics.TunnelID:    perPacket(func(in *pkt.Info) uint64 { return uint64(TunnelID(in)) }),
-		semantics.DecapFlag:   perPacket(func(in *pkt.Info) uint64 { return boolBit(TunnelID(in) != 0) }),
-		semantics.L4Port:      perPacket(func(in *pkt.Info) uint64 { return uint64(in.DstPort) }),
-		semantics.SegCnt:      func(packet []byte) uint64 { return 1 },
-		semantics.ErrorFlags: perPacket(func(in *pkt.Info) uint64 {
-			var f uint64
-			if in.L3 == pkt.L3IPv4 && in.L3Off >= 0 {
-				hdr := in.Data[in.L3Off:]
-				ihl := int(hdr[0]&0x0F) * 4
-				if ihl >= pkt.IPv4MinLen && in.L3Off+ihl <= len(in.Data) && !pkt.VerifyIPv4Header(hdr[:ihl]) {
-					f |= 1
-				}
-			}
-			if (in.L4 == pkt.L4TCP || in.L4 == pkt.L4UDP) && !pkt.VerifyL4(in) {
-				f |= 2
-			}
-			return f
-		}),
-		semantics.ChecksumAny: perPacket(func(in *pkt.Info) uint64 {
-			lvl := uint64(0)
-			if in.L3 == pkt.L3IPv4 {
-				lvl = 1
-			}
-			if in.L4 == pkt.L4TCP || in.L4 == pkt.L4UDP {
-				lvl = 2
-			}
-			return lvl
-		}),
-		semantics.ParserDepth: perPacket(func(in *pkt.Info) uint64 {
-			d := uint64(1)
-			if in.L3 != pkt.L3None {
-				d++
-			}
-			if in.L4 != pkt.L4None {
-				d++
-			}
-			return d
-		}),
-		// queue_id: the polling thread knows which queue it drains; the shim
-		// returns the conventional single-queue id and datapaths that spread
-		// over queues bind their own closure instead.
-		semantics.QueueID: func(packet []byte) uint64 { return 0 },
-		semantics.InnerCsum: perPacket(func(in *pkt.Info) uint64 {
-			return uint64(innerChecksumStatus(in))
-		}),
-	}
-}
-
 // innerChecksumStatus validates the checksum of a VXLAN-encapsulated inner
 // frame: 0 = no tunnel, 1 = inner valid, 2 = inner invalid/undecodable.
 func innerChecksumStatus(in *pkt.Info) uint8 {
@@ -353,13 +270,6 @@ func innerChecksumStatus(in *pkt.Info) uint8 {
 		}
 	}
 	return 1
-}
-
-func boolBit(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // Calibrate measures the per-packet cost of each emulable semantic on the

@@ -209,3 +209,19 @@ func TestCalibratedPayloadScaling(t *testing.T) {
 			cs[semantics.L4Checksum], cl[semantics.L4Checksum])
 	}
 }
+
+// TestShimsDoNotAllocate: each shim decodes into a pkt.Info on its own stack
+// — the kernel is inlined into the shim where the row is built, and a row
+// whose kernel stops inlining would put every shim call on the heap — and
+// Expect reads the same shims.
+func TestShimsDoNotAllocate(t *testing.T) {
+	p := pkt.NewBuilder().WithVLAN(5).WithTCP(1, 2, 0).WithPayload([]byte("get k\r\n")).Build()
+	for name, f := range Table(3) {
+		if a := testing.AllocsPerRun(20, func() { f(p) }); a != 0 {
+			t.Errorf("%s shim: %v allocations per call", name, a)
+		}
+		if a := testing.AllocsPerRun(20, func() { Expect(name, p, 3, 16) }); a != 0 {
+			t.Errorf("Expect(%s): %v allocations per call", name, a)
+		}
+	}
+}

@@ -21,8 +21,7 @@ type ShimStats struct {
 	fq *flight.Queue
 }
 
-// AttachFlight wires per-call shim events into a flight-recorder queue
-// (affects funcs built by InstrumentedFuncs after the call).
+// AttachFlight wires per-call shim events into a flight-recorder queue.
 func (st *ShimStats) AttachFlight(q *flight.Queue) { st.fq = q }
 
 // NewShimStats creates counters for every emulable semantic and, when reg
@@ -72,15 +71,20 @@ func (st *ShimStats) MeasuredCost(name semantics.Name) float64 {
 	return float64(sc.Nanos) / float64(sc.Calls)
 }
 
-// InstrumentedFuncs wraps Funcs() so every shim call increments its call
-// counter and attributes its wall time. The timing costs one monotonic
-// clock read pair per call (~tens of ns), so instrumented funcs are meant
-// for observed runs (cmd/nicsim -stats); benchmarks keep the bare Funcs().
-func InstrumentedFuncs(st *ShimStats) map[semantics.Name]codegen.SoftFunc {
-	out := make(map[semantics.Name]codegen.SoftFunc)
-	for name, f := range Funcs() {
-		name, f := name, f
+// Instrument wraps a shim table (Funcs, or a device's Table) so every call
+// of an emulable semantic's shim increments its call counter and attributes
+// its wall time; the other entries are returned as they are. The timing
+// costs one monotonic clock read pair per call (~tens of ns), so
+// instrumented shims are meant for observed runs (cmd/nicsim -stats, the
+// evolving driver's measured w(s)); benchmarks keep the bare table.
+func (st *ShimStats) Instrument(table map[semantics.Name]codegen.SoftFunc) map[semantics.Name]codegen.SoftFunc {
+	out := make(map[semantics.Name]codegen.SoftFunc, len(table))
+	for name, f := range table {
 		calls, nanos := st.calls[name], st.nanos[name]
+		if calls == nil {
+			out[name] = f
+			continue
+		}
 		packed := flight.PackName(string(name))
 		out[name] = func(packet []byte) uint64 {
 			start := time.Now()

@@ -11,7 +11,7 @@ import (
 
 func TestInstrumentedFuncsCountAndCost(t *testing.T) {
 	st := NewShimStats(nil)
-	funcs := InstrumentedFuncs(st)
+	funcs := st.Instrument(Funcs())
 	if len(funcs) != len(Funcs()) {
 		t.Fatalf("instrumented set has %d funcs, bare has %d", len(funcs), len(Funcs()))
 	}
@@ -50,7 +50,7 @@ func TestShimStatsRegistration(t *testing.T) {
 	reg := obs.NewRegistry()
 	st := NewShimStats(reg)
 	p := pkt.NewBuilder().WithUDP(1, 2).Build()
-	InstrumentedFuncs(st)[semantics.PktLen](p)
+	st.Instrument(Funcs())[semantics.PktLen](p)
 
 	var sb strings.Builder
 	reg.WritePrometheus(&sb)

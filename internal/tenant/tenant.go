@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sync"
 
-	"opendesc/internal/codegen"
 	"opendesc/internal/core"
 	"opendesc/internal/evolve"
 	"opendesc/internal/nic"
@@ -104,15 +103,14 @@ type queueState struct {
 	seen   []int
 }
 
-// tenantState is one tenant's runtime view: its intent, its lane — the
-// accessor/shim split over the shared layout with the tenant's read mix
-// bound beside it, swapped on every queue under the plane lock on
-// renegotiation — and its delivery counters.
+// tenantState is one tenant's runtime view: its intent, its port and its
+// delivery counters. Its lanes — the accessor/shim split over the shared
+// layout, one per shard, swapped under the plane lock on renegotiation — live
+// on the queues (link).
 type tenantState struct {
 	spec   Spec
 	intent *core.Intent
 	port   uint16
-	lane   *rxpath.Lane
 
 	accepted  obs.Counter
 	delivered obs.Counter
@@ -272,23 +270,30 @@ func (p *Plane) jointIntents() []core.TenantIntent {
 	return out
 }
 
-// install swaps in a joint result's per-tenant runtimes. Caller holds the
+// install swaps in a joint result's per-tenant lanes. Caller holds the
 // write lock (or is Open, pre-publication).
 func (p *Plane) install(jr *core.JointResult) {
 	p.joint = jr
 	for i := range p.tenants {
-		p.bindRuntime(i, codegen.NewRuntime(jr.PerTenant[i], softnic.Funcs()))
+		p.link(i, jr.PerTenant[i])
 	}
 	p.gen++
 }
 
-// bindRuntime gives tenant i a lane on every queue: an accessor runtime with
-// the tenant's read-mix counters laid out beside its reader table. Packets
-// already parked keep the lane, and the mix, they were parked with.
-func (p *Plane) bindRuntime(i int, rt *codegen.Runtime) {
-	l := &rxpath.Lane{RT: rt, Reads: p.res.Bind(i, rt)}
-	p.tenants[i].lane = l
+// link gives tenant i a lane for res on every queue, linked against that
+// queue's device — shard q reads queue_id q — with the tenant's read-mix
+// counters laid out beside the reader table, one set for every shard.
+// Packets already parked keep the lane, and the mix, they were parked with.
+func (p *Plane) link(i int, res *core.Result) {
+	var reads []*obs.Counter
 	for _, qs := range p.queues {
+		// A plane's queues are never hardened: Link synthesizes no validator
+		// and cannot fail.
+		l, _ := qs.q.Link(res)
+		if reads == nil {
+			reads = p.res.Bind(i, l.RT)
+		}
+		l.Reads = reads
 		qs.q.SetLane(i, l)
 	}
 }
@@ -369,17 +374,11 @@ func (d *Delivery) Get(sem string) (uint64, bool) { return d.m.Get(sem) }
 // completion record.
 func (d *Delivery) Hardware(sem string) bool { return d.m.Hardware(sem) }
 
-// Width returns the linked accessor's field width in bits (0 when the
-// semantic is not linked). A hardware field narrower than the semantic's
-// natural width truncates the value to the field — oracles comparing reads
-// against full-width ground truth must mask to this width.
-func (d *Delivery) Width(sem string) int {
-	r := rxpath.Of(d.m).RT.Reader(semantics.Name(sem))
-	if r == nil || !r.Linked() {
-		return 0
-	}
-	return r.WidthBits
-}
+// Want is the golden-metadata oracle's expectation of a read of sem: its
+// reference value for the packet on the shard's device, under the width of
+// the hardware field serving it (rxpath.Want). ok is false when sem is
+// outside the tenant's intent or there is nothing to expect.
+func (d *Delivery) Want(sem string) (uint64, bool) { return rxpath.Want(d.m, sem) }
 
 // PollCore runs one iteration of core's poll loop: drain the own shard;
 // when it is empty, steal a bounded batch from the most loaded sibling.
@@ -530,7 +529,7 @@ func (p *Plane) Renegotiate(name string, sems ...string) error {
 	}
 	p.tenants[ti].spec.Semantics = append([]string(nil), sems...)
 	p.res.Retarget(ti, intent)
-	p.bindRuntime(ti, p.tenants[ti].lane.RT)
+	p.link(ti, p.joint.PerTenant[ti])
 	p.tenants[ti].renegs.Inc()
 	return nil
 }
@@ -559,12 +558,12 @@ func (p *Plane) MaybeRenegotiate() (switched bool, err error) {
 // switchTo executes the switchover to a new joint result: drain every queue,
 // reprogram every queue, swap the lanes. Caller holds the write lock (all
 // queues quiesced). fastTenant ≥ 0 allows the accessor-only fast path when
-// the selected path is unchanged: only that tenant's lane is swapped (the
-// shared layout, and therefore every neighbor's view, is bit-identical).
+// the selected path is unchanged: only that tenant's lanes change, and the
+// caller links them (the shared layout, and therefore every neighbor's view,
+// is bit-identical).
 func (p *Plane) switchTo(jr *core.JointResult, fastTenant int) error {
 	if jr.Selected.Path.ID == p.joint.Selected.Path.ID && fastTenant >= 0 {
 		p.joint = jr
-		p.bindRuntime(fastTenant, codegen.NewRuntime(jr.PerTenant[fastTenant], softnic.Funcs()))
 		p.gen++
 		p.fastRenegs.Inc()
 		return nil

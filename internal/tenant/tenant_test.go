@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"opendesc/internal/codegen"
 	"opendesc/internal/core"
 	"opendesc/internal/evolve"
 	"opendesc/internal/nic"
@@ -184,7 +185,10 @@ func TestPlaneRenegotiateFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := p.Generation()
-	neighborRT := p.tenants[0].lane.RT
+	var neighborRT []*codegen.Runtime
+	for _, qs := range p.queues {
+		neighborRT = append(neighborRT, qs.q.Lane(0).RT)
+	}
 	pathID := p.Joint().Selected.Path.ID
 	if err := p.Renegotiate("mobile", "flow_id", "pkt_len"); err != nil {
 		t.Fatal(err)
@@ -199,8 +203,10 @@ func TestPlaneRenegotiateFastPath(t *testing.T) {
 	if p.Generation() != gen+1 {
 		t.Errorf("generation = %d, want %d", p.Generation(), gen+1)
 	}
-	if p.tenants[0].lane.RT != neighborRT {
-		t.Error("neighbor's runtime was rebuilt on a fast-path renegotiation")
+	for q, qs := range p.queues {
+		if qs.q.Lane(0).RT != neighborRT[q] {
+			t.Errorf("neighbor's runtime on queue %d was rebuilt on a fast-path renegotiation", q)
+		}
 	}
 	// The renegotiating tenant reads its new semantics.
 	pk := pkt.NewBuilder().

@@ -42,7 +42,6 @@ import (
 	"opendesc/internal/p4/sema"
 	"opendesc/internal/rxpath"
 	"opendesc/internal/semantics"
-	"opendesc/internal/softnic"
 )
 
 // Re-exported core types. The aliases make the internal packages' documented
@@ -261,7 +260,11 @@ func OpenWith(nicName string, intent *Intent, opts OpenOptions) (*Driver, error)
 		if d.q, err = rxpath.New(dev, d.Result.Config, nil); err != nil {
 			return nil, err
 		}
-		d.q.SetLane(0, &rxpath.Lane{RT: codegen.NewRuntime(d.Result, softnic.Funcs())})
+		lane, err := d.q.Link(d.Result)
+		if err != nil {
+			return nil, err
+		}
+		d.q.SetLane(0, lane)
 	}
 	if opts.Harden != nil {
 		if err := d.Harden(*opts.Harden); err != nil {

@@ -8,8 +8,6 @@ import (
 	"opendesc/internal/core"
 	"opendesc/internal/faults"
 	"opendesc/internal/nic"
-	"opendesc/internal/nicsim"
-	"opendesc/internal/rxpath"
 	"opendesc/internal/semantics"
 	"opendesc/internal/softnic"
 )
@@ -44,7 +42,7 @@ func fuzzCompile(t *testing.T) []fuzzCompiled {
 			val, err := codegen.NewValidator(res, codegen.ValidatorOptions{
 				Deep:   true,
 				Soft:   softnic.Funcs(),
-				Consts: rxpath.SoftConsts(nicsim.Config{}.WithDefaults()),
+				Consts: softnic.Consts(0),
 			})
 			if err != nil {
 				panic(m.Name + ": " + err.Error())

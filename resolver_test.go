@@ -47,17 +47,14 @@ func newAccessorOracle(res *core.Result) accessorOracle {
 	return o
 }
 
-// resolve returns whether name is readable, whether it is read from the
-// completion record, and the width of its field.
-func (o accessorOracle) resolve(name string) (ok, hardware bool, width int) {
+// resolve returns whether name is readable and whether it is read from the
+// completion record.
+func (o accessorOracle) resolve(name string) (ok, hardware bool) {
 	a, in := o.byName[semantics.Name(name)]
-	if !in {
-		return false, false, 0
+	if !in || !a.Hardware && o.soft[a.Semantic] == nil {
+		return false, false
 	}
-	if !a.Hardware && o.soft[a.Semantic] == nil {
-		return false, false, 0
-	}
-	return true, a.Hardware, a.WidthBits
+	return true, a.Hardware
 }
 
 func TestMetaResolvesLikeMapOracle(t *testing.T) {
@@ -75,7 +72,7 @@ func TestMetaResolvesLikeMapOracle(t *testing.T) {
 			}
 			n := drv.Poll(func(p []byte, m Meta) {
 				for _, name := range resolverProbes(drv.Result) {
-					wantOK, wantHW, _ := oracle.resolve(name)
+					wantOK, wantHW := oracle.resolve(name)
 					v, ok := m.Get(name)
 					if ok != wantOK {
 						t.Errorf("%s %v: Get(%q) ok = %v, oracle %v", nicName, sems, name, ok, wantOK)
@@ -125,15 +122,18 @@ func TestDeliveryResolvesLikeMapOracle(t *testing.T) {
 			res := plane.Joint().PerTenant[d.Tenant]
 			oracle := newAccessorOracle(res)
 			for _, name := range resolverProbes(res) {
-				wantOK, wantHW, wantWidth := oracle.resolve(name)
-				if _, ok := d.Get(name); ok != wantOK {
+				wantOK, wantHW := oracle.resolve(name)
+				v, ok := d.Get(name)
+				if ok != wantOK {
 					t.Errorf("%s tenant %s: Get(%q) ok = %v, oracle %v", nicName, d.Name, name, ok, wantOK)
 				}
 				if hw := d.Hardware(name); hw != wantHW {
 					t.Errorf("%s tenant %s: Hardware(%q) = %v, oracle %v", nicName, d.Name, name, hw, wantHW)
 				}
-				if w := d.Width(name); w != wantWidth {
-					t.Errorf("%s tenant %s: Width(%q) = %d, oracle %d", nicName, d.Name, name, w, wantWidth)
+				// Want resolves like Get and expects what the read returned,
+				// truncated to a hardware field's width.
+				if want, wok := d.Want(name); wok != wantOK || ok && v != want {
+					t.Errorf("%s tenant %s: Want(%q) = %#x/%v, read %#x/%v", nicName, d.Name, name, want, wok, v, ok)
 				}
 			}
 		})
