@@ -26,7 +26,7 @@ bench:
 
 # Every shipped demo runs to exit 0 (stdout discarded, exit status only): the
 # five examples and one nicsim invocation per run path. They are the only
-# shipped callers of nicsim.MultiQueue, the -tenants plane and the -fleet demo.
+# shipped callers of the -tenants plane and the -fleet demo.
 EVOLVING = -nic e1000e -req rss,ip_checksum,vlan,pkt_len
 demos:
 	@set -e; for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null; done

@@ -80,27 +80,14 @@ func BenchmarkE4_Datapath(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(it.Name+"/skbuff", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				stacks.StepSkBuff(i)
-			}
-		})
-		b.Run(it.Name+"/mbuf", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				stacks.StepMbuf(i)
-			}
-		})
-		b.Run(it.Name+"/xdp", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				stacks.StepXDP(i)
-			}
-		})
-		b.Run(it.Name+"/opendesc", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				stacks.StepOpenDesc(i)
-			}
-		})
-		_ = stacks.Sink()
+		steps := []func(int){stacks.StepSkBuff, stacks.StepMbuf, stacks.StepXDP, stacks.StepOpenDesc}
+		for k, stack := range []string{"skbuff", "mbuf", "xdp", "opendesc"} {
+			b.Run(it.Name+"/"+stack, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					steps[k](i % stacks.Samples())
+				}
+			})
+		}
 	}
 }
 
@@ -378,7 +365,11 @@ func configuredDevice(b *testing.B, m *nic.Model) *nicsim.Device {
 // whenever it fills; any other refusal is fatal.
 func rxLoop(b *testing.B, dev *nicsim.Device, tr *workload.Trace) {
 	b.Helper()
-	b.SetBytes(int64(tr.TotalBytes() / len(tr.Packets)))
+	total := 0
+	for _, p := range tr.Packets {
+		total += len(p)
+	}
+	b.SetBytes(int64(total / len(tr.Packets)))
 	for i := 0; i < b.N; i++ {
 		if dev.RxPacket(tr.Packets[i%len(tr.Packets)]) {
 			continue

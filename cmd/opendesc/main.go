@@ -169,10 +169,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Print(p)
-		if prog := p.PipelineProgram(); prog != "" {
-			fmt.Println("\n// P4 pushed to the programmable pipeline:")
-			fmt.Print(prog)
-		}
 		if tr != nil {
 			fmt.Print(tr.Report())
 		}

@@ -1,10 +1,10 @@
 // Multi-queue example — the paper notes that "applications might use
 // multiple OpenDesc instances with different intents to obtain different
-// queues tailored for different kind of traffic". Here a single programmable
-// NIC (QDMA) serves two queues: a key-value queue whose 16-byte completions
-// carry the request key digest, and a telemetry queue whose 32-byte
+// queues tailored for different kind of traffic". Here a programmable NIC
+// (QDMA) serves two queues, each its own driver: a key-value queue whose
+// completions carry the request key digest, and a telemetry queue whose
 // completions carry hardware timestamps — with port-based steering between
-// them.
+// them. Both read metadata through the one receive path (Poll / Meta.Get).
 //
 //	go run ./examples/multiqueue
 package main
@@ -13,47 +13,31 @@ import (
 	"fmt"
 	"log"
 
-	"opendesc/internal/codegen"
-	"opendesc/internal/core"
-	"opendesc/internal/nic"
+	"opendesc"
 	"opendesc/internal/nicsim"
-	"opendesc/internal/semantics"
-	"opendesc/internal/softnic"
+	"opendesc/internal/pkt"
 	"opendesc/internal/workload"
 )
 
 func main() {
-	model := nic.MustLoad("qdma")
-
-	kvIntent, err := core.IntentFromSemantics("kv", semantics.Default,
-		semantics.KVKey, semantics.RSS)
-	if err != nil {
-		log.Fatal(err)
+	intents := [][]string{
+		{"kv_key", "rss", "queue_id"},               // queue 0: key-value requests
+		{"timestamp", "rss", "pkt_len", "queue_id"}, // queue 1: everything else
 	}
-	tsIntent, err := core.IntentFromSemantics("telemetry", semantics.Default,
-		semantics.Timestamp, semantics.RSS, semantics.PktLen)
-	if err != nil {
-		log.Fatal(err)
+	var drv [2]*opendesc.Driver
+	for i, sems := range intents {
+		intent, err := opendesc.NewIntent(fmt.Sprintf("queue%d", i), sems...)
+		if err != nil {
+			log.Fatal(err)
+		}
+		drv[i], err = opendesc.OpenWith("qdma", intent, opendesc.OpenOptions{
+			Device: nicsim.Config{QueueID: uint16(i)},
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("queue %d: %2dB completions, config %v\n", i, drv[i].CompletionBytes(), drv[i].Result.Config)
 	}
-
-	kvRes, err := model.Compile(kvIntent, core.CompileOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	tsRes, err := model.Compile(tsIntent, core.CompileOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("queue 0 (kv):        %2dB completions, config %v\n", kvRes.CompletionBytes(), kvRes.Config)
-	fmt.Printf("queue 1 (telemetry): %2dB completions, config %v\n", tsRes.CompletionBytes(), tsRes.Config)
-
-	mq, err := nicsim.NewMultiQueue(model, []*core.Result{kvRes, tsRes},
-		nicsim.SteerByL4Port(map[uint16]int{11211: 0}, 1), nicsim.Config{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	kvRT := codegen.NewRuntime(kvRes, softnic.Funcs())
-	tsRT := codegen.NewRuntime(tsRes, softnic.Funcs())
 
 	// Mixed traffic: half memcached requests, half web.
 	spec := workload.DefaultSpec()
@@ -65,36 +49,47 @@ func main() {
 		log.Fatal(err)
 	}
 
+	get := func(meta opendesc.Meta, sem string) uint64 {
+		v, ok := meta.Get(sem)
+		if !ok {
+			log.Fatalf("%s unavailable", sem)
+		}
+		return v
+	}
 	keys := map[uint64]int{}
 	var lastTS, tsCount uint64
+	handlers := [2]func([]byte, opendesc.Meta){
+		func(_ []byte, meta opendesc.Meta) {
+			if q := get(meta, "queue_id"); q != 0 {
+				log.Fatalf("kv queue read queue_id %d", q)
+			}
+			keys[get(meta, "kv_key")]++
+		},
+		func(_ []byte, meta opendesc.Meta) {
+			if q := get(meta, "queue_id"); q != 1 {
+				log.Fatalf("telemetry queue read queue_id %d", q)
+			}
+			ts := get(meta, "timestamp")
+			if ts <= lastTS {
+				log.Fatalf("timestamps not monotonic: %d then %d", lastTS, ts)
+			}
+			lastTS = ts
+			tsCount++
+		},
+	}
+	var in pkt.Info
 	for _, p := range trace.Packets {
-		switch q := mq.RxPacket(p); q {
-		case 0:
-			mq.Queues[0].CmptRing.Consume(func(cmpt []byte) {
-				key, err := kvRT.Read(semantics.KVKey, cmpt, p)
-				if err != nil {
-					log.Fatal(err)
-				}
-				keys[key]++
-			})
-		case 1:
-			mq.Queues[1].CmptRing.Consume(func(cmpt []byte) {
-				ts, err := tsRT.Read(semantics.Timestamp, cmpt, p)
-				if err != nil {
-					log.Fatal(err)
-				}
-				if ts <= lastTS {
-					log.Fatalf("timestamps not monotonic: %d then %d", lastTS, ts)
-				}
-				lastTS = ts
-				tsCount++
-			})
-		default:
-			log.Fatal("packet dropped")
+		// The steering rule: memcached's port to queue 0, the rest to 1.
+		q := 1
+		if pkt.Decode(p, &in) == nil && in.DstPort == 11211 {
+			q = 0
+		}
+		if !drv[q].Rx(p) || drv[q].Poll(handlers[q]) != 1 {
+			log.Fatalf("queue %d lost a packet", q)
 		}
 	}
 	fmt.Printf("kv queue:        %d requests over %d distinct keys (hardware key digests)\n",
-		600-int(tsCount), len(keys))
+		len(trace.Packets)-int(tsCount), len(keys))
 	fmt.Printf("telemetry queue: %d packets, monotonic hardware timestamps up to %dns\n",
 		tsCount, lastTS)
 }

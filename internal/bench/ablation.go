@@ -173,13 +173,14 @@ func E13Pruning() (*Table, error) {
 // should be offloaded to the NIC even if technically possible, or if
 // sometimes using a software counterpart is not more desirable" — by
 // planning each intent's missing features onto each NIC's pipeline
-// resources.
+// resources. It is a placement cost model: a pipeline form is a stage count,
+// not a program.
 func E14OffloadPlan() (*Table, error) {
 	t := &Table{
 		ID:    "E14",
 		Title: "Offload placement: descriptor vs pushed-pipeline vs software (§5)",
-		Note: "Missing features with a reference P4 implementation are pushed to the\n" +
-			"pipeline while stages last (payload-inspecting features need externs);\n" +
+		Note: "A placement cost model: missing features with a stage count are pushed to\n" +
+			"the pipeline while stages last (payload-inspecting features need externs);\n" +
 			"the rest stay as host shims. Fixed-function NICs cannot push anything.",
 		Header: []string{"nic", "intent", "descriptor", "pipeline", "software", "stages", "residual-cost"},
 	}

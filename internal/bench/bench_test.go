@@ -3,7 +3,10 @@ package bench
 import (
 	"fmt"
 	"math"
+	"opendesc/internal/core"
+	"opendesc/internal/nic"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 
@@ -347,9 +350,9 @@ func TestE4ShapeOpenDescWins(t *testing.T) {
 	// that never allocates, and a capture the device lost nothing of.
 	for i, want := range []int{8, 8, 8, 64, 64} {
 		r := run.rows[i]
-		eq(t, r.intent+" footprint bytes", r.stacks.SelBytes, want)
-		st, n := &Stacks{inner: r.stacks}, 0
-		allocs := testing.AllocsPerRun(200, func() { st.StepOpenDesc(n); n++ })
+		eq(t, r.intent+" footprint bytes", r.stacks.selBytes, want)
+		n := 0
+		allocs := testing.AllocsPerRun(200, func() { r.stacks.StepOpenDesc(n % r.stacks.Samples()); n++ })
 		eq(t, r.intent+" opendesc allocs/packet", allocs, 0)
 	}
 	eq(t, "ring full-stalls", run.capture.fullStalls, 0)
@@ -505,4 +508,40 @@ func TestE17FlightShape(t *testing.T) {
 			t.Errorf("dump listed but not on disk: %v", err)
 		}
 	}
+}
+
+// CrossoverAlpha computes, for a given request on mlx5, the α at which the
+// selected format flips between two sizes (used by tests to pin the E5
+// shape). It returns the smallest α in the scanned grid where the selection
+// differs from α=0+.
+func CrossoverAlpha(req []semantics.Name) (float64, int, int, error) {
+	m := nic.MustLoad("mlx5")
+	sel := func(alpha float64) (int, error) {
+		res, err := m.Compile(mustIntent(req...), core.CompileOptions{
+			Select: core.SelectOptions{Alpha: alpha},
+		})
+		if err != nil {
+			return 0, err
+		}
+		return res.CompletionBytes(), nil
+	}
+	base, err := sel(0.01)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	alphas := make([]float64, 0, 64)
+	for a := 0.05; a <= 64; a *= 1.2 {
+		alphas = append(alphas, a)
+	}
+	sort.Float64s(alphas)
+	for _, a := range alphas {
+		b, err := sel(a)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		if b != base {
+			return a, base, b, nil
+		}
+	}
+	return math.Inf(1), base, base, nil
 }

@@ -77,44 +77,46 @@ func captureSamplesStats(m *nic.Model, cons []core.Constraint, tr *workload.Trac
 	return samples, captureStats{fullStalls: st.Ring.FullStalls, drops: st.Drops}, nil
 }
 
-// measure times fn over the samples until it has run at least minDur in
-// total, and returns nanoseconds per sample. The fastest round is reported
-// (minimum-of-rounds is robust to scheduler noise from concurrent work).
-func measure(samples []Sample, minDur time.Duration, fn func(s *Sample)) float64 {
+// measure times fn over sample indices [0, n) until it has run at least
+// minDur in total, and returns nanoseconds per sample. The fastest round is
+// reported (minimum-of-rounds is robust to scheduler noise from concurrent
+// work).
+func measure(n int, minDur time.Duration, fn func(i int)) float64 {
 	// Warm-up pass.
-	for i := range samples {
-		fn(&samples[i])
+	for i := 0; i < n; i++ {
+		fn(i)
 	}
 	var total time.Duration
 	best := math.Inf(1)
 	for total < minDur {
 		start := time.Now()
-		for i := range samples {
-			fn(&samples[i])
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
 		d := time.Since(start)
 		total += d
-		if ns := float64(d.Nanoseconds()) / float64(len(samples)); ns < best {
+		if ns := float64(d.Nanoseconds()) / float64(n); ns < best {
 			best = ns
 		}
 	}
 	return best
 }
 
-// datapathStacks builds the per-stack read closures for one intent over the
-// mlx5 device. Kernel-style stacks (skbuff, mbuf, xdp) consume the full
-// 64-byte CQE — a driver extracts what the descriptor carries; OpenDesc
-// consumes the completion layout its compiler selected for the intent.
-type datapathStacks struct {
-	Intent   []semantics.Name
-	Full     []Sample // full-CQE samples (baseline stacks)
-	Selected []Sample // OpenDesc-selected layout samples
-	SelBytes int
+// Stacks is the four host stacks of the datapath comparison for one intent
+// over the mlx5 device. Kernel-style stacks (skbuff, mbuf, xdp) consume the
+// full 64-byte CQE — a driver extracts what the descriptor carries; OpenDesc
+// consumes the completion layout its compiler selected for the intent. Each
+// stack is one Step method: E4 times it (Run), and testing.B loops drive it
+// directly.
+type Stacks struct {
+	intent   []semantics.Name
+	full     []Sample // full-CQE samples (baseline stacks)
+	selected []Sample // OpenDesc-selected layout samples
+	selBytes int
 
-	skb  *baseline.SkBuffDriver
-	mbuf *baseline.MbufDriver
-	xdp  *baseline.XDPDriver
-	rt   *codegen.Runtime
+	skbDrv  *baseline.SkBuffDriver
+	mbufDrv *baseline.MbufDriver
+	xdp     *baseline.XDPDriver
 
 	// Accessor handles resolved once per intent (what real applications
 	// cache at startup): dynfield handles for mbuf, reader pointers for the
@@ -122,12 +124,18 @@ type datapathStacks struct {
 	mbufAcc   []baseline.MbufAccessor
 	odReaders []*codegen.Reader
 
-	// Capture is what the device lost across both sample captures (full-CQE
+	// Per-sample scratch, and the sink that defeats dead-code elimination.
+	skb  baseline.SkBuff
+	mb   baseline.Mbuf
+	sink uint64
+
+	// capture is what the device lost across both sample captures (full-CQE
 	// and selected-layout).
-	Capture captureStats
+	capture captureStats
 }
 
-func newDatapathStacks(intent []semantics.Name, tr *workload.Trace) (*datapathStacks, error) {
+// NewStacks prepares the four stacks for an intent over a trace.
+func NewStacks(intent []semantics.Name, tr *workload.Trace) (*Stacks, error) {
 	m := nic.MustLoad("mlx5")
 	paths, err := m.Paths()
 	if err != nil {
@@ -156,103 +164,48 @@ func newDatapathStacks(intent []semantics.Name, tr *workload.Trace) (*datapathSt
 	}
 	fullStats.add(selStats)
 	soft := softnic.Funcs()
-	st := &datapathStacks{
-		Intent:   intent,
-		Full:     fullSamples,
-		Selected: selSamples,
-		SelBytes: res.CompletionBytes(),
-		Capture:  fullStats,
-		skb:      baseline.NewSkBuffDriver(full),
-		mbuf:     baseline.NewMbufDriver(full, nil),
+	st := &Stacks{
+		intent:   intent,
+		full:     fullSamples,
+		selected: selSamples,
+		selBytes: res.CompletionBytes(),
+		capture:  fullStats,
+		skbDrv:   baseline.NewSkBuffDriver(full),
+		mbufDrv:  baseline.NewMbufDriver(full, nil),
 		xdp:      baseline.NewXDPDriver(full, soft),
-		rt:       codegen.NewRuntime(res, soft),
 	}
+	rt := codegen.NewRuntime(res, soft)
 	for _, sem := range intent {
-		st.mbufAcc = append(st.mbufAcc, st.mbuf.Accessor(sem))
-		st.odReaders = append(st.odReaders, st.rt.Reader(sem))
+		st.mbufAcc = append(st.mbufAcc, st.mbufDrv.Accessor(sem))
+		st.odReaders = append(st.odReaders, rt.Reader(sem))
 	}
 	return st, nil
 }
 
+// Samples returns the number of captured samples; every Step takes an index
+// below it.
+func (s *Stacks) Samples() int { return len(s.full) }
+
 // Run measures every stack and returns ns/packet keyed by stack name.
-func (d *datapathStacks) Run(minDur time.Duration) map[string]float64 {
-	out := make(map[string]float64, 4)
-	var sink uint64
-
-	var skb baseline.SkBuff
-	out["skbuff"] = measure(d.Full, minDur, func(s *Sample) {
-		d.skb.Fill(&skb, s.Cmpt, len(s.Packet))
-		for _, sem := range d.Intent {
-			v, ok := skb.Read(sem)
-			if !ok {
-				// Not representable: recompute in software like the kernel
-				// would for an unknown offload.
-				v = softFallback(sem, s.Packet)
-			}
-			sink += v
-		}
-	})
-
-	var mb baseline.Mbuf
-	out["mbuf"] = measure(d.Full, minDur, func(s *Sample) {
-		d.mbuf.Fill(&mb, s.Cmpt, len(s.Packet))
-		for i, acc := range d.mbufAcc {
-			v, ok := acc.Read(&mb)
-			if !ok {
-				v = softFallback(d.Intent[i], s.Packet)
-			}
-			sink += v
-		}
-	})
-
-	out["xdp"] = measure(d.Full, minDur, func(s *Sample) {
-		meta := d.xdp.Wrap(s.Cmpt, len(s.Packet))
-		for _, sem := range d.Intent {
-			v, _ := meta.Read(sem, s.Packet)
-			sink += v
-		}
-	})
-
-	out["opendesc"] = measure(d.Selected, minDur, func(s *Sample) {
-		for _, r := range d.odReaders {
-			sink += r.Read(s.Cmpt, s.Packet)
-		}
-	})
-	_ = sink
-	return out
-}
-
-// Stacks exposes per-stack single-sample processing for external benchmark
-// drivers (testing.B loops in the repository-level benchmarks).
-type Stacks struct {
-	inner *datapathStacks
-	skb   baseline.SkBuff
-	mb    baseline.Mbuf
-	sink  uint64
-}
-
-// NewStacks prepares the four stacks for an intent over a trace.
-func NewStacks(intent []semantics.Name, tr *workload.Trace) (*Stacks, error) {
-	in, err := newDatapathStacks(intent, tr)
-	if err != nil {
-		return nil, err
+func (s *Stacks) Run(minDur time.Duration) map[string]float64 {
+	n := s.Samples()
+	return map[string]float64{
+		"skbuff":   measure(n, minDur, s.StepSkBuff),
+		"mbuf":     measure(n, minDur, s.StepMbuf),
+		"xdp":      measure(n, minDur, s.StepXDP),
+		"opendesc": measure(n, minDur, s.StepOpenDesc),
 	}
-	return &Stacks{inner: in}, nil
 }
-
-// Samples returns the number of captured samples.
-func (s *Stacks) Samples() int { return len(s.inner.Full) }
-
-// SelectedBytes is the OpenDesc-selected completion size.
-func (s *Stacks) SelectedBytes() int { return s.inner.SelBytes }
 
 // StepSkBuff processes full-CQE sample i via eager sk_buff extraction.
 func (s *Stacks) StepSkBuff(i int) {
-	sm := &s.inner.Full[i%len(s.inner.Full)]
-	s.inner.skb.Fill(&s.skb, sm.Cmpt, len(sm.Packet))
-	for _, sem := range s.inner.Intent {
+	sm := &s.full[i]
+	s.skbDrv.Fill(&s.skb, sm.Cmpt, len(sm.Packet))
+	for _, sem := range s.intent {
 		v, ok := s.skb.Read(sem)
 		if !ok {
+			// Not representable: recompute in software like the kernel
+			// would for an unknown offload.
 			v = softFallback(sem, sm.Packet)
 		}
 		s.sink += v
@@ -261,12 +214,12 @@ func (s *Stacks) StepSkBuff(i int) {
 
 // StepMbuf processes full-CQE sample i via the mbuf flags+dynfield path.
 func (s *Stacks) StepMbuf(i int) {
-	sm := &s.inner.Full[i%len(s.inner.Full)]
-	s.inner.mbuf.Fill(&s.mb, sm.Cmpt, len(sm.Packet))
-	for j, acc := range s.inner.mbufAcc {
+	sm := &s.full[i]
+	s.mbufDrv.Fill(&s.mb, sm.Cmpt, len(sm.Packet))
+	for j, acc := range s.mbufAcc {
 		v, ok := acc.Read(&s.mb)
 		if !ok {
-			v = softFallback(s.inner.Intent[j], sm.Packet)
+			v = softFallback(s.intent[j], sm.Packet)
 		}
 		s.sink += v
 	}
@@ -274,9 +227,9 @@ func (s *Stacks) StepMbuf(i int) {
 
 // StepXDP processes full-CQE sample i via the 3-kfunc XDP model.
 func (s *Stacks) StepXDP(i int) {
-	sm := &s.inner.Full[i%len(s.inner.Full)]
-	meta := s.inner.xdp.Wrap(sm.Cmpt, len(sm.Packet))
-	for _, sem := range s.inner.Intent {
+	sm := &s.full[i]
+	meta := s.xdp.Wrap(sm.Cmpt, len(sm.Packet))
+	for _, sem := range s.intent {
 		v, _ := meta.Read(sem, sm.Packet)
 		s.sink += v
 	}
@@ -284,14 +237,11 @@ func (s *Stacks) StepXDP(i int) {
 
 // StepOpenDesc processes selected-layout sample i via generated accessors.
 func (s *Stacks) StepOpenDesc(i int) {
-	sm := &s.inner.Selected[i%len(s.inner.Selected)]
-	for _, r := range s.inner.odReaders {
+	sm := &s.selected[i]
+	for _, r := range s.odReaders {
 		s.sink += r.Read(sm.Cmpt, sm.Packet)
 	}
 }
-
-// Sink defeats dead-code elimination in benchmark drivers.
-func (s *Stacks) Sink() uint64 { return s.sink }
 
 var softFuncs = softnic.Funcs()
 
@@ -320,7 +270,7 @@ var E4Intents = []struct {
 type e4Row struct {
 	intent string
 	ns     map[string]float64
-	stacks *datapathStacks
+	stacks *Stacks
 }
 
 // bestBaseline is the fastest of the three kernel-style stacks.
@@ -349,12 +299,12 @@ func E4Datapath(packets int, minDur time.Duration) (*Table, error) {
 	}
 	run := &e4Run{}
 	for _, it := range E4Intents {
-		st, err := newDatapathStacks(it.Sems, tr)
+		st, err := NewStacks(it.Sems, tr)
 		if err != nil {
 			return nil, err
 		}
 		run.rows = append(run.rows, e4Row{intent: it.Name, ns: st.Run(minDur), stacks: st})
-		run.capture.add(st.Capture)
+		run.capture.add(st.capture)
 	}
 	t := &Table{
 		ID:    "E4",
@@ -367,7 +317,7 @@ func E4Datapath(packets int, minDur time.Duration) (*Table, error) {
 		run:    run,
 	}
 	for _, r := range run.rows {
-		t.AddRow(r.intent, r.stacks.SelBytes, r.ns["skbuff"], r.ns["mbuf"], r.ns["xdp"], r.ns["opendesc"],
+		t.AddRow(r.intent, r.stacks.selBytes, r.ns["skbuff"], r.ns["mbuf"], r.ns["xdp"], r.ns["opendesc"],
 			fmt.Sprintf("%.2fx", r.bestBaseline()/r.ns["opendesc"]))
 	}
 	return t, nil
@@ -418,7 +368,8 @@ func E9MbufDyn(minDur time.Duration) (*Table, error) {
 		}
 		var mb baseline.Mbuf
 		var sink uint64
-		mbufNs := measure(samples, minDur, func(s *Sample) {
+		mbufNs := measure(len(samples), minDur, func(i int) {
+			s := &samples[i]
 			drv.Fill(&mb, s.Cmpt, len(s.Packet))
 			for _, acc := range accs {
 				v, _ := acc.Read(&mb)
@@ -438,7 +389,8 @@ func E9MbufDyn(minDur time.Duration) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		odNs := measure(sel, minDur, func(s *Sample) {
+		odNs := measure(len(sel), minDur, func(i int) {
+			s := &sel[i]
 			for _, r := range readers {
 				sink += r.Read(s.Cmpt, s.Packet)
 			}

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -354,40 +352,4 @@ func E10CompileTime() (*Table, error) {
 		t.AddRow(row...)
 	}
 	return t, nil
-}
-
-// CrossoverAlpha computes, for a given request on mlx5, the α at which the
-// selected format flips between two sizes (used by tests to pin the E5
-// shape). It returns the smallest α in the scanned grid where the selection
-// differs from α=0+.
-func CrossoverAlpha(req []semantics.Name) (float64, int, int, error) {
-	m := nic.MustLoad("mlx5")
-	sel := func(alpha float64) (int, error) {
-		res, err := m.Compile(mustIntent(req...), core.CompileOptions{
-			Select: core.SelectOptions{Alpha: alpha},
-		})
-		if err != nil {
-			return 0, err
-		}
-		return res.CompletionBytes(), nil
-	}
-	base, err := sel(0.01)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	alphas := make([]float64, 0, 64)
-	for a := 0.05; a <= 64; a *= 1.2 {
-		alphas = append(alphas, a)
-	}
-	sort.Float64s(alphas)
-	for _, a := range alphas {
-		b, err := sel(a)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if b != base {
-			return a, base, b, nil
-		}
-	}
-	return math.Inf(1), base, base, nil
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -106,4 +107,40 @@ func TestTableRendersAgree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Markdown renders the same cells as a GitHub-flavored markdown table.
+// It shares cell content with String (only the frame differs), so the two
+// renderings cannot disagree; TestTableRendersAgree enforces this.
+func (t *Table) Markdown() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "### %s: %s\n\n", t.ID, t.Title)
+	if t.Note != "" {
+		for _, line := range strings.Split(t.Note, "\n") {
+			fmt.Fprintf(&sb, "> %s\n", line)
+		}
+		sb.WriteString("\n")
+	}
+	cols := t.columns()
+	writeRow := func(cells []string) {
+		sb.WriteString("|")
+		for i := 0; i < cols; i++ {
+			c := ""
+			if i < len(cells) {
+				c = strings.ReplaceAll(cells[i], "|", `\|`)
+			}
+			sb.WriteString(" " + c + " |")
+		}
+		sb.WriteString("\n")
+	}
+	writeRow(t.Header)
+	sb.WriteString("|")
+	for i := 0; i < cols; i++ {
+		sb.WriteString("---|")
+	}
+	sb.WriteString("\n")
+	for _, r := range t.Rows {
+		writeRow(r)
+	}
+	return sb.String()
 }

@@ -1,12 +1,15 @@
 package chaos
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -41,21 +44,7 @@ func TestNoWallClockOnHotPaths(t *testing.T) {
 		t.Fatalf("locating repo root: %v", err)
 	}
 	fset := token.NewFileSet()
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if d.Name() == ".git" || d.Name() == "testdata" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		rel, _ := filepath.Rel(root, path)
-		rel = filepath.ToSlash(rel)
+	err = walkGoFiles(root, func(path, rel string) error {
 		for _, prefix := range wallClockAllowed {
 			if strings.HasPrefix(rel, prefix) {
 				return nil
@@ -113,5 +102,192 @@ func repoRoot() (string, error) {
 			return "", os.ErrNotExist
 		}
 		dir = parent
+	}
+}
+
+// walkGoFiles calls fn for every non-test .go file under root outside .git
+// and testdata directories, with its slash-separated path relative to root.
+func walkGoFiles(root string, fn func(path, rel string) error) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == ".git" || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		rel, _ := filepath.Rel(root, path)
+		return fn(path, filepath.ToSlash(rel))
+	})
+}
+
+// censusAllowed names the exported identifiers no non-test file needs, each
+// with the reason it stays. A key is a package ("opendesc" for the root, else
+// its directory), a declaration in it ("internal/pkt.Builder" covers the type
+// and its methods), or "*.Method" for a method any type may declare. Methods
+// fmt or the error interface call (String, Error) need no entry: the census
+// goes by name, and those names are named everywhere.
+var censusAllowed = map[string]string{
+	"opendesc":                         "the root package is the library's public API, for programs outside this module",
+	"*.Unwrap":                         "errors.Is and errors.As call it through the Unwrap() error interface",
+	"internal/pkt.Builder":             "the frame builder every package's tests share",
+	"internal/obs.Registry.Collisions": "the probe the tenant and root metrics tests assert on: no two sources claimed one series",
+	"internal/semantics.CostModel.WithOverrides": "the cost fixture the core, evolve and nicsim tests price a semantic with",
+	"internal/tenant.Plane.MaybeRenegotiate":     "the plane's measured-mix tick; no shipped loop calls it yet, and TestPlaneOfOneDecidesLikeEngine holds it to evolve.Engine's decisions",
+}
+
+// TestExportedNamesHaveACaller is the code census: every exported top-level
+// identifier (function, method, type, variable, constant) declared in a
+// non-test file must be named by some non-test file other than at its
+// declaration, or be covered by a censusAllowed entry. It goes by name, not
+// by type, so it parses and never type-checks: a name collision can hide dead
+// code but never flag live code. An entry that covers nothing fails too.
+func TestExportedNamesHaveACaller(t *testing.T) {
+	root, err := repoRoot()
+	if err != nil {
+		t.Fatalf("locating repo root: %v", err)
+	}
+	type decl struct{ key, name, pos string }
+	var decls []decl
+	declared := map[string]int{} // name → declarations of it
+	named := map[string]int{}    // name → identifiers spelling it, declarations included
+	fset := token.NewFileSet()
+	err = walkGoFiles(root, func(file, rel string) error {
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := path.Dir(rel)
+		if pkg == "." {
+			pkg = "opendesc"
+		}
+		add := func(id *ast.Ident, key string) {
+			if id.IsExported() {
+				declared[id.Name]++
+				decls = append(decls, decl{pkg + "." + key, id.Name, fmt.Sprintf("%s:%d", rel, fset.Position(id.Pos()).Line)})
+			}
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				key := d.Name.Name
+				if d.Recv != nil {
+					key = recvName(d.Recv.List[0].Type) + "." + key
+				}
+				add(d.Name, key)
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						add(s.Name, s.Name.Name)
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							add(n, n.Name)
+						}
+					}
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				named[id.Name]++
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("walking repo: %v", err)
+	}
+	covered := map[string]int{}
+	for _, d := range decls {
+		if named[d.name] > declared[d.name] {
+			continue
+		}
+		if k, ok := allowedBy(d.key, d.name); ok {
+			covered[k]++
+			continue
+		}
+		t.Errorf("%s: %s is named by no non-test file: delete it, move it to the _test.go file that uses it, or add it to censusAllowed with a reason",
+			d.pos, d.key)
+	}
+	for k, why := range censusAllowed {
+		if why == "" {
+			t.Errorf("censusAllowed[%q] states no reason", k)
+		}
+		if covered[k] == 0 {
+			t.Errorf("censusAllowed[%q] covers no uncalled name: drop the entry", k)
+		}
+	}
+	t.Logf("%d exported names; %d allowlist entries cover %d without a caller", len(decls), len(censusAllowed), sum(covered))
+}
+
+// allowedBy returns the censusAllowed entry covering a declaration key: the
+// key itself, an enclosing type or package, or "*.name".
+func allowedBy(key, name string) (string, bool) {
+	for k := key; ; {
+		if _, ok := censusAllowed[k]; ok {
+			return k, true
+		}
+		i := strings.LastIndexByte(k, '.')
+		if i < 0 {
+			break
+		}
+		k = k[:i]
+	}
+	_, ok := censusAllowed["*."+name]
+	return "*." + name, ok
+}
+
+// recvName is the type name of a method receiver: T, *T, T[K] or *T[K].
+func recvName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return fmt.Sprintf("%T", e)
+		}
+	}
+}
+
+func sum(m map[string]int) int {
+	n := 0
+	for _, v := range m {
+		n += v
+	}
+	return n
+}
+
+// TestDocsCarryNoPRNumbers: DESIGN.md describes the system and README.md its
+// use; history lives in CHANGES.md. A "PR <n>" in either is history that
+// leaked into them.
+func TestDocsCarryNoPRNumbers(t *testing.T) {
+	root, err := repoRoot()
+	if err != nil {
+		t.Fatalf("locating repo root: %v", err)
+	}
+	pr := regexp.MustCompile(`\bPRs? #?[0-9]+`)
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		b, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			for _, m := range pr.FindAllString(line, -1) {
+				t.Errorf("%s:%d: %q: a PR number is history, and history goes in CHANGES.md", doc, i+1, m)
+			}
+		}
 	}
 }

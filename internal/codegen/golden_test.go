@@ -42,12 +42,6 @@ var goldenCases = []struct {
 		outfile: "qdma_kv.h.golden",
 	},
 	{
-		name: "ixgbe_unaligned_batch_go", nic: "ixgbe",
-		sems:    []semantics.Name{semantics.PType, semantics.PktLen},
-		render:  func(r *core.Result) string { return GenGoBatch(r, "batchacc") },
-		outfile: "ixgbe_batch.go.golden",
-	},
-	{
 		name: "e1000e_report", nic: "e1000e",
 		sems:    []semantics.Name{semantics.RSS, semantics.IPChecksum},
 		render:  func(r *core.Result) string { return r.Report() },

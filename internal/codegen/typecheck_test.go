@@ -30,7 +30,7 @@ func typecheckGo(t *testing.T, src string) {
 }
 
 // TestGeneratedGoTypechecks runs every bundled NIC through representative
-// intents and type-checks the scalar and batch accessor sources.
+// intents and type-checks the accessor source.
 func TestGeneratedGoTypechecks(t *testing.T) {
 	intents := [][]semantics.Name{
 		{semantics.RSS},
@@ -51,7 +51,6 @@ func TestGeneratedGoTypechecks(t *testing.T) {
 				continue // unsatisfiable on this NIC: nothing to generate
 			}
 			typecheckGo(t, GenGo(res, "acc"))
-			typecheckGo(t, GenGoBatch(res, "accbatch"))
 		}
 	}
 }

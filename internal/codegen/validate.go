@@ -106,6 +106,7 @@ type Validator struct {
 	checks   []fieldCheck
 	deep     bool
 
+	// Bit-coverage accounting, which the tests assert through Coverage.
 	structuralBits int
 	deepBits       int
 	totalBits      int
@@ -169,9 +170,6 @@ func NewValidator(res *core.Result, opts ValidatorOptions) (*Validator, error) {
 	return v, nil
 }
 
-// RecordBytes returns the completion size the validator expects.
-func (v *Validator) RecordBytes() int { return v.recBytes }
-
 // Deep reports whether the deep tier is enabled for Check.
 func (v *Validator) Deep() bool { return v.deep }
 
@@ -226,44 +224,6 @@ func (v *Validator) check(rec, packet []byte, deep bool) *Violation {
 		}
 	}
 	return nil
-}
-
-// Coverage reports how much of the completion record the validator can
-// vouch for.
-type Coverage struct {
-	// TotalBits is the record size in bits.
-	TotalBits int
-	// StructuralBits are covered by the always-on tiers (pads, slack,
-	// discriminants, device-state constants).
-	StructuralBits int
-	// DeepBits are covered only when the deep tier runs.
-	DeepBits int
-	// Uncovered lists layout fields no check can vouch for (skipped
-	// semantics, or value fields with no reference implementation).
-	Uncovered []string
-}
-
-// Fraction returns the covered share of record bits given the validator's
-// deep setting at construction.
-func (c Coverage) Fraction(deep bool) float64 {
-	if c.TotalBits == 0 {
-		return 1
-	}
-	n := c.StructuralBits
-	if deep {
-		n += c.DeepBits
-	}
-	return float64(n) / float64(c.TotalBits)
-}
-
-// Coverage returns the validator's bit-coverage accounting.
-func (v *Validator) Coverage() Coverage {
-	return Coverage{
-		TotalBits:      v.totalBits,
-		StructuralBits: v.structuralBits,
-		DeepBits:       v.deepBits,
-		Uncovered:      append([]string(nil), v.uncovered...),
-	}
 }
 
 // NewSoftRuntime builds an accessor table that serves *every* semantic from

@@ -186,3 +186,23 @@ func TestPathsEquivalent(t *testing.T) {
 		}
 	}
 }
+
+// PathsEquivalent reports whether two completion paths are interchangeable
+// for applications: same semantics at identical bit positions and widths
+// (§5 "feature equivalence" restricted to the interface level — the paper
+// argues the interface, not the feature internals, is what must match).
+func PathsEquivalent(a, b *Path) bool {
+	if !a.Prov().Equal(b.Prov()) {
+		return false
+	}
+	for s := range a.Prov() {
+		fa, fb := a.Field(s), b.Field(s)
+		if fa == nil || fb == nil {
+			return false
+		}
+		if fa.OffsetBits != fb.OffsetBits || fa.WidthBits != fb.WidthBits {
+			return false
+		}
+	}
+	return true
+}

@@ -68,17 +68,6 @@ func (e *Emit) SizeBits() int {
 	return n
 }
 
-// Sem returns sem(v), the semantics encoded by the emitted bytes.
-func (e *Emit) Sem() semantics.Set {
-	s := make(semantics.Set)
-	for _, f := range e.Fields {
-		if f.Semantic != "" {
-			s.Add(f.Semantic)
-		}
-	}
-	return s
-}
-
 // Edge is a directed CFG edge guarded by a branch predicate.
 type Edge struct {
 	To *Node

@@ -11,9 +11,10 @@ import (
 // The paper's prototype "only lists the missing features ... but does not
 // currently offload or compile the P4 code"; §5 sketches the next step:
 // decide, per missing feature, between the software counterpart and pushing
-// the reference P4 implementation into the programmable pipeline, under the
-// device's resource constraints. PlanOffloads implements that placement
-// pass over a compilation result.
+// it into the programmable pipeline, under the device's resource
+// constraints. PlanOffloads is that placement pass over a compilation
+// result, as a cost model: a semantic's pipeline form is its stage count and
+// payload flag in the semantics registry, not a program.
 
 // PipelineCaps describes a NIC's programmable-pipeline resources.
 type PipelineCaps struct {
@@ -37,7 +38,7 @@ type Placement int
 const (
 	// PlaceDescriptor: already delivered by the selected completion layout.
 	PlaceDescriptor Placement = iota
-	// PlacePipeline: reference P4 implementation pushed to the NIC pipeline.
+	// PlacePipeline: pushed to the NIC's programmable pipeline.
 	PlacePipeline
 	// PlaceSoftware: SoftNIC shim on the host.
 	PlaceSoftware
@@ -63,8 +64,6 @@ type PlanEntry struct {
 	HostCost float64
 	// Stages is the pipeline stage usage (PlacePipeline only).
 	Stages int
-	// Ref is the pushed reference implementation (PlacePipeline only).
-	Ref *semantics.RefImpl
 }
 
 // OffloadPlan is the placement of every intent semantic.
@@ -97,19 +96,6 @@ func (p *OffloadPlan) Software() []semantics.Name {
 	return out
 }
 
-// PipelineProgram concatenates the pushed reference P4 fragments — the
-// program a P4-to-device backend would compile onto the NIC.
-func (p *OffloadPlan) PipelineProgram() string {
-	var sb strings.Builder
-	for _, e := range p.Entries {
-		if e.Placement != PlacePipeline || e.Ref == nil {
-			continue
-		}
-		fmt.Fprintf(&sb, "// pushed feature: %s (%d stages)\n%s\n\n", e.Semantic, e.Stages, e.Ref.P4)
-	}
-	return sb.String()
-}
-
 // String renders a placement report.
 func (p *OffloadPlan) String() string {
 	var sb strings.Builder
@@ -129,9 +115,10 @@ func (p *OffloadPlan) String() string {
 }
 
 // PlanOffloads places every missing semantic of a compilation result:
-// features with a reference implementation go to the pipeline while the
-// stage budget lasts (most expensive software cost first — the greedy
-// heuristic maximizing saved host cycles); the rest stay in software.
+// features with a pipeline form (semantics.Default's Stages > 0) go to the
+// pipeline while the stage budget lasts (most expensive software cost first
+// — the greedy heuristic maximizing saved host cycles); the rest stay in
+// software.
 func PlanOffloads(res *Result, caps PipelineCaps, costs semantics.CostModel) (*OffloadPlan, error) {
 	if res == nil {
 		return nil, fmt.Errorf("core: PlanOffloads needs a compilation result")
@@ -158,20 +145,18 @@ func PlanOffloads(res *Result, caps PipelineCaps, costs semantics.CostModel) (*O
 
 	budget := caps.StageBudget
 	for _, s := range cand {
-		ref, hasRef := semantics.Ref(s)
-		canPush := caps.Programmable && hasRef && ref.Stages <= budget &&
-			(!ref.NeedsPayload || caps.PayloadExterns)
+		d := semantics.Default.Lookup(s)
+		canPush := caps.Programmable && d != nil && d.Stages > 0 && d.Stages <= budget &&
+			(!d.RequiresPayload || caps.PayloadExterns)
 		if canPush {
-			r := ref
 			plan.Entries = append(plan.Entries, PlanEntry{
 				Semantic:  s,
 				Placement: PlacePipeline,
-				Stages:    ref.Stages,
+				Stages:    d.Stages,
 				HostCost:  costs(s) * caps.PipelineCostFactor,
-				Ref:       &r,
 			})
-			budget -= ref.Stages
-			plan.StagesUsed += ref.Stages
+			budget -= d.Stages
+			plan.StagesUsed += d.Stages
 			plan.HostCost += costs(s) * caps.PipelineCostFactor
 			continue
 		}

@@ -48,9 +48,48 @@ func TestPlanOffloadsProgrammablePushes(t *testing.T) {
 	if plan.HostCost != 0 {
 		t.Errorf("host cost after full offload = %v", plan.HostCost)
 	}
-	prog := plan.PipelineProgram()
-	if !strings.Contains(prog, "toeplitz_hash") || !strings.Contains(prog, "pushed feature: rss") {
-		t.Errorf("pipeline program:\n%s", prog)
+}
+
+// TestPipelineForms pins every semantic's pipeline form — stage count and
+// payload flag in the registry — to the values the placement model was
+// calibrated with; every other semantic has none.
+func TestPipelineForms(t *testing.T) {
+	want := map[semantics.Name]struct {
+		stages  int
+		payload bool
+	}{
+		semantics.RSS:         {2, false},
+		semantics.IPChecksum:  {1, false},
+		semantics.L4Checksum:  {1, false},
+		semantics.VLAN:        {1, false},
+		semantics.PType:       {1, false},
+		semantics.FlowID:      {3, false},
+		semantics.TunnelID:    {1, false},
+		semantics.KVKey:       {4, true},
+		semantics.PayloadHash: {2, true},
+		semantics.IPID:        {1, false},
+	}
+	for _, n := range semantics.Default.Names() {
+		d := semantics.Default.Lookup(n)
+		if w := want[n]; d.Stages != w.stages || d.RequiresPayload != w.payload {
+			t.Errorf("%s: stages %d payload %v, want %d %v", n, d.Stages, d.RequiresPayload, w.stages, w.payload)
+		}
+	}
+}
+
+// TestPlanOffloadsL4ChecksumOnRMT: l4_checksum runs on the checksum engine,
+// so an RMT pipeline without payload externs (ice's caps) still takes it.
+func TestPlanOffloadsL4ChecksumOnRMT(t *testing.T) {
+	res, err := Compile("e1000e", e1000Spec(t), intentOf(t, semantics.L4Checksum), CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := PlanOffloads(res, PipelineCaps{Programmable: true, StageBudget: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := plan.Pushed(); len(got) != 1 || got[0] != semantics.L4Checksum || plan.StagesUsed != 1 {
+		t.Errorf("pushed %v in %d stages, want [l4_checksum] in 1\n%s", got, plan.StagesUsed, plan)
 	}
 }
 

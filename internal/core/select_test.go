@@ -52,7 +52,12 @@ func SelectPath(control string, paths []*Path, req semantics.Set, opts SelectOpt
 func scorePaths(paths []*Path, req semantics.Set, opts SelectOptions) []Scored {
 	out := make([]Scored, 0, len(paths))
 	for _, p := range paths {
-		missing := req.Minus(p.Prov()).Sorted()
+		var missing []semantics.Name
+		for _, n := range req.Sorted() {
+			if !p.Prov().Has(n) {
+				missing = append(missing, n)
+			}
+		}
 		soft := 0.0
 		for _, m := range missing {
 			soft += opts.Costs(m)

@@ -186,14 +186,6 @@ func (e *Engine) LastDiff() *core.Diff {
 	return e.lastDiff
 }
 
-// LastErr returns the failure the most recent Renegotiate ended on (unsat
-// re-solve or rolled-back switchover), nil when it ended on none.
-func (e *Engine) LastErr() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.lastErr
-}
-
 // Rx delivers one packet to the device. It returns false when the
 // completion ring is full.
 func (e *Engine) Rx(packet []byte) bool {

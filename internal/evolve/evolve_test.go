@@ -367,8 +367,8 @@ func TestMeasuredCostsFeedResolve(t *testing.T) {
 	e := newTestEngine(t, opts)
 	tr := trace(t)
 	drive(t, e, tr, 256, semantics.RSS, semantics.VLAN, semantics.PktLen)
-	if cost := e.shims.MeasuredCost(semantics.RSS); cost <= 0 {
-		t.Fatalf("rss shim measured cost = %v, want > 0 after 256 soft reads", cost)
+	if sc := e.shims.Cost(semantics.RSS); sc.Calls == 0 || sc.Nanos == 0 {
+		t.Fatalf("rss shim measured %+v, want calls and time after 256 soft reads", sc)
 	}
 	if _, err := e.Renegotiate(); err != nil {
 		t.Fatal(err)
@@ -399,4 +399,12 @@ func TestRegisterMetrics(t *testing.T) {
 			t.Errorf("registry table missing %s", want)
 		}
 	}
+}
+
+// LastErr returns the failure the most recent Renegotiate ended on (unsat
+// re-solve or rolled-back switchover), nil when it ended on none.
+func (e *Engine) LastErr() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.lastErr
 }

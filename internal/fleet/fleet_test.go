@@ -371,3 +371,7 @@ func TestTranscript(t *testing.T) {
 		}
 	}
 }
+
+// FailNext scripts the next n calls to time out even on a healed link
+// (flapping/lossy behavior).
+func (l *Link) FailNext(n int) { l.failNext = n }

@@ -457,10 +457,6 @@ func (h *Host) Telemetry() ([]byte, error) {
 // coverage for the controller's cross-check).
 func (h *Host) SetTelemetryMutator(fn func(*telemetry.Report)) { h.telemetryMutator = fn }
 
-// FlightRecorder exposes the host's flight recorder (snapshotting for
-// merged fleet traces, A/B enable toggling in benchmarks).
-func (h *Host) FlightRecorder() *flight.Recorder { return h.rec }
-
 // FlightSnapshot copies the host's full flight ring.
 func (h *Host) FlightSnapshot() *flight.Snapshot { return h.rec.Snapshot() }
 

@@ -38,11 +38,6 @@ func NewLink(clk vclock.Clock, latencyNs uint64) *Link {
 	return &Link{clk: clk, latencyNs: latencyNs}
 }
 
-// SetPerByteNs charges payload-carrying calls (telemetry reports) this much
-// per byte on top of the base latency. Zero (the default) keeps plain
-// control RPCs and every pre-existing scenario byte-identical.
-func (l *Link) SetPerByteNs(ns uint64) { l.perByteNs = ns }
-
 // Partition takes the link down until Heal; calls burn their full deadline
 // and fail.
 func (l *Link) Partition() { l.down = true }
@@ -52,10 +47,6 @@ func (l *Link) Heal() { l.down = false }
 
 // Partitioned reports the link state.
 func (l *Link) Partitioned() bool { return l.down }
-
-// FailNext scripts the next n calls to time out even on a healed link
-// (flapping/lossy behavior).
-func (l *Link) FailNext(n int) { l.failNext = n }
 
 // call runs one RPC body under a deadline. A failed call costs the caller
 // the whole deadline (the realistic worst case — the controller blocked

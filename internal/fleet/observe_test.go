@@ -375,3 +375,8 @@ func TestAnomalousDeliveryOffGridCarriesNoRxStamp(t *testing.T) {
 		t.Errorf("slowest-delivery exhibits %q do not render the off-grid anomaly as %q…", got, want)
 	}
 }
+
+// SetPerByteNs charges payload-carrying calls (telemetry reports) this much
+// per byte on top of the base latency. Zero (the default) keeps plain
+// control RPCs and every pre-existing scenario byte-identical.
+func (l *Link) SetPerByteNs(ns uint64) { l.perByteNs = ns }

@@ -127,17 +127,6 @@ func (m *Model) ProvidableSet() (semantics.Set, error) {
 	return a.Providable(), nil
 }
 
-// MetadataFieldCount counts the distinct semantic-tagged metadata items the
-// NIC can emit (the "12 metadata information available in ConnectX
-// descriptors" denominator of the paper's coverage claim).
-func (m *Model) MetadataFieldCount() (int, error) {
-	s, err := m.ProvidableSet()
-	if err != nil {
-		return 0, err
-	}
-	return len(s), nil
-}
-
 // CompletionSizes returns the distinct completion-record byte sizes across
 // the NIC's enumerated paths, ascending — part of the capability model a
 // fleet host publishes in its describe answer (S25).

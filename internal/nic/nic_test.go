@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"fmt"
 	"testing"
 
 	"opendesc/internal/core"
@@ -294,7 +295,7 @@ func TestDescriptionsPrintRoundtrip(t *testing.T) {
 			t.Errorf("%s: reparsed paths %d != %d", m.Name, len(paths), len(orig))
 		}
 		for i := range paths {
-			if !core.PathsEquivalent(paths[i], orig[i]) {
+			if fmt.Sprint(paths[i], paths[i].Fields) != fmt.Sprint(orig[i], orig[i].Fields) {
 				t.Errorf("%s: reparsed path %d not equivalent", m.Name, i)
 			}
 		}
@@ -342,3 +343,14 @@ func TestIceFlexProfiles(t *testing.T) {
 }
 
 func ptr(v uint64) *uint64 { return &v }
+
+// MetadataFieldCount counts the distinct semantic-tagged metadata items the
+// NIC can emit (the "12 metadata information available in ConnectX
+// descriptors" denominator of the paper's coverage claim).
+func (m *Model) MetadataFieldCount() (int, error) {
+	s, err := m.ProvidableSet()
+	if err != nil {
+		return 0, err
+	}
+	return len(s), nil
+}

@@ -313,9 +313,6 @@ func (d *Device) WriteReg(path string, v uint64) {
 	d.curPath.Store(-1) // context changed: re-resolve the active path lazily
 }
 
-// ReadReg returns a context register value (0 when never written).
-func (d *Device) ReadReg(path string) uint64 { return d.ctx[path].Uint }
-
 // ApplyConfig programs the context registers so the device takes the
 // completion path selected by a compilation result. The concrete values are
 // resolved by core.ConfigAssignment (equality constraints pin the register,
@@ -718,15 +715,4 @@ func step(node *core.Node, env sema.Env, info *sema.Info) (*core.Node, error) {
 		}
 		return node.Succs[0].To, nil
 	}
-}
-
-// RxBurst receives a batch of packets; returns how many were accepted.
-func (d *Device) RxBurst(packets [][]byte) int {
-	n := 0
-	for _, p := range packets {
-		if d.RxPacket(p) {
-			n++
-		}
-	}
-	return n
 }

@@ -369,3 +369,14 @@ func TestRxBurst(t *testing.T) {
 		t.Errorf("ring len = %d", dev.CmptRing.Len())
 	}
 }
+
+// RxBurst receives a batch of packets; returns how many were accepted.
+func (d *Device) RxBurst(packets [][]byte) int {
+	n := 0
+	for _, p := range packets {
+		if d.RxPacket(p) {
+			n++
+		}
+	}
+	return n
+}

@@ -248,3 +248,6 @@ func TestReconfigureAcrossRingWrap(t *testing.T) {
 		t.Fatalf("ring produced/consumed = %d/%d, want %d/%d", st.Produced, st.Consumed, 6+cap+cap/2, 6+cap+cap/2)
 	}
 }
+
+// ReadReg returns a context register value (0 when never written).
+func (d *Device) ReadReg(path string) uint64 { return d.ctx[path].Uint }

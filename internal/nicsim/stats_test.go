@@ -6,10 +6,8 @@ import (
 	"sync"
 	"testing"
 
-	"opendesc/internal/core"
 	"opendesc/internal/nic"
 	"opendesc/internal/obs"
-	"opendesc/internal/pkt"
 	"opendesc/internal/semantics"
 )
 
@@ -111,75 +109,6 @@ func TestDeviceMetricsExposition(t *testing.T) {
 	reg.WritePrometheus(&sb2)
 	if sb2.String() != out {
 		t.Error("re-registration changed the exposition")
-	}
-}
-
-func TestMultiQueueStatsAggregation(t *testing.T) {
-	m := nic.MustLoad("e1000e")
-	resA := compileOn(t, "e1000e", semantics.RSS)
-	resB := compileOn(t, "e1000e", semantics.RSS, semantics.VLAN)
-	steer := SteerByL4Port(map[uint16]int{80: 0, 443: 1}, -1)
-	mq, err := NewMultiQueue(m, []*core.Result{resA, resB}, steer, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(port uint16) []byte {
-		return pkt.NewBuilder().WithUDP(12345, port).WithPayload([]byte("x")).Build()
-	}
-	for i := 0; i < 3; i++ {
-		if q := mq.RxPacket(mk(80)); q != 0 {
-			t.Fatalf("port 80 steered to %d", q)
-		}
-	}
-	for i := 0; i < 2; i++ {
-		if q := mq.RxPacket(mk(443)); q != 1 {
-			t.Fatalf("port 443 steered to %d", q)
-		}
-	}
-	if q := mq.RxPacket(mk(9999)); q != -1 {
-		t.Fatalf("unmatched port steered to %d", q)
-	}
-
-	st := mq.Stats()
-	if len(st.PerQueue) != 2 {
-		t.Fatalf("queues = %d", len(st.PerQueue))
-	}
-	if st.PerQueue[0].RxPackets != 3 || st.PerQueue[1].RxPackets != 2 {
-		t.Errorf("per-queue rx = %d/%d", st.PerQueue[0].RxPackets, st.PerQueue[1].RxPackets)
-	}
-	if st.Aggregate.RxPackets != 5 {
-		t.Errorf("aggregate rx = %d", st.Aggregate.RxPackets)
-	}
-	if st.SteerDrops != 1 || st.Aggregate.Drops != 1 {
-		t.Errorf("steer drops = %d, aggregate drops = %d", st.SteerDrops, st.Aggregate.Drops)
-	}
-	if mq.Dropped() != 1 {
-		t.Errorf("Dropped() = %d", mq.Dropped())
-	}
-	if st.Aggregate.Offloads[semantics.RSS] != 5 {
-		t.Errorf("aggregate rss offloads = %d", st.Aggregate.Offloads[semantics.RSS])
-	}
-	// Neither queue's layout carries ip_checksum: no queue ran that engine,
-	// so the aggregate has no entry for it.
-	if n, ok := st.Aggregate.Offloads[semantics.IPChecksum]; ok {
-		t.Errorf("aggregate ip_checksum offloads = %d, want no entry", n)
-	}
-	if st.Aggregate.Ring.Produced != 5 || st.Aggregate.Ring.Occupancy != 5 {
-		t.Errorf("aggregate ring = %+v", st.Aggregate.Ring)
-	}
-
-	reg := obs.NewRegistry()
-	mq.RegisterMetrics(reg)
-	var sb strings.Builder
-	reg.WritePrometheus(&sb)
-	for _, want := range []string{
-		`opendesc_dev_rx_packets_total{nic="e1000e",queue="0"} 3`,
-		`opendesc_dev_rx_packets_total{nic="e1000e",queue="1"} 2`,
-		`opendesc_mq_steer_drops_total{nic="e1000e"} 1`,
-	} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("exposition missing %q", want)
-		}
 	}
 }
 

@@ -371,9 +371,6 @@ func WriteMergedChromeTrace(w io.Writer, snaps []NamedSnapshot) error {
 	return WriteTraceEvents(w, evs)
 }
 
-// Dump renders the full buffer as human-readable text.
-func (r *Recorder) Dump() string { return r.Snapshot().Format() }
-
 // WriteChromeTrace snapshots the full buffer and renders it as Chrome
 // trace_event JSON.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {

@@ -263,15 +263,6 @@ func (q *Queue) Recorder() *Recorder {
 	return q.rec
 }
 
-// Dropped reports events lost to the writer-lap protection (a writer stalled
-// mid-record while the ring wrapped past it). Zero in any sane run.
-func (q *Queue) Dropped() uint64 {
-	if q == nil {
-		return 0
-	}
-	return q.dropped.Load()
-}
-
 // record claims a ticket, validates slot ownership, and publishes the event.
 // The claim CAS only succeeds while the slot holds a released (even) state
 // from an earlier lap; if a stalled writer from a previous lap is still

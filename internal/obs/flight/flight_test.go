@@ -394,3 +394,15 @@ func TestFormatReadable(t *testing.T) {
 		}
 	}
 }
+
+// Dump renders the full buffer as human-readable text.
+func (r *Recorder) Dump() string { return r.Snapshot().Format() }
+
+// Dropped reports events lost to the writer-lap protection (a writer stalled
+// mid-record while the ring wrapped past it). Zero in any sane run.
+func (q *Queue) Dropped() uint64 {
+	if q == nil {
+		return 0
+	}
+	return q.dropped.Load()
+}

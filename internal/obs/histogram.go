@@ -36,15 +36,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() uint64 { return h.sum.Load() }
 
-// Mean returns the arithmetic mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.Sum()) / float64(n)
-}
-
 // bucketUpper is the inclusive upper bound of bucket i.
 func bucketUpper(i int) uint64 {
 	if i == 0 {
@@ -106,15 +97,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	s.Sum = h.sum.Load()
 	return s
-}
-
-// Mean returns the arithmetic mean of the snapshot (0 when empty, never
-// NaN).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
 }
 
 // Merge returns the bucket-wise sum of s and o: the histogram that would

@@ -162,3 +162,12 @@ func TestSnapshotMergeReconciles(t *testing.T) {
 		t.Errorf("identity merge changed the snapshot: %+v vs %+v", got, s)
 	}
 }
+
+// Mean returns the arithmetic mean of the snapshot (0 when empty, never
+// NaN).
+func (s HistogramSnapshot) Mean() float64 {
+	if s.Count == 0 {
+		return 0
+	}
+	return float64(s.Sum) / float64(s.Count)
+}

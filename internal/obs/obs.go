@@ -299,11 +299,6 @@ func (r *Registry) AttachCounter(name, help string, c *Counter, labels ...Label)
 	r.register(&metric{name: name, help: help, labels: labels, kind: kindCounter, c: c}, true)
 }
 
-// AttachGauge registers an externally owned Gauge.
-func (r *Registry) AttachGauge(name, help string, g *Gauge, labels ...Label) {
-	r.register(&metric{name: name, help: help, labels: labels, kind: kindGauge, g: g}, true)
-}
-
 // AttachHistogram registers an externally owned Histogram.
 func (r *Registry) AttachHistogram(name, help string, h *Histogram, labels ...Label) {
 	r.register(&metric{name: name, help: help, labels: labels, kind: kindHistogram, h: h}, true)

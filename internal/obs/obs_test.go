@@ -161,3 +161,12 @@ func TestTraceReport(t *testing.T) {
 		t.Errorf("spans = %d", len(tr.Spans()))
 	}
 }
+
+// Mean returns the arithmetic mean (0 when empty).
+func (h *Histogram) Mean() float64 {
+	n := h.Count()
+	if n == 0 {
+		return 0
+	}
+	return float64(h.Sum()) / float64(n)
+}

@@ -60,16 +60,6 @@ func (p *Program) Header(name string) *HeaderDecl {
 	return nil
 }
 
-// Struct returns the struct declaration with the given name, or nil.
-func (p *Program) Struct(name string) *StructDecl {
-	for _, d := range p.Decls {
-		if s, ok := d.(*StructDecl); ok && s.Name == name {
-			return s
-		}
-	}
-	return nil
-}
-
 // Control returns the control declaration with the given name, or nil.
 func (p *Program) Control(name string) *ControlDecl {
 	for _, d := range p.Decls {
@@ -96,17 +86,6 @@ func (p *Program) Controls() []*ControlDecl {
 	for _, d := range p.Decls {
 		if c, ok := d.(*ControlDecl); ok {
 			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// Parsers returns all parser declarations in order.
-func (p *Program) Parsers() []*ParserDecl {
-	var out []*ParserDecl
-	for _, d := range p.Decls {
-		if pr, ok := d.(*ParserDecl); ok {
-			out = append(out, pr)
 		}
 	}
 	return out
@@ -416,16 +395,6 @@ type ControlDecl struct {
 func (d *ControlDecl) Pos() token.Pos   { return d.ControlPos }
 func (d *ControlDecl) declNode()        {}
 func (d *ControlDecl) DeclName() string { return d.Name }
-
-// Action returns the named action, or nil.
-func (d *ControlDecl) Action(name string) *ActionDecl {
-	for _, a := range d.Actions {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
 
 // ActionDecl is `action name(params) { body }`.
 type ActionDecl struct {

@@ -201,3 +201,34 @@ func TestParserStateLookup(t *testing.T) {
 		t.Error("action lookup")
 	}
 }
+
+// Parsers returns all parser declarations in order.
+func (p *Program) Parsers() []*ParserDecl {
+	var out []*ParserDecl
+	for _, d := range p.Decls {
+		if pr, ok := d.(*ParserDecl); ok {
+			out = append(out, pr)
+		}
+	}
+	return out
+}
+
+// Struct returns the struct declaration with the given name, or nil.
+func (p *Program) Struct(name string) *StructDecl {
+	for _, d := range p.Decls {
+		if s, ok := d.(*StructDecl); ok && s.Name == name {
+			return s
+		}
+	}
+	return nil
+}
+
+// Action returns the named action, or nil.
+func (d *ControlDecl) Action(name string) *ActionDecl {
+	for _, a := range d.Actions {
+		if a.Name == name {
+			return a
+		}
+	}
+	return nil
+}

@@ -307,7 +307,7 @@ control C(inout bit<32> x) {
 	if len(ctl.Locals) != 2 {
 		t.Errorf("locals = %d, want 2", len(ctl.Locals))
 	}
-	if len(ctl.Actions) != 1 || ctl.Action("bump") == nil {
+	if len(ctl.Actions) != 1 || ctl.Actions[0].Name != "bump" {
 		t.Errorf("actions = %v", ctl.Actions)
 	}
 	if len(ctl.Apply.Stmts) != 2 {

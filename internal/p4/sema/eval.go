@@ -265,63 +265,3 @@ func (in *Info) evalBinary(e *ast.BinaryExpr, env Env) (Value, error) {
 	}
 	return Value{}, fmt.Errorf("unsupported binary operator %s", e.Op)
 }
-
-// FreeVars collects the dotted paths of identifiers and member chains that
-// are not resolvable as constants or enum members — i.e. the runtime inputs
-// an expression depends on (context fields, descriptor fields).
-func (in *Info) FreeVars(e ast.Expr) []string {
-	seen := make(map[string]bool)
-	var out []string
-	add := func(p string) {
-		if p != "" && !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	var walk func(e ast.Expr)
-	walk = func(e ast.Expr) {
-		switch e := e.(type) {
-		case *ast.Ident:
-			if _, ok := in.Consts[e.Name]; !ok {
-				add(e.Name)
-			}
-		case *ast.MemberExpr:
-			if id, ok := e.X.(*ast.Ident); ok {
-				if et := in.Enum(id.Name); et != nil {
-					return // enum member, constant
-				}
-			}
-			if p := e.Path(); p != "" {
-				add(p)
-				return
-			}
-			walk(e.X)
-		case *ast.ParenExpr:
-			walk(e.X)
-		case *ast.UnaryExpr:
-			walk(e.X)
-		case *ast.BinaryExpr:
-			walk(e.X)
-			walk(e.Y)
-		case *ast.TernaryExpr:
-			walk(e.Cond)
-			walk(e.Then)
-			walk(e.Else)
-		case *ast.CastExpr:
-			walk(e.X)
-		case *ast.SliceExpr:
-			walk(e.X)
-			walk(e.Hi)
-			walk(e.Lo)
-		case *ast.IndexExpr:
-			walk(e.X)
-			walk(e.Index)
-		case *ast.CallExpr:
-			for _, a := range e.Args {
-				walk(a)
-			}
-		}
-	}
-	walk(e)
-	return out
-}

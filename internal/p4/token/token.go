@@ -118,12 +118,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// IsLiteral reports whether the kind is a literal token.
-func (k Kind) IsLiteral() bool { return k > literalBeg && k < literalEnd }
-
-// IsOperator reports whether the kind is an operator or delimiter.
-func (k Kind) IsOperator() bool { return k > operatorBeg && k < operatorEnd }
-
 // IsKeyword reports whether the kind is a reserved word.
 func (k Kind) IsKeyword() bool { return k > keywordBeg && k < keywordEnd }
 
@@ -201,9 +195,6 @@ type Pos struct {
 	Line   int
 	Col    int
 }
-
-// IsValid reports whether the position carries real location data.
-func (p Pos) IsValid() bool { return p.Line > 0 }
 
 // String renders the position as file:line:col.
 func (p Pos) String() string {

@@ -103,3 +103,12 @@ func TestTokenString(t *testing.T) {
 		t.Errorf("op token = %q", Token{Kind: SEMI}.String())
 	}
 }
+
+// IsLiteral reports whether the kind is a literal token.
+func (k Kind) IsLiteral() bool { return k > literalBeg && k < literalEnd }
+
+// IsOperator reports whether the kind is an operator or delimiter.
+func (k Kind) IsOperator() bool { return k > operatorBeg && k < operatorEnd }
+
+// IsValid reports whether the position carries real location data.
+func (p Pos) IsValid() bool { return p.Line > 0 }

@@ -61,13 +61,6 @@ func (c *ChecksumAccumulator) Sum() uint16 {
 	return ^uint16(s)
 }
 
-// Checksum computes the Internet checksum of data in one shot.
-func Checksum(data []byte) uint16 {
-	var c ChecksumAccumulator
-	c.Add(data)
-	return c.Sum()
-}
-
 // IPv4HeaderChecksum computes the header checksum for the IPv4 header at
 // hdr (with the checksum field bytes treated as zero).
 func IPv4HeaderChecksum(hdr []byte) uint16 {

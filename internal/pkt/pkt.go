@@ -13,7 +13,6 @@ import (
 // EtherType values understood by the decoder.
 const (
 	EtherTypeIPv4 uint16 = 0x0800
-	EtherTypeARP  uint16 = 0x0806
 	EtherTypeVLAN uint16 = 0x8100
 	EtherTypeQinQ uint16 = 0x88A8
 	EtherTypeIPv6 uint16 = 0x86DD
@@ -21,9 +20,8 @@ const (
 
 // IP protocol numbers.
 const (
-	ProtoICMP uint8 = 1
-	ProtoTCP  uint8 = 6
-	ProtoUDP  uint8 = 17
+	ProtoTCP uint8 = 6
+	ProtoUDP uint8 = 17
 )
 
 // Header sizes in bytes.
@@ -139,9 +137,6 @@ func (in *Info) Payload() []byte {
 	}
 	return in.Data[in.PayloadOff:]
 }
-
-// HasVLAN reports whether at least one VLAN tag was present.
-func (in *Info) HasVLAN() bool { return in.VLANCount > 0 }
 
 // OuterTCI returns the outermost VLAN TCI (0 when untagged).
 func (in *Info) OuterTCI() uint16 {

@@ -31,7 +31,7 @@ func TestDecodeUDPv4(t *testing.T) {
 	if string(in.Payload()) != "payload!" {
 		t.Errorf("payload = %q", in.Payload())
 	}
-	if in.HasVLAN() {
+	if in.VLANCount > 0 {
 		t.Error("untagged packet reports VLAN")
 	}
 }
@@ -217,7 +217,7 @@ func TestQuickBuilderDecode(t *testing.T) {
 		if err := Decode(p, &in); err != nil {
 			return false
 		}
-		if in.HasVLAN() != vlan {
+		if in.VLANCount > 0 != vlan {
 			return false
 		}
 		if len(in.Payload()) != int(payloadLen) {
@@ -240,4 +240,11 @@ func TestInfoReset(t *testing.T) {
 	if in.L3 != L3None || in.VLANCount != 0 || in.L3Off != -1 {
 		t.Errorf("stale state after reset: %+v", in)
 	}
+}
+
+// Checksum computes the Internet checksum of data in one shot.
+func Checksum(data []byte) uint16 {
+	var c ChecksumAccumulator
+	c.Add(data)
+	return c.Sum()
 }

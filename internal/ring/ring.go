@@ -196,15 +196,6 @@ func (r *Ring) Push(rec []byte) bool {
 	})
 }
 
-// MustPush is Push that panics on an oversized record (a programming error
-// in tests and fixtures, where silent rejection would hide the bug).
-func (r *Ring) MustPush(rec []byte) bool {
-	if len(rec) > r.entrySize {
-		panic(fmt.Sprintf("ring: record %dB exceeds entry size %dB", len(rec), r.entrySize))
-	}
-	return r.Push(rec)
-}
-
 // noteEmpty counts a consume attempt on an empty ring. Empty polls are
 // routine in a spin-polling driver: the event is sampled on the stall count
 // so a busy-wait loop can't evict the flight history that matters.

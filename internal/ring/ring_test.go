@@ -2,6 +2,7 @@ package ring
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -650,4 +651,13 @@ func BenchmarkRingPush(b *testing.B) {
 		r.Push(rec)
 		r.Pop()
 	}
+}
+
+// MustPush is Push that panics on an oversized record (a programming error
+// in tests and fixtures, where silent rejection would hide the bug).
+func (r *Ring) MustPush(rec []byte) bool {
+	if len(rec) > r.entrySize {
+		panic(fmt.Sprintf("ring: record %dB exceeds entry size %dB", len(rec), r.entrySize))
+	}
+	return r.Push(rec)
 }

@@ -62,9 +62,13 @@ type Descriptor struct {
 	// cost units (calibrated ≈ ns/packet on the reference machine). Use
 	// Infinite when no software fallback exists.
 	SoftCost float64
-	// RequiresPayload reports whether the software fallback must touch
-	// packet payload bytes (vs header-only), which matters for cost
-	// scaling with packet size.
+	// Stages is the match-action stage count the semantic costs when pushed
+	// to a programmable pipeline (core.PlanOffloads); zero means it has no
+	// pipeline form.
+	Stages int
+	// RequiresPayload marks a semantic whose pipeline form must inspect
+	// payload bytes, which RMT-style stages cannot: only a device with
+	// payload externs can host it.
 	RequiresPayload bool
 }
 
@@ -88,26 +92,26 @@ func NewRegistry() *Registry {
 // canonical is the built-in universe. Costs are the static model used when
 // no measured calibration is supplied; see package softnic for measurement.
 var canonical = []Descriptor{
-	{Name: RSS, Doc: "Toeplitz RSS hash over the 5-tuple", DefaultBits: 32, SoftCost: 18},
-	{Name: IPChecksum, Doc: "IPv4 header checksum verification", DefaultBits: 16, SoftCost: 26},
-	{Name: L4Checksum, Doc: "TCP/UDP checksum verification", DefaultBits: 16, SoftCost: 95, RequiresPayload: true},
-	{Name: VLAN, Doc: "stripped 802.1Q TCI", DefaultBits: 16, SoftCost: 4},
+	{Name: RSS, Doc: "Toeplitz RSS hash over the 5-tuple", DefaultBits: 32, SoftCost: 18, Stages: 2},
+	{Name: IPChecksum, Doc: "IPv4 header checksum verification", DefaultBits: 16, SoftCost: 26, Stages: 1},
+	{Name: L4Checksum, Doc: "TCP/UDP checksum verification", DefaultBits: 16, SoftCost: 95, Stages: 1},
+	{Name: VLAN, Doc: "stripped 802.1Q TCI", DefaultBits: 16, SoftCost: 4, Stages: 1},
 	{Name: Timestamp, Doc: "RX hardware timestamp", DefaultBits: 64, SoftCost: Infinite},
 	{Name: PktLen, Doc: "wire length", DefaultBits: 16, SoftCost: 1},
-	{Name: PType, Doc: "parsed packet type code", DefaultBits: 8, SoftCost: 9},
-	{Name: FlowID, Doc: "exact-match flow identifier", DefaultBits: 32, SoftCost: 35},
-	{Name: IPID, Doc: "IPv4 identification field", DefaultBits: 16, SoftCost: 3},
+	{Name: PType, Doc: "parsed packet type code", DefaultBits: 8, SoftCost: 9, Stages: 1},
+	{Name: FlowID, Doc: "exact-match flow identifier", DefaultBits: 32, SoftCost: 35, Stages: 3},
+	{Name: IPID, Doc: "IPv4 identification field", DefaultBits: 16, SoftCost: 3, Stages: 1},
 	{Name: Mark, Doc: "match-action mark", DefaultBits: 32, SoftCost: Infinite},
 	{Name: QueueID, Doc: "receive queue index", DefaultBits: 16, SoftCost: 1},
 	{Name: LROSegs, Doc: "coalesced segment count", DefaultBits: 8, SoftCost: Infinite},
-	{Name: InnerCsum, Doc: "inner checksum status", DefaultBits: 8, SoftCost: 120, RequiresPayload: true},
-	{Name: TunnelID, Doc: "tunnel VNI", DefaultBits: 32, SoftCost: 14},
-	{Name: KVKey, Doc: "key-value request key digest", DefaultBits: 64, SoftCost: 150, RequiresPayload: true},
+	{Name: InnerCsum, Doc: "inner checksum status", DefaultBits: 8, SoftCost: 120},
+	{Name: TunnelID, Doc: "tunnel VNI", DefaultBits: 32, SoftCost: 14, Stages: 1},
+	{Name: KVKey, Doc: "key-value request key digest", DefaultBits: 64, SoftCost: 150, Stages: 4, RequiresPayload: true},
 	{Name: CryptoCtx, Doc: "crypto context id", DefaultBits: 32, SoftCost: Infinite},
 	{Name: SegCnt, Doc: "scatter/gather segment count", DefaultBits: 8, SoftCost: 2},
 	{Name: ErrorFlags, Doc: "RX error bits", DefaultBits: 8, SoftCost: 2},
 	{Name: ChecksumAny, Doc: "checksum validation depth", DefaultBits: 2, SoftCost: 30},
-	{Name: PayloadHash, Doc: "payload hash", DefaultBits: 32, SoftCost: 210, RequiresPayload: true},
+	{Name: PayloadHash, Doc: "payload hash", DefaultBits: 32, SoftCost: 210, Stages: 2, RequiresPayload: true},
 	{Name: DecapFlag, Doc: "decapsulation indicator", DefaultBits: 1, SoftCost: 6},
 	{Name: RXDropHint, Doc: "early-drop hint", DefaultBits: 1, SoftCost: Infinite},
 	{Name: L4Port, Doc: "L4 destination port", DefaultBits: 16, SoftCost: 7},
@@ -132,8 +136,8 @@ func (r *Registry) Register(d Descriptor) error {
 	if d.DefaultBits <= 0 || d.DefaultBits > 4096 {
 		return fmt.Errorf("semantic %q: default width %d out of range", d.Name, d.DefaultBits)
 	}
-	if d.SoftCost < 0 {
-		return fmt.Errorf("semantic %q: negative cost", d.Name)
+	if d.SoftCost < 0 || d.Stages < 0 {
+		return fmt.Errorf("semantic %q: negative cost or stage count", d.Name)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -209,29 +213,6 @@ func (s Set) Add(n Name) { s[n] = struct{}{} }
 func (s Set) Has(n Name) bool {
 	_, ok := s[n]
 	return ok
-}
-
-// Union returns s ∪ o as a new set.
-func (s Set) Union(o Set) Set {
-	out := make(Set, len(s)+len(o))
-	for n := range s {
-		out[n] = struct{}{}
-	}
-	for n := range o {
-		out[n] = struct{}{}
-	}
-	return out
-}
-
-// Minus returns s \ o as a new set.
-func (s Set) Minus(o Set) Set {
-	out := make(Set)
-	for n := range s {
-		if !o.Has(n) {
-			out[n] = struct{}{}
-		}
-	}
-	return out
 }
 
 // Intersect returns s ∩ o as a new set.

@@ -58,6 +58,7 @@ func TestRegisterValidation(t *testing.T) {
 		{Name: "x", DefaultBits: 0},
 		{Name: "x", DefaultBits: 5000},
 		{Name: "x", DefaultBits: 8, SoftCost: -1},
+		{Name: "x", DefaultBits: 8, Stages: -1},
 	} {
 		if err := r.Register(d); err == nil {
 			t.Errorf("Register(%+v) should fail", d)
@@ -171,4 +172,27 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// Union returns s ∪ o as a new set.
+func (s Set) Union(o Set) Set {
+	out := make(Set, len(s)+len(o))
+	for n := range s {
+		out[n] = struct{}{}
+	}
+	for n := range o {
+		out[n] = struct{}{}
+	}
+	return out
+}
+
+// Minus returns s \ o as a new set.
+func (s Set) Minus(o Set) Set {
+	out := make(Set)
+	for n := range s {
+		if !o.Has(n) {
+			out[n] = struct{}{}
+		}
+	}
+	return out
 }

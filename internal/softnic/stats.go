@@ -60,17 +60,6 @@ func (st *ShimStats) Cost(name semantics.Name) ShimCost {
 	return ShimCost{}
 }
 
-// MeasuredCost returns the observed mean ns/call for a semantic (0 when the
-// shim never ran) — the runtime-measured counterpart of the static cost
-// table and of Calibrate.
-func (st *ShimStats) MeasuredCost(name semantics.Name) float64 {
-	sc := st.Cost(name)
-	if sc.Calls == 0 {
-		return 0
-	}
-	return float64(sc.Nanos) / float64(sc.Calls)
-}
-
 // Instrument wraps a shim table (Funcs, or a device's Table) so every call
 // of an emulable semantic's shim increments its call counter and attributes
 // its wall time; the other entries are returned as they are. The timing

@@ -61,3 +61,14 @@ func TestShimStatsRegistration(t *testing.T) {
 		t.Error("exposition missing shim nanos counter")
 	}
 }
+
+// MeasuredCost returns the observed mean ns/call for a semantic (0 when the
+// shim never ran) — the runtime-measured counterpart of the static cost
+// table and of Calibrate.
+func (st *ShimStats) MeasuredCost(name semantics.Name) float64 {
+	sc := st.Cost(name)
+	if sc.Calls == 0 {
+		return 0
+	}
+	return float64(sc.Nanos) / float64(sc.Calls)
+}

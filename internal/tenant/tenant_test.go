@@ -19,6 +19,15 @@ import (
 	"opendesc/internal/workload"
 )
 
+func mustZipf(t *testing.T, spec workload.ZipfSpec) *workload.ZipfTrace {
+	t.Helper()
+	tr, err := workload.GenerateZipf(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 func fourTenants() []Spec {
 	return []Spec{
 		{Name: "lb", Semantics: []string{"rss", "pkt_len"}},
@@ -36,7 +45,7 @@ func TestPlaneEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := workload.MustGenerateZipf(workload.ZipfSpec{
+	tr := mustZipf(t, workload.ZipfSpec{
 		Packets: 512, Flows: 1 << 20, Skew: 1.1, Tenants: 4, Seed: 9,
 	})
 	offered := make([]int, 4)
@@ -547,7 +556,7 @@ func TestPlaneOfOneDecidesLikeEngine(t *testing.T) {
 		{"rss": 1, "ip_checksum": 16, "vlan": 4, "pkt_len": 4},
 	}
 	const perPhase = 1024
-	tr := workload.MustGenerateZipf(workload.ZipfSpec{Packets: 2 * perPhase, Flows: 1 << 10, Skew: 1.1, Tenants: 1, Seed: 15})
+	tr := mustZipf(t, workload.ZipfSpec{Packets: 2 * perPhase, Flows: 1 << 10, Skew: 1.1, Tenants: 1, Seed: 15})
 
 	intent, err := intentFor("one", sems)
 	if err != nil {

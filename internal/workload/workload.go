@@ -180,12 +180,3 @@ func (s MixSchedule) Phase(i int) Mix {
 
 // NumPhases returns the phase count.
 func (s MixSchedule) NumPhases() int { return len(s.Phases) }
-
-// TotalBytes sums the wire lengths.
-func (t *Trace) TotalBytes() int {
-	n := 0
-	for _, p := range t.Packets {
-		n += len(p)
-	}
-	return n
-}

@@ -48,7 +48,7 @@ func TestAllPacketsDecode(t *testing.T) {
 			t.Fatalf("packet %d undecodable: %v", i, err)
 		}
 		kinds[in.L4]++
-		if in.HasVLAN() {
+		if in.VLANCount > 0 {
 			vlans++
 		}
 		if in.L4 == pkt.L4UDP && in.DstPort == 4789 {
@@ -144,4 +144,13 @@ func TestTotalBytes(t *testing.T) {
 	if tr.TotalBytes() < 10*100 {
 		t.Errorf("total bytes = %d", tr.TotalBytes())
 	}
+}
+
+// TotalBytes sums the wire lengths.
+func (t *Trace) TotalBytes() int {
+	n := 0
+	for _, p := range t.Packets {
+		n += len(p)
+	}
+	return n
 }

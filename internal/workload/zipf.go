@@ -39,17 +39,6 @@ type ZipfSpec struct {
 // maxZipfFlows bounds the flow population to 24-bit source addressing.
 const maxZipfFlows = 1 << 24
 
-// DefaultZipfSpec is a million-flow, 4-tenant, web-skew population.
-func DefaultZipfSpec() ZipfSpec {
-	return ZipfSpec{
-		Packets: 4096,
-		Flows:   1 << 20,
-		Skew:    1.1,
-		Tenants: 4,
-		Seed:    1,
-	}
-}
-
 // ZipfTrace is a generated flow-popularity packet sequence with its
 // per-packet tenant and flow-rank attribution.
 type ZipfTrace struct {
@@ -178,13 +167,4 @@ func GenerateZipf(spec ZipfSpec) (*ZipfTrace, error) {
 		}
 	}
 	return tr, nil
-}
-
-// MustGenerateZipf panics on an invalid spec.
-func MustGenerateZipf(spec ZipfSpec) *ZipfTrace {
-	tr, err := GenerateZipf(spec)
-	if err != nil {
-		panic(err)
-	}
-	return tr
 }

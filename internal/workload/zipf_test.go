@@ -136,3 +136,12 @@ func TestZipfRankBounds(t *testing.T) {
 		}
 	}
 }
+
+// MustGenerateZipf panics on an invalid spec.
+func MustGenerateZipf(spec ZipfSpec) *ZipfTrace {
+	tr, err := GenerateZipf(spec)
+	if err != nil {
+		panic(err)
+	}
+	return tr
+}

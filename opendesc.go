@@ -154,9 +154,6 @@ func CompileP4(nicName, nicSource string, intent *Intent, opts CompileOptions) (
 // GenerateGo renders a standalone Go accessor package for a result.
 func GenerateGo(res *Result, pkg string) string { return codegen.GenGo(res, pkg) }
 
-// GenerateGoBatch renders 4-wide batch accessors (the §5 SIMD shape).
-func GenerateGoBatch(res *Result, pkg string) string { return codegen.GenGoBatch(res, pkg) }
-
 // GenerateC renders a C header with constant-time accessors.
 func GenerateC(res *Result, prefix string) string { return codegen.GenC(res, prefix) }
 

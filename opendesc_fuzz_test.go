@@ -76,10 +76,10 @@ func FuzzValidate(f *testing.F) {
 		}
 		m := fuzzCompile(t)[int(modelIdx)%len(fuzzModels)]
 		viol := m.val.Check(rec, packet)
-		if len(rec) < m.val.RecordBytes() {
+		if len(rec) < m.res.CompletionBytes() {
 			if viol == nil || viol.Kind != codegen.ViolationShort {
 				t.Fatalf("%s: short record (%d < %d) not rejected: %v",
-					m.res.NIC, len(rec), m.val.RecordBytes(), viol)
+					m.res.NIC, len(rec), m.res.CompletionBytes(), viol)
 			}
 		}
 		conforms := m.val.Conforms(rec, packet)

@@ -376,7 +376,7 @@ func TestHardenedDegradedResidencyVirtualClock(t *testing.T) {
 // packet is delivered exactly once with the golden length; every injected
 // fault is caught; and no record reaches the validator shorter than the
 // layout it checks — the ring pads a torn record to the stride, which is
-// never below Validator.RecordBytes().
+// never below the compiled completion size.
 func TestHardenedFaultClassesOnSizedRing(t *testing.T) {
 	intent, err := NewIntent("sized_ring", "pkt_len")
 	if err != nil {
@@ -388,7 +388,7 @@ func TestHardenedFaultClassesOnSizedRing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if stride, rec := drv.q.Dev().CmptRing.EntrySize(), drv.q.Lane(0).Validator.RecordBytes(); stride < rec {
+			if stride, rec := drv.q.Dev().CmptRing.EntrySize(), drv.Result.CompletionBytes(); stride < rec {
 				t.Fatalf("ring stride %d B is shorter than the validated record, %d B", stride, rec)
 			}
 			inj := faults.New(faults.Plan{Seed: 17, TruncateP: 0.1, DuplicateP: 0.1, CorruptP: 0.1, BurstBits: 4})

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"opendesc/internal/nicsim"
 	"opendesc/internal/pkt"
 	"opendesc/internal/softnic"
 )
@@ -50,9 +51,6 @@ func TestCompilePublicAPI(t *testing.T) {
 	}
 	if !strings.Contains(GenerateEBPF(res), "opendesc_cmpt") {
 		t.Error("GenerateEBPF lost the bounded reader")
-	}
-	if !strings.Contains(GenerateGoBatch(res, "acc"), "X4(") {
-		t.Error("GenerateGoBatch lost the batch form")
 	}
 }
 
@@ -226,6 +224,54 @@ func TestDriverSoftwareShimThroughMeta(t *testing.T) {
 			t.Errorf("soft rss = %#x/%v", v, ok)
 		}
 	})
+}
+
+// TestPerQueueIntents runs the paper's multi-instance scenario as
+// examples/multiqueue does: one driver per queue of a programmable NIC, each
+// with its own intent and so its own completion layout — a key-value queue
+// (16-byte records carrying the key digest) and a telemetry queue (32-byte
+// records carrying timestamps) — each reading its own queue id.
+func TestPerQueueIntents(t *testing.T) {
+	kvPkt := pkt.NewBuilder().WithUDP(9000, 11211).WithPayload([]byte("get k:1\r\n")).Build()
+	webPkt := pkt.NewBuilder().WithTCP(443, 50000, 0x18).Build()
+	var in pkt.Info
+	if err := pkt.Decode(kvPkt, &in); err != nil {
+		t.Fatal(err)
+	}
+	for q, c := range []struct {
+		sems  []string
+		bytes int
+		hw    string
+		frame []byte
+		want  func(uint64) bool
+	}{
+		{[]string{"kv_key", "rss", "queue_id"}, 16, "kv_key", kvPkt, func(v uint64) bool { return v == softnic.KVKey(&in) }},
+		{[]string{"timestamp", "rss", "pkt_len", "queue_id"}, 32, "timestamp", webPkt, func(v uint64) bool { return v != 0 }},
+	} {
+		intent, err := NewIntent("queue", c.sems...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drv, err := OpenWith("qdma", intent, OpenOptions{Device: nicsim.Config{QueueID: uint16(q)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := drv.CompletionBytes(); got != c.bytes {
+			t.Errorf("queue %d: %dB completions, want %d", q, got, c.bytes)
+		}
+		drv.Rx(c.frame)
+		n := drv.Poll(func(_ []byte, m Meta) {
+			if v, ok := m.Get(c.hw); !ok || !m.Hardware(c.hw) || !c.want(v) {
+				t.Errorf("queue %d: %s = %#x/%v, hardware %v", q, c.hw, v, ok, m.Hardware(c.hw))
+			}
+			if v, ok := m.Get("queue_id"); !ok || v != uint64(q) {
+				t.Errorf("queue %d: queue_id = %d/%v", q, v, ok)
+			}
+		})
+		if n != 1 {
+			t.Errorf("queue %d: delivered %d packets, want 1", q, n)
+		}
+	}
 }
 
 func TestRegisterSemanticEvolvability(t *testing.T) {
