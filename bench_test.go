@@ -362,7 +362,11 @@ func configuredDevice(b *testing.B, m *nic.Model) *nicsim.Device {
 }
 
 // rxLoop receives b.N packets of the trace, draining the completion ring
-// whenever it fills; any other refusal is fatal.
+// whenever it fills; any other refusal is fatal. It reports allocs/pkt as a
+// fraction — every allocation the process made during the loop, from the
+// MemStats.Mallocs delta — because allocs/op rounds down, and "0 allocs/op"
+// beside a non-zero B/op cannot tell one allocation in every few packets
+// from none.
 func rxLoop(b *testing.B, dev *nicsim.Device, tr *workload.Trace) {
 	b.Helper()
 	total := 0
@@ -370,6 +374,10 @@ func rxLoop(b *testing.B, dev *nicsim.Device, tr *workload.Trace) {
 		total += len(p)
 	}
 	b.SetBytes(int64(total / len(tr.Packets)))
+	var before, after runtime.MemStats
+	b.StopTimer()
+	runtime.ReadMemStats(&before)
+	b.StartTimer()
 	for i := 0; i < b.N; i++ {
 		if dev.RxPacket(tr.Packets[i%len(tr.Packets)]) {
 			continue
@@ -380,6 +388,9 @@ func rxLoop(b *testing.B, dev *nicsim.Device, tr *workload.Trace) {
 		for dev.CmptRing.Pop() {
 		}
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/pkt")
 }
 
 // BenchmarkSimulatorRx measures the simulated device's packet rate (CFG

@@ -140,7 +140,7 @@ func main() {
 	if *traceFlag {
 		tr = obs.NewTrace("compile " + *nicArg)
 	}
-	spec, nicName, err := loadNICTraced(*nicArg, tr)
+	info, nicName, err := loadNICTraced(*nicArg, tr)
 	if err != nil {
 		fatal(err)
 	}
@@ -154,7 +154,7 @@ func main() {
 		Enumerate: core.EnumerateOptions{DisablePruning: *noPrune},
 		Trace:     tr,
 	}
-	res, err := core.Compile(nicName, spec, intent, opts)
+	res, err := core.Compile(nicName, info, intent, opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -219,20 +219,20 @@ func main() {
 // accessors moved, resized, or fell back to software, and whether the drift
 // breaks fixed-offset readers or only regenerated accessors.
 func runDiff(oldArg, newArg string, intent *core.Intent, alpha float64) (string, error) {
-	oldSpec, oldName, err := loadNIC(oldArg)
+	oldInfo, oldName, err := loadNIC(oldArg)
 	if err != nil {
 		return "", err
 	}
-	newSpec, newName, err := loadNIC(newArg)
+	newInfo, newName, err := loadNIC(newArg)
 	if err != nil {
 		return "", err
 	}
 	opts := core.CompileOptions{Select: core.SelectOptions{Alpha: alpha}}
-	oldRes, err := core.Compile(oldName, oldSpec, intent, opts)
+	oldRes, err := core.Compile(oldName, oldInfo, intent, opts)
 	if err != nil {
 		return "", fmt.Errorf("compiling against %s: %w", oldName, err)
 	}
-	newRes, err := core.Compile(newName, newSpec, intent, opts)
+	newRes, err := core.Compile(newName, newInfo, intent, opts)
 	if err != nil {
 		return "", fmt.Errorf("compiling against %s: %w", newName, err)
 	}
@@ -255,8 +255,8 @@ func runDiff(oldArg, newArg string, intent *core.Intent, alpha float64) (string,
 	return sb.String(), nil
 }
 
-// loadNIC resolves a bundled model name or a .p4 file into a deparser spec.
-func loadNIC(arg string) (core.DeparserSpec, string, error) {
+// loadNIC resolves a bundled model name or a .p4 file into its checked description.
+func loadNIC(arg string) (*sema.Info, string, error) {
 	return loadNICTraced(arg, nil)
 }
 
@@ -264,21 +264,21 @@ func loadNIC(arg string) (core.DeparserSpec, string, error) {
 // non-nil the NIC description is (re)parsed and checked under "parse" and
 // "sema" spans — also for bundled models, whose cached Info would otherwise
 // hide the frontend cost.
-func loadNICTraced(arg string, tr *obs.Trace) (core.DeparserSpec, string, error) {
+func loadNICTraced(arg string, tr *obs.Trace) (*sema.Info, string, error) {
 	var name, file, src string
 	if !strings.ContainsAny(arg, "./") {
 		m, err := nic.Load(arg)
 		if err != nil {
-			return core.DeparserSpec{}, "", err
+			return nil, "", err
 		}
 		if tr == nil {
-			return m.Deparser, m.Name, nil
+			return m.Info, m.Name, nil
 		}
 		name, file, src = m.Name, m.Name+".p4", m.Source
 	} else {
 		b, err := os.ReadFile(arg)
 		if err != nil {
-			return core.DeparserSpec{}, "", err
+			return nil, "", err
 		}
 		name, file, src = strings.TrimSuffix(filepath.Base(arg), ".p4"), arg, string(b)
 	}
@@ -288,7 +288,7 @@ func loadNICTraced(arg string, tr *obs.Trace) (core.DeparserSpec, string, error)
 	}
 	prog, err := parser.Parse(file, src)
 	if err != nil {
-		return core.DeparserSpec{}, "", err
+		return nil, "", err
 	}
 	if sp != nil {
 		sp.End()
@@ -296,12 +296,12 @@ func loadNICTraced(arg string, tr *obs.Trace) (core.DeparserSpec, string, error)
 	}
 	info, err := sema.Check(prog)
 	if err != nil {
-		return core.DeparserSpec{}, "", err
+		return nil, "", err
 	}
 	if sp != nil {
 		sp.Annotate("controls", len(info.Prog.Controls())).End()
 	}
-	return core.DeparserSpec{Info: info}, name, nil
+	return info, name, nil
 }
 
 func loadIntent(file, header, req string) (*core.Intent, error) {

@@ -11,12 +11,12 @@ import (
 )
 
 func TestLoadNICByName(t *testing.T) {
-	spec, name, err := loadNIC("e1000e")
+	info, name, err := loadNIC("e1000e")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name != "e1000e" || spec.Info == nil {
-		t.Errorf("spec = %+v name = %q", spec, name)
+	if name != "e1000e" || info == nil {
+		t.Errorf("info = %p name = %q", info, name)
 	}
 	if _, _, err := loadNIC("notanic"); err == nil {
 		t.Error("unknown model should fail")
@@ -37,14 +37,14 @@ control CmptDeparser<CTX,DESC,META>(cmpt_out co, in CTX ctx, in DESC d, in META 
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	spec, name, err := loadNIC(path)
+	info, name, err := loadNIC(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if name != "custom" {
 		t.Errorf("name = %q", name)
 	}
-	if spec.Info.Prog.Control("CmptDeparser") == nil {
+	if info.Prog.Control("CmptDeparser") == nil {
 		t.Error("control not parsed")
 	}
 	// Malformed file errors cleanly.

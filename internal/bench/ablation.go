@@ -81,7 +81,7 @@ func E12CostModel() (*Table, error) {
 // shared context bits: with pruning, path count stays 2^n over n bits; the
 // correlated second branches add nothing. Without pruning it doubles per
 // branch pair to 4^n.
-func wideDeparser(n int) (core.DeparserSpec, error) {
+func wideDeparser(n int) (*sema.Info, error) {
 	var sb strings.Builder
 	sb.WriteString("struct ctx_t {")
 	for i := 0; i < n; i++ {
@@ -98,13 +98,13 @@ func wideDeparser(n int) (core.DeparserSpec, error) {
 	sb.WriteString("} }\n")
 	prog, err := parser.Parse("wide.p4", sb.String())
 	if err != nil {
-		return core.DeparserSpec{}, err
+		return nil, err
 	}
 	info, err := sema.Check(prog)
 	if err != nil {
-		return core.DeparserSpec{}, err
+		return nil, err
 	}
-	return core.DeparserSpec{Info: info}, nil
+	return info, nil
 }
 
 // E13Pruning is the symbolic-pruning ablation: feasible-path counts and
@@ -121,8 +121,8 @@ func E13Pruning() (*Table, error) {
 			"branches, so pruning is free there.",
 		Header: []string{"deparser", "paths-pruned", "paths-unpruned", "enum-us-pruned", "enum-us-unpruned"},
 	}
-	run := func(name string, spec core.DeparserSpec, maxPaths int) error {
-		g, err := core.BuildDeparserGraph(spec)
+	run := func(name string, info *sema.Info, maxPaths int) error {
+		g, err := core.BuildDeparserGraph(info)
 		if err != nil {
 			return err
 		}
@@ -153,16 +153,16 @@ func E13Pruning() (*Table, error) {
 		return nil
 	}
 	for _, m := range nic.All() {
-		if err := run(m.Name, m.Deparser, 0); err != nil {
+		if err := run(m.Name, m.Info, 0); err != nil {
 			return nil, err
 		}
 	}
 	for _, n := range []int{2, 4, 6} {
-		spec, err := wideDeparser(n)
+		info, err := wideDeparser(n)
 		if err != nil {
 			return nil, err
 		}
-		if err := run(fmt.Sprintf("synthetic-%d-correlated", n), spec, 1<<16); err != nil {
+		if err := run(fmt.Sprintf("synthetic-%d-correlated", n), info, 1<<16); err != nil {
 			return nil, err
 		}
 	}

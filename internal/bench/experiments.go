@@ -314,7 +314,7 @@ func E10Stages(m *nic.Model, intent *core.Intent) []E10Stage {
 			}
 			return err
 		}},
-		{"analysis", func() error { _, err := core.Analyze(m.Deparser, core.EnumerateOptions{}); return err }},
+		{"analysis", func() error { _, err := core.Analyze(m.Info, core.EnumerateOptions{}); return err }},
 		{"select", func() error { _, err := m.Compile(intent, core.CompileOptions{}); return err }},
 		{"cold", func() error {
 			_, err := opendesc.CompileP4(m.Name, m.Source, intent, core.CompileOptions{})

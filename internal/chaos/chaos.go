@@ -97,18 +97,6 @@ type Config struct {
 	RingEntries int
 	// Steps is the schedule length Generate draws (default 512).
 	Steps int
-	// Mixes is the read-mix phase schedule mix-shift events walk. The
-	// default derives three phases from Semantics: all fields, first field
-	// only (the abrupt 100%-flip), and the empty mix.
-	Mixes workload.MixSchedule
-	// Workload shapes the packet trace (default: workload.DefaultSpec with
-	// 256 packets, reused modulo).
-	Workload workload.Spec
-	// DegradeThreshold / MaxResetBackoff tune the hardened watchdog; chaos
-	// defaults (4 / 64) are small so the recovery ladder runs often and the
-	// degraded-residency bound stays tight.
-	DegradeThreshold int
-	MaxResetBackoff  int
 	// DisableResync deliberately re-opens the pre-PR3 lost-completion
 	// liveness bug (HardenOptions.DisableResync) so tests can prove the
 	// oracles catch it. Never set outside a test or a canary run.
@@ -143,21 +131,15 @@ func (c Config) withDefaults() Config {
 	if c.Steps <= 0 {
 		c.Steps = 512
 	}
-	if c.Mixes.NumPhases() == 0 {
-		c.Mixes = defaultMixes(c.Semantics)
-	}
-	if c.Workload.Packets == 0 {
-		c.Workload = workload.DefaultSpec()
-		c.Workload.Packets = 256
-	}
-	if c.DegradeThreshold <= 0 {
-		c.DegradeThreshold = 4
-	}
-	if c.MaxResetBackoff <= 0 {
-		c.MaxResetBackoff = 64
-	}
 	return c
 }
+
+// The hardened watchdog's tuning under chaos: small, so the recovery ladder
+// runs often and the degraded-residency bound stays tight.
+const (
+	degradeThreshold = 4
+	maxResetBackoff  = 64
+)
 
 // String renders the scenario as the key=value line the reproducer spec and
 // the trace header carry. Deterministic (no maps).
@@ -235,8 +217,11 @@ type queue struct {
 
 // runner executes one schedule.
 type runner struct {
-	cfg     Config
-	clk     *vclock.Virtual
+	cfg Config
+	clk *vclock.Virtual
+	// mixes is the read-mix phase schedule mix-shift events walk: three
+	// phases derived from Config.Semantics (mixPhases).
+	mixes   workload.MixSchedule
 	trace   *workload.Trace
 	queues  []*queue
 	nextPkt int
@@ -255,7 +240,7 @@ func Run(cfg Config, seed uint64) *Result {
 // scripted corruptions flip the same bits on replay.
 func RunSchedule(cfg Config, s Schedule) *Result {
 	cfg = cfg.withDefaults()
-	r := &runner{cfg: cfg, clk: vclock.NewVirtual(1), res: &Result{}}
+	r := &runner{cfg: cfg, clk: vclock.NewVirtual(1), mixes: phaseMixes(cfg.Semantics), res: &Result{}}
 	if v := r.verifyDescription(); v != nil {
 		r.res.Violation = v
 		r.res.Trace = []byte(r.log.String())
@@ -305,7 +290,9 @@ func (r *runner) verifyDescription() *Violation {
 
 // setup opens one driver per queue on a shared virtual clock.
 func (r *runner) setup(seed uint64) error {
-	tr, err := workload.Generate(r.cfg.Workload)
+	spec := workload.DefaultSpec()
+	spec.Packets = 256 // reused modulo
+	tr, err := workload.Generate(spec)
 	if err != nil {
 		return err
 	}
@@ -329,8 +316,8 @@ func (r *runner) setup(seed uint64) error {
 				// structural validation alone cannot catch a flipped bit
 				// in a non-redundant field like rss.
 				Deep:             true,
-				DegradeThreshold: r.cfg.DegradeThreshold,
-				MaxResetBackoff:  r.cfg.MaxResetBackoff,
+				DegradeThreshold: degradeThreshold,
+				MaxResetBackoff:  maxResetBackoff,
 				DisableResync:    r.cfg.DisableResync,
 				Clock:            r.clk,
 			},
@@ -365,7 +352,7 @@ func (r *runner) setup(seed uint64) error {
 // reads are the read mix the control plane re-solves for).
 func (r *runner) handler(qi int, step int) func([]byte, opendesc.Meta) {
 	q := r.queues[qi]
-	mix := r.cfg.Mixes.Phase(q.mixPhase)
+	mix := r.mixes.Phase(q.mixPhase)
 	return func(p []byte, m opendesc.Meta) {
 		q.delivered++
 		if q.viol != nil {
@@ -415,7 +402,7 @@ func (r *runner) exec(step int, ev Event) {
 	case OpHang:
 		q.inj.ScriptHang(int(ev.Arg))
 	case OpMixShift:
-		q.mixPhase = int(ev.Arg) % r.cfg.Mixes.NumPhases()
+		q.mixPhase = int(ev.Arg) % mixPhases
 	}
 	hard := q.drv.Hardening()
 	deg := 0
@@ -509,7 +496,7 @@ func (r *runner) oracles(step, qi int) *Violation {
 	hard := q.drv.Hardening()
 	if hard.Degraded && !q.inj.Hung() {
 		q.degradedHealthyOps++
-		if bound := 4*r.cfg.MaxResetBackoff + 64; q.degradedHealthyOps > bound {
+		if bound := 4*maxResetBackoff + 64; q.degradedHealthyOps > bound {
 			return &Violation{Oracle: "bounded-degraded", Step: step, Queue: qi,
 				Detail: fmt.Sprintf("degraded for %d ops past device recovery (bound %d)", q.degradedHealthyOps, bound)}
 		}

@@ -27,15 +27,8 @@ type FleetConfig struct {
 	// Hosts is the fleet size, round-robin over the six bundled NICs
 	// (default 6, max 64).
 	Hosts int
-	// RingEntries sizes each host's completion ring (default 128).
-	RingEntries int
 	// Steps is the schedule length (default 512).
 	Steps int
-	// LeaseNs is the trial lease in virtual nanoseconds (default 2^20,
-	// small enough that partition events actually expire trials).
-	LeaseNs uint64
-	// BakeTarget is the per-canary bake depth before promotion (default 24).
-	BakeTarget uint64
 	// ForgedTelemetry arms host index 1 with a forged-clean telemetry
 	// mutator: its reports hide garbage/order counters and anomaly evidence
 	// (re-sealed with a valid digest, so only the controller's counter
@@ -61,20 +54,21 @@ func (c FleetConfig) withDefaults() FleetConfig {
 	if c.Hosts > 64 {
 		c.Hosts = 64
 	}
-	if c.RingEntries <= 0 {
-		c.RingEntries = 128
-	}
 	if c.Steps <= 0 {
 		c.Steps = 512
 	}
-	if c.LeaseNs == 0 {
-		c.LeaseNs = 1 << 20
-	}
-	if c.BakeTarget == 0 {
-		c.BakeTarget = 24
-	}
 	return c
 }
+
+// The fleet scenario's hosts and rollouts: each host's completion ring holds
+// 128 entries, a canary bakes 24 deliveries before promotion, and the trial
+// lease is 2^20 virtual nanoseconds, short enough that partition events
+// actually expire trials.
+const (
+	fleetRing       = 128
+	fleetBakeTarget = 24
+	fleetLeaseNs    = 1 << 20
+)
 
 // fleetUpgrades alternates benign intent widenings with tampered
 // description pushes, so every long schedule exercises both promotion and
@@ -171,14 +165,14 @@ func (r *fleetRunner) setup(seed uint64) error {
 	r.ctrl = fleet.NewController(fleet.Options{
 		Clock:      r.clk,
 		Seed:       seed,
-		LeaseNs:    cfg.LeaseNs,
-		BakeTarget: cfg.BakeTarget,
+		LeaseNs:    fleetLeaseNs,
+		BakeTarget: fleetBakeTarget,
 	})
 	models := nic.All()
 	for i := 0; i < cfg.Hosts; i++ {
 		m := models[i%len(models)]
 		h, err := fleet.NewHost(fmt.Sprintf("%s-%d", m.Name, i), m, fleet.HostOptions{
-			RingEntries: cfg.RingEntries,
+			RingEntries: fleetRing,
 			Clock:       r.clk,
 		})
 		if err != nil {
@@ -436,7 +430,7 @@ func (r *fleetRunner) finish(step int) {
 		l.Heal()
 	}
 	// Let any expired trial lease fire before the controller reconnects.
-	r.clk.Advance(r.cfg.LeaseNs + 1)
+	r.clk.Advance(fleetLeaseNs + 1)
 	if r.rollout != nil {
 		for i := 0; r.viol == nil && r.rollout != nil && i < 1024; i++ {
 			wasBad := r.badGens[r.rollout.Gen()]

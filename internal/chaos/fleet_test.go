@@ -60,12 +60,12 @@ func TestFleetDeterministicTrace(t *testing.T) {
 // serving; heal, verify the controller rolls the orphaned rollout back and
 // a follow-up rollout promotes.
 func TestFleetControllerPartition(t *testing.T) {
-	res := RunFleet(FleetConfig{Hosts: 6, Steps: 512, LeaseNs: 1 << 16}, 7)
+	res := RunFleet(FleetConfig{Hosts: 6, Steps: 512}, 7)
 	if res.Violation != nil {
 		t.Fatalf("%v\ntrace tail:\n%s", res.Violation, tail(res.Trace, 2000))
 	}
-	// With a short lease and partition events at ~10% of the schedule,
-	// lease-driven LKG degradation must actually occur.
+	// With the scenario's short lease and partition events at ~10% of the
+	// schedule, lease-driven LKG degradation must actually occur.
 	if res.LeaseReverts == 0 {
 		t.Fatal("no lease reverts — partitions never stranded a trial; scenario too tame")
 	}

@@ -3,13 +3,16 @@ package chaos
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -138,7 +141,6 @@ var censusAllowed = map[string]string{
 	"internal/pkt.Builder":             "the frame builder every package's tests share",
 	"internal/obs.Registry.Collisions": "the probe the tenant and root metrics tests assert on: no two sources claimed one series",
 	"internal/semantics.CostModel.WithOverrides": "the cost fixture the core, evolve and nicsim tests price a semantic with",
-	"internal/tenant.Plane.MaybeRenegotiate":     "the plane's measured-mix tick; no shipped loop calls it yet, and TestPlaneOfOneDecidesLikeEngine holds it to evolve.Engine's decisions",
 }
 
 // TestExportedNamesHaveACaller is the code census: every exported top-level
@@ -261,6 +263,172 @@ func recvName(e ast.Expr) string {
 		}
 	}
 }
+
+// optionSuffixes name the struct types the field census covers: the knobs a
+// caller sets once, before anything runs.
+var optionSuffixes = []string{"Options", "Config", "Policy", "Spec"}
+
+// optionAllowed names the option fields no non-test file sets, each with the
+// reason it stays a field. A key is "dir.Type.Field".
+var optionAllowed = map[string]string{
+	"internal/evolve.Options.Costs":                 "the only way to reach Resolve's unsatisfiable branch",
+	"internal/diffverify.Options.MaxPaths":          "bounds the fuzz screen; a certificate is issued only uncapped",
+	"internal/diffverify.Options.MaxCases":          "bounds the fuzz screen; a certificate is issued only uncapped",
+	"internal/diffverify.Options.Packets":           "bounds the fuzz screen and prices a marginal case in TestVerifyAllocGate; a certificate is issued at the default",
+	"internal/fleet.Options.DisableVerify":          "the mutation that proves the S27 verification gate fires",
+	"internal/chaos.Config.VerifyOverride":          "the mutation that proves the S27 diffverify oracle fires",
+	"internal/chaos.FleetConfig.MutatedDescription": "the mutation that proves the S27 verified-gating oracle fires",
+	"internal/tenant.Spec.Port":                     "a deployment setting: which port a tenant's traffic arrives on",
+	"internal/obs/flight.Config.Clock":              "the counting clock TestPollReadsClockOnGrid holds a poll's clock reads to",
+}
+
+// TestOptionFieldsHaveASetter is the field census, beside the name census:
+// every exported field of an exported struct whose name ends in one of
+// optionSuffixes, declared in a non-test file outside the root package, must
+// be set by some non-test file or be covered by an optionAllowed entry. A
+// field is set by a key in a composite literal of its type, anywhere, or by
+// an assignment, increment or address-of of x.Field outside its declaring
+// package, so a type's own defaulting never counts as its caller. It
+// type-checks the module (the standard library stubbed out, its errors
+// ignored), so a field of the same name on another type hides nothing. An
+// option one value uses is a constant; an option nothing sets is dead.
+func TestOptionFieldsHaveASetter(t *testing.T) {
+	root, err := repoRoot()
+	if err != nil {
+		t.Fatalf("locating repo root: %v", err)
+	}
+	fset := token.NewFileSet()
+	byDir := map[string][]*ast.File{}
+	err = walkGoFiles(root, func(file, rel string) error {
+		if ok, err := build.Default.MatchFile(filepath.Dir(file), filepath.Base(file)); !ok || err != nil {
+			return err
+		}
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err == nil {
+			byDir[path.Dir(rel)] = append(byDir[path.Dir(rel)], f)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatalf("walking repo: %v", err)
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	pkgs := map[string]*types.Package{}
+	var imp importerFunc
+	imp = func(ip string) (*types.Package, error) {
+		if p := pkgs[ip]; p != nil {
+			return p, nil
+		}
+		dir, ok := strings.CutPrefix(ip, "opendesc/")
+		if ip == "opendesc" {
+			dir, ok = ".", true
+		}
+		if !ok { // the standard library: an empty stand-in
+			pkgs[ip] = types.NewPackage(ip, path.Base(ip))
+			pkgs[ip].MarkComplete()
+			return pkgs[ip], nil
+		}
+		conf := types.Config{Importer: imp, Error: func(error) {}}
+		pkgs[ip], _ = conf.Check(ip, fset, byDir[dir], info)
+		return pkgs[ip], nil
+	}
+	dirs := map[*types.Package]string{}
+	for dir := range byDir {
+		ip := "opendesc/" + dir
+		if dir == "." {
+			ip = "opendesc"
+		}
+		p, _ := imp(ip)
+		dirs[p] = dir
+	}
+
+	set := map[*types.Var]bool{}
+	for dir, files := range byDir {
+		for _, f := range files {
+			setter := func(e ast.Expr) {
+				if sel, ok := e.(*ast.SelectorExpr); ok && info.Selections[sel] != nil {
+					if v, ok := info.Selections[sel].Obj().(*types.Var); ok && dirs[v.Pkg()] != dir {
+						set[v.Origin()] = true
+					}
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := x.Key.(*ast.Ident); ok {
+						if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+							set[v.Origin()] = true
+						}
+					}
+				case *ast.AssignStmt:
+					if x.Tok != token.DEFINE {
+						for _, l := range x.Lhs {
+							setter(l)
+						}
+					}
+				case *ast.IncDecStmt:
+					setter(x.X)
+				case *ast.UnaryExpr:
+					if x.Op == token.AND {
+						setter(x.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	covered := map[string]bool{}
+	n, unset := 0, 0
+	for p, dir := range dirs {
+		if dir == "." {
+			continue
+		}
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || !tn.Exported() || !slices.ContainsFunc(optionSuffixes, func(x string) bool { return strings.HasSuffix(name, x) }) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := range st.NumFields() {
+				v := st.Field(i)
+				if !v.Exported() {
+					continue
+				}
+				n++
+				if set[v] {
+					continue
+				}
+				unset++
+				key := dir + "." + name + "." + v.Name()
+				if _, ok := optionAllowed[key]; ok {
+					covered[key] = true
+					continue
+				}
+				pos := fset.Position(v.Pos())
+				rel, _ := filepath.Rel(root, pos.Filename)
+				t.Errorf("%s:%d: %s is set by no non-test file: delete it, make it a constant, or add it to optionAllowed with a reason",
+					filepath.ToSlash(rel), pos.Line, key)
+			}
+		}
+	}
+	for k, why := range optionAllowed {
+		if why == "" {
+			t.Errorf("optionAllowed[%q] states no reason", k)
+		}
+		if !covered[k] {
+			t.Errorf("optionAllowed[%q] covers no unset field: drop the entry", k)
+		}
+	}
+	t.Logf("%d option fields; %d allowlist entries cover the %d without a setter", n, len(optionAllowed), unset)
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 func sum(m map[string]int) int {
 	n := 0

@@ -113,7 +113,7 @@ func Generate(cfg Config, seed uint64) Schedule {
 			ev.Arg = uint64(1 + r.intn(24))
 		default:
 			ev.Op = OpMixShift
-			ev.Arg = uint64(r.intn(cfg.Mixes.NumPhases()))
+			ev.Arg = uint64(r.intn(mixPhases))
 		}
 		s.Events = append(s.Events, ev)
 	}
@@ -282,9 +282,12 @@ func parseSpecEvent(fields []string) (Event, error) {
 	return ev, fmt.Errorf("unknown event %q", fields[0])
 }
 
-// defaultMixes is a helper for callers (CLI, bench) that want the same
-// derived three-phase schedule withDefaults builds.
-func defaultMixes(sems []string) workload.MixSchedule {
+// mixPhases is the length of phaseMixes' schedule.
+const mixPhases = 3
+
+// phaseMixes derives the read-mix phases from the intent: all fields, first
+// field only (the abrupt 100%-flip), and the empty mix.
+func phaseMixes(sems []string) workload.MixSchedule {
 	return workload.MustMixSchedule(
 		workload.Mix(sems),
 		workload.Mix(sems[:1]),

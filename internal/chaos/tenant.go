@@ -18,26 +18,25 @@ import (
 // family checks that one tenant's hot-swap never loses, reorders, or
 // corrupts a neighbor's traffic.
 type TenantConfig struct {
-	// NIC is the bundled model (default "mlx5" — the only bundled model
-	// with enough alternative completion formats for renegotiations to
-	// move the joint layout).
-	NIC string
 	// Tenants is the tenant count (default 4, max 64).
 	Tenants int
 	// Cores is the RSS shard / poll-loop count (default 2, max 8).
 	Cores int
-	// RingEntries sizes each queue's completion ring (default 64).
-	RingEntries int
 	// Steps is the schedule length (default 512).
 	Steps int
-	// Skew is the Zipf exponent of the arrival trace (default 1.1).
-	Skew float64
 }
 
+// The tenant scenario's plane and trace: mlx5 is the only bundled model with
+// enough alternative completion formats for renegotiations to move the joint
+// layout; each queue's completion ring holds 64 entries; arrivals are
+// Zipf(1.1).
+const (
+	tenantNIC  = "mlx5"
+	tenantRing = 64
+	tenantSkew = 1.1
+)
+
 func (c TenantConfig) withDefaults() TenantConfig {
-	if c.NIC == "" {
-		c.NIC = "mlx5"
-	}
 	if c.Tenants <= 0 {
 		c.Tenants = 4
 	}
@@ -50,14 +49,8 @@ func (c TenantConfig) withDefaults() TenantConfig {
 	if c.Cores > 8 {
 		c.Cores = 8
 	}
-	if c.RingEntries <= 0 {
-		c.RingEntries = 64
-	}
 	if c.Steps <= 0 {
 		c.Steps = 512
-	}
-	if c.Skew == 0 {
-		c.Skew = 1.1
 	}
 	return c
 }
@@ -163,9 +156,9 @@ func (r *tenantRunner) setup(seed uint64) error {
 		}
 	}
 	p, err := tenant.Open(tenant.Options{
-		NIC:         cfg.NIC,
+		NIC:         tenantNIC,
 		Cores:       cfg.Cores,
-		RingEntries: cfg.RingEntries,
+		RingEntries: tenantRing,
 		Clock:       r.clk,
 	}, specs...)
 	if err != nil {
@@ -175,7 +168,7 @@ func (r *tenantRunner) setup(seed uint64) error {
 	r.trace, err = workload.GenerateZipf(workload.ZipfSpec{
 		Packets: cfg.Steps,
 		Flows:   1 << 16,
-		Skew:    cfg.Skew,
+		Skew:    tenantSkew,
 		Tenants: cfg.Tenants,
 		Seed:    seed,
 	})

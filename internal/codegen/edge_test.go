@@ -62,7 +62,7 @@ func compileEdge(t *testing.T) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Compile("edge", core.DeparserSpec{Info: info}, intent, core.CompileOptions{})
+	res, err := core.Compile("edge", info, intent, core.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestEdgeNarrowPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Compile("edge", core.DeparserSpec{Info: info}, intent, core.CompileOptions{})
+	res, err := core.Compile("edge", info, intent, core.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,9 +82,6 @@ type ValidatorOptions struct {
 	// configured (queue id, mark, crypto ctx, …); those fields are checked
 	// structurally even when Deep is off.
 	Consts map[semantics.Name]uint64
-	// Skip exempts semantics no host-side check can predict (timestamps).
-	// Defaults to {timestamp} when nil.
-	Skip map[semantics.Name]bool
 }
 
 // fieldCheck is one precompiled per-field check.
@@ -119,9 +116,6 @@ func NewValidator(res *core.Result, opts ValidatorOptions) (*Validator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("codegen: validator: %w", err)
 	}
-	if opts.Skip == nil {
-		opts.Skip = map[semantics.Name]bool{semantics.Timestamp: true}
-	}
 	path := res.Selected.Path
 	v := &Validator{
 		res:      res,
@@ -142,7 +136,7 @@ func NewValidator(res *core.Result, opts ValidatorOptions) (*Validator, error) {
 		} else if f.Semantic == "" {
 			c.kind = ViolationPad
 			v.structuralBits += f.WidthBits
-		} else if opts.Skip[f.Semantic] {
+		} else if f.Semantic == semantics.Timestamp { // no host-side check can predict it
 			v.uncovered = append(v.uncovered, f.Name)
 			continue
 		} else if konst, isConst := opts.Consts[f.Semantic]; isConst {

@@ -11,21 +11,6 @@ import (
 	"opendesc/internal/semantics"
 )
 
-// DeparserSpec identifies the completion deparser of a NIC description.
-type DeparserSpec struct {
-	// Info is the checked NIC description.
-	Info *sema.Info
-	// ControlName names the CmptDeparser control. If empty, the single
-	// control whose name contains "CmptDeparser" is used.
-	ControlName string
-	// Bindings maps template type parameters to concrete type names;
-	// @bind annotations on the control supply defaults.
-	Bindings map[string]string
-	// OutParam names the completion channel parameter (auto-detected from
-	// the cmpt_out extern type when empty).
-	OutParam string
-}
-
 // Accessor is one host-side metadata accessor synthesized for a compiled
 // intent: either a constant-time read at a fixed bit offset of the completion
 // record (Hardware=true) or a SoftNIC shim (Hardware=false).
@@ -87,19 +72,14 @@ func (r *Result) Accessor(s semantics.Name) *Accessor {
 // CompletionBytes is the DMA footprint of the selected completion layout.
 func (r *Result) CompletionBytes() int { return r.Selected.Path.SizeBytes() }
 
-// FindDeparser locates the completion deparser control per the spec.
-func FindDeparser(spec DeparserSpec) (string, error) {
-	if spec.ControlName != "" {
-		if spec.Info.Prog.Control(spec.ControlName) == nil {
-			return "", fmt.Errorf("control %q not found", spec.ControlName)
-		}
-		return spec.ControlName, nil
-	}
+// FindDeparser names the completion deparser of a checked NIC description:
+// its one control whose name contains "CmptDeparser".
+func FindDeparser(info *sema.Info) (string, error) {
 	var found string
-	for _, c := range spec.Info.Prog.Controls() {
+	for _, c := range info.Prog.Controls() {
 		if strings.Contains(c.Name, "CmptDeparser") {
 			if found != "" {
-				return "", fmt.Errorf("multiple CmptDeparser controls (%s, %s); name one explicitly", found, c.Name)
+				return "", fmt.Errorf("multiple CmptDeparser controls (%s, %s)", found, c.Name)
 			}
 			found = c.Name
 		}
@@ -110,18 +90,18 @@ func FindDeparser(spec DeparserSpec) (string, error) {
 	return found, nil
 }
 
-// BuildDeparserGraph parses, binds and extracts the CFG for a deparser spec.
-func BuildDeparserGraph(spec DeparserSpec) (*Graph, error) {
-	name, err := FindDeparser(spec)
+// BuildDeparserGraph binds a description's completion deparser through its
+// @bind annotations and extracts its CFG.
+func BuildDeparserGraph(info *sema.Info) (*Graph, error) {
+	name, err := FindDeparser(info)
 	if err != nil {
 		return nil, err
 	}
-	ctl := spec.Info.Prog.Control(name)
-	inst, err := spec.Info.BindControl(ctl, spec.Bindings)
+	inst, err := info.BindControl(info.Prog.Control(name))
 	if err != nil {
 		return nil, err
 	}
-	return BuildGraph(spec.Info, inst, spec.OutParam)
+	return BuildGraph(info, inst)
 }
 
 // Analysis is the description-side half of a compilation: the completion
@@ -139,13 +119,13 @@ type Analysis struct {
 
 // Analyze extracts the deparser CFG of a description and enumerates its
 // completion paths.
-func Analyze(spec DeparserSpec, opts EnumerateOptions) (*Analysis, error) {
-	return analyze(spec, opts, nil)
+func Analyze(info *sema.Info, opts EnumerateOptions) (*Analysis, error) {
+	return analyze(info, opts, nil)
 }
 
-func analyze(spec DeparserSpec, opts EnumerateOptions, tr *obs.Trace) (*Analysis, error) {
+func analyze(info *sema.Info, opts EnumerateOptions, tr *obs.Trace) (*Analysis, error) {
 	sp := startSpan(tr, "cfg")
-	g, err := BuildDeparserGraph(spec)
+	g, err := BuildDeparserGraph(info)
 	if err != nil {
 		return nil, fmt.Errorf("deparser graph: %w", err)
 	}
@@ -212,8 +192,8 @@ type CompileOptions struct {
 // Compile maps an application intent onto a NIC description from cold: CFG
 // extraction and path characterization (Analyze), then Eq. 1 optimization and
 // host accessor synthesis ((*Analysis).Compile).
-func Compile(nicName string, spec DeparserSpec, intent *Intent, opts CompileOptions) (*Result, error) {
-	a, err := analyze(spec, opts.Enumerate, opts.Trace)
+func Compile(nicName string, info *sema.Info, intent *Intent, opts CompileOptions) (*Result, error) {
+	a, err := analyze(info, opts.Enumerate, opts.Trace)
 	if err != nil {
 		return nil, fmt.Errorf("opendesc %s: %w", nicName, err)
 	}

@@ -58,7 +58,7 @@ control CmptDeparser<C2H_CTX_T, DESC_T, META_T>(
 }
 `
 
-func e1000Spec(t *testing.T) DeparserSpec {
+func e1000Info(t *testing.T) *sema.Info {
 	t.Helper()
 	prog, err := parser.Parse("e1000.p4", e1000Desc)
 	if err != nil {
@@ -68,7 +68,7 @@ func e1000Spec(t *testing.T) DeparserSpec {
 	if err != nil {
 		t.Fatalf("sema: %v", err)
 	}
-	return DeparserSpec{Info: info}
+	return info
 }
 
 func intentOf(t *testing.T, names ...semantics.Name) *Intent {
@@ -81,7 +81,7 @@ func intentOf(t *testing.T, names ...semantics.Name) *Intent {
 }
 
 func TestBuildGraphE1000(t *testing.T) {
-	g, err := BuildDeparserGraph(e1000Spec(t))
+	g, err := BuildDeparserGraph(e1000Info(t))
 	if err != nil {
 		t.Fatalf("build graph: %v", err)
 	}
@@ -100,7 +100,7 @@ func TestBuildGraphE1000(t *testing.T) {
 }
 
 func TestEnumeratePathsE1000(t *testing.T) {
-	g, err := BuildDeparserGraph(e1000Spec(t))
+	g, err := BuildDeparserGraph(e1000Info(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestEnumeratePathsE1000(t *testing.T) {
 // csum are requested, the compiler prefers the csum-emitting branch because
 // software RSS is cheaper than software checksum.
 func TestFig6Selection(t *testing.T) {
-	res, err := Compile("e1000", e1000Spec(t), intentOf(t, semantics.RSS, semantics.IPChecksum), CompileOptions{})
+	res, err := Compile("e1000", e1000Info(t), intentOf(t, semantics.RSS, semantics.IPChecksum), CompileOptions{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -189,7 +189,7 @@ func TestSelectionFlipsWithCosts(t *testing.T) {
 		semantics.RSS:        500,
 		semantics.IPChecksum: 5,
 	})
-	res, err := Compile("e1000", e1000Spec(t),
+	res, err := Compile("e1000", e1000Info(t),
 		intentOf(t, semantics.RSS, semantics.IPChecksum),
 		CompileOptions{Select: SelectOptions{Costs: costs}})
 	if err != nil {
@@ -201,7 +201,7 @@ func TestSelectionFlipsWithCosts(t *testing.T) {
 }
 
 func TestRSSOnlyIntentPicksRSSBranch(t *testing.T) {
-	res, err := Compile("e1000", e1000Spec(t), intentOf(t, semantics.RSS), CompileOptions{})
+	res, err := Compile("e1000", e1000Info(t), intentOf(t, semantics.RSS), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestRSSOnlyIntentPicksRSSBranch(t *testing.T) {
 
 func TestUnsatisfiableIntent(t *testing.T) {
 	// Timestamp has infinite software cost and e1000 never emits it.
-	_, err := Compile("e1000", e1000Spec(t), intentOf(t, semantics.Timestamp), CompileOptions{})
+	_, err := Compile("e1000", e1000Info(t), intentOf(t, semantics.Timestamp), CompileOptions{})
 	var unsat *UnsatisfiableError
 	if !errors.As(err, &unsat) {
 		t.Fatalf("err = %v, want UnsatisfiableError", err)
@@ -228,7 +228,7 @@ func TestUnsatisfiableIntent(t *testing.T) {
 func TestSatisfiableViaSoftwareOnly(t *testing.T) {
 	// kv_key: not on any e1000 path but software-emulable ⇒ compiles with a
 	// software shim.
-	res, err := Compile("e1000", e1000Spec(t), intentOf(t, semantics.KVKey), CompileOptions{})
+	res, err := Compile("e1000", e1000Info(t), intentOf(t, semantics.KVKey), CompileOptions{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -247,7 +247,7 @@ func TestSatisfiableViaSoftwareOnly(t *testing.T) {
 }
 
 func TestNegativeAlphaIgnoresFootprint(t *testing.T) {
-	res, err := Compile("e1000", e1000Spec(t), intentOf(t, semantics.RSS), CompileOptions{Select: SelectOptions{Alpha: -1}})
+	res, err := Compile("e1000", e1000Info(t), intentOf(t, semantics.RSS), CompileOptions{Select: SelectOptions{Alpha: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestSymbolicPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := BuildDeparserGraph(DeparserSpec{Info: info})
+	g, err := BuildDeparserGraph(info)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestSwitchPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Analyze(DeparserSpec{Info: info}, EnumerateOptions{})
+	a, err := Analyze(info, EnumerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestSmallerCompletionPreferredOnTie(t *testing.T) {
 	info, _ := sema.Check(prog)
 	// Request only pkt_len: every path provides it; the default (emit-nothing
 	// -else) path with the smallest completion must win.
-	res, err := Compile("sw", DeparserSpec{Info: info}, intentOf(t, semantics.PktLen), CompileOptions{})
+	res, err := Compile("sw", info, intentOf(t, semantics.PktLen), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ control CmptDeparser<CTX,DESC,META>(cmpt_out co, in CTX ctx, in DESC d, in META 
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := BuildDeparserGraph(DeparserSpec{Info: info})
+	g, err := BuildDeparserGraph(info)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ control CmptDeparser<CTX,DESC,META>(cmpt_out co, in CTX ctx, in DESC d, in META 
 }
 
 func TestDOTOutput(t *testing.T) {
-	g, err := BuildDeparserGraph(e1000Spec(t))
+	g, err := BuildDeparserGraph(e1000Info(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestDOTOutput(t *testing.T) {
 }
 
 func TestReportMentionsSoftwareShim(t *testing.T) {
-	res, err := Compile("e1000", e1000Spec(t), intentOf(t, semantics.RSS, semantics.IPChecksum), CompileOptions{})
+	res, err := Compile("e1000", e1000Info(t), intentOf(t, semantics.RSS, semantics.IPChecksum), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ header intent_t {
 	if !req.Has(semantics.RSS) || !req.Has(semantics.VLAN) || !req.Has(semantics.IPChecksum) {
 		t.Errorf("req = %v", req)
 	}
-	a, err := Analyze(e1000Spec(t), EnumerateOptions{})
+	a, err := Analyze(e1000Info(t), EnumerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

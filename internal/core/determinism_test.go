@@ -12,14 +12,14 @@ import (
 // inputs: repeated compiles yield identical path IDs, accessor tables and
 // configurations (drivers and firmware rely on stable negotiation results).
 func TestCompileDeterministic(t *testing.T) {
-	spec := e1000Spec(t)
+	info := e1000Info(t)
 	intent := intentOf(t, semantics.RSS, semantics.IPChecksum, semantics.VLAN)
-	first, err := Compile("e1000e", spec, intent, CompileOptions{})
+	first, err := Compile("e1000e", info, intent, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		again, err := Compile("e1000e", spec, intent, CompileOptions{})
+		again, err := Compile("e1000e", info, intent, CompileOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestCompileDeterministic(t *testing.T) {
 //   - every hardware accessor points inside the selected completion;
 //   - Req is partitioned exactly into hardware ∪ software.
 func TestQuickSelectionInvariants(t *testing.T) {
-	spec := e1000Spec(t)
+	info := e1000Info(t)
 	universe := []semantics.Name{
 		semantics.RSS, semantics.IPChecksum, semantics.IPID, semantics.PktLen,
 		semantics.VLAN, semantics.ErrorFlags, semantics.KVKey, semantics.FlowID,
@@ -70,7 +70,7 @@ func TestQuickSelectionInvariants(t *testing.T) {
 			return false
 		}
 		alpha := float64(alphaRaw%16) + 0.5
-		res, err := Compile("e1000e", spec, intent, CompileOptions{
+		res, err := Compile("e1000e", info, intent, CompileOptions{
 			Select: SelectOptions{Alpha: alpha},
 		})
 		if err != nil {
@@ -107,8 +107,8 @@ func TestQuickSelectionInvariants(t *testing.T) {
 // (fields tile the completion from bit 0 upward).
 func TestQuickPathLayoutContiguity(t *testing.T) {
 	for _, src := range []string{e1000Desc, correlatedDesc, switchDesc} {
-		spec := specFromSource(t, src)
-		g, err := BuildDeparserGraph(spec)
+		info := infoFromSource(t, src)
+		g, err := BuildDeparserGraph(info)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,7 +58,7 @@ control CmptDeparser<C2H_CTX_T, DESC_T, META_T>(
 }
 `
 
-func specFromSource(t *testing.T, src string) DeparserSpec {
+func infoFromSource(t *testing.T, src string) *sema.Info {
 	t.Helper()
 	prog, err := parser.Parse("v.p4", src)
 	if err != nil {
@@ -68,16 +68,16 @@ func specFromSource(t *testing.T, src string) DeparserSpec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return DeparserSpec{Info: info}
+	return info
 }
 
 func TestDiffFirmwareUpdate(t *testing.T) {
 	intent := intentOf(t, semantics.PktLen, semantics.ErrorFlags, semantics.RSS)
-	oldRes, err := Compile("e1000-v1", e1000Spec(t), intent, CompileOptions{})
+	oldRes, err := Compile("e1000-v1", e1000Info(t), intent, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	newRes, err := Compile("e1000-v2", specFromSource(t, e1000DescV2), intent, CompileOptions{})
+	newRes, err := Compile("e1000-v2", infoFromSource(t, e1000DescV2), intent, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestDiffFirmwareUpdate(t *testing.T) {
 
 func TestDiffHardwareSoftwareTransitions(t *testing.T) {
 	intent := intentOf(t, semantics.RSS, semantics.IPChecksum)
-	res, err := Compile("e1000e", e1000Spec(t), intent, CompileOptions{})
+	res, err := Compile("e1000e", e1000Info(t), intent, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestDiffHardwareSoftwareTransitions(t *testing.T) {
 	costs := semantics.RegistryCosts(semantics.Default).WithOverrides(map[semantics.Name]float64{
 		semantics.RSS: 500, semantics.IPChecksum: 5,
 	})
-	flipped, err := Compile("e1000e", e1000Spec(t), intent,
+	flipped, err := Compile("e1000e", e1000Info(t), intent,
 		CompileOptions{Select: SelectOptions{Costs: costs}})
 	if err != nil {
 		t.Fatal(err)
@@ -149,15 +149,15 @@ func TestDiffHardwareSoftwareTransitions(t *testing.T) {
 }
 
 func TestDiffRejectsDifferentIntents(t *testing.T) {
-	a, _ := Compile("e1000e", e1000Spec(t), intentOf(t, semantics.RSS), CompileOptions{})
-	bb, _ := Compile("e1000e", e1000Spec(t), intentOf(t, semantics.VLAN, semantics.PktLen), CompileOptions{})
+	a, _ := Compile("e1000e", e1000Info(t), intentOf(t, semantics.RSS), CompileOptions{})
+	bb, _ := Compile("e1000e", e1000Info(t), intentOf(t, semantics.VLAN, semantics.PktLen), CompileOptions{})
 	if _, err := DiffResults(a, bb); err == nil {
 		t.Error("different intents must not diff")
 	}
 }
 
 func TestPathsEquivalent(t *testing.T) {
-	g, err := BuildDeparserGraph(e1000Spec(t))
+	g, err := BuildDeparserGraph(e1000Info(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestPathsEquivalent(t *testing.T) {
 		t.Error("rss and csum branches are not equivalent")
 	}
 	// The same source compiled twice yields pairwise-equivalent paths.
-	g2, err := BuildDeparserGraph(e1000Spec(t))
+	g2, err := BuildDeparserGraph(e1000Info(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ control CmptDeparser<CTX,DESC,META>(cmpt_out co, in CTX ctx, in DESC d, in META 
 			t.Fatal(err)
 		}
 		got := ""
-		if g, err := BuildDeparserGraph(DeparserSpec{Info: info}); err != nil {
+		if g, err := BuildDeparserGraph(info); err != nil {
 			got = strings.TrimPrefix(err.Error(), "emit.p4:8:13: ")
 		} else {
 			for _, n := range g.Nodes {

@@ -144,10 +144,10 @@ func (b *graphBuilder) errorf(pos token.Pos, format string, args ...any) {
 	}
 }
 
-// BuildGraph extracts the CFG from a bound completion-deparser instance.
-// outParam names the completion output channel parameter; if empty, the first
-// parameter whose type is the extern `cmpt_out` is used.
-func BuildGraph(info *sema.Info, inst *sema.Instance, outParam string) (*Graph, error) {
+// BuildGraph extracts the CFG from a bound completion-deparser instance. Its
+// completion channel is the first parameter whose type is the extern
+// `cmpt_out`.
+func BuildGraph(info *sema.Info, inst *sema.Instance) (*Graph, error) {
 	ctl := inst.Control
 	if ctl == nil {
 		return nil, fmt.Errorf("instance is not a control")
@@ -155,12 +155,11 @@ func BuildGraph(info *sema.Info, inst *sema.Instance, outParam string) (*Graph, 
 	if ctl.Apply == nil {
 		return nil, fmt.Errorf("control %s has no apply block", ctl.Name)
 	}
-	if outParam == "" {
-		for _, p := range inst.Params {
-			if et, ok := p.Type.(*sema.ExternType); ok && et.Name == "cmpt_out" {
-				outParam = p.Name
-				break
-			}
+	var outParam string
+	for _, p := range inst.Params {
+		if et, ok := p.Type.(*sema.ExternType); ok && et.Name == "cmpt_out" {
+			outParam = p.Name
+			break
 		}
 	}
 	if outParam == "" {

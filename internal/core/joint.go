@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"opendesc/internal/p4/sema"
 	"opendesc/internal/semantics"
 )
 
@@ -68,8 +69,8 @@ type JointResult struct {
 
 // CompileJoint maps N tenant intents onto one NIC description at once, from
 // cold: Analyze, then (*Analysis).CompileJoint.
-func CompileJoint(nicName string, spec DeparserSpec, tenants []TenantIntent, opts CompileOptions) (*JointResult, error) {
-	a, err := Analyze(spec, opts.Enumerate)
+func CompileJoint(nicName string, info *sema.Info, tenants []TenantIntent, opts CompileOptions) (*JointResult, error) {
+	a, err := Analyze(info, opts.Enumerate)
 	if err != nil {
 		return nil, fmt.Errorf("opendesc %s: %w", nicName, err)
 	}

@@ -17,7 +17,7 @@ func jointTenants(t *testing.T) []TenantIntent {
 }
 
 func TestCompileJointServesBothTenants(t *testing.T) {
-	jr, err := CompileJoint("e1000", e1000Spec(t), jointTenants(t), CompileOptions{})
+	jr, err := CompileJoint("e1000", e1000Info(t), jointTenants(t), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestCompileJointWeightTipsSelection(t *testing.T) {
 
 	// Equal weights: stranding tenant b costs 100, stranding tenant a costs
 	// 18 ⇒ the ip_checksum path must win.
-	jr, err := CompileJoint("e1000", e1000Spec(t), tenants, CompileOptions{})
+	jr, err := CompileJoint("e1000", e1000Info(t), tenants, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestCompileJointWeightTipsSelection(t *testing.T) {
 
 	// Tenant a carrying 20× the traffic: 20·18 = 360 > 100 ⇒ flips to rss.
 	tenants[0].Weight = 20
-	jr, err = CompileJoint("e1000", e1000Spec(t), tenants, CompileOptions{})
+	jr, err = CompileJoint("e1000", e1000Info(t), tenants, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestCompileJointWeightTipsSelection(t *testing.T) {
 func TestCompileJointObjectiveBreakdown(t *testing.T) {
 	tenants := jointTenants(t)
 	tenants[0].Weight = 3
-	jr, err := CompileJoint("e1000", e1000Spec(t), tenants, CompileOptions{})
+	jr, err := CompileJoint("e1000", e1000Info(t), tenants, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +99,11 @@ func TestCompileJointObjectiveBreakdown(t *testing.T) {
 // solver must degenerate to the single-intent Eq. 1 optimization.
 func TestCompileJointSingleTenantMatchesCompile(t *testing.T) {
 	intent := intentOf(t, semantics.RSS, semantics.PktLen)
-	single, err := Compile("e1000", e1000Spec(t), intent, CompileOptions{})
+	single, err := Compile("e1000", e1000Info(t), intent, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr, err := CompileJoint("e1000", e1000Spec(t), []TenantIntent{{Tenant: "solo", Intent: intent}}, CompileOptions{})
+	jr, err := CompileJoint("e1000", e1000Info(t), []TenantIntent{{Tenant: "solo", Intent: intent}}, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestCompileJointUnsatisfiable(t *testing.T) {
 		{Tenant: "ok", Intent: intentOf(t, semantics.PktLen)},
 		{Tenant: "doomed", Intent: intentOf(t, semantics.Timestamp)},
 	}
-	_, err := CompileJoint("e1000", e1000Spec(t), tenants, CompileOptions{})
+	_, err := CompileJoint("e1000", e1000Info(t), tenants, CompileOptions{})
 	var unsat *UnsatisfiableError
 	if !errors.As(err, &unsat) {
 		t.Fatalf("err = %v, want UnsatisfiableError", err)
@@ -133,7 +133,7 @@ func TestCompileJointUnsatisfiable(t *testing.T) {
 }
 
 func TestCompileJointNoTenants(t *testing.T) {
-	if _, err := CompileJoint("e1000", e1000Spec(t), nil, CompileOptions{}); err == nil {
+	if _, err := CompileJoint("e1000", e1000Info(t), nil, CompileOptions{}); err == nil {
 		t.Fatal("expected error for empty tenant list")
 	}
 }

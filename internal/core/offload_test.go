@@ -7,10 +7,10 @@ import (
 	"opendesc/internal/semantics"
 )
 
-// e1000Spec and intentOf come from core_test.go.
+// e1000Info and intentOf come from core_test.go.
 
 func TestPlanOffloadsFixedFunctionAllSoftware(t *testing.T) {
-	res, err := Compile("e1000e", e1000Spec(t), intentOf(t, semantics.RSS, semantics.IPChecksum), CompileOptions{})
+	res, err := Compile("e1000e", e1000Info(t), intentOf(t, semantics.RSS, semantics.IPChecksum), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestPlanOffloadsFixedFunctionAllSoftware(t *testing.T) {
 }
 
 func TestPlanOffloadsProgrammablePushes(t *testing.T) {
-	res, err := Compile("e1000e", e1000Spec(t), intentOf(t, semantics.RSS, semantics.IPChecksum), CompileOptions{})
+	res, err := Compile("e1000e", e1000Info(t), intentOf(t, semantics.RSS, semantics.IPChecksum), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestPipelineForms(t *testing.T) {
 // TestPlanOffloadsL4ChecksumOnRMT: l4_checksum runs on the checksum engine,
 // so an RMT pipeline without payload externs (ice's caps) still takes it.
 func TestPlanOffloadsL4ChecksumOnRMT(t *testing.T) {
-	res, err := Compile("e1000e", e1000Spec(t), intentOf(t, semantics.L4Checksum), CompileOptions{})
+	res, err := Compile("e1000e", e1000Info(t), intentOf(t, semantics.L4Checksum), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestPlanOffloadsL4ChecksumOnRMT(t *testing.T) {
 func TestPlanOffloadsStageBudget(t *testing.T) {
 	// Request several software-bound semantics; a 3-stage budget fits only
 	// the most expensive candidates.
-	res, err := Compile("e1000e", e1000Spec(t),
+	res, err := Compile("e1000e", e1000Info(t),
 		intentOf(t, semantics.RSS, semantics.IPChecksum, semantics.FlowID, semantics.TunnelID),
 		CompileOptions{})
 	if err != nil {
@@ -124,7 +124,7 @@ func TestPlanOffloadsStageBudget(t *testing.T) {
 }
 
 func TestPlanOffloadsPayloadConstraint(t *testing.T) {
-	res, err := Compile("e1000e", e1000Spec(t), intentOf(t, semantics.KVKey), CompileOptions{})
+	res, err := Compile("e1000e", e1000Info(t), intentOf(t, semantics.KVKey), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestPlanOffloadsPayloadConstraint(t *testing.T) {
 }
 
 func TestPlanOffloadsDescriptorEntries(t *testing.T) {
-	res, err := Compile("e1000e", e1000Spec(t), intentOf(t, semantics.IPChecksum, semantics.PktLen), CompileOptions{})
+	res, err := Compile("e1000e", e1000Info(t), intentOf(t, semantics.IPChecksum, semantics.PktLen), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestPlanOffloadsDescriptorEntries(t *testing.T) {
 }
 
 func TestPipelineCostFactor(t *testing.T) {
-	res, err := Compile("e1000e", e1000Spec(t), intentOf(t, semantics.RSS, semantics.IPChecksum), CompileOptions{})
+	res, err := Compile("e1000e", e1000Info(t), intentOf(t, semantics.RSS, semantics.IPChecksum), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestOneTenantJointMatchesSelectPath(t *testing.T) {
 	}
 	var ties, unsat int
 	for _, m := range nic.All() {
-		a, err := core.Analyze(m.Deparser, core.EnumerateOptions{})
+		a, err := core.Analyze(m.Info, core.EnumerateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,19 +58,18 @@ func (l *TxLayout) Field(s semantics.Name) *LayoutField {
 const maxStateVisits = 4
 
 // AnalyzeDescParser enumerates the TX descriptor layouts of a bound
-// DescParser instance. inParam names the desc_in channel (auto-detected);
-// ctx identifies the parser's context parameter used in select statements.
-func AnalyzeDescParser(info *sema.Info, inst *sema.Instance, inParam string) ([]*TxLayout, error) {
+// DescParser instance. Its input channel is the first parameter whose type
+// is the extern `desc_in` (or `packet_in`).
+func AnalyzeDescParser(info *sema.Info, inst *sema.Instance) ([]*TxLayout, error) {
 	pr := inst.Parser
 	if pr == nil {
 		return nil, fmt.Errorf("instance is not a parser")
 	}
-	if inParam == "" {
-		for _, p := range inst.Params {
-			if et, ok := p.Type.(*sema.ExternType); ok && (et.Name == "desc_in" || et.Name == "packet_in") {
-				inParam = p.Name
-				break
-			}
+	var inParam string
+	for _, p := range inst.Params {
+		if et, ok := p.Type.(*sema.ExternType); ok && (et.Name == "desc_in" || et.Name == "packet_in") {
+			inParam = p.Name
+			break
 		}
 	}
 	if inParam == "" {

@@ -80,7 +80,7 @@ func txInstance(t *testing.T) (*sema.Info, *sema.Instance) {
 	if err != nil {
 		t.Fatalf("sema: %v", err)
 	}
-	inst, err := info.BindParser(prog.Parser("DescParser"), nil)
+	inst, err := info.BindParser(prog.Parser("DescParser"))
 	if err != nil {
 		t.Fatalf("bind: %v", err)
 	}
@@ -89,7 +89,7 @@ func txInstance(t *testing.T) (*sema.Info, *sema.Instance) {
 
 func TestAnalyzeDescParser(t *testing.T) {
 	info, inst := txInstance(t)
-	layouts, err := AnalyzeDescParser(info, inst, "")
+	layouts, err := AnalyzeDescParser(info, inst)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestAnalyzeDescParser(t *testing.T) {
 
 func TestDescParserRejectPath(t *testing.T) {
 	info, inst := txInstance(t)
-	layouts, err := AnalyzeDescParser(info, inst, "")
+	layouts, err := AnalyzeDescParser(info, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +183,11 @@ parser DescParser<DESC>(desc_in din, out DESC d) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := info.BindParser(prog.Parser("DescParser"), nil)
+	inst, err := info.BindParser(prog.Parser("DescParser"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	layouts, err := AnalyzeDescParser(info, inst, "")
+	layouts, err := AnalyzeDescParser(info, inst)
 	if err != nil {
 		t.Fatalf("loop guard failed: %v", err)
 	}

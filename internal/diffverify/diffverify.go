@@ -160,8 +160,8 @@ func (r *Report) String() string {
 // Verify runs the differential harness over one checked description.
 // A *RejectedError means the description is outside the harness's domain;
 // any other error is an internal failure.
-func Verify(name string, spec core.DeparserSpec, opts Options) (*Report, error) {
-	g, paths, err := enumerate(spec, opts)
+func Verify(name string, info *sema.Info, opts Options) (*Report, error) {
+	g, paths, err := enumerate(info, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -187,8 +187,8 @@ func Verify(name string, spec core.DeparserSpec, opts Options) (*Report, error) 
 
 // enumerate analyses the description and refuses what the harness cannot
 // soundly check.
-func enumerate(spec core.DeparserSpec, opts Options) (*core.Graph, []*core.Path, error) {
-	a, err := core.Analyze(spec, core.EnumerateOptions{MaxPaths: opts.MaxPaths})
+func enumerate(info *sema.Info, opts Options) (*core.Graph, []*core.Path, error) {
+	a, err := core.Analyze(info, core.EnumerateOptions{MaxPaths: opts.MaxPaths})
 	if err != nil {
 		return nil, nil, &RejectedError{Reason: err.Error()}
 	}
@@ -211,29 +211,29 @@ func enumerate(spec core.DeparserSpec, opts Options) (*core.Graph, []*core.Path,
 // VerifySource parses and checks a bare P4 interface description and runs
 // the harness over it. Parse and sema failures are structured rejections.
 func VerifySource(name, src string, opts Options) (*Report, error) {
-	spec, err := sourceSpec(name, src)
+	info, err := sourceInfo(name, src)
 	if err != nil {
 		return nil, err
 	}
-	return Verify(name, spec, opts)
+	return Verify(name, info, opts)
 }
 
-// sourceSpec runs the frontend over a bare description.
-func sourceSpec(name, src string) (core.DeparserSpec, error) {
+// sourceInfo runs the frontend over a bare description.
+func sourceInfo(name, src string) (*sema.Info, error) {
 	prog, err := parser.Parse(name+".p4", src)
 	if err != nil {
-		return core.DeparserSpec{}, &RejectedError{Reason: fmt.Sprintf("parse: %v", err)}
+		return nil, &RejectedError{Reason: fmt.Sprintf("parse: %v", err)}
 	}
 	info, err := sema.Check(prog)
 	if err != nil {
-		return core.DeparserSpec{}, &RejectedError{Reason: fmt.Sprintf("sema: %v", err)}
+		return nil, &RejectedError{Reason: fmt.Sprintf("sema: %v", err)}
 	}
-	return core.DeparserSpec{Info: info}, nil
+	return info, nil
 }
 
 // VerifyModel runs the harness over a bundled NIC model.
 func VerifyModel(m *nic.Model, opts Options) (*Report, error) {
-	return Verify(m.Name, m.Deparser, opts)
+	return Verify(m.Name, m.Info, opts)
 }
 
 // Certificate is the fleet-facing verdict for one description, keyed by its

@@ -48,7 +48,7 @@ func newPathInterp(name string, p *core.Path) (*pathInterp, error) {
 	if err != nil {
 		return nil, fmt.Errorf("synthesized parser sema: %v", err)
 	}
-	inst, err := info.BindParser(prog.Parser("DVPathParser"), nil)
+	inst, err := info.BindParser(prog.Parser("DVPathParser"))
 	if err != nil {
 		return nil, fmt.Errorf("synthesized parser bind: %v", err)
 	}

@@ -399,7 +399,7 @@ func firstEmittedSemantic(src string) (ctName, fieldName string, err error) {
 	if err != nil {
 		return "", "", fmt.Errorf("widen: sema: %v", err)
 	}
-	a, err := core.Analyze(core.DeparserSpec{Info: info}, core.EnumerateOptions{})
+	a, err := core.Analyze(info, core.EnumerateOptions{})
 	if err != nil {
 		return "", "", fmt.Errorf("widen: %v", err)
 	}

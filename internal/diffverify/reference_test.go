@@ -16,8 +16,8 @@ import (
 )
 
 // refVerify is Verify over the reference checker.
-func refVerify(name string, spec core.DeparserSpec, opts Options) (*Report, error) {
-	g, paths, err := enumerate(spec, opts)
+func refVerify(name string, info *sema.Info, opts Options) (*Report, error) {
+	g, paths, err := enumerate(info, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -436,7 +436,7 @@ func TestMatchesReference(t *testing.T) {
 			{Packets: 9},
 		} {
 			got, gotErr := VerifyModel(m, opts)
-			want, wantErr := refVerify(m.Name, m.Deparser, opts)
+			want, wantErr := refVerify(m.Name, m.Info, opts)
 			sameOutcome(t, fmt.Sprintf("%s %+v", m.Name, opts), got, gotErr, want, wantErr)
 		}
 		if rep, _ := VerifyModel(m, Options{BreakAccessor: true}); len(rep.Disagreements) == 0 || len(rep.Disagreements[0].Image) == 0 {
@@ -461,9 +461,9 @@ func TestMatchesReferenceOnMutants(t *testing.T) {
 			}
 			got, gotErr := VerifySource(m.Name, src, Options{})
 			var want *Report
-			spec, wantErr := sourceSpec(m.Name, src)
+			info, wantErr := sourceInfo(m.Name, src)
 			if wantErr == nil {
-				want, wantErr = refVerify(m.Name, spec, Options{})
+				want, wantErr = refVerify(m.Name, info, Options{})
 			}
 			sameOutcome(t, fmt.Sprintf("%s seed %#x ops %s", m.Name, seed, ops), got, gotErr, want, wantErr)
 			if gotErr == nil {
@@ -481,7 +481,7 @@ func TestMatchesReferenceOnMutants(t *testing.T) {
 // later cases overwrite.
 func TestDisagreementSurvivesBufferReuse(t *testing.T) {
 	m := nic.MustLoad("e1000e")
-	a, err := core.Analyze(m.Deparser, core.EnumerateOptions{})
+	a, err := core.Analyze(m.Info, core.EnumerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

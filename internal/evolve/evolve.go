@@ -5,8 +5,8 @@
 // really costs on this machine — only exists at runtime. The Resolver
 // (resolver.go) watches both signals and periodically re-solves the Eq. 1
 // layout optimization against the live mix with measured w(s); when a
-// candidate path beats the active one past a hysteresis threshold, the
-// Engine holding it performs a graceful, generation-tagged switchover:
+// candidate path beats the active one past a 10% hysteresis, the Engine
+// holding it performs a graceful, generation-tagged switchover:
 //
 //	RUNNING ──interval──▶ EVALUATE ──no better / unsat──▶ RUNNING
 //	EVALUATE ──candidate wins──▶ QUIESCE ─▶ DRAIN ─▶ APPLY ─▶ VERIFY ─▶ SWAP
@@ -40,13 +40,6 @@ type Options struct {
 	// Interval is the number of delivered packets between renegotiation
 	// checks (default 2048).
 	Interval int
-	// Hysteresis is the fractional Eq. 1 improvement a candidate must show
-	// over the active path before a switchover is attempted (default 0.10).
-	// Zero selects the default; pass a negative value for no hysteresis.
-	Hysteresis float64
-	// Alpha is the DMA footprint weight forwarded to the re-solve (zero
-	// selects core.DefaultAlpha).
-	Alpha float64
 	// MinShimSamples is how many calls a shim needs before its measured
 	// ns/call replaces the static w(s) (default 64).
 	MinShimSamples uint64
@@ -57,10 +50,6 @@ type Options struct {
 	// a policy hook (and the test hook for injecting unsatisfiable
 	// renegotiations).
 	Costs func(live semantics.CostModel) semantics.CostModel
-	// PreSwitch, when non-nil, is an admission check invoked after the ring
-	// has drained and before the new configuration is pushed; an error
-	// aborts the switchover and rolls back to the active generation.
-	PreSwitch func(next *core.Result) error
 	// Clock is the timeline switchover latencies are measured on (nil selects
 	// the process wall clock). Chaos runs inject a virtual clock here so the
 	// control plane is fully deterministic.
@@ -70,12 +59,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Interval <= 0 {
 		o.Interval = 2048
-	}
-	switch {
-	case o.Hysteresis == 0:
-		o.Hysteresis = 0.10
-	case o.Hysteresis < 0:
-		o.Hysteresis = 0
 	}
 	if o.MinShimSamples == 0 {
 		o.MinShimSamples = 64
@@ -99,10 +82,10 @@ type Engine struct {
 	mu sync.Mutex
 	q  *rxpath.Queue
 
-	// res is the re-solve loop with the engine's intent as its one tenant:
-	// the live read mix (each generation's lane binds the counters beside
-	// its reader table, so a read inside the application's Poll handler is
-	// one indexed atomic add), the delivery count and the schedule.
+	// res is the re-solve loop over the engine's intent: the live read mix
+	// (each generation's lane binds the counters beside its reader table, so
+	// a read inside the application's Poll handler is one indexed atomic
+	// add), the delivery count and the schedule.
 	res *Resolver
 
 	gen atomic.Uint64
@@ -143,7 +126,7 @@ func New(dev *nicsim.Device, intent *core.Intent, copts core.CompileOptions, opt
 	}
 	e.shims.AttachFlight(q.FlightQueue())
 	q.Instrument(e.shims)
-	if e.res, err = NewResolver(dev.Model, copts, opts, e.shims, []core.TenantIntent{{Intent: intent}}); err != nil {
+	if e.res, err = NewResolver(dev.Model, copts, opts, e.shims, intent); err != nil {
 		return nil, err
 	}
 	lane, err := e.newLane(res)
@@ -159,7 +142,7 @@ func New(dev *nicsim.Device, intent *core.Intent, copts core.CompileOptions, opt
 func (e *Engine) newLane(res *core.Result) (*rxpath.Lane, error) {
 	l, err := e.q.Link(res)
 	if err == nil {
-		l.Reads = e.res.Bind(0, l.RT)
+		l.Reads = e.res.Bind(l.RT)
 	}
 	return l, err
 }
@@ -202,7 +185,7 @@ func (e *Engine) Rx(packet []byte) bool {
 func (e *Engine) Poll(h rxpath.DeliverFunc) int {
 	e.mu.Lock()
 	n := e.q.Poll(-1, h)
-	e.res.NoteDelivered(0, n)
+	e.res.NoteDelivered(n)
 	due := e.res.Due()
 	e.mu.Unlock()
 	if due {
@@ -252,12 +235,9 @@ func (e *Engine) switchover(next *core.Result) error {
 	e.switchDrops.Add(uint64(e.q.Live()))
 	fq.Record(flight.EvDrain, uint32(oldGen), uint64(drained), oldGen)
 
-	// ADMISSION: the PreSwitch hook may veto the new interface, and on a
-	// hardened queue the new lane's validator must synthesize.
+	// ADMISSION: on a hardened queue the new lane's validator must
+	// synthesize.
 	lane, err := e.newLane(next)
-	if err == nil && e.opts.PreSwitch != nil {
-		err = e.opts.PreSwitch(next)
-	}
 	if err == nil {
 		// APPLY + VERIFY, rolled back to the old generation's configuration
 		// on failure. The old lane was never unpublished, so the datapath is
@@ -326,26 +306,26 @@ type Stats struct {
 // Stats snapshots the control-plane counters. Safe to call concurrently
 // with the datapath.
 func (e *Engine) Stats() Stats {
-	mix := e.res.tenants[0]
+	r := e.res
 	st := Stats{
 		Generation:     e.gen.Load(),
-		Renegotiations: e.res.evaluations.Load(),
+		Renegotiations: r.evaluations.Load(),
 		Switchovers:    e.switchovers.Load(),
 		Rollbacks:      e.rollbacks.Load(),
-		Unsat:          e.res.unsat.Load(),
+		Unsat:          r.unsat.Load(),
 		SwitchDrops:    e.switchDrops.Load(),
 		PacketsDrained: e.packetsDrained.Load(),
 		SoftParked:     e.softParked.Load(),
 		ApplyRetries:   e.applyRetries.Load(),
-		Delivered:      mix.delivered.Load(),
-		Reads:          make(map[semantics.Name]uint64, len(mix.reads)),
+		Delivered:      r.delivered.Load(),
+		Reads:          make(map[semantics.Name]uint64, len(r.reads)),
 	}
 	if e.switchLatency.Count() > 0 {
 		st.SwitchLatencyP50 = e.switchLatency.Quantile(0.50)
 		st.SwitchLatencyP99 = e.switchLatency.Quantile(0.99)
 	}
-	for i, f := range mix.intent.Fields {
-		if n := mix.reads[i].Load(); n > 0 {
+	for i, f := range r.intent.Fields {
+		if n := r.reads[i].Load(); n > 0 {
 			st.Reads[f.Semantic] = n
 		}
 	}
@@ -355,22 +335,22 @@ func (e *Engine) Stats() Stats {
 // RegisterMetrics exposes the control-plane counters and the switchover
 // latency histogram on an obs registry, beside the queue's own series.
 func (e *Engine) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
-	mix := e.res.tenants[0]
+	r := e.res
 	base := append([]obs.Label{obs.L("nic", e.q.Dev().Model.Name)}, labels...)
-	reg.AttachCounter("opendesc_evolve_renegotiations_total", "layout re-solve evaluations", &e.res.evaluations, base...)
+	reg.AttachCounter("opendesc_evolve_renegotiations_total", "layout re-solve evaluations", &r.evaluations, base...)
 	reg.AttachCounter("opendesc_evolve_switchovers_total", "completed generation switchovers", &e.switchovers, base...)
 	reg.AttachCounter("opendesc_evolve_rollbacks_total", "switchovers rolled back", &e.rollbacks, base...)
-	reg.AttachCounter("opendesc_evolve_unsat_total", "re-solves rejected as unsatisfiable", &e.res.unsat, base...)
+	reg.AttachCounter("opendesc_evolve_unsat_total", "re-solves rejected as unsatisfiable", &r.unsat, base...)
 	reg.AttachCounter("opendesc_evolve_switch_drops_total", "packets lost across switchovers (must be 0)", &e.switchDrops, base...)
 	reg.AttachCounter("opendesc_evolve_packets_drained_total", "completions drained under the old layout", &e.packetsDrained, base...)
 	reg.AttachCounter("opendesc_evolve_soft_parked_total", "mid-switchover lost completions re-delivered in software", &e.softParked, base...)
 	reg.AttachCounter("opendesc_evolve_apply_retries_total", "NAKed register-write bursts retried during switchover", &e.applyRetries, base...)
-	reg.AttachCounter("opendesc_evolve_delivered_total", "packets delivered to Poll handlers", &mix.delivered, base...)
+	reg.AttachCounter("opendesc_evolve_delivered_total", "packets delivered to Poll handlers", &r.delivered, base...)
 	reg.AttachHistogram("opendesc_evolve_switch_latency_ns", "quiesce-to-swap switchover latency", e.switchLatency, base...)
 	reg.GaugeFunc("opendesc_evolve_generation", "current interface generation epoch", func() int64 { return int64(e.gen.Load()) }, base...)
-	for i, f := range mix.intent.Fields {
+	for i, f := range r.intent.Fields {
 		l := append(append([]obs.Label{}, base...), obs.L("semantic", string(f.Semantic)))
-		reg.AttachCounter("opendesc_evolve_reads_total", "application metadata reads per semantic", &mix.reads[i], l...)
+		reg.AttachCounter("opendesc_evolve_reads_total", "application metadata reads per semantic", &r.reads[i], l...)
 	}
 	e.q.RegisterMetrics(reg, labels...)
 }

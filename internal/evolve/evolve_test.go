@@ -268,44 +268,6 @@ func TestDrainUnderOldLayout(t *testing.T) {
 	})
 }
 
-// TestRollbackOnRejectedSwitch injects a PreSwitch failure: the begun
-// switchover must be reverted, the old generation must stay active, and the
-// datapath must keep working afterwards.
-func TestRollbackOnRejectedSwitch(t *testing.T) {
-	opts := staticOptions()
-	veto := errors.New("admission veto")
-	opts.PreSwitch = func(next *core.Result) error { return veto }
-	e := newTestEngine(t, opts)
-	tr := trace(t)
-
-	drive(t, e, tr, 128, semantics.RSS)
-	switched, err := e.Renegotiate()
-	if switched {
-		t.Fatal("vetoed switchover must not complete")
-	}
-	if !errors.Is(err, veto) {
-		t.Fatalf("err = %v, want the injected veto", err)
-	}
-	st := e.Stats()
-	if st.Rollbacks != 1 || st.Generation != 0 || st.Switchovers != 0 {
-		t.Fatalf("stats = %+v, want 1 rollback at generation 0", st)
-	}
-	if st.SwitchDrops != 0 {
-		t.Fatalf("switch drops = %d, want 0 across rollback", st.SwitchDrops)
-	}
-	// The device must still resolve the old path and serve traffic.
-	ap, err := e.q.Dev().ActivePath()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ap.ID != e.Result().Selected.Path.ID {
-		t.Fatalf("device on path %d, active generation selects %d", ap.ID, e.Result().Selected.Path.ID)
-	}
-	if got := drive(t, e, tr, 64, semantics.IPChecksum); got != 64 {
-		t.Fatalf("post-rollback delivery = %d, want 64", got)
-	}
-}
-
 // TestUnsatRenegotiationKeepsRunning injects an unsatisfiable live cost
 // model (every software fallback infinitely expensive): the re-solve must
 // be rejected, counted, and the active interface left untouched.

@@ -19,15 +19,11 @@ import (
 // referenceResolve is Resolve as it ran until the solver took vectors: the
 // window closed into a map, every shim counter snapshotted into a second, the
 // live model a chain of closures over both, and a full CompileJoint whose
-// Result is dropped unless the layout changes. It runs on a Resolver's records
+// Result is dropped unless the layout changes. It runs on a Resolver's record
 // and is kept as the oracle TestResolveMatchesReference compares Resolve with.
 func referenceResolve(r *Resolver, m *nic.Model, copts core.CompileOptions, active int) (*core.JointResult, error) {
 	r.Postpone()
-	var window uint64
-	for _, t := range r.tenants {
-		window += t.delivered.Load() - t.lastDeliv
-	}
-	if window < uint64(r.opts.MinWindow) {
+	if r.delivered.Load()-r.lastDeliv < uint64(r.opts.MinWindow) {
 		return nil, nil
 	}
 	r.evaluations.Inc()
@@ -41,50 +37,42 @@ func referenceResolve(r *Resolver, m *nic.Model, copts core.CompileOptions, acti
 		}
 	}
 	base := semantics.RegistryCosts(semantics.Default)
-	total := r.totalDelivered()
-	tenants := make([]core.TenantIntent, len(r.tenants))
-	for i, t := range r.tenants {
-		deliv := t.delivered.Load()
-		dn := deliv - t.lastDeliv
-		t.lastDeliv = deliv
-		mix := make(map[semantics.Name]float64, len(t.reads))
-		for i, f := range t.intent.Fields {
-			cur := t.reads[i].Load()
-			mix[f.Semantic] = 0
-			if dn > 0 {
-				mix[f.Semantic] = float64(cur-t.last[i]) / float64(dn)
-			}
-			t.last[i] = cur
+	deliv := r.delivered.Load()
+	dn := deliv - r.lastDeliv
+	r.lastDeliv = deliv
+	mix := make(map[semantics.Name]float64, len(r.reads))
+	for i, f := range r.intent.Fields {
+		cur := r.reads[i].Load()
+		mix[f.Semantic] = 0
+		if dn > 0 {
+			mix[f.Semantic] = float64(cur-r.last[i]) / float64(dn)
 		}
-		costs := semantics.CostModel(func(s semantics.Name) float64 {
-			w := base(s)
-			if math.IsInf(w, 1) {
-				return w
-			}
-			if sc, ok := shimCosts[s]; ok && sc.Calls >= r.opts.MinShimSamples {
-				w = float64(sc.Nanos) / float64(sc.Calls)
-			}
-			f, ok := mix[s]
-			if !ok {
-				return w
-			}
-			return f * w
-		})
-		if r.opts.Costs != nil {
-			costs = r.opts.Costs(costs)
-		}
-		over := map[semantics.Name]float64{}
-		for _, f := range t.intent.Fields {
-			if f.CostOverride >= 0 {
-				over[f.Semantic] = f.CostOverride
-			}
-		}
-		tenants[i] = core.TenantIntent{Tenant: t.name, Intent: t.intent, Weight: t.weight(total), Costs: costs.WithOverrides(over)}
+		r.last[i] = cur
 	}
-	if r.opts.Alpha != 0 {
-		copts.Select.Alpha = r.opts.Alpha
+	costs := semantics.CostModel(func(s semantics.Name) float64 {
+		w := base(s)
+		if math.IsInf(w, 1) {
+			return w
+		}
+		if sc, ok := shimCosts[s]; ok && sc.Calls >= r.opts.MinShimSamples {
+			w = float64(sc.Nanos) / float64(sc.Calls)
+		}
+		f, ok := mix[s]
+		if !ok {
+			return w
+		}
+		return f * w
+	})
+	if r.opts.Costs != nil {
+		costs = r.opts.Costs(costs)
 	}
-	next, err := m.CompileJoint(tenants, copts)
+	over := map[semantics.Name]float64{}
+	for _, f := range r.intent.Fields {
+		if f.CostOverride >= 0 {
+			over[f.Semantic] = f.CostOverride
+		}
+	}
+	next, err := m.CompileJoint([]core.TenantIntent{{Intent: r.intent, Weight: 1, Costs: costs.WithOverrides(over)}}, copts)
 	if err != nil {
 		r.unsat.Inc()
 		return nil, err
@@ -99,31 +87,30 @@ func referenceResolve(r *Resolver, m *nic.Model, copts core.CompileOptions, acti
 			break
 		}
 	}
-	if next.Selected.Total >= activeTotal*(1-r.opts.Hysteresis) {
+	if next.Selected.Total >= activeTotal*(1-hysteresis) {
 		return nil, nil
 	}
 	return next, nil
 }
 
 // TestResolveMatchesReference drives a Resolver and the reference through
-// 1 000 seeded random windows per configuration — e1000e and mlx5, one tenant
-// and three, static and measured shim costs, with and without an
-// Options.Costs wrapper that makes some ticks unsatisfiable, an @cost
-// override on one field, a Retarget halfway — and requires the same answer
-// every tick (stay, the same error, or the same compilation bit for bit), the
-// same evaluation and rejection counts, and the same window baselines.
+// 1 000 seeded random windows per configuration — e1000e and mlx5, static and
+// measured shim costs, with and without an Options.Costs wrapper that makes
+// some ticks unsatisfiable, a second intent with an @cost override on one
+// field from tick 500 — and requires the same answer every tick (stay, the
+// same error, or the same compilation bit for bit), the same evaluation and
+// rejection counts, and the same window baselines. The subtests keep the
+// names they had when a resolver could hold several tenants.
 func TestResolveMatchesReference(t *testing.T) {
 	packet := pkt.NewBuilder().WithIPv4([4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}).WithUDP(1, 2).WithPayload([]byte("window")).Build()
-	requests := map[string][][]semantics.Name{
+	requests := map[string][2][]semantics.Name{
 		"e1000e": {
 			{semantics.RSS, semantics.IPChecksum, semantics.VLAN, semantics.PktLen},
 			{semantics.IPChecksum, semantics.PktLen},
-			{semantics.VLAN, semantics.RSS, semantics.L4Checksum},
 		},
 		"mlx5": {
 			{semantics.RSS, semantics.VLAN, semantics.PktLen, semantics.KVKey},
 			{semantics.IPChecksum, semantics.L4Checksum, semantics.FlowID},
-			{semantics.PType, semantics.RSS, semantics.TunnelID},
 		},
 	}
 	intent := func(sems []semantics.Name, override int) *core.Intent {
@@ -137,102 +124,93 @@ func TestResolveMatchesReference(t *testing.T) {
 		return it
 	}
 	for _, nicName := range []string{"e1000e", "mlx5"} {
-		for _, ntenants := range []int{1, 3} {
-			for _, measured := range []bool{false, true} {
-				for _, wrapped := range []bool{false, true} {
-					name := fmt.Sprintf("%s/%dtenants/measured=%t/wrapped=%t", nicName, ntenants, measured, wrapped)
-					t.Run(name, func(t *testing.T) {
-						rng := rand.New(rand.NewSource(24))
-						m := nic.MustLoad(nicName)
-						opts := Options{MinWindow: 32, MinShimSamples: 4, Hysteresis: 0.05}
-						poisoned := false
-						if wrapped {
-							opts.Costs = func(live semantics.CostModel) semantics.CostModel {
-								return func(s semantics.Name) float64 {
-									if poisoned { // no path carries every tenant's whole request
-										return math.Inf(1)
-									}
-									return live(s)*1.5 + 0.1
+		for _, measured := range []bool{false, true} {
+			for _, wrapped := range []bool{false, true} {
+				name := fmt.Sprintf("%s/1tenants/measured=%t/wrapped=%t", nicName, measured, wrapped)
+				t.Run(name, func(t *testing.T) {
+					rng := rand.New(rand.NewSource(24))
+					m := nic.MustLoad(nicName)
+					opts := Options{MinWindow: 32, MinShimSamples: 4}
+					poisoned := false
+					if wrapped {
+						opts.Costs = func(live semantics.CostModel) semantics.CostModel {
+							return func(s semantics.Name) float64 {
+								if poisoned { // no path carries the whole request
+									return math.Inf(1)
 								}
+								return live(s)*1.5 + 0.1
 							}
 						}
-						var shims *softnic.ShimStats
-						funcs := map[semantics.Name]func([]byte) uint64{}
-						if measured {
-							shims = softnic.NewShimStats(nil)
-							for s, f := range shims.Instrument(softnic.Funcs()) {
-								funcs[s] = f
-							}
+					}
+					var shims *softnic.ShimStats
+					funcs := map[semantics.Name]func([]byte) uint64{}
+					if measured {
+						shims = softnic.NewShimStats(nil)
+						for s, f := range shims.Instrument(softnic.Funcs()) {
+							funcs[s] = f
 						}
-						var tenants []core.TenantIntent
-						for i := 0; i < ntenants; i++ {
-							tenants = append(tenants, core.TenantIntent{Tenant: fmt.Sprint("t", i), Intent: intent(requests[nicName][i], i-1)})
-						}
-						got, err := NewResolver(m, core.CompileOptions{}, opts, shims, tenants)
-						if err != nil {
+					}
+					var got, want *Resolver
+					arm := func(it *core.Intent) {
+						var err error
+						if got, err = NewResolver(m, core.CompileOptions{}, opts, shims, it); err != nil {
 							t.Fatal(err)
 						}
-						want, err := NewResolver(m, core.CompileOptions{}, opts, shims, tenants)
-						if err != nil {
+						if want, err = NewResolver(m, core.CompileOptions{}, opts, shims, it); err != nil {
 							t.Fatal(err)
 						}
+					}
+					arm(intent(requests[nicName][0], -1))
 
-						active, switches, stays, unsat := 0, 0, 0, 0
-						for tick := 0; tick < 1000; tick++ {
-							if tick == 500 {
-								it := intent(requests[nicName][1], 0)
-								got.Retarget(0, it)
-								want.Retarget(0, it)
+					active, switches, stays, unsat := 0, 0, 0, 0
+					for tick := 0; tick < 1000; tick++ {
+						if tick == 500 {
+							arm(intent(requests[nicName][1], 0))
+						}
+						n := rng.Intn(200)
+						if rng.Intn(8) == 0 {
+							n = rng.Intn(12) // some windows stay open
+						}
+						got.NoteDelivered(n)
+						want.NoteDelivered(n)
+						for fi, f := range got.intent.Fields {
+							reads := 0
+							if n > 0 && rng.Intn(3) > 0 {
+								reads = rng.Intn(n + 1)
 							}
-							for ti := range tenants {
-								n := rng.Intn(200)
-								if rng.Intn(8) == 0 {
-									n = rng.Intn(12) // some windows stay open
-								}
-								got.NoteDelivered(ti, n)
-								want.NoteDelivered(ti, n)
-								for fi, f := range got.tenants[ti].intent.Fields {
-									reads := 0
-									if n > 0 && rng.Intn(3) > 0 {
-										reads = rng.Intn(n + 1)
-									}
-									got.tenants[ti].reads[fi].Add(uint64(reads))
-									want.tenants[ti].reads[fi].Add(uint64(reads))
-									if shim := funcs[f.Semantic]; shim != nil && rng.Intn(4) == 0 {
-										shim(packet)
-									}
-								}
-							}
-							poisoned = rng.Intn(10) == 0
-
-							g, gerr := got.Resolve(active)
-							w, werr := referenceResolve(want, m, core.CompileOptions{}, active)
-							sameAnswer(t, tick, g, gerr, w, werr)
-							switch {
-							case gerr != nil:
-								unsat++
-							case g != nil:
-								switches++
-								active = g.Selected.Path.ID
-							default:
-								stays++
-							}
-							if got.evaluations.Load() != want.evaluations.Load() || got.unsat.Load() != want.unsat.Load() || got.lastCheck != want.lastCheck {
-								t.Fatalf("tick %d: %d evaluations, %d unsat, schedule at %d; reference %d, %d, %d", tick,
-									got.evaluations.Load(), got.unsat.Load(), got.lastCheck, want.evaluations.Load(), want.unsat.Load(), want.lastCheck)
-							}
-							for ti := range tenants {
-								if g, w := got.tenants[ti], want.tenants[ti]; g.lastDeliv != w.lastDeliv || !slices.Equal(g.last, w.last) {
-									t.Fatalf("tick %d tenant %d: window baseline %d %v, reference %d %v", tick, ti, g.lastDeliv, g.last, w.lastDeliv, w.last)
-								}
+							got.reads[fi].Add(uint64(reads))
+							want.reads[fi].Add(uint64(reads))
+							if shim := funcs[f.Semantic]; shim != nil && rng.Intn(4) == 0 {
+								shim(packet)
 							}
 						}
-						t.Logf("%d switches, %d stays, %d unsatisfiable, %d evaluations", switches, stays, unsat, got.evaluations.Load())
-						if switches < 10 || stays < 100 || wrapped != (unsat > 0) {
-							t.Errorf("windows too tame: %d switches, %d stays, %d unsatisfiable", switches, stays, unsat)
+						poisoned = rng.Intn(10) == 0
+
+						g, gerr := got.Resolve(active)
+						w, werr := referenceResolve(want, m, core.CompileOptions{}, active)
+						sameAnswer(t, tick, g, gerr, w, werr)
+						switch {
+						case gerr != nil:
+							unsat++
+						case g != nil:
+							switches++
+							active = g.Selected.Path.ID
+						default:
+							stays++
 						}
-					})
-				}
+						if got.evaluations.Load() != want.evaluations.Load() || got.unsat.Load() != want.unsat.Load() || got.lastCheck != want.lastCheck {
+							t.Fatalf("tick %d: %d evaluations, %d unsat, schedule at %d; reference %d, %d, %d", tick,
+								got.evaluations.Load(), got.unsat.Load(), got.lastCheck, want.evaluations.Load(), want.unsat.Load(), want.lastCheck)
+						}
+						if got.lastDeliv != want.lastDeliv || !slices.Equal(got.last, want.last) {
+							t.Fatalf("tick %d: window baseline %d %v, reference %d %v", tick, got.lastDeliv, got.last, want.lastDeliv, want.last)
+						}
+					}
+					t.Logf("%d switches, %d stays, %d unsatisfiable", switches, stays, unsat)
+					if switches < 10 || stays < 100 || wrapped != (unsat > 0) {
+						t.Errorf("windows too tame: %d switches, %d stays, %d unsatisfiable", switches, stays, unsat)
+					}
+				})
 			}
 		}
 	}

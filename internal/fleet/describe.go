@@ -175,7 +175,7 @@ func ValidateSource(name, src string) (*Validated, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sema: %v", err)
 	}
-	a, err := core.Analyze(core.DeparserSpec{Info: info}, core.EnumerateOptions{})
+	a, err := core.Analyze(info, core.EnumerateOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -57,7 +57,7 @@ func TestDescribeRoundTrip(t *testing.T) {
 		for _, sel := range []core.SelectOptions{{}, {Alpha: -1}, {Alpha: 1000}} {
 			opts := core.CompileOptions{Select: sel}
 			warm, werr := v.Compile(intent, opts)
-			cold, cerr := core.Compile(m.Name, m.Deparser, intent, opts)
+			cold, cerr := core.Compile(m.Name, m.Info, intent, opts)
 			if werr != nil || cerr != nil {
 				t.Fatalf("%s %+v: warm err %v, cold err %v", m.Name, sel, werr, cerr)
 			}

@@ -161,7 +161,7 @@ func TestWarmCompileMatchesCold(t *testing.T) {
 						opts := core.CompileOptions{Select: sel, Enumerate: en}
 						label := fmt.Sprintf("%s intent%d override=%t select%d %+v", m.Name, i, override, si, en)
 						warm, werr := m.Compile(intent, opts)
-						cold, cerr := core.Compile(m.Name, m.Deparser, intent, opts)
+						cold, cerr := core.Compile(m.Name, m.Info, intent, opts)
 						var u *core.UnsatisfiableError
 						switch {
 						case !sameErr(t, label, werr, cerr):
@@ -212,7 +212,7 @@ func TestWarmCompileJointMatchesCold(t *testing.T) {
 					opts := core.CompileOptions{Select: sel, Enumerate: en}
 					label := fmt.Sprintf("%s joint%d select%d %+v", m.Name, n, si, en)
 					warm, werr := m.CompileJoint(tenants, opts)
-					cold, cerr := core.CompileJoint(m.Name, m.Deparser, tenants, opts)
+					cold, cerr := core.CompileJoint(m.Name, m.Info, tenants, opts)
 					if sameErr(t, label, werr, cerr) {
 						continue
 					}
@@ -254,7 +254,7 @@ func TestAnalysisSharedUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := &Model{Name: reg.Name, Source: reg.Source, Info: info, Deparser: core.DeparserSpec{Info: info}}
+		m := &Model{Name: reg.Name, Source: reg.Source, Info: info}
 		var wg sync.WaitGroup
 		for g := 0; g < 32; g++ {
 			opts := core.CompileOptions{Select: gridSelects[g%len(gridSelects)]}
@@ -291,7 +291,7 @@ func TestAnalysisSharedUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := core.Analyze(m.Deparser, core.EnumerateOptions{})
+		cold, err := core.Analyze(m.Info, core.EnumerateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,8 +60,6 @@ type Model struct {
 	Source string
 	// Info is the checked program.
 	Info *sema.Info
-	// Deparser locates the completion deparser inside Source.
-	Deparser core.DeparserSpec
 	// TxParserName names the DescParser for the TX direction ("" if the
 	// model only describes the RX completion side).
 	TxParserName string
@@ -88,7 +86,7 @@ func (m *Model) Analysis(opts core.EnumerateOptions) (*core.Analysis, error) {
 	defer m.mu.Unlock()
 	e, ok := m.analyses[opts]
 	if !ok {
-		if e.a, e.err = core.Analyze(m.Deparser, opts); e.err != nil {
+		if e.a, e.err = core.Analyze(m.Info, opts); e.err != nil {
 			e.err = fmt.Errorf("opendesc %s: %w", m.Name, e.err)
 		}
 		if m.analyses == nil {
@@ -169,7 +167,7 @@ func (m *Model) TxInstance() (*sema.Instance, error) {
 	if pr == nil {
 		return nil, fmt.Errorf("nic %s: parser %q not found", m.Name, m.TxParserName)
 	}
-	return m.Info.BindParser(pr, nil)
+	return m.Info.BindParser(pr)
 }
 
 // TxLayouts enumerates the accepted TX descriptor formats.
@@ -178,7 +176,7 @@ func (m *Model) TxLayouts() ([]*core.TxLayout, error) {
 	if err != nil {
 		return nil, err
 	}
-	ls, err := core.AnalyzeDescParser(m.Info, inst, "")
+	ls, err := core.AnalyzeDescParser(m.Info, inst)
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +193,6 @@ var (
 func register(m *Model) {
 	prog := parser.MustParse(m.Name+".p4", m.Source)
 	m.Info = sema.MustCheck(prog)
-	m.Deparser.Info = m.Info
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	if _, dup := registry[m.Name]; dup {

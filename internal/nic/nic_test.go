@@ -285,7 +285,7 @@ func TestDescriptionsPrintRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reparsed program fails sema: %v", m.Name, err)
 		}
-		a, err := core.Analyze(core.DeparserSpec{Info: info2}, core.EnumerateOptions{})
+		a, err := core.Analyze(info2, core.EnumerateOptions{})
 		if err != nil {
 			t.Fatalf("%s: reparsed program: %v", m.Name, err)
 		}

@@ -269,7 +269,7 @@ func modelFromSource(name, src string) (*nic.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &nic.Model{Name: name, Source: src, Info: info, Deparser: core.DeparserSpec{Info: info}}, nil
+	return &nic.Model{Name: name, Source: src, Info: info}, nil
 }
 
 // differentialTrace mixes everything the engines branch on — VLAN, KV

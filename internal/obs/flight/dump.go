@@ -377,13 +377,13 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	return r.Snapshot().WriteChromeTrace(w)
 }
 
-// Postmortem snapshots the last PostmortemEvents events per queue, renders
+// Postmortem snapshots the last postmortemEvents events per queue, renders
 // them, and — when a dump directory is configured — writes a binary dump
 // file. It returns the file path ("" when no file was written). Called by
 // the hardened driver on watchdog trips and quarantines, and by the fault
 // injector on hang recoveries.
 func (r *Recorder) Postmortem(reason string) string {
-	snap := r.snapshot(r.cfg.PostmortemEvents, reason)
+	snap := r.snapshot(postmortemEvents, reason)
 	text := snap.Format()
 	r.pmMu.Lock()
 	r.pmCount++
@@ -391,7 +391,7 @@ func (r *Recorder) Postmortem(reason string) string {
 	r.pmReason = reason
 	r.pmText = text
 	r.pmLastSnap = snap
-	dir := r.cfg.DumpDir
+	dir := r.dumpDir
 	r.pmMu.Unlock()
 	if dir == "" {
 		return ""

@@ -336,19 +336,15 @@ type Config struct {
 	// Size is the per-queue ring capacity in events, rounded up to a power
 	// of two. Default 4096 (160 KB per queue once every chunk is touched).
 	Size int
-	// PostmortemEvents is how many trailing events per queue a postmortem
-	// snapshot keeps. Default 512.
-	PostmortemEvents int
-	// DumpDir, when set, makes every postmortem also write a binary dump
-	// file (decode with `opendesc flight`).
-	DumpDir string
 	// Clock is what Now and Record read (nil: wall time since the epoch).
 	Clock vclock.Clock
 }
 
 const (
-	defaultSize       = 4096
-	defaultPostmortem = 512
+	defaultSize = 4096
+	// postmortemEvents is how many trailing events per queue a postmortem
+	// snapshot keeps.
+	postmortemEvents = 512
 )
 
 // Recorder owns a set of event queues sharing one epoch, plus the postmortem
@@ -363,7 +359,10 @@ type Recorder struct {
 	queues []*Queue
 	byName map[string]*Queue
 
-	pmMu       sync.Mutex
+	pmMu sync.Mutex
+	// dumpDir, when set, makes every postmortem also write a binary dump
+	// file (decode with `opendesc flight`).
+	dumpDir    string
 	pmCount    uint64
 	pmReason   string
 	pmText     string
@@ -377,9 +376,6 @@ func NewRecorder(cfg Config) *Recorder {
 		cfg.Size = defaultSize
 	}
 	cfg.Size = ceilPow2(cfg.Size)
-	if cfg.PostmortemEvents <= 0 {
-		cfg.PostmortemEvents = defaultPostmortem
-	}
 	r := &Recorder{
 		epoch:  time.Now(),
 		cfg:    cfg,
@@ -427,7 +423,7 @@ func (r *Recorder) Enabled() bool { return r.enabled.Load() }
 // SetDumpDir (re)directs postmortem dump files. Empty disables file output.
 func (r *Recorder) SetDumpDir(dir string) {
 	r.pmMu.Lock()
-	r.cfg.DumpDir = dir
+	r.dumpDir = dir
 	r.pmMu.Unlock()
 }
 

@@ -298,14 +298,16 @@ func TestDumpRoundTrip(t *testing.T) {
 
 func TestPostmortem(t *testing.T) {
 	dir := t.TempDir()
-	r := NewRecorder(Config{Size: 64, PostmortemEvents: 4, DumpDir: dir})
+	r := NewRecorder(Config{Size: 1024})
+	r.SetDumpDir(dir)
 	q := r.Queue("q0")
-	for i := 0; i < 20; i++ {
+	const recorded = postmortemEvents + 88
+	for i := 0; i < recorded; i++ {
 		q.Record(EvRingPush, uint32(i), 0, 0)
 	}
 	path := r.Postmortem("watchdog-degrade")
 	if path == "" {
-		t.Fatal("postmortem with DumpDir set must write a file")
+		t.Fatal("postmortem with a dump directory set must write a file")
 	}
 	reason, text, ok := r.LastPostmortem()
 	if !ok || reason != "watchdog-degrade" {
@@ -315,11 +317,11 @@ func TestPostmortem(t *testing.T) {
 		t.Errorf("postmortem text missing content:\n%s", text)
 	}
 	snap := r.LastSnapshot()
-	if snap == nil || len(snap.Queues[0].Events) != 4 {
-		t.Fatalf("postmortem kept %d events, want last 4", len(snap.Queues[0].Events))
+	if snap == nil || len(snap.Queues[0].Events) != postmortemEvents {
+		t.Fatalf("postmortem kept %d events, want the last %d", len(snap.Queues[0].Events), postmortemEvents)
 	}
-	if snap.Queues[0].Events[0].Seq != 16 {
-		t.Errorf("postmortem tail starts at seq %d, want 16", snap.Queues[0].Events[0].Seq)
+	if snap.Queues[0].Events[0].Seq != recorded-postmortemEvents {
+		t.Errorf("postmortem tail starts at seq %d, want %d", snap.Queues[0].Events[0].Seq, recorded-postmortemEvents)
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -330,7 +332,7 @@ func TestPostmortem(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dump file does not round-trip: %v", err)
 	}
-	if back.Reason != "watchdog-degrade" || back.Events() != 4 {
+	if back.Reason != "watchdog-degrade" || back.Events() != postmortemEvents {
 		t.Errorf("dump file = reason %q events %d", back.Reason, back.Events())
 	}
 	if r.Postmortems() != 1 || len(r.DumpFiles()) != 1 {

@@ -134,7 +134,7 @@ func packetParser(t *testing.T) *Parser {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := info.BindParser(prog.Parser("PacketParser"), nil)
+	inst, err := info.BindParser(prog.Parser("PacketParser"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ parser P(desc_in din, out rec_t r) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := info.BindParser(prog.Parser("P"), nil)
+	inst, err := info.BindParser(prog.Parser("P"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ parser P<C, D>(desc_in din, in C ctx, out D d) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := info.BindParser(prog.Parser("P"), nil)
+	inst, err := info.BindParser(prog.Parser("P"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ parser P<C, D>(desc_in din, in C ctx, out D d) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := info.BindParser(prog.Parser("P"), nil)
+	inst, err := info.BindParser(prog.Parser("P"))
 	if err != nil {
 		t.Fatal(err)
 	}

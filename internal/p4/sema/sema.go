@@ -304,12 +304,11 @@ type BoundParam struct {
 // Param returns the named bound parameter, or nil.
 func (inst *Instance) Param(name string) *BoundParam { return inst.ByName[name] }
 
-// BindControl instantiates a control's template parameters. bindings maps
-// type-parameter names (e.g. "DESC_T") to declared type names in the same
-// program. Bindings may also come from @bind("PARAM","TypeName") annotations
-// on the control itself; explicit arguments win.
-func (in *Info) BindControl(ctl *ast.ControlDecl, bindings map[string]string) (*Instance, error) {
-	bmap, err := in.bindingTypes(ctl.Annots, ctl.TypeParams, bindings)
+// BindControl instantiates a control's template parameters from its
+// @bind("PARAM", "TypeName") annotations, each naming a type declared in the
+// same program.
+func (in *Info) BindControl(ctl *ast.ControlDecl) (*Instance, error) {
+	bmap, err := in.bindingTypes(ctl.Annots, ctl.TypeParams)
 	if err != nil {
 		return nil, fmt.Errorf("control %s: %w", ctl.Name, err)
 	}
@@ -323,8 +322,8 @@ func (in *Info) BindControl(ctl *ast.ControlDecl, bindings map[string]string) (*
 }
 
 // BindParser instantiates a parser's template parameters; see BindControl.
-func (in *Info) BindParser(pr *ast.ParserDecl, bindings map[string]string) (*Instance, error) {
-	bmap, err := in.bindingTypes(pr.Annots, pr.TypeParams, bindings)
+func (in *Info) BindParser(pr *ast.ParserDecl) (*Instance, error) {
+	bmap, err := in.bindingTypes(pr.Annots, pr.TypeParams)
 	if err != nil {
 		return nil, fmt.Errorf("parser %s: %w", pr.Name, err)
 	}
@@ -337,7 +336,7 @@ func (in *Info) BindParser(pr *ast.ParserDecl, bindings map[string]string) (*Ins
 	return inst, nil
 }
 
-func (in *Info) bindingTypes(annots ast.Annotations, tps []*ast.TypeParam, explicit map[string]string) (map[string]Type, error) {
+func (in *Info) bindingTypes(annots ast.Annotations, tps []*ast.TypeParam) (map[string]Type, error) {
 	names := make(map[string]string)
 	for _, a := range annots {
 		if a.Name != "bind" {
@@ -349,9 +348,6 @@ func (in *Info) bindingTypes(annots ast.Annotations, tps []*ast.TypeParam, expli
 			return nil, fmt.Errorf("@bind needs two string arguments at %s", a.Pos())
 		}
 		names[param] = typ
-	}
-	for k, v := range explicit {
-		names[k] = v
 	}
 	bmap := make(map[string]Type)
 	for _, tp := range tps {

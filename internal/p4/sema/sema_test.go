@@ -169,13 +169,11 @@ func TestBindControl(t *testing.T) {
 struct ctx_t { bit<1> use_rss; }
 header desc_t { bit<64> addr; bit<16> len; }
 struct meta_t { bit<32> rss; }
+@bind("CTX", "ctx_t") @bind("DESC", "desc_t") @bind("META", "meta_t")
 control CmptDeparser<CTX, DESC, META>(
     cmpt_out co, in CTX ctx, in DESC d, in META m) { apply { } }
 `)
-	ctl := in.Prog.Control("CmptDeparser")
-	inst, err := in.BindControl(ctl, map[string]string{
-		"CTX": "ctx_t", "DESC": "desc_t", "META": "meta_t",
-	})
+	inst, err := in.BindControl(in.Prog.Control("CmptDeparser"))
 	if err != nil {
 		t.Fatalf("bind: %v", err)
 	}
@@ -193,7 +191,7 @@ struct ctx_t { bit<1> f; }
 @bind("CTX", "ctx_t")
 control C<CTX>(in CTX ctx) { apply { } }
 `)
-	inst, err := in.BindControl(in.Prog.Control("C"), nil)
+	inst, err := in.BindControl(in.Prog.Control("C"))
 	if err != nil {
 		t.Fatalf("bind: %v", err)
 	}
@@ -204,11 +202,12 @@ control C<CTX>(in CTX ctx) { apply { } }
 
 func TestBindMissingParam(t *testing.T) {
 	in := check(t, `control C<CTX>(in CTX ctx) { apply { } }`)
-	if _, err := in.BindControl(in.Prog.Control("C"), nil); err == nil {
+	if _, err := in.BindControl(in.Prog.Control("C")); err == nil {
 		t.Error("unbound type param should error")
 	}
-	if _, err := in.BindControl(in.Prog.Control("C"), map[string]string{"CTX": "nope"}); err == nil {
-		t.Error("binding to unknown type should error")
+	in = check(t, `@bind("CTX", "nope") control C<CTX>(in CTX ctx) { apply { } }`)
+	if _, err := in.BindControl(in.Prog.Control("C")); err == nil || !strings.Contains(err.Error(), `unknown type "nope"`) {
+		t.Errorf("binding to unknown type: err = %v", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 // Package retry is the repository's one bounded-retry discipline: a fixed
-// attempt budget, exponential backoff with a cap, optional deterministic
-// seeded jitter, and an optional time budget (deadline) measured on a
-// vclock. Before this package, the same schedule was hand-rolled in three
+// attempt budget, exponential backoff with a cap, and optional deterministic
+// seeded jitter. Before this package, the same schedule was hand-rolled in three
 // places (the evolve switchover apply, the tenant plane apply, and the
 // harden watchdog); the fleet control plane (S25) adds a fourth caller, so
 // the schedule now lives here once.
@@ -14,12 +13,11 @@
 // reproducible under the chaos scheduler's virtual time.
 package retry
 
-import "opendesc/internal/vclock"
-
-// DefaultAttempts is the repo-wide default attempt budget. It matches the
-// legacy hardcoded ×4 ApplyConfig loops this package replaced, so adopting
-// the shared policy is not a behavior change (a regression test pins this).
-const DefaultAttempts = 4
+// Attempts is the total call budget of Do, including the first try. It
+// matches the legacy hardcoded ×4 ApplyConfig loops this package replaced,
+// so adopting the shared policy is not a behavior change (a regression test
+// pins this).
+const Attempts = 4
 
 const (
 	// DefaultBaseDelay/DefaultMaxDelay bound the backoff schedule
@@ -32,12 +30,8 @@ const (
 )
 
 // Policy describes one bounded-retry schedule. The zero value is the
-// repo-wide default: 4 attempts, no delay side effects, no jitter, no
-// deadline.
+// repo-wide default: Attempts tries, no delay side effects, no jitter.
 type Policy struct {
-	// Attempts is the total call budget, including the first try
-	// (default DefaultAttempts).
-	Attempts int
 	// BaseDelay is the backoff after the first failed attempt; each
 	// further failure doubles it up to MaxDelay. Defaults are
 	// DefaultBaseDelay/DefaultMaxDelay.
@@ -47,16 +41,6 @@ type Policy struct {
 	// [delay/2, delay] out of a splitmix64 stream seeded here. Zero keeps
 	// the schedule exact (the legacy loops had no jitter).
 	JitterSeed uint64
-	// Budget is the total delay budget across one Do call, in the same
-	// unit as the delays; once the accumulated delay would exceed it, Do
-	// stops early and returns the last error (an RPC deadline). Zero
-	// means unlimited.
-	Budget uint64
-	// Clock, when set together with Budget, charges real elapsed time
-	// (Clock.Now deltas around each attempt) against the budget as well,
-	// so a deadline also covers time spent inside fn. Nil charges only
-	// the backoff delays.
-	Clock vclock.Clock
 	// Sleep receives each backoff delay. Nil means delays have no side
 	// effect — the op-counted deterministic mode the legacy loops used.
 	Sleep func(delay uint64)
@@ -66,9 +50,6 @@ type Policy struct {
 }
 
 func (p Policy) withDefaults() Policy {
-	if p.Attempts <= 0 {
-		p.Attempts = DefaultAttempts
-	}
 	if p.BaseDelay == 0 {
 		p.BaseDelay = DefaultBaseDelay
 	}
@@ -81,40 +62,25 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
-// Do calls fn up to p.Attempts times, backing off between failures, and
+// Do calls fn up to Attempts times, backing off between failures, and
 // returns nil on the first success or the last error verbatim (no
 // wrapping: callers' errors.Is/As chains must keep working exactly as they
 // did with the hand-rolled loops).
 func (p Policy) Do(fn func() error) error {
 	p = p.withDefaults()
 	b := p.NewBackoff()
-	var spent uint64
-	var start uint64
-	if p.Budget > 0 && p.Clock != nil {
-		start = p.Clock.Now()
-	}
-	var err error
 	for attempt := 1; ; attempt++ {
-		if err = fn(); err == nil {
+		err := fn()
+		if err == nil {
 			return nil
 		}
 		if p.OnError != nil {
 			p.OnError(attempt, err)
 		}
-		if attempt >= p.Attempts {
+		if attempt >= Attempts {
 			return err
 		}
 		d := b.Next()
-		spent += d
-		if p.Budget > 0 {
-			elapsed := spent
-			if p.Clock != nil {
-				elapsed += p.Clock.Now() - start
-			}
-			if elapsed > p.Budget {
-				return err
-			}
-		}
 		if p.Sleep != nil {
 			p.Sleep(d)
 		}

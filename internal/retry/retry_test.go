@@ -3,8 +3,6 @@ package retry
 import (
 	"errors"
 	"testing"
-
-	"opendesc/internal/vclock"
 )
 
 // TestDefaultAttemptCount pins the zero-value policy to the legacy ×4
@@ -25,9 +23,9 @@ func TestDefaultAttemptCount(t *testing.T) {
 		calls++
 		return sentinel
 	})
-	if calls != DefaultAttempts || failures != DefaultAttempts {
+	if calls != Attempts || failures != Attempts {
 		t.Fatalf("calls = %d, failures = %d, want %d each (legacy ×4 parity)",
-			calls, failures, DefaultAttempts)
+			calls, failures, Attempts)
 	}
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("Do returned %v, want the last error unwrapped", err)
@@ -91,54 +89,9 @@ func TestJitterDeterministicAndBounded(t *testing.T) {
 	}
 }
 
-// TestBudgetDeadline: the delay budget cuts the schedule short and the
-// Sleep hook never receives a delay past the deadline.
-func TestBudgetDeadline(t *testing.T) {
-	var slept uint64
-	calls := 0
-	err := Policy{
-		Attempts:  10,
-		BaseDelay: 4,
-		MaxDelay:  64,
-		Budget:    20, // delays 4+8 fit; +16 would exceed
-		Sleep:     func(d uint64) { slept += d },
-	}.Do(func() error {
-		calls++
-		return errors.New("down")
-	})
-	if err == nil {
-		t.Fatal("want the last error after the budget ran out")
-	}
-	if calls != 3 || slept != 12 {
-		t.Fatalf("calls = %d, slept = %d, want 3 calls and 12 units slept", calls, slept)
-	}
-}
-
-// TestBudgetChargesClockTime: with a Clock, virtual time spent inside the
-// attempts counts against the budget too (an RPC deadline, not merely a
-// backoff cap).
-func TestBudgetChargesClockTime(t *testing.T) {
-	clk := vclock.NewVirtual(0)
-	calls := 0
-	err := Policy{
-		Attempts:  10,
-		BaseDelay: 1,
-		Budget:    100,
-		Clock:     clk,
-	}.Do(func() error {
-		calls++
-		clk.Advance(60) // each "RPC" burns 60 of the 100 budget
-		return errors.New("timeout")
-	})
-	if err == nil || calls != 2 {
-		t.Fatalf("calls = %d (err %v), want 2: the second attempt exhausts the deadline", calls, err)
-	}
-}
-
 func TestSleepReceivesSchedule(t *testing.T) {
 	var delays []uint64
 	Policy{
-		Attempts:  4,
 		BaseDelay: 2,
 		MaxDelay:  1024,
 		Sleep:     func(d uint64) { delays = append(delays, d) },

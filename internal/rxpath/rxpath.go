@@ -30,8 +30,9 @@ import (
 // host one per layout.
 type Lane struct {
 	RT *codegen.Runtime
-	// Reads counts each Meta.Get for a renegotiation control plane: one
-	// counter per entry of RT's reader table, nil where nothing tracks it.
+	// Reads counts each Meta.Get for an evolving driver's re-solve: one
+	// counter per entry of RT's reader table, nil where nothing tracks it;
+	// other lanes have none.
 	Reads []*obs.Counter
 	// Validator and Soft are set on a hardened queue. Elsewhere Soft is built
 	// on first use, for a packet a drain found no record for.
@@ -537,7 +538,7 @@ func (q *Queue) judge(cur *ring.Cursor, n int, l *Lane) ([]byte, verdict) {
 }
 
 // Apply programs dev with the shared bounded-retry discipline
-// (retry.DefaultAttempts): a faulty control channel may NAK a register-write
+// (retry.Attempts): a faulty control channel may NAK a register-write
 // burst, and ApplyConfig fails atomically, so retrying is always safe. onNAK,
 // when non-nil, sees every failed attempt.
 func Apply(dev *nicsim.Device, cfg []core.Constraint, onNAK func(int, error)) error {

@@ -14,7 +14,7 @@ import (
 
 // TestApplyWithRetriesAttemptCount pins the retry.Policy adoption to the
 // legacy schedule: against a control channel that NAKs every burst,
-// rxpath.Apply makes exactly retry.DefaultAttempts (4) ApplyConfig
+// rxpath.Apply makes exactly retry.Attempts (4) ApplyConfig
 // attempts — the same count the old hardcoded ×4 loop made — and the
 // device accepts on the first attempt once the channel heals.
 func TestApplyWithRetriesAttemptCount(t *testing.T) {
@@ -33,16 +33,16 @@ func TestApplyWithRetriesAttemptCount(t *testing.T) {
 	if err := rxpath.Apply(dev, res.Config, nil); err == nil {
 		t.Fatal("ApplyConfig under a full NAK storm must fail")
 	}
-	if naks := dev.Stats().ConfigNAKs; naks != retry.DefaultAttempts {
+	if naks := dev.Stats().ConfigNAKs; naks != retry.Attempts {
 		t.Fatalf("made %d attempts, want exactly %d (the legacy ×4 schedule)",
-			naks, retry.DefaultAttempts)
+			naks, retry.Attempts)
 	}
 
 	dev.InjectFaults(nil)
 	if err := rxpath.Apply(dev, res.Config, nil); err != nil {
 		t.Fatalf("healed channel: %v", err)
 	}
-	if naks := dev.Stats().ConfigNAKs; naks != retry.DefaultAttempts {
+	if naks := dev.Stats().ConfigNAKs; naks != retry.Attempts {
 		t.Fatalf("healed apply added attempts: ConfigNAKs = %d", naks)
 	}
 }

@@ -9,9 +9,7 @@
 // The plane is the operational shape the paper's conclusion points at: one
 // host, many applications, one evolvable metadata interface — a tenant can
 // renegotiate its intent live (Renegotiate), and the plane re-solves the
-// layout against the measured read mix (MaybeRenegotiate, on the same
-// evolve.Resolver an evolving driver uses), without a neighbor losing or
-// reordering a single packet.
+// joint layout without a neighbor losing or reordering a single packet.
 package tenant
 
 import (
@@ -19,7 +17,6 @@ import (
 	"sync"
 
 	"opendesc/internal/core"
-	"opendesc/internal/evolve"
 	"opendesc/internal/nic"
 	"opendesc/internal/nicsim"
 	"opendesc/internal/obs"
@@ -28,19 +25,19 @@ import (
 	"opendesc/internal/semantics"
 	"opendesc/internal/softnic"
 	"opendesc/internal/vclock"
+	"opendesc/internal/workload"
 )
 
 // Spec declares one tenant of the serving plane.
 type Spec struct {
 	// Name labels the tenant (must be unique within the plane).
 	Name string
-	// Semantics is the tenant's metadata intent.
+	// Semantics is the tenant's metadata intent. Tenants weigh equally in
+	// the joint Eq. 1 objective.
 	Semantics []string
-	// Weight is the tenant's expected traffic share in the joint Eq. 1
-	// objective (zero means 1: equal shares).
-	Weight float64
 	// Port is the UDP destination port whose traffic belongs to the tenant
-	// (zero assigns 20000 + tenant index).
+	// (zero assigns workload.BasePort + tenant index, the ports
+	// workload.ZipfSpec addresses its tenants on).
 	Port uint16
 }
 
@@ -53,19 +50,9 @@ type Options struct {
 	Cores int
 	// RingEntries is the per-queue completion ring depth.
 	RingEntries int
-	// Compile tunes the joint path selection and enumeration.
-	Compile core.CompileOptions
 	// Clock is the timeline delivery latency is measured on (nil selects
 	// the process wall clock; chaos runs inject a virtual clock).
 	Clock vclock.Clock
-	// Policy tunes the measured-mix re-solve (see MaybeRenegotiate) as it
-	// does an evolving driver's, same defaults. Its PreSwitch and Clock belong
-	// to the driver's switchover; a plane's has no hook and runs on Clock.
-	Policy evolve.Options
-	// StealBatch bounds how many completions an idle core takes from the
-	// most loaded sibling per poll (default 16; negative disables
-	// stealing).
-	StealBatch int
 }
 
 func (o Options) withDefaults() Options {
@@ -75,15 +62,12 @@ func (o Options) withDefaults() Options {
 	if o.Cores == 0 {
 		o.Cores = 4
 	}
-	if o.StealBatch == 0 {
-		o.StealBatch = 16
-	}
 	return o
 }
 
-// basePort + index is the port of a tenant that names none — the ports
-// workload.ZipfSpec addresses its tenants on by default.
-const basePort = 20000
+// stealBatch bounds how many completions an idle core takes from the most
+// loaded sibling per poll.
+const stealBatch = 16
 
 // queueState is one RSS shard. The mutex serializes the queue's producer
 // (Rx) and consumers (owner core + stealing cores) — the completion ring
@@ -126,7 +110,6 @@ type Plane struct {
 	mu sync.RWMutex
 
 	model   *nic.Model
-	opts    Options
 	steer   *softnic.ToeplitzTable // the symmetric key, tabulated
 	joint   *core.JointResult
 	gen     uint64
@@ -134,9 +117,6 @@ type Plane struct {
 	tenants []*tenantState
 	ports   portTable
 	clock   vclock.Clock
-	// res is the measured-mix re-solve loop: it owns the per-tenant read
-	// counters the lanes bind and the delivery counts that weigh the tenants.
-	res *evolve.Resolver
 
 	renegs       obs.Counter // completed layout switchovers
 	fastRenegs   obs.Counter // accessor-only renegotiations (layout kept)
@@ -164,7 +144,6 @@ func Open(opts Options, specs ...Spec) (*Plane, error) {
 	}
 	p := &Plane{
 		model: m,
-		opts:  opts,
 		// The symmetric key: both directions of a flow land on the same core.
 		steer: softnic.NewToeplitzTable(softnic.SymmetricToeplitzKey[:]),
 		clock: vclock.Or(opts.Clock),
@@ -175,7 +154,7 @@ func Open(opts Options, specs ...Spec) (*Plane, error) {
 		}
 		port := s.Port
 		if port == 0 {
-			port = basePort + uint16(i)
+			port = workload.BasePort + uint16(i)
 			s.Port = port
 		}
 		for _, prev := range p.tenants {
@@ -198,12 +177,8 @@ func Open(opts Options, specs ...Spec) (*Plane, error) {
 		})
 	}
 	p.ports = newPortTable(p.tenants)
-	intents := p.jointIntents()
-	jr, err := m.CompileJoint(intents, opts.Compile)
+	jr, err := m.CompileJoint(p.jointIntents(), core.CompileOptions{})
 	if err != nil {
-		return nil, err
-	}
-	if p.res, err = evolve.NewResolver(m, opts.Compile, opts.Policy, nil, intents); err != nil {
 		return nil, err
 	}
 	for q := 0; q < opts.Cores; q++ {
@@ -265,7 +240,7 @@ func intentFor(name string, sems []string) (*core.Intent, error) {
 func (p *Plane) jointIntents() []core.TenantIntent {
 	out := make([]core.TenantIntent, len(p.tenants))
 	for i, t := range p.tenants {
-		out[i] = core.TenantIntent{Tenant: t.spec.Name, Intent: t.intent, Weight: t.spec.Weight}
+		out[i] = core.TenantIntent{Tenant: t.spec.Name, Intent: t.intent}
 	}
 	return out
 }
@@ -281,19 +256,13 @@ func (p *Plane) install(jr *core.JointResult) {
 }
 
 // link gives tenant i a lane for res on every queue, linked against that
-// queue's device — shard q reads queue_id q — with the tenant's read-mix
-// counters laid out beside the reader table, one set for every shard.
-// Packets already parked keep the lane, and the mix, they were parked with.
+// queue's device — shard q reads queue_id q. Packets already parked keep the
+// lane they were parked with.
 func (p *Plane) link(i int, res *core.Result) {
-	var reads []*obs.Counter
 	for _, qs := range p.queues {
 		// A plane's queues are never hardened: Link synthesizes no validator
 		// and cannot fail.
 		l, _ := qs.q.Link(res)
-		if reads == nil {
-			reads = p.res.Bind(i, l.RT)
-		}
-		l.Reads = reads
 		qs.q.SetLane(i, l)
 	}
 }
@@ -391,9 +360,9 @@ func (p *Plane) PollCore(core int, h func(Delivery)) int {
 		return 0
 	}
 	n := p.pollQueue(core, core, -1, h)
-	if n == 0 && p.opts.StealBatch > 0 {
+	if n == 0 {
 		if victim := p.busiest(core); victim >= 0 {
-			n = p.pollQueue(core, victim, p.opts.StealBatch, h)
+			n = p.pollQueue(core, victim, stealBatch, h)
 			if n > 0 {
 				p.steals.Inc()
 			}
@@ -450,7 +419,6 @@ func (p *Plane) pollQueue(core, q, limit int, h func(Delivery)) int {
 	})
 	for _, ti := range qs.seen {
 		p.tenants[ti].delivered.Add(uint64(qs.counts[ti]))
-		p.res.NoteDelivered(ti, int(qs.counts[ti]))
 		qs.counts[ti] = 0
 	}
 	qs.seen = qs.seen[:0]
@@ -518,51 +486,29 @@ func (p *Plane) Renegotiate(name string, sems ...string) error {
 	}
 	old := p.tenants[ti].intent
 	p.tenants[ti].intent = intent
-	jr, err := p.model.CompileJoint(p.jointIntents(), p.opts.Compile)
+	jr, err := p.model.CompileJoint(p.jointIntents(), core.CompileOptions{})
 	if err != nil {
 		p.tenants[ti].intent = old
 		return err
 	}
-	if err := p.switchTo(jr, ti); err != nil {
+	if err := p.switchTo(jr); err != nil {
 		p.tenants[ti].intent = old
 		return err
 	}
 	p.tenants[ti].spec.Semantics = append([]string(nil), sems...)
-	p.res.Retarget(ti, intent)
 	p.link(ti, p.joint.PerTenant[ti])
 	p.tenants[ti].renegs.Inc()
 	return nil
 }
 
-// MaybeRenegotiate is the measured-mix control-plane tick: every
-// Policy.Interval aggregate deliveries it re-solves the joint objective
-// under each tenant's observed read frequencies and live traffic weights
-// (evolve.Resolver.Resolve), and switches the layout when a candidate clears
-// the hysteresis. Call it from a serving loop; it is cheap when not due.
-func (p *Plane) MaybeRenegotiate() (switched bool, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.res.Due() {
-		return false, nil
-	}
-	jr, err := p.res.Resolve(p.joint.Selected.Path.ID)
-	if err != nil || jr == nil {
-		return false, err
-	}
-	if err := p.switchTo(jr, -1); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
 // switchTo executes the switchover to a new joint result: drain every queue,
 // reprogram every queue, swap the lanes. Caller holds the write lock (all
-// queues quiesced). fastTenant ≥ 0 allows the accessor-only fast path when
-// the selected path is unchanged: only that tenant's lanes change, and the
-// caller links them (the shared layout, and therefore every neighbor's view,
-// is bit-identical).
-func (p *Plane) switchTo(jr *core.JointResult, fastTenant int) error {
-	if jr.Selected.Path.ID == p.joint.Selected.Path.ID && fastTenant >= 0 {
+// queues quiesced). When the selected path is unchanged it takes the
+// accessor-only fast path: only the renegotiating tenant's lanes change, and
+// the caller links them (the shared layout, and therefore every neighbor's
+// view, is bit-identical).
+func (p *Plane) switchTo(jr *core.JointResult) error {
+	if jr.Selected.Path.ID == p.joint.Selected.Path.ID {
 		p.joint = jr
 		p.gen++
 		p.fastRenegs.Inc()

@@ -1,20 +1,13 @@
 package tenant
 
 import (
-	"math"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"opendesc/internal/codegen"
-	"opendesc/internal/core"
-	"opendesc/internal/evolve"
-	"opendesc/internal/nic"
-	"opendesc/internal/nicsim"
 	"opendesc/internal/obs"
 	"opendesc/internal/pkt"
-	"opendesc/internal/rxpath"
 	"opendesc/internal/softnic"
 	"opendesc/internal/workload"
 )
@@ -167,18 +160,6 @@ func TestPlaneWorkStealing(t *testing.T) {
 	st := p.Stats()
 	if st.Steals != 1 || st.Cores[victim].Stolen != pkts {
 		t.Errorf("steal stats = %+v", st)
-	}
-	// Disabled stealing keeps idle cores idle.
-	p2, _ := Open(Options{NIC: "mlx5", Cores: 4, StealBatch: -1}, fourTenants()...)
-	pk := pkt.NewBuilder().
-		WithIPv4([4]byte{10, 0, 0, 1}, [4]byte{192, 168, 0, 0}).
-		WithUDP(7777, 20000).Build()
-	var in pkt.Info
-	_ = pkt.Decode(pk, &in)
-	p2.Rx(pk)
-	idle := (p2.Steer(&in) + 1) % p2.Cores()
-	if got := p2.PollCore(idle, func(Delivery) {}); got != 0 {
-		t.Errorf("stealing disabled but idle core delivered %d", got)
 	}
 }
 
@@ -354,87 +335,6 @@ func TestPlaneRenegotiateSwitchover(t *testing.T) {
 	}
 }
 
-// TestPlaneMaybeRenegotiate: the measured-mix control loop notices a tenant
-// that never reads its expensive declared semantics and migrates the plane
-// to a smaller joint layout; the dropped hardware fields keep working
-// through the tenant's shim.
-func TestPlaneMaybeRenegotiate(t *testing.T) {
-	p, err := Open(Options{
-		NIC: "mlx5", Cores: 2,
-		Policy: evolve.Options{Interval: 32, MinWindow: 8, Hysteresis: 0.05},
-	},
-		Spec{Name: "greedy", Semantics: []string{"rss", "flow_id", "tunnel_id"}, Weight: 3},
-		Spec{Name: "meek", Semantics: []string{"pkt_len"}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed := func(n int) {
-		for i := 0; i < n; i++ {
-			tenant := i % 2
-			pk := pkt.NewBuilder().
-				WithIPv4([4]byte{10, 3, byte(i >> 8), byte(i)}, [4]byte{192, 168, 0, byte(tenant)}).
-				WithUDP(uint16(6000+i%100), uint16(20000+tenant)).
-				Build()
-			if !p.Rx(pk) {
-				t.Fatalf("rx %d", i)
-			}
-		}
-		p.Drain(func(d Delivery) {
-			if d.Name == "greedy" {
-				d.Get("rss") // the only semantic the tenant actually reads
-			} else {
-				d.Get("pkt_len")
-			}
-		})
-	}
-	// The static model must have picked a layout that carries flow_id in
-	// hardware for the heavy tenant (otherwise there is nothing to shed).
-	probeHW := func() bool {
-		var hw bool
-		pk := pkt.NewBuilder().
-			WithIPv4([4]byte{10, 3, 3, 3}, [4]byte{192, 168, 0, 0}).
-			WithUDP(6001, 20000).Build()
-		if !p.Rx(pk) {
-			t.Fatal("probe rx")
-		}
-		p.Drain(func(d Delivery) { hw = d.Hardware("flow_id") })
-		return hw
-	}
-	if !probeHW() {
-		t.Fatalf("static compile left flow_id in software (path %v); test premise broken",
-			p.Joint().Selected.Path.ID)
-	}
-	feed(64)
-	switched, err := p.MaybeRenegotiate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !switched {
-		t.Fatalf("measured mix (rss-only reads) did not shed the unread fields; joint %+v",
-			p.Joint().Selected)
-	}
-	if probeHW() {
-		t.Error("flow_id still hardware after the mix-driven switchover")
-	}
-	// The shed semantic still answers — through the shim now.
-	pk := pkt.NewBuilder().
-		WithIPv4([4]byte{10, 3, 2, 1}, [4]byte{192, 168, 0, 0}).
-		WithUDP(6002, 20000).Build()
-	var in pkt.Info
-	_ = pkt.Decode(pk, &in)
-	p.Rx(pk)
-	p.Drain(func(d Delivery) {
-		if f, ok := d.Get("flow_id"); !ok || f != uint64(softnic.FlowID(&in)) {
-			t.Errorf("flow_id = %d/%v via shim, want %d", f, ok, softnic.FlowID(&in))
-		}
-	})
-	// A second immediate evaluation is not due and does nothing.
-	if switched, _ := p.MaybeRenegotiate(); switched {
-		t.Error("re-solve fired with no new window")
-	}
-}
-
 // TestPlaneValidation rejects malformed planes loudly.
 func TestPlaneValidation(t *testing.T) {
 	if _, err := Open(Options{}); err == nil {
@@ -495,9 +395,8 @@ func TestPlaneMetrics(t *testing.T) {
 }
 
 // TestParkedDeliveriesBindOnce: packets parked across a layout switchover
-// carry the lane — runtime and read-mix counters — they were parked with, so
-// delivering them allocates nothing per packet (the counters used to be
-// re-bound, one make each, at every parked delivery).
+// carry the lane they were parked with, so delivering them allocates nothing
+// per packet.
 func TestParkedDeliveriesBindOnce(t *testing.T) {
 	p, err := Open(Options{NIC: "mlx5", Cores: 1},
 		Spec{Name: "lb", Semantics: []string{"rss"}},
@@ -538,94 +437,5 @@ func TestParkedDeliveriesBindOnce(t *testing.T) {
 	}
 	if allocs := after.Mallocs - before.Mallocs; allocs > pkts/4 {
 		t.Errorf("delivering %d parked packets made %d allocations; the lane is bound when a packet is parked, not per delivery", pkts, allocs)
-	}
-}
-
-// TestPlaneOfOneDecidesLikeEngine: a plane with one tenant on one core and an
-// evolving driver's engine hold the same evolve.Resolver, so under the same
-// Options, the same packets and the same reads they leave the static layout
-// for the same path after the same number of deliveries. The schedule and
-// the read-mix shift are E15's (csum-heavy, then hash-heavy; Interval 256,
-// MinWindow 128, static w(s)); the packets are a one-tenant Zipf trace, which
-// — unlike E15's mixed trace — all carry the port the plane classifies by.
-func TestPlaneOfOneDecidesLikeEngine(t *testing.T) {
-	sems := []string{"rss", "ip_checksum", "vlan", "pkt_len"}
-	opts := evolve.Options{Interval: 256, MinWindow: 128, MinShimSamples: math.MaxUint64}
-	phases := []map[string]int{ // semantic → read every n-th delivery
-		{"ip_checksum": 1, "rss": 16, "vlan": 4, "pkt_len": 4},
-		{"rss": 1, "ip_checksum": 16, "vlan": 4, "pkt_len": 4},
-	}
-	const perPhase = 1024
-	tr := mustZipf(t, workload.ZipfSpec{Packets: 2 * perPhase, Flows: 1 << 10, Skew: 1.1, Tenants: 1, Seed: 15})
-
-	intent, err := intentFor("one", sems)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := evolve.New(nicsim.MustNew(nic.MustLoad("e1000e"), nicsim.Config{}), intent, core.CompileOptions{}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Open(Options{NIC: "e1000e", Cores: 1, Policy: opts}, Spec{Name: "one", Semantics: sems})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.Result().Selected.Path.ID != p.Joint().Selected.Path.ID {
-		t.Fatalf("static compiles differ: engine path %d, plane path %d", eng.Result().Selected.Path.ID, p.Joint().Selected.Path.ID)
-	}
-
-	type change struct{ delivered, path int }
-	var engSw, planeSw []change
-	delivered := 0
-	for pi, ph := range phases {
-		for i := 0; i < perPhase; i++ {
-			pk := tr.Packets[pi*perPhase+i]
-			if !eng.Rx(pk) || !p.Rx(pk) {
-				t.Fatalf("rx stalled at packet %d", delivered)
-			}
-			gen := eng.Generation()
-			n := eng.Poll(func(_ []byte, m rxpath.Meta) {
-				for s, every := range ph {
-					if i%every == 0 {
-						m.Get(s)
-					}
-				}
-			})
-			m := p.PollCore(0, func(d Delivery) {
-				for s, every := range ph {
-					if i%every == 0 {
-						d.Get(s)
-					}
-				}
-			})
-			if n != 1 || m != 1 {
-				t.Fatalf("packet %d: engine delivered %d, plane %d", delivered, n, m)
-			}
-			delivered++
-			if eng.Generation() != gen {
-				engSw = append(engSw, change{delivered, eng.Result().Selected.Path.ID})
-			}
-			switched, err := p.MaybeRenegotiate()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if switched {
-				planeSw = append(planeSw, change{delivered, p.Joint().Selected.Path.ID})
-			}
-		}
-	}
-	if len(engSw) != 1 || engSw[0].delivered != perPhase+256 {
-		t.Errorf("engine switched %v, want once, 256 packets into the hash-heavy phase (E15's adapt_packets)", engSw)
-	}
-	if !reflect.DeepEqual(engSw, planeSw) {
-		t.Errorf("engine switched %v (delivery count, path), the plane of one %v", engSw, planeSw)
-	}
-	es, ps := eng.Stats(), p.Stats()
-	if es.SwitchDrops != 0 || ps.Tenants[0].Delivered != uint64(delivered) || es.Delivered != uint64(delivered) {
-		t.Errorf("engine %d delivered / %d switch drops, plane %d delivered, want %d / 0 / %d",
-			es.Delivered, es.SwitchDrops, ps.Tenants[0].Delivered, delivered, delivered)
-	}
-	if !reflect.DeepEqual(eng.Result().HardwareSet(), p.Joint().PerTenant[0].HardwareSet()) {
-		t.Errorf("hardware sets differ after the switch: engine %s, plane %s", eng.Result().HardwareSet(), p.Joint().PerTenant[0].HardwareSet())
 	}
 }

@@ -32,8 +32,8 @@ func TestMixScheduleEmptyMix(t *testing.T) {
 	if got := s.Phase(0); len(got) != 0 {
 		t.Errorf("Phase(0) = %v, want empty", got)
 	}
-	if s.NumPhases() != 1 {
-		t.Errorf("NumPhases = %d, want 1", s.NumPhases())
+	if len(s.Phases) != 1 {
+		t.Errorf("len(Phases) = %d, want 1", len(s.Phases))
 	}
 }
 
@@ -71,8 +71,8 @@ func TestMixSchedulePhaseWrapping(t *testing.T) {
 	if got := zero.Phase(7); got != nil {
 		t.Errorf("zero schedule Phase(7) = %v, want nil", got)
 	}
-	if zero.NumPhases() != 0 {
-		t.Errorf("zero schedule NumPhases = %d, want 0", zero.NumPhases())
+	if len(zero.Phases) != 0 {
+		t.Errorf("zero schedule len(Phases) = %d, want 0", len(zero.Phases))
 	}
 	s := MustMixSchedule(Mix{"rss"}, Mix{"vlan"}, Mix{})
 	if got := s.Phase(4); len(got) != 1 || got[0] != "vlan" {

@@ -177,6 +177,3 @@ func (s MixSchedule) Phase(i int) Mix {
 	}
 	return s.Phases[i%len(s.Phases)]
 }
-
-// NumPhases returns the phase count.
-func (s MixSchedule) NumPhases() int { return len(s.Phases) }

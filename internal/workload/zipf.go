@@ -23,13 +23,8 @@ type ZipfSpec struct {
 	// Tenants shards the flow space: flow rank r belongs to tenant
 	// (r-1) mod Tenants, so every tenant owns an equal slice of both the
 	// popularity head and the tail (equal offered load in expectation).
+	// Tenant i receives on UDP destination port BasePort+i.
 	Tenants int
-	// PayloadBytes is the UDP payload size (default 26).
-	PayloadBytes int
-	// BasePort is the per-tenant UDP destination port base: tenant i
-	// receives on BasePort+i (default 20000). The serving plane classifies
-	// tenants by this port.
-	BasePort uint16
 	// Seed makes the trace byte-identical across runs (chaos discipline:
 	// the generator uses its own splitmix64 stream, not math/rand, whose
 	// sequence is not stable across Go releases).
@@ -38,6 +33,13 @@ type ZipfSpec struct {
 
 // maxZipfFlows bounds the flow population to 24-bit source addressing.
 const maxZipfFlows = 1 << 24
+
+// BasePort is the UDP destination port of tenant 0; tenant i receives on
+// BasePort+i. The serving plane classifies tenants by this port.
+const BasePort = 20000
+
+// zipfPayloadBytes is the UDP payload size of every generated packet.
+const zipfPayloadBytes = 26
 
 // ZipfTrace is a generated flow-popularity packet sequence with its
 // per-packet tenant and flow-rank attribution.
@@ -121,15 +123,6 @@ func GenerateZipf(spec ZipfSpec) (*ZipfTrace, error) {
 	if spec.Tenants > 4096 {
 		return nil, fmt.Errorf("workload: zipf tenant count %d exceeds the 4096-port tenant namespace", spec.Tenants)
 	}
-	if spec.PayloadBytes < 0 || spec.PayloadBytes > 1400 {
-		return nil, fmt.Errorf("workload: zipf payload %dB out of [0,1400]", spec.PayloadBytes)
-	}
-	if spec.PayloadBytes == 0 {
-		spec.PayloadBytes = 26
-	}
-	if spec.BasePort == 0 {
-		spec.BasePort = 20000
-	}
 
 	rng := &zipfRNG{s: spec.Seed}
 	tr := &ZipfTrace{
@@ -139,7 +132,7 @@ func GenerateZipf(spec ZipfSpec) (*ZipfTrace, error) {
 		FlowOf:   make([]int, 0, spec.Packets),
 	}
 	seen := make(map[int]struct{})
-	payload := make([]byte, spec.PayloadBytes)
+	payload := make([]byte, zipfPayloadBytes)
 	for i := 0; i < spec.Packets; i++ {
 		rank := zipfRank(rng.float(), spec.Flows, spec.Skew)
 		f := rank - 1
@@ -156,7 +149,7 @@ func GenerateZipf(spec ZipfSpec) (*ZipfTrace, error) {
 				[4]byte{192, 168, byte(tenant >> 8), byte(tenant)},
 			).
 			WithIPID(uint16(i)).
-			WithUDP(sport, spec.BasePort+uint16(tenant)).
+			WithUDP(sport, BasePort+uint16(tenant)).
 			WithPayload(payload)
 		tr.Packets = append(tr.Packets, b.Build())
 		tr.TenantOf = append(tr.TenantOf, tenant)

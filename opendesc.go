@@ -148,7 +148,7 @@ func CompileP4(nicName, nicSource string, intent *Intent, opts CompileOptions) (
 	if err != nil {
 		return nil, err
 	}
-	return core.Compile(nicName, core.DeparserSpec{Info: info}, intent, opts)
+	return core.Compile(nicName, info, intent, opts)
 }
 
 // GenerateGo renders a standalone Go accessor package for a result.

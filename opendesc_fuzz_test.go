@@ -118,7 +118,7 @@ func FuzzPoll(f *testing.F) {
 		}
 		opts := OpenOptions{Harden: &HardenOptions{Deep: true, DegradeThreshold: 2}}
 		if mask&(1<<7) != 0 {
-			opts.Evolve = &EvolveOptions{Interval: 2, MinWindow: 1, Hysteresis: -1}
+			opts.Evolve = &EvolveOptions{Interval: 2, MinWindow: 1}
 		}
 		drv, err := OpenWith(name, intent, opts)
 		if err != nil {

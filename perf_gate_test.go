@@ -223,7 +223,7 @@ func TestWarmCompileSkipsAnalysis(t *testing.T) {
 	}
 	for _, m := range nic.All() {
 		warm := testing.AllocsPerRun(50, func() { m.Compile(intent, CompileOptions{}) })
-		cold := testing.AllocsPerRun(50, func() { core.Compile(m.Name, m.Deparser, intent, CompileOptions{}) })
+		cold := testing.AllocsPerRun(50, func() { core.Compile(m.Name, m.Info, intent, CompileOptions{}) })
 		t.Logf("%s: warm %.0f, cold %.0f allocs/compile", m.Name, warm, cold)
 		if warm*4 > cold {
 			t.Errorf("%s: warm Model.Compile allocates %.0f, cold core.Compile %.0f: more than a quarter, the analysis is being redone",

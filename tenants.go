@@ -11,11 +11,11 @@ import (
 // mechanics; this file re-exports the plane as public API.
 type (
 	// TenantSpec declares one tenant of a serving plane: a name, a
-	// metadata intent, an optional Eq. 1 traffic weight, and the UDP
-	// destination port that classifies the tenant's traffic.
+	// metadata intent, and the UDP destination port that classifies the
+	// tenant's traffic.
 	TenantSpec = tenant.Spec
-	// TenantOptions tunes a serving plane (NIC model, core/queue count, and
-	// the measured-mix renegotiation policy, an EvolveOptions).
+	// TenantOptions sizes a serving plane: NIC model, core/queue count, ring
+	// depth and clock.
 	TenantOptions = tenant.Options
 	// ServingPlane is an open multi-tenant plane: Rx classifies and
 	// RSS-steers packets, PollCore runs a per-core delivery loop with work
