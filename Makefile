@@ -57,7 +57,8 @@ alloc-gate:
 	$(GO) test -run TestVerifyAllocGate -v ./internal/diffverify
 
 # Non-test Go lines per top-level directory: raw, and code only (no blank or
-# comment lines). A PR states its net delta from this.
+# comment lines), then the words of the three prose docs. A PR states its net
+# delta from both.
 loc:
 	@for d in . cmd examples internal; do \
 		if [ $$d = . ]; then files=$$(ls *.go | grep -v _test.go); \
@@ -71,6 +72,7 @@ loc:
 			{ code++ } \
 			END { printf "%-10s %7d raw %7d code\n", d, raw, code }'; \
 	done | awk '{ print; raw += $$2; code += $$4 } END { printf "%-10s %7d raw %7d code\n", "total", raw, code }'
+	@printf "%-10s %7d words (DESIGN.md, README.md, EXPERIMENTS.md)\n" prose $$(cat DESIGN.md README.md EXPERIMENTS.md | wc -w)
 
 clean:
 	rm -rf $(PERF_TMP) && git worktree prune

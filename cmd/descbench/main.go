@@ -1,7 +1,8 @@
-// Command descbench regenerates the OpenDesc experiment tables (DESIGN.md
-// index E1–E22) from the registry in internal/bench. It prints and gates
-// nothing on a wall clock: the exact facts behind the tables are `go test
-// ./internal/bench` assertions, the tracked timings are cmd/benchmark's.
+// Command descbench regenerates the OpenDesc experiment tables
+// (EXPERIMENTS.md E1–E22) from the registry in internal/bench. It prints and
+// gates nothing on a wall clock: the exact facts behind the tables are
+// `go test ./internal/bench` assertions, the tracked timings are
+// cmd/benchmark's.
 //
 // Usage:
 //

@@ -12,7 +12,7 @@ import (
 	"opendesc/internal/workload"
 )
 
-// runFleet is the fleet-control-plane demo (DESIGN.md §S25/§S26): it boots
+// runFleet is the fleet-control-plane demo (DESIGN.md S25 and S26): it boots
 // a heterogeneous fleet of simulated hosts (round-robin over the bundled
 // NIC models, plus one rogue whose describe handshake lies about its
 // digest), inventories them over the describe protocol, provisions a

@@ -247,13 +247,13 @@ func checkFlags(run byte) (err error) {
 }
 
 // runDriver drives the public driver facade with what the flags asked for.
-// -faults arms the hardened datapath under a fault-injection plan (DESIGN.md
-// S21): every accepted packet must come back exactly once, in order, with
-// metadata matching the SoftNIC golden values, no matter which faults fire.
-// -evolve arms live renegotiation and flips the application's read mix
-// halfway through the run (hot semantic: last requested name, then first),
-// printing a line per switchover. Together they run the composed driver.
-// Exits non-zero if any corruption leaks through or a packet is lost.
+// -faults arms the hardened datapath under a fault-injection plan
+// (DESIGN.md S21): every accepted packet must come back exactly once, in
+// order, with metadata matching the SoftNIC golden values, no matter which
+// faults fire. -evolve arms live renegotiation and flips the application's
+// read mix halfway through the run (hot semantic: last requested name, then
+// first), printing a line per switchover. Together they run the composed
+// driver. Exits non-zero if any corruption leaks through or a packet is lost.
 func runDriver(nicName string, names []semantics.Name, sems []string, packets int, evolve bool, spec string, seed uint64, verbose bool, statsAddr string, dump bool) {
 	intent, err := opendesc.NewIntent("demo", sems...)
 	if err != nil {

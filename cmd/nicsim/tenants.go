@@ -1,6 +1,6 @@
 package main
 
-// The -tenants demo: one multi-tenant serving plane (DESIGN.md §S24) over a
+// The -tenants demo: one multi-tenant serving plane (DESIGN.md S24) over a
 // simulated multi-queue device. N tenants declare different intents, one
 // joint Eq. 1 compile picks the device configuration, Zipf traffic is RSS-
 // sharded across per-core queues, and tenant 0 renegotiates mid-run to show

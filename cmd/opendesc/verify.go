@@ -120,6 +120,7 @@ func runVerify(args []string, out io.Writer) error {
 	if *all && !*cert {
 		throughput(fmt.Sprintf("timing, all %d descriptions", len(targets)), totalCases, totalTime)
 	}
+	fmt.Fprintln(out, "not covered: meaning. Verification checks bits; a swapped or stripped @semantic label still certifies, and only the fleet's canary bake judges what a field means.")
 	if failed > 0 {
 		return fmt.Errorf("verify: %d verdict(s) failed", failed)
 	}

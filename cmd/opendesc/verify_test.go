@@ -71,6 +71,10 @@ func TestRunVerifyAll(t *testing.T) {
 	if !strings.Contains(out, "timing, all 6 descriptions: 892 cases in ") {
 		t.Errorf("missing the total throughput line:\n%s", out)
 	}
+	// What a PASS does not cover is said once per run, not once per NIC.
+	if got := strings.Count(out, "not covered: meaning."); got != 1 {
+		t.Errorf("%d scope lines, want 1:\n%s", got, out)
+	}
 }
 
 // TestRunVerifyMutants: the seeded sweep renders its histogram and is

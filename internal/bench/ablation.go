@@ -14,7 +14,7 @@ import (
 	"opendesc/internal/workload"
 )
 
-// E12CostModel is the cost-model-source ablation from DESIGN.md: path
+// E12CostModel is the cost-model-source ablation (EXPERIMENTS.md E12): path
 // selection under the static cost table versus costs measured on the running
 // machine (softnic calibration). The paper's Fig. 6 choice — "it is assumed
 // that the software rss is cheaper than recomputing the csum" — is exactly

@@ -6,7 +6,7 @@ import (
 	"opendesc/internal/chaos"
 )
 
-// E18Chaos is the deterministic chaos-simulation sweep (DESIGN.md §S23): a
+// E18Chaos is the deterministic chaos-simulation sweep (DESIGN.md S23): a
 // seed corpus per scenario over the full NIC matrix in both driver modes,
 // with every invariant oracle armed. The acceptance criterion is absolute —
 // zero violations over the whole corpus — plus a canary: with the resync

@@ -22,14 +22,14 @@ type e22Run struct {
 	cert                 diffverify.Certificate
 }
 
-// E22Diffverify is the S27 differential-verification experiment (DESIGN.md
-// §S27): exhaustive four-view equivalence over every bundled description
-// (static layout, CFG walk, interpreter, generated accessors, plus SoftNIC
-// golden packets), the broken-accessor ablation on every NIC (the harness
-// must catch an injected one-bit codegen bug with a minimal accessor-view
-// reproducer), and a seeded adversarial mutant sweep run twice to pin verdict
-// determinism. Every count repeats exactly. What a pass costs is
-// cmd/benchmark's diffverify.verify_ms_per_nic, BenchmarkVerifySixNICs and
+// E22Diffverify is the S27 differential-verification experiment
+// (EXPERIMENTS.md E22): exhaustive four-view equivalence over every bundled
+// description (static layout, CFG walk, interpreter, generated accessors,
+// plus SoftNIC golden packets), the broken-accessor ablation on every NIC
+// (the harness must catch an injected one-bit codegen bug with a minimal
+// accessor-view reproducer), and a seeded adversarial mutant sweep run twice
+// to pin verdict determinism. Every count repeats exactly. What a pass costs
+// is cmd/benchmark's diffverify.verify_ms_per_nic, BenchmarkVerifySixNICs and
 // TestVerifyAllocGate.
 func E22Diffverify(mutantsPerNIC int) (*Table, error) {
 	models := nic.All()

@@ -132,12 +132,12 @@ type e16Result struct {
 	combined e16Class
 }
 
-// E16Faults is the fault matrix (DESIGN.md §21): one hardened-driver run per
-// fault class at a 1e-3 rate reporting injected vs detected vs survived, and
-// the combined acceptance run (corrupt=1e-3 plus two forced device hangs over
-// the full packet budget, which must deliver every packet exactly once with
-// zero garbage metadata and recover to hardware mode twice). Every count is
-// seeded and repeats exactly. What validation costs is cmd/benchmark's
+// E16Faults is the fault matrix (EXPERIMENTS.md E16): one hardened-driver run
+// per fault class at a 1e-3 rate reporting injected vs detected vs survived,
+// and the combined acceptance run (corrupt=1e-3 plus two forced device hangs
+// over the full packet budget, which must deliver every packet exactly once
+// with zero garbage metadata and recover to hardware mode twice). Every count
+// is seeded and repeats exactly. What validation costs is cmd/benchmark's
 // codegen.validate_struct_ns / codegen.validate_deep_ns and shim_hardened's
 // host_ns_per_pkt.
 func E16Faults(packets int) (*Table, error) {

@@ -11,7 +11,7 @@ import (
 	"opendesc/internal/workload"
 )
 
-// e20Fleet is one full fleet control-plane scenario (DESIGN.md §S25):
+// e20Fleet is one full fleet control-plane scenario (DESIGN.md S25):
 // inventory a heterogeneous fleet (hosts round-robin over the six bundled
 // NICs, plus one rogue whose describe handshake lies about its digest),
 // provision through the content-addressed compile cache, promote a benign
@@ -183,7 +183,7 @@ type e20Result struct {
 	chaos  struct{ cases, rollouts, promotions, rollbacks, leaseReverts uint64 }
 }
 
-// E20Fleet is the fleet control-plane experiment (DESIGN.md §S25): a
+// E20Fleet is the fleet control-plane experiment (EXPERIMENTS.md E20): a
 // 64-host mixed-NIC inventory with a quarantined rogue, compile-cache hit
 // rate across provisioning and two rollouts, a benign promote, a tampered
 // push auto-rolled-back by the canary oracle with zero disruption off the

@@ -21,7 +21,7 @@ func (p Params) window() time.Duration {
 	return 200 * time.Millisecond
 }
 
-// Experiment is one entry of the DESIGN.md index.
+// Experiment is one registry entry; EXPERIMENTS.md has a section per entry.
 type Experiment struct {
 	ID  string
 	Run func(Params) (*Table, error)
@@ -32,9 +32,9 @@ func fixed(run func() (*Table, error)) func(Params) (*Table, error) {
 	return func(Params) (*Table, error) { return run() }
 }
 
-// Experiments is the registry, in index order: what `descbench` prints and
-// what TestEveryExperiment runs. E7 is a correctness test, not a table; E11
-// was retired (EXPERIMENTS.md keeps its last measurement and the finding).
+// Experiments is the registry, in experiment order: what `descbench` prints
+// and what TestEveryExperiment runs. E7 is a set of correctness tests, not a
+// table (EXPERIMENTS.md E7 names them); the number E11 is unused.
 var Experiments = []Experiment{
 	{"e1", fixed(E1PathSelection)},
 	{"e2", fixed(E2MultiNIC)},

@@ -1,5 +1,5 @@
 // Package bench implements the OpenDesc experiment harness: one function per
-// experiment in DESIGN.md's index (E1–E22), each regenerating the
+// experiment (EXPERIMENTS.md E1–E22), each regenerating the
 // corresponding table as formatted text, and the registry (Experiments) that
 // pins each one's parameters. cmd/descbench prints the registry; the package's
 // tests run it and assert every deterministic cell exactly. Nothing here gates

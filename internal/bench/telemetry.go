@@ -167,8 +167,8 @@ type e21Result struct {
 	chaosCases, chaosReports, chaosRejects uint64
 }
 
-// E21Telemetry is the fleet observability experiment (DESIGN.md §S26): the
-// periodic report build/seal/encode cost and wire size (context),
+// E21Telemetry is the fleet observability experiment (EXPERIMENTS.md E21):
+// the periodic report build/seal/encode cost and wire size (context),
 // evidence-bake efficacy on a latency-degrading-but-delivering tampered
 // description (counter-only bakes promote it; the flight-evidence latency
 // gate rolls it back citing p99 numbers and the slowest flight deliveries),

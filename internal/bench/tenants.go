@@ -151,13 +151,14 @@ func e19Serve(tenants, cores, packets int) (*e19Run, error) {
 	return run, nil
 }
 
-// E19Tenants is the multi-tenant serving-plane experiment (DESIGN.md §S24):
-// aggregate throughput and Jain's fairness across tenant counts {1, 4, 16,
-// 64} under a 2M-flow Zipf(1.1) workload, each with a live mid-run
-// renegotiation, plus the S23 tenant-isolation chaos sweep. Throughput,
-// steals and load fairness move with the scheduler and are context;
-// delivered counts, service fairness and the chaos totals repeat exactly. The
-// plane's tracked cost and latency are cmd/benchmark's tenants_zipf workload.
+// E19Tenants is the multi-tenant serving-plane experiment
+// (EXPERIMENTS.md E19): aggregate throughput and Jain's fairness across
+// tenant counts {1, 4, 16, 64} under a 2M-flow Zipf(1.1) workload, each with
+// a live mid-run renegotiation, plus the S23 tenant-isolation chaos sweep.
+// Throughput, steals and load fairness move with the scheduler and are
+// context; delivered counts, service fairness and the chaos totals repeat
+// exactly. The plane's tracked cost and latency are cmd/benchmark's
+// tenants_zipf workload.
 func E19Tenants(packets int) (*Table, error) {
 	res := &e19Result{}
 	for _, shape := range []struct{ tenants, cores int }{

@@ -111,6 +111,11 @@ func repoRoot() (string, error) {
 // walkGoFiles calls fn for every non-test .go file under root outside .git
 // and testdata directories, with its slash-separated path relative to root.
 func walkGoFiles(root string, fn func(path, rel string) error) error {
+	return walkGo(root, false, fn)
+}
+
+// walkGo is walkGoFiles with _test.go files included when withTests is set.
+func walkGo(root string, withTests bool, fn func(path, rel string) error) error {
 	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -121,7 +126,7 @@ func walkGoFiles(root string, fn func(path, rel string) error) error {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") || !withTests && strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		rel, _ := filepath.Rel(root, path)
@@ -438,24 +443,221 @@ func sum(m map[string]int) int {
 	return n
 }
 
-// TestDocsCarryNoPRNumbers: DESIGN.md describes the system and README.md its
-// use; history lives in CHANGES.md. A "PR <n>" in either is history that
-// leaked into them.
+// docs are the three prose homes: DESIGN.md states the system, README.md its
+// use, EXPERIMENTS.md the method and one result per experiment. History goes
+// in CHANGES.md, timings in cmd/benchmark.
+var docs = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"}
+
+// docLine is one line of a doc; fenced is set inside a ``` block.
+type docLine struct {
+	n      int
+	text   string
+	fenced bool
+}
+
+func readDoc(t *testing.T, root, doc string) []docLine {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(root, doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []docLine
+	fenced := false
+	for i, text := range strings.Split(string(b), "\n") {
+		fence := strings.HasPrefix(strings.TrimSpace(text), "```")
+		if fence {
+			fenced = !fenced
+		}
+		lines = append(lines, docLine{i + 1, text, fenced || fence})
+	}
+	return lines
+}
+
+// TestDocsCarryNoPRNumbers: a "PR <n>" in a doc is history that leaked into
+// it, and a "ROADMAP item <n>" goes stale at the next re-anchor, which
+// renumbers the items.
 func TestDocsCarryNoPRNumbers(t *testing.T) {
 	root, err := repoRoot()
 	if err != nil {
 		t.Fatalf("locating repo root: %v", err)
 	}
-	pr := regexp.MustCompile(`\bPRs? #?[0-9]+`)
-	for _, doc := range []string{"DESIGN.md", "README.md"} {
-		b, err := os.ReadFile(filepath.Join(root, doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, line := range strings.Split(string(b), "\n") {
-			for _, m := range pr.FindAllString(line, -1) {
-				t.Errorf("%s:%d: %q: a PR number is history, and history goes in CHANGES.md", doc, i+1, m)
+	pr := regexp.MustCompile(`\bPRs?\s?#?[0-9]+`)
+	item := regexp.MustCompile(`\bROADMAP(?:'s)? items? [0-9]+`)
+	for _, doc := range docs {
+		for _, l := range readDoc(t, root, doc) {
+			for _, m := range pr.FindAllString(l.text, -1) {
+				t.Errorf("%s:%d: %q: a PR number is history, and history goes in CHANGES.md", doc, l.n, m)
+			}
+			for _, m := range item.FindAllString(l.text, -1) {
+				t.Errorf("%s:%d: %q: ROADMAP renumbers its items; name the work, not its number", doc, l.n, m)
 			}
 		}
 	}
+}
+
+// measured matches a measured figure: a number with a time unit, a rate, an
+// allocation count, or a speed factor.
+var measured = regexp.MustCompile(`\d(?:[\d.,]*\d)?\s?(?:ns|µs|us|ms|pkt/s|M?pps|MB/s|cases/s|allocs?|allocations)\b|\d(?:\.\d+)?[×x](?:\W|$)`)
+
+// TestDocsCarryNoMeasurements: outside fenced blocks, DESIGN.md and README.md
+// carry no measured figure. A figure goes stale with the next change to the
+// code or the box; EXPERIMENTS.md and cmd/benchmark are where figures live.
+// Sizes and counts the code fixes may stay; a design constant is named by its
+// Go identifier.
+func TestDocsCarryNoMeasurements(t *testing.T) {
+	root, err := repoRoot()
+	if err != nil {
+		t.Fatalf("locating repo root: %v", err)
+	}
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		for _, l := range readDoc(t, root, doc) {
+			if l.fenced {
+				continue
+			}
+			if m := measured.FindAllString(l.text, -1); m != nil {
+				t.Errorf("%s:%d: %q: a measured figure; cite the cmd/benchmark metric or the EXPERIMENTS.md section that holds it", doc, l.n, m)
+			}
+		}
+	}
+}
+
+var (
+	// docRef is a pointer at a doc: "DESIGN.md S<n>", "EXPERIMENTS.md E<n>",
+	// `<doc>.md, "<heading>"`, a bare mention, or an old notation (§, 's).
+	docRef = regexp.MustCompile(`\b(DESIGN|README|EXPERIMENTS)(\.md)?('s)?( ?§| S\d+\b| E\d+\b|, "[^"]*")?`)
+	// repoPath is a package, command or example path a doc names.
+	repoPath = regexp.MustCompile(`\b(?:internal|cmd|examples)/[\w./*{},-]*[\w*}]`)
+	// testName is a test, benchmark or fuzz target, or a -run prefix of one.
+	testName = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+	// bareRef is an S-row or E-section named in a doc's prose.
+	bareRef = regexp.MustCompile(`\b([SE])(\d{1,2})\b`)
+	// rowHead starts a row of DESIGN's system table; sectionHead an
+	// EXPERIMENTS section.
+	rowHead     = regexp.MustCompile(`^\| (S\d+) \|`)
+	sectionHead = regexp.MustCompile(`^## (E\d+)\b`)
+)
+
+// TestDocPointersResolve: every pointer into the docs names something that
+// exists. In Go files and in the docs, "DESIGN.md S<n>" names a row of
+// DESIGN's system table, "EXPERIMENTS.md E<n>" a section, and
+// `DESIGN.md, "<heading>"` a heading; § and 's notations are refused. In the
+// docs, an internal/…, cmd/… or examples/… path must exist, a test name must
+// be a test, and a bare S<n> or E<n> must be a row or a section.
+func TestDocPointersResolve(t *testing.T) {
+	root, err := repoRoot()
+	if err != nil {
+		t.Fatalf("locating repo root: %v", err)
+	}
+	rows, sections := map[string]bool{}, map[string]bool{}
+	headings := map[string]map[string]bool{}
+	lines := map[string][]docLine{}
+	for _, doc := range docs {
+		lines[doc] = readDoc(t, root, doc)
+		headings[doc] = map[string]bool{}
+		for _, l := range lines[doc] {
+			if strings.HasPrefix(l.text, "#") && !l.fenced {
+				headings[doc][strings.TrimSpace(strings.TrimLeft(l.text, "#"))] = true
+			}
+			if m := rowHead.FindStringSubmatch(l.text); m != nil && doc == "DESIGN.md" {
+				rows[m[1]] = true
+			}
+			if m := sectionHead.FindStringSubmatch(l.text); m != nil && doc == "EXPERIMENTS.md" {
+				sections[m[1]] = true
+			}
+		}
+	}
+
+	check := func(where, text string) {
+		old := false
+		for _, m := range docRef.FindAllStringSubmatch(text, -1) {
+			doc, target := m[1]+".md", strings.TrimSpace(m[4])
+			switch {
+			case m[3] != "" || strings.HasPrefix(target, "§"):
+				old = true
+				t.Errorf("%s: %q: write DESIGN.md S<n>, EXPERIMENTS.md E<n> or %s, \"<heading>\"", where, m[0], doc)
+			case m[2] == "" || target == "":
+			case strings.HasPrefix(target, "S"):
+				if doc != "DESIGN.md" || !rows[target] {
+					t.Errorf("%s: %q: DESIGN.md has no row %s", where, m[0], target)
+				}
+			case strings.HasPrefix(target, "E"):
+				if doc != "EXPERIMENTS.md" || !sections[target] {
+					t.Errorf("%s: %q: EXPERIMENTS.md has no section %s", where, m[0], target)
+				}
+			default:
+				if h := strings.Trim(target, `, "`); !headings[doc][h] {
+					t.Errorf("%s: %q: %s has no heading %q", where, m[0], doc, h)
+				}
+			}
+		}
+		if !old && strings.Contains(text, "§S") {
+			t.Errorf("%s: §S<n> is not a pointer; write DESIGN.md S<n>", where)
+		}
+	}
+	var tests []string
+	err = walkGo(root, true, func(file, rel string) error {
+		b, err := os.ReadFile(file)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			if rel != "internal/chaos/lint_test.go" { // it states the notations
+				check(fmt.Sprintf("%s:%d", rel, i+1), line)
+			}
+			if name, ok := strings.CutPrefix(line, "func "); ok && strings.HasSuffix(rel, "_test.go") {
+				if m := testName.FindString(name); m != "" && strings.HasPrefix(name, m) {
+					tests = append(tests, m)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("walking repo: %v", err)
+	}
+
+	for _, doc := range docs {
+		for _, l := range lines[doc] {
+			where := fmt.Sprintf("%s:%d", doc, l.n)
+			check(where, l.text)
+			for _, p := range repoPath.FindAllString(l.text, -1) {
+				if !pathExists(root, p) {
+					t.Errorf("%s: %s does not exist", where, p)
+				}
+			}
+			for _, name := range testName.FindAllString(l.text, -1) {
+				if !slices.ContainsFunc(tests, func(x string) bool { return strings.HasPrefix(x, name) }) {
+					t.Errorf("%s: no test, benchmark or fuzz target is named %s", where, name)
+				}
+			}
+			if l.fenced {
+				continue
+			}
+			for _, m := range bareRef.FindAllStringSubmatch(l.text, -1) {
+				if m[1] == "S" && !rows[m[0]] || m[1] == "E" && !sections[m[0]] {
+					t.Errorf("%s: %s names no DESIGN.md row or EXPERIMENTS.md section", where, m[0])
+				}
+			}
+		}
+	}
+}
+
+// pathExists reports whether a repo path a doc names exists: "a/{b,c}" names
+// both, "a/*" at least one match, and "internal/chaos.RunFleet" its package.
+func pathExists(root, p string) bool {
+	if i := strings.IndexByte(p, '{'); i >= 0 {
+		j := strings.IndexByte(p, '}')
+		for _, alt := range strings.Split(p[i+1:j], ",") {
+			if !pathExists(root, p[:i]+alt+p[j+1:]) {
+				return false
+			}
+		}
+		return true
+	}
+	base := strings.LastIndexByte(p, '/')
+	if dot := base + strings.IndexByte(p[base:], '.'); dot > base && dot+1 < len(p) && 'A' <= p[dot+1] && p[dot+1] <= 'Z' {
+		p = p[:dot]
+	}
+	m, err := filepath.Glob(filepath.Join(root, filepath.FromSlash(p)))
+	return err == nil && len(m) > 0
 }

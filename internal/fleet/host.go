@@ -33,11 +33,11 @@ func (o HostOptions) withDefaults() HostOptions {
 	return o
 }
 
-// Per-delivery service cost model, charged to the host's (virtual) clock
-// and observed into the serving layout's latency histogram. The constants
-// mirror the measured shape of the real datapath — a fixed poll/validate
-// base plus per-accessor reads, where a SoftNIC shim fallback costs an
-// order of magnitude more than a synthesized hardware read (E4/E11). They
+// Per-delivery service cost model, charged to the host's (virtual) clock and
+// observed into the serving layout's latency histogram. The constants mirror
+// the measured shape of the real datapath — a fixed poll/validate base plus
+// per-accessor reads, where a SoftNIC shim fallback costs an order of
+// magnitude more than a synthesized hardware read (EXPERIMENTS.md E4). They
 // exist so p99 poll→deliver latency is a *deterministic* function of the
 // layout: a tampered description that silently demotes hardware reads to
 // shims shifts the histogram by whole log2 buckets, which is exactly the

@@ -1,6 +1,6 @@
 package fleet
 
-// Fleet observability plane (DESIGN §S26): hosts ship digest-sealed
+// Fleet observability plane (DESIGN.md S26): hosts ship digest-sealed
 // telemetry reports over their control links; the controller treats every
 // report as untrusted input. A report must survive structural validation,
 // the digest check, histogram reconciliation, a monotonic-sequence

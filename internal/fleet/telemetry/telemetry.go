@@ -1,5 +1,5 @@
 // Package telemetry is the fleet observability wire format and rollup
-// layer (DESIGN.md §S26). Hosts periodically condense their flight-recorder
+// layer (DESIGN.md S26). Hosts periodically condense their flight-recorder
 // ring and per-layout latency histograms into a compact, schema-versioned,
 // digest-sealed report; the controller validates every report as untrusted
 // input (the same posture as describe documents), cross-checks its counters

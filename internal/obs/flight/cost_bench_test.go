@@ -1,7 +1,7 @@
 // Microbenchmarks for the recording primitives themselves: the per-event
 // cost here times the event count per packet is the hot-path budget math
-// behind SamplePeriod (DESIGN.md §22). Run with -tags flight_off to see
-// the compiled-out floor.
+// behind SamplePeriod (DESIGN.md, "The flight recorder"). Run with
+// -tags flight_off to see the compiled-out floor.
 package flight
 
 import "testing"

@@ -1,4 +1,4 @@
-// Package flight is the hot-path flight recorder (DESIGN.md §22): an
+// Package flight is the hot-path flight recorder (DESIGN.md S22): an
 // always-on, lock-free ring of compact binary events that records the life of
 // every completion — DMA emit, ring push/pop, validator verdict, accessor
 // reads, hardening classifications, switchover phases — and can replay the

@@ -275,7 +275,7 @@ func innerChecksumStatus(in *pkt.Info) uint8 {
 // Calibrate measures the per-packet cost of each emulable semantic on the
 // running machine over the supplied sample packets and returns a measured
 // cost model (in nanoseconds). This is the dynamic alternative to the static
-// table — DESIGN.md's "cost model source" ablation.
+// table (EXPERIMENTS.md E12).
 func Calibrate(samples [][]byte, rounds int) map[semantics.Name]float64 {
 	if rounds <= 0 {
 		rounds = 64
