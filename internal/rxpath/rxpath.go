@@ -41,6 +41,10 @@ type Lane struct {
 	// Owner is client state riding with the lane (the fleet host's oracle
 	// set); the queue never looks at it.
 	Owner any
+	// burst is set when RT serves in software a semantic with a burst form
+	// (softnic.Row.Burst) and the queue does not count its shim calls
+	// (Instrument).
+	burst *burst
 }
 
 // Entry is one accepted packet awaiting delivery.
@@ -99,7 +103,8 @@ func Of(m Meta) *Delivery { return m.d }
 
 // Get returns the value of a semantic for the current packet: a constant
 // -time descriptor read when the selected layout carries it, the SoftNIC
-// shim otherwise. ok is false for semantics outside the compiled intent.
+// shim otherwise — through its burst form where the lane links one. ok is
+// false for semantics outside the compiled intent.
 func (m Meta) Get(sem string) (uint64, bool) {
 	d := m.d
 	r, i := d.RT.Lookup(semantics.Name(sem))
@@ -121,7 +126,58 @@ func (m Meta) Get(sem string) (uint64, bool) {
 		}
 		d.fq.RecordT(d.ts, code, d.Seq, r.Name8, 0)
 	}
+	if !r.Hardware {
+		if b := d.Lane.burst; b != nil && b.forms[i] != nil {
+			return b.read(d, r.Semantic, b.forms[i]), true
+		}
+	}
 	return r.Read(d.Rec, d.Pkt), true
+}
+
+// burst is a lane's burst forms and its last call: a software read of a
+// semantic with one computes the values of the delivery's packet and of the
+// pending packets after it under the same tag, up to softnic.BurstMax, and
+// keeps them for their reads. A value is known by sequence number and packet
+// (the same slice), so a wrapped sequence number cannot hit.
+type burst struct {
+	q     *Queue
+	forms []func(frames [][]byte, out []uint64) // by reader index
+	sem   semantics.Name
+	n     int
+	seq   [softnic.BurstMax]uint32
+	pkt   [softnic.BurstMax][]byte
+	val   [softnic.BurstMax]uint64
+}
+
+// read serves d's read of sem through its burst form f, from the last call
+// if it covered the packet. A parked packet is not pending: it is its call's
+// only frame.
+func (b *burst) read(d *Delivery, sem semantics.Name, f func(frames [][]byte, out []uint64)) uint64 {
+	if b.sem == sem {
+		for k := range b.n {
+			if b.seq[k] == d.Seq && len(b.pkt[k]) == len(d.Pkt) && (len(d.Pkt) == 0 || &b.pkt[k][0] == &d.Pkt[0]) {
+				return b.val[k]
+			}
+		}
+	}
+	b.sem, b.n = sem, 1
+	b.seq[0], b.pkt[0] = d.Seq, d.Pkt
+	pending := b.q.pending
+	for k := range pending {
+		if &pending[k] != d.Entry {
+			continue
+		}
+		for _, e := range pending[k+1 : min(len(pending), k+len(b.pkt))] {
+			if e.Tag != d.Tag {
+				break
+			}
+			b.seq[b.n], b.pkt[b.n] = e.Seq, e.Pkt
+			b.n++
+		}
+		break
+	}
+	f(b.pkt[:b.n], b.val[:b.n])
+	return b.val[0]
 }
 
 // Hardware reports whether the semantic is served directly from the
@@ -182,8 +238,9 @@ type Queue struct {
 	hard    *hardening
 	// soft is the reference table of the queue's device (softnic.Table of
 	// its queue id), what every lane linked here computes the semantics its
-	// layout lacks with; shims is the same table, instrumented on an evolving
-	// queue (Instrument) — the all-software runtimes stay on soft.
+	// layout lacks with; shims is the same table instrumented on an evolving
+	// queue (Instrument), nil elsewhere — the all-software runtimes stay on
+	// soft.
 	soft, shims map[semantics.Name]codegen.SoftFunc
 
 	// fq is the "q0" ring of the queue's always-armed flight recorder, shared
@@ -215,7 +272,6 @@ func New(dev *nicsim.Device, cfg []core.Constraint, clock vclock.Clock) (*Queue,
 	q := &Queue{dev: dev, cfg: cfg, clock: clock, dmaToPoll: obs.NewHistogram(), pollToDeliver: obs.NewHistogram()}
 	q.view.queue = dev.Config().QueueID
 	q.soft = softnic.Table(q.view.queue)
-	q.shims = q.soft
 	if clock == nil {
 		q.fq = flight.NewRecorder(flight.Config{}).Queue("q0")
 		q.view.fq = q.fq
@@ -234,16 +290,29 @@ func (q *Queue) Flight() *flight.Recorder { return q.fq.Recorder() }
 func (q *Queue) FlightQueue() *flight.Queue { return q.fq }
 
 // Instrument makes the lanes linked from now on count their shim calls and
-// time into st (the measured w(s) an evolving driver re-solves with).
+// time into st (the measured w(s) an evolving driver re-solves with): one
+// scalar shim call per read, with no burst forms.
 func (q *Queue) Instrument(st *softnic.ShimStats) { q.shims = st.Instrument(q.soft) }
 
 // Link returns the lane res is read under on this queue: accessors over the
 // completion record and, for what the layout lacks, the shims of this
-// queue's device — queue_id reads the device's queue. On a hardened queue
-// the lane also gets its validator and all-software runtime; synthesizing
-// the validator is what can fail.
+// queue's device — queue_id reads the device's queue — with their burst
+// forms. On a hardened queue the lane also gets its validator and
+// all-software runtime; synthesizing the validator is what can fail.
 func (q *Queue) Link(res *core.Result) (*Lane, error) {
-	l := &Lane{RT: codegen.NewRuntime(res, q.shims)}
+	shims := q.shims
+	if shims == nil {
+		shims = q.soft
+	}
+	l := &Lane{RT: codegen.NewRuntime(res, shims)}
+	for i, r := range l.RT.Readers {
+		if row := softnic.Lookup(r.Semantic); q.shims == nil && !r.Hardware && row != nil && row.Burst() != nil {
+			if l.burst == nil {
+				l.burst = &burst{q: q, forms: make([]func([][]byte, []uint64), len(l.RT.Readers))}
+			}
+			l.burst.forms[i] = row.Burst()
+		}
+	}
 	return l, q.arm(l)
 }
 

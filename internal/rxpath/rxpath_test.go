@@ -1,7 +1,9 @@
 package rxpath
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"opendesc/internal/codegen"
@@ -150,6 +152,136 @@ func TestDrainSoftParksLostCompletions(t *testing.T) {
 	})
 	if n != 2 {
 		t.Fatalf("delivered %d of 2", n)
+	}
+}
+
+// hashQueue opens an e1000e queue whose lanes serve payload_hash in software
+// through its burst form, and a trace of unique 1 KiB-payload packets.
+func hashQueue(t *testing.T, lanes int) (q *Queue, packets [][]byte) {
+	t.Helper()
+	m := nic.MustLoad("e1000e")
+	res := compile(t, m, semantics.PayloadHash, semantics.PktLen)
+	q, err := New(nicsim.MustNew(m, nicsim.Config{}), res.Config, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tag := range lanes {
+		l, err := q.Link(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.SetLane(tag, l)
+	}
+	tr, err := workload.Generate(workload.Spec{Packets: 256, Flows: 64, PayloadBytes: 1024, TCPFraction: 0.6, KVFraction: 0.3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q, tr.Packets
+}
+
+// readHash is a handler reading payload_hash against the golden oracle.
+func readHash(t *testing.T) DeliverFunc {
+	return func(_ []byte, m Meta) {
+		v, ok := m.Get("payload_hash")
+		if want, wok := Want(m, "payload_hash"); !ok || !wok || v != want {
+			t.Fatalf("seq %d: payload_hash = %#x/%v, want %#x", Of(m).Seq, v, ok, want)
+		}
+	}
+}
+
+// TestBurstStaysInItsTag: on a two-lane queue where every delivery reads
+// payload_hash, one burst-form call hashes the delivery's packet and pending
+// packets of its tag only; the memo carries a call's values across a poll
+// limit, so each packet is hashed exactly once and a poll hashes at most its
+// reads plus BurstMax − 1 packets ahead.
+func TestBurstStaysInItsTag(t *testing.T) {
+	q, packets := hashQueue(t, 2)
+	tagOf := make(map[*byte]uint32)
+	hashed, calls := 0, 0
+	for tag, l := range q.lanes {
+		r, i := l.RT.Lookup(semantics.PayloadHash)
+		if r.Hardware || l.burst == nil || l.burst.forms[i] == nil {
+			t.Fatalf("lane %d: payload_hash not linked to its burst form", tag)
+		}
+		f := l.burst.forms[i]
+		l.burst.forms[i] = func(frames [][]byte, out []uint64) {
+			for _, p := range frames[1:] {
+				if tagOf[&p[0]] != tagOf[&frames[0][0]] {
+					t.Fatalf("a call on tag %d hashed a packet of tag %d", tagOf[&frames[0][0]], tagOf[&p[0]])
+				}
+			}
+			hashed += len(frames)
+			calls++
+			f(frames, out)
+		}
+	}
+	for i, p := range packets {
+		tag := uint32(0) // a run longer than a window, then runs of 1–3
+		if i >= 2*softnic.BurstMax+3 {
+			tag = uint32(i*7/11) % 2
+		}
+		tagOf[&p[0]] = tag
+		if !q.Rx(p, tag) {
+			t.Fatal("rx refused")
+		}
+	}
+	delivered := 0
+	for q.Pending() > 0 {
+		before := hashed
+		n := q.Poll(5, readHash(t))
+		if hashed-before > n+softnic.BurstMax-1 {
+			t.Fatalf("a poll of %d reads hashed %d packets", n, hashed-before)
+		}
+		delivered += n
+	}
+	if hashed != delivered || calls >= delivered {
+		t.Fatalf("%d packets hashed in %d calls for %d deliveries, want each once and fewer calls", hashed, calls, delivered)
+	}
+}
+
+// TestBurstMemoNeedsTheSamePacket: a memo hit needs the sequence number and
+// the packet, so a number reused after the 32-bit sequence wraps reads the
+// new packet's value; and a queue that counts its shim calls (Instrument)
+// links no burst form, one shim call per read.
+func TestBurstMemoNeedsTheSamePacket(t *testing.T) {
+	q, packets := hashQueue(t, 1)
+	q.seq = math.MaxUint32 - 2
+	for _, p := range packets[:6] { // seq 2³²−2 … 3: one window
+		q.Rx(p, 0)
+	}
+	q.Poll(-1, readHash(t))
+	var reused []byte
+	for _, p := range packets[6:] {
+		if len(p) == len(packets[0]) && !bytes.Equal(p, packets[0]) {
+			reused = p
+			break
+		}
+	}
+	if reused == nil {
+		t.Fatal("test needs a different packet of the same length")
+	}
+	q.seq = math.MaxUint32 - 2 // the next Rx reuses packets[0]'s number
+	q.Rx(reused, 0)
+	if b := q.lanes[0].burst; q.pending[0].Seq != b.seq[0] {
+		t.Fatalf("seq %d, the last call holds %d", q.pending[0].Seq, b.seq[0])
+	}
+	q.Poll(-1, readHash(t))
+
+	q, packets = hashQueue(t, 0)
+	st := softnic.NewShimStats(nil)
+	q.Instrument(st)
+	res := compile(t, nic.MustLoad("e1000e"), semantics.PayloadHash, semantics.PktLen)
+	l, err := q.Link(res)
+	if err != nil || l.burst != nil {
+		t.Fatalf("instrumented lane: err %v, burst form linked", err)
+	}
+	q.SetLane(0, l)
+	for _, p := range packets[:16] {
+		q.Rx(p, 0)
+	}
+	q.Poll(-1, readHash(t))
+	if c := st.Cost(semantics.PayloadHash).Calls; c != 16 {
+		t.Fatalf("16 reads made %d shim calls", c)
 	}
 }
 

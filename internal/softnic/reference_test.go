@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"opendesc/internal/pkt"
+	"opendesc/internal/semantics"
+	"opendesc/internal/workload"
 )
 
 // Toeplitz is the bit-serial hash of a whole input: the oracle for the
@@ -91,7 +93,118 @@ func TestKVKeyVerbScan(t *testing.T) {
 	}
 }
 
-var sink32 uint32
+// checkBurst runs payload_hash's burst form over frames, into slots that
+// start out stale, and compares every slot with the row's scalar shim.
+func checkBurst(t *testing.T, frames [][]byte) {
+	t.Helper()
+	row := Lookup(semantics.PayloadHash)
+	var out [BurstMax]uint64
+	for i := range out {
+		out[i] = 0xDEAD
+	}
+	row.Burst()(frames, out[:len(frames)])
+	for i, f := range frames {
+		if want := row.shim(f); out[i] != want {
+			t.Fatalf("slot %d of %d (frame %x): burst %#x, row %#x", i, len(frames), f, out[i], want)
+		}
+	}
+}
+
+// TestBatchMatchesRow: every window of one to BurstMax frames over a mix
+// that reaches every branch of the burst form — frames pkt.Decode rejects,
+// empty and odd-length payloads, payloads either side of interleaveMin and
+// long ones of unequal length — reads what the row reads frame by frame.
+func TestBatchMatchesRow(t *testing.T) {
+	payload := func(n int) []byte {
+		p := make([]byte, n)
+		for i := range p {
+			p[i] = byte(i*7 + n)
+		}
+		return p
+	}
+	var frames [][]byte
+	for k, n := range []int{1024, 0, interleaveMin - 1, interleaveMin, interleaveMin + 1, 1, 1017, 1024, 7, 512, 1023, 100} {
+		b := pkt.NewBuilder().WithUDP(1, 2)
+		if k%3 == 0 {
+			b = pkt.NewBuilder().WithVLAN(5).WithTCP(1, 2, 0)
+		}
+		frames = append(frames, b.WithPayload(payload(n)).Build())
+	}
+	frames = append(frames, nil, []byte{1, 2, 3}, make([]byte, 14), frames[0][:20])
+	for _, order := range [][][]byte{frames, reversed(frames)} {
+		for start := range order {
+			for n := 1; n <= BurstMax && start+n <= len(order); n++ {
+				checkBurst(t, order[start:start+n])
+			}
+		}
+	}
+}
+
+func reversed(s [][]byte) [][]byte {
+	r := make([][]byte, len(s))
+	for i, x := range s {
+		r[len(s)-1-i] = x
+	}
+	return r
+}
+
+// FuzzBatchMatchesRow: the burst form and the row agree on arbitrary bytes,
+// cut into one to BurstMax frames; shape's bits make each frame either the
+// raw bytes (mostly rejected) or a UDP frame carrying them as its payload.
+func FuzzBatchMatchesRow(f *testing.F) {
+	f.Add(bytes.Repeat([]byte{0xA5}, 4*1024), uint64(0))
+	f.Add(bytes.Repeat([]byte{1, 2, 3}, 300), uint64(0xFFFF))
+	f.Add([]byte("get key\r\n"), uint64(7))
+	f.Add([]byte{}, uint64(1))
+	f.Fuzz(func(t *testing.T, data []byte, shape uint64) {
+		if len(data) > 8<<10 {
+			data = data[:8<<10]
+		}
+		n := 1 + int(shape%BurstMax)
+		shape /= BurstMax
+		frames := make([][]byte, n)
+		for i := range frames {
+			piece := data[:len(data)/(n-i)]
+			data = data[len(piece):]
+			if shape&(1<<i) != 0 {
+				frames[i] = piece
+			} else {
+				frames[i] = pkt.NewBuilder().WithUDP(1, 2).WithPayload(piece).Build()
+			}
+		}
+		checkBurst(t, frames)
+	})
+}
+
+// BenchmarkPayloadHash prices payload_hash per frame on shim_hardened's
+// traffic mix (1 KiB payloads, 30% short key-value requests): the row's
+// scalar shim, and its burst form over windows of BurstMax frames.
+func BenchmarkPayloadHash(b *testing.B) {
+	tr, err := workload.Generate(workload.Spec{Packets: 1024, Flows: 64, PayloadBytes: 1024,
+		TCPFraction: 0.6, VLANFraction: 0.3, KVFraction: 0.3, TunnelFraction: 0.3, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	row := Lookup(semantics.PayloadHash)
+	b.Run("shim", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink64 += row.shim(tr.Packets[i%len(tr.Packets)])
+		}
+	})
+	b.Run("burst", func(b *testing.B) {
+		var out [BurstMax]uint64
+		for i := 0; i < b.N; i += BurstMax {
+			at := i % len(tr.Packets)
+			row.Burst()(tr.Packets[at:at+BurstMax], out[:])
+			sink64 += out[0]
+		}
+	})
+}
+
+var (
+	sink32 uint32
+	sink64 uint64
+)
 
 func benchToeplitz(b *testing.B, p []byte) {
 	in := new(pkt.Info)

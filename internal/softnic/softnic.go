@@ -208,6 +208,91 @@ func PayloadHash(in *pkt.Info) uint32 {
 	return h
 }
 
+// BurstMax is the most frames one call of a row's burst form reads.
+const BurstMax = 8
+
+// interleaveMin is the payload length from which payloadHashes runs a chain
+// beside others; a shorter one is done before the interleaving pays.
+const interleaveMin = 64
+
+// payloadHashes is payload_hash's burst form over at most BurstMax frames:
+// out[i] is PayloadHash of frames[i] decoded, 0 where pkt.Decode rejects it.
+// FNV-1a is one serial multiply chain per payload, but the payloads of a
+// burst are independent chains: the long ones run four, then two, side by
+// side over their common length, and each finishes alone.
+func payloadHashes(frames [][]byte, out []uint64) {
+	var long [BurstMax][]byte
+	var at [BurstMax]int
+	n := 0
+	for i, f := range frames {
+		var in pkt.Info
+		if pkt.Decode(f, &in) != nil {
+			out[i] = 0
+			continue
+		}
+		if p := in.Payload(); len(p) >= interleaveMin {
+			long[n], at[n] = p, i
+			n++
+		} else {
+			out[i] = uint64(fnv1a(fnvOffset32, p))
+		}
+	}
+	k := 0
+	for ; k+4 <= n; k += 4 {
+		h := fnv1a4(long[k], long[k+1], long[k+2], long[k+3])
+		for j, v := range h {
+			out[at[k+j]] = uint64(v)
+		}
+	}
+	if k+2 <= n {
+		h0, h1 := fnv1a2(long[k], long[k+1])
+		out[at[k]], out[at[k+1]] = uint64(h0), uint64(h1)
+		k += 2
+	}
+	if k < n {
+		out[at[k]] = uint64(fnv1a(fnvOffset32, long[k]))
+	}
+}
+
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
+
+// fnv1a continues an FNV-1a chain at h over p.
+func fnv1a(h uint32, p []byte) uint32 {
+	for _, b := range p {
+		h = (h ^ uint32(b)) * fnvPrime32
+	}
+	return h
+}
+
+// fnv1a4 is FNV-1a of four inputs, interleaved over their common length.
+func fnv1a4(a, b, c, d []byte) [4]uint32 {
+	n := min(len(a), len(b), len(c), len(d))
+	a0, b0, c0, d0 := a[:n], b[:n], c[:n], d[:n]
+	h0, h1, h2, h3 := uint32(fnvOffset32), uint32(fnvOffset32), uint32(fnvOffset32), uint32(fnvOffset32)
+	for i := range a0 {
+		h0 = (h0 ^ uint32(a0[i])) * fnvPrime32
+		h1 = (h1 ^ uint32(b0[i])) * fnvPrime32
+		h2 = (h2 ^ uint32(c0[i])) * fnvPrime32
+		h3 = (h3 ^ uint32(d0[i])) * fnvPrime32
+	}
+	return [4]uint32{fnv1a(h0, a[n:]), fnv1a(h1, b[n:]), fnv1a(h2, c[n:]), fnv1a(h3, d[n:])}
+}
+
+// fnv1a2 is FNV-1a of two inputs, interleaved over their common length.
+func fnv1a2(a, b []byte) (uint32, uint32) {
+	n := min(len(a), len(b))
+	a0, b0 := a[:n], b[:n]
+	h0, h1 := uint32(fnvOffset32), uint32(fnvOffset32)
+	for i := range a0 {
+		h0 = (h0 ^ uint32(a0[i])) * fnvPrime32
+		h1 = (h1 ^ uint32(b0[i])) * fnvPrime32
+	}
+	return fnv1a(h0, a[n:]), fnv1a(h1, b[n:])
+}
+
 // KVKey extracts the key digest of a key-value-store request carried as the
 // packet payload. The recognized wire format is "get <key>\r\n" /
 // "set <key> ..." (memcached-style); the digest is FNV-1a64 over the key

@@ -30,6 +30,8 @@ type Row struct {
 	// reads the same value off the raw frame. Nil where it depends on the
 	// device (queue_id).
 	shim codegen.SoftFunc
+	// burst is the row over a burst of frames (Burst); nil for most rows.
+	burst func(frames [][]byte, out []uint64)
 }
 
 // packet is a packet semantic reading 0 on a frame pkt.Decode rejects.
@@ -57,6 +59,14 @@ func partial(kernel func(*pkt.Info) uint64, peek codegen.SoftFunc) *Row {
 	return &Row{eval: func(in *pkt.Info, _ bool, _ uint16) uint64 { return kernel(in) }, decodes: true, shim: peek}
 }
 
+// withBurst gives r a burst form, the way ToeplitzTable is the tabulated
+// form of toeplitzAt: the row stays the definition and the burst form's
+// oracle.
+func withBurst(r *Row, burst func(frames [][]byte, out []uint64)) *Row {
+	r.burst = burst
+	return r
+}
+
 // device is device state with one value on every device.
 func device(k uint64, pinned bool) *Row {
 	return &Row{eval: func(*pkt.Info, bool, uint16) uint64 { return k }, pinned: pinned, shim: func([]byte) uint64 { return k }}
@@ -70,7 +80,7 @@ var rows = map[semantics.Name]*Row{
 	semantics.FlowID:      packet(func(in *pkt.Info) uint64 { return uint64(FlowID(in)) }),
 	semantics.IPID:        packet(func(in *pkt.Info) uint64 { return uint64(in.IPID) }),
 	semantics.KVKey:       packet(KVKey),
-	semantics.PayloadHash: packet(func(in *pkt.Info) uint64 { return uint64(PayloadHash(in)) }),
+	semantics.PayloadHash: withBurst(packet(func(in *pkt.Info) uint64 { return uint64(PayloadHash(in)) }), payloadHashes),
 	semantics.TunnelID:    packet(func(in *pkt.Info) uint64 { return uint64(TunnelID(in)) }),
 	semantics.DecapFlag:   packet(func(in *pkt.Info) uint64 { return uint64(min(TunnelID(in), 1)) }),
 	semantics.L4Port:      packet(func(in *pkt.Info) uint64 { return uint64(in.DstPort) }),
@@ -152,6 +162,10 @@ func (r *Row) Packet() bool { return r.decodes }
 func (r *Row) Eval(in *pkt.Info, decoded bool, queue uint16) uint64 {
 	return r.eval(in, decoded, queue)
 }
+
+// Burst is the row's burst form, nil when it has none: one call sets out[i]
+// to the value the row's shim gives frames[i], for at most BurstMax frames.
+func (r *Row) Burst() func(frames [][]byte, out []uint64) { return r.burst }
 
 // Table returns the reference table of a device receiving on queue as shims:
 // one closure per semantic that a lane links, with no lookup per call.

@@ -1,6 +1,7 @@
 package opendesc
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
@@ -8,6 +9,8 @@ import (
 	"opendesc/internal/core"
 	"opendesc/internal/faults"
 	"opendesc/internal/nic"
+	"opendesc/internal/pkt"
+	"opendesc/internal/rxpath"
 	"opendesc/internal/semantics"
 	"opendesc/internal/softnic"
 )
@@ -98,21 +101,33 @@ func FuzzValidate(f *testing.F) {
 // injector, validator, watchdog, and with mask bit 7 the renegotiation
 // control plane re-solving every other packet — with arbitrary packet bytes
 // and an arbitrary fault mix on every bundled NIC. The properties: no panic,
-// and exactly-once delivery (every accepted packet is delivered exactly once
-// after draining, no matter which faults fired).
+// exactly-once delivery (every accepted packet is delivered exactly once
+// after draining, no matter which faults fired), and every read equal to the
+// golden oracle (rxpath.Want) — payload_hash on every delivery, so its burst
+// form runs under every fault mix.
 func FuzzPoll(f *testing.F) {
 	names := NICs()
+	var burst []byte // four frames, long payloads and a key-value request
+	for _, p := range [][]byte{
+		pkt.NewBuilder().WithUDP(1, 2).WithPayload(bytes.Repeat([]byte{0xA5}, 300)).Build(),
+		pkt.NewBuilder().WithVLAN(5).WithTCP(1, 2, 0).WithPayload(bytes.Repeat([]byte{7}, 129)).Build(),
+		pkt.NewBuilder().WithUDP(1, 11211).WithPayload([]byte("get k\r\n")).Build(),
+		pkt.NewBuilder().WithUDP(3, 4).WithPayload(bytes.Repeat([]byte{1, 2}, 100)).Build(),
+	} {
+		burst = append(append(burst, byte((len(p)-1)>>8), byte(len(p)-1)), p...)
+	}
 	for i := range names {
 		f.Add(uint8(i), uint64(1), uint8(0), []byte("hello world, this is not a packet"))
 		f.Add(uint8(i), uint64(7), uint8(0xFF), make([]byte, 256))
 		f.Add(uint8(i), uint64(42), uint8(1<<6), []byte{8, 0, 1, 2, 3, 4, 5, 6, 7})
+		f.Add(uint8(i), uint64(3)<<32|5, uint8(1), burst)
 	}
 	f.Fuzz(func(t *testing.T, modelIdx uint8, seed uint64, mask uint8, data []byte) {
-		if len(data) > 1<<11 {
+		if len(data) > 1<<13 {
 			t.Skip()
 		}
 		name := names[int(modelIdx)%len(names)]
-		intent, err := NewIntent("fuzz", fuzzSems...)
+		intent, err := NewIntent("fuzz", append(fuzzSems, "payload_hash")...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,20 +168,25 @@ func FuzzPoll(f *testing.F) {
 			delivered++
 			// Reading a prefix that depends on the packet moves the mix under
 			// an evolving driver.
-			for _, s := range fuzzSems[:1+len(p)%len(fuzzSems)] {
-				meta.Get(s)
+			for _, s := range append(fuzzSems[:1+len(p)%len(fuzzSems):1+len(p)%len(fuzzSems)], "payload_hash") {
+				v, ok := meta.Get(s)
+				if want, wok := rxpath.Want(meta, s); !ok || !wok || v != want {
+					t.Fatalf("%s: %s = %#x/%v, want %#x/%v (packet %x)", name, s, v, ok, want, wok, p)
+				}
 			}
 		}
-		for i := 0; i < 8 && len(data) > 0; i++ {
-			n := 1 + int(data[0])%64
-			if n > len(data) {
-				n = len(data)
-			}
-			if drv.Rx(data[:n]) {
+		// Up to eight frames, each behind a two-byte length, polled after
+		// every first to fourth Rx so the pending queue holds bursts.
+		every := 1 + int(seed>>32)%4
+		for i := 0; i < 8 && len(data) > 2; i++ {
+			n := min(len(data)-2, 1+(int(data[0])<<8|int(data[1]))%1518)
+			if drv.Rx(data[2 : 2+n]) {
 				accepted++
 			}
-			data = data[n:]
-			drv.Poll(h)
+			data = data[2+n:]
+			if (i+1)%every == 0 {
+				drv.Poll(h)
+			}
 		}
 		// Drain: while degraded each Poll also ticks the watchdog, so a
 		// bounded number of idle polls completes any pending recovery.

@@ -9,6 +9,7 @@ import (
 	"opendesc/internal/evolve"
 	"opendesc/internal/nic"
 	"opendesc/internal/nicsim"
+	"opendesc/internal/softnic"
 	"opendesc/internal/workload"
 )
 
@@ -25,8 +26,8 @@ type gateLoop struct {
 var gateSems = []string{"rss", "vlan", "pkt_len"}
 
 // gateLoops opens every driver the library ships on the one receive loop:
-// pinned, hardened with deep validation, evolving, the two composed, and
-// the multi-tenant plane.
+// pinned, hardened with deep validation, evolving, the two composed, a
+// hardened one reading payload_hash, and the multi-tenant plane.
 func gateLoops(t *testing.T) []gateLoop {
 	t.Helper()
 	tr, err := workload.Generate(workload.DefaultSpec())
@@ -51,6 +52,28 @@ func gateLoops(t *testing.T) []gateLoop {
 		}
 		return gateLoop{name: name, packets: tr.Packets, rx: drv.Rx, poll: func() int { return drv.Poll(h) }}
 	}
+
+	// A hardened driver reading payload_hash on every delivery, polled once
+	// a window of packets is pending, so each read goes through the burst
+	// form over a full window or hits its memo.
+	hashIntent, err := NewIntent("gate", append(gateSems, "payload_hash")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashed, err := OpenWith("e1000e", hashIntent, OpenOptions{Harden: &HardenOptions{Deep: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashLoop := gateLoop{name: "hardened+payload_hash", packets: tr.Packets, rx: hashed.Rx, poll: func() int {
+		if hashed.PendingPackets() < softnic.BurstMax {
+			return 0
+		}
+		return hashed.Poll(func(p []byte, meta Meta) {
+			h(p, meta)
+			v, _ := meta.Get("payload_hash")
+			*sink += v
+		})
+	}}
 
 	const tenants = 2
 	specs := make([]TenantSpec, tenants)
@@ -79,6 +102,7 @@ func gateLoops(t *testing.T) []gateLoop {
 		// it belongs to the control plane, not to the deliver path.
 		driver("evolving", OpenOptions{Evolve: &EvolveOptions{Interval: 1 << 30}}),
 		driver("hardened+evolving", OpenOptions{Evolve: &EvolveOptions{Interval: 1 << 30}, Harden: &HardenOptions{Deep: true}}),
+		hashLoop,
 		{name: "tenants", packets: ztr.Packets, rx: plane.Rx, poll: func() int { return plane.PollCore(0, onDelivery) }},
 	}
 }
