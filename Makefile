@@ -53,7 +53,7 @@ perf-gate: alloc-gate
 alloc-gate:
 	$(GO) test -run 'TestDeliverPathAllocGate|TestColdCompileAllocGate|TestWarmCompileSkipsAnalysis|TestOpenMemoryGate' -v .
 	$(GO) test -run TestClockReadsOnGrid -v ./internal/tenant
-	$(GO) test -run TestPollReadsClockOnGrid -v ./internal/rxpath
+	$(GO) test -run 'TestPollReadsClockOnGrid|TestLinkAllocGate' -v ./internal/rxpath
 	$(GO) test -run TestVerifyAllocGate -v ./internal/diffverify
 
 # Non-test Go lines per top-level directory: raw, and code only (no blank or

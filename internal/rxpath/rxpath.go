@@ -41,10 +41,11 @@ type Lane struct {
 	// Owner is client state riding with the lane (the fleet host's oracle
 	// set); the queue never looks at it.
 	Owner any
-	// burst is set when RT serves in software a semantic with a burst form
-	// (softnic.Row.Burst) and the queue does not count its shim calls
-	// (Instrument).
-	burst *burst
+	// burst is, by reader index, the memo of each semantic RT serves in
+	// software through its burst form (softnic.Row.Burst); a reader without
+	// one has a memo with no form. Nil where no reader has one, and on a
+	// queue that counts its shim calls (Instrument).
+	burst []memo
 }
 
 // Entry is one accepted packet awaiting delivery.
@@ -127,57 +128,56 @@ func (m Meta) Get(sem string) (uint64, bool) {
 		d.fq.RecordT(d.ts, code, d.Seq, r.Name8, 0)
 	}
 	if !r.Hardware {
-		if b := d.Lane.burst; b != nil && b.forms[i] != nil {
-			return b.read(d, r.Semantic, b.forms[i]), true
+		if b := d.Lane.burst; b != nil && b[i].form != nil {
+			return b[i].read(d), true
 		}
 	}
 	return r.Read(d.Rec, d.Pkt), true
 }
 
-// burst is a lane's burst forms and its last call: a software read of a
-// semantic with one computes the values of the delivery's packet and of the
+// memo is one burst form of a lane and its last call: a software read of
+// the form's semantic computes the values of the delivery's packet and of the
 // pending packets after it under the same tag, up to softnic.BurstMax, and
-// keeps them for their reads. A value is known by sequence number and packet
-// (the same slice), so a wrapped sequence number cannot hit.
-type burst struct {
-	q     *Queue
-	forms []func(frames [][]byte, out []uint64) // by reader index
-	sem   semantics.Name
-	n     int
-	seq   [softnic.BurstMax]uint32
-	pkt   [softnic.BurstMax][]byte
-	val   [softnic.BurstMax]uint64
+// keeps them for their reads. Each form has its own memo, so two forms read
+// on one delivery do not evict each other. A value is known by sequence
+// number and packet (the same slice), so a wrapped sequence number cannot hit.
+type memo struct {
+	q    *Queue
+	form func(frames [][]byte, out []uint64)
+	n    int
+	seq  [softnic.BurstMax]uint32
+	pkt  [softnic.BurstMax][]byte
+	val  [softnic.BurstMax]uint64
 }
 
-// read serves d's read of sem through its burst form f, from the last call
-// if it covered the packet. A parked packet is not pending: it is its call's
-// only frame.
-func (b *burst) read(d *Delivery, sem semantics.Name, f func(frames [][]byte, out []uint64)) uint64 {
-	if b.sem == sem {
-		for k := range b.n {
-			if b.seq[k] == d.Seq && len(b.pkt[k]) == len(d.Pkt) && (len(d.Pkt) == 0 || &b.pkt[k][0] == &d.Pkt[0]) {
-				return b.val[k]
+// read serves d's read through the form, from the last call if it covered
+// the packet. Pending entries are numbered consecutively, so a packet's
+// distance in sequence numbers from the first of a run is its index in it.
+// A parked packet is not pending: it is its call's only frame.
+func (m *memo) read(d *Delivery) uint64 {
+	if k := uint(d.Seq - m.seq[0]); k < uint(m.n) && m.seq[k] == d.Seq && samePacket(m.pkt[k], d.Pkt) {
+		return m.val[k]
+	}
+	m.n = 1
+	m.seq[0], m.pkt[0] = d.Seq, d.Pkt
+	if pending := m.q.pending; len(pending) > 0 {
+		if k := uint(d.Seq - pending[0].Seq); k < uint(len(pending)) && &pending[k] == d.Entry {
+			for _, e := range pending[k+1 : min(uint(len(pending)), k+uint(len(m.pkt)))] {
+				if e.Tag != d.Tag {
+					break
+				}
+				m.seq[m.n], m.pkt[m.n] = e.Seq, e.Pkt
+				m.n++
 			}
 		}
 	}
-	b.sem, b.n = sem, 1
-	b.seq[0], b.pkt[0] = d.Seq, d.Pkt
-	pending := b.q.pending
-	for k := range pending {
-		if &pending[k] != d.Entry {
-			continue
-		}
-		for _, e := range pending[k+1 : min(len(pending), k+len(b.pkt))] {
-			if e.Tag != d.Tag {
-				break
-			}
-			b.seq[b.n], b.pkt[b.n] = e.Seq, e.Pkt
-			b.n++
-		}
-		break
-	}
-	f(b.pkt[:b.n], b.val[:b.n])
-	return b.val[0]
+	m.form(m.pkt[:m.n], m.val[:m.n])
+	return m.val[0]
+}
+
+// samePacket reports whether a and b are the same slice of one frame.
+func samePacket(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // Hardware reports whether the semantic is served directly from the
@@ -308,9 +308,9 @@ func (q *Queue) Link(res *core.Result) (*Lane, error) {
 	for i, r := range l.RT.Readers {
 		if row := softnic.Lookup(r.Semantic); q.shims == nil && !r.Hardware && row != nil && row.Burst() != nil {
 			if l.burst == nil {
-				l.burst = &burst{q: q, forms: make([]func([][]byte, []uint64), len(l.RT.Readers))}
+				l.burst = make([]memo, len(l.RT.Readers))
 			}
-			l.burst.forms[i] = row.Burst()
+			l.burst[i] = memo{q: q, form: row.Burst()}
 		}
 	}
 	return l, q.arm(l)

@@ -3,6 +3,7 @@ package rxpath
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"math"
 	"testing"
 
@@ -155,12 +156,13 @@ func TestDrainSoftParksLostCompletions(t *testing.T) {
 	}
 }
 
-// hashQueue opens an e1000e queue whose lanes serve payload_hash in software
-// through its burst form, and a trace of unique 1 KiB-payload packets.
-func hashQueue(t *testing.T, lanes int) (q *Queue, packets [][]byte) {
+// hashQueue opens an e1000e queue whose lanes serve payload_hash and kv_key
+// in software through their burst forms, and a trace of unique 1 KiB-payload
+// packets, 30% of them key-value requests.
+func hashQueue(t *testing.T, lanes int) (q *Queue, res *core.Result, packets [][]byte) {
 	t.Helper()
 	m := nic.MustLoad("e1000e")
-	res := compile(t, m, semantics.PayloadHash, semantics.PktLen)
+	res = compile(t, m, semantics.PayloadHash, semantics.KVKey, semantics.PktLen)
 	q, err := New(nicsim.MustNew(m, nicsim.Config{}), res.Config, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -176,15 +178,74 @@ func hashQueue(t *testing.T, lanes int) (q *Queue, packets [][]byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return q, tr.Packets
+	return q, res, tr.Packets
 }
 
-// readHash is a handler reading payload_hash against the golden oracle.
-func readHash(t *testing.T) DeliverFunc {
+// read is a handler reading sems against the golden oracle.
+func read(t *testing.T, sems ...semantics.Name) DeliverFunc {
 	return func(_ []byte, m Meta) {
-		v, ok := m.Get("payload_hash")
-		if want, wok := Want(m, "payload_hash"); !ok || !wok || v != want {
-			t.Fatalf("seq %d: payload_hash = %#x/%v, want %#x", Of(m).Seq, v, ok, want)
+		for _, sem := range sems {
+			v, ok := m.Get(string(sem))
+			if want, wok := Want(m, string(sem)); !ok || !wok || v != want {
+				t.Fatalf("seq %d: %s = %#x/%v, want %#x", Of(m).Seq, sem, v, ok, want)
+			}
+		}
+	}
+}
+
+// formCounts wraps the burst form behind every memo of q's lanes so that it
+// counts, per semantic, the frames it hashes and its calls, and fails a call
+// that hashes packets of two tags (tagOf).
+func formCounts(t *testing.T, q *Queue, tagOf map[*byte]uint32) (hashed, calls map[semantics.Name]int) {
+	hashed, calls = make(map[semantics.Name]int), make(map[semantics.Name]int)
+	for tag, l := range q.lanes {
+		for _, sem := range []semantics.Name{semantics.PayloadHash, semantics.KVKey} {
+			if r, i := l.RT.Lookup(sem); r.Hardware || l.burst == nil || l.burst[i].form == nil {
+				t.Fatalf("lane %d: %s not linked to its burst form", tag, sem)
+			}
+		}
+		for i := range l.burst {
+			m := &l.burst[i]
+			if m.form == nil {
+				continue
+			}
+			sem, f := l.RT.Readers[i].Semantic, m.form
+			m.form = func(frames [][]byte, out []uint64) {
+				for _, p := range frames[1:] {
+					if tagOf[&p[0]] != tagOf[&frames[0][0]] {
+						t.Fatalf("a %s call on tag %d hashed a packet of tag %d", sem, tagOf[&frames[0][0]], tagOf[&p[0]])
+					}
+				}
+				hashed[sem] += len(frames)
+				calls[sem]++
+				f(frames, out)
+			}
+		}
+	}
+	return hashed, calls
+}
+
+// pollCounted polls q limit deliveries at a time, reading sems on each, until
+// nothing is pending. Each form must hash every packet exactly once, in fewer
+// calls than deliveries, and a poll at most its reads plus BurstMax − 1
+// packets ahead.
+func pollCounted(t *testing.T, q *Queue, limit int, hashed, calls map[semantics.Name]int, sems ...semantics.Name) {
+	t.Helper()
+	delivered := 0
+	for q.Pending() > 0 {
+		before := maps.Clone(hashed)
+		n := q.Poll(limit, read(t, sems...))
+		for _, sem := range sems {
+			if h := hashed[sem] - before[sem]; h > n+softnic.BurstMax-1 {
+				t.Fatalf("a poll of %d reads hashed %d packets for %s", n, h, sem)
+			}
+		}
+		delivered += n
+	}
+	for _, sem := range sems {
+		if hashed[sem] != delivered || calls[sem] >= delivered {
+			t.Fatalf("%s: %d packets hashed in %d calls for %d deliveries, want each once and fewer calls",
+				sem, hashed[sem], calls[sem], delivered)
 		}
 	}
 }
@@ -192,31 +253,13 @@ func readHash(t *testing.T) DeliverFunc {
 // TestBurstStaysInItsTag: on a two-lane queue where every delivery reads
 // payload_hash, one burst-form call hashes the delivery's packet and pending
 // packets of its tag only; the memo carries a call's values across a poll
-// limit, so each packet is hashed exactly once and a poll hashes at most its
-// reads plus BurstMax − 1 packets ahead.
+// limit.
 func TestBurstStaysInItsTag(t *testing.T) {
-	q, packets := hashQueue(t, 2)
+	q, _, packets := hashQueue(t, 2)
 	tagOf := make(map[*byte]uint32)
-	hashed, calls := 0, 0
-	for tag, l := range q.lanes {
-		r, i := l.RT.Lookup(semantics.PayloadHash)
-		if r.Hardware || l.burst == nil || l.burst.forms[i] == nil {
-			t.Fatalf("lane %d: payload_hash not linked to its burst form", tag)
-		}
-		f := l.burst.forms[i]
-		l.burst.forms[i] = func(frames [][]byte, out []uint64) {
-			for _, p := range frames[1:] {
-				if tagOf[&p[0]] != tagOf[&frames[0][0]] {
-					t.Fatalf("a call on tag %d hashed a packet of tag %d", tagOf[&frames[0][0]], tagOf[&p[0]])
-				}
-			}
-			hashed += len(frames)
-			calls++
-			f(frames, out)
-		}
-	}
+	hashed, calls := formCounts(t, q, tagOf)
 	for i, p := range packets {
-		tag := uint32(0) // a run longer than a window, then runs of 1–3
+		tag := uint32(0) // a run longer than two windows, then runs of 1–3
 		if i >= 2*softnic.BurstMax+3 {
 			tag = uint32(i*7/11) % 2
 		}
@@ -225,17 +268,38 @@ func TestBurstStaysInItsTag(t *testing.T) {
 			t.Fatal("rx refused")
 		}
 	}
-	delivered := 0
-	for q.Pending() > 0 {
-		before := hashed
-		n := q.Poll(5, readHash(t))
-		if hashed-before > n+softnic.BurstMax-1 {
-			t.Fatalf("a poll of %d reads hashed %d packets", n, hashed-before)
+	pollCounted(t, q, 5, hashed, calls, semantics.PayloadHash)
+}
+
+// TestBurstFormsKeepTheirMemos: on a lane reading kv_key and payload_hash on
+// every delivery, each form keeps its own memo, so neither evicts the other:
+// each hashes every packet once. One memo shared by the two would hash a
+// window per read.
+func TestBurstFormsKeepTheirMemos(t *testing.T) {
+	q, _, packets := hashQueue(t, 1)
+	hashed, calls := formCounts(t, q, nil)
+	for _, p := range packets {
+		if !q.Rx(p, 0) {
+			t.Fatal("rx refused")
 		}
-		delivered += n
 	}
-	if hashed != delivered || calls >= delivered {
-		t.Fatalf("%d packets hashed in %d calls for %d deliveries, want each once and fewer calls", hashed, calls, delivered)
+	pollCounted(t, q, 7, hashed, calls, semantics.KVKey, semantics.PayloadHash)
+}
+
+// TestLinkAllocGate: a lane's memos cost Link one allocation, however many
+// burst forms it reads, so linking a lane with two forms allocates one less
+// than it did when a lane kept one memo for every form (seven).
+func TestLinkAllocGate(t *testing.T) {
+	q, res, _ := hashQueue(t, 0)
+	const limit = 6
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := q.Link(res); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Link of a lane with two burst forms: %.0f allocations (limit %d)", got, limit)
+	if got > limit {
+		t.Fatalf("Link allocates %.0f, limit %d", got, limit)
 	}
 }
 
@@ -244,12 +308,12 @@ func TestBurstStaysInItsTag(t *testing.T) {
 // new packet's value; and a queue that counts its shim calls (Instrument)
 // links no burst form, one shim call per read.
 func TestBurstMemoNeedsTheSamePacket(t *testing.T) {
-	q, packets := hashQueue(t, 1)
+	q, res, packets := hashQueue(t, 1)
 	q.seq = math.MaxUint32 - 2
 	for _, p := range packets[:6] { // seq 2³²−2 … 3: one window
 		q.Rx(p, 0)
 	}
-	q.Poll(-1, readHash(t))
+	q.Poll(-1, read(t, semantics.PayloadHash, semantics.KVKey))
 	var reused []byte
 	for _, p := range packets[6:] {
 		if len(p) == len(packets[0]) && !bytes.Equal(p, packets[0]) {
@@ -262,15 +326,16 @@ func TestBurstMemoNeedsTheSamePacket(t *testing.T) {
 	}
 	q.seq = math.MaxUint32 - 2 // the next Rx reuses packets[0]'s number
 	q.Rx(reused, 0)
-	if b := q.lanes[0].burst; q.pending[0].Seq != b.seq[0] {
-		t.Fatalf("seq %d, the last call holds %d", q.pending[0].Seq, b.seq[0])
+	for _, sem := range []semantics.Name{semantics.PayloadHash, semantics.KVKey} {
+		if _, i := q.lanes[0].RT.Lookup(sem); q.pending[0].Seq != q.lanes[0].burst[i].seq[0] {
+			t.Fatalf("%s: seq %d, the last call holds %d", sem, q.pending[0].Seq, q.lanes[0].burst[i].seq[0])
+		}
 	}
-	q.Poll(-1, readHash(t))
+	q.Poll(-1, read(t, semantics.PayloadHash, semantics.KVKey))
 
-	q, packets = hashQueue(t, 0)
+	q, _, packets = hashQueue(t, 0)
 	st := softnic.NewShimStats(nil)
 	q.Instrument(st)
-	res := compile(t, nic.MustLoad("e1000e"), semantics.PayloadHash, semantics.PktLen)
 	l, err := q.Link(res)
 	if err != nil || l.burst != nil {
 		t.Fatalf("instrumented lane: err %v, burst form linked", err)
@@ -279,9 +344,11 @@ func TestBurstMemoNeedsTheSamePacket(t *testing.T) {
 	for _, p := range packets[:16] {
 		q.Rx(p, 0)
 	}
-	q.Poll(-1, readHash(t))
-	if c := st.Cost(semantics.PayloadHash).Calls; c != 16 {
-		t.Fatalf("16 reads made %d shim calls", c)
+	q.Poll(-1, read(t, semantics.PayloadHash, semantics.KVKey))
+	for _, sem := range []semantics.Name{semantics.PayloadHash, semantics.KVKey} {
+		if c := st.Cost(sem).Calls; c != 16 {
+			t.Fatalf("16 reads of %s made %d shim calls", sem, c)
+		}
 	}
 }
 

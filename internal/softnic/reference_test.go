@@ -2,6 +2,7 @@ package softnic
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"opendesc/internal/pkt"
@@ -56,6 +57,45 @@ func TestToeplitzTableCopiesKey(t *testing.T) {
 	}
 }
 
+// kvKeyReference is KVKey over a payload as a byte loop: the oracle of the
+// word-at-a-time key search.
+func kvKeyReference(p []byte) uint64 {
+	i := bytes.IndexByte(p, ' ')
+	if i < 0 {
+		return 0
+	}
+	i++ // the space
+	start := i
+	for i < len(p) && p[i] != ' ' && p[i] != '\r' && p[i] != '\n' {
+		i++
+	}
+	if i == start {
+		return 0
+	}
+	const prime64 = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, b := range p[start:i] {
+		h = (h ^ uint64(b)) * prime64
+	}
+	return h
+}
+
+// checkKVKey compares KVKey and kv_key's burst form over the request payload
+// with the byte-loop reference.
+func checkKVKey(t *testing.T, payload []byte) {
+	t.Helper()
+	want := kvKeyReference(payload)
+	f := pkt.NewBuilder().WithUDP(1, 11211).WithPayload(payload).Build()
+	if got := KVKey(decode(t, f)); got != want {
+		t.Fatalf("KVKey(%q) = %#x, reference %#x", payload, got, want)
+	}
+	var out [1]uint64
+	kvKeys([][]byte{f}, out[:])
+	if out[0] != want {
+		t.Fatalf("kvKeys(%q) = %#x, reference %#x", payload, out[0], want)
+	}
+}
+
 func TestKVKeyVerbScan(t *testing.T) {
 	digest := func(payload string) uint64 {
 		p := pkt.NewBuilder().WithUDP(1, 11211).WithPayload([]byte(payload)).Build()
@@ -91,30 +131,84 @@ func TestKVKeyVerbScan(t *testing.T) {
 			t.Errorf("%q: digest %#x, want 0", c.payload, got)
 		}
 	}
-}
-
-// checkBurst runs payload_hash's burst form over frames, into slots that
-// start out stale, and compares every slot with the row's scalar shim.
-func checkBurst(t *testing.T, frames [][]byte) {
-	t.Helper()
-	row := Lookup(semantics.PayloadHash)
-	var out [BurstMax]uint64
-	for i := range out {
-		out[i] = 0xDEAD
-	}
-	row.Burst()(frames, out[:len(frames)])
-	for i, f := range frames {
-		if want := row.shim(f); out[i] != want {
-			t.Fatalf("slot %d of %d (frame %x): burst %#x, row %#x", i, len(frames), f, out[i], want)
+	// The word-at-a-time search: keys of 0–17 bytes put the terminator at
+	// each of the eight offsets of a word, in the first, second and third
+	// word; the key bytes are near misses of the three terminators (one off,
+	// or with the top bit set) and their neighbours in the borrow chain.
+	for n := 0; n <= 17; n++ {
+		for _, fill := range []byte{'k', 0x1f, 0x21, 0x0c, 0x0e, 0x8a, 0xa0, 0xff, 0x00, 0x01, 0x80} {
+			for _, term := range []string{" 0 0 5\r\nhi", "\r\n", "\n", "\r", ""} {
+				checkKVKey(t, append(append([]byte("get "), bytes.Repeat([]byte{fill}, n)...), term...))
+			}
 		}
 	}
 }
 
+// FuzzKVKeyMatchesReference: KVKey and kv_key's burst form agree with the
+// byte-loop reference on any payload, and the word-at-a-time search with a
+// byte scan on any bytes.
+func FuzzKVKeyMatchesReference(f *testing.F) {
+	f.Add([]byte("get user:42\r\n"))
+	f.Add([]byte("set k\xa0\x8a\x8d 0 0 5\r\nhello"))
+	f.Add([]byte("get 0123456\n"))
+	f.Add([]byte("get 01234567\r"))
+	f.Add([]byte(" \x1f\x21\x0c\x0e\x09\x0b\x20"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		if len(p) > 1400 {
+			p = p[:1400]
+		}
+		checkKVKey(t, p)
+		want := 0
+		for want < len(p) && p[want] != ' ' && p[want] != '\r' && p[want] != '\n' {
+			want++
+		}
+		if got := keyEnd(p); got != want {
+			t.Fatalf("keyEnd(%q) = %d, byte scan %d", p, got, want)
+		}
+	})
+}
+
+// checkBurst runs every burst form over frames, into slots that start out
+// stale, and compares every slot with its row's scalar shim.
+func checkBurst(t *testing.T, frames [][]byte) {
+	t.Helper()
+	var out [BurstMax]uint64
+	for _, name := range burstForms() {
+		row := Lookup(name)
+		for i := range out {
+			out[i] = 0xDEAD
+		}
+		row.Burst()(frames, out[:len(frames)])
+		for i, f := range frames {
+			if want := row.shim(f); out[i] != want {
+				t.Fatalf("%s: slot %d of %d (frame %x): burst %#x, row %#x", name, i, len(frames), f, out[i], want)
+			}
+		}
+	}
+}
+
+// burstForms names the rows with a burst form.
+func burstForms() []semantics.Name {
+	var names []semantics.Name
+	for name, r := range rows {
+		if r.burst != nil {
+			names = append(names, name)
+		}
+	}
+	slices.Sort(names)
+	return names
+}
+
 // TestBatchMatchesRow: every window of one to BurstMax frames over a mix
-// that reaches every branch of the burst form — frames pkt.Decode rejects,
-// empty and odd-length payloads, payloads either side of interleaveMin and
-// long ones of unequal length — reads what the row reads frame by frame.
+// that keeps the four lanes refilling — frames pkt.Decode rejects, empty
+// payloads and keys, odd and equal lengths, key-value requests with keys of
+// 0–200 bytes beside long payloads of unequal length — reads what each row
+// reads frame by frame.
 func TestBatchMatchesRow(t *testing.T) {
+	if got := burstForms(); !slices.Equal(got, []semantics.Name{semantics.KVKey, semantics.PayloadHash}) {
+		t.Fatalf("burst forms %v", got)
+	}
 	payload := func(n int) []byte {
 		p := make([]byte, n)
 		for i := range p {
@@ -122,15 +216,23 @@ func TestBatchMatchesRow(t *testing.T) {
 		}
 		return p
 	}
+	request := func(n int) []byte {
+		return append(append([]byte("get "), bytes.Repeat([]byte{'a' + byte(n%26)}, n)...), "\r\n"...)
+	}
 	var frames [][]byte
-	for k, n := range []int{1024, 0, interleaveMin - 1, interleaveMin, interleaveMin + 1, 1, 1017, 1024, 7, 512, 1023, 100} {
+	for k, n := range []int{1024, 0, 63, 64, 65, 1, 1017, 1024, 7, 512, 1023, 100, 256, 256, 256, 256, 3, 3} {
 		b := pkt.NewBuilder().WithUDP(1, 2)
 		if k%3 == 0 {
 			b = pkt.NewBuilder().WithVLAN(5).WithTCP(1, 2, 0)
 		}
 		frames = append(frames, b.WithPayload(payload(n)).Build())
+		if k < 11 {
+			key := []int{0, 1, 7, 8, 9, 15, 16, 17, 62, 200, 100}[k]
+			frames = append(frames, pkt.NewBuilder().WithUDP(1, 11211).WithPayload(request(key)).Build())
+		}
 	}
-	frames = append(frames, nil, []byte{1, 2, 3}, make([]byte, 14), frames[0][:20])
+	frames = append(frames, pkt.NewBuilder().WithUDP(1, 11211).WithPayload([]byte("set k 0 0 5\r\nhello")).Build(),
+		nil, []byte{1, 2, 3}, make([]byte, 14), frames[0][:20])
 	for _, order := range [][][]byte{frames, reversed(frames)} {
 		for start := range order {
 			for n := 1; n <= BurstMax && start+n <= len(order); n++ {
@@ -148,17 +250,18 @@ func reversed(s [][]byte) [][]byte {
 	return r
 }
 
-// FuzzBatchMatchesRow: the burst form and the row agree on arbitrary bytes,
+// FuzzBatchMatchesRow: every burst form and its row agree on arbitrary bytes,
 // cut into one to BurstMax frames; shape's bits make each frame either the
 // raw bytes (mostly rejected) or a UDP frame carrying them as its payload.
 func FuzzBatchMatchesRow(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xA5}, 4*1024), uint64(0))
 	f.Add(bytes.Repeat([]byte{1, 2, 3}, 300), uint64(0xFFFF))
 	f.Add([]byte("get key\r\n"), uint64(7))
+	f.Add(bytes.Repeat([]byte("get some:key\r\nset k 0 0 1\r\nx"), 40), uint64(BurstMax-1))
 	f.Add([]byte{}, uint64(1))
 	f.Fuzz(func(t *testing.T, data []byte, shape uint64) {
-		if len(data) > 8<<10 {
-			data = data[:8<<10]
+		if len(data) > 16<<10 {
+			data = data[:16<<10]
 		}
 		n := 1 + int(shape%BurstMax)
 		shape /= BurstMax
@@ -176,29 +279,32 @@ func FuzzBatchMatchesRow(f *testing.F) {
 	})
 }
 
-// BenchmarkPayloadHash prices payload_hash per frame on shim_hardened's
-// traffic mix (1 KiB payloads, 30% short key-value requests): the row's
-// scalar shim, and its burst form over windows of BurstMax frames.
-func BenchmarkPayloadHash(b *testing.B) {
+// BenchmarkBurstForms prices each row with a burst form per frame on
+// shim_hardened's traffic mix (1 KiB payloads, 30% short key-value
+// requests): the row's scalar shim, and its burst form over windows of
+// BurstMax frames.
+func BenchmarkBurstForms(b *testing.B) {
 	tr, err := workload.Generate(workload.Spec{Packets: 1024, Flows: 64, PayloadBytes: 1024,
 		TCPFraction: 0.6, VLANFraction: 0.3, KVFraction: 0.3, TunnelFraction: 0.3, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	row := Lookup(semantics.PayloadHash)
-	b.Run("shim", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink64 += row.shim(tr.Packets[i%len(tr.Packets)])
-		}
-	})
-	b.Run("burst", func(b *testing.B) {
-		var out [BurstMax]uint64
-		for i := 0; i < b.N; i += BurstMax {
-			at := i % len(tr.Packets)
-			row.Burst()(tr.Packets[at:at+BurstMax], out[:])
-			sink64 += out[0]
-		}
-	})
+	for _, name := range burstForms() {
+		row := Lookup(name)
+		b.Run(string(name)+"/shim", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sink64 += row.shim(tr.Packets[i%len(tr.Packets)])
+			}
+		})
+		b.Run(string(name)+"/burst", func(b *testing.B) {
+			var out [BurstMax]uint64
+			for i := 0; i < b.N; i += BurstMax {
+				at := i % len(tr.Packets)
+				row.Burst()(tr.Packets[at:at+BurstMax], out[:])
+				sink64 += out[0]
+			}
+		})
+	}
 }
 
 var (

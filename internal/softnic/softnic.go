@@ -10,6 +10,7 @@ package softnic
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 	"time"
 
 	"opendesc/internal/pkt"
@@ -208,116 +209,169 @@ func PayloadHash(in *pkt.Info) uint32 {
 	return h
 }
 
-// BurstMax is the most frames one call of a row's burst form reads.
-const BurstMax = 8
-
-// interleaveMin is the payload length from which payloadHashes runs a chain
-// beside others; a shorter one is done before the interleaving pays.
-const interleaveMin = 64
-
-// payloadHashes is payload_hash's burst form over at most BurstMax frames:
-// out[i] is PayloadHash of frames[i] decoded, 0 where pkt.Decode rejects it.
-// FNV-1a is one serial multiply chain per payload, but the payloads of a
-// burst are independent chains: the long ones run four, then two, side by
-// side over their common length, and each finishes alone.
-func payloadHashes(frames [][]byte, out []uint64) {
-	var long [BurstMax][]byte
-	var at [BurstMax]int
-	n := 0
-	for i, f := range frames {
-		var in pkt.Info
-		if pkt.Decode(f, &in) != nil {
-			out[i] = 0
-			continue
-		}
-		if p := in.Payload(); len(p) >= interleaveMin {
-			long[n], at[n] = p, i
-			n++
-		} else {
-			out[i] = uint64(fnv1a(fnvOffset32, p))
-		}
-	}
-	k := 0
-	for ; k+4 <= n; k += 4 {
-		h := fnv1a4(long[k], long[k+1], long[k+2], long[k+3])
-		for j, v := range h {
-			out[at[k+j]] = uint64(v)
-		}
-	}
-	if k+2 <= n {
-		h0, h1 := fnv1a2(long[k], long[k+1])
-		out[at[k]], out[at[k+1]] = uint64(h0), uint64(h1)
-		k += 2
-	}
-	if k < n {
-		out[at[k]] = uint64(fnv1a(fnvOffset32, long[k]))
-	}
-}
-
-const (
-	fnvOffset32 = 2166136261
-	fnvPrime32  = 16777619
-)
-
-// fnv1a continues an FNV-1a chain at h over p.
-func fnv1a(h uint32, p []byte) uint32 {
-	for _, b := range p {
-		h = (h ^ uint32(b)) * fnvPrime32
-	}
-	return h
-}
-
-// fnv1a4 is FNV-1a of four inputs, interleaved over their common length.
-func fnv1a4(a, b, c, d []byte) [4]uint32 {
-	n := min(len(a), len(b), len(c), len(d))
-	a0, b0, c0, d0 := a[:n], b[:n], c[:n], d[:n]
-	h0, h1, h2, h3 := uint32(fnvOffset32), uint32(fnvOffset32), uint32(fnvOffset32), uint32(fnvOffset32)
-	for i := range a0 {
-		h0 = (h0 ^ uint32(a0[i])) * fnvPrime32
-		h1 = (h1 ^ uint32(b0[i])) * fnvPrime32
-		h2 = (h2 ^ uint32(c0[i])) * fnvPrime32
-		h3 = (h3 ^ uint32(d0[i])) * fnvPrime32
-	}
-	return [4]uint32{fnv1a(h0, a[n:]), fnv1a(h1, b[n:]), fnv1a(h2, c[n:]), fnv1a(h3, d[n:])}
-}
-
-// fnv1a2 is FNV-1a of two inputs, interleaved over their common length.
-func fnv1a2(a, b []byte) (uint32, uint32) {
-	n := min(len(a), len(b))
-	a0, b0 := a[:n], b[:n]
-	h0, h1 := uint32(fnvOffset32), uint32(fnvOffset32)
-	for i := range a0 {
-		h0 = (h0 ^ uint32(a0[i])) * fnvPrime32
-		h1 = (h1 ^ uint32(b0[i])) * fnvPrime32
-	}
-	return fnv1a(h0, a[n:]), fnv1a(h1, b[n:])
-}
-
 // KVKey extracts the key digest of a key-value-store request carried as the
 // packet payload. The recognized wire format is "get <key>\r\n" /
 // "set <key> ..." (memcached-style); the digest is FNV-1a64 over the key
 // bytes, which is what a FlexNIC-style offload would steer on.
 func KVKey(in *pkt.Info) uint64 {
-	p := in.Payload()
-	// Skip the verb.
-	i := bytes.IndexByte(p, ' ')
-	if i < 0 {
-		return 0
-	}
-	i++ // the space
-	start := i
-	for i < len(p) && p[i] != ' ' && p[i] != '\r' && p[i] != '\n' {
-		i++
-	}
-	if i == start {
+	key, ok := kvKeySpan(in.Payload())
+	if !ok {
 		return 0
 	}
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037)
-	for _, b := range p[start:i] {
+	for _, b := range key {
 		h = (h ^ uint64(b)) * prime64
 	}
 	return h
+}
+
+// kvKeySpan is the key of the key-value request p: the bytes after the verb's
+// space up to the next ' ', '\r' or '\n', or the end. ok is false when there
+// is no space or the key is empty.
+func kvKeySpan(p []byte) (key []byte, ok bool) {
+	i := bytes.IndexByte(p, ' ')
+	if i < 0 {
+		return nil, false
+	}
+	key = p[i+1:]
+	key = key[:keyEnd(key)]
+	return key, len(key) > 0
+}
+
+// keyEnd is the index of the first ' ', '\r' or '\n' in p, len(p) when there
+// is none, found eight bytes at a time (SWAR). A byte of x = w^(c*lo) is zero
+// where the word w holds c, and (x-lo)&^x&hi sets the top bit of x's lowest
+// zero byte and of no byte below it; so the lowest bit set over the three
+// terminators marks the first of them.
+func keyEnd(p []byte) int {
+	const lo, hi = 0x0101010101010101, 0x8080808080808080
+	i := 0
+	for ; i+8 <= len(p); i += 8 {
+		w := binary.LittleEndian.Uint64(p[i:])
+		x, y, z := w^(' '*lo), w^('\r'*lo), w^('\n'*lo)
+		if m := ((x-lo)&^x | (y-lo)&^y | (z-lo)&^z) & hi; m != 0 {
+			return i + bits.TrailingZeros64(m)/8
+		}
+	}
+	for ; i < len(p); i++ {
+		if c := p[i]; c == ' ' || c == '\r' || c == '\n' {
+			break
+		}
+	}
+	return i
+}
+
+// BurstMax is the most frames one call of a row's burst form reads.
+const BurstMax = 32
+
+// payloadSpan is what payload_hash hashes of a payload: all of it.
+func payloadSpan(p []byte) ([]byte, bool) { return p, true }
+
+var (
+	// payloadHashes is payload_hash's burst form, kvKeys kv_key's.
+	payloadHashes = fnv32.burst(payloadSpan)
+	kvKeys        = fnv64.burst(kvKeySpan)
+)
+
+// fnv is an FNV-1a hash: its offset basis, prime and width as a mask. The
+// 32-bit hash is the low half of the same chain run over 64 bits (each step's
+// low 32 bits depend only on its operands' low 32 bits), so one 64-bit lane
+// loop computes both.
+type fnv struct{ offset, prime, mask uint64 }
+
+var (
+	fnv32 = fnv{offset: 2166136261, prime: 16777619, mask: 1<<32 - 1}
+	fnv64 = fnv{offset: 14695981039346656037, prime: 1099511628211, mask: 1<<64 - 1}
+)
+
+// burst is the burst form, over at most BurstMax frames, of a row hashing
+// span of each frame's payload: out[i] is the hash of span(payload of
+// frames[i] decoded), 0 where pkt.Decode rejects the frame or span finds
+// nothing to hash.
+func (f fnv) burst(span func(payload []byte) ([]byte, bool)) func(frames [][]byte, out []uint64) {
+	return func(frames [][]byte, out []uint64) {
+		var spans [BurstMax][]byte
+		var at [BurstMax]int
+		n := 0
+		for i, fr := range frames {
+			out[i] = 0
+			var in pkt.Info
+			if pkt.Decode(fr, &in) != nil {
+				continue
+			}
+			if s, ok := span(in.Payload()); ok {
+				spans[n], at[n] = s, i
+				n++
+			}
+		}
+		f.lanes(spans[:n], at[:n], out)
+	}
+}
+
+// lanes sets out[at[k]] to the hash of in[k] for every k. FNV-1a is one serial
+// multiply chain per input, but the inputs are independent chains: four run
+// side by side, one per lane. The moment a lane's input ends the lane takes
+// the next one; once none is left, it re-runs a live lane's bytes and its
+// value is dropped, so every fnv4 call keeps four chains in flight.
+func (f fnv) lanes(in [][]byte, at []int, out []uint64) {
+	var (
+		p   [4][]byte
+		h   [4]uint64
+		own = [4]int{-1, -1, -1, -1} // the input a lane hashes; -1: none
+	)
+	next := 0
+	for {
+		live := -1
+		for l := range p {
+			if own[l] < 0 {
+				for next < len(in) && len(in[next]) == 0 {
+					out[at[next]] = f.offset & f.mask
+					next++
+				}
+				if next < len(in) {
+					own[l], p[l], h[l] = next, in[next], f.offset
+					next++
+				}
+			}
+			if own[l] >= 0 {
+				live = l
+			}
+		}
+		if live < 0 {
+			return
+		}
+		n := len(p[live])
+		for l := range p {
+			if own[l] < 0 {
+				p[l] = p[live]
+			}
+			n = min(n, len(p[l]))
+		}
+		h[0], h[1], h[2], h[3] = fnv4(p[0][:n], p[1][:n], p[2][:n], p[3][:n], h[0], h[1], h[2], h[3], f.prime)
+		for l := range p {
+			p[l] = p[l][n:]
+			if own[l] >= 0 && len(p[l]) == 0 {
+				out[at[own[l]]], own[l] = h[l]&f.mask, -1
+			}
+		}
+	}
+}
+
+// fnv4 continues four FNV-1a chains over four inputs as long as a. It is
+// kept out of line and carries nothing else, so its loop holds the pointers,
+// states and prime in registers (inlined into lanes, it spills).
+//
+//go:noinline
+func fnv4(a, b, c, d []byte, h0, h1, h2, h3, prime uint64) (uint64, uint64, uint64, uint64) {
+	b, c, d = b[:len(a)], c[:len(a)], d[:len(a)]
+	for i, x := range a {
+		h0 = (h0 ^ uint64(x)) * prime
+		h1 = (h1 ^ uint64(b[i])) * prime
+		h2 = (h2 ^ uint64(c[i])) * prime
+		h3 = (h3 ^ uint64(d[i])) * prime
+	}
+	return h0, h1, h2, h3
 }
 
 // TunnelID extracts the VXLAN VNI when the packet is a VXLAN encapsulation

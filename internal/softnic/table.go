@@ -79,7 +79,7 @@ var rows = map[semantics.Name]*Row{
 	semantics.PType:       packet(func(in *pkt.Info) uint64 { return uint64(PType(in)) }),
 	semantics.FlowID:      packet(func(in *pkt.Info) uint64 { return uint64(FlowID(in)) }),
 	semantics.IPID:        packet(func(in *pkt.Info) uint64 { return uint64(in.IPID) }),
-	semantics.KVKey:       packet(KVKey),
+	semantics.KVKey:       withBurst(packet(KVKey), kvKeys),
 	semantics.PayloadHash: withBurst(packet(func(in *pkt.Info) uint64 { return uint64(PayloadHash(in)) }), payloadHashes),
 	semantics.TunnelID:    packet(func(in *pkt.Info) uint64 { return uint64(TunnelID(in)) }),
 	semantics.DecapFlag:   packet(func(in *pkt.Info) uint64 { return uint64(min(TunnelID(in), 1)) }),

@@ -103,8 +103,8 @@ func FuzzValidate(f *testing.F) {
 // and an arbitrary fault mix on every bundled NIC. The properties: no panic,
 // exactly-once delivery (every accepted packet is delivered exactly once
 // after draining, no matter which faults fired), and every read equal to the
-// golden oracle (rxpath.Want) — payload_hash on every delivery, so its burst
-// form runs under every fault mix.
+// golden oracle (rxpath.Want) — kv_key and payload_hash on every delivery,
+// so their burst forms run under every fault mix.
 func FuzzPoll(f *testing.F) {
 	names := NICs()
 	var burst []byte // four frames, long payloads and a key-value request
@@ -127,7 +127,7 @@ func FuzzPoll(f *testing.F) {
 			t.Skip()
 		}
 		name := names[int(modelIdx)%len(names)]
-		intent, err := NewIntent("fuzz", append(fuzzSems, "payload_hash")...)
+		intent, err := NewIntent("fuzz", append(fuzzSems, "kv_key", "payload_hash")...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func FuzzPoll(f *testing.F) {
 			delivered++
 			// Reading a prefix that depends on the packet moves the mix under
 			// an evolving driver.
-			for _, s := range append(fuzzSems[:1+len(p)%len(fuzzSems):1+len(p)%len(fuzzSems)], "payload_hash") {
+			for _, s := range append(fuzzSems[:1+len(p)%len(fuzzSems):1+len(p)%len(fuzzSems)], "kv_key", "payload_hash") {
 				v, ok := meta.Get(s)
 				if want, wok := rxpath.Want(meta, s); !ok || !wok || v != want {
 					t.Fatalf("%s: %s = %#x/%v, want %#x/%v (packet %x)", name, s, v, ok, want, wok, p)

@@ -27,7 +27,7 @@ var gateSems = []string{"rss", "vlan", "pkt_len"}
 
 // gateLoops opens every driver the library ships on the one receive loop:
 // pinned, hardened with deep validation, evolving, the two composed, a
-// hardened one reading payload_hash, and the multi-tenant plane.
+// hardened one reading both burst forms, and the multi-tenant plane.
 func gateLoops(t *testing.T) []gateLoop {
 	t.Helper()
 	tr, err := workload.Generate(workload.DefaultSpec())
@@ -53,10 +53,10 @@ func gateLoops(t *testing.T) []gateLoop {
 		return gateLoop{name: name, packets: tr.Packets, rx: drv.Rx, poll: func() int { return drv.Poll(h) }}
 	}
 
-	// A hardened driver reading payload_hash on every delivery, polled once
-	// a window of packets is pending, so each read goes through the burst
-	// form over a full window or hits its memo.
-	hashIntent, err := NewIntent("gate", append(gateSems, "payload_hash")...)
+	// A hardened driver reading kv_key and payload_hash on every delivery,
+	// polled once a window of packets is pending, so each read goes through
+	// its burst form over a full window or hits the form's memo.
+	hashIntent, err := NewIntent("gate", append(gateSems, "kv_key", "payload_hash")...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +70,9 @@ func gateLoops(t *testing.T) []gateLoop {
 		}
 		return hashed.Poll(func(p []byte, meta Meta) {
 			h(p, meta)
+			k, _ := meta.Get("kv_key")
 			v, _ := meta.Get("payload_hash")
-			*sink += v
+			*sink += k + v
 		})
 	}}
 
