@@ -22,28 +22,27 @@ race:
 
 # Regenerate every experiment table (see EXPERIMENTS.md). Prints, gates nothing.
 bench:
-	$(GO) run ./cmd/descbench
+	$(GO) run ./cmd/opendesc experiments
 
 # Every shipped demo runs to exit 0 (stdout discarded, exit status only): the
-# five examples and one nicsim invocation per run path. They are the only
-# shipped callers of the -tenants plane and the -fleet demo.
+# five examples, one `opendesc run` per driver arming, and the tenant and
+# fleet scenarios with their transcripts.
 EVOLVING = -nic e1000e -req rss,ip_checksum,vlan,pkt_len
 demos:
 	@set -e; for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null; done
-	$(GO) run ./cmd/nicsim -packets 64 > /dev/null
-	$(GO) run ./cmd/nicsim -nic qdma -req kv_key,rss -kv -packets 64 > /dev/null
-	$(GO) run ./cmd/nicsim $(EVOLVING) -packets 1024 -evolve > /dev/null
-	$(GO) run ./cmd/nicsim -nic e1000e -req rss,vlan,pkt_len -packets 20000 -faults 'corrupt=1e-3,drop=5e-4,hang=2@5000' -seed 7 > /dev/null
-	$(GO) run ./cmd/nicsim $(EVOLVING) -packets 20000 -evolve -faults 'corrupt=1e-3,replay=1e-3,dup=1e-3,drop=5e-4,nak=0.2,hang=2@5000' -seed 7 > /dev/null
-	$(GO) run ./cmd/nicsim -tenants 6 -packets 2048 > /dev/null
-	$(GO) run ./cmd/nicsim -fleet 6 > /dev/null
+	$(GO) run ./cmd/opendesc run -packets 64 > /dev/null
+	$(GO) run ./cmd/opendesc run -nic qdma -req kv_key,rss -kv -packets 64 > /dev/null
+	$(GO) run ./cmd/opendesc run $(EVOLVING) -packets 1024 -evolve > /dev/null
+	$(GO) run ./cmd/opendesc run -nic e1000e -req rss,vlan,pkt_len -packets 20000 -faults 'corrupt=1e-3,drop=5e-4,hang=2@5000' -seed 7 > /dev/null
+	$(GO) run ./cmd/opendesc run $(EVOLVING) -packets 20000 -evolve -faults 'corrupt=1e-3,replay=1e-3,dup=1e-3,drop=5e-4,nak=0.2,hang=2@5000' -seed 7 > /dev/null
+	$(GO) run ./cmd/opendesc experiments -quick -v e19 e20 > /dev/null
 
 # The CI perf gate, locally: the alloc/clock gates, every experiment table
 # once (exit status only), then cmd/benchmark at HEAD~1 and at this tree on
 # this box, compared under the benchmark's own bounds.
 PERF_TMP = /tmp/opendesc-perf
 perf-gate: alloc-gate
-	$(GO) run ./cmd/descbench -quick > /dev/null
+	$(GO) run ./cmd/opendesc experiments -quick > /dev/null
 	rm -rf $(PERF_TMP) && git worktree prune && mkdir -p $(PERF_TMP)
 	git worktree add --detach $(PERF_TMP)/base HEAD~1
 	cd $(PERF_TMP)/base && $(GO) run ./cmd/benchmark -seconds 2 -trace 0 -out $(PERF_TMP)/base.json

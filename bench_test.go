@@ -1,8 +1,8 @@
 // This file hosts the repository-level benchmarks: the timed experiments
 // (EXPERIMENTS.md E1–E10) and the micro-benchmarks the later sections cite,
-// driving the same harness code as cmd/descbench through testing.B. It lives
-// in the external test package because internal/bench itself imports the
-// root package (E16 drives the hardened public driver).
+// driving the same harness code as `opendesc experiments` through
+// testing.B. It lives in the external test package because internal/bench
+// itself imports the root package (E16 drives the hardened public driver).
 package opendesc_test
 
 import (

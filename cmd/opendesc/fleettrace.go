@@ -1,10 +1,10 @@
 package main
 
 // The fleettrace mode merges a controller span file (opendesc-spans/v1 JSON,
-// written by `nicsim -fleet -trace`) with any number of host flight dumps
-// into one Chrome trace: the rollout → trial → bake → promote/rollback span
-// tree on the controller process, every host's flight ring on its own
-// process, all on the shared virtual timeline.
+// as `opendesc experiments -flight-dump dir e20` writes it) with any number
+// of host flight dumps into one Chrome trace: the rollout → trial → bake →
+// promote/rollback span tree on the controller process, every host's flight
+// ring on its own process, all on the shared virtual timeline.
 //
 //	opendesc fleettrace spans.json host-a.odfl host-b.odfl > trace.json
 

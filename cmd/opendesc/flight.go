@@ -69,9 +69,9 @@ func runFlight(args []string, w io.Writer) error {
 }
 
 // readDumps loads each .odfl file, naming its track after the file's
-// basename (sans extension) — the convention `nicsim -fleet -flight-dump`
-// and the host postmortem writer both follow, so merged tracks read as host
-// names.
+// basename (sans extension) — the convention E20's `-flight-dump` fleet
+// artifacts and the host postmortem writer both follow, so merged tracks
+// read as host names.
 func readDumps(paths []string) ([]flight.NamedSnapshot, error) {
 	var snaps []flight.NamedSnapshot
 	for _, p := range paths {

@@ -9,6 +9,10 @@
 //	opendesc -nic mlx5 -intent app.p4 -backend go -o gen/
 //	opendesc -nic qdma -req kv_key,rss -backend ebpf
 //	opendesc -nic e1000e -req rss -backend dot > cfg.dot
+//	opendesc run -nic mlx5 -req rss,vlan # drive the driver facade end to end, every read checked
+//	opendesc run -evolve -faults drop=1e-3 -nic e1000e -req rss,ip_checksum,vlan,pkt_len
+//	opendesc experiments -quick          # every experiment table (EXPERIMENTS.md)
+//	opendesc experiments -v e19 e20      # ... with the tenant and fleet transcripts
 //	opendesc flight dump.odfl            # decode a flight-recorder postmortem
 //	opendesc flight -chrome dump.odfl    # ... as Perfetto-loadable JSON
 //	opendesc flight -merge a.odfl b.odfl # N dumps, one time-aligned trace
@@ -31,6 +35,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,39 +49,35 @@ import (
 	"opendesc/internal/semantics"
 )
 
+// subcommands are the modes `opendesc <name> args…` dispatches to; each
+// parses its own flags.
+var subcommands = map[string]func(args []string, stdout, stderr io.Writer) int{
+	"run":         runDriver,
+	"experiments": runExperiments,
+	"flight":      exitStatus(runFlight),
+	"fleettrace":  exitStatus(runFleetTrace),
+	"chaos":       exitStatus(runChaos),
+	"describe":    exitStatus(runDescribe),
+	"verify":      exitStatus(runVerify),
+}
+
+// exitStatus adapts a mode that reports failure as an error: exit 1 with
+// the error on stderr.
+func exitStatus(run func(args []string, w io.Writer) error) func(args []string, stdout, stderr io.Writer) int {
+	return func(args []string, stdout, stderr io.Writer) int {
+		if err := run(args, stdout); err != nil {
+			fmt.Fprintf(stderr, "opendesc: %v\n", err)
+			return 1
+		}
+		return 0
+	}
+}
+
 func main() {
-	// Subcommand dispatch before flag parsing: `opendesc flight <dump>`
-	// decodes a flight-recorder postmortem dump; `opendesc chaos` runs the
-	// deterministic simulation harness.
-	if len(os.Args) > 1 && os.Args[1] == "flight" {
-		if err := runFlight(os.Args[2:], os.Stdout); err != nil {
-			fatal(err)
+	if len(os.Args) > 1 {
+		if sub, ok := subcommands[os.Args[1]]; ok {
+			os.Exit(sub(os.Args[2:], os.Stdout, os.Stderr))
 		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "fleettrace" {
-		if err := runFleetTrace(os.Args[2:], os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "chaos" {
-		if err := runChaos(os.Args[2:], os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "describe" {
-		if err := runDescribe(os.Args[2:], os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "verify" {
-		if err := runVerify(os.Args[2:], os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
 	}
 	var (
 		list       = flag.Bool("list", false, "list bundled NIC models and exit")
@@ -140,7 +141,7 @@ func main() {
 	if *traceFlag {
 		tr = obs.NewTrace("compile " + *nicArg)
 	}
-	info, nicName, err := loadNICTraced(*nicArg, tr)
+	info, nicName, err := loadNIC(*nicArg, tr)
 	if err != nil {
 		fatal(err)
 	}
@@ -175,40 +176,30 @@ func main() {
 		return
 	}
 
+	// Each backend renders one file: its default name under -o.
+	backends := map[string]struct {
+		file   string
+		render func() string
+	}{
+		"report": {"report.txt", res.Report},
+		"go":     {"accessors.go", func() string { return codegen.GenGo(res, *pkg) }},
+		"c":      {"accessors.h", func() string { return codegen.GenC(res, *prefix) }},
+		"ebpf":   {"accessors_bpf.c", func() string { return codegen.GenEBPF(res) }},
+		"dot":    {"deparser.dot", res.Graph.DOT},
+	}
+	b, ok := backends[*backend]
+	if !ok {
+		fatal(fmt.Errorf("unknown backend %q", *backend))
+	}
 	var sp *obs.Span
 	if tr != nil {
 		sp = tr.Start("codegen").Annotate("backend", *backend)
 	}
-	var out string
-	switch *backend {
-	case "report":
-		out = res.Report()
-	case "go":
-		out = codegen.GenGo(res, *pkg)
-	case "c":
-		out = codegen.GenC(res, *prefix)
-	case "ebpf":
-		out = codegen.GenEBPF(res)
-	case "dot":
-		out = res.Graph.DOT()
-	default:
-		fatal(fmt.Errorf("unknown backend %q", *backend))
-	}
+	out := b.render()
 	if sp != nil {
 		sp.Annotate("bytes", len(out)).End()
 	}
-	switch *backend {
-	case "report":
-		emit(*outDir, "report.txt", out)
-	case "go":
-		emit(*outDir, "accessors.go", out)
-	case "c":
-		emit(*outDir, "accessors.h", out)
-	case "ebpf":
-		emit(*outDir, "accessors_bpf.c", out)
-	case "dot":
-		emit(*outDir, "deparser.dot", out)
-	}
+	emit(*outDir, b.file, out)
 	if tr != nil {
 		fmt.Print(tr.Report())
 	}
@@ -219,11 +210,11 @@ func main() {
 // accessors moved, resized, or fell back to software, and whether the drift
 // breaks fixed-offset readers or only regenerated accessors.
 func runDiff(oldArg, newArg string, intent *core.Intent, alpha float64) (string, error) {
-	oldInfo, oldName, err := loadNIC(oldArg)
+	oldInfo, oldName, err := loadNIC(oldArg, nil)
 	if err != nil {
 		return "", err
 	}
-	newInfo, newName, err := loadNIC(newArg)
+	newInfo, newName, err := loadNIC(newArg, nil)
 	if err != nil {
 		return "", err
 	}
@@ -255,16 +246,11 @@ func runDiff(oldArg, newArg string, intent *core.Intent, alpha float64) (string,
 	return sb.String(), nil
 }
 
-// loadNIC resolves a bundled model name or a .p4 file into its checked description.
-func loadNIC(arg string) (*sema.Info, string, error) {
-	return loadNICTraced(arg, nil)
-}
-
-// loadNICTraced is loadNIC with optional frontend span recording: when tr is
-// non-nil the NIC description is (re)parsed and checked under "parse" and
+// loadNIC resolves a bundled model name or a .p4 file into its checked
+// description, with optional frontend span recording: when tr is non-nil the NIC description is (re)parsed and checked under "parse" and
 // "sema" spans — also for bundled models, whose cached Info would otherwise
 // hide the frontend cost.
-func loadNICTraced(arg string, tr *obs.Trace) (*sema.Info, string, error) {
+func loadNIC(arg string, tr *obs.Trace) (*sema.Info, string, error) {
 	var name, file, src string
 	if !strings.ContainsAny(arg, "./") {
 		m, err := nic.Load(arg)

@@ -11,14 +11,14 @@ import (
 )
 
 func TestLoadNICByName(t *testing.T) {
-	info, name, err := loadNIC("e1000e")
+	info, name, err := loadNIC("e1000e", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if name != "e1000e" || info == nil {
 		t.Errorf("info = %p name = %q", info, name)
 	}
-	if _, _, err := loadNIC("notanic"); err == nil {
+	if _, _, err := loadNIC("notanic", nil); err == nil {
 		t.Error("unknown model should fail")
 	}
 }
@@ -37,7 +37,7 @@ control CmptDeparser<CTX,DESC,META>(cmpt_out co, in CTX ctx, in DESC d, in META 
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	info, name, err := loadNIC(path)
+	info, name, err := loadNIC(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,10 +50,10 @@ control CmptDeparser<CTX,DESC,META>(cmpt_out co, in CTX ctx, in DESC d, in META 
 	// Malformed file errors cleanly.
 	bad := filepath.Join(dir, "bad.p4")
 	os.WriteFile(bad, []byte("header {"), 0o644)
-	if _, _, err := loadNIC(bad); err == nil {
+	if _, _, err := loadNIC(bad, nil); err == nil {
 		t.Error("malformed description should fail")
 	}
-	if _, _, err := loadNIC(filepath.Join(dir, "missing.p4")); err == nil {
+	if _, _, err := loadNIC(filepath.Join(dir, "missing.p4"), nil); err == nil {
 		t.Error("missing file should fail")
 	}
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"opendesc/internal/core"
@@ -30,13 +31,15 @@ func TestMain(m *testing.M) {
 }
 
 // ran holds one run of each registry entry per test binary, at the parameters
-// `descbench -quick` uses. The shape tests and TestEveryExperiment share it,
-// so E16's fault matrix and E18's corpus are driven once.
+// `opendesc experiments -quick -v` uses. The shape tests and
+// TestEveryExperiment share it, so E16's fault matrix and E18's corpus are
+// driven once.
 var ran = map[string]*outcome{}
 
 type outcome struct {
-	tab *Table
-	err error
+	tab        *Table
+	transcript string
+	err        error
 }
 
 func runExp(t *testing.T, id string) *Table {
@@ -48,8 +51,10 @@ func runExp(t *testing.T, id string) *Table {
 	if !ok {
 		for _, e := range Experiments {
 			if e.ID == id {
+				var w bytes.Buffer
 				o = &outcome{}
-				o.tab, o.err = e.Run(Params{Quick: true, FlightDump: flightDir})
+				o.tab, o.err = e.Run(Params{Quick: true, FlightDump: flightDir, Transcript: &w})
+				o.transcript = w.String()
 			}
 		}
 		if o == nil {
@@ -142,6 +147,8 @@ var exact = map[string]func(*testing.T, *Table){
 			eq(t, pfx+"provisioning hit rate", f.hitRate, want[i].hitRate)
 			eq(t, pfx+"delivered", f.delivered, want[i].delivered)
 			eq(t, pfx+"hosts that read garbage", f.canaries, 2)
+			eq(t, pfx+"telemetry reports collected", f.collected, want[i].hosts)
+			eq(t, pfx+"telemetry reports rejected", f.rejected, 0)
 		}
 		eq(t, "chaos cases", res.chaos.cases, 12)
 		eq(t, "chaos rollouts", res.chaos.rollouts, 195)
@@ -175,8 +182,29 @@ var exact = map[string]func(*testing.T, *Table){
 	},
 }
 
-// TestEveryExperiment runs the whole registry — what `descbench -quick`
-// prints — and holds every deterministic cell to its exact value.
+// transcripts holds, per experiment that writes one, lines its -v transcript
+// must carry: E19's per-plane rows and fairness, the 16-host E20 fleet's
+// quarantine, both rollout verdicts, the telemetry sweep and the controller
+// log. The 64-host fleet writes none.
+var transcripts = map[string][]string{
+	"e19": {
+		"serving 1 tenants on 1 cores", "serving 4 tenants on 2 cores", "serving 16 tenants on 4 cores", "serving 64 tenants on 8 cores",
+		"tenant00 renegotiates [rss pkt_len] -> [rss pkt_len flow_id]", "tenant63 ", "Jain service fairness: 1.0000",
+		"generation=",
+	},
+	"e20": {
+		"fleet: 17 hosts inventoried, 16 healthy, 6 distinct descriptions, 1 quarantined",
+		"quarantined rogue-00: ", "provisioned gen 1: compile cache 16 gets, 6 misses",
+		`rollout "widen" (gen 2): promoted fleet-wide`, `rollout "tampered" (gen 3): `,
+		"fleet after rollback: 16 hosts on gen 2, 768/768 packets delivered exactly once",
+		"telemetry sweep: 16 collected, 0 skipped, 0 rejected", "fleet rollup: 16 hosts", "  family ", "  gen 2: ",
+		"controller transcript:", `rollout "tampered": rolled back`,
+	},
+}
+
+// TestEveryExperiment runs the whole registry — what
+// `opendesc experiments -quick -v` prints — and holds every deterministic
+// cell to its exact value and every transcript to its lines.
 func TestEveryExperiment(t *testing.T) {
 	for _, e := range Experiments {
 		t.Run(e.ID, func(t *testing.T) {
@@ -186,6 +214,18 @@ func TestEveryExperiment(t *testing.T) {
 			}
 			if check := exact[e.ID]; check != nil {
 				check(t, tab)
+			}
+			out := ran[e.ID].transcript
+			for _, line := range transcripts[e.ID] {
+				if !strings.Contains(out, line) {
+					t.Errorf("transcript lacks %q:\n%s", line, out)
+				}
+			}
+			if n := strings.Count(out, "fleet: "); e.ID == "e20" && n != 1 {
+				t.Errorf("E20 wrote %d fleet transcripts, want the 16-host fleet's alone", n)
+			}
+			if transcripts[e.ID] == nil && out != "" {
+				t.Errorf("%s writes a transcript no test reads:\n%s", e.ID, out)
 			}
 		})
 	}

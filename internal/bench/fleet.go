@@ -1,11 +1,16 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"time"
 
 	"opendesc/internal/chaos"
 	"opendesc/internal/fleet"
+	"opendesc/internal/fleet/telemetry"
 	"opendesc/internal/nic"
 	"opendesc/internal/vclock"
 	"opendesc/internal/workload"
@@ -17,7 +22,8 @@ import (
 // provision through the content-addressed compile cache, promote a benign
 // upgrade, then push tampered descriptions whose canary trips the
 // golden-metadata oracle and verify the automatic rollback left every
-// non-canary host untouched with exactly-once delivery fleet-wide.
+// non-canary host untouched with exactly-once delivery fleet-wide; last, one
+// telemetry sweep must collect every healthy host's evidence and reject none.
 type e20Run struct {
 	hosts       int
 	quarantined int
@@ -32,9 +38,18 @@ type e20Run struct {
 	garbage             uint64
 	canaries            int
 	leaseReverts        uint64
+
+	collected, rejected int // the post-rollback telemetry sweep
 }
 
-func e20Scenario(hosts int) (*e20Run, error) {
+// e20Scenario runs one fleet of the given size. A non-nil w receives its
+// transcript; a non-empty dumpDir receives the controller's span tree as
+// spans.json and every member's flight ring as <host>.odfl, the inputs of
+// `opendesc fleettrace` and `opendesc flight -merge`.
+func e20Scenario(hosts int, w io.Writer, dumpDir string) (*e20Run, error) {
+	if w == nil {
+		w = io.Discard
+	}
 	clk := vclock.NewVirtual(1)
 	models := nic.All()
 	ctrl := fleet.NewController(fleet.Options{
@@ -65,6 +80,11 @@ func e20Scenario(hosts int) (*e20Run, error) {
 		return nil, fmt.Errorf("inventory: %d/%d healthy, %d quarantined (want %d/1)",
 			rep.Healthy, rep.Total, len(rep.Quarantined), hosts)
 	}
+	fmt.Fprintf(w, "fleet: %d hosts inventoried, %d healthy, %d distinct descriptions, %d quarantined\n",
+		rep.Total, rep.Healthy, len(rep.Digests), len(rep.Quarantined))
+	for _, q := range rep.Quarantined {
+		fmt.Fprintf(w, "  quarantined %s: %s\n", q.Host, q.Reason)
+	}
 	if err := ctrl.Provision(); err != nil {
 		return nil, err
 	}
@@ -78,6 +98,8 @@ func e20Scenario(hosts int) (*e20Run, error) {
 		digests:     len(rep.Digests),
 		hitRate:     pcs.HitRate(),
 	}
+	fmt.Fprintf(w, "provisioned gen 1: compile cache %d gets, %d misses, hit rate %.0f%%\n",
+		pcs.Gets, pcs.Misses, 100*pcs.HitRate())
 
 	tr, err := workload.Generate(workload.DefaultSpec())
 	if err != nil {
@@ -99,9 +121,8 @@ func e20Scenario(hosts int) (*e20Run, error) {
 	// Benign upgrade: widen the intent; must canary, bake, and promote on
 	// every healthy host with zero garbage anywhere.
 	start := time.Now()
-	r, err := ctrl.StartRollout(fleet.Upgrade{
-		Name: "widen", Semantics: []string{"rss", "pkt_len", "flow_id"},
-	})
+	widen := fleet.Upgrade{Name: "widen", Semantics: []string{"rss", "pkt_len", "flow_id"}}
+	r, err := ctrl.StartRollout(widen)
 	if err != nil {
 		return nil, err
 	}
@@ -110,6 +131,7 @@ func e20Scenario(hosts int) (*e20Run, error) {
 	}
 	run.promoteElapsed = time.Since(start)
 	goodGen := r.Gen()
+	fmt.Fprintf(w, "rollout %q (gen %d): promoted fleet-wide\n", widen.Name, goodGen)
 	for _, h := range members {
 		if h.Generation() != goodGen {
 			return nil, fmt.Errorf("host %s on gen %d after promote, want %d", h.Name, h.Generation(), goodGen)
@@ -131,10 +153,12 @@ func e20Scenario(hosts int) (*e20Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := r2.Run(pump); err == nil {
+	err = r2.Run(pump)
+	if err == nil {
 		return nil, fmt.Errorf("tampered rollout promoted — canary oracle never fired")
 	}
 	run.rollbackElapsed = time.Since(start)
+	fmt.Fprintf(w, "rollout %q (gen %d): %v\n", bad.Name, r2.Gen(), err)
 	pump()
 
 	badGen := r2.Gen()
@@ -173,7 +197,64 @@ func e20Scenario(hosts int) (*e20Run, error) {
 	if cs.Gets != cs.Hits+cs.Misses+cs.Coalesced {
 		return nil, fmt.Errorf("cache counters do not reconcile: %+v", cs)
 	}
+	fmt.Fprintf(w, "fleet after rollback: %d hosts on gen %d, %d/%d packets delivered exactly once, %d garbage reads on %d canaries\n",
+		hosts, goodGen, run.delivered, run.accepted, run.garbage, run.canaries)
+
+	// Every cell above is taken; the sweep moves none of them. Each healthy
+	// host ships its flight evidence, which the controller validates,
+	// cross-checks against its own Health view and rolls up.
+	sw := ctrl.CollectTelemetry()
+	run.collected, run.rejected = sw.Collected, sw.Rejected
+	if sw.Collected != hosts || sw.Rejected != 0 {
+		return nil, fmt.Errorf("telemetry sweep: %d collected, %d rejected (want %d, 0)", sw.Collected, sw.Rejected, hosts)
+	}
+	ru := ctrl.Rollup()
+	fmt.Fprintf(w, "telemetry sweep: %d collected, %d skipped, %d rejected\n", sw.Collected, sw.Skipped, sw.Rejected)
+	fmt.Fprintf(w, "fleet rollup: %d hosts, p99 poll→deliver %dns, anomaly rate %.4f\n",
+		ru.Hosts(), ru.FleetP99(), ru.AnomalyRate())
+	for _, fs := range ru.Families() {
+		fmt.Fprintf(w, "  family %-8s %2d hosts  %6d delivered  p99 %4dns  %d anomalies\n",
+			fs.Family, fs.Hosts, fs.Delivered, fs.P99Ns, fs.Anomalies)
+	}
+	for _, gs := range ru.Generations() {
+		fmt.Fprintf(w, "  gen %d: %d hosts, %d delivered, p99 %dns\n", gs.Gen, gs.Hosts, gs.Delivered, gs.P99Ns)
+	}
+	fmt.Fprintln(w, "controller transcript:")
+	for _, line := range ctrl.Transcript() {
+		fmt.Fprintf(w, "  %s\n", line)
+	}
+	fmt.Fprintln(w)
+	if dumpDir != "" {
+		if err := e20Dump(dumpDir, ctrl, members); err != nil {
+			return nil, err
+		}
+	}
 	return run, nil
+}
+
+// e20Dump writes a fleet's artifacts into dir: spans.json and one
+// <host>.odfl per member.
+func e20Dump(dir string, ctrl *fleet.Controller, members []*fleet.Host) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	var b bytes.Buffer
+	if err := telemetry.WriteSpans(&b, ctrl.Trace().Spans()); err != nil {
+		return err
+	}
+	if err := os.WriteFile(filepath.Join(dir, "spans.json"), b.Bytes(), 0o644); err != nil {
+		return err
+	}
+	for _, h := range members {
+		b.Reset()
+		if _, err := h.FlightSnapshot().WriteTo(&b); err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(dir, h.Name+".odfl"), b.Bytes(), 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // e20Result is the whole experiment: one scenario per fleet size and the
@@ -189,11 +270,14 @@ type e20Result struct {
 // push auto-rolled-back by the canary oracle with zero disruption off the
 // canaries, and the seeded fleet chaos sweep. Promote/rollback wall-clock is
 // context (dominated by the six compiles; no cmd/benchmark workload reaches
-// fleet.Host yet); counts and rates repeat exactly.
-func E20Fleet() (*Table, error) {
+// fleet.Host yet); counts and rates repeat exactly. The 16-host fleet
+// writes its transcript to a non-nil w and its artifacts into a non-empty
+// dumpDir.
+func E20Fleet(w io.Writer, dumpDir string) (*Table, error) {
 	res := &e20Result{}
 	for _, hosts := range []int{16, 64} {
-		run, err := e20Scenario(hosts)
+		run, err := e20Scenario(hosts, w, dumpDir)
+		w, dumpDir = nil, ""
 		if err != nil {
 			return nil, fmt.Errorf("e20 hosts=%d: %w", hosts, err)
 		}

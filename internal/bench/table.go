@@ -1,8 +1,8 @@
 // Package bench implements the OpenDesc experiment harness: one function per
 // experiment (EXPERIMENTS.md E1–E22), each regenerating the
 // corresponding table as formatted text, and the registry (Experiments) that
-// pins each one's parameters. cmd/descbench prints the registry; the package's
-// tests run it and assert every deterministic cell exactly. Nothing here gates
+// pins each one's parameters. `opendesc experiments` prints the registry; the
+// package's tests run it and assert every deterministic cell exactly. Nothing here gates
 // on a wall clock: timings in a table are context, the tracked numbers are
 // cmd/benchmark's.
 package bench

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -42,8 +43,10 @@ type e19Result struct {
 
 // e19Serve pushes a Zipf trace through a plane of (tenants, cores) with one
 // producer goroutine and one poll goroutine per core, renegotiating tenant 0
-// mid-run to show a live switchover under load loses nothing.
-func e19Serve(tenants, cores, packets int) (*e19Run, error) {
+// mid-run to show a live switchover under load loses nothing. A non-nil w
+// receives the run's transcript: per-tenant rows, the plane's generation and
+// renegotiation counters, and the service fairness.
+func e19Serve(tenants, cores, packets int, w io.Writer) (*e19Run, error) {
 	specs := make([]tenant.Spec, tenants)
 	for i := range specs {
 		specs[i] = tenant.Spec{
@@ -145,6 +148,17 @@ func e19Serve(tenants, cores, packets int) (*e19Run, error) {
 	run.loadFairness = tenant.JainFairness(loads)
 	run.steals = st.Steals
 	run.renegs = st.Renegs + st.FastRenegs
+	if w != nil {
+		fmt.Fprintf(w, "serving %d tenants on %d cores over simulated mlx5: %d Zipf(1.1) packets, 2M flows; at packet %d tenant00 renegotiates %v -> [rss pkt_len flow_id]\n",
+			tenants, cores, len(tr.Packets), len(tr.Packets)/2, specs[0].Semantics)
+		fmt.Fprintf(w, "%-10s %6s %10s %10s %12s\n", "tenant", "port", "accepted", "delivered", "p99 latency")
+		for _, ts := range st.Tenants {
+			fmt.Fprintf(w, "%-10s %6d %10d %10d %10.0fns\n", ts.Name, ts.Port, ts.Accepted, ts.Delivered, ts.P99)
+		}
+		fmt.Fprintf(w, "generation=%d renegotiations=%d (fast=%d) rollbacks=%d drained=%d steals=%d\n",
+			st.Generation, st.Renegs, st.FastRenegs, st.Rollbacks, st.Drained, st.Steals)
+		fmt.Fprintf(w, "Jain service fairness: %.4f\n\n", run.fairness)
+	}
 	if run.renegs == 0 {
 		return nil, fmt.Errorf("mid-run renegotiation did not complete")
 	}
@@ -158,13 +172,13 @@ func e19Serve(tenants, cores, packets int) (*e19Run, error) {
 // Throughput, steals and load fairness move with the scheduler and are
 // context; delivered counts, service fairness and the chaos totals repeat
 // exactly. The plane's tracked cost and latency are cmd/benchmark's
-// tenants_zipf workload.
-func E19Tenants(packets int) (*Table, error) {
+// tenants_zipf workload. A non-nil w receives each plane shape's transcript.
+func E19Tenants(packets int, w io.Writer) (*Table, error) {
 	res := &e19Result{}
 	for _, shape := range []struct{ tenants, cores int }{
 		{1, 1}, {4, 2}, {16, 4}, {64, 8},
 	} {
-		run, err := e19Serve(shape.tenants, shape.cores, packets)
+		run, err := e19Serve(shape.tenants, shape.cores, packets, w)
 		if err != nil {
 			return nil, fmt.Errorf("e19 t=%d c=%d: %w", shape.tenants, shape.cores, err)
 		}

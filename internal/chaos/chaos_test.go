@@ -43,8 +43,8 @@ func TestDeterministicTrace(t *testing.T) {
 }
 
 // TestCleanSweep runs a small seed corpus over every bundled NIC in both
-// modes and expects every oracle to hold (descbench e18 is the 10k-case
-// version of this).
+// modes and expects every oracle to hold (`opendesc experiments e18` is the
+// 10k-case version of this).
 func TestCleanSweep(t *testing.T) {
 	for _, nic := range []string{"e1000", "e1000e", "ice", "ixgbe", "mlx5", "qdma"} {
 		for _, mode := range []Mode{ModeHarden, ModeEvolve} {

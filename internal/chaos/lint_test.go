@@ -642,6 +642,61 @@ func TestDocPointersResolve(t *testing.T) {
 	}
 }
 
+// TestCommandPathsResolve: beyond the docs — in Go comments, the Makefile,
+// the CI workflows and the skill notes — a cmd/… path names something that
+// exists, so a command deleted or renamed leaves no pointer behind.
+func TestCommandPathsResolve(t *testing.T) {
+	root, err := repoRoot()
+	if err != nil {
+		t.Fatalf("locating repo root: %v", err)
+	}
+	cmdPath := regexp.MustCompile(`\bcmd/[\w./*{},-]*[\w*}]`)
+	check := func(where, text string) {
+		for _, p := range cmdPath.FindAllString(text, -1) {
+			if !pathExists(root, p) {
+				t.Errorf("%s: %s does not exist", where, p)
+			}
+		}
+	}
+	fset := token.NewFileSet()
+	err = walkGo(root, true, func(file, rel string) error {
+		f, err := parser.ParseFile(fset, file, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				check(fmt.Sprintf("%s:%d", rel, fset.Position(c.Pos()).Line), c.Text)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("walking repo: %v", err)
+	}
+	var files []string
+	for _, pattern := range []string{"Makefile", ".github/workflows/*.yml", ".claude/skills/*/SKILL.md"} {
+		m, err := filepath.Glob(filepath.Join(root, pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, m...)
+	}
+	if len(files) < 2 {
+		t.Fatalf("found %d of the Makefile and workflow files", len(files))
+	}
+	for _, file := range files {
+		b, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, _ := filepath.Rel(root, file)
+		for i, line := range strings.Split(string(b), "\n") {
+			check(fmt.Sprintf("%s:%d", rel, i+1), line)
+		}
+	}
+}
+
 // pathExists reports whether a repo path a doc names exists: "a/{b,c}" names
 // both, "a/*" at least one match, and "internal/chaos.RunFleet" its package.
 func pathExists(root, p string) bool {

@@ -121,7 +121,7 @@ func New(dev *nicsim.Device, intent *core.Intent, copts core.CompileOptions, opt
 	e := &Engine{
 		opts:          opts,
 		q:             q,
-		shims:         softnic.NewShimStats(nil),
+		shims:         softnic.NewShimStats(),
 		switchLatency: obs.NewHistogram(),
 	}
 	e.shims.AttachFlight(q.FlightQueue())
@@ -332,8 +332,9 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// RegisterMetrics exposes the control-plane counters and the switchover
-// latency histogram on an obs registry, beside the queue's own series.
+// RegisterMetrics exposes the control-plane counters, the switchover
+// latency histogram and the instrumented shims' per-semantic cost on an obs
+// registry, beside the queue's own series.
 func (e *Engine) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	r := e.res
 	base := append([]obs.Label{obs.L("nic", e.q.Dev().Model.Name)}, labels...)
@@ -352,5 +353,6 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 		l := append(append([]obs.Label{}, base...), obs.L("semantic", string(f.Semantic)))
 		reg.AttachCounter("opendesc_evolve_reads_total", "application metadata reads per semantic", &r.reads[i], l...)
 	}
+	e.shims.RegisterMetrics(reg, base...)
 	e.q.RegisterMetrics(reg, labels...)
 }

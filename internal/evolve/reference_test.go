@@ -145,7 +145,7 @@ func TestResolveMatchesReference(t *testing.T) {
 					var shims *softnic.ShimStats
 					funcs := map[semantics.Name]func([]byte) uint64{}
 					if measured {
-						shims = softnic.NewShimStats(nil)
+						shims = softnic.NewShimStats()
 						for s, f := range shims.Instrument(softnic.Funcs()) {
 							funcs[s] = f
 						}

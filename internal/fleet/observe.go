@@ -14,11 +14,9 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strconv"
 
 	"opendesc/internal/fleet/telemetry"
-	"opendesc/internal/obs/flight"
 	"opendesc/internal/retry"
 )
 
@@ -158,14 +156,3 @@ func (c *Controller) Rollup() *telemetry.Rollup { return c.rollup }
 
 // Trace exposes the controller's correlated span tree.
 func (c *Controller) Trace() *telemetry.Trace { return c.trace }
-
-// FleetTrace writes the merged Chrome-trace timeline: the controller's
-// rollout/trial/bake/verdict span tree as process 0 and every member's
-// flight ring as its own process, all on the shared virtual clock.
-func (c *Controller) FleetTrace(w io.Writer) error {
-	snaps := make([]flight.NamedSnapshot, 0, len(c.members))
-	for _, m := range c.members {
-		snaps = append(snaps, flight.NamedSnapshot{Name: m.host.Name, Snap: m.host.FlightSnapshot()})
-	}
-	return telemetry.WriteFleetTrace(w, c.trace.Spans(), snaps)
-}

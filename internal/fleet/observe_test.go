@@ -273,9 +273,9 @@ func TestPerRolloutPhaseGauge(t *testing.T) {
 	}
 }
 
-// TestFleetTraceMergedTimeline: the controller's span tree and every
-// host's flight ring land in one Chrome trace on the shared virtual
-// timeline.
+// TestFleetTraceMergedTimeline: the controller's span tree, through its
+// JSON round trip, and every host's flight ring land in one Chrome trace on
+// the shared virtual timeline.
 func TestFleetTraceMergedTimeline(t *testing.T) {
 	c, hosts, _, _ := newTestFleet(t, 2, Options{BakeTarget: 8})
 	c.Inventory()
@@ -292,8 +292,22 @@ func TestFleetTraceMergedTimeline(t *testing.T) {
 	}
 	c.CollectTelemetry()
 
+	// The artifacts a fleet ships: the span tree as schema-versioned JSON
+	// and every host's flight ring; the timeline is rebuilt from them.
+	var spansJSON bytes.Buffer
+	if err := telemetry.WriteSpans(&spansJSON, c.Trace().Spans()); err != nil {
+		t.Fatal(err)
+	}
+	spans, err := telemetry.ReadSpans(&spansJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snaps []flight.NamedSnapshot
+	for _, h := range hosts {
+		snaps = append(snaps, flight.NamedSnapshot{Name: h.Name, Snap: h.FlightSnapshot()})
+	}
 	var buf bytes.Buffer
-	if err := c.FleetTrace(&buf); err != nil {
+	if err := telemetry.WriteFleetTrace(&buf, spans, snaps); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

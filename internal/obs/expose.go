@@ -12,7 +12,7 @@ import (
 )
 
 // Table renders every registered metric as an aligned human-readable table
-// (the `ethtool -S`-style dump behind `cmd/nicsim -stats`).
+// (the `ethtool -S`-style dump behind `opendesc run -stats`).
 func (r *Registry) Table() string {
 	ms := r.snapshot()
 	var sb strings.Builder

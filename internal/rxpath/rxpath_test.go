@@ -334,7 +334,7 @@ func TestBurstMemoNeedsTheSamePacket(t *testing.T) {
 	q.Poll(-1, read(t, semantics.PayloadHash, semantics.KVKey))
 
 	q, _, packets = hashQueue(t, 0)
-	st := softnic.NewShimStats(nil)
+	st := softnic.NewShimStats()
 	q.Instrument(st)
 	l, err := q.Link(res)
 	if err != nil || l.burst != nil {

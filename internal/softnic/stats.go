@@ -1,6 +1,8 @@
 package softnic
 
 import (
+	"maps"
+	"slices"
 	"time"
 
 	"opendesc/internal/codegen"
@@ -24,11 +26,8 @@ type ShimStats struct {
 // AttachFlight wires per-call shim events into a flight-recorder queue.
 func (st *ShimStats) AttachFlight(q *flight.Queue) { st.fq = q }
 
-// NewShimStats creates counters for every emulable semantic and, when reg
-// is non-nil, registers them as
-// opendesc_softnic_calls_total{semantic=...} and
-// opendesc_softnic_nanos_total{semantic=...}.
-func NewShimStats(reg *obs.Registry) *ShimStats {
+// NewShimStats creates counters for every emulable semantic.
+func NewShimStats() *ShimStats {
 	st := &ShimStats{
 		calls: make(map[semantics.Name]*obs.Counter),
 		nanos: make(map[semantics.Name]*obs.Counter),
@@ -36,13 +35,19 @@ func NewShimStats(reg *obs.Registry) *ShimStats {
 	for name := range Funcs() {
 		st.calls[name] = &obs.Counter{}
 		st.nanos[name] = &obs.Counter{}
-		if reg != nil {
-			l := obs.L("semantic", string(name))
-			reg.AttachCounter("opendesc_softnic_calls_total", "SoftNIC shim invocations per semantic", st.calls[name], l)
-			reg.AttachCounter("opendesc_softnic_nanos_total", "nanoseconds spent in SoftNIC shims per semantic", st.nanos[name], l)
-		}
 	}
 	return st
+}
+
+// RegisterMetrics exposes the counters on reg as
+// opendesc_softnic_calls_total{semantic=...} and
+// opendesc_softnic_nanos_total{semantic=...}, beside the given labels.
+func (st *ShimStats) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
+	for _, name := range slices.Sorted(maps.Keys(st.calls)) {
+		l := append(append([]obs.Label{}, labels...), obs.L("semantic", string(name)))
+		reg.AttachCounter("opendesc_softnic_calls_total", "SoftNIC shim invocations per semantic", st.calls[name], l...)
+		reg.AttachCounter("opendesc_softnic_nanos_total", "nanoseconds spent in SoftNIC shims per semantic", st.nanos[name], l...)
+	}
 }
 
 // ShimCost is one semantic's accumulated emulation cost.
@@ -64,8 +69,9 @@ func (st *ShimStats) Cost(name semantics.Name) ShimCost {
 // of an emulable semantic's shim increments its call counter and attributes
 // its wall time; the other entries are returned as they are. The timing
 // costs one monotonic clock read pair per call (~tens of ns), so
-// instrumented shims are meant for observed runs (cmd/nicsim -stats, the
-// evolving driver's measured w(s)); benchmarks keep the bare table.
+// instrumented shims are meant for observed runs (the evolving driver's
+// measured w(s), served by `opendesc run -evolve -stats`); benchmarks keep
+// the bare table.
 func (st *ShimStats) Instrument(table map[semantics.Name]codegen.SoftFunc) map[semantics.Name]codegen.SoftFunc {
 	out := make(map[semantics.Name]codegen.SoftFunc, len(table))
 	for name, f := range table {

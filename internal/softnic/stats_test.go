@@ -10,7 +10,7 @@ import (
 )
 
 func TestInstrumentedFuncsCountAndCost(t *testing.T) {
-	st := NewShimStats(nil)
+	st := NewShimStats()
 	funcs := st.Instrument(Funcs())
 	if len(funcs) != len(Funcs()) {
 		t.Fatalf("instrumented set has %d funcs, bare has %d", len(funcs), len(Funcs()))
@@ -48,7 +48,8 @@ func TestInstrumentedFuncsCountAndCost(t *testing.T) {
 
 func TestShimStatsRegistration(t *testing.T) {
 	reg := obs.NewRegistry()
-	st := NewShimStats(reg)
+	st := NewShimStats()
+	st.RegisterMetrics(reg)
 	p := pkt.NewBuilder().WithUDP(1, 2).Build()
 	st.Instrument(Funcs())[semantics.PktLen](p)
 

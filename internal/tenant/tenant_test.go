@@ -439,3 +439,22 @@ func TestParkedDeliveriesBindOnce(t *testing.T) {
 		t.Errorf("delivering %d parked packets made %d allocations; the lane is bound when a packet is parked, not per delivery", pkts, allocs)
 	}
 }
+
+// Fairness returns Jain's fairness index over per-tenant SERVICE ratios
+// (delivered/accepted): 1.0 means every tenant's admitted traffic was served
+// in full proportion; 1/N means one tenant got service while the rest
+// starved. Raw demand skew (tenants offering different loads) does not lower
+// it — what the plane owes tenants is proportional service, not equal
+// traffic. A tenant that offered nothing counts as fully served.
+func (p *Plane) Fairness() float64 {
+	st := p.Stats()
+	xs := make([]float64, len(st.Tenants))
+	for i, t := range st.Tenants {
+		if t.Accepted == 0 {
+			xs[i] = 1
+			continue
+		}
+		xs[i] = float64(t.Delivered) / float64(t.Accepted)
+	}
+	return JainFairness(xs)
+}
