@@ -55,13 +55,13 @@ alloc-gate:
 	$(GO) test -run 'TestPollReadsClockOnGrid|TestLinkAllocGate' -v ./internal/rxpath
 	$(GO) test -run TestVerifyAllocGate -v ./internal/diffverify
 
-# Non-test Go lines per top-level directory: raw, and code only (no blank or
-# comment lines), then the words of the three prose docs. A PR states its net
-# delta from both.
+# Non-test Go and assembly lines per top-level directory: raw, and code only
+# (no blank or comment lines), then the words of the three prose docs. A PR
+# states its net delta from both.
 loc:
 	@for d in . cmd examples internal; do \
 		if [ $$d = . ]; then files=$$(ls *.go | grep -v _test.go); \
-		else files=$$(find $$d -name '*.go' ! -name '*_test.go'); fi; \
+		else files=$$(find $$d \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go'); fi; \
 		cat $$files | awk -v d=$$d ' \
 			{ raw++ } \
 			/^[ \t]*$$/ { next } \

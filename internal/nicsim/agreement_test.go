@@ -124,8 +124,9 @@ func (a *agreement) report(t testing.TB, frames int) {
 
 // agreementFrames is what the parser must hold its ground on: two generated
 // traces (TCP/UDP, VLAN, VXLAN, key-value requests, bad checksums), QinQ,
-// IPv6 and a bad IP header checksum built by hand, every truncation of
-// sixteen of those frames, and sixteen with a corrupted IP version nibble.
+// IPv6, a bad IP header checksum and Ethernet padding built by hand, every
+// truncation of sixteen of those frames, and sixteen with a corrupted IP
+// version nibble.
 func agreementFrames(t testing.TB) [][]byte {
 	var out [][]byte
 	for seed, spec := range []workload.Spec{
@@ -146,6 +147,12 @@ func agreementFrames(t testing.TB) [][]byte {
 		pkt.NewBuilder().WithIPv6(v6[0], v6[1]).WithTCP(80, 40000, 0x10).WithPayload([]byte("v6 tcp")).Build(),
 		pkt.NewBuilder().WithVLAN(0x0123).WithIPv6(v6[1], v6[0]).WithUDP(4789, 4789).WithPayload(make([]byte, 24)).Build(),
 		pkt.NewBuilder().WithBadIPChecksum().WithUDP(7, 9).Build(),
+		// Ethernet-padded to 60 bytes: the padding is no part of the
+		// datagram, its sums or its payload (a key running to the payload's
+		// end stops before it).
+		padded(pkt.NewBuilder().WithUDP(1, 2).WithPayload([]byte("pad!")).Build()),
+		padded(pkt.NewBuilder().WithTCP(1, 2, 0x10).Build()),
+		padded(pkt.NewBuilder().WithUDP(1, 11211).WithPayload([]byte("get k")).Build()),
 	}
 	out = append(out, hand...)
 	// Sixteen frames to cut: the hand-built ones and every tenth generated.
@@ -169,6 +176,14 @@ func agreementFrames(t testing.TB) [][]byte {
 		out = append(out, bad)
 	}
 	return out
+}
+
+// padded pads frame to Ethernet's 60-byte minimum with non-zero bytes.
+func padded(frame []byte) []byte {
+	for len(frame) < 60 {
+		frame = append(frame, 0xA5)
+	}
+	return frame
 }
 
 // TestDeviceAgreesWithShims: a semantic reads the same whether the device's

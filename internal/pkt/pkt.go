@@ -101,6 +101,10 @@ type Info struct {
 	L4Off int
 	// PayloadOff is the offset of the L4 payload (or -1).
 	PayloadOff int
+	// End is the offset just past the IP datagram: what its length field
+	// says, not the frame's end, so Ethernet padding is in no span. For a
+	// non-IP frame it is len(Data).
+	End int
 
 	L3 L3Kind
 	L4 L4Kind
@@ -130,12 +134,13 @@ func (in *Info) Reset() {
 	*in = Info{L2Off: -1, L3Off: -1, L4Off: -1, PayloadOff: -1}
 }
 
-// Payload returns the L4 payload bytes (nil when absent).
+// Payload returns the L4 payload bytes up to the datagram's end (nil when
+// absent).
 func (in *Info) Payload() []byte {
-	if in.PayloadOff < 0 || in.PayloadOff > len(in.Data) {
+	if in.PayloadOff < 0 || in.PayloadOff > in.End {
 		return nil
 	}
-	return in.Data[in.PayloadOff:]
+	return in.Data[in.PayloadOff:in.End]
 }
 
 // OuterTCI returns the outermost VLAN TCI (0 when untagged).
@@ -152,6 +157,7 @@ func (in *Info) OuterTCI() uint16 {
 func Decode(data []byte, in *Info) error {
 	in.Reset()
 	in.Data = data
+	in.End = len(data)
 	if len(data) < EthHeaderLen {
 		return ErrTruncated
 	}
@@ -202,6 +208,7 @@ func decodeIPv4(data []byte, off int, in *Info) error {
 	}
 	in.L3 = L3IPv4
 	in.L3Off = off
+	in.End = off + totalLen
 	in.IPID = binary.BigEndian.Uint16(b[4:6])
 	in.TTL = b[8]
 	in.IPProto = b[9]
@@ -220,6 +227,9 @@ func decodeIPv6(data []byte, off int, in *Info) error {
 	}
 	in.L3 = L3IPv6
 	in.L3Off = off
+	// A payload length past the frame is clipped to it: a truncated
+	// datagram is read as far as it goes.
+	in.End = min(off+IPv6HeaderLen+int(binary.BigEndian.Uint16(b[4:6])), len(data))
 	in.IPProto = b[6]
 	in.TTL = b[7]
 	copy(in.SrcIP[:], b[8:24])
@@ -227,10 +237,12 @@ func decodeIPv6(data []byte, off int, in *Info) error {
 	return decodeL4(data, off+IPv6HeaderLen, in)
 }
 
+// decodeL4 decodes the transport header at off, which must end inside the
+// datagram.
 func decodeL4(data []byte, off int, in *Info) error {
 	switch in.IPProto {
 	case ProtoTCP:
-		if len(data) < off+TCPMinLen {
+		if in.End < off+TCPMinLen {
 			return ErrTruncated
 		}
 		b := data[off:]
@@ -240,13 +252,13 @@ func decodeL4(data []byte, off int, in *Info) error {
 		in.DstPort = binary.BigEndian.Uint16(b[2:4])
 		in.TCPFlags = b[13]
 		dataOff := int(b[12]>>4) * 4
-		if dataOff < TCPMinLen || off+dataOff > len(data) {
+		if dataOff < TCPMinLen || off+dataOff > in.End {
 			return ErrBadLength
 		}
 		in.PayloadOff = off + dataOff
 		return nil
 	case ProtoUDP:
-		if len(data) < off+UDPHeaderLen {
+		if in.End < off+UDPHeaderLen {
 			return ErrTruncated
 		}
 		b := data[off:]

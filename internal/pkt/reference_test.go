@@ -3,6 +3,7 @@ package pkt
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -78,6 +79,86 @@ func FuzzChecksumMatchesReference(f *testing.F) {
 			t.Fatalf("%d bytes in one Add: %#04x, reference %#04x", len(data), Checksum(data), whole.Sum())
 		}
 	})
+}
+
+// TestVectorBodyMatchesGeneric: Add with the architecture's vector body and
+// the word-at-a-time body alone agree on bodies around every size the vector
+// body treats differently (its 128-byte threshold, its 64-byte step, its
+// 64 KiB chunk), all-0xFF bodies that fill its 32-bit lanes as fast as any
+// can, and Adds that start on odd offsets.
+func TestVectorBodyMatchesGeneric(t *testing.T) {
+	const chunk = 64 << 10
+	ones := bytes.Repeat([]byte{0xFF}, 3*chunk+200)
+	mixed := make([]byte, len(ones))
+	for i := range mixed {
+		mixed[i] = byte(i*131 + i>>9)
+	}
+	sizes := []int{0, 1, 63, 64, 127, 128, 129, 191, 192, 1023, 1024, 1500, chunk - 64, chunk, chunk + 63, chunk + 64, 2*chunk + 129, 3 * chunk}
+	for _, data := range [][]byte{ones, mixed} {
+		for _, n := range sizes {
+			for _, skew := range []int{0, 1, 3} { // an odd first byte, then an odd start
+				var vector, generic ChecksumAccumulator
+				vector.Add(data[:skew])
+				generic.add(data[:skew], math.MaxInt)
+				vector.Add(data[skew : skew+n])
+				generic.add(data[skew:skew+n], math.MaxInt)
+				if vector.Sum() != generic.Sum() {
+					t.Fatalf("%d bytes after %d (%#x...): vector %#04x, generic %#04x", n, skew, data[0], vector.Sum(), generic.Sum())
+				}
+			}
+		}
+	}
+	// The body that ends its backing array, cut into odd Adds.
+	tail := mixed[len(mixed)-1000 : len(mixed) : len(mixed)]
+	var vector, generic ChecksumAccumulator
+	for _, part := range [][]byte{tail[:1], tail[1:258], tail[258:]} {
+		vector.Add(part)
+		generic.add(part, math.MaxInt)
+	}
+	if vector.Sum() != generic.Sum() {
+		t.Fatalf("odd Adds to the array's end: vector %#04x, generic %#04x", vector.Sum(), generic.Sum())
+	}
+}
+
+// TestSpansEndAtTheDatagram: Ethernet pads a short frame to 60 bytes, and
+// the padding is neither payload nor summed: a padded valid datagram
+// verifies, its payload is what was sent, and the pseudo-header counts the
+// datagram's length. IPv6 stops at its payload length the same way.
+func TestSpansEndAtTheDatagram(t *testing.T) {
+	v6 := NewBuilder().WithIPv6([16]byte{0x20, 0x01, 15: 1}, [16]byte{0x20, 0x01, 15: 2})
+	for _, c := range []struct {
+		name    string
+		b       *Builder
+		payload string
+	}{
+		{"udp4 46→60", NewBuilder().WithUDP(1, 2).WithPayload([]byte("pad")), "pad"},
+		{"tcp4 ack 54→60", NewBuilder().WithTCP(1, 2, 0x10), ""},
+		{"udp6", v6.WithUDP(1, 2).WithPayload([]byte("v6")), "v6"},
+	} {
+		frame := c.b.Build()
+		padded := append(frame, bytes.Repeat([]byte{0xA5}, max(60-len(frame), 6))...)
+		var in Info
+		if err := Decode(padded, &in); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if in.End != len(frame) {
+			t.Errorf("%s: End %d, want the datagram's end %d", c.name, in.End, len(frame))
+		}
+		if string(in.Payload()) != c.payload {
+			t.Errorf("%s: payload %q, want %q", c.name, in.Payload(), c.payload)
+		}
+		if !VerifyL4(&in) {
+			t.Errorf("%s: padded valid datagram fails VerifyL4", c.name)
+		}
+	}
+	// A length field that leaves the transport header past the datagram's
+	// end: the header is not read out of the padding.
+	short := NewBuilder().WithTCP(1, 2, 0x10).Build()
+	binary.BigEndian.PutUint16(short[EthHeaderLen+2:], IPv4MinLen+8)
+	var in Info
+	if err := Decode(short, &in); err != ErrTruncated {
+		t.Errorf("TCP header past the IPv4 total length: %v, want %v", err, ErrTruncated)
+	}
 }
 
 // zeroSumPacket builds a datagram whose L4 checksum computes to 0: the

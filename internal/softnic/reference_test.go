@@ -259,24 +259,44 @@ func FuzzBatchMatchesRow(f *testing.F) {
 	f.Add([]byte("get key\r\n"), uint64(7))
 	f.Add(bytes.Repeat([]byte("get some:key\r\nset k 0 0 1\r\nx"), 40), uint64(BurstMax-1))
 	f.Add([]byte{}, uint64(1))
+	wideData, wideShape := wideSeed()
+	f.Add(wideData, wideShape)
 	f.Fuzz(func(t *testing.T, data []byte, shape uint64) {
 		if len(data) > 16<<10 {
 			data = data[:16<<10]
 		}
-		n := 1 + int(shape%BurstMax)
-		shape /= BurstMax
-		frames := make([][]byte, n)
-		for i := range frames {
-			piece := data[:len(data)/(n-i)]
-			data = data[len(piece):]
-			if shape&(1<<i) != 0 {
-				frames[i] = piece
-			} else {
-				frames[i] = pkt.NewBuilder().WithUDP(1, 2).WithPayload(piece).Build()
-			}
-		}
-		checkBurst(t, frames)
+		checkBurst(t, cutFrames(data, shape))
 	})
+}
+
+// cutFrames is FuzzBatchMatchesRow's window: data cut into 1 + shape%BurstMax
+// frames, frame i the raw piece where bit i of shape/BurstMax is set, else a
+// UDP frame carrying it.
+func cutFrames(data []byte, shape uint64) [][]byte {
+	n := 1 + int(shape%BurstMax)
+	shape /= BurstMax
+	frames := make([][]byte, n)
+	for i := range frames {
+		piece := data[:len(data)/(n-i)]
+		data = data[len(piece):]
+		if shape&(1<<i) != 0 {
+			frames[i] = piece
+		} else {
+			frames[i] = pkt.NewBuilder().WithUDP(1, 2).WithPayload(piece).Build()
+		}
+	}
+	return frames
+}
+
+// wideSeed is a FuzzBatchMatchesRow seed whose window the AVX2 pre-pass
+// takes: 24 frames, two of them raw (rejected), the rest UDP frames with
+// 512-byte payloads (TestWideSeedTakesTheKernel holds it to that).
+func wideSeed() ([]byte, uint64) {
+	data := make([]byte, 12<<10)
+	for i := range data {
+		data[i] = byte(i*37 + i>>8)
+	}
+	return data, 23 + BurstMax*(1<<3|1<<17)
 }
 
 // BenchmarkBurstForms prices each row with a burst form per frame on

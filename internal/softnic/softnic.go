@@ -10,8 +10,10 @@ package softnic
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/bits"
 	"time"
+	"unsafe"
 
 	"opendesc/internal/pkt"
 	"opendesc/internal/semantics"
@@ -293,6 +295,7 @@ func (f fnv) burst(span func(payload []byte) ([]byte, bool)) func(frames [][]byt
 	return func(frames [][]byte, out []uint64) {
 		var spans [BurstMax][]byte
 		var at [BurstMax]int
+		var h [BurstMax]uint64
 		n := 0
 		for i, fr := range frames {
 			out[i] = 0
@@ -301,20 +304,105 @@ func (f fnv) burst(span func(payload []byte) ([]byte, bool)) func(frames [][]byt
 				continue
 			}
 			if s, ok := span(in.Payload()); ok {
-				spans[n], at[n] = s, i
+				spans[n], at[n], h[n] = s, i, f.offset
 				n++
 			}
 		}
-		f.lanes(spans[:n], at[:n], out)
+		if f == fnv32 && haveAVX2 {
+			wide(spans[:n], h[:n], wideLanes)
+		}
+		f.lanes(spans[:n], h[:n], at[:n], out)
 	}
 }
 
-// lanes sets out[at[k]] to the hash of in[k] for every k. FNV-1a is one serial
-// multiply chain per input, but the inputs are independent chains: four run
-// side by side, one per lane. The moment a lane's input ends the lane takes
-// the next one; once none is left, it re-runs a live lane's bytes and its
-// value is dropped, so every fnv4 call keeps four chains in flight.
-func (f fnv) lanes(in [][]byte, at []int, out []uint64) {
+// The AVX2 pre-pass runs when a window holds wideLanes spans of wideMin bytes
+// or more. Its 32 lanes are latency-bound, so a call costs the same whether
+// one or all of them are live: about three rounds of the four-lane scheduler
+// (BenchmarkFNVLanes on a 2-vCPU Xeon: 12 spans of 1 KiB hash about as fast
+// either way, 16 a quarter faster and 32 2.4 times as fast on the kernel),
+// so it pays from the thirteenth long span.
+const (
+	wideMin   = 256
+	wideLanes = 13
+)
+
+// wideWindow picks the spans of in the AVX2 pre-pass covers and how far: the
+// spans of wideMin bytes or more, for the shortest one's length rounded down
+// to 4. live is 0 when fewer than minLive qualify.
+func wideWindow(in [][]byte, minLive int) (lane [BurstMax]int, live, n int) {
+	n = math.MaxInt
+	for i, s := range in {
+		if len(s) >= wideMin {
+			lane[live] = i
+			live++
+			n = min(n, len(s))
+		}
+	}
+	if live < minLive {
+		return lane, 0, 0
+	}
+	return lane, live, n &^ 3
+}
+
+// wide continues the FNV-1a-32 chains h over the first bytes of the long
+// spans of in on the AVX2 kernel, when there are at least minLive of them,
+// and advances each span it covers past those bytes. Spare lanes repeat live
+// ones and their values are dropped.
+func wide(in [][]byte, h []uint64, minLive int) {
+	lane, live, n := wideWindow(in, minLive)
+	if live == 0 {
+		return
+	}
+	// The spans are heap bytes (the burst form is only called through a
+	// function value, so its frames escape), so no stack move can shift them
+	// between taking their addresses here and the kernel's reads.
+	var addr [BurstMax]uintptr
+	for k := range addr {
+		addr[k] = uintptr(unsafe.Pointer(unsafe.SliceData(in[lane[k%live]])))
+	}
+	var off [BurstMax]int32
+	low, ok := laneOffsets(&addr, n, &off)
+	if !ok {
+		return
+	}
+	var hs [BurstMax]uint32
+	for k := range hs {
+		hs[k] = uint32(h[lane[k%live]])
+	}
+	fnvGather(unsafe.SliceData(in[lane[low%live]]), &off, &hs, n)
+	for k := range live {
+		h[lane[k]] = uint64(hs[k])
+		in[lane[k]] = in[lane[k]][n:]
+	}
+}
+
+// laneOffsets sets off[k] to addr[k]'s distance from the lowest address,
+// whose lane it returns. The kernel's gathers index by int32, so ok is false
+// when a lane's n bytes end 2 GiB or more past that address.
+func laneOffsets(addr *[BurstMax]uintptr, n int, off *[BurstMax]int32) (low int, ok bool) {
+	hi := addr[0]
+	for k, a := range addr {
+		if a < addr[low] {
+			low = k
+		}
+		hi = max(hi, a)
+	}
+	if hi-addr[low] > uintptr(math.MaxInt32-n) {
+		return 0, false
+	}
+	for k, a := range addr {
+		off[k] = int32(a - addr[low])
+	}
+	return low, true
+}
+
+// lanes sets out[at[k]] to the hash of in[k] continued from the state
+// start[k] for every k. FNV-1a is one serial multiply chain per input, but the inputs
+// are independent chains: four run side by side, one per lane. The moment a
+// lane's input ends the lane takes the next one; once none is left, it re-runs
+// a live lane's bytes and its value is dropped, so every fnv4 call keeps four
+// chains in flight.
+func (f fnv) lanes(in [][]byte, start []uint64, at []int, out []uint64) {
 	var (
 		p   [4][]byte
 		h   [4]uint64
@@ -326,11 +414,11 @@ func (f fnv) lanes(in [][]byte, at []int, out []uint64) {
 		for l := range p {
 			if own[l] < 0 {
 				for next < len(in) && len(in[next]) == 0 {
-					out[at[next]] = f.offset & f.mask
+					out[at[next]] = start[next] & f.mask
 					next++
 				}
 				if next < len(in) {
-					own[l], p[l], h[l] = next, in[next], f.offset
+					own[l], p[l], h[l] = next, in[next], start[next]
 					next++
 				}
 			}
