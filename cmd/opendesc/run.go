@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"opendesc"
+	"opendesc/internal/core"
 	"opendesc/internal/faults"
 	"opendesc/internal/nic"
 	"opendesc/internal/obs"
@@ -292,10 +293,10 @@ func printTxLayouts(w io.Writer, nicName string) {
 	if err != nil {
 		return
 	}
-	if layouts, err := model.TxLayouts(); err == nil && len(layouts) > 0 {
+	if formats, err := core.TxFormats(model.Info); err == nil && len(formats) > 0 {
 		fmt.Fprintf(w, "\nTX descriptor formats accepted by %s:\n", model.Name)
-		for _, l := range layouts {
-			fmt.Fprintf(w, "  %2dB  consumes %s", l.SizeBytes(), l.Consumes())
+		for _, l := range formats {
+			fmt.Fprintf(w, "  %2dB  consumes %s", l.SizeBytes(), l.Prov())
 			if len(l.Constraints) > 0 {
 				fmt.Fprintf(w, "  when ")
 				for i, c := range l.Constraints {

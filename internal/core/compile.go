@@ -104,6 +104,27 @@ func BuildDeparserGraph(info *sema.Info) (*Graph, error) {
 	return BuildGraph(info, inst)
 }
 
+// DescParser names the parser a description's TX direction is read from.
+const DescParser = "DescParser"
+
+// TxFormats lowers a description's DescParser into a CFG and enumerates the
+// TX descriptor formats it accepts; nil, nil when there is no DescParser.
+func TxFormats(info *sema.Info) ([]*Path, error) {
+	pr := info.Prog.Parser(DescParser)
+	if pr == nil {
+		return nil, nil
+	}
+	inst, err := info.BindParser(pr)
+	if err != nil {
+		return nil, err
+	}
+	g, err := BuildGraph(info, inst)
+	if err != nil {
+		return nil, err
+	}
+	return EnumeratePaths(g, EnumerateOptions{})
+}
+
 // Analysis is the description-side half of a compilation: the completion
 // deparser's CFG and its enumerated paths. It depends on the description and
 // the enumeration options only — never on an intent or a cost model — so one

@@ -1,6 +1,7 @@
 // Package core implements the OpenDesc compiler: it extracts the control-flow
 // graph of a NIC's completion deparser (each emit statement becomes a vertex,
-// each conditional two labeled edges), enumerates the root-to-leaf completion
+// each conditional two labeled edges) or of its TX DescParser (each extract
+// a vertex, each select a switch), enumerates the root-to-leaf
 // paths, characterizes them (Prov, Size), solves the path-selection
 // optimization of the paper's Eq. 1, and computes the selected layout from
 // which host accessors are synthesized.
@@ -95,9 +96,10 @@ type Node struct {
 	Succs []*Edge
 }
 
-// Graph is the control-flow graph of a completion deparser's apply block.
+// Graph is the control-flow graph of a completion deparser's apply block or
+// of a DescParser's state machine.
 type Graph struct {
-	Control string // deparser control name
+	Control string // deparser control or DescParser name
 	Entry   *Node
 	Exit    *Node
 	Nodes   []*Node
@@ -109,7 +111,7 @@ type Graph struct {
 // Info exposes the semantic info the graph was built against.
 func (g *Graph) Info() *sema.Info { return g.info }
 
-// Instance exposes the bound control instance.
+// Instance exposes the bound control or parser instance.
 func (g *Graph) Instance() *sema.Instance { return g.inst }
 
 // EmitCount returns the number of emit vertices.
@@ -124,12 +126,13 @@ func (g *Graph) EmitCount() int {
 }
 
 type graphBuilder struct {
-	g        *Graph
-	info     *sema.Info
-	inst     *sema.Instance
-	outParam string
-	err      error
-	fields   []EmitField // scratch: the emit being resolved, copied out at its length
+	g       *Graph
+	info    *sema.Info
+	inst    *sema.Instance
+	channel string // the cmpt_out or desc_in parameter
+	verb    string // "emit" or "extract": the call that commits fields on channel
+	err     error
+	fields  []EmitField // scratch: the emit being resolved, copied out at its length
 }
 
 func (b *graphBuilder) node(k NodeKind) *Node {
@@ -144,43 +147,107 @@ func (b *graphBuilder) errorf(pos token.Pos, format string, args ...any) {
 	}
 }
 
-// BuildGraph extracts the CFG from a bound completion-deparser instance. Its
-// completion channel is the first parameter whose type is the extern
-// `cmpt_out`.
+// BuildGraph extracts the CFG from a bound completion-deparser instance, whose
+// channel is its `cmpt_out` parameter, or from a bound DescParser instance,
+// whose channel is its `desc_in` (or `packet_in`) parameter (see lowerParser).
 func BuildGraph(info *sema.Info, inst *sema.Instance) (*Graph, error) {
-	ctl := inst.Control
-	if ctl == nil {
-		return nil, fmt.Errorf("instance is not a control")
+	b := &graphBuilder{info: info, inst: inst, verb: "emit"}
+	var kind, name, channel string
+	switch {
+	case inst.Control != nil:
+		kind, name, channel = "control", inst.Control.Name, "cmpt_out"
+		if inst.Control.Apply == nil {
+			return nil, fmt.Errorf("control %s has no apply block", name)
+		}
+	case inst.Parser != nil:
+		kind, name, channel, b.verb = "parser", inst.Parser.Name, "desc_in", "extract"
+	default:
+		return nil, fmt.Errorf("instance is neither a control nor a parser")
 	}
-	if ctl.Apply == nil {
-		return nil, fmt.Errorf("control %s has no apply block", ctl.Name)
-	}
-	var outParam string
 	for _, p := range inst.Params {
-		if et, ok := p.Type.(*sema.ExternType); ok && et.Name == "cmpt_out" {
-			outParam = p.Name
+		if et, ok := p.Type.(*sema.ExternType); ok && (et.Name == channel || b.verb == "extract" && et.Name == "packet_in") {
+			b.channel = p.Name
 			break
 		}
 	}
-	if outParam == "" {
-		return nil, fmt.Errorf("control %s: no cmpt_out parameter found", ctl.Name)
+	if b.channel == "" {
+		return nil, fmt.Errorf("%s %s: no %s parameter found", kind, name, channel)
 	}
-	b := &graphBuilder{
-		g:        &Graph{Control: ctl.Name, info: info, inst: inst},
-		info:     info,
-		inst:     inst,
-		outParam: outParam,
-	}
+	b.g = &Graph{Control: name, info: info, inst: inst}
 	b.g.Entry = b.node(NodeEntry)
 	b.g.Exit = b.node(NodeExit)
-	last := b.buildBlock(ctl.Apply, b.g.Entry)
-	for _, n := range last {
-		n.Succs = append(n.Succs, &Edge{To: b.g.Exit})
+	if inst.Parser != nil {
+		b.lowerParser(inst.Parser)
+	} else {
+		link(b.buildBlock(inst.Control.Apply, b.g.Entry), b.g.Exit, nil)
 	}
 	if b.err != nil {
 		return nil, b.err
 	}
 	return b.g, nil
+}
+
+// lowerParser lowers a parser state machine into the graph from Entry: a
+// state is an entry anchor followed by its statements, a one-expression
+// select is a switch on constant keys, accept is Exit, and reject (or no
+// transition) is a sink with no successor. A select has no implicit no-match
+// edge, since a select that matches nothing rejects. A state loop is refused:
+// a descriptor that loops has no finite set of layouts.
+func (b *graphBuilder) lowerParser(pr *ast.ParserDecl) {
+	reject := b.node(NodeEntry)
+	anchors := make(map[string]*Node)
+	var state func(name string, pos token.Pos) *Node
+	state = func(name string, pos token.Pos) *Node {
+		switch name {
+		case "accept":
+			return b.g.Exit
+		case "reject":
+			return reject
+		}
+		if n, ok := anchors[name]; ok {
+			if n == nil {
+				b.errorf(pos, "parser %s: state %q loops back to itself", pr.Name, name)
+				return reject
+			}
+			return n
+		}
+		st := pr.State(name)
+		if st == nil {
+			b.errorf(pos, "parser %s: transition to unknown state %q", pr.Name, name)
+			return reject
+		}
+		anchors[name] = nil // on the walk: reaching it again is a loop
+		anchor := b.node(NodeEntry)
+		last := []*Node{anchor}
+		for _, s := range st.Stmts {
+			last = b.buildStmt(s, last)
+		}
+		switch tr := st.Transition.(type) {
+		case nil:
+			link(last, reject, nil)
+		case *ast.DirectTransition:
+			link(last, state(tr.Target, tr.Pos()), nil)
+		case *ast.SelectTransition:
+			if len(tr.Exprs) != 1 {
+				b.errorf(tr.Pos(), "parser %s: select on a tuple of %d expressions", pr.Name, len(tr.Exprs))
+				break
+			}
+			sw := b.node(NodeSwitch)
+			sw.Tag = tr.Exprs[0]
+			link(last, sw, nil)
+			tag := ast.Sprint(sw.Tag)
+			sw.Succs = make([]*Edge, 0, len(tr.Cases))
+			for _, c := range tr.Cases {
+				e := b.caseEdge(tag, c.Keys, c.IsDefault, c.Pos(), "select")
+				e.To = state(c.Target, c.Pos())
+				sw.Succs = append(sw.Succs, e)
+			}
+		}
+		anchors[name] = anchor
+		return anchor
+	}
+	start := state("start", pr.Pos())
+	b.g.Entry.Succs = append(b.g.Entry.Succs, &Edge{To: start})
 }
 
 // buildBlock threads the statements of a block after the given predecessors
@@ -197,16 +264,16 @@ func (b *graphBuilder) buildStmt(s ast.Stmt, pred []*Node) []*Node {
 	switch s := s.(type) {
 	case *ast.CallStmt:
 		recv, name := s.Call.Callee()
-		if name != "emit" {
-			// Non-emit calls (logging externs, etc.) do not affect layout.
+		if name != b.verb {
+			// Other calls (logging externs, etc.) do not affect layout.
 			return pred
 		}
-		if id, ok := ast.Unparen(recvOf(recv)).(*ast.Ident); !ok || id.Name != b.outParam {
-			// emit on something else than the completion channel.
+		if id, ok := ast.Unparen(recvOf(recv)).(*ast.Ident); !ok || id.Name != b.channel {
+			// A call on something else than the channel.
 			return pred
 		}
 		if len(s.Call.Args) != 1 {
-			b.errorf(s.Pos(), "emit takes exactly one argument")
+			b.errorf(s.Pos(), "%s takes exactly one argument", b.verb)
 			return pred
 		}
 		em := b.resolveEmit(s.Call.Args[0], s.Pos())
@@ -263,23 +330,9 @@ func (b *graphBuilder) buildStmt(s ast.Stmt, pred []*Node) []*Node {
 		sw.Succs = make([]*Edge, 0, len(s.Cases)+1) // +1: the implicit no-match edge
 		for _, c := range s.Cases {
 			entry := b.node(NodeEntry)
-			e := &Edge{To: entry}
-			if c.IsDefault {
-				hasDefault = true
-				e.IsDefault = true
-				e.Label = tag + " = default"
-			} else {
-				e.CaseVals = make([]sema.Value, 0, len(c.Keys))
-				for _, k := range c.Keys {
-					v, err := b.info.Eval(k, nil)
-					if err != nil {
-						b.errorf(c.Pos(), "switch case key must be constant: %v", err)
-						continue
-					}
-					e.CaseVals = append(e.CaseVals, v)
-				}
-				e.Label = tag + " = " + caseLabel(e.CaseVals)
-			}
+			e := b.caseEdge(tag, c.Keys, c.IsDefault, c.Pos(), "switch")
+			e.To = entry
+			hasDefault = hasDefault || c.IsDefault
 			sw.Succs = append(sw.Succs, e)
 			out = append(out, b.buildBlock(c.Body, entry)...)
 		}
@@ -303,9 +356,28 @@ func (b *graphBuilder) buildStmt(s ast.Stmt, pred []*Node) []*Node {
 		return pred
 
 	default:
-		b.errorf(s.Pos(), "unsupported statement %T in deparser apply block", s)
+		b.errorf(s.Pos(), "unsupported statement %T in %s", s, b.g.Control)
 		return pred
 	}
+}
+
+// caseEdge builds the edge of one switch or select arm (what names which) with
+// its label; a non-default arm's keys must fold to constants.
+func (b *graphBuilder) caseEdge(tag string, keys []ast.Expr, isDefault bool, pos token.Pos, what string) *Edge {
+	if isDefault {
+		return &Edge{IsDefault: true, Label: tag + " = default"}
+	}
+	e := &Edge{CaseVals: make([]sema.Value, 0, len(keys))}
+	for _, k := range keys {
+		v, err := b.info.Eval(k, nil)
+		if err != nil {
+			b.errorf(pos, "%s case key must be constant: %v", what, err)
+			continue
+		}
+		e.CaseVals = append(e.CaseVals, v)
+	}
+	e.Label = tag + " = " + caseLabel(e.CaseVals)
+	return e
 }
 
 func caseLabel(vals []sema.Value) string {
@@ -338,8 +410,8 @@ func recvOf(e ast.Expr) ast.Expr {
 	return e
 }
 
-// resolveEmit flattens the argument of an emit call into the fields it
-// commits to the completion stream.
+// resolveEmit flattens the argument of an emit (or extract) call into the
+// fields it commits to (or takes from) the channel.
 func (b *graphBuilder) resolveEmit(arg ast.Expr, pos token.Pos) *Emit {
 	arg = ast.Unparen(arg)
 	em := &Emit{Pos: pos}
@@ -350,22 +422,22 @@ func (b *graphBuilder) resolveEmit(arg ast.Expr, pos token.Pos) *Emit {
 		em.Source = a.Name
 		bp := b.inst.Param(a.Name)
 		if bp == nil {
-			b.errorf(pos, "emit of unknown name %q", a.Name)
+			b.errorf(pos, "%s of unknown name %q", b.verb, a.Name)
 			return nil
 		}
 		ct, ok := bp.Type.(*sema.CompositeType)
 		if !ok {
-			b.errorf(pos, "emit of non-composite parameter %q (%s)", a.Name, bp.Type)
+			b.errorf(pos, "%s of non-composite parameter %q (%s)", b.verb, a.Name, bp.Type)
 			return nil
 		}
 		b.flatten(em, a.Name, ct)
 	case *ast.MemberExpr:
 		// The dotted path names the argument and, for a leaf, its one field.
 		if em.Source = a.Path(); em.Source == "" {
-			b.errorf(pos, "emit argument %s is not rooted at a parameter", ast.Sprint(arg))
+			b.errorf(pos, "%s argument %s is not rooted at a parameter", b.verb, ast.Sprint(arg))
 			return nil
 		}
-		fi, err := memberField(b.inst, a, "emit")
+		fi, err := memberField(b.inst, a, b.verb)
 		if err != nil {
 			b.errorf(pos, "%v", err)
 			return nil
@@ -386,11 +458,11 @@ func (b *graphBuilder) resolveEmit(arg ast.Expr, pos token.Pos) *Emit {
 			})
 		}
 	default:
-		b.errorf(pos, "unsupported emit argument %T", arg)
+		b.errorf(pos, "unsupported %s argument %T", b.verb, arg)
 		return nil
 	}
 	if len(b.fields) == 0 {
-		b.errorf(pos, "emit of %s commits no fields", em.Source)
+		b.errorf(pos, "%s of %s commits no fields", b.verb, em.Source)
 		return nil
 	}
 	em.Fields = append(make([]EmitField, 0, len(b.fields)), b.fields...)

@@ -148,12 +148,24 @@ func EnumeratePaths(g *Graph, opts EnumerateOptions) ([]*Path, error) {
 		maxPaths = DefaultMaxPaths
 	}
 	var paths []*Path
+	// walks counts every walk that ends, at Exit or at a dead end (a parser's
+	// reject, or a select none of whose arms holds), so the bound limits the
+	// search and not only its yield: shared states can hide 2^k dead walks
+	// behind a graph of linear size.
+	walks := 0
+	end := func() error {
+		if walks >= maxPaths {
+			return fmt.Errorf("%w: more than %d paths in %s", ErrTooManyPaths, maxPaths, g.Control)
+		}
+		walks++
+		return nil
+	}
 	var walk func(n *Node, env *pathEnv, cons []Constraint, emits []*Emit) error
 	walk = func(n *Node, env *pathEnv, cons []Constraint, emits []*Emit) error {
 		switch n.Kind {
 		case NodeExit:
-			if len(paths) >= maxPaths {
-				return fmt.Errorf("%w: more than %d paths in %s", ErrTooManyPaths, maxPaths, g.Control)
+			if err := end(); err != nil {
+				return err
 			}
 			p := &Path{
 				ID:          len(paths),
@@ -166,6 +178,7 @@ func EnumeratePaths(g *Graph, opts EnumerateOptions) ([]*Path, error) {
 		case NodeEmit:
 			emits = append(emits, n.Emit)
 		}
+		taken := false
 		for _, e := range n.Succs {
 			childEnv := env
 			childCons := cons
@@ -176,9 +189,13 @@ func EnumeratePaths(g *Graph, opts EnumerateOptions) ([]*Path, error) {
 				}
 				childEnv, childCons = newEnv, newCons
 			}
+			taken = true
 			if err := walk(e.To, childEnv, childCons, emits); err != nil {
 				return err
 			}
+		}
+		if !taken {
+			return end()
 		}
 		return nil
 	}

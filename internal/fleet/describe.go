@@ -9,9 +9,10 @@
 // network, so — following P4K's
 // framing — they are untrusted input: everything is structurally validated
 // (size bound, schema version, content digest, parse, semantic check,
-// deparser graph, path enumeration, capability-claim consistency) before a
-// single compile runs, and a host whose description fails validation is
-// quarantined with an operator-visible reason, never compiled for.
+// deparser graph, path enumeration, DescParser lowering, capability-claim
+// consistency) before a single compile runs, and a host whose description
+// fails validation is quarantined with an operator-visible reason, never
+// compiled for.
 package fleet
 
 import (
@@ -50,7 +51,8 @@ type Capabilities struct {
 	Paths int `json:"paths"`
 	// CompletionBytes lists the distinct completion-record sizes, ascending.
 	CompletionBytes []int `json:"completion_bytes"`
-	// TxParser reports a TX-direction descriptor parser in the description.
+	// TxParser reports a DescParser (core.DescParser) in the description,
+	// which lowers to its TX descriptor formats.
 	TxParser bool `json:"tx_parser"`
 	// Programmable/StageBudget mirror the pipeline resource model.
 	Programmable bool `json:"programmable"`
@@ -94,6 +96,10 @@ func Describe(m *nic.Model, host string) (*Description, error) {
 	if err != nil {
 		return nil, err
 	}
+	tx, err := txParser(m.Info)
+	if err != nil {
+		return nil, err
+	}
 	sems := make([]string, 0, len(prov))
 	for _, n := range prov.Sorted() {
 		sems = append(sems, string(n))
@@ -110,7 +116,7 @@ func Describe(m *nic.Model, host string) (*Description, error) {
 			Semantics:       sems,
 			Paths:           len(paths),
 			CompletionBytes: sizes,
-			TxParser:        m.TxParserName != "",
+			TxParser:        tx,
 			Programmable:    m.Pipeline.Programmable,
 			StageBudget:     m.Pipeline.StageBudget,
 		},
@@ -119,8 +125,8 @@ func Describe(m *nic.Model, host string) (*Description, error) {
 
 // RewriteSource returns a copy of d publishing src as its interface
 // description, with the content digest and every recomputed capability
-// claim (semantics, path count, completion sizes) consistent with the new
-// source. This models the *structurally honest* rogue publisher: the
+// claim (semantics, path count, completion sizes, TX parser) consistent with
+// the new source. This models the *structurally honest* rogue publisher: the
 // document sails through Validate because nothing in it contradicts itself —
 // only the S27 differential-verification gate (or, for pure meaning lies,
 // the canary bake) can tell the description is not one to serve on.
@@ -139,6 +145,7 @@ func (d *Description) RewriteSource(src string) (*Description, error) {
 	out.Capabilities.Semantics = sems
 	out.Capabilities.Paths = len(v.Analysis.Paths)
 	out.Capabilities.CompletionBytes = v.Analysis.CompletionSizes()
+	out.Capabilities.TxParser = v.TxParser
 	return &out, nil
 }
 
@@ -154,12 +161,15 @@ type Validated struct {
 	Analysis *core.Analysis
 	// Providable is the union of what its paths provide.
 	Providable semantics.Set
+	// TxParser: the description has a DescParser, and it lowers.
+	TxParser bool
 }
 
 // ValidateSource structurally validates a bare P4 interface description
 // (the inner half of Validate, also used for vendor-pushed description
 // updates in an Upgrade): parse, semantic check, deparser graph, path
-// enumeration, non-empty providable set.
+// enumeration, non-empty providable set, and a DescParser, if there is one,
+// that lowers to its TX formats.
 func ValidateSource(name, src string) (*Validated, error) {
 	if len(src) == 0 {
 		return nil, fmt.Errorf("empty P4 source")
@@ -186,11 +196,25 @@ func ValidateSource(name, src string) (*Validated, error) {
 	if len(prov) == 0 {
 		return nil, fmt.Errorf("description provides no semantics")
 	}
+	tx, err := txParser(info)
+	if err != nil {
+		return nil, err
+	}
 	return &Validated{
 		Digest:     core.SourceDigest(src),
 		Analysis:   a,
 		Providable: prov,
+		TxParser:   tx,
 	}, nil
+}
+
+// txParser computes the tx_parser claim: the description has a DescParser,
+// and it lowers to its TX formats.
+func txParser(info *sema.Info) (bool, error) {
+	if _, err := core.TxFormats(info); err != nil {
+		return false, fmt.Errorf("tx parser: %w", err)
+	}
+	return info.Prog.Parser(core.DescParser) != nil, nil
 }
 
 // Validate structurally validates one untrusted describe document. The
@@ -241,6 +265,10 @@ func Validate(data []byte) (*Validated, error) {
 			return nil, fmt.Errorf("capability claim mismatch: completion sizes %v, source has %v",
 				d.Capabilities.CompletionBytes, want)
 		}
+	}
+	if d.Capabilities.TxParser != v.TxParser {
+		return nil, fmt.Errorf("capability claim mismatch: claims tx_parser %v, source has %v",
+			d.Capabilities.TxParser, v.TxParser)
 	}
 	v.Desc = &d
 	return v, nil

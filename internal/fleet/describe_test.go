@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -113,6 +114,15 @@ func TestValidateQuarantineReasons(t *testing.T) {
 		}), "capability claim mismatch"},
 		{"path overclaim", mutate(func(d *Description) { d.Capabilities.Paths++ }), "capability claim mismatch"},
 		{"size lie", mutate(func(d *Description) { d.Capabilities.CompletionBytes = []int{1} }), "capability claim mismatch"},
+		{"tx parser lie", mutate(func(d *Description) { d.Capabilities.TxParser = false }), "capability claim mismatch"},
+		{"tx parser loops", mutate(func(d *Description) {
+			d.P4 = strings.Replace(d.P4, "transition accept;", "transition start;", 1)
+			d.Digest = core.SourceDigest(d.P4)
+		}), `tx parser: e1000e.p4:`},
+		{"tx parser explodes", mutate(func(d *Description) {
+			d.P4 = explodingTxParser(d.P4)
+			d.Digest = core.SourceDigest(d.P4)
+		}), "path explosion"},
 		{"broken p4", mutate(func(d *Description) {
 			d.P4 = "parser Broken {"
 			d.Digest = core.SourceDigest(d.P4)
@@ -125,6 +135,54 @@ func TestValidateQuarantineReasons(t *testing.T) {
 		} else if !strings.Contains(err.Error(), c.reason) {
 			t.Errorf("%s: reason %q does not mention %q", c.name, err, c.reason)
 		}
+	}
+}
+
+// explodingTxParser rewrites e1000e's DescParser into a chain of 40 shared
+// two-arm select states ending in reject: a graph of linear size whose 2^40
+// walks all die before accept.
+func explodingTxParser(src string) string {
+	const n = 40
+	var fields, states strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&fields, " bit<1> f%d;", i)
+		fmt.Fprintf(&states, "    state s%d { transition select(h2c_ctx.f%d) { 0: s%d; default: s%d; } }\n", i, i, i+1, i+1)
+	}
+	fmt.Fprintf(&states, "    state s%d { transition reject; }\n", n)
+	src = strings.Replace(src, "bit<1> use_rss;", "bit<1> use_rss;"+fields.String(), 1)
+	return strings.Replace(src, `        din.extract(desc_hdr);
+        transition accept;
+    }
+`, `        din.extract(desc_hdr);
+        transition s0;
+    }
+`+states.String(), 1)
+}
+
+// TestRewriteSourceKeepsTxClaim: a rewritten source without a DescParser
+// publishes tx_parser false, and the rewritten document validates.
+func TestRewriteSourceKeepsTxClaim(t *testing.T) {
+	m := nic.MustLoad("e1000e")
+	d, err := Describe(m, "h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Capabilities.TxParser {
+		t.Fatal("bundled e1000e must claim tx_parser")
+	}
+	rd, err := d.RewriteSource(strings.Replace(m.Source, "parser DescParser<", "parser OtherParser<", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rd.Capabilities.TxParser {
+		t.Error("rewrite without a DescParser still claims tx_parser")
+	}
+	raw, err := rd.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Validate(raw); err != nil {
+		t.Errorf("rewritten document rejected: %v", err)
 	}
 }
 

@@ -75,11 +75,10 @@ control CmptDeparser<C2H_CTX_T, DESC_T, META_T>(
 
 func init() {
 	register(&Model{
-		Name:         "e1000",
-		Vendor:       "Intel",
-		Kind:         FixedFunction,
-		Description:  "Early Intel gigabit NIC; one fixed 8-byte write-back layout with IP checksum",
-		Source:       e1000Source,
-		TxParserName: "DescParser",
+		Name:        "e1000",
+		Vendor:      "Intel",
+		Kind:        FixedFunction,
+		Description: "Early Intel gigabit NIC; one fixed 8-byte write-back layout with IP checksum",
+		Source:      e1000Source,
 	})
 }

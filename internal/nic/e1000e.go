@@ -84,11 +84,10 @@ control CmptDeparser<C2H_CTX_T, DESC_T, META_T>(
 
 func init() {
 	register(&Model{
-		Name:         "e1000e",
-		Vendor:       "Intel",
-		Kind:         FixedFunction,
-		Description:  "Newer Intel extended descriptor: RSS hash XOR ip_id+checksum (paper Fig. 6)",
-		Source:       e1000eSource,
-		TxParserName: "DescParser",
+		Name:        "e1000e",
+		Vendor:      "Intel",
+		Kind:        FixedFunction,
+		Description: "Newer Intel extended descriptor: RSS hash XOR ip_id+checksum (paper Fig. 6)",
+		Source:      e1000eSource,
 	})
 }

@@ -117,12 +117,11 @@ control CmptDeparser<C2H_CTX_T, DESC_T, META_T, PAD_T>(
 
 func init() {
 	register(&Model{
-		Name:         "ice",
-		Vendor:       "Intel",
-		Kind:         PartiallyProgrammable,
-		Description:  "E810 flexible descriptor: legacy 16B write-back + two 32B flex RXDID profiles",
-		Pipeline:     core.PipelineCaps{Programmable: true, StageBudget: 2},
-		Source:       iceSource,
-		TxParserName: "DescParser",
+		Name:        "ice",
+		Vendor:      "Intel",
+		Kind:        PartiallyProgrammable,
+		Description: "E810 flexible descriptor: legacy 16B write-back + two 32B flex RXDID profiles",
+		Pipeline:    core.PipelineCaps{Programmable: true, StageBudget: 2},
+		Source:      iceSource,
 	})
 }

@@ -92,11 +92,10 @@ control CmptDeparser<C2H_CTX_T, DESC_T, META_T>(
 
 func init() {
 	register(&Model{
-		Name:         "ixgbe",
-		Vendor:       "Intel",
-		Kind:         FixedFunction,
-		Description:  "82599-class advanced write-back: RSS / flow-director / fragment-checksum MRQ modes",
-		Source:       ixgbeSource,
-		TxParserName: "DescParser",
+		Name:        "ixgbe",
+		Vendor:      "Intel",
+		Kind:        FixedFunction,
+		Description: "82599-class advanced write-back: RSS / flow-director / fragment-checksum MRQ modes",
+		Source:      ixgbeSource,
 	})
 }

@@ -144,12 +144,11 @@ control CmptDeparser<C2H_CTX_T, DESC_T, META_T, PAD_T>(
 
 func init() {
 	register(&Model{
-		Name:         "mlx5",
-		Vendor:       "NVIDIA",
-		Kind:         PartiallyProgrammable,
-		Description:  "ConnectX-style CQE: 64B full (12 metadata fields), 16B compressed, 8B mini",
-		Pipeline:     core.PipelineCaps{Programmable: true, StageBudget: 4},
-		Source:       mlx5Source,
-		TxParserName: "DescParser",
+		Name:        "mlx5",
+		Vendor:      "NVIDIA",
+		Kind:        PartiallyProgrammable,
+		Description: "ConnectX-style CQE: 64B full (12 metadata fields), 16B compressed, 8B mini",
+		Pipeline:    core.PipelineCaps{Programmable: true, StageBudget: 4},
+		Source:      mlx5Source,
 	})
 }

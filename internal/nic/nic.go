@@ -60,9 +60,6 @@ type Model struct {
 	Source string
 	// Info is the checked program.
 	Info *sema.Info
-	// TxParserName names the DescParser for the TX direction ("" if the
-	// model only describes the RX completion side).
-	TxParserName string
 	// Pipeline describes the programmable-pipeline resources available to
 	// pushed features (zero value: not programmable).
 	Pipeline core.PipelineCaps
@@ -156,31 +153,6 @@ func (m *Model) CompileJoint(tenants []core.TenantIntent, opts core.CompileOptio
 		return nil, err
 	}
 	return a.CompileJoint(m.Name, tenants, opts)
-}
-
-// TxInstance binds the model's DescParser for TX-direction analysis.
-func (m *Model) TxInstance() (*sema.Instance, error) {
-	if m.TxParserName == "" {
-		return nil, fmt.Errorf("nic %s: no TX DescParser in description", m.Name)
-	}
-	pr := m.Info.Prog.Parser(m.TxParserName)
-	if pr == nil {
-		return nil, fmt.Errorf("nic %s: parser %q not found", m.Name, m.TxParserName)
-	}
-	return m.Info.BindParser(pr)
-}
-
-// TxLayouts enumerates the accepted TX descriptor formats.
-func (m *Model) TxLayouts() ([]*core.TxLayout, error) {
-	inst, err := m.TxInstance()
-	if err != nil {
-		return nil, err
-	}
-	ls, err := core.AnalyzeDescParser(m.Info, inst)
-	if err != nil {
-		return nil, err
-	}
-	return core.AcceptedLayouts(ls), nil
 }
 
 var (

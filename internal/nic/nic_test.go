@@ -207,34 +207,37 @@ func TestTxLayouts(t *testing.T) {
 	want := map[string]int{
 		"e1000":  1,
 		"e1000e": 1,
+		"ice":    1,
 		"ixgbe":  1,
 		"mlx5":   1,
 		"qdma":   3, // 8/16/32-byte H2C descriptor formats
 	}
-	for name, n := range want {
-		ls, err := MustLoad(name).TxLayouts()
+	for _, m := range All() {
+		fs, err := core.TxFormats(m.Info)
 		if err != nil {
-			t.Errorf("%s: %v", name, err)
+			t.Errorf("%s: %v", m.Name, err)
 			continue
 		}
-		if len(ls) != n {
-			t.Errorf("%s tx layouts = %d, want %d", name, len(ls), n)
+		if n, ok := want[m.Name]; !ok {
+			t.Errorf("%s: no pinned TX format count", m.Name)
+		} else if len(fs) != n {
+			t.Errorf("%s tx formats = %d, want %d", m.Name, len(fs), n)
 		}
 	}
 }
 
 func TestQdmaTxLayoutSizes(t *testing.T) {
-	ls, err := MustLoad("qdma").TxLayouts()
+	fs, err := core.TxFormats(MustLoad("qdma").Info)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sizes := map[int]bool{}
-	for _, l := range ls {
-		sizes[l.SizeBytes()] = true
+	for _, f := range fs {
+		sizes[f.SizeBytes()] = true
 	}
 	for _, want := range []int{8, 16, 32} {
 		if !sizes[want] {
-			t.Errorf("missing %dB TX layout, have %v", want, sizes)
+			t.Errorf("missing %dB TX format, have %v", want, sizes)
 		}
 	}
 }

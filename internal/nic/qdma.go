@@ -194,12 +194,11 @@ control CmptDeparser<C2H_CTX_T, DESC_T, META_T, PAD_T>(
 
 func init() {
 	register(&Model{
-		Name:         "qdma",
-		Vendor:       "AMD/Xilinx",
-		Kind:         FullyProgrammable,
-		Description:  "QDMA fully-programmable completions: 8/16/32/64-byte user-defined formats",
-		Pipeline:     core.PipelineCaps{Programmable: true, StageBudget: 12, PayloadExterns: true},
-		Source:       qdmaSource,
-		TxParserName: "DescParser",
+		Name:        "qdma",
+		Vendor:      "AMD/Xilinx",
+		Kind:        FullyProgrammable,
+		Description: "QDMA fully-programmable completions: 8/16/32/64-byte user-defined formats",
+		Pipeline:    core.PipelineCaps{Programmable: true, StageBudget: 12, PayloadExterns: true},
+		Source:      qdmaSource,
 	})
 }

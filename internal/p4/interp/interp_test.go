@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"opendesc/internal/core"
 	"opendesc/internal/nic"
 	"opendesc/internal/p4/parser"
 	"opendesc/internal/p4/sema"
@@ -301,61 +302,63 @@ func TestTruncatedStreamErrors(t *testing.T) {
 	}
 }
 
-// TestDescParserInterpMatchesStaticLayout runs the qdma DescParser
-// dynamically over descriptors built from the static layouts: every field
-// the static analysis places must be extracted at the same value.
+// TestDescParserInterpMatchesStaticLayout runs every bundled NIC's
+// DescParser dynamically over descriptors built from its enumerated TX
+// formats: every field the static analysis places must be extracted at the
+// same value, and the run must consume exactly the format's bits.
 func TestDescParserInterpMatchesStaticLayout(t *testing.T) {
-	m := nic.MustLoad("qdma")
-	inst, err := m.TxInstance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(m.Info, inst, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	layouts, err := m.TxLayouts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range layouts {
-		// Build a descriptor with recognizable values per the static layout.
-		desc := make([]byte, l.SizeBytes())
-		want := map[string]uint64{}
-		seed := uint64(0xA1)
-		for _, f := range l.Fields {
-			if f.WidthBits > 64 {
-				continue
-			}
-			v := seed
-			if f.WidthBits < 64 {
-				v &= (1 << f.WidthBits) - 1
-			}
-			writeBits(desc, f.OffsetBits, f.WidthBits, v)
-			want[f.Name] = v
-			seed = seed*31 + 7
-		}
-		// Context selects this layout.
-		ctx := sema.MapEnv{}
-		for _, c := range l.Constraints {
-			if c.Equal {
-				ctx[c.Var] = c.Val
-			}
-		}
-		res, err := p.Run(desc, ctx)
+	for _, m := range nic.All() {
+		inst, err := m.Info.BindParser(m.Info.Prog.Parser(core.DescParser))
 		if err != nil {
-			t.Fatalf("layout %dB: %v", l.SizeBytes(), err)
+			t.Fatalf("%s: %v", m.Name, err)
 		}
-		if !res.Accepted {
-			t.Fatalf("layout %dB rejected: %v", l.SizeBytes(), res.States)
+		p, err := New(m.Info, inst, "")
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name, err)
 		}
-		for name, v := range want {
-			if res.Values[name] != v {
-				t.Errorf("layout %dB: %s = %#x, want %#x", l.SizeBytes(), name, res.Values[name], v)
+		formats, err := core.TxFormats(m.Info)
+		if err != nil || len(formats) == 0 {
+			t.Fatalf("%s: %d TX formats, err %v", m.Name, len(formats), err)
+		}
+		for _, l := range formats {
+			// Build a descriptor with recognizable values per the static layout.
+			desc := make([]byte, l.SizeBytes())
+			want := map[string]uint64{}
+			seed := uint64(0xA1)
+			for _, f := range l.Fields {
+				if f.WidthBits > 64 {
+					continue
+				}
+				v := seed
+				if f.WidthBits < 64 {
+					v &= (1 << f.WidthBits) - 1
+				}
+				writeBits(desc, f.OffsetBits, f.WidthBits, v)
+				want[f.Name] = v
+				seed = seed*31 + 7
 			}
-		}
-		if res.BitsConsumed != l.SizeBits() {
-			t.Errorf("layout %dB: consumed %d bits, static %d", l.SizeBytes(), res.BitsConsumed, l.SizeBits())
+			// Context selects this layout.
+			ctx := sema.MapEnv{}
+			for _, c := range l.Constraints {
+				if c.Equal {
+					ctx[c.Var] = c.Val
+				}
+			}
+			res, err := p.Run(desc, ctx)
+			if err != nil {
+				t.Fatalf("%s format %dB: %v", m.Name, l.SizeBytes(), err)
+			}
+			if !res.Accepted {
+				t.Fatalf("%s format %dB rejected: %v", m.Name, l.SizeBytes(), res.States)
+			}
+			for name, v := range want {
+				if res.Values[name] != v {
+					t.Errorf("%s format %dB: %s = %#x, want %#x", m.Name, l.SizeBytes(), name, res.Values[name], v)
+				}
+			}
+			if res.BitsConsumed != l.SizeBits() {
+				t.Errorf("%s format %dB: consumed %d bits, static %d", m.Name, l.SizeBytes(), res.BitsConsumed, l.SizeBits())
+			}
 		}
 	}
 }
