@@ -1,25 +1,22 @@
 // Package flight is the hot-path flight recorder (DESIGN.md S22): an
-// always-on, lock-free ring of compact binary events that records the life of
+// always-on ring of compact binary events per queue that records the life of
 // every completion — DMA emit, ring push/pop, validator verdict, accessor
 // reads, hardening classifications, switchover phases — and can replay the
 // recent past when something goes wrong.
 //
 // The design borrows from DPDK's rte_trace and the kernel's ftrace ring
-// buffer: recording must be wait-free and allocation-free so it can stay
-// enabled in production, and the buffer overwrites its oldest events so the
+// buffer: recording must be cheap and allocation-free so it can stay enabled
+// in production, and the buffer overwrites its oldest events so the
 // interesting history (the moments before a watchdog trip) is always there.
 //
 // Each Queue owns a fixed power-of-two ring of 32-byte events, its storage
-// allocated in chunks as writers first reach them. A writer claims a slot
-// with a single atomic ticket increment, marks it claimed, stores the four
-// payload words, and releases it — five plain atomic stores, no CAS loop, no
-// lock. Readers never block writers: a snapshot validates
-// each slot's ticket before and after copying the payload and simply skips
-// slots that were concurrently rewritten (seqlock-style torn-read
-// protection). The one pathological case — a writer preempted mid-record
-// while the rest of the system laps the entire ring — is handled by a
-// claim-time CAS that drops the lapping event instead of corrupting the
-// stalled writer's slot; such drops are counted, never silent.
+// allocated in chunks as writers first reach them, and one mutex. A writer
+// takes the lock, bumps the queue's ticket, stores the event into the
+// ticket's slot and unlocks: a production queue has one writer goroutine, so
+// the lock is uncontended and costs one lock and one unlock. Several writers
+// are safe; the lock serialises them. A snapshot takes the lock once per
+// chunk of tickets, so a writer waits at most one chunk copy even while a
+// full ring is scraped, and skips the slots a writer reused between chunks.
 //
 // Build with -tags flight_off to compile recording out entirely: Record,
 // RecordT and Now become empty functions and the hot-path tax is zero.
@@ -137,13 +134,14 @@ var codeNames = [numCodes]string{
 
 // SamplePeriod is the 1-in-N period for routine per-packet events (DMA
 // emits, ring push/pop, clean verdicts, accessor reads, shim calls, deliver
-// latencies). At ~60-85ns per recorded event, tracing every stage of every
-// completion costs several hundred ns/pkt — over the recorder's 5% hot-path
-// budget. Sampling the routine traffic keeps a representative slice of
-// healthy lifecycles in the ring while anomalies (stalls, violations,
-// hardening classifications, watchdog and switchover events) are always
-// recorded. A sampled packet costs its queue four clock reads and the poll
-// that delivers it one; other packets, and other polls, read no clock.
+// latencies). A recorded event costs what BenchmarkRecordT and
+// cmd/benchmark's flight.record_ns measure; tracing all seven-plus events of
+// every completion would overrun the recorder's 5% hot-path budget. Sampling
+// the routine traffic keeps a representative slice of healthy lifecycles in
+// the ring while anomalies (stalls, violations, hardening classifications,
+// watchdog and switchover events) are always recorded. A sampled packet
+// costs its queue four clock reads and the poll that delivers it one; other
+// packets, and other polls, read no clock.
 const SamplePeriod = 16
 
 // Sampled reports whether a routine event with 1-based ordinal seq falls on
@@ -202,51 +200,35 @@ type Event struct {
 	Arg1  uint64
 }
 
-// slot is the in-memory storage for one event: the seqlock state word plus
-// the four payload words, all atomics so concurrent snapshot reads are
-// race-detector clean. state holds ticket<<1, with bit 0 set while the
-// writer is between claim and release.
+// slot is the in-memory storage for one event: its ticket plus the four
+// payload words, read and written only under the queue's lock.
 type slot struct {
-	state atomic.Uint64
-	ts    atomic.Uint64
-	meta  atomic.Uint64 // code(16) | queue(16) | seq(32)
-	a0    atomic.Uint64
-	a1    atomic.Uint64
+	ticket uint64
+	ts     uint64
+	meta   uint64 // code(16) | queue(16) | seq(32)
+	a0, a1 uint64
 }
 
 // Queue is one event ring, conventionally one per device queue or per
-// goroutine so the common case is a single writer (multiple writers are safe,
-// see the claim protocol above). The zero Queue pointer is valid and records
-// nothing, so instrumented layers can keep an always-nil field at zero cost.
+// goroutine so the common case is a single writer and an uncontended lock.
+// The zero Queue pointer is valid and records nothing, so instrumented layers
+// can keep an always-nil field at zero cost.
 type Queue struct {
-	rec     *Recorder
-	name    string
-	id      uint16
-	mask    uint64
-	wpos    atomic.Uint64 // next ticket - 1; tickets are 1-based
-	dropped atomic.Uint64 // events discarded by the lap-protection CAS
+	rec  *Recorder
+	name string
+	id   uint16
+	mask uint64
+
+	mu   sync.Mutex
+	wpos uint64 // tickets issued; tickets are 1-based
 	// chunks holds the ring's slots, chunkSlots (10 KB) at a time, each
 	// installed by the first writer to reach it: a queue pays for the part of
 	// its ring it has touched (a fresh device's smoke burst records a few
 	// dozen events; a steady one touches every chunk within its first lap).
-	chunks []atomic.Pointer[[chunkSlots]slot]
+	chunks []*[chunkSlots]slot
 }
 
 const chunkSlots = 256
-
-// slot returns ring slot i for writing, materialising its chunk: racing
-// first writers each build one and the CAS keeps the first.
-func (q *Queue) slot(i uint64) *slot {
-	p := &q.chunks[i/chunkSlots]
-	c := p.Load()
-	if c == nil {
-		c = new([chunkSlots]slot)
-		if !p.CompareAndSwap(nil, c) {
-			c = p.Load()
-		}
-	}
-	return &c[i%chunkSlots]
-}
 
 // Name returns the queue's registration name.
 func (q *Queue) Name() string { return q.name }
@@ -263,38 +245,29 @@ func (q *Queue) Recorder() *Recorder {
 	return q.rec
 }
 
-// record claims a ticket, validates slot ownership, and publishes the event.
-// The claim CAS only succeeds while the slot holds a released (even) state
-// from an earlier lap; if a stalled writer from a previous lap is still
-// mid-record, or a faster writer from a later lap got there first, the event
-// is dropped (counted) instead of racing them. The retry loop runs at most
-// twice: any state change that defeats the CAS also satisfies a drop
-// condition, so recording stays wait-free.
+// record takes the next ticket and stores the event in its slot,
+// materialising the slot's chunk on first touch.
 func (q *Queue) record(ts uint64, c Code, seq uint32, a0, a1 uint64) {
-	t := q.wpos.Add(1) // 1-based ticket
-	s := q.slot((t - 1) & q.mask)
-	for {
-		cur := s.state.Load()
-		if cur&1 != 0 || cur >= t<<1 {
-			q.dropped.Add(1)
-			return
-		}
-		if s.state.CompareAndSwap(cur, t<<1|1) {
-			break
-		}
+	q.mu.Lock()
+	q.wpos++
+	i := (q.wpos - 1) & q.mask
+	ch := q.chunks[i/chunkSlots]
+	if ch == nil {
+		ch = new([chunkSlots]slot)
+		q.chunks[i/chunkSlots] = ch
 	}
-	s.ts.Store(ts)
-	s.meta.Store(uint64(c)<<48 | uint64(q.id)<<32 | uint64(seq))
-	s.a0.Store(a0)
-	s.a1.Store(a1)
-	s.state.Store(t << 1)
+	s := &ch[i%chunkSlots]
+	s.ticket, s.ts, s.meta, s.a0, s.a1 = q.wpos, ts, uint64(c)<<48|uint64(q.id)<<32|uint64(seq), a0, a1
+	q.mu.Unlock()
 }
 
 // snapshot copies out up to max most-recent events (all when max <= 0),
-// oldest first, skipping slots that are mid-write, were rewritten while being
-// copied, or sit in a chunk no writer has installed yet.
+// oldest first. It holds the lock for one chunk of tickets at a time and
+// skips the slots writers reused while it was unlocked.
 func (q *Queue) snapshot(max int) []Event {
-	w := q.wpos.Load()
+	q.mu.Lock()
+	w := q.wpos
+	q.mu.Unlock()
 	lo := uint64(1)
 	if n := q.mask + 1; w > n {
 		lo = w - n + 1
@@ -303,30 +276,24 @@ func (q *Queue) snapshot(max int) []Event {
 		lo = w - uint64(max) + 1
 	}
 	var out []Event
-	for t := lo; t <= w; t++ {
-		i := (t - 1) & q.mask
-		c := q.chunks[i/chunkSlots].Load()
-		if c == nil {
-			continue
+	for from := lo; from <= w; from += chunkSlots {
+		q.mu.Lock()
+		for t := from; t <= w && t < from+chunkSlots; t++ {
+			i := (t - 1) & q.mask
+			s := &q.chunks[i/chunkSlots][i%chunkSlots]
+			if s.ticket != t {
+				continue
+			}
+			out = append(out, Event{
+				TS:    s.ts,
+				Code:  Code(s.meta >> 48),
+				Queue: uint16(s.meta >> 32),
+				Seq:   uint32(s.meta),
+				Arg0:  s.a0,
+				Arg1:  s.a1,
+			})
 		}
-		s := &c[i%chunkSlots]
-		want := t << 1
-		if s.state.Load() != want {
-			continue
-		}
-		ev := Event{
-			TS:   s.ts.Load(),
-			Arg0: s.a0.Load(),
-			Arg1: s.a1.Load(),
-		}
-		meta := s.meta.Load()
-		if s.state.Load() != want { // rewritten under us: discard the torn copy
-			continue
-		}
-		ev.Code = Code(meta >> 48)
-		ev.Queue = uint16(meta >> 32)
-		ev.Seq = uint32(meta)
-		out = append(out, ev)
+		q.mu.Unlock()
 	}
 	return out
 }
@@ -406,7 +373,7 @@ func (r *Recorder) Queue(name string) *Queue {
 		name:   name,
 		id:     uint16(len(r.queues)),
 		mask:   uint64(r.cfg.Size - 1),
-		chunks: make([]atomic.Pointer[[chunkSlots]slot], (r.cfg.Size+chunkSlots-1)/chunkSlots),
+		chunks: make([]*[chunkSlots]slot, (r.cfg.Size+chunkSlots-1)/chunkSlots),
 	}
 	r.queues = append(r.queues, q)
 	r.byName[name] = q
