@@ -54,6 +54,7 @@ alloc-gate:
 	$(GO) test -run TestClockReadsOnGrid -v ./internal/tenant
 	$(GO) test -run 'TestPollReadsClockOnGrid|TestLinkAllocGate' -v ./internal/rxpath
 	$(GO) test -run TestVerifyAllocGate -v ./internal/diffverify
+	$(GO) test -run TestShimTimingOnGrid -v ./internal/softnic
 
 # Non-test Go and assembly lines per top-level directory: raw, and code only
 # (no blank or comment lines), then the words of the three prose docs. A PR

@@ -40,8 +40,10 @@ type Options struct {
 	// Interval is the number of delivered packets between renegotiation
 	// checks (default 2048).
 	Interval int
-	// MinShimSamples is how many calls a shim needs before its measured
-	// ns/call replaces the static w(s) (default 64).
+	// MinShimSamples is how many timed calls a shim needs before its
+	// measured ns/call replaces the static w(s) (default 64). A shim times
+	// one call in flight.SamplePeriod, so the default takes
+	// 64·SamplePeriod calls.
 	MinShimSamples uint64
 	// MinWindow is the minimum number of delivered packets in the current
 	// observation window before a renegotiation is evaluated (default 256).

@@ -10,6 +10,7 @@ import (
 	"opendesc/internal/nic"
 	"opendesc/internal/nicsim"
 	"opendesc/internal/obs"
+	"opendesc/internal/obs/flight"
 	"opendesc/internal/rxpath"
 	"opendesc/internal/semantics"
 	"opendesc/internal/softnic"
@@ -329,8 +330,8 @@ func TestMeasuredCostsFeedResolve(t *testing.T) {
 	e := newTestEngine(t, opts)
 	tr := trace(t)
 	drive(t, e, tr, 256, semantics.RSS, semantics.VLAN, semantics.PktLen)
-	if sc := e.shims.Cost(semantics.RSS); sc.Calls == 0 || sc.Nanos == 0 {
-		t.Fatalf("rss shim measured %+v, want calls and time after 256 soft reads", sc)
+	if sc := e.shims.Cost(semantics.RSS); sc.Timed == 0 || sc.Nanos == 0 {
+		t.Fatalf("rss shim measured %+v, want timed calls and time after 256 soft reads", sc)
 	}
 	if _, err := e.Renegotiate(); err != nil {
 		t.Fatal(err)
@@ -338,6 +339,41 @@ func TestMeasuredCostsFeedResolve(t *testing.T) {
 	if !e.Result().HardwareSet().Has(semantics.RSS) {
 		t.Fatalf("measured-cost re-solve should still move rss to hardware, got %s",
 			e.Result().HardwareSet())
+	}
+}
+
+// TestSparseReaderReachesMinShimSamples: a shim times one call in
+// flight.SamplePeriod of its own calls, not of the packets, so a semantic
+// read only on every SamplePeriod-th delivery — in step with the packet
+// grid — is still timed, and 64·SamplePeriod of its reads give the default
+// MinShimSamples timed calls for the resolver to price w(s) on.
+func TestSparseReaderReachesMinShimSamples(t *testing.T) {
+	opts := staticOptions()
+	opts.MinShimSamples = 0 // the default
+	e := newTestEngine(t, opts)
+	if e.Result().HardwareSet().Has(semantics.RSS) {
+		t.Fatal("test needs rss left to a shim")
+	}
+	tr := trace(t)
+	minSamples := e.res.opts.MinShimSamples
+	deliveries := int(minSamples) * flight.SamplePeriod * flight.SamplePeriod
+	delivered := 0
+	for i := 0; i < deliveries; i++ {
+		if !e.Rx(tr.Packets[i%len(tr.Packets)]) {
+			t.Fatalf("rx stalled at packet %d", i)
+		}
+		e.Poll(func(pkt []byte, m rxpath.Meta) {
+			if delivered++; flight.Sampled(uint32(delivered)) {
+				if _, ok := m.Get(string(semantics.RSS)); !ok {
+					t.Fatal("read rss failed")
+				}
+			}
+		})
+	}
+	sc := e.shims.Cost(semantics.RSS)
+	if want := minSamples * flight.SamplePeriod; sc.Calls != want || sc.Timed != minSamples || sc.Nanos == 0 {
+		t.Fatalf("rss read on every %dth of %d deliveries: %+v, want %d calls, %d timed, time measured",
+			flight.SamplePeriod, delivered, sc, want, minSamples)
 	}
 }
 

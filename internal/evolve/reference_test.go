@@ -31,7 +31,7 @@ func referenceResolve(r *Resolver, m *nic.Model, copts core.CompileOptions, acti
 	shimCosts := map[semantics.Name]softnic.ShimCost{}
 	if r.shims != nil {
 		for name := range softnic.Funcs() {
-			if sc := r.shims.Cost(name); sc.Calls > 0 {
+			if sc := r.shims.Cost(name); sc.Timed > 0 {
 				shimCosts[name] = sc
 			}
 		}
@@ -54,8 +54,8 @@ func referenceResolve(r *Resolver, m *nic.Model, copts core.CompileOptions, acti
 		if math.IsInf(w, 1) {
 			return w
 		}
-		if sc, ok := shimCosts[s]; ok && sc.Calls >= r.opts.MinShimSamples {
-			w = float64(sc.Nanos) / float64(sc.Calls)
+		if sc, ok := shimCosts[s]; ok && sc.Timed >= r.opts.MinShimSamples {
+			w = float64(sc.Nanos) / float64(sc.Timed)
 		}
 		f, ok := mix[s]
 		if !ok {

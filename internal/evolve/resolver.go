@@ -133,19 +133,20 @@ func (r *Resolver) closeWindow() {
 
 // liveCost is the runtime cost model over the closed window: per-packet
 // expected software cost of leaving s to a shim = (reads of s per delivered
-// packet) × w(s), where w(s) is the measured mean ns/call when the shim has
-// run often enough, the static registry cost otherwise. Infinite costs are
-// never scaled: a semantic with no software fallback stays unsatisfiable in
-// software no matter how rarely it is read. Semantics outside the intent
-// keep the unscaled model.
+// packet) × w(s), where w(s) is the measured mean ns over the shim's timed
+// calls (softnic.ShimStats times one call in flight.SamplePeriod) once
+// Options.MinShimSamples of them were timed, the static registry cost
+// otherwise. Infinite costs are never scaled: a semantic with no software
+// fallback stays unsatisfiable in software no matter how rarely it is read.
+// Semantics outside the intent keep the unscaled model.
 func (r *Resolver) liveCost(s semantics.Name) float64 {
 	w := r.base(s)
 	if math.IsInf(w, 1) {
 		return w
 	}
 	if r.shims != nil {
-		if sc := r.shims.Cost(s); sc.Calls > 0 && sc.Calls >= r.opts.MinShimSamples {
-			w = float64(sc.Nanos) / float64(sc.Calls)
+		if sc := r.shims.Cost(s); sc.Timed >= r.opts.MinShimSamples {
+			w = float64(sc.Nanos) / float64(sc.Timed)
 		}
 	}
 	if i := r.field(s); i >= 0 {

@@ -30,8 +30,8 @@ type Counter struct {
 	_ [cacheLine - 8]byte
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+// Inc adds one and returns the new value.
+func (c *Counter) Inc() uint64 { return c.v.Add(1) }
 
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }

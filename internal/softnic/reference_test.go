@@ -301,8 +301,9 @@ func wideSeed() ([]byte, uint64) {
 
 // BenchmarkBurstForms prices each row with a burst form per frame on
 // shim_hardened's traffic mix (1 KiB payloads, 30% short key-value
-// requests): the row's scalar shim, and its burst form over windows of
-// BurstMax frames.
+// requests): the row's scalar shim, its burst form over windows of BurstMax
+// frames, and its burst form over one-frame windows (the price of a burst
+// form to a reader that reads the semantic on one frame in a window).
 func BenchmarkBurstForms(b *testing.B) {
 	tr, err := workload.Generate(workload.Spec{Packets: 1024, Flows: 64, PayloadBytes: 1024,
 		TCPFraction: 0.6, VLANFraction: 0.3, KVFraction: 0.3, TunnelFraction: 0.3, Seed: 1})
@@ -321,6 +322,14 @@ func BenchmarkBurstForms(b *testing.B) {
 			for i := 0; i < b.N; i += BurstMax {
 				at := i % len(tr.Packets)
 				row.Burst()(tr.Packets[at:at+BurstMax], out[:])
+				sink64 += out[0]
+			}
+		})
+		b.Run(string(name)+"/burst1", func(b *testing.B) {
+			var out [1]uint64
+			for i := 0; i < b.N; i++ {
+				at := i % len(tr.Packets)
+				row.Burst()(tr.Packets[at:at+1], out[:])
 				sink64 += out[0]
 			}
 		})
