@@ -52,7 +52,7 @@ perf-gate: alloc-gate
 alloc-gate:
 	$(GO) test -run 'TestDeliverPathAllocGate|TestColdCompileAllocGate|TestWarmCompileSkipsAnalysis|TestOpenMemoryGate' -v .
 	$(GO) test -run TestClockReadsOnGrid -v ./internal/tenant
-	$(GO) test -run 'TestPollReadsClockOnGrid|TestLinkAllocGate' -v ./internal/rxpath
+	$(GO) test -run 'TestPollReadsClockOnGrid|TestLinkAllocGate|TestWindowTimingOnGrid' -v ./internal/rxpath
 	$(GO) test -run TestVerifyAllocGate -v ./internal/diffverify
 	$(GO) test -run TestShimTimingOnGrid -v ./internal/softnic
 

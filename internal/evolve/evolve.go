@@ -40,10 +40,12 @@ type Options struct {
 	// Interval is the number of delivered packets between renegotiation
 	// checks (default 2048).
 	Interval int
-	// MinShimSamples is how many timed calls a shim needs before its
-	// measured ns/call replaces the static w(s) (default 64). A shim times
-	// one call in flight.SamplePeriod, so the default takes
-	// 64·SamplePeriod calls.
+	// MinShimSamples is how many timed values a semantic needs before its
+	// measured ns per delivered value replaces the static w(s) (default 64).
+	// A scalar shim times one call in flight.SamplePeriod, so the default
+	// takes 64·SamplePeriod calls; a burst form times one window in
+	// SamplePeriod and counts every value it serves, so for a dense reader
+	// over full windows 64 timed values may be two timed windows.
 	MinShimSamples uint64
 	// MinWindow is the minimum number of delivered packets in the current
 	// observation window before a renegotiation is evaluated (default 256).

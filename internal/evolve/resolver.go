@@ -133,10 +133,10 @@ func (r *Resolver) closeWindow() {
 
 // liveCost is the runtime cost model over the closed window: per-packet
 // expected software cost of leaving s to a shim = (reads of s per delivered
-// packet) × w(s), where w(s) is the measured mean ns over the shim's timed
-// calls (softnic.ShimStats times one call in flight.SamplePeriod) once
-// Options.MinShimSamples of them were timed, the static registry cost
-// otherwise. Infinite costs are never scaled: a semantic with no software
+// packet) × w(s), where w(s) is the measured mean ns per delivered value
+// over the shim's timed calls or the burst form's timed windows
+// (softnic.ShimStats times one in flight.SamplePeriod) once they served
+// Options.MinShimSamples values, the static registry cost otherwise. Infinite costs are never scaled: a semantic with no software
 // fallback stays unsatisfiable in software no matter how rarely it is read.
 // Semantics outside the intent keep the unscaled model.
 func (r *Resolver) liveCost(s semantics.Name) float64 {

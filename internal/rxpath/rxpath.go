@@ -43,8 +43,7 @@ type Lane struct {
 	Owner any
 	// burst is, by reader index, the memo of each semantic RT serves in
 	// software through its burst form (softnic.Row.Burst); a reader without
-	// one has a memo with no form. Nil where no reader has one, and on a
-	// queue that counts its shim calls (Instrument).
+	// one has a memo with no form. Nil where no reader has one.
 	burst []memo
 }
 
@@ -141,13 +140,20 @@ func (m Meta) Get(sem string) (uint64, bool) {
 // keeps them for their reads. Each form has its own memo, so two forms read
 // on one delivery do not evict each other. A value is known by sequence
 // number and packet (the same slice), so a wrapped sequence number cannot hit.
+//
+// On an instrumented queue the memo carries its semantic's meter: every read
+// it serves is a delivered value, and a call is a window the meter times on
+// the grid of the form's own calls, credited when timed with every read it
+// serves (timed). Elsewhere meter is nil, one test per read.
 type memo struct {
-	q    *Queue
-	form func(frames [][]byte, out []uint64)
-	n    int
-	seq  [softnic.BurstMax]uint32
-	pkt  [softnic.BurstMax][]byte
-	val  [softnic.BurstMax]uint64
+	q     *Queue
+	form  func(frames [][]byte, out []uint64)
+	meter *softnic.Meter
+	timed bool
+	n     int
+	seq   [softnic.BurstMax]uint32
+	pkt   [softnic.BurstMax][]byte
+	val   [softnic.BurstMax]uint64
 }
 
 // read serves d's read through the form, from the last call if it covered
@@ -156,6 +162,9 @@ type memo struct {
 // A parked packet is not pending: it is its call's only frame.
 func (m *memo) read(d *Delivery) uint64 {
 	if k := uint(d.Seq - m.seq[0]); k < uint(m.n) && m.seq[k] == d.Seq && samePacket(m.pkt[k], d.Pkt) {
+		if m.meter != nil {
+			m.meter.Serve(m.timed)
+		}
 		return m.val[k]
 	}
 	m.n = 1
@@ -171,7 +180,11 @@ func (m *memo) read(d *Delivery) uint64 {
 			}
 		}
 	}
-	m.form(m.pkt[:m.n], m.val[:m.n])
+	if m.meter != nil {
+		m.timed = m.meter.Window(m.form, m.pkt[:m.n], m.val[:m.n])
+	} else {
+		m.form(m.pkt[:m.n], m.val[:m.n])
+	}
 	return m.val[0]
 }
 
@@ -238,10 +251,11 @@ type Queue struct {
 	hard    *hardening
 	// soft is the reference table of the queue's device (softnic.Table of
 	// its queue id), what every lane linked here computes the semantics its
-	// layout lacks with; shims is the same table instrumented on an evolving
-	// queue (Instrument), nil elsewhere — the all-software runtimes stay on
-	// soft.
+	// layout lacks with; shims is what Link links: soft, or soft instrumented
+	// into stats on an evolving queue (Instrument) — the all-software runtimes
+	// stay on soft. stats (nil elsewhere) gives each memo its meter.
 	soft, shims map[semantics.Name]codegen.SoftFunc
+	stats       *softnic.ShimStats
 
 	// fq is the "q0" ring of the queue's always-armed flight recorder, shared
 	// with the device so DMA, ring, validator and delivery events interleave
@@ -272,6 +286,7 @@ func New(dev *nicsim.Device, cfg []core.Constraint, clock vclock.Clock) (*Queue,
 	q := &Queue{dev: dev, cfg: cfg, clock: clock, dmaToPoll: obs.NewHistogram(), pollToDeliver: obs.NewHistogram()}
 	q.view.queue = dev.Config().QueueID
 	q.soft = softnic.Table(q.view.queue)
+	q.shims = q.soft
 	if clock == nil {
 		q.fq = flight.NewRecorder(flight.Config{}).Queue("q0")
 		q.view.fq = q.fq
@@ -289,10 +304,11 @@ func (q *Queue) Flight() *flight.Recorder { return q.fq.Recorder() }
 // FlightQueue returns the recorder's "q0" event ring.
 func (q *Queue) FlightQueue() *flight.Queue { return q.fq }
 
-// Instrument makes the lanes linked from now on count their shim calls and
-// time into st (the measured w(s) an evolving driver re-solves with): one
-// scalar shim call per read, with no burst forms.
-func (q *Queue) Instrument(st *softnic.ShimStats) { q.shims = st.Instrument(q.soft) }
+// Instrument makes the lanes linked from now on meter their software reads
+// into st (the measured w(s) an evolving driver re-solves with): each scalar
+// shim counts its calls and each memo its burst windows and the reads they
+// serve. The lanes link the same forms as on any other queue.
+func (q *Queue) Instrument(st *softnic.ShimStats) { q.shims, q.stats = st.Instrument(q.soft), st }
 
 // Link returns the lane res is read under on this queue: accessors over the
 // completion record and, for what the layout lacks, the shims of this
@@ -300,17 +316,13 @@ func (q *Queue) Instrument(st *softnic.ShimStats) { q.shims = st.Instrument(q.so
 // forms. On a hardened queue the lane also gets its validator and
 // all-software runtime; synthesizing the validator is what can fail.
 func (q *Queue) Link(res *core.Result) (*Lane, error) {
-	shims := q.shims
-	if shims == nil {
-		shims = q.soft
-	}
-	l := &Lane{RT: codegen.NewRuntime(res, shims)}
+	l := &Lane{RT: codegen.NewRuntime(res, q.shims)}
 	for i, r := range l.RT.Readers {
-		if row := softnic.Lookup(r.Semantic); q.shims == nil && !r.Hardware && row != nil && row.Burst() != nil {
+		if row := softnic.Lookup(r.Semantic); !r.Hardware && row != nil && row.Burst() != nil {
 			if l.burst == nil {
 				l.burst = make([]memo, len(l.RT.Readers))
 			}
-			l.burst[i] = memo{q: q, form: row.Burst()}
+			l.burst[i] = memo{q: q, form: row.Burst(), meter: q.stats.Meter(r.Semantic)}
 		}
 	}
 	return l, q.arm(l)

@@ -12,6 +12,7 @@ import (
 	"opendesc/internal/faults"
 	"opendesc/internal/nic"
 	"opendesc/internal/nicsim"
+	"opendesc/internal/obs/flight"
 	"opendesc/internal/semantics"
 	"opendesc/internal/softnic"
 	"opendesc/internal/workload"
@@ -306,7 +307,8 @@ func TestLinkAllocGate(t *testing.T) {
 // TestBurstMemoNeedsTheSamePacket: a memo hit needs the sequence number and
 // the packet, so a number reused after the 32-bit sequence wraps reads the
 // new packet's value; and a queue that counts its shim calls (Instrument)
-// links no burst form, one shim call per read.
+// links the same burst forms as any other queue, its memos counting one
+// delivered value per read in fewer form calls than reads.
 func TestBurstMemoNeedsTheSamePacket(t *testing.T) {
 	q, res, packets := hashQueue(t, 1)
 	q.seq = math.MaxUint32 - 2
@@ -333,23 +335,111 @@ func TestBurstMemoNeedsTheSamePacket(t *testing.T) {
 	}
 	q.Poll(-1, read(t, semantics.PayloadHash, semantics.KVKey))
 
+	plain := q.lanes[0]
 	q, _, packets = hashQueue(t, 0)
 	st := softnic.NewShimStats()
 	q.Instrument(st)
 	l, err := q.Link(res)
-	if err != nil || l.burst != nil {
-		t.Fatalf("instrumented lane: err %v, burst form linked", err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range plain.burst {
+		if (l.burst[i].form == nil) != (plain.burst[i].form == nil) || (l.burst[i].meter == nil) != (plain.burst[i].form == nil) {
+			t.Fatalf("reader %s: instrumented memo %+v, uninstrumented form linked %v", l.RT.Readers[i].Semantic, l.burst[i], plain.burst[i].form != nil)
+		}
 	}
 	q.SetLane(0, l)
+	_, calls := formCounts(t, q, nil)
 	for _, p := range packets[:16] {
 		q.Rx(p, 0)
 	}
 	q.Poll(-1, read(t, semantics.PayloadHash, semantics.KVKey))
 	for _, sem := range []semantics.Name{semantics.PayloadHash, semantics.KVKey} {
-		if c := st.Cost(sem).Calls; c != 16 {
-			t.Fatalf("16 reads of %s made %d shim calls", sem, c)
+		if c := st.Cost(sem).Calls; c != 16 || calls[sem] == 0 || calls[sem] >= 16 {
+			t.Fatalf("16 reads of %s: %d values delivered in %d form calls", sem, c, calls[sem])
 		}
 	}
+}
+
+// TestWindowTimingOnGrid is the gate on metering burst forms: on an
+// instrumented queue polled 32 packets at a time, each memo times a window
+// when the form's own call ordinal is on the flight grid and on no other call,
+// and a timed window is credited with every value it serves, memo hits
+// included. A dense reader (every delivery) credits a whole window; a sparse
+// one (every SamplePeriod-th delivery) credits the 2 values its window
+// serves. A grid on read ordinals would time only memo hits here.
+func TestWindowTimingOnGrid(t *testing.T) {
+	for _, arm := range []struct {
+		name   string
+		every  int // a delivery reads both forms when its ordinal is a multiple
+		served uint64
+	}{{"dense", 1, softnic.BurstMax}, {"sparse", flight.SamplePeriod, softnic.BurstMax / flight.SamplePeriod}} {
+		t.Run(arm.name, func(t *testing.T) {
+			q, res, packets := hashQueue(t, 0)
+			st := softnic.NewShimStats()
+			rec := flight.NewRecorder(flight.Config{})
+			st.AttachFlight(rec.Queue("shims"))
+			q.Instrument(st)
+			l, err := q.Link(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.SetLane(0, l)
+			_, windows := formCounts(t, q, nil)
+			sems := []semantics.Name{semantics.PayloadHash, semantics.KVKey}
+			want := map[semantics.Name]uint64{}
+			delivered := 0
+			const polls = 4 * flight.SamplePeriod
+			for poll := range polls {
+				for i := range softnic.BurstMax {
+					if !q.Rx(packets[(poll*softnic.BurstMax+i)%len(packets)], 0) {
+						t.Fatal("rx refused")
+					}
+				}
+				q.Poll(softnic.BurstMax, func(pkt []byte, m Meta) {
+					if delivered++; delivered%arm.every == 0 {
+						read(t, sems...)(pkt, m)
+					}
+				})
+				for _, sem := range sems {
+					_, i := l.RT.Lookup(sem)
+					if windows[sem] != poll+1 {
+						t.Fatalf("%s poll %d: %d form calls, want one window per poll", sem, poll, windows[sem])
+					}
+					if timed := l.burst[i].timed; timed != flight.Sampled(uint32(windows[sem])) {
+						t.Fatalf("%s: window %d timed %v, want on the grid only", sem, windows[sem], timed)
+					}
+					if l.burst[i].timed {
+						want[sem] += arm.served
+					}
+				}
+			}
+			for _, sem := range sems {
+				sc := st.Cost(sem)
+				reads := uint64(delivered / arm.every)
+				if sc.Calls != reads || want[sem] == 0 || sc.Timed != want[sem] || sc.Nanos < polls/flight.SamplePeriod {
+					t.Errorf("%s: %+v after %d reads in %d windows, want %d calls, %d timed values and time measured",
+						sem, sc, reads, windows[sem], reads, want[sem])
+				}
+				if got := len(shimEvents(rec, sem)); flight.Compiled && got != polls/flight.SamplePeriod {
+					t.Errorf("%s: %d EvShim events for %d windows", sem, got, windows[sem])
+				}
+				t.Logf("%s: %+v in %d windows", sem, sc, windows[sem])
+			}
+		})
+	}
+}
+
+// shimEvents returns rec's EvShim events of sem.
+func shimEvents(rec *flight.Recorder, sem semantics.Name) (evs []flight.Event) {
+	for _, q := range rec.Snapshot().Queues {
+		for _, ev := range q.Events {
+			if ev.Code == flight.EvShim && ev.Arg0 == flight.PackName(string(sem)) {
+				evs = append(evs, ev)
+			}
+		}
+	}
+	return evs
 }
 
 // TestReprogramRollsBack: a NAKed or mis-verified reprogram leaves the device

@@ -502,28 +502,36 @@ func innerChecksumStatus(in *pkt.Info) uint8 {
 // Calibrate measures the per-packet cost of each emulable semantic on the
 // running machine over the supplied sample packets and returns a measured
 // cost model (in nanoseconds). This is the dynamic alternative to the static
-// table (EXPERIMENTS.md E12).
+// table (EXPERIMENTS.md E12). A row is timed the way a dense lane delivers
+// it: through its burst form over windows of BurstMax samples where it has
+// one, else through its scalar shim.
 func Calibrate(samples [][]byte, rounds int) map[semantics.Name]float64 {
 	if rounds <= 0 {
 		rounds = 64
 	}
 	out := make(map[semantics.Name]float64)
-	funcs := Funcs()
 	var sink uint64
-	for name, f := range funcs {
+	var vals [BurstMax]uint64
+	for name, f := range Funcs() {
+		burst := rows[name].burst
 		start := time.Now()
-		n := 0
-		for r := 0; r < rounds; r++ {
-			for _, s := range samples {
-				sink += f(s)
-				n++
+		for range rounds {
+			for w := 0; w < len(samples); w += BurstMax {
+				win := samples[w:min(w+BurstMax, len(samples))]
+				if burst != nil {
+					burst(win, vals[:len(win)])
+					continue
+				}
+				for _, s := range win {
+					sink += f(s)
+				}
 			}
 		}
-		if n > 0 {
+		if n := rounds * len(samples); n > 0 {
 			out[name] = float64(time.Since(start).Nanoseconds()) / float64(n)
 		}
 	}
-	_ = sink
+	_ = sink + vals[0]
 	return out
 }
 

@@ -2,6 +2,7 @@ package softnic
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -189,4 +190,32 @@ func BenchmarkInstrumentedShim(b *testing.B) {
 			})
 		}
 	}
+}
+
+// TestMeteredCostExcludesTheClock: a timed region books its duration less
+// the clock pair's own cost (clockFloor), so on a hot loop the live
+// w(pkt_len) — a shim far cheaper than the clock — comes within half that
+// cost of Calibrate's, which times thousands of calls under one pair.
+// Booked whole, the live figure would sit a whole pair above it. The best of
+// eight rounds is compared, so a round the scheduler or the race detector
+// stretched does not decide it.
+func TestMeteredCostExcludesTheClock(t *testing.T) {
+	const calls = 1 << 14
+	p := statsPackets()[0]
+	best := math.Inf(1)
+	for range 8 {
+		st := NewShimStats()
+		f := st.Instrument(Funcs())[semantics.PktLen]
+		for range calls {
+			sink64 += f(p)
+		}
+		sc := st.Cost(semantics.PktLen)
+		live := float64(sc.Nanos) / float64(sc.Timed)
+		cal := Calibrate([][]byte{p}, calls)[semantics.PktLen]
+		t.Logf("live w(pkt_len) %.1f ns over %d timed calls, calibrated %.1f ns, clock pair %d ns", live, sc.Timed, cal, clockFloor)
+		if best = min(best, math.Abs(live-cal)); best <= float64(clockFloor)/2 {
+			return
+		}
+	}
+	t.Errorf("live w(pkt_len) is %.1f ns from Calibrate's at best, want within half the clock pair's %d ns", best, clockFloor)
 }

@@ -104,7 +104,9 @@ func FuzzValidate(f *testing.F) {
 // exactly-once delivery (every accepted packet is delivered exactly once
 // after draining, no matter which faults fired), and every read equal to the
 // golden oracle (rxpath.Want) — kv_key and payload_hash on every delivery,
-// so their burst forms run under every fault mix.
+// so their burst forms run under every fault mix, and with mask bit 7 under
+// evolution and faults together, on an instrumented queue whose memos meter
+// every window and read.
 func FuzzPoll(f *testing.F) {
 	names := NICs()
 	var burst []byte // four frames, long payloads and a key-value request

@@ -27,7 +27,8 @@ var gateSems = []string{"rss", "vlan", "pkt_len"}
 
 // gateLoops opens every driver the library ships on the one receive loop:
 // pinned, hardened with deep validation, evolving, the two composed, a
-// hardened one reading both burst forms, and the multi-tenant plane.
+// hardened and an evolving one reading both burst forms, and the
+// multi-tenant plane.
 func gateLoops(t *testing.T) []gateLoop {
 	t.Helper()
 	tr, err := workload.Generate(workload.DefaultSpec())
@@ -53,12 +54,13 @@ func gateLoops(t *testing.T) []gateLoop {
 		return gateLoop{name: name, packets: tr.Packets, rx: drv.Rx, poll: func() int { return drv.Poll(h) }}
 	}
 
-	// A hardened driver reading kv_key and payload_hash on every delivery,
-	// polled once a window of packets is pending, so each read goes through
-	// its burst form over a full window or hits the form's memo. It runs on
-	// the benchmark's shim_hardened mix (1 KiB payloads, 30% key-value
-	// requests), so the windows reach the vector bodies: the AVX2 FNV-1a
-	// pre-pass and the deep validator's SSE2 checksum.
+	// A driver reading kv_key and payload_hash on every delivery, polled
+	// once a window of packets is pending, so each read goes through its
+	// burst form over a full window or hits the form's memo. It runs on the
+	// benchmark's shim_hardened mix (1 KiB payloads, 30% key-value requests),
+	// so the windows reach the vector bodies: the AVX2 FNV-1a pre-pass and,
+	// hardened, the deep validator's SSE2 checksum. Evolving, the memos also
+	// meter the windows and the reads they serve.
 	htr, err := workload.Generate(workload.Spec{Packets: 1024, Flows: 64, PayloadBytes: 1024,
 		TCPFraction: 0.6, VLANFraction: 0.3, KVFraction: 0.3, TunnelFraction: 0.3, Seed: 1})
 	if err != nil {
@@ -68,21 +70,23 @@ func gateLoops(t *testing.T) []gateLoop {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hashed, err := OpenWith("e1000e", hashIntent, OpenOptions{Harden: &HardenOptions{Deep: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hashLoop := gateLoop{name: "hardened+payload_hash", packets: htr.Packets, rx: hashed.Rx, poll: func() int {
-		if hashed.PendingPackets() < softnic.BurstMax {
-			return 0
+	hashLoop := func(name string, opts OpenOptions) gateLoop {
+		drv, err := OpenWith("e1000e", hashIntent, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return hashed.Poll(func(p []byte, meta Meta) {
-			h(p, meta)
-			k, _ := meta.Get("kv_key")
-			v, _ := meta.Get("payload_hash")
-			*sink += k + v
-		})
-	}}
+		return gateLoop{name: name, packets: htr.Packets, rx: drv.Rx, poll: func() int {
+			if drv.PendingPackets() < softnic.BurstMax {
+				return 0
+			}
+			return drv.Poll(func(p []byte, meta Meta) {
+				h(p, meta)
+				k, _ := meta.Get("kv_key")
+				v, _ := meta.Get("payload_hash")
+				*sink += k + v
+			})
+		}}
+	}
 
 	const tenants = 2
 	specs := make([]TenantSpec, tenants)
@@ -111,7 +115,8 @@ func gateLoops(t *testing.T) []gateLoop {
 		// it belongs to the control plane, not to the deliver path.
 		driver("evolving", OpenOptions{Evolve: &EvolveOptions{Interval: 1 << 30}}),
 		driver("hardened+evolving", OpenOptions{Evolve: &EvolveOptions{Interval: 1 << 30}, Harden: &HardenOptions{Deep: true}}),
-		hashLoop,
+		hashLoop("hardened+payload_hash", OpenOptions{Harden: &HardenOptions{Deep: true}}),
+		hashLoop("evolving+payload_hash", OpenOptions{Evolve: &EvolveOptions{Interval: 1 << 30}}),
 		{name: "tenants", packets: ztr.Packets, rx: plane.Rx, poll: func() int { return plane.PollCore(0, onDelivery) }},
 	}
 }
