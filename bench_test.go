@@ -580,7 +580,7 @@ func BenchmarkRingOps(b *testing.B) {
 }
 
 // BenchmarkVerifySixNICs times one S27 differential-verification pass over
-// the six bundled descriptions (18 paths, 892 cases, 16 642 cross-view
+// the six bundled descriptions (18 paths, 892 cases, 7 821 cross-view
 // checks) — the unit the fleet gate, the compile_open workload and E22's
 // exhaustive pass all pay. Its allocation count is gated by
 // TestVerifyAllocGate in internal/diffverify.

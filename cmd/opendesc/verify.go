@@ -14,9 +14,10 @@ import (
 )
 
 // runVerify implements `opendesc verify`: run the S27 differential harness
-// on one description (or every bundled one) — static layout, independent
-// CFG walk, P4 interpreter, generated accessors and SoftNIC golden model
-// cross-checked over the full completion-path space — and print PASS with
+// on one description (or every bundled one) — the compiler's static layout,
+// the P4 interpreter running the deparser from the source, the generated
+// accessors and the SoftNIC golden model cross-checked over the full
+// completion-path space — and print PASS with
 // coverage counts or FAIL with the minimal reproducer. Optional extras: a
 // seeded adversarial mutant sweep, the deliberately-broken-accessor
 // ablation (proof the harness catches codegen bugs), and the digest-keyed

@@ -172,7 +172,7 @@ var exact = map[string]func(*testing.T, *Table){
 		run := tab.run.(*e22Run)
 		eq(t, "paths", run.paths, 18)
 		eq(t, "cases", run.cases, 892)
-		eq(t, "checks", run.checks, 16642)
+		eq(t, "checks", run.checks, 7821)
 		eq(t, "ablation catches", run.ablationCaught, 6)
 		eq(t, "mutants screened", run.screened, 192)
 		eq(t, "mutants pass", run.outcomes[diffverify.OutcomePass], 174)

@@ -23,8 +23,8 @@ type e22Run struct {
 }
 
 // E22Diffverify is the S27 differential-verification experiment
-// (EXPERIMENTS.md E22): exhaustive four-view equivalence over every bundled
-// description (static layout, CFG walk, interpreter, generated accessors,
+// (EXPERIMENTS.md E22): exhaustive three-view equivalence over every bundled
+// description (static layout, the interpreted deparser, generated accessors,
 // plus SoftNIC golden packets), the broken-accessor ablation on every NIC
 // (the harness must catch an injected one-bit codegen bug with a minimal
 // accessor-view reproducer), and a seeded adversarial mutant sweep run twice
@@ -103,10 +103,10 @@ func E22Diffverify(mutantsPerNIC int) (*Table, error) {
 
 	tab := &Table{
 		ID:     "E22",
-		Title:  fmt.Sprintf("differential verification: four-view harness, ablation, %d-mutant sweep", run.screened),
+		Title:  fmt.Sprintf("differential verification: three-view harness, ablation, %d-mutant sweep", run.screened),
 		Header: []string{"measurement", "value"},
 		Note: fmt.Sprintf(
-			"four views per completion path: static layout, independent CFG walk, P4 interpreter, generated\n"+
+			"three views per completion path: static layout, the deparser interpreted from the source, generated\n"+
 				"accessors — plus SoftNIC golden packets; a disagreement renders as a minimal reproducer, e.g.\n"+
 				"ablation excerpt: %.160s…", run.reproducer),
 		run: run,

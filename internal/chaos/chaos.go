@@ -26,8 +26,8 @@
 //     flight-recorder counters agree with each other and with the harness's
 //     own accounting;
 //   - diffverify — the description under test holds a passing S27
-//     differential-verification certificate (static layout, CFG walk,
-//     interpreter, generated accessors and SoftNIC golden all agree on every
+//     differential-verification certificate (static layout, interpreted
+//     deparser, generated accessors and SoftNIC golden all agree on every
 //     completion path) before any schedule executes.
 //
 // A violating run can be handed to the shrinker (shrink.go), which

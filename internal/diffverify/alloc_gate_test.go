@@ -8,9 +8,9 @@ import (
 
 // TestVerifyAllocGate bounds what verification allocates — counts the
 // machine's speed cannot move. A pass over the six bundled NICs pays for
-// its analyses, its eighteen synthesized per-path parsers and runtimes, and
-// little else: a case reuses the checker's environment, images, walked
-// layout and interpreter result. What a case still allocates is its golden
+// its analyses, one bound deparser per NIC, its eighteen per-path runtimes,
+// and little else: a case reuses the checker's environment, images and
+// interpreted record. What a case still allocates is its golden
 // packet (two) and one ast.MemberExpr.Path string per context name its
 // branch conditions read, which sema.Eval builds and this package leaves
 // alone. The map-based checker this one replaced read 42 195 and ~47.

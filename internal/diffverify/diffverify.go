@@ -1,15 +1,16 @@
 // Package diffverify is the S27 differential-verification harness. For one
 // interface description it enumerates the full completion-path space and
 // asserts, for every discriminant branch and a battery of boundary field
-// values, that four independently built views of each completion record
+// values, that three independently built views of each completion record
 // agree bit for bit:
 //
-//	A. the static layout — core.EnumeratePaths offsets/widths;
-//	B. an independent walk of the deparser CFG under a concrete environment,
-//	   re-deriving what internal/nicsim's device serializer computes;
-//	C. the P4 interpreter re-extracting the record through a synthesized
-//	   per-path parser (internal/p4/interp);
-//	D. the generated accessor runtime reading the record (internal/codegen);
+//	A. the static layout — core.EnumeratePaths offsets/widths over the
+//	   compiler's CFG of the deparser;
+//	B. the P4 interpreter running the deparser's apply block from the source
+//	   under a concrete environment (interp.Deparser), which shares no code
+//	   with the compiler's lowering: it derives the branch taken, every field
+//	   offset and the record bytes on its own;
+//	C. the generated accessor runtime reading the record (internal/codegen);
 //
 // plus a SoftNIC-golden pass that pushes ground-truth packet metadata
 // through the same write→read pipeline. Any disagreement is reported as a
@@ -79,14 +80,14 @@ type RejectedError struct {
 
 func (e *RejectedError) Error() string { return "diffverify: rejected: " + e.Reason }
 
-// Disagreement is one four-way divergence, minimized to the smallest
-// environment that still reproduces it: every field zero except the failing
-// one and the pinned discriminants.
+// Disagreement is one cross-view divergence. An accessor divergence is
+// minimized to the smallest environment that still reproduces it: every
+// field zero except the failing one and the pinned discriminants.
 type Disagreement struct {
 	NIC         string
 	PathID      int
 	Constraints []string // pinned discriminants selecting the path
-	View        string   // which view diverged: walk, interp, accessor, layout
+	View        string   // which view diverged: interp, accessor, layout
 	Field       string   // dotted layout field name
 	Semantic    string
 	OffsetBits  int
@@ -132,9 +133,11 @@ type Report struct {
 	// golden packets); Checks counts individual cross-view comparisons.
 	Cases  int
 	Checks int
-	// Skipped counts walk cases whose environment was underdetermined for
-	// the focus path (opaque or multi-valued discriminants) and resolved to
-	// a different enumerated path — still verified, attributed there.
+	// Skipped counts cases whose environment was underdetermined for the
+	// focus path (opaque or multi-valued discriminants): the interpreter's
+	// record has another enumerated path's layout, and the environment
+	// satisfies that path's constraints too — still verified, attributed
+	// there.
 	Skipped       int
 	Disagreements []*Disagreement
 }
@@ -305,7 +308,8 @@ func CertifyCached(name, src string) Certificate {
 }
 
 // leaf is one flattened ≤64-bit leaf field of a deparser parameter: one slot
-// of the concrete environments the walk and the serializers run under.
+// of the concrete environments the interpreter and the serializers run
+// under.
 type leaf struct {
 	name  string // dotted, e.g. "pipe_meta.rss" or "ctx.use_rss"
 	width int
@@ -361,7 +365,7 @@ func (e *slotEnv) set(slot int, v uint64) {
 	e.vals[slot] = v & widthMask(e.leaves[slot].width)
 }
 
-// Lookup implements sema.Env: what the walk's branch conditions and emits
+// Lookup implements sema.Env: what the interpreter's conditions and emits
 // see of the environment.
 func (e *slotEnv) Lookup(path string) (sema.Value, bool) {
 	i, ok := e.slots[path]
@@ -413,9 +417,10 @@ func mix(x uint64) uint64 {
 
 // checker is what one Verify run binds once per description and shares
 // between its paths: the slot environment, each path's layout field → slot
-// table, the boundary batteries by width, and the buffers every case
-// reuses. Only the representation of the environment is shared — each view
-// still derives its own offsets, widths and branch decisions.
+// table, the bound deparser, the boundary batteries by width, and the
+// buffers every case reuses. Only the representation of the environment is
+// shared — each view still derives its own offsets, widths and branch
+// decisions.
 type checker struct {
 	name  string
 	g     *core.Graph
@@ -430,17 +435,22 @@ type checker struct {
 	slots   [][]int
 	battery [65][]uint64 // boundaryPatterns by width, built on first use
 
-	img  []byte        // view A: the focus path's static image
-	sib  []byte        // view A for the sibling path an underdetermined walk resolved to
-	walk walker        // view B: the walked layout and its image
-	res  interp.Result // view C: the re-extracted record
+	img []byte           // view A: the focus path's static image
+	sib []byte           // view A for the sibling path an underdetermined case resolved to
+	dp  *interp.Deparser // view B: the deparser, bound from the source
+	rec interp.Record    // view B: the interpreted record
 }
 
 func newChecker(name string, g *core.Graph, paths []*core.Path, opts Options, rep *Report) (*checker, error) {
+	dp, err := interp.NewDeparser(g.Info(), g.Instance())
+	if err != nil {
+		return nil, &RejectedError{Reason: err.Error()}
+	}
 	ck := &checker{
 		name: name, g: g, paths: paths, soft: softnic.Funcs(), opts: opts, rep: rep,
 		env:   newSlotEnv(flattenParams(g)),
 		slots: make([][]int, len(paths)),
+		dp:    dp,
 	}
 	for i, p := range paths {
 		ck.slots[i] = make([]int, len(p.Fields))
@@ -502,8 +512,6 @@ type pathChecker struct {
 	// pins is the context assignment selecting this path.
 	pins   []pin
 	golden []goldenField
-	// ip re-extracts the record through a synthesized per-path parser.
-	ip *pathInterp
 	// reads are the per-path generated accessors, one per provided semantic.
 	reads []accessorRead
 }
@@ -532,12 +540,6 @@ func (ck *checker) bindPath(i int, p *core.Path) (*pathChecker, error) {
 		}
 		if fn := ck.soft[f.Semantic]; fn != nil {
 			c.golden = append(c.golden, goldenField{slot: s, fn: fn})
-		}
-	}
-	if len(p.Fields) > 0 {
-		c.ip, err = newPathInterp(ck.name, p)
-		if err != nil {
-			return nil, fmt.Errorf("diffverify %s path %d: %w", ck.name, p.ID, err)
 		}
 	}
 	accessors, fields := pathAccessors(p, ck.opts.BreakAccessor)
@@ -723,123 +725,82 @@ func (c *pathChecker) want(k int) uint64 {
 	return c.env.vals[c.slot[k]] & widthMask(c.p.Fields[k].WidthBits)
 }
 
-// checkCase runs all four views under the current environment.
+// checkCase runs all three views under the current environment.
 func (c *pathChecker) checkCase() error {
 	c.img = staticImage(c.img, c.p, c.slot, c.env.vals)
-	c.checkInterp()
 	c.checkAccessors()
-	return c.checkWalk()
-}
-
-// checkInterp re-extracts the static image through the synthesized per-path
-// parser and compares every field value, the consumed bit count, and the
-// accept verdict against the static view.
-func (c *pathChecker) checkInterp() {
-	if c.ip == nil {
-		return
-	}
-	err := c.ip.parser.RunInto(&c.res, c.img, nil)
-	c.rep.Checks++
-	if err != nil || !c.res.Accepted {
-		detail := "parser rejected the record"
-		if err != nil {
-			detail = err.Error()
-		}
-		c.fail("interp", 0, c.img, 0, 0, detail)
-		return
-	}
-	if c.res.BitsConsumed != c.p.SizeBits() {
-		c.fail("interp", 0, c.img, uint64(c.p.SizeBits()), uint64(c.res.BitsConsumed),
-			"consumed bit count diverges from static layout size")
-		return
-	}
-	for k := range c.p.Fields {
-		if c.slot[k] < 0 {
-			continue
-		}
-		want, got := c.want(k), c.res.Values[c.ip.keys[k]]
-		c.rep.Checks++
-		if got != want {
-			c.fail("interp", k, c.img, want, got, "")
-		}
-	}
+	return c.checkDeparser()
 }
 
 // checkAccessors reads every synthesized hardware accessor off the static
-// image and compares against the environment value (view D).
+// image and compares against the environment value (view C). A failure is
+// reported under the minimal environment when it reproduces there.
 func (c *pathChecker) checkAccessors() {
 	for _, a := range c.reads {
 		want, got := c.want(a.field), a.reader.Read(c.img, nil)
 		c.rep.Checks++
 		if got != want {
-			c.fail("accessor", a.field, c.img, want, got, string(a.reader.Semantic))
+			img := c.img
+			if mimg, mwant, mgot := c.minimal(a); mgot != mwant {
+				img, want, got = mimg, mwant, mgot
+			}
+			c.fail("accessor", a.field, img, want, got, string(a.reader.Semantic))
 		}
 	}
 }
 
-// checkWalk serializes the record by independently walking the deparser CFG
-// under the environment (view B) and compares layout and bytes against the
-// static view of whichever enumerated path the walk resolves to.
-func (c *pathChecker) checkWalk() error {
-	if err := c.walk.serialize(c.g, c.env); err != nil {
-		// The walk cannot evaluate a discriminant (opaque condition over
-		// values outside the environment): not verifiable, not a bug.
-		return &RejectedError{Reason: fmt.Sprintf("path %d walk: %v", c.p.ID, err)}
+// checkDeparser runs the deparser's apply block through the interpreter
+// under the environment (view B) and compares the record's layout and bytes
+// against the static view of the enumerated path it belongs to.
+func (c *pathChecker) checkDeparser() error {
+	if err := c.dp.RunInto(&c.rec, c.env); err != nil {
+		// The interpreter cannot evaluate a discriminant (opaque condition
+		// over values outside the environment): not verifiable, not a bug.
+		return &RejectedError{Reason: fmt.Sprintf("path %d interp: %v", c.p.ID, err)}
 	}
-	fields, wimg := c.walk.fields, c.walk.img
-	qi := matchPath(c.paths, fields)
+	qi := matchPath(c.paths, c.p, c.rec.Fields, c.env)
 	c.rep.Checks++
 	if qi < 0 {
-		c.fail("layout", 0, wimg, 0, 0,
-			fmt.Sprintf("walked layout (%d fields, %d bits) matches no enumerated path",
-				len(fields), sizeBitsOf(fields)))
+		c.fail("layout", 0, c.rec.Image, 0, 0,
+			fmt.Sprintf("interpreted layout (%d fields, %d bits) matches no enumerated path the environment selects",
+				len(c.rec.Fields), c.rec.Bits))
 		return nil
 	}
 	q, qimg := c.paths[qi], c.img
-	if q.ID != c.p.ID {
+	if q != c.p {
 		// Underdetermined environment (multi-valued or opaque discriminant):
-		// the walk took a sibling path. Verify it there and count the skip.
+		// the record belongs to a sibling path. Verify it there and count
+		// the skip.
 		c.rep.Skipped++
 		c.sib = staticImage(c.sib, q, c.slots[qi], c.env.vals)
 		qimg = c.sib
 	}
-	if !bytes.Equal(wimg, qimg) {
-		f := firstImageDiff(q, wimg, qimg)
+	if !bytes.Equal(c.rec.Image, qimg) {
+		f := firstImageDiff(q, c.rec.Image, qimg)
 		c.rep.Disagreements = append(c.rep.Disagreements, &Disagreement{
 			NIC:         c.name,
 			PathID:      q.ID,
 			Constraints: constraintStrings(q),
-			View:        "walk",
+			View:        "interp",
 			Field:       f.Name,
 			Semantic:    string(f.Semantic),
 			OffsetBits:  f.OffsetBits,
 			WidthBits:   f.WidthBits,
 			Image:       bytes.Clone(qimg),
 			Want:        readField(qimg, f),
-			Got:         readField(wimg, f),
-			Detail:      "independent CFG-walk serialization diverges from static layout",
+			Got:         readField(c.rec.Image, f),
+			Detail:      "interpreted deparser record diverges from static layout",
 		})
 	}
 	return nil
 }
 
-// fail records a disagreement for layout field k, first shrinking the
-// environment to the minimal one that still reproduces it: everything zero
-// except the failing field and the pinned discriminants. img is a per-case
-// buffer, so the reproducer keeps its own copy.
+// fail records a disagreement for layout field k (no field when the path has
+// none). img is a per-case buffer, so the reproducer keeps its own copy.
 func (c *pathChecker) fail(view string, k int, img []byte, want, got uint64, detail string) {
-	f := c.p.Fields[k]
-	min := make([]uint64, len(c.env.vals))
-	for _, p := range c.pins {
-		min[p.slot] = c.env.vals[p.slot] // every case applies the pins last
-	}
-	if s := c.slot[k]; s >= 0 {
-		min[s] = c.env.vals[s]
-	}
-	if mimg, mgot, fails := c.reproduce(view, k, min); fails {
-		img, want, got = mimg, min[c.slot[k]]&widthMask(f.WidthBits), mgot
-	} else {
-		img = bytes.Clone(img)
+	var f core.LayoutField
+	if k < len(c.p.Fields) {
+		f = c.p.Fields[k]
 	}
 	c.rep.Disagreements = append(c.rep.Disagreements, &Disagreement{
 		NIC:         c.name,
@@ -850,77 +811,64 @@ func (c *pathChecker) fail(view string, k int, img []byte, want, got uint64, det
 		Semantic:    string(f.Semantic),
 		OffsetBits:  f.OffsetBits,
 		WidthBits:   f.WidthBits,
-		Image:       img,
+		Image:       bytes.Clone(img),
 		Want:        want,
 		Got:         got,
 		Detail:      detail,
 	})
 }
 
-// reproduce recomputes one view's value for layout field k under a candidate
-// minimal environment, reporting the image it read and whether the
-// divergence persists. It runs in the middle of a case, so it touches none
-// of the per-case buffers.
-func (c *pathChecker) reproduce(view string, k int, vals []uint64) ([]byte, uint64, bool) {
-	f := c.p.Fields[k]
-	if f.WidthBits > 64 {
-		return nil, 0, false
+// minimal re-reads accessor a under the minimal environment: everything zero
+// except a's field and the pinned discriminants. It runs in the middle of a
+// case, so it touches none of the per-case buffers.
+func (c *pathChecker) minimal(a accessorRead) (img []byte, want, got uint64) {
+	min := make([]uint64, len(c.env.vals))
+	for _, p := range c.pins {
+		min[p.slot] = c.env.vals[p.slot] // every case applies the pins last
 	}
-	img := staticImage(nil, c.p, c.slot, vals)
-	want := vals[c.slot[k]] & widthMask(f.WidthBits)
-	switch view {
-	case "interp":
-		if c.ip == nil {
-			return nil, 0, false
-		}
-		res, err := c.ip.parser.Run(img, nil)
-		if err != nil || !res.Accepted {
-			return nil, 0, false
-		}
-		got := res.Values[c.ip.keys[k]]
-		return img, got, got != want
-	case "accessor":
-		if f.Semantic == "" {
-			return nil, 0, false
-		}
-		for _, a := range c.reads {
-			if a.reader.Semantic == f.Semantic {
-				got := a.reader.Read(img, nil)
-				return img, got, got != want
-			}
-		}
-	}
-	return nil, 0, false
+	s := c.slot[a.field]
+	min[s] = c.env.vals[s]
+	img = staticImage(nil, c.p, c.slot, min)
+	return img, min[s] & widthMask(c.p.Fields[a.field].WidthBits), a.reader.Read(img, nil)
 }
 
-// matchPath finds the index of the enumerated path whose layout equals the
-// walked field sequence (names, offsets, widths in order), or -1.
-func matchPath(paths []*core.Path, fields []core.LayoutField) int {
-	for pi, p := range paths {
-		if len(p.Fields) != len(fields) {
+// matchPath finds the enumerated path an interpreted record belongs to: the
+// focus path if its layout equals the record's (names, offsets, widths in
+// order), else another path with an equal layout whose constraints env
+// satisfies, else -1. Preferring the focus keeps two paths with identical
+// layouts apart; the constraint test keeps a mis-lowered graph, whose
+// branches lead to the wrong layouts, from certifying as underdetermined.
+func matchPath(paths []*core.Path, focus *core.Path, fields []interp.Field, env sema.Env) int {
+	match := -1
+paths:
+	for qi, q := range paths {
+		if len(q.Fields) != len(fields) {
 			continue
 		}
-		same := true
-		for i := range fields {
-			a, b := p.Fields[i], fields[i]
-			if a.Name != b.Name || a.OffsetBits != b.OffsetBits || a.WidthBits != b.WidthBits {
-				same = false
-				break
+		for i, f := range fields {
+			if a := q.Fields[i]; a.Name != f.Name || a.OffsetBits != f.OffsetBits || a.WidthBits != f.WidthBits {
+				continue paths
 			}
 		}
-		if same {
-			return pi
+		if q == focus {
+			return qi
+		}
+		if match < 0 && satisfies(q, env) {
+			match = qi
 		}
 	}
-	return -1
+	return match
 }
 
-func sizeBitsOf(fields []core.LayoutField) int {
-	n := 0
-	for _, f := range fields {
-		n += f.WidthBits
+// satisfies reports whether env holds every constraint of p.
+func satisfies(p *core.Path, env sema.Env) bool {
+	for _, cc := range p.Constraints {
+		v, ok := env.Lookup(cc.Var)
+		if !ok || v.Equal(cc.Val) != cc.Equal {
+			return false
+		}
 	}
-	return n
+	return true
 }
 
 // firstImageDiff locates the first layout field whose bits differ between

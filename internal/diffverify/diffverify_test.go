@@ -12,7 +12,7 @@ import (
 
 // TestBundledNICsExhaustive is the tentpole acceptance check: the harness
 // covers the full completion-path space of all six bundled NICs with zero
-// four-way disagreements.
+// cross-view disagreements.
 func TestBundledNICsExhaustive(t *testing.T) {
 	models := nic.All()
 	if len(models) != 6 {

@@ -5,9 +5,9 @@ import "testing"
 // edgeSource mirrors internal/codegen's extraction edge description: widths
 // 1/63/64, a 64-bit-word straddle, a byte- but not word-aligned 64-bit
 // field, a signed int<16>, a const width, and pads. Here the whole
-// completion-path space goes through the four-way harness, so every edge
+// completion-path space goes through the three-view harness, so every edge
 // the unit tables pin is also certified equivalent across static layout,
-// CFG walk, interpreter, and generated accessors.
+// the interpreted deparser, and generated accessors.
 const edgeSource = `
 const bit<8> PLEN_W = 16;
 struct ctx_t { bit<1> wide; }

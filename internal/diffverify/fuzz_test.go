@@ -8,7 +8,7 @@ import (
 
 // FuzzMutate is the adversarial contract of the whole harness: for any
 // source and seed, mutation is deterministic, and a mutant that survives
-// sema either passes four-way verification or is rejected with a structured
+// sema either passes three-view verification or is rejected with a structured
 // reason — never a panic, never a silent disagreement.
 func FuzzMutate(f *testing.F) {
 	for _, m := range nic.All() {

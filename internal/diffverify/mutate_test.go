@@ -52,7 +52,7 @@ func TestMutateChanges(t *testing.T) {
 // TestSweepDeterministic is the ≥256-mutant acceptance check: the seeded
 // sweep across all six bundled sources yields identical verdicts on a second
 // run (same seed ⇒ same mutants ⇒ same verdicts), and no mutant that
-// survives sema ever produces a silent four-way disagreement.
+// survives sema ever produces a silent cross-view disagreement.
 func TestSweepDeterministic(t *testing.T) {
 	models := nic.All()
 	perModel := 43 // 43 × 6 = 258 mutants ≥ 256

@@ -10,6 +10,7 @@ import (
 	"opendesc/internal/codegen"
 	"opendesc/internal/core"
 	"opendesc/internal/nic"
+	"opendesc/internal/p4/interp"
 	"opendesc/internal/p4/sema"
 	"opendesc/internal/semantics"
 	"opendesc/internal/softnic"
@@ -21,11 +22,15 @@ func refVerify(name string, info *sema.Info, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	dp, err := interp.NewDeparser(g.Info(), g.Instance())
+	if err != nil {
+		return nil, &RejectedError{Reason: err.Error()}
+	}
 	rep := &Report{NIC: name, Paths: len(paths)}
 	leaves := flattenParams(g)
 	golden := softnic.Funcs()
 	for _, p := range paths {
-		pc, err := newRefPathChecker(name, g, paths, p, leaves, golden, opts, rep)
+		pc, err := newRefPathChecker(name, g, dp, paths, p, leaves, golden, opts, rep)
 		if err != nil {
 			return nil, err
 		}
@@ -42,11 +47,13 @@ func refVerify(name string, info *sema.Info, opts Options) (*Report, error) {
 // refPathChecker is the harness's checker as it stood before the slot
 // environment: every case builds a map[string]uint64 of values and a
 // sema.MapEnv from it, every view looks its fields up by name, and nothing
-// is reused between cases. It is kept, unchanged but for its name, as the
-// oracle the slot-indexed checker must agree with report for report.
+// is reused between cases. It is kept as the oracle the slot-indexed checker
+// must agree with report for report, and changes only where the harness's
+// views do.
 type refPathChecker struct {
 	name   string
 	g      *core.Graph
+	dp     *interp.Deparser
 	paths  []*core.Path
 	p      *core.Path
 	leaves []leaf
@@ -59,21 +66,19 @@ type refPathChecker struct {
 	uniq []leaf
 	// pins is the context assignment selecting this path.
 	pins map[string]uint64
-	// ip re-extracts the record through a synthesized per-path parser.
-	ip *pathInterp
 	// rt reads the record through per-path generated accessors.
 	rt        *codegen.Runtime
 	accessors []core.Accessor
 }
 
-func newRefPathChecker(name string, g *core.Graph, paths []*core.Path, p *core.Path,
+func newRefPathChecker(name string, g *core.Graph, dp *interp.Deparser, paths []*core.Path, p *core.Path,
 	leaves []leaf, golden map[semantics.Name]codegen.SoftFunc, opts Options, rep *Report) (*refPathChecker, error) {
 	pins, err := core.ConfigAssignment(p.Constraints)
 	if err != nil {
 		return nil, &RejectedError{Reason: fmt.Sprintf("path %d: %v", p.ID, err)}
 	}
 	c := &refPathChecker{
-		name: name, g: g, paths: paths, p: p,
+		name: name, g: g, dp: dp, paths: paths, p: p,
 		leaves: leaves, golden: golden, opts: opts, rep: rep,
 		pins: pins,
 	}
@@ -84,12 +89,6 @@ func newRefPathChecker(name string, g *core.Graph, paths []*core.Path, p *core.P
 		}
 		seen[f.Name] = true
 		c.uniq = append(c.uniq, leaf{name: f.Name, width: f.WidthBits})
-	}
-	if len(p.Fields) > 0 {
-		c.ip, err = newPathInterp(name, p)
-		if err != nil {
-			return nil, fmt.Errorf("diffverify %s path %d: %w", name, p.ID, err)
-		}
 	}
 	c.accessors, _ = pathAccessors(p, opts.BreakAccessor)
 	c.rt = codegen.NewRuntime(&core.Result{
@@ -199,8 +198,8 @@ func (c *refPathChecker) fillerVals(seed uint64) map[string]uint64 {
 	return vals
 }
 
-// env converts a value map into the evaluation environment the walk and the
-// branch conditions see: each leaf masked to its declared width.
+// env converts a value map into the environment the interpreter sees: each
+// leaf masked to its declared width.
 func (c *refPathChecker) env(vals map[string]uint64) sema.MapEnv {
 	env := make(sema.MapEnv, len(c.leaves))
 	for _, l := range c.leaves {
@@ -223,51 +222,15 @@ func refStaticImage(p *core.Path, vals map[string]uint64) []byte {
 	return img
 }
 
-// checkCase runs all four views under one environment.
+// checkCase runs all three views under one environment.
 func (c *refPathChecker) checkCase(vals map[string]uint64) error {
 	img := refStaticImage(c.p, vals)
-	c.checkInterp(img, vals)
 	c.checkAccessors(img, vals)
-	return c.checkWalk(img, vals)
-}
-
-// checkInterp re-extracts the static image through the synthesized per-path
-// parser and compares every field value, the consumed bit count, and the
-// accept verdict against the static view.
-func (c *refPathChecker) checkInterp(img []byte, vals map[string]uint64) {
-	if c.ip == nil {
-		return
-	}
-	res, err := c.ip.parser.Run(img, nil)
-	c.rep.Checks++
-	if err != nil || !res.Accepted {
-		detail := "parser rejected the record"
-		if err != nil {
-			detail = err.Error()
-		}
-		c.fail("interp", 0, img, vals, 0, 0, detail)
-		return
-	}
-	if res.BitsConsumed != c.p.SizeBits() {
-		c.fail("interp", 0, img, vals, uint64(c.p.SizeBits()), uint64(res.BitsConsumed),
-			"consumed bit count diverges from static layout size")
-		return
-	}
-	for i, f := range c.p.Fields {
-		if f.WidthBits > 64 {
-			continue
-		}
-		want := vals[f.Name] & widthMask(f.WidthBits)
-		got := res.Values[fmt.Sprintf("hdr.f%d", i)]
-		c.rep.Checks++
-		if got != want {
-			c.fail("interp", i, img, vals, want, got, "")
-		}
-	}
+	return c.checkDeparser(img, vals)
 }
 
 // checkAccessors reads every synthesized hardware accessor off the static
-// image and compares against the environment value (view D).
+// image and compares against the environment value (view C).
 func (c *refPathChecker) checkAccessors(img []byte, vals map[string]uint64) {
 	for _, a := range c.accessors {
 		r := c.rt.Reader(a.Semantic)
@@ -282,47 +245,43 @@ func (c *refPathChecker) checkAccessors(img []byte, vals map[string]uint64) {
 	}
 }
 
-// checkWalk serializes the record by independently walking the deparser CFG
-// under the environment (view B) and compares layout and bytes against the
-// static view of whichever enumerated path the walk resolves to.
-func (c *refPathChecker) checkWalk(img []byte, vals map[string]uint64) error {
-	var w walker
-	if err := w.serialize(c.g, c.env(vals)); err != nil {
-		// The walk cannot evaluate a discriminant (opaque condition over
-		// values outside the environment): not verifiable, not a bug.
-		return &RejectedError{Reason: fmt.Sprintf("path %d walk: %v", c.p.ID, err)}
+// checkDeparser interprets the deparser under the environment (view B) and
+// compares layout and bytes against the static view of whichever enumerated
+// path the record belongs to.
+func (c *refPathChecker) checkDeparser(img []byte, vals map[string]uint64) error {
+	env := c.env(vals)
+	var rec interp.Record
+	if err := c.dp.RunInto(&rec, env); err != nil {
+		return &RejectedError{Reason: fmt.Sprintf("path %d interp: %v", c.p.ID, err)}
 	}
-	fields, wimg := w.fields, w.img
-	qi := matchPath(c.paths, fields)
+	qi := matchPath(c.paths, c.p, rec.Fields, env)
 	c.rep.Checks++
 	if qi < 0 {
-		c.fail("layout", 0, wimg, vals, 0, 0,
-			fmt.Sprintf("walked layout (%d fields, %d bits) matches no enumerated path",
-				len(fields), sizeBitsOf(fields)))
+		c.fail("layout", 0, rec.Image, vals, 0, 0,
+			fmt.Sprintf("interpreted layout (%d fields, %d bits) matches no enumerated path the environment selects",
+				len(rec.Fields), rec.Bits))
 		return nil
 	}
 	q, qimg := c.paths[qi], img
 	if q.ID != c.p.ID {
-		// Underdetermined environment (multi-valued or opaque discriminant):
-		// the walk took a sibling path. Verify it there and count the skip.
 		c.rep.Skipped++
 		qimg = refStaticImage(q, vals)
 	}
-	if !bytes.Equal(wimg, qimg) {
-		f := firstImageDiff(q, wimg, qimg)
+	if !bytes.Equal(rec.Image, qimg) {
+		f := firstImageDiff(q, rec.Image, qimg)
 		d := &Disagreement{
 			NIC:         c.name,
 			PathID:      q.ID,
 			Constraints: constraintStrings(q),
-			View:        "walk",
+			View:        "interp",
 			Field:       f.Name,
 			Semantic:    string(f.Semantic),
 			OffsetBits:  f.OffsetBits,
 			WidthBits:   f.WidthBits,
 			Image:       qimg,
 			Want:        readField(qimg, f),
-			Got:         readField(wimg, f),
-			Detail:      "independent CFG-walk serialization diverges from static layout",
+			Got:         readField(rec.Image, f),
+			Detail:      "interpreted deparser record diverges from static layout",
 		}
 		c.rep.Disagreements = append(c.rep.Disagreements, d)
 	}
@@ -338,24 +297,28 @@ func (c *refPathChecker) fieldIndex(lf *core.LayoutField) int {
 	return 0
 }
 
-// fail records a disagreement for field index fi, first shrinking the
-// environment to the minimal one that still reproduces it: everything zero
-// except the failing field and the pinned discriminants.
+// fail records a disagreement for field index fi. An accessor failure is
+// first shrunk to the minimal environment that still reproduces it:
+// everything zero except the failing field and the pinned discriminants.
 func (c *refPathChecker) fail(view string, fi int, img []byte, vals map[string]uint64, want, got uint64, detail string) {
-	f := c.p.Fields[fi]
-	min := make(map[string]uint64, len(c.pins)+1)
-	for _, l := range c.leaves {
-		min[l.name] = 0
+	var f core.LayoutField
+	if fi < len(c.p.Fields) {
+		f = c.p.Fields[fi]
 	}
-	for k, v := range c.pins {
-		min[k] = v
-	}
-	min[f.Name] = vals[f.Name]
-	if mgot, fails := c.reproduce(view, fi, min); fails {
-		vals = min
-		img = refStaticImage(c.p, min)
-		want = min[f.Name] & widthMask(f.WidthBits)
-		got = mgot
+	if view == "accessor" {
+		min := make(map[string]uint64, len(c.pins)+1)
+		for _, l := range c.leaves {
+			min[l.name] = 0
+		}
+		for k, v := range c.pins {
+			min[k] = v
+		}
+		min[f.Name] = vals[f.Name]
+		r := c.rt.Reader(f.Semantic)
+		mimg := refStaticImage(c.p, min)
+		if mgot := r.Read(mimg, nil); mgot != min[f.Name]&widthMask(f.WidthBits) {
+			img, want, got = mimg, min[f.Name]&widthMask(f.WidthBits), mgot
+		}
 	}
 	d := &Disagreement{
 		NIC:         c.name,
@@ -372,40 +335,6 @@ func (c *refPathChecker) fail(view string, fi int, img []byte, vals map[string]u
 		Detail:      detail,
 	}
 	c.rep.Disagreements = append(c.rep.Disagreements, d)
-}
-
-// reproduce recomputes one view's value for one field under a candidate
-// minimal environment, reporting whether the divergence persists.
-func (c *refPathChecker) reproduce(view string, fi int, vals map[string]uint64) (uint64, bool) {
-	f := c.p.Fields[fi]
-	if f.WidthBits > 64 {
-		return 0, false
-	}
-	img := refStaticImage(c.p, vals)
-	want := vals[f.Name] & widthMask(f.WidthBits)
-	switch view {
-	case "interp":
-		if c.ip == nil {
-			return 0, false
-		}
-		res, err := c.ip.parser.Run(img, nil)
-		if err != nil || !res.Accepted {
-			return 0, false
-		}
-		got := res.Values[fmt.Sprintf("hdr.f%d", fi)]
-		return got, got != want
-	case "accessor":
-		if f.Semantic == "" {
-			return 0, false
-		}
-		r := c.rt.Reader(f.Semantic)
-		if r == nil {
-			return 0, false
-		}
-		got := r.Read(img, nil)
-		return got, got != want
-	}
-	return 0, false
 }
 
 // sameOutcome fails the test unless the slot checker and the reference
@@ -499,10 +428,10 @@ func TestDisagreementSurvivesBufferReuse(t *testing.T) {
 	if err := pc.checkCase(); err != nil { // the ablation: a minimised reproducer
 		t.Fatal(err)
 	}
-	// Two failures that do not reproduce under the minimal environment keep
-	// the case's own images: the static one and the walked one.
+	// Two failures the harness does not minimise keep the case's own
+	// images: the static one and the interpreted one.
 	pc.fail("interp", 0, pc.img, 1, 2, "forced")
-	pc.fail("layout", 0, pc.walk.img, 3, 4, "forced")
+	pc.fail("layout", 0, pc.rec.Image, 3, 4, "forced")
 	if len(rep.Disagreements) != 3 {
 		t.Fatalf("%d disagreements recorded, want 3", len(rep.Disagreements))
 	}

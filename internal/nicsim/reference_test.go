@@ -7,9 +7,9 @@ import (
 	"strings"
 	"testing"
 
-	"opendesc/internal/bitfield"
 	"opendesc/internal/core"
 	"opendesc/internal/nic"
+	"opendesc/internal/p4/interp"
 	"opendesc/internal/p4/parser"
 	"opendesc/internal/p4/sema"
 	"opendesc/internal/pkt"
@@ -21,11 +21,13 @@ import (
 // reference is the eager serializer the device used before its value plumbing
 // became a slot table: every engine runs for every packet into a map keyed by
 // semantic, a string-keyed environment is rebuilt from it (context registers
-// first, field values over them), and every emitted field is looked up by
-// name. It shares only the CFG walk's step with the device and is kept as the
-// oracle the on-demand path is compared against.
+// first, field values over them), and the P4 interpreter runs the deparser's
+// apply block over it. It shares no code with the device — not the CFG, not
+// its walk — and is kept as the oracle the on-demand path is compared
+// against.
 type reference struct {
 	dev       *Device
+	dp        *interp.Deparser
 	envFields []refField
 	pathHits  map[int]uint64
 }
@@ -36,8 +38,12 @@ type refField struct {
 	width int
 }
 
-func newReference(dev *Device) *reference {
-	r := &reference{dev: dev, pathHits: make(map[int]uint64)}
+func newReference(t *testing.T, dev *Device) *reference {
+	dp, err := interp.NewDeparser(dev.graph.Info(), dev.graph.Instance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &reference{dev: dev, dp: dp, pathHits: make(map[int]uint64)}
 	for _, p := range dev.graph.Instance().Params {
 		ct, ok := p.Type.(*sema.CompositeType)
 		if !ok || strings.Contains(p.Name, "ctx") {
@@ -149,39 +155,14 @@ func (r *reference) buildEnv(vals map[semantics.Name]uint64) sema.MapEnv {
 // rx is the reference verdict for one packet received at the given device
 // clock: the completion record, or nil when the device must drop the packet.
 func (r *reference) rx(packet []byte, clock uint64) []byte {
-	env := r.buildEnv(r.computeOffloads(packet, clock))
-	dst := make([]byte, maxCompletionBytes)
-	g := r.dev.graph
-	node, offBits := g.Entry, 0
-	for steps := 0; node.Kind != core.NodeExit; steps++ {
-		if steps > 10000 {
-			return nil
-		}
-		if node.Kind == core.NodeEmit {
-			for _, f := range node.Emit.Fields {
-				if offBits+f.WidthBits > len(dst)*8 {
-					return nil
-				}
-				if f.WidthBits <= 64 {
-					var v uint64
-					if val, ok := env.Lookup(f.Name); ok {
-						v = val.Uint
-					}
-					bitfield.Write(dst, offBits, f.WidthBits, v)
-				}
-				offBits += f.WidthBits
-			}
-		}
-		next, err := step(node, env, g.Info())
-		if err != nil {
-			return nil
-		}
-		node = next
+	var rec interp.Record
+	if err := r.dp.RunInto(&rec, r.buildEnv(r.computeOffloads(packet, clock))); err != nil || rec.Bits > maxCompletionBytes*8 {
+		return nil
 	}
 	if p, err := r.dev.ActivePath(); err == nil {
 		r.pathHits[p.ID]++
 	}
-	return dst[:(offBits+7)/8]
+	return rec.Image
 }
 
 // handWritten are descriptions the bundled NICs do not exercise: a branch on
@@ -348,7 +329,7 @@ func differential(t *testing.T, m *nic.Model, cons []core.Constraint, trace [][]
 	// A register no constraint names, so emitted context fields carry
 	// something other than zero.
 	dev.WriteReg("ctx.qtag", 0x1A5) // wider than the 8-bit field
-	ref := newReference(dev)
+	ref := newReference(t, dev)
 	for i, p := range trace {
 		want := ref.rx(p, dev.clock+timestampStep)
 		dmaBefore := dev.cmptBytes.Load()

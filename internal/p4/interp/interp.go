@@ -1,9 +1,11 @@
-// Package interp executes P4 parsers over concrete byte streams: the dynamic
+// Package interp executes P4 programs over concrete inputs: the dynamic
 // counterpart of the static path analysis in internal/core. The same bound
 // parser instance that the compiler analyzes (a NIC's DescParser, or a
 // PNA-style packet parser) runs here against real descriptor or packet
-// bytes, extracting header fields and following select transitions — so the
-// static layouts and the dynamic behaviour can be cross-validated.
+// bytes, extracting header fields and following select transitions; the same
+// completion-deparser control runs here over a concrete environment,
+// emitting a record (Deparser) — so the static layouts and the dynamic
+// behaviour can be cross-validated.
 package interp
 
 import (
@@ -122,8 +124,10 @@ func (p *Parser) bindState(st *ast.ParserState) []boundExtract {
 		var b boundExtract
 		if len(call.Call.Args) != 1 {
 			b.err = fmt.Errorf("%s: extract takes one argument", call.Pos())
-		} else if prefix, ct, err := p.resolveTarget(call.Call.Args[0]); err != nil {
+		} else if prefix, t, _, err := resolve(p.inst, call.Call.Args[0], "extract"); err != nil {
 			b.err = err
+		} else if ct, ok := t.(*sema.CompositeType); !ok {
+			b.err = fmt.Errorf("interp: extract target %s must be a header", prefix)
 		} else {
 			b.prefix = prefix
 			b.steps, b.err = flatten(nil, prefix, ct)
@@ -239,47 +243,36 @@ func (b *boundExtract) run(data []byte, res *Result) error {
 	return nil
 }
 
-// resolveTarget maps the extract argument to its composite type.
-func (p *Parser) resolveTarget(arg ast.Expr) (string, *sema.CompositeType, error) {
-	arg = ast.Unparen(arg)
-	switch a := arg.(type) {
+// resolve maps a name rooted at a parameter (p, or p.a.b) to its qualified
+// name, its type and, for a member chain, the @semantic tag of the field its
+// last member selects. what names the caller's operation in the diagnostics.
+func resolve(inst *sema.Instance, arg ast.Expr, what string) (name string, t sema.Type, semantic string, err error) {
+	var chain []string
+	switch a := ast.Unparen(arg).(type) {
 	case *ast.Ident:
-		bp := p.inst.Param(a.Name)
-		if bp == nil {
-			return "", nil, fmt.Errorf("interp: unknown extract target %q", a.Name)
-		}
-		ct, ok := bp.Type.(*sema.CompositeType)
-		if !ok {
-			return "", nil, fmt.Errorf("interp: extract target %q is not a composite", a.Name)
-		}
-		return a.Name, ct, nil
+		name = a.Name
 	case *ast.MemberExpr:
-		root, chain := splitChain(a)
-		bp := p.inst.Param(root)
-		if bp == nil {
-			return "", nil, fmt.Errorf("interp: unknown extract root %q", root)
-		}
-		t := bp.Type
-		prefix := root
-		for _, fname := range chain {
-			ct, ok := t.(*sema.CompositeType)
-			if !ok {
-				return "", nil, fmt.Errorf("interp: %s is not a composite", prefix)
-			}
-			fi := ct.Field(fname)
-			if fi == nil {
-				return "", nil, fmt.Errorf("interp: %s has no field %q", ct.Name, fname)
-			}
-			prefix += "." + fname
-			t = fi.Type
-		}
+		name, chain = splitChain(a)
+	default:
+		return "", nil, "", fmt.Errorf("interp: unsupported %s argument %T", what, arg)
+	}
+	bp := inst.Param(name)
+	if bp == nil {
+		return "", nil, "", fmt.Errorf("interp: %s root %s is not a parameter", what, ast.Sprint(arg))
+	}
+	t = bp.Type
+	for _, m := range chain {
 		ct, ok := t.(*sema.CompositeType)
 		if !ok {
-			return "", nil, fmt.Errorf("interp: extract target %s must be a header", prefix)
+			return "", nil, "", fmt.Errorf("interp: %s is not a composite", name)
 		}
-		return prefix, ct, nil
+		fi := ct.Field(m)
+		if fi == nil {
+			return "", nil, "", fmt.Errorf("interp: %s has no field %q", ct.Name, m)
+		}
+		name, t, semantic = name+"."+m, fi.Type, fi.Semantic
 	}
-	return "", nil, fmt.Errorf("interp: unsupported extract argument %T", arg)
+	return name, t, semantic, nil
 }
 
 func splitChain(e *ast.MemberExpr) (string, []string) {

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"opendesc/internal/core"
@@ -465,5 +466,89 @@ parser P<C, D>(desc_in din, in C ctx, out D d) {
 	// qdma-style context selects still work via the ctx env.
 	if _, err := p.Run(nil, nil); err == nil {
 		t.Error("empty stream must error on first extract")
+	}
+}
+
+// deparserOf binds the description's completion deparser for NewDeparser.
+func deparserOf(t *testing.T, info *sema.Info) (*Deparser, error) {
+	t.Helper()
+	name, err := core.FindDeparser(info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := info.BindControl(info.Prog.Control(name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewDeparser(info, inst)
+}
+
+// TestDeparserMatchesStaticLayout runs every bundled NIC's completion
+// deparser under each enumerated path's context assignment: the interpreter
+// must emit exactly the path's static layout — names, semantics, offsets,
+// widths, total bits — though it shares no code with the CFG the layout was
+// enumerated from. Refusals: a condition over a register the environment
+// does not hold fails the run; an unsupported statement and an emit not
+// rooted at a parameter fail the bind.
+func TestDeparserMatchesStaticLayout(t *testing.T) {
+	for _, m := range nic.All() {
+		d, err := deparserOf(t, m.Info)
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name, err)
+		}
+		paths, err := m.Paths()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec Record
+		for _, p := range paths {
+			assign, err := core.ConfigAssignment(p.Constraints)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env := sema.MapEnv{}
+			for name, v := range assign {
+				env[name] = sema.UintValue(v, 64)
+			}
+			if err := d.RunInto(&rec, env); err != nil {
+				t.Fatalf("%s path %d: %v", m.Name, p.ID, err)
+			}
+			want := make([]Field, len(p.Fields))
+			for i, f := range p.Fields {
+				want[i] = Field{Name: f.Name, Semantic: string(f.Semantic), OffsetBits: f.OffsetBits, WidthBits: f.WidthBits}
+			}
+			if !reflect.DeepEqual(rec.Fields, want) {
+				t.Errorf("%s path %d: interpreted layout\n %v\nstatic\n %v", m.Name, p.ID, rec.Fields, want)
+			}
+			if rec.Bits != p.SizeBits() || len(rec.Image) != p.SizeBytes() {
+				t.Errorf("%s path %d: %d bits in %d bytes, static %d in %d", m.Name, p.ID, rec.Bits, len(rec.Image), p.SizeBits(), p.SizeBytes())
+			}
+		}
+	}
+
+	d, err := deparserOf(t, nic.MustLoad("e1000e").Info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RunInto(new(Record), sema.MapEnv{}); err == nil || !strings.Contains(err.Error(), "ctx.use_rss") {
+		t.Errorf("condition over an unset register: err = %v", err)
+	}
+	for _, c := range []struct{ stmt, want string }{
+		{"m.a = 1;", "unsupported statement *ast.AssignStmt"},
+		{"co.emit(other.a);", "emit root other.a is not a parameter"},
+	} {
+		src := `struct m_t { bit<8> a; }
+control CmptDeparser(cmpt_out co, in m_t m) { apply { co.emit(m); ` + c.stmt + ` } }`
+		prog, err := parser.Parse("refuse.p4", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := sema.Check(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := deparserOf(t, info); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.stmt, err, c.want)
+		}
 	}
 }
