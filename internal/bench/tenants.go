@@ -105,7 +105,7 @@ func e19Serve(tenants, cores, packets int, w io.Writer) (*e19Run, error) {
 		go func(core int) {
 			defer wg.Done()
 			for done.Load() < uint64(packets) {
-				n := p.PollCore(core, func(d tenant.Delivery) {
+				n := p.PollCore(core, func(d *tenant.Delivery) {
 					d.Get(tenantProfiles[d.Tenant%len(tenantProfiles)][0])
 				})
 				if n == 0 {

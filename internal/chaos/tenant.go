@@ -227,7 +227,7 @@ func (r *tenantRunner) rx(step int) {
 // (exactly-once, in order, right tenant — by slice identity) and the golden
 // metadata model (zero garbage reads in any generation).
 func (r *tenantRunner) poll(step, core int) {
-	n := r.plane.PollCore(core, func(d tenant.Delivery) {
+	n := r.plane.PollCore(core, func(d *tenant.Delivery) {
 		if r.viol != nil {
 			return
 		}

@@ -341,13 +341,20 @@ func (d *Device) ApplyConfig(cons []core.Constraint) error {
 }
 
 // ActivePath returns the completion path the current context registers
-// select, by evaluating each enumerated path's constraints.
+// select, by evaluating each enumerated path's constraints. A constraint on
+// a context register that was never written does not hold, whatever its
+// operator: the deparser cannot branch on it, so RxPacket refuses every
+// frame (Lookup). A constraint on a metadata field reads what ApplyConfig
+// wrote under its name, zero when nothing was.
 func (d *Device) ActivePath() (*core.Path, error) {
 	for _, p := range d.paths {
 		ok := true
 		for _, c := range p.Constraints {
-			got := d.ctx[c.Var]
-			if c.Equal != got.Equal(c.Val) {
+			got, set := d.ctx[c.Var]
+			if !set {
+				_, set = d.field(c.Var)
+			}
+			if !set || c.Equal != got.Equal(c.Val) {
 				ok = false
 				break
 			}

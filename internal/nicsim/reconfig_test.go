@@ -251,3 +251,33 @@ func TestReconfigureAcrossRingWrap(t *testing.T) {
 
 // ReadReg returns a context register value (0 when never written).
 func (d *Device) ReadReg(path string) uint64 { return d.ctx[path].Uint }
+
+// TestActivePathNeedsWrittenRegisters: ActivePath names the path RxPacket
+// serializes, so on a device nobody programmed it errs exactly when a valid
+// frame is refused (an unwritten register satisfies no constraint, == 0 and
+// != v included), and once a path's constraints are applied it returns that
+// path.
+func TestActivePathNeedsWrittenRegisters(t *testing.T) {
+	for _, m := range nic.All() {
+		t.Run(m.Name, func(t *testing.T) {
+			fresh := MustNew(m, Config{})
+			ap, err := fresh.ActivePath()
+			if accepted := fresh.RxPacket(testPacket()); accepted != (err == nil) {
+				t.Errorf("fresh device: ActivePath = %v, %v but RxPacket accepted = %v", ap, err, accepted)
+			}
+			for _, p := range fresh.paths {
+				dev := MustNew(m, Config{})
+				if err := dev.ApplyConfig(p.Constraints); err != nil {
+					t.Fatalf("path %d: %v", p.ID, err)
+				}
+				got, err := dev.ActivePath()
+				if err != nil || got != p {
+					t.Errorf("after ApplyConfig(path %d): ActivePath = %v, %v", p.ID, got, err)
+				}
+				if !dev.RxPacket(testPacket()) {
+					t.Errorf("path %d: RxPacket refused a valid frame", p.ID)
+				}
+			}
+		})
+	}
+}

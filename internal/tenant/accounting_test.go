@@ -40,7 +40,7 @@ func TestClockReadsOnGrid(t *testing.T) {
 	}
 	before := clk.reads.Load()
 	var delivered, onGrid uint64
-	h := func(d Delivery) {
+	h := func(d *Delivery) {
 		delivered++
 		if flight.Sampled(rxpath.Of(d.m).Seq) {
 			onGrid++
@@ -141,7 +141,7 @@ func TestAccountingExactAtPollBoundary(t *testing.T) {
 
 	ref := make([]uint64, tenants) // deliveries counted one packet at a time
 	var stolen uint64
-	h := func(d Delivery) {
+	h := func(d *Delivery) {
 		ref[d.Tenant]++
 		if d.Stolen {
 			stolen++

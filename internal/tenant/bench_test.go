@@ -40,7 +40,7 @@ func BenchmarkRxPoll(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			h := func(d tenant.Delivery) { d.Get("rss") }
+			h := func(d *tenant.Delivery) { d.Get("rss") }
 			timed := arm.burst > 1 // two clock reads per poll would be a tenth of a one-packet op
 			var pollNs time.Duration
 			b.ReportAllocs()

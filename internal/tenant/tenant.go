@@ -85,6 +85,11 @@ type queueState struct {
 	// one-packet poll does not sweep every configured tenant.
 	counts []uint32
 	seen   []int
+
+	// dv is the shard's view of the delivery in progress: the poll sets its
+	// per-poll fields once and its per-packet fields before each handler
+	// call, so a delivery costs the handler one pointer, not a copy.
+	dv Delivery
 }
 
 // tenantState is one tenant's runtime view: its intent, its port and its
@@ -318,7 +323,9 @@ func (p *Plane) Rx(packet []byte) bool {
 	return true
 }
 
-// Delivery is one packet handed to a tenant handler inside PollCore.
+// Delivery is one packet handed to a tenant handler inside PollCore. The
+// handler gets a pointer to its shard's view of the delivery in progress,
+// valid only for the call: the next packet of the poll overwrites it.
 type Delivery struct {
 	// Tenant / Name identify the owning tenant.
 	Tenant int
@@ -352,8 +359,10 @@ func (d *Delivery) Want(sem string) (uint64, bool) { return rxpath.Want(d.m, sem
 // PollCore runs one iteration of core's poll loop: drain the own shard;
 // when it is empty, steal a bounded batch from the most loaded sibling.
 // Deliveries preserve each queue's FIFO order (parked switchover backlog
-// first, then ring completions) regardless of who consumes them.
-func (p *Plane) PollCore(core int, h func(Delivery)) int {
+// first, then ring completions) regardless of who consumes them. h gets the
+// shard's delivery view, valid only for the call; a handler that keeps a
+// delivery past it must copy what it needs.
+func (p *Plane) PollCore(core int, h func(*Delivery)) int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if core < 0 || core >= len(p.queues) {
@@ -394,21 +403,21 @@ func (p *Plane) busiest(self int) int {
 // q on behalf of core. Per packet it counts the delivery in the queue's
 // scratch and, if the queue stamped it (the sampling grid), observes Rx →
 // deliver latency; each tenant's counters are published once, when the poll
-// returns. Caller holds p.mu.RLock.
-func (p *Plane) pollQueue(core, q, limit int, h func(Delivery)) int {
+// returns. The handler sees qs.dv: its per-poll fields are set once here,
+// under qs.mu. Caller holds p.mu.RLock.
+func (p *Plane) pollQueue(core, q, limit int, h func(*Delivery)) int {
 	qs := p.queues[q]
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
 	stolen := core != q
+	dv := &qs.dv
+	dv.Queue, dv.Core, dv.Stolen = q, core, stolen
 	n := qs.q.Poll(limit, func(pktB []byte, m rxpath.Meta) {
 		d := rxpath.Of(m)
 		ti := int(d.Tag)
 		t := p.tenants[ti]
-		h(Delivery{
-			Tenant: ti, Name: t.spec.Name,
-			Queue: q, Core: core, Stolen: stolen,
-			Pkt: pktB, m: m,
-		})
+		dv.Tenant, dv.Name, dv.Pkt, dv.m = ti, t.spec.Name, pktB, m
+		h(dv)
 		if qs.counts[ti] == 0 {
 			qs.seen = append(qs.seen, ti)
 		}
@@ -434,7 +443,7 @@ func (p *Plane) pollQueue(core, q, limit int, h func(Delivery)) int {
 
 // Drain polls every core round-robin until the plane is empty; used by
 // tests and the experiment tails. Returns total deliveries.
-func (p *Plane) Drain(h func(Delivery)) int {
+func (p *Plane) Drain(h func(*Delivery)) int {
 	total := 0
 	for {
 		n := 0

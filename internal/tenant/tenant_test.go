@@ -53,7 +53,7 @@ func TestPlaneEndToEnd(t *testing.T) {
 	}
 
 	delivered := make([]int, 4)
-	n := p.Drain(func(d Delivery) {
+	n := p.Drain(func(d *Delivery) {
 		delivered[d.Tenant]++
 		var in pkt.Info
 		if err := pkt.Decode(d.Pkt, &in); err != nil {
@@ -110,56 +110,81 @@ func TestPlaneEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPlaneWorkStealing: a single elephant flow lands every packet on one
-// RSS shard; an idle sibling core must steal its backlog in FIFO order.
+// TestPlaneWorkStealing: a mixed-tenant backlog on one RSS shard is stolen
+// by an idle sibling in FIFO order, then the owner polls the same shard.
+// Every handler call gets the shard's one delivery view, so each must see its
+// own packet's tenant fields and its poll's queue/core/stolen fields: nothing
+// the steal left in the view may show through to the owner's poll.
 func TestPlaneWorkStealing(t *testing.T) {
-	p, err := Open(Options{NIC: "mlx5", Cores: 4}, fourTenants()...)
+	specs := fourTenants()
+	p, err := Open(Options{NIC: "mlx5", Cores: 4}, specs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const pkts = 8
-	var victim int
-	for i := 0; i < pkts; i++ {
-		pk := pkt.NewBuilder().
-			WithIPv4([4]byte{10, 0, 0, 1}, [4]byte{192, 168, 0, 0}).
-			WithIPID(uint16(i)).
-			WithUDP(7777, 20000).
-			WithPayload([]byte("elephant")).
-			Build()
-		if i == 0 {
-			var in pkt.Info
-			if err := pkt.Decode(pk, &in); err != nil {
-				t.Fatal(err)
+	const victim, pkts = 2, stealBatch / 2
+	type sent struct {
+		tenant int
+		first  *byte
+	}
+	var want []sent
+	// burst receives n packets onto victim, cycling through the tenants out
+	// of order; each searches source ports until RSS lands it there.
+	burst := func(n int) {
+		for i := 0; i < n; i++ {
+			ti := (len(want) * 3) % len(specs)
+			for src := uint16(1024); ; src++ {
+				pk := pkt.NewBuilder().
+					WithIPv4([4]byte{10, 0, 0, 1}, [4]byte{192, 168, 0, 0}).
+					WithUDP(src, workload.BasePort+uint16(ti)).
+					Build()
+				var in pkt.Info
+				if err := pkt.Decode(pk, &in); err != nil {
+					t.Fatal(err)
+				}
+				if p.Steer(&in) != victim {
+					continue
+				}
+				if !p.Rx(pk) {
+					t.Fatalf("rx %d failed", len(want))
+				}
+				want = append(want, sent{ti, &pk[0]})
+				break
 			}
-			victim = p.Steer(&in)
 		}
-		if !p.Rx(pk) {
-			t.Fatalf("rx %d failed", i)
+	}
+	next := 0
+	check := func(core int, stolen bool) func(*Delivery) {
+		return func(d *Delivery) {
+			if next >= len(want) {
+				t.Fatalf("delivery %d beyond the %d sent", next, len(want))
+			}
+			w := want[next]
+			if d.Tenant != w.tenant || d.Name != specs[w.tenant].Name || &d.Pkt[0] != w.first {
+				t.Errorf("delivery %d = tenant %d %q, want tenant %d %q (its own packet, in order: %v)",
+					next, d.Tenant, d.Name, w.tenant, specs[w.tenant].Name, &d.Pkt[0] == w.first)
+			}
+			if d.Queue != victim || d.Core != core || d.Stolen != stolen {
+				t.Errorf("delivery %d: queue %d core %d stolen %v, want %d %d %v",
+					next, d.Queue, d.Core, d.Stolen, victim, core, stolen)
+			}
+			next++
 		}
 	}
 	thief := (victim + 1) % p.Cores()
-	var order []uint16
-	n := p.PollCore(thief, func(d Delivery) {
-		if !d.Stolen || d.Queue != victim || d.Core != thief {
-			t.Errorf("delivery = %+v, want stolen from %d by %d", d, victim, thief)
-		}
-		var in pkt.Info
-		if err := pkt.Decode(d.Pkt, &in); err != nil {
-			t.Fatal(err)
-		}
-		order = append(order, in.IPID)
-	})
-	if n != pkts {
+	burst(pkts)
+	if n := p.PollCore(thief, check(thief, true)); n != pkts {
 		t.Fatalf("thief delivered %d, want %d", n, pkts)
-	}
-	for i, id := range order {
-		if id != uint16(i) {
-			t.Fatalf("stolen deliveries out of order: %v", order)
-		}
 	}
 	st := p.Stats()
 	if st.Steals != 1 || st.Cores[victim].Stolen != pkts {
 		t.Errorf("steal stats = %+v", st)
+	}
+	burst(pkts)
+	if n := p.PollCore(victim, check(victim, false)); n != pkts {
+		t.Fatalf("owner delivered %d, want %d", n, pkts)
+	}
+	if next != len(want) {
+		t.Errorf("handled %d deliveries, sent %d", next, len(want))
 	}
 }
 
@@ -206,7 +231,7 @@ func TestPlaneRenegotiateFastPath(t *testing.T) {
 		t.Fatal("rx after fast reneg")
 	}
 	saw := false
-	p.Drain(func(d Delivery) {
+	p.Drain(func(d *Delivery) {
 		saw = true
 		if d.Name != "mobile" {
 			t.Fatalf("delivered to %s", d.Name)
@@ -301,7 +326,7 @@ func TestPlaneRenegotiateSwitchover(t *testing.T) {
 	}
 
 	gotOrder := make(map[int][]uint16)
-	total := p.Drain(func(d Delivery) {
+	total := p.Drain(func(d *Delivery) {
 		var in pkt.Info
 		if err := pkt.Decode(d.Pkt, &in); err != nil {
 			t.Fatal(err)
@@ -376,7 +401,7 @@ func TestPlaneMetrics(t *testing.T) {
 		WithIPv4([4]byte{10, 0, 0, 1}, [4]byte{192, 168, 0, 0}).
 		WithUDP(1234, 20000).Build()
 	p.Rx(pk)
-	p.Drain(func(Delivery) {})
+	p.Drain(func(*Delivery) {})
 	var sb strings.Builder
 	reg.WritePrometheus(&sb)
 	out := sb.String()
@@ -422,7 +447,7 @@ func TestParkedDeliveriesBindOnce(t *testing.T) {
 		t.Fatalf("want one switchover parking %d packets, got %+v", pkts, st)
 	}
 	got := 0
-	h := func(d Delivery) {
+	h := func(d *Delivery) {
 		if _, ok := d.Get("rss"); !ok {
 			t.Error("parked delivery lost its accessor")
 		}

@@ -22,8 +22,10 @@ type (
 	// stealing, Renegotiate hot-swaps one tenant's intent without
 	// disturbing its neighbors.
 	ServingPlane = tenant.Plane
-	// TenantDelivery is one packet handed to a tenant inside PollCore.
-	TenantDelivery = tenant.Delivery
+	// TenantDelivery is one packet handed to a tenant inside PollCore: a
+	// pointer to the shard's view of the delivery in progress, valid only
+	// for the handler call (the Meta contract).
+	TenantDelivery = *tenant.Delivery
 	// TenantStats is one tenant's delivery snapshot.
 	TenantStats = tenant.TenantStats
 	// PlaneStats is a point-in-time snapshot of a serving plane.
