@@ -57,21 +57,24 @@ alloc-gate:
 	$(GO) test -run TestShimTimingOnGrid -v ./internal/softnic
 
 # Non-test Go and assembly lines per top-level directory: raw, and code only
-# (no blank or comment lines), then the words of the three prose docs. A PR
-# states its net delta from both.
+# (no blank or comment lines), their total, then the same two counts over
+# every _test.go file, then the words of the three prose docs. A PR states
+# its net delta from the total and shows the tests row beside it.
+LOC_AWK = { raw++ } \
+	/^[ \t]*$$/ { next } \
+	inblock { if (index($$0, "*/")) inblock = 0; next } \
+	/^[ \t]*\/\// { next } \
+	/^[ \t]*\/\*/ { if (!index($$0, "*/")) inblock = 1; next } \
+	{ code++ } \
+	END { printf "%-10s %7d raw %7d code\n", d, raw, code }
+
 loc:
 	@for d in . cmd examples internal; do \
 		if [ $$d = . ]; then files=$$(ls *.go | grep -v _test.go); \
 		else files=$$(find $$d \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go'); fi; \
-		cat $$files | awk -v d=$$d ' \
-			{ raw++ } \
-			/^[ \t]*$$/ { next } \
-			inblock { if (index($$0, "*/")) inblock = 0; next } \
-			/^[ \t]*\/\// { next } \
-			/^[ \t]*\/\*/ { if (!index($$0, "*/")) inblock = 1; next } \
-			{ code++ } \
-			END { printf "%-10s %7d raw %7d code\n", d, raw, code }'; \
+		cat $$files | awk -v d=$$d '$(LOC_AWK)'; \
 	done | awk '{ print; raw += $$2; code += $$4 } END { printf "%-10s %7d raw %7d code\n", "total", raw, code }'
+	@cat $$(find . -name '*_test.go') | awk -v d=tests '$(LOC_AWK)'
 	@printf "%-10s %7d words (DESIGN.md, README.md, EXPERIMENTS.md)\n" prose $$(cat DESIGN.md README.md EXPERIMENTS.md | wc -w)
 
 clean:

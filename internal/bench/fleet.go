@@ -194,7 +194,7 @@ func e20Scenario(hosts int, w io.Writer, dumpDir string) (*e20Run, error) {
 
 	cs := ctrl.CacheStats()
 	run.compiles = cs.Misses
-	if cs.Gets != cs.Hits+cs.Misses+cs.Coalesced {
+	if cs.Gets != cs.Hits+cs.Misses || cs.Misses != uint64(cs.Entries) {
 		return nil, fmt.Errorf("cache counters do not reconcile: %+v", cs)
 	}
 	fmt.Fprintf(w, "fleet after rollback: %d hosts on gen %d, %d/%d packets delivered exactly once, %d garbage reads on %d canaries\n",
@@ -305,7 +305,7 @@ func E20Fleet(w io.Writer, dumpDir string) (*Table, error) {
 		Title:  "fleet control plane: describe inventory, canary rollout + auto-rollback, LKG degradation",
 		Header: []string{"fleet", "quarantined", "descriptions", "cache hits", "promote", "rollback", "garbage"},
 		Note: fmt.Sprintf(
-			"one compile per (description digest, intent) through the content-addressed cache; singleflight coalesces\n"+
+			"one compile per (description digest, intent) through the content-addressed cache\n"+
 				"tampered push = ip_checksum/pkt_len @semantic swap: passes structural validation, caught only by canary bake\n"+
 				"rollback blast radius = canaries only (one per distinct description); all other hosts never left last-known-good\n"+
 				"chaos sweep: %d cases, %d rollouts (%d promoted, %d rolled back), %d lease reverts, 0 violations",

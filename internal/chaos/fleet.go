@@ -483,10 +483,10 @@ func (r *fleetRunner) finish(step int) {
 		}
 	}
 	st := r.ctrl.CacheStats()
-	if st.Hits+st.Misses+st.Coalesced != st.Gets {
+	if st.Hits+st.Misses != st.Gets || st.Misses != uint64(st.Entries) {
 		r.fail(&Violation{Oracle: "cache-counters", Step: step,
-			Detail: fmt.Sprintf("gets %d != hits %d + misses %d + coalesced %d",
-				st.Gets, st.Hits, st.Misses, st.Coalesced)})
+			Detail: fmt.Sprintf("gets %d, hits %d, misses %d, entries %d: want gets = hits + misses and misses = entries",
+				st.Gets, st.Hits, st.Misses, st.Entries)})
 		return
 	}
 	r.res.Rollouts = uint64(r.upgradeN)

@@ -1,13 +1,10 @@
 package core
 
-// Content-addressed compile cache (S25). A fleet controller compiles one
-// layout per (description digest, intent) pair, not per host: sixty-four
-// hosts drawn from six NIC families share six cache entries. Concurrent
-// requests for the same key are de-duplicated singleflight-style — the
-// first caller compiles, the rest wait and share the result — and entries
-// are recycled LRU under a bounded capacity. Results are immutable after
-// Compile, so sharing one *Result across hosts is safe (each host builds
-// its own accessor runtime).
+// Content-addressed memo (S25). A fleet controller compiles one layout per
+// (description digest, intent) pair, not per host: sixty-four hosts drawn
+// from six NIC families share six entries. Results are immutable after
+// Compile, so sharing one *Result across hosts is safe (each host builds its
+// own accessor runtime).
 
 import (
 	"crypto/sha256"
@@ -28,203 +25,67 @@ func SourceDigest(source string) string {
 }
 
 // CacheKey addresses one compiled layout: what was compiled (the
-// description digest) and what it was compiled for (the canonical intent +
-// options string).
+// description digest) and what it was compiled for (the canonical intent).
 type CacheKey struct {
 	Digest string
 	Intent string
 }
 
-// IntentKey renders the (intent, options) pair canonically: field set in
-// sorted order with per-field width/cost/required flags, plus every
-// CompileOptions knob that can change the selected layout. Two compiles
+// IntentKey renders an intent canonically: its field set in sorted order
+// with per-field width/cost/required flags. Two default-option compiles
 // with equal IntentKey and equal SourceDigest are interchangeable.
-func IntentKey(intent *Intent, opts CompileOptions) string {
+func IntentKey(intent *Intent) string {
 	fields := make([]string, 0, len(intent.Fields))
 	for _, f := range intent.Fields {
 		fields = append(fields, fmt.Sprintf("%s:%s:%d:%g:%t",
 			f.FieldName, f.Semantic, f.WidthBits, f.CostOverride, f.Required))
 	}
 	sort.Strings(fields)
-	costs := ""
-	if opts.Select.Costs != nil {
-		// A custom cost model is opaque; refuse to alias it with the
-		// default model by keying on its identity-free marker. Callers
-		// sharing a cache across cost models should embed a model tag in
-		// the digest instead.
-		costs = "custom"
-	}
-	return fmt.Sprintf("fields=%v alpha=%g costs=%s prune=%t maxpaths=%d",
-		fields, opts.Select.Alpha, costs,
-		!opts.Enumerate.DisablePruning, opts.Enumerate.MaxPaths)
+	return fmt.Sprintf("fields=%v", fields)
 }
 
 // CompileKey builds the cache key for compiling a description (by digest)
-// under an intent and options.
-func CompileKey(sourceDigest string, intent *Intent, opts CompileOptions) CacheKey {
-	return CacheKey{Digest: sourceDigest, Intent: IntentKey(intent, opts)}
+// under an intent with default compile options.
+func CompileKey(sourceDigest string, intent *Intent) CacheKey {
+	return CacheKey{Digest: sourceDigest, Intent: IntentKey(intent)}
 }
 
-// CacheStats is a point-in-time snapshot of the cache counters. They
-// reconcile exactly: Gets = Hits + Misses + Coalesced, and (absent compile
-// errors) the compile function ran Misses times.
-type CacheStats struct {
-	Gets      uint64
-	Hits      uint64
-	Misses    uint64
-	Coalesced uint64 // waited on another caller's in-flight compile
-	Evictions uint64
-	Size      int
+// Memo computes each key's value once and keeps it, error included, for the
+// memo's life: a value is a pure function of its content-addressed key, so a
+// failed compute would fail again. Callers that arrive while a key is being
+// computed wait for that one compute. The zero value is ready; a Memo must
+// not be copied after first use.
+type Memo[K comparable, V any] struct {
+	mu      sync.Mutex
+	entries map[K]*memoEntry[V]
 }
 
-// HitRate is hits (including coalesced waits, which also avoided a
-// compile) over all gets; 0 when nothing was requested.
-func (s CacheStats) HitRate() float64 {
-	if s.Gets == 0 {
-		return 0
-	}
-	return float64(s.Hits+s.Coalesced) / float64(s.Gets)
-}
-
-// cacheEntry is one resident layout plus its LRU links.
-type cacheEntry struct {
-	key        CacheKey
-	res        *Result
-	prev, next *cacheEntry
-}
-
-// inflight is one compile in progress; late arrivals wait on done.
-type inflight struct {
-	done chan struct{}
-	res  *Result
+type memoEntry[V any] struct {
+	once sync.Once
+	val  V
 	err  error
 }
 
-// CompileCache is a bounded, content-addressed map from CacheKey to
-// compiled *Result with singleflight de-duplication. Safe for concurrent
-// use. The zero value is not ready; use NewCompileCache.
-type CompileCache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[CacheKey]*cacheEntry
-	flights  map[CacheKey]*inflight
-	// head is most-recently-used, tail least.
-	head, tail *cacheEntry
-
-	gets, hits, misses, coalesced, evictions uint64
+// Get returns key's value, running compute for it only if no earlier call
+// has.
+func (m *Memo[K, V]) Get(key K, compute func() (V, error)) (V, error) {
+	m.mu.Lock()
+	e := m.entries[key]
+	if e == nil {
+		if m.entries == nil {
+			m.entries = make(map[K]*memoEntry[V])
+		}
+		e = new(memoEntry[V])
+		m.entries[key] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.val, e.err = compute() })
+	return e.val, e.err
 }
 
-// NewCompileCache returns a cache bounded to capacity entries
-// (capacity <= 0 selects 64, comfortably above one entry per bundled NIC
-// family per live intent).
-func NewCompileCache(capacity int) *CompileCache {
-	if capacity <= 0 {
-		capacity = 64
-	}
-	return &CompileCache{
-		capacity: capacity,
-		entries:  make(map[CacheKey]*cacheEntry),
-		flights:  make(map[CacheKey]*inflight),
-	}
-}
-
-// Get returns the cached result for key, or runs compile (once, however
-// many callers ask concurrently) and caches a successful result. Failed
-// compiles are not cached: the next Get retries.
-func (c *CompileCache) Get(key CacheKey, compile func() (*Result, error)) (*Result, error) {
-	c.mu.Lock()
-	c.gets++
-	if e, ok := c.entries[key]; ok {
-		c.hits++
-		c.touch(e)
-		res := e.res
-		c.mu.Unlock()
-		return res, nil
-	}
-	if fl, ok := c.flights[key]; ok {
-		c.coalesced++
-		c.mu.Unlock()
-		<-fl.done
-		return fl.res, fl.err
-	}
-	c.misses++
-	fl := &inflight{done: make(chan struct{})}
-	c.flights[key] = fl
-	c.mu.Unlock()
-
-	fl.res, fl.err = compile()
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	if fl.err == nil {
-		c.insert(key, fl.res)
-	}
-	c.mu.Unlock()
-	close(fl.done)
-	return fl.res, fl.err
-}
-
-// Stats snapshots the counters.
-func (c *CompileCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Gets:      c.gets,
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Coalesced: c.coalesced,
-		Evictions: c.evictions,
-		Size:      len(c.entries),
-	}
-}
-
-// insert adds a fresh entry at the LRU head, evicting the tail when full.
-// Caller holds c.mu.
-func (c *CompileCache) insert(key CacheKey, res *Result) {
-	if _, ok := c.entries[key]; ok {
-		return // a racing Get already inserted it
-	}
-	for len(c.entries) >= c.capacity && c.tail != nil {
-		c.evictions++
-		old := c.tail
-		c.unlink(old)
-		delete(c.entries, old.key)
-	}
-	e := &cacheEntry{key: key, res: res}
-	c.entries[key] = e
-	c.pushFront(e)
-}
-
-// touch moves e to the LRU head. Caller holds c.mu.
-func (c *CompileCache) touch(e *cacheEntry) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
-}
-
-func (c *CompileCache) pushFront(e *cacheEntry) {
-	e.prev, e.next = nil, c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *CompileCache) unlink(e *cacheEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
+// Len is the number of keys computed or being computed.
+func (m *Memo[K, V]) Len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.entries)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,169 +9,83 @@ import (
 	"opendesc/internal/semantics"
 )
 
-// TestCacheSingleflight: many goroutines requesting the same key must
-// trigger exactly one compile; everyone shares the result; the counters
-// reconcile with the call count. Run under -race this is also the cache's
-// data-race test.
+// TestCacheSingleflight: many goroutines requesting one key of a Memo run
+// its compute exactly once and share one result pointer; a second key
+// computes on its own. Run under -race this is also the memo's data-race
+// test.
 func TestCacheSingleflight(t *testing.T) {
+	var m Memo[CacheKey, *Result]
+	rows := []struct {
+		key  CacheKey
+		want *Result
+	}{
+		{CacheKey{Digest: "d1", Intent: "i1"}, &Result{NIC: "fake"}},
+		{CacheKey{Digest: "d1", Intent: "i2"}, &Result{NIC: "other"}},
+	}
+	for n, row := range rows {
+		checkOneCompute(t, &m, row.key, row.want, nil)
+		if m.Len() != n+1 {
+			t.Fatalf("after %d keys Len = %d", n+1, m.Len())
+		}
+	}
+}
+
+// TestCacheErrorMemoized: a failed compute is kept like a value (a compile
+// is a pure function of its key, so it would fail again): every concurrent
+// caller gets the error, and a later Get returns it without recomputing.
+func TestCacheErrorMemoized(t *testing.T) {
+	var m Memo[CacheKey, *Result]
+	checkOneCompute(t, &m, CacheKey{Digest: "bad", Intent: "i1"}, nil, errors.New("unsatisfiable"))
+	if m.Len() != 1 {
+		t.Fatalf("Len = %d after one failed key, want 1", m.Len())
+	}
+}
+
+// checkOneCompute has 32 goroutines Get key from m at once, with a compute
+// held open so they pile up on it, and checks the compute ran exactly once,
+// every caller got (want, wantErr), and a later Get is a plain hit.
+func checkOneCompute(t *testing.T, m *Memo[CacheKey, *Result], key CacheKey, want *Result, wantErr error) {
+	t.Helper()
 	const callers = 32
-	c := NewCompileCache(8)
-	key := CacheKey{Digest: "d1", Intent: "i1"}
-
-	var compiles atomic.Uint64
+	var computes atomic.Uint64
 	gate := make(chan struct{})
-	want := &Result{NIC: "fake"}
-
+	compute := func() (*Result, error) {
+		computes.Add(1)
+		<-gate // hold the compute open so arrivals pile up on it
+		return want, wantErr
+	}
 	var wg sync.WaitGroup
 	results := make([]*Result, callers)
+	errs := make([]error, callers)
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := c.Get(key, func() (*Result, error) {
-				compiles.Add(1)
-				<-gate // hold the flight open so arrivals pile up on it
-				return want, nil
-			})
-			if err != nil {
-				t.Errorf("caller %d: %v", i, err)
-			}
-			results[i] = res
+			results[i], errs[i] = m.Get(key, compute)
 		}(i)
 	}
 	close(gate)
 	wg.Wait()
 
-	if n := compiles.Load(); n != 1 {
-		t.Fatalf("compile ran %d times for one key, want exactly 1 (singleflight)", n)
+	if c := computes.Load(); c != 1 {
+		t.Fatalf("%+v: compute ran %d times for one key, want exactly 1", key, c)
 	}
-	for i, res := range results {
-		if res != want {
-			t.Fatalf("caller %d got a different result pointer", i)
+	for i := range results {
+		if results[i] != want || errs[i] != wantErr {
+			t.Fatalf("%+v: caller %d got (%v, %v), want (%v, %v)", key, i, results[i], errs[i], want, wantErr)
 		}
 	}
-	st := c.Stats()
-	if st.Gets != callers {
-		t.Fatalf("gets = %d, want %d", st.Gets, callers)
-	}
-	if st.Misses != 1 {
-		t.Fatalf("misses = %d, want 1", st.Misses)
-	}
-	if st.Hits+st.Misses+st.Coalesced != st.Gets {
-		t.Fatalf("counters do not reconcile: %+v", st)
-	}
-
-	// A fresh Get is now a plain hit.
-	if _, err := c.Get(key, func() (*Result, error) {
-		t.Fatal("hit must not recompile")
+	// A later Get is a plain hit, the error included.
+	if res, err := m.Get(key, func() (*Result, error) {
+		t.Fatalf("%+v: a computed key must not recompute", key)
 		return nil, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Hits != st.Gets-1-st.Coalesced {
-		t.Fatalf("post-hit counters do not reconcile: %+v", st)
-	}
-}
-
-// TestCacheConcurrentKeys hammers a small cache with many goroutines over
-// more keys than capacity (forcing evictions under contention) and checks
-// the invariant Gets = Hits + Misses + Coalesced at the end.
-func TestCacheConcurrentKeys(t *testing.T) {
-	c := NewCompileCache(4)
-	var compiles atomic.Uint64
-	var wg sync.WaitGroup
-	const callers, rounds = 16, 64
-	for g := 0; g < callers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				key := CacheKey{Digest: fmt.Sprintf("d%d", (g+i)%7), Intent: "i"}
-				res, err := c.Get(key, func() (*Result, error) {
-					compiles.Add(1)
-					return &Result{NIC: key.Digest}, nil
-				})
-				if err != nil || res.NIC != key.Digest {
-					t.Errorf("got %v, %v for %s", res, err, key.Digest)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	st := c.Stats()
-	if st.Gets != callers*rounds {
-		t.Fatalf("gets = %d, want %d", st.Gets, callers*rounds)
-	}
-	if st.Hits+st.Misses+st.Coalesced != st.Gets {
-		t.Fatalf("counters do not reconcile: %+v", st)
-	}
-	if got := compiles.Load(); got != st.Misses {
-		t.Fatalf("compile ran %d times, misses = %d — a miss must mean exactly one compile", got, st.Misses)
-	}
-	if st.Size > 4 {
-		t.Fatalf("size = %d exceeds capacity 4", st.Size)
-	}
-}
-
-// TestCacheLRUEviction: the least-recently-used entry goes first, and a
-// re-request of an evicted key recompiles.
-func TestCacheLRUEviction(t *testing.T) {
-	c := NewCompileCache(2)
-	compiled := map[string]int{}
-	get := func(d string) {
-		t.Helper()
-		if _, err := c.Get(CacheKey{Digest: d}, func() (*Result, error) {
-			compiled[d]++
-			return &Result{NIC: d}, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	get("a")
-	get("b")
-	get("a") // refresh a: b is now LRU
-	get("c") // evicts b
-	get("a") // still resident
-	get("b") // recompiles
-	st := c.Stats()
-	if st.Evictions != 2 { // b evicted by c, then a or c evicted by b's return
-		t.Fatalf("evictions = %d, want 2: %+v", st.Evictions, st)
-	}
-	if compiled["a"] != 1 || compiled["b"] != 2 || compiled["c"] != 1 {
-		t.Fatalf("compile counts = %v, want a:1 b:2 c:1", compiled)
-	}
-	if st.Hits+st.Misses+st.Coalesced != st.Gets {
-		t.Fatalf("counters do not reconcile: %+v", st)
-	}
-}
-
-// TestCacheErrorNotCached: a failed compile is retried by the next Get and
-// every concurrent waiter observes the same error.
-func TestCacheErrorNotCached(t *testing.T) {
-	c := NewCompileCache(2)
-	key := CacheKey{Digest: "bad"}
-	boom := errors.New("unsatisfiable")
-	calls := 0
-	for i := 0; i < 2; i++ {
-		if _, err := c.Get(key, func() (*Result, error) {
-			calls++
-			return nil, boom
-		}); !errors.Is(err, boom) {
-			t.Fatalf("err = %v, want the compile error", err)
-		}
-	}
-	if calls != 2 {
-		t.Fatalf("compile ran %d times, want 2 (errors are not cached)", calls)
-	}
-	if st := c.Stats(); st.Size != 0 || st.Misses != 2 {
-		t.Fatalf("stats = %+v, want two misses and an empty cache", st)
+	}); res != want || err != wantErr {
+		t.Fatalf("%+v: later Get = (%v, %v)", key, res, err)
 	}
 }
 
 // TestSourceDigestAndIntentKey: the content address separates sources, and
-// the intent key is canonical under field order but sensitive to the
-// layout-relevant compile options.
+// the intent key is canonical under field order.
 func TestSourceDigestAndIntentKey(t *testing.T) {
 	if SourceDigest("a") == SourceDigest("b") {
 		t.Fatal("distinct sources must have distinct digests")
@@ -189,13 +102,10 @@ func TestSourceDigestAndIntentKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if IntentKey(i1, CompileOptions{}) != IntentKey(i2, CompileOptions{}) {
+	if IntentKey(i1) != IntentKey(i2) {
 		t.Fatal("intent key must be canonical under field order")
 	}
-	if IntentKey(i1, CompileOptions{}) == IntentKey(i1, CompileOptions{Select: SelectOptions{Alpha: 9}}) {
-		t.Fatal("alpha changes the selected layout and must change the key")
-	}
-	k := CompileKey(SourceDigest("src"), i1, CompileOptions{})
+	k := CompileKey(SourceDigest("src"), i1)
 	if k.Digest != SourceDigest("src") || k.Intent == "" {
 		t.Fatalf("CompileKey = %+v", k)
 	}

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"opendesc/internal/bitfield"
 	"opendesc/internal/codegen"
@@ -269,42 +268,15 @@ func Certify(name, src string) Certificate {
 	return cert
 }
 
-// certMemo memoizes certificates by content digest. Goroutines that miss on
-// the same digest together share one harness run: the first runs it, the
-// others wait for its certificate.
-type certMemo struct {
-	mu      sync.Mutex
-	entries map[string]*certEntry
-}
-
-type certEntry struct {
-	once sync.Once
-	cert Certificate
-}
-
-func (m *certMemo) get(digest string, certify func() Certificate) Certificate {
-	m.mu.Lock()
-	e := m.entries[digest]
-	if e == nil {
-		if m.entries == nil {
-			m.entries = make(map[string]*certEntry)
-		}
-		e = new(certEntry)
-		m.entries[digest] = e
-	}
-	m.mu.Unlock()
-	e.once.Do(func() { e.cert = certify() })
-	return e.cert
-}
-
-var certCache certMemo
+var certCache core.Memo[string, Certificate]
 
 // CertifyCached memoizes Certify by content digest. The fleet controller and
 // the chaos diffverify oracle share this cache, so each distinct description
 // is verified once per process regardless of fleet size, seed count or how
 // many goroutines ask at once.
 func CertifyCached(name, src string) Certificate {
-	return certCache.get(core.SourceDigest(src), func() Certificate { return Certify(name, src) })
+	cert, _ := certCache.Get(core.SourceDigest(src), func() (Certificate, error) { return Certify(name, src), nil })
+	return cert
 }
 
 // leaf is one flattened ≤64-bit leaf field of a deparser parameter: one slot

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"opendesc/internal/core"
 	"opendesc/internal/nic"
 )
 
@@ -215,13 +216,13 @@ func TestBoundaryPatterns(t *testing.T) {
 // TestCertifyCachedOncePerDigest: goroutines that miss on one digest
 // together share a single harness run and all receive its certificate.
 func TestCertifyCachedOncePerDigest(t *testing.T) {
-	var memo certMemo
+	var memo core.Memo[string, Certificate]
 	var runs atomic.Int64
 	release := make(chan struct{})
-	certify := func() Certificate {
+	certify := func() (Certificate, error) {
 		runs.Add(1)
 		<-release // hold the first run open while the other callers arrive
-		return Certificate{Digest: "d", Passed: true}
+		return Certificate{Digest: "d", Passed: true}, nil
 	}
 	const callers = 8
 	var started, done sync.WaitGroup
@@ -232,7 +233,7 @@ func TestCertifyCachedOncePerDigest(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			started.Done()
-			certs[i] = memo.get("d", certify)
+			certs[i], _ = memo.Get("d", certify)
 		}(i)
 	}
 	started.Wait()
@@ -246,7 +247,7 @@ func TestCertifyCachedOncePerDigest(t *testing.T) {
 			t.Errorf("caller %d got %+v", i, c)
 		}
 	}
-	if memo.get("other", func() Certificate { runs.Add(1); return Certificate{} }); runs.Load() != 2 {
+	if memo.Get("other", func() (Certificate, error) { runs.Add(1); return Certificate{}, nil }); runs.Load() != 2 {
 		t.Errorf("a second digest did not run the harness: %d runs", runs.Load())
 	}
 }

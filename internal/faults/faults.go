@@ -12,6 +12,7 @@
 package faults
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
@@ -471,7 +472,7 @@ func (inj *Injector) Completion(rec []byte) (out, extra []byte) {
 			bit := inj.next() % uint64(len(rec)*8)
 			rec[bit/8] ^= 1 << (bit % 8)
 		}
-		if !bytesEqual(rec, before) {
+		if !bytes.Equal(rec, before) {
 			inj.injected[Corrupt].Inc()
 			inj.noteFault(Corrupt)
 			return rec, nil
@@ -508,23 +509,11 @@ func (inj *Injector) stale(fresh []byte) []byte {
 	start := int(inj.next() % uint64(len(inj.history)))
 	for i := 0; i < len(inj.history); i++ {
 		cand := inj.history[(start+i)%len(inj.history)]
-		if !bytesEqual(cand, fresh) {
+		if !bytes.Equal(cand, fresh) {
 			return cand
 		}
 	}
 	return nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Stats is a snapshot of the injected-fault counters.

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -50,7 +51,7 @@ func TestDeterminism(t *testing.T) {
 	}
 	a, sa := run()
 	b, sb := run()
-	if !bytesEqual(a, b) {
+	if !bytes.Equal(a, b) {
 		t.Fatal("same seed produced different fault sequences")
 	}
 	if sa.Total() != sb.Total() || sa.Total() == 0 {
@@ -73,7 +74,7 @@ func TestDeterminism(t *testing.T) {
 		}
 		return log, inj.Stats()
 	}()
-	if bytesEqual(a, c) {
+	if bytes.Equal(a, c) {
 		t.Fatal("different seeds produced identical fault sequences")
 	}
 }
@@ -125,7 +126,7 @@ func TestCompletionClasses(t *testing.T) {
 	inj = New(Plan{Seed: 3, CorruptP: 1})
 	r := rec()
 	out, _ := inj.Completion(r)
-	if bytesEqual(out, []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
+	if bytes.Equal(out, []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
 		t.Fatal("corrupt plan left record unchanged")
 	}
 	if inj.Stats().Injected[Corrupt] != 1 {
@@ -134,7 +135,7 @@ func TestCompletionClasses(t *testing.T) {
 
 	inj = New(Plan{Seed: 3, DuplicateP: 1})
 	out, extra := inj.Completion(rec())
-	if out == nil || extra == nil || !bytesEqual(out, extra) {
+	if out == nil || extra == nil || !bytes.Equal(out, extra) {
 		t.Fatal("duplicate plan did not return two identical records")
 	}
 
@@ -142,12 +143,12 @@ func TestCompletionClasses(t *testing.T) {
 	// replay), later ones must return an older record.
 	inj = New(Plan{Seed: 3, ReplayP: 1})
 	first := rec()
-	if out, _ := inj.Completion(first); !bytesEqual(out, first) {
+	if out, _ := inj.Completion(first); !bytes.Equal(out, first) {
 		t.Fatal("replay with empty history should pass through")
 	}
 	second := []byte{9, 9, 9, 9, 9, 9, 9, 9}
 	out, _ = inj.Completion(second)
-	if !bytesEqual(out, first) {
+	if !bytes.Equal(out, first) {
 		t.Fatalf("replay returned %v, want the stale %v", out, first)
 	}
 	if inj.Stats().Injected[Replay] != 1 {
@@ -161,7 +162,7 @@ func TestNilInjectorIsInert(t *testing.T) {
 		t.Fatal("nil injector must inject nothing")
 	}
 	rec := []byte{1, 2}
-	if out, extra := inj.Completion(rec); !bytesEqual(out, rec) || extra != nil {
+	if out, extra := inj.Completion(rec); !bytes.Equal(out, rec) || extra != nil {
 		t.Fatal("nil injector mutated a completion")
 	}
 	if inj.Stats().Total() != 0 {
@@ -246,7 +247,7 @@ func TestScriptedFaults(t *testing.T) {
 	inj = New(Plan{Seed: 11})
 	inj.ScriptNext(Corrupt)
 	out, _ := inj.Completion(rec())
-	if bytesEqual(out, rec()) {
+	if bytes.Equal(out, rec()) {
 		t.Fatal("scripted corrupt left the record clean")
 	}
 
@@ -277,12 +278,12 @@ func TestScriptedFaults(t *testing.T) {
 	inj = New(Plan{Seed: 11})
 	inj.ScriptNext(Replay)
 	first := rec()
-	if out, _ := inj.Completion(first); !bytesEqual(out, first) {
+	if out, _ := inj.Completion(first); !bytes.Equal(out, first) {
 		t.Fatal("scripted replay with no history should pass through")
 	}
 	inj.ScriptNext(Replay)
 	second := []byte{9, 9, 9, 9, 9, 9, 9, 9}
-	if out, _ := inj.Completion(second); !bytesEqual(out, first) {
+	if out, _ := inj.Completion(second); !bytes.Equal(out, first) {
 		t.Fatalf("scripted replay returned %v, want the stale %v", out, first)
 	}
 
@@ -349,18 +350,18 @@ func TestScriptHang(t *testing.T) {
 		t.Fatal("forced drop did not drop")
 	}
 	outB, _ := b.Completion(append(clean[:0:0], clean...))
-	if !bytesEqual(outA, outB) {
+	if !bytes.Equal(outA, outB) {
 		t.Fatalf("forced drop consumed PRNG draws: post-arm corrupt %v, virgin corrupt %v", outB, outA)
 	}
 
 	// Same for a fizzling scripted replay (empty history): no draws consumed.
 	c := New(Plan{Seed: 42, CorruptP: 1})
 	c.ScriptNext(Replay)
-	if out, _ := c.Completion(append(clean[:0:0], clean...)); !bytesEqual(out, clean) {
+	if out, _ := c.Completion(append(clean[:0:0], clean...)); !bytes.Equal(out, clean) {
 		t.Fatal("fizzling replay should pass the record through clean")
 	}
 	outC, _ := c.Completion(append(clean[:0:0], clean...))
-	if !bytesEqual(outA, outC) {
+	if !bytes.Equal(outA, outC) {
 		t.Fatalf("fizzled replay consumed PRNG draws: post-arm corrupt %v, virgin corrupt %v", outC, outA)
 	}
 }
@@ -391,14 +392,14 @@ func TestReplayPoolOverwritesInPlace(t *testing.T) {
 			t.Fatalf("completion %d: unexpected duplicate", i)
 		}
 		if i%5 != 4 {
-			if !bytesEqual(out, record(i)) {
+			if !bytes.Equal(out, record(i)) {
 				t.Fatalf("completion %d: clean record came back as %x", i, out)
 			}
 			continue
 		}
 		src := -1
 		for j := i - 1; j >= 0 && src < 0; j-- {
-			if j%5 != 4 && bytesEqual(out, record(j)) {
+			if j%5 != 4 && bytes.Equal(out, record(j)) {
 				src = j
 			}
 		}

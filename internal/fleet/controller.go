@@ -139,14 +139,13 @@ type InventoryReport struct {
 }
 
 // Controller inventories a heterogeneous fleet over describe handshakes,
-// compiles one layout per (description digest, intent) pair through the
-// content-addressed cache, and rolls out interface upgrades canary-first
+// compiles one layout per (description digest, intent) pair through a
+// content-addressed memo, and rolls out interface upgrades canary-first
 // with automatic rollback on oracle violation. Single-threaded by the
 // chaos discipline; the obs hooks are safe to render concurrently.
 type Controller struct {
 	opts    Options
 	clk     vclock.Clock
-	cache   *core.CompileCache
 	members []*member
 	nextGen uint64
 	seedSt  uint64
@@ -167,6 +166,12 @@ type Controller struct {
 	canaryViolations, rpcRetries    obs.Counter
 	telemetryReports                obs.Counter
 	telemetryRejects                obs.Counter
+
+	// compiled holds one layout (or compile error) per (digest, intent);
+	// the counters are kept beside it so /metrics can read them while the
+	// controller runs.
+	compiled                       core.Memo[core.CacheKey, *core.Result]
+	cacheGets, cacheHits, compiles obs.Counter
 }
 
 // NewController builds an empty controller; add hosts with AddHost.
@@ -175,7 +180,6 @@ func NewController(opts Options) *Controller {
 	return &Controller{
 		opts:    opts,
 		clk:     opts.Clock,
-		cache:   core.NewCompileCache(0),
 		nextGen: 1,
 		seedSt:  opts.Seed,
 		rollup:  telemetry.NewRollup(),
@@ -194,8 +198,43 @@ func (c *Controller) AddHost(h *Host, l *Link) {
 // Phase reports the current rollout phase.
 func (c *Controller) Phase() Phase { return Phase(c.phase.Load()) }
 
-// CacheStats snapshots the compile-cache counters.
-func (c *Controller) CacheStats() core.CacheStats { return c.cache.Stats() }
+// CacheStats is a snapshot of the compile memo's counters. Each is counted
+// where it happens, and they reconcile exactly: Gets = Hits + Misses, and
+// Misses = Entries, since nothing is evicted or compiled twice.
+type CacheStats struct {
+	Gets, Hits, Misses uint64
+	Entries            int // (digest, intent) keys compiled, failures included
+}
+
+// HitRate is hits over gets; 0 when nothing was requested.
+func (s CacheStats) HitRate() float64 {
+	if s.Gets == 0 {
+		return 0
+	}
+	return float64(s.Hits) / float64(s.Gets)
+}
+
+// CacheStats snapshots the compile memo's counters.
+func (c *Controller) CacheStats() CacheStats {
+	return CacheStats{Gets: c.cacheGets.Load(), Hits: c.cacheHits.Load(),
+		Misses: c.compiles.Load(), Entries: c.compiled.Len()}
+}
+
+// compile returns the layout for intent on the description val (content
+// address digest), compiling it only on the pair's first request.
+func (c *Controller) compile(digest string, val *Validated, intent *core.Intent) (*core.Result, error) {
+	c.cacheGets.Inc()
+	hit := true
+	res, err := c.compiled.Get(core.CompileKey(digest, intent), func() (*core.Result, error) {
+		hit = false
+		c.compiles.Inc()
+		return val.Compile(intent, core.CompileOptions{})
+	})
+	if hit {
+		c.cacheHits.Inc()
+	}
+	return res, err
+}
 
 // Transcript returns the operator log (phase transitions, quarantines,
 // rollbacks) accumulated so far.
@@ -304,9 +343,9 @@ func (c *Controller) Inventory() InventoryReport {
 }
 
 // Provision compiles the fleet intent for every healthy host (one compile
-// per distinct description, however many hosts share it — the cache and
-// its singleflight do the de-duplication) and installs it as each host's
-// last-known-good layout. Requires a prior Inventory.
+// per distinct description, however many hosts share it — the memo does the
+// de-duplication) and installs it as each host's last-known-good layout.
+// Requires a prior Inventory.
 func (c *Controller) Provision() error {
 	intent, err := c.intent(c.opts.Intent)
 	if err != nil {
@@ -319,9 +358,7 @@ func (c *Controller) Provision() error {
 		if !m.ok {
 			continue
 		}
-		val := m.val
-		res, cerr := c.cache.Get(core.CompileKey(m.digest, intent, core.CompileOptions{}),
-			func() (*core.Result, error) { return val.Compile(intent, core.CompileOptions{}) })
+		res, cerr := c.compile(m.digest, m.val, intent)
 		if cerr != nil {
 			m.ok, m.reason = false, fmt.Sprintf("compile: %v", cerr)
 			c.logf("quarantine %s: %s", m.host.Name, m.reason)
@@ -338,9 +375,9 @@ func (c *Controller) Provision() error {
 		}
 		installed++
 	}
-	st := c.cache.Stats()
+	st := c.CacheStats()
 	c.logf("provision gen %d: %d hosts installed, cache %d/%d hit (%.1f%%)",
-		gen, installed, st.Hits+st.Coalesced, st.Gets, 100*st.HitRate())
+		gen, installed, st.Hits, st.Gets, 100*st.HitRate())
 	return nil
 }
 
@@ -457,8 +494,7 @@ func (c *Controller) StartRollout(up Upgrade) (*Rollout, error) {
 			val, digest = ov, ov.Digest
 		}
 		if _, done := r.compiled[digest]; !done {
-			res, cerr := c.cache.Get(core.CompileKey(digest, intent, core.CompileOptions{}),
-				func() (*core.Result, error) { return val.Compile(intent, core.CompileOptions{}) })
+			res, cerr := c.compile(digest, val, intent)
 			if cerr != nil {
 				return nil, fmt.Errorf("fleet: upgrade %q compile for %s: %v", up.Name, m.host.Model.Name, cerr)
 			}
@@ -800,10 +836,9 @@ func (c *Controller) RegisterMetrics(reg *obs.Registry) {
 		func() int64 { return int64(c.phase.Load()) })
 	reg.GaugeFunc("fleet_quarantined_hosts", "hosts quarantined by inventory validation",
 		func() int64 { return int64(c.QuarantinedCount()) })
-	reg.FloatFunc("fleet_cache_hit_rate", "compile cache hit rate (hits+coalesced over gets)",
-		func() float64 { return c.cache.Stats().HitRate() })
-	reg.CounterFunc("fleet_cache_compiles", "compile cache misses (actual compiles)",
-		func() uint64 { return c.cache.Stats().Misses })
+	reg.FloatFunc("fleet_cache_hit_rate", "compile cache hit rate (hits over gets)",
+		func() float64 { return c.CacheStats().HitRate() })
+	reg.CounterFunc("fleet_cache_compiles", "compile cache misses (actual compiles)", c.compiles.Load)
 	reg.AttachCounter("fleet_rollouts_total", "rollouts started", &c.rollouts)
 	reg.AttachCounter("fleet_promotions_total", "rollouts promoted fleet-wide", &c.promotions)
 	reg.AttachCounter("fleet_rollbacks_total", "rollouts rolled back", &c.rollbacks)

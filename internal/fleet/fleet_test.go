@@ -99,7 +99,7 @@ func TestInventoryAndProvision(t *testing.T) {
 	if st.Misses != 6 {
 		t.Fatalf("provision compiled %d times for 6 distinct descriptions", st.Misses)
 	}
-	if st.Gets != 12 || st.Hits+st.Coalesced != 6 {
+	if st.Gets != 12 || st.Hits != 6 {
 		t.Fatalf("cache counters = %+v, want 12 gets / 6 hits", st)
 	}
 	for _, h := range hosts {

@@ -298,8 +298,8 @@ func TestAnalysisSharedUnchanged(t *testing.T) {
 		if digest(shared.Graph, shared.Paths) != digest(cold.Graph, cold.Paths) {
 			t.Errorf("%s: shared analysis changed under concurrent compiles", m.Name)
 		}
-		if len(m.analyses) != 1 {
-			t.Errorf("%s: %d analyses cached for one option value", m.Name, len(m.analyses))
+		if m.analyses.Len() != 1 {
+			t.Errorf("%s: %d analyses cached for one option value", m.Name, m.analyses.Len())
 		}
 	}
 }

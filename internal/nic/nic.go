@@ -67,31 +67,19 @@ type Model struct {
 	// analyses holds the description-side half of every compile, one per
 	// distinct enumeration option value, errors included. Source never
 	// changes after register, so entries are never invalidated.
-	mu       sync.Mutex
-	analyses map[core.EnumerateOptions]analysed
-}
-
-type analysed struct {
-	a   *core.Analysis
-	err error
+	analyses core.Memo[core.EnumerateOptions, *core.Analysis]
 }
 
 // Analysis returns the cached description-side half for opts, building it on
 // first use. Its errors read like the cold pipeline's (core.Compile).
 func (m *Model) Analysis(opts core.EnumerateOptions) (*core.Analysis, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.analyses[opts]
-	if !ok {
-		if e.a, e.err = core.Analyze(m.Info, opts); e.err != nil {
-			e.err = fmt.Errorf("opendesc %s: %w", m.Name, e.err)
+	return m.analyses.Get(opts, func() (*core.Analysis, error) {
+		a, err := core.Analyze(m.Info, opts)
+		if err != nil {
+			err = fmt.Errorf("opendesc %s: %w", m.Name, err)
 		}
-		if m.analyses == nil {
-			m.analyses = make(map[core.EnumerateOptions]analysed)
-		}
-		m.analyses[opts] = e
-	}
-	return e.a, e.err
+		return a, err
+	})
 }
 
 // Graph returns the (lazily built, cached) completion deparser CFG.

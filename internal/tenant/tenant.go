@@ -500,12 +500,11 @@ func (p *Plane) Renegotiate(name string, sems ...string) error {
 		p.tenants[ti].intent = old
 		return err
 	}
-	if err := p.switchTo(jr); err != nil {
+	if err := p.switchTo(jr, ti); err != nil {
 		p.tenants[ti].intent = old
 		return err
 	}
 	p.tenants[ti].spec.Semantics = append([]string(nil), sems...)
-	p.link(ti, p.joint.PerTenant[ti])
 	p.tenants[ti].renegs.Inc()
 	return nil
 }
@@ -513,11 +512,12 @@ func (p *Plane) Renegotiate(name string, sems ...string) error {
 // switchTo executes the switchover to a new joint result: drain every queue,
 // reprogram every queue, swap the lanes. Caller holds the write lock (all
 // queues quiesced). When the selected path is unchanged it takes the
-// accessor-only fast path: only the renegotiating tenant's lanes change, and
-// the caller links them (the shared layout, and therefore every neighbor's
-// view, is bit-identical).
-func (p *Plane) switchTo(jr *core.JointResult) error {
+// accessor-only fast path: only the lanes of tenant ti, the renegotiating
+// one, are relinked (the shared layout, and therefore every neighbor's view,
+// is bit-identical).
+func (p *Plane) switchTo(jr *core.JointResult, ti int) error {
 	if jr.Selected.Path.ID == p.joint.Selected.Path.ID {
+		p.link(ti, jr.PerTenant[ti])
 		p.joint = jr
 		p.gen++
 		p.fastRenegs.Inc()
