@@ -501,6 +501,9 @@ func BenchmarkFlightOverhead(b *testing.B) {
 // arms with traffic read the clock around each Poll and subtract what a
 // back-to-back pair of reads measures — and allocs/op there are the
 // simulated device's: TestDeliverPathAllocGate holds the poll side to zero.
+// burst32_read3 makes three hardware Gets per delivery and polls a second
+// burst of 32 beside each one with a handler that reads nothing: ns/read is
+// the difference per Get, and its allocs/op cover both bursts.
 func BenchmarkPollFixedCost(b *testing.B) {
 	tr := workload.MustGenerate(workload.DefaultSpec())
 	var pair time.Duration
@@ -512,7 +515,13 @@ func BenchmarkPollFixedCost(b *testing.B) {
 	for _, arm := range []struct {
 		name  string
 		burst int
-	}{{"empty", 0}, {"one_unsampled", 1}, {"burst32", 32}} {
+		sems  []string
+	}{
+		{"empty", 0, []string{"rss"}},
+		{"one_unsampled", 1, []string{"rss"}},
+		{"burst32", 32, []string{"rss"}},
+		{"burst32_read3", 32, []string{"rss", "vlan", "pkt_len"}},
+	} {
 		b.Run(arm.name, func(b *testing.B) {
 			drv, err := opendesc.Open("e1000e", "rss", "vlan", "pkt_len")
 			if err != nil {
@@ -520,18 +529,13 @@ func BenchmarkPollFixedCost(b *testing.B) {
 			}
 			var sink uint64
 			h := func(_ []byte, meta opendesc.Meta) {
-				v, _ := meta.Get("rss")
-				sink += v
-			}
-			var inPoll time.Duration
-			accepted := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if arm.burst == 0 {
-					drv.Poll(h)
-					continue
+				for _, sem := range arm.sems {
+					v, _ := meta.Get(sem)
+					sink += v
 				}
+			}
+			accepted := 0
+			poll := func(h func([]byte, opendesc.Meta)) time.Duration {
 				for j := 0; j < arm.burst; j++ {
 					accepted++
 					// A packet accepted while the recorder is off gets no
@@ -549,15 +553,33 @@ func BenchmarkPollFixedCost(b *testing.B) {
 				}
 				t0 := time.Now()
 				n := drv.Poll(h)
-				inPoll += time.Since(t0) - pair
+				d := time.Since(t0) - pair
 				if n != arm.burst {
 					b.Fatalf("poll delivered %d, want %d", n, arm.burst)
+				}
+				return d
+			}
+			reads := len(arm.sems) > 1
+			var inPoll, bare time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if arm.burst == 0 {
+					drv.Poll(h)
+					continue
+				}
+				inPoll += poll(h)
+				if reads {
+					bare += poll(func([]byte, opendesc.Meta) {})
 				}
 			}
 			if arm.burst == 0 {
 				inPoll = b.Elapsed()
 			}
 			b.ReportMetric(float64(inPoll.Nanoseconds())/float64(b.N), "ns/poll")
+			if reads {
+				b.ReportMetric(float64((inPoll-bare).Nanoseconds())/float64(b.N*arm.burst*len(arm.sems)), "ns/read")
+			}
 			_ = sink
 		})
 	}

@@ -1,8 +1,9 @@
 // Package codegen synthesizes host-side accessors from an OpenDesc
 // compilation result in three forms:
 //
-//   - an executable Runtime of constant-time Go closures (what the simulator
-//     datapath and the benchmarks actually run),
+//   - an executable Runtime of constant-time accessors (what the simulator
+//     datapath and the benchmarks actually run): a hardware field is an
+//     offset and a width, read with the load the generated Go emits,
 //   - Go source (a standalone accessor package),
 //   - C and eBPF/XDP C source, mirroring the paper's prototype which exposes
 //     descriptor metadata to eBPF programs through bounded descriptor reads.
@@ -29,17 +30,16 @@ type Reader struct {
 	// Name8 is Semantic's first 8 bytes as a little-endian word, packed when
 	// the table is linked: what a flight read event carries (flight.PackName).
 	Name8 uint64
-	// read is non-nil for hardware accessors.
-	read func(desc []byte) uint64
-	// soft is non-nil for software shims.
+	// soft is non-nil for linked software shims.
 	soft SoftFunc
 }
 
-// Read returns the metadata value: a direct bit-slice load for hardware
-// accessors, the software shim otherwise.
+// Read returns the metadata value: for hardware accessors the load
+// genGoRead emits, one big-endian read of WidthBits at OffsetBits; the
+// software shim otherwise.
 func (r *Reader) Read(desc, packet []byte) uint64 {
 	if r.Hardware {
-		return r.read(desc)
+		return bitfield.ReadAligned(desc, r.OffsetBits, r.WidthBits)
 	}
 	if r.soft == nil {
 		panic(fmt.Sprintf("codegen: software shim for %q not linked", r.Semantic))
@@ -89,14 +89,7 @@ func newRuntime(res *core.Result, softImpls map[semantics.Name]SoftFunc, allSoft
 		for j := 0; j < len(a.Semantic) && j < 8; j++ {
 			r.Name8 |= uint64(a.Semantic[j]) << (8 * j)
 		}
-		if r.Hardware {
-			off, w := a.OffsetBits, a.WidthBits
-			if off%8 == 0 && (w == 8 || w == 16 || w == 32 || w == 64) {
-				r.read = func(d []byte) uint64 { return bitfield.ReadAligned(d, off, w) }
-			} else {
-				r.read = func(d []byte) uint64 { return bitfield.Read(d, off, w) }
-			}
-		} else {
+		if !r.Hardware {
 			r.soft = softImpls[a.Semantic]
 		}
 		rt.Readers[i] = r
@@ -136,12 +129,4 @@ func (rt *Runtime) Read(s semantics.Name, desc, packet []byte) (uint64, error) {
 		return 0, fmt.Errorf("codegen: software shim for %q not linked", s)
 	}
 	return r.Read(desc, packet), nil
-}
-
-// ReadAll reads every accessor into dst (keyed by semantic); used by the
-// full-extraction comparison paths and tests.
-func (rt *Runtime) ReadAll(desc, packet []byte, dst map[semantics.Name]uint64) {
-	for _, r := range rt.Readers {
-		dst[r.Semantic] = r.Read(desc, packet)
-	}
 }

@@ -15,7 +15,6 @@ const histBuckets = 65
 // (nanoseconds) and sizes (bytes). The zero value is NOT ready; use
 // NewHistogram or Registry.Histogram.
 type Histogram struct {
-	count   atomic.Uint64
 	sum     atomic.Uint64
 	buckets [histBuckets]atomic.Uint64
 }
@@ -23,15 +22,21 @@ type Histogram struct {
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram { return &Histogram{} }
 
-// Observe records one value.
+// Observe records one value: two atomic adds, the sum and the value's bucket.
 func (h *Histogram) Observe(v uint64) {
-	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[bits.Len64(v)].Add(1)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+// Count returns the number of observations: the sum of the bucket counts, as
+// Snapshot and Quantile derive it.
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() uint64 { return h.sum.Load() }

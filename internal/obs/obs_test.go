@@ -112,6 +112,27 @@ func TestHistogramEdgeCases(t *testing.T) {
 	}
 }
 
+// TestHistogramCountIsBucketSum: Count sums the buckets, so once concurrent
+// observers stop it equals Snapshot's count and the number observed.
+func TestHistogramCountIsBucketSum(t *testing.T) {
+	h := NewHistogram()
+	const goroutines, perG = 4, 10000
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				h.Observe(uint64(g*perG + i))
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n, s := h.Count(), h.Snapshot().Count; n != goroutines*perG || s != n {
+		t.Errorf("Count() = %d, Snapshot().Count = %d, want both %d", n, s, goroutines*perG)
+	}
+}
+
 func TestRegistryIdempotentAndConcurrent(t *testing.T) {
 	r := NewRegistry()
 	c1 := r.Counter("x_total", "help", L("a", "1"))

@@ -12,6 +12,7 @@ package rxpath
 import (
 	"fmt"
 
+	"opendesc/internal/bitfield"
 	"opendesc/internal/codegen"
 	"opendesc/internal/core"
 	"opendesc/internal/nicsim"
@@ -101,10 +102,11 @@ type Meta struct{ d *Delivery }
 // Of exposes the delivery behind a Meta to the engine, plane and host.
 func Of(m Meta) *Delivery { return m.d }
 
-// Get returns the value of a semantic for the current packet: a constant
-// -time descriptor read when the selected layout carries it, the SoftNIC
-// shim otherwise — through its burst form where the lane links one. ok is
-// false for semantics outside the compiled intent.
+// Get returns the value of a semantic for the current packet. When the
+// selected layout carries it, that is the load the generated accessor makes:
+// one read at the field's fixed offset and width. Otherwise it is the SoftNIC
+// shim, through its burst form where the lane links one. ok is false for
+// semantics outside the compiled intent.
 func (m Meta) Get(sem string) (uint64, bool) {
 	d := m.d
 	r, i := d.RT.Lookup(semantics.Name(sem))
@@ -126,10 +128,11 @@ func (m Meta) Get(sem string) (uint64, bool) {
 		}
 		d.fq.RecordT(d.ts, code, d.Seq, r.Name8, 0)
 	}
-	if !r.Hardware {
-		if b := d.Lane.burst; b != nil && b[i].form != nil {
-			return b[i].read(d), true
-		}
+	if r.Hardware {
+		return bitfield.ReadAligned(d.Rec, r.OffsetBits, r.WidthBits), true
+	}
+	if b := d.Lane.burst; b != nil && b[i].form != nil {
+		return b[i].read(d), true
 	}
 	return r.Read(d.Rec, d.Pkt), true
 }

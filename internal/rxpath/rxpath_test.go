@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"opendesc/internal/bitfield"
 	"opendesc/internal/codegen"
 	"opendesc/internal/core"
 	"opendesc/internal/faults"
@@ -288,11 +289,12 @@ func TestBurstFormsKeepTheirMemos(t *testing.T) {
 }
 
 // TestLinkAllocGate: a lane's memos cost Link one allocation, however many
-// burst forms it reads, so linking a lane with two forms allocates one less
-// than it did when a lane kept one memo for every form (seven).
+// burst forms it reads, and a hardware reader costs none: it is an offset
+// and a width, with no closure to build. A lane with two forms and a
+// hardware reader links in five.
 func TestLinkAllocGate(t *testing.T) {
 	q, res, _ := hashQueue(t, 0)
-	const limit = 6
+	const limit = 5
 	got := testing.AllocsPerRun(20, func() {
 		if _, err := q.Link(res); err != nil {
 			t.Fatal(err)
@@ -471,5 +473,86 @@ func TestReprogramRollsBack(t *testing.T) {
 	}
 	if err := q.Reprogram(csum.Config, rss.Selected.Path.ID, nil); err == nil || path() != rss.Selected.Path.ID {
 		t.Fatalf("a failure after a success must roll back to the new configuration: err %v, path %d", err, path())
+	}
+}
+
+// TestGetReturnsTheRecordsBits: on every path of every bundled NIC, with the
+// device programmed for that path, a hardware Get, the reader's Read and a
+// bit-slice read of the completion record agree for every hardware reader,
+// over the record the device wrote and over that record XORed with a byte
+// pattern, so a field the traffic leaves zero is still read at its own bits.
+// The bundled layouts reach both of ReadAligned's branches: byte-aligned
+// loads, and unaligned widths (ptype's 10 and 13 bits, mlx5's 24-bit
+// flow_id and mark, qdma's 1-bit flags and error_flags at bit 418).
+func TestGetReturnsTheRecordsBits(t *testing.T) {
+	tr, err := workload.Generate(workload.DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var aligned, unaligned int
+	for _, m := range nic.All() {
+		paths, err := m.Paths()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range paths {
+			res := &core.Result{NIC: m.Name, Selected: core.Scored{Path: p}}
+			seen := make(map[semantics.Name]bool)
+			for _, f := range p.Fields {
+				if f.Semantic != "" && f.WidthBits <= 64 && !seen[f.Semantic] {
+					seen[f.Semantic] = true
+					res.Accessors = append(res.Accessors, core.Accessor{Semantic: f.Semantic, FieldName: f.Name,
+						OffsetBits: f.OffsetBits, WidthBits: f.WidthBits, Hardware: true})
+				}
+			}
+			q, err := New(nicsim.MustNew(m, nicsim.Config{}), p.Constraints, nil)
+			if err != nil {
+				t.Fatalf("%s path %d: %v", m.Name, p.ID, err)
+			}
+			if ap, err := q.Dev().ActivePath(); err != nil || ap.ID != p.ID {
+				t.Fatalf("%s path %d: device resolves %v (%v)", m.Name, p.ID, ap, err)
+			}
+			l, err := q.Link(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.SetLane(0, l)
+			for _, pkt := range tr.Packets[:32] {
+				q.Rx(pkt, 0)
+			}
+			delivered := q.Poll(-1, func(_ []byte, meta Meta) {
+				d := Of(meta)
+				rec := d.Rec
+				mixed := make([]byte, len(rec))
+				for i, b := range rec {
+					mixed[i] = b ^ byte(i*197+83)
+				}
+				defer func() { d.Rec = rec }()
+				for _, d.Rec = range [][]byte{rec, mixed} {
+					for _, r := range d.RT.Readers {
+						if !r.Hardware {
+							continue
+						}
+						got, ok := meta.Get(string(r.Semantic))
+						read, bits := r.Read(d.Rec, nil), bitfield.Read(d.Rec, r.OffsetBits, r.WidthBits)
+						if !ok || got != bits || read != bits {
+							t.Fatalf("%s path %d seq %d: %s bits[%d:%d): Get %#x/%v, Read %#x, record %#x",
+								m.Name, p.ID, d.Seq, r.Semantic, r.OffsetBits, r.OffsetBits+r.WidthBits, got, ok, read, bits)
+						}
+						if w := r.WidthBits; r.OffsetBits%8 == 0 && (w == 8 || w == 16 || w == 32 || w == 64) {
+							aligned++
+						} else {
+							unaligned++
+						}
+					}
+				}
+			})
+			if delivered == 0 {
+				t.Errorf("%s path %d: nothing delivered", m.Name, p.ID)
+			}
+		}
+	}
+	if aligned == 0 || unaligned == 0 {
+		t.Errorf("reads checked: %d aligned, %d unaligned; want both branches of ReadAligned", aligned, unaligned)
 	}
 }
