@@ -16,15 +16,20 @@ import (
 //	opendesc chaos -seed 42 -steps 512              # one run, report the outcome
 //	opendesc chaos -cases 1000                      # sweep seeds 1..1000
 //	opendesc chaos -seed 42 -bug -shrink            # re-open the resync bug, shrink the failure
-//	opendesc chaos -replay repro.chaos              # replay a shrunk reproducer spec
+//	opendesc chaos -mode tenant -queues 4 -cases 8  # the multi-tenant plane on four cores
+//	opendesc chaos -mode fleet -queues 8 -shrink    # the fleet control plane on eight hosts
+//	opendesc chaos -replay repro.chaos              # replay a shrunk reproducer spec, any mode
+//
+// The tenant and fleet modes read none of the driver-queue flags (-nic,
+// -sems, -ring, -bug, -dump): setting one is a usage error.
 func runChaos(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
 		nicName = fs.String("nic", "e1000e", "bundled NIC model under test")
-		mode    = fs.String("mode", "harden", "driver stack: harden or evolve")
+		mode    = fs.String("mode", "harden", "cell under test: harden, evolve, tenant or fleet")
 		sems    = fs.String("sems", "", "comma-separated intent semantics (default rss,vlan,pkt_len)")
-		queues  = fs.Int("queues", 1, "independent driver queues the scheduler interleaves")
+		queues  = fs.Int("queues", 0, "lanes the scheduler interleaves: driver queues, plane cores or fleet hosts (default 1, 2 or 6)")
 		ringSz  = fs.Int("ring", 64, "completion ring entries per device")
 		steps   = fs.Int("steps", 512, "schedule length per case")
 		seed    = fs.Uint64("seed", 1, "schedule seed (single-run mode)")
@@ -36,10 +41,20 @@ func runChaos(args []string, out io.Writer) error {
 		verbose = fs.Bool("v", false, "print the full event trace of the (first violating) run")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return usageError{err}
 	}
 	if fs.NArg() > 0 {
-		return fmt.Errorf("chaos: unexpected arguments %v", fs.Args())
+		return usageError{fmt.Errorf("chaos: unexpected arguments %v", fs.Args())}
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	queueFlags := func(m chaos.Mode) error {
+		for _, name := range []string{"nic", "sems", "ring", "bug", "dump"} {
+			if set[name] && m != chaos.ModeHarden && m != chaos.ModeEvolve {
+				return usageError{fmt.Errorf("chaos: mode %s does not read -%s", m, name)}
+			}
+		}
+		return nil
 	}
 
 	if *replay != "" {
@@ -49,6 +64,9 @@ func runChaos(args []string, out io.Writer) error {
 		}
 		cfg, sched, err := chaos.ParseSpec(string(text))
 		if err != nil {
+			return err
+		}
+		if err := queueFlags(cfg.Mode); err != nil {
 			return err
 		}
 		cfg.DumpDir = *dumpDir
@@ -61,19 +79,17 @@ func runChaos(args []string, out io.Writer) error {
 
 	m, err := chaos.ParseMode(*mode)
 	if err != nil {
+		return usageError{err}
+	}
+	if err := queueFlags(m); err != nil {
 		return err
 	}
-	cfg := chaos.Config{
-		NIC:           *nicName,
-		Mode:          m,
-		Queues:        *queues,
-		RingEntries:   *ringSz,
-		Steps:         *steps,
-		DisableResync: *bug,
-		DumpDir:       *dumpDir,
-	}
-	if *sems != "" {
-		cfg.Semantics = strings.Split(*sems, ",")
+	cfg := chaos.Config{Mode: m, Queues: *queues, Steps: *steps}
+	if m == chaos.ModeHarden || m == chaos.ModeEvolve {
+		cfg.NIC, cfg.RingEntries, cfg.DisableResync, cfg.DumpDir = *nicName, *ringSz, *bug, *dumpDir
+		if *sems != "" {
+			cfg.Semantics = strings.Split(*sems, ",")
+		}
 	}
 
 	if *cases > 0 {
@@ -112,9 +128,17 @@ func runChaos(args []string, out io.Writer) error {
 // the process exits non-zero.
 func chaosReport(out io.Writer, cfg chaos.Config, seed uint64, res *chaos.Result, shrink bool, sched chaos.Schedule) error {
 	if res.Violation == nil {
-		fmt.Fprintf(out, "chaos ok: %s seed=%d events=%d accepted=%d delivered=%d rejected=%d switchovers=%d restores=%d quarantined=%d resyncs=%d\n",
-			cfg, seed, res.Events, res.Accepted, res.Delivered, res.Rejected,
+		cell := fmt.Sprintf("switchovers=%d restores=%d quarantined=%d resyncs=%d",
 			res.Switchovers, res.Restores, res.Quarantined, res.Resyncs)
+		switch cfg.Mode {
+		case chaos.ModeTenant:
+			cell = fmt.Sprintf("renegs=%d fast-renegs=%d steals=%d", res.Renegs, res.FastRenegs, res.Steals)
+		case chaos.ModeFleet:
+			cell = fmt.Sprintf("rollouts=%d promotions=%d rollbacks=%d lease-reverts=%d",
+				res.Rollouts, res.Promotions, res.Rollbacks, res.LeaseReverts)
+		}
+		fmt.Fprintf(out, "chaos ok: %s seed=%d events=%d accepted=%d delivered=%d rejected=%d %s\n",
+			cfg, seed, res.Events, res.Accepted, res.Delivered, res.Rejected, cell)
 		return nil
 	}
 	fmt.Fprintf(out, "chaos FAIL: %v\n", res.Violation)

@@ -33,6 +33,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -62,16 +63,22 @@ var subcommands = map[string]func(args []string, stdout, stderr io.Writer) int{
 }
 
 // exitStatus adapts a mode that reports failure as an error: exit 1 with
-// the error on stderr.
+// the error on stderr, or 2 for a usageError.
 func exitStatus(run func(args []string, w io.Writer) error) func(args []string, stdout, stderr io.Writer) int {
 	return func(args []string, stdout, stderr io.Writer) int {
 		if err := run(args, stdout); err != nil {
 			fmt.Fprintf(stderr, "opendesc: %v\n", err)
+			if errors.As(err, new(usageError)) {
+				return 2
+			}
 			return 1
 		}
 		return 0
 	}
 }
+
+// usageError is a command line the mode refuses before anything runs.
+type usageError struct{ error }
 
 func main() {
 	if len(os.Args) > 1 {

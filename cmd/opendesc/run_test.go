@@ -32,6 +32,8 @@ func TestFlagOutsideItsModeExits2(t *testing.T) {
 		{runExperiments, []string{"-packets", "512", "e1"}, "-packets"},
 		{runExperiments, []string{"e99"}, `unknown experiment "e99"`},
 		{runExperiments, []string{"-quick", "e17", "-flight-dump", in("dumps")}, `unknown experiment "-flight-dump"`},
+		{subcommands["chaos"], []string{"-mode", "tenant", "-nic", "ice"}, "-nic"},
+		{subcommands["chaos"], []string{"-mode", "fleet", "-dump", in("dumps")}, "-dump"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := tc.sub(tc.args, &stdout, &stderr); code != 2 || stdout.Len() != 0 {

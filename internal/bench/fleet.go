@@ -289,7 +289,7 @@ func E20Fleet(w io.Writer, dumpDir string) (*Table, error) {
 	// oracle must hold and tampered pushes must never promote.
 	c := &res.chaos
 	for seed := uint64(1); seed <= 12; seed++ {
-		r := chaos.RunFleet(chaos.FleetConfig{Hosts: 8, Steps: 512}, seed)
+		r := chaos.Run(chaos.Config{Mode: chaos.ModeFleet, Queues: 8, Steps: 512}, seed)
 		if r.Violation != nil {
 			return nil, fmt.Errorf("e20 chaos seed=%d: %v", seed, r.Violation)
 		}

@@ -217,12 +217,12 @@ func E21Telemetry() (*Table, error) {
 	// valid digests; only the controller's counter cross-check can expose it.
 	// Each seed runs twice — the traces must be byte-identical.
 	for seed := uint64(1); seed <= 16; seed++ {
-		cfg := chaos.FleetConfig{Hosts: 8, Steps: 512, ForgedTelemetry: true}
-		r := chaos.RunFleet(cfg, seed)
+		cfg := chaos.Config{Mode: chaos.ModeFleet, Queues: 8, Steps: 512, ForgedTelemetry: true}
+		r := chaos.Run(cfg, seed)
 		if r.Violation != nil {
 			return nil, fmt.Errorf("e21 chaos seed=%d: %v", seed, r.Violation)
 		}
-		again := chaos.RunFleet(cfg, seed)
+		again := chaos.Run(cfg, seed)
 		if !bytes.Equal(r.Trace, again.Trace) {
 			return nil, fmt.Errorf("e21 chaos seed=%d: forged-telemetry traces differ between identical runs", seed)
 		}

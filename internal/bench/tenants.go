@@ -187,8 +187,8 @@ func E19Tenants(packets int, w io.Writer) (*Table, error) {
 
 	// Tenant-isolation chaos sweep (S23): scripted renegotiations under
 	// interleaved arrivals/polls/steals; every oracle must hold.
-	sweep := func(cfg chaos.TenantConfig, seed uint64) error {
-		r := chaos.RunTenant(cfg, seed)
+	sweep := func(cfg chaos.Config, seed uint64) error {
+		r := chaos.Run(cfg, seed)
 		res.chaosCases++
 		res.chaosRenegs += r.Renegs + r.FastRenegs
 		if r.Violation != nil {
@@ -197,11 +197,11 @@ func E19Tenants(packets int, w io.Writer) (*Table, error) {
 		return nil
 	}
 	for seed := uint64(1); seed <= 8; seed++ {
-		if err := sweep(chaos.TenantConfig{Tenants: 4, Cores: 2, Steps: 512}, seed); err != nil {
+		if err := sweep(chaos.Config{Mode: chaos.ModeTenant, Tenants: 4, Queues: 2, Steps: 512}, seed); err != nil {
 			return nil, err
 		}
 	}
-	if err := sweep(chaos.TenantConfig{Tenants: 16, Cores: 4, Steps: 768}, 3); err != nil {
+	if err := sweep(chaos.Config{Mode: chaos.ModeTenant, Tenants: 16, Queues: 4, Steps: 768}, 3); err != nil {
 		return nil, err
 	}
 

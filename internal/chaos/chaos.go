@@ -1,38 +1,51 @@
 // Package chaos is a deterministic simulation harness for the full OpenDesc
 // stack, in the FoundationDB style: devices (nicsim), the hardened driver
-// (Harden), the live renegotiation control plane (evolve), fault injection
-// (faults) and shifting application read-mixes (workload) all run under a
-// single seeded virtual-time scheduler, so any run — including any *failing*
-// run — is reproducible from (seed, config) alone.
+// (Harden), the live renegotiation control plane (evolve), the multi-tenant
+// plane (tenant), the fleet control plane (fleet), fault injection (faults)
+// and shifting application read-mixes (workload) all run under a single
+// seeded virtual-time scheduler, so any run of any cell — including any
+// *failing* run — is reproducible from (seed, config) alone, and from its
+// replayable spec once shrunk.
 //
-// The scheduler draws a finite schedule of events from a splitmix64 PRNG:
-// packet arrivals, polls, virtual-clock advances, scripted fault injections,
-// device hangs, and read-mix shifts, interleaved across one or more driver
-// queues. After every event a library of invariant oracles is checked:
+// A cell is the set of lanes a run builds (Config.Mode): one or more
+// hardened driver queues, pinned (harden) or evolving (evolve); the RSS cores
+// of one multi-tenant plane (tenant); or the hosts of a fleet behind flaky
+// control links (fleet). Generate draws a finite schedule from a splitmix64
+// PRNG before anything runs — packet arrivals, polls, virtual-clock advances,
+// and each cell's own events — every one naming its lane. RunSchedule
+// executes it and checks the cell's invariant oracles after every event.
 //
-//   - exactly-once — every accepted packet is delivered exactly once, in
-//     order, per queue;
-//   - golden-metadata — every semantic read returns its reference value on
-//     the receiving device (rxpath.Want: zero garbage reads), on the
-//     hardware path and the soft path;
-//   - stuck-pending — a pending packet with an empty completion ring and a
-//     healthy device must have been delivered by the preceding Poll (the
-//     liveness invariant the PR 3 resync path exists for);
-//   - generation-monotonic — the evolve generation never decreases and
-//     advances at most one epoch per step;
-//   - bounded-degraded — SoftNIC degraded mode is exited within a bounded
-//     number of operations once the device is healthy again;
-//   - metrics-consistency — driver, device, ring, injector and
-//     flight-recorder counters agree with each other and with the harness's
-//     own accounting;
-//   - diffverify — the description under test holds a passing S27
-//     differential-verification certificate (static layout, interpreted
-//     deparser, generated accessors and SoftNIC golden all agree on every
-//     completion path) before any schedule executes.
+// Queue cells (harden, evolve): exactly-once — every accepted packet is
+// delivered once, in order, per queue; golden-metadata — every semantic read
+// returns its reference value (rxpath.Want) on the hardware and the soft
+// path; stuck-pending — after a Poll on a healthy device no packet waits on
+// an empty ring (the liveness invariant the resync path exists for);
+// generation-monotonic — the evolve generation never decreases and advances
+// at most one epoch per step; bounded-degraded — SoftNIC degraded mode ends
+// within a bounded number of operations once the device is healthy;
+// metrics-consistency — driver, device, ring, injector and flight-recorder
+// counters agree with each other and with the harness's accounting;
+// delivery-complete — the final drain delivers every accepted packet;
+// diffverify — the description holds a passing S27 differential-verification
+// certificate before any event runs.
+//
+// Tenant cell: exactly-once and golden-metadata per core queue;
+// tenant-isolation — every packet reaches its own tenant, and a
+// renegotiation delivers nothing and conserves pending traffic; reneg — a
+// renegotiation succeeds; conservation — each tenant's accepted count is
+// delivered by the final drain.
+//
+// Fleet cell: exactly-once per host; golden-metadata — garbage reads only on
+// a known-bad trial generation; canary — a tampered upgrade never promotes;
+// telemetry — an honest host is never quarantined by a sweep, and a forged
+// report is rejected once it hides evidence; verified-gating — a host with an
+// unverifiable description never leaves its boot generation; liveness — a
+// rollout resolves once the links heal; conservation and cache-counters after
+// the final drain.
 //
 // A violating run can be handed to the shrinker (shrink.go), which
 // delta-debugs the event schedule down to a minimal reproducer and renders
-// it as a replayable spec plus an .odfl flight dump.
+// it as a replayable spec, plus an .odfl flight dump for a queue cell.
 package chaos
 
 import (
@@ -49,7 +62,7 @@ import (
 	"opendesc/internal/workload"
 )
 
-// Mode selects which driver stack a chaos run exercises.
+// Mode selects the cell a chaos run exercises.
 type Mode int
 
 const (
@@ -60,78 +73,149 @@ const (
 	// shifting read-mixes make the control plane renegotiate the layout
 	// underneath the validator and the watchdog.
 	ModeEvolve
+	// ModeTenant runs one multi-tenant serving plane (DESIGN.md S24): tenants
+	// share one jointly compiled layout over RSS-sharded cores while
+	// per-tenant renegotiations re-solve it under Zipf traffic.
+	ModeTenant
+	// ModeFleet runs a heterogeneous fleet (DESIGN.md S25): self-describing
+	// hosts behind flaky control links and a controller running canary
+	// rollouts that alternate benign upgrades with tampered ones.
+	ModeFleet
 )
 
+var modeNames = [...]string{"harden", "evolve", "tenant", "fleet"}
+
 func (m Mode) String() string {
-	if m == ModeEvolve {
-		return "evolve"
+	if m >= 0 && int(m) < len(modeNames) {
+		return modeNames[m]
 	}
-	return "harden"
+	return fmt.Sprintf("mode(%d)", int(m))
 }
 
-// ParseMode parses "harden" or "evolve".
+// ParseMode parses a cell name: harden, evolve, tenant or fleet.
 func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "harden":
-		return ModeHarden, nil
-	case "evolve":
-		return ModeEvolve, nil
+	for m, name := range modeNames {
+		if s == name {
+			return Mode(m), nil
+		}
 	}
-	return 0, fmt.Errorf("chaos: unknown mode %q (have harden, evolve)", s)
+	return 0, fmt.Errorf("chaos: unknown mode %q (have %s)", s, strings.Join(modeNames[:], ", "))
 }
 
 // Config describes one chaos scenario. The zero value is a usable default
-// (single hardened e1000e queue, rss+vlan+pkt_len).
+// (single hardened e1000e queue, rss+vlan+pkt_len). A field the cell does not
+// read must stay zero: a run that sets one reports a setup violation.
 type Config struct {
-	// NIC is the bundled model name (default "e1000e").
-	NIC string
-	// Mode selects the driver stack under test.
+	// Mode selects the cell under test.
 	Mode Mode
-	// Semantics is the compiled intent (default rss, vlan, pkt_len).
-	Semantics []string
-	// Queues is how many independent driver queues the scheduler interleaves
-	// (default 1, max 8); queue i's device reports QueueID i.
+	// Queues is how many lanes the scheduler interleaves: driver queues
+	// (harden and evolve: default 1, max 8; queue i's device reports
+	// QueueID i), plane cores (tenant: default 2, max 8) or hosts (fleet:
+	// default 6, max 64, round-robin over the six bundled NICs).
 	Queues int
-	// RingEntries sizes each device's completion ring (default 64 — small
-	// rings expose wrap-around and backpressure interleavings).
-	RingEntries int
-	// Steps is the schedule length Generate draws (default 512).
+	// Steps is the schedule length Generate draws (default 512). The tenant
+	// cell also sizes its Zipf trace by it.
 	Steps int
-	// DisableResync deliberately re-opens the pre-PR3 lost-completion
-	// liveness bug (HardenOptions.DisableResync) so tests can prove the
-	// oracles catch it. Never set outside a test or a canary run.
+
+	// NIC is the bundled model name (queue cells; default "e1000e").
+	NIC string
+	// Semantics is the compiled intent (queue cells; default rss, vlan,
+	// pkt_len).
+	Semantics []string
+	// RingEntries sizes each device's completion ring (queue cells; default
+	// 64 — small rings expose wrap-around and backpressure interleavings).
+	RingEntries int
+	// DisableResync deliberately re-opens the lost-completion liveness bug
+	// the resync path fixed (HardenOptions.DisableResync), so tests can
+	// prove the oracles catch it (queue cells). Never set outside a test or
+	// a canary run.
 	DisableResync bool
 	// VerifyOverride, when non-empty, substitutes this P4 source for the
-	// bundled description in the S27 diffverify oracle — a test hook proving
-	// the oracle fires. The datapath still runs the bundled model: in
-	// production an unverified description never gets that far, which is
-	// exactly the property the hook demonstrates.
+	// bundled description in the S27 diffverify oracle (queue cells) — a
+	// test hook proving the oracle fires. The datapath still runs the
+	// bundled model: in production an unverified description never gets
+	// that far, which is exactly the property the hook demonstrates.
 	VerifyOverride string
 	// DumpDir, when non-empty, receives an .odfl flight dump of the
-	// violating queue when an oracle fires.
+	// violating queue when an oracle fires (queue cells: plane and fleet
+	// queues run clocked and record nothing).
 	DumpDir string
+
+	// Tenants is the tenant cell's tenant count (default 4, max 64).
+	Tenants int
+
+	// ForgedTelemetry arms fleet host 1 with a forged-clean telemetry
+	// mutator: its reports hide garbage/order counters and anomaly evidence
+	// (re-sealed with a valid digest, so only the controller's counter
+	// cross-check can expose them). The telemetry oracle then requires the
+	// controller to quarantine that host the moment its forgery actually
+	// lies, and to never quarantine an honest one.
+	ForgedTelemetry bool
+	// MutatedDescription arms fleet host 2 with a rogue describe mutator: it
+	// republishes its own description with an emitted semantic field widened
+	// past the accessor domain, digest and capability claims recomputed so
+	// the document is structurally self-consistent — only the S27
+	// verification gate can reject it. The verified-gating oracle then
+	// requires that host to be quarantined at bootstrap with a
+	// "verification:" reason and to stay on its boot generation for the
+	// whole run: no provision, no trial, no promotion ever reaches it.
+	MutatedDescription bool
 }
 
 func (c Config) withDefaults() Config {
-	if c.NIC == "" {
-		c.NIC = "e1000e"
-	}
-	if len(c.Semantics) == 0 {
-		c.Semantics = []string{"rss", "vlan", "pkt_len"}
+	lanes, maxLanes := 1, 8
+	switch c.Mode {
+	case ModeTenant:
+		lanes = 2
+		if c.Tenants <= 0 {
+			c.Tenants = 4
+		}
+		c.Tenants = min(c.Tenants, 64)
+	case ModeFleet:
+		lanes, maxLanes = 6, 64
+	default:
+		if c.NIC == "" {
+			c.NIC = "e1000e"
+		}
+		if len(c.Semantics) == 0 {
+			c.Semantics = []string{"rss", "vlan", "pkt_len"}
+		}
+		if c.RingEntries <= 0 {
+			c.RingEntries = 64
+		}
 	}
 	if c.Queues <= 0 {
-		c.Queues = 1
+		c.Queues = lanes
 	}
-	if c.Queues > 8 {
-		c.Queues = 8
-	}
-	if c.RingEntries <= 0 {
-		c.RingEntries = 64
-	}
+	c.Queues = min(c.Queues, maxLanes)
 	if c.Steps <= 0 {
 		c.Steps = 512
 	}
 	return c
+}
+
+// unread names the first field set that c's cell does not read, or "".
+func (c Config) unread() string {
+	drivers := c.Mode == ModeHarden || c.Mode == ModeEvolve
+	for _, f := range []struct {
+		name      string
+		set, read bool
+	}{
+		{"NIC", c.NIC != "", drivers},
+		{"Semantics", len(c.Semantics) > 0, drivers},
+		{"RingEntries", c.RingEntries != 0, drivers},
+		{"DisableResync", c.DisableResync, drivers},
+		{"VerifyOverride", c.VerifyOverride != "", drivers},
+		{"DumpDir", c.DumpDir != "", drivers},
+		{"Tenants", c.Tenants != 0, c.Mode == ModeTenant},
+		{"ForgedTelemetry", c.ForgedTelemetry, c.Mode == ModeFleet},
+		{"MutatedDescription", c.MutatedDescription, c.Mode == ModeFleet},
+	} {
+		if f.set && !f.read {
+			return f.name
+		}
+	}
+	return ""
 }
 
 // The hardened watchdog's tuning under chaos: small, so the recovery ladder
@@ -142,9 +226,23 @@ const (
 )
 
 // String renders the scenario as the key=value line the reproducer spec and
-// the trace header carry. Deterministic (no maps).
+// the trace header carry: every setting the cell's setup reads, so a shrunk
+// spec rebuilds the same lanes. Deterministic (no maps).
 func (c Config) String() string {
 	c = c.withDefaults()
+	switch c.Mode {
+	case ModeTenant:
+		return fmt.Sprintf("mode=%s queues=%d tenants=%d steps=%d", c.Mode, c.Queues, c.Tenants, c.Steps)
+	case ModeFleet:
+		s := fmt.Sprintf("mode=%s queues=%d", c.Mode, c.Queues)
+		if c.ForgedTelemetry {
+			s += " forged=on"
+		}
+		if c.MutatedDescription {
+			s += " mutated=on"
+		}
+		return s
+	}
 	s := fmt.Sprintf("nic=%s mode=%s queues=%d ring=%d sems=%s",
 		c.NIC, c.Mode, c.Queues, c.RingEntries, strings.Join(c.Semantics, ","))
 	if c.DisableResync {
@@ -154,7 +252,7 @@ func (c Config) String() string {
 }
 
 // Violation reports one invariant breach: which oracle fired, at which
-// schedule step, on which queue, and why.
+// schedule step, on which lane, and why.
 type Violation struct {
 	Oracle string
 	Step   int
@@ -166,7 +264,8 @@ func (v *Violation) Error() string {
 	return fmt.Sprintf("chaos: oracle %s violated at step %d (q%d): %s", v.Oracle, v.Step, v.Queue, v.Detail)
 }
 
-// Result is the outcome of one chaos run.
+// Result is the outcome of one chaos run. Every exit path folds every
+// counter the cell keeps; a counter another cell keeps stays zero.
 type Result struct {
 	// Violation is nil when every oracle held through the whole schedule
 	// plus the final drain.
@@ -178,19 +277,51 @@ type Result struct {
 	// length when a violation stopped the run early).
 	Events int
 
-	Accepted  uint64 // packets the drivers accepted
-	Delivered uint64 // packets handed to the Poll handler
-	Rejected  uint64 // Rx refusals (backpressure or wedged device)
+	Accepted  uint64 // packets the lanes accepted
+	Delivered uint64 // packets handed to a delivery handler
+	Rejected  uint64 // Rx refusals (backpressure or wedged device; queue and tenant cells)
 
 	Switchovers uint64 // completed evolve generation swaps
-	Rollbacks   uint64 // evolve switchovers rolled back
 	Restores    uint64 // hardened watchdog hardware restores
 	Quarantined uint64 // completion records quarantined
 	Resyncs     uint64 // lost completions resynchronized in software
+	Rollbacks   uint64 // evolve switchovers (queue cells) or rollouts (fleet cell) rolled back
+
+	Renegs     uint64 // tenant renegotiations that switched the layout
+	FastRenegs uint64 // tenant renegotiations that swapped accessors only
+	Steals     uint64 // deliveries a core polled from a neighbour's queue
+
+	Rollouts         uint64  // fleet upgrades started
+	Promotions       uint64  // fleet upgrades promoted
+	LeaseReverts     uint64  // hosts back on last-known-good after controller silence
+	CacheHitRate     float64 // the fleet controller's compile-cache hit rate at the end
+	TelemetryReports uint64  // sweep reports validated, cross-checked and absorbed
+	TelemetryRejects uint64  // sweep reports rejected (forged or stale)
 
 	// DumpFiles lists the .odfl flight dumps written for a violation (only
 	// when Config.DumpDir was set).
 	DumpFiles []string
+}
+
+// runner is the scaffolding every cell shares: the configuration, the
+// virtual clock, the trace and the result.
+type runner struct {
+	cfg Config
+	clk *vclock.Virtual
+	log strings.Builder
+	res *Result
+}
+
+// cell is the lane set under test: it builds its lanes, executes the events
+// that name them, checks its oracles, drains, and folds its counters.
+type cell interface {
+	// setup builds the lanes. An error that is a *Violation is an oracle
+	// that fired before the first event; any other is a setup error.
+	setup(s Schedule) error
+	exec(step int, ev Event)             // run one event, write its trace line
+	check(step int, ev Event) *Violation // the per-step oracles after exec
+	drain(step int)                      // flush every lane, run the final oracles
+	fold()                               // add the cell's counters into the result
 }
 
 // queue is the per-driver-queue harness state.
@@ -215,18 +346,15 @@ type queue struct {
 	viol *Violation
 }
 
-// runner executes one schedule.
-type runner struct {
-	cfg Config
-	clk *vclock.Virtual
+// queueCell is the harden and evolve cell: one hardened driver per lane.
+type queueCell struct {
+	*runner
 	// mixes is the read-mix phase schedule mix-shift events walk: three
 	// phases derived from Config.Semantics (mixPhases).
 	mixes   workload.MixSchedule
 	trace   *workload.Trace
 	queues  []*queue
 	nextPkt int
-	log     strings.Builder
-	res     *Result
 }
 
 // Run generates the schedule for (cfg, seed) and executes it. Any failure is
@@ -236,43 +364,68 @@ func Run(cfg Config, seed uint64) *Result {
 }
 
 // RunSchedule executes an explicit event schedule (the replay and shrink
-// entry point). The schedule's seed feeds the fault injectors' PRNGs so
-// scripted corruptions flip the same bits on replay.
+// entry point) on the cell cfg selects. The schedule's seed feeds the cell's
+// setup — the fault injectors, the Zipf trace, the fleet controller — so a
+// replay rebuilds the same lanes.
 func RunSchedule(cfg Config, s Schedule) *Result {
 	cfg = cfg.withDefaults()
-	r := &runner{cfg: cfg, clk: vclock.NewVirtual(1), mixes: phaseMixes(cfg.Semantics), res: &Result{}}
-	if v := r.verifyDescription(); v != nil {
-		r.res.Violation = v
-		r.res.Trace = []byte(r.log.String())
-		return r.res
+	r := &runner{cfg: cfg, clk: vclock.NewVirtual(1), res: &Result{}}
+	var c cell
+	switch cfg.Mode {
+	case ModeTenant:
+		c = &planeCell{runner: r}
+	case ModeFleet:
+		c = &fleetCell{runner: r}
+	default:
+		c = &queueCell{runner: r}
 	}
-	if err := r.setup(s.Seed); err != nil {
-		// A scenario that cannot even open its drivers is a configuration
+	err := validate(cfg, s)
+	if err == nil {
+		err = c.setup(s)
+	}
+	if err != nil {
+		// A scenario that cannot even build its lanes is a configuration
 		// error, reported as a violation of the "setup" pseudo-oracle so
 		// sweeps surface it instead of panicking.
-		r.res.Violation = &Violation{Oracle: "setup", Detail: err.Error()}
+		v, ok := err.(*Violation)
+		if !ok {
+			v = &Violation{Oracle: "setup", Detail: err.Error()}
+		}
+		r.fail(v)
 		r.res.Trace = []byte(r.log.String())
 		return r.res
 	}
-	fmt.Fprintf(&r.log, "chaos %s seed=%d events=%d\n", cfg, s.Seed, len(s.Events))
-
 	for i, ev := range s.Events {
-		r.exec(i, ev)
+		if c.exec(i, ev); r.res.Violation == nil {
+			r.fail(c.check(i, ev))
+		}
 		r.res.Events = i + 1
-		if v := r.check(i, ev); v != nil {
-			r.fail(v)
-			return r.finish()
+		if r.res.Violation != nil {
+			break
 		}
 	}
-	r.drain(len(s.Events))
-	return r.finish()
+	if r.res.Violation == nil {
+		c.drain(len(s.Events))
+	}
+	c.fold()
+	r.res.Trace = []byte(r.log.String())
+	return r.res
+}
+
+// fail records the run's first violation and writes its trace line; a nil
+// violation is a no-op.
+func (r *runner) fail(v *Violation) {
+	if v != nil && r.res.Violation == nil {
+		r.res.Violation = v
+		fmt.Fprintf(&r.log, "VIOLATION %s step=%d q%d: %s\n", v.Oracle, v.Step, v.Queue, v.Detail)
+	}
 }
 
 // verifyDescription is the S27 diffverify oracle: before the schedule runs,
 // the description of record must hold a passing differential-verification
 // certificate. Certificates are digest-cached process-wide, so repeated runs
 // and sweeps pay for one harness execution per distinct description.
-func (r *runner) verifyDescription() *Violation {
+func (r *queueCell) verifyDescription() *Violation {
 	name, src := r.cfg.NIC, r.cfg.VerifyOverride
 	if src == "" {
 		m, err := nic.Load(r.cfg.NIC)
@@ -282,14 +435,18 @@ func (r *runner) verifyDescription() *Violation {
 		src = m.Source
 	}
 	if cert := diffverify.CertifyCached(name, src); !cert.Passed {
-		fmt.Fprintf(&r.log, "VIOLATION diffverify: %s\n", cert.Reason)
 		return &Violation{Oracle: "diffverify", Detail: cert.Reason}
 	}
 	return nil
 }
 
-// setup opens one driver per queue on a shared virtual clock.
-func (r *runner) setup(seed uint64) error {
+// setup runs the diffverify oracle, then opens one driver per queue on the
+// shared virtual clock.
+func (r *queueCell) setup(s Schedule) error {
+	if v := r.verifyDescription(); v != nil {
+		return v
+	}
+	r.mixes = phaseMixes(r.cfg.Semantics)
 	spec := workload.DefaultSpec()
 	spec.Packets = 256 // reused modulo
 	tr, err := workload.Generate(spec)
@@ -339,10 +496,11 @@ func (r *runner) setup(seed uint64) error {
 		if err != nil {
 			return fmt.Errorf("queue %d: %w", qi, err)
 		}
-		inj := faults.New(faults.Plan{Seed: seed ^ uint64(qi)<<32})
+		inj := faults.New(faults.Plan{Seed: s.Seed ^ uint64(qi)<<32})
 		drv.InjectFaults(inj)
 		r.queues = append(r.queues, &queue{drv: drv, inj: inj})
 	}
+	fmt.Fprintf(&r.log, "chaos %s seed=%d events=%d\n", r.cfg, s.Seed, len(s.Events))
 	return nil
 }
 
@@ -350,7 +508,7 @@ func (r *runner) setup(seed uint64) error {
 // exactly-once and golden-metadata oracles on every delivery, reading the
 // semantics of the queue's current mix phase (on an evolving driver those
 // reads are the read mix the control plane re-solves for).
-func (r *runner) handler(qi int, step int) func([]byte, opendesc.Meta) {
+func (r *queueCell) handler(qi int, step int) func([]byte, opendesc.Meta) {
 	q := r.queues[qi]
 	mix := r.mixes.Phase(q.mixPhase)
 	return func(p []byte, m opendesc.Meta) {
@@ -380,8 +538,8 @@ func (r *runner) handler(qi int, step int) func([]byte, opendesc.Meta) {
 }
 
 // exec executes one schedule event and appends its trace line.
-func (r *runner) exec(step int, ev Event) {
-	qi := int(ev.Q) % len(r.queues)
+func (r *queueCell) exec(step int, ev Event) {
+	qi := int(ev.Q)
 	q := r.queues[qi]
 	switch ev.Op {
 	case OpRx:
@@ -418,7 +576,7 @@ func (r *runner) exec(step int, ev Event) {
 // empty and healthy, bounded so a liveness bug turns into a violation
 // instead of an endless loop. Clock time advances each round so time-based
 // residency keeps moving.
-func (r *runner) drain(step int) {
+func (r *queueCell) drain(step int) {
 	const maxRounds = 20000
 	for round := 0; round < maxRounds; round++ {
 		done := true
@@ -452,8 +610,8 @@ func (r *runner) drain(step int) {
 }
 
 // check runs the per-step oracles for the event just executed.
-func (r *runner) check(step int, ev Event) *Violation {
-	qi := int(ev.Q) % len(r.queues)
+func (r *queueCell) check(step int, ev Event) *Violation {
+	qi := int(ev.Q)
 	if v := r.queues[qi].viol; v != nil {
 		return v
 	}
@@ -480,7 +638,7 @@ func (r *runner) check(step int, ev Event) *Violation {
 
 // oracles runs the always-on per-queue invariants (generation monotonicity,
 // bounded degraded residency, cross-counter consistency).
-func (r *runner) oracles(step, qi int) *Violation {
+func (r *queueCell) oracles(step, qi int) *Violation {
 	q := r.queues[qi]
 	ev := q.drv.Evolution()
 	if ev.Generation < q.lastGen {
@@ -509,7 +667,7 @@ func (r *runner) oracles(step, qi int) *Violation {
 
 // consistent cross-checks driver, device, ring, injector and flight-recorder
 // counters against each other and the harness's own accounting.
-func (r *runner) consistent(step, qi int) *Violation {
+func (r *queueCell) consistent(step, qi int) *Violation {
 	q := r.queues[qi]
 	ds := q.drv.DeviceStats()
 	bad := func(detail string, args ...any) *Violation {
@@ -545,22 +703,10 @@ func (r *runner) consistent(step, qi int) *Violation {
 	return nil
 }
 
-// fail records the violation, writes its trace line, and (when a dump dir is
-// configured) snapshots the violating queue's flight recorder to an .odfl
+// fold adds the per-queue counters into the result and, when a dump dir is
+// configured, snapshots the violating queue's flight recorder to an .odfl
 // postmortem.
-func (r *runner) fail(v *Violation) {
-	r.res.Violation = v
-	fmt.Fprintf(&r.log, "VIOLATION %s step=%d q%d: %s\n", v.Oracle, v.Step, v.Queue, v.Detail)
-	if r.cfg.DumpDir != "" && v.Queue < len(r.queues) {
-		rec := r.queues[v.Queue].drv.Flight()
-		rec.SetDumpDir(r.cfg.DumpDir)
-		rec.Postmortem("chaos-" + v.Oracle)
-		r.res.DumpFiles = rec.DumpFiles()
-	}
-}
-
-// finish folds the per-queue counters into the result.
-func (r *runner) finish() *Result {
+func (r *queueCell) fold() {
 	for _, q := range r.queues {
 		r.res.Accepted += q.accepted
 		r.res.Delivered += q.delivered
@@ -573,6 +719,10 @@ func (r *runner) finish() *Result {
 		r.res.Switchovers += evs.Switchovers
 		r.res.Rollbacks += evs.Rollbacks
 	}
-	r.res.Trace = []byte(r.log.String())
-	return r.res
+	if v := r.res.Violation; v != nil && r.cfg.DumpDir != "" && v.Queue < len(r.queues) {
+		rec := r.queues[v.Queue].drv.Flight()
+		rec.SetDumpDir(r.cfg.DumpDir)
+		rec.Postmortem("chaos-" + v.Oracle)
+		r.res.DumpFiles = rec.DumpFiles()
+	}
 }

@@ -133,7 +133,9 @@ func TestResyncBugCaughtAndShrunk(t *testing.T) {
 	}
 }
 
-// TestSpecRoundTrip checks FormatSpec/ParseSpec over a generated schedule.
+// TestSpecRoundTrip checks FormatSpec/ParseSpec over generated schedules of
+// every cell: the config line carries everything the cell's setup reads, so
+// the parsed spec replays to Run's trace byte for byte.
 func TestSpecRoundTrip(t *testing.T) {
 	cfg := Config{NIC: "mlx5", Mode: ModeEvolve, Queues: 2, Steps: 64, DisableResync: true}
 	s := Generate(cfg, 77)
@@ -152,17 +154,42 @@ func TestSpecRoundTrip(t *testing.T) {
 	if s2.Seed != 77 || !reflect.DeepEqual(s.Events, s2.Events) {
 		t.Errorf("schedule did not round-trip (seed %d, %d vs %d events)", s2.Seed, len(s.Events), len(s2.Events))
 	}
+
+	for _, cfg := range []Config{
+		{Mode: ModeHarden, Queues: 3, Steps: 128},
+		{Mode: ModeTenant, Tenants: 6, Queues: 3, Steps: 192},
+		{Mode: ModeFleet, Queues: 6, Steps: 192},
+		{Mode: ModeFleet, Queues: 6, Steps: 128, ForgedTelemetry: true, MutatedDescription: true},
+	} {
+		s := Generate(cfg, 5)
+		cfg2, s2, err := ParseSpec(FormatSpec(cfg, s, nil))
+		if err != nil {
+			t.Fatalf("%s: ParseSpec: %v", cfg, err)
+		}
+		run, replay := Run(cfg, 5), RunSchedule(cfg2, s2)
+		if run.Violation != nil {
+			t.Fatalf("%s: %v", cfg, run.Violation)
+		}
+		if !reflect.DeepEqual(run, replay) {
+			t.Errorf("%s: the parsed spec replays differently:\n--- run\n%s\n--- replay\n%s", cfg, tail(run.Trace, 8), tail(replay.Trace, 8))
+		}
+	}
 }
 
 // TestSpecParseErrors exercises the spec parser's failure modes.
 func TestSpecParseErrors(t *testing.T) {
 	for _, bad := range []string{
-		"event rx q0\n",                           // no config line
-		"config nic=e1000e\nevent frob q0\n",      // unknown event
-		"config nic=e1000e\nevent fault q0 zap\n", // unknown fault class
-		"config bogus=1\n",                        // unknown config key
-		"config queues\n",                         // not key=value
-		"banana split\n",                          // unknown directive
+		"event rx q0\n",                               // no config line
+		"config nic=e1000e\nevent frob q0\n",          // unknown event
+		"config nic=e1000e\nevent fault q0 zap\n",     // unknown fault class
+		"config bogus=1\n",                            // unknown config key
+		"config queues\n",                             // not key=value
+		"banana split\n",                              // unknown directive
+		"config mode=tenant nic=mlx5\n",               // a key the tenant cell does not read
+		"config mode=harden steps=64\n",               // only the tenant cell reads steps
+		"config mode=fleet queues=4\nevent poll q4\n", // lane out of range
+		"config mode=tenant\nevent reneg 4\n",         // tenant out of range
+		"config mode=fleet\nevent mixshift q0 1\n",    // an event the cell does not run
 	} {
 		if _, _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) succeeded, want error", bad)
@@ -206,6 +233,11 @@ func TestParseMode(t *testing.T) {
 	}
 	if m, err := ParseMode("harden"); err != nil || m != ModeHarden {
 		t.Errorf("ParseMode(harden) = %v, %v", m, err)
+	}
+	for _, m := range []Mode{ModeTenant, ModeFleet} {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%s) = %v, %v", m, got, err)
+		}
 	}
 	if _, err := ParseMode("yolo"); err == nil {
 		t.Error("ParseMode(yolo) succeeded")

@@ -3,8 +3,6 @@ package chaos
 import (
 	"bytes"
 	"testing"
-
-	"opendesc/internal/fleet"
 )
 
 // TestFleetChaosSweep runs the fleet control plane through seeded chaos
@@ -13,10 +11,10 @@ import (
 // delivery everywhere, garbage reads only on known-bad trial generations,
 // tampered upgrades never promoted, conservation exact after the drain.
 func TestFleetChaosSweep(t *testing.T) {
-	cfg := FleetConfig{Hosts: 8, Steps: 512}
+	cfg := Config{Mode: ModeFleet, Queues: 8, Steps: 512}
 	var rollouts, promotions, rollbacks, reverts uint64
 	for seed := uint64(1); seed <= 16; seed++ {
-		res := RunFleet(cfg, seed)
+		res := Run(cfg, seed)
 		if res.Violation != nil {
 			t.Fatalf("seed %d: %v\ntrace tail:\n%s", seed, res.Violation, tail(res.Trace, 2000))
 		}
@@ -39,35 +37,82 @@ func TestFleetChaosSweep(t *testing.T) {
 
 // TestFleetDeterministicTrace: same (cfg, seed) ⇒ byte-identical trace.
 func TestFleetDeterministicTrace(t *testing.T) {
-	cfg := FleetConfig{Hosts: 6, Steps: 256}
-	a := RunFleet(cfg, 42)
-	b := RunFleet(cfg, 42)
+	cfg := Config{Mode: ModeFleet, Queues: 6, Steps: 256}
+	a := Run(cfg, 42)
+	b := Run(cfg, 42)
 	if a.Violation != nil || b.Violation != nil {
 		t.Fatalf("violations: %v / %v", a.Violation, b.Violation)
 	}
 	if !bytes.Equal(a.Trace, b.Trace) {
 		t.Fatal("traces differ for identical (cfg, seed)")
 	}
-	c := RunFleet(cfg, 43)
+	c := Run(cfg, 43)
 	if bytes.Equal(a.Trace, c.Trace) {
 		t.Fatal("different seeds produced identical traces")
 	}
 }
 
-// TestFleetControllerPartition scripts the tentpole degradation scenario
-// directly (no randomness): partition every control link mid-bake, let the
-// trial lease expire, verify the hosts revert to last-known-good and keep
-// serving; heal, verify the controller rolls the orphaned rollout back and
-// a follow-up rollout promotes.
+// TestFleetControllerPartition scripts the degradation scenario as a spec
+// (no randomness): start a rollout, partition every control link mid-bake,
+// advance past the trial lease, and let traffic reach the hosts. They revert
+// to last-known-good on their own and keep serving. Heal and step: the
+// controller finds its canaries reverted and rolls the orphaned rollout
+// back. The next upgrade in the cell's alternation is tampered and rolls
+// back on the canary's garbage read; the one after it promotes.
 func TestFleetControllerPartition(t *testing.T) {
-	res := RunFleet(FleetConfig{Hosts: 6, Steps: 512}, 7)
-	if res.Violation != nil {
-		t.Fatalf("%v\ntrace tail:\n%s", res.Violation, tail(res.Trace, 2000))
+	const spec = `config mode=fleet queues=2 seed=7
+event rollout
+event rollout
+event rx q0
+event rx q1
+event poll q0
+event poll q1
+event link q0
+event link q1
+event advance 1048577
+event rx q0
+event rx q1
+event poll q0
+event poll q1
+event link q0
+event link q1
+event rollout
+event rollout
+event rollout
+event rx q0
+event rx q1
+event poll q0
+event poll q1
+event rollout
+event rollout
+`
+	cfg, s, err := ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// With the scenario's short lease and partition events at ~10% of the
-	// schedule, lease-driven LKG degradation must actually occur.
-	if res.LeaseReverts == 0 {
-		t.Fatal("no lease reverts — partitions never stranded a trial; scenario too tame")
+	res := RunSchedule(cfg, s)
+	if res.Violation != nil {
+		t.Fatalf("%v\ntrace:\n%s", res.Violation, res.Trace)
+	}
+	for _, want := range []string{
+		"partition link 1\n",
+		"advance 1048577\n",
+		"heal link 1\n",
+		"rollout step -> rolled-back (err=canary e1000-0 lease-reverted)",
+		`rollout start "up1" gen 3 bad=true`,
+		"rollout step -> rolled-back (err=canary e1000-0 oracle violation",
+		`rollout start "up2" gen 4 bad=false`,
+	} {
+		if !bytes.Contains(res.Trace, []byte(want)) {
+			t.Errorf("trace lacks %q:\n%s", want, res.Trace)
+		}
+	}
+	if res.LeaseReverts != 2 {
+		t.Errorf("%d lease reverts, want both hosts back on last-known-good", res.LeaseReverts)
+	}
+	if res.Rollouts != 3 || res.Rollbacks != 2 || res.Promotions != 1 {
+		t.Errorf("rollouts %d, rollbacks %d, promotions %d: want the orphaned and the tampered rollout rolled back and the follow-up promoted",
+			res.Rollouts, res.Rollbacks, res.Promotions)
 	}
 	if res.Accepted != res.Delivered {
 		t.Fatalf("conservation: accepted %d != delivered %d", res.Accepted, res.Delivered)
@@ -78,22 +123,22 @@ func TestFleetControllerPartition(t *testing.T) {
 // (counters zeroed, anomalies stripped, report re-sealed with a valid
 // digest), the controller's counter cross-check must quarantine it as soon
 // as the forgery actually hides evidence — and must never quarantine an
-// honest host. The per-seed telemetry oracle inside RunFleet enforces
+// honest host. The per-seed telemetry oracle inside the fleet cell enforces
 // both; this sweep additionally requires the rejection machinery to have
 // actually fired somewhere, and the traces to stay byte-identical per
 // seed with forging enabled.
 func TestFleetTelemetryTampering(t *testing.T) {
-	cfg := FleetConfig{Hosts: 8, Steps: 512, ForgedTelemetry: true}
+	cfg := Config{Mode: ModeFleet, Queues: 8, Steps: 512, ForgedTelemetry: true}
 	var reports, rejects uint64
 	for seed := uint64(1); seed <= 16; seed++ {
-		res := RunFleet(cfg, seed)
+		res := Run(cfg, seed)
 		if res.Violation != nil {
 			t.Fatalf("seed %d: %v\ntrace tail:\n%s", seed, res.Violation, tail(res.Trace, 2000))
 		}
 		if res.Accepted != res.Delivered {
 			t.Fatalf("seed %d: accepted %d != delivered %d", seed, res.Accepted, res.Delivered)
 		}
-		again := RunFleet(cfg, seed)
+		again := Run(cfg, seed)
 		if !bytes.Equal(res.Trace, again.Trace) {
 			t.Fatalf("seed %d: forged-telemetry traces differ between identical runs", seed)
 		}
@@ -111,7 +156,7 @@ func TestFleetTelemetryTampering(t *testing.T) {
 // counters reconcile and the heterogeneous fleet keeps the hit rate high
 // (many hosts per distinct description).
 func TestFleetCacheReconciles(t *testing.T) {
-	res := RunFleet(FleetConfig{Hosts: 24, Steps: 384}, 11)
+	res := Run(Config{Mode: ModeFleet, Queues: 24, Steps: 384}, 11)
 	if res.Violation != nil {
 		t.Fatalf("%v", res.Violation)
 	}
@@ -119,5 +164,3 @@ func TestFleetCacheReconciles(t *testing.T) {
 		t.Fatalf("cache hit rate %.3f on a 24-host/6-description fleet", res.CacheHitRate)
 	}
 }
-
-var _ = fleet.PhaseIdle

@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"os"
 	"path"
 	"path/filepath"
@@ -137,9 +138,7 @@ func walkGo(root string, withTests bool, fn func(path, rel string) error) error 
 // censusAllowed names the exported identifiers no non-test file needs, each
 // with the reason it stays. A key is a package ("opendesc" for the root, else
 // its directory), a declaration in it ("internal/pkt.Builder" covers the type
-// and its methods), or "*.Method" for a method any type may declare. Methods
-// fmt or the error interface call (String, Error) need no entry: the census
-// goes by name, and those names are named everywhere.
+// and its methods), or "*.Method" for a method any type may declare.
 var censusAllowed = map[string]string{
 	"opendesc":                         "the root package is the library's public API, for programs outside this module",
 	"*.Unwrap":                         "errors.Is and errors.As call it through the Unwrap() error interface",
@@ -148,80 +147,117 @@ var censusAllowed = map[string]string{
 	"internal/semantics.CostModel.WithOverrides": "the cost fixture the core, evolve and nicsim tests price a semantic with",
 }
 
-// TestExportedNamesHaveACaller is the code census: every exported top-level
-// identifier (function, method, type, variable, constant) declared in a
-// non-test file must be named by some non-test file other than at its
-// declaration, or be covered by a censusAllowed entry. It goes by name, not
-// by type, so it parses and never type-checks: a name collision can hide dead
-// code but never flag live code. An entry that covers nothing fails too.
+// formatted are the interfaces the standard library calls with no call site
+// the stubbed type-check can see: fmt's Stringer and the universe's error.
+var formatted = []*types.Interface{
+	types.NewInterfaceType([]*types.Func{types.NewFunc(token.NoPos, nil, "String",
+		types.NewSignatureType(nil, nil, nil, nil, types.NewTuple(types.NewParam(token.NoPos, nil, "", types.Typ[types.String])), false))}, nil).Complete(),
+	types.Universe.Lookup("error").Type().Underlying().(*types.Interface),
+}
+
+// TestExportedNamesHaveACaller is the code census: every exported
+// package-level object (function, type, variable, constant) and every
+// exported method declared in a non-test file must pass two rules, or be
+// covered by a censusAllowed entry. By name, some non-test file spells it
+// other than at its declaration. By type, some file, tests included, uses
+// that very types.Object, so a method is not kept alive by another type's
+// method of the same name. A method is also used when some file calls the
+// method of a module interface its type implements, or when it implements
+// one of the formatted interfaces. An entry that covers nothing fails too.
 func TestExportedNamesHaveACaller(t *testing.T) {
-	root, err := repoRoot()
-	if err != nil {
-		t.Fatalf("locating repo root: %v", err)
+	root, m := checkModule(t)
+	named := map[string]int{} // name → identifiers spelling it in non-test files
+	for _, files := range m.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					named[id.Name]++
+				}
+				return true
+			})
+		}
 	}
-	type decl struct{ key, name, pos string }
-	var decls []decl
-	declared := map[string]int{} // name → declarations of it
-	named := map[string]int{}    // name → identifiers spelling it, declarations included
-	fset := token.NewFileSet()
-	err = walkGoFiles(root, func(file, rel string) error {
-		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
+	used := m.testUses(t, root) // declarations some file uses, tests included
+	for _, obj := range m.info.Uses {
+		if f, ok := obj.(*types.Func); ok {
+			obj = f.Origin()
 		}
-		pkg := path.Dir(rel)
-		if pkg == "." {
-			pkg = "opendesc"
-		}
-		add := func(id *ast.Ident, key string) {
-			if id.IsExported() {
-				declared[id.Name]++
-				decls = append(decls, decl{pkg + "." + key, id.Name, fmt.Sprintf("%s:%d", rel, fset.Position(id.Pos()).Line)})
+		used[obj.Pos()] = true
+	}
+	var ifaces []*types.Interface // the module's interfaces, with a method some file calls
+	for p := range m.dirs {
+		for _, name := range p.Scope().Names() {
+			if iface, ok := p.Scope().Lookup(name).Type().Underlying().(*types.Interface); ok {
+				for im := range iface.Methods() {
+					if used[im.Pos()] {
+						ifaces = append(ifaces, iface)
+						break
+					}
+				}
 			}
 		}
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				key := d.Name.Name
-				if d.Recv != nil {
-					key = recvName(d.Recv.List[0].Type) + "." + key
+	}
+	implemented := func(named *types.Named, fn *types.Func) bool {
+		for _, typ := range []types.Type{named, types.NewPointer(named)} {
+			for _, iface := range formatted {
+				if iface.Method(0).Name() == fn.Name() && types.Implements(typ, iface) {
+					return true
 				}
-				add(d.Name, key)
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						add(s.Name, s.Name.Name)
-					case *ast.ValueSpec:
-						for _, n := range s.Names {
-							add(n, n.Name)
+			}
+			for _, iface := range ifaces {
+				if types.Implements(typ, iface) {
+					for im := range iface.Methods() {
+						if im.Name() == fn.Name() && used[im.Pos()] {
+							return true
 						}
 					}
 				}
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				named[id.Name]++
-			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("walking repo: %v", err)
+		return false
 	}
+
 	covered := map[string]int{}
-	for _, d := range decls {
-		if named[d.name] > declared[d.name] {
-			continue
+	n := 0
+	check := func(obj types.Object, key string, typed bool) {
+		n++
+		if named[obj.Name()] > 1 && typed {
+			return
 		}
-		if k, ok := allowedBy(d.key, d.name); ok {
+		if k, ok := allowedBy(key, obj.Name()); ok {
 			covered[k]++
-			continue
+			return
 		}
-		t.Errorf("%s: %s is named by no non-test file: delete it, move it to the _test.go file that uses it, or add it to censusAllowed with a reason",
-			d.pos, d.key)
+		pos := m.fset.Position(obj.Pos())
+		rel, _ := filepath.Rel(root, pos.Filename)
+		how := "is named by no non-test file"
+		if named[obj.Name()] > 1 {
+			how = "is used by no file, tests included"
+		}
+		t.Errorf("%s:%d: %s %s: delete it, move it to the _test.go file that uses it, or add it to censusAllowed with a reason",
+			filepath.ToSlash(rel), pos.Line, key, how)
+	}
+	for _, p := range slices.SortedFunc(maps.Keys(m.dirs), func(a, b *types.Package) int { return strings.Compare(a.Path(), b.Path()) }) {
+		dir := m.dirs[p]
+		pkg := dir
+		if dir == "." {
+			pkg = "opendesc"
+		}
+		for _, name := range p.Scope().Names() {
+			obj := p.Scope().Lookup(name)
+			if obj.Exported() {
+				check(obj, pkg+"."+name, used[obj.Pos()])
+			}
+			named, ok := obj.Type().(*types.Named)
+			if _, isType := obj.(*types.TypeName); !ok || !isType || named.Obj() != obj {
+				continue
+			}
+			for fn := range named.Methods() {
+				if fn.Exported() {
+					check(fn, pkg+"."+name+"."+fn.Name(), used[fn.Pos()] || implemented(named, fn))
+				}
+			}
+		}
 	}
 	for k, why := range censusAllowed {
 		if why == "" {
@@ -231,7 +267,7 @@ func TestExportedNamesHaveACaller(t *testing.T) {
 			t.Errorf("censusAllowed[%q] covers no uncalled name: drop the entry", k)
 		}
 	}
-	t.Logf("%d exported names; %d allowlist entries cover %d without a caller", len(decls), len(censusAllowed), sum(covered))
+	t.Logf("%d exported names; %d allowlist entries cover %d without a caller", n, len(censusAllowed), sum(covered))
 }
 
 // allowedBy returns the censusAllowed entry covering a declaration key: the
@@ -251,75 +287,48 @@ func allowedBy(key, name string) (string, bool) {
 	return "*." + name, ok
 }
 
-// recvName is the type name of a method receiver: T, *T, T[K] or *T[K].
-func recvName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return fmt.Sprintf("%T", e)
-		}
-	}
+// module is the repository's non-test Go code, type-checked package by
+// package against an empty stand-in for the standard library, its type
+// errors ignored. It takes a fraction of a second and runs no tool, so the
+// censuses that read it stay in tier-1.
+type module struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File // by slash-separated directory, "." for the root
+	dirs  map[*types.Package]string
+	info  *types.Info
+	imp   importerFunc // the non-test packages, by import path
 }
 
-// optionSuffixes name the struct types the field census covers: the knobs a
-// caller sets once, before anything runs.
-var optionSuffixes = []string{"Options", "Config", "Policy", "Spec"}
-
-// optionAllowed names the option fields no non-test file sets, each with the
-// reason it stays a field. A key is "dir.Type.Field".
-var optionAllowed = map[string]string{
-	"internal/evolve.Options.Costs":                 "the only way to reach Resolve's unsatisfiable branch",
-	"internal/diffverify.Options.MaxPaths":          "bounds the fuzz screen; a certificate is issued only uncapped",
-	"internal/diffverify.Options.MaxCases":          "bounds the fuzz screen; a certificate is issued only uncapped",
-	"internal/diffverify.Options.Packets":           "bounds the fuzz screen and prices a marginal case in TestVerifyAllocGate; a certificate is issued at the default",
-	"internal/fleet.Options.DisableVerify":          "the mutation that proves the S27 verification gate fires",
-	"internal/chaos.Config.VerifyOverride":          "the mutation that proves the S27 diffverify oracle fires",
-	"internal/chaos.FleetConfig.MutatedDescription": "the mutation that proves the S27 verified-gating oracle fires",
-	"internal/tenant.Spec.Port":                     "a deployment setting: which port a tenant's traffic arrives on",
-	"internal/obs/flight.Config.Clock":              "the counting clock TestPollReadsClockOnGrid holds a poll's clock reads to",
-}
-
-// TestOptionFieldsHaveASetter is the field census, beside the name census:
-// every exported field of an exported struct whose name ends in one of
-// optionSuffixes, declared in a non-test file outside the root package, must
-// be set by some non-test file or be covered by an optionAllowed entry. A
-// field is set by a key in a composite literal of its type, anywhere, or by
-// an assignment, increment or address-of of x.Field outside its declaring
-// package, so a type's own defaulting never counts as its caller. It
-// type-checks the module (the standard library stubbed out, its errors
-// ignored), so a field of the same name on another type hides nothing. An
-// option one value uses is a constant; an option nothing sets is dead.
-func TestOptionFieldsHaveASetter(t *testing.T) {
+// checkModule parses and type-checks every non-test file that the default
+// build selects, and returns the repo root with the module.
+func checkModule(t *testing.T) (string, *module) {
+	t.Helper()
 	root, err := repoRoot()
 	if err != nil {
 		t.Fatalf("locating repo root: %v", err)
 	}
-	fset := token.NewFileSet()
-	byDir := map[string][]*ast.File{}
+	m := &module{
+		fset:  token.NewFileSet(),
+		files: map[string][]*ast.File{},
+		dirs:  map[*types.Package]string{},
+		info:  &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}},
+	}
 	err = walkGoFiles(root, func(file, rel string) error {
 		if ok, err := build.Default.MatchFile(filepath.Dir(file), filepath.Base(file)); !ok || err != nil {
 			return err
 		}
-		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(m.fset, file, nil, parser.SkipObjectResolution)
 		if err == nil {
-			byDir[path.Dir(rel)] = append(byDir[path.Dir(rel)], f)
+			m.files[path.Dir(rel)] = append(m.files[path.Dir(rel)], f)
 		}
 		return err
 	})
 	if err != nil {
 		t.Fatalf("walking repo: %v", err)
 	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
 	pkgs := map[string]*types.Package{}
 	var imp importerFunc
+	m.imp = func(ip string) (*types.Package, error) { return imp(ip) }
 	imp = func(ip string) (*types.Package, error) {
 		if p := pkgs[ip]; p != nil {
 			return p, nil
@@ -334,25 +343,108 @@ func TestOptionFieldsHaveASetter(t *testing.T) {
 			return pkgs[ip], nil
 		}
 		conf := types.Config{Importer: imp, Error: func(error) {}}
-		pkgs[ip], _ = conf.Check(ip, fset, byDir[dir], info)
+		pkgs[ip], _ = conf.Check(ip, m.fset, m.files[dir], m.info)
 		return pkgs[ip], nil
 	}
-	dirs := map[*types.Package]string{}
-	for dir := range byDir {
+	for dir := range m.files {
 		ip := "opendesc/" + dir
 		if dir == "." {
 			ip = "opendesc"
 		}
 		p, _ := imp(ip)
-		dirs[p] = dir
+		m.dirs[p] = dir
 	}
+	return root, m
+}
 
+// testUses type-checks every package's test files against the non-test
+// packages, the in-package ones together with the package and the external
+// ones on their own, and returns the declaration of every object they use.
+// A declaration is keyed by its position: a package checked twice declares
+// two objects there.
+func (m *module) testUses(t *testing.T, root string) map[token.Pos]bool {
+	t.Helper()
+	type tests struct{ in, ext []*ast.File }
+	byDir := map[string]*tests{}
+	err := walkGo(root, true, func(file, rel string) error {
+		if !strings.HasSuffix(file, "_test.go") {
+			return nil
+		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(file), filepath.Base(file)); !ok || err != nil {
+			return err
+		}
+		f, err := parser.ParseFile(m.fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := path.Dir(rel)
+		if byDir[dir] == nil {
+			byDir[dir] = &tests{}
+		}
+		if strings.HasSuffix(f.Name.Name, "_test") {
+			byDir[dir].ext = append(byDir[dir].ext, f)
+		} else {
+			byDir[dir].in = append(byDir[dir].in, f)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("walking repo: %v", err)
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	conf := types.Config{Importer: m.imp, Error: func(error) {}}
+	for dir, ts := range byDir {
+		ip := path.Join("opendesc", dir)
+		conf.Check(ip, m.fset, append(slices.Clip(m.files[dir]), ts.in...), info)
+		conf.Check(ip+"_test", m.fset, ts.ext, info)
+	}
+	used := map[token.Pos]bool{}
+	for _, obj := range info.Uses {
+		if f, ok := obj.(*types.Func); ok {
+			obj = f.Origin()
+		}
+		used[obj.Pos()] = true
+	}
+	return used
+}
+
+// optionSuffixes name the struct types the field census covers: the knobs a
+// caller sets once, before anything runs.
+var optionSuffixes = []string{"Options", "Config", "Policy", "Spec"}
+
+// optionAllowed names the option fields no non-test file sets, each with the
+// reason it stays a field. A key is "dir.Type.Field".
+var optionAllowed = map[string]string{
+	"internal/evolve.Options.Costs":            "the only way to reach Resolve's unsatisfiable branch",
+	"internal/diffverify.Options.MaxPaths":     "bounds the fuzz screen; a certificate is issued only uncapped",
+	"internal/diffverify.Options.MaxCases":     "bounds the fuzz screen; a certificate is issued only uncapped",
+	"internal/diffverify.Options.Packets":      "bounds the fuzz screen and prices a marginal case in TestVerifyAllocGate; a certificate is issued at the default",
+	"internal/fleet.Options.DisableVerify":     "the mutation that proves the S27 verification gate fires",
+	"internal/chaos.Config.VerifyOverride":     "the mutation that proves the S27 diffverify oracle fires",
+	"internal/chaos.Config.MutatedDescription": "the mutation that proves the S27 verified-gating oracle fires",
+	"internal/tenant.Spec.Port":                "a deployment setting: which port a tenant's traffic arrives on",
+	"internal/obs/flight.Config.Clock":         "the counting clock TestPollReadsClockOnGrid holds a poll's clock reads to",
+}
+
+// TestOptionFieldsHaveASetter is the field census, beside the name census:
+// every exported field of an exported struct whose name ends in one of
+// optionSuffixes, declared in a non-test file outside the root package, must
+// be set by some non-test file or be covered by an optionAllowed entry. A
+// field is set by a key in a composite literal of its type, anywhere, or by
+// an assignment, increment or address-of of x.Field outside its declaring
+// package, so a type's own defaulting never counts as its caller. It reads
+// the type-checked module, so a field of the same name on another type hides
+// nothing. An option one value uses is a constant; an option nothing sets is
+// dead.
+func TestOptionFieldsHaveASetter(t *testing.T) {
+	root, m := checkModule(t)
+	info := m.info
 	set := map[*types.Var]bool{}
-	for dir, files := range byDir {
+	for dir, files := range m.files {
 		for _, f := range files {
 			setter := func(e ast.Expr) {
 				if sel, ok := e.(*ast.SelectorExpr); ok && info.Selections[sel] != nil {
-					if v, ok := info.Selections[sel].Obj().(*types.Var); ok && dirs[v.Pkg()] != dir {
+					if v, ok := info.Selections[sel].Obj().(*types.Var); ok && m.dirs[v.Pkg()] != dir {
 						set[v.Origin()] = true
 					}
 				}
@@ -385,7 +477,7 @@ func TestOptionFieldsHaveASetter(t *testing.T) {
 
 	covered := map[string]bool{}
 	n, unset := 0, 0
-	for p, dir := range dirs {
+	for p, dir := range m.dirs {
 		if dir == "." {
 			continue
 		}
@@ -413,7 +505,7 @@ func TestOptionFieldsHaveASetter(t *testing.T) {
 					covered[key] = true
 					continue
 				}
-				pos := fset.Position(v.Pos())
+				pos := m.fset.Position(v.Pos())
 				rel, _ := filepath.Rel(root, pos.Filename)
 				t.Errorf("%s:%d: %s is set by no non-test file: delete it, make it a constant, or add it to optionAllowed with a reason",
 					filepath.ToSlash(rel), pos.Line, key)
@@ -698,7 +790,7 @@ func TestCommandPathsResolve(t *testing.T) {
 }
 
 // pathExists reports whether a repo path a doc names exists: "a/{b,c}" names
-// both, "a/*" at least one match, and "internal/chaos.RunFleet" its package.
+// both, "a/*" at least one match, and "internal/chaos.RunSchedule" its package.
 func pathExists(root, p string) bool {
 	if i := strings.IndexByte(p, '{'); i >= 0 {
 		j := strings.IndexByte(p, '}')

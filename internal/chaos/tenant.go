@@ -2,29 +2,12 @@ package chaos
 
 import (
 	"fmt"
-	"strings"
 
 	"opendesc/internal/pkt"
 	"opendesc/internal/rxpath"
 	"opendesc/internal/tenant"
-	"opendesc/internal/vclock"
 	"opendesc/internal/workload"
 )
-
-// TenantConfig describes one multi-tenant serving-plane chaos scenario
-// (S23): N tenants share one RSS-sharded plane while the scheduler
-// interleaves Zipf arrivals, per-core polls (including steals), clock
-// advances, and per-tenant renegotiations. The tenant-isolation oracle
-// family checks that one tenant's hot-swap never loses, reorders, or
-// corrupts a neighbor's traffic.
-type TenantConfig struct {
-	// Tenants is the tenant count (default 4, max 64).
-	Tenants int
-	// Cores is the RSS shard / poll-loop count (default 2, max 8).
-	Cores int
-	// Steps is the schedule length (default 512).
-	Steps int
-}
 
 // The tenant scenario's plane and trace: mlx5 is the only bundled model with
 // enough alternative completion formats for renegotiations to move the joint
@@ -35,25 +18,6 @@ const (
 	tenantRing = 64
 	tenantSkew = 1.1
 )
-
-func (c TenantConfig) withDefaults() TenantConfig {
-	if c.Tenants <= 0 {
-		c.Tenants = 4
-	}
-	if c.Tenants > 64 {
-		c.Tenants = 64
-	}
-	if c.Cores <= 0 {
-		c.Cores = 2
-	}
-	if c.Cores > 8 {
-		c.Cores = 8
-	}
-	if c.Steps <= 0 {
-		c.Steps = 512
-	}
-	return c
-}
 
 // tenantPhases is the pair of intents each tenant renegotiates between. The
 // sets differ enough that a flip can move the joint optimum (forcing full
@@ -68,31 +32,13 @@ var tenantPhases = [2][]string{
 // checked wherever it resolves.
 var tenantReads = []string{"pkt_len", "rss", "flow_id", "tunnel_id"}
 
-// TenantResult is the outcome of one tenant-plane chaos run.
-type TenantResult struct {
-	// Violation is nil when every oracle held through the schedule plus the
-	// final drain.
-	Violation *Violation
-	// Trace is the deterministic run log: same (cfg, seed) ⇒ identical.
-	Trace []byte
-	// Events counts executed schedule steps.
-	Events int
-
-	Accepted  uint64
-	Delivered uint64
-	Rejected  uint64
-	// Renegs / FastRenegs split completed renegotiations into layout
-	// switchovers and accessor-only swaps.
-	Renegs     uint64
-	FastRenegs uint64
-	Steals     uint64
-}
-
-// tenantRunner executes one tenant-plane schedule.
-type tenantRunner struct {
-	cfg   TenantConfig
+// planeCell is the tenant cell: one multi-tenant plane, whose RSS cores are
+// the lanes. Concurrency is modeled by interleaving poll events across
+// cores, the same discipline the queue cells use for driver queues, so all
+// polling is single-threaded.
+type planeCell struct {
+	*runner
 	plane *tenant.Plane
-	clk   *vclock.Virtual
 	trace *workload.ZipfTrace
 	// tenantOf is each accepted packet's tenant, by its first byte's address.
 	tenantOf map[*byte]int
@@ -102,50 +48,23 @@ type tenantRunner struct {
 	delivered []uint64      // per tenant
 	phase     []int         // per tenant: which tenantPhases entry is live
 	nextPkt   int
-
-	log  strings.Builder
-	res  *TenantResult
-	viol *Violation
 }
 
-// RunTenant executes the tenant-isolation chaos scenario for (cfg, seed).
-// Deterministic: the plane runs on a virtual clock, the schedule and the
-// Zipf trace come from splitmix64 streams, and all polling is
-// single-threaded (concurrency is modeled by interleaving poll events
-// across cores, the same discipline the harden/evolve runner uses for
-// queues).
-func RunTenant(cfg TenantConfig, seed uint64) *TenantResult {
-	cfg = cfg.withDefaults()
-	r := &tenantRunner{cfg: cfg, clk: vclock.NewVirtual(1), res: &TenantResult{}}
-	if err := r.setup(seed); err != nil {
-		r.res.Violation = &Violation{Oracle: "setup", Detail: err.Error()}
-		return r.res
+// tenantEvent draws one tenant-cell event: an arrival the plane steers, a
+// core's poll, a clock advance, or one tenant's renegotiation.
+func tenantEvent(rng *rng, cfg Config) Event {
+	switch roll := rng.intn(100); {
+	case roll < 50:
+		return Event{Op: OpRx}
+	case roll < 80:
+		return Event{Op: OpPoll, Q: uint8(rng.intn(cfg.Queues))}
+	case roll < 90:
+		return Event{Op: OpAdvance, Arg: uint64(1+rng.intn(4096)) * 256}
 	}
-	rng := &rng{s: seed ^ 0x7e3a9d4b5c216f08}
-	for step := 0; step < cfg.Steps; step++ {
-		if r.viol != nil {
-			break
-		}
-		r.exec(step, rng)
-		r.res.Events++
-	}
-	if r.viol == nil {
-		r.finalDrain(cfg.Steps)
-	}
-	r.res.Violation = r.viol
-	st := r.plane.Stats()
-	r.res.Renegs = st.Renegs
-	r.res.FastRenegs = st.FastRenegs
-	r.res.Steals = st.Steals
-	for t := range r.accepted {
-		r.res.Accepted += r.accepted[t]
-		r.res.Delivered += r.delivered[t]
-	}
-	r.res.Trace = []byte(r.log.String())
-	return r.res
+	return Event{Op: OpReneg, Arg: uint64(rng.intn(cfg.Tenants))}
 }
 
-func (r *tenantRunner) setup(seed uint64) error {
+func (r *planeCell) setup(s Schedule) error {
 	cfg := r.cfg
 	specs := make([]tenant.Spec, cfg.Tenants)
 	r.phase = make([]int, cfg.Tenants)
@@ -157,7 +76,7 @@ func (r *tenantRunner) setup(seed uint64) error {
 	}
 	p, err := tenant.Open(tenant.Options{
 		NIC:         tenantNIC,
-		Cores:       cfg.Cores,
+		Cores:       cfg.Queues,
 		RingEntries: tenantRing,
 		Clock:       r.clk,
 	}, specs...)
@@ -170,39 +89,37 @@ func (r *tenantRunner) setup(seed uint64) error {
 		Flows:   1 << 16,
 		Skew:    tenantSkew,
 		Tenants: cfg.Tenants,
-		Seed:    seed,
+		Seed:    s.Seed,
 	})
 	if err != nil {
 		return err
 	}
-	r.fifo = make([]rxpath.FIFO, cfg.Cores)
+	r.fifo = make([]rxpath.FIFO, cfg.Queues)
 	r.tenantOf = make(map[*byte]int)
 	r.accepted = make([]uint64, cfg.Tenants)
 	r.delivered = make([]uint64, cfg.Tenants)
 	return nil
 }
 
-// exec runs one schedule step. Event kinds are drawn inline (the tenant
-// scenario does not share the harden/evolve Event grammar: its reneg events
-// have no fault-class analogue).
-func (r *tenantRunner) exec(step int, rng *rng) {
-	switch roll := rng.intn(100); {
-	case roll < 50:
+func (r *planeCell) exec(step int, ev Event) {
+	switch ev.Op {
+	case OpRx:
 		r.rx(step)
-	case roll < 80:
-		core := rng.intn(r.cfg.Cores)
-		r.poll(step, core)
-	case roll < 90:
-		ns := uint64(1+rng.intn(4096)) * 256
-		r.clk.Advance(ns)
-		fmt.Fprintf(&r.log, "%4d advance %d\n", step, ns)
-	default:
-		t := rng.intn(r.cfg.Tenants)
-		r.reneg(step, t)
+	case OpPoll:
+		r.poll(step, int(ev.Q))
+	case OpAdvance:
+		r.clk.Advance(ev.Arg)
+		fmt.Fprintf(&r.log, "%4d advance %d\n", step, ev.Arg)
+	case OpReneg:
+		r.reneg(step, int(ev.Arg))
 	}
 }
 
-func (r *tenantRunner) rx(step int) {
+// check has nothing to add: the tenant oracles fire inside the poll handler
+// and around each renegotiation.
+func (r *planeCell) check(int, Event) *Violation { return nil }
+
+func (r *planeCell) rx(step int) {
 	pk := r.trace.Packets[r.nextPkt%len(r.trace.Packets)]
 	ti := r.trace.TenantOf[r.nextPkt%len(r.trace.Packets)]
 	r.nextPkt++
@@ -225,10 +142,11 @@ func (r *tenantRunner) rx(step int) {
 
 // poll drains one core and checks every delivery against the per-queue FIFO
 // (exactly-once, in order, right tenant — by slice identity) and the golden
-// metadata model (zero garbage reads in any generation).
-func (r *tenantRunner) poll(step, core int) {
+// metadata model (zero garbage reads in any generation). It returns the
+// deliveries polled.
+func (r *planeCell) poll(step, core int) int {
 	n := r.plane.PollCore(core, func(d *tenant.Delivery) {
-		if r.viol != nil {
+		if r.res.Violation != nil {
 			return
 		}
 		q := d.Queue
@@ -262,6 +180,7 @@ func (r *tenantRunner) poll(step, core int) {
 	if n > 0 {
 		fmt.Fprintf(&r.log, "%4d poll c%d -> %d\n", step, core, n)
 	}
+	return n
 }
 
 // reneg flips one tenant's intent phase and checks the isolation oracle
@@ -269,7 +188,7 @@ func (r *tenantRunner) poll(step, core int) {
 // drop nothing (pending is conserved), and leave every per-queue FIFO
 // expectation intact — neighbors cannot even observe that it happened
 // until their next read resolves against the new joint layout.
-func (r *tenantRunner) reneg(step, t int) {
+func (r *planeCell) reneg(step, t int) {
 	pendingBefore := r.plane.Pending()
 	deliveredBefore := make([]uint64, len(r.delivered))
 	copy(deliveredBefore, r.delivered)
@@ -299,22 +218,20 @@ func (r *tenantRunner) reneg(step, t int) {
 	fmt.Fprintf(&r.log, "%4d reneg t%d phase%d gen%d\n", step, t, next, r.plane.Generation())
 }
 
-// finalDrain polls everything out and checks conservation: every accepted
+// drain polls everything out and checks conservation: every accepted
 // packet was delivered exactly once to its own tenant, across however many
 // renegotiations the schedule scripted.
-func (r *tenantRunner) finalDrain(step int) {
-	for r.viol == nil {
+func (r *planeCell) drain(step int) {
+	for r.res.Violation == nil {
 		n := 0
-		for c := 0; c < r.cfg.Cores; c++ {
-			before := r.totalDelivered()
-			r.poll(step, c)
-			n += int(r.totalDelivered() - before)
+		for c := range r.cfg.Queues {
+			n += r.poll(step, c)
 		}
 		if n == 0 {
 			break
 		}
 	}
-	if r.viol != nil {
+	if r.res.Violation != nil {
 		return
 	}
 	for t := range r.accepted {
@@ -333,17 +250,13 @@ func (r *tenantRunner) finalDrain(step int) {
 	}
 }
 
-func (r *tenantRunner) totalDelivered() uint64 {
-	var n uint64
-	for _, d := range r.delivered {
-		n += d
-	}
-	return n
-}
-
-func (r *tenantRunner) fail(v *Violation) {
-	if r.viol == nil {
-		r.viol = v
-		fmt.Fprintf(&r.log, "VIOLATION %s q%d: %s\n", v.Oracle, v.Queue, v.Detail)
+func (r *planeCell) fold() {
+	st := r.plane.Stats()
+	r.res.Renegs = st.Renegs
+	r.res.FastRenegs = st.FastRenegs
+	r.res.Steals = st.Steals
+	for t := range r.accepted {
+		r.res.Accepted += r.accepted[t]
+		r.res.Delivered += r.delivered[t]
 	}
 }

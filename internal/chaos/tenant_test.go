@@ -8,16 +8,16 @@ import (
 // TestTenantDeterministicTrace: same (cfg, seed) ⇒ byte-identical run log
 // and identical outcome counters.
 func TestTenantDeterministicTrace(t *testing.T) {
-	cfg := TenantConfig{Tenants: 4, Cores: 2, Steps: 256}
-	a := RunTenant(cfg, 7)
-	b := RunTenant(cfg, 7)
+	cfg := Config{Mode: ModeTenant, Tenants: 4, Queues: 2, Steps: 256}
+	a := Run(cfg, 7)
+	b := Run(cfg, 7)
 	if !bytes.Equal(a.Trace, b.Trace) {
 		t.Fatal("identical (cfg, seed) produced different traces")
 	}
 	if a.Accepted != b.Accepted || a.Delivered != b.Delivered || a.Renegs != b.Renegs {
 		t.Fatalf("outcomes differ: %+v vs %+v", a, b)
 	}
-	c := RunTenant(cfg, 8)
+	c := Run(cfg, 8)
 	if bytes.Equal(a.Trace, c.Trace) {
 		t.Fatal("different seeds produced identical traces")
 	}
@@ -27,10 +27,10 @@ func TestTenantDeterministicTrace(t *testing.T) {
 // across a seed sweep, and the sweep must actually exercise renegotiations
 // (otherwise it proves nothing about isolation).
 func TestTenantIsolationSweep(t *testing.T) {
-	cfg := TenantConfig{Tenants: 4, Cores: 2, Steps: 512}
+	cfg := Config{Mode: ModeTenant, Tenants: 4, Queues: 2, Steps: 512}
 	var renegs, fast, delivered, steals uint64
 	for seed := uint64(1); seed <= 12; seed++ {
-		res := RunTenant(cfg, seed)
+		res := Run(cfg, seed)
 		if res.Violation != nil {
 			t.Fatalf("seed %d: %v\ntrace tail:\n%s", seed, res.Violation, tail(res.Trace, 30))
 		}
@@ -59,7 +59,7 @@ func TestTenantIsolationSweep(t *testing.T) {
 
 // TestTenantManyTenants: a larger plane (16 tenants, 4 cores) stays clean.
 func TestTenantManyTenants(t *testing.T) {
-	res := RunTenant(TenantConfig{Tenants: 16, Cores: 4, Steps: 768}, 3)
+	res := Run(Config{Mode: ModeTenant, Tenants: 16, Queues: 4, Steps: 768}, 3)
 	if res.Violation != nil {
 		t.Fatalf("%v\ntrace tail:\n%s", res.Violation, tail(res.Trace, 30))
 	}

@@ -52,10 +52,10 @@ func TestDiffverifyOracleClean(t *testing.T) {
 // whole schedule — the host never receives a provision, trial, or
 // promotion, while the rest of the fleet rolls out normally.
 func TestFleetMutatedDescription(t *testing.T) {
-	cfg := FleetConfig{Hosts: 6, Steps: 384, MutatedDescription: true}
+	cfg := Config{Mode: ModeFleet, Queues: 6, Steps: 384, MutatedDescription: true}
 	var promotions uint64
 	for seed := uint64(1); seed <= 6; seed++ {
-		res := RunFleet(cfg, seed)
+		res := Run(cfg, seed)
 		if res.Violation != nil {
 			t.Fatalf("seed %d: %v\ntrace tail:\n%s", seed, res.Violation, tail(res.Trace, 2000))
 		}
@@ -75,9 +75,9 @@ func TestFleetMutatedDescription(t *testing.T) {
 // a byte-identical trace (the harness and certificate cache add no
 // nondeterminism).
 func TestFleetMutatedDescriptionDeterministic(t *testing.T) {
-	cfg := FleetConfig{Hosts: 6, Steps: 192, MutatedDescription: true}
-	a := RunFleet(cfg, 11)
-	b := RunFleet(cfg, 11)
+	cfg := Config{Mode: ModeFleet, Queues: 6, Steps: 192, MutatedDescription: true}
+	a := Run(cfg, 11)
+	b := Run(cfg, 11)
 	if a.Violation != nil || b.Violation != nil {
 		t.Fatalf("violations: %v / %v", a.Violation, b.Violation)
 	}

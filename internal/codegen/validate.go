@@ -164,9 +164,6 @@ func NewValidator(res *core.Result, opts ValidatorOptions) (*Validator, error) {
 	return v, nil
 }
 
-// Deep reports whether the deep tier is enabled for Check.
-func (v *Validator) Deep() bool { return v.deep }
-
 // Check validates one completion record against the packet it should
 // describe. It returns nil for a conforming record, or the first violation.
 // The deep tier runs only when the validator was built with Deep. Check is a

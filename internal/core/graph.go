@@ -60,15 +60,6 @@ type Emit struct {
 	Fields []EmitField
 }
 
-// SizeBits returns |bits(v)| in bits.
-func (e *Emit) SizeBits() int {
-	n := 0
-	for _, f := range e.Fields {
-		n += f.WidthBits
-	}
-	return n
-}
-
 // Edge is a directed CFG edge guarded by a branch predicate.
 type Edge struct {
 	To *Node

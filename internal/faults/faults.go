@@ -278,9 +278,6 @@ func Parse(spec string, seed uint64) (*Injector, error) {
 	return New(plan), nil
 }
 
-// Plan returns the injector's (defaulted) plan.
-func (inj *Injector) Plan() Plan { return inj.plan }
-
 // next is xorshift64*, deterministic from the seed.
 func (inj *Injector) next() uint64 {
 	x := inj.rng

@@ -125,7 +125,6 @@ type Host struct {
 	garbageByGen                  map[uint64]uint64
 	detail                        string
 	leaseReverts                  uint64
-	applyRetries                  uint64
 
 	// rec/fq are the host flight recorder and its event ring: anomaly
 	// events the telemetry report carries verbatim, sampled routine
@@ -314,7 +313,7 @@ func (h *Host) note(detail string) {
 // and on failure restore.
 func (h *Host) reprogram(res *core.Result) error {
 	h.q.Drain()
-	return h.q.Reprogram(res.Config, res.Selected.Path.ID, func(int, error) { h.applyRetries++ })
+	return h.q.Reprogram(res.Config, res.Selected.Path.ID, nil)
 }
 
 // ApplyTrial installs an uncommitted rollout generation: drain under the
@@ -466,9 +465,3 @@ func (h *Host) DeliverCostNs() uint64 { return h.active().costNs }
 
 // PendingCount reports packets accepted but not yet delivered.
 func (h *Host) PendingCount() int { return h.q.Pending() }
-
-// Rejected reports ring-backpressure rejections.
-func (h *Host) Rejected() uint64 { return h.rejected }
-
-// ApplyRetries reports NAKed/retried config bursts (zero without faults).
-func (h *Host) ApplyRetries() uint64 { return h.applyRetries }

@@ -55,21 +55,6 @@ func (t *Trace) End(i int, nowNs uint64) {
 	}
 }
 
-// Annotate merges args into the span at handle i.
-func (t *Trace) Annotate(i int, args map[string]string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if i < 0 || i >= len(t.spans) {
-		return
-	}
-	if t.spans[i].Args == nil {
-		t.spans[i].Args = map[string]string{}
-	}
-	for k, v := range args {
-		t.spans[i].Args[k] = v
-	}
-}
-
 // Instant records a zero-duration event.
 func (t *Trace) Instant(name, cat, track string, nowNs uint64, args map[string]string) {
 	t.Begin(name, cat, track, nowNs, args)

@@ -230,9 +230,6 @@ type Queue struct {
 
 const chunkSlots = 256
 
-// Name returns the queue's registration name.
-func (q *Queue) Name() string { return q.name }
-
 // ID returns the queue's numeric id (assigned at registration, stable within
 // a recorder).
 func (q *Queue) ID() uint16 { return q.id }
@@ -393,9 +390,6 @@ func (r *Recorder) SetDumpDir(dir string) {
 	r.dumpDir = dir
 	r.pmMu.Unlock()
 }
-
-// Epoch returns the wall-clock instant event timestamps are relative to.
-func (r *Recorder) Epoch() time.Time { return r.epoch }
 
 // Snapshot copies every queue's full buffer, oldest events first.
 func (r *Recorder) Snapshot() *Snapshot { return r.snapshot(0, "") }

@@ -176,9 +176,6 @@ func NewRegistry() *Registry {
 	}}
 }
 
-// Default is the process-wide registry used by the package-level helpers.
-var Default = NewRegistry()
-
 // WithLabels returns a view of the registry that appends the given labels
 // to every series registered through it. Views share the store: rendering
 // any view renders everything. Give each driver/tenant its own view so

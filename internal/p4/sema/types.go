@@ -61,14 +61,6 @@ type FieldInfo struct {
 	Cost       float64 // @cost(n) software-emulation cost hint, 0 if absent
 }
 
-// WidthBits returns the field's width in bits (0 for varbit fields).
-func (f *FieldInfo) WidthBits() int {
-	if w := f.Type.BitWidth(); w > 0 {
-		return w
-	}
-	return 0
-}
-
 // CompositeType is a resolved header or struct.
 type CompositeType struct {
 	Name     string
