@@ -25,12 +25,14 @@ import (
 func runChaos(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
 	fs.SetOutput(out)
+	// A flag the cell may not read defaults to its field's zero value, so
+	// Config.Check sees exactly the flags given.
 	var (
-		nicName = fs.String("nic", "e1000e", "bundled NIC model under test")
+		nicName = fs.String("nic", "", "bundled NIC model under test (default e1000e)")
 		mode    = fs.String("mode", "harden", "cell under test: harden, evolve, tenant or fleet")
 		sems    = fs.String("sems", "", "comma-separated intent semantics (default rss,vlan,pkt_len)")
 		queues  = fs.Int("queues", 0, "lanes the scheduler interleaves: driver queues, plane cores or fleet hosts (default 1, 2 or 6)")
-		ringSz  = fs.Int("ring", 64, "completion ring entries per device")
+		ringSz  = fs.Int("ring", 0, "completion ring entries per device (default 64)")
 		steps   = fs.Int("steps", 512, "schedule length per case")
 		seed    = fs.Uint64("seed", 1, "schedule seed (single-run mode)")
 		cases   = fs.Uint64("cases", 0, "sweep seeds 1..cases instead of a single -seed run")
@@ -40,56 +42,48 @@ func runChaos(args []string, out io.Writer) error {
 		replay  = fs.String("replay", "", "replay a reproducer spec file instead of generating a schedule")
 		verbose = fs.Bool("v", false, "print the full event trace of the (first violating) run")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return nil
+	} else if err != nil {
 		return usageError{err}
 	}
 	if fs.NArg() > 0 {
 		return usageError{fmt.Errorf("chaos: unexpected arguments %v", fs.Args())}
 	}
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	queueFlags := func(m chaos.Mode) error {
-		for _, name := range []string{"nic", "sems", "ring", "bug", "dump"} {
-			if set[name] && m != chaos.ModeHarden && m != chaos.ModeEvolve {
-				return usageError{fmt.Errorf("chaos: mode %s does not read -%s", m, name)}
-			}
-		}
-		return nil
-	}
 
+	cfg := chaos.Config{Queues: *queues, Steps: *steps, NIC: *nicName,
+		RingEntries: *ringSz, DisableResync: *bug, DumpDir: *dumpDir}
+	if *sems != "" {
+		cfg.Semantics = strings.Split(*sems, ",")
+	}
+	var sched chaos.Schedule
 	if *replay != "" {
 		text, err := os.ReadFile(*replay)
 		if err != nil {
 			return err
 		}
-		cfg, sched, err := chaos.ParseSpec(string(text))
+		dump := cfg.DumpDir
+		if cfg, sched, err = chaos.ParseSpec(string(text)); err != nil {
+			return err
+		}
+		cfg.DumpDir = dump
+	} else {
+		m, err := chaos.ParseMode(*mode)
 		if err != nil {
-			return err
+			return usageError{err}
 		}
-		if err := queueFlags(cfg.Mode); err != nil {
-			return err
-		}
-		cfg.DumpDir = *dumpDir
+		cfg.Mode = m
+	}
+	if err := cfg.Check(); err != nil {
+		return usageError{fmt.Errorf("chaos: %w", err)}
+	}
+
+	if *replay != "" {
 		res := chaos.RunSchedule(cfg, sched)
 		if *verbose {
 			out.Write(res.Trace)
 		}
 		return chaosReport(out, cfg, sched.Seed, res, *shrink, sched)
-	}
-
-	m, err := chaos.ParseMode(*mode)
-	if err != nil {
-		return usageError{err}
-	}
-	if err := queueFlags(m); err != nil {
-		return err
-	}
-	cfg := chaos.Config{Mode: m, Queues: *queues, Steps: *steps}
-	if m == chaos.ModeHarden || m == chaos.ModeEvolve {
-		cfg.NIC, cfg.RingEntries, cfg.DisableResync, cfg.DumpDir = *nicName, *ringSz, *bug, *dumpDir
-		if *sems != "" {
-			cfg.Semantics = strings.Split(*sems, ",")
-		}
 	}
 
 	if *cases > 0 {

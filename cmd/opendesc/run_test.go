@@ -32,8 +32,8 @@ func TestFlagOutsideItsModeExits2(t *testing.T) {
 		{runExperiments, []string{"-packets", "512", "e1"}, "-packets"},
 		{runExperiments, []string{"e99"}, `unknown experiment "e99"`},
 		{runExperiments, []string{"-quick", "e17", "-flight-dump", in("dumps")}, `unknown experiment "-flight-dump"`},
-		{subcommands["chaos"], []string{"-mode", "tenant", "-nic", "ice"}, "-nic"},
-		{subcommands["chaos"], []string{"-mode", "fleet", "-dump", in("dumps")}, "-dump"},
+		{subcommands["chaos"], []string{"-mode", "tenant", "-nic", "ice"}, "does not read NIC"},
+		{subcommands["chaos"], []string{"-mode", "fleet", "-dump", in("dumps")}, "does not read DumpDir"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := tc.sub(tc.args, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
@@ -44,6 +44,19 @@ func TestFlagOutsideItsModeExits2(t *testing.T) {
 		}
 		if left, _ := os.ReadDir(dir); len(left) != 0 {
 			t.Errorf("%v wrote %d files before refusing", tc.args, len(left))
+		}
+	}
+}
+
+// TestHelpExits0: -h prints a subcommand's flags and exits 0, as asking
+// for help is not a usage error.
+func TestHelpExits0(t *testing.T) {
+	for name, sub := range map[string]func(args []string, stdout, stderr io.Writer) int{
+		"run": runDriver, "experiments": runExperiments, "chaos": subcommands["chaos"],
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := sub([]string{"-h"}, &stdout, &stderr); code != 0 {
+			t.Errorf("%s -h: exit %d, stderr %q; want 0", name, code, &stderr)
 		}
 	}
 }

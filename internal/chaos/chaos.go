@@ -194,8 +194,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// unread names the first field set that c's cell does not read, or "".
-func (c Config) unread() string {
+// Check reports the first field set that c's cell does not read.
+func (c Config) Check() error {
 	drivers := c.Mode == ModeHarden || c.Mode == ModeEvolve
 	for _, f := range []struct {
 		name      string
@@ -212,10 +212,10 @@ func (c Config) unread() string {
 		{"MutatedDescription", c.MutatedDescription, c.Mode == ModeFleet},
 	} {
 		if f.set && !f.read {
-			return f.name
+			return fmt.Errorf("mode %s does not read %s", c.Mode, f.name)
 		}
 	}
-	return ""
+	return nil
 }
 
 // The hardened watchdog's tuning under chaos: small, so the recovery ladder
@@ -279,7 +279,7 @@ type Result struct {
 
 	Accepted  uint64 // packets the lanes accepted
 	Delivered uint64 // packets handed to a delivery handler
-	Rejected  uint64 // Rx refusals (backpressure or wedged device; queue and tenant cells)
+	Rejected  uint64 // Rx refusals (ring backpressure or a wedged device)
 
 	Switchovers uint64 // completed evolve generation swaps
 	Restores    uint64 // hardened watchdog hardware restores

@@ -383,6 +383,7 @@ func (r *fleetCell) fold() {
 		hl := h.Health()
 		r.res.Accepted += hl.Accepted
 		r.res.Delivered += hl.Delivered
+		r.res.Rejected += h.Rejected()
 		r.res.LeaseReverts += hl.LeaseReverts
 	}
 	r.res.CacheHitRate = r.ctrl.CacheStats().HitRate()

@@ -21,6 +21,9 @@ func TestFleetChaosSweep(t *testing.T) {
 		if res.Accepted != res.Delivered {
 			t.Fatalf("seed %d: accepted %d != delivered %d", seed, res.Accepted, res.Delivered)
 		}
+		if n := uint64(bytes.Count(res.Trace, []byte(" REJECT\n"))); res.Rejected != n {
+			t.Fatalf("seed %d: Rejected %d, but the trace shows %d rejections", seed, res.Rejected, n)
+		}
 		rollouts += res.Rollouts
 		promotions += res.Promotions
 		rollbacks += res.Rollbacks

@@ -158,10 +158,11 @@ var formatted = []*types.Interface{
 // TestExportedNamesHaveACaller is the code census: every exported
 // package-level object (function, type, variable, constant) and every
 // exported method declared in a non-test file must pass two rules, or be
-// covered by a censusAllowed entry. By name, some non-test file spells it
-// other than at its declaration. By type, some file, tests included, uses
-// that very types.Object, so a method is not kept alive by another type's
-// method of the same name. A method is also used when some file calls the
+// covered by a censusAllowed entry. By name, non-test files spell it more
+// often than they declare it, so two same-named declarations do not vouch
+// for each other. By type, some file, tests included, uses that very
+// types.Object, so a method is not kept alive by another type's method of
+// the same name. A method is also used when some file calls the
 // method of a module interface its type implements, or when it implements
 // one of the formatted interfaces. An entry that covers nothing fails too.
 func TestExportedNamesHaveACaller(t *testing.T) {
@@ -217,25 +218,16 @@ func TestExportedNamesHaveACaller(t *testing.T) {
 		return false
 	}
 
-	covered := map[string]int{}
-	n := 0
-	check := func(obj types.Object, key string, typed bool) {
-		n++
-		if named[obj.Name()] > 1 && typed {
-			return
-		}
-		if k, ok := allowedBy(key, obj.Name()); ok {
-			covered[k]++
-			return
-		}
-		pos := m.fset.Position(obj.Pos())
-		rel, _ := filepath.Rel(root, pos.Filename)
-		how := "is named by no non-test file"
-		if named[obj.Name()] > 1 {
-			how = "is used by no file, tests included"
-		}
-		t.Errorf("%s:%d: %s %s: delete it, move it to the _test.go file that uses it, or add it to censusAllowed with a reason",
-			filepath.ToSlash(rel), pos.Line, key, how)
+	type decl struct {
+		obj   types.Object
+		key   string
+		typed bool // the type rule holds
+	}
+	var decls []decl
+	declared := map[string]int{} // name → exported non-test declarations of it
+	add := func(obj types.Object, key string, typed bool) {
+		declared[obj.Name()]++
+		decls = append(decls, decl{obj, key, typed})
 	}
 	for _, p := range slices.SortedFunc(maps.Keys(m.dirs), func(a, b *types.Package) int { return strings.Compare(a.Path(), b.Path()) }) {
 		dir := m.dirs[p]
@@ -246,7 +238,7 @@ func TestExportedNamesHaveACaller(t *testing.T) {
 		for _, name := range p.Scope().Names() {
 			obj := p.Scope().Lookup(name)
 			if obj.Exported() {
-				check(obj, pkg+"."+name, used[obj.Pos()])
+				add(obj, pkg+"."+name, used[obj.Pos()])
 			}
 			named, ok := obj.Type().(*types.Named)
 			if _, isType := obj.(*types.TypeName); !ok || !isType || named.Obj() != obj {
@@ -254,10 +246,29 @@ func TestExportedNamesHaveACaller(t *testing.T) {
 			}
 			for fn := range named.Methods() {
 				if fn.Exported() {
-					check(fn, pkg+"."+name+"."+fn.Name(), used[fn.Pos()] || implemented(named, fn))
+					add(fn, pkg+"."+name+"."+fn.Name(), used[fn.Pos()] || implemented(named, fn))
 				}
 			}
 		}
+	}
+	covered := map[string]int{}
+	for _, d := range decls {
+		byName := named[d.obj.Name()] > declared[d.obj.Name()]
+		if byName && d.typed {
+			continue
+		}
+		if k, ok := allowedBy(d.key, d.obj.Name()); ok {
+			covered[k]++
+			continue
+		}
+		pos := m.fset.Position(d.obj.Pos())
+		rel, _ := filepath.Rel(root, pos.Filename)
+		how := "is named by no non-test file"
+		if byName {
+			how = "is used by no file, tests included"
+		}
+		t.Errorf("%s:%d: %s %s: delete it, move it to the _test.go file that uses it, or add it to censusAllowed with a reason",
+			filepath.ToSlash(rel), pos.Line, d.key, how)
 	}
 	for k, why := range censusAllowed {
 		if why == "" {
@@ -267,7 +278,7 @@ func TestExportedNamesHaveACaller(t *testing.T) {
 			t.Errorf("censusAllowed[%q] covers no uncalled name: drop the entry", k)
 		}
 	}
-	t.Logf("%d exported names; %d allowlist entries cover %d without a caller", n, len(censusAllowed), sum(covered))
+	t.Logf("%d exported names; %d allowlist entries cover %d without a caller", len(decls), len(censusAllowed), sum(covered))
 }
 
 // allowedBy returns the censusAllowed entry covering a declaration key: the

@@ -182,8 +182,8 @@ func validate(cfg Config, s Schedule) error {
 	if cfg.Mode < 0 || int(cfg.Mode) >= len(cellOps) {
 		return fmt.Errorf("unknown mode %d", int(cfg.Mode))
 	}
-	if f := cfg.unread(); f != "" {
-		return fmt.Errorf("mode %s does not read %s", cfg.Mode, f)
+	if err := cfg.Check(); err != nil {
+		return err
 	}
 	for i, ev := range s.Events {
 		switch {

@@ -465,3 +465,6 @@ func (h *Host) DeliverCostNs() uint64 { return h.active().costNs }
 
 // PendingCount reports packets accepted but not yet delivered.
 func (h *Host) PendingCount() int { return h.q.Pending() }
+
+// Rejected reports ring-backpressure rejections.
+func (h *Host) Rejected() uint64 { return h.rejected }
