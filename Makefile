@@ -49,7 +49,24 @@ perf-gate: alloc-gate
 	$(GO) run ./cmd/benchmark -seconds 2 -trace 0 -out $(PERF_TMP)/head.json
 	$(GO) run ./cmd/benchmark -compare $(PERF_TMP)/base.json $(PERF_TMP)/head.json
 
+# The calls the per-packet receive path needs inlined, as FUNC:CALLEE: the
+# compiler's -m output must show CALLEE inlined inside FUNC's body in
+# internal/rxpath/rxpath.go. Moving a cold branch back into a callee puts it
+# over the inliner's budget and fails the gate. INLINE_AWK reads rxpath.go
+# for FUNC's lines, then the -m output, and exits 0 on a match.
+INLINED = 'consume:ring.(*Cursor).Next' 'consume:ring.(*Cursor).Release' 'Get:codegen.(*Reader).Load'
+INLINE_AWK = FNR == NR { if ($$0 ~ "^func (\\([^)]*\\) )?" fn "\\(") s = FNR; else if (s && !e && $$0 == "}") e = FNR; next } \
+	index($$0, "rxpath/rxpath.go:") && index($$0, "inlining call to " callee) { split($$0, f, ":"); if (f[2] >= s && f[2] <= e) ok = 1 } \
+	END { exit !ok }
+
 alloc-gate:
+	@m=$$($(GO) build -gcflags=-m ./internal/rxpath 2>&1) || { echo "$$m"; exit 1; }; \
+	for p in $(INLINED); do \
+		fn=$${p%%:*} callee=$${p#*:}; \
+		echo "$$m" | awk -v fn="$$fn" -v callee="$$callee" '$(INLINE_AWK)' internal/rxpath/rxpath.go - \
+			|| { echo "FAIL: rxpath's $$fn no longer inlines $$callee"; exit 1; }; \
+		echo "ok: rxpath's $$fn inlines $$callee"; \
+	done
 	$(GO) test -run 'TestDeliverPathAllocGate|TestColdCompileAllocGate|TestWarmCompileSkipsAnalysis|TestOpenMemoryGate' -v .
 	$(GO) test -run TestClockReadsOnGrid -v ./internal/tenant
 	$(GO) test -run 'TestPollReadsClockOnGrid|TestLinkAllocGate|TestWindowTimingOnGrid' -v ./internal/rxpath

@@ -11,13 +11,14 @@ import (
 	"fmt"
 )
 
-// window picks the eight bytes that are loaded (and stored) as one big-endian
+// Window picks the eight bytes that are loaded (and stored) as one big-endian
 // word to reach bits [off, off+width) of an n-byte buffer: they start at the
 // field's first byte, slid back where needed to end inside the buffer. It
 // returns their index and the field's distance from the word's low end; ok
 // is false when no such window exists — the buffer is shorter than eight
-// bytes, or an unaligned field wider than 56 bits touches a ninth.
-func window(n, off, width int) (i, shift int, ok bool) {
+// bytes, or an unaligned field wider than 56 bits touches a ninth. A
+// generated accessor fixes its field's window once, when it is linked.
+func Window(n, off, width int) (i, shift int, ok bool) {
 	i = off >> 3
 	if i+8 > n {
 		i = n - 8
@@ -37,7 +38,7 @@ func Read(b []byte, off, width int) uint64 {
 		panic(fmt.Sprintf("bitfield: read [%d,%d) outside %d-byte buffer", off, off+width, len(b)))
 	}
 	mask := ^uint64(0) >> (64 - width)
-	if i, shift, ok := window(len(b), off, width); ok {
+	if i, shift, ok := Window(len(b), off, width); ok {
 		return binary.BigEndian.Uint64(b[i:]) >> shift & mask
 	}
 	if len(b) < 8 {
@@ -62,7 +63,7 @@ func Write(b []byte, off, width int, v uint64) {
 		panic(fmt.Sprintf("bitfield: write [%d,%d) outside %d-byte buffer", off, off+width, len(b)))
 	}
 	mask := ^uint64(0) >> (64 - width)
-	if i, shift, ok := window(len(b), off, width); ok {
+	if i, shift, ok := Window(len(b), off, width); ok {
 		w := binary.BigEndian.Uint64(b[i:])
 		binary.BigEndian.PutUint64(b[i:], w&^(mask<<shift)|(v&mask)<<shift)
 		return
@@ -77,26 +78,4 @@ func Write(b []byte, off, width int, v uint64) {
 	head := 8 - off&7
 	Write(b, off, head, v>>(width-head))
 	Write(b, off+head, width-head, v)
-}
-
-// ReadAligned is a fast path for byte-aligned fields of 8/16/32/64 bits; it
-// falls back to Read otherwise. Generated accessors use this to get
-// constant-time single-load reads for the common case.
-func ReadAligned(b []byte, off, width int) uint64 {
-	if off%8 != 0 {
-		return Read(b, off, width)
-	}
-	i := off / 8
-	switch width {
-	case 8:
-		return uint64(b[i])
-	case 16:
-		return uint64(b[i])<<8 | uint64(b[i+1])
-	case 32:
-		return uint64(b[i])<<24 | uint64(b[i+1])<<16 | uint64(b[i+2])<<8 | uint64(b[i+3])
-	case 64:
-		return uint64(b[i])<<56 | uint64(b[i+1])<<48 | uint64(b[i+2])<<40 | uint64(b[i+3])<<32 |
-			uint64(b[i+4])<<24 | uint64(b[i+5])<<16 | uint64(b[i+6])<<8 | uint64(b[i+7])
-	}
-	return Read(b, off, width)
 }

@@ -168,15 +168,6 @@ func TestQuickAlignedAgrees(t *testing.T) {
 	}
 }
 
-func BenchmarkReadAligned32(b *testing.B) {
-	buf := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += ReadAligned(buf, 32, 32)
-	}
-	_ = sink
-}
-
 func BenchmarkReadUnaligned13(b *testing.B) {
 	buf := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	var sink uint64

@@ -150,3 +150,26 @@ func benchWrite(b *testing.B, off, width int) {
 
 func BenchmarkBitfieldWriteAligned(b *testing.B)    { benchWrite(b, 64, 32) }
 func BenchmarkBitfieldWriteStraddling(b *testing.B) { benchWrite(b, 61, 13) }
+
+// ReadAligned assembles byte-aligned fields of 8/16/32/64 bits byte by byte,
+// as genGoRead's accessors do, and falls back to Read otherwise. It was the
+// hardware read before accessors fixed their word when linked; it is kept as
+// a second oracle beside refRead.
+func ReadAligned(b []byte, off, width int) uint64 {
+	if off%8 != 0 {
+		return Read(b, off, width)
+	}
+	i := off / 8
+	switch width {
+	case 8:
+		return uint64(b[i])
+	case 16:
+		return uint64(b[i])<<8 | uint64(b[i+1])
+	case 32:
+		return uint64(b[i])<<24 | uint64(b[i+1])<<16 | uint64(b[i+2])<<8 | uint64(b[i+3])
+	case 64:
+		return uint64(b[i])<<56 | uint64(b[i+1])<<48 | uint64(b[i+2])<<40 | uint64(b[i+3])<<32 |
+			uint64(b[i+4])<<24 | uint64(b[i+5])<<16 | uint64(b[i+6])<<8 | uint64(b[i+7])
+	}
+	return Read(b, off, width)
+}

@@ -220,7 +220,8 @@ func (r *planeCell) reneg(step, t int) {
 
 // drain polls everything out and checks conservation: every accepted
 // packet was delivered exactly once to its own tenant, across however many
-// renegotiations the schedule scripted.
+// renegotiations the schedule scripted, and the plane's per-tenant counters
+// agree.
 func (r *planeCell) drain(step int) {
 	for r.res.Violation == nil {
 		n := 0
@@ -245,6 +246,16 @@ func (r *planeCell) drain(step int) {
 		if len(r.fifo[q]) != 0 {
 			r.fail(&Violation{Oracle: "conservation", Step: step, Queue: q,
 				Detail: fmt.Sprintf("%d packets still expected after the final drain", len(r.fifo[q]))})
+			return
+		}
+	}
+	// The plane's own per-tenant counters must tell the same story, stolen
+	// batches included.
+	for t, ts := range r.plane.Stats().Tenants {
+		if ts.Accepted != r.accepted[t] || ts.Delivered != r.delivered[t] {
+			r.fail(&Violation{Oracle: "metrics-consistency", Step: step,
+				Detail: fmt.Sprintf("tenant %d: plane counts %d accepted, %d delivered; the harness %d and %d",
+					t, ts.Accepted, ts.Delivered, r.accepted[t], r.delivered[t])})
 			return
 		}
 	}

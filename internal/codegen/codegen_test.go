@@ -52,6 +52,38 @@ func TestRuntimeHardwareRead(t *testing.T) {
 	}
 }
 
+// TestLoadMatchesBitfieldRead: the word a hardware reader fixes when linked
+// reads what bitfield.Read reads from a record of the linked size, for every
+// field that fits in it — records shorter than a word, fields ending on the
+// record's last bit, and unaligned fields wider than 56 bits, which have no
+// one-word window and take the out-of-line path.
+func TestLoadMatchesBitfieldRead(t *testing.T) {
+	var windowed, wide int
+	for _, n := range []int{1, 7, 8, 11, 16, 17} {
+		rec := make([]byte, n)
+		for i := range rec {
+			rec[i] = byte(i*197 + 83)
+		}
+		for off := 0; off < 8*n; off++ {
+			for w := 1; w <= 64 && off+w <= 8*n; w++ {
+				r := Reader{Hardware: true, OffsetBits: off, WidthBits: w}
+				r.link(n)
+				if r.mask != 0 {
+					windowed++
+				} else {
+					wide++
+				}
+				if got, want := r.Load(rec), bitfield.Read(rec, off, w); got != want {
+					t.Fatalf("%d-byte record, bits [%d,%d): Load %#x, Read %#x", n, off, off+w, got, want)
+				}
+			}
+		}
+	}
+	if windowed == 0 || wide == 0 {
+		t.Fatalf("%d windowed and %d windowless fields: want both paths", windowed, wide)
+	}
+}
+
 func TestRuntimeSoftwareShim(t *testing.T) {
 	res := compile(t, "e1000e", semantics.RSS, semantics.IPChecksum)
 	called := false

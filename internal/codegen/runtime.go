@@ -10,6 +10,7 @@
 package codegen
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"opendesc/internal/bitfield"
@@ -30,21 +31,53 @@ type Reader struct {
 	// Name8 is Semantic's first 8 bytes as a little-endian word, packed when
 	// the table is linked: what a flight read event carries (flight.PackName).
 	Name8 uint64
+	// win, shift and mask are a hardware field's load, fixed when the table
+	// is linked: the eight bytes at win (bitfield.Window over the completion
+	// record), shifted down by shift and masked to WidthBits. mask is zero
+	// where the record has no such window.
+	win   int
+	shift uint
+	mask  uint64
 	// soft is non-nil for linked software shims.
 	soft SoftFunc
 }
 
-// Read returns the metadata value: for hardware accessors the load
-// genGoRead emits, one big-endian read of WidthBits at OffsetBits; the
-// software shim otherwise.
+// Read returns the metadata value: for hardware accessors Load, the value
+// genGoRead's accessor returns; the software shim otherwise.
 func (r *Reader) Read(desc, packet []byte) uint64 {
 	if r.Hardware {
-		return bitfield.ReadAligned(desc, r.OffsetBits, r.WidthBits)
+		return r.Load(desc)
 	}
 	if r.soft == nil {
 		panic(fmt.Sprintf("codegen: software shim for %q not linked", r.Semantic))
 	}
 	return r.soft(packet)
+}
+
+// Load is a hardware reader's load: one big-endian 8-byte word at the
+// field's window, shifted and masked, small enough to inline into a caller's
+// per-packet path. desc is a completion record of the linked layout.
+func (r *Reader) Load(desc []byte) uint64 {
+	if r.mask == 0 {
+		return r.readBits(desc)
+	}
+	return binary.BigEndian.Uint64(desc[r.win:]) >> r.shift & r.mask
+}
+
+// readBits is Load for a field with no window. Out of line, so that Load
+// stays within the inliner's budget.
+//
+//go:noinline
+func (r *Reader) readBits(desc []byte) uint64 {
+	return bitfield.Read(desc, r.OffsetBits, r.WidthBits)
+}
+
+// link fixes a hardware reader's load over completion records of n bytes,
+// by the rule bitfield.Read picks its word with.
+func (r *Reader) link(n int) {
+	if win, shift, ok := bitfield.Window(n, r.OffsetBits, r.WidthBits); ok && r.WidthBits > 0 {
+		r.win, r.shift, r.mask = win, uint(shift), ^uint64(0)>>(64-r.WidthBits)
+	}
 }
 
 // Runtime is the executable accessor table for one compilation result.
@@ -91,6 +124,8 @@ func newRuntime(res *core.Result, softImpls map[semantics.Name]SoftFunc, allSoft
 		}
 		if !r.Hardware {
 			r.soft = softImpls[a.Semantic]
+		} else {
+			r.link(rt.CompletionBytes)
 		}
 		rt.Readers[i] = r
 	}

@@ -144,7 +144,7 @@ func (r *Ring) slot(idx uint32) []byte {
 	return r.mem[off : off+r.entrySize]
 }
 
-// HasRoom reports whether the next Produce would find a free entry. A full
+// HasRoom reports whether the next Push would find a free entry. A full
 // ring is counted as a stall and recorded as EvRingFull here, so a producer
 // that asks first and does no work for a refused record leaves the same trail.
 func (r *Ring) HasRoom() bool {
@@ -157,15 +157,21 @@ func (r *Ring) HasRoom() bool {
 	return false
 }
 
-// Produce reserves the next entry, passes its backing slice to fill (which
-// writes the record in place — the DMA write), and publishes it. It returns
-// false when the ring is full.
-func (r *Ring) Produce(fill func(entry []byte)) bool {
+// Push copies rec into the next entry; shorter records are zero-padded. It
+// returns false when the ring is full or when rec exceeds the entry size —
+// an oversized record is a malformed completion, counted in Stats.Oversized
+// and rejected instead of crashing the device loop.
+func (r *Ring) Push(rec []byte) bool {
+	if len(rec) > r.entrySize {
+		r.oversized.Add(1)
+		return false
+	}
 	if !r.HasRoom() {
 		return false
 	}
 	tail, head := r.tail.Load(), r.head.Load()
-	fill(r.slot(tail))
+	e := r.slot(tail)
+	clear(e[copy(e, rec):])
 	r.tail.Store(tail + 1)
 	r.noteProduced(tail + 1 - head)
 	if r.fq != nil {
@@ -180,20 +186,6 @@ func (r *Ring) Produce(fill func(entry []byte)) bool {
 		}
 	}
 	return true
-}
-
-// Push copies rec into the next entry; shorter records are zero-padded. It
-// returns false when the ring is full or when rec exceeds the entry size —
-// an oversized record is a malformed completion, counted in Stats.Oversized
-// and rejected instead of crashing the device loop.
-func (r *Ring) Push(rec []byte) bool {
-	if len(rec) > r.entrySize {
-		r.oversized.Add(1)
-		return false
-	}
-	return r.Produce(func(e []byte) {
-		clear(e[copy(e, rec):])
-	})
 }
 
 // noteEmpty counts a consume attempt on an empty ring. Empty polls are
@@ -270,22 +262,34 @@ func (c *Cursor) Avail() int { return int(c.tail - c.head) }
 
 // At returns the oldest unreleased entry, valid until Close. With none left
 // it returns nil and counts an empty stall, like a failed Consume; a caller
-// that must not count one checks Avail first.
+// that must not count one checks Avail first and reads Next.
 func (c *Cursor) At() []byte {
 	if c.head == c.tail {
 		c.r.noteEmpty(c.head)
 		return nil
 	}
-	return c.r.slot(c.head)
+	return c.Next()
 }
+
+// Next returns the oldest unreleased entry, valid until Close. The caller has
+// checked Avail: Next is At without the empty test, small enough to inline
+// into a receive loop.
+func (c *Cursor) Next() []byte { return c.r.slot(c.head) }
 
 // Release marks the entry At returned as consumed, recording its pop at ts
 // (0: the entry's packet is off the sampling grid, no event).
 func (c *Cursor) Release(ts uint64) {
 	if ts != 0 {
-		c.r.fq.RecordT(ts, flight.EvRingPop, c.head, uint64(c.tail-c.head-1), 0)
+		c.notePop(ts)
 	}
 	c.head++
+}
+
+// notePop records the pop of the entry at head (arg0 = occupancy after).
+//
+//go:noinline
+func (c *Cursor) notePop(ts uint64) {
+	c.r.fq.RecordT(ts, flight.EvRingPop, c.head, uint64(c.tail-c.head-1), 0)
 }
 
 // Close publishes the released entries to the producer and ends the

@@ -119,21 +119,6 @@ func TestPeekPop(t *testing.T) {
 	}
 }
 
-func TestProduceInPlace(t *testing.T) {
-	r := MustNew(4, 2)
-	ok := r.Produce(func(e []byte) {
-		e[0], e[3] = 0xDE, 0xAD
-	})
-	if !ok {
-		t.Fatal("produce failed")
-	}
-	r.Consume(func(e []byte) {
-		if e[0] != 0xDE || e[3] != 0xAD {
-			t.Errorf("in-place fill lost: %v", e)
-		}
-	})
-}
-
 // burst drains up to max entries in one cursor transaction, the way a poll
 // loop with max packets pending does — the sampling decision included: it
 // hands Release a timestamp for the entries whose 1-based count is on the

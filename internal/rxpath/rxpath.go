@@ -12,7 +12,6 @@ package rxpath
 import (
 	"fmt"
 
-	"opendesc/internal/bitfield"
 	"opendesc/internal/codegen"
 	"opendesc/internal/core"
 	"opendesc/internal/nicsim"
@@ -129,7 +128,7 @@ func (m Meta) Get(sem string) (uint64, bool) {
 		d.fq.RecordT(d.ts, code, d.Seq, r.Name8, 0)
 	}
 	if r.Hardware {
-		return bitfield.ReadAligned(d.Rec, r.OffsetBits, r.WidthBits), true
+		return r.Load(d.Rec), true
 	}
 	if b := d.Lane.burst; b != nil && b[i].form != nil {
 		return b[i].read(d), true
@@ -492,10 +491,10 @@ func (q *Queue) park(_ []byte, m Meta) {
 
 // consume is the receive loop: one ring transaction in which pending
 // packets meet their completion records in order. With no policy armed and
-// nothing draining it is At → deliver → Release; otherwise judge decides
-// each step. A stamped packet's pop is recorded at the poll's timestamp and,
-// unless draining (a parked packet is delivered by the next Poll), its
-// lifecycle closed.
+// nothing draining it is Avail → Next → deliver → Release, each cursor call
+// inlined (make alloc-gate); otherwise judge decides each step. A stamped
+// packet's pop is recorded at the poll's timestamp and, unless draining (a
+// parked packet is delivered by the next Poll), its lifecycle closed.
 func (q *Queue) consume(limit int, fn DeliverFunc, draining bool) int {
 	h := q.hard
 	judged := h != nil || draining
@@ -512,7 +511,10 @@ func (q *Queue) consume(limit int, fn DeliverFunc, draining bool) int {
 			} else if v == stuck {
 				break
 			}
-		} else if rec = cur.At(); rec == nil {
+		} else if cur.Avail() > 0 {
+			rec = cur.Next()
+		} else {
+			cur.At() // the empty stall a failed Consume counts
 			break
 		}
 		ts := q.show(p, rec, l)
@@ -574,7 +576,7 @@ func (q *Queue) judge(cur *ring.Cursor, n int, l *Lane) ([]byte, verdict) {
 		}
 		return nil, deliver
 	}
-	rec := cur.At()
+	rec := cur.Next()
 	if h == nil {
 		return rec, deliver
 	}

@@ -158,6 +158,53 @@ func TestDrainSoftParksLostCompletions(t *testing.T) {
 	}
 }
 
+// TestPollOnEmptyRingCountsOneStall pins the empty-ring accounting of the
+// unjudged receive loop, which reads a record only after Avail: a Poll with
+// a packet pending and no record in the ring delivers nothing and counts
+// exactly one empty stall, recorded as EvRingEmpty when the stall count is on
+// the sampling grid. A Drain judges the head from Avail alone and counts none.
+func TestPollOnEmptyRingCountsOneStall(t *testing.T) {
+	q, _, _, packets := testQueue(t)
+	q.Rx(packets[0], 0)
+	cmpt := q.Dev().CmptRing
+	if !cmpt.Pop() {
+		t.Fatal("no completion to take")
+	}
+	empties := func() (evs []flight.Event) {
+		for _, qe := range q.Flight().Snapshot().Queues {
+			for _, ev := range qe.Events {
+				if ev.Code == flight.EvRingEmpty {
+					evs = append(evs, ev)
+				}
+			}
+		}
+		return evs
+	}
+	for k := 1; k <= 2*flight.SamplePeriod; k++ {
+		if n := q.Poll(-1, func([]byte, Meta) { t.Fatal("delivered a packet with no record") }); n != 0 {
+			t.Fatalf("poll %d delivered %d", k, n)
+		}
+		if st := cmpt.Stats(); st.EmptyStalls != uint64(k) || q.Pending() != 1 {
+			t.Fatalf("poll %d: %d empty stalls, %d pending; want %d and 1", k, st.EmptyStalls, q.Pending(), k)
+		}
+		evs := empties()
+		if !flight.Compiled {
+			continue
+		}
+		if len(evs) != k/flight.SamplePeriod {
+			t.Fatalf("poll %d: %d EvRingEmpty events, want %d", k, len(evs), k/flight.SamplePeriod)
+		}
+		for _, ev := range evs {
+			if ev.Seq != 1 || ev.Arg0 != 0 {
+				t.Fatalf("EvRingEmpty seq %d arg0 %d, want the head 1 and 0", ev.Seq, ev.Arg0)
+			}
+		}
+	}
+	if drained, soft := q.Drain(); drained != 0 || soft != 1 || cmpt.Stats().EmptyStalls != 2*flight.SamplePeriod {
+		t.Fatalf("drain: %d with record, %d without, %d stalls", drained, soft, cmpt.Stats().EmptyStalls)
+	}
+}
+
 // hashQueue opens an e1000e queue whose lanes serve payload_hash and kv_key
 // in software through their burst forms, and a trace of unique 1 KiB-payload
 // packets, 30% of them key-value requests.

@@ -206,11 +206,18 @@ func TestCalibrateProducesFiniteCosts(t *testing.T) {
 // more on a larger one. The large sample is a 60 KB datagram, so its payload
 // term (microseconds at vector speed) outweighs the decode and the timer's
 // noise, also under the race detector, which instruments the Go loops that
-// time the small sample but not the assembly bodies of the large one.
+// time the small sample but not the assembly bodies of the large one. The
+// small sample's 16 rounds take well under a scheduler slice, so one
+// preemption would outweigh them: its cost is the least of several runs.
 func TestCalibratedPayloadScaling(t *testing.T) {
 	small := [][]byte{pkt.NewBuilder().WithUDP(1, 2).WithPayload(make([]byte, 16)).Build()}
 	large := [][]byte{pkt.NewBuilder().WithUDP(1, 2).WithPayload(make([]byte, 60_000)).Build()}
 	cs := Calibrate(small, 16)
+	for range 7 {
+		for sem, c := range Calibrate(small, 16) {
+			cs[sem] = min(cs[sem], c)
+		}
+	}
 	cl := Calibrate(large, 16)
 	for _, sem := range []semantics.Name{semantics.L4Checksum, semantics.PayloadHash} {
 		if cl[sem] <= cs[sem] {
