@@ -71,6 +71,7 @@ alloc-gate:
 	$(GO) test -run TestClockReadsOnGrid -v ./internal/tenant
 	$(GO) test -run 'TestPollReadsClockOnGrid|TestLinkAllocGate|TestWindowTimingOnGrid' -v ./internal/rxpath
 	$(GO) test -run TestVerifyAllocGate -v ./internal/diffverify
+	$(GO) test -run TestNewAllocGate -v ./internal/nicsim
 	$(GO) test -run TestShimTimingOnGrid -v ./internal/softnic
 
 # Non-test Go and assembly lines per top-level directory: raw, and code only

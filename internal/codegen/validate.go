@@ -169,22 +169,35 @@ func NewValidator(res *core.Result, opts ValidatorOptions) (*Validator, error) {
 // The deep tier runs only when the validator was built with Deep. Check is a
 // pure function; whoever calls it records the verdict.
 func (v *Validator) Check(rec, packet []byte) *Violation {
-	return v.check(rec, packet, v.deep)
+	i, want, got := v.check(rec, packet, v.deep)
+	switch {
+	case i == len(v.checks):
+		return nil
+	case i < 0:
+		return &Violation{Kind: ViolationShort, Field: "(record)", Want: uint64(v.recBytes), Got: uint64(len(rec))}
+	}
+	c := &v.checks[i]
+	return &Violation{Kind: c.kind, Field: c.name, Semantic: c.sem, Want: want, Got: got}
 }
 
 // Conforms reports whether rec fully describes packet, with the deep tier
 // forced on regardless of options. The hardened driver uses it to classify
 // rejected records during resynchronization (is this stale record the
-// completion of an *earlier* packet?).
+// completion of an *earlier* packet?), up to deliveredDepth candidates per
+// record, so a mismatch builds no Violation.
 func (v *Validator) Conforms(rec, packet []byte) bool {
-	return v.check(rec, packet, true) == nil
+	i, _, _ := v.check(rec, packet, true)
+	return i == len(v.checks)
 }
 
-func (v *Validator) check(rec, packet []byte, deep bool) *Violation {
+// check runs the checks in order and returns the index of the first that rec
+// fails, with the value it wanted and the value it read: −1 for a record
+// shorter than the layout, len(v.checks) for a conforming one.
+func (v *Validator) check(rec, packet []byte, deep bool) (i int, want, got uint64) {
 	if len(rec) < v.recBytes {
-		return &Violation{Kind: ViolationShort, Field: "(record)", Want: uint64(v.recBytes), Got: uint64(len(rec))}
+		return -1, 0, 0
 	}
-	for i := range v.checks {
+	for i = range v.checks {
 		c := &v.checks[i]
 		switch c.kind {
 		case ViolationValue:
@@ -193,7 +206,7 @@ func (v *Validator) check(rec, packet []byte, deep bool) *Violation {
 			}
 			want := c.soft(packet) & c.mask
 			if got := bitfield.Read(rec, c.off, c.width); got != want {
-				return &Violation{Kind: ViolationValue, Field: c.name, Semantic: c.sem, Want: want, Got: got}
+				return i, want, got
 			}
 		default:
 			if c.width > 64 {
@@ -204,17 +217,17 @@ func (v *Validator) check(rec, packet []byte, deep bool) *Violation {
 						w = 64
 					}
 					if got := bitfield.Read(rec, off, w); got != 0 {
-						return &Violation{Kind: c.kind, Field: c.name, Semantic: c.sem, Got: got}
+						return i, 0, got
 					}
 				}
 				continue
 			}
 			if got := bitfield.Read(rec, c.off, c.width); got != c.want {
-				return &Violation{Kind: c.kind, Field: c.name, Semantic: c.sem, Want: c.want, Got: got}
+				return i, c.want, got
 			}
 		}
 	}
-	return nil
+	return len(v.checks), 0, 0
 }
 
 // NewSoftRuntime builds an accessor table that serves *every* semantic from

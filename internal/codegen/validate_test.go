@@ -112,6 +112,31 @@ func TestValidatorTiers(t *testing.T) {
 	}
 }
 
+// TestConformsAllocatesNothing: the hardened driver tries up to
+// deliveredDepth candidates per quarantined record with Conforms, nearly all
+// of them mismatches, so a mismatch — a value, a pad, a short record — must
+// not build a Violation.
+func TestConformsAllocatesNothing(t *testing.T) {
+	p := vPacket()
+	res, rec := receive(t, "e1000e", p, semantics.RSS, semantics.VLAN, semantics.PktLen)
+	v, err := codegen.NewValidator(res, codegen.ValidatorOptions{Soft: softnic.Funcs()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := append([]byte(nil), rec...)
+	value[res.Selected.Path.Field(semantics.RSS).OffsetBits/8] ^= 1
+	pad := append([]byte(nil), rec...)
+	pad[len(pad)-1] ^= 1
+	for name, mut := range map[string][]byte{"value": value, "pad": pad, "short": rec[:len(rec)-1]} {
+		if v.Conforms(mut, p) {
+			t.Fatalf("%s: a mismatching record conforms", name)
+		}
+		if n := testing.AllocsPerRun(100, func() { v.Conforms(mut, p) }); n != 0 {
+			t.Errorf("%s: Conforms allocates %.1f per mismatch, want 0", name, n)
+		}
+	}
+}
+
 // TestValidatorSkipsTimestamp: a layout carrying a timestamp cannot be fully
 // covered; flips inside the timestamp field must NOT be flagged, flips
 // elsewhere must.

@@ -42,6 +42,10 @@ type Path struct {
 	Constraints []Constraint
 	Emits       []*Emit
 	Fields      []LayoutField
+	// Route is the walk itself: at each branch or switch vertex on it, in
+	// walk order, the index of the successor edge it takes. A device replays
+	// it to tell which path a packet took (nicsim.New).
+	Route []int
 
 	prov     semantics.Set
 	sizeBits int
@@ -160,8 +164,8 @@ func EnumeratePaths(g *Graph, opts EnumerateOptions) ([]*Path, error) {
 		walks++
 		return nil
 	}
-	var walk func(n *Node, env *pathEnv, cons []Constraint, emits []*Emit) error
-	walk = func(n *Node, env *pathEnv, cons []Constraint, emits []*Emit) error {
+	var walk func(n *Node, env *pathEnv, cons []Constraint, emits []*Emit, route []int) error
+	walk = func(n *Node, env *pathEnv, cons []Constraint, emits []*Emit, route []int) error {
 		switch n.Kind {
 		case NodeExit:
 			if err := end(); err != nil {
@@ -171,6 +175,7 @@ func EnumeratePaths(g *Graph, opts EnumerateOptions) ([]*Path, error) {
 				ID:          len(paths),
 				Constraints: append([]Constraint(nil), cons...),
 				Emits:       append([]*Emit(nil), emits...),
+				Route:       append([]int(nil), route...),
 			}
 			finalizePath(p)
 			paths = append(paths, p)
@@ -178,8 +183,9 @@ func EnumeratePaths(g *Graph, opts EnumerateOptions) ([]*Path, error) {
 		case NodeEmit:
 			emits = append(emits, n.Emit)
 		}
+		decides := n.Kind == NodeBranch || n.Kind == NodeSwitch
 		taken := false
-		for _, e := range n.Succs {
+		for i, e := range n.Succs {
 			childEnv := env
 			childCons := cons
 			if e.Cond != nil || len(e.CaseVals) > 0 || e.IsDefault {
@@ -190,7 +196,11 @@ func EnumeratePaths(g *Graph, opts EnumerateOptions) ([]*Path, error) {
 				childEnv, childCons = newEnv, newCons
 			}
 			taken = true
-			if err := walk(e.To, childEnv, childCons, emits); err != nil {
+			childRoute := route
+			if decides {
+				childRoute = append(route, i)
+			}
+			if err := walk(e.To, childEnv, childCons, emits, childRoute); err != nil {
 				return err
 			}
 		}
@@ -199,7 +209,7 @@ func EnumeratePaths(g *Graph, opts EnumerateOptions) ([]*Path, error) {
 		}
 		return nil
 	}
-	if err := walk(g.Entry, newPathEnv(), nil, nil); err != nil {
+	if err := walk(g.Entry, newPathEnv(), nil, nil, nil); err != nil {
 		return nil, err
 	}
 	return paths, nil
@@ -395,6 +405,13 @@ func atomicCond(info *sema.Info, cond ast.Expr, env sema.Env) (string, sema.Valu
 // finalizePath computes the path's layout fields, provided set and size.
 func finalizePath(p *Path) {
 	p.prov = make(semantics.Set)
+	n := 0
+	for _, e := range p.Emits {
+		n += len(e.Fields)
+	}
+	if n > 0 {
+		p.Fields = make([]LayoutField, 0, n)
+	}
 	off := 0
 	for _, e := range p.Emits {
 		for _, f := range e.Fields {

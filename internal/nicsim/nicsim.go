@@ -1,7 +1,7 @@
 // Package nicsim simulates a NIC whose descriptor interface is defined by an
 // OpenDesc P4 description. The simulated device *executes the same
-// declarative contract the compiler analyzes*: per received packet it walks
-// the completion deparser's control-flow graph under the programmed context
+// declarative contract the compiler analyzes*: per received packet it
+// evaluates the completion deparser's decisions under the programmed context
 // registers and DMAs the serialized completion record into a completion ring
 // — so the layouts the compiler derives and the bytes the device emits are
 // validated against each other end-to-end.
@@ -10,21 +10,26 @@
 // description's largest Size(p) in whole 8-byte words. Packet bytes reach the
 // host by reference; a 2 KiB frame buffer (bufSize) is the frame-size check.
 //
-// What is fixed is decided when the device is built: the ring stride, and
-// every field an emit vertex commits, resolved once, in New, to an offload
-// slot and a width.
-// What is left per packet is the walk itself and the offload engines — each
-// slot's row of softnic's reference table, the value every shim and oracle
-// reads too — each of which runs on first use: a layout that does not carry
-// a semantic (and no branch condition that reads it) never computes it.
+// What is fixed is decided when the device is built, in New: the ring
+// stride; a tree over the deparser's decision vertices (branch and switch)
+// whose leaves are the enumerated paths, each reached by the route
+// core.EnumeratePaths recorded for it; and each path's plan, the flat list of
+// fields its record carries, each resolved to an offload slot (or a context
+// register), a bit offset and a width. No emit vertex is visited per packet.
+// What is left per packet is the decisions on the packet's route — each
+// condition evaluated with sema, as the compiler reads it — then the leaf's
+// plan and the offload engines it needs: each slot's row of softnic's
+// reference table, the value every shim and oracle reads too, run on first
+// use, so a layout that does not carry a semantic (and no decision that
+// reads it) never computes it.
 package nicsim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"errors"
 
@@ -87,13 +92,8 @@ type Device struct {
 	rxBytes   obs.Counter
 	drops     obs.Counter
 	cmptBytes obs.Counter
-	// pathHits counts completions per enumerated path (index into paths).
-	pathHits []obs.Counter
 	// offloads counts, per slot, the packets its engine ran for.
 	offloads [nSlots]obs.Counter
-	// curPath caches the index of the path the current context selects;
-	// −1 means "recompute on next packet" (set by WriteReg).
-	curPath atomic.Int32
 
 	// faults, when non-nil, is the fault-injection layer consulted on every
 	// DMA/completion and control-channel operation.
@@ -108,9 +108,17 @@ type Device struct {
 	resets     obs.Counter // device resets that took effect
 	resetFails obs.Counter // reset attempts refused while wedged
 
-	// emits holds, per CFG node ID, where each field the node emits comes
-	// from.
-	emits [][]fieldSrc
+	// tree holds the deparser's decision vertices on the enumerated routes,
+	// flat. tree[0] is the root target; a vertex at index k > 0 is its CFG
+	// node ID, tree[k], then one target per successor edge, tree[k+1+e]. A
+	// target t > 0 is the next vertex, t < 0 the leaf of path ^t, and t == 0
+	// an edge no enumerated path takes.
+	tree []int32
+	// routes holds, per enumerated path (index into paths), its plan and its
+	// completion count.
+	routes []route
+	// plan holds every path's writes, path after path.
+	plan []write
 
 	// Per-packet state: the frame, its lazily parsed headers, and the slot
 	// values computed so far (bit s of have set: vals[s] is this packet's).
@@ -183,6 +191,22 @@ var refs = func() (r [nSlots]*softnic.Row) {
 // are padding.
 type fieldSrc struct{ slot, width int }
 
+// A route is one enumerated path as the device DMAs it: its writes,
+// plan[start:end], the record's size in bytes, and the completions it carried.
+type route struct {
+	start, end int32
+	size       int
+	hits       obs.Counter
+}
+
+// A write puts one field of a completion record, width bits at bit off: an
+// offload slot's value, or (slot == slotCtx) the context register the path's
+// Fields[field] names. The record buffer is cleared first, so the value is
+// ORed into the field's eight-byte window (bitfield.Window), at byte at and
+// shift bits from the word's low end; a field no window holds has at < 0 and
+// goes through bitfield.Write. Fields that read zero get no write.
+type write struct{ slot, field, off, width, at, shift int32 }
+
 // maxCompletionBytes bounds a single completion record in the simulator.
 const maxCompletionBytes = 256
 
@@ -221,24 +245,71 @@ func New(m *nic.Model, cfg Config) (*Device, error) {
 		ctx:      make(map[string]sema.Value),
 		CmptRing: ring.MustNew(stride, cfg.RingEntries),
 		cmptBuf:  make([]byte, stride),
-		pathHits: make([]obs.Counter, len(paths)),
+		routes:   make([]route, len(paths)),
 	}
-	d.curPath.Store(-1)
-	// One backing slice for every emit vertex's fields, cut up by node ID.
-	n := 0
-	for _, node := range g.Nodes {
-		if node.Kind == core.NodeEmit {
-			n += len(node.Emit.Fields)
-		}
+	if err := d.build(); err != nil {
+		return nil, fmt.Errorf("nicsim %s: %w", m.Name, err)
 	}
-	srcs := make([]fieldSrc, 0, n)
-	d.emits = make([][]fieldSrc, len(g.Nodes))
-	for _, node := range g.Nodes {
-		if node.Kind != core.NodeEmit {
-			continue
+	return d, nil
+}
+
+// build resolves every enumerated path once: its route into the decision
+// tree, its fields into a plan. Both live in one backing slice each, sized
+// up front from the paths.
+func (d *Device) build() error {
+	g := d.graph
+	fan, nTree, nPlan := 0, 1, 0
+	for _, n := range g.Nodes {
+		fan = max(fan, len(n.Succs))
+	}
+	for _, p := range d.paths {
+		nTree += len(p.Route) * (1 + fan)
+		nPlan += len(p.Fields)
+	}
+	d.tree = make([]int32, 1, nTree)
+	d.plan = make([]write, 0, nPlan)
+	for i, p := range d.paths {
+		// at is the target the walk so far ends on, rest the route's
+		// decisions still to take; a walk visits each node of the acyclic
+		// graph at most once.
+		at, node, rest := 0, g.Entry, p.Route
+		for steps := 0; node.Kind != core.NodeExit; steps++ {
+			if steps == len(g.Nodes) {
+				return fmt.Errorf("path %d: the deparser walk does not terminate", p.ID)
+			}
+			if node.Kind != core.NodeBranch && node.Kind != core.NodeSwitch {
+				if len(node.Succs) != 1 {
+					return fmt.Errorf("path %d: node %d (%s) has %d successors", p.ID, node.ID, node.Kind, len(node.Succs))
+				}
+				node = node.Succs[0].To
+				continue
+			}
+			if len(rest) == 0 || rest[0] >= len(node.Succs) {
+				return fmt.Errorf("path %d: its route does not fit node %d (%s)", p.ID, node.ID, node.Kind)
+			}
+			t := d.tree[at]
+			if t < 0 {
+				return fmt.Errorf("path %d: its route runs past path %d's leaf", p.ID, d.paths[^t].ID)
+			}
+			if t == 0 {
+				t = int32(len(d.tree))
+				d.tree[at] = t
+				d.tree = append(d.tree, int32(node.ID))
+				for range node.Succs {
+					d.tree = append(d.tree, 0)
+				}
+			}
+			at = int(t) + 1 + rest[0]
+			node, rest = node.Succs[rest[0]].To, rest[1:]
 		}
-		start := len(srcs)
-		for _, f := range node.Emit.Fields {
+		if len(rest) != 0 || d.tree[at] != 0 {
+			return fmt.Errorf("path %d: its route is not a distinct walk to the exit", p.ID)
+		}
+		d.tree[at] = ^int32(i)
+
+		r := &d.routes[i]
+		r.start, r.size = int32(len(d.plan)), p.SizeBytes()
+		for k, f := range p.Fields {
 			src, ok := d.field(f.Name)
 			if !ok {
 				// Not a metadata leaf: padding, or a context register.
@@ -247,11 +318,18 @@ func New(m *nic.Model, cfg Config) (*Device, error) {
 					src.slot = slotZero
 				}
 			}
-			srcs = append(srcs, src)
+			if src.slot == slotZero {
+				continue
+			}
+			w := write{slot: int32(src.slot), field: int32(k), off: int32(f.OffsetBits), width: int32(src.width), at: -1}
+			if at, shift, ok := bitfield.Window(len(d.cmptBuf), f.OffsetBits, src.width); ok {
+				w.at, w.shift = int32(at), int32(shift)
+			}
+			d.plan = append(d.plan, w)
 		}
-		d.emits[node.ID] = srcs[start:]
+		r.end = int32(len(d.plan))
 	}
-	return d, nil
+	return nil
 }
 
 // field resolves a dotted name to the per-packet metadata leaf it names: a
@@ -310,7 +388,6 @@ func MustNew(m *nic.Model, cfg Config) *Device {
 // "ctx.use_rss".
 func (d *Device) WriteReg(path string, v uint64) {
 	d.ctx[path] = sema.UintValue(v, 64)
-	d.curPath.Store(-1) // context changed: re-resolve the active path lazily
 }
 
 // ApplyConfig programs the context registers so the device takes the
@@ -418,8 +495,8 @@ func (d *Device) Stats() DeviceStats {
 		Resets:            d.resets.Load(),
 		ResetFails:        d.resetFails.Load(),
 	}
-	for i := range d.pathHits {
-		if n := d.pathHits[i].Load(); n > 0 {
+	for i := range d.routes {
+		if n := d.routes[i].hits.Load(); n > 0 {
 			st.CompletionsByPath[d.paths[i].ID] = n
 		}
 	}
@@ -429,25 +506,6 @@ func (d *Device) Stats() DeviceStats {
 		}
 	}
 	return st
-}
-
-// activePathIndex resolves (and caches) the index of the path the current
-// context registers select; −1 when no path matches.
-func (d *Device) activePathIndex() int {
-	if idx := d.curPath.Load(); idx >= 0 {
-		return int(idx)
-	}
-	p, err := d.ActivePath()
-	if err != nil {
-		return -1
-	}
-	for i := range d.paths {
-		if d.paths[i] == p {
-			d.curPath.Store(int32(i))
-			return i
-		}
-	}
-	return -1
 }
 
 // RegisterMetrics exposes the device counters (and its completion ring's)
@@ -464,9 +522,9 @@ func (d *Device) RegisterMetrics(reg *obs.Registry, extra ...obs.Label) {
 	reg.AttachCounter("opendesc_dev_lost_completions_total", "completions lost to fault injection", &d.lostCmpts, base...)
 	reg.AttachCounter("opendesc_dev_resets_total", "device resets that took effect", &d.resets, base...)
 	reg.AttachCounter("opendesc_dev_reset_fails_total", "reset attempts refused while wedged", &d.resetFails, base...)
-	for i := range d.pathHits {
+	for i := range d.routes {
 		labels := append(append([]obs.Label{}, base...), obs.L("path", strconv.Itoa(d.paths[i].ID)))
-		reg.AttachCounter("opendesc_dev_path_completions_total", "completions emitted per deparser path", &d.pathHits[i], labels...)
+		reg.AttachCounter("opendesc_dev_path_completions_total", "completions emitted per deparser path", &d.routes[i].hits, labels...)
 	}
 	for slot, s := range offloadSemantics {
 		labels := append(append([]obs.Label{}, base...), obs.L("semantic", string(s)))
@@ -483,9 +541,10 @@ func (d *Device) RegisterMetrics(reg *obs.Registry, extra ...obs.Label) {
 	reg.GaugeFunc("opendesc_ring_capacity", "ring capacity (entries)", func() int64 { return int64(r.Capacity()) }, rl...)
 }
 
-// RxPacket makes the device receive one packet from the wire: it walks the
-// deparser CFG under the programmed context — running the offload engines the
-// walk asks for — and DMAs the completion record.
+// RxPacket makes the device receive one packet from the wire: it takes the
+// deparser's decisions under the programmed context, writes the leaf path's
+// plan — running the offload engines both ask for — and DMAs the completion
+// record.
 // It returns false when the packet is dropped, as hardware would: the device
 // is wedged, the frame is longer than bufSize, or the completion ring is full
 // — each refused before any engine runs.
@@ -510,7 +569,7 @@ func (d *Device) RxPacket(packet []byte) bool {
 	}
 
 	d.packet, d.parsed, d.have = packet, false, 1<<slotZero
-	size, err := d.serializeCompletion(d.cmptBuf)
+	size, path, err := d.serializeCompletion()
 	if err != nil {
 		d.drops.Inc()
 		return false
@@ -536,14 +595,11 @@ func (d *Device) RxPacket(packet []byte) bool {
 		d.CmptRing.Push(extra)
 	}
 	d.cmptBytes.Add(uint64(len(rec)))
-	idx := d.activePathIndex()
-	if idx >= 0 {
-		d.pathHits[idx].Inc()
-	}
+	d.routes[path].hits.Inc()
 	// Routine emits are sampled (flight.SamplePeriod) to stay inside the
 	// recorder's hot-path budget; anomalies above are always recorded.
 	if flight.Sampled(seq) {
-		d.fq.Record(flight.EvDMAEmit, seq, uint64(len(rec)), uint64(idx+1))
+		d.fq.Record(flight.EvDMAEmit, seq, uint64(len(rec)), uint64(path+1))
 	}
 	return true
 }
@@ -596,7 +652,6 @@ func (d *Device) Reset() error {
 	}
 	d.CmptRing.Reset()
 	d.ctx = make(map[string]sema.Value)
-	d.curPath.Store(-1)
 	d.resets.Inc()
 	d.fq.Record(flight.EvDevReset, uint32(d.resets.Load()), 0, 0)
 	return nil
@@ -644,82 +699,79 @@ func (d *Device) Lookup(path string) (sema.Value, bool) {
 	return v, ok
 }
 
-// serializeCompletion walks the deparser CFG for the packet being received,
-// writing emitted fields into dst, and returns the completion size in bytes.
-func (d *Device) serializeCompletion(dst []byte) (int, error) {
-	clear(dst)
+// serializeCompletion takes the decisions on the packet's route through the
+// tree, writes the leaf path's plan into cmptBuf, and returns the completion
+// size in bytes and the path's index.
+func (d *Device) serializeCompletion() (size, path int, err error) {
 	info := d.graph.Info()
-	node := d.graph.Entry
-	offBits := 0
-	steps := 0
-	for node.Kind != core.NodeExit {
-		if steps++; steps > 10000 {
-			return 0, fmt.Errorf("nicsim: deparser walk did not terminate")
-		}
-		for i, f := range d.emits[node.ID] {
-			if offBits+f.width > len(dst)*8 {
-				return 0, fmt.Errorf("nicsim: completion exceeds %d bytes", len(dst))
-			}
-			switch f.slot {
-			case slotZero: // dst is already zero
-			case slotCtx:
-				bitfield.Write(dst, offBits, f.width, d.ctx[node.Emit.Fields[i].Name].Uint)
-			default:
-				bitfield.Write(dst, offBits, f.width, d.val(f.slot))
-			}
-			offBits += f.width
-		}
-		next, err := step(node, d, info)
+	t := d.tree[0]
+	for t > 0 {
+		e, err := decide(d.graph.Nodes[d.tree[t]], d, info)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		node = next
+		t = d.tree[int(t)+1+e]
 	}
-	return (offBits + 7) / 8, nil
+	if t == 0 {
+		return 0, 0, fmt.Errorf("nicsim: the packet's route is no enumerated path")
+	}
+	path = int(^t)
+	r := &d.routes[path]
+	dst := d.cmptBuf
+	if r.size > len(dst) {
+		return 0, 0, fmt.Errorf("nicsim: completion exceeds %d bytes", len(dst))
+	}
+	clear(dst[:r.size])
+	for _, w := range d.plan[r.start:r.end] {
+		var v uint64
+		if w.slot == slotCtx {
+			v = d.ctx[d.paths[path].Fields[w.field].Name].Uint
+		} else {
+			v = d.val(int(w.slot))
+		}
+		if w.at < 0 {
+			bitfield.Write(dst, int(w.off), int(w.width), v)
+			continue
+		}
+		word := dst[w.at : w.at+8]
+		binary.BigEndian.PutUint64(word, binary.BigEndian.Uint64(word)|(v&(^uint64(0)>>(64-w.width)))<<w.shift)
+	}
+	return r.size, path, nil
 }
 
-// step picks the successor edge of a node under the concrete env.
-func step(node *core.Node, env sema.Env, info *sema.Info) (*core.Node, error) {
-	if len(node.Succs) == 1 && node.Succs[0].Cond == nil && len(node.Succs[0].CaseVals) == 0 && !node.Succs[0].IsDefault {
-		return node.Succs[0].To, nil
-	}
-	switch node.Kind {
-	case core.NodeBranch:
+// decide evaluates a branch or switch vertex under the concrete env and
+// returns the index of the successor edge it takes.
+func decide(node *core.Node, env sema.Env, info *sema.Info) (int, error) {
+	if node.Kind == core.NodeBranch {
 		v, err := info.Eval(node.Cond, env)
 		if err != nil {
-			return nil, fmt.Errorf("nicsim: branch condition: %w", err)
+			return 0, fmt.Errorf("nicsim: branch condition: %w", err)
 		}
-		for _, e := range node.Succs {
+		for i, e := range node.Succs {
 			if v.Truthy() != e.Negate {
-				return e.To, nil
+				return i, nil
 			}
 		}
-		return nil, fmt.Errorf("nicsim: no matching branch edge")
-	case core.NodeSwitch:
-		tag, err := info.Eval(node.Tag, env)
-		if err != nil {
-			return nil, fmt.Errorf("nicsim: switch tag: %w", err)
-		}
-		var def *core.Edge
-		for _, e := range node.Succs {
-			if e.IsDefault {
-				def = e
-				continue
-			}
-			for _, cv := range e.CaseVals {
-				if cv.Equal(tag) {
-					return e.To, nil
-				}
-			}
-		}
-		if def != nil {
-			return def.To, nil
-		}
-		return nil, fmt.Errorf("nicsim: switch tag %v matches no case and no default", tag)
-	default:
-		if len(node.Succs) == 0 {
-			return nil, fmt.Errorf("nicsim: dead-end node %d (%s)", node.ID, node.Kind)
-		}
-		return node.Succs[0].To, nil
+		return 0, fmt.Errorf("nicsim: no matching branch edge")
 	}
+	tag, err := info.Eval(node.Tag, env)
+	if err != nil {
+		return 0, fmt.Errorf("nicsim: switch tag: %w", err)
+	}
+	def := -1
+	for i, e := range node.Succs {
+		if e.IsDefault {
+			def = i
+			continue
+		}
+		for _, cv := range e.CaseVals {
+			if cv.Equal(tag) {
+				return i, nil
+			}
+		}
+	}
+	if def >= 0 {
+		return def, nil
+	}
+	return 0, fmt.Errorf("nicsim: switch tag %v matches no case and no default", tag)
 }

@@ -23,8 +23,9 @@ import (
 // semantic, a string-keyed environment is rebuilt from it (context registers
 // first, field values over them), and the P4 interpreter runs the deparser's
 // apply block over it. It shares no code with the device — not the CFG, not
-// its walk — and is kept as the oracle the on-demand path is compared
-// against.
+// its decision tree — and is kept as the oracle the on-demand path is
+// compared against. It credits each record to the enumerated path that
+// describes it (taken).
 type reference struct {
 	dev       *Device
 	dp        *interp.Deparser
@@ -156,13 +157,37 @@ func (r *reference) buildEnv(vals map[semantics.Name]uint64) sema.MapEnv {
 // clock: the completion record, or nil when the device must drop the packet.
 func (r *reference) rx(packet []byte, clock uint64) []byte {
 	var rec interp.Record
-	if err := r.dp.RunInto(&rec, r.buildEnv(r.computeOffloads(packet, clock))); err != nil || rec.Bits > maxCompletionBytes*8 {
+	env := r.buildEnv(r.computeOffloads(packet, clock))
+	if err := r.dp.RunInto(&rec, env); err != nil || rec.Bits > maxCompletionBytes*8 {
 		return nil
 	}
-	if p, err := r.dev.ActivePath(); err == nil {
+	if p := r.taken(&rec, env); p != nil {
 		r.pathHits[p.ID]++
 	}
 	return rec.Image
+}
+
+// taken is the first enumerated path whose layout is the record's fields, in
+// order, and whose constraints hold in env: the path the packet took, even
+// where the deparser branches on the packet rather than on a register.
+func (r *reference) taken(rec *interp.Record, env sema.MapEnv) *core.Path {
+	for _, p := range r.dev.paths {
+		if len(p.Fields) != len(rec.Fields) {
+			continue
+		}
+		ok := true
+		for i, f := range p.Fields {
+			ok = ok && f.Name == rec.Fields[i].Name && f.WidthBits == rec.Fields[i].WidthBits
+		}
+		for _, c := range p.Constraints {
+			v, set := env[c.Var]
+			ok = ok && set && v.Equal(c.Val) == c.Equal
+		}
+		if ok {
+			return p
+		}
+	}
+	return nil
 }
 
 // handWritten are descriptions the bundled NICs do not exercise: a branch on
@@ -170,7 +195,8 @@ func (r *reference) rx(packet []byte, clock uint64) []byte {
 // name, so ApplyConfig writes a register the field value must keep shadowing),
 // a switch on per-packet metadata, a condition the frontend cannot decompose
 // over a field narrower than its semantic (compared after truncation), a
-// semantic no engine computes, and emits of context registers.
+// semantic no engine computes, emits of context registers, and a 64-bit field
+// off a byte boundary, which no eight-byte window holds.
 var handWritten = map[string]string{
 	"datadep": `
 struct dd_ctx_t { bit<2> fmt; }
@@ -213,7 +239,7 @@ control CmptDeparser<CTX_T, META_T>(cmpt_out cmpt_out, in CTX_T ctx, in META_T p
 	"ctxemit": `
 struct ce_ctx_t { bit<8> qtag; bit<4> fmt; bit<4> rsvd; }
 struct ce_meta_t {
-    @semantic("pkt_len") bit<16> len;
+    @semantic("pkt_len") bit<13> len;
     @semantic("kv_key")  bit<64> key;
 }
 @bind("CTX_T", "ce_ctx_t")

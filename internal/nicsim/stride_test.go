@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"opendesc/internal/core"
 	"opendesc/internal/diffverify"
 	"opendesc/internal/nic"
 )
@@ -76,5 +77,53 @@ func TestRingFitsEveryDescription(t *testing.T) {
 	}
 	if len(strides) < 4 {
 		t.Errorf("strides seen %v: the descriptions do not span different ring geometries", strides)
+	}
+}
+
+// TestNewAllocGate bounds what building a device allocates per NIC: the
+// decision tree, the plans and the per-path counters each sit in one backing
+// slice sized up front, so New allocates no more than when it kept one field
+// list per emit vertex (8 on every bundled NIC). A count above its limit
+// means a per-route slice or a growing append came back.
+func TestNewAllocGate(t *testing.T) {
+	limits := map[string]float64{"e1000": 8, "e1000e": 8, "ixgbe": 8, "ice": 8, "mlx5": 8, "qdma": 8}
+	for _, m := range nic.All() {
+		MustNew(m, Config{}) // the model's analysis is cached, not counted
+		got := testing.AllocsPerRun(20, func() { MustNew(m, Config{}) })
+		t.Logf("%s: %.0f allocs per New (limit %.0f)", m.Name, got, limits[m.Name])
+		if limit, ok := limits[m.Name]; !ok || got > limit {
+			t.Errorf("%s: New allocates %.0f, limit %.0f", m.Name, got, limit)
+		}
+	}
+}
+
+// TestBuildRefusesABadRoute: New checks each enumerated path's route against
+// the graph once, where the walk checked its length on every packet — a route
+// that stops short of the exit, names an edge the vertex does not have, or
+// repeats another path's route is refused.
+func TestBuildRefusesABadRoute(t *testing.T) {
+	m := nic.MustLoad("mlx5")
+	paths, err := m.Paths()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(p []*core.Path){
+		"short":    func(p []*core.Path) { p[0].Route = p[0].Route[:len(p[0].Route)-1] },
+		"no edge":  func(p []*core.Path) { p[0].Route = append([]int{9}, p[0].Route[1:]...) },
+		"repeated": func(p []*core.Path) { p[1].Route = p[0].Route },
+		"too long": func(p []*core.Path) { p[0].Route = append(append([]int(nil), p[0].Route...), 0) },
+	} {
+		bad := make([]*core.Path, len(paths))
+		for i, p := range paths {
+			cp := *p
+			bad[i] = &cp
+		}
+		mutate(bad)
+		d := &Device{graph: MustNew(m, Config{}).graph, paths: bad, routes: make([]route, len(bad)), cmptBuf: make([]byte, maxCompletionBytes)}
+		if err := d.build(); err == nil {
+			t.Errorf("%s: a bad route was accepted", name)
+		} else {
+			t.Logf("%s: %v", name, err)
+		}
 	}
 }

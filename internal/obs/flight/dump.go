@@ -377,19 +377,17 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	return r.Snapshot().WriteChromeTrace(w)
 }
 
-// Postmortem snapshots the last postmortemEvents events per queue, renders
-// them, and — when a dump directory is configured — writes a binary dump
-// file. It returns the file path ("" when no file was written). Called by
-// the hardened driver on watchdog trips and quarantines, and by the fault
-// injector on hang recoveries.
+// Postmortem snapshots the last postmortemEvents events per queue and — when
+// a dump directory is configured — writes a binary dump file. It returns the
+// file path ("" when no file was written). Called on the datapath by the
+// hardened driver on watchdog trips, quarantines and restores, and by the
+// fault injector on hang recoveries, so it renders no text: LastPostmortem
+// does, for whoever asks.
 func (r *Recorder) Postmortem(reason string) string {
 	snap := r.snapshot(postmortemEvents, reason)
-	text := snap.Format()
 	r.pmMu.Lock()
 	r.pmCount++
 	n := r.pmCount
-	r.pmReason = reason
-	r.pmText = text
 	r.pmLastSnap = snap
 	dir := r.dumpDir
 	r.pmMu.Unlock()
@@ -439,12 +437,14 @@ func (r *Recorder) Postmortems() uint64 {
 	return r.pmCount
 }
 
-// LastPostmortem returns the most recent postmortem's reason and rendered
-// text; ok is false when none has been taken.
+// LastPostmortem returns the most recent postmortem's reason and its text,
+// rendered now from the kept snapshot; ok is false when none has been taken.
 func (r *Recorder) LastPostmortem() (reason, text string, ok bool) {
-	r.pmMu.Lock()
-	defer r.pmMu.Unlock()
-	return r.pmReason, r.pmText, r.pmCount > 0
+	snap := r.LastSnapshot()
+	if snap == nil {
+		return "", "", false
+	}
+	return snap.Reason, snap.Format(), true
 }
 
 // LastSnapshot returns the most recent postmortem snapshot (nil if none).

@@ -39,7 +39,7 @@ const (
 	EvNone Code = iota
 
 	// Device side (nicsim).
-	EvDMAEmit  // completion serialized and DMAed; arg0 = record bytes, arg1 = path index
+	EvDMAEmit  // completion serialized and DMAed; arg0 = record bytes, arg1 = 1 + the index of the path it took
 	EvDMALost  // injector ate the completion record; packet counted, nothing DMAed
 	EvHangDrop // packet refused while the device is wedged
 	EvDevReset // device reset accepted (function-level reset completed)
@@ -331,8 +331,6 @@ type Recorder struct {
 	// file (decode with `opendesc flight`).
 	dumpDir    string
 	pmCount    uint64
-	pmReason   string
-	pmText     string
 	pmFiles    []string
 	pmLastSnap *Snapshot
 }

@@ -304,6 +304,23 @@ func TestDumpRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPostmortemRendersNoText: a postmortem is taken on the datapath (every
+// quarantine, watchdog trip, restore and hang recovery), so it copies the
+// events and renders nothing — no allocation per event. The text is rendered
+// when LastPostmortem asks for it.
+func TestPostmortemRendersNoText(t *testing.T) {
+	r := NewRecorder(Config{Size: 1024})
+	q := r.Queue("q0")
+	for i := 0; i < postmortemEvents; i++ {
+		q.Record(EvRingPush, uint32(i), 0, 0)
+	}
+	n := testing.AllocsPerRun(20, func() { r.Postmortem("quarantine") })
+	t.Logf("%.0f allocs per postmortem of %d events", n, postmortemEvents)
+	if n >= postmortemEvents/8 {
+		t.Errorf("a postmortem allocates %.0f times for %d events: it is rendering them", n, postmortemEvents)
+	}
+}
+
 func TestPostmortem(t *testing.T) {
 	dir := t.TempDir()
 	r := NewRecorder(Config{Size: 1024})
