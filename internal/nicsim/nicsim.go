@@ -25,7 +25,6 @@
 package nicsim
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"strconv"
@@ -104,6 +103,7 @@ type Device struct {
 	// Fault-path counters (all zero on a healthy device).
 	cfgNAKs    obs.Counter // ApplyConfig bursts refused (wedge or NAK)
 	hangDrops  obs.Counter // packets refused while the device was wedged
+	unrouted   obs.Counter // packets whose decisions took no enumerated route
 	lostCmpts  obs.Counter // completions dropped by injection (host-visible desync)
 	resets     obs.Counter // device resets that took effect
 	resetFails obs.Counter // reset attempts refused while wedged
@@ -201,11 +201,14 @@ type route struct {
 
 // A write puts one field of a completion record, width bits at bit off: an
 // offload slot's value, or (slot == slotCtx) the context register the path's
-// Fields[field] names. The record buffer is cleared first, so the value is
-// ORed into the field's eight-byte window (bitfield.Window), at byte at and
-// shift bits from the word's low end; a field no window holds has at < 0 and
-// goes through bitfield.Write. Fields that read zero get no write.
-type write struct{ slot, field, off, width, at, shift int32 }
+// Fields[field] names. The record buffer is cleared first, so fields that
+// read zero get no write.
+type write struct{ slot, field, off, width int32 }
+
+// errUnrouted is a packet whose decisions lead off every enumerated route:
+// the enumerator pruned an edge the concrete values take. No path describes
+// the record, so the device drops the packet and counts it apart.
+var errUnrouted = errors.New("nicsim: the packet's route is no enumerated path")
 
 // maxCompletionBytes bounds a single completion record in the simulator.
 const maxCompletionBytes = 256
@@ -321,11 +324,7 @@ func (d *Device) build() error {
 			if src.slot == slotZero {
 				continue
 			}
-			w := write{slot: int32(src.slot), field: int32(k), off: int32(f.OffsetBits), width: int32(src.width), at: -1}
-			if at, shift, ok := bitfield.Window(len(d.cmptBuf), f.OffsetBits, src.width); ok {
-				w.at, w.shift = int32(at), int32(shift)
-			}
-			d.plan = append(d.plan, w)
+			d.plan = append(d.plan, write{slot: int32(src.slot), field: int32(k), off: int32(f.OffsetBits), width: int32(src.width)})
 		}
 		r.end = int32(len(d.plan))
 	}
@@ -473,6 +472,10 @@ type DeviceStats struct {
 	LostCompletions uint64
 	Resets          uint64
 	ResetFails      uint64
+	// Unrouted counts packets, also in Drops, whose decisions took an edge
+	// no enumerated path takes: no layout describes their record, so the
+	// device writes none.
+	Unrouted uint64
 }
 
 // Stats returns a snapshot of the device counters. Safe to call while
@@ -494,6 +497,7 @@ func (d *Device) Stats() DeviceStats {
 		LostCompletions:   d.lostCmpts.Load(),
 		Resets:            d.resets.Load(),
 		ResetFails:        d.resetFails.Load(),
+		Unrouted:          d.unrouted.Load(),
 	}
 	for i := range d.routes {
 		if n := d.routes[i].hits.Load(); n > 0 {
@@ -522,6 +526,7 @@ func (d *Device) RegisterMetrics(reg *obs.Registry, extra ...obs.Label) {
 	reg.AttachCounter("opendesc_dev_lost_completions_total", "completions lost to fault injection", &d.lostCmpts, base...)
 	reg.AttachCounter("opendesc_dev_resets_total", "device resets that took effect", &d.resets, base...)
 	reg.AttachCounter("opendesc_dev_reset_fails_total", "reset attempts refused while wedged", &d.resetFails, base...)
+	reg.AttachCounter("opendesc_dev_unrouted_total", "packets whose deparser decisions took no enumerated path", &d.unrouted, base...)
 	for i := range d.routes {
 		labels := append(append([]obs.Label{}, base...), obs.L("path", strconv.Itoa(d.paths[i].ID)))
 		reg.AttachCounter("opendesc_dev_path_completions_total", "completions emitted per deparser path", &d.routes[i].hits, labels...)
@@ -547,7 +552,8 @@ func (d *Device) RegisterMetrics(reg *obs.Registry, extra ...obs.Label) {
 // record.
 // It returns false when the packet is dropped, as hardware would: the device
 // is wedged, the frame is longer than bufSize, or the completion ring is full
-// — each refused before any engine runs.
+// — each refused before any engine runs — or its decisions lead off every
+// enumerated path (counted apart, as Unrouted).
 func (d *Device) RxPacket(packet []byte) bool {
 	// seq is this packet's 1-based count, matching the driver's Rx sequence.
 	seq := uint32(d.rxPackets.Load()) + 1
@@ -571,6 +577,9 @@ func (d *Device) RxPacket(packet []byte) bool {
 	d.packet, d.parsed, d.have = packet, false, 1<<slotZero
 	size, path, err := d.serializeCompletion()
 	if err != nil {
+		if err == errUnrouted {
+			d.unrouted.Inc()
+		}
 		d.drops.Inc()
 		return false
 	}
@@ -713,7 +722,7 @@ func (d *Device) serializeCompletion() (size, path int, err error) {
 		t = d.tree[int(t)+1+e]
 	}
 	if t == 0 {
-		return 0, 0, fmt.Errorf("nicsim: the packet's route is no enumerated path")
+		return 0, 0, errUnrouted
 	}
 	path = int(^t)
 	r := &d.routes[path]
@@ -729,12 +738,7 @@ func (d *Device) serializeCompletion() (size, path int, err error) {
 		} else {
 			v = d.val(int(w.slot))
 		}
-		if w.at < 0 {
-			bitfield.Write(dst, int(w.off), int(w.width), v)
-			continue
-		}
-		word := dst[w.at : w.at+8]
-		binary.BigEndian.PutUint64(word, binary.BigEndian.Uint64(word)|(v&(^uint64(0)>>(64-w.width)))<<w.shift)
+		bitfield.Write(dst, int(w.off), int(w.width), v)
 	}
 	return r.size, path, nil
 }

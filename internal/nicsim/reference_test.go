@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"opendesc/internal/core"
+	"opendesc/internal/faults"
 	"opendesc/internal/nic"
 	"opendesc/internal/p4/interp"
 	"opendesc/internal/p4/parser"
@@ -154,17 +155,15 @@ func (r *reference) buildEnv(vals map[semantics.Name]uint64) sema.MapEnv {
 }
 
 // rx is the reference verdict for one packet received at the given device
-// clock: the completion record, or nil when the device must drop the packet.
-func (r *reference) rx(packet []byte, clock uint64) []byte {
+// clock: the completion record and the path that describes it, or nil when
+// the device must drop the packet.
+func (r *reference) rx(packet []byte, clock uint64) ([]byte, *core.Path) {
 	var rec interp.Record
 	env := r.buildEnv(r.computeOffloads(packet, clock))
 	if err := r.dp.RunInto(&rec, env); err != nil || rec.Bits > maxCompletionBytes*8 {
-		return nil
+		return nil, nil
 	}
-	if p := r.taken(&rec, env); p != nil {
-		r.pathHits[p.ID]++
-	}
-	return rec.Image
+	return rec.Image, r.taken(&rec, env)
 }
 
 // taken is the first enumerated path whose layout is the record's fields, in
@@ -195,8 +194,7 @@ func (r *reference) taken(rec *interp.Record, env sema.MapEnv) *core.Path {
 // name, so ApplyConfig writes a register the field value must keep shadowing),
 // a switch on per-packet metadata, a condition the frontend cannot decompose
 // over a field narrower than its semantic (compared after truncation), a
-// semantic no engine computes, emits of context registers, and a 64-bit field
-// off a byte boundary, which no eight-byte window holds.
+// semantic no engine computes, and emits of context registers.
 var handWritten = map[string]string{
 	"datadep": `
 struct dd_ctx_t { bit<2> fmt; }
@@ -239,7 +237,7 @@ control CmptDeparser<CTX_T, META_T>(cmpt_out cmpt_out, in CTX_T ctx, in META_T p
 	"ctxemit": `
 struct ce_ctx_t { bit<8> qtag; bit<4> fmt; bit<4> rsvd; }
 struct ce_meta_t {
-    @semantic("pkt_len") bit<13> len;
+    @semantic("pkt_len") bit<16> len;
     @semantic("kv_key")  bit<64> key;
 }
 @bind("CTX_T", "ce_ctx_t")
@@ -311,9 +309,11 @@ func differentialTrace(t *testing.T) [][]byte {
 }
 
 // TestOnDemandMatchesEagerReference receives one trace on every completion
-// path of every bundled NIC and of the hand-written descriptions, and
-// requires the device and the eager reference to agree on everything the host
-// can observe: verdict, record length, record bytes, per-path completions.
+// path of every bundled NIC and of the hand-written descriptions, once clean
+// and once under a seeded fault plan that corrupts, truncates, replays,
+// duplicates and drops completions, and requires the device and the eager
+// reference to agree on everything the host can observe: verdict, record
+// length, record bytes, per-path completions.
 func TestOnDemandMatchesEagerReference(t *testing.T) {
 	trace := differentialTrace(t)
 	models := nic.All()
@@ -330,24 +330,36 @@ func TestOnDemandMatchesEagerReference(t *testing.T) {
 			bundledPaths += len(paths)
 		}
 		for _, path := range paths {
-			t.Run(fmt.Sprintf("%s/path%d", m.Name, path.ID), func(t *testing.T) {
-				if differential(t, m, path.Constraints, trace) == 0 {
-					t.Error("a programmed device accepted nothing: the comparison is vacuous")
+			for _, spec := range []string{"", faultSpec} {
+				name := fmt.Sprintf("%s/path%d", m.Name, path.ID)
+				if spec != "" {
+					name += "/faults"
 				}
-			})
+				t.Run(name, func(t *testing.T) {
+					if differential(t, m, path.Constraints, trace, spec) == 0 {
+						t.Error("a programmed device accepted nothing: the comparison is vacuous")
+					}
+				})
+			}
 		}
 		// No register programmed: every NIC but e1000 refuses each packet
 		// at its first context branch, and both sides must say so.
-		t.Run(m.Name+"/unprogrammed", func(t *testing.T) { differential(t, m, nil, trace) })
+		t.Run(m.Name+"/unprogrammed", func(t *testing.T) { differential(t, m, nil, trace, "") })
 	}
 	if bundledPaths != 18 {
 		t.Errorf("covered %d bundled completion paths, want 18", bundledPaths)
 	}
 }
 
+// faultSpec is the seeded plan the faulty comparisons run under.
+const faultSpec = "corrupt=0.1,bits=3,truncate=0.05,replay=0.05,dup=0.05,drop=0.05"
+
 // differential receives the trace on a device programmed from cons and on
-// the reference, and returns how many packets both accepted.
-func differential(t *testing.T, m *nic.Model, cons []core.Constraint, trace [][]byte) uint64 {
+// the reference, and returns how many packets both accepted. Under a fault
+// spec the device gets a seeded injector, and the reference's records pass
+// through a second injector of the same seed, consulted in the device's
+// order: a tick per packet, then the completion.
+func differential(t *testing.T, m *nic.Model, cons []core.Constraint, trace [][]byte, spec string) uint64 {
 	dev := MustNew(m, Config{QueueID: 3, RingEntries: 8})
 	if err := dev.ApplyConfig(cons); err != nil {
 		t.Fatal(err)
@@ -356,24 +368,53 @@ func differential(t *testing.T, m *nic.Model, cons []core.Constraint, trace [][]
 	// something other than zero.
 	dev.WriteReg("ctx.qtag", 0x1A5) // wider than the 8-bit field
 	ref := newReference(t, dev)
+	var inj *faults.Injector
+	if spec != "" {
+		var err error
+		if inj, err = faults.Parse(spec, 7); err != nil {
+			t.Fatal(err)
+		}
+		devInj, _ := faults.Parse(spec, 7)
+		dev.InjectFaults(devInj)
+	}
 	for i, p := range trace {
-		want := ref.rx(p, dev.clock+timestampStep)
-		dmaBefore := dev.cmptBytes.Load()
-		ok := dev.RxPacket(p)
-		if ok != (want != nil) {
-			t.Fatalf("packet %d: device accepted=%v, reference accepted=%v", i, ok, want != nil)
-		}
-		if !ok {
-			continue
-		}
-		// The ring entry is the record zero-padded to the entry size; the
-		// record's own length is what the DMA counter advanced by.
-		n := int(dev.cmptBytes.Load() - dmaBefore)
-		dev.CmptRing.Consume(func(e []byte) {
-			if n != len(want) || !bytes.Equal(e, append(want, make([]byte, len(e)-len(want))...)) {
-				t.Fatalf("packet %d:\n device    %d B %x\n reference %d B %x", i, n, e[:n], len(want), want)
+		var want [][]byte // the records the device must publish, in order
+		accepted := !inj.Tick()
+		if accepted {
+			rec, path := ref.rx(p, dev.clock+timestampStep)
+			if accepted = rec != nil; accepted {
+				rec, extra := inj.Completion(rec)
+				for _, r := range [][]byte{rec, extra} {
+					if r != nil {
+						want = append(want, append([]byte(nil), r...))
+					}
+				}
+				if rec != nil && path != nil {
+					ref.pathHits[path.ID]++
+				}
 			}
-		})
+		}
+		dmaBefore := dev.cmptBytes.Load()
+		if ok := dev.RxPacket(p); ok != accepted {
+			t.Fatalf("packet %d: device accepted=%v, reference accepted=%v", i, ok, accepted)
+		}
+		// A ring entry is the record zero-padded to the entry size; the
+		// record's own length is what the DMA counter advanced by.
+		if n := int(dev.cmptBytes.Load() - dmaBefore); len(want) > 0 && n != len(want[0]) {
+			t.Fatalf("packet %d: device DMAed %d B, reference %d B", i, n, len(want[0]))
+		}
+		var got [][]byte
+		for dev.CmptRing.Len() > 0 {
+			dev.CmptRing.Consume(func(e []byte) { got = append(got, append([]byte(nil), e...)) })
+		}
+		if len(got) != len(want) {
+			t.Fatalf("packet %d: device published %d records, reference %d", i, len(got), len(want))
+		}
+		for j, w := range want {
+			if g := got[j]; !bytes.Equal(g, append(w, make([]byte, len(g)-len(w))...)) {
+				t.Fatalf("packet %d record %d:\n device    %x\n reference %x", i, j, g, w)
+			}
+		}
 	}
 	st := dev.Stats()
 	if !reflect.DeepEqual(st.CompletionsByPath, ref.pathHits) {
@@ -381,6 +422,9 @@ func differential(t *testing.T, m *nic.Model, cons []core.Constraint, trace [][]
 	}
 	if st.RxPackets+st.Drops != uint64(len(trace)) {
 		t.Errorf("accepted %d + dropped %d of %d packets", st.RxPackets, st.Drops, len(trace))
+	}
+	if spec != "" && dev.Faults().Stats().Total() == 0 {
+		t.Error("no fault was injected: the faulty comparison is vacuous")
 	}
 	return st.RxPackets
 }

@@ -11,6 +11,65 @@ import (
 	"opendesc/internal/semantics"
 )
 
+// boolMode reads one register as a truth value and then as a number. The
+// enumerator compares the two by truthiness, so it prunes the route a mode
+// of 2 or 3 takes (then, else): the description has two enumerated paths.
+const boolMode = `
+struct bm_ctx_t { bit<2> mode; bit<6> rsvd; }
+struct bm_meta_t {
+    @semantic("pkt_len") bit<16> len;
+    @semantic("rss")     bit<32> hash;
+}
+@bind("CTX_T", "bm_ctx_t")
+@bind("META_T", "bm_meta_t")
+control CmptDeparser<CTX_T, META_T>(cmpt_out cmpt_out, in CTX_T ctx, in META_T pipe_meta) {
+    apply {
+        if (ctx.mode) {
+            cmpt_out.emit(pipe_meta.len);
+        }
+        if (ctx.mode == 1) {
+            cmpt_out.emit(pipe_meta.hash);
+        } else {
+            cmpt_out.emit(pipe_meta.len);
+        }
+    }
+}
+`
+
+// TestUnroutedPacketIsCountedApart: a packet whose decisions take an edge no
+// enumerated path takes gets no record, since no layout describes it. The
+// device drops it before the ring and counts it as Unrouted, so it does not
+// read as backpressure; the interpreter, which runs the apply block itself,
+// still emits one.
+func TestUnroutedPacketIsCountedApart(t *testing.T) {
+	m, err := modelFromSource("boolmode", boolMode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if paths, err := m.Paths(); err != nil || len(paths) != 2 {
+		t.Fatalf("boolmode enumerates %d paths (%v), want 2", len(paths), err)
+	}
+	dev := MustNew(m, Config{})
+	dev.WriteReg("ctx.mode", 2)
+	if want, _ := newReference(t, dev).rx(testPacket(), timestampStep); want == nil {
+		t.Fatal("the interpreter emits nothing for mode 2: the route is not unenumerated")
+	}
+	if dev.RxPacket(testPacket()) {
+		t.Fatal("a packet on no enumerated route was accepted")
+	}
+	st := dev.Stats()
+	if st.Unrouted != 1 || st.Drops != 1 || st.RxPackets != 0 {
+		t.Errorf("unrouted %d, drops %d, rx %d; want 1, 1, 0", st.Unrouted, st.Drops, st.RxPackets)
+	}
+	if st.Ring.Produced != 0 || st.Ring.FullStalls != 0 {
+		t.Errorf("ring %+v: an unrouted packet reached the ring", st.Ring)
+	}
+	dev.WriteReg("ctx.mode", 1)
+	if !dev.RxPacket(testPacket()) || dev.Stats().Unrouted != 1 {
+		t.Errorf("an enumerated route after an unrouted packet: stats %+v", dev.Stats())
+	}
+}
+
 func TestDeviceStatsContents(t *testing.T) {
 	res := compileOn(t, "e1000e", semantics.RSS, semantics.VLAN)
 	dev := MustNew(nic.MustLoad("e1000e"), Config{})
