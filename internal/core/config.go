@@ -21,14 +21,18 @@ func ConfigAssignment(cons []Constraint) (map[string]uint64, error) {
 			e = &excl{}
 			byVar[c.Var] = e
 		}
+		// A bool register holds 1 for true.
+		v := c.Val.Uint
+		if c.Val.IsBool && c.Val.Bool {
+			v = 1
+		}
 		if c.Equal {
-			v := c.Val.Uint
 			if e.fixed != nil && *e.fixed != v {
 				return nil, fmt.Errorf("core: conflicting config for %s: %d vs %d", c.Var, *e.fixed, v)
 			}
 			e.fixed = &v
 		} else {
-			e.vals = append(e.vals, c.Val.Uint)
+			e.vals = append(e.vals, v)
 		}
 	}
 	out := make(map[string]uint64, len(byVar))

@@ -226,10 +226,10 @@ func (b *graphBuilder) lowerParser(pr *ast.ParserDecl) {
 			sw := b.node(NodeSwitch)
 			sw.Tag = tr.Exprs[0]
 			link(last, sw, nil)
-			tag := ast.Sprint(sw.Tag)
+			tag, tagKind := ast.Sprint(sw.Tag), b.kindOf(sw.Tag)
 			sw.Succs = make([]*Edge, 0, len(tr.Cases))
 			for _, c := range tr.Cases {
-				e := b.caseEdge(tag, c.Keys, c.IsDefault, c.Pos(), "select")
+				e := b.caseEdge(tag, tagKind, c.Keys, c.IsDefault, c.Pos(), "select")
 				e.To = state(c.Target, c.Pos())
 				sw.Succs = append(sw.Succs, e)
 			}
@@ -277,6 +277,7 @@ func (b *graphBuilder) buildStmt(s ast.Stmt, pred []*Node) []*Node {
 		return []*Node{n}
 
 	case *ast.IfStmt:
+		b.checkCond(s.Cond)
 		br := b.node(NodeBranch)
 		br.Cond = s.Cond
 		link(pred, br, nil)
@@ -317,11 +318,11 @@ func (b *graphBuilder) buildStmt(s ast.Stmt, pred []*Node) []*Node {
 		link(pred, sw, nil)
 		var out []*Node
 		hasDefault := false
-		tag := ast.Sprint(s.Tag)
+		tag, tagKind := ast.Sprint(s.Tag), b.kindOf(s.Tag)
 		sw.Succs = make([]*Edge, 0, len(s.Cases)+1) // +1: the implicit no-match edge
 		for _, c := range s.Cases {
 			entry := b.node(NodeEntry)
-			e := b.caseEdge(tag, c.Keys, c.IsDefault, c.Pos(), "switch")
+			e := b.caseEdge(tag, tagKind, c.Keys, c.IsDefault, c.Pos(), "switch")
 			e.To = entry
 			hasDefault = hasDefault || c.IsDefault
 			sw.Succs = append(sw.Succs, e)
@@ -353,8 +354,9 @@ func (b *graphBuilder) buildStmt(s ast.Stmt, pred []*Node) []*Node {
 }
 
 // caseEdge builds the edge of one switch or select arm (what names which) with
-// its label; a non-default arm's keys must fold to constants.
-func (b *graphBuilder) caseEdge(tag string, keys []ast.Expr, isDefault bool, pos token.Pos, what string) *Edge {
+// its label; a non-default arm's keys must fold to constants of the tag's
+// kind.
+func (b *graphBuilder) caseEdge(tag string, tagKind kind, keys []ast.Expr, isDefault bool, pos token.Pos, what string) *Edge {
 	if isDefault {
 		return &Edge{IsDefault: true, Label: tag + " = default"}
 	}
@@ -364,6 +366,9 @@ func (b *graphBuilder) caseEdge(tag string, keys []ast.Expr, isDefault bool, pos
 		if err != nil {
 			b.errorf(pos, "%s case key must be constant: %v", what, err)
 			continue
+		}
+		if tagKind != kindUnknown && (tagKind == kindBool) != v.IsBool {
+			b.errorf(k.Pos(), "%s key %s compares a bool with a number (tag %s)", what, v, tag)
 		}
 		e.CaseVals = append(e.CaseVals, v)
 	}
@@ -488,6 +493,100 @@ func memberField(inst *sema.Instance, e *ast.MemberExpr, what string) (*sema.Fie
 		return nil, fmt.Errorf("%s has no field %q", ct.Name, e.Member)
 	}
 	return fi, nil
+}
+
+// kind is what a condition's operand evaluates to, as far as checkCond types
+// it: a bool, a number (bit<W>, int<W>, an enum), or unknown.
+type kind uint8
+
+const (
+	kindUnknown kind = iota
+	kindBool
+	kindNum
+)
+
+// kindOf types an operand from its literal, its constant, the field of the
+// bound instance it names, or its operator; any other expression is unknown
+// and goes unchecked.
+func (b *graphBuilder) kindOf(e ast.Expr) kind {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.BoolLit:
+		return kindBool
+	case *ast.IntLit:
+		return kindNum
+	case *ast.Ident:
+		if v, ok := b.info.Consts[e.Name]; ok && v.IsBool {
+			return kindBool
+		} else if ok {
+			return kindNum
+		}
+		if bp := b.inst.Param(e.Name); bp != nil {
+			return typeKind(bp.Type)
+		}
+	case *ast.MemberExpr:
+		if id, ok := e.X.(*ast.Ident); ok && b.info.Enum(id.Name) != nil {
+			return kindNum
+		}
+		if fi, err := memberField(b.inst, e, "read"); err == nil {
+			return typeKind(fi.Type)
+		}
+	case *ast.UnaryExpr:
+		if e.Op == token.NOT {
+			return kindBool
+		}
+		return kindNum
+	case *ast.BinaryExpr:
+		switch e.Op {
+		case token.EQ, token.NEQ, token.LANGLE, token.RANGLE, token.LE, token.GE, token.LAND, token.LOR:
+			return kindBool
+		}
+		return kindNum
+	}
+	return kindUnknown
+}
+
+func typeKind(t sema.Type) kind {
+	switch t.(type) {
+	case *sema.BoolType:
+		return kindBool
+	case *sema.BitType, *sema.IntType, *sema.EnumType:
+		return kindNum
+	}
+	return kindUnknown
+}
+
+// checkCond refuses an if condition that reads a number as a truth value or
+// compares one with a bool, since a bool and a number are never equal
+// (sema.Value.Equal): a bare field that is not a bool, alone or under `!`,
+// and an `==` or `!=` between a bool and a number anywhere in it.
+func (b *graphBuilder) checkCond(cond ast.Expr) {
+	bare := ast.Unparen(cond)
+	if u, ok := bare.(*ast.UnaryExpr); ok && u.Op == token.NOT {
+		bare = ast.Unparen(u.X)
+	}
+	switch bare.(type) {
+	case *ast.Ident, *ast.MemberExpr:
+		if b.kindOf(bare) == kindNum {
+			b.errorf(bare.Pos(), "condition %s is a number, not a bool", ast.Sprint(bare))
+		}
+	}
+	b.checkCompare(cond)
+}
+
+// checkCompare refuses each `==` or `!=` in e between a bool and a number.
+func (b *graphBuilder) checkCompare(e ast.Expr) {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.UnaryExpr:
+		b.checkCompare(e.X)
+	case *ast.BinaryExpr:
+		if e.Op == token.EQ || e.Op == token.NEQ {
+			if x, y := b.kindOf(e.X), b.kindOf(e.Y); x != kindUnknown && y != kindUnknown && x != y {
+				b.errorf(e.Pos(), "%s compares a bool with a number", ast.Sprint(e))
+			}
+		}
+		b.checkCompare(e.X)
+		b.checkCompare(e.Y)
+	}
 }
 
 // flatten appends all leaf fields of a composite (recursing into nested

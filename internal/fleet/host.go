@@ -258,9 +258,9 @@ func (h *Host) Poll() int {
 //
 // EvDeliver rides the flight sampling grid (plus every anomalous delivery):
 // the latency evidence the controller gates on is the always-on per-packet
-// histogram, so sampling only thins the verbatim exhibit events — and keeps
-// the telemetry instrumentation tax inside the recorder's 5% hot-path
-// budget (E21 measures and enforces it). The queue stamps Rx on the same
+// histogram, so sampling only thins the verbatim exhibit events — and the
+// telemetry tax with them (cmd/benchmark's flight.tax_frac measures the
+// recorder's per-packet share; no budget bounds it). The queue stamps Rx on the same
 // grid, so an anomalous delivery off it has no stamp and its event carries a
 // DMA→poll of 0 — what a facade driver's deliver event carries off the grid
 // too; its poll→deliver is then the layout's service cost alone.

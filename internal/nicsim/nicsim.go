@@ -13,9 +13,11 @@
 // What is fixed is decided when the device is built, in New: the ring
 // stride; a tree over the deparser's decision vertices (branch and switch)
 // whose leaves are the enumerated paths, each reached by the route
-// core.EnumeratePaths recorded for it; and each path's plan, the flat list of
-// fields its record carries, each resolved to an offload slot (or a context
-// register), a bit offset and a width. No emit vertex is visited per packet.
+// core.EnumeratePaths recorded for it; the slots, one per offload engine and
+// one per context register (a field of the parameter the control's first
+// template type types: the control channel of the paper's Fig. 2); and each
+// path's plan, the flat list of fields its record carries, each resolved to
+// a slot, a bit offset and a width. No emit vertex is visited per packet.
 // What is left per packet is the decisions on the packet's route — each
 // condition evaluated with sema, as the compiler reads it — then the leaf's
 // plan and the offload engines it needs: each slot's row of softnic's
@@ -25,12 +27,11 @@
 package nicsim
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
 	"strings"
-
-	"errors"
 
 	"opendesc/internal/bitfield"
 	"opendesc/internal/core"
@@ -38,6 +39,7 @@ import (
 	"opendesc/internal/nic"
 	"opendesc/internal/obs"
 	"opendesc/internal/obs/flight"
+	"opendesc/internal/p4/ast"
 	"opendesc/internal/p4/sema"
 	"opendesc/internal/pkt"
 	"opendesc/internal/ring"
@@ -75,10 +77,10 @@ type Device struct {
 
 	graph *core.Graph
 	paths []*core.Path
-
-	// ctx holds the context registers (the implicit control channel of the
-	// paper's Fig. 2), keyed by dotted path, e.g. "ctx.use_rss".
-	ctx map[string]sema.Value
+	// ctx names the context parameter; its field regs[k] is the register in
+	// slot slotReg+k.
+	ctx  string
+	regs []*sema.FieldInfo
 
 	// CmptRing receives the serialized completion records (stride: see New).
 	CmptRing *ring.Ring
@@ -120,14 +122,19 @@ type Device struct {
 	// plan holds every path's writes, path after path.
 	plan []write
 
+	// written has the bit of each register slot the host wrote.
+	written uint64
+
 	// Per-packet state: the frame, its lazily parsed headers, and the slot
-	// values computed so far (bit s of have set: vals[s] is this packet's).
+	// values known so far (bit s of have set: vals[s] holds it; have always
+	// holds fixedSlots). A register slot holds its register, zero until
+	// written.
 	packet  []byte
 	info    pkt.Info
 	parsed  bool
 	parseOK bool
-	have    uint32
-	vals    [nSlots + 1]uint64
+	have    uint64
+	vals    [maxSlots]uint64
 	cmptBuf []byte
 }
 
@@ -161,9 +168,13 @@ const (
 	// slotZero always reads 0: padding, untagged fields and semantics no
 	// engine computes.
 	slotZero = nSlots
-	// slotCtx marks an emitted field of the context parameter, read from the
-	// context registers by name.
-	slotCtx = nSlots + 1
+	// slotReg is the first context register's slot.
+	slotReg = nSlots + 1
+	// maxSlots bounds the slots to one bit each of a uint64 mask.
+	maxSlots = 64
+	// fixedSlots are the slots no engine computes: slotZero and the
+	// registers.
+	fixedSlots = ^uint64(0) >> slotZero << slotZero
 )
 
 // offloadSemantics names each slot's semantic.
@@ -186,10 +197,13 @@ var refs = func() (r [nSlots]*softnic.Row) {
 	return r
 }()
 
-// fieldSrc says where a field's value comes from: an offload slot (or
-// slotZero, slotCtx) and the field's width in bits. Fields wider than 64 bits
-// are padding.
-type fieldSrc struct{ slot, width int }
+// fieldSrc says where a field's value comes from: a slot and the field's
+// width in bits, and whether it is a bool. Fields wider than 64 bits are
+// padding.
+type fieldSrc struct {
+	slot, width int
+	bool        bool
+}
 
 // A route is one enumerated path as the device DMAs it: its writes,
 // plan[start:end], the record's size in bytes, and the completions it carried.
@@ -199,11 +213,10 @@ type route struct {
 	hits       obs.Counter
 }
 
-// A write puts one field of a completion record, width bits at bit off: an
-// offload slot's value, or (slot == slotCtx) the context register the path's
-// Fields[field] names. The record buffer is cleared first, so fields that
-// read zero get no write.
-type write struct{ slot, field, off, width int32 }
+// A write puts one slot's value into a completion record, width bits at bit
+// off. The record buffer is cleared first, so fields that read zero get no
+// write.
+type write struct{ slot, off, width int32 }
 
 // errUnrouted is a packet whose decisions lead off every enumerated route:
 // the enumerator pruned an edge the concrete values take. No path describes
@@ -235,7 +248,7 @@ func New(m *nic.Model, cfg Config) (*Device, error) {
 		return nil, err
 	}
 	// One entry holds the largest path in whole 8-byte words (a bitfield
-	// window); a path over the cap fails in serializeCompletion.
+	// window); RxPacket drops a packet on a path over the cap.
 	stride := 8
 	for _, p := range paths {
 		stride = min(max(stride, (p.SizeBytes()+7)&^7), maxCompletionBytes)
@@ -245,7 +258,7 @@ func New(m *nic.Model, cfg Config) (*Device, error) {
 		cfg:      cfg,
 		graph:    g,
 		paths:    paths,
-		ctx:      make(map[string]sema.Value),
+		have:     fixedSlots,
 		CmptRing: ring.MustNew(stride, cfg.RingEntries),
 		cmptBuf:  make([]byte, stride),
 		routes:   make([]route, len(paths)),
@@ -256,11 +269,23 @@ func New(m *nic.Model, cfg Config) (*Device, error) {
 	return d, nil
 }
 
-// build resolves every enumerated path once: its route into the decision
-// tree, its fields into a plan. Both live in one backing slice each, sized
-// up front from the paths.
+// build finds the context parameter by position, as P4 binds an
+// architecture's parameters: the one the control's first template type
+// types, whose fields are the registers. Then it resolves every enumerated
+// path once: its route into the decision tree, its fields into a plan. Both
+// live in one backing slice each, sized up front from the paths.
 func (d *Device) build() error {
-	g := d.graph
+	g, ctl := d.graph, d.graph.Instance().Control
+	for i, p := range ctl.Params {
+		if nt, ok := p.Type.(*ast.NamedType); !ok || len(ctl.TypeParams) == 0 || nt.Name != ctl.TypeParams[0].Name {
+			continue
+		}
+		ct, ok := g.Instance().Params[i].Type.(*sema.CompositeType)
+		if !ok || len(ct.Fields) > maxSlots-slotReg {
+			return fmt.Errorf("context parameter %s is no struct of at most %d fields", p.Name, maxSlots-slotReg)
+		}
+		d.ctx, d.regs = p.Name, ct.Fields
+	}
 	fan, nTree, nPlan := 0, 1, 0
 	for _, n := range g.Nodes {
 		fan = max(fan, len(n.Succs))
@@ -312,35 +337,30 @@ func (d *Device) build() error {
 
 		r := &d.routes[i]
 		r.start, r.size = int32(len(d.plan)), p.SizeBytes()
-		for k, f := range p.Fields {
-			src, ok := d.field(f.Name)
-			if !ok {
-				// Not a metadata leaf: padding, or a context register.
-				src = fieldSrc{slot: slotCtx, width: f.WidthBits}
-				if f.WidthBits > 64 {
-					src.slot = slotZero
-				}
+		for _, f := range p.Fields {
+			if src, ok := d.field(f.Name); ok && src.slot != slotZero {
+				d.plan = append(d.plan, write{slot: int32(src.slot), off: int32(f.OffsetBits), width: int32(src.width)})
 			}
-			if src.slot == slotZero {
-				continue
-			}
-			d.plan = append(d.plan, write{slot: int32(src.slot), field: int32(k), off: int32(f.OffsetBits), width: int32(src.width)})
 		}
 		r.end = int32(len(d.plan))
 	}
 	return nil
 }
 
-// field resolves a dotted name to the per-packet metadata leaf it names: a
-// field of at most 64 bits under one of the deparser's composite parameters.
-// The context parameter, identified by convention (ctx-ish name), is the
-// struct the control channel programs: its fields are registers. Untagged
-// fields and semantics no engine computes read zero.
+// field resolves a dotted name to the slot of the leaf it names: a field of
+// at most 64 bits under one of the deparser's composite parameters. A field
+// of the context parameter is its register's slot; a metadata field is its
+// semantic's offload slot. Untagged fields, semantics no engine computes and
+// fields nested in a context field read zero.
 func (d *Device) field(path string) (src fieldSrc, ok bool) {
-	root, rest, _ := strings.Cut(path, ".")
-	if strings.Contains(root, "ctx") {
-		return
+	if reg, ok := strings.CutPrefix(path, d.ctx); ok && reg != "" && reg[0] == '.' {
+		for k, f := range d.regs {
+			if f.Name == reg[1:] {
+				return leaf(f.Type, slotReg+k)
+			}
+		}
 	}
+	root, rest, _ := strings.Cut(path, ".")
 	p := d.graph.Instance().Param(root)
 	if p == nil || rest == "" {
 		return
@@ -358,16 +378,26 @@ func (d *Device) field(path string) (src fieldSrc, ok bool) {
 		}
 		t, sem = f.Type, f.Semantic
 	}
-	w := t.BitWidth()
-	if _, composite := t.(*sema.CompositeType); composite || w <= 0 || w > 64 {
-		return
-	}
 	slot := slices.Index(offloadSemantics[:], semantics.Name(sem))
-	if slot < 0 {
+	if slot < 0 || root == d.ctx {
 		slot = slotZero
 	}
-	return fieldSrc{slot: slot, width: w}, true
+	return leaf(t, slot)
 }
+
+// leaf is where a field of type t reads from slot: nowhere for a composite
+// or a field wider than 64 bits.
+func leaf(t sema.Type, slot int) (fieldSrc, bool) {
+	w := t.BitWidth()
+	if _, composite := t.(*sema.CompositeType); composite || w <= 0 || w > 64 {
+		return fieldSrc{}, false
+	}
+	_, isBool := t.(*sema.BoolType)
+	return fieldSrc{slot: slot, width: w, bool: isBool}, true
+}
+
+// mask keeps the low width bits of a value.
+func mask(width int) uint64 { return ^uint64(0) >> (64 - width) }
 
 // Config returns the device's (defaulted) configuration — the concrete
 // device state drivers derive their validation constants from.
@@ -383,18 +413,22 @@ func MustNew(m *nic.Model, cfg Config) *Device {
 }
 
 // WriteReg programs one context register (MMIO write on the control
-// channel). The path is the dotted name used in the description, e.g.
-// "ctx.use_rss".
+// channel), named as in the description, e.g. "ctx.use_rss". The register
+// keeps as many low bits of v as its field is wide, as hardware does; a name
+// that is no register writes nothing, like a store to no address.
 func (d *Device) WriteReg(path string, v uint64) {
-	d.ctx[path] = sema.UintValue(v, 64)
+	if f, ok := d.field(path); ok && f.slot >= slotReg {
+		d.vals[f.slot], d.written = v&mask(f.width), d.written|1<<f.slot
+	}
 }
 
 // ApplyConfig programs the context registers so the device takes the
-// completion path selected by a compilation result. The concrete values are
-// resolved by core.ConfigAssignment (equality constraints pin the register,
-// disequalities pick the smallest value not excluded). The register-write
-// burst fails atomically when the device is wedged or the control channel
-// NAKs it (fault injection): no register is written on error.
+// completion path selected by a compilation result, with the values
+// core.ConfigAssignment resolves. It writes registers only: a variable that
+// names a metadata field is left to the packet. A value wider than its
+// register refuses the configuration. The register-write burst fails
+// atomically when the device is wedged or the control channel NAKs it
+// (fault injection): no register is written on error.
 func (d *Device) ApplyConfig(cons []core.Constraint) error {
 	if d.faults != nil {
 		if d.faults.Tick() {
@@ -411,35 +445,40 @@ func (d *Device) ApplyConfig(cons []core.Constraint) error {
 		return fmt.Errorf("nicsim: %w", err)
 	}
 	for v, val := range vals {
+		if f, ok := d.field(v); ok && f.slot >= slotReg && val&^mask(f.width) != 0 {
+			return fmt.Errorf("nicsim %s: the configuration sets register %s to %d, wider than its %d bits", d.Model.Name, v, val, f.width)
+		}
+	}
+	for v, val := range vals {
 		d.WriteReg(v, val)
 	}
 	return nil
 }
 
 // ActivePath returns the completion path the current context registers
-// select, by evaluating each enumerated path's constraints. A constraint on
-// a context register that was never written does not hold, whatever its
-// operator: the deparser cannot branch on it, so RxPacket refuses every
-// frame (Lookup). A constraint on a metadata field reads what ApplyConfig
-// wrote under its name, zero when nothing was.
+// select: the leaf RxPacket's walk down the decision tree reaches, taken on
+// the registers alone. It errs where RxPacket would refuse every frame — a
+// decision reads a register never written, or leads off every enumerated
+// route — and where a decision reads the packet, since then no one path is
+// active.
 func (d *Device) ActivePath() (*core.Path, error) {
-	for _, p := range d.paths {
-		ok := true
-		for _, c := range p.Constraints {
-			got, set := d.ctx[c.Var]
-			if !set {
-				_, set = d.field(c.Var)
-			}
-			if !set || c.Equal != got.Equal(c.Val) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return p, nil
-		}
+	path, err := d.route((*registers)(d))
+	if err != nil {
+		return nil, fmt.Errorf("nicsim %s: %w", d.Model.Name, err)
 	}
-	return nil, fmt.Errorf("nicsim %s: no completion path matches context %v", d.Model.Name, d.ctx)
+	return d.paths[path], nil
+}
+
+// registers is the device deciding on its registers alone: a field an
+// offload engine computes is unknown to it.
+type registers Device
+
+// Lookup implements sema.Env.
+func (r *registers) Lookup(path string) (sema.Value, bool) {
+	if f, ok := (*Device)(r).field(path); ok && f.slot < slotZero {
+		return sema.Value{}, false
+	}
+	return (*Device)(r).Lookup(path)
 }
 
 // DeviceStats is a point-in-time snapshot of a device's ethtool-style
@@ -574,16 +613,22 @@ func (d *Device) RxPacket(packet []byte) bool {
 		d.clock += timestampStep
 	}
 
-	d.packet, d.parsed, d.have = packet, false, 1<<slotZero
-	size, path, err := d.serializeCompletion()
-	if err != nil {
+	d.packet, d.parsed, d.have = packet, false, fixedSlots
+	path, err := d.route(d)
+	if err != nil || d.routes[path].size > len(d.cmptBuf) {
 		if err == errUnrouted {
 			d.unrouted.Inc()
 		}
 		d.drops.Inc()
 		return false
 	}
-	rec, extra := d.faults.Completion(d.cmptBuf[:size])
+	// The plan: the record is cleared, then each slot it carries written.
+	r := &d.routes[path]
+	clear(d.cmptBuf[:r.size])
+	for _, w := range d.plan[r.start:r.end] {
+		bitfield.Write(d.cmptBuf, int(w.off), int(w.width), d.val(int(w.slot)))
+	}
+	rec, extra := d.faults.Completion(d.cmptBuf[:r.size])
 	if rec != nil && !d.CmptRing.Push(rec) {
 		d.drops.Inc()
 		return false
@@ -595,7 +640,7 @@ func (d *Device) RxPacket(packet []byte) bool {
 		// (it was counted), but no record reaches the host — the
 		// pending/completion desync the driver must resynchronize from.
 		d.lostCmpts.Inc()
-		d.fq.Record(flight.EvDMALost, seq, uint64(size), 0)
+		d.fq.Record(flight.EvDMALost, seq, uint64(r.size), 0)
 		return true
 	}
 	if extra != nil {
@@ -605,8 +650,8 @@ func (d *Device) RxPacket(packet []byte) bool {
 	}
 	d.cmptBytes.Add(uint64(len(rec)))
 	d.routes[path].hits.Inc()
-	// Routine emits are sampled (flight.SamplePeriod) to stay inside the
-	// recorder's hot-path budget; anomalies above are always recorded.
+	// Routine emits are sampled (flight.SamplePeriod); anomalies above are
+	// always recorded.
 	if flight.Sampled(seq) {
 		d.fq.Record(flight.EvDMAEmit, seq, uint64(len(rec)), uint64(path+1))
 	}
@@ -660,7 +705,8 @@ func (d *Device) Reset() error {
 		return fmt.Errorf("nicsim %s: reset refused: %w", d.Model.Name, ErrDeviceHang)
 	}
 	d.CmptRing.Reset()
-	d.ctx = make(map[string]sema.Value)
+	clear(d.vals[slotReg:])
+	d.written = 0
 	d.resets.Inc()
 	d.fq.Record(flight.EvDevReset, uint32(d.resets.Load()), 0, 0)
 	return nil
@@ -695,68 +741,50 @@ func (d *Device) engine(slot int) uint64 {
 	return ref.Eval(&d.info, d.parseOK, d.cfg.QueueID)
 }
 
-// Lookup implements sema.Env for the deparser's conditions: a metadata field
-// reads its engine's value for the packet being received, any other name a
-// context register. Fields come first: a register written under a field's
-// name (as ApplyConfig does for a constraint on per-packet data) does not
-// override what the packet says.
+// Lookup implements sema.Env for the deparser's conditions: a field reads
+// its slot, a metadata field its engine's value for the packet being
+// received. A register never written is unset, so a device nobody
+// programmed refuses every frame at its first decision on one.
 func (d *Device) Lookup(path string) (sema.Value, bool) {
-	if f, ok := d.field(path); ok {
-		return sema.UintValue(d.val(f.slot)&(^uint64(0)>>(64-f.width)), f.width), true
+	f, ok := d.field(path)
+	if !ok || f.slot >= slotReg && d.written&(1<<f.slot) == 0 {
+		return sema.Value{}, false
 	}
-	v, ok := d.ctx[path]
-	return v, ok
+	v := d.val(f.slot) & mask(f.width)
+	if f.bool {
+		return sema.BoolValue(v != 0), true
+	}
+	return sema.UintValue(v, f.width), true
 }
 
-// serializeCompletion takes the decisions on the packet's route through the
-// tree, writes the leaf path's plan into cmptBuf, and returns the completion
-// size in bytes and the path's index.
-func (d *Device) serializeCompletion() (size, path int, err error) {
+// route takes the decisions of the tree under env, down to a leaf, and
+// returns its path's index.
+func (d *Device) route(env sema.Env) (int, error) {
 	info := d.graph.Info()
 	t := d.tree[0]
 	for t > 0 {
-		e, err := decide(d.graph.Nodes[d.tree[t]], d, info)
+		e, err := decide(d.graph.Nodes[d.tree[t]], env, info)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		t = d.tree[int(t)+1+e]
 	}
 	if t == 0 {
-		return 0, 0, errUnrouted
+		return 0, errUnrouted
 	}
-	path = int(^t)
-	r := &d.routes[path]
-	dst := d.cmptBuf
-	if r.size > len(dst) {
-		return 0, 0, fmt.Errorf("nicsim: completion exceeds %d bytes", len(dst))
-	}
-	clear(dst[:r.size])
-	for _, w := range d.plan[r.start:r.end] {
-		var v uint64
-		if w.slot == slotCtx {
-			v = d.ctx[d.paths[path].Fields[w.field].Name].Uint
-		} else {
-			v = d.val(int(w.slot))
-		}
-		bitfield.Write(dst, int(w.off), int(w.width), v)
-	}
-	return r.size, path, nil
+	return int(^t), nil
 }
 
 // decide evaluates a branch or switch vertex under the concrete env and
 // returns the index of the successor edge it takes.
 func decide(node *core.Node, env sema.Env, info *sema.Info) (int, error) {
 	if node.Kind == core.NodeBranch {
+		// Its edges are then and else (core.BuildGraph).
 		v, err := info.Eval(node.Cond, env)
-		if err != nil {
-			return 0, fmt.Errorf("nicsim: branch condition: %w", err)
+		if err != nil || v.Truthy() {
+			return 0, err
 		}
-		for i, e := range node.Succs {
-			if v.Truthy() != e.Negate {
-				return i, nil
-			}
-		}
-		return 0, fmt.Errorf("nicsim: no matching branch edge")
+		return 1, nil
 	}
 	tag, err := info.Eval(node.Tag, env)
 	if err != nil {

@@ -60,8 +60,24 @@ func TestApplyConfigConflictingEquality(t *testing.T) {
 	}
 }
 
+// threeRegs is a description with three registers of different widths that
+// no decision reads: what ApplyConfig writes is all there is to see.
+const threeRegs = `
+struct tr_ctx_t { bit<2> a; bit<1> b; bit<3> c; bit<2> rsvd; }
+struct tr_meta_t { @semantic("pkt_len") bit<16> len; }
+@bind("CTX_T", "tr_ctx_t")
+@bind("META_T", "tr_meta_t")
+control CmptDeparser<CTX_T, META_T>(cmpt_out cmpt_out, in CTX_T ctx, in META_T pipe_meta) {
+    apply { cmpt_out.emit(pipe_meta.len); }
+}
+`
+
 func TestApplyConfigDisequalityPicksSmallestExcluded(t *testing.T) {
-	dev := MustNew(nic.MustLoad("e1000e"), Config{})
+	m, err := modelFromSource("threeregs", threeRegs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := MustNew(m, Config{})
 	if err := dev.ApplyConfig([]core.Constraint{
 		{Var: "ctx.a", Val: u64(0), Equal: false},
 		{Var: "ctx.a", Val: u64(1), Equal: false},
@@ -86,6 +102,26 @@ func TestApplyConfigDisequalityPicksSmallestExcluded(t *testing.T) {
 	}
 	if got := dev.ReadReg("ctx.c"); got != 7 {
 		t.Errorf("ctx.c = %d, want 7 (equality wins)", got)
+	}
+	// Every value of the two-bit register excluded: the assignment's 4 does
+	// not fit, the error names the register, and the burst writes nothing.
+	err = dev.ApplyConfig([]core.Constraint{
+		{Var: "ctx.c", Val: u64(1), Equal: true},
+		{Var: "ctx.a", Val: u64(0), Equal: false},
+		{Var: "ctx.a", Val: u64(1), Equal: false},
+		{Var: "ctx.a", Val: u64(2), Equal: false},
+		{Var: "ctx.a", Val: u64(3), Equal: false},
+	})
+	if err == nil || !strings.Contains(err.Error(), "ctx.a") {
+		t.Errorf("ApplyConfig of a = 4 into bit<2>: %v, want an error naming ctx.a", err)
+	}
+	if a, c := dev.ReadReg("ctx.a"), dev.ReadReg("ctx.c"); a != 3 || c != 7 {
+		t.Errorf("after a refused burst: ctx.a = %d, ctx.c = %d, want 3, 7", a, c)
+	}
+	// A direct write keeps the register's width of the value.
+	dev.WriteReg("ctx.c", 0x1F)
+	if got := dev.ReadReg("ctx.c"); got != 7 {
+		t.Errorf("WriteReg(ctx.c, 0x1f) reads back %#x, want 0x7", got)
 	}
 }
 
@@ -249,8 +285,14 @@ func TestReconfigureAcrossRingWrap(t *testing.T) {
 	}
 }
 
-// ReadReg returns a context register value (0 when never written).
-func (d *Device) ReadReg(path string) uint64 { return d.ctx[path].Uint }
+// ReadReg returns a context register's value (0 when never written, or when
+// path names no register).
+func (d *Device) ReadReg(path string) uint64 {
+	if f, ok := d.field(path); ok && f.slot >= slotReg {
+		return d.vals[f.slot]
+	}
+	return 0
+}
 
 // TestActivePathNeedsWrittenRegisters: ActivePath names the path RxPacket
 // serializes, so on a device nobody programmed it errs exactly when a valid

@@ -10,6 +10,7 @@ import (
 	"opendesc/internal/core"
 	"opendesc/internal/faults"
 	"opendesc/internal/nic"
+	"opendesc/internal/p4/ast"
 	"opendesc/internal/p4/interp"
 	"opendesc/internal/p4/parser"
 	"opendesc/internal/p4/sema"
@@ -24,12 +25,15 @@ import (
 // semantic, a string-keyed environment is rebuilt from it (context registers
 // first, field values over them), and the P4 interpreter runs the deparser's
 // apply block over it. It shares no code with the device — not the CFG, not
-// its decision tree — and is kept as the oracle the on-demand path is
-// compared against. It credits each record to the enumerated path that
-// describes it (taken).
+// its decision tree, not its register slots: it keeps its own record of the
+// register writes (write, configure) — and is kept as the oracle the
+// on-demand path is compared against. It credits each record to the
+// enumerated path that describes it (taken).
 type reference struct {
 	dev       *Device
 	dp        *interp.Deparser
+	ctx       *sema.BoundParam // the context parameter
+	regs      sema.MapEnv      // the registers written, by dotted name
 	envFields []refField
 	pathHits  map[int]uint64
 }
@@ -45,15 +49,46 @@ func newReference(t *testing.T, dev *Device) *reference {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &reference{dev: dev, dp: dp, pathHits: make(map[int]uint64)}
-	for _, p := range dev.graph.Instance().Params {
-		ct, ok := p.Type.(*sema.CompositeType)
-		if !ok || strings.Contains(p.Name, "ctx") {
-			continue
+	r := &reference{dev: dev, dp: dp, regs: make(sema.MapEnv), pathHits: make(map[int]uint64)}
+	inst := dev.graph.Instance()
+	for i, p := range inst.Control.Params {
+		if nt, ok := p.Type.(*ast.NamedType); ok && nt.Name == inst.Control.TypeParams[0].Name {
+			r.ctx = inst.Params[i]
 		}
-		r.flatten(p.Name, ct)
+	}
+	for _, p := range inst.Params {
+		if ct, ok := p.Type.(*sema.CompositeType); ok && p != r.ctx {
+			r.flatten(p.Name, ct)
+		}
 	}
 	return r
+}
+
+// write records a register write as sema declares the register: the value
+// masked to the field's width, a bool as a truth value. A name that is no
+// field of the context parameter is not recorded.
+func (r *reference) write(name string, v uint64) {
+	reg, ok := strings.CutPrefix(name, r.ctx.Name+".")
+	f := r.ctx.Type.(*sema.CompositeType).Field(reg)
+	if !ok || f == nil || f.Type.BitWidth() <= 0 || f.Type.BitWidth() > 64 {
+		return
+	}
+	if _, isBool := f.Type.(*sema.BoolType); isBool {
+		r.regs[name] = sema.BoolValue(v&1 != 0)
+		return
+	}
+	r.regs[name] = sema.UintValue(v&(^uint64(0)>>(64-f.Type.BitWidth())), f.Type.BitWidth())
+}
+
+// configure records the register writes ApplyConfig makes for cons.
+func (r *reference) configure(t *testing.T, cons []core.Constraint) {
+	vals, err := core.ConfigAssignment(cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range vals {
+		r.write(name, v)
+	}
 }
 
 func (r *reference) flatten(prefix string, ct *sema.CompositeType) {
@@ -138,7 +173,7 @@ func (r *reference) computeOffloads(packet []byte, clock uint64) map[semantics.N
 // parameters to its computed value, over the context registers.
 func (r *reference) buildEnv(vals map[semantics.Name]uint64) sema.MapEnv {
 	env := make(sema.MapEnv)
-	for k, v := range r.dev.ctx {
+	for k, v := range r.regs {
 		env[k] = v
 	}
 	for _, f := range r.envFields {
@@ -191,11 +226,36 @@ func (r *reference) taken(rec *interp.Record, env sema.MapEnv) *core.Path {
 
 // handWritten are descriptions the bundled NICs do not exercise: a branch on
 // per-packet metadata (which the frontend records as a constraint on the field
-// name, so ApplyConfig writes a register the field value must keep shadowing),
-// a switch on per-packet metadata, a condition the frontend cannot decompose
-// over a field narrower than its semantic (compared after truncation), a
-// semantic no engine computes, and emits of context registers.
+// name, left to the packet by ApplyConfig), a switch on per-packet metadata, a
+// condition the frontend cannot decompose over a field narrower than its
+// semantic (compared after truncation), a semantic no engine computes, emits
+// of context registers, and a bool register read bare, negated and beside a
+// switch.
 var handWritten = map[string]string{
+	"boolctx": `
+struct bc_ctx_t { bool on; bit<2> mode; bit<5> rsvd; }
+struct bc_meta_t {
+    @semantic("pkt_len") bit<16> len;
+    @semantic("rss")     bit<32> hash;
+    @semantic("vlan")    bit<16> tci;
+}
+@bind("CTX_T", "bc_ctx_t")
+@bind("META_T", "bc_meta_t")
+control CmptDeparser<CTX_T, META_T>(cmpt_out cmpt_out, in CTX_T ctx, in META_T pipe_meta) {
+    apply {
+        cmpt_out.emit(pipe_meta.len);
+        if (ctx.on) {
+            cmpt_out.emit(pipe_meta.hash);
+        }
+        if (!ctx.on) {
+            cmpt_out.emit(pipe_meta.tci);
+        }
+        switch (ctx.mode) {
+            1: { cmpt_out.emit(pipe_meta.tci); }
+        }
+    }
+}
+`,
 	"datadep": `
 struct dd_ctx_t { bit<2> fmt; }
 struct dd_meta_t {
@@ -361,13 +421,15 @@ const faultSpec = "corrupt=0.1,bits=3,truncate=0.05,replay=0.05,dup=0.05,drop=0.
 // order: a tick per packet, then the completion.
 func differential(t *testing.T, m *nic.Model, cons []core.Constraint, trace [][]byte, spec string) uint64 {
 	dev := MustNew(m, Config{QueueID: 3, RingEntries: 8})
+	ref := newReference(t, dev)
 	if err := dev.ApplyConfig(cons); err != nil {
 		t.Fatal(err)
 	}
+	ref.configure(t, cons)
 	// A register no constraint names, so emitted context fields carry
 	// something other than zero.
 	dev.WriteReg("ctx.qtag", 0x1A5) // wider than the 8-bit field
-	ref := newReference(t, dev)
+	ref.write("ctx.qtag", 0x1A5)
 	var inj *faults.Injector
 	if spec != "" {
 		var err error

@@ -1,7 +1,9 @@
 package nicsim
 
 import (
+	"errors"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,9 +13,10 @@ import (
 	"opendesc/internal/semantics"
 )
 
-// boolMode reads one register as a truth value and then as a number. The
-// enumerator compares the two by truthiness, so it prunes the route a mode
-// of 2 or 3 takes (then, else): the description has two enumerated paths.
+// boolMode reads a two-bit register as a truth value, then as a number.
+// Deciding `if (ctx.mode)` took a truthiness comparison of a bool with a
+// number that the enumerator and the device did not read alike: a mode of 2
+// or 3 took a route no enumerated path took.
 const boolMode = `
 struct bm_ctx_t { bit<2> mode; bit<6> rsvd; }
 struct bm_meta_t {
@@ -39,20 +42,32 @@ control CmptDeparser<CTX_T, META_T>(cmpt_out cmpt_out, in CTX_T ctx, in META_T p
 // TestUnroutedPacketIsCountedApart: a packet whose decisions take an edge no
 // enumerated path takes gets no record, since no layout describes it. The
 // device drops it before the ring and counts it as Unrouted, so it does not
-// read as backpressure; the interpreter, which runs the apply block itself,
-// still emits one.
+// read as backpressure, and ActivePath errs alike. A well-typed description
+// has a route for every register setting (TestEveryRegisterSettingIsRouted),
+// so the edge is cut from e1000e's tree here, as a fault in the enumerator
+// would cut it. boolMode, which once reached such an edge, is refused at its
+// untyped condition.
 func TestUnroutedPacketIsCountedApart(t *testing.T) {
 	m, err := modelFromSource("boolmode", boolMode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if paths, err := m.Paths(); err != nil || len(paths) != 2 {
-		t.Fatalf("boolmode enumerates %d paths (%v), want 2", len(paths), err)
+	const want = "boolmode.p4:11:13: condition ctx.mode is a number, not a bool"
+	if _, err := m.Paths(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("boolmode: %v, want an error at %q", err, want)
 	}
-	dev := MustNew(m, Config{})
-	dev.WriteReg("ctx.mode", 2)
-	if want, _ := newReference(t, dev).rx(testPacket(), timestampStep); want == nil {
-		t.Fatal("the interpreter emits nothing for mode 2: the route is not unenumerated")
+
+	dev := MustNew(nic.MustLoad("e1000e"), Config{})
+	leaf := slices.Index(dev.tree, ^int32(1))
+	if leaf < 0 {
+		t.Fatal("e1000e's tree has no leaf for path 1")
+	}
+	dev.tree[leaf] = 0
+	if err := dev.ApplyConfig(dev.paths[1].Constraints); err != nil {
+		t.Fatal(err)
+	}
+	if ap, err := dev.ActivePath(); !errors.Is(err, errUnrouted) {
+		t.Errorf("ActivePath = %v, %v on a cut route, want errUnrouted", ap, err)
 	}
 	if dev.RxPacket(testPacket()) {
 		t.Fatal("a packet on no enumerated route was accepted")
@@ -64,7 +79,9 @@ func TestUnroutedPacketIsCountedApart(t *testing.T) {
 	if st.Ring.Produced != 0 || st.Ring.FullStalls != 0 {
 		t.Errorf("ring %+v: an unrouted packet reached the ring", st.Ring)
 	}
-	dev.WriteReg("ctx.mode", 1)
+	if err := dev.ApplyConfig(dev.paths[0].Constraints); err != nil {
+		t.Fatal(err)
+	}
 	if !dev.RxPacket(testPacket()) || dev.Stats().Unrouted != 1 {
 		t.Errorf("an enumerated route after an unrouted packet: stats %+v", dev.Stats())
 	}

@@ -86,15 +86,23 @@ const newAllocLimit = 8
 
 // TestNewAllocGate bounds what building a device allocates per NIC: the
 // decision tree, the plans and the per-path counters each sit in one backing
-// slice sized up front. A count above newAllocLimit means a per-route slice
-// or a growing append came back.
+// slice sized up front, and the registers are slots in the device. A count
+// above newAllocLimit means a per-route slice or a growing append came back.
+// Programming a register and resetting the device allocate nothing.
 func TestNewAllocGate(t *testing.T) {
 	for _, m := range nic.All() {
-		MustNew(m, Config{}) // the model's analysis is cached, not counted
+		dev := MustNew(m, Config{}) // the model's analysis is cached, not counted
 		got := testing.AllocsPerRun(20, func() { MustNew(m, Config{}) })
 		t.Logf("%s: %.0f allocs per New (limit %d)", m.Name, got, newAllocLimit)
 		if got > newAllocLimit {
 			t.Errorf("%s: New allocates %.0f, limit %d", m.Name, got, newAllocLimit)
+		}
+		reg := dev.ctx + "." + dev.regs[0].Name
+		if got := testing.AllocsPerRun(20, func() { dev.WriteReg(reg, 1) }); got != 0 {
+			t.Errorf("%s: WriteReg(%s) allocates %.0f", m.Name, reg, got)
+		}
+		if got := testing.AllocsPerRun(20, func() { _ = dev.Reset() }); got != 0 {
+			t.Errorf("%s: Reset allocates %.0f", m.Name, got)
 		}
 	}
 }

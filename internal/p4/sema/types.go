@@ -1,6 +1,6 @@
 // Package sema resolves symbols, computes bit widths and field offsets, and
-// extracts OpenDesc annotations (@semantic, @cost, @context, @bind) from a
-// parsed P4 program.
+// extracts OpenDesc annotations (@semantic, @cost, @bind) from a parsed P4
+// program.
 //
 // The output Info is the compiler's typed view of a NIC interface description
 // or an application intent header: every header/struct is flattened into a
@@ -162,11 +162,12 @@ func (v Value) Truthy() bool {
 	return v.Uint != 0
 }
 
-// Equal compares two constants by value (ignoring width).
+// Equal compares two constants by value (ignoring width). A bool equals no
+// number: the compiler refuses a comparison between the two (core's graph
+// builder types conditions).
 func (v Value) Equal(o Value) bool {
 	if v.IsBool != o.IsBool {
-		// bool vs numeric: compare truthiness against 0/1 encoding.
-		return v.Truthy() == o.Truthy()
+		return false
 	}
 	if v.IsBool {
 		return v.Bool == o.Bool
