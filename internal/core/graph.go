@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"opendesc/internal/p4/ast"
 	"opendesc/internal/p4/sema"
@@ -45,11 +46,31 @@ func (k NodeKind) String() string {
 }
 
 // EmitField is one field committed by an emit vertex: its qualified source
-// name, width and semantic tag.
+// name, width and semantic tag, and its leaf.
 type EmitField struct {
 	Name      string // e.g. "pipe_meta.rss" or "csum_cmpt_t.csum"
 	Semantic  semantics.Name
 	WidthBits int
+	// Leaf indexes the field in Graph.Leaves; -1 for a field wider than 64
+	// bits, which occupies layout bits but carries no value.
+	Leaf int
+}
+
+// Leaf is one field of at most 64 bits under a composite parameter of the
+// graph's control or parser: a value a device writes into a record and an
+// environment holds. The graph's leaf table binds each dotted name to its
+// field once; the device, the differential harness and the mutator look a
+// name up in it instead of walking the parameters' types.
+type Leaf struct {
+	Name     string // dotted, e.g. "pipe_meta.rss" or "ctx.use_rss"
+	Decl     string // the header or struct that declares the field
+	Semantic semantics.Name
+	Width    int
+	Bool     bool
+	// Context marks a field of the context parameter, a register the host
+	// programs: the parameter the control's first template type types, as P4
+	// binds an architecture's parameters by position.
+	Context bool
 }
 
 // Emit carries the three static vertex properties of the paper
@@ -94,9 +115,14 @@ type Graph struct {
 	Entry   *Node
 	Exit    *Node
 	Nodes   []*Node
+	// Leaves is the leaf table: every composite parameter's leaves in
+	// parameter order, each composite's fields in declaration order, nested
+	// ones in place.
+	Leaves []Leaf
 
-	info *sema.Info
-	inst *sema.Instance
+	info   *sema.Info
+	inst   *sema.Instance
+	leafAt map[string]int // Leaf name → index into Leaves
 }
 
 // Info exposes the semantic info the graph was built against.
@@ -104,6 +130,70 @@ func (g *Graph) Info() *sema.Info { return g.info }
 
 // Instance exposes the bound control or parser instance.
 func (g *Graph) Instance() *sema.Instance { return g.inst }
+
+// Leaf returns the index in Leaves of the leaf a dotted name names, -1 when
+// it names none.
+func (g *Graph) Leaf(name string) int {
+	if i, ok := g.leafAt[name]; ok {
+		return i
+	}
+	return -1
+}
+
+// holds reports whether the leaf name can hold v: no setting of a field
+// takes a value wider than its declared width. A name that is no leaf may
+// hold anything.
+func (g *Graph) holds(name string, v sema.Value) bool {
+	i := g.Leaf(name)
+	return i < 0 || v.IsBool || v.Uint>>g.Leaves[i].Width == 0
+}
+
+// indexLeaves builds the leaf table of the bound instance: a first walk
+// sizes it, a second fills it. Every name is a substring of one string, so
+// the table allocates the same few times whatever its size.
+func (g *Graph) indexLeaves() {
+	ctx := -1
+	if ctl := g.inst.Control; ctl != nil && len(ctl.TypeParams) > 0 {
+		for i, p := range ctl.Params {
+			if nt, ok := p.Type.(*ast.NamedType); ok && nt.Name == ctl.TypeParams[0].Name {
+				ctx = i
+				break
+			}
+		}
+	}
+	n, size, path := 0, 0, make([]byte, 0, 64)
+	g.walkParams(path, func(_ int, name []byte, f *sema.FieldInfo, _ *sema.CompositeType) {
+		if w := f.Type.BitWidth(); w > 0 && w <= 64 {
+			n, size = n+1, size+len(name)
+		}
+	})
+	g.Leaves = make([]Leaf, 0, n)
+	var names strings.Builder
+	names.Grow(size)
+	g.walkParams(path, func(param int, name []byte, f *sema.FieldInfo, decl *sema.CompositeType) {
+		if w := f.Type.BitWidth(); w > 0 && w <= 64 {
+			start := names.Len()
+			names.Write(name)
+			_, isBool := f.Type.(*sema.BoolType)
+			g.Leaves = append(g.Leaves, Leaf{Name: names.String()[start:], Decl: decl.Name,
+				Semantic: semantics.Name(f.Semantic), Width: w, Bool: isBool, Context: param == ctx})
+		}
+	})
+	g.leafAt = make(map[string]int, n)
+	for i, l := range g.Leaves {
+		g.leafAt[l.Name] = i
+	}
+}
+
+// walkParams walks every composite parameter's fields (walkFields), with
+// the parameter's index, building names in path's storage.
+func (g *Graph) walkParams(path []byte, fn func(param int, name []byte, f *sema.FieldInfo, decl *sema.CompositeType)) {
+	for i, p := range g.inst.Params {
+		if ct, ok := p.Type.(*sema.CompositeType); ok {
+			walkFields(append(path[:0], p.Name...), ct, func(name []byte, f *sema.FieldInfo, decl *sema.CompositeType) { fn(i, name, f, decl) })
+		}
+	}
+}
 
 // EmitCount returns the number of emit vertices.
 func (g *Graph) EmitCount() int {
@@ -165,6 +255,7 @@ func BuildGraph(info *sema.Info, inst *sema.Instance) (*Graph, error) {
 		return nil, fmt.Errorf("%s %s: no %s parameter found", kind, name, channel)
 	}
 	b.g = &Graph{Control: name, info: info, inst: inst}
+	b.g.indexLeaves()
 	b.g.Entry = b.node(NodeEntry)
 	b.g.Exit = b.node(NodeExit)
 	if inst.Parser != nil {
@@ -447,11 +538,7 @@ func (b *graphBuilder) resolveEmit(arg ast.Expr, pos token.Pos) *Emit {
 				b.errorf(pos, "field %s has no fixed width", em.Source)
 				return nil
 			}
-			b.fields = append(b.fields, EmitField{
-				Name:      em.Source,
-				Semantic:  semantics.Name(fi.Semantic),
-				WidthBits: w,
-			})
+			b.fields = append(b.fields, EmitField{Name: em.Source, Semantic: semantics.Name(fi.Semantic), WidthBits: w, Leaf: b.g.Leaf(em.Source)})
 		}
 	default:
 		b.errorf(pos, "unsupported %s argument %T", b.verb, arg)
@@ -590,23 +677,34 @@ func (b *graphBuilder) checkCompare(e ast.Expr) {
 }
 
 // flatten appends all leaf fields of a composite (recursing into nested
-// composites) to the fields of the emit being resolved.
+// composites) to the fields of the emit being resolved. A field with a leaf
+// takes its name from the leaf table.
 func (b *graphBuilder) flatten(em *Emit, prefix string, ct *sema.CompositeType) {
-	for _, f := range ct.Fields {
-		name := prefix + "." + f.Name
-		if nested, ok := f.Type.(*sema.CompositeType); ok {
-			b.flatten(em, name, nested)
-			continue
-		}
+	walkFields(append(make([]byte, 0, 64), prefix...), ct, func(path []byte, f *sema.FieldInfo, _ *sema.CompositeType) {
 		w := f.Type.BitWidth()
 		if w <= 0 {
-			b.errorf(em.Pos, "field %s has no fixed width", name)
-			continue
+			b.errorf(em.Pos, "field %s has no fixed width", path)
+			return
 		}
-		b.fields = append(b.fields, EmitField{
-			Name:      name,
-			Semantic:  semantics.Name(f.Semantic),
-			WidthBits: w,
-		})
+		if leaf, ok := b.g.leafAt[string(path)]; ok {
+			b.fields = append(b.fields, EmitField{Name: b.g.Leaves[leaf].Name, Semantic: semantics.Name(f.Semantic), WidthBits: w, Leaf: leaf})
+		} else {
+			b.fields = append(b.fields, EmitField{Name: string(path), Semantic: semantics.Name(f.Semantic), WidthBits: w, Leaf: -1})
+		}
+	})
+}
+
+// walkFields calls fn on every field under ct that is no composite, in
+// declaration order with nested composites in place, with its dotted name —
+// path, a dot, its own name — and the composite that declares it. fn must
+// copy the name out to keep it.
+func walkFields(path []byte, ct *sema.CompositeType, fn func(name []byte, f *sema.FieldInfo, decl *sema.CompositeType)) {
+	for _, f := range ct.Fields {
+		name := append(append(path, '.'), f.Name...)
+		if nested, ok := f.Type.(*sema.CompositeType); ok {
+			walkFields(name, nested, fn)
+		} else {
+			fn(name, f, ct)
+		}
 	}
 }

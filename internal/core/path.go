@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"opendesc/internal/p4/ast"
@@ -33,6 +34,9 @@ type LayoutField struct {
 	Semantic   semantics.Name
 	OffsetBits int
 	WidthBits  int
+	// Leaf indexes the field in the graph's Leaves; -1 for a field wider
+	// than 64 bits.
+	Leaf int
 }
 
 // Path is a completion path: a root-to-leaf walk of the deparser CFG, forming
@@ -271,6 +275,9 @@ func applyEdge(g *Graph, e *Edge, n *Node, env *pathEnv, cons []Constraint, noPr
 		}
 		v := e.CaseVals[0]
 		if !noPrune {
+			if !slices.ContainsFunc(e.CaseVals, func(v sema.Value) bool { return g.holds(tagVar, v) }) {
+				return false, env, cons // no case value fits the tag's field
+			}
 			if known, ok := env.eq[tagVar]; ok {
 				any := false
 				for _, cv := range e.CaseVals {
@@ -316,6 +323,9 @@ func applyEdge(g *Graph, e *Edge, n *Node, env *pathEnv, cons []Constraint, noPr
 	// Effective relation on this edge.
 	eq := isEq != e.Negate
 	if !noPrune {
+		if eq && !g.holds(varName, val) {
+			return false, env, cons // the equality needs a value wider than the field
+		}
 		if known, has := env.eq[varName]; has {
 			holds := known.Equal(val) == eq
 			if !holds {
@@ -420,6 +430,7 @@ func finalizePath(p *Path) {
 				Semantic:   f.Semantic,
 				OffsetBits: off,
 				WidthBits:  f.WidthBits,
+				Leaf:       f.Leaf,
 			})
 			if f.Semantic != "" {
 				p.prov.Add(f.Semantic)

@@ -172,8 +172,8 @@ func Verify(name string, info *sema.Info, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, p := range paths {
-		pc, err := ck.bindPath(i, p)
+	for _, p := range paths {
+		pc, err := ck.bindPath(p)
 		if err != nil {
 			return nil, err
 		}
@@ -279,81 +279,34 @@ func CertifyCached(name, src string) Certificate {
 	return cert
 }
 
-// leaf is one flattened ≤64-bit leaf field of a deparser parameter: one slot
-// of the concrete environments the interpreter and the serializers run
-// under.
-type leaf struct {
-	name  string // dotted, e.g. "pipe_meta.rss" or "ctx.use_rss"
-	width int
-}
-
-// flattenParams collects every fixed-width leaf field of every composite
-// deparser parameter (metadata and context alike) under its dotted name.
-// Fields wider than 64 bits carry no environment value — exactly as in the
-// device serializer they feed — but still occupy layout bits.
-func flattenParams(g *core.Graph) []leaf {
-	var out []leaf
-	var rec func(prefix string, ct *sema.CompositeType)
-	rec = func(prefix string, ct *sema.CompositeType) {
-		for _, f := range ct.Fields {
-			name := prefix + "." + f.Name
-			if nested, ok := f.Type.(*sema.CompositeType); ok {
-				rec(name, nested)
-				continue
-			}
-			w := f.Type.BitWidth()
-			if w <= 0 || w > 64 {
-				continue
-			}
-			out = append(out, leaf{name: name, width: w})
-		}
-	}
-	for _, p := range g.Instance().Params {
-		if ct, ok := p.Type.(*sema.CompositeType); ok {
-			rec(p.Name, ct)
-		}
-	}
-	return out
-}
-
-// slotEnv is one concrete environment: a value per leaf, held by leaf index
-// and masked to the leaf's declared width. Names are bound to slots once per
-// description; a case rewrites vals and nothing else.
+// slotEnv is one concrete environment: a value per leaf of the graph's leaf
+// table, held by leaf index and masked to the leaf's declared width. A case
+// rewrites vals and nothing else.
 type slotEnv struct {
-	leaves []leaf
-	slots  map[string]int // leaf name → index into leaves and vals
-	vals   []uint64
+	g    *core.Graph
+	vals []uint64
 }
 
-func newSlotEnv(leaves []leaf) *slotEnv {
-	e := &slotEnv{leaves: leaves, slots: make(map[string]int, len(leaves)), vals: make([]uint64, len(leaves))}
-	for i, l := range leaves {
-		e.slots[l.name] = i
-	}
-	return e
-}
-
-func (e *slotEnv) set(slot int, v uint64) {
-	e.vals[slot] = v & widthMask(e.leaves[slot].width)
+func (e *slotEnv) set(leaf int, v uint64) {
+	e.vals[leaf] = v & widthMask(e.g.Leaves[leaf].Width)
 }
 
 // Lookup implements sema.Env: what the interpreter's conditions and emits
-// see of the environment.
+// see of the environment, typed as the leaf is declared — a bool leaf reads
+// as a bool.
 func (e *slotEnv) Lookup(path string) (sema.Value, bool) {
-	i, ok := e.slots[path]
-	if !ok {
+	i := e.g.Leaf(path)
+	if i < 0 {
 		return sema.Value{}, false
 	}
-	return sema.UintValue(e.vals[i], e.leaves[i].width), true
+	if e.g.Leaves[i].Bool {
+		return sema.BoolValue(e.vals[i] != 0), true
+	}
+	return sema.UintValue(e.vals[i], e.g.Leaves[i].Width), true
 }
 
 // widthMask returns the w-bit all-ones mask (w in 1..64).
-func widthMask(w int) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << w) - 1
-}
+func widthMask(w int) uint64 { return ^uint64(0) >> (64 - w) }
 
 // boundaryPatterns is the per-width value battery: zero, all-ones, LSB, sign
 // bit, and the two alternating cross-word patterns, deduplicated.
@@ -388,9 +341,9 @@ func mix(x uint64) uint64 {
 }
 
 // checker is what one Verify run binds once per description and shares
-// between its paths: the slot environment, each path's layout field → slot
-// table, the bound deparser, the boundary batteries by width, and the
-// buffers every case reuses. Only the representation of the environment is
+// between its paths: the environment over the graph's leaf table (a layout
+// field's value is its Leaf's), the bound deparser, the boundary batteries
+// by width, and the buffers every case reuses. Only the representation of the environment is
 // shared — each view still derives its own offsets, widths and branch
 // decisions.
 type checker struct {
@@ -401,10 +354,7 @@ type checker struct {
 	opts  Options
 	rep   *Report
 
-	env *slotEnv
-	// slots[i][k] is the slot of paths[i].Fields[k], or -1 for a field wider
-	// than 64 bits (it occupies layout bits but carries no value).
-	slots   [][]int
+	env     slotEnv
 	battery [65][]uint64 // boundaryPatterns by width, built on first use
 
 	img []byte           // view A: the focus path's static image
@@ -418,29 +368,11 @@ func newChecker(name string, g *core.Graph, paths []*core.Path, opts Options, re
 	if err != nil {
 		return nil, &RejectedError{Reason: err.Error()}
 	}
-	ck := &checker{
+	return &checker{
 		name: name, g: g, paths: paths, soft: softnic.Funcs(), opts: opts, rep: rep,
-		env:   newSlotEnv(flattenParams(g)),
-		slots: make([][]int, len(paths)),
-		dp:    dp,
-	}
-	for i, p := range paths {
-		ck.slots[i] = make([]int, len(p.Fields))
-		for k, f := range p.Fields {
-			if f.WidthBits > 64 {
-				ck.slots[i][k] = -1
-				continue
-			}
-			// Emits are rooted at composite deparser parameters, so every
-			// ≤64-bit layout field is a flattened leaf.
-			s, ok := ck.env.slots[f.Name]
-			if !ok {
-				return nil, fmt.Errorf("diffverify %s path %d: layout field %s is no deparser parameter leaf", name, p.ID, f.Name)
-			}
-			ck.slots[i][k] = s
-		}
-	}
-	return ck, nil
+		env: slotEnv{g: g, vals: make([]uint64, len(g.Leaves))},
+		dp:  dp,
+	}, nil
 }
 
 func (ck *checker) patterns(w int) []uint64 {
@@ -450,9 +382,10 @@ func (ck *checker) patterns(w int) []uint64 {
 	return ck.battery[w]
 }
 
-// pin is one context register the path's constraints fix.
+// pin is one context register the path's constraints fix: a leaf and its
+// value.
 type pin struct {
-	slot int
+	leaf int
 	val  uint64
 }
 
@@ -463,10 +396,10 @@ type accessorRead struct {
 	field  int // index into the path's Fields
 }
 
-// goldenField is one semantic-tagged slot and the SoftNIC function that
+// goldenField is one semantic-tagged leaf and the SoftNIC function that
 // computes its ground truth from a packet.
 type goldenField struct {
-	slot int
+	leaf int
 	fn   codegen.SoftFunc
 }
 
@@ -474,8 +407,7 @@ type goldenField struct {
 // holds is a function of the path, resolved once in bindPath.
 type pathChecker struct {
 	*checker
-	p    *core.Path
-	slot []int // this path's row of checker.slots
+	p *core.Path
 
 	// uniq indexes the first occurrence of each emitted ≤64-bit field in
 	// p.Fields; fields may repeat in the layout (duplicate emits) but share
@@ -488,21 +420,21 @@ type pathChecker struct {
 	reads []accessorRead
 }
 
-func (ck *checker) bindPath(i int, p *core.Path) (*pathChecker, error) {
+func (ck *checker) bindPath(p *core.Path) (*pathChecker, error) {
 	assign, err := core.ConfigAssignment(p.Constraints)
 	if err != nil {
 		return nil, &RejectedError{Reason: fmt.Sprintf("path %d: %v", p.ID, err)}
 	}
-	c := &pathChecker{checker: ck, p: p, slot: ck.slots[i]}
+	c := &pathChecker{checker: ck, p: p}
 	for name, v := range assign {
 		// A pinned name outside the leaf table is invisible to every view.
-		if s, ok := ck.env.slots[name]; ok {
-			c.pins = append(c.pins, pin{slot: s, val: v})
+		if l := ck.g.Leaf(name); l >= 0 {
+			c.pins = append(c.pins, pin{leaf: l, val: v})
 		}
 	}
 	seen := make(map[int]bool)
 	for k, f := range p.Fields {
-		s := c.slot[k]
+		s := f.Leaf
 		if s < 0 {
 			continue
 		}
@@ -511,7 +443,7 @@ func (ck *checker) bindPath(i int, p *core.Path) (*pathChecker, error) {
 			c.uniq = append(c.uniq, k)
 		}
 		if fn := ck.soft[f.Semantic]; fn != nil {
-			c.golden = append(c.golden, goldenField{slot: s, fn: fn})
+			c.golden = append(c.golden, goldenField{leaf: s, fn: fn})
 		}
 	}
 	accessors, fields := pathAccessors(p, ck.opts.BreakAccessor)
@@ -570,9 +502,9 @@ func (c *pathChecker) capped() bool {
 	return c.opts.MaxCases > 0 && c.rep.Cases >= c.opts.MaxCases
 }
 
-func (c *pathChecker) pinned(slot int) bool {
+func (c *pathChecker) pinned(leaf int) bool {
 	for _, p := range c.pins {
-		if p.slot == slot {
+		if p.leaf == leaf {
 			return true
 		}
 	}
@@ -581,7 +513,7 @@ func (c *pathChecker) pinned(slot int) bool {
 
 func (c *pathChecker) applyPins() {
 	for _, p := range c.pins {
-		c.env.set(p.slot, p.val)
+		c.env.set(p.leaf, p.val)
 	}
 }
 
@@ -599,7 +531,7 @@ func (c *pathChecker) run() error {
 	}
 	c.rep.Cases++
 	for ui, k := range c.uniq {
-		if c.pinned(c.slot[k]) {
+		if c.pinned(c.p.Fields[k].Leaf) {
 			continue
 		}
 		for pi, pat := range c.patterns(c.p.Fields[k].WidthBits) {
@@ -607,7 +539,7 @@ func (c *pathChecker) run() error {
 				return nil
 			}
 			c.fill(mix(base ^ uint64(ui)<<16 ^ uint64(pi)<<8))
-			c.env.set(c.slot[k], pat)
+			c.env.set(c.p.Fields[k].Leaf, pat)
 			c.applyPins()
 			if err := c.checkCase(); err != nil {
 				return err
@@ -637,7 +569,7 @@ func (c *pathChecker) runGolden() error {
 		packet := goldenPacket(c.p.ID, j)
 		clear(c.env.vals)
 		for _, g := range c.golden {
-			c.env.set(g.slot, g.fn(packet))
+			c.env.set(g.leaf, g.fn(packet))
 		}
 		c.applyPins()
 		if err := c.checkCase(); err != nil {
@@ -667,25 +599,14 @@ func (c *pathChecker) fill(seed uint64) {
 	}
 }
 
-// zeroed returns buf resized to n zero bytes, reusing its storage when it is
-// large enough.
-func zeroed(buf []byte, n int) []byte {
-	if cap(buf) < n {
-		return make([]byte, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
-}
-
-// staticImage serializes view A into dst: each layout field's value written
-// at its statically computed offset (fields beyond 64 bits stay zero, as in
-// the device serializer). slots is p's layout field → slot table.
-func staticImage(dst []byte, p *core.Path, slots []int, vals []uint64) []byte {
-	dst = zeroed(dst, p.SizeBytes())
-	for k, f := range p.Fields {
-		if s := slots[k]; s >= 0 {
-			bitfield.Write(dst, f.OffsetBits, f.WidthBits, vals[s]&widthMask(f.WidthBits))
+// staticImage serializes view A into dst: each layout field's value, its
+// leaf's in vals, written at its statically computed offset (fields beyond
+// 64 bits have no leaf and stay zero, as in the device serializer).
+func staticImage(dst []byte, p *core.Path, vals []uint64) []byte {
+	dst = append(dst[:0], make([]byte, p.SizeBytes())...)
+	for _, f := range p.Fields {
+		if f.Leaf >= 0 {
+			bitfield.Write(dst, f.OffsetBits, f.WidthBits, vals[f.Leaf]&widthMask(f.WidthBits))
 		}
 	}
 	return dst
@@ -694,12 +615,13 @@ func staticImage(dst []byte, p *core.Path, slots []int, vals []uint64) []byte {
 // want is the static view's value of layout field k under the current
 // environment.
 func (c *pathChecker) want(k int) uint64 {
-	return c.env.vals[c.slot[k]] & widthMask(c.p.Fields[k].WidthBits)
+	f := &c.p.Fields[k]
+	return c.env.vals[f.Leaf] & widthMask(f.WidthBits)
 }
 
 // checkCase runs all three views under the current environment.
 func (c *pathChecker) checkCase() error {
-	c.img = staticImage(c.img, c.p, c.slot, c.env.vals)
+	c.img = staticImage(c.img, c.p, c.env.vals)
 	c.checkAccessors()
 	return c.checkDeparser()
 }
@@ -725,12 +647,12 @@ func (c *pathChecker) checkAccessors() {
 // under the environment (view B) and compares the record's layout and bytes
 // against the static view of the enumerated path it belongs to.
 func (c *pathChecker) checkDeparser() error {
-	if err := c.dp.RunInto(&c.rec, c.env); err != nil {
+	if err := c.dp.RunInto(&c.rec, &c.env); err != nil {
 		// The interpreter cannot evaluate a discriminant (opaque condition
 		// over values outside the environment): not verifiable, not a bug.
 		return &RejectedError{Reason: fmt.Sprintf("path %d interp: %v", c.p.ID, err)}
 	}
-	qi := matchPath(c.paths, c.p, c.rec.Fields, c.env)
+	qi := matchPath(c.paths, c.p, c.rec.Fields, &c.env)
 	c.rep.Checks++
 	if qi < 0 {
 		c.fail("layout", 0, c.rec.Image, 0, 0,
@@ -744,7 +666,7 @@ func (c *pathChecker) checkDeparser() error {
 		// the record belongs to a sibling path. Verify it there and count
 		// the skip.
 		c.rep.Skipped++
-		c.sib = staticImage(c.sib, q, c.slots[qi], c.env.vals)
+		c.sib = staticImage(c.sib, q, c.env.vals)
 		qimg = c.sib
 	}
 	if !bytes.Equal(c.rec.Image, qimg) {
@@ -796,11 +718,11 @@ func (c *pathChecker) fail(view string, k int, img []byte, want, got uint64, det
 func (c *pathChecker) minimal(a accessorRead) (img []byte, want, got uint64) {
 	min := make([]uint64, len(c.env.vals))
 	for _, p := range c.pins {
-		min[p.slot] = c.env.vals[p.slot] // every case applies the pins last
+		min[p.leaf] = c.env.vals[p.leaf] // every case applies the pins last
 	}
-	s := c.slot[a.field]
+	s := c.p.Fields[a.field].Leaf
 	min[s] = c.env.vals[s]
-	img = staticImage(nil, c.p, c.slot, min)
+	img = staticImage(nil, c.p, min)
 	return img, min[s] & widthMask(c.p.Fields[a.field].WidthBits), a.reader.Read(img, nil)
 }
 

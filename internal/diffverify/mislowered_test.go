@@ -46,8 +46,8 @@ func TestMisLoweredGraphRejected(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
-		for i, p := range paths {
-			pc, err := ck.bindPath(i, p)
+		for _, p := range paths {
+			pc, err := ck.bindPath(p)
 			if err != nil {
 				t.Fatalf("%s: %v", m.Name, err)
 			}

@@ -366,74 +366,36 @@ func Sweep(name, src string, seed uint64, n int) []Verdict {
 // making it the canonical "valid-looking description that fails
 // verification" for the ablation tests and the chaos fleet scenario.
 func WidenFirstSemantic(src string, width int) (string, error) {
-	ctName, fieldName, err := firstEmittedSemantic(src)
-	if err != nil {
-		return "", err
-	}
 	prog, err := parser.Parse("widen.p4", src)
 	if err != nil {
 		return "", fmt.Errorf("widen: parse: %v", err)
 	}
-	for _, c := range collectComposites(prog) {
-		if c.name != ctName {
-			continue
-		}
-		for _, f := range *c.fields {
-			if f.Name == fieldName {
-				f.Type = bitType(width)
-				return ast.SprintProgram(prog), nil
-			}
-		}
-	}
-	return "", fmt.Errorf("widen: declaration %s.%s not found", ctName, fieldName)
-}
-
-// firstEmittedSemantic locates the declaring composite and field name of the
-// first semantic-tagged field on the first completion path.
-func firstEmittedSemantic(src string) (ctName, fieldName string, err error) {
-	prog, err := parser.Parse("widen.p4", src)
-	if err != nil {
-		return "", "", fmt.Errorf("widen: parse: %v", err)
-	}
 	info, err := sema.Check(prog)
 	if err != nil {
-		return "", "", fmt.Errorf("widen: sema: %v", err)
+		return "", fmt.Errorf("widen: sema: %v", err)
 	}
 	a, err := core.Analyze(info, core.EnumerateOptions{})
 	if err != nil {
-		return "", "", fmt.Errorf("widen: %v", err)
+		return "", fmt.Errorf("widen: %v", err)
 	}
-	g, paths := a.Graph, a.Paths
-	for _, p := range paths {
+	for _, p := range a.Paths {
 		for _, f := range p.Fields {
-			if f.Semantic == "" {
+			if f.Semantic == "" || f.Leaf < 0 {
 				continue
 			}
-			// Resolve the dotted layout name (param.nested...leaf) to the
-			// composite type that declares the leaf.
-			parts := strings.Split(f.Name, ".")
-			bp := g.Instance().Param(parts[0])
-			if bp == nil {
-				continue
-			}
-			t := bp.Type
-			for _, seg := range parts[1 : len(parts)-1] {
-				ct, ok := t.(*sema.CompositeType)
-				if !ok {
-					t = nil
-					break
+			// The field's leaf names the composite that declares it.
+			l := &a.Graph.Leaves[f.Leaf]
+			name := l.Name[strings.LastIndexByte(l.Name, '.')+1:]
+			for _, c := range collectComposites(prog) {
+				for _, cf := range *c.fields {
+					if c.name == l.Decl && cf.Name == name {
+						cf.Type = bitType(width)
+						return ast.SprintProgram(prog), nil
+					}
 				}
-				fi := ct.Field(seg)
-				if fi == nil {
-					t = nil
-					break
-				}
-				t = fi.Type
 			}
-			if ct, ok := t.(*sema.CompositeType); ok {
-				return ct.Name, parts[len(parts)-1], nil
-			}
+			return "", fmt.Errorf("widen: declaration %s.%s not found", l.Decl, name)
 		}
 	}
-	return "", "", errors.New("widen: no semantic-tagged field on any completion path")
+	return "", errors.New("widen: no semantic-tagged field on any completion path")
 }

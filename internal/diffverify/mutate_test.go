@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"opendesc/internal/core"
 	"opendesc/internal/nic"
 	"opendesc/internal/p4/ast"
 	"opendesc/internal/p4/parser"
@@ -115,14 +116,24 @@ func TestWidenFirstSemanticTargetsCompletionPath(t *testing.T) {
 		t.Fatal("widening changed nothing")
 	}
 	// The mutated description must still pass the frontend (parse + sema),
-	// i.e. be indistinguishable from a healthy one until the harness runs.
-	ctName, fieldName, err := firstEmittedSemantic(src)
+	// i.e. be indistinguishable from a healthy one until the harness runs,
+	// and a completion path must carry the widened semantic field.
+	info, err := sourceInfo("widened", src)
 	if err != nil {
 		t.Fatalf("widened source no longer analyzable: %v", err)
 	}
-	if ctName == "" || fieldName == "" {
-		t.Fatal("no emitted semantic field resolved")
+	a, err := core.Analyze(info, core.EnumerateOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, p := range a.Paths {
+		for _, f := range p.Fields {
+			if f.Semantic != "" && f.WidthBits == 96 {
+				return
+			}
+		}
+	}
+	t.Fatal("no completion path carries a 96-bit semantic field")
 }
 
 // TestMutantSiblingsUntouched: the parser cuts every list (fields, statements,

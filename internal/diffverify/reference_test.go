@@ -27,7 +27,7 @@ func refVerify(name string, info *sema.Info, opts Options) (*Report, error) {
 		return nil, &RejectedError{Reason: err.Error()}
 	}
 	rep := &Report{NIC: name, Paths: len(paths)}
-	leaves := flattenParams(g)
+	leaves := refLeaves(g)
 	golden := softnic.Funcs()
 	for _, p := range paths {
 		pc, err := newRefPathChecker(name, g, dp, paths, p, leaves, golden, opts, rep)
@@ -44,6 +44,41 @@ func refVerify(name string, info *sema.Info, opts Options) (*Report, error) {
 	return rep, nil
 }
 
+// refLeaf is one fixed-width leaf field of at most 64 bits under a
+// composite deparser parameter, found by the reference's own walk of the
+// parameters' types.
+type refLeaf struct {
+	name   string
+	width  int
+	isBool bool
+}
+
+// refLeaves walks every composite deparser parameter, nested composites in
+// place.
+func refLeaves(g *core.Graph) []refLeaf {
+	var out []refLeaf
+	var walk func(prefix string, ct *sema.CompositeType)
+	walk = func(prefix string, ct *sema.CompositeType) {
+		for _, f := range ct.Fields {
+			name := prefix + "." + f.Name
+			if nested, ok := f.Type.(*sema.CompositeType); ok {
+				walk(name, nested)
+				continue
+			}
+			if w := f.Type.BitWidth(); w > 0 && w <= 64 {
+				_, isBool := f.Type.(*sema.BoolType)
+				out = append(out, refLeaf{name: name, width: w, isBool: isBool})
+			}
+		}
+	}
+	for _, p := range g.Instance().Params {
+		if ct, ok := p.Type.(*sema.CompositeType); ok {
+			walk(p.Name, ct)
+		}
+	}
+	return out
+}
+
 // refPathChecker is the harness's checker as it stood before the slot
 // environment: every case builds a map[string]uint64 of values and a
 // sema.MapEnv from it, every view looks its fields up by name, and nothing
@@ -56,14 +91,14 @@ type refPathChecker struct {
 	dp     *interp.Deparser
 	paths  []*core.Path
 	p      *core.Path
-	leaves []leaf
+	leaves []refLeaf
 	golden map[semantics.Name]codegen.SoftFunc
 	opts   Options
 	rep    *Report
 
 	// uniq is the path's emitted ≤64-bit leaf set (first occurrence order);
 	// fields may repeat in the layout (duplicate emits) but share one value.
-	uniq []leaf
+	uniq []refLeaf
 	// pins is the context assignment selecting this path.
 	pins map[string]uint64
 	// rt reads the record through per-path generated accessors.
@@ -72,7 +107,7 @@ type refPathChecker struct {
 }
 
 func newRefPathChecker(name string, g *core.Graph, dp *interp.Deparser, paths []*core.Path, p *core.Path,
-	leaves []leaf, golden map[semantics.Name]codegen.SoftFunc, opts Options, rep *Report) (*refPathChecker, error) {
+	leaves []refLeaf, golden map[semantics.Name]codegen.SoftFunc, opts Options, rep *Report) (*refPathChecker, error) {
 	pins, err := core.ConfigAssignment(p.Constraints)
 	if err != nil {
 		return nil, &RejectedError{Reason: fmt.Sprintf("path %d: %v", p.ID, err)}
@@ -88,7 +123,7 @@ func newRefPathChecker(name string, g *core.Graph, dp *interp.Deparser, paths []
 			continue
 		}
 		seen[f.Name] = true
-		c.uniq = append(c.uniq, leaf{name: f.Name, width: f.WidthBits})
+		c.uniq = append(c.uniq, refLeaf{name: f.Name, width: f.WidthBits})
 	}
 	c.accessors, _ = pathAccessors(p, opts.BreakAccessor)
 	c.rt = codegen.NewRuntime(&core.Result{
@@ -199,11 +234,14 @@ func (c *refPathChecker) fillerVals(seed uint64) map[string]uint64 {
 }
 
 // env converts a value map into the environment the interpreter sees: each
-// leaf masked to its declared width.
+// leaf masked to its declared width, a bool leaf as a bool.
 func (c *refPathChecker) env(vals map[string]uint64) sema.MapEnv {
 	env := make(sema.MapEnv, len(c.leaves))
 	for _, l := range c.leaves {
 		env[l.name] = sema.UintValue(vals[l.name]&widthMask(l.width), l.width)
+		if l.isBool {
+			env[l.name] = sema.BoolValue(vals[l.name]&1 != 0)
+		}
 	}
 	return env
 }
@@ -419,7 +457,7 @@ func TestDisagreementSurvivesBufferReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := ck.bindPath(0, a.Paths[0])
+	pc, err := ck.bindPath(a.Paths[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,8 +483,8 @@ func TestDisagreementSurvivesBufferReuse(t *testing.T) {
 			t.Fatalf("reproducer image is empty or all zero: %s", d)
 		}
 	}
-	for i, p := range a.Paths {
-		pc, err := ck.bindPath(i, p)
+	for _, p := range a.Paths {
+		pc, err := ck.bindPath(p)
 		if err != nil {
 			t.Fatal(err)
 		}

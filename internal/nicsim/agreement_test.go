@@ -41,19 +41,31 @@ func newAgreement(t testing.TB) *agreement {
 	}
 	for _, m := range nic.All() {
 		a.probes = append(a.probes, MustNew(m, Config{QueueID: agreementQueue, RingEntries: 2}))
-		paths, err := m.Paths()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range paths {
-			dev := MustNew(m, Config{QueueID: agreementQueue, RingEntries: 2})
-			if err := dev.ApplyConfig(p.Constraints); err != nil {
-				t.Fatal(err)
-			}
-			a.programmed = append(a.programmed, dev)
+		a.program(t, m)
+	}
+	// The hand-written descriptions whose registers alone pick a path.
+	for name := range handWritten {
+		m := handWrittenModel(t, name)
+		if _, ok := decisionRegisters(MustNew(m, Config{RingEntries: 2})); ok {
+			a.program(t, m)
 		}
 	}
 	return a
+}
+
+// program adds one device of m per completion path, programmed to take it.
+func (a *agreement) program(t testing.TB, m *nic.Model) {
+	paths, err := m.Paths()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range paths {
+		dev := MustNew(m, Config{QueueID: agreementQueue, RingEntries: 2})
+		if err := dev.ApplyConfig(p.Constraints); err != nil {
+			t.Fatal(err)
+		}
+		a.programmed = append(a.programmed, dev)
+	}
 }
 
 func (a *agreement) note(sem semantics.Name, where string, frame []byte, dev, shim uint64) {
@@ -66,14 +78,15 @@ func (a *agreement) note(sem semantics.Name, where string, frame []byte, dev, sh
 	}
 }
 
-// check compares, for one frame, every engine slot that has a shim on every
-// NIC's device (the timestamp excepted: no host predicts the device clock),
-// and every field every completion path emits.
+// check compares, for one frame, every row of softnic's table on every NIC's
+// device (the timestamp excepted: no host predicts the device clock) with
+// its shim, and every field every completion path emits.
 func (a *agreement) check(frame []byte) {
 	clear(a.hit)
 	for _, dev := range a.probes {
-		dev.packet, dev.parsed, dev.have = frame, false, 1<<slotZero
-		for slot, sem := range offloadSemantics {
+		dev.packet, dev.parsed, dev.have = frame, false, fixedSlots
+		for slot, row := range softnic.Rows() {
+			sem := row.Semantic()
 			if sem == semantics.Timestamp {
 				continue
 			}

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 
 	"opendesc/internal/bitfield"
 	"opendesc/internal/core"
@@ -39,7 +38,6 @@ import (
 	"opendesc/internal/nic"
 	"opendesc/internal/obs"
 	"opendesc/internal/obs/flight"
-	"opendesc/internal/p4/ast"
 	"opendesc/internal/p4/sema"
 	"opendesc/internal/pkt"
 	"opendesc/internal/ring"
@@ -77,10 +75,9 @@ type Device struct {
 
 	graph *core.Graph
 	paths []*core.Path
-	// ctx names the context parameter; its field regs[k] is the register in
-	// slot slotReg+k.
-	ctx  string
-	regs []*sema.FieldInfo
+	// ctx0 is the first context leaf's index in graph.Leaves; context leaf
+	// ctx0+k is the register in slot slotReg+k.
+	ctx0 int
 
 	// CmptRing receives the serialized completion records (stride: see New).
 	CmptRing *ring.Ring
@@ -93,8 +90,8 @@ type Device struct {
 	rxBytes   obs.Counter
 	drops     obs.Counter
 	cmptBytes obs.Counter
-	// offloads counts, per slot, the packets its engine ran for.
-	offloads [nSlots]obs.Counter
+	// offloads counts, per engine slot, the packets its engine ran for.
+	offloads [maxSlots]obs.Counter
 
 	// faults, when non-nil, is the fault-injection layer consulted on every
 	// DMA/completion and control-channel operation.
@@ -138,72 +135,26 @@ type Device struct {
 	cmptBuf []byte
 }
 
-// Offload slots: one per semantic the simulated engines can compute.
-const (
-	slotPktLen = iota
-	slotTimestamp
-	slotQueueID
-	slotMark
-	slotCryptoCtx
-	slotLROSegs
-	slotSegCnt
-	slotRXDropHint
-	slotErrorFlags
-	slotRSS
-	slotIPChecksum
-	slotL4Checksum
-	slotVLAN
-	slotPType
-	slotFlowID
-	slotIPID
-	slotKVKey
-	slotPayloadHash
-	slotTunnelID
-	slotL4Port
-	slotDecapFlag
-	slotChecksumAny
-	slotParserDepth
-	nSlots
-
-	// slotZero always reads 0: padding, untagged fields and semantics no
-	// engine computes.
-	slotZero = nSlots
+// The slots: engine slot s runs softnic.Rows()[s]; then one slot that
+// always reads 0 (padding, untagged fields and semantics no engine
+// computes); then one per context leaf of the graph's leaf table, in table
+// order.
+var (
+	engines = softnic.Rows()
+	// The device computes two engines' values itself: the frame's length,
+	// with no decode, and its clock.
+	slotPktLen    = slices.Index(engines, softnic.Lookup(semantics.PktLen))
+	slotTimestamp = slices.Index(engines, softnic.Lookup(semantics.Timestamp))
+	slotZero      = len(engines)
 	// slotReg is the first context register's slot.
-	slotReg = nSlots + 1
-	// maxSlots bounds the slots to one bit each of a uint64 mask.
-	maxSlots = 64
+	slotReg = slotZero + 1
 	// fixedSlots are the slots no engine computes: slotZero and the
 	// registers.
 	fixedSlots = ^uint64(0) >> slotZero << slotZero
 )
 
-// offloadSemantics names each slot's semantic.
-var offloadSemantics = [nSlots]semantics.Name{
-	slotPktLen: semantics.PktLen, slotTimestamp: semantics.Timestamp, slotQueueID: semantics.QueueID,
-	slotMark: semantics.Mark, slotCryptoCtx: semantics.CryptoCtx, slotLROSegs: semantics.LROSegs,
-	slotSegCnt: semantics.SegCnt, slotRXDropHint: semantics.RXDropHint, slotErrorFlags: semantics.ErrorFlags,
-	slotRSS: semantics.RSS, slotIPChecksum: semantics.IPChecksum, slotL4Checksum: semantics.L4Checksum,
-	slotVLAN: semantics.VLAN, slotPType: semantics.PType, slotFlowID: semantics.FlowID, slotIPID: semantics.IPID,
-	slotKVKey: semantics.KVKey, slotPayloadHash: semantics.PayloadHash, slotTunnelID: semantics.TunnelID,
-	slotL4Port: semantics.L4Port, slotDecapFlag: semantics.DecapFlag, slotChecksumAny: semantics.ChecksumAny,
-	slotParserDepth: semantics.ParserDepth,
-}
-
-// refs holds each slot's row of the reference table.
-var refs = func() (r [nSlots]*softnic.Row) {
-	for slot, s := range offloadSemantics {
-		r[slot] = softnic.Lookup(s)
-	}
-	return r
-}()
-
-// fieldSrc says where a field's value comes from: a slot and the field's
-// width in bits, and whether it is a bool. Fields wider than 64 bits are
-// padding.
-type fieldSrc struct {
-	slot, width int
-	bool        bool
-}
+// maxSlots bounds the slots to one bit each of a uint64 mask.
+const maxSlots = 64
 
 // A route is one enumerated path as the device DMAs it: its writes,
 // plan[start:end], the record's size in bytes, and the completions it carried.
@@ -269,22 +220,18 @@ func New(m *nic.Model, cfg Config) (*Device, error) {
 	return d, nil
 }
 
-// build finds the context parameter by position, as P4 binds an
-// architecture's parameters: the one the control's first template type
-// types, whose fields are the registers. Then it resolves every enumerated
-// path once: its route into the decision tree, its fields into a plan. Both
-// live in one backing slice each, sized up front from the paths.
+// build binds the context leaves to register slots, then resolves every
+// enumerated path once: its route into the decision tree, its fields into a
+// plan. Both live in one backing slice each, sized up front from the paths.
 func (d *Device) build() error {
-	g, ctl := d.graph, d.graph.Instance().Control
-	for i, p := range ctl.Params {
-		if nt, ok := p.Type.(*ast.NamedType); !ok || len(ctl.TypeParams) == 0 || nt.Name != ctl.TypeParams[0].Name {
-			continue
+	g, regs := d.graph, 0
+	for i := len(g.Leaves) - 1; i >= 0; i-- { // ctx0 ends on the first
+		if g.Leaves[i].Context {
+			d.ctx0, regs = i, regs+1
 		}
-		ct, ok := g.Instance().Params[i].Type.(*sema.CompositeType)
-		if !ok || len(ct.Fields) > maxSlots-slotReg {
-			return fmt.Errorf("context parameter %s is no struct of at most %d fields", p.Name, maxSlots-slotReg)
-		}
-		d.ctx, d.regs = p.Name, ct.Fields
+	}
+	if regs > maxSlots-slotReg {
+		return fmt.Errorf("%d context registers, more than %d", regs, maxSlots-slotReg)
 	}
 	fan, nTree, nPlan := 0, 1, 0
 	for _, n := range g.Nodes {
@@ -338,8 +285,10 @@ func (d *Device) build() error {
 		r := &d.routes[i]
 		r.start, r.size = int32(len(d.plan)), p.SizeBytes()
 		for _, f := range p.Fields {
-			if src, ok := d.field(f.Name); ok && src.slot != slotZero {
-				d.plan = append(d.plan, write{slot: int32(src.slot), off: int32(f.OffsetBits), width: int32(src.width)})
+			if f.Leaf >= 0 {
+				if s := d.slot(f.Leaf); s != slotZero {
+					d.plan = append(d.plan, write{slot: int32(s), off: int32(f.OffsetBits), width: int32(f.WidthBits)})
+				}
 			}
 		}
 		r.end = int32(len(d.plan))
@@ -347,53 +296,17 @@ func (d *Device) build() error {
 	return nil
 }
 
-// field resolves a dotted name to the slot of the leaf it names: a field of
-// at most 64 bits under one of the deparser's composite parameters. A field
-// of the context parameter is its register's slot; a metadata field is its
-// semantic's offload slot. Untagged fields, semantics no engine computes and
-// fields nested in a context field read zero.
-func (d *Device) field(path string) (src fieldSrc, ok bool) {
-	if reg, ok := strings.CutPrefix(path, d.ctx); ok && reg != "" && reg[0] == '.' {
-		for k, f := range d.regs {
-			if f.Name == reg[1:] {
-				return leaf(f.Type, slotReg+k)
-			}
-		}
+// slot is where leaf i of the graph's leaf table reads from: a context leaf
+// its register, a metadata leaf its semantic's engine, else slotZero.
+func (d *Device) slot(i int) int {
+	l := &d.graph.Leaves[i]
+	if l.Context {
+		return slotReg + i - d.ctx0
 	}
-	root, rest, _ := strings.Cut(path, ".")
-	p := d.graph.Instance().Param(root)
-	if p == nil || rest == "" {
-		return
+	if e := slices.Index(engines, softnic.Lookup(l.Semantic)); e >= 0 {
+		return e
 	}
-	t, sem := p.Type, ""
-	for name := ""; rest != ""; {
-		name, rest, _ = strings.Cut(rest, ".")
-		ct, composite := t.(*sema.CompositeType)
-		if !composite {
-			return
-		}
-		f := ct.Field(name)
-		if f == nil {
-			return
-		}
-		t, sem = f.Type, f.Semantic
-	}
-	slot := slices.Index(offloadSemantics[:], semantics.Name(sem))
-	if slot < 0 || root == d.ctx {
-		slot = slotZero
-	}
-	return leaf(t, slot)
-}
-
-// leaf is where a field of type t reads from slot: nowhere for a composite
-// or a field wider than 64 bits.
-func leaf(t sema.Type, slot int) (fieldSrc, bool) {
-	w := t.BitWidth()
-	if _, composite := t.(*sema.CompositeType); composite || w <= 0 || w > 64 {
-		return fieldSrc{}, false
-	}
-	_, isBool := t.(*sema.BoolType)
-	return fieldSrc{slot: slot, width: w, bool: isBool}, true
+	return slotZero
 }
 
 // mask keeps the low width bits of a value.
@@ -417,8 +330,9 @@ func MustNew(m *nic.Model, cfg Config) *Device {
 // keeps as many low bits of v as its field is wide, as hardware does; a name
 // that is no register writes nothing, like a store to no address.
 func (d *Device) WriteReg(path string, v uint64) {
-	if f, ok := d.field(path); ok && f.slot >= slotReg {
-		d.vals[f.slot], d.written = v&mask(f.width), d.written|1<<f.slot
+	if i := d.graph.Leaf(path); i >= 0 && d.graph.Leaves[i].Context {
+		s := d.slot(i)
+		d.vals[s], d.written = v&mask(d.graph.Leaves[i].Width), d.written|1<<s
 	}
 }
 
@@ -445,8 +359,8 @@ func (d *Device) ApplyConfig(cons []core.Constraint) error {
 		return fmt.Errorf("nicsim: %w", err)
 	}
 	for v, val := range vals {
-		if f, ok := d.field(v); ok && f.slot >= slotReg && val&^mask(f.width) != 0 {
-			return fmt.Errorf("nicsim %s: the configuration sets register %s to %d, wider than its %d bits", d.Model.Name, v, val, f.width)
+		if i := d.graph.Leaf(v); i >= 0 && d.graph.Leaves[i].Context && val&^mask(d.graph.Leaves[i].Width) != 0 {
+			return fmt.Errorf("nicsim %s: the configuration sets register %s to %d, wider than its %d bits", d.Model.Name, v, val, d.graph.Leaves[i].Width)
 		}
 	}
 	for v, val := range vals {
@@ -475,10 +389,11 @@ type registers Device
 
 // Lookup implements sema.Env.
 func (r *registers) Lookup(path string) (sema.Value, bool) {
-	if f, ok := (*Device)(r).field(path); ok && f.slot < slotZero {
+	d := (*Device)(r)
+	if i := d.graph.Leaf(path); i >= 0 && d.slot(i) < slotZero {
 		return sema.Value{}, false
 	}
-	return (*Device)(r).Lookup(path)
+	return d.Lookup(path)
 }
 
 // DeviceStats is a point-in-time snapshot of a device's ethtool-style
@@ -543,9 +458,9 @@ func (d *Device) Stats() DeviceStats {
 			st.CompletionsByPath[d.paths[i].ID] = n
 		}
 	}
-	for slot := range d.offloads {
+	for slot, e := range engines {
 		if n := d.offloads[slot].Load(); n > 0 {
-			st.Offloads[offloadSemantics[slot]] = n
+			st.Offloads[e.Semantic()] = n
 		}
 	}
 	return st
@@ -570,8 +485,8 @@ func (d *Device) RegisterMetrics(reg *obs.Registry, extra ...obs.Label) {
 		labels := append(append([]obs.Label{}, base...), obs.L("path", strconv.Itoa(d.paths[i].ID)))
 		reg.AttachCounter("opendesc_dev_path_completions_total", "completions emitted per deparser path", &d.routes[i].hits, labels...)
 	}
-	for slot, s := range offloadSemantics {
-		labels := append(append([]obs.Label{}, base...), obs.L("semantic", string(s)))
+	for slot, e := range engines {
+		labels := append(append([]obs.Label{}, base...), obs.L("semantic", string(e.Semantic())))
 		reg.AttachCounter("opendesc_dev_offload_invocations_total", "offload-engine invocations per semantic", &d.offloads[slot], labels...)
 	}
 	r := d.CmptRing
@@ -723,7 +638,7 @@ func (d *Device) val(slot int) uint64 {
 }
 
 // engine runs one offload engine over the packet being received: the length
-// and the clock are the device's own; every other slot is its row of the
+// and the clock are the device's own; every other engine is its row of the
 // reference table (softnic), read on the frame the device parsed — on a
 // frame the parser rejects, the row states the value.
 func (d *Device) engine(slot int) uint64 {
@@ -734,27 +649,31 @@ func (d *Device) engine(slot int) uint64 {
 	case slotTimestamp:
 		return d.clock
 	}
-	ref := refs[slot]
+	ref := engines[slot]
 	if ref.Packet() && !d.parsed {
 		d.parsed, d.parseOK = true, pkt.Decode(d.packet, &d.info) == nil
 	}
 	return ref.Eval(&d.info, d.parseOK, d.cfg.QueueID)
 }
 
-// Lookup implements sema.Env for the deparser's conditions: a field reads
-// its slot, a metadata field its engine's value for the packet being
-// received. A register never written is unset, so a device nobody
-// programmed refuses every frame at its first decision on one.
+// Lookup implements sema.Env for the deparser's conditions: a leaf reads its
+// slot, a metadata field its engine's value for the packet being received.
+// A register never written is unset, so a device nobody programmed refuses
+// every frame at its first decision on one.
 func (d *Device) Lookup(path string) (sema.Value, bool) {
-	f, ok := d.field(path)
-	if !ok || f.slot >= slotReg && d.written&(1<<f.slot) == 0 {
+	i := d.graph.Leaf(path)
+	if i < 0 {
 		return sema.Value{}, false
 	}
-	v := d.val(f.slot) & mask(f.width)
-	if f.bool {
+	l, s := &d.graph.Leaves[i], d.slot(i)
+	if l.Context && d.written&(1<<s) == 0 {
+		return sema.Value{}, false
+	}
+	v := d.val(s) & mask(l.Width)
+	if l.Bool {
 		return sema.BoolValue(v != 0), true
 	}
-	return sema.UintValue(v, f.width), true
+	return sema.UintValue(v, l.Width), true
 }
 
 // route takes the decisions of the tree under env, down to a leaf, and

@@ -285,11 +285,20 @@ func TestReconfigureAcrossRingWrap(t *testing.T) {
 	}
 }
 
+// register is the leaf index of the context register path names, -1 when
+// it names none.
+func (d *Device) register(path string) int {
+	if i := d.graph.Leaf(path); i >= 0 && d.graph.Leaves[i].Context {
+		return i
+	}
+	return -1
+}
+
 // ReadReg returns a context register's value (0 when never written, or when
 // path names no register).
 func (d *Device) ReadReg(path string) uint64 {
-	if f, ok := d.field(path); ok && f.slot >= slotReg {
-		return d.vals[f.slot]
+	if i := d.register(path); i >= 0 {
+		return d.vals[d.slot(i)]
 	}
 	return 0
 }

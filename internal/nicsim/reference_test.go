@@ -3,6 +3,8 @@ package nicsim
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,7 +16,6 @@ import (
 	"opendesc/internal/p4/interp"
 	"opendesc/internal/p4/parser"
 	"opendesc/internal/p4/sema"
-	"opendesc/internal/pkt"
 	"opendesc/internal/semantics"
 	"opendesc/internal/softnic"
 	"opendesc/internal/workload"
@@ -104,68 +105,16 @@ func (r *reference) flatten(prefix string, ct *sema.CompositeType) {
 	}
 }
 
-// computeOffloads runs every golden reference engine over the packet.
+// computeOffloads runs every engine eagerly: each row of the reference
+// table over the packet as softnic.Expect states it, and the clock.
 func (r *reference) computeOffloads(packet []byte, clock uint64) map[semantics.Name]uint64 {
-	cfg := r.dev.cfg
-	in := new(pkt.Info)
-	decodeOK := pkt.Decode(packet, in) == nil
 	vals := make(map[semantics.Name]uint64, 32)
-	vals[semantics.PktLen] = uint64(len(packet))
-	vals[semantics.Timestamp] = clock
-	vals[semantics.QueueID] = uint64(cfg.QueueID)
-	vals[semantics.Mark] = 0
-	vals[semantics.CryptoCtx] = 0
-	vals[semantics.LROSegs] = 1
-	vals[semantics.SegCnt] = 1
-	vals[semantics.RXDropHint] = 0
-	// The VLAN tag is read wherever it decoded, even if the parser gave up
-	// further in.
-	vals[semantics.VLAN] = uint64(softnic.VLANTCI(in))
-	if !decodeOK {
-		vals[semantics.ErrorFlags] = 0x80 // parse error
-		return vals
-	}
-	vals[semantics.RSS] = uint64(softnic.RSS(in))
-	vals[semantics.IPChecksum] = uint64(softnic.IPChecksum(in))
-	vals[semantics.L4Checksum] = uint64(softnic.L4Checksum(in))
-	vals[semantics.PType] = uint64(softnic.PType(in))
-	vals[semantics.FlowID] = uint64(softnic.FlowID(in))
-	vals[semantics.IPID] = uint64(in.IPID)
-	vals[semantics.KVKey] = softnic.KVKey(in)
-	vals[semantics.PayloadHash] = uint64(softnic.PayloadHash(in))
-	vals[semantics.TunnelID] = uint64(softnic.TunnelID(in))
-	vals[semantics.L4Port] = uint64(in.DstPort)
-	if vals[semantics.TunnelID] != 0 {
-		vals[semantics.DecapFlag] = 1
-	}
-	var errFlags uint64
-	if in.L3 == pkt.L3IPv4 && in.L3Off >= 0 {
-		hdr := in.Data[in.L3Off:]
-		ihl := int(hdr[0]&0x0F) * 4
-		if ihl >= pkt.IPv4MinLen && in.L3Off+ihl <= len(in.Data) && !pkt.VerifyIPv4Header(hdr[:ihl]) {
-			errFlags |= 1
+	for _, row := range softnic.Rows() {
+		if v, ok := softnic.Expect(row.Semantic(), packet, r.dev.cfg.QueueID, 64); ok {
+			vals[row.Semantic()] = v
 		}
 	}
-	if (in.L4 == pkt.L4TCP || in.L4 == pkt.L4UDP) && !pkt.VerifyL4(in) {
-		errFlags |= 2
-	}
-	vals[semantics.ErrorFlags] = errFlags
-	lvl := uint64(0)
-	if in.L3 == pkt.L3IPv4 {
-		lvl = 1
-	}
-	if in.L4 == pkt.L4TCP || in.L4 == pkt.L4UDP {
-		lvl = 2
-	}
-	vals[semantics.ChecksumAny] = lvl
-	depth := uint64(1)
-	if in.L3 != pkt.L3None {
-		depth++
-	}
-	if in.L4 != pkt.L4None {
-		depth++
-	}
-	vals[semantics.ParserDepth] = depth
+	vals[semantics.Timestamp] = clock
 	return vals
 }
 
@@ -224,98 +173,28 @@ func (r *reference) taken(rec *interp.Record, env sema.MapEnv) *core.Path {
 	return nil
 }
 
-// handWritten are descriptions the bundled NICs do not exercise: a branch on
-// per-packet metadata (which the frontend records as a constraint on the field
-// name, left to the packet by ApplyConfig), a switch on per-packet metadata, a
-// condition the frontend cannot decompose over a field narrower than its
-// semantic (compared after truncation), a semantic no engine computes, emits
-// of context registers, and a bool register read bare, negated and beside a
-// switch.
-var handWritten = map[string]string{
-	"boolctx": `
-struct bc_ctx_t { bool on; bit<2> mode; bit<5> rsvd; }
-struct bc_meta_t {
-    @semantic("pkt_len") bit<16> len;
-    @semantic("rss")     bit<32> hash;
-    @semantic("vlan")    bit<16> tci;
-}
-@bind("CTX_T", "bc_ctx_t")
-@bind("META_T", "bc_meta_t")
-control CmptDeparser<CTX_T, META_T>(cmpt_out cmpt_out, in CTX_T ctx, in META_T pipe_meta) {
-    apply {
-        cmpt_out.emit(pipe_meta.len);
-        if (ctx.on) {
-            cmpt_out.emit(pipe_meta.hash);
-        }
-        if (!ctx.on) {
-            cmpt_out.emit(pipe_meta.tci);
-        }
-        switch (ctx.mode) {
-            1: { cmpt_out.emit(pipe_meta.tci); }
-        }
-    }
-}
-`,
-	"datadep": `
-struct dd_ctx_t { bit<2> fmt; }
-struct dd_meta_t {
-    @semantic("pkt_len")   bit<16> len;
-    @semantic("vlan")      bit<16> tci;
-    @semantic("rss")       bit<32> hash;
-    @semantic("l4_dst_port") bit<10> port;
-    @semantic("ptype")     bit<8>  ptype;
-    @semantic("tunnel_id") bit<32> vni;
-    @semantic("decap")     bit<1>  decap;
-    bit<5> rsvd;
-    @semantic("no_such_offload") bit<8> alien;
-}
-@bind("CTX_T", "dd_ctx_t")
-@bind("META_T", "dd_meta_t")
-control CmptDeparser<CTX_T, META_T>(cmpt_out cmpt_out, in CTX_T ctx, in META_T pipe_meta) {
-    apply {
-        cmpt_out.emit(pipe_meta.len);
-        if (pipe_meta.tci == 0) {
-            cmpt_out.emit(pipe_meta.hash);
-        } else {
-            cmpt_out.emit(pipe_meta.tci);
-            cmpt_out.emit(pipe_meta.port);
-        }
-        switch (pipe_meta.decap) {
-            1: { cmpt_out.emit(pipe_meta.vni); }
-        }
-        if (pipe_meta.ptype != 0 && pipe_meta.port < 1000) {
-            cmpt_out.emit(pipe_meta.ptype);
-        }
-        if (ctx.fmt == 1) {
-            cmpt_out.emit(pipe_meta.alien);
-        }
-        cmpt_out.emit(pipe_meta.decap);
-        cmpt_out.emit(pipe_meta.rsvd);
-    }
-}
-`,
-	"ctxemit": `
-struct ce_ctx_t { bit<8> qtag; bit<4> fmt; bit<4> rsvd; }
-struct ce_meta_t {
-    @semantic("pkt_len") bit<16> len;
-    @semantic("kv_key")  bit<64> key;
-}
-@bind("CTX_T", "ce_ctx_t")
-@bind("META_T", "ce_meta_t")
-control CmptDeparser<CTX_T, META_T>(cmpt_out cmpt_out, in CTX_T ctx, in META_T pipe_meta) {
-    apply {
-        cmpt_out.emit(ctx.qtag);
-        cmpt_out.emit(pipe_meta.len);
-        if (ctx.fmt == 3) {
-            cmpt_out.emit(pipe_meta.key);
-            cmpt_out.emit(ctx);
-        }
-    }
-}
-`,
-}
+// handWritten holds the descriptions under testdata, by file name without
+// ".p4": what the bundled NICs do not exercise — decisions on per-packet
+// metadata, a semantic no engine computes, context registers in the record,
+// bool registers, the tunnel engines. diffverify's tests and CI's
+// diff-smoke job verify the same files.
+var handWritten = func() map[string]string {
+	files, err := filepath.Glob(filepath.Join("testdata", "*.p4"))
+	if err != nil || len(files) == 0 {
+		panic(fmt.Sprintf("no hand-written descriptions under testdata: %v", err))
+	}
+	out := make(map[string]string, len(files))
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			panic(err)
+		}
+		out[strings.TrimSuffix(filepath.Base(f), ".p4")] = string(src)
+	}
+	return out
+}()
 
-func handWrittenModel(t *testing.T, name string) *nic.Model {
+func handWrittenModel(t testing.TB, name string) *nic.Model {
 	t.Helper()
 	m, err := modelFromSource(name, handWritten[name])
 	if err != nil {

@@ -64,7 +64,7 @@ func decisionRegisters(d *Device) (names []string, registersOnly bool) {
 	slices.Sort(names)
 	names = slices.Compact(names)
 	for _, name := range names {
-		if f, ok := d.field(name); !ok || f.slot < slotReg {
+		if d.register(name) < 0 {
 			return names, false
 		}
 	}
@@ -128,22 +128,14 @@ func registerCorpus(t *testing.T) []*nic.Model {
 	return models
 }
 
-// unsatisfiable names, per description, the enumerated paths no register
-// setting reaches: the enumerator does not read a register's width, so a
-// mutant that narrows one keeps a path whose constraint needs a value the
-// register cannot hold. ApplyConfig refuses that path's configuration.
-var unsatisfiable = map[string][]int{
-	// mrq_mode narrowed to one bit: path 1 needs mrq_mode == 2.
-	"ixgbe~1344154044715485647[flip-if,resize:ixgbe_rx_ctx_t.mrq_mode=1]": {1},
-}
-
 // TestEveryRegisterSettingIsRouted: on each description of the corpus whose
 // decisions read registers only, every setting of those registers (masked
 // to their widths) routes a frame to an enumerated path. The device's record
 // is byte for byte the interpreter's, has ActivePath's layout, and is as
 // long as that path; no frame is Unrouted; and every enumerated path is
-// reached, and then selected by ApplyConfig of its constraints, or named in
-// unsatisfiable.
+// reached, and then selected by ApplyConfig of its constraints: the
+// enumerator prunes a route whose equality needs a value wider than its
+// register.
 func TestEveryRegisterSettingIsRouted(t *testing.T) {
 	frame := testPacket()
 	checked := 0
@@ -167,8 +159,7 @@ func TestEveryRegisterSettingIsRouted(t *testing.T) {
 			ref := newReference(t, dev)
 			widths := make([]int, len(names))
 			for k, name := range names {
-				f, _ := dev.field(name)
-				widths[k] = f.width
+				widths[k] = dev.graph.Leaves[dev.register(name)].Width
 			}
 			reached := make(map[int]bool)
 			for _, vals := range settings(widths) {
@@ -202,17 +193,13 @@ func TestEveryRegisterSettingIsRouted(t *testing.T) {
 				t.Errorf("%d frames unrouted", u)
 			}
 			for _, p := range paths {
-				unsat := slices.Contains(unsatisfiable[m.Name], p.ID)
+				if !reached[p.ID] {
+					t.Errorf("path %d (%v) is reached by no register setting", p.ID, p.Constraints)
+					continue
+				}
 				err := dev.ApplyConfig(p.Constraints)
-				switch {
-				case reached[p.ID] == unsat:
-					t.Errorf("path %d (%v): reached %v, listed unsatisfiable %v", p.ID, p.Constraints, reached[p.ID], unsat)
-				case unsat && err == nil:
-					t.Errorf("path %d (%v) is reached by no setting, but ApplyConfig takes its configuration", p.ID, p.Constraints)
-				case !unsat:
-					if ap, err2 := dev.ActivePath(); err != nil || err2 != nil || ap != p {
-						t.Errorf("ApplyConfig(path %d): %v; ActivePath = %v, %v", p.ID, err, ap, err2)
-					}
+				if ap, err2 := dev.ActivePath(); err != nil || err2 != nil || ap != p {
+					t.Errorf("ApplyConfig(path %d): %v; ActivePath = %v, %v", p.ID, err, ap, err2)
 				}
 			}
 		})
@@ -230,12 +217,8 @@ func TestEveryRegisterSettingIsRouted(t *testing.T) {
 // index (0xFF resets the device), then the value, little-endian.
 func FuzzRegisterWrites(f *testing.F) {
 	models := nic.All()
-	for _, name := range []string{"boolctx", "ctxemit"} {
-		m, err := modelFromSource(name, handWritten[name])
-		if err != nil {
-			f.Fatal(err)
-		}
-		models = append(models, m)
+	for _, name := range []string{"boolctx", "booleq", "ctxemit", "vxlan"} {
+		models = append(models, handWrittenModel(f, name))
 	}
 	f.Add(uint8(3), []byte{0, 2, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(uint8(2), []byte{0, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0})
@@ -246,7 +229,12 @@ func FuzzRegisterWrites(f *testing.F) {
 		m := models[int(which)%len(models)]
 		dev := MustNew(m, Config{})
 		ref := newReference(t, dev)
-		fields := dev.regs
+		var regs []string
+		for _, l := range dev.graph.Leaves {
+			if l.Context {
+				regs = append(regs, l.Name)
+			}
+		}
 		for ; len(writes) > 0; writes = writes[min(9, len(writes)):] {
 			if writes[0] == 0xFF {
 				if err := dev.Reset(); err != nil {
@@ -256,8 +244,8 @@ func FuzzRegisterWrites(f *testing.F) {
 				continue
 			}
 			name := "ctx.no_such_register"
-			if k := int(writes[0]) % (len(fields) + 1); k < len(fields) {
-				name = dev.ctx + "." + fields[k].Name
+			if k := int(writes[0]) % (len(regs) + 1); k < len(regs) {
+				name = regs[k]
 			}
 			var v [8]byte
 			copy(v[:], writes[1:min(9, len(writes))])

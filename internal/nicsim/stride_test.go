@@ -97,7 +97,7 @@ func TestNewAllocGate(t *testing.T) {
 		if got > newAllocLimit {
 			t.Errorf("%s: New allocates %.0f, limit %d", m.Name, got, newAllocLimit)
 		}
-		reg := dev.ctx + "." + dev.regs[0].Name
+		reg := dev.graph.Leaves[dev.ctx0].Name
 		if got := testing.AllocsPerRun(20, func() { dev.WriteReg(reg, 1) }); got != 0 {
 			t.Errorf("%s: WriteReg(%s) allocates %.0f", m.Name, reg, got)
 		}

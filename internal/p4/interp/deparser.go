@@ -148,6 +148,9 @@ func (d *Deparser) RunInto(rec *Record, env sema.Env) error {
 	rec.Image = append(rec.Image[:0], make([]byte, (rec.Bits+7)/8)...)
 	for _, f := range rec.Fields {
 		if v, ok := env.Lookup(f.Name); ok && f.WidthBits <= 64 {
+			if v.Bool {
+				v.Uint = 1 // a true bool serializes as one bit
+			}
 			bitfield.Write(rec.Image, f.OffsetBits, f.WidthBits, v.Uint)
 		}
 	}

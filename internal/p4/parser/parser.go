@@ -3,7 +3,7 @@
 //
 // Supported constructs: header/struct/typedef/const/enum/extern declarations,
 // templated parsers with select-based state machines, templated controls with
-// actions and apply blocks, annotations (@semantic, @cost, @context, ...),
+// actions and apply blocks, annotations (@semantic, @cost, @bind, ...),
 // width-prefixed literals, bit slices, casts to base types, and the full
 // expression grammar with P4 precedence.
 //

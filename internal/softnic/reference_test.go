@@ -191,9 +191,9 @@ func checkBurst(t *testing.T, frames [][]byte) {
 // burstForms names the rows with a burst form.
 func burstForms() []semantics.Name {
 	var names []semantics.Name
-	for name, r := range rows {
+	for _, r := range rows {
 		if r.burst != nil {
-			names = append(names, name)
+			names = append(names, r.name)
 		}
 	}
 	slices.Sort(names)

@@ -513,7 +513,7 @@ func Calibrate(samples [][]byte, rounds int) map[semantics.Name]float64 {
 	var sink uint64
 	var vals [BurstMax]uint64
 	for name, f := range Funcs() {
-		burst := rows[name].burst
+		burst := byName[name].burst
 		start := time.Now()
 		for range rounds {
 			for w := 0; w < len(samples); w += BurstMax {

@@ -7,7 +7,7 @@ import (
 )
 
 // The reference table is the one place a semantic's value is written: the
-// simulated device's offload engines (nicsim, through Lookup), the shims every
+// simulated device's offload engines (nicsim, through Rows), the shims every
 // lane links (Table, through rxpath), the validator's constants (Consts) and
 // every oracle (Expect) read it. A packet semantic's row states once what a
 // frame pkt.Decode rejects reads: error_flags the parse error (0x80), vlan the
@@ -16,6 +16,8 @@ import (
 
 // Row is one semantic's reference value.
 type Row struct {
+	// name is the row's semantic.
+	name semantics.Name
 	// eval is the value over the frame pkt.Decode left in in (decoded:
 	// whether it accepted the frame) on a device receiving on queue. Nil for
 	// the device clock, which no host predicts.
@@ -72,36 +74,52 @@ func device(k uint64, pinned bool) *Row {
 	return &Row{eval: func(*pkt.Info, bool, uint16) uint64 { return k }, pinned: pinned, shim: func([]byte) uint64 { return k }}
 }
 
-var rows = map[semantics.Name]*Row{
-	semantics.RSS:         packet(func(in *pkt.Info) uint64 { return uint64(RSS(in)) }),
-	semantics.IPChecksum:  packet(func(in *pkt.Info) uint64 { return uint64(IPChecksum(in)) }),
-	semantics.L4Checksum:  packet(func(in *pkt.Info) uint64 { return uint64(L4Checksum(in)) }),
-	semantics.PType:       packet(func(in *pkt.Info) uint64 { return uint64(PType(in)) }),
-	semantics.FlowID:      packet(func(in *pkt.Info) uint64 { return uint64(FlowID(in)) }),
-	semantics.IPID:        packet(func(in *pkt.Info) uint64 { return uint64(in.IPID) }),
-	semantics.KVKey:       withBurst(packet(KVKey), kvKeys),
-	semantics.PayloadHash: withBurst(packet(func(in *pkt.Info) uint64 { return uint64(PayloadHash(in)) }), payloadHashes),
-	semantics.TunnelID:    packet(func(in *pkt.Info) uint64 { return uint64(TunnelID(in)) }),
-	semantics.DecapFlag:   packet(func(in *pkt.Info) uint64 { return uint64(min(TunnelID(in), 1)) }),
-	semantics.L4Port:      packet(func(in *pkt.Info) uint64 { return uint64(in.DstPort) }),
-	semantics.InnerCsum:   packet(func(in *pkt.Info) uint64 { return uint64(innerChecksumStatus(in)) }),
-	semantics.ChecksumAny: packet(checksumLevel),
-	semantics.ParserDepth: packet(parserDepth),
-	semantics.ErrorFlags:  rejecting(errorFlags, 0x80),
+// rows is the table in its one order: a simulated device numbers its
+// offload engines, and lists their counters, by it (Rows).
+var rows = []*Row{
+	named(semantics.PktLen, partial(func(in *pkt.Info) uint64 { return uint64(len(in.Data)) }, func(p []byte) uint64 { return uint64(len(p)) })),
+	// Degraded mode serves the timestamp as 0; every check skips it.
+	named(semantics.Timestamp, &Row{pinned: true, shim: func([]byte) uint64 { return 0 }}),
+	named(semantics.QueueID, &Row{eval: func(_ *pkt.Info, _ bool, q uint16) uint64 { return uint64(q) }}),
+	named(semantics.Mark, device(0, true)),
+	named(semantics.CryptoCtx, device(0, true)),
+	named(semantics.LROSegs, device(1, true)),
+	named(semantics.SegCnt, device(1, false)),
+	named(semantics.RXDropHint, device(0, true)),
+	named(semantics.ErrorFlags, rejecting(errorFlags, 0x80)),
+	named(semantics.RSS, packet(func(in *pkt.Info) uint64 { return uint64(RSS(in)) })),
+	named(semantics.IPChecksum, packet(func(in *pkt.Info) uint64 { return uint64(IPChecksum(in)) })),
+	named(semantics.L4Checksum, packet(func(in *pkt.Info) uint64 { return uint64(L4Checksum(in)) })),
 	// Peeks need no full decode: this is why w(vlan) and w(pkt_len) are among
 	// the cheapest costs in the model.
-	semantics.VLAN:   partial(func(in *pkt.Info) uint64 { return uint64(VLANTCI(in)) }, peekVLAN),
-	semantics.PktLen: partial(func(in *pkt.Info) uint64 { return uint64(len(in.Data)) }, func(p []byte) uint64 { return uint64(len(p)) }),
-
-	semantics.QueueID:    {eval: func(_ *pkt.Info, _ bool, q uint16) uint64 { return uint64(q) }},
-	semantics.SegCnt:     device(1, false),
-	semantics.LROSegs:    device(1, true),
-	semantics.Mark:       device(0, true),
-	semantics.CryptoCtx:  device(0, true),
-	semantics.RXDropHint: device(0, true),
-	// Degraded mode serves the timestamp as 0; every check skips it.
-	semantics.Timestamp: {pinned: true, shim: func([]byte) uint64 { return 0 }},
+	named(semantics.VLAN, partial(func(in *pkt.Info) uint64 { return uint64(VLANTCI(in)) }, peekVLAN)),
+	named(semantics.PType, packet(func(in *pkt.Info) uint64 { return uint64(PType(in)) })),
+	named(semantics.FlowID, packet(func(in *pkt.Info) uint64 { return uint64(FlowID(in)) })),
+	named(semantics.IPID, packet(func(in *pkt.Info) uint64 { return uint64(in.IPID) })),
+	named(semantics.KVKey, withBurst(packet(KVKey), kvKeys)),
+	named(semantics.PayloadHash, withBurst(packet(func(in *pkt.Info) uint64 { return uint64(PayloadHash(in)) }), payloadHashes)),
+	named(semantics.TunnelID, packet(func(in *pkt.Info) uint64 { return uint64(TunnelID(in)) })),
+	named(semantics.L4Port, packet(func(in *pkt.Info) uint64 { return uint64(in.DstPort) })),
+	named(semantics.DecapFlag, packet(func(in *pkt.Info) uint64 { return uint64(min(TunnelID(in), 1)) })),
+	named(semantics.InnerCsum, packet(func(in *pkt.Info) uint64 { return uint64(innerChecksumStatus(in)) })),
+	named(semantics.ChecksumAny, packet(checksumLevel)),
+	named(semantics.ParserDepth, packet(parserDepth)),
 }
+
+// named gives r its semantic.
+func named(name semantics.Name, r *Row) *Row {
+	r.name = name
+	return r
+}
+
+// byName indexes rows by semantic.
+var byName = func() map[semantics.Name]*Row {
+	m := make(map[semantics.Name]*Row, len(rows))
+	for _, r := range rows {
+		m[r.name] = r
+	}
+	return m
+}()
 
 // peekVLAN reads the outer TCI where pkt.Decode finds it: on the frame once
 // the tag is, whatever follows.
@@ -152,7 +170,14 @@ func parserDepth(in *pkt.Info) uint64 {
 }
 
 // Lookup returns sem's row, nil when no reference is written for it.
-func Lookup(sem semantics.Name) *Row { return rows[sem] }
+func Lookup(sem semantics.Name) *Row { return byName[sem] }
+
+// Rows is the table in its one order: a simulated device numbers its
+// offload engines so, one per row.
+func Rows() []*Row { return rows }
+
+// Semantic names the row's semantic.
+func (r *Row) Semantic() semantics.Name { return r.name }
 
 // Packet reports whether the row reads the decoded frame.
 func (r *Row) Packet() bool { return r.decodes }
@@ -173,11 +198,11 @@ func (r *Row) Burst() func(frames [][]byte, out []uint64) { return r.burst }
 // every field.
 func Table(queue uint16) map[semantics.Name]codegen.SoftFunc {
 	t := make(map[semantics.Name]codegen.SoftFunc, len(rows))
-	for name, r := range rows {
-		t[name] = r.shim
+	for _, r := range rows {
+		t[r.name] = r.shim
 		if r.shim == nil {
 			v := r.eval(nil, false, queue)
-			t[name] = func([]byte) uint64 { return v }
+			t[r.name] = func([]byte) uint64 { return v }
 		}
 	}
 	return t
@@ -189,9 +214,9 @@ func Table(queue uint16) map[semantics.Name]codegen.SoftFunc {
 // descriptor-less datapath would.
 func Funcs() map[semantics.Name]codegen.SoftFunc {
 	t := Table(0)
-	for name, r := range rows {
+	for _, r := range rows {
 		if r.pinned {
-			delete(t, name)
+			delete(t, r.name)
 		}
 	}
 	return t
@@ -201,9 +226,9 @@ func Funcs() map[semantics.Name]codegen.SoftFunc {
 // queue id and its constants — which a validator checks structurally.
 func Consts(queue uint16) map[semantics.Name]uint64 {
 	c := make(map[semantics.Name]uint64)
-	for name, r := range rows {
+	for _, r := range rows {
 		if !r.decodes && r.eval != nil {
-			c[name] = r.eval(nil, false, queue)
+			c[r.name] = r.eval(nil, false, queue)
 		}
 	}
 	return c
@@ -214,7 +239,7 @@ func Consts(queue uint16) map[semantics.Name]uint64 {
 // semantic truncates it, a shim reads it whole (64). ok is false when there
 // is nothing to expect: no row, or the device clock.
 func Expect(sem semantics.Name, packet []byte, queue uint16, width int) (v uint64, ok bool) {
-	switch r := rows[sem]; {
+	switch r := byName[sem]; {
 	case r == nil || r.eval == nil:
 		return 0, false
 	case r.decodes:
