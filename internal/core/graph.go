@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"opendesc/internal/p4/ast"
@@ -71,6 +72,18 @@ type Leaf struct {
 	// programs: the parameter the control's first template type types, as P4
 	// binds an architecture's parameters by position.
 	Context bool
+}
+
+// Mask keeps the bits of v the leaf holds: its low Width.
+func (l *Leaf) Mask(v uint64) uint64 { return v & (^uint64(0) >> (64 - l.Width)) }
+
+// Value is v as the leaf holds it: masked, and typed as the leaf is
+// declared, so a bool reads as a truth value.
+func (l *Leaf) Value(v uint64) sema.Value {
+	if v = l.Mask(v); l.Bool {
+		return sema.BoolValue(v != 0)
+	}
+	return sema.UintValue(v, l.Width)
 }
 
 // Emit carries the three static vertex properties of the paper
@@ -146,6 +159,23 @@ func (g *Graph) Leaf(name string) int {
 func (g *Graph) holds(name string, v sema.Value) bool {
 	i := g.Leaf(name)
 	return i < 0 || v.IsBool || v.Uint>>g.Leaves[i].Width == 0
+}
+
+// exhausted reports whether the values excluded for the leaf name cover all
+// 2^Width values it can hold (a bool is one bit: true and false). A name
+// that is no leaf is never exhausted.
+func (g *Graph) exhausted(name string, excluded []sema.Value) bool {
+	i := g.Leaf(name)
+	if i < 0 || g.Leaves[i].Width >= 32 || len(excluded) < 1<<g.Leaves[i].Width {
+		return false
+	}
+	distinct := 0
+	for k, v := range excluded {
+		if g.holds(name, v) && !slices.ContainsFunc(excluded[:k], v.Equal) {
+			distinct++
+		}
+	}
+	return distinct >= 1<<g.Leaves[i].Width
 }
 
 // indexLeaves builds the leaf table of the bound instance: a first walk

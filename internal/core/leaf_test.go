@@ -62,10 +62,22 @@ func TestLeafTable(t *testing.T) {
 }
 
 // TestPrunesValuesWiderThanTheField: an edge whose equality needs a value
-// the two-bit register cannot hold is no path; one it can hold is.
+// the two-bit register cannot hold is no path; one it can hold is. So is an
+// edge that excludes every value the register can hold — a default past
+// four cases, a chain of four disequalities, a bool neither true nor false —
+// and one that leaves a value is a path.
 func TestPrunesValuesWiderThanTheField(t *testing.T) {
 	const emit = "{ cmpt_out.emit(pipe_meta.len); }"
 	for stmt, want := range map[string]int{
+		"switch (ctx.mode) { 0: " + emit + " 1: " + emit + " 2: " + emit + " 3: " + emit + " default: " + emit + " }": 4,
+		"switch (ctx.mode) { 0: " + emit + " 1, 3: " + emit + " 2, 7: " + emit + " default: " + emit + " }":           3,
+		"switch (ctx.mode) { 0: " + emit + " 1: " + emit + " 2: " + emit + " default: " + emit + " }":                 4,
+		"switch (ctx.mode) { 0: " + emit + " 1: " + emit + " 2: " + emit + " 4: " + emit + " default: " + emit + " }": 4,
+		"if (ctx.mode != 0) { if (ctx.mode != 1) { if (ctx.mode != 2) { if (ctx.mode != 3) " + emit + " } } }":        4,
+		"if (ctx.mode != 0) { if (ctx.mode != 1) { if (ctx.mode != 2) { if (ctx.mode != 2) " + emit + " } } }":        4,
+		"if (ctx.mode != 0) { if (ctx.mode != 1) { if (ctx.mode != 2) " + emit + " } }":                               4,
+		"if (ctx.on != true) { if (ctx.on != false) " + emit + " }":                                                   2,
+		"if (ctx.on != true) { if (ctx.mode != 0) " + emit + " }":                                                     3,
 		"if (ctx.mode == 3) " + emit:               2,
 		"if (ctx.mode == 4) " + emit:               1,
 		"if (ctx.mode != 4) " + emit:               1,

@@ -265,6 +265,9 @@ func applyEdge(g *Graph, e *Edge, n *Node, env *pathEnv, cons []Constraint, noPr
 					}
 				}
 			}
+			if !noPrune && g.exhausted(tagVar, ne.neq[tagVar]) {
+				return false, env, cons // the cases cover every value the field holds
+			}
 			return true, ne, nc
 		}
 		// Case edge: with a single value we learn tag == v; with several we
@@ -343,6 +346,9 @@ func applyEdge(g *Graph, e *Edge, n *Node, env *pathEnv, cons []Constraint, noPr
 		ne.eq[varName] = val
 	} else {
 		ne.neq[varName] = append(ne.neq[varName], val)
+		if !noPrune && g.exhausted(varName, ne.neq[varName]) {
+			return false, env, cons // the field can hold no value left
+		}
 	}
 	nc = append(nc[:len(nc):len(nc)], Constraint{Var: varName, Val: val, Equal: eq})
 	return true, ne, nc

@@ -288,7 +288,7 @@ type slotEnv struct {
 }
 
 func (e *slotEnv) set(leaf int, v uint64) {
-	e.vals[leaf] = v & widthMask(e.g.Leaves[leaf].Width)
+	e.vals[leaf] = e.g.Leaves[leaf].Mask(v)
 }
 
 // Lookup implements sema.Env: what the interpreter's conditions and emits
@@ -299,10 +299,7 @@ func (e *slotEnv) Lookup(path string) (sema.Value, bool) {
 	if i < 0 {
 		return sema.Value{}, false
 	}
-	if e.g.Leaves[i].Bool {
-		return sema.BoolValue(e.vals[i] != 0), true
-	}
-	return sema.UintValue(e.vals[i], e.g.Leaves[i].Width), true
+	return e.g.Leaves[i].Value(e.vals[i]), true
 }
 
 // widthMask returns the w-bit all-ones mask (w in 1..64).
@@ -606,17 +603,10 @@ func staticImage(dst []byte, p *core.Path, vals []uint64) []byte {
 	dst = append(dst[:0], make([]byte, p.SizeBytes())...)
 	for _, f := range p.Fields {
 		if f.Leaf >= 0 {
-			bitfield.Write(dst, f.OffsetBits, f.WidthBits, vals[f.Leaf]&widthMask(f.WidthBits))
+			bitfield.Write(dst, f.OffsetBits, f.WidthBits, vals[f.Leaf])
 		}
 	}
 	return dst
-}
-
-// want is the static view's value of layout field k under the current
-// environment.
-func (c *pathChecker) want(k int) uint64 {
-	f := &c.p.Fields[k]
-	return c.env.vals[f.Leaf] & widthMask(f.WidthBits)
 }
 
 // checkCase runs all three views under the current environment.
@@ -627,18 +617,19 @@ func (c *pathChecker) checkCase() error {
 }
 
 // checkAccessors reads every synthesized hardware accessor off the static
-// image and compares against the environment value (view C). A failure is
-// reported under the minimal environment when it reproduces there.
+// image and compares against the environment value, its field's leaf's
+// (view C). A failure is reported under the minimal environment when it
+// reproduces there.
 func (c *pathChecker) checkAccessors() {
 	for _, a := range c.reads {
-		want, got := c.want(a.field), a.reader.Read(c.img, nil)
+		want, got := c.env.vals[c.p.Fields[a.field].Leaf], a.reader.Read(c.img, nil)
 		c.rep.Checks++
 		if got != want {
 			img := c.img
 			if mimg, mwant, mgot := c.minimal(a); mgot != mwant {
 				img, want, got = mimg, mwant, mgot
 			}
-			c.fail("accessor", a.field, img, want, got, string(a.reader.Semantic))
+			c.fail(c.p, "accessor", a.field, img, want, got, string(a.reader.Semantic))
 		}
 	}
 }
@@ -655,7 +646,7 @@ func (c *pathChecker) checkDeparser() error {
 	qi := matchPath(c.paths, c.p, c.rec.Fields, &c.env)
 	c.rep.Checks++
 	if qi < 0 {
-		c.fail("layout", 0, c.rec.Image, 0, 0,
+		c.fail(c.p, "layout", 0, c.rec.Image, 0, 0,
 			fmt.Sprintf("interpreted layout (%d fields, %d bits) matches no enumerated path the environment selects",
 				len(c.rec.Fields), c.rec.Bits))
 		return nil
@@ -670,36 +661,26 @@ func (c *pathChecker) checkDeparser() error {
 		qimg = c.sib
 	}
 	if !bytes.Equal(c.rec.Image, qimg) {
-		f := firstImageDiff(q, c.rec.Image, qimg)
-		c.rep.Disagreements = append(c.rep.Disagreements, &Disagreement{
-			NIC:         c.name,
-			PathID:      q.ID,
-			Constraints: constraintStrings(q),
-			View:        "interp",
-			Field:       f.Name,
-			Semantic:    string(f.Semantic),
-			OffsetBits:  f.OffsetBits,
-			WidthBits:   f.WidthBits,
-			Image:       bytes.Clone(qimg),
-			Want:        readField(qimg, f),
-			Got:         readField(c.rec.Image, f),
-			Detail:      "interpreted deparser record diverges from static layout",
-		})
+		// Unequal images are not empty, so q has a field k.
+		k := firstImageDiff(q, c.rec.Image, qimg)
+		c.fail(q, "interp", k, qimg, readField(qimg, q.Fields[k]), readField(c.rec.Image, q.Fields[k]),
+			"interpreted deparser record diverges from static layout")
 	}
 	return nil
 }
 
-// fail records a disagreement for layout field k (no field when the path has
-// none). img is a per-case buffer, so the reproducer keeps its own copy.
-func (c *pathChecker) fail(view string, k int, img []byte, want, got uint64, detail string) {
+// fail records a disagreement for layout field k of path p (no field when
+// p has none). img is a per-case buffer, so the reproducer keeps its own
+// copy.
+func (c *pathChecker) fail(p *core.Path, view string, k int, img []byte, want, got uint64, detail string) {
 	var f core.LayoutField
-	if k < len(c.p.Fields) {
-		f = c.p.Fields[k]
+	if k < len(p.Fields) {
+		f = p.Fields[k]
 	}
 	c.rep.Disagreements = append(c.rep.Disagreements, &Disagreement{
 		NIC:         c.name,
-		PathID:      c.p.ID,
-		Constraints: constraintStrings(c.p),
+		PathID:      p.ID,
+		Constraints: constraintStrings(p),
 		View:        view,
 		Field:       f.Name,
 		Semantic:    string(f.Semantic),
@@ -723,7 +704,7 @@ func (c *pathChecker) minimal(a accessorRead) (img []byte, want, got uint64) {
 	s := c.p.Fields[a.field].Leaf
 	min[s] = c.env.vals[s]
 	img = staticImage(nil, c.p, min)
-	return img, min[s] & widthMask(c.p.Fields[a.field].WidthBits), a.reader.Read(img, nil)
+	return img, min[s], a.reader.Read(img, nil)
 }
 
 // matchPath finds the enumerated path an interpreted record belongs to: the
@@ -765,21 +746,15 @@ func satisfies(p *core.Path, env sema.Env) bool {
 	return true
 }
 
-// firstImageDiff locates the first layout field whose bits differ between
+// firstImageDiff indexes the first layout field whose bits differ between
 // the two images (falling back to the path's first field).
-func firstImageDiff(p *core.Path, a, b []byte) core.LayoutField {
-	for _, f := range p.Fields {
-		if f.WidthBits > 64 {
-			continue
-		}
-		if readField(a, f) != readField(b, f) {
-			return f
+func firstImageDiff(p *core.Path, a, b []byte) int {
+	for k, f := range p.Fields {
+		if f.WidthBits <= 64 && readField(a, f) != readField(b, f) {
+			return k
 		}
 	}
-	if len(p.Fields) > 0 {
-		return p.Fields[0]
-	}
-	return core.LayoutField{}
+	return 0
 }
 
 func readField(img []byte, f core.LayoutField) uint64 {

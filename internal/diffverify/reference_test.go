@@ -306,7 +306,7 @@ func (c *refPathChecker) checkDeparser(img []byte, vals map[string]uint64) error
 		qimg = refStaticImage(q, vals)
 	}
 	if !bytes.Equal(rec.Image, qimg) {
-		f := firstImageDiff(q, rec.Image, qimg)
+		f := q.Fields[firstImageDiff(q, rec.Image, qimg)]
 		d := &Disagreement{
 			NIC:         c.name,
 			PathID:      q.ID,
@@ -468,8 +468,8 @@ func TestDisagreementSurvivesBufferReuse(t *testing.T) {
 	}
 	// Two failures the harness does not minimise keep the case's own
 	// images: the static one and the interpreted one.
-	pc.fail("interp", 0, pc.img, 1, 2, "forced")
-	pc.fail("layout", 0, pc.rec.Image, 3, 4, "forced")
+	pc.fail(pc.p, "interp", 0, pc.img, 1, 2, "forced")
+	pc.fail(pc.p, "layout", 0, pc.rec.Image, 3, 4, "forced")
 	if len(rep.Disagreements) != 3 {
 		t.Fatalf("%d disagreements recorded, want 3", len(rep.Disagreements))
 	}

@@ -75,9 +75,10 @@ type Device struct {
 
 	graph *core.Graph
 	paths []*core.Path
-	// ctx0 is the first context leaf's index in graph.Leaves; context leaf
-	// ctx0+k is the register in slot slotReg+k.
-	ctx0 int
+	// slots holds, per leaf of graph.Leaves, the slot it reads: a context
+	// leaf its register, a metadata leaf its semantic's engine, else
+	// slotZero.
+	slots []int32
 
 	// CmptRing receives the serialized completion records (stride: see New).
 	CmptRing *ring.Ring
@@ -91,7 +92,7 @@ type Device struct {
 	drops     obs.Counter
 	cmptBytes obs.Counter
 	// offloads counts, per engine slot, the packets its engine ran for.
-	offloads [maxSlots]obs.Counter
+	offloads [softnic.NumRows]obs.Counter
 
 	// faults, when non-nil, is the fault-injection layer consulted on every
 	// DMA/completion and control-channel operation.
@@ -145,16 +146,18 @@ var (
 	// with no decode, and its clock.
 	slotPktLen    = slices.Index(engines, softnic.Lookup(semantics.PktLen))
 	slotTimestamp = slices.Index(engines, softnic.Lookup(semantics.Timestamp))
-	slotZero      = len(engines)
+)
+
+const (
+	slotZero = softnic.NumRows
 	// slotReg is the first context register's slot.
 	slotReg = slotZero + 1
 	// fixedSlots are the slots no engine computes: slotZero and the
 	// registers.
 	fixedSlots = ^uint64(0) >> slotZero << slotZero
+	// maxSlots bounds the slots to one bit each of a uint64 mask.
+	maxSlots = 64
 )
-
-// maxSlots bounds the slots to one bit each of a uint64 mask.
-const maxSlots = 64
 
 // A route is one enumerated path as the device DMAs it: its writes,
 // plan[start:end], the record's size in bytes, and the completions it carried.
@@ -220,19 +223,12 @@ func New(m *nic.Model, cfg Config) (*Device, error) {
 	return d, nil
 }
 
-// build binds the context leaves to register slots, then resolves every
-// enumerated path once: its route into the decision tree, its fields into a
-// plan. Both live in one backing slice each, sized up front from the paths.
+// build binds every leaf to its slot, then resolves every enumerated path
+// once: its route into the decision tree, its fields into a plan. The slots
+// and the tree share one backing slice, the plan has another, sized up
+// front from the paths.
 func (d *Device) build() error {
-	g, regs := d.graph, 0
-	for i := len(g.Leaves) - 1; i >= 0; i-- { // ctx0 ends on the first
-		if g.Leaves[i].Context {
-			d.ctx0, regs = i, regs+1
-		}
-	}
-	if regs > maxSlots-slotReg {
-		return fmt.Errorf("%d context registers, more than %d", regs, maxSlots-slotReg)
-	}
+	g := d.graph
 	fan, nTree, nPlan := 0, 1, 0
 	for _, n := range g.Nodes {
 		fan = max(fan, len(n.Succs))
@@ -241,8 +237,23 @@ func (d *Device) build() error {
 		nTree += len(p.Route) * (1 + fan)
 		nPlan += len(p.Fields)
 	}
-	d.tree = make([]int32, 1, nTree)
+	nLeaves := len(g.Leaves)
+	buf := make([]int32, nLeaves+nTree)
+	d.slots, d.tree = buf[:nLeaves:nLeaves], buf[nLeaves:nLeaves+1]
 	d.plan = make([]write, 0, nPlan)
+	reg := slotReg
+	for i, l := range g.Leaves {
+		s := slotZero
+		if l.Context {
+			s, reg = reg, reg+1
+		} else if e := slices.Index(engines, softnic.Lookup(l.Semantic)); e >= 0 {
+			s = e
+		}
+		d.slots[i] = int32(s)
+	}
+	if reg > maxSlots {
+		return fmt.Errorf("%d context registers, more than %d", reg-slotReg, maxSlots-slotReg)
+	}
 	for i, p := range d.paths {
 		// at is the target the walk so far ends on, rest the route's
 		// decisions still to take; a walk visits each node of the acyclic
@@ -286,8 +297,8 @@ func (d *Device) build() error {
 		r.start, r.size = int32(len(d.plan)), p.SizeBytes()
 		for _, f := range p.Fields {
 			if f.Leaf >= 0 {
-				if s := d.slot(f.Leaf); s != slotZero {
-					d.plan = append(d.plan, write{slot: int32(s), off: int32(f.OffsetBits), width: int32(f.WidthBits)})
+				if s := d.slots[f.Leaf]; int(s) != slotZero {
+					d.plan = append(d.plan, write{slot: s, off: int32(f.OffsetBits), width: int32(f.WidthBits)})
 				}
 			}
 		}
@@ -295,22 +306,6 @@ func (d *Device) build() error {
 	}
 	return nil
 }
-
-// slot is where leaf i of the graph's leaf table reads from: a context leaf
-// its register, a metadata leaf its semantic's engine, else slotZero.
-func (d *Device) slot(i int) int {
-	l := &d.graph.Leaves[i]
-	if l.Context {
-		return slotReg + i - d.ctx0
-	}
-	if e := slices.Index(engines, softnic.Lookup(l.Semantic)); e >= 0 {
-		return e
-	}
-	return slotZero
-}
-
-// mask keeps the low width bits of a value.
-func mask(width int) uint64 { return ^uint64(0) >> (64 - width) }
 
 // Config returns the device's (defaulted) configuration — the concrete
 // device state drivers derive their validation constants from.
@@ -331,8 +326,8 @@ func MustNew(m *nic.Model, cfg Config) *Device {
 // that is no register writes nothing, like a store to no address.
 func (d *Device) WriteReg(path string, v uint64) {
 	if i := d.graph.Leaf(path); i >= 0 && d.graph.Leaves[i].Context {
-		s := d.slot(i)
-		d.vals[s], d.written = v&mask(d.graph.Leaves[i].Width), d.written|1<<s
+		s := d.slots[i]
+		d.vals[s], d.written = d.graph.Leaves[i].Mask(v), d.written|1<<s
 	}
 }
 
@@ -359,7 +354,7 @@ func (d *Device) ApplyConfig(cons []core.Constraint) error {
 		return fmt.Errorf("nicsim: %w", err)
 	}
 	for v, val := range vals {
-		if i := d.graph.Leaf(v); i >= 0 && d.graph.Leaves[i].Context && val&^mask(d.graph.Leaves[i].Width) != 0 {
+		if i := d.graph.Leaf(v); i >= 0 && d.graph.Leaves[i].Context && d.graph.Leaves[i].Mask(val) != val {
 			return fmt.Errorf("nicsim %s: the configuration sets register %s to %d, wider than its %d bits", d.Model.Name, v, val, d.graph.Leaves[i].Width)
 		}
 	}
@@ -390,7 +385,7 @@ type registers Device
 // Lookup implements sema.Env.
 func (r *registers) Lookup(path string) (sema.Value, bool) {
 	d := (*Device)(r)
-	if i := d.graph.Leaf(path); i >= 0 && d.slot(i) < slotZero {
+	if i := d.graph.Leaf(path); i >= 0 && int(d.slots[i]) < slotZero {
 		return sema.Value{}, false
 	}
 	return d.Lookup(path)
@@ -665,15 +660,11 @@ func (d *Device) Lookup(path string) (sema.Value, bool) {
 	if i < 0 {
 		return sema.Value{}, false
 	}
-	l, s := &d.graph.Leaves[i], d.slot(i)
+	l, s := &d.graph.Leaves[i], d.slots[i]
 	if l.Context && d.written&(1<<s) == 0 {
 		return sema.Value{}, false
 	}
-	v := d.val(s) & mask(l.Width)
-	if l.Bool {
-		return sema.BoolValue(v != 0), true
-	}
-	return sema.UintValue(v, l.Width), true
+	return l.Value(d.val(int(s))), true
 }
 
 // route takes the decisions of the tree under env, down to a leaf, and
@@ -709,20 +700,18 @@ func decide(node *core.Node, env sema.Env, info *sema.Info) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("nicsim: switch tag: %w", err)
 	}
-	def := -1
+	// Every deparser switch has a default edge: its own, or core.BuildGraph's
+	// implicit no-match one.
+	def := 0
 	for i, e := range node.Succs {
-		if e.IsDefault {
-			def = i
-			continue
-		}
 		for _, cv := range e.CaseVals {
 			if cv.Equal(tag) {
 				return i, nil
 			}
 		}
+		if e.IsDefault {
+			def = i
+		}
 	}
-	if def >= 0 {
-		return def, nil
-	}
-	return 0, fmt.Errorf("nicsim: switch tag %v matches no case and no default", tag)
+	return def, nil
 }

@@ -298,7 +298,7 @@ func (d *Device) register(path string) int {
 // path names no register).
 func (d *Device) ReadReg(path string) uint64 {
 	if i := d.register(path); i >= 0 {
-		return d.vals[d.slot(i)]
+		return d.vals[d.slots[i]]
 	}
 	return 0
 }

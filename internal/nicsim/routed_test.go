@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 
 	"opendesc/internal/core"
@@ -100,13 +101,20 @@ func settings(widths []int) [][]uint64 {
 }
 
 // registerCorpus is what TestEveryRegisterSettingIsRouted covers: the
-// bundled NICs, the hand-written descriptions, and the first mutants of each
-// NIC that diffverify's screen passes, under a fixed seed.
+// bundled NICs, the hand-written descriptions, qdma with its format register
+// narrowed to one bit (two of its cases and its default left with no value),
+// and the first mutants of each NIC that diffverify's screen passes, under a
+// fixed seed.
 func registerCorpus(t *testing.T) []*nic.Model {
 	models := nic.All()
 	for name := range handWritten {
 		models = append(models, handWrittenModel(t, name))
 	}
+	narrow, err := modelFromSource("qdma[cmpt_size:bit<1>]", strings.Replace(nic.MustLoad("qdma").Source, "bit<3> cmpt_size", "bit<1> cmpt_size", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	models = append(models, narrow)
 	for _, m := range nic.All() {
 		taken := 0
 		for _, v := range diffverify.Sweep(m.Name, m.Source, 3, 12) {

@@ -2,6 +2,7 @@ package nicsim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"opendesc/internal/core"
@@ -97,7 +98,7 @@ func TestNewAllocGate(t *testing.T) {
 		if got > newAllocLimit {
 			t.Errorf("%s: New allocates %.0f, limit %d", m.Name, got, newAllocLimit)
 		}
-		reg := dev.graph.Leaves[dev.ctx0].Name
+		reg := dev.graph.Leaves[slices.IndexFunc(dev.graph.Leaves, func(l core.Leaf) bool { return l.Context })].Name
 		if got := testing.AllocsPerRun(20, func() { dev.WriteReg(reg, 1) }); got != 0 {
 			t.Errorf("%s: WriteReg(%s) allocates %.0f", m.Name, reg, got)
 		}

@@ -75,8 +75,9 @@ func device(k uint64, pinned bool) *Row {
 }
 
 // rows is the table in its one order: a simulated device numbers its
-// offload engines, and lists their counters, by it (Rows).
-var rows = []*Row{
+// offload engines, and lists their counters, by it (Rows). It is an array,
+// so its length is the constant NumRows.
+var rows = [...]*Row{
 	named(semantics.PktLen, partial(func(in *pkt.Info) uint64 { return uint64(len(in.Data)) }, func(p []byte) uint64 { return uint64(len(p)) })),
 	// Degraded mode serves the timestamp as 0; every check skips it.
 	named(semantics.Timestamp, &Row{pinned: true, shim: func([]byte) uint64 { return 0 }}),
@@ -174,7 +175,11 @@ func Lookup(sem semantics.Name) *Row { return byName[sem] }
 
 // Rows is the table in its one order: a simulated device numbers its
 // offload engines so, one per row.
-func Rows() []*Row { return rows }
+func Rows() []*Row { return rows[:] }
+
+// NumRows is the number of rows, a constant a device sizes its engines'
+// counters by.
+const NumRows = len(rows)
 
 // Semantic names the row's semantic.
 func (r *Row) Semantic() semantics.Name { return r.name }
