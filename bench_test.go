@@ -454,10 +454,9 @@ func BenchmarkObsOverhead(b *testing.B) {
 // BenchmarkFlightOverhead measures the flight recorder's hot-path tax on the
 // full driver datapath (Rx + Poll + three metadata reads per packet): the
 // "on" sub-benchmark records with the default sampling, "off" disables the
-// recorder at runtime (the enabled-check cost stays); `-tags flight_off`
-// compiles recording out entirely. The tax is well over 5% of the host
-// side: on cmd/benchmark's hw_fastpath (2-vCPU VM) disabling the recorder
-// takes 19% off the host time per packet and flight_off 20%.
+// recorder at runtime (the enabled-check cost stays). The tax is well over
+// 5% of the host side: on cmd/benchmark's hw_fastpath (2-vCPU VM) disabling
+// the recorder takes 19% off the host time per packet.
 func BenchmarkFlightOverhead(b *testing.B) {
 	tr := workload.MustGenerate(workload.DefaultSpec())
 	run := func(b *testing.B, record bool) {

@@ -89,7 +89,7 @@ func TestFleetTraceOfE20(t *testing.T) {
 		t.Fatalf("%d host dumps, want 16", len(dumps))
 	}
 	var out bytes.Buffer
-	if err := runFleetTrace(append([]string{filepath.Join(dir, "spans.json")}, dumps...), &out); err != nil {
+	if err := runFlight(append([]string{filepath.Join(dir, "spans.json")}, dumps...), &out); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -126,7 +126,7 @@ func TestFleetTraceOfE20(t *testing.T) {
 	if len(processes) != 17 {
 		t.Errorf("%d processes, want the controller and 16 hosts", len(processes))
 	}
-	if err := runFlight(append([]string{"-merge"}, dumps...), &bytes.Buffer{}); err != nil {
-		t.Errorf("flight -merge of E20's dumps: %v", err)
+	if err := runFlight(dumps, &bytes.Buffer{}); err != nil {
+		t.Errorf("flight of E20's dumps alone: %v", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"opendesc/internal/fleet/telemetry"
 	"opendesc/internal/obs/flight"
 )
 
@@ -143,7 +144,7 @@ func TestRunFlightMergeGolden(t *testing.T) {
 	b := writeSnapshotDump(t, dir, "host-b", secondSnapshot())
 
 	var out bytes.Buffer
-	if err := runFlight([]string{"-merge", a, b}, &out); err != nil {
+	if err := runFlight([]string{a, b}, &out); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -184,12 +185,202 @@ func TestRunFlightMergeGolden(t *testing.T) {
 	}
 }
 
+// TestRunFlightMergeErrors: one input that is neither a dump nor a span
+// file refuses the whole merge, and the error names that input.
 func TestRunFlightMergeErrors(t *testing.T) {
-	if err := runFlight([]string{"-merge"}, &bytes.Buffer{}); err == nil {
-		t.Error("-merge with no files should fail")
+	dir := t.TempDir()
+	a := writeSnapshotDump(t, dir, "host-a", testSnapshot())
+	junk := filepath.Join(dir, "junk.odfl")
+	if err := os.WriteFile(junk, []byte("not a dump"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	path := writeDump(t)
-	if err := runFlight([]string{path, path}, &bytes.Buffer{}); err == nil {
-		t.Error("two files without -merge should fail")
+	var out bytes.Buffer
+	err := runFlight([]string{a, junk}, &out)
+	if err == nil || out.Len() != 0 {
+		t.Fatalf("merge with %s: err %v, %d bytes written; want a refusal", junk, err, out.Len())
+	}
+	if !strings.Contains(err.Error(), junk) || !strings.Contains(err.Error(), "neither a flight dump nor a span file") {
+		t.Errorf("error %q does not name %s as neither input kind", err, junk)
+	}
+}
+
+// secondSnapshot is a second deterministic host ring so merged traces have
+// two distinct process tracks on one timeline.
+func secondSnapshot() *flight.Snapshot {
+	return &flight.Snapshot{
+		Reason: "telemetry",
+		Epoch:  time.Unix(1700000000, 0).UTC(),
+		Queues: []flight.QueueEvents{{
+			ID:   0,
+			Name: "q0",
+			Events: []flight.Event{
+				{TS: 1500, Code: flight.EvRingPush, Seq: 0, Arg0: 1},
+				{TS: 3100, Code: flight.EvDeliver, Seq: 1, Arg0: 400, Arg1: 900},
+				{TS: 4200, Code: flight.EvGarbage, Seq: 2, Arg0: flight.PackName("rss"), Arg1: 3},
+			},
+		}},
+	}
+}
+
+// writeSnapshotDump serializes one snapshot under the given basename; the
+// basename becomes the merged trace's process name.
+func writeSnapshotDump(t *testing.T, dir, base string, snap *flight.Snapshot) string {
+	t.Helper()
+	path := filepath.Join(dir, base+".odfl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snap.WriteTo(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// testSpans is a deterministic controller span tree: one rollout wrapping a
+// trial and a bake, ending in a promote instant.
+func testSpans() []telemetry.Span {
+	return []telemetry.Span{
+		{Name: "rollout widen gen 2", Cat: "rollout", Track: "rollout", StartNs: 1000, EndNs: 9000,
+			Args: map[string]string{"gen": "2", "targets": "2"}},
+		{Name: "trial host-a", Cat: "trial", Track: "host-a", StartNs: 1200, EndNs: 6000},
+		{Name: "bake", Cat: "bake", Track: "bake", StartNs: 2000, EndNs: 8000},
+		{Name: "promote", Cat: "verdict", Track: "rollout", StartNs: 9000, EndNs: 9000,
+			Args: map[string]string{"hosts": "2"}},
+	}
+}
+
+func writeSpanFile(t *testing.T, dir string) string {
+	t.Helper()
+	path := filepath.Join(dir, "spans.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := telemetry.WriteSpans(f, testSpans()); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestRunFleetTraceGolden: a span file among the dumps puts the
+// controller's span tree on process 0 of the merged trace, whatever the
+// span file's position and with -chrome implied or given.
+func TestRunFleetTraceGolden(t *testing.T) {
+	dir := t.TempDir()
+	spans := writeSpanFile(t, dir)
+	hostA := writeSnapshotDump(t, dir, "host-a", testSnapshot())
+	hostB := writeSnapshotDump(t, dir, "host-b", secondSnapshot())
+
+	var out bytes.Buffer
+	if err := runFlight([]string{"-chrome", spans, hostA, hostB}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatalf("fleet trace is not valid JSON: %v\n%s", err, out.String())
+	}
+	if len(doc.TraceEvents) == 0 {
+		t.Fatal("fleet trace has no traceEvents")
+	}
+	text := out.String()
+	for _, want := range []string{
+		`"controller"`, `"rollout widen gen 2"`, `"trial host-a"`, `"promote"`,
+		`"host-a"`, `"host-b"`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("fleet trace missing %s", want)
+		}
+	}
+
+	golden := filepath.Join("testdata", "fleet_trace.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("fleet trace drifted from golden (run with -update-golden to refresh):\n--- got ---\n%s--- want ---\n%s", out.String(), want)
+	}
+	var moved bytes.Buffer
+	if err := runFlight([]string{hostA, spans, hostB}, &moved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(moved.Bytes(), want) {
+		t.Error("the span file's position among the inputs changed the trace")
+	}
+}
+
+// TestRunFleetTraceSpansAlone: a span file with no dumps is still a merge,
+// the controller process only.
+func TestRunFleetTraceSpansAlone(t *testing.T) {
+	var out bytes.Buffer
+	if err := runFlight([]string{writeSpanFile(t, t.TempDir())}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			PID  int            `json:"pid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatalf("span-only trace is not valid JSON: %v\n%s", err, out.String())
+	}
+	var processes []string
+	for _, ev := range doc.TraceEvents {
+		if ev.PID != 0 {
+			t.Errorf("event %q on process %d, want the controller's 0", ev.Name, ev.PID)
+		}
+		if ev.Name == "process_name" {
+			processes = append(processes, ev.Args["name"].(string))
+		}
+	}
+	if len(processes) != 1 || processes[0] != "controller" || len(doc.TraceEvents) != 1+3+len(testSpans()) {
+		t.Errorf("processes %v, %d events; want the controller's 3 tracks and %d spans", processes, len(doc.TraceEvents), len(testSpans()))
+	}
+}
+
+// TestRunFleetTraceErrors: a trace has one controller, and a JSON file of
+// another schema is neither input kind; both are refused naming the file.
+func TestRunFleetTraceErrors(t *testing.T) {
+	dir := t.TempDir()
+	spans := writeSpanFile(t, dir)
+	host := writeSnapshotDump(t, dir, "host-a", testSnapshot())
+	other := filepath.Join(dir, "other.json")
+	if err := os.WriteFile(other, []byte(`{"schema":"wrong/v9"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		says []string
+	}{
+		{[]string{spans, host, spans}, []string{"two span files", spans}},
+		{[]string{other, host}, []string{other, "neither a flight dump nor a span file", "wrong/v9"}},
+	} {
+		var out bytes.Buffer
+		err := runFlight(tc.args, &out)
+		if err == nil || out.Len() != 0 {
+			t.Errorf("%v: err %v, %d bytes written; want a refusal before any output", tc.args, err, out.Len())
+			continue
+		}
+		for _, s := range tc.says {
+			if !strings.Contains(err.Error(), s) {
+				t.Errorf("%v: error %q does not name %q", tc.args, err, s)
+			}
+		}
 	}
 }

@@ -15,8 +15,8 @@
 //	opendesc experiments -v e19 e20      # ... with the tenant and fleet transcripts
 //	opendesc flight dump.odfl            # decode a flight-recorder postmortem
 //	opendesc flight -chrome dump.odfl    # ... as Perfetto-loadable JSON
-//	opendesc flight -merge a.odfl b.odfl # N dumps, one time-aligned trace
-//	opendesc fleettrace spans.json *.odfl  # controller spans + host rings merged
+//	opendesc flight a.odfl b.odfl        # N dumps, one time-aligned trace
+//	opendesc flight spans.json *.odfl    # ... with the controller's spans
 //	opendesc chaos -cases 1000           # deterministic whole-stack chaos sweep
 //	opendesc chaos -seed 7 -bug -shrink  # catch the canary bug, emit a minimal reproducer
 //	opendesc chaos -replay repro.chaos   # replay a shrunk reproducer spec
@@ -56,7 +56,6 @@ var subcommands = map[string]func(args []string, stdout, stderr io.Writer) int{
 	"run":         runDriver,
 	"experiments": runExperiments,
 	"flight":      exitStatus(runFlight),
-	"fleettrace":  exitStatus(runFleetTrace),
 	"chaos":       exitStatus(runChaos),
 	"describe":    exitStatus(runDescribe),
 	"verify":      exitStatus(runVerify),

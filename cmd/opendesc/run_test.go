@@ -34,6 +34,8 @@ func TestFlagOutsideItsModeExits2(t *testing.T) {
 		{runExperiments, []string{"-quick", "e17", "-flight-dump", in("dumps")}, `unknown experiment "-flight-dump"`},
 		{subcommands["chaos"], []string{"-mode", "tenant", "-nic", "ice"}, "does not read NIC"},
 		{subcommands["chaos"], []string{"-mode", "fleet", "-dump", in("dumps")}, "does not read DumpDir"},
+		{subcommands["flight"], []string{"-spans", in("s.json"), in("a.odfl")}, "-spans"},
+		{subcommands["flight"], []string{"-o", in("t.json")}, "one or more input files"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := tc.sub(tc.args, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
@@ -52,7 +54,7 @@ func TestFlagOutsideItsModeExits2(t *testing.T) {
 // for help is not a usage error.
 func TestHelpExits0(t *testing.T) {
 	for name, sub := range map[string]func(args []string, stdout, stderr io.Writer) int{
-		"run": runDriver, "experiments": runExperiments, "chaos": subcommands["chaos"],
+		"run": runDriver, "experiments": runExperiments, "chaos": subcommands["chaos"], "flight": subcommands["flight"],
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := sub([]string{"-h"}, &stdout, &stderr); code != 0 {

@@ -45,7 +45,7 @@ type e20Run struct {
 // e20Scenario runs one fleet of the given size. A non-nil w receives its
 // transcript; a non-empty dumpDir receives the controller's span tree as
 // spans.json and every member's flight ring as <host>.odfl, the inputs of
-// `opendesc fleettrace` and `opendesc flight -merge`.
+// `opendesc flight`, which merges them into one timeline.
 func e20Scenario(hosts int, w io.Writer, dumpDir string) (*e20Run, error) {
 	if w == nil {
 		w = io.Discard

@@ -29,6 +29,7 @@ package diffverify
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -133,10 +134,10 @@ type Report struct {
 	Cases  int
 	Checks int
 	// Skipped counts cases whose environment was underdetermined for the
-	// focus path (opaque or multi-valued discriminants): the interpreter's
-	// record has another enumerated path's layout, and the environment
-	// satisfies that path's constraints too — still verified, attributed
-	// there.
+	// focus path (opaque or multi-valued discriminants) even after their
+	// free leaves were drawn again: the interpreter's record has another
+	// enumerated path's layout, and the environment satisfies that path's
+	// constraints too — still verified, attributed there.
 	Skipped       int
 	Disagreements []*Disagreement
 }
@@ -413,6 +414,8 @@ type pathChecker struct {
 	// pins is the context assignment selecting this path.
 	pins   []pin
 	golden []goldenField
+	// goldenLeaves are golden's leaves: the focus of a golden case.
+	goldenLeaves []int
 	// reads are the per-path generated accessors, one per provided semantic.
 	reads []accessorRead
 }
@@ -441,6 +444,7 @@ func (ck *checker) bindPath(p *core.Path) (*pathChecker, error) {
 		}
 		if fn := ck.soft[f.Semantic]; fn != nil {
 			c.golden = append(c.golden, goldenField{leaf: s, fn: fn})
+			c.goldenLeaves = append(c.goldenLeaves, s)
 		}
 	}
 	accessors, fields := pathAccessors(p, ck.opts.BreakAccessor)
@@ -538,7 +542,7 @@ func (c *pathChecker) run() error {
 			c.fill(mix(base ^ uint64(ui)<<16 ^ uint64(pi)<<8))
 			c.env.set(c.p.Fields[k].Leaf, pat)
 			c.applyPins()
-			if err := c.checkCase(); err != nil {
+			if err := c.checkCase(c.p.Fields[k].Leaf); err != nil {
 				return err
 			}
 			c.rep.Cases++
@@ -569,7 +573,7 @@ func (c *pathChecker) runGolden() error {
 			c.env.set(g.leaf, g.fn(packet))
 		}
 		c.applyPins()
-		if err := c.checkCase(); err != nil {
+		if err := c.checkCase(c.goldenLeaves...); err != nil {
 			return err
 		}
 		c.rep.Cases++
@@ -609,11 +613,45 @@ func staticImage(dst []byte, p *core.Path, vals []uint64) []byte {
 	return dst
 }
 
-// checkCase runs all three views under the current environment.
-func (c *pathChecker) checkCase() error {
+// redraws bounds how often an underdetermined case draws its free leaves
+// again (redrawValue).
+const redraws = 4
+
+// redrawValue is draw r of free leaf i of a w-bit leaf in the case counted
+// before it: zero, then all-ones, then filler. The two boundaries settle an
+// opaque condition such as `a != 0 && b < k` either way it can go.
+func redrawValue(r, i, w, pathID, cases int) uint64 {
+	switch r {
+	case 0:
+		return 0
+	case 1:
+		return widthMask(w)
+	}
+	return mix(mix(uint64(pathID)<<32^uint64(cases)<<4^uint64(r))^uint64(i)) & widthMask(w)
+}
+
+// checkCase runs all three views under the current environment. When the
+// interpreted record belongs to a sibling path, the case is underdetermined
+// for its focus: it draws its free leaves — neither pinned nor in focus —
+// again, up to redraws times, until the record is the focus path's, and is
+// then checked wherever its record belongs.
+func (c *pathChecker) checkCase(focus ...int) error {
+	qi, err := c.interpret()
+	for r := 0; err == nil && qi >= 0 && c.paths[qi] != c.p && r < redraws; r++ {
+		for i, l := range c.g.Leaves {
+			if !c.pinned(i) && !slices.Contains(focus, i) {
+				c.env.set(i, redrawValue(r, i, l.Width, c.p.ID, c.rep.Cases))
+			}
+		}
+		qi, err = c.interpret()
+	}
+	if err != nil {
+		return err
+	}
 	c.img = staticImage(c.img, c.p, c.env.vals)
 	c.checkAccessors()
-	return c.checkDeparser()
+	c.checkRecord(qi)
+	return nil
 }
 
 // checkAccessors reads every synthesized hardware accessor off the static
@@ -634,28 +672,33 @@ func (c *pathChecker) checkAccessors() {
 	}
 }
 
-// checkDeparser runs the deparser's apply block through the interpreter
-// under the environment (view B) and compares the record's layout and bytes
-// against the static view of the enumerated path it belongs to.
-func (c *pathChecker) checkDeparser() error {
+// interpret runs the deparser's apply block through the interpreter under
+// the environment (view B) into c.rec and returns the enumerated path the
+// record belongs to (matchPath).
+func (c *pathChecker) interpret() (int, error) {
 	if err := c.dp.RunInto(&c.rec, &c.env); err != nil {
 		// The interpreter cannot evaluate a discriminant (opaque condition
 		// over values outside the environment): not verifiable, not a bug.
-		return &RejectedError{Reason: fmt.Sprintf("path %d interp: %v", c.p.ID, err)}
+		return -1, &RejectedError{Reason: fmt.Sprintf("path %d interp: %v", c.p.ID, err)}
 	}
-	qi := matchPath(c.paths, c.p, c.rec.Fields, &c.env)
+	return matchPath(c.paths, c.p, c.rec.Fields, &c.env), nil
+}
+
+// checkRecord compares the interpreted record's layout and bytes against
+// the static view of path qi, the enumerated path it belongs to.
+func (c *pathChecker) checkRecord(qi int) {
 	c.rep.Checks++
 	if qi < 0 {
 		c.fail(c.p, "layout", 0, c.rec.Image, 0, 0,
 			fmt.Sprintf("interpreted layout (%d fields, %d bits) matches no enumerated path the environment selects",
 				len(c.rec.Fields), c.rec.Bits))
-		return nil
+		return
 	}
 	q, qimg := c.paths[qi], c.img
 	if q != c.p {
-		// Underdetermined environment (multi-valued or opaque discriminant):
-		// the record belongs to a sibling path. Verify it there and count
-		// the skip.
+		// Underdetermined environment (multi-valued or opaque discriminant)
+		// that no redraw settled: the record belongs to a sibling path.
+		// Verify it there and count the skip.
 		c.rep.Skipped++
 		c.sib = staticImage(c.sib, q, c.env.vals)
 		qimg = c.sib
@@ -666,7 +709,6 @@ func (c *pathChecker) checkDeparser() error {
 		c.fail(q, "interp", k, qimg, readField(qimg, q.Fields[k]), readField(c.rec.Image, q.Fields[k]),
 			"interpreted deparser record diverges from static layout")
 	}
-	return nil
 }
 
 // fail records a disagreement for layout field k of path p (no field when

@@ -97,8 +97,14 @@ func handWritten(t *testing.T, file string) string {
 // report as the reference checker does. Where only registers decide the
 // path, no case is underdetermined: booleq branches on `ctx.on == true`,
 // which holds because the environment gives a bool register as a bool, and
-// emits the register, which the interpreter serializes as 1.
+// emits the register, which the interpreter serializes as 1. datadep's
+// opaque condition `ptype != 0 && port < 1000` is left to filler, which
+// almost always makes it true; redrawing the free leaves settles it for the
+// focus path in every case but the 12 whose focused ptype (0) or port
+// (1023) decides it against their path, so 500 of its 512 cases check the
+// focus path (304 without the redraw).
 func TestHandWrittenDescriptionsVerify(t *testing.T) {
+	maxSkipped := map[string]int{"datadep": 12}
 	files, err := filepath.Glob("../nicsim/testdata/*.p4")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no hand-written descriptions: %v", err)
@@ -109,8 +115,8 @@ func TestHandWrittenDescriptionsVerify(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !rep.OK() || name != "datadep" && rep.Skipped != 0 {
-			t.Errorf("%s failed, or left cases underdetermined:\n%s", name, rep)
+		if !rep.OK() || rep.Skipped > maxSkipped[name] {
+			t.Errorf("%s failed, or left more than %d cases underdetermined:\n%s", name, maxSkipped[name], rep)
 		}
 		info, err := sourceInfo(name, src)
 		if err != nil {

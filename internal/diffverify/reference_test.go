@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"opendesc/internal/bitfield"
@@ -168,7 +169,7 @@ func (c *refPathChecker) run() error {
 			for k, v := range c.pins {
 				vals[k] = v
 			}
-			if err := c.checkCase(vals); err != nil {
+			if err := c.checkCase(vals, f.name); err != nil {
 				return err
 			}
 			c.rep.Cases++
@@ -198,18 +199,20 @@ func (c *refPathChecker) runGolden() error {
 		for _, l := range c.leaves {
 			vals[l.name] = 0
 		}
+		var focus []string
 		for _, f := range c.p.Fields {
 			if f.Semantic == "" || f.WidthBits > 64 {
 				continue
 			}
 			if fn := c.golden[f.Semantic]; fn != nil {
 				vals[f.Name] = fn(packet)
+				focus = append(focus, f.Name)
 			}
 		}
 		for k, v := range c.pins {
 			vals[k] = v
 		}
-		if err := c.checkCase(vals); err != nil {
+		if err := c.checkCase(vals, focus...); err != nil {
 			return err
 		}
 		c.rep.Cases++
@@ -260,11 +263,37 @@ func refStaticImage(p *core.Path, vals map[string]uint64) []byte {
 	return img
 }
 
-// checkCase runs all three views under one environment.
-func (c *refPathChecker) checkCase(vals map[string]uint64) error {
+// checkCase runs all three views under one environment. While the
+// interpreted record belongs to a sibling path, up to redraws times, every
+// leaf neither pinned nor in focus is drawn again (redrawValue).
+func (c *refPathChecker) checkCase(vals map[string]uint64, focus ...string) error {
+	rec, qi, err := c.interpret(vals)
+	for r := 0; err == nil && qi >= 0 && c.paths[qi].ID != c.p.ID && r < redraws; r++ {
+		for i, l := range c.leaves {
+			if _, pinned := c.pins[l.name]; !pinned && !slices.Contains(focus, l.name) {
+				vals[l.name] = redrawValue(r, i, l.width, c.p.ID, c.rep.Cases)
+			}
+		}
+		rec, qi, err = c.interpret(vals)
+	}
+	if err != nil {
+		return err
+	}
 	img := refStaticImage(c.p, vals)
 	c.checkAccessors(img, vals)
-	return c.checkDeparser(img, vals)
+	c.checkDeparser(img, vals, rec, qi)
+	return nil
+}
+
+// interpret runs the deparser under the environment (view B) and finds the
+// enumerated path its record belongs to.
+func (c *refPathChecker) interpret(vals map[string]uint64) (*interp.Record, int, error) {
+	env := c.env(vals)
+	rec := new(interp.Record)
+	if err := c.dp.RunInto(rec, env); err != nil {
+		return nil, -1, &RejectedError{Reason: fmt.Sprintf("path %d interp: %v", c.p.ID, err)}
+	}
+	return rec, matchPath(c.paths, c.p, rec.Fields, env), nil
 }
 
 // checkAccessors reads every synthesized hardware accessor off the static
@@ -283,22 +312,15 @@ func (c *refPathChecker) checkAccessors(img []byte, vals map[string]uint64) {
 	}
 }
 
-// checkDeparser interprets the deparser under the environment (view B) and
-// compares layout and bytes against the static view of whichever enumerated
-// path the record belongs to.
-func (c *refPathChecker) checkDeparser(img []byte, vals map[string]uint64) error {
-	env := c.env(vals)
-	var rec interp.Record
-	if err := c.dp.RunInto(&rec, env); err != nil {
-		return &RejectedError{Reason: fmt.Sprintf("path %d interp: %v", c.p.ID, err)}
-	}
-	qi := matchPath(c.paths, c.p, rec.Fields, env)
+// checkDeparser compares the interpreted record's layout and bytes against
+// the static view of path qi, the enumerated path it belongs to.
+func (c *refPathChecker) checkDeparser(img []byte, vals map[string]uint64, rec *interp.Record, qi int) {
 	c.rep.Checks++
 	if qi < 0 {
 		c.fail("layout", 0, rec.Image, vals, 0, 0,
 			fmt.Sprintf("interpreted layout (%d fields, %d bits) matches no enumerated path the environment selects",
 				len(rec.Fields), rec.Bits))
-		return nil
+		return
 	}
 	q, qimg := c.paths[qi], img
 	if q.ID != c.p.ID {
@@ -323,7 +345,6 @@ func (c *refPathChecker) checkDeparser(img []byte, vals map[string]uint64) error
 		}
 		c.rep.Disagreements = append(c.rep.Disagreements, d)
 	}
-	return nil
 }
 
 func (c *refPathChecker) fieldIndex(lf *core.LayoutField) int {

@@ -9,8 +9,8 @@ import (
 	"opendesc/internal/obs/flight"
 )
 
-// SpanSchemaVersion identifies the fleet-trace span file format
-// (`opendesc fleettrace` input).
+// SpanSchemaVersion identifies the fleet-trace span file format; `opendesc
+// flight` recognises a span file among its inputs by it.
 const SpanSchemaVersion = "opendesc-fleettrace/v1"
 
 // Span is one correlated controller-side interval (rollout, per-canary
@@ -67,7 +67,7 @@ func (t *Trace) Spans() []Span {
 	return append([]Span(nil), t.spans...)
 }
 
-// spanFile is the on-disk form consumed by `opendesc fleettrace`.
+// spanFile is the on-disk form `opendesc flight` merges with host dumps.
 type spanFile struct {
 	Schema string `json:"schema"`
 	Spans  []Span `json:"spans"`
@@ -95,10 +95,10 @@ func ReadSpans(r io.Reader) ([]Span, error) {
 	}
 	var f spanFile
 	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("fleettrace: malformed span file: %v", err)
+		return nil, fmt.Errorf("malformed span file: %v", err)
 	}
 	if f.Schema != SpanSchemaVersion {
-		return nil, fmt.Errorf("fleettrace: schema %q, want %q", f.Schema, SpanSchemaVersion)
+		return nil, fmt.Errorf("span file schema %q, want %q", f.Schema, SpanSchemaVersion)
 	}
 	return f.Spans, nil
 }

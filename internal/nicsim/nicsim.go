@@ -399,9 +399,8 @@ type DeviceStats struct {
 	RxPackets uint64
 	RxBytes   uint64
 	Drops     uint64
-	// Completions mirrors RxPackets (one completion per accepted packet);
-	// CompletionBytes is the total completion-record DMA volume.
-	Completions     uint64
+	// CompletionBytes is the total completion-record DMA volume (one
+	// record per accepted packet).
 	CompletionBytes uint64
 	// CompletionsByPath counts completions per enumerated deparser path,
 	// keyed by path ID.
@@ -431,12 +430,10 @@ type DeviceStats struct {
 // another goroutine is receiving packets. Maps contain only non-zero
 // entries.
 func (d *Device) Stats() DeviceStats {
-	rx := d.rxPackets.Load()
 	st := DeviceStats{
-		RxPackets:         rx,
+		RxPackets:         d.rxPackets.Load(),
 		RxBytes:           d.rxBytes.Load(),
 		Drops:             d.drops.Load(),
-		Completions:       rx,
 		CompletionBytes:   d.cmptBytes.Load(),
 		CompletionsByPath: make(map[int]uint64),
 		Offloads:          make(map[semantics.Name]uint64),

@@ -2,8 +2,7 @@
 // is one event on an uncontended queue (one lock, one unlock, five stores);
 // BenchmarkRecord adds the clock read that BenchmarkNow prices alone. The
 // per-event cost times the events a sampled packet records is the budget
-// math behind SamplePeriod (DESIGN.md, "The flight recorder"). Run with
-// -tags flight_off to see the compiled-out floor.
+// math behind SamplePeriod (DESIGN.md, "The flight recorder").
 package flight
 
 import "testing"

@@ -483,8 +483,7 @@ func (r *Recorder) Handler() http.Handler {
 		default:
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			io.WriteString(w, snap.Format())
-			fmt.Fprintf(w, "postmortems=%d enabled=%v compiled=%v\n",
-				r.Postmortems(), r.Enabled(), Compiled)
+			fmt.Fprintf(w, "postmortems=%d enabled=%v\n", r.Postmortems(), r.Enabled())
 		}
 	})
 }

@@ -1,7 +1,3 @@
-//go:build !flight_off
-
-// These tests exercise live recording and are compiled out together with it
-// under -tags flight_off (see record_off_test.go for the no-op contract).
 package flight
 
 import (

@@ -1,12 +1,6 @@
-//go:build !flight_off
-
 package flight
 
 import "time"
-
-// Compiled reports whether recording is compiled in (false under the
-// flight_off build tag).
-const Compiled = true
 
 // Now returns the current event timestamp: nanoseconds since the recorder
 // epoch (or the configured clock's reading), or 0 when the queue is nil or

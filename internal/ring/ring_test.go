@@ -186,9 +186,6 @@ func events(rec *flight.Recorder) []flight.Event {
 // 1-based count minus one) with the occupancy left behind it, not once per
 // burst with its size.
 func TestCursorPopEventIsOccupancyAfter(t *testing.T) {
-	if !flight.Compiled {
-		t.Skip("flight recording compiled out")
-	}
 	rec := flight.NewRecorder(flight.Config{})
 	r := MustNew(1, 64)
 	for i := 0; i < 36; i++ {
@@ -269,7 +266,7 @@ func TestCursorMatchesConsume(t *testing.T) {
 	if !reflect.DeepEqual(ea, eb) {
 		t.Fatalf("flight events differ: %d by Consume, %d by cursor", len(ea), len(eb))
 	}
-	if flight.Compiled && len(ea) < 100 {
+	if len(ea) < 100 {
 		t.Fatalf("only %d events recorded", len(ea))
 	}
 }

@@ -33,9 +33,6 @@ func (c *countingClock) Advance(ns uint64) { c.ns.Add(ns) }
 // poll is set aside — one in Poll, the rest (emit, push, Rx stamp) on the Rx
 // side — does not depend on the cut.
 func TestPollReadsClockOnGrid(t *testing.T) {
-	if !flight.Compiled {
-		t.Skip("flight recording compiled out")
-	}
 	const packets, switchAt, backlog = 4096, 2048, 48
 	type totals struct{ rx, inPoll, readingPolls, stamped, anomalies uint64 }
 	arm := func(t *testing.T, kind string, cut int) totals {

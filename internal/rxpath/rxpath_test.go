@@ -188,9 +188,6 @@ func TestPollOnEmptyRingCountsOneStall(t *testing.T) {
 			t.Fatalf("poll %d: %d empty stalls, %d pending; want %d and 1", k, st.EmptyStalls, q.Pending(), k)
 		}
 		evs := empties()
-		if !flight.Compiled {
-			continue
-		}
 		if len(evs) != k/flight.SamplePeriod {
 			t.Fatalf("poll %d: %d EvRingEmpty events, want %d", k, len(evs), k/flight.SamplePeriod)
 		}
@@ -470,7 +467,7 @@ func TestWindowTimingOnGrid(t *testing.T) {
 					t.Errorf("%s: %+v after %d reads in %d windows, want %d calls, %d timed values and time measured",
 						sem, sc, reads, windows[sem], reads, want[sem])
 				}
-				if got := len(shimEvents(rec, sem)); flight.Compiled && got != polls/flight.SamplePeriod {
+				if got := len(shimEvents(rec, sem)); got != polls/flight.SamplePeriod {
 					t.Errorf("%s: %d EvShim events for %d windows", sem, got, windows[sem])
 				}
 				t.Logf("%s: %+v in %d windows", sem, sc, windows[sem])

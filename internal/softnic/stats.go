@@ -111,7 +111,7 @@ func (st *ShimStats) Meter(name semantics.Name) *Meter {
 // flight sampling grid (flight.Sampled) and timed with one monotonic clock
 // pair around the bare call: the duration less the pair's own cost (at
 // least 1 ns), the one value the region delivers now, and the EvShim event.
-// The timing does not depend on the recorder: under flight_off Record is a
+// The timing does not depend on the recorder: with it disabled Record is a
 // no-op and the counters run the same.
 func (m *Meter) book(n uint32, d time.Duration) {
 	dur := uint64(max(1, d.Nanoseconds()-clockFloor))

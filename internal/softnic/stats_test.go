@@ -69,11 +69,7 @@ func TestInstrumentedFuncsCountAndCost(t *testing.T) {
 		if sc.Timed > 0 && sc.Nanos == 0 {
 			t.Errorf("%s: %d timed calls measured 0 ns", name, sc.Timed)
 		}
-		want := sc.Timed
-		if !flight.Compiled {
-			want = 0
-		}
-		if got := uint64(len(events[flight.PackName(string(name))])); got != want {
+		if got := uint64(len(events[flight.PackName(string(name))])); got != sc.Timed {
 			t.Errorf("%s: %d EvShim events, %d timed calls", name, got, sc.Timed)
 		}
 	}
@@ -120,17 +116,15 @@ func TestShimTimingOnGrid(t *testing.T) {
 	if got := st.Cost(sparse).Timed; got != 64 {
 		t.Errorf("%s read on every %dth delivery: %d timed calls, want 64", sparse, flight.SamplePeriod, got)
 	}
-	if flight.Compiled {
-		for _, name := range []semantics.Name{dense, sparse} {
-			evs := shimEvents(rec)[flight.PackName(string(name))]
-			for i, ev := range evs {
-				if want := uint32(i+1) * flight.SamplePeriod; ev.Seq != want {
-					t.Fatalf("%s: EvShim %d on call %d, want %d", name, i, ev.Seq, want)
-				}
+	for _, name := range []semantics.Name{dense, sparse} {
+		evs := shimEvents(rec)[flight.PackName(string(name))]
+		for i, ev := range evs {
+			if want := uint32(i+1) * flight.SamplePeriod; ev.Seq != want {
+				t.Fatalf("%s: EvShim %d on call %d, want %d", name, i, ev.Seq, want)
 			}
-			if uint64(len(evs)) != st.Cost(name).Timed {
-				t.Errorf("%s: %d EvShim events, %d timed calls", name, len(evs), st.Cost(name).Timed)
-			}
+		}
+		if uint64(len(evs)) != st.Cost(name).Timed {
+			t.Errorf("%s: %d EvShim events, %d timed calls", name, len(evs), st.Cost(name).Timed)
 		}
 	}
 

@@ -19,9 +19,6 @@ import (
 // packet's own seq; for a packet off the grid it holds no routine event at
 // all. (A ring event's seq is the slot index, the packet's seq minus one.)
 func TestSampledPacketCarriesItsLifecycle(t *testing.T) {
-	if !flight.Compiled {
-		t.Skip("flight recording compiled out")
-	}
 	const packets, gets = 64, 3
 	for _, tc := range []struct {
 		name   string
@@ -88,9 +85,6 @@ func TestSampledPacketCarriesItsLifecycle(t *testing.T) {
 // code and no zero timestamp, and hold each sampled packet's events in
 // lifecycle order (lifecycleStage).
 func TestScrapesDuringTraffic(t *testing.T) {
-	if !flight.Compiled {
-		t.Skip("flight recording compiled out")
-	}
 	drv, err := Open("ice", "rss", "vlan", "pkt_len")
 	if err != nil {
 		t.Fatal(err)
