@@ -25,8 +25,9 @@ bench:
 	$(GO) run ./cmd/opendesc experiments
 
 # Every shipped demo runs to exit 0 (stdout discarded, exit status only): the
-# five examples, one `opendesc run` per driver arming, and the tenant and
-# fleet scenarios with their transcripts.
+# five examples, one `opendesc run` per driver arming, the tenant and fleet
+# scenarios with their transcripts, and the compiler driver: -list, each
+# backend into a temporary -o directory, -plan, -trace and -diff.
 EVOLVING = -nic e1000e -req rss,ip_checksum,vlan,pkt_len
 demos:
 	@set -e; for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null; done
@@ -36,6 +37,13 @@ demos:
 	$(GO) run ./cmd/opendesc run -nic e1000e -req rss,vlan,pkt_len -packets 20000 -faults 'corrupt=1e-3,drop=5e-4,hang=2@5000' -seed 7 > /dev/null
 	$(GO) run ./cmd/opendesc run $(EVOLVING) -packets 20000 -evolve -faults 'corrupt=1e-3,replay=1e-3,dup=1e-3,drop=5e-4,nak=0.2,hang=2@5000' -seed 7 > /dev/null
 	$(GO) run ./cmd/opendesc experiments -quick -v e19 e20 > /dev/null
+	$(GO) run ./cmd/opendesc -list > /dev/null
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; for b in report go c ebpf dot; do \
+		echo "go run ./cmd/opendesc -nic mlx5 -req rss,vlan -backend $$b -o $$dir"; \
+		$(GO) run ./cmd/opendesc -nic mlx5 -req rss,vlan -backend $$b -o "$$dir"; done
+	$(GO) run ./cmd/opendesc -nic qdma -req kv_key,rss -plan > /dev/null
+	$(GO) run ./cmd/opendesc -nic e1000e -req rss,vlan -trace > /dev/null
+	$(GO) run ./cmd/opendesc -diff e1000 e1000e -req rss,pkt_len > /dev/null
 
 # The CI perf gate, locally: the alloc/clock gates, every experiment table
 # once (exit status only), then cmd/benchmark at HEAD~1 and at this tree on

@@ -22,9 +22,8 @@ import (
 //
 // The tenant and fleet modes read none of the driver-queue flags (-nic,
 // -sems, -ring, -bug, -dump): setting one is a usage error.
-func runChaos(args []string, out io.Writer) error {
+func runChaos(args []string, out, stderr io.Writer) error {
 	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
-	fs.SetOutput(out)
 	// A flag the cell may not read defaults to its field's zero value, so
 	// Config.Check sees exactly the flags given.
 	var (
@@ -42,10 +41,8 @@ func runChaos(args []string, out io.Writer) error {
 		replay  = fs.String("replay", "", "replay a reproducer spec file instead of generating a schedule")
 		verbose = fs.Bool("v", false, "print the full event trace of the (first violating) run")
 	)
-	if err := fs.Parse(args); err == flag.ErrHelp {
-		return nil
-	} else if err != nil {
-		return usageError{err}
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
 	}
 	if fs.NArg() > 0 {
 		return usageError{fmt.Errorf("chaos: unexpected arguments %v", fs.Args())}

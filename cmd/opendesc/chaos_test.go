@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +12,7 @@ import (
 // TestRunChaosClean: a small clean sweep exits zero and reports its summary.
 func TestRunChaosClean(t *testing.T) {
 	var out bytes.Buffer
-	if err := runChaos([]string{"-cases", "3", "-steps", "96"}, &out); err != nil {
+	if err := runChaos([]string{"-cases", "3", "-steps", "96"}, &out, io.Discard); err != nil {
 		t.Fatalf("clean sweep failed: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "0 violations") {
@@ -28,7 +29,7 @@ func TestRunChaosBugShrinkReplay(t *testing.T) {
 	var out bytes.Buffer
 	for _, s := range []string{"1", "2", "3", "4", "5", "6", "7", "8"} {
 		out.Reset()
-		if err := runChaos([]string{"-seed", s, "-steps", "256", "-bug"}, &out); err != nil {
+		if err := runChaos([]string{"-seed", s, "-steps", "256", "-bug"}, &out, io.Discard); err != nil {
 			seed = s
 			break
 		}
@@ -38,7 +39,7 @@ func TestRunChaosBugShrinkReplay(t *testing.T) {
 	}
 
 	out.Reset()
-	err := runChaos([]string{"-seed", seed, "-steps", "256", "-bug", "-shrink"}, &out)
+	err := runChaos([]string{"-seed", seed, "-steps", "256", "-bug", "-shrink"}, &out, io.Discard)
 	if err == nil {
 		t.Fatalf("violating run exited zero:\n%s", out.String())
 	}
@@ -57,7 +58,7 @@ func TestRunChaosBugShrinkReplay(t *testing.T) {
 	}
 
 	out.Reset()
-	if err := runChaos([]string{"-replay", spec}, &out); err == nil {
+	if err := runChaos([]string{"-replay", spec}, &out, io.Discard); err == nil {
 		t.Fatalf("replayed reproducer did not violate:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "chaos FAIL") {
@@ -68,13 +69,13 @@ func TestRunChaosBugShrinkReplay(t *testing.T) {
 // TestRunChaosFlagErrors covers the argument-validation paths.
 func TestRunChaosFlagErrors(t *testing.T) {
 	var out bytes.Buffer
-	if err := runChaos([]string{"-mode", "yolo"}, &out); err == nil {
+	if err := runChaos([]string{"-mode", "yolo"}, &out, io.Discard); err == nil {
 		t.Error("unknown mode accepted")
 	}
-	if err := runChaos([]string{"stray"}, &out); err == nil {
+	if err := runChaos([]string{"stray"}, &out, io.Discard); err == nil {
 		t.Error("stray positional argument accepted")
 	}
-	if err := runChaos([]string{"-replay", "/nonexistent/x.chaos"}, &out); err == nil {
+	if err := runChaos([]string{"-replay", "/nonexistent/x.chaos"}, &out, io.Discard); err == nil {
 		t.Error("missing replay file accepted")
 	}
 }

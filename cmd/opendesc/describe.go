@@ -21,16 +21,18 @@ import (
 //	opendesc describe -nic mlx5                  # emit the discovery document
 //	opendesc describe -nic mlx5 -host web-07     # ... under a host name
 //	opendesc describe -check desc.json           # controller-side validation
-func runDescribe(args []string, out io.Writer) error {
+func runDescribe(args []string, out, stderr io.Writer) error {
 	fs := flag.NewFlagSet("describe", flag.ContinueOnError)
-	fs.SetOutput(out)
 	var (
 		nicName = fs.String("nic", "", "bundled NIC model to describe (see opendesc -list)")
 		host    = fs.String("host", "host", "host name stamped into the document")
 		check   = fs.String("check", "", "validate a description document (JSON file, '-' for stdin) instead of emitting one")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args, stderr); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return usageError{fmt.Errorf("describe: unexpected arguments %v", fs.Args())}
 	}
 
 	if *check != "" {
@@ -43,7 +45,7 @@ func runDescribe(args []string, out io.Writer) error {
 			// The error string is exactly the operator-visible quarantine
 			// reason the controller would record.
 			fmt.Fprintf(out, "QUARANTINE: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("describe: %s quarantined: %w", *check, err)
 		}
 		fmt.Fprintf(out, "valid %s description from host %q\n", fleet.SchemaVersion, v.Desc.Host)
 		fmt.Fprintf(out, "  nic:     %s (%s, %s)\n", v.Desc.NIC, v.Desc.Vendor, v.Desc.Capabilities.Kind)
@@ -60,7 +62,7 @@ func runDescribe(args []string, out io.Writer) error {
 	}
 
 	if *nicName == "" {
-		return fmt.Errorf("describe: pass -nic <model> to emit, or -check <file> to validate")
+		return usageError{fmt.Errorf("describe: pass -nic <model> to emit, or -check <file> to validate")}
 	}
 	m, err := nic.Load(*nicName)
 	if err != nil {

@@ -20,20 +20,16 @@ import (
 	"opendesc/internal/bench"
 )
 
-// runExperiments is `opendesc experiments`: 0 when every selected table
-// printed, 1 when an experiment's acceptance invariant broke, 2 on a usage
-// error.
-func runExperiments(args []string, stdout, stderr io.Writer) int {
+// runExperiments is `opendesc experiments`: it prints every selected table,
+// and fails when an experiment's acceptance invariant broke.
+func runExperiments(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	var p bench.Params
 	fs.BoolVar(&p.Quick, "quick", false, "shorter measurement windows and a 1k-case E18 corpus")
 	fs.StringVar(&p.FlightDump, "flight-dump", "", "directory for E17's postmortems (.odfl) and E20's fleet artifacts (spans.json, <host>.odfl)")
 	verbose := fs.Bool("v", false, "print the E19 and E20 scenario transcripts before their tables")
-	if err := fs.Parse(args); err == flag.ErrHelp {
-		return 0
-	} else if err != nil {
-		return 2
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
 	}
 	if *verbose {
 		p.Transcript = stdout
@@ -49,8 +45,7 @@ func runExperiments(args []string, stdout, stderr io.Writer) int {
 	for _, a := range fs.Args() {
 		id := strings.ToLower(a)
 		if !known[id] {
-			fmt.Fprintf(stderr, "opendesc experiments: unknown experiment %q (have %s)\n", a, strings.Join(ids, " "))
-			return 2
+			return usageError{fmt.Errorf("experiments: unknown experiment %q (have %s)", a, strings.Join(ids, " "))}
 		}
 		want[id] = true
 	}
@@ -61,10 +56,9 @@ func runExperiments(args []string, stdout, stderr io.Writer) int {
 		}
 		tab, err := e.Run(p)
 		if err != nil {
-			fmt.Fprintf(stderr, "opendesc experiments %s: %v\n", e.ID, err)
-			return 1
+			return fmt.Errorf("experiments %s: %w", e.ID, err)
 		}
 		fmt.Fprintln(stdout, tab)
 	}
-	return 0
+	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,7 +26,7 @@ func TestUnknownExperimentExits2(t *testing.T) {
 		{"-quick", "e17", "-flight-dump", "dir"}, // flags go before the ids
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := runExperiments(args, &stdout, &stderr); code != 2 {
+		if code := dispatch(commandLine("experiments", args...), &stdout, &stderr); code != 2 {
 			t.Errorf("experiments %v: exit %d, want 2", args, code)
 		}
 		if stdout.Len() != 0 {
@@ -43,8 +44,8 @@ func TestUnknownExperimentExits2(t *testing.T) {
 func TestFlightDumpDecodes(t *testing.T) {
 	dir := t.TempDir()
 	var stdout, stderr bytes.Buffer
-	if code := runExperiments([]string{"-quick", "-flight-dump", dir, "E17"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d: %s", code, &stderr)
+	if err := runExperiments([]string{"-quick", "-flight-dump", dir, "E17"}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
 	}
 	if !strings.Contains(stdout.String(), "== E17:") {
 		t.Errorf("no E17 table on stdout:\n%s", &stdout)
@@ -78,8 +79,8 @@ func TestFlightDumpDecodes(t *testing.T) {
 func TestFleetTraceOfE20(t *testing.T) {
 	dir := t.TempDir()
 	var stdout, stderr bytes.Buffer
-	if code := runExperiments([]string{"-quick", "-flight-dump", dir, "e20"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d: %s", code, &stderr)
+	if err := runExperiments([]string{"-quick", "-flight-dump", dir, "e20"}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
 	}
 	dumps, err := filepath.Glob(filepath.Join(dir, "*.odfl"))
 	if err != nil {
@@ -89,7 +90,7 @@ func TestFleetTraceOfE20(t *testing.T) {
 		t.Fatalf("%d host dumps, want 16", len(dumps))
 	}
 	var out bytes.Buffer
-	if err := runFlight(append([]string{filepath.Join(dir, "spans.json")}, dumps...), &out); err != nil {
+	if err := runFlight(append([]string{filepath.Join(dir, "spans.json")}, dumps...), &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -126,7 +127,7 @@ func TestFleetTraceOfE20(t *testing.T) {
 	if len(processes) != 17 {
 		t.Errorf("%d processes, want the controller and 16 hosts", len(processes))
 	}
-	if err := runFlight(dumps, &bytes.Buffer{}); err != nil {
+	if err := runFlight(dumps, &bytes.Buffer{}, io.Discard); err != nil {
 		t.Errorf("flight of E20's dumps alone: %v", err)
 	}
 }

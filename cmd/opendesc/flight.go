@@ -29,7 +29,7 @@ import (
 // e20` writes it, recognised by its schema) on the controller process and
 // one process per dump, named by its file (events share the hosts' virtual
 // timeline, so cross-host causality lines up in Perfetto).
-func runFlight(args []string, w io.Writer) error {
+func runFlight(args []string, w, stderr io.Writer) error {
 	fs := flag.NewFlagSet("flight", flag.ContinueOnError)
 	chrome := fs.Bool("chrome", false, "emit Chrome trace_event JSON (load in https://ui.perfetto.dev) instead of text; implied by a merge")
 	outFile := fs.String("o", "", "write the decoded output to this file (default stdout)")
@@ -37,10 +37,8 @@ func runFlight(args []string, w io.Writer) error {
 		fmt.Fprintln(fs.Output(), "usage: opendesc flight [-chrome] [-o file] [spans.json] dump.odfl [more.odfl ...]")
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(args); err == flag.ErrHelp {
-		return nil
-	} else if err != nil {
-		return usageError{err}
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
 	}
 	if fs.NArg() < 1 {
 		return usageError{fmt.Errorf("flight: one or more input files expected (usage: opendesc flight [-chrome] [-o file] [spans.json] dump.odfl ...)")}

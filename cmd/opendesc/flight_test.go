@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -58,7 +59,7 @@ func writeDump(t *testing.T) string {
 func TestRunFlightText(t *testing.T) {
 	path := writeDump(t)
 	var out bytes.Buffer
-	if err := runFlight([]string{path}, &out); err != nil {
+	if err := runFlight([]string{path}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()
@@ -78,7 +79,7 @@ func TestRunFlightText(t *testing.T) {
 func TestRunFlightChromeGolden(t *testing.T) {
 	path := writeDump(t)
 	var out bytes.Buffer
-	if err := runFlight([]string{"-chrome", path}, &out); err != nil {
+	if err := runFlight([]string{"-chrome", path}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	// Well-formedness: the export must parse as trace_event JSON with the
@@ -108,17 +109,17 @@ func TestRunFlightChromeGolden(t *testing.T) {
 }
 
 func TestRunFlightErrors(t *testing.T) {
-	if err := runFlight([]string{}, &bytes.Buffer{}); err == nil {
+	if err := runFlight([]string{}, &bytes.Buffer{}, io.Discard); err == nil {
 		t.Error("no arguments should fail")
 	}
-	if err := runFlight([]string{filepath.Join(t.TempDir(), "missing.odfl")}, &bytes.Buffer{}); err == nil {
+	if err := runFlight([]string{filepath.Join(t.TempDir(), "missing.odfl")}, &bytes.Buffer{}, io.Discard); err == nil {
 		t.Error("missing file should fail")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.odfl")
 	if err := os.WriteFile(bad, []byte("not a dump"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runFlight([]string{bad}, &bytes.Buffer{}); err == nil {
+	if err := runFlight([]string{bad}, &bytes.Buffer{}, io.Discard); err == nil {
 		t.Error("bad magic should fail")
 	}
 }
@@ -126,7 +127,7 @@ func TestRunFlightErrors(t *testing.T) {
 func TestRunFlightOutputFile(t *testing.T) {
 	path := writeDump(t)
 	outPath := filepath.Join(t.TempDir(), "decoded.txt")
-	if err := runFlight([]string{"-o", outPath, path}, &bytes.Buffer{}); err != nil {
+	if err := runFlight([]string{"-o", outPath, path}, &bytes.Buffer{}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(outPath)
@@ -144,7 +145,7 @@ func TestRunFlightMergeGolden(t *testing.T) {
 	b := writeSnapshotDump(t, dir, "host-b", secondSnapshot())
 
 	var out bytes.Buffer
-	if err := runFlight([]string{a, b}, &out); err != nil {
+	if err := runFlight([]string{a, b}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -195,7 +196,7 @@ func TestRunFlightMergeErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	err := runFlight([]string{a, junk}, &out)
+	err := runFlight([]string{a, junk}, &out, io.Discard)
 	if err == nil || out.Len() != 0 {
 		t.Fatalf("merge with %s: err %v, %d bytes written; want a refusal", junk, err, out.Len())
 	}
@@ -279,7 +280,7 @@ func TestRunFleetTraceGolden(t *testing.T) {
 	hostB := writeSnapshotDump(t, dir, "host-b", secondSnapshot())
 
 	var out bytes.Buffer
-	if err := runFlight([]string{"-chrome", spans, hostA, hostB}, &out); err != nil {
+	if err := runFlight([]string{"-chrome", spans, hostA, hostB}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -315,7 +316,7 @@ func TestRunFleetTraceGolden(t *testing.T) {
 		t.Errorf("fleet trace drifted from golden (run with -update-golden to refresh):\n--- got ---\n%s--- want ---\n%s", out.String(), want)
 	}
 	var moved bytes.Buffer
-	if err := runFlight([]string{hostA, spans, hostB}, &moved); err != nil {
+	if err := runFlight([]string{hostA, spans, hostB}, &moved, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(moved.Bytes(), want) {
@@ -327,7 +328,7 @@ func TestRunFleetTraceGolden(t *testing.T) {
 // the controller process only.
 func TestRunFleetTraceSpansAlone(t *testing.T) {
 	var out bytes.Buffer
-	if err := runFlight([]string{writeSpanFile(t, t.TempDir())}, &out); err != nil {
+	if err := runFlight([]string{writeSpanFile(t, t.TempDir())}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -372,7 +373,7 @@ func TestRunFleetTraceErrors(t *testing.T) {
 		{[]string{other, host}, []string{other, "neither a flight dump nor a span file", "wrong/v9"}},
 	} {
 		var out bytes.Buffer
-		err := runFlight(tc.args, &out)
+		err := runFlight(tc.args, &out, io.Discard)
 		if err == nil || out.Len() != 0 {
 			t.Errorf("%v: err %v, %d bytes written; want a refusal before any output", tc.args, err, out.Len())
 			continue

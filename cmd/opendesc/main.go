@@ -30,6 +30,9 @@
 // interface description. The intent comes from -intent (a P4 file with a
 // @semantic-annotated header, paper Fig. 5) or -req (a comma-separated
 // semantic list).
+//
+// Every mode prints its usage on stderr: -h exits 0, a command line the mode
+// refuses exits 2 with nothing run, and a failure exits 1 (DESIGN.md S16).
 package main
 
 import (
@@ -50,97 +53,144 @@ import (
 	"opendesc/internal/semantics"
 )
 
-// subcommands are the modes `opendesc <name> args…` dispatches to; each
-// parses its own flags.
-var subcommands = map[string]func(args []string, stdout, stderr io.Writer) int{
+// modes are the rows of the CLI, all of one shape: `opendesc <name> args…`
+// runs the row its first argument names, and any other command line is the
+// compiler's, the row named "". A mode writes its output to stdout and
+// returns its failure; dispatch alone turns that into an exit status.
+var modes = map[string]func(args []string, stdout, stderr io.Writer) error{
+	"":            runCompiler,
 	"run":         runDriver,
 	"experiments": runExperiments,
-	"flight":      exitStatus(runFlight),
-	"chaos":       exitStatus(runChaos),
-	"describe":    exitStatus(runDescribe),
-	"verify":      exitStatus(runVerify),
-}
-
-// exitStatus adapts a mode that reports failure as an error: exit 1 with
-// the error on stderr, or 2 for a usageError.
-func exitStatus(run func(args []string, w io.Writer) error) func(args []string, stdout, stderr io.Writer) int {
-	return func(args []string, stdout, stderr io.Writer) int {
-		if err := run(args, stdout); err != nil {
-			fmt.Fprintf(stderr, "opendesc: %v\n", err)
-			if errors.As(err, new(usageError)) {
-				return 2
-			}
-			return 1
-		}
-		return 0
-	}
+	"flight":      runFlight,
+	"chaos":       runChaos,
+	"describe":    runDescribe,
+	"verify":      runVerify,
 }
 
 // usageError is a command line the mode refuses before anything runs.
 type usageError struct{ error }
 
 func main() {
-	if len(os.Args) > 1 {
-		if sub, ok := subcommands[os.Args[1]]; ok {
-			os.Exit(sub(os.Args[2:], os.Stdout, os.Stderr))
-		}
+	os.Exit(dispatch(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// dispatch runs the mode args name and maps its result to the exit status:
+// 0 when it succeeded or printed its help, 2 when it refused the command
+// line, 1 when it failed. The error goes to stderr.
+func dispatch(args []string, stdout, stderr io.Writer) int {
+	name := ""
+	if len(args) > 0 && modes[args[0]] != nil {
+		name, args = args[0], args[1:]
 	}
+	err := modes[name](args, stdout, stderr)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	fmt.Fprintf(stderr, "opendesc: %v\n", err)
+	if errors.As(err, new(usageError)) {
+		return 2
+	}
+	return 1
+}
+
+// parseFlags parses a mode's flags with the usage on stderr. -h returns
+// flag.ErrHelp; any other parse error, such as a flag the mode does not
+// define, is a usageError.
+func parseFlags(fs *flag.FlagSet, args []string, stderr io.Writer) error {
+	fs.SetOutput(stderr)
+	err := fs.Parse(args)
+	if err != nil && err != flag.ErrHelp {
+		return usageError{err}
+	}
+	return err
+}
+
+// runCompiler is the compiler driver: it loads the description and the
+// intent, selects the completion path and renders one backend — or, with
+// -list, -plan or -diff, the model list, the offload plan or the drift
+// report.
+func runCompiler(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("opendesc", flag.ContinueOnError)
 	var (
-		list       = flag.Bool("list", false, "list bundled NIC models and exit")
-		nicArg     = flag.String("nic", "", "NIC model name or .p4 description file")
-		intentFile = flag.String("intent", "", "application intent .p4 file")
-		intentHdr  = flag.String("intent-header", "", "intent header name (default: the @semantic-annotated header)")
-		req        = flag.String("req", "", "comma-separated requested semantics (alternative to -intent)")
-		backend    = flag.String("backend", "report", "output backend: report, go, c, ebpf, dot")
-		outDir     = flag.String("o", "", "write generated files into this directory (default stdout)")
-		pkg        = flag.String("pkg", "opendescgen", "package name for the Go backend")
-		prefix     = flag.String("prefix", "opendesc", "symbol prefix for the C backend")
-		alpha      = flag.Float64("alpha", 0, "DMA footprint weight α (0 = default, negative = ignore footprint)")
-		noPrune    = flag.Bool("no-prune", false, "disable symbolic path pruning (debugging)")
-		plan       = flag.Bool("plan", false, "print the offload placement plan (software vs programmable pipeline)")
-		traceFlag  = flag.Bool("trace", false, "print a per-stage compile span report (parse → sema → cfg → paths → select → codegen)")
-		diffMode   = flag.Bool("diff", false, "compare two NIC descriptions under one intent: opendesc -diff old.p4 new.p4 -req ... (or -intent)")
+		list       = fs.Bool("list", false, "list bundled NIC models and exit")
+		nicArg     = fs.String("nic", "", "NIC model name or .p4 description file")
+		intentFile = fs.String("intent", "", "application intent .p4 file")
+		intentHdr  = fs.String("intent-header", "", "intent header name (default: the @semantic-annotated header)")
+		req        = fs.String("req", "", "comma-separated requested semantics (alternative to -intent)")
+		backend    = fs.String("backend", "report", "output backend: report, go, c, ebpf, dot")
+		outDir     = fs.String("o", "", "write generated files into this directory (default stdout)")
+		pkg        = fs.String("pkg", "opendescgen", "package name for the Go backend")
+		prefix     = fs.String("prefix", "opendesc", "symbol prefix for the C backend")
+		alpha      = fs.Float64("alpha", 0, "DMA footprint weight α (0 = default, negative = ignore footprint)")
+		noPrune    = fs.Bool("no-prune", false, "disable symbolic path pruning (debugging)")
+		plan       = fs.Bool("plan", false, "print the offload placement plan (software vs programmable pipeline)")
+		traceFlag  = fs.Bool("trace", false, "print a per-stage compile span report (parse → sema → cfg → paths → select → codegen)")
+		diffMode   = fs.Bool("diff", false, "compare two NIC descriptions under one intent: opendesc -diff old.p4 new.p4 -req ... (or -intent)")
 	)
-	flag.Parse()
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
+	if !*diffMode && fs.NArg() > 0 {
+		return usageError{fmt.Errorf("unexpected arguments %v", fs.Args())}
+	}
 
 	if *list {
 		for _, m := range nic.All() {
 			paths, err := m.Paths()
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Printf("%-8s %-22s %-12s %d completion paths — %s\n",
+			fmt.Fprintf(stdout, "%-8s %-22s %-12s %d completion paths — %s\n",
 				m.Name, m.Vendor, m.Kind, len(paths), m.Description)
 		}
-		return
+		return nil
 	}
 	if *diffMode {
-		// Standard flag parsing stops at the first positional argument, so
-		// `-diff old.p4 new.p4 -intent app.p4` leaves the trailing intent
-		// flags unparsed; pick up the two descriptions and re-parse the rest.
-		args := flag.Args()
-		if len(args) < 2 {
-			fatal(fmt.Errorf("-diff needs two NIC descriptions (old new), got %d", len(args)))
+		// Flag parsing stops at the first positional argument, so `-diff
+		// old.p4 new.p4 -intent app.p4` leaves the trailing intent flags
+		// unparsed; take the two descriptions and parse the rest.
+		descs := fs.Args()
+		if len(descs) < 2 {
+			return usageError{fmt.Errorf("-diff needs two NIC descriptions (old new), got %d", len(descs))}
 		}
-		if err := flag.CommandLine.Parse(args[2:]); err != nil {
-			fatal(err)
+		if err := parseFlags(fs, descs[2:], stderr); err != nil {
+			return err
 		}
-		if flag.NArg() > 0 {
-			fatal(fmt.Errorf("-diff: unexpected arguments %v", flag.Args()))
+		if fs.NArg() > 0 {
+			return usageError{fmt.Errorf("-diff: unexpected arguments %v", fs.Args())}
 		}
 		intent, err := loadIntent(*intentFile, *intentHdr, *req)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		out, err := runDiff(args[0], args[1], intent, *alpha)
+		out, err := runDiff(descs[0], descs[1], intent, *alpha)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Print(out)
-		return
+		fmt.Fprint(stdout, out)
+		return nil
 	}
 	if *nicArg == "" {
-		fatal(fmt.Errorf("missing -nic (try -list)"))
+		return usageError{fmt.Errorf("missing -nic (try -list)")}
+	}
+	// Each backend renders one file: its default name under -o.
+	backends := map[string]struct {
+		file   string
+		render func(*core.Result) string
+	}{
+		"report": {"report.txt", (*core.Result).Report},
+		"go":     {"accessors.go", func(r *core.Result) string { return codegen.GenGo(r, *pkg) }},
+		"c":      {"accessors.h", func(r *core.Result) string { return codegen.GenC(r, *prefix) }},
+		"ebpf":   {"accessors_bpf.c", codegen.GenEBPF},
+		"dot":    {"deparser.dot", func(r *core.Result) string { return r.Graph.DOT() }},
+	}
+	b, ok := backends[*backend]
+	if !ok {
+		return usageError{fmt.Errorf("unknown backend %q", *backend)}
+	}
+	intent, err := loadIntent(*intentFile, *intentHdr, *req)
+	if err != nil {
+		return err
 	}
 
 	var tr *obs.Trace
@@ -149,13 +199,8 @@ func main() {
 	}
 	info, nicName, err := loadNIC(*nicArg, tr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	intent, err := loadIntent(*intentFile, *intentHdr, *req)
-	if err != nil {
-		fatal(err)
-	}
-
 	opts := core.CompileOptions{
 		Select:    core.SelectOptions{Alpha: *alpha},
 		Enumerate: core.EnumerateOptions{DisablePruning: *noPrune},
@@ -163,7 +208,7 @@ func main() {
 	}
 	res, err := core.Compile(nicName, info, intent, opts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	if *plan {
@@ -173,42 +218,35 @@ func main() {
 		}
 		p, err := core.PlanOffloads(res, caps, nil)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Print(p)
+		fmt.Fprint(stdout, p)
+	} else {
+		var sp *obs.Span
 		if tr != nil {
-			fmt.Print(tr.Report())
+			sp = tr.Start("codegen").Annotate("backend", *backend)
 		}
-		return
+		out := b.render(res)
+		if sp != nil {
+			sp.Annotate("bytes", len(out)).End()
+		}
+		if *outDir == "" {
+			fmt.Fprint(stdout, out)
+		} else {
+			if err := os.MkdirAll(*outDir, 0o755); err != nil {
+				return err
+			}
+			path := filepath.Join(*outDir, b.file)
+			if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+				return err
+			}
+			fmt.Fprintf(stderr, "wrote %s\n", path)
+		}
 	}
-
-	// Each backend renders one file: its default name under -o.
-	backends := map[string]struct {
-		file   string
-		render func() string
-	}{
-		"report": {"report.txt", res.Report},
-		"go":     {"accessors.go", func() string { return codegen.GenGo(res, *pkg) }},
-		"c":      {"accessors.h", func() string { return codegen.GenC(res, *prefix) }},
-		"ebpf":   {"accessors_bpf.c", func() string { return codegen.GenEBPF(res) }},
-		"dot":    {"deparser.dot", res.Graph.DOT},
-	}
-	b, ok := backends[*backend]
-	if !ok {
-		fatal(fmt.Errorf("unknown backend %q", *backend))
-	}
-	var sp *obs.Span
 	if tr != nil {
-		sp = tr.Start("codegen").Annotate("backend", *backend)
+		fmt.Fprint(stdout, tr.Report())
 	}
-	out := b.render()
-	if sp != nil {
-		sp.Annotate("bytes", len(out)).End()
-	}
-	emit(*outDir, b.file, out)
-	if tr != nil {
-		fmt.Print(tr.Report())
-	}
+	return nil
 }
 
 // runDiff compiles the same intent against two NIC descriptions (bundled
@@ -299,7 +337,7 @@ func loadNIC(arg string, tr *obs.Trace) (*sema.Info, string, error) {
 func loadIntent(file, header, req string) (*core.Intent, error) {
 	switch {
 	case file != "" && req != "":
-		return nil, fmt.Errorf("-intent and -req are mutually exclusive")
+		return nil, usageError{fmt.Errorf("-intent and -req are mutually exclusive")}
 	case file != "":
 		src, err := os.ReadFile(file)
 		if err != nil {
@@ -324,26 +362,6 @@ func loadIntent(file, header, req string) (*core.Intent, error) {
 		}
 		return core.IntentFromSemantics("cli_intent", semantics.Default, names...)
 	default:
-		return nil, fmt.Errorf("missing intent: pass -intent app.p4 or -req rss,vlan,...")
+		return nil, usageError{fmt.Errorf("missing intent: pass -intent app.p4 or -req rss,vlan,...")}
 	}
-}
-
-func emit(dir, name, content string) {
-	if dir == "" {
-		fmt.Print(content)
-		return
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fatal(err)
-	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "opendesc: %v\n", err)
-	os.Exit(1)
 }

@@ -1,14 +1,131 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"opendesc/internal/codegen"
+	"opendesc/internal/core"
+	"opendesc/internal/nic"
 	"opendesc/internal/semantics"
 )
+
+// commandLine is the argument list that reaches mode with args: the
+// compiler's, the row named "", is args alone.
+func commandLine(mode string, args ...string) []string {
+	if mode == "" {
+		return args
+	}
+	return append([]string{mode}, args...)
+}
+
+// TestEveryModeKeepsTheUsageContract holds every row of the mode table to
+// one contract: -h prints the usage on stderr and exits 0; a flag the mode
+// does not define exits 2 naming it on stderr; so does a stray argument to a
+// mode that takes none. In none of these does the mode write to stdout.
+func TestEveryModeKeepsTheUsageContract(t *testing.T) {
+	// A valid command line of each mode that takes no positional argument;
+	// nil for a mode that takes some.
+	valid := map[string][]string{
+		"":            {"-nic", "e1000", "-req", "rss"},
+		"run":         {"-packets", "8"},
+		"chaos":       {"-steps", "8"},
+		"describe":    {"-nic", "e1000"},
+		"experiments": nil,
+		"flight":      nil,
+		"verify":      nil,
+	}
+	for _, mode := range slices.Sorted(maps.Keys(modes)) {
+		base, ok := valid[mode]
+		if !ok {
+			t.Errorf("mode %q has no row here", mode)
+			continue
+		}
+		exit := func(args ...string) (int, string, string) {
+			var stdout, stderr bytes.Buffer
+			code := dispatch(commandLine(mode, args...), &stdout, &stderr)
+			return code, stdout.String(), stderr.String()
+		}
+		if code, stdout, stderr := exit("-h"); code != 0 || stdout != "" || stderr == "" {
+			t.Errorf("%q -h: exit %d, stdout %q, stderr %q; want exit 0 and the usage on stderr", mode, code, stdout, stderr)
+		}
+		if code, stdout, stderr := exit("-bogus"); code != 2 || stdout != "" || !strings.Contains(stderr, "-bogus") {
+			t.Errorf("%q -bogus: exit %d, stdout %q, stderr %q; want exit 2 naming -bogus", mode, code, stdout, stderr)
+		}
+		if base == nil {
+			continue
+		}
+		if code, stdout, stderr := exit(append(base, "stray")...); code != 2 || stdout != "" || !strings.Contains(stderr, "stray") {
+			t.Errorf("%q %v stray: exit %d, stdout %q, stderr %q; want exit 2 naming the argument", mode, base, code, stdout, stderr)
+		}
+	}
+}
+
+// TestCompilerMode runs the compiler row for one NIC and intent: each
+// backend prints what the same compile renders, -o writes it under the
+// backend's file name instead, and -list prints one line per bundled NIC.
+func TestCompilerMode(t *testing.T) {
+	info, name, err := loadNIC("e1000e", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	intent, err := loadIntent("", "", "rss,vlan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Compile(name, info, intent, core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ backend, file, want string }{
+		{"report", "report.txt", res.Report()},
+		{"go", "accessors.go", codegen.GenGo(res, "opendescgen")},
+		{"c", "accessors.h", codegen.GenC(res, "opendesc")},
+		{"ebpf", "accessors_bpf.c", codegen.GenEBPF(res)},
+		{"dot", "deparser.dot", res.Graph.DOT()},
+	} {
+		args := []string{"-nic", "e1000e", "-req", "rss,vlan", "-backend", tc.backend}
+		var stdout, stderr bytes.Buffer
+		if code := dispatch(args, &stdout, &stderr); code != 0 || stdout.String() != tc.want {
+			t.Errorf("-backend %s: exit %d, stderr %q; stdout equals the compile's rendering: %v",
+				tc.backend, code, &stderr, stdout.String() == tc.want)
+		}
+		dir := t.TempDir()
+		stdout.Reset()
+		stderr.Reset()
+		if code := dispatch(append(args, "-o", dir), &stdout, &stderr); code != 0 || stdout.Len() != 0 {
+			t.Errorf("-backend %s -o: exit %d, stdout %q, stderr %q", tc.backend, code, &stdout, &stderr)
+		}
+		path := filepath.Join(dir, tc.file)
+		if got, err := os.ReadFile(path); err != nil || string(got) != tc.want {
+			t.Errorf("-backend %s -o: %s does not hold the rendering (err %v)", tc.backend, path, err)
+		}
+		if !strings.Contains(stderr.String(), "wrote "+path) {
+			t.Errorf("-backend %s -o: stderr %q does not name %s", tc.backend, &stderr, path)
+		}
+	}
+
+	var stdout, stderr bytes.Buffer
+	if code := dispatch([]string{"-list"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-list: exit %d, stderr %q", code, &stderr)
+	}
+	lines := strings.Split(strings.TrimSuffix(stdout.String(), "\n"), "\n")
+	models := nic.All()
+	if len(lines) != len(models) {
+		t.Fatalf("-list printed %d lines for %d bundled NICs:\n%s", len(lines), len(models), &stdout)
+	}
+	for i, m := range models {
+		if !strings.HasPrefix(lines[i], m.Name+" ") {
+			t.Errorf("-list line %d is %q, want %s's", i, lines[i], m.Name)
+		}
+	}
+}
 
 func TestLoadNICByName(t *testing.T) {
 	info, name, err := loadNIC("e1000e", nil)

@@ -31,25 +31,25 @@ import (
 	"opendesc/internal/workload"
 )
 
-// runFlags is what `opendesc run` was asked for.
-type runFlags struct {
-	nic, req                string
-	packets                 int
-	kv, verbose, stats      bool
-	statsAddr               string
-	evolve                  bool
-	faults                  string
-	seed                    uint64
-	flightTrace, flightDump string
-}
-
-// runDriver is `opendesc run`: 0 when every packet came back exactly once
-// with correct metadata, 1 when one did not or the run could not start, 2
-// on a usage error.
-func runDriver(args []string, stdout, stderr io.Writer) int {
+// runDriver is `opendesc run`: it opens the driver the flags arm and pushes
+// the workload through it, and fails when a packet did not come back exactly
+// once with correct metadata. -faults arms the hardened datapath under a
+// fault-injection plan (DESIGN.md S21); -evolve arms live renegotiation and
+// flips the application's read mix halfway through the run (hot semantic:
+// last requested name, then first), printing a line per switchover.
+// Together they run the composed driver.
+func runDriver(args []string, w, stderr io.Writer) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var f runFlags
+	var f struct {
+		nic, req                string
+		packets                 int
+		kv, verbose, stats      bool
+		statsAddr               string
+		evolve                  bool
+		faults                  string
+		seed                    uint64
+		flightTrace, flightDump string
+	}
 	fs.StringVar(&f.nic, "nic", "mlx5", "NIC model (see opendesc -list)")
 	fs.StringVar(&f.req, "req", "rss,vlan,pkt_len", "requested semantics")
 	fs.IntVar(&f.packets, "packets", 256, "packets to push through the device")
@@ -62,29 +62,13 @@ func runDriver(args []string, stdout, stderr io.Writer) int {
 	fs.Uint64Var(&f.seed, "seed", 1, "fault-injection PRNG seed (with -faults)")
 	fs.StringVar(&f.flightTrace, "flight", "", "write the flight-recorder Chrome trace (Perfetto-loadable JSON) to this file on exit")
 	fs.StringVar(&f.flightDump, "flight-dump", "", "directory for automatic flight-recorder postmortem dumps (.odfl, decode with 'opendesc flight')")
-	if err := fs.Parse(args); err == flag.ErrHelp {
-		return 0
-	} else if err != nil {
-		return 2
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
 	}
 	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "opendesc run: unexpected arguments %v\n", fs.Args())
-		return 2
+		return usageError{fmt.Errorf("run: unexpected arguments %v", fs.Args())}
 	}
-	if err := drive(f, stdout); err != nil {
-		fmt.Fprintf(stderr, "opendesc run: %v\n", err)
-		return 1
-	}
-	return 0
-}
 
-// drive opens the driver the flags arm and pushes the workload through it.
-// -faults arms the hardened datapath under a fault-injection plan
-// (DESIGN.md S21); -evolve arms live renegotiation and flips the
-// application's read mix halfway through the run (hot semantic: last
-// requested name, then first), printing a line per switchover. Together
-// they run the composed driver.
-func drive(f runFlags, w io.Writer) error {
 	var names []string
 	for _, s := range strings.Split(f.req, ",") {
 		if s = strings.TrimSpace(s); s != "" {

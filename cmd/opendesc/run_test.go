@@ -10,55 +10,53 @@ import (
 	"testing"
 )
 
-// TestFlagOutsideItsModeExits2: each subcommand parses its own flags, so a
-// flag it does not read — the retired demo and trace flags included — is a
-// usage error naming the flag, and so is an unknown experiment id or a flag
-// placed after one. Nothing runs and nothing is written.
+// TestFlagOutsideItsModeExits2: each mode parses its own flags, so a flag
+// it does not read — the retired demo and trace flags included — is a usage
+// error naming the flag, and so is an unknown experiment id or a flag placed
+// after one, a stray argument, and a compiler command line without a NIC,
+// with two intents or with an unknown backend. Nothing runs and nothing is
+// written.
 func TestFlagOutsideItsModeExits2(t *testing.T) {
 	dir := t.TempDir()
 	in := func(name string) string { return filepath.Join(dir, name) }
 	for _, tc := range []struct {
-		sub  func(args []string, stdout, stderr io.Writer) int
+		mode string
 		args []string
 		says string // what stderr must name
 	}{
-		{runDriver, []string{"-fleet", "2"}, "-fleet"},
-		{runDriver, []string{"-tenants", "2"}, "-tenants"},
-		{runDriver, []string{"-trace", in("t.json")}, "-trace"},
-		{runDriver, []string{"-spans", in("s.json"), "-flight-dump", in("dumps")}, "-spans"},
-		{runDriver, []string{"-dump-flight", in("dumps"), "-evolve"}, "-dump-flight"},
-		{runDriver, []string{"-packets", "64", "extra"}, "unexpected arguments"},
-		{runExperiments, []string{"-faults", "drop=1e-3"}, "-faults"},
-		{runExperiments, []string{"-packets", "512", "e1"}, "-packets"},
-		{runExperiments, []string{"e99"}, `unknown experiment "e99"`},
-		{runExperiments, []string{"-quick", "e17", "-flight-dump", in("dumps")}, `unknown experiment "-flight-dump"`},
-		{subcommands["chaos"], []string{"-mode", "tenant", "-nic", "ice"}, "does not read NIC"},
-		{subcommands["chaos"], []string{"-mode", "fleet", "-dump", in("dumps")}, "does not read DumpDir"},
-		{subcommands["flight"], []string{"-spans", in("s.json"), in("a.odfl")}, "-spans"},
-		{subcommands["flight"], []string{"-o", in("t.json")}, "one or more input files"},
+		{"run", []string{"-fleet", "2"}, "-fleet"},
+		{"run", []string{"-tenants", "2"}, "-tenants"},
+		{"run", []string{"-trace", in("t.json")}, "-trace"},
+		{"run", []string{"-spans", in("s.json"), "-flight-dump", in("dumps")}, "-spans"},
+		{"run", []string{"-dump-flight", in("dumps"), "-evolve"}, "-dump-flight"},
+		{"run", []string{"-packets", "64", "extra"}, "unexpected arguments"},
+		{"experiments", []string{"-faults", "drop=1e-3"}, "-faults"},
+		{"experiments", []string{"-packets", "512", "e1"}, "-packets"},
+		{"experiments", []string{"e99"}, `unknown experiment "e99"`},
+		{"experiments", []string{"-quick", "e17", "-flight-dump", in("dumps")}, `unknown experiment "-flight-dump"`},
+		{"chaos", []string{"-mode", "tenant", "-nic", "ice"}, "does not read NIC"},
+		{"chaos", []string{"-mode", "fleet", "-dump", in("dumps")}, "does not read DumpDir"},
+		{"flight", []string{"-spans", in("s.json"), in("a.odfl")}, "-spans"},
+		{"flight", []string{"-o", in("t.json")}, "one or more input files"},
+		{"describe", []string{"-nic", "e1000", "-host", "web-07", "extra"}, "unexpected arguments"},
+		{"verify", []string{"-all", "e1000"}, "mutually exclusive"},
+		{"", []string{"-req", "rss", "-o", in("gen")}, "missing -nic"},
+		{"", []string{"-nic", "e1000", "-intent", in("app.p4"), "-req", "rss", "-o", in("gen")}, "mutually exclusive"},
+		{"", []string{"-nic", "e1000", "-o", in("gen")}, "missing intent"},
+		{"", []string{"-nic", "e1000", "extra", "-req", "rss", "-o", in("gen")}, "unexpected arguments"},
+		{"", []string{"-nic", "e1000", "-req", "rss", "-backend", "rust", "-o", in("gen")}, `unknown backend "rust"`},
+		{"", []string{"-diff", "e1000", "e1000e", "extra", "-req", "rss"}, "unexpected arguments"},
+		{"", []string{"-req", "rss", "-diff", "e1000"}, "-diff needs two NIC descriptions"},
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := tc.sub(tc.args, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
-			t.Errorf("%v: exit %d, stdout %q; want exit 2 before anything runs", tc.args, code, &stdout)
+		if code := dispatch(commandLine(tc.mode, tc.args...), &stdout, &stderr); code != 2 || stdout.Len() != 0 {
+			t.Errorf("%q %v: exit %d, stdout %q; want exit 2 before anything runs", tc.mode, tc.args, code, &stdout)
 		}
 		if !strings.Contains(stderr.String(), tc.says) {
-			t.Errorf("%v: stderr %q does not name %s", tc.args, &stderr, tc.says)
+			t.Errorf("%q %v: stderr %q does not name %s", tc.mode, tc.args, &stderr, tc.says)
 		}
 		if left, _ := os.ReadDir(dir); len(left) != 0 {
-			t.Errorf("%v wrote %d files before refusing", tc.args, len(left))
-		}
-	}
-}
-
-// TestHelpExits0: -h prints a subcommand's flags and exits 0, as asking
-// for help is not a usage error.
-func TestHelpExits0(t *testing.T) {
-	for name, sub := range map[string]func(args []string, stdout, stderr io.Writer) int{
-		"run": runDriver, "experiments": runExperiments, "chaos": subcommands["chaos"], "flight": subcommands["flight"],
-	} {
-		var stdout, stderr bytes.Buffer
-		if code := sub([]string{"-h"}, &stdout, &stderr); code != 0 {
-			t.Errorf("%s -h: exit %d, stderr %q; want 0", name, code, &stderr)
+			t.Errorf("%q %v wrote %d files before refusing", tc.mode, tc.args, len(left))
 		}
 	}
 }
@@ -74,7 +72,7 @@ func TestEveryModeRuns(t *testing.T) {
 	const evolving, report = "rss,ip_checksum,vlan,pkt_len", "OpenDesc compilation: "
 	for _, tc := range []struct {
 		name   string
-		sub    func(args []string, stdout, stderr io.Writer) int
+		sub    func(args []string, stdout, stderr io.Writer) error
 		args   []string
 		opens  string // the first line's prefix
 		want   []string
@@ -100,8 +98,8 @@ func TestEveryModeRuns(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
-			if code := tc.sub(tc.args, &stdout, &stderr); code != 0 {
-				t.Fatalf("exit %d\n%s%s", code, &stdout, &stderr)
+			if err := tc.sub(tc.args, &stdout, &stderr); err != nil {
+				t.Fatalf("%v\n%s%s", err, &stdout, &stderr)
 			}
 			out := stdout.String()
 			if !strings.HasPrefix(out, tc.opens) {
@@ -125,8 +123,8 @@ func TestRejectClassesPrintSorted(t *testing.T) {
 	rejects := func() []string {
 		var stdout, stderr bytes.Buffer
 		args := []string{"-nic", "e1000e", "-req", "rss,vlan,pkt_len", "-packets", "4000", "-faults", "corrupt=1e-3,drop=5e-4,hang=1@1500", "-seed", "7"}
-		if code := runDriver(args, &stdout, &stderr); code != 0 {
-			t.Fatalf("exit %d\n%s%s", code, &stdout, &stderr)
+		if err := runDriver(args, &stdout, &stderr); err != nil {
+			t.Fatalf("%v\n%s%s", err, &stdout, &stderr)
 		}
 		var lines []string
 		for _, l := range strings.Split(stdout.String(), "\n") {

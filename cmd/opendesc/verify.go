@@ -29,9 +29,8 @@ import (
 //	opendesc verify -mutants 64 qdma     # + screen 64 seeded mutants
 //	opendesc verify -break e1000e        # ablation: inject an accessor bug
 //	opendesc verify -cert mlx5           # print the verification certificate
-func runVerify(args []string, out io.Writer) error {
+func runVerify(args []string, out, stderr io.Writer) error {
 	fs := flag.NewFlagSet("verify", flag.ContinueOnError)
-	fs.SetOutput(out)
 	var (
 		all      = fs.Bool("all", false, "verify every bundled NIC description")
 		breakAcc = fs.Bool("break", false, "deliberately mis-offset the first generated accessor by one bit (ablation: the harness must catch it)")
@@ -39,7 +38,7 @@ func runVerify(args []string, out io.Writer) error {
 		seed     = fs.Uint64("seed", 1, "mutant sweep seed (same seed ⇒ same mutants ⇒ same verdicts)")
 		cert     = fs.Bool("cert", false, "print the digest-keyed verification certificate instead of the full report")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args, stderr); err != nil {
 		return err
 	}
 
@@ -47,7 +46,7 @@ func runVerify(args []string, out io.Writer) error {
 	var targets []target
 	switch {
 	case *all && fs.NArg() > 0:
-		return fmt.Errorf("verify: -all and an explicit description are mutually exclusive")
+		return usageError{fmt.Errorf("verify: -all and an explicit description are mutually exclusive")}
 	case *all:
 		for _, m := range nic.All() {
 			targets = append(targets, target{m.Name, m.Source})
@@ -59,7 +58,7 @@ func runVerify(args []string, out io.Writer) error {
 		}
 		targets = append(targets, target{name, src})
 	default:
-		return fmt.Errorf("verify: pass one description (bundled name or .p4 file) or -all")
+		return usageError{fmt.Errorf("verify: pass one description (bundled name or .p4 file) or -all")}
 	}
 
 	// -all also reports the harness's own throughput, per description and in

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +12,7 @@ import (
 func runVerifyOut(t *testing.T, args ...string) (string, error) {
 	t.Helper()
 	var sb strings.Builder
-	err := runVerify(args, &sb)
+	err := runVerify(args, &sb, io.Discard)
 	return sb.String(), err
 }
 

@@ -25,8 +25,9 @@ import (
 // HardenOptions tunes the hardened datapath enabled by Queue.Harden.
 type HardenOptions struct {
 	// Deep enables the per-packet deep-conformance validator tier (recompute
-	// packet-derived semantics in software and compare). Off by default: the
-	// structural tier alone keeps the fast path within the overhead budget.
+	// packet-derived semantics in software and compare). Off by default:
+	// deep validation recomputes the shims on every packet, where the
+	// structural tier checks only the record's own bits.
 	Deep bool
 	// DegradeThreshold is how many consecutive device faults (refusals that
 	// are not ring backpressure) trip SoftNIC degraded mode (default 8).

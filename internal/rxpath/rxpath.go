@@ -419,8 +419,8 @@ func (q *Queue) show(e *Entry, rec []byte, l *Lane) uint64 {
 // latencies from the packet's three instants — e.TS stamped at Rx, q.now
 // when the current Poll began, the handler's return — and emits the deliver
 // event carrying both intervals, so trace viewers can render DMA→deliver as
-// a span. Only stamped packets get here, which keeps the recorder inside its
-// hot-path budget; a clocked queue or a recorder turned off has no q.now.
+// a span. Only stamped packets get here, so only grid packets pay a clock
+// read; a clocked queue or a recorder turned off has no q.now.
 func (q *Queue) noteDelivered(e *Entry) {
 	q.stamped--
 	if q.now == 0 {

@@ -308,6 +308,8 @@ func (f fnv) burst(span func(payload []byte) ([]byte, bool)) func(frames [][]byt
 				n++
 			}
 		}
+		// The kernel's lanes are 32 bits wide, so kv_key's 64-bit chains
+		// stay on the scheduler.
 		if f == fnv32 && haveAVX2 {
 			wide(spans[:n], h[:n], wideLanes)
 		}
