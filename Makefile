@@ -27,7 +27,8 @@ bench:
 # Every shipped demo runs to exit 0 (stdout discarded, exit status only): the
 # five examples, one `opendesc run` per driver arming, the tenant and fleet
 # scenarios with their transcripts, and the compiler driver: -list, each
-# backend into a temporary -o directory, -plan, -trace and -diff.
+# backend into a temporary -o directory, -plan, -trace and -diff, and a .p4
+# file path as -nic (with -trace) and as a -diff side.
 EVOLVING = -nic e1000e -req rss,ip_checksum,vlan,pkt_len
 demos:
 	@set -e; for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null; done
@@ -44,6 +45,8 @@ demos:
 	$(GO) run ./cmd/opendesc -nic qdma -req kv_key,rss -plan > /dev/null
 	$(GO) run ./cmd/opendesc -nic e1000e -req rss,vlan -trace > /dev/null
 	$(GO) run ./cmd/opendesc -diff e1000 e1000e -req rss,pkt_len > /dev/null
+	$(GO) run ./cmd/opendesc -nic internal/nicsim/testdata/boolctx.p4 -req rss,vlan -trace > /dev/null
+	$(GO) run ./cmd/opendesc -diff e1000e internal/nicsim/testdata/boolctx.p4 -req rss,pkt_len > /dev/null
 
 # The CI perf gate, locally: the alloc/clock gates, every experiment table
 # once (exit status only), then cmd/benchmark at HEAD~1 and at this tree on

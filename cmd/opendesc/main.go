@@ -50,7 +50,6 @@ import (
 	"opendesc/internal/obs"
 	"opendesc/internal/p4/parser"
 	"opendesc/internal/p4/sema"
-	"opendesc/internal/semantics"
 )
 
 // modes are the rows of the CLI, all of one shape: `opendesc <name> args…`
@@ -124,7 +123,7 @@ func runCompiler(args []string, stdout, stderr io.Writer) error {
 		alpha      = fs.Float64("alpha", 0, "DMA footprint weight α (0 = default, negative = ignore footprint)")
 		noPrune    = fs.Bool("no-prune", false, "disable symbolic path pruning (debugging)")
 		plan       = fs.Bool("plan", false, "print the offload placement plan (software vs programmable pipeline)")
-		traceFlag  = fs.Bool("trace", false, "print a per-stage compile span report (parse → sema → cfg → paths → select → codegen)")
+		traceFlag  = fs.Bool("trace", false, "print a per-stage compile span report (frontend → cfg → paths → select → codegen)")
 		diffMode   = fs.Bool("diff", false, "compare two NIC descriptions under one intent: opendesc -diff old.p4 new.p4 -req ... (or -intent)")
 	)
 	if err := parseFlags(fs, args, stderr); err != nil {
@@ -150,8 +149,8 @@ func runCompiler(args []string, stdout, stderr io.Writer) error {
 		// old.p4 new.p4 -intent app.p4` leaves the trailing intent flags
 		// unparsed; take the two descriptions and parse the rest.
 		descs := fs.Args()
-		if len(descs) < 2 {
-			return usageError{fmt.Errorf("-diff needs two NIC descriptions (old new), got %d", len(descs))}
+		if len(descs) < 2 || strings.HasPrefix(descs[1], "-") {
+			return usageError{fmt.Errorf("-diff takes two NIC descriptions, old and new, and flags go before them (-diff -req rss old new); got %v", descs)}
 		}
 		if err := parseFlags(fs, descs[2:], stderr); err != nil {
 			return err
@@ -193,30 +192,35 @@ func runCompiler(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	var tr *obs.Trace
-	if *traceFlag {
-		tr = obs.NewTrace("compile " + *nicArg)
-	}
-	info, nicName, err := loadNIC(*nicArg, tr)
+	m, err := loadNIC(*nicArg)
 	if err != nil {
 		return err
+	}
+	compiled := m
+	var tr *obs.Trace
+	if *traceFlag {
+		// The frontend runs again under its own span, since a bundled model
+		// was parsed at start-up; the fresh model then builds its analysis
+		// under the cfg and paths spans.
+		tr = obs.NewTrace("compile " + *nicArg)
+		sp := tr.Start("frontend").Annotate("source_bytes", len(m.Source))
+		if compiled, err = nic.Parse(m.Name+".p4", m.Source); err != nil {
+			return err
+		}
+		sp.Annotate("controls", len(compiled.Info.Prog.Controls())).End()
 	}
 	opts := core.CompileOptions{
 		Select:    core.SelectOptions{Alpha: *alpha},
 		Enumerate: core.EnumerateOptions{DisablePruning: *noPrune},
 		Trace:     tr,
 	}
-	res, err := core.Compile(nicName, info, intent, opts)
+	res, err := compiled.Compile(intent, opts)
 	if err != nil {
 		return err
 	}
 
 	if *plan {
-		caps := core.PipelineCaps{}
-		if m, err := nic.Load(nicName); err == nil {
-			caps = m.Pipeline
-		}
-		p, err := core.PlanOffloads(res, caps, nil)
+		p, err := core.PlanOffloads(res, m.Pipeline, nil)
 		if err != nil {
 			return err
 		}
@@ -254,22 +258,22 @@ func runCompiler(args []string, stdout, stderr io.Writer) error {
 // accessors moved, resized, or fell back to software, and whether the drift
 // breaks fixed-offset readers or only regenerated accessors.
 func runDiff(oldArg, newArg string, intent *core.Intent, alpha float64) (string, error) {
-	oldInfo, oldName, err := loadNIC(oldArg, nil)
+	oldM, err := loadNIC(oldArg)
 	if err != nil {
 		return "", err
 	}
-	newInfo, newName, err := loadNIC(newArg, nil)
+	newM, err := loadNIC(newArg)
 	if err != nil {
 		return "", err
 	}
 	opts := core.CompileOptions{Select: core.SelectOptions{Alpha: alpha}}
-	oldRes, err := core.Compile(oldName, oldInfo, intent, opts)
+	oldRes, err := oldM.Compile(intent, opts)
 	if err != nil {
-		return "", fmt.Errorf("compiling against %s: %w", oldName, err)
+		return "", fmt.Errorf("compiling against %s: %w", oldM.Name, err)
 	}
-	newRes, err := core.Compile(newName, newInfo, intent, opts)
+	newRes, err := newM.Compile(intent, opts)
 	if err != nil {
-		return "", fmt.Errorf("compiling against %s: %w", newName, err)
+		return "", fmt.Errorf("compiling against %s: %w", newM.Name, err)
 	}
 	d, err := core.DiffResults(oldRes, newRes)
 	if err != nil {
@@ -277,7 +281,7 @@ func runDiff(oldArg, newArg string, intent *core.Intent, alpha float64) (string,
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "OpenDesc interface drift: %s -> %s under intent %s\n",
-		oldName, newName, intent.Req())
+		oldM.Name, newM.Name, intent.Req())
 	sb.WriteString(d.String())
 	switch {
 	case len(d.LostSemantics()) > 0:
@@ -290,48 +294,18 @@ func runDiff(oldArg, newArg string, intent *core.Intent, alpha float64) (string,
 	return sb.String(), nil
 }
 
-// loadNIC resolves a bundled model name or a .p4 file into its checked
-// description, with optional frontend span recording: when tr is non-nil the NIC description is (re)parsed and checked under "parse" and
-// "sema" spans — also for bundled models, whose cached Info would otherwise
-// hide the frontend cost.
-func loadNIC(arg string, tr *obs.Trace) (*sema.Info, string, error) {
-	var name, file, src string
+// loadNIC resolves a bundled model name, or the path of a .p4 description
+// (any argument holding a '.' or a '/'), into its model. The compiler, -diff
+// and verify all load through it.
+func loadNIC(arg string) (*nic.Model, error) {
 	if !strings.ContainsAny(arg, "./") {
-		m, err := nic.Load(arg)
-		if err != nil {
-			return nil, "", err
-		}
-		if tr == nil {
-			return m.Info, m.Name, nil
-		}
-		name, file, src = m.Name, m.Name+".p4", m.Source
-	} else {
-		b, err := os.ReadFile(arg)
-		if err != nil {
-			return nil, "", err
-		}
-		name, file, src = strings.TrimSuffix(filepath.Base(arg), ".p4"), arg, string(b)
+		return nic.Load(arg)
 	}
-	var sp *obs.Span
-	if tr != nil {
-		sp = tr.Start("parse").Annotate("source_bytes", len(src))
-	}
-	prog, err := parser.Parse(file, src)
+	src, err := os.ReadFile(arg)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	if sp != nil {
-		sp.End()
-		sp = tr.Start("sema")
-	}
-	info, err := sema.Check(prog)
-	if err != nil {
-		return nil, "", err
-	}
-	if sp != nil {
-		sp.Annotate("controls", len(info.Prog.Controls())).End()
-	}
-	return info, name, nil
+	return nic.Parse(arg, string(src))
 }
 
 func loadIntent(file, header, req string) (*core.Intent, error) {
@@ -353,14 +327,13 @@ func loadIntent(file, header, req string) (*core.Intent, error) {
 		}
 		return core.ParseIntent(info, header)
 	case req != "":
-		var names []semantics.Name
+		var names []string
 		for _, s := range strings.Split(req, ",") {
-			s = strings.TrimSpace(s)
-			if s != "" {
-				names = append(names, semantics.Name(s))
+			if s = strings.TrimSpace(s); s != "" {
+				names = append(names, s)
 			}
 		}
-		return core.IntentFromSemantics("cli_intent", semantics.Default, names...)
+		return core.IntentFromNames("cli_intent", names...)
 	default:
 		return nil, usageError{fmt.Errorf("missing intent: pass -intent app.p4 or -req rss,vlan,...")}
 	}

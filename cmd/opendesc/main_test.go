@@ -71,7 +71,7 @@ func TestEveryModeKeepsTheUsageContract(t *testing.T) {
 // backend prints what the same compile renders, -o writes it under the
 // backend's file name instead, and -list prints one line per bundled NIC.
 func TestCompilerMode(t *testing.T) {
-	info, name, err := loadNIC("e1000e", nil)
+	m, err := loadNIC("e1000e")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCompilerMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Compile(name, info, intent, core.CompileOptions{})
+	res, err := m.Compile(intent, core.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +128,14 @@ func TestCompilerMode(t *testing.T) {
 }
 
 func TestLoadNICByName(t *testing.T) {
-	info, name, err := loadNIC("e1000e", nil)
+	m, err := loadNIC("e1000e")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name != "e1000e" || info == nil {
-		t.Errorf("info = %p name = %q", info, name)
+	if m.Name != "e1000e" || m.Info == nil {
+		t.Errorf("info = %p name = %q", m.Info, m.Name)
 	}
-	if _, _, err := loadNIC("notanic", nil); err == nil {
+	if _, err := loadNIC("notanic"); err == nil {
 		t.Error("unknown model should fail")
 	}
 }
@@ -154,23 +154,23 @@ control CmptDeparser<CTX,DESC,META>(cmpt_out co, in CTX ctx, in DESC d, in META 
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	info, name, err := loadNIC(path, nil)
+	m, err := loadNIC(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name != "custom" {
-		t.Errorf("name = %q", name)
+	if m.Name != "custom" {
+		t.Errorf("name = %q", m.Name)
 	}
-	if info.Prog.Control("CmptDeparser") == nil {
+	if m.Info.Prog.Control("CmptDeparser") == nil {
 		t.Error("control not parsed")
 	}
-	// Malformed file errors cleanly.
+	// A malformed file fails naming the frontend stage and the position.
 	bad := filepath.Join(dir, "bad.p4")
 	os.WriteFile(bad, []byte("header {"), 0o644)
-	if _, _, err := loadNIC(bad, nil); err == nil {
-		t.Error("malformed description should fail")
+	if _, err := loadNIC(bad); err == nil || !strings.HasPrefix(err.Error(), "parse: "+bad+":1:") {
+		t.Errorf("malformed description: err %v, want a parse error at %s:1", err, bad)
 	}
-	if _, _, err := loadNIC(filepath.Join(dir, "missing.p4"), nil); err == nil {
+	if _, err := loadNIC(filepath.Join(dir, "missing.p4")); err == nil {
 		t.Error("missing file should fail")
 	}
 }

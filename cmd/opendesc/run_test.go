@@ -46,7 +46,8 @@ func TestFlagOutsideItsModeExits2(t *testing.T) {
 		{"", []string{"-nic", "e1000", "extra", "-req", "rss", "-o", in("gen")}, "unexpected arguments"},
 		{"", []string{"-nic", "e1000", "-req", "rss", "-backend", "rust", "-o", in("gen")}, `unknown backend "rust"`},
 		{"", []string{"-diff", "e1000", "e1000e", "extra", "-req", "rss"}, "unexpected arguments"},
-		{"", []string{"-req", "rss", "-diff", "e1000"}, "-diff needs two NIC descriptions"},
+		{"", []string{"-req", "rss", "-diff", "e1000"}, "-diff takes two NIC descriptions"},
+		{"", []string{"-diff", "e1000", "-req", "rss"}, "-diff takes two NIC descriptions"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := dispatch(commandLine(tc.mode, tc.args...), &stdout, &stderr); code != 2 || stdout.Len() != 0 {

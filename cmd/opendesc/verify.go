@@ -1,16 +1,16 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"strings"
 	"time"
 
 	"opendesc/internal/diffverify"
 	"opendesc/internal/nic"
+	"opendesc/internal/p4/parser"
+	"opendesc/internal/p4/sema"
 )
 
 // runVerify implements `opendesc verify`: run the S27 differential harness
@@ -42,21 +42,21 @@ func runVerify(args []string, out, stderr io.Writer) error {
 		return err
 	}
 
-	type target struct{ name, src string }
-	var targets []target
+	var targets []*nic.Model
 	switch {
 	case *all && fs.NArg() > 0:
 		return usageError{fmt.Errorf("verify: -all and an explicit description are mutually exclusive")}
 	case *all:
-		for _, m := range nic.All() {
-			targets = append(targets, target{m.Name, m.Source})
-		}
+		targets = nic.All()
 	case fs.NArg() == 1:
-		name, src, err := loadVerifySource(fs.Arg(0))
+		m, err := loadNIC(fs.Arg(0))
+		if errors.As(err, new(parser.ErrorList)) || errors.As(err, new(sema.ErrorList)) {
+			err = &diffverify.RejectedError{Reason: err.Error()}
+		}
 		if err != nil {
 			return err
 		}
-		targets = append(targets, target{name, src})
+		targets = append(targets, m)
 	default:
 		return usageError{fmt.Errorf("verify: pass one description (bundled name or .p4 file) or -all")}
 	}
@@ -74,7 +74,7 @@ func runVerify(args []string, out, stderr io.Writer) error {
 	failed := 0
 	for _, tgt := range targets {
 		if *cert {
-			c := diffverify.Certify(tgt.name, tgt.src)
+			c := diffverify.Certify(tgt.Name, tgt.Source)
 			verdict := "PASS"
 			if !c.Passed {
 				verdict, failed = "FAIL", failed+1
@@ -87,10 +87,10 @@ func runVerify(args []string, out, stderr io.Writer) error {
 			continue
 		}
 		start := time.Now()
-		rep, err := diffverify.VerifySource(tgt.name, tgt.src, diffverify.Options{BreakAccessor: *breakAcc})
+		rep, err := diffverify.VerifyModel(tgt, diffverify.Options{BreakAccessor: *breakAcc})
 		took := time.Since(start)
 		if err != nil {
-			fmt.Fprintf(out, "diffverify %s: REJECTED: %v\n", tgt.name, err)
+			fmt.Fprintf(out, "diffverify %s: REJECTED: %v\n", tgt.Name, err)
 			failed++
 			continue
 		}
@@ -105,7 +105,7 @@ func runVerify(args []string, out, stderr io.Writer) error {
 		}
 		if *mutants > 0 {
 			counts := map[string]int{}
-			for _, v := range diffverify.Sweep(tgt.name, tgt.src, *seed, *mutants) {
+			for _, v := range diffverify.Sweep(tgt.Name, tgt.Source, *seed, *mutants) {
 				counts[v.Outcome]++
 				if v.Outcome == diffverify.OutcomeDisagree {
 					failed++
@@ -113,7 +113,7 @@ func runVerify(args []string, out, stderr io.Writer) error {
 				}
 			}
 			fmt.Fprintf(out, "mutants %s: %d screened (seed %#x): %d pass, %d rejected, %d disagree, %d mutate-error\n",
-				tgt.name, *mutants, *seed, counts[diffverify.OutcomePass], counts[diffverify.OutcomeRejected],
+				tgt.Name, *mutants, *seed, counts[diffverify.OutcomePass], counts[diffverify.OutcomeRejected],
 				counts[diffverify.OutcomeDisagree], counts[diffverify.OutcomeMutateError])
 		}
 	}
@@ -125,23 +125,4 @@ func runVerify(args []string, out, stderr io.Writer) error {
 		return fmt.Errorf("verify: %d verdict(s) failed", failed)
 	}
 	return nil
-}
-
-// loadVerifySource resolves a bundled model name or .p4 file path into the
-// (name, source) pair the harness wants (it reruns the whole frontend
-// itself — the certificate must cover exactly what a fleet host would
-// publish, not a pre-parsed shortcut).
-func loadVerifySource(arg string) (string, string, error) {
-	if !strings.ContainsAny(arg, "./") {
-		m, err := nic.Load(arg)
-		if err != nil {
-			return "", "", err
-		}
-		return m.Name, m.Source, nil
-	}
-	b, err := os.ReadFile(arg)
-	if err != nil {
-		return "", "", err
-	}
-	return strings.TrimSuffix(filepath.Base(arg), ".p4"), string(b), nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"opendesc/internal/core"
 	"opendesc/internal/nic"
-	"opendesc/internal/p4/parser"
 	"opendesc/internal/p4/sema"
 	"opendesc/internal/semantics"
 	"opendesc/internal/softnic"
@@ -81,7 +80,7 @@ func E12CostModel() (*Table, error) {
 // shared context bits: with pruning, path count stays 2^n over n bits; the
 // correlated second branches add nothing. Without pruning it doubles per
 // branch pair to 4^n.
-func wideDeparser(n int) (*sema.Info, error) {
+func wideDeparser(n int) (*nic.Model, error) {
 	var sb strings.Builder
 	sb.WriteString("struct ctx_t {")
 	for i := 0; i < n; i++ {
@@ -96,15 +95,7 @@ func wideDeparser(n int) (*sema.Info, error) {
 		fmt.Fprintf(&sb, "if (ctx.f%d == 1) { co.emit(m.b); } else { co.emit(m.a); }\n", i)
 	}
 	sb.WriteString("} }\n")
-	prog, err := parser.Parse("wide.p4", sb.String())
-	if err != nil {
-		return nil, err
-	}
-	info, err := sema.Check(prog)
-	if err != nil {
-		return nil, err
-	}
-	return info, nil
+	return nic.Parse("wide.p4", sb.String())
 }
 
 // E13Pruning is the symbolic-pruning ablation: feasible-path counts and
@@ -158,11 +149,11 @@ func E13Pruning() (*Table, error) {
 		}
 	}
 	for _, n := range []int{2, 4, 6} {
-		info, err := wideDeparser(n)
+		m, err := wideDeparser(n)
 		if err != nil {
 			return nil, err
 		}
-		if err := run(fmt.Sprintf("synthetic-%d-correlated", n), info, 1<<16); err != nil {
+		if err := run(fmt.Sprintf("synthetic-%d-correlated", n), m.Info, 1<<16); err != nil {
 			return nil, err
 		}
 	}

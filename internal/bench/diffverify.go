@@ -36,7 +36,7 @@ func E22Diffverify(mutantsPerNIC int) (*Table, error) {
 	run := &e22Run{outcomes: map[string]int{}}
 
 	for _, m := range models {
-		rep, err := diffverify.VerifySource(m.Name, m.Source, diffverify.Options{})
+		rep, err := diffverify.VerifyModel(m, diffverify.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("e22: %s rejected: %v", m.Name, err)
 		}
@@ -54,7 +54,7 @@ func E22Diffverify(mutantsPerNIC int) (*Table, error) {
 	// Ablation: a deliberately mis-offset accessor must be caught on every
 	// NIC, and the first reproducer must blame the accessor view.
 	for _, m := range models {
-		rep, err := diffverify.VerifySource(m.Name, m.Source, diffverify.Options{BreakAccessor: true})
+		rep, err := diffverify.VerifyModel(m, diffverify.Options{BreakAccessor: true})
 		if err != nil {
 			return nil, fmt.Errorf("e22 ablation: %s rejected: %v", m.Name, err)
 		}

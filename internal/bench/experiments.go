@@ -9,8 +9,6 @@ import (
 	"opendesc/internal/baseline"
 	"opendesc/internal/core"
 	"opendesc/internal/nic"
-	"opendesc/internal/p4/parser"
-	"opendesc/internal/p4/sema"
 	"opendesc/internal/semantics"
 )
 
@@ -299,22 +297,16 @@ type E10Stage struct {
 	Run  func() error
 }
 
-// E10Stages splits a compile at its two lines: the frontend (P4 parse +
-// semantic check), the description-side analysis (core.Analyze: CFG + path
-// enumeration) and the intent-side selection (Model.Compile on the cached
-// analysis: Eq. 1 + accessor synthesis — what every renegotiation pays). cold
-// is the whole pipeline from source text, opendesc.CompileP4: what open pays
-// once.
+// E10Stages splits a compile at its two lines: the frontend (nic.Parse: P4
+// parse + semantic check), the description-side analysis (core.Analyze: CFG
+// + path enumeration) and the intent-side selection (Model.Compile on the
+// cached analysis: Eq. 1 + accessor synthesis — what every renegotiation
+// pays). cold is the whole pipeline from source text, opendesc.CompileP4:
+// what open pays once.
 func E10Stages(m *nic.Model, intent *core.Intent) []E10Stage {
 	return []E10Stage{
-		{"frontend", func() error {
-			prog, err := parser.Parse(m.Name+".p4", m.Source)
-			if err == nil {
-				_, err = sema.Check(prog)
-			}
-			return err
-		}},
-		{"analysis", func() error { _, err := core.Analyze(m.Info, core.EnumerateOptions{}); return err }},
+		{"frontend", func() error { _, err := nic.Parse(m.Name+".p4", m.Source); return err }},
+		{"analysis", func() error { _, err := core.Analyze(m.Info, core.EnumerateOptions{}, nil); return err }},
 		{"select", func() error { _, err := m.Compile(intent, core.CompileOptions{}); return err }},
 		{"cold", func() error {
 			_, err := opendesc.CompileP4(m.Name, m.Source, intent, core.CompileOptions{})

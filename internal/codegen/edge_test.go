@@ -6,8 +6,7 @@ import (
 
 	"opendesc/internal/bitfield"
 	"opendesc/internal/core"
-	"opendesc/internal/p4/parser"
-	"opendesc/internal/p4/sema"
+	"opendesc/internal/nic"
 	"opendesc/internal/semantics"
 )
 
@@ -49,11 +48,7 @@ control CmptDeparser<CTX,META>(cmpt_out co, in CTX ctx, in META m) {
 
 func compileEdge(t *testing.T) *core.Result {
 	t.Helper()
-	prog, err := parser.Parse("edge.p4", edgeSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := sema.Check(prog)
+	m, err := nic.Parse("edge.p4", edgeSource)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +57,7 @@ func compileEdge(t *testing.T) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Compile("edge", info, intent, core.CompileOptions{})
+	res, err := m.Compile(intent, core.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +148,7 @@ func TestEdgeGeneratedSources(t *testing.T) {
 // select the narrow completion path (2-byte records) and fall back to
 // software for everything the narrow path cannot carry.
 func TestEdgeNarrowPath(t *testing.T) {
-	prog, err := parser.Parse("edge.p4", edgeSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := sema.Check(prog)
+	m, err := nic.Parse("edge.p4", edgeSource)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +156,7 @@ func TestEdgeNarrowPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Compile("edge", info, intent, core.CompileOptions{})
+	res, err := m.Compile(intent, core.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

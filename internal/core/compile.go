@@ -139,12 +139,9 @@ type Analysis struct {
 }
 
 // Analyze extracts the deparser CFG of a description and enumerates its
-// completion paths.
-func Analyze(info *sema.Info, opts EnumerateOptions) (*Analysis, error) {
-	return analyze(info, opts, nil)
-}
-
-func analyze(info *sema.Info, opts EnumerateOptions, tr *obs.Trace) (*Analysis, error) {
+// completion paths, recording the cfg and paths stages as spans in tr when
+// it is non-nil. nic.Model is the one owner that keeps the result.
+func Analyze(info *sema.Info, opts EnumerateOptions, tr *obs.Trace) (*Analysis, error) {
 	sp := startSpan(tr, "cfg")
 	g, err := BuildDeparserGraph(info)
 	if err != nil {
@@ -201,24 +198,13 @@ func (a *Analysis) CompletionSizes() []int {
 // CompileOptions bundle the tunables of a compilation.
 type CompileOptions struct {
 	Select SelectOptions
-	// Enumerate is consumed by the analysis half (Analyze, or whoever caches
-	// one per value); (*Analysis).Compile does not read it.
+	// Enumerate is consumed by the analysis half (nic.Model keeps one
+	// Analysis per value); (*Analysis).Compile does not read it.
 	Enumerate EnumerateOptions
-	// Trace, when non-nil, receives one timed span per pipeline stage
-	// (cfg → paths → select); the CLI adds the frontend (parse, sema) and
-	// backend (codegen) spans around the core.
+	// Trace, when non-nil, receives one timed span per pipeline stage: cfg
+	// and paths when the compile builds the analysis, then select. The CLI
+	// adds the frontend and codegen spans around them.
 	Trace *obs.Trace
-}
-
-// Compile maps an application intent onto a NIC description from cold: CFG
-// extraction and path characterization (Analyze), then Eq. 1 optimization and
-// host accessor synthesis ((*Analysis).Compile).
-func Compile(nicName string, info *sema.Info, intent *Intent, opts CompileOptions) (*Result, error) {
-	a, err := analyze(info, opts.Enumerate, opts.Trace)
-	if err != nil {
-		return nil, fmt.Errorf("opendesc %s: %w", nicName, err)
-	}
-	return a.Compile(nicName, intent, opts)
 }
 
 // Compile is the intent-side half for a single intent: the one-tenant case

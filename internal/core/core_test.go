@@ -71,6 +71,25 @@ func e1000Info(t *testing.T) *sema.Info {
 	return info
 }
 
+// coldCompile and coldCompileJoint analyse info afresh and compile on that
+// analysis: what nic.Model.Compile does on a fresh model, for the tests of
+// this package, which nic imports.
+func coldCompile(nicName string, info *sema.Info, intent *Intent, opts CompileOptions) (*Result, error) {
+	a, err := Analyze(info, opts.Enumerate, opts.Trace)
+	if err != nil {
+		return nil, err
+	}
+	return a.Compile(nicName, intent, opts)
+}
+
+func coldCompileJoint(nicName string, info *sema.Info, tenants []TenantIntent, opts CompileOptions) (*JointResult, error) {
+	a, err := Analyze(info, opts.Enumerate, opts.Trace)
+	if err != nil {
+		return nil, err
+	}
+	return a.CompileJoint(nicName, tenants, opts)
+}
+
 func intentOf(t *testing.T, names ...semantics.Name) *Intent {
 	t.Helper()
 	it, err := IntentFromSemantics("test_intent", semantics.Default, names...)
@@ -157,7 +176,7 @@ func TestEnumeratePathsE1000(t *testing.T) {
 // csum are requested, the compiler prefers the csum-emitting branch because
 // software RSS is cheaper than software checksum.
 func TestFig6Selection(t *testing.T) {
-	res, err := Compile("e1000", e1000Info(t), intentOf(t, semantics.RSS, semantics.IPChecksum), CompileOptions{})
+	res, err := coldCompile("e1000", e1000Info(t), intentOf(t, semantics.RSS, semantics.IPChecksum), CompileOptions{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -189,7 +208,7 @@ func TestSelectionFlipsWithCosts(t *testing.T) {
 		semantics.RSS:        500,
 		semantics.IPChecksum: 5,
 	})
-	res, err := Compile("e1000", e1000Info(t),
+	res, err := coldCompile("e1000", e1000Info(t),
 		intentOf(t, semantics.RSS, semantics.IPChecksum),
 		CompileOptions{Select: SelectOptions{Costs: costs}})
 	if err != nil {
@@ -201,7 +220,7 @@ func TestSelectionFlipsWithCosts(t *testing.T) {
 }
 
 func TestRSSOnlyIntentPicksRSSBranch(t *testing.T) {
-	res, err := Compile("e1000", e1000Info(t), intentOf(t, semantics.RSS), CompileOptions{})
+	res, err := coldCompile("e1000", e1000Info(t), intentOf(t, semantics.RSS), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +234,7 @@ func TestRSSOnlyIntentPicksRSSBranch(t *testing.T) {
 
 func TestUnsatisfiableIntent(t *testing.T) {
 	// Timestamp has infinite software cost and e1000 never emits it.
-	_, err := Compile("e1000", e1000Info(t), intentOf(t, semantics.Timestamp), CompileOptions{})
+	_, err := coldCompile("e1000", e1000Info(t), intentOf(t, semantics.Timestamp), CompileOptions{})
 	var unsat *UnsatisfiableError
 	if !errors.As(err, &unsat) {
 		t.Fatalf("err = %v, want UnsatisfiableError", err)
@@ -228,7 +247,7 @@ func TestUnsatisfiableIntent(t *testing.T) {
 func TestSatisfiableViaSoftwareOnly(t *testing.T) {
 	// kv_key: not on any e1000 path but software-emulable ⇒ compiles with a
 	// software shim.
-	res, err := Compile("e1000", e1000Info(t), intentOf(t, semantics.KVKey), CompileOptions{})
+	res, err := coldCompile("e1000", e1000Info(t), intentOf(t, semantics.KVKey), CompileOptions{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -247,7 +266,7 @@ func TestSatisfiableViaSoftwareOnly(t *testing.T) {
 }
 
 func TestNegativeAlphaIgnoresFootprint(t *testing.T) {
-	res, err := Compile("e1000", e1000Info(t), intentOf(t, semantics.RSS), CompileOptions{Select: SelectOptions{Alpha: -1}})
+	res, err := coldCompile("e1000", e1000Info(t), intentOf(t, semantics.RSS), CompileOptions{Select: SelectOptions{Alpha: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +370,7 @@ func TestSwitchPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Analyze(info, EnumerateOptions{})
+	a, err := Analyze(info, EnumerateOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +406,7 @@ func TestSmallerCompletionPreferredOnTie(t *testing.T) {
 	info, _ := sema.Check(prog)
 	// Request only pkt_len: every path provides it; the default (emit-nothing
 	// -else) path with the smallest completion must win.
-	res, err := Compile("sw", info, intentOf(t, semantics.PktLen), CompileOptions{})
+	res, err := coldCompile("sw", info, intentOf(t, semantics.PktLen), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +464,7 @@ func TestDOTOutput(t *testing.T) {
 }
 
 func TestReportMentionsSoftwareShim(t *testing.T) {
-	res, err := Compile("e1000", e1000Info(t), intentOf(t, semantics.RSS, semantics.IPChecksum), CompileOptions{})
+	res, err := coldCompile("e1000", e1000Info(t), intentOf(t, semantics.RSS, semantics.IPChecksum), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +503,7 @@ header intent_t {
 	if !req.Has(semantics.RSS) || !req.Has(semantics.VLAN) || !req.Has(semantics.IPChecksum) {
 		t.Errorf("req = %v", req)
 	}
-	a, err := Analyze(e1000Info(t), EnumerateOptions{})
+	a, err := Analyze(e1000Info(t), EnumerateOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,12 +14,12 @@ import (
 func TestCompileDeterministic(t *testing.T) {
 	info := e1000Info(t)
 	intent := intentOf(t, semantics.RSS, semantics.IPChecksum, semantics.VLAN)
-	first, err := Compile("e1000e", info, intent, CompileOptions{})
+	first, err := coldCompile("e1000e", info, intent, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		again, err := Compile("e1000e", info, intent, CompileOptions{})
+		again, err := coldCompile("e1000e", info, intent, CompileOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestQuickSelectionInvariants(t *testing.T) {
 			return false
 		}
 		alpha := float64(alphaRaw%16) + 0.5
-		res, err := Compile("e1000e", info, intent, CompileOptions{
+		res, err := coldCompile("e1000e", info, intent, CompileOptions{
 			Select: SelectOptions{Alpha: alpha},
 		})
 		if err != nil {

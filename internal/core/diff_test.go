@@ -73,11 +73,11 @@ func infoFromSource(t *testing.T, src string) *sema.Info {
 
 func TestDiffFirmwareUpdate(t *testing.T) {
 	intent := intentOf(t, semantics.PktLen, semantics.ErrorFlags, semantics.RSS)
-	oldRes, err := Compile("e1000-v1", e1000Info(t), intent, CompileOptions{})
+	oldRes, err := coldCompile("e1000-v1", e1000Info(t), intent, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	newRes, err := Compile("e1000-v2", infoFromSource(t, e1000DescV2), intent, CompileOptions{})
+	newRes, err := coldCompile("e1000-v2", infoFromSource(t, e1000DescV2), intent, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestDiffFirmwareUpdate(t *testing.T) {
 
 func TestDiffHardwareSoftwareTransitions(t *testing.T) {
 	intent := intentOf(t, semantics.RSS, semantics.IPChecksum)
-	res, err := Compile("e1000e", e1000Info(t), intent, CompileOptions{})
+	res, err := coldCompile("e1000e", e1000Info(t), intent, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestDiffHardwareSoftwareTransitions(t *testing.T) {
 	costs := semantics.RegistryCosts(semantics.Default).WithOverrides(map[semantics.Name]float64{
 		semantics.RSS: 500, semantics.IPChecksum: 5,
 	})
-	flipped, err := Compile("e1000e", e1000Info(t), intent,
+	flipped, err := coldCompile("e1000e", e1000Info(t), intent,
 		CompileOptions{Select: SelectOptions{Costs: costs}})
 	if err != nil {
 		t.Fatal(err)
@@ -149,8 +149,8 @@ func TestDiffHardwareSoftwareTransitions(t *testing.T) {
 }
 
 func TestDiffRejectsDifferentIntents(t *testing.T) {
-	a, _ := Compile("e1000e", e1000Info(t), intentOf(t, semantics.RSS), CompileOptions{})
-	bb, _ := Compile("e1000e", e1000Info(t), intentOf(t, semantics.VLAN, semantics.PktLen), CompileOptions{})
+	a, _ := coldCompile("e1000e", e1000Info(t), intentOf(t, semantics.RSS), CompileOptions{})
+	bb, _ := coldCompile("e1000e", e1000Info(t), intentOf(t, semantics.VLAN, semantics.PktLen), CompileOptions{})
 	if _, err := DiffResults(a, bb); err == nil {
 		t.Error("different intents must not diff")
 	}

@@ -1,10 +1,48 @@
-// Package core implements the OpenDesc compiler: it extracts the control-flow
-// graph of a NIC's completion deparser (each emit statement becomes a vertex,
-// each conditional two labeled edges) or of its TX DescParser (each extract
-// a vertex, each select a switch), enumerates the root-to-leaf
-// paths, characterizes them (Prov, Size), solves the path-selection
-// optimization of the paper's Eq. 1, and computes the selected layout from
-// which host accessors are synthesized.
+// Package core implements the OpenDesc compiler (DESIGN.md S10): it extracts
+// the control-flow graph of a NIC's completion deparser (each emit statement
+// becomes a vertex, each conditional two labeled edges) or of its TX
+// DescParser (each extract a vertex, each select a switch), enumerates the
+// root-to-leaf paths, characterizes them (Prov, Size), solves the
+// path-selection optimization of the paper's Eq. 1, and computes the selected
+// layout from which host accessors are synthesized. nic.Model owns what
+// Analyze builds; Model.Compile is the only compile.
+//
+// The leaf table. Each graph is built with one (Graph.Leaves, looked up by
+// Graph.Leaf): every leaf of at most 64 bits of the control's composite
+// parameters, with its dotted name, the header or struct declaring it, its
+// semantic, width and bool-ness, and whether it is a context register — a
+// field of the parameter the control's first template type types, found by
+// position as P4 binds an architecture's parameters. Each LayoutField
+// carries its leaf's index. A dotted name is bound to its field here once;
+// nicsim, diffverify and the mutator look names up in this table.
+//
+// Typing and pruning. Conditions are typed where the builder resolves them
+// against the bound instance: an if on a bare number (or ! of one), and an
+// ==, != or case key comparing a bool with a number, are refused at their
+// position, so a bool equals no number (sema.Value.Equal). The enumerator
+// evaluates the context symbolically and prunes an edge when its equality
+// needs a value wider than its field's declared width, or when the values
+// it excludes cover every value that width holds: a default past all of a
+// narrow tag's cases, a chain of !=, a bool neither true nor false. A
+// condition it cannot decompose, such as a range, stays feasible both ways.
+// MaxPaths bounds every walk that ends, dead ends included, so shared states
+// cannot hide an exponential search.
+//
+// One builder, both directions. BuildGraph also lowers the TX DescParser
+// into the deparser's graph shape (a desc_in or packet_in channel, extract →
+// vertex, one-expression select → switch, reject → sink), so its TX formats
+// (TxFormats, printed by opendesc run, claimed as tx_parser by opendesc
+// describe) come from the same enumerator. A TX format is what p4/interp
+// accepts: a state loop, a tuple select and a non-constant select key are
+// refused.
+//
+// Around the solver: unsatisfiability (UnsatisfiableError), intent matching
+// (a semantic requested twice is refused by ParseIntent and
+// IntentFromSemantics alike), drift diffing (DiffResults, opendesc -diff),
+// offload placement as a cost model (PlanOffloads), and Memo, the one
+// content-addressed memo (each key computed once, its error kept beside it,
+// nothing evicted) behind the fleet's compile cache, diffverify's
+// certificates and nic.Model's analyses.
 package core
 
 import (

@@ -95,6 +95,17 @@ func ParseIntent(info *sema.Info, headerName string) (*Intent, error) {
 	return it, nil
 }
 
+// IntentFromNames is IntentFromSemantics over the default registry, for
+// callers that hold the requested semantics as strings: a command line, a
+// tenant or fleet spec.
+func IntentFromNames(name string, sems ...string) (*Intent, error) {
+	names := make([]semantics.Name, len(sems))
+	for i, s := range sems {
+		names[i] = semantics.Name(s)
+	}
+	return IntentFromSemantics(name, semantics.Default, names...)
+}
+
 // IntentFromSemantics builds an intent programmatically (used by benchmarks
 // and examples that sweep requested sets without writing P4 for each).
 func IntentFromSemantics(name string, reg *semantics.Registry, names ...semantics.Name) (*Intent, error) {

@@ -2,10 +2,8 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
-	"opendesc/internal/p4/sema"
 	"opendesc/internal/semantics"
 )
 
@@ -65,16 +63,6 @@ type JointResult struct {
 	// is p* under that scoring, and Accessors is the tenant's hardware/shim
 	// split on p*.
 	PerTenant []*Result
-}
-
-// CompileJoint maps N tenant intents onto one NIC description at once, from
-// cold: Analyze, then (*Analysis).CompileJoint.
-func CompileJoint(nicName string, info *sema.Info, tenants []TenantIntent, opts CompileOptions) (*JointResult, error) {
-	a, err := Analyze(info, opts.Enumerate)
-	if err != nil {
-		return nil, fmt.Errorf("opendesc %s: %w", nicName, err)
-	}
-	return a.CompileJoint(nicName, tenants, opts)
 }
 
 // CompileJoint is the one-shot form of the repo's one Eq. 1 solver: bind each

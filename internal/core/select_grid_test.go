@@ -30,7 +30,7 @@ func TestOneTenantJointMatchesSelectPath(t *testing.T) {
 	}
 	var ties, unsat int
 	for _, m := range nic.All() {
-		a, err := core.Analyze(m.Info, core.EnumerateOptions{})
+		a, err := m.Analysis(core.EnumerateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

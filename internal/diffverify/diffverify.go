@@ -38,7 +38,6 @@ import (
 	"opendesc/internal/core"
 	"opendesc/internal/nic"
 	"opendesc/internal/p4/interp"
-	"opendesc/internal/p4/parser"
 	"opendesc/internal/p4/sema"
 	"opendesc/internal/pkt"
 	"opendesc/internal/semantics"
@@ -160,16 +159,17 @@ func (r *Report) String() string {
 	return sb.String()
 }
 
-// Verify runs the differential harness over one checked description.
-// A *RejectedError means the description is outside the harness's domain;
-// any other error is an internal failure.
-func Verify(name string, info *sema.Info, opts Options) (*Report, error) {
-	g, paths, err := enumerate(info, opts)
+// VerifyModel runs the differential harness over one description, on the
+// model's own analysis: built once per model, so verifying a bundled model
+// reuses what opening it built. A *RejectedError means the description is
+// outside the harness's domain; any other error is an internal failure.
+func VerifyModel(m *nic.Model, opts Options) (*Report, error) {
+	g, paths, err := enumerate(m, opts)
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{NIC: name, Paths: len(paths)}
-	ck, err := newChecker(name, g, paths, opts, rep)
+	rep := &Report{NIC: m.Name, Paths: len(paths)}
+	ck, err := newChecker(m.Name, g, paths, opts, rep)
 	if err != nil {
 		return nil, err
 	}
@@ -188,10 +188,10 @@ func Verify(name string, info *sema.Info, opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// enumerate analyses the description and refuses what the harness cannot
-// soundly check.
-func enumerate(info *sema.Info, opts Options) (*core.Graph, []*core.Path, error) {
-	a, err := core.Analyze(info, core.EnumerateOptions{MaxPaths: opts.MaxPaths})
+// enumerate reads the description's analysis and refuses what the harness
+// cannot soundly check.
+func enumerate(m *nic.Model, opts Options) (*core.Graph, []*core.Path, error) {
+	a, err := m.Analysis(core.EnumerateOptions{MaxPaths: opts.MaxPaths})
 	if err != nil {
 		return nil, nil, &RejectedError{Reason: err.Error()}
 	}
@@ -211,34 +211,6 @@ func enumerate(info *sema.Info, opts Options) (*core.Graph, []*core.Path, error)
 	return a.Graph, a.Paths, nil
 }
 
-// VerifySource parses and checks a bare P4 interface description and runs
-// the harness over it. Parse and sema failures are structured rejections.
-func VerifySource(name, src string, opts Options) (*Report, error) {
-	info, err := sourceInfo(name, src)
-	if err != nil {
-		return nil, err
-	}
-	return Verify(name, info, opts)
-}
-
-// sourceInfo runs the frontend over a bare description.
-func sourceInfo(name, src string) (*sema.Info, error) {
-	prog, err := parser.Parse(name+".p4", src)
-	if err != nil {
-		return nil, &RejectedError{Reason: fmt.Sprintf("parse: %v", err)}
-	}
-	info, err := sema.Check(prog)
-	if err != nil {
-		return nil, &RejectedError{Reason: fmt.Sprintf("sema: %v", err)}
-	}
-	return info, nil
-}
-
-// VerifyModel runs the harness over a bundled NIC model.
-func VerifyModel(m *nic.Model, opts Options) (*Report, error) {
-	return Verify(m.Name, m.Info, opts)
-}
-
 // Certificate is the fleet-facing verdict for one description, keyed by its
 // content digest. Reason carries the rejection or the first disagreement
 // when the description did not pass — the operator-visible quarantine text.
@@ -252,10 +224,16 @@ type Certificate struct {
 	Reason string
 }
 
-// Certify runs the harness over a bare P4 source and summarizes the verdict.
+// Certify runs the frontend and the harness over a bare P4 source and
+// summarizes the verdict; a description the frontend refuses is rejected.
 func Certify(name, src string) Certificate {
 	cert := Certificate{Digest: core.SourceDigest(src), NIC: name}
-	rep, err := VerifySource(name, src, Options{})
+	m, err := nic.Parse(name+".p4", src)
+	if err != nil {
+		cert.Reason = (&RejectedError{Reason: err.Error()}).Error()
+		return cert
+	}
+	rep, err := VerifyModel(m, Options{})
 	if err != nil {
 		cert.Reason = err.Error()
 		return cert

@@ -2,6 +2,8 @@ package diffverify
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,6 +52,52 @@ func TestReportDeterministic(t *testing.T) {
 		}
 		if a.String() != b.String() {
 			t.Errorf("%s: report not deterministic:\n%s\nvs\n%s", m.Name, a, b)
+		}
+	}
+}
+
+// TestVerifyModelSharesTheAnalysis: VerifyModel on a registry model reads
+// the analysis every other user of the model shares. Four verifications of
+// one model at once (run under -race) each report exactly what a freshly
+// parsed copy reports — paths, cases, checks, disagreements — and the shared
+// analysis reads the same afterwards.
+func TestVerifyModelSharesTheAnalysis(t *testing.T) {
+	shape := func(a *core.Analysis) string {
+		var sb strings.Builder
+		fmt.Fprintf(&sb, "%s%+v\n", a.Graph.DOT(), a.Graph.Leaves)
+		for _, p := range a.Paths {
+			fmt.Fprintf(&sb, "%d %v %+v %v %v %d\n", p.ID, p.Constraints, p.Fields, p.Route, p.Prov().Sorted(), p.SizeBits())
+		}
+		return sb.String()
+	}
+	for _, m := range nic.All() {
+		shared, err := m.Analysis(core.EnumerateOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := shape(shared)
+		want, err := VerifyModel(fresh(t, m.Name+".p4", m.Source), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]*Report, 4)
+		errs := make([]error, len(got))
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = VerifyModel(m, Options{})
+			}()
+		}
+		wg.Wait()
+		for i := range got {
+			if errs[i] != nil || !reflect.DeepEqual(got[i], want) {
+				t.Errorf("%s: verification %d reports %v (err %v), a fresh copy %v", m.Name, i, got[i], errs[i], want)
+			}
+		}
+		if shape(shared) != before {
+			t.Errorf("%s: the shared analysis changed under verification", m.Name)
 		}
 	}
 }
@@ -128,7 +176,7 @@ func TestWideSemanticRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = VerifySource("widened", src, Options{})
+	_, err = VerifyModel(fresh(t, "widened.p4", src), Options{})
 	var rej *RejectedError
 	if !errors.As(err, &rej) {
 		t.Fatalf("want RejectedError, got %v", err)
@@ -138,18 +186,19 @@ func TestWideSemanticRejected(t *testing.T) {
 	}
 }
 
-// TestMalformedSourceRejected: parse and sema failures surface as structured
-// rejections, not internal errors.
+// TestMalformedSourceRejected: parse and sema failures surface through
+// Certify and Screen as structured rejections, not internal errors.
 func TestMalformedSourceRejected(t *testing.T) {
 	for _, src := range []string{
 		"",
 		"header h {",
 		"header h { bit<8> a; } control C(in h x) { apply {} }",
 	} {
-		_, err := VerifySource("bad", src, Options{})
-		var rej *RejectedError
-		if !errors.As(err, &rej) {
-			t.Errorf("source %q: want RejectedError, got %v", src, err)
+		if c := Certify("bad", src); c.Passed || !strings.HasPrefix(c.Reason, "diffverify: rejected: ") {
+			t.Errorf("source %q: certificate %+v, want a rejection", src, c)
+		}
+		if v := screenSource("bad", src, Options{}); v.Outcome != OutcomeRejected || v.Reason == "" {
+			t.Errorf("source %q: screened %+v, want a rejection", src, v)
 		}
 	}
 }

@@ -39,7 +39,7 @@ control CmptDeparser<CTX,META>(cmpt_out co, in CTX ctx, in META m) {
 // TestEdgeSourceVerifies: the edge-width description passes the exhaustive
 // harness — both paths, all boundary patterns, zero disagreements.
 func TestEdgeSourceVerifies(t *testing.T) {
-	rep, err := VerifySource("edge", edgeSource, Options{})
+	rep, err := VerifyModel(fresh(t, "edge.p4", edgeSource), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestEdgeSourceVerifies(t *testing.T) {
 // TestEdgeSourceAblationCaught: the injected accessor bug is caught on the
 // edge widths too (a one-bit offset shift on a straddling field).
 func TestEdgeSourceAblationCaught(t *testing.T) {
-	rep, err := VerifySource("edge", edgeSource, Options{BreakAccessor: true})
+	rep, err := VerifyModel(fresh(t, "edge.p4", edgeSource), Options{BreakAccessor: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,19 +110,17 @@ func TestHandWrittenDescriptionsVerify(t *testing.T) {
 		t.Fatalf("no hand-written descriptions: %v", err)
 	}
 	for _, f := range files {
-		name, src := strings.TrimSuffix(filepath.Base(f), ".p4"), handWritten(t, f)
-		rep, err := VerifySource(name, src, Options{})
+		src := handWritten(t, f)
+		m := fresh(t, f, src)
+		name := m.Name
+		rep, err := VerifyModel(m, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !rep.OK() || rep.Skipped > maxSkipped[name] {
 			t.Errorf("%s failed, or left more than %d cases underdetermined:\n%s", name, maxSkipped[name], rep)
 		}
-		info, err := sourceInfo(name, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, wantErr := refVerify(name, info, Options{})
+		want, wantErr := refVerify(fresh(t, f, src), Options{})
 		sameOutcome(t, name, rep, nil, want, wantErr)
 		t.Logf("%s", strings.TrimSpace(rep.String()))
 	}

@@ -30,7 +30,7 @@ func swapFirstDiscriminant(g *core.Graph) bool {
 func TestMisLoweredGraphRejected(t *testing.T) {
 	var rejected []string
 	for _, m := range nic.All() {
-		a, err := core.Analyze(m.Info, core.EnumerateOptions{})
+		a, err := core.Analyze(m.Info, core.EnumerateOptions{}, nil) // a graph of its own to mis-lower
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,11 +76,11 @@ func TestMisLoweredGraphRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := sourceInfo("ixgbe", src)
+	mutant, err := nic.Parse("ixgbe.p4", src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := core.Analyze(info, core.EnumerateOptions{})
+	a, err := mutant.Analysis(core.EnumerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,9 @@ import (
 	"strings"
 
 	"opendesc/internal/core"
+	"opendesc/internal/nic"
 	"opendesc/internal/p4/ast"
 	"opendesc/internal/p4/parser"
-	"opendesc/internal/p4/sema"
 )
 
 // Mutate applies 1–3 grammar-aware edits to a P4 interface description and
@@ -326,7 +326,12 @@ func Screen(name, src string, seed uint64) Verdict {
 // screenSource classifies one already-mutated source.
 func screenSource(name, src string, opts Options) Verdict {
 	var v Verdict
-	rep, err := VerifySource(name, src, opts)
+	m, err := nic.Parse(name+".p4", src)
+	if err != nil {
+		v.Outcome, v.Reason = OutcomeRejected, err.Error()
+		return v
+	}
+	rep, err := VerifyModel(m, opts)
 	if err != nil {
 		v.Outcome = OutcomeRejected
 		var rej *RejectedError
@@ -366,15 +371,11 @@ func Sweep(name, src string, seed uint64, n int) []Verdict {
 // making it the canonical "valid-looking description that fails
 // verification" for the ablation tests and the chaos fleet scenario.
 func WidenFirstSemantic(src string, width int) (string, error) {
-	prog, err := parser.Parse("widen.p4", src)
+	m, err := nic.Parse("widen.p4", src)
 	if err != nil {
-		return "", fmt.Errorf("widen: parse: %v", err)
+		return "", fmt.Errorf("widen: %v", err)
 	}
-	info, err := sema.Check(prog)
-	if err != nil {
-		return "", fmt.Errorf("widen: sema: %v", err)
-	}
-	a, err := core.Analyze(info, core.EnumerateOptions{})
+	a, err := m.Analysis(core.EnumerateOptions{})
 	if err != nil {
 		return "", fmt.Errorf("widen: %v", err)
 	}
@@ -386,11 +387,11 @@ func WidenFirstSemantic(src string, width int) (string, error) {
 			// The field's leaf names the composite that declares it.
 			l := &a.Graph.Leaves[f.Leaf]
 			name := l.Name[strings.LastIndexByte(l.Name, '.')+1:]
-			for _, c := range collectComposites(prog) {
+			for _, c := range collectComposites(m.Info.Prog) {
 				for _, cf := range *c.fields {
 					if c.name == l.Decl && cf.Name == name {
 						cf.Type = bitType(width)
-						return ast.SprintProgram(prog), nil
+						return ast.SprintProgram(m.Info.Prog), nil
 					}
 				}
 			}

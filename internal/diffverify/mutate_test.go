@@ -118,11 +118,11 @@ func TestWidenFirstSemanticTargetsCompletionPath(t *testing.T) {
 	// The mutated description must still pass the frontend (parse + sema),
 	// i.e. be indistinguishable from a healthy one until the harness runs,
 	// and a completion path must carry the widened semantic field.
-	info, err := sourceInfo("widened", src)
+	widened, err := nic.Parse("widened.p4", src)
 	if err != nil {
 		t.Fatalf("widened source no longer analyzable: %v", err)
 	}
-	a, err := core.Analyze(info, core.EnumerateOptions{})
+	a, err := widened.Analysis(core.EnumerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,9 +17,10 @@ import (
 	"opendesc/internal/softnic"
 )
 
-// refVerify is Verify over the reference checker.
-func refVerify(name string, info *sema.Info, opts Options) (*Report, error) {
-	g, paths, err := enumerate(info, opts)
+// refVerify is VerifyModel over the reference checker.
+func refVerify(m *nic.Model, opts Options) (*Report, error) {
+	name := m.Name
+	g, paths, err := enumerate(m, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -409,6 +410,16 @@ func sameOutcome(t *testing.T, what string, got *Report, gotErr error, want *Rep
 	}
 }
 
+// fresh is a model nic.Parse builds from src, with an analysis of its own.
+func fresh(t *testing.T, file, src string) *nic.Model {
+	t.Helper()
+	m, err := nic.Parse(file, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestMatchesReference: on the six bundled NICs the slot-indexed checker and
 // the map-based reference yield identical reports — exhaustive, under the
 // accessor ablation (sixteen minimised reproducers each), under case caps
@@ -424,7 +435,7 @@ func TestMatchesReference(t *testing.T) {
 			{Packets: 9},
 		} {
 			got, gotErr := VerifyModel(m, opts)
-			want, wantErr := refVerify(m.Name, m.Info, opts)
+			want, wantErr := refVerify(fresh(t, m.Name+".p4", m.Source), opts)
 			sameOutcome(t, fmt.Sprintf("%s %+v", m.Name, opts), got, gotErr, want, wantErr)
 		}
 		if rep, _ := VerifyModel(m, Options{BreakAccessor: true}); len(rep.Disagreements) == 0 || len(rep.Disagreements[0].Image) == 0 {
@@ -447,12 +458,8 @@ func TestMatchesReferenceOnMutants(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			got, gotErr := VerifySource(m.Name, src, Options{})
-			var want *Report
-			info, wantErr := sourceInfo(m.Name, src)
-			if wantErr == nil {
-				want, wantErr = refVerify(m.Name, info, Options{})
-			}
+			got, gotErr := VerifyModel(fresh(t, m.Name+".p4", src), Options{})
+			want, wantErr := refVerify(fresh(t, m.Name+".p4", src), Options{})
 			sameOutcome(t, fmt.Sprintf("%s seed %#x ops %s", m.Name, seed, ops), got, gotErr, want, wantErr)
 			if gotErr == nil {
 				verified++
@@ -469,7 +476,7 @@ func TestMatchesReferenceOnMutants(t *testing.T) {
 // later cases overwrite.
 func TestDisagreementSurvivesBufferReuse(t *testing.T) {
 	m := nic.MustLoad("e1000e")
-	a, err := core.Analyze(m.Info, core.EnumerateOptions{})
+	a, err := m.Analysis(core.EnumerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

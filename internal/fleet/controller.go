@@ -12,7 +12,6 @@ import (
 	"opendesc/internal/fleet/telemetry"
 	"opendesc/internal/obs"
 	"opendesc/internal/retry"
-	"opendesc/internal/semantics"
 	"opendesc/internal/vclock"
 )
 
@@ -228,7 +227,7 @@ func (c *Controller) compile(digest string, val *Validated, intent *core.Intent)
 	res, err := c.compiled.Get(core.CompileKey(digest, intent), func() (*core.Result, error) {
 		hit = false
 		c.compiles.Inc()
-		return val.Compile(intent, core.CompileOptions{})
+		return val.Model.Compile(intent, core.CompileOptions{})
 	})
 	if hit {
 		c.cacheHits.Inc()
@@ -288,15 +287,6 @@ func (c *Controller) verifyDescription(nicName, src string) string {
 	return fmt.Sprintf("verification: %s", cert.Reason)
 }
 
-// intent materializes the controller's read set as a core intent.
-func (c *Controller) intent(sems []string) (*core.Intent, error) {
-	names := make([]semantics.Name, len(sems))
-	for i, s := range sems {
-		names[i] = semantics.Name(s)
-	}
-	return core.IntentFromSemantics("fleet", semantics.Default, names...)
-}
-
 // Inventory sweeps the fleet with describe handshakes. Every answer is
 // untrusted: it crosses the wire as JSON and is structurally validated
 // before anything is compiled for the host. Hosts that are unreachable or
@@ -347,7 +337,7 @@ func (c *Controller) Inventory() InventoryReport {
 // de-duplication) and installs it as each host's last-known-good layout.
 // Requires a prior Inventory.
 func (c *Controller) Provision() error {
-	intent, err := c.intent(c.opts.Intent)
+	intent, err := core.IntentFromNames("fleet", c.opts.Intent...)
 	if err != nil {
 		return err
 	}
@@ -447,7 +437,7 @@ func (c *Controller) StartRollout(up Upgrade) (*Rollout, error) {
 	if len(sems) == 0 {
 		sems = c.opts.Intent
 	}
-	intent, err := c.intent(sems)
+	intent, err := core.IntentFromNames("fleet", sems...)
 	if err != nil {
 		return nil, err
 	}

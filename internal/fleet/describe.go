@@ -18,12 +18,11 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"opendesc/internal/core"
 	"opendesc/internal/nic"
-	"opendesc/internal/p4/parser"
-	"opendesc/internal/p4/sema"
 	"opendesc/internal/semantics"
 )
 
@@ -84,42 +83,53 @@ func (d *Description) Encode() ([]byte, error) {
 // recomputed from the description (so the answer is honest by
 // construction; rogue publishers are modeled by mutating the result).
 func Describe(m *nic.Model, host string) (*Description, error) {
-	prov, err := m.ProvidableSet()
+	c, err := capabilities(m)
 	if err != nil {
 		return nil, err
 	}
-	paths, err := m.Paths()
+	c.Kind = m.Kind.String()
+	c.Programmable, c.StageBudget = m.Pipeline.Programmable, m.Pipeline.StageBudget
+	return &Description{
+		Schema:       SchemaVersion,
+		Host:         host,
+		NIC:          m.Name,
+		Vendor:       m.Vendor,
+		Digest:       core.SourceDigest(m.Source),
+		P4:           m.Source,
+		Capabilities: c,
+	}, nil
+}
+
+// capabilities computes every capability claim a description's source backs
+// — semantics, path count, completion sizes, tx_parser — from its model, and
+// refuses a description with no completion path or no semantic. The kind and
+// the pipeline resources are the publisher's to state; they are left zero.
+func capabilities(m *nic.Model) (Capabilities, error) {
+	a, err := m.Analysis(core.EnumerateOptions{})
 	if err != nil {
-		return nil, err
+		return Capabilities{}, err
 	}
-	sizes, err := m.CompletionSizes()
-	if err != nil {
-		return nil, err
+	if len(a.Paths) == 0 {
+		return Capabilities{}, fmt.Errorf("description has no completion paths")
 	}
-	tx, err := txParser(m.Info)
-	if err != nil {
-		return nil, err
+	prov := a.Providable()
+	if len(prov) == 0 {
+		return Capabilities{}, fmt.Errorf("description provides no semantics")
+	}
+	// The tx_parser claim: the description has a DescParser, and it lowers
+	// to its TX formats.
+	if _, err := core.TxFormats(m.Info); err != nil {
+		return Capabilities{}, fmt.Errorf("tx parser: %w", err)
 	}
 	sems := make([]string, 0, len(prov))
 	for _, n := range prov.Sorted() {
 		sems = append(sems, string(n))
 	}
-	return &Description{
-		Schema: SchemaVersion,
-		Host:   host,
-		NIC:    m.Name,
-		Vendor: m.Vendor,
-		Digest: core.SourceDigest(m.Source),
-		P4:     m.Source,
-		Capabilities: Capabilities{
-			Kind:            m.Kind.String(),
-			Semantics:       sems,
-			Paths:           len(paths),
-			CompletionBytes: sizes,
-			TxParser:        tx,
-			Programmable:    m.Pipeline.Programmable,
-			StageBudget:     m.Pipeline.StageBudget,
-		},
+	return Capabilities{
+		Semantics:       sems,
+		Paths:           len(a.Paths),
+		CompletionBytes: a.CompletionSizes(),
+		TxParser:        m.Info.Prog.Parser(core.DescParser) != nil,
 	}, nil
 }
 
@@ -131,38 +141,26 @@ func Describe(m *nic.Model, host string) (*Description, error) {
 // only the S27 differential-verification gate (or, for pure meaning lies,
 // the canary bake) can tell the description is not one to serve on.
 func (d *Description) RewriteSource(src string) (*Description, error) {
-	v, err := ValidateSource(d.NIC, src)
+	v, c, err := validate(d.NIC, src)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: rewrite for %s: %w", d.NIC, err)
 	}
 	out := *d
-	out.P4 = src
-	out.Digest = v.Digest
-	sems := make([]string, 0, len(v.Providable))
-	for _, n := range v.Providable.Sorted() {
-		sems = append(sems, string(n))
-	}
-	out.Capabilities.Semantics = sems
-	out.Capabilities.Paths = len(v.Analysis.Paths)
-	out.Capabilities.CompletionBytes = v.Analysis.CompletionSizes()
-	out.Capabilities.TxParser = v.TxParser
+	out.P4, out.Digest = src, v.Digest
+	out.Capabilities.Semantics, out.Capabilities.Paths = c.Semantics, c.Paths
+	out.Capabilities.CompletionBytes, out.Capabilities.TxParser = c.CompletionBytes, c.TxParser
 	return &out, nil
 }
 
-// Validated is a description that survived structural validation, carrying
-// everything a compile needs so the expensive frontend work (parse, sema,
-// graph, paths) is never repeated.
+// Validated is a description that survived structural validation.
 type Validated struct {
 	Desc *Description
 	// Digest is the recomputed content address (cache key component).
 	Digest string
-	// Analysis is the description-side half (CFG, completion paths) of every
-	// compile against this description.
-	Analysis *core.Analysis
-	// Providable is the union of what its paths provide.
-	Providable semantics.Set
-	// TxParser: the description has a DescParser, and it lowers.
-	TxParser bool
+	// Model is the description as nic.Parse built it; every compile against
+	// the description runs on its analysis, so the frontend, the graph and
+	// the paths are never redone.
+	Model *nic.Model
 }
 
 // ValidateSource structurally validates a bare P4 interface description
@@ -171,50 +169,28 @@ type Validated struct {
 // enumeration, non-empty providable set, and a DescParser, if there is one,
 // that lowers to its TX formats.
 func ValidateSource(name, src string) (*Validated, error) {
-	if len(src) == 0 {
-		return nil, fmt.Errorf("empty P4 source")
-	}
-	if len(src) > maxDescriptionBytes {
-		return nil, fmt.Errorf("P4 source exceeds %d bytes", maxDescriptionBytes)
-	}
-	prog, err := parser.Parse(name+".p4", src)
-	if err != nil {
-		return nil, fmt.Errorf("parse: %v", err)
-	}
-	info, err := sema.Check(prog)
-	if err != nil {
-		return nil, fmt.Errorf("sema: %v", err)
-	}
-	a, err := core.Analyze(info, core.EnumerateOptions{})
-	if err != nil {
-		return nil, err
-	}
-	if len(a.Paths) == 0 {
-		return nil, fmt.Errorf("description has no completion paths")
-	}
-	prov := a.Providable()
-	if len(prov) == 0 {
-		return nil, fmt.Errorf("description provides no semantics")
-	}
-	tx, err := txParser(info)
-	if err != nil {
-		return nil, err
-	}
-	return &Validated{
-		Digest:     core.SourceDigest(src),
-		Analysis:   a,
-		Providable: prov,
-		TxParser:   tx,
-	}, nil
+	v, _, err := validate(name, src)
+	return v, err
 }
 
-// txParser computes the tx_parser claim: the description has a DescParser,
-// and it lowers to its TX formats.
-func txParser(info *sema.Info) (bool, error) {
-	if _, err := core.TxFormats(info); err != nil {
-		return false, fmt.Errorf("tx parser: %w", err)
+// validate is ValidateSource, also returning the capability claims the
+// source backs.
+func validate(name, src string) (*Validated, Capabilities, error) {
+	if len(src) == 0 {
+		return nil, Capabilities{}, fmt.Errorf("empty P4 source")
 	}
-	return info.Prog.Parser(core.DescParser) != nil, nil
+	if len(src) > maxDescriptionBytes {
+		return nil, Capabilities{}, fmt.Errorf("P4 source exceeds %d bytes", maxDescriptionBytes)
+	}
+	m, err := nic.Parse(name+".p4", src)
+	if err != nil {
+		return nil, Capabilities{}, err
+	}
+	c, err := capabilities(m)
+	if err != nil {
+		return nil, Capabilities{}, err
+	}
+	return &Validated{Digest: core.SourceDigest(src), Model: m}, c, nil
 }
 
 // Validate structurally validates one untrusted describe document. The
@@ -233,7 +209,7 @@ func Validate(data []byte) (*Validated, error) {
 	if d.Host == "" || d.NIC == "" {
 		return nil, fmt.Errorf("missing host or nic name")
 	}
-	v, err := ValidateSource(d.NIC, d.P4)
+	v, c, err := validate(d.NIC, d.P4)
 	if err != nil {
 		return nil, err
 	}
@@ -243,44 +219,30 @@ func Validate(data []byte) (*Validated, error) {
 	// Capability claims must match what the source actually provides: a
 	// host overstating its capabilities would otherwise steer layout
 	// selection toward reads the device cannot back.
-	claimed := make(semantics.Set)
-	for _, s := range d.Capabilities.Semantics {
-		claimed.Add(semantics.Name(s))
-	}
-	if !claimed.Equal(v.Providable) {
-		return nil, fmt.Errorf("capability claim mismatch: claims %v, source provides %v",
-			claimed, v.Providable)
-	}
-	if d.Capabilities.Paths != len(v.Analysis.Paths) {
-		return nil, fmt.Errorf("capability claim mismatch: claims %d paths, source has %d",
-			d.Capabilities.Paths, len(v.Analysis.Paths))
-	}
-	want := v.Analysis.CompletionSizes()
-	if len(d.Capabilities.CompletionBytes) != len(want) {
-		return nil, fmt.Errorf("capability claim mismatch: completion sizes %v, source has %v",
-			d.Capabilities.CompletionBytes, want)
-	}
-	for i, n := range want {
-		if d.Capabilities.CompletionBytes[i] != n {
-			return nil, fmt.Errorf("capability claim mismatch: completion sizes %v, source has %v",
-				d.Capabilities.CompletionBytes, want)
+	set := func(names []string) semantics.Set {
+		s := make(semantics.Set)
+		for _, n := range names {
+			s.Add(semantics.Name(n))
 		}
+		return s
 	}
-	if d.Capabilities.TxParser != v.TxParser {
+	if claimed, provided := set(d.Capabilities.Semantics), set(c.Semantics); !claimed.Equal(provided) {
+		return nil, fmt.Errorf("capability claim mismatch: claims %v, source provides %v", claimed, provided)
+	}
+	if d.Capabilities.Paths != c.Paths {
+		return nil, fmt.Errorf("capability claim mismatch: claims %d paths, source has %d",
+			d.Capabilities.Paths, c.Paths)
+	}
+	if !slices.Equal(d.Capabilities.CompletionBytes, c.CompletionBytes) {
+		return nil, fmt.Errorf("capability claim mismatch: completion sizes %v, source has %v",
+			d.Capabilities.CompletionBytes, c.CompletionBytes)
+	}
+	if d.Capabilities.TxParser != c.TxParser {
 		return nil, fmt.Errorf("capability claim mismatch: claims tx_parser %v, source has %v",
-			d.Capabilities.TxParser, v.TxParser)
+			d.Capabilities.TxParser, c.TxParser)
 	}
 	v.Desc = &d
 	return v, nil
-}
-
-// Compile maps an intent onto the validated description.
-func (v *Validated) Compile(intent *core.Intent, opts core.CompileOptions) (*core.Result, error) {
-	name := "description"
-	if v.Desc != nil {
-		name = v.Desc.NIC
-	}
-	return v.Analysis.Compile(name, intent, opts)
 }
 
 // SwapSemantics returns src with the @semantic("a") and @semantic("b")

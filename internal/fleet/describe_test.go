@@ -37,10 +37,10 @@ func TestDescribeRoundTrip(t *testing.T) {
 			t.Fatalf("%s: digest mismatch after round trip", m.Name)
 		}
 		prov, _ := m.ProvidableSet()
-		if !v.Providable.Equal(prov) {
-			t.Fatalf("%s: providable set changed on the wire: %v vs %v", m.Name, v.Providable, prov)
+		if got, _ := v.Model.ProvidableSet(); !got.Equal(prov) {
+			t.Fatalf("%s: providable set changed on the wire: %v vs %v", m.Name, got, prov)
 		}
-		res, err := v.Compile(intent, core.CompileOptions{})
+		res, err := v.Model.Compile(intent, core.CompileOptions{})
 		if err != nil {
 			t.Fatalf("%s: compile from validated description: %v", m.Name, err)
 		}
@@ -52,13 +52,18 @@ func TestDescribeRoundTrip(t *testing.T) {
 			t.Fatalf("%s: description compile selected path %d, model compile %d",
 				m.Name, res.Selected.Path.ID, want.Selected.Path.ID)
 		}
-		// Validated.Compile re-solves Eq. 1 over the analysis ValidateSource
-		// built: same result as the cold pipeline, at the allocation cost of
-		// Model.Compile, not of a second graph build and enumeration.
+		// The validated model re-solves Eq. 1 over the analysis validation
+		// built: same result as the first compile of a model freshly parsed
+		// from the source, at the allocation cost of a warm Model.Compile,
+		// not of a second graph build and enumeration.
 		for _, sel := range []core.SelectOptions{{}, {Alpha: -1}, {Alpha: 1000}} {
 			opts := core.CompileOptions{Select: sel}
-			warm, werr := v.Compile(intent, opts)
-			cold, cerr := core.Compile(m.Name, m.Info, intent, opts)
+			fresh, err := nic.Parse(m.Name+".p4", m.Source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, werr := v.Model.Compile(intent, opts)
+			cold, cerr := fresh.Compile(intent, opts)
 			if werr != nil || cerr != nil {
 				t.Fatalf("%s %+v: warm err %v, cold err %v", m.Name, sel, werr, cerr)
 			}
@@ -73,10 +78,10 @@ func TestDescribeRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		fromDesc := testing.AllocsPerRun(20, func() { v.Compile(intent, core.CompileOptions{}) })
+		fromDesc := testing.AllocsPerRun(20, func() { v.Model.Compile(intent, core.CompileOptions{}) })
 		fromModel := testing.AllocsPerRun(20, func() { m.Compile(intent, core.CompileOptions{}) })
 		if fromDesc > fromModel+4 {
-			t.Errorf("%s: Validated.Compile allocates %.0f, Model.Compile %.0f: the analysis is being redone",
+			t.Errorf("%s: the validated model's compile allocates %.0f, the bundled one's %.0f: the analysis is being redone",
 				m.Name, fromDesc, fromModel)
 		}
 	}
@@ -220,11 +225,15 @@ func TestSwapSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Analysis.Paths) != len(honest.Analysis.Paths) {
-		t.Fatalf("tamper changed path structure: %d vs %d", len(v.Analysis.Paths), len(honest.Analysis.Paths))
+	vp, _ := v.Model.Paths()
+	hp, _ := honest.Model.Paths()
+	if len(vp) != len(hp) {
+		t.Fatalf("tamper changed path structure: %d vs %d", len(vp), len(hp))
 	}
-	if !v.Providable.Equal(honest.Providable) {
-		t.Fatalf("tamper changed providable set: %v vs %v", v.Providable, honest.Providable)
+	vs, _ := v.Model.ProvidableSet()
+	hs, _ := honest.Model.ProvidableSet()
+	if !vs.Equal(hs) {
+		t.Fatalf("tamper changed providable set: %v vs %v", vs, hs)
 	}
 	if _, err := SwapSemantics(m.Source, "rss", "no_such_semantic"); err == nil {
 		t.Fatal("swap of an absent annotation must fail")

@@ -70,7 +70,7 @@ func FuzzDescribe(f *testing.F) {
 		if err != nil {
 			return // rejected: the quarantine path; nothing more to check
 		}
-		res, err := v.Compile(fuzzIntent, core.CompileOptions{})
+		res, err := v.Model.Compile(fuzzIntent, core.CompileOptions{})
 		if err != nil {
 			return // unsatisfiable intents are a legal outcome
 		}

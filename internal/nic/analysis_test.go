@@ -10,14 +10,22 @@ import (
 	"testing"
 
 	"opendesc/internal/core"
-	"opendesc/internal/p4/parser"
-	"opendesc/internal/p4/sema"
 	"opendesc/internal/semantics"
 )
 
 // The warm compiles (Model.Compile / Model.CompileJoint over a cached
-// core.Analysis) are checked against the one cold pipeline, core.Compile /
-// core.CompileJoint, which analyses the description afresh on every call.
+// core.Analysis) are checked against the first compile of a model Parse
+// built afresh from the same source, frontend included.
+
+// fresh parses m's source again: a model no compile has analysed yet.
+func fresh(t testing.TB, m *Model) *Model {
+	t.Helper()
+	f, err := Parse(m.Name+".p4", m.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
 
 // gridIntents are cmd/benchmark's four compile_open intents, plus one that no
 // software shim can serve (timestamp, mark) so the unsatisfiable outcome is on
@@ -161,7 +169,7 @@ func TestWarmCompileMatchesCold(t *testing.T) {
 						opts := core.CompileOptions{Select: sel, Enumerate: en}
 						label := fmt.Sprintf("%s intent%d override=%t select%d %+v", m.Name, i, override, si, en)
 						warm, werr := m.Compile(intent, opts)
-						cold, cerr := core.Compile(m.Name, m.Info, intent, opts)
+						cold, cerr := fresh(t, m).Compile(intent, opts)
 						var u *core.UnsatisfiableError
 						switch {
 						case !sameErr(t, label, werr, cerr):
@@ -212,7 +220,7 @@ func TestWarmCompileJointMatchesCold(t *testing.T) {
 					opts := core.CompileOptions{Select: sel, Enumerate: en}
 					label := fmt.Sprintf("%s joint%d select%d %+v", m.Name, n, si, en)
 					warm, werr := m.CompileJoint(tenants, opts)
-					cold, cerr := core.CompileJoint(m.Name, m.Info, tenants, opts)
+					cold, cerr := fresh(t, m).CompileJoint(tenants, opts)
 					if sameErr(t, label, werr, cerr) {
 						continue
 					}
@@ -242,19 +250,11 @@ func TestWarmCompileJointMatchesCold(t *testing.T) {
 
 // TestAnalysisSharedUnchanged is the immutability the sharing rests on: 32
 // goroutines compile different intents, single and joint, against one freshly
-// built Model (so the first analysis is raced for too), and afterwards the
+// parsed Model (so the first analysis is raced for too), and afterwards the
 // shared analysis still reads exactly like one built cold. Run under -race.
 func TestAnalysisSharedUnchanged(t *testing.T) {
 	for _, reg := range All() {
-		prog, err := parser.Parse(reg.Name+".p4", reg.Source)
-		if err != nil {
-			t.Fatal(err)
-		}
-		info, err := sema.Check(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := &Model{Name: reg.Name, Source: reg.Source, Info: info}
+		m := fresh(t, reg)
 		var wg sync.WaitGroup
 		for g := 0; g < 32; g++ {
 			opts := core.CompileOptions{Select: gridSelects[g%len(gridSelects)]}
@@ -291,7 +291,7 @@ func TestAnalysisSharedUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := core.Analyze(m.Info, core.EnumerateOptions{})
+		cold, err := fresh(t, reg).Analysis(core.EnumerateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,10 +19,13 @@ package nic
 
 import (
 	"fmt"
+	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 
 	"opendesc/internal/core"
+	"opendesc/internal/obs"
 	"opendesc/internal/p4/parser"
 	"opendesc/internal/p4/sema"
 	"opendesc/internal/semantics"
@@ -50,7 +53,8 @@ func (k Kind) String() string {
 	return "?"
 }
 
-// Model is one NIC family's OpenDesc description.
+// Model is one OpenDesc interface description: a bundled NIC family's, or
+// any other that Parse accepted.
 type Model struct {
 	Name        string
 	Vendor      string
@@ -66,15 +70,38 @@ type Model struct {
 
 	// analyses holds the description-side half of every compile, one per
 	// distinct enumeration option value, errors included. Source never
-	// changes after register, so entries are never invalidated.
+	// changes after Parse, so entries are never invalidated.
 	analyses core.Memo[core.EnumerateOptions, *core.Analysis]
 }
 
+// Parse runs the P4 frontend over a description — parse, then semantic
+// check — and returns it as a model named after file's base name without
+// ".p4". Its errors name the stage that failed: "parse: <file>:…" or
+// "sema: …". Vendor, Kind and Pipeline are left zero: only a bundled
+// model's file declares them.
+func Parse(file, src string) (*Model, error) {
+	prog, err := parser.Parse(file, src)
+	if err != nil {
+		return nil, fmt.Errorf("parse: %w", err)
+	}
+	info, err := sema.Check(prog)
+	if err != nil {
+		return nil, fmt.Errorf("sema: %w", err)
+	}
+	return &Model{Name: strings.TrimSuffix(filepath.Base(file), ".p4"), Source: src, Info: info}, nil
+}
+
 // Analysis returns the cached description-side half for opts, building it on
-// first use. Its errors read like the cold pipeline's (core.Compile).
+// first use.
 func (m *Model) Analysis(opts core.EnumerateOptions) (*core.Analysis, error) {
+	return m.analysis(opts, nil)
+}
+
+// analysis is Analysis with the cfg and paths spans recorded in tr when this
+// call is the one that builds it.
+func (m *Model) analysis(opts core.EnumerateOptions, tr *obs.Trace) (*core.Analysis, error) {
 	return m.analyses.Get(opts, func() (*core.Analysis, error) {
-		a, err := core.Analyze(m.Info, opts)
+		a, err := core.Analyze(m.Info, opts, tr)
 		if err != nil {
 			err = fmt.Errorf("opendesc %s: %w", m.Name, err)
 		}
@@ -110,22 +137,12 @@ func (m *Model) ProvidableSet() (semantics.Set, error) {
 	return a.Providable(), nil
 }
 
-// CompletionSizes returns the distinct completion-record byte sizes across
-// the NIC's enumerated paths, ascending — part of the capability model a
-// fleet host publishes in its describe answer (S25).
-func (m *Model) CompletionSizes() ([]int, error) {
-	a, err := m.Analysis(core.EnumerateOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return a.CompletionSizes(), nil
-}
-
-// Compile maps an intent onto this NIC. The description is analysed once per
-// enumeration option value; each call re-solves Eq. 1 and synthesizes
-// accessors only.
+// Compile maps an intent onto this NIC: the only compile there is. The
+// description is analysed once per enumeration option value, so on a fresh
+// model the first call is cold; every later call re-solves Eq. 1 and
+// synthesizes accessors only.
 func (m *Model) Compile(intent *core.Intent, opts core.CompileOptions) (*core.Result, error) {
-	a, err := m.Analysis(opts.Enumerate)
+	a, err := m.analysis(opts.Enumerate, opts.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -134,9 +151,9 @@ func (m *Model) Compile(intent *core.Intent, opts core.CompileOptions) (*core.Re
 
 // CompileJoint maps N tenant intents onto this NIC at once, solving the
 // joint Eq. 1 objective for one shared device configuration (see
-// core.CompileJoint), on the same cached analysis as Compile.
+// (*core.Analysis).CompileJoint), on the same cached analysis as Compile.
 func (m *Model) CompileJoint(tenants []core.TenantIntent, opts core.CompileOptions) (*core.JointResult, error) {
-	a, err := m.Analysis(opts.Enumerate)
+	a, err := m.analysis(opts.Enumerate, opts.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -148,11 +165,15 @@ var (
 	registry   = make(map[string]*Model)
 )
 
-// register parses, checks, and registers a model; called from each NIC file's
-// init. Panics on malformed built-in descriptions (programmer error).
+// register runs Parse's frontend over a model and registers it; called from
+// each NIC file's init. Panics on malformed built-in descriptions
+// (programmer error).
 func register(m *Model) {
-	prog := parser.MustParse(m.Name+".p4", m.Source)
-	m.Info = sema.MustCheck(prog)
+	p, err := Parse(m.Name+".p4", m.Source)
+	if err != nil {
+		panic("nic " + m.Name + ": " + err.Error())
+	}
+	m.Info = p.Info
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	if _, dup := registry[m.Name]; dup {

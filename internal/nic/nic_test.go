@@ -6,8 +6,6 @@ import (
 
 	"opendesc/internal/core"
 	"opendesc/internal/p4/ast"
-	"opendesc/internal/p4/parser"
-	"opendesc/internal/p4/sema"
 	"opendesc/internal/semantics"
 )
 
@@ -276,19 +274,15 @@ func TestProvidableSets(t *testing.T) {
 func TestDescriptionsPrintRoundtrip(t *testing.T) {
 	for _, m := range All() {
 		printed := ast.SprintProgram(m.Info.Prog)
-		prog2, err := parser.Parse(m.Name+"-printed.p4", printed)
+		// The reparsed program also checks and compiles identically.
+		m2, err := Parse(m.Name+"-printed.p4", printed)
 		if err != nil {
-			t.Fatalf("%s: canonical print does not reparse: %v", m.Name, err)
+			t.Fatalf("%s: canonical print does not reparse and check: %v", m.Name, err)
 		}
-		if ast.SprintProgram(prog2) != printed {
+		if ast.SprintProgram(m2.Info.Prog) != printed {
 			t.Errorf("%s: printing is not a fixed point", m.Name)
 		}
-		// And the reparsed program checks and compiles identically.
-		info2, err := sema.Check(prog2)
-		if err != nil {
-			t.Fatalf("%s: reparsed program fails sema: %v", m.Name, err)
-		}
-		a, err := core.Analyze(info2, core.EnumerateOptions{})
+		a, err := m2.Analysis(core.EnumerateOptions{})
 		if err != nil {
 			t.Fatalf("%s: reparsed program: %v", m.Name, err)
 		}

@@ -73,7 +73,7 @@ control CmptDeparser<CTX_T, META_T>(cmpt_out cmpt_out, in CTX_T ctx, in META_T p
 `
 
 func TestApplyConfigDisequalityPicksSmallestExcluded(t *testing.T) {
-	m, err := modelFromSource("threeregs", threeRegs)
+	m, err := nic.Parse("threeregs.p4", threeRegs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"opendesc/internal/nic"
 	"opendesc/internal/p4/ast"
 	"opendesc/internal/p4/interp"
-	"opendesc/internal/p4/parser"
 	"opendesc/internal/p4/sema"
 	"opendesc/internal/pkt"
 	"opendesc/internal/semantics"
@@ -286,24 +285,11 @@ var handWritten = func() map[string]string {
 
 func handWrittenModel(t testing.TB, name string) *nic.Model {
 	t.Helper()
-	m, err := modelFromSource(name, handWritten[name])
+	m, err := nic.Parse(name+".p4", handWritten[name])
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
-}
-
-// modelFromSource builds an unregistered model from a P4 description.
-func modelFromSource(name, src string) (*nic.Model, error) {
-	prog, err := parser.Parse(name+".p4", src)
-	if err != nil {
-		return nil, err
-	}
-	info, err := sema.Check(prog)
-	if err != nil {
-		return nil, err
-	}
-	return &nic.Model{Name: name, Source: src, Info: info}, nil
 }
 
 // differentialTrace mixes everything the engines branch on — VLAN, KV

@@ -110,7 +110,7 @@ func registerCorpus(t *testing.T) []*nic.Model {
 	for name := range handWritten {
 		models = append(models, handWrittenModel(t, name))
 	}
-	narrow, err := modelFromSource("qdma[cmpt_size:bit<1>]", strings.Replace(nic.MustLoad("qdma").Source, "bit<3> cmpt_size", "bit<1> cmpt_size", 1))
+	narrow, err := nic.Parse("qdma[cmpt_size:bit<1>].p4", strings.Replace(nic.MustLoad("qdma").Source, "bit<3> cmpt_size", "bit<1> cmpt_size", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func registerCorpus(t *testing.T) []*nic.Model {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mm, err := modelFromSource(fmt.Sprintf("%s~%d[%s]", m.Name, v.Seed, ops), src)
+			mm, err := nic.Parse(fmt.Sprintf("%s~%d[%s].p4", m.Name, v.Seed, ops), src)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -48,7 +48,7 @@ control CmptDeparser<CTX_T, META_T>(cmpt_out cmpt_out, in CTX_T ctx, in META_T p
 // would cut it. boolMode, which once reached such an edge, is refused at its
 // untyped condition.
 func TestUnroutedPacketIsCountedApart(t *testing.T) {
-	m, err := modelFromSource("boolmode", boolMode)
+	m, err := nic.Parse("boolmode.p4", boolMode)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestRingFitsEveryDescription(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			mm, err := modelFromSource(fmt.Sprintf("%s~%d[%s]", m.Name, seed, ops), src)
+			mm, err := nic.Parse(fmt.Sprintf("%s~%d[%s].p4", m.Name, seed, ops), src)
 			if err != nil {
 				continue // the mutant does not parse or type-check: nothing to build
 			}

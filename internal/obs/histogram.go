@@ -29,14 +29,8 @@ func (h *Histogram) Observe(v uint64) {
 }
 
 // Count returns the number of observations: the sum of the bucket counts, as
-// Snapshot and Quantile derive it.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.buckets {
-		n += h.buckets[i].Load()
-	}
-	return n
-}
+// Snapshot derives it.
+func (h *Histogram) Count() uint64 { return h.Snapshot().Count }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() uint64 { return h.sum.Load() }
@@ -54,36 +48,9 @@ func bucketUpper(i int) uint64 {
 
 // Quantile returns the upper bound of the bucket containing the q-quantile
 // (0 ≤ q ≤ 1), so the estimate is within one log2 bucket of the true value.
-// Returns 0 for an empty histogram.
-func (h *Histogram) Quantile(q float64) uint64 {
-	// Snapshot the buckets; total may race with concurrent Observe, so
-	// derive the total from the snapshot itself.
-	var counts [histBuckets]uint64
-	var total uint64
-	for i := range counts {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// rank is the 1-based index of the target observation.
-	rank := uint64(q*float64(total-1)) + 1
-	var cum uint64
-	for i := range counts {
-		cum += counts[i]
-		if cum >= rank {
-			return bucketUpper(i)
-		}
-	}
-	return bucketUpper(histBuckets - 1)
-}
+// Returns 0 for an empty histogram. It reads a snapshot, whose total is its
+// own bucket sum, so a concurrent Observe cannot put the rank past the end.
+func (h *Histogram) Quantile(q float64) uint64 { return h.Snapshot().Quantile(q) }
 
 // HistogramSnapshot is a consistent-enough copy for rendering.
 type HistogramSnapshot struct {
@@ -121,8 +88,7 @@ func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
 }
 
 // Quantile returns the upper bound of the bucket containing the q-quantile
-// (0 ≤ q ≤ 1) of the frozen snapshot — the same estimate Histogram.Quantile
-// gives, but computed over an immutable copy so exported perf records are
+// (0 ≤ q ≤ 1) of the frozen snapshot, so exported perf records are
 // internally consistent. Returns 0 for an empty snapshot (not NaN).
 func (s HistogramSnapshot) Quantile(q float64) uint64 {
 	if s.Count == 0 {
@@ -134,6 +100,7 @@ func (s HistogramSnapshot) Quantile(q float64) uint64 {
 	if q > 1 {
 		q = 1
 	}
+	// rank is the 1-based index of the target observation.
 	rank := uint64(q*float64(s.Count-1)) + 1
 	var cum uint64
 	for i, c := range s.Buckets {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -38,6 +39,22 @@ func TestSnapshotQuantileBucketBoundaries(t *testing.T) {
 		// The snapshot must agree with the live histogram's estimator.
 		if live, snap := h.Quantile(0.99), s.Quantile(0.99); live != snap {
 			t.Errorf("Observe(%d): live %d vs snapshot %d", c.value, live, snap)
+		}
+	}
+	// One more input, seeded and spread over every bucket: the live forms
+	// read what the snapshot reads, at every quantile.
+	h := NewHistogram()
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 5000; i++ {
+		h.Observe(rng.Uint64() >> rng.Intn(65))
+	}
+	s := h.Snapshot()
+	if h.Count() != s.Count || s.Count != 5000 {
+		t.Errorf("seeded: live count %d, snapshot count %d, want 5000", h.Count(), s.Count)
+	}
+	for i := 0; i <= 100; i++ {
+		if q := float64(i) / 100; h.Quantile(q) != s.Quantile(q) {
+			t.Errorf("seeded: live q%.2f = %d, snapshot %d", q, h.Quantile(q), s.Quantile(q))
 		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // Trace is a lightweight span collector for a single pipeline run (e.g. one
-// OpenDesc compilation: parse → sema → cfg → paths → select → codegen).
+// OpenDesc compilation: frontend → cfg → paths → select → codegen).
 // A Trace is used by one goroutine; spans are recorded in start order.
 type Trace struct {
 	Name  string

@@ -72,16 +72,6 @@ func Parse(file, src string) (*ast.Program, error) {
 	return prog, p.errs.Err()
 }
 
-// MustParse parses src and panics on error; intended for embedded,
-// compile-time-known descriptions.
-func MustParse(file, src string) *ast.Program {
-	prog, err := Parse(file, src)
-	if err != nil {
-		panic(fmt.Sprintf("p4 parse %s: %v", file, err))
-	}
-	return prog
-}
-
 type parser struct {
 	lex  *lexer.Lexer
 	tok  token.Token // current token

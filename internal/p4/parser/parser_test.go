@@ -420,15 +420,6 @@ func TestPreprocessorLinesIgnored(t *testing.T) {
 	}
 }
 
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustParse should panic on bad input")
-		}
-	}()
-	MustParse("bad.p4", "header {")
-}
-
 func TestProgramPrintRoundtrip(t *testing.T) {
 	prog, err := Parse("e1000.p4", e1000Deparser)
 	if err != nil {

@@ -32,15 +32,6 @@ func Check(prog *ast.Program) (*Info, error) {
 	return in, in.errs.Err()
 }
 
-// MustCheck panics on semantic errors; for embedded descriptions.
-func MustCheck(prog *ast.Program) *Info {
-	in, err := Check(prog)
-	if err != nil {
-		panic(fmt.Sprintf("p4 sema %s: %v", prog.File, err))
-	}
-	return in
-}
-
 func (in *Info) errorf(pos token.Pos, format string, args ...any) {
 	if len(in.errs) < 50 {
 		in.errs = append(in.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})

@@ -1,6 +1,6 @@
 // Package tenant is the multi-tenant serving plane (S24): N tenants each
 // declare their own metadata intent, the compiler solves the joint Eq. 1
-// optimization over all of them at once (core.CompileJoint) to program ONE
+// optimization over all of them at once (nic.Model.CompileJoint) to program ONE
 // device configuration, and traffic is sharded across a multi-queue device
 // by Toeplitz RSS into per-core poll loops with work stealing. Each tenant
 // reads metadata through its own accessor/shim split over the shared
@@ -22,7 +22,6 @@ import (
 	"opendesc/internal/obs"
 	"opendesc/internal/pkt"
 	"opendesc/internal/rxpath"
-	"opendesc/internal/semantics"
 	"opendesc/internal/softnic"
 	"opendesc/internal/vclock"
 	"opendesc/internal/workload"
@@ -170,7 +169,7 @@ func Open(opts Options, specs ...Spec) (*Plane, error) {
 				return nil, fmt.Errorf("tenant: duplicate tenant name %q", s.Name)
 			}
 		}
-		intent, err := intentFor(s.Name, s.Semantics)
+		intent, err := core.IntentFromNames(s.Name+"_intent", s.Semantics...)
 		if err != nil {
 			return nil, err
 		}
@@ -231,14 +230,6 @@ func (pt *portTable) lookup(port uint16) int {
 		return int(pt.idx[off]) - 1
 	}
 	return -1
-}
-
-func intentFor(name string, sems []string) (*core.Intent, error) {
-	names := make([]semantics.Name, len(sems))
-	for i, s := range sems {
-		names[i] = semantics.Name(s)
-	}
-	return core.IntentFromSemantics(name+"_intent", semantics.Default, names...)
 }
 
 // jointIntents snapshots the current tenant intents for a joint compile.
@@ -489,7 +480,7 @@ func (p *Plane) Renegotiate(name string, sems ...string) error {
 	if ti < 0 {
 		return fmt.Errorf("tenant: no tenant %q", name)
 	}
-	intent, err := intentFor(name, sems)
+	intent, err := core.IntentFromNames(name+"_intent", sems...)
 	if err != nil {
 		return err
 	}

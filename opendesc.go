@@ -105,11 +105,7 @@ func RegisterSemantic(name string, defaultBits int, softCost float64) error {
 
 // NewIntent builds an intent from semantic names.
 func NewIntent(name string, sems ...string) (*Intent, error) {
-	names := make([]semantics.Name, len(sems))
-	for i, s := range sems {
-		names[i] = semantics.Name(s)
-	}
-	return core.IntentFromSemantics(name, semantics.Default, names...)
+	return core.IntentFromNames(name, sems...)
 }
 
 // ParseIntentP4 parses a P4 source containing an intent header (fields
@@ -140,15 +136,11 @@ func Compile(nicName string, intent *Intent, opts CompileOptions) (*Result, erro
 // as P4 source (the self-describing-NIC path: the description normally ships
 // with the device).
 func CompileP4(nicName, nicSource string, intent *Intent, opts CompileOptions) (*Result, error) {
-	prog, err := parser.Parse(nicName+".p4", nicSource)
+	m, err := nic.Parse(nicName+".p4", nicSource)
 	if err != nil {
 		return nil, err
 	}
-	info, err := sema.Check(prog)
-	if err != nil {
-		return nil, err
-	}
-	return core.Compile(nicName, info, intent, opts)
+	return m.Compile(intent, opts)
 }
 
 // GenerateGo renders a standalone Go accessor package for a result.
