@@ -84,6 +84,8 @@ alloc-gate:
 	$(GO) test -run TestVerifyAllocGate -v ./internal/diffverify
 	$(GO) test -run TestNewAllocGate -v ./internal/nicsim
 	$(GO) test -run TestShimTimingOnGrid -v ./internal/softnic
+	$(GO) test -race -run TestDerivedCountsNeverDecrease -v ./internal/nicsim
+	$(GO) test -race -run TestSnapshotDuringStagedPolls -v ./internal/rxpath
 
 # Non-test Go and assembly lines per top-level directory: raw, and code only
 # (no blank or comment lines), their total, then the same two counts over

@@ -455,8 +455,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 // full driver datapath (Rx + Poll + three metadata reads per packet): the
 // "on" sub-benchmark records with the default sampling, "off" disables the
 // recorder at runtime (the enabled-check cost stays). The tax is well over
-// 5% of the host side: on cmd/benchmark's hw_fastpath (2-vCPU VM) disabling
-// the recorder takes 19% off the host time per packet.
+// 5% of the host side: on cmd/benchmark's hw_fastpath (2-vCPU VM, six pairs
+// of 3 s windows) disabling the recorder takes 8% off the host time per packet.
 func BenchmarkFlightOverhead(b *testing.B) {
 	tr := workload.MustGenerate(workload.DefaultSpec())
 	run := func(b *testing.B, record bool) {

@@ -256,7 +256,9 @@ func runCompiler(args []string, stdout, stderr io.Writer) error {
 // runDiff compiles the same intent against two NIC descriptions (bundled
 // model names or .p4 files) and renders the interface drift report — which
 // accessors moved, resized, or fell back to software, and whether the drift
-// breaks fixed-offset readers or only regenerated accessors.
+// breaks fixed-offset readers or only regenerated accessors. Each side is
+// named by its argument as typed: a bundled model by its name, a file by its
+// path, so two files of one base name stay apart.
 func runDiff(oldArg, newArg string, intent *core.Intent, alpha float64) (string, error) {
 	oldM, err := loadNIC(oldArg)
 	if err != nil {
@@ -269,11 +271,11 @@ func runDiff(oldArg, newArg string, intent *core.Intent, alpha float64) (string,
 	opts := core.CompileOptions{Select: core.SelectOptions{Alpha: alpha}}
 	oldRes, err := oldM.Compile(intent, opts)
 	if err != nil {
-		return "", fmt.Errorf("compiling against %s: %w", oldM.Name, err)
+		return "", fmt.Errorf("compiling against %s: %w", oldArg, err)
 	}
 	newRes, err := newM.Compile(intent, opts)
 	if err != nil {
-		return "", fmt.Errorf("compiling against %s: %w", newM.Name, err)
+		return "", fmt.Errorf("compiling against %s: %w", newArg, err)
 	}
 	d, err := core.DiffResults(oldRes, newRes)
 	if err != nil {
@@ -281,7 +283,7 @@ func runDiff(oldArg, newArg string, intent *core.Intent, alpha float64) (string,
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "OpenDesc interface drift: %s -> %s under intent %s\n",
-		oldM.Name, newM.Name, intent.Req())
+		oldArg, newArg, intent.Req())
 	sb.WriteString(d.String())
 	switch {
 	case len(d.LostSemantics()) > 0:

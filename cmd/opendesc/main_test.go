@@ -251,6 +251,33 @@ func TestRunDiffGolden(t *testing.T) {
 	}
 }
 
+// TestRunDiffNamesSidesAsTyped: two descriptions of one base name in two
+// directories are told apart by their paths as typed.
+func TestRunDiffNamesSidesAsTyped(t *testing.T) {
+	intent, err := loadIntent("", "", "rss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sides [2]string
+	for i, src := range []string{"boolctx.p4", "booleq.p4"} {
+		body, err := os.ReadFile(filepath.Join("..", "..", "internal", "nicsim", "testdata", src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sides[i] = filepath.Join(t.TempDir(), "x.p4")
+		if err := os.WriteFile(sides[i], body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := runDiff(sides[0], sides[1], intent, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "OpenDesc interface drift: " + sides[0] + " -> " + sides[1] + " under intent"; !strings.HasPrefix(out, want) {
+		t.Errorf("report opens %q, want %q", strings.SplitN(out, "\n", 2)[0], want)
+	}
+}
+
 func TestRunDiffIdentical(t *testing.T) {
 	intent, err := loadIntent("", "", "rss,pkt_len")
 	if err != nil {

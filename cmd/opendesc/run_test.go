@@ -146,3 +146,24 @@ func TestRejectClassesPrintSorted(t *testing.T) {
 		t.Errorf("two runs of one seed print %q and %q", first, again)
 	}
 }
+
+// TestStatsCounterRowsGolden: the device and ring counter rows of one seeded
+// ice run under every fault class are byte-stable. The device derives these
+// series from per-route and per-engine-set counts, so this pins every count
+// to what per-packet counters read. Flight histogram rows are timing and
+// stay out.
+func TestStatsCounterRowsGolden(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-nic", "ice", "-req", "rss,vlan,pkt_len", "-packets", "20000",
+		"-faults", "corrupt=1e-3,truncate=1e-3,dup=1e-3,replay=1e-3,drop=5e-4,hang=2@5000", "-seed", "7", "-stats"}
+	if err := runDriver(args, &stdout, &stderr); err != nil {
+		t.Fatalf("%v\n%s%s", err, &stdout, &stderr)
+	}
+	var rows strings.Builder
+	for _, l := range strings.SplitAfter(stdout.String(), "\n") {
+		if strings.HasPrefix(l, "opendesc_dev_") || strings.HasPrefix(l, "opendesc_ring_") {
+			rows.WriteString(l)
+		}
+	}
+	checkGolden(t, "stats_faults.golden", rows.String())
+}

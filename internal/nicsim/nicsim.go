@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync/atomic"
 
 	"opendesc/internal/bitfield"
 	"opendesc/internal/core"
@@ -86,13 +87,19 @@ type Device struct {
 	clock uint64
 
 	// Ethtool-style device counters (atomic: the RX path runs on one
-	// goroutine, but stats may be scraped from another at any time).
-	rxPackets obs.Counter
-	rxBytes   obs.Counter
-	drops     obs.Counter
-	cmptBytes obs.Counter
-	// offloads counts, per engine slot, the packets its engine ran for.
-	offloads [softnic.NumRows]obs.Counter
+	// goroutine, but stats may be scraped from another at any time). The
+	// packets accepted, the completion bytes and each engine's runs are not
+	// kept: Stats derives them from each route's hits and from apart.
+	rxBytes obs.Counter
+	drops   obs.Counter
+	// apart holds the tallies of packets that do not count on their route's
+	// hits, copied on write: the datapath appends, a scraper reads.
+	apart atomic.Pointer[[]*tally]
+	// seq counts accepted packets: the flight stream's sequence, the
+	// driver's Rx sequence. stamp is the flight clock reading the last
+	// accepted packet was recorded at, 0 off the sampling grid (Stamp).
+	seq   uint32
+	stamp uint64
 
 	// faults, when non-nil, is the fault-injection layer consulted on every
 	// DMA/completion and control-channel operation.
@@ -160,12 +167,33 @@ const (
 )
 
 // A route is one enumerated path as the device DMAs it: its writes,
-// plan[start:end], the record's size in bytes, and the completions it carried.
+// plan[start:end], the record's size in bytes, and its direct counter, as P4
+// counts a table entry's hits: hits counts its completions of size bytes whose
+// packets ran the engines in set. set holds the engine slots' bits of the
+// route's first such packet, tagged with setValid, and is stored before the
+// first hit; a completion that differs goes to the device's tallies.
 type route struct {
 	start, end int32
 	size       int
-	hits       obs.Counter
+	set        atomic.Uint64
+	hits       atomic.Uint64
 }
+
+// A tally counts the packets, n, that do not count on their route's hits: a
+// completion on path whose engines or record size differ from the route's
+// (a description whose decisions read the packet, a replayed record of
+// another path), or, with path -1 and size 0, a packet whose engines ran and
+// that completed nowhere — refused after routing, by a full ring, or lost by
+// the fault injector.
+type tally struct {
+	path, size int
+	set        uint64
+	n          atomic.Uint64
+}
+
+// setValid tags an engine set as stored, so that one with no engine differs
+// from none. It is a fixed slot's bit, never an engine's.
+const setValid = uint64(1) << (maxSlots - 1)
 
 // A write puts one slot's value into a completion record, width bits at bit
 // off. The record buffer is cleared first, so fields that read zero get no
@@ -431,10 +459,10 @@ type DeviceStats struct {
 // entries.
 func (d *Device) Stats() DeviceStats {
 	st := DeviceStats{
-		RxPackets:         d.rxPackets.Load(),
+		RxPackets:         d.rxPackets(),
 		RxBytes:           d.rxBytes.Load(),
 		Drops:             d.drops.Load(),
-		CompletionBytes:   d.cmptBytes.Load(),
+		CompletionBytes:   d.cmptBytes(),
 		CompletionsByPath: make(map[int]uint64),
 		Offloads:          make(map[semantics.Name]uint64),
 		Ring:              d.CmptRing.Stats(),
@@ -446,16 +474,65 @@ func (d *Device) Stats() DeviceStats {
 		Unrouted:          d.unrouted.Load(),
 	}
 	for i := range d.routes {
-		if n := d.routes[i].hits.Load(); n > 0 {
+		if n := d.completions(i); n > 0 {
 			st.CompletionsByPath[d.paths[i].ID] = n
 		}
 	}
 	for slot, e := range engines {
-		if n := d.offloads[slot].Load(); n > 0 {
+		if n := d.offloads(slot); n > 0 {
 			st.Offloads[e.Semantic()] = n
 		}
 	}
 	return st
+}
+
+// sum adds up, over every count the device keeps — each route's hits, each
+// tally's n — the count times w of what it counts: its path (-1: none), its
+// record's size and its engine set. Every count only grows, so every sum
+// does too, at any moment a scraper reads it.
+func (d *Device) sum(w func(path, size int, set uint64) uint64) uint64 {
+	var total uint64
+	for i := range d.routes {
+		r := &d.routes[i]
+		// hits first: a route with a hit has its set stored.
+		if n := r.hits.Load(); n > 0 {
+			total += n * w(i, r.size, r.set.Load())
+		}
+	}
+	if rows := d.apart.Load(); rows != nil {
+		for _, t := range *rows {
+			total += t.n.Load() * w(t.path, t.size, t.set)
+		}
+	}
+	return total
+}
+
+// rxPackets is the packets accepted: every completion, and every packet
+// whose completion the injector lost.
+func (d *Device) rxPackets() uint64 {
+	return d.sum(func(path, _ int, _ uint64) uint64 { return b2u(path >= 0) }) + d.lostCmpts.Load()
+}
+
+// cmptBytes is the completion-record bytes DMAed.
+func (d *Device) cmptBytes() uint64 {
+	return d.sum(func(path, size int, _ uint64) uint64 { return b2u(path >= 0) * uint64(size) })
+}
+
+// completions is path i's completions.
+func (d *Device) completions(i int) uint64 {
+	return d.sum(func(path, _ int, _ uint64) uint64 { return b2u(path == i) })
+}
+
+// offloads is the packets slot's engine ran for.
+func (d *Device) offloads(slot int) uint64 {
+	return d.sum(func(_, _ int, set uint64) uint64 { return set >> slot & 1 })
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // RegisterMetrics exposes the device counters (and its completion ring's)
@@ -463,10 +540,10 @@ func (d *Device) Stats() DeviceStats {
 // labels (e.g. the queue id). Idempotent per registry and label set.
 func (d *Device) RegisterMetrics(reg *obs.Registry, extra ...obs.Label) {
 	base := append([]obs.Label{obs.L("nic", d.Model.Name)}, extra...)
-	reg.AttachCounter("opendesc_dev_rx_packets_total", "packets accepted by the simulated device", &d.rxPackets, base...)
+	reg.AttachCounterFunc("opendesc_dev_rx_packets_total", "packets accepted by the simulated device", d, d.rxPackets, base...)
 	reg.AttachCounter("opendesc_dev_rx_bytes_total", "packet bytes accepted by the simulated device", &d.rxBytes, base...)
 	reg.AttachCounter("opendesc_dev_drops_total", "packets dropped in the RX path", &d.drops, base...)
-	reg.AttachCounter("opendesc_dev_completion_bytes_total", "completion-record bytes DMAed", &d.cmptBytes, base...)
+	reg.AttachCounterFunc("opendesc_dev_completion_bytes_total", "completion-record bytes DMAed", d, d.cmptBytes, base...)
 	reg.AttachCounter("opendesc_dev_config_naks_total", "refused ApplyConfig register-write bursts", &d.cfgNAKs, base...)
 	reg.AttachCounter("opendesc_dev_hang_drops_total", "packets refused while the device was wedged", &d.hangDrops, base...)
 	reg.AttachCounter("opendesc_dev_lost_completions_total", "completions lost to fault injection", &d.lostCmpts, base...)
@@ -475,11 +552,11 @@ func (d *Device) RegisterMetrics(reg *obs.Registry, extra ...obs.Label) {
 	reg.AttachCounter("opendesc_dev_unrouted_total", "packets whose deparser decisions took no enumerated path", &d.unrouted, base...)
 	for i := range d.routes {
 		labels := append(append([]obs.Label{}, base...), obs.L("path", strconv.Itoa(d.paths[i].ID)))
-		reg.AttachCounter("opendesc_dev_path_completions_total", "completions emitted per deparser path", &d.routes[i].hits, labels...)
+		reg.AttachCounterFunc("opendesc_dev_path_completions_total", "completions emitted per deparser path", d, func() uint64 { return d.completions(i) }, labels...)
 	}
 	for slot, e := range engines {
 		labels := append(append([]obs.Label{}, base...), obs.L("semantic", string(e.Semantic())))
-		reg.AttachCounter("opendesc_dev_offload_invocations_total", "offload-engine invocations per semantic", &d.offloads[slot], labels...)
+		reg.AttachCounterFunc("opendesc_dev_offload_invocations_total", "offload-engine invocations per semantic", d, func() uint64 { return d.offloads(slot) }, labels...)
 	}
 	r := d.CmptRing
 	rl := append(append([]obs.Label{}, base...), obs.L("ring", "cmpt"))
@@ -500,9 +577,14 @@ func (d *Device) RegisterMetrics(reg *obs.Registry, extra ...obs.Label) {
 // is wedged, the frame is longer than bufSize, or the completion ring is full
 // — each refused before any engine runs — or its decisions lead off every
 // enumerated path (counted apart, as Unrouted).
+//
+// A packet on the flight sampling grid reads the flight clock once, at the
+// DMA: its emit, its ring push and the receive queue's Rx stamp (Stamp) all
+// carry that reading. The bookkeeping is one add to the route's hits and one
+// to the bytes received; whatever differs from the route is tallied apart.
 func (d *Device) RxPacket(packet []byte) bool {
 	// seq is this packet's 1-based count, matching the driver's Rx sequence.
-	seq := uint32(d.rxPackets.Load()) + 1
+	seq := d.seq + 1
 	if d.faults != nil && d.faults.Tick() {
 		// Wedged: refused outright, stamped with the last accepted packet's seq.
 		d.hangDrops.Inc()
@@ -527,6 +609,7 @@ func (d *Device) RxPacket(packet []byte) bool {
 			d.unrouted.Inc()
 		}
 		d.drops.Inc()
+		d.countApart(-1, 0)
 		return false
 	}
 	// The plan: the record is cleared, then each slot it carries written.
@@ -536,18 +619,27 @@ func (d *Device) RxPacket(packet []byte) bool {
 		bitfield.Write(d.cmptBuf, int(w.off), int(w.width), d.val(int(w.slot)))
 	}
 	rec, extra := d.faults.Completion(d.cmptBuf[:r.size])
-	if rec != nil && !d.CmptRing.Push(rec) {
+	var ts uint64
+	if flight.Sampled(seq) {
+		ts = d.fq.Now()
+	}
+	if rec != nil && !d.CmptRing.PushT(rec, ts) {
 		d.drops.Inc()
+		d.countApart(-1, 0)
 		return false
 	}
-	d.rxPackets.Inc()
+	d.seq, d.stamp = seq, ts
 	d.rxBytes.Add(uint64(len(packet)))
 	if rec == nil {
 		// Injected completion loss: the device believes the packet completed
 		// (it was counted), but no record reaches the host — the
 		// pending/completion desync the driver must resynchronize from.
 		d.lostCmpts.Inc()
-		d.fq.Record(flight.EvDMALost, seq, uint64(r.size), 0)
+		d.countApart(-1, 0)
+		if ts == 0 {
+			ts = d.fq.Now()
+		}
+		d.fq.RecordT(ts, flight.EvDMALost, seq, uint64(r.size), 0)
 		return true
 	}
 	if extra != nil {
@@ -555,15 +647,55 @@ func (d *Device) RxPacket(packet []byte) bool {
 		// swallows the duplicate, as real hardware would).
 		d.CmptRing.Push(extra)
 	}
-	d.cmptBytes.Add(uint64(len(rec)))
-	d.routes[path].hits.Inc()
+	if len(rec) == r.size && r.set.Load() == d.have&^fixedSlots|setValid {
+		r.hits.Add(1)
+	} else {
+		d.countApart(path, len(rec))
+	}
 	// Routine emits are sampled (flight.SamplePeriod); anomalies above are
 	// always recorded.
-	if flight.Sampled(seq) {
-		d.fq.Record(flight.EvDMAEmit, seq, uint64(len(rec)), uint64(path+1))
+	if ts != 0 {
+		d.fq.RecordT(ts, flight.EvDMAEmit, seq, uint64(len(rec)), uint64(path+1))
 	}
 	return true
 }
+
+// countApart counts the packet just received apart from its route's hits: a
+// completion of size bytes on path, or, with path -1, a packet that
+// completed nowhere, tallied only if an engine ran for it. A route's first
+// completion of its own size stores the route's engine set and hits.
+func (d *Device) countApart(path, size int) {
+	set := d.have&^fixedSlots | setValid
+	if path < 0 && set == setValid {
+		return
+	}
+	if path >= 0 {
+		if r := &d.routes[path]; size == r.size && r.set.Load() == 0 {
+			r.set.Store(set)
+			r.hits.Add(1)
+			return
+		}
+	}
+	var rows []*tally
+	if p := d.apart.Load(); p != nil {
+		rows = *p
+	}
+	for _, t := range rows {
+		if t.path == path && t.size == size && t.set == set {
+			t.n.Add(1)
+			return
+		}
+	}
+	t := &tally{path: path, size: size, set: set}
+	t.n.Store(1)
+	rows = append(rows[:len(rows):len(rows)], t)
+	d.apart.Store(&rows)
+}
+
+// Stamp returns the flight clock reading the last accepted packet was
+// recorded at: non-zero when it fell on the sampling grid with recording on.
+// A receive queue whose grid agrees takes it as the packet's Rx stamp.
+func (d *Device) Stamp() uint64 { return d.stamp }
 
 // InjectFaults attaches a fault-injection layer; nil detaches it. The
 // injector is consulted from the device datapath goroutine on every RX,
@@ -634,7 +766,6 @@ func (d *Device) val(slot int) uint64 {
 // reference table (softnic), read on the frame the device parsed — on a
 // frame the parser rejects, the row states the value.
 func (d *Device) engine(slot int) uint64 {
-	d.offloads[slot].Inc()
 	switch slot {
 	case slotPktLen:
 		return uint64(len(d.packet))

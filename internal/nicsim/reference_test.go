@@ -295,7 +295,7 @@ func handWrittenModel(t testing.TB, name string) *nic.Model {
 // differentialTrace mixes everything the engines branch on — VLAN, KV
 // requests, tunnels, TCP and UDP, bad checksums — with frames the parser
 // gives up on.
-func differentialTrace(t *testing.T) [][]byte {
+func differentialTrace(t testing.TB) [][]byte {
 	t.Helper()
 	var out [][]byte
 	for seed, spec := range []workload.Spec{
@@ -411,13 +411,13 @@ func differential(t *testing.T, m *nic.Model, cons []core.Constraint, trace [][]
 				}
 			}
 		}
-		dmaBefore := dev.cmptBytes.Load()
+		dmaBefore := dev.cmptBytes()
 		if ok := dev.RxPacket(p); ok != accepted {
 			t.Fatalf("packet %d: device accepted=%v, reference accepted=%v", i, ok, accepted)
 		}
 		// A ring entry is the record zero-padded to the entry size; the
 		// record's own length is what the DMA counter advanced by.
-		if n := int(dev.cmptBytes.Load() - dmaBefore); len(want) > 0 && n != len(want[0]) {
+		if n := int(dev.cmptBytes() - dmaBefore); len(want) > 0 && n != len(want[0]) {
 			t.Fatalf("packet %d: device DMAed %d B, reference %d B", i, n, len(want[0]))
 		}
 		var got [][]byte

@@ -180,13 +180,13 @@ func TestEveryRegisterSettingIsRouted(t *testing.T) {
 					t.Fatalf("%v = %v: ActivePath: %v", names, vals, err)
 				}
 				want, taken := ref.rx(frame, dev.clock+timestampStep)
-				before := dev.cmptBytes.Load()
+				before := dev.cmptBytes()
 				if !dev.RxPacket(frame) {
 					t.Fatalf("%v = %v: the device refused the frame", names, vals)
 				}
 				var got []byte
 				dev.CmptRing.Consume(func(e []byte) { got = append(got, e...) })
-				n := int(dev.cmptBytes.Load() - before)
+				n := int(dev.cmptBytes() - before)
 				switch {
 				case n != ap.SizeBytes():
 					t.Fatalf("%v = %v: DMAed %d B, ActivePath's path %d is %d B", names, vals, n, ap.ID, ap.SizeBytes())
@@ -262,7 +262,7 @@ func FuzzRegisterWrites(f *testing.F) {
 		}
 		ap, apErr := dev.ActivePath()
 		want, _ := ref.rx(frame, dev.clock+timestampStep)
-		before := dev.cmptBytes.Load()
+		before := dev.cmptBytes()
 		accepted := dev.RxPacket(frame)
 		if accepted != (apErr == nil) || accepted != (want != nil) {
 			t.Fatalf("%s: RxPacket accepted %v, ActivePath %v, interpreter emitted %v", m.Name, accepted, apErr, want != nil)
@@ -270,7 +270,7 @@ func FuzzRegisterWrites(f *testing.F) {
 		if !accepted {
 			return
 		}
-		if n := int(dev.cmptBytes.Load() - before); n != ap.SizeBytes() {
+		if n := int(dev.cmptBytes() - before); n != ap.SizeBytes() {
 			t.Fatalf("%s: DMAed %d B, path %d is %d B", m.Name, n, ap.ID, ap.SizeBytes())
 		}
 		dev.CmptRing.Consume(func(got []byte) {

@@ -1,6 +1,8 @@
 // Microbenchmarks for the recording primitives themselves. BenchmarkRecordT
 // is one event on an uncontended queue (one lock, one unlock, five stores);
-// BenchmarkRecord adds the clock read that BenchmarkNow prices alone. The
+// BenchmarkRecord adds the clock read that BenchmarkNow prices alone;
+// BenchmarkStage is one event of a poll that stages ten and commits them
+// under one lock. The
 // per-event cost times the events a sampled packet records is the budget
 // math behind SamplePeriod (DESIGN.md, "The flight recorder").
 package flight
@@ -31,4 +33,17 @@ func BenchmarkNow(b *testing.B) {
 		s += q.Now()
 	}
 	_ = s
+}
+
+func BenchmarkStage(b *testing.B) {
+	q := NewRecorder(Config{}).Queue("q0")
+	ts := q.Now()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		q.Stage(ts, EvRingPush, uint32(i), 1, 2)
+		if i%10 == 9 {
+			q.Commit()
+		}
+	}
+	q.Commit()
 }

@@ -13,8 +13,10 @@
 // allocated in chunks as writers first reach them, and one mutex. A writer
 // takes the lock, bumps the queue's ticket, stores the event into the
 // ticket's slot and unlocks: a production queue has one writer goroutine, so
-// the lock is uncontended and costs one lock and one unlock. Several writers
-// are safe; the lock serialises them. A snapshot takes the lock once per
+// the lock is uncontended and costs one lock and one unlock. A receive
+// queue's poll stages its routine events instead (Stage) and commits them
+// under one lock as it returns (Commit). Several writers are safe; the lock
+// serialises them. A snapshot takes the lock once per
 // chunk of tickets, so a writer waits at most one chunk copy even while a
 // full ring is scraped, and skips the slots a writer reused between chunks.
 //
@@ -140,10 +142,11 @@ var codeNames = [numCodes]string{
 // the routine traffic keeps a representative slice of healthy lifecycles in
 // the ring while anomalies (stalls, violations, hardening classifications,
 // watchdog and switchover events) are always recorded. A sampled packet
-// costs its queue four clock reads and the poll that delivers it one; other
-// packets, and other polls, read no clock. Even so the tax is no 5%: on
-// cmd/benchmark's hw_fastpath (2-vCPU VM, 3 s windows, six pairs each) a
-// recorder disabled at runtime takes 19% off the host time per packet.
+// costs its queue two clock reads (one at its DMA, one at its delivery) and
+// the poll that delivers it one; other packets, and other polls, read no
+// clock. Even so the tax is no 5%: on cmd/benchmark's hw_fastpath (2-vCPU
+// VM, 3 s windows, six pairs) a recorder disabled at runtime takes 8% off
+// the host time per packet.
 const SamplePeriod = 16
 
 // Sampled reports whether a routine event with 1-based ordinal seq falls on
@@ -228,9 +231,19 @@ type Queue struct {
 	// its ring it has touched (a fresh device's smoke burst records a few
 	// dozen events; a steady one touches every chunk within its first lap).
 	chunks []*[chunkSlots]slot
+
+	// staged holds the owner's events that Stage has buffered and Commit has
+	// not yet written, stage[:staged]; a slot's ticket is unused there.
+	staged int
+	stage  [stageSlots]slot
 }
 
-const chunkSlots = 256
+const (
+	chunkSlots = 256
+	// stageSlots bounds the owner's staged events: a 32-packet poll stages
+	// about ten, and a fuller buffer commits early.
+	stageSlots = 32
+)
 
 // ID returns the queue's numeric id (assigned at registration, stable within
 // a recorder).
@@ -244,10 +257,21 @@ func (q *Queue) Recorder() *Recorder {
 	return q.rec
 }
 
-// record takes the next ticket and stores the event in its slot,
-// materialising the slot's chunk on first touch.
+// record stores one event under the lock.
 func (q *Queue) record(ts uint64, c Code, seq uint32, a0, a1 uint64) {
 	q.mu.Lock()
+	q.put(ts, q.meta(c, seq), a0, a1)
+	q.mu.Unlock()
+}
+
+// meta packs an event's code, the queue's id and seq into one word.
+func (q *Queue) meta(c Code, seq uint32) uint64 {
+	return uint64(c)<<48 | uint64(q.id)<<32 | uint64(seq)
+}
+
+// put takes the next ticket and stores the event in its slot, materialising
+// the slot's chunk on first touch. The caller holds the lock.
+func (q *Queue) put(ts, meta, a0, a1 uint64) {
 	q.wpos++
 	i := (q.wpos - 1) & q.mask
 	ch := q.chunks[i/chunkSlots]
@@ -256,8 +280,42 @@ func (q *Queue) record(ts uint64, c Code, seq uint32, a0, a1 uint64) {
 		q.chunks[i/chunkSlots] = ch
 	}
 	s := &ch[i%chunkSlots]
-	s.ticket, s.ts, s.meta, s.a0, s.a1 = q.wpos, ts, uint64(c)<<48|uint64(q.id)<<32|uint64(seq), a0, a1
+	s.ticket, s.ts, s.meta, s.a0, s.a1 = q.wpos, ts, meta, a0, a1
+}
+
+// Stage is RecordT for the queue's owner — the goroutine that serializes the
+// receive queue the ring belongs to — which buffers the event instead of
+// taking the lock; Commit writes the buffer, and a full buffer commits
+// itself. Tickets are taken at commit, in the order the events were staged,
+// so the ring reads as if each had been recorded on its own. The owner
+// commits before it records anything else on the queue and before a
+// postmortem or a snapshot of its own; records from any other goroutine take
+// the lock as always.
+func (q *Queue) Stage(ts uint64, c Code, seq uint32, a0, a1 uint64) {
+	if q == nil || ts == 0 || !q.rec.enabled.Load() {
+		return
+	}
+	if q.staged == stageSlots {
+		q.Commit()
+	}
+	s := &q.stage[q.staged]
+	s.ts, s.meta, s.a0, s.a1 = ts, q.meta(c, seq), a0, a1
+	q.staged++
+}
+
+// Commit writes the staged events under one lock, in staging order. Only the
+// owner calls it; with nothing staged it takes no lock.
+func (q *Queue) Commit() {
+	if q == nil || q.staged == 0 {
+		return
+	}
+	q.mu.Lock()
+	for i := range q.stage[:q.staged] {
+		s := &q.stage[i]
+		q.put(s.ts, s.meta, s.a0, s.a1)
+	}
 	q.mu.Unlock()
+	q.staged = 0
 }
 
 // snapshot copies out up to max most-recent events (all when max <= 0),

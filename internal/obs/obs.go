@@ -122,6 +122,8 @@ type metric struct {
 	fn func() uint64  // counter-func source
 	gf func() int64   // gauge-func source
 	ff func() float64 // float-func source
+	// owner, set by AttachCounterFunc, is who a func series reads for.
+	owner any
 }
 
 // labelString renders {k="v",...} (empty string for no labels).
@@ -188,7 +190,8 @@ func (r *Registry) WithLabels(labels ...Label) *Registry {
 }
 
 // sameSource reports whether two registrations refer to the same underlying
-// value source. Func-kind sources are not comparable and report true, which
+// value source. Func-kind sources are not comparable: they are the same when
+// their owners are, and CounterFunc, GaugeFunc and FloatFunc have none, which
 // keeps their registration idempotent-by-key.
 func sameSource(a, b *metric) bool {
 	if a.kind != b.kind {
@@ -202,7 +205,7 @@ func sameSource(a, b *metric) bool {
 	case kindHistogram:
 		return a.h == b.h
 	default:
-		return true
+		return a.owner == b.owner
 	}
 }
 
@@ -294,6 +297,15 @@ func (r *Registry) FloatFunc(name, help string, fn func() float64, labels ...Lab
 // key disambiguates the new series with an instance label.
 func (r *Registry) AttachCounter(name, help string, c *Counter, labels ...Label) {
 	r.register(&metric{name: name, help: help, labels: labels, kind: kindCounter, c: c}, true)
+}
+
+// AttachCounterFunc registers a counter read from fn at render time on
+// behalf of owner, for a count its owner derives rather than keeps in one
+// Counter. Like AttachCounter, it is idempotent for the same owner, and a
+// different owner under an already-taken key is disambiguated with an
+// instance label.
+func (r *Registry) AttachCounterFunc(name, help string, owner any, fn func() uint64, labels ...Label) {
+	r.register(&metric{name: name, help: help, labels: labels, kind: kindCounterFunc, fn: fn, owner: owner}, true)
 }
 
 // AttachHistogram registers an externally owned Histogram.

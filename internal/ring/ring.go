@@ -161,7 +161,13 @@ func (r *Ring) HasRoom() bool {
 // returns false when the ring is full or when rec exceeds the entry size —
 // an oversized record is a malformed completion, counted in Stats.Oversized
 // and rejected instead of crashing the device loop.
-func (r *Ring) Push(rec []byte) bool {
+func (r *Ring) Push(rec []byte) bool { return r.PushT(rec, 0) }
+
+// PushT is Push for a producer that has read the flight clock for this
+// record already: a sampled push (and a wrap) is recorded at ts, and only a
+// zero ts — the producer's record is off its own grid — makes the ring read
+// the clock itself.
+func (r *Ring) PushT(rec []byte, ts uint64) bool {
 	if len(rec) > r.entrySize {
 		r.oversized.Add(1)
 		return false
@@ -178,11 +184,15 @@ func (r *Ring) Push(rec []byte) bool {
 		// Pushes are routine per-completion traffic: sampled, on the record's
 		// 1-based count like the packet sequence everywhere else. Wraps are
 		// rare (one per lap) and always recorded.
-		if flight.Sampled(tail + 1) {
-			r.fq.Record(flight.EvRingPush, tail, uint64(tail+1-head), 0)
+		sampled, wrap := flight.Sampled(tail+1), (tail+1)&r.mask == 0
+		if (sampled || wrap) && ts == 0 {
+			ts = r.fq.Now()
 		}
-		if (tail+1)&r.mask == 0 {
-			r.fq.Record(flight.EvRingWrap, tail, uint64((tail+1)/r.capacity), 0)
+		if sampled {
+			r.fq.RecordT(ts, flight.EvRingPush, tail, uint64(tail+1-head), 0)
+		}
+		if wrap {
+			r.fq.RecordT(ts, flight.EvRingWrap, tail, uint64((tail+1)/r.capacity), 0)
 		}
 	}
 	return true
@@ -242,9 +252,11 @@ func (r *Ring) Pop() bool {
 // filled at that moment without touching shared state, and Close publishes
 // the new head and the consumed count in one store and one add. The caller
 // bounds the burst (it releases no more entries than it has packets for)
-// and owns the sampling decision: Release records the EvRingPop a Consume
-// would have (arg0 = occupancy after) for the entries it passes a timestamp
-// for. Do not Reset the ring or mix in Consume/Pop while a cursor is open.
+// and owns the sampling decision: Release stages the EvRingPop a Consume
+// would have recorded (arg0 = occupancy after) for the entries it passes a
+// timestamp for, on the ring's flight queue, which the consumer commits
+// (flight.Queue.Stage). Do not Reset the ring or mix in Consume/Pop while a
+// cursor is open.
 type Cursor struct {
 	r          *Ring
 	head, tail uint32
@@ -261,10 +273,12 @@ func (r *Ring) Cursor() Cursor {
 func (c *Cursor) Avail() int { return int(c.tail - c.head) }
 
 // At returns the oldest unreleased entry, valid until Close. With none left
-// it returns nil and counts an empty stall, like a failed Consume; a caller
-// that must not count one checks Avail first and reads Next.
+// it returns nil and counts an empty stall, like a failed Consume, recorded
+// after the events staged so far are committed; a caller that must not count
+// one checks Avail first and reads Next.
 func (c *Cursor) At() []byte {
 	if c.head == c.tail {
+		c.r.fq.Commit()
 		c.r.noteEmpty(c.head)
 		return nil
 	}
@@ -276,7 +290,7 @@ func (c *Cursor) At() []byte {
 // into a receive loop.
 func (c *Cursor) Next() []byte { return c.r.slot(c.head) }
 
-// Release marks the entry At returned as consumed, recording its pop at ts
+// Release marks the entry At returned as consumed, staging its pop at ts
 // (0: the entry's packet is off the sampling grid, no event).
 func (c *Cursor) Release(ts uint64) {
 	if ts != 0 {
@@ -285,11 +299,11 @@ func (c *Cursor) Release(ts uint64) {
 	c.head++
 }
 
-// notePop records the pop of the entry at head (arg0 = occupancy after).
+// notePop stages the pop of the entry at head (arg0 = occupancy after).
 //
 //go:noinline
 func (c *Cursor) notePop(ts uint64) {
-	c.r.fq.RecordT(ts, flight.EvRingPop, c.head, uint64(c.tail-c.head-1), 0)
+	c.r.fq.Stage(ts, flight.EvRingPop, c.head, uint64(c.tail-c.head-1), 0)
 }
 
 // Close publishes the released entries to the producer and ends the

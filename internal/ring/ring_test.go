@@ -122,7 +122,7 @@ func TestPeekPop(t *testing.T) {
 // burst drains up to max entries in one cursor transaction, the way a poll
 // loop with max packets pending does — the sampling decision included: it
 // hands Release a timestamp for the entries whose 1-based count is on the
-// grid, which are the ones Consume samples.
+// grid, which are the ones Consume samples — and commits the pops it staged.
 func burst(r *Ring, max int, use func(entry []byte)) int {
 	cur := r.Cursor()
 	n := 0
@@ -139,6 +139,7 @@ func burst(r *Ring, max int, use func(entry []byte)) int {
 		cur.Release(ts)
 	}
 	cur.Close()
+	r.fq.Commit()
 	return n
 }
 

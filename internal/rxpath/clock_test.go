@@ -30,8 +30,10 @@ func (c *countingClock) Advance(ns uint64) { c.ns.Add(ns) }
 //
 // with the same traffic cut into polls of 1, 32 and 256 and an empty poll
 // after each. What is left per stamped packet once the one read per reading
-// poll is set aside — one in Poll, the rest (emit, push, Rx stamp) on the Rx
-// side — does not depend on the cut.
+// poll is set aside — one in Poll, the rest on the Rx side — does not depend
+// on the cut. With no fault injected the Rx side reads once per stamped
+// packet: its DMA emit, its ring push and its Rx stamp share the device's
+// reading.
 func TestPollReadsClockOnGrid(t *testing.T) {
 	const packets, switchAt, backlog = 4096, 2048, 48
 	type totals struct{ rx, inPoll, readingPolls, stamped, anomalies uint64 }
@@ -136,6 +138,9 @@ func TestPollReadsClockOnGrid(t *testing.T) {
 					cut, tot.stamped, tot.anomalies, tot.rx, tot.inPoll-tot.readingPolls, tot.readingPolls)
 				if tot.inPoll-tot.readingPolls != tot.stamped {
 					t.Errorf("polls of %d: %d reads beyond one per reading poll for %d stamped packets", cut, tot.inPoll-tot.readingPolls, tot.stamped)
+				}
+				if kind != "hardened" && tot.rx != tot.stamped {
+					t.Errorf("polls of %d: %d clock reads on the Rx side for %d stamped packets, want one each", cut, tot.rx, tot.stamped)
 				}
 				if i == 0 {
 					ref = tot

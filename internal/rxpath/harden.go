@@ -267,7 +267,7 @@ func (h *hardening) noteConsumed(p []byte, soft bool) {
 // packet but its record never arrived, so it is served in software.
 func (h *hardening) noteLost(q *Queue, p *Entry, skipped uint64) {
 	h.resyncDrops.Inc()
-	q.fq.RecordT(q.eventTS(), flight.EvResync, p.Seq, skipped, 0)
+	q.fq.Stage(q.eventTS(), flight.EvResync, p.Seq, skipped, 0)
 	p.Soft = true
 }
 

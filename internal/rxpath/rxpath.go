@@ -125,7 +125,7 @@ func (m Meta) Get(sem string) (uint64, bool) {
 		if r.Hardware {
 			code = flight.EvReadHW
 		}
-		d.fq.RecordT(d.ts, code, d.Seq, r.Name8, 0)
+		d.fq.Stage(d.ts, code, d.Seq, r.Name8, 0)
 	}
 	if r.Hardware {
 		return r.Load(d.Rec), true
@@ -363,14 +363,20 @@ func (q *Queue) Rx(pkt []byte, tag uint32) bool {
 
 // push queues an accepted packet, stamped if it is on the sampling grid. The
 // zero stamp propagates "not sampled" through every event, latency derivation
-// and clock read downstream, so 15 of 16 packets pay a single mask test.
+// and clock read downstream, so 15 of 16 packets pay a single mask test. A
+// packet the device accepted on the same grid is stamped with the device's
+// reading at its DMA; a soft packet, or one the device did not stamp, reads
+// the clock here.
 func (q *Queue) push(pkt []byte, tag uint32, soft bool) {
 	q.seq++
 	var ts uint64
 	if flight.Sampled(q.seq) {
 		if q.clock != nil {
 			ts = q.clock.Now()
-		} else {
+		} else if !soft {
+			ts = q.dev.Stamp()
+		}
+		if ts == 0 {
 			ts = q.fq.Now()
 		}
 		if ts != 0 {
@@ -429,7 +435,7 @@ func (q *Queue) noteDelivered(e *Entry) {
 	t0, t1 := q.now, q.fq.Now()
 	q.dmaToPoll.Observe(t0 - e.TS)
 	q.pollToDeliver.Observe(t1 - t0)
-	q.fq.RecordT(t1, flight.EvDeliver, e.Seq, t0-e.TS, t1-e.TS)
+	q.fq.Stage(t1, flight.EvDeliver, e.Seq, t0-e.TS, t1-e.TS)
 }
 
 // Poll delivers up to limit packets (negative: unbounded) to fn in arrival
@@ -495,6 +501,12 @@ func (q *Queue) park(_ []byte, m Meta) {
 // inlined (make alloc-gate); otherwise judge decides each step. A stamped
 // packet's pop is recorded at the poll's timestamp and, unless draining (a
 // parked packet is delivered by the next Poll), its lifecycle closed.
+//
+// The poll's flight events — those of the parked packets Poll delivered
+// first, pops, reads, verdicts, classifications and delivers — are staged
+// on the queue's ring (flight.Queue.Stage) and committed under one lock as
+// consume returns, so nothing is staged between polls. A postmortem inside
+// the loop commits first.
 func (q *Queue) consume(limit int, fn DeliverFunc, draining bool) int {
 	h := q.hard
 	judged := h != nil || draining
@@ -535,10 +547,11 @@ func (q *Queue) consume(limit int, fn DeliverFunc, draining bool) int {
 	// outlived their packet); drain and count them.
 	for h != nil && len(q.pending) == 0 && cur.Avail() > 0 {
 		h.spurious.Inc()
-		q.fq.RecordT(q.eventTS(), flight.EvSpurious, 0, h.spurious.Load(), 0)
+		q.fq.Stage(q.eventTS(), flight.EvSpurious, 0, h.spurious.Load(), 0)
 		cur.Release(0)
 	}
 	cur.Close()
+	q.fq.Commit()
 	return n
 }
 
@@ -584,19 +597,19 @@ func (q *Queue) judge(cur *ring.Cursor, n int, l *Lane) ([]byte, verdict) {
 	viol := l.Validator.Check(rec, p.Pkt)
 	if viol == nil {
 		if p.TS != 0 {
-			q.fq.RecordT(q.now, flight.EvVerdict, p.Seq, 0, uint64(len(rec)))
+			q.fq.Stage(q.now, flight.EvVerdict, p.Seq, 0, uint64(len(rec)))
 		}
 		return rec, deliver
 	}
 	now := q.eventTS()
-	q.fq.RecordT(now, flight.EvVerdict, p.Seq, uint64(viol.Kind)+1, uint64(len(rec)))
+	q.fq.Stage(now, flight.EvVerdict, p.Seq, uint64(viol.Kind)+1, uint64(len(rec)))
 	h.rejects[viol.Kind].Inc()
 	// Classify the rejected record before blaming corruption.
 	if h.isStale(l.Validator, rec) {
 		// A replayed/duplicated completion of an earlier packet: discard it
 		// and retry the head against the next record.
 		h.staleDrops.Inc()
-		q.fq.RecordT(now, flight.EvStale, p.Seq, uint64(viol.Kind)+1, 0)
+		q.fq.Stage(now, flight.EvStale, p.Seq, uint64(viol.Kind)+1, 0)
 		cur.Release(0)
 		return nil, again
 	}
@@ -612,11 +625,12 @@ func (q *Queue) judge(cur *ring.Cursor, n int, l *Lane) ([]byte, verdict) {
 	// Unclassifiable: a corrupted record. Quarantine it (never expose its
 	// bits) and serve the packet from software.
 	h.quarantined.Inc()
-	q.fq.RecordT(now, flight.EvQuarantine, p.Seq, uint64(viol.Kind)+1, 0)
+	q.fq.Stage(now, flight.EvQuarantine, p.Seq, uint64(viol.Kind)+1, 0)
 	if h.quarantined.Load() == 1 {
 		// Postmortem on the first quarantine only: fault-heavy runs can
 		// quarantine thousands of records, and one snapshot of the first is
-		// what a debugging session needs.
+		// what a debugging session needs — with this poll's events in it.
+		q.fq.Commit()
 		q.Flight().Postmortem("quarantine")
 	}
 	cur.Release(0)

@@ -112,11 +112,14 @@ func (st *ShimStats) Meter(name semantics.Name) *Meter {
 // pair around the bare call: the duration less the pair's own cost (at
 // least 1 ns), the one value the region delivers now, and the EvShim event.
 // The timing does not depend on the recorder: with it disabled Record is a
-// no-op and the counters run the same.
+// no-op and the counters run the same. A meter runs on the goroutine that
+// reads, which owns the receive queue's flight ring, so it commits the
+// events the poll staged before its own.
 func (m *Meter) book(n uint32, d time.Duration) {
 	dur := uint64(max(1, d.Nanoseconds()-clockFloor))
 	m.nano.Add(dur)
 	m.timed.Inc()
+	m.st.fq.Commit()
 	m.st.fq.Record(flight.EvShim, n, m.packed, dur)
 }
 
